@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"grape"
+	"grape/internal/queries"
 )
 
 // The canonical GRAPE workflow: generate a graph, pick a worker count and a
@@ -77,12 +78,12 @@ func ExampleRunProgram() {
 
 // Sessions answer a standing query over an evolving graph: edge insertions
 // re-run only the bounded incremental step.
-func ExampleNewSSSPSession() {
+func ExampleNewSession() {
 	g := grape.New()
 	g.AddEdge(0, 1, 10)
 	g.AddEdge(1, 2, 10)
 
-	session, dists, _, err := grape.NewSSSPSession(context.Background(), g, 0, grape.Options{Workers: 2})
+	session, dists, _, err := grape.NewSession(context.Background(), g, queries.SSSP{}, queries.SSSPQuery{Source: 0}, grape.Options{Workers: 2})
 	if err != nil {
 		panic(err)
 	}

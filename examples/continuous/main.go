@@ -12,6 +12,7 @@ import (
 	"math/rand"
 
 	"grape"
+	"grape/internal/queries"
 )
 
 func main() {
@@ -20,7 +21,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	session, dists, initStats, err := grape.NewSSSPSession(context.Background(), g, 0, grape.Options{Workers: 16, Strategy: strat})
+	session, dists, initStats, err := grape.NewSession(context.Background(), g, queries.SSSP{}, queries.SSSPQuery{Source: 0}, grape.Options{Workers: 16, Strategy: strat})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -152,16 +152,6 @@ func NewSession[Q, V, R any](ctx context.Context, g *Graph, prog Program[Q, V, R
 	return engine.NewSession(ctx, g, prog, q, opts)
 }
 
-// NewSSSPSession starts a continuous shortest-path query from src.
-func NewSSSPSession(ctx context.Context, g *Graph, src ID, opts Options) (*Session[queries.SSSPQuery, float64, map[ID]float64], map[ID]float64, *Stats, error) {
-	return engine.NewSession(ctx, g, queries.SSSP{}, queries.SSSPQuery{Source: src}, opts)
-}
-
-// NewCCSession starts a continuous connected-components query.
-func NewCCSession(ctx context.Context, g *Graph, opts Options) (*Session[queries.CCQuery, ID, map[ID]ID], map[ID]ID, *Stats, error) {
-	return engine.NewSession(ctx, g, queries.CC{}, queries.CCQuery{}, opts)
-}
-
 // New returns an empty directed graph.
 func New() *Graph { return graph.New() }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"grape"
+	"grape/internal/queries"
 	"grape/internal/seq"
 )
 
@@ -135,7 +136,7 @@ func TestFacadeRegistryAndStrategies(t *testing.T) {
 
 func TestFacadeSessions(t *testing.T) {
 	g := grape.RoadGrid(15, 15, 2)
-	s, dists, _, err := grape.NewSSSPSession(context.Background(), g, 0, grape.Options{Workers: 3})
+	s, dists, _, err := grape.NewSession(context.Background(), g, queries.SSSP{}, queries.SSSPQuery{Source: 0}, grape.Options{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestFacadeSessions(t *testing.T) {
 		t.Fatalf("shortcut not applied: before %.1f after %.1f", before, after[far])
 	}
 
-	cs, comp, _, err := grape.NewCCSession(context.Background(), grape.New(), grape.Options{})
+	cs, comp, _, err := grape.NewSession(context.Background(), grape.New(), queries.CC{}, queries.CCQuery{}, grape.Options{})
 	if err == nil {
 		_ = cs
 		_ = comp

@@ -3,7 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
-	"grape/internal/partition"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +11,8 @@ import (
 
 	"grape/internal/graph"
 	"grape/internal/mpi"
+	"grape/internal/partition"
+	"grape/internal/transport"
 )
 
 // stepper is a purpose-built PIE program for cancellation tests: every
@@ -104,7 +106,7 @@ func ring(n int) *graph.Graph {
 
 // drainThenCount empties steps, waits, and reports how many new signals
 // arrived afterwards — after a cancelled Run returns there must be none,
-// because runFixpoint waits for every worker goroutine to exit.
+// because the bus substrate waits for every worker goroutine to exit.
 func drainThenCount(steps chan struct{}, wait time.Duration) int {
 	for {
 		select {
@@ -335,6 +337,88 @@ func TestCancelledUpdateBreaksSession(t *testing.T) {
 	}
 	if _, err := s.Result(); !errors.Is(err, ErrSessionBroken) {
 		t.Fatalf("a broken session must refuse Result, got %v", err)
+	}
+}
+
+// TestCancelMessageSameOnEveryEntryPoint: there is one superstep driver, so
+// a cancelled run reports the same "engine: <prog> cancelled at superstep k"
+// error whichever door it came through — a one-shot bus run, a pooled
+// Resident, worker processes behind sockets, or a session update.
+func TestCancelMessageSameOnEveryEntryPoint(t *testing.T) {
+	registerWireStepper()
+	const n = 4
+	layout, err := BuildLayout(ring(64), Options{Workers: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := wireStepper{stepper{steps: make(chan struct{}, 1)}}
+	endless := stepQuery{limit: 1 << 40}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	entries := map[string]func() error{
+		"bus": func() error {
+			_, _, err := RunOnLayout(ctx, layout, prog, endless, Options{})
+			return err
+		},
+		"resident": func() error {
+			r, err := NewResident(layout, prog, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = r.Run(ctx, endless)
+			return err
+		},
+		"wire": func() error {
+			l, err := transport.NewListener("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			var workers sync.WaitGroup
+			for i := 0; i < n; i++ {
+				workers.Add(1)
+				go func() {
+					defer workers.Done()
+					w, err := transport.Dial("tcp", l.Addr().String(), 10*time.Second)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					defer w.Close()
+					if err := ServeWorker(context.Background(), w); !errors.Is(err, ErrAborted) {
+						t.Errorf("worker of a cancelled run: want ErrAborted, got %v", err)
+					}
+				}()
+			}
+			tr, err := l.AcceptWorkers(n, 10*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = RunOnLayout(ctx, layout, prog, endless, Options{Transport: tr})
+			workers.Wait()
+			tr.Close()
+			return err
+		},
+		"session": func() error {
+			g := graph.New()
+			for i := 0; i < 32; i++ {
+				g.AddEdge(graph.ID(i), graph.ID(i+1), 1)
+			}
+			s, _, _, err := NewSession(context.Background(), g, updStepper{prog.stepper}, stepQuery{limit: 6}, Options{Workers: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = s.Update(ctx, []EdgeUpdate{{From: 0, To: 5, W: 1}})
+			return err
+		},
+	}
+	want := regexp.MustCompile(`^engine: cancel-stepper cancelled at superstep \d+: context canceled$`)
+	for name, run := range entries {
+		err := run()
+		if !errors.Is(err, context.Canceled) || !want.MatchString(err.Error()) {
+			t.Errorf("%s: want %q wrapping context.Canceled, got %v", name, want, err)
+		}
 	}
 }
 

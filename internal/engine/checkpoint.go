@@ -2,10 +2,9 @@ package engine
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
+	"slices"
 
-	"grape/internal/graph"
 	"grape/internal/partition"
 )
 
@@ -46,16 +45,15 @@ type ckptEpoch[V any] struct {
 // checkpoint accumulates epochs across a run's supersteps. epochs[k] is the
 // snapshot taken at the barrier of superstep k+1 (supersteps start at 1).
 type checkpoint[V any] struct {
-	spec   VarSpec[V] //grapevet:keep construction-time identity: fixed per run, like foldState.spec
+	spec   VarSpec[V]
 	layout *partition.Layout
-	n      int
 	epochs []ckptEpoch[V]
 	store  CheckpointStore
 	codec  Codec[V]
 }
 
 func newCheckpoint[V any](spec VarSpec[V], layout *partition.Layout, store CheckpointStore, codec Codec[V]) *checkpoint[V] {
-	return &checkpoint[V]{spec: spec, layout: layout, n: len(layout.Fragments), store: store, codec: codec}
+	return &checkpoint[V]{spec: spec, layout: layout, store: store, codec: codec}
 }
 
 // append snapshots superstep step from the just-completed fold. Steps are
@@ -66,16 +64,9 @@ func (c *checkpoint[V]) append(step int, fold *foldState[V], stillActive map[int
 	if step != len(c.epochs)+1 {
 		return fmt.Errorf("engine: checkpoint epoch %d out of order (have %d)", step, len(c.epochs))
 	}
-	total := 0
-	for s := 0; s < fold.shards; s++ {
-		total += len(fold.changed[s])
-	}
-	recs := make([]changeRec[V], 0, total)
-	for s := 0; s < fold.shards; s++ {
-		recs = append(recs, fold.changed[s]...)
-	}
-	active := make([]bool, c.n)
-	for w := 0; w < c.n; w++ {
+	recs := slices.Concat(fold.changed...)
+	active := make([]bool, len(c.layout.Fragments))
+	for w := range active {
 		active[w] = stillActive[w]
 	}
 	ep := ckptEpoch[V]{recs: recs, active: active}
@@ -147,52 +138,7 @@ func appendEpochFrame[V any](c Codec[V], buf []byte, ep ckptEpoch[V]) []byte {
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(ep.active)))
 	for _, a := range ep.active {
-		if a {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
+		buf = appendFlag(buf, a)
 	}
 	return buf
-}
-
-func decodeEpochFrame[V any](c Codec[V], frame []byte) (ckptEpoch[V], error) {
-	var ep ckptEpoch[V]
-	pos := 0
-	n, err := graph.ReadUvarint(frame, &pos)
-	if err != nil {
-		return ep, err
-	}
-	for i := uint64(0); i < n; i++ {
-		var rec changeRec[V]
-		id, err := graph.ReadUvarint(frame, &pos)
-		if err != nil {
-			return ep, err
-		}
-		rec.id = graph.ID(id)
-		v, used, err := c.DecodeVal(frame[pos:])
-		if err != nil {
-			return ep, err
-		}
-		pos += used
-		rec.val = v
-		w, err := graph.ReadUvarint(frame, &pos)
-		if err != nil {
-			return ep, err
-		}
-		rec.winner = int(w)
-		ep.recs = append(ep.recs, rec)
-	}
-	workers, err := graph.ReadUvarint(frame, &pos)
-	if err != nil {
-		return ep, err
-	}
-	if uint64(len(frame)-pos) < workers {
-		return ep, errors.New("engine: truncated checkpoint epoch frame")
-	}
-	ep.active = make([]bool, workers)
-	for i := range ep.active {
-		ep.active[i] = frame[pos+i] != 0
-	}
-	return ep, nil
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -68,6 +69,18 @@ func TestEpochFrameRejectsTruncation(t *testing.T) {
 			t.Fatalf("truncation at %d of %d accepted", cut, len(frame))
 		}
 	}
+	// Reply frames likewise: there is one protocol version, so a reply cut
+	// anywhere — in particular before its compute/apply timing tail, the
+	// shape of a pre-timing worker's reply — is a decode error.
+	reply, _ := encodeReply[float64](f64Codec{}, workerReply[float64]{changes: []VarUpdate[float64]{{ID: 1, Val: 2}}, work: 3, active: true, computeNS: 40, applyNS: 5})
+	for cut := 0; cut < len(reply); cut++ {
+		if _, err := decodeReply[float64](f64Codec{}, reply[:cut]); err == nil {
+			t.Fatalf("reply truncated at %d of %d accepted", cut, len(reply))
+		}
+	}
+	if rep, err := decodeReply[float64](f64Codec{}, reply); err != nil || rep.computeNS != 40 || rep.applyNS != 5 {
+		t.Fatalf("intact reply: %+v, %v", rep, err)
+	}
 }
 
 func TestCheckpointRejectsOutOfOrderEpoch(t *testing.T) {
@@ -85,4 +98,48 @@ func TestCheckpointRejectsOutOfOrderEpoch(t *testing.T) {
 	if err := c.append(1, fold, nil); err == nil {
 		t.Fatal("epoch 1 accepted twice")
 	}
+}
+
+// decodeEpochFrame is the inverse of appendEpochFrame. Nothing in the engine
+// reads epoch frames back — a CheckpointStore only receives them — so the
+// decoder lives with the tests that pin the layout.
+func decodeEpochFrame[V any](c Codec[V], frame []byte) (ckptEpoch[V], error) {
+	var ep ckptEpoch[V]
+	pos := 0
+	n, err := graph.ReadUvarint(frame, &pos)
+	if err != nil {
+		return ep, err
+	}
+	for i := uint64(0); i < n; i++ {
+		var rec changeRec[V]
+		id, err := graph.ReadUvarint(frame, &pos)
+		if err != nil {
+			return ep, err
+		}
+		rec.id = graph.ID(id)
+		v, used, err := c.DecodeVal(frame[pos:])
+		if err != nil {
+			return ep, err
+		}
+		pos += used
+		rec.val = v
+		w, err := graph.ReadUvarint(frame, &pos)
+		if err != nil {
+			return ep, err
+		}
+		rec.winner = int(w)
+		ep.recs = append(ep.recs, rec)
+	}
+	workers, err := graph.ReadUvarint(frame, &pos)
+	if err != nil {
+		return ep, err
+	}
+	if uint64(len(frame)-pos) < workers {
+		return ep, errors.New("engine: truncated checkpoint epoch frame")
+	}
+	ep.active = make([]bool, workers)
+	for i := range ep.active {
+		ep.active[i] = frame[pos+i] != 0
+	}
+	return ep, nil
 }

@@ -82,13 +82,17 @@ func AppendEdgeUpdates(buf []byte, ups []EdgeUpdate) []byte {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(u.W))
 		buf = binary.AppendUvarint(buf, uint64(len(u.Label)))
 		buf = append(buf, u.Label...)
-		if u.Del {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
+		buf = appendFlag(buf, u.Del)
 	}
 	return buf
+}
+
+// appendFlag appends a bool as one byte, 0 or 1.
+func appendFlag(buf []byte, b bool) []byte {
+	if b {
+		return append(buf, 1)
+	}
+	return append(buf, 0)
 }
 
 // DecodeEdgeUpdates decodes a batch encoded by AppendEdgeUpdates from the
@@ -253,9 +257,8 @@ func decodeAdopt[V any](c Codec[V], body []byte) (*adoptCmd[V], error) {
 }
 
 // Worker-reply frame: the flushed change batch, the superstep's work units,
-// the keep-active flag, the error string ("" = nil), and — since protocol
-// v4 — the worker's compute/apply nanoseconds for the flight recorder.
-// encodeReply also returns the encoded length of the change batch — the
+// the keep-active flag, the error string ("" = nil), and the worker's
+// compute/apply nanoseconds for the flight recorder. encodeReply also returns the encoded length of the change batch — the
 // metered data size; the timing tail is framing overhead and never counts
 // toward comm bytes.
 
@@ -264,12 +267,7 @@ func encodeReply[V any](c Codec[V], rep workerReply[V]) (frame []byte, dataLen i
 	if len(rep.changes) > 0 {
 		dataLen = len(frame)
 	}
-	frame = binary.AppendVarint(frame, rep.work)
-	if rep.active {
-		frame = append(frame, 1)
-	} else {
-		frame = append(frame, 0)
-	}
+	frame = appendFlag(binary.AppendVarint(frame, rep.work), rep.active)
 	msg := ""
 	if rep.err != nil {
 		msg = rep.err.Error()
@@ -309,20 +307,16 @@ func decodeReply[V any](c Codec[V], frame []byte) (workerReply[V], error) {
 	if msg != "" {
 		rep.err = errors.New(msg)
 	}
-	// The timing tail is optional: a v3 worker's reply simply ends here, and
-	// the coordinator records zero timings for it (handshake compat).
-	if pos < len(frame) {
-		compute, err := graph.ReadUvarint(frame, &pos)
-		if err != nil {
-			return rep, err
-		}
-		apply, err := graph.ReadUvarint(frame, &pos)
-		if err != nil {
-			return rep, err
-		}
-		rep.computeNS = int64(compute)
-		rep.applyNS = int64(apply)
+	compute, err := graph.ReadUvarint(frame, &pos)
+	if err != nil {
+		return rep, err
 	}
+	apply, err := graph.ReadUvarint(frame, &pos)
+	if err != nil {
+		return rep, err
+	}
+	rep.computeNS = int64(compute)
+	rep.applyNS = int64(apply)
 	return rep, nil
 }
 

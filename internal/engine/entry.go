@@ -11,10 +11,8 @@ import (
 
 // EntrySpec is the one typed source an Entry is derived from: the PIE
 // program plus its query-string parse/canonical pair. MakeEntry turns it
-// into the registry's erased hooks, replacing the earlier scheme where
-// Run, Parse, Resident and Wire accreted independently (half of them
-// nil-able with "predates X" caveats) — now they are all views of the same
-// spec and cannot disagree about what a query string means.
+// into the registry's erased hooks, which are all views of the same spec and
+// cannot disagree about what a query string means.
 type EntrySpec[Q, V, R any] struct {
 	// Prog is the PIE program. If it also implements WireProgram, the entry
 	// gains the Wire hook and can run distributed.

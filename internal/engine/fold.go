@@ -1,26 +1,21 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
 	"grape/internal/graph"
-	"grape/internal/metrics"
-	"grape/internal/mpi"
 	"grape/internal/partition"
-	"grape/internal/trace"
 )
 
 // The coordinator's per-superstep work — folding every worker's reported
-// update-parameter changes and routing the survivors — used to be a single
-// map-based loop, so worker parallelism was capped by one serial aggregation
-// step. foldState shards that work: changed IDs hash into one shard per
-// worker, each folded by its own goroutine. Within a shard the fold still
-// walks replies in worker order, so aggregation stays deterministic even for
-// non-commutative aggregates (e.g. CF's parameter averaging) — shards
-// partition the ID space, so per-ID fold order is exactly what the serial
-// loop produced.
+// update-parameter changes and routing the survivors — would cap worker
+// parallelism if it were one serial loop, so foldState shards it: changed IDs
+// hash into one shard per worker, each folded by its own goroutine. Within a
+// shard the fold walks replies in worker order, so aggregation stays
+// deterministic even for non-commutative aggregates (e.g. CF's parameter
+// averaging) — shards partition the ID space, so per-ID fold order is exactly
+// that of a serial loop.
 
 // changeRec is one folded change of a superstep: the node, its new global
 // value, and the worker whose report set the final value (routing skips that
@@ -212,133 +207,6 @@ func (f *foldState[V]) foldOne(s, w int, u VarUpdate[V], checkMono bool) error {
 	f.pos[s][u.ID] = len(f.changed[s])
 	f.changed[s] = append(f.changed[s], changeRec[V]{id: u.ID, val: merged, winner: w})
 	return nil
-}
-
-// collectStep is the coordinator's end-of-superstep sequence, shared by
-// RunOnLayout, Session.fixpoint and runWire: drain expect worker replies
-// from the transport, update stillActive, fold the reports, append the
-// superstep's work and byte rows to stats, and build the routing table.
-// replies is caller-owned scratch of length workers. codec is nil on the
-// in-process bus (replies arrive as Go values); wire transports deliver
-// frames that are decoded with it. A cancelled ctx unblocks the barrier
-// wait mid-superstep and surfaces as the context's error, wrapped with the
-// run's provenance.
-//
-// rc, when non-nil, makes the barrier survive worker-fatal envelopes: the
-// dead worker's fragment is revived on a survivor (rc.revive), and if it
-// still owed this superstep a reply, the replayed fragment produces it —
-// the drain keeps waiting for exactly the replies the superstep is due, so
-// a fatal envelope never consumes a reply slot. With rc nil (sessions,
-// recovery disabled) a fatal envelope fails the run with its classified
-// error.
-// rec is the flight recorder (nil when tracing is off): the barrier, each
-// worker's piggybacked phase timings, checkpoint/recovery events, and the
-// span close are recorded here because collectStep is the one place all
-// three run loops share.
-func collectStep[V any](ctx context.Context, tr mpi.Transport, codec Codec[V], fold *foldState[V], rc *recoverer[V], replies []*workerReply[V], stillActive map[int]bool, stats *metrics.Stats, layout *partition.Layout, rec *trace.Recorder, expect, step int, checkMono bool) ([][]VarUpdate[V], int, error) {
-	n := fold.n
-	perWorker := make([]int64, n)
-	var stepBytes int64
-	// Drain all replies first, then fold them in worker order so that
-	// aggregation is deterministic even for non-commutative aggregates
-	// (e.g. CF's parameter averaging).
-	clear(replies)
-	for remaining := expect; remaining > 0; {
-		env, err := tr.Recv(ctx, mpi.Coordinator)
-		if err != nil {
-			return nil, 0, cancelled(stats.Engine, step, err)
-		}
-		if perr, ok := env.Payload.(error); ok && env.Frame == nil {
-			// A terminal link envelope: a worker (or the link to it) died.
-			w, workerFatal := mpi.WorkerFatalOf(perr)
-			if !workerFatal || rc == nil || w < 0 || w >= n {
-				// Run-fatal, or recovery is off. Record the empty reply so a
-				// concurrent cancellation does not wait out the abort-drain
-				// timeout on a frame that already arrived.
-				if env.From >= 0 && env.From < n && replies[env.From] == nil {
-					replies[env.From] = &workerReply[V]{}
-				}
-				return nil, 0, fmt.Errorf("worker %d superstep %d: %w", env.From, step, perr)
-			}
-			owe := 0
-			if rc.sched[w] && replies[w] == nil {
-				owe = step
-			}
-			host, rerr := rc.revive(w, step, owe)
-			if rerr != nil {
-				return nil, 0, fmt.Errorf("worker %d superstep %d: recovering from %v: %w", w, step, perr, rerr)
-			}
-			stats.Recoveries = append(stats.Recoveries, metrics.Recovery{Superstep: step, Fragment: w, Host: host})
-			if rec != nil {
-				rec.Event("recovery", fmt.Sprintf("superstep %d: fragment %d revived on worker %d", step, w, host))
-			}
-			// remaining is untouched: if a reply was owed, the revived
-			// fragment ships it and the drain picks it up below.
-			continue
-		}
-		var rep workerReply[V]
-		// A terminal envelope (broken link, undecodable frame, worker-side
-		// error reply) still counts as this worker's frame for the
-		// superstep: record it before failing, so a concurrent cancellation
-		// does not wait out the abort-drain timeout on a frame that already
-		// arrived.
-		if codec != nil {
-			frame, err := wireFrame(env)
-			if err == nil {
-				rep, err = decodeReply(codec, frame)
-			}
-			if err != nil {
-				if env.From >= 0 && env.From < n {
-					replies[env.From] = &workerReply[V]{}
-				}
-				return nil, 0, fmt.Errorf("worker %d superstep %d: %w", env.From, step, err)
-			}
-		} else {
-			rep = env.Payload.(workerReply[V])
-		}
-		if rep.err != nil {
-			if env.From >= 0 && env.From < n {
-				replies[env.From] = &rep
-			}
-			return nil, 0, fmt.Errorf("worker %d superstep %d: %w", env.From, step, rep.err)
-		}
-		if env.From < 0 || env.From >= n || replies[env.From] != nil {
-			return nil, 0, fmt.Errorf("superstep %d: unexpected reply from worker %d", step, env.From)
-		}
-		replies[env.From] = &rep
-		perWorker[env.From] = rep.work
-		stepBytes += int64(env.Size)
-		rec.WorkerTiming(step, env.From, rep.computeNS, rep.applyNS)
-		remaining--
-	}
-	rec.BarrierDone(step)
-	for w := 0; w < n; w++ {
-		rep := replies[w]
-		if rep == nil {
-			continue
-		}
-		if rep.active {
-			stillActive[w] = true
-		} else {
-			delete(stillActive, w)
-		}
-	}
-	if err := fold.fold(replies, checkMono); err != nil {
-		return nil, 0, err
-	}
-	if rc != nil {
-		if err := rc.ckpt.append(step, fold, stillActive); err != nil {
-			return nil, 0, err
-		}
-		if rec != nil {
-			rec.Event("checkpoint", fmt.Sprintf("superstep %d", step))
-		}
-	}
-	stats.WorkPerStep = append(stats.WorkPerStep, perWorker)
-	stats.BytesPerStep = append(stats.BytesPerStep, stepBytes)
-	route, scheduled := fold.buildRoute(layout)
-	rec.EndStep(step)
-	return route, scheduled, nil
 }
 
 // buildRoute turns the folded changes into per-worker update batches: each

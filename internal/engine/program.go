@@ -138,21 +138,44 @@ type Context[V any] struct {
 }
 
 func newContext[V any](f *partition.Fragment, spec VarSpec[V]) *Context[V] {
-	nv := f.G.NumVertices()
-	c := &Context[V]{
-		Frag:      f,
-		spec:      spec,
-		vals:      make([]V, nv),
-		has:       make([]bool, nv),
-		border:    make([]bool, nv),
-		changedAt: make([]bool, nv),
+	c := &Context[V]{Frag: f, spec: spec}
+	c.reset()
+	return c
+}
+
+// reset puts a context — new, or pooled by a Resident — into its
+// just-constructed state, so a run starts from the program's declared
+// defaults. The fragment is shared and untouched; only this run's variable
+// arrays are sized and cleared.
+func (c *Context[V]) reset() {
+	nv := c.Frag.G.NumVertices()
+	if len(c.vals) < nv {
+		// new, or the fragment grew (a session mutated it) since this
+		// scratch was built
+		c.vals = make([]V, nv)
+		c.has = make([]bool, nv)
+		c.border = make([]bool, nv)
+		c.changedAt = make([]bool, nv)
+	} else {
+		clear(c.vals)
+		clear(c.has)
+		clear(c.border)
+		clear(c.changedAt)
 	}
-	for _, i := range f.BorderIndices() {
+	for _, i := range c.Frag.BorderIndices() {
 		if i >= 0 {
 			c.border[i] = true
 		}
 	}
-	return c
+	c.changedIdx = c.changedIdx[:0]
+	c.vars = nil
+	c.flushBuf = c.flushBuf[:0]
+	c.updated = c.updated[:0]
+	c.updatedIdx = c.updatedIdx[:0]
+	c.work = 0
+	c.active = false
+	c.State = nil
+	c.Partial = nil
 }
 
 // ensure grows the dense arrays to cover dense index i; the session layer
@@ -171,10 +194,7 @@ func (c *Context[V]) ensure(i int32) {
 // set.
 func (c *Context[V]) Get(id graph.ID) V {
 	if i, ok := c.Frag.G.Index(id); ok {
-		if int(i) < len(c.vals) && c.has[i] {
-			return c.vals[i]
-		}
-		return c.spec.Default
+		return c.GetAt(i)
 	}
 	if v, ok := c.vars[id]; ok {
 		return v
@@ -200,19 +220,7 @@ func (c *Context[V]) Set(id graph.ID, v V) {
 		c.vars[id] = v
 		return
 	}
-	c.ensure(i)
-	if c.has[i] && c.spec.Eq(c.vals[i], v) {
-		return
-	}
-	if !c.has[i] && c.spec.Eq(c.spec.Default, v) {
-		return
-	}
-	c.vals[i] = v
-	c.has[i] = true
-	if c.border[i] && !c.changedAt[i] {
-		c.changedAt[i] = true
-		c.changedIdx = append(c.changedIdx, i)
-	}
+	c.SetAt(i, v)
 }
 
 // SetLocal assigns v to id's variable without queueing it for shipment.
@@ -222,9 +230,7 @@ func (c *Context[V]) Set(id graph.ID, v V) {
 // the value still ship normally.
 func (c *Context[V]) SetLocal(id graph.ID, v V) {
 	if i, ok := c.Frag.G.Index(id); ok {
-		c.ensure(i)
-		c.vals[i] = v
-		c.has[i] = true
+		c.SetLocalAt(i, v)
 		return
 	}
 	if c.vars == nil {
@@ -278,10 +284,8 @@ func (c *Context[V]) IsInnerAt(i int32) bool { return c.Frag.IsInnerAt(i) }
 // IsBorder reports whether id carries an update parameter (it is an outer
 // copy here or has copies on other fragments).
 func (c *Context[V]) IsBorder(id graph.ID) bool {
-	if i, ok := c.Frag.G.Index(id); ok && int(i) < len(c.border) {
-		return c.border[i]
-	}
-	return false
+	i, ok := c.Frag.G.Index(id)
+	return ok && c.IsBorderAt(i)
 }
 
 // Updated returns the nodes whose variables were changed by the message

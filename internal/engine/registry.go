@@ -3,7 +3,9 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
+	"strings"
 	"sync"
 
 	"grape/internal/graph"
@@ -137,7 +139,7 @@ func Lookup(name string) (Entry, error) {
 	defer regMu.RUnlock()
 	e, ok := registry[name]
 	if !ok {
-		return Entry{}, fmt.Errorf("engine: no program %q registered (have %v)", name, names())
+		return Entry{}, fmt.Errorf("engine: no program %q registered (have %v)", name, slices.Sorted(maps.Keys(registry)))
 	}
 	return e, nil
 }
@@ -146,19 +148,5 @@ func Lookup(name string) (Entry, error) {
 func Library() []Entry {
 	regMu.RLock()
 	defer regMu.RUnlock()
-	out := make([]Entry, 0, len(registry))
-	for _, e := range registry {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-func names() []string {
-	ns := make([]string, 0, len(registry))
-	for n := range registry {
-		ns = append(ns, n)
-	}
-	sort.Strings(ns)
-	return ns
+	return slices.SortedFunc(maps.Values(registry), func(a, b Entry) int { return strings.Compare(a.Name, b.Name) })
 }

@@ -26,7 +26,6 @@ type Resident[Q, V, R any] struct {
 	layout *partition.Layout
 	prog   Program[Q, V, R]
 	opts   Options
-	spec   VarSpec[V]
 	pool   sync.Pool // *runScratch[V]
 }
 
@@ -49,68 +48,29 @@ func NewResident[Q, V, R any](layout *partition.Layout, prog Program[Q, V, R], o
 			return nil, fmt.Errorf("engine: resident layout fragment %d is not frozen (concurrent reads need the CSR form)", f.Index)
 		}
 	}
-	opts.Workers = len(layout.Fragments)
-	opts.Layout = layout
-	r := &Resident[Q, V, R]{layout: layout, prog: prog, opts: opts, spec: prog.Spec()}
+	r := &Resident[Q, V, R]{layout: layout, prog: prog, opts: opts}
+	spec := prog.Spec()
 	r.pool.New = func() any {
-		ctxs := make([]*Context[V], len(layout.Fragments))
-		for i, f := range layout.Fragments {
-			ctxs[i] = newContext(f, r.spec)
-		}
-		return &runScratch[V]{ctxs: ctxs, fold: newFoldState(r.spec, len(ctxs))}
+		return &runScratch[V]{ctxs: freshContexts(layout, spec), fold: newFoldState(spec, len(layout.Fragments))}
 	}
 	return r, nil
 }
 
 // Run executes one query over the resident layout. Safe for concurrent use.
 // A cancelled ctx aborts the fixpoint at the next superstep barrier; the
-// run's scratch still goes back to the pool — runFixpoint waits for every
-// worker goroutine to exit before returning, and scratch is reset on the
-// next Get, so a cancelled run can never leak half-written state into a
-// later one.
+// run's scratch still goes back to the pool — the bus substrate waits for
+// every worker goroutine to exit before fixpoint returns, and scratch is
+// reset on the next Get, so a cancelled run can never leak half-written
+// state into a later one.
 func (r *Resident[Q, V, R]) Run(ctx context.Context, q Q) (R, *metrics.Stats, error) {
 	sc := r.pool.Get().(*runScratch[V])
 	for _, c := range sc.ctxs {
 		c.reset()
 	}
 	sc.fold.reset()
-	res, stats, err := runFixpoint(ctx, r.layout, r.prog, q, r.opts, sc.ctxs, sc.fold)
+	res, stats, err := fixpoint(ctx, r.layout, r.prog, q, r.opts, newBusSubstrate(r.prog, q, r.opts, sc.ctxs), sc.fold, nil)
 	r.pool.Put(sc)
 	return res, stats, err
-}
-
-// reset returns a pooled context to its just-constructed state so the next
-// resident run starts from the program's declared defaults. The fragment is
-// shared and untouched; only this run's variable arrays are cleared.
-func (c *Context[V]) reset() {
-	nv := c.Frag.G.NumVertices()
-	if len(c.vals) < nv {
-		// the fragment grew (a session mutated it) since this scratch was
-		// built; resize like newContext would
-		c.vals = make([]V, nv)
-		c.has = make([]bool, nv)
-		c.border = make([]bool, nv)
-		c.changedAt = make([]bool, nv)
-	} else {
-		clear(c.vals)
-		clear(c.has)
-		clear(c.border)
-		clear(c.changedAt)
-	}
-	for _, i := range c.Frag.BorderIndices() {
-		if i >= 0 {
-			c.border[i] = true
-		}
-	}
-	c.changedIdx = c.changedIdx[:0]
-	c.vars = nil
-	c.flushBuf = c.flushBuf[:0]
-	c.updated = c.updated[:0]
-	c.updatedIdx = c.updatedIdx[:0]
-	c.work = 0
-	c.active = false
-	c.State = nil
-	c.Partial = nil
 }
 
 // reset clears a pooled fold state for the next run, keeping shard and

@@ -3,17 +3,12 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
-	"strings"
-	"sync"
-	"time"
 
 	"grape/internal/balance"
 	"grape/internal/graph"
 	"grape/internal/metrics"
 	"grape/internal/mpi"
 	"grape/internal/partition"
-	"grape/internal/trace"
 )
 
 // Options configures one engine run.
@@ -92,47 +87,6 @@ var ErrNotMonotonic = errors.New("update parameter violated the declared partial
 // stabilize within Options.MaxSupersteps.
 var ErrSuperstepLimit = errors.New("superstep limit exceeded")
 
-// control commands sent from the coordinator to workers.
-type cmdKind int
-
-const (
-	cmdPEval cmdKind = iota
-	cmdIncEval
-	cmdLocalInc // session resume: IncEval seeded with locally-dirtied nodes
-	cmdStop
-	cmdAssemble // wire transports only: ship the encoded partial answer
-	cmdAbort    // wire transports only: run cancelled, discard and exit
-	cmdAdopt    // recovery: adopt a dead worker's fragment, replay it from the checkpoint
-)
-
-type workerCmd[V any] struct {
-	kind    cmdKind
-	updates []VarUpdate[V]
-	dirty   []graph.ID
-	adopt   *adoptCmd[V]
-}
-
-// adoptCmd carries a fragment revival: the checkpoint-derived command log to
-// replay, and the superstep whose reply the barrier is still owed (0 =
-// none). On the in-process bus the coordinator constructs the fresh context
-// and the adopting goroutine swaps it in; over a wire the fragment crosses
-// encoded (frag) and the worker process builds the context itself.
-type adoptCmd[V any] struct {
-	ctx   *Context[V] // bus: the fresh context to adopt
-	frag  []byte      // wire: the encoded fragment
-	steps []replayStep[V]
-	owe   int
-}
-
-type workerReply[V any] struct {
-	changes   []VarUpdate[V]
-	work      int64
-	active    bool // worker wants another superstep regardless of messages
-	err       error
-	computeNS int64 // PEval/IncEval wall time, for the flight recorder
-	applyNS   int64 // inbound-update apply wall time
-}
-
 // Run executes prog on g with query q: it partitions g, spawns one goroutine
 // per worker plus a coordinator loop on the calling goroutine, runs the
 // PEval/IncEval fixpoint of Section 2.2, and returns Assemble's result along
@@ -190,271 +144,24 @@ func partitionFor(g *graph.Graph, opts Options) (*partition.Assignment, error) {
 
 // RunOnLayout is Run on a prebuilt layout. With a wire transport in
 // Options.Transport the fixpoint drives remote worker processes (see
-// wire.go); otherwise workers are goroutines on an in-process bus. The
-// context is honored as in Run.
+// wire.go); otherwise workers are goroutines on an in-process bus (bus.go).
+// Either way the superstep loop is fixpoint. The context is honored as in
+// Run.
 func RunOnLayout[Q, V, R any](ctx context.Context, layout *partition.Layout, prog Program[Q, V, R], q Q, opts Options) (R, *metrics.Stats, error) {
 	var zero R
 	opts = opts.withDefaults()
-	if opts.Transport != nil {
-		if opts.Transport.Wire() {
-			return runWire(ctx, layout, prog, q, opts)
-		}
+	spec := prog.Spec()
+	fold := newFoldState(spec, len(layout.Fragments))
+	if opts.Transport == nil {
+		return fixpoint(ctx, layout, prog, q, opts, newBusSubstrate(prog, q, opts, freshContexts(layout, spec)), fold, nil)
+	}
+	if !opts.Transport.Wire() {
 		// Refuse rather than silently run on a hidden internal bus.
 		return zero, nil, errors.New("engine: custom non-wire transports are not supported; leave Options.Transport nil for the in-process bus")
 	}
-	n := len(layout.Fragments)
-	spec := prog.Spec()
-	ctxs := make([]*Context[V], n)
-	for i, f := range layout.Fragments {
-		ctxs[i] = newContext(f, spec)
-	}
-	return runFixpoint(ctx, layout, prog, q, opts, ctxs, newFoldState(spec, n))
-}
-
-// runFixpoint is the engine loop proper, shared by RunOnLayout (fresh
-// contexts and fold state per run) and Resident.Run (both pooled across
-// runs): spawn one worker goroutine per fragment on an in-process bus, run
-// the PEval/IncEval fixpoint, Assemble.
-//
-// Cancellation: ctx is checked at every superstep barrier — while waiting
-// for worker replies (the context-aware bus receive) and before scheduling
-// the next superstep. On cancellation the coordinator abandons the fold,
-// releases every worker via cmdStop, and waits for them to exit before
-// returning, so pooled contexts handed back to Resident's scratch pool are
-// never still being written by a straggler goroutine.
-func runFixpoint[Q, V, R any](ctx context.Context, layout *partition.Layout, prog Program[Q, V, R], q Q, opts Options, ctxs []*Context[V], fold *foldState[V]) (R, *metrics.Stats, error) {
-	var zero R
-	n := len(layout.Fragments)
-	spec := prog.Spec()
-
-	var ckptCodec Codec[V]
-	if opts.CheckpointStore != nil {
-		if !opts.Recover {
-			return zero, nil, fmt.Errorf("engine: %s: Options.CheckpointStore requires Options.Recover", prog.Name())
-		}
-		wc, ok := any(prog).(interface{ WireCodec() Codec[V] })
-		if !ok {
-			return zero, nil, fmt.Errorf("engine: %s: Options.CheckpointStore needs a wire codec to encode epochs: %w", prog.Name(), ErrNoWireSupport)
-		}
-		ckptCodec = wc.WireCodec()
-	}
-
-	start := time.Now()
-	stats := &metrics.Stats{Engine: "grape/" + prog.Name(), Workers: n}
-
-	// Flight recorder + structured logging ride the context; both are nil
-	// (and free) unless the caller attached them.
-	rec := trace.FromContext(ctx)
-	rec.BeginRun(prog.Name(), "bus", n)
-	defer rec.EndRun()
-	lg := trace.LoggerFrom(ctx)
-	if lg != nil {
-		lg = lg.With("run", rec.ID(), "class", prog.Name(), "substrate", "bus")
-		lg.Debug("run started", "workers", n)
-	}
-
-	bus := mpi.NewBus(n, 4*n+16)
-	// The data path runs through the (optionally fault-wrapped) transport;
-	// worker release below stays on the raw bus, so an unconsumed planned
-	// fault can never swallow a stop command and hang the teardown.
-	var tr mpi.Transport = bus
-	if opts.Fault != nil {
-		tr = opts.Fault(bus)
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func(w int) {
-			defer wg.Done()
-			workerLoop(ctx, bus, w, prog, q, ctxs[w], spec)
-		}(i)
-	}
-	stop := func() {
-		for i := 0; i < n; i++ {
-			bus.Send(mpi.Envelope{From: mpi.Coordinator, To: i, Payload: workerCmd[V]{kind: cmdStop}})
-		}
-		wg.Wait()
-	}
-
-	// Coordinator state: the globally best-known value of every border
-	// variable, folded with the program's aggregate and sharded across
-	// worker-count goroutines (see fold.go). Routing only values that
-	// improve the global state is what makes the fixpoint terminate and
-	// communication proportional to real change. (Consumable queue
-	// variables bypass this state: they are folded per superstep and
-	// delivered to the owner, not converged.)
-	stillActive := make(map[int]bool)
-	replies := make([]*workerReply[V], n)
-	sched := make([]bool, n)
-
-	// Recovery on the in-process bus: the dead worker's goroutine is not
-	// actually gone — only the coordinator's view of it faulted — and it is
-	// provably idle (its command was dropped, or its reply already left), so
-	// revival hands the *same* goroutine a fresh context plus the replay log
-	// via cmdAdopt. Channel delivery orders the context handoff, and the
-	// coordinator's ctxs[frag] write is safe because the goroutine only ever
-	// touches the context it was handed.
-	var rc *recoverer[V]
-	if opts.Recover {
-		rc = &recoverer[V]{ckpt: newCheckpoint(spec, layout, opts.CheckpointStore, ckptCodec), sched: sched}
-		rc.revive = func(frag, through, owe int) (int, error) {
-			if r, ok := tr.(mpi.Reassigner); ok {
-				if err := r.Reassign(frag, frag); err != nil {
-					return 0, err
-				}
-			}
-			nc := newContext(layout.Fragments[frag], spec)
-			ctxs[frag] = nc
-			bus.Send(mpi.Envelope{From: mpi.Coordinator, To: frag, Payload: workerCmd[V]{kind: cmdAdopt, adopt: &adoptCmd[V]{ctx: nc, steps: rc.ckpt.replayFor(frag, through), owe: owe}}})
-			return frag, nil
-		}
-	}
-
-	collect := func(expect, step int) ([][]VarUpdate[V], int, error) {
-		return collectStep[V](ctx, tr, nil, fold, rc, replies, stillActive, stats, layout, rec, expect, step, opts.CheckMonotonic)
-	}
-
-	// Fragment construction that replicated data (d-hop expansion) is
-	// communication of this run: charge it before superstep 1.
-	if layout.ReplicationBytes > 0 {
-		bus.AddTraffic(int64(n), layout.ReplicationBytes)
-	}
-
-	// Superstep 1: PEval everywhere.
-	rec.BeginStep(1, n)
-	for i := 0; i < n; i++ {
-		sched[i] = true
-		tr.Send(mpi.Envelope{From: mpi.Coordinator, To: i, Step: 1, Payload: workerCmd[V]{kind: cmdPEval}})
-	}
-	stats.Supersteps = 1
-	route, scheduled, err := collect(n, 1)
+	sub, err := newWireSubstrate(layout, prog, q, opts)
 	if err != nil {
-		stop()
-		return zero, stats, err
+		return zero, nil, err
 	}
-	if layout.ReplicationBytes > 0 && len(stats.BytesPerStep) > 0 {
-		stats.BytesPerStep[0] += layout.ReplicationBytes
-	}
-
-	// Supersteps 2..: IncEval on fragments that received messages (or asked
-	// to stay active), until no update parameter changes anywhere and every
-	// worker is quiescent — the simultaneous fixpoint.
-	active := 0
-	for scheduled > 0 || len(stillActive) > 0 {
-		if err := ctx.Err(); err != nil {
-			stop()
-			return zero, stats, cancelled(prog.Name(), stats.Supersteps, err)
-		}
-		if stats.Supersteps >= opts.MaxSupersteps {
-			stop()
-			return zero, stats, fmt.Errorf("engine: %s after %d supersteps: %w", prog.Name(), stats.Supersteps, ErrSuperstepLimit)
-		}
-		stats.Supersteps++
-		active = 0
-		for w := 0; w < n; w++ {
-			if len(route[w]) > 0 || stillActive[w] {
-				active++
-			}
-		}
-		rec.BeginStep(stats.Supersteps, active)
-		for w := 0; w < n; w++ {
-			sched[w] = false
-			ups := route[w]
-			if len(ups) == 0 && !stillActive[w] {
-				continue
-			}
-			sched[w] = true
-			tr.Send(mpi.Envelope{From: mpi.Coordinator, To: w, Step: stats.Supersteps, Payload: workerCmd[V]{kind: cmdIncEval, updates: ups}, Size: shipSize(spec, ups)})
-		}
-		route, scheduled, err = collect(active, stats.Supersteps)
-		if err != nil {
-			stop()
-			return zero, stats, err
-		}
-	}
-
-	stop()
-	res, err := prog.Assemble(q, ctxs)
-	stats.Messages = bus.Messages()
-	stats.Bytes = bus.Bytes()
-	stats.WallTime = time.Since(start)
-	if lg != nil {
-		lg.Info("run complete", "supersteps", stats.Supersteps, "wall_ms", stats.WallTime.Seconds()*1e3, "recoveries", len(stats.Recoveries))
-	}
-	if err != nil {
-		return zero, stats, fmt.Errorf("engine: assemble: %w", err)
-	}
-	return res, stats, nil
-}
-
-// cancelled wraps a context error with run provenance so callers can both
-// errors.Is(err, context.Canceled/DeadlineExceeded) and see where the run
-// stopped. Engine labels like "grape/sssp" are normalized to the bare
-// program name, so the message is the same whether the cancellation landed
-// at the barrier wait (collectStep, which has only the stats label) or at
-// the pre-superstep check (which has the program).
-func cancelled(name string, step int, err error) error {
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		name = name[i+1:]
-	}
-	return fmt.Errorf("engine: %s cancelled at superstep %d: %w", name, step, err)
-}
-
-func workerLoop[Q, V, R any](runCtx context.Context, bus *mpi.Bus, w int, prog Program[Q, V, R], q Q, ctx *Context[V], spec VarSpec[V]) {
-	for {
-		env, err := bus.Recv(runCtx, w)
-		if err != nil {
-			// run cancelled while idle at the barrier; the coordinator stops
-			// waiting on this worker through the same context
-			return
-		}
-		cmd := env.Payload.(workerCmd[V])
-		switch cmd.kind {
-		case cmdStop:
-			return
-		case cmdAdopt:
-			// Revival after an injected fault: discard the poisoned context,
-			// adopt the fresh one and replay it from the checkpoint. Only the
-			// owed superstep's reply (or a replay error) goes back — every
-			// earlier reply was already folded by the coordinator.
-			ad := cmd.adopt
-			ctx = ad.ctx
-			rerr := replayFragment(prog, q, ctx, ad.steps, ad.owe)
-			if ad.owe > 0 || rerr != nil {
-				reply(bus, w, ad.owe, ctx, spec, 0, 0, rerr)
-			}
-		case cmdPEval:
-			ctx.active = false
-			t0 := time.Now()
-			err := prog.PEval(q, ctx)
-			reply(bus, w, env.Step, ctx, spec, time.Since(t0).Nanoseconds(), 0, err)
-		case cmdIncEval:
-			wasActive := ctx.active
-			ctx.active = false
-			t0 := time.Now()
-			ctx.apply(cmd.updates)
-			applyNS := time.Since(t0).Nanoseconds()
-			var err error
-			t1 := time.Now()
-			if len(ctx.Updated()) > 0 || wasActive {
-				err = prog.IncEval(q, ctx)
-			}
-			reply(bus, w, env.Step, ctx, spec, time.Since(t1).Nanoseconds(), applyNS, err)
-		case cmdLocalInc:
-			ctx.active = false
-			ctx.setUpdated(cmd.dirty)
-			var err error
-			t0 := time.Now()
-			if len(cmd.dirty) > 0 {
-				err = prog.IncEval(q, ctx)
-			}
-			reply(bus, w, env.Step, ctx, spec, time.Since(t0).Nanoseconds(), 0, err)
-		}
-	}
-}
-
-func reply[V any](bus *mpi.Bus, w, step int, ctx *Context[V], spec VarSpec[V], computeNS, applyNS int64, err error) {
-	changes := ctx.flush()
-	bus.Send(mpi.Envelope{From: w, To: mpi.Coordinator, Step: step, Payload: workerReply[V]{changes: changes, work: ctx.takeWork(), active: ctx.active, err: err, computeNS: computeNS, applyNS: applyNS}, Size: shipSize(spec, changes)})
+	return fixpoint(ctx, layout, prog, q, opts, sub, fold, nil)
 }

@@ -4,12 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"grape/internal/graph"
 	"grape/internal/metrics"
-	"grape/internal/mpi"
 	"grape/internal/partition"
 	"grape/internal/trace"
 )
@@ -207,6 +206,9 @@ func NewSession[Q, V, R any](ctx context.Context, g *graph.Graph, prog Program[Q
 	if opts.Transport != nil {
 		return nil, zero, nil, fmt.Errorf("engine: sessions run on the in-process bus only (graph updates mutate shared fragments)")
 	}
+	if opts.Recover || opts.CheckpointStore != nil {
+		return nil, zero, nil, fmt.Errorf("engine: sessions do not support Options.Recover or Options.CheckpointStore (a replay from PEval cannot rebuild a resumed session context)")
+	}
 	opts = opts.withDefaults()
 	patcher, _ := any(prog).(SessionPatcher[Q, R])
 	if opts.ExpandHops > 0 && patcher == nil {
@@ -229,7 +231,7 @@ func NewSession[Q, V, R any](ctx context.Context, g *graph.Graph, prog Program[Q
 		s.iq = patcher.SessionQuery(q)
 	}
 	s.fold = newFoldState(s.spec, len(layout.Fragments))
-	res, stats, err := s.fixpoint(ctx, true, nil)
+	res, stats, err := s.run(ctx, nil)
 	if err != nil {
 		return nil, zero, stats, err
 	}
@@ -295,13 +297,7 @@ func (s *Session[Q, V, R]) Update(ctx context.Context, updates []EdgeUpdate) (R,
 	if s.patcher != nil {
 		return s.patchBatch(ups)
 	}
-	hasDelete := false
-	for _, u := range ups {
-		if u.Del {
-			hasDelete = true
-			break
-		}
-	}
+	hasDelete := slices.ContainsFunc(ups, func(u EdgeUpdate) bool { return u.Del })
 	if up, ok := any(s.prog).(Updater[Q, V]); ok && !hasDelete {
 		return s.incremental(ctx, up, ups)
 	}
@@ -425,6 +421,20 @@ func (s *Session[Q, V, R]) applyDelete(u *EdgeUpdate) error {
 	return nil
 }
 
+// mutateGlobal applies u to the global graph alone, rewriting a deletion's W
+// to the removed instance's weight; false means no such edge existed.
+func mutateGlobal(g *graph.Graph, u *EdgeUpdate) bool {
+	if !u.Del {
+		g.AddLabeledEdge(u.From, u.To, u.W, u.Label)
+		return true
+	}
+	removed, ok := g.RemoveEdge(u.From, u.To, u.Label)
+	if ok {
+		u.W = removed.W
+	}
+	return ok
+}
+
 // incremental is the insert-only Updater path: mutate fragments, collect the
 // program's dirty nodes, and re-run the seeded IncEval fixpoint. An error
 // once mutation has begun leaves earlier batch entries applied locally but
@@ -444,14 +454,7 @@ func (s *Session[Q, V, R]) incremental(ctx context.Context, up Updater[Q, V], up
 		}
 		dirtyByWorker[w] = append(dirtyByWorker[w], dirty...)
 	}
-	res, stats, err := s.fixpoint(ctx, false, dirtyByWorker)
-	if err != nil {
-		// partial routing: the fold may hold values never shipped to all
-		// hosts, and re-running cannot recover them (only improvements over
-		// the fold's state are routed)
-		s.broken = true
-	}
-	return res, stats, err
+	return s.run(ctx, dirtyByWorker)
 }
 
 // repair is the DeleteRepairer path: apply every structural mutation, let
@@ -478,11 +481,7 @@ func (s *Session[Q, V, R]) repair(ctx context.Context, rep DeleteRepairer[Q, V],
 	for w, ids := range repDirty {
 		dirtyByWorker[w] = append(dirtyByWorker[w], ids...)
 	}
-	res, stats, err := s.fixpoint(ctx, false, dirtyByWorker)
-	if err != nil {
-		s.broken = true
-	}
-	return res, stats, err
+	return s.run(ctx, dirtyByWorker)
 }
 
 // reseed is the universal fallback: mutate the global graph only, rebuild
@@ -493,16 +492,9 @@ func (s *Session[Q, V, R]) reseed(ctx context.Context, ups []EdgeUpdate) (R, *me
 	var zero R
 	g := s.layout.Asg.G
 	for i := range ups {
-		u := &ups[i]
-		if u.Del {
-			removed, ok := g.RemoveEdge(u.From, u.To, u.Label)
-			if !ok {
-				s.broken = true
-				return zero, nil, fmt.Errorf("engine: deleting %v: edge missing from global graph", *u)
-			}
-			u.W = removed.W
-		} else {
-			g.AddLabeledEdge(u.From, u.To, u.W, u.Label)
+		if !mutateGlobal(g, &ups[i]) {
+			s.broken = true
+			return zero, nil, fmt.Errorf("engine: deleting %v: edge missing from global graph", ups[i])
 		}
 	}
 	layout, err := BuildLayout(g, s.opts)
@@ -512,11 +504,7 @@ func (s *Session[Q, V, R]) reseed(ctx context.Context, ups []EdgeUpdate) (R, *me
 	}
 	s.layout = layout
 	s.fold = newFoldState(s.spec, len(layout.Fragments))
-	res, stats, err := s.fixpoint(ctx, true, nil)
-	if err != nil {
-		s.broken = true
-	}
-	return res, stats, err
+	return s.run(ctx, nil)
 }
 
 // patchBatch is the SessionPatcher path: per update, hand the patcher the
@@ -532,14 +520,7 @@ func (s *Session[Q, V, R]) patchBatch(ups []EdgeUpdate) (R, *metrics.Stats, erro
 		applied := false
 		apply := func() {
 			applied = true
-			if u.Del {
-				removed, ok := g.RemoveEdge(u.From, u.To, u.Label)
-				if ok {
-					u.W = removed.W
-				}
-			} else {
-				g.AddLabeledEdge(u.From, u.To, u.W, u.Label)
-			}
+			mutateGlobal(g, u)
 		}
 		st, err := s.patcher.ApplyPatch(s.q, g, s.patch, *u, apply)
 		if err != nil {
@@ -560,115 +541,19 @@ func (s *Session[Q, V, R]) patchBatch(ups []EdgeUpdate) (R, *metrics.Stats, erro
 	return res, stats, nil
 }
 
-// fixpoint runs the engine loop. With init=true it spawns fresh contexts and
-// runs PEval; otherwise it resumes the retained contexts, invoking IncEval on
-// the workers whose fragments were dirtied.
-func (s *Session[Q, V, R]) fixpoint(ctx context.Context, init bool, dirtyByWorker map[int][]graph.ID) (R, *metrics.Stats, error) {
-	var zero R
-	n := len(s.layout.Fragments)
-	start := time.Now()
-	stats := &metrics.Stats{Engine: "grape/" + s.prog.Name(), Workers: n}
-	bus := mpi.NewBus(n, 4*n+16)
-	if init {
-		s.ctxs = make([]*Context[V], n)
-		for i, f := range s.layout.Fragments {
-			s.ctxs[i] = newContext(f, s.spec)
-		}
+// run is one fixpoint of the session on the in-process bus. A nil dirty is
+// the from-scratch pipeline (fresh contexts, PEval everywhere); otherwise the
+// retained contexts resume with IncEval on exactly the dirtied workers. A
+// failed resume or reseed leaves the fold holding values never shipped to all
+// hosts, and re-running cannot recover them (only improvements over the
+// fold's state are routed), so it breaks the session.
+func (s *Session[Q, V, R]) run(ctx context.Context, dirty map[int][]graph.ID) (R, *metrics.Stats, error) {
+	if dirty == nil {
+		s.ctxs = freshContexts(s.layout, s.spec)
 	}
-
-	done := make(chan struct{})
-	for i := 0; i < n; i++ {
-		go func(w int) {
-			workerLoop(ctx, bus, w, s.prog, s.iq, s.ctxs[w], s.spec)
-			done <- struct{}{}
-		}(i)
-	}
-	stop := func() {
-		for i := 0; i < n; i++ {
-			bus.Send(mpi.Envelope{From: mpi.Coordinator, To: i, Payload: workerCmd[V]{kind: cmdStop}})
-		}
-		for i := 0; i < n; i++ {
-			<-done
-		}
-	}
-
-	stillActive := make(map[int]bool)
-	replies := make([]*workerReply[V], n)
-	collect := func(expect int, step int) ([][]VarUpdate[V], int, error) {
-		return collectStep[V](ctx, bus, nil, s.fold, nil, replies, stillActive, stats, s.layout, nil, expect, step, s.opts.CheckMonotonic)
-	}
-
-	var route [][]VarUpdate[V]
-	var scheduled int
-	var err error
-	if init {
-		for i := 0; i < n; i++ {
-			bus.Send(mpi.Envelope{From: mpi.Coordinator, To: i, Step: 1, Payload: workerCmd[V]{kind: cmdPEval}})
-		}
-		stats.Supersteps = 1
-		route, scheduled, err = collect(n, 1)
-	} else {
-		// Seed the fixpoint by running IncEval on the dirtied workers with
-		// their own dirty nodes as the "updated" set.
-		workers := make([]int, 0, len(dirtyByWorker))
-		for w := range dirtyByWorker {
-			workers = append(workers, w)
-		}
-		sort.Ints(workers)
-		for _, w := range workers {
-			bus.Send(mpi.Envelope{From: mpi.Coordinator, To: w, Step: 1, Payload: workerCmd[V]{kind: cmdLocalInc, dirty: dedupeIDs(dirtyByWorker[w])}})
-		}
-		stats.Supersteps = 1
-		route, scheduled, err = collect(len(workers), 1)
-	}
+	res, stats, err := fixpoint(ctx, s.layout, s.prog, s.iq, s.opts, newBusSubstrate(s.prog, s.iq, s.opts, s.ctxs), s.fold, dirty)
 	if err != nil {
-		stop()
-		return zero, stats, err
+		s.broken = true
 	}
-
-	for scheduled > 0 || len(stillActive) > 0 {
-		if err := ctx.Err(); err != nil {
-			stop()
-			return zero, stats, cancelled(s.prog.Name(), stats.Supersteps, err)
-		}
-		if stats.Supersteps >= s.opts.MaxSupersteps {
-			stop()
-			return zero, stats, fmt.Errorf("engine: %s after %d supersteps: %w", s.prog.Name(), stats.Supersteps, ErrSuperstepLimit)
-		}
-		stats.Supersteps++
-		active := 0
-		for w := 0; w < n; w++ {
-			ups := route[w]
-			if len(ups) == 0 && !stillActive[w] {
-				continue
-			}
-			active++
-			bus.Send(mpi.Envelope{From: mpi.Coordinator, To: w, Step: stats.Supersteps, Payload: workerCmd[V]{kind: cmdIncEval, updates: ups}, Size: shipSize(s.spec, ups)})
-		}
-		route, scheduled, err = collect(active, stats.Supersteps)
-		if err != nil {
-			stop()
-			return zero, stats, err
-		}
-	}
-	stop()
-	res, err := s.prog.Assemble(s.iq, s.ctxs)
-	stats.Messages = bus.Messages()
-	stats.Bytes = bus.Bytes()
-	stats.WallTime = time.Since(start)
-	if err != nil {
-		return zero, stats, err
-	}
-	return res, stats, nil
-}
-
-func dedupeIDs(ids []graph.ID) []graph.ID {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := ids[:0]
-	for i, id := range ids {
-		if i == 0 || ids[i-1] != id {
-			out = append(out, id)
-		}
-	}
-	return out
+	return res, stats, err
 }

@@ -2,11 +2,13 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"grape/internal/gen"
 	"grape/internal/graph"
+	"grape/internal/mpi"
 )
 
 // sessionProg is countdown extended with an Updater so the session machinery
@@ -200,6 +202,60 @@ func TestSessionRejectsUndirected(t *testing.T) {
 	g.AddEdge(0, 1, 1)
 	if _, _, _, err := NewSession(context.Background(), g, sessionProg{}, cdQuery{}, Options{Workers: 2}); err == nil {
 		t.Fatal("expected undirected rejection")
+	}
+}
+
+// TestSessionRejectsFaultTolerance: a replay from PEval cannot rebuild a
+// *resumed* session context, so sessions must refuse Options.Recover and
+// Options.CheckpointStore loudly instead of accepting and ignoring them.
+func TestSessionRejectsFaultTolerance(t *testing.T) {
+	g := graph.New()
+	g.AddEdge(0, 1, 1)
+	for name, opts := range map[string]Options{
+		"Recover":         {Workers: 2, Recover: true},
+		"CheckpointStore": {Workers: 2, CheckpointStore: discardEpochs{}},
+	} {
+		_, _, _, err := NewSession(context.Background(), g, sessionProg{}, cdQuery{}, opts)
+		if err == nil || !strings.Contains(err.Error(), "Options.Recover") {
+			t.Fatalf("%s: want a loud rejection naming the option, got %v", name, err)
+		}
+	}
+}
+
+type discardEpochs struct{}
+
+func (discardEpochs) AppendEpoch(int, []byte) error { return nil }
+
+// TestSessionFaultBreaksSession: sessions run the shared superstep driver, so
+// Options.Fault reaches them. With recovery unavailable, an injected
+// worker-fatal error during an update fails it and — the graph is already
+// mutated — breaks the session.
+func TestSessionFaultBreaksSession(t *testing.T) {
+	g := graph.New()
+	g.AddEdge(0, 1, 1)
+	g.AddEdge(1, 2, 1)
+	g.AddEdge(2, 3, 1)
+	armed := false
+	opts := Options{Workers: 2, Fault: func(tr mpi.Transport) mpi.Transport {
+		if !armed {
+			return tr
+		}
+		return mpi.NewFaultTransport(tr, mpi.Fault{Step: 1, Worker: 0, Kind: mpi.Drop}, mpi.Fault{Step: 1, Worker: 1, Kind: mpi.Drop})
+	}}
+	s, _, _, err := NewSession(context.Background(), g, sessionProg{}, cdQuery{}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	armed = true
+	if _, _, err := s.Update(context.Background(), []EdgeUpdate{{From: 0, To: 1, W: 2}}); !errors.Is(err, mpi.ErrInjectedFault) {
+		t.Fatalf("want the injected fault to fail the update, got %v", err)
+	}
+	if !s.Broken() {
+		t.Fatal("a faulted update must break the session")
+	}
+	armed = false
+	if _, _, err := s.Update(context.Background(), []EdgeUpdate{{From: 1, To: 2, W: 1}}); !errors.Is(err, ErrSessionBroken) {
+		t.Fatalf("a broken session must refuse further updates, got %v", err)
 	}
 }
 

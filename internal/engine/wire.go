@@ -4,25 +4,21 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"grape/internal/balance"
 	"grape/internal/graph"
-	"grape/internal/metrics"
 	"grape/internal/mpi"
 	"grape/internal/partition"
-	"grape/internal/trace"
 )
 
 // This file is the engine's wire layer: everything needed to run the PIE
 // fixpoint with each worker in its own OS process on the far side of a
-// socket transport (internal/transport). The superstep schedule, fold order
-// and routing are byte-for-byte the machinery of run.go/fold.go — only the
-// envelope contents change, from Go values passed by reference to frames
-// encoded by the program's Codec. Results, superstep counts and the
-// coordinator's aggregation are therefore identical across transports; what
-// differs is metering, which switches from the VarSpec.Size estimate to the
-// actual encoded lengths.
+// socket transport (internal/transport). The coordinator loop is fixpoint,
+// as on the bus; underneath it wireSubstrate fills envelopes with frames
+// encoded by the program's Codec instead of Go values passed by reference,
+// so traffic is metered by actual encoded lengths, not VarSpec.Size.
 
 // WireProgram is a Program that can run distributed: it provides a wire
 // codec for its update-parameter values and an encoding for its query, so
@@ -49,7 +45,7 @@ type PartialCodec[Q, V any] interface {
 	DecodePartial(q Q, ctx *Context[V], data []byte) error
 }
 
-// WorkerLink is a worker's end of a wire transport: the mirror image of the
+// WorkerLink is a worker's end of a wire transport: the counterpart of the
 // coordinator's mpi.Transport. internal/transport's WorkerConn implements it
 // over a socket; tests implement it over channels.
 type WorkerLink interface {
@@ -76,335 +72,205 @@ const abortDrainTimeout = 30 * time.Second
 // should discard it and exit. cmd/grape-worker treats it as a clean exit.
 var ErrAborted = errors.New("run aborted by coordinator")
 
-// runWire is RunOnLayout's body for wire transports: the same coordinator
-// fixpoint, driving remote workers through opts.Transport instead of
-// spawning goroutines. Each worker process receives a setup frame (program
-// name, encoded query, the run deadline if ctx carries one, its fragment),
-// runs PEval/IncEval on command, and finally ships its encoded partial
-// answer back for Assemble.
-//
-// Cancellation crosses the process boundary twice: the coordinator checks
-// ctx at every superstep barrier and, when it fires, broadcasts an abort
-// frame that makes each worker process discard its run and exit; and the
-// deadline shipped in the setup frame lets a worker bound its own run even
-// if the coordinator dies before it can send the abort.
-func runWire[Q, V, R any](ctx context.Context, layout *partition.Layout, prog Program[Q, V, R], q Q, opts Options) (R, *metrics.Stats, error) {
-	var zero R
+// wireSubstrate drives remote worker processes through Options.Transport.
+// Each worker receives a setup frame (program name, encoded query, the run
+// deadline if ctx carries one, its fragment), runs PEval/IncEval on command,
+// and finally ships its encoded partial answer back for Assemble.
+// Cancellation crosses the process boundary twice: an abort frame makes each
+// worker discard its run and exit, and the deadline in the setup frame lets a
+// worker bound its own run even if the coordinator dies before the abort.
+type wireSubstrate[Q, V, R any] struct {
+	prog   WireProgram[Q, V, R]
+	q      Q
+	layout *partition.Layout
+	codec  Codec[V]
+	tr     mpi.Transport
+
+	// Recovery (Options.Recover): each fragment starts on its own worker
+	// process (host); hostOf, aliveHost and hostLoad track the re-homing.
+	reassign  mpi.Reassigner
+	loads     []float64
+	hostOf    []int
+	aliveHost []bool
+	hostLoad  []float64
+}
+
+func newWireSubstrate[Q, V, R any](layout *partition.Layout, prog Program[Q, V, R], q Q, opts Options) (*wireSubstrate[Q, V, R], error) {
 	wp, ok := any(prog).(WireProgram[Q, V, R])
 	if !ok {
-		return zero, nil, fmt.Errorf("engine: %s: %w", prog.Name(), ErrNoWireSupport)
+		return nil, fmt.Errorf("engine: %s: %w", prog.Name(), ErrNoWireSupport)
 	}
 	tr := opts.Transport
 	n := len(layout.Fragments)
 	if tr.Workers() != n {
-		return zero, nil, fmt.Errorf("engine: transport has %d workers but the layout has %d fragments", tr.Workers(), n)
+		return nil, fmt.Errorf("engine: transport has %d workers but the layout has %d fragments", tr.Workers(), n)
 	}
 	if opts.Fault != nil {
 		tr = opts.Fault(tr)
 	}
-	var reassign mpi.Reassigner
+	s := &wireSubstrate[Q, V, R]{prog: wp, q: q, layout: layout, codec: wp.WireCodec(), tr: tr}
 	if opts.Recover {
-		var ok bool
-		if reassign, ok = tr.(mpi.Reassigner); !ok {
-			return zero, nil, errors.New("engine: Options.Recover needs a transport that can reassign fragments (mpi.Reassigner)")
+		if s.reassign, ok = tr.(mpi.Reassigner); !ok {
+			return nil, errors.New("engine: Options.Recover needs a transport that can reassign fragments (mpi.Reassigner)")
 		}
-	} else if opts.CheckpointStore != nil {
-		return zero, nil, fmt.Errorf("engine: %s: Options.CheckpointStore requires Options.Recover", prog.Name())
+		s.loads = balance.Estimate(layout, balance.DefaultWeights())
+		s.hostLoad = append([]float64(nil), s.loads...)
+		s.hostOf = make([]int, n)
+		s.aliveHost = make([]bool, n)
+		for i := range s.hostOf {
+			s.hostOf[i], s.aliveHost[i] = i, true
+		}
 	}
-	spec := prog.Spec()
-	codec := wp.WireCodec()
+	return s, nil
+}
 
-	start := time.Now()
-	stats := &metrics.Stats{Engine: "grape/" + prog.Name(), Workers: n, Transport: "wire"}
+func (s *wireSubstrate[Q, V, R]) link() mpi.Transport { return s.tr }
 
-	rec := trace.FromContext(ctx)
-	rec.BeginRun(prog.Name(), "wire", n)
-	defer rec.EndRun()
-	lg := trace.LoggerFrom(ctx)
-	if lg != nil {
-		lg = lg.With("run", rec.ID(), "class", prog.Name(), "substrate", "wire")
-		lg.Debug("run started", "workers", n)
-	}
-
-	qblob, err := wp.EncodeQuery(q)
+func (s *wireSubstrate[Q, V, R]) open(ctx context.Context) error {
+	qblob, err := s.prog.EncodeQuery(s.q)
 	if err != nil {
-		return zero, stats, fmt.Errorf("engine: encoding query: %w", err)
+		return fmt.Errorf("engine: encoding query: %w", err)
 	}
 	var deadlineMicros int64
 	if dl, ok := ctx.Deadline(); ok {
 		deadlineMicros = dl.UnixMicro()
 	}
-	for i, f := range layout.Fragments {
-		setup := encodeSetup(prog.Name(), qblob, deadlineMicros, partition.AppendFragment(nil, f))
-		tr.Send(mpi.Envelope{From: mpi.Coordinator, To: i, Frame: setup})
+	for i, f := range s.layout.Fragments {
+		setup := encodeSetup(s.prog.Name(), qblob, deadlineMicros, partition.AppendFragment(nil, f))
+		s.tr.Send(mpi.Envelope{From: mpi.Coordinator, To: i, Frame: setup})
 	}
+	return nil
+}
 
-	fold := newFoldState(spec, n)
-	stillActive := make(map[int]bool)
-	replies := make([]*workerReply[V], n)
-	// sched marks the workers commanded this superstep: the abort drain
-	// waits on scheduled workers whose replies are still in flight, and the
-	// recovery path uses it to decide whether a dead worker still owes the
-	// barrier a reply.
-	sched := make([]bool, n)
+func (s *wireSubstrate[Q, V, R]) command(w, step int, cmd workerCmd[V]) {
+	frame, dataLen := encodeCmd(s.codec, cmd)
+	s.tr.Send(mpi.Envelope{From: mpi.Coordinator, To: w, Step: step, Frame: frame, Size: dataLen})
+}
 
-	// Recovery over the wire: each fragment starts on its own worker process
-	// (host). When a host's link dies, every fragment assigned to it gets a
-	// worker-fatal envelope; revive re-homes the fragment onto the least
-	// loaded surviving host (the balancer's workload estimate, greedily —
-	// the same quantity LPT packs), points the transport's routing at it,
-	// and ships an adopt frame carrying the fragment plus its checkpoint
-	// replay log. A host that dies during the reassignment is marked dead
-	// and the pick repeats; with no survivors the run fails.
-	var rc *recoverer[V]
-	if opts.Recover {
-		loads := balance.Estimate(layout, balance.DefaultWeights())
-		hostOf := make([]int, n)
-		aliveHost := make([]bool, n)
-		hostLoad := make([]float64, n)
-		for i := 0; i < n; i++ {
-			hostOf[i] = i
-			aliveHost[i] = true
-			hostLoad[i] = loads[i]
-		}
-		rc = &recoverer[V]{ckpt: newCheckpoint(spec, layout, opts.CheckpointStore, codec), sched: sched}
-		rc.revive = func(frag, through, owe int) (int, error) {
-			aliveHost[hostOf[frag]] = false
-			for {
-				host := -1
-				for h := 0; h < n; h++ {
-					if aliveHost[h] && (host < 0 || hostLoad[h] < hostLoad[host]) {
-						host = h
-					}
-				}
-				if host < 0 {
-					return 0, errors.New("no surviving workers to adopt the fragment")
-				}
-				if err := reassign.Reassign(frag, host); err != nil {
-					aliveHost[host] = false
-					continue
-				}
-				hostOf[frag] = host
-				hostLoad[host] += loads[frag]
-				frame := encodeAdopt(codec, partition.AppendFragment(nil, layout.Fragments[frag]), rc.ckpt.replayFor(frag, through), owe)
-				tr.Send(mpi.Envelope{From: mpi.Coordinator, To: frag, Frame: frame})
-				return host, nil
-			}
-		}
-	}
-
-	collect := func(expect, step int) ([][]VarUpdate[V], int, error) {
-		return collectStep(ctx, tr, codec, fold, rc, replies, stillActive, stats, layout, rec, expect, step, opts.CheckMonotonic)
-	}
-	stopFrame, _ := encodeCmd(codec, workerCmd[V]{kind: cmdStop})
-	abortFrame, _ := encodeCmd(codec, workerCmd[V]{kind: cmdAbort})
-	// outstanding lists the workers that were commanded this superstep but
-	// whose replies the failed collect did not drain — the writes still in
-	// flight when a run is cancelled.
-	outstanding := func() map[int]bool {
-		waitFor := make(map[int]bool)
-		for w := 0; w < n; w++ {
-			if sched[w] && replies[w] == nil {
-				waitFor[w] = true
-			}
-		}
-		return waitFor
-	}
-	// stop releases workers after a completed run or a run error: plain
-	// stop frames, workers exit cleanly. abort releases a *cancelled* run:
-	// broadcast abort frames (workers discard state and surface
-	// ErrAborted), then drain one frame from every worker whose reply is
-	// still in flight — a worker mid-PEval/IncEval finishes and ships that
-	// one reply, and consuming it keeps the coordinator's socket clean
-	// until the worker reads the abort; returning (and closing) with
-	// unread data in the receive buffer would RST the link and turn the
-	// clean abort into a broken-pipe error on the worker. A worker whose
-	// link errors (nil Frame) is gone and counts as drained; frames from
-	// other workers (e.g. their link teardown as they exit on the abort)
-	// are ignored. Bounded by one superstep of compute, with a hard
-	// timeout as the backstop for pathological programs.
-	stop := func() {
-		for i := 0; i < n; i++ {
-			tr.Send(mpi.Envelope{From: mpi.Coordinator, To: i, Frame: stopFrame})
-		}
-	}
-	abort := func(waitFor map[int]bool) {
-		for i := 0; i < n; i++ {
-			tr.Send(mpi.Envelope{From: mpi.Coordinator, To: i, Frame: abortFrame})
-		}
-		//grapevet:keep the run ctx is already cancelled here; the drain needs its own fresh bound or Recv would return immediately
-		dctx, cancel := context.WithTimeout(context.Background(), abortDrainTimeout)
-		defer cancel()
-		for len(waitFor) > 0 {
-			e, err := tr.Recv(dctx, mpi.Coordinator)
-			if err != nil {
-				return
-			}
-			delete(waitFor, e.From)
-		}
-	}
-
-	if layout.ReplicationBytes > 0 {
-		tr.AddTraffic(int64(n), layout.ReplicationBytes)
-	}
-
-	// Superstep 1: PEval everywhere.
-	rec.BeginStep(1, n)
-	peFrame, _ := encodeCmd(codec, workerCmd[V]{kind: cmdPEval})
-	for i := 0; i < n; i++ {
-		tr.Send(mpi.Envelope{From: mpi.Coordinator, To: i, Step: 1, Frame: peFrame})
-	}
-	// A worker that observes the propagated deadline before the coordinator
-	// does replies with its context error, but that error crosses the wire
-	// as a string and loses its errors.Is identity — re-attach the
-	// coordinator-side sentinel so Run's contract ("returns ctx's error")
-	// holds no matter which side noticed first.
-	wrapCtx := func(err error) error {
-		if cerr := ctx.Err(); cerr != nil && !errors.Is(err, cerr) {
-			// both identities survive: a genuine worker error (e.g.
-			// ErrNotMonotonic) racing the deadline stays errors.Is-able
-			return fmt.Errorf("%w: %w", err, cerr)
-		}
-		return err
-	}
-
-	stats.Supersteps = 1
-	for w := 0; w < n; w++ {
-		sched[w] = true
-	}
-	route, scheduled, err := collect(n, 1)
+func (s *wireSubstrate[Q, V, R]) reply(env mpi.Envelope) (workerReply[V], error) {
+	frame, err := wireFrame(env)
 	if err != nil {
-		if ctx.Err() != nil {
-			abort(outstanding())
-		} else {
-			stop()
-		}
-		return zero, stats, wrapCtx(err)
+		return workerReply[V]{}, err
 	}
-	if layout.ReplicationBytes > 0 && len(stats.BytesPerStep) > 0 {
-		stats.BytesPerStep[0] += layout.ReplicationBytes
-	}
+	return decodeReply(s.codec, frame)
+}
 
-	// Supersteps 2..: IncEval on fragments with pending updates, exactly as
-	// in RunOnLayout.
-	for scheduled > 0 || len(stillActive) > 0 {
-		if err := ctx.Err(); err != nil {
-			abort(nil) // barrier reached: nothing in flight
-			return zero, stats, cancelled(prog.Name(), stats.Supersteps, err)
-		}
-		if stats.Supersteps >= opts.MaxSupersteps {
-			stop()
-			return zero, stats, fmt.Errorf("engine: %s after %d supersteps: %w", prog.Name(), stats.Supersteps, ErrSuperstepLimit)
-		}
-		stats.Supersteps++
-		active := 0
-		for w := 0; w < n; w++ {
-			if len(route[w]) > 0 || stillActive[w] {
-				active++
+// revive over the wire: when a host's link dies, every fragment assigned to
+// it gets a worker-fatal envelope; each is re-homed onto the least loaded
+// surviving host (the balancer's workload estimate, greedily — the same
+// quantity LPT packs), the transport's routing is pointed at it, and an
+// adopt frame ships the fragment plus its checkpoint replay log. A host that
+// dies during the reassignment is marked dead and the pick repeats; with no
+// survivors the run fails.
+func (s *wireSubstrate[Q, V, R]) revive(frag int, log []replayStep[V], owe int) (int, error) {
+	s.aliveHost[s.hostOf[frag]] = false
+	for {
+		host := -1
+		for h, alive := range s.aliveHost {
+			if alive && (host < 0 || s.hostLoad[h] < s.hostLoad[host]) {
+				host = h
 			}
 		}
-		rec.BeginStep(stats.Supersteps, active)
-		for w := 0; w < n; w++ {
-			sched[w] = false
-			ups := route[w]
-			if len(ups) == 0 && !stillActive[w] {
-				continue
-			}
-			sched[w] = true
-			frame, dataLen := encodeCmd(codec, workerCmd[V]{kind: cmdIncEval, updates: ups})
-			tr.Send(mpi.Envelope{From: mpi.Coordinator, To: w, Step: stats.Supersteps, Frame: frame, Size: dataLen})
+		if host < 0 {
+			return 0, errors.New("no surviving workers to adopt the fragment")
 		}
-		route, scheduled, err = collect(active, stats.Supersteps)
+		if err := s.reassign.Reassign(frag, host); err != nil {
+			s.aliveHost[host] = false
+			continue
+		}
+		s.hostOf[frag] = host
+		s.hostLoad[host] += s.loads[frag]
+		frame := encodeAdopt(s.codec, partition.AppendFragment(nil, s.layout.Fragments[frag]), log, owe)
+		s.tr.Send(mpi.Envelope{From: mpi.Coordinator, To: frag, Frame: frame})
+		return host, nil
+	}
+}
+
+// broadcast sends every fragment's worker a bare control command.
+func (s *wireSubstrate[Q, V, R]) broadcast(kind cmdKind) {
+	frame, _ := encodeCmd(s.codec, workerCmd[V]{kind: kind})
+	for i := range s.layout.Fragments {
+		s.tr.Send(mpi.Envelope{From: mpi.Coordinator, To: i, Frame: frame})
+	}
+}
+
+// release sends plain stop frames after a completed run or a run error:
+// workers exit cleanly. A *cancelled* run is aborted instead (workers discard
+// state and surface ErrAborted), then one frame is drained from every worker
+// whose reply is still in flight: a worker mid-PEval/IncEval finishes and
+// ships that one reply, and returning (and closing) with it unread in the
+// receive buffer would RST the link and turn the clean abort into a
+// broken-pipe error on the worker. A worker whose link errors (nil Frame) is
+// gone and counts as drained; frames from other workers (e.g. their link
+// teardown as they exit on the abort) are ignored. Bounded by one superstep
+// of compute, with a hard timeout as the backstop for pathological programs.
+func (s *wireSubstrate[Q, V, R]) release(cancelled bool, inflight []bool) {
+	if !cancelled {
+		s.broadcast(cmdStop)
+		return
+	}
+	s.broadcast(cmdAbort)
+	//grapevet:keep the run ctx is already cancelled here; the drain needs its own fresh bound or Recv would return immediately
+	dctx, cancel := context.WithTimeout(context.Background(), abortDrainTimeout)
+	defer cancel()
+	for slices.Contains(inflight, true) {
+		e, err := s.tr.Recv(dctx, mpi.Coordinator)
 		if err != nil {
-			if ctx.Err() != nil {
-				abort(outstanding())
-			} else {
-				stop()
-			}
-			return zero, stats, wrapCtx(err)
+			return
+		}
+		if e.From >= 0 && e.From < len(inflight) {
+			inflight[e.From] = false
 		}
 	}
+}
 
-	// Fixpoint reached: pull every worker's encoded partial answer,
-	// reconstitute coordinator-side contexts, release the workers, Assemble.
-	asmFrame, _ := encodeCmd(codec, workerCmd[V]{kind: cmdAssemble})
-	for i := 0; i < n; i++ {
-		tr.Send(mpi.Envelope{From: mpi.Coordinator, To: i, Frame: asmFrame})
-	}
-	ctxs := make([]*Context[V], n)
-	for i, f := range layout.Fragments {
-		ctxs[i] = newContext(f, spec)
-	}
-	seen := make(map[int]bool, n)
-	for got := 0; got < n; got++ {
-		env, rerr := tr.Recv(ctx, mpi.Coordinator)
-		if rerr != nil {
-			waitFor := make(map[int]bool)
-			for w := 0; w < n; w++ {
-				if !seen[w] {
-					waitFor[w] = true
-				}
-			}
-			abort(waitFor)
-			return zero, stats, cancelled(prog.Name(), stats.Supersteps, rerr)
+// finish pulls every worker's encoded partial answer into fresh contexts for
+// Assemble, then releases the workers — by abort, draining the partials still
+// in flight, if the run was cancelled meanwhile.
+func (s *wireSubstrate[Q, V, R]) finish(ctx context.Context, step int, lost func(frag int) error) (ctxs []*Context[V], err error) {
+	n := len(s.layout.Fragments)
+	unseen := slices.Repeat([]bool{true}, n)
+	defer func() { s.release(err != nil && ctx.Err() != nil, unseen) }()
+	s.broadcast(cmdAssemble)
+	ctxs = freshContexts(s.layout, s.prog.Spec())
+	for slices.Contains(unseen, true) {
+		env, err := s.tr.Recv(ctx, mpi.Coordinator)
+		if err != nil {
+			return nil, cancelled(s.prog.Name(), step, err)
 		}
 		if perr, ok := env.Payload.(error); ok && env.Frame == nil {
-			// A worker died between the fixpoint and shipping its partial.
-			// Its fragment's full command log is checkpointed, so revive it
-			// (nothing is owed — the fixpoint's replies all landed) and ask
-			// the adopting worker for the partial instead.
-			got--
+			// A worker died between the fixpoint and shipping its partial. Its
+			// fragment's full command log is checkpointed, so revive it (nothing
+			// is owed — the fixpoint's replies all landed) and ask the adopter.
 			w, workerFatal := mpi.WorkerFatalOf(perr)
-			if workerFatal && rc != nil && w >= 0 && w < n {
-				if seen[w] {
-					continue // this fragment's partial already landed; the death is moot
-				}
-				host, verr := rc.revive(w, stats.Supersteps, 0)
-				if verr != nil {
-					stop()
-					return zero, stats, fmt.Errorf("engine: worker %d partial result: recovering from %v: %w", w, perr, verr)
-				}
-				stats.Recoveries = append(stats.Recoveries, metrics.Recovery{Superstep: stats.Supersteps, Fragment: w, Host: host})
-				if rec != nil {
-					rec.Event("recovery", fmt.Sprintf("assemble: fragment %d revived on worker %d", w, host))
-				}
-				tr.Send(mpi.Envelope{From: mpi.Coordinator, To: w, Frame: asmFrame})
-				continue
+			if !workerFatal || lost == nil || w < 0 || w >= n {
+				return nil, fmt.Errorf("engine: worker %d partial result: %w", env.From, perr)
 			}
-			stop()
-			return zero, stats, fmt.Errorf("engine: worker %d partial result: %w", env.From, perr)
+			if !unseen[w] {
+				continue // this fragment's partial already landed; the death is moot
+			}
+			if err := lost(w); err != nil {
+				return nil, fmt.Errorf("engine: worker %d partial result: recovering from %v: %w", w, perr, err)
+			}
+			s.command(w, 0, workerCmd[V]{kind: cmdAssemble})
+			continue
+		}
+		if env.From < 0 || env.From >= n || !unseen[env.From] {
+			return nil, fmt.Errorf("engine: unexpected partial result from worker %d", env.From)
 		}
 		blob, err := wireFrame(env)
 		if err == nil {
 			blob, err = decodePartialFrame(blob)
 		}
+		if err == nil {
+			err = decodePartial(s.prog, s.codec, s.q, ctxs[env.From], blob)
+		}
 		if err != nil {
-			stop()
-			return zero, stats, fmt.Errorf("engine: worker %d partial result: %w", env.From, err)
+			return nil, fmt.Errorf("engine: worker %d partial result: %w", env.From, err)
 		}
-		if env.From < 0 || env.From >= n || seen[env.From] {
-			stop()
-			return zero, stats, fmt.Errorf("engine: unexpected partial result from worker %d", env.From)
-		}
-		seen[env.From] = true
-		if err := decodePartial(wp, codec, q, ctxs[env.From], blob); err != nil {
-			stop()
-			return zero, stats, fmt.Errorf("engine: worker %d partial result: %w", env.From, err)
-		}
+		unseen[env.From] = false
 	}
-	stop()
-
-	res, err := prog.Assemble(q, ctxs)
-	stats.Messages = tr.Messages()
-	stats.Bytes = tr.Bytes()
-	stats.WallTime = time.Since(start)
-	if lg != nil {
-		lg.Info("run complete", "supersteps", stats.Supersteps, "wall_ms", stats.WallTime.Seconds()*1e3, "recoveries", len(stats.Recoveries))
-	}
-	if err != nil {
-		return zero, stats, fmt.Errorf("engine: assemble: %w", err)
-	}
-	return res, stats, nil
+	return ctxs, nil
 }
 
 // wireFrame unwraps an envelope from a wire transport, surfacing link
@@ -420,18 +286,15 @@ func wireFrame(env mpi.Envelope) ([]byte, error) {
 	return nil, mpi.RunFatal(errors.New("transport: link closed"))
 }
 
-// serveWire is the worker half of runWire: commands in, encoded replies
-// out, mirroring workerLoop. A worker starts hosting the one fragment the
-// setup frame assigned it, but recovery can hand it more: an adopt frame
-// carries a dead peer's fragment plus its checkpoint replay log, and from
-// then on commands are dispatched to the addressed fragment (Envelope.To,
-// protocol v3's frag header field). The worker exits when every fragment it
-// hosts has been released by a stop frame.
-// runCtx carries the deadline the coordinator shipped in the setup frame
-// (plus whatever the worker process layered on, e.g. a signal context): an
-// expired context is reported back to the coordinator as this worker's
-// error instead of silently computing past the deadline, and an abort
-// frame makes the worker discard the run and return ErrAborted.
+// serveWire is the worker process's serve loop: command frames in, encoded
+// replies out. A worker starts hosting the one fragment the setup frame
+// assigned it, but recovery can hand it more: an adopt frame carries a dead
+// peer's fragment plus its checkpoint replay log, and from then on commands
+// are dispatched to the addressed fragment (Envelope.To, the frame header's
+// fragment field). The worker exits when a stop frame has released every
+// fragment it hosts, or with ErrAborted on an abort frame. runCtx carries the
+// deadline the coordinator shipped in the setup frame (plus whatever the
+// worker process layered on, e.g. a signal context).
 func serveWire[Q, V, R any](runCtx context.Context, prog WireProgram[Q, V, R], link WorkerLink, q Q, f *partition.Fragment) error {
 	spec := prog.Spec()
 	codec := prog.WireCodec()
@@ -454,6 +317,8 @@ func serveWire[Q, V, R any](runCtx context.Context, prog WireProgram[Q, V, R], l
 			nc := newContext(nf, spec)
 			rerr := replayFragment(prog, q, nc, ad.steps, ad.owe)
 			ctxs[nf.Index] = nc
+			// Only the owed superstep's reply (or a replay error) goes back:
+			// every earlier reply was already folded by the coordinator.
 			if ad.owe > 0 || rerr != nil {
 				if err := replyWire(link, codec, nf.Index, ad.owe, nc, 0, 0, rerr); err != nil {
 					return fmt.Errorf("engine: worker %d: %w", f.Index, err)
@@ -464,16 +329,6 @@ func serveWire[Q, V, R any](runCtx context.Context, prog WireProgram[Q, V, R], l
 		ctx := ctxs[env.To]
 		if ctx == nil {
 			return mpi.RunFatal(fmt.Errorf("engine: worker %d: command for fragment %d, which this worker does not host", f.Index, env.To))
-		}
-		// The deadline gate: computing past an expired run context would
-		// burn CPU the coordinator has already written off. Reply with the
-		// context error so the coordinator fails the run cleanly even if
-		// its own clock has not fired yet.
-		if cerr := runCtx.Err(); cerr != nil && (cmd.kind == cmdPEval || cmd.kind == cmdIncEval) {
-			if err := replyWire(link, codec, env.To, env.Step, ctx, 0, 0, cerr); err != nil {
-				return fmt.Errorf("engine: worker %d: %w", f.Index, err)
-			}
-			continue
 		}
 		switch cmd.kind {
 		case cmdStop:
@@ -491,23 +346,17 @@ func serveWire[Q, V, R any](runCtx context.Context, prog WireProgram[Q, V, R], l
 				size = len(blob)
 			}
 			err = link.Send(mpi.Envelope{From: env.To, To: mpi.Coordinator, Step: env.Step, Frame: encodePartialFrame(blob, perr), Size: size})
-		case cmdPEval:
-			ctx.active = false
-			t0 := time.Now()
-			perr := prog.PEval(q, ctx)
-			err = replyWire(link, codec, env.To, env.Step, ctx, time.Since(t0).Nanoseconds(), 0, perr)
-		case cmdIncEval:
-			wasActive := ctx.active
-			ctx.active = false
-			t0 := time.Now()
-			ctx.apply(cmd.updates)
-			applyNS := time.Since(t0).Nanoseconds()
-			var perr error
-			t1 := time.Now()
-			if len(ctx.Updated()) > 0 || wasActive {
-				perr = prog.IncEval(q, ctx)
+		case cmdPEval, cmdIncEval:
+			// The deadline gate: computing past an expired run context would
+			// burn CPU the coordinator has already written off. Reply with the
+			// context error so the coordinator fails the run cleanly even if
+			// its own clock has not fired yet.
+			var computeNS, applyNS int64
+			perr := runCtx.Err()
+			if perr == nil {
+				computeNS, applyNS, perr = execStep(prog, q, ctx, cmd)
 			}
-			err = replyWire(link, codec, env.To, env.Step, ctx, time.Since(t1).Nanoseconds(), applyNS, perr)
+			err = replyWire(link, codec, env.To, env.Step, ctx, computeNS, applyNS, perr)
 		default:
 			return mpi.RunFatal(fmt.Errorf("engine: worker %d: command %d is not supported over a wire transport", f.Index, cmd.kind))
 		}

@@ -187,9 +187,14 @@ func TestFlightRecorderCheckpointEvents(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderSessionEvents pins that a session update with a recorder
-// on its context records a session-update event.
+// TestFlightRecorderSessionEvents pins that sessions run under the same
+// recorder hooks as every other run — they go through the one superstep
+// driver: with a recorder on the context, the open and the update each record
+// one span per counted superstep with a timing row for every scheduled worker
+// (a resumed fixpoint schedules only the dirtied workers in its superstep 1),
+// on substrate "bus", plus the session-update event.
 func TestFlightRecorderSessionEvents(t *testing.T) {
+	const workers = 2
 	rec := trace.NewRecorder("sess")
 	defer rec.Release()
 	ctx := trace.WithRecorder(context.Background(), rec)
@@ -202,20 +207,37 @@ func TestFlightRecorderSessionEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := gen.RoadGrid(8, 8, 1)
-	sess, _, _, err := e.Session(ctx, g, engine.Options{Workers: 2, Strategy: partition.Hash{}}, pq)
+	sess, _, openStats, err := e.Session(ctx, g, engine.Options{Workers: workers, Strategy: partition.Hash{}}, pq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := sess.Update(ctx, []engine.EdgeUpdate{{From: 0, To: 63, W: 0.5}}); err != nil {
+	checkTrace(t, rec.Snapshot(), openStats.Supersteps, workers, "bus")
+	_, updStats, err := sess.Update(ctx, []engine.EdgeUpdate{{From: 0, To: 63, W: 0.5}})
+	if err != nil {
 		t.Fatal(err)
 	}
+	run := rec.Snapshot()
+	if run.Substrate != "bus" || run.Workers != workers {
+		t.Fatalf("run header = %s/%d workers, want bus/%d", run.Substrate, run.Workers, workers)
+	}
+	if want := openStats.Supersteps + updStats.Supersteps; len(run.Steps) != want {
+		t.Fatalf("recorded %d superstep spans, open + update counted %d", len(run.Steps), want)
+	}
+	for i, s := range run.Steps[openStats.Supersteps:] {
+		if s.Step != i+1 || s.Sched == 0 || s.Sched > workers || len(s.Workers) != s.Sched {
+			t.Fatalf("update span %d: step %d, %d timing rows for %d scheduled workers", i, s.Step, len(s.Workers), s.Sched)
+		}
+		if s.Barrier.Before(s.Start) || s.End.Before(s.Barrier) {
+			t.Fatalf("update span %d phases out of order: %+v", i, s)
+		}
+	}
 	var saw bool
-	for _, ev := range rec.Snapshot().Events {
+	for _, ev := range run.Events {
 		if ev.Kind == "session-update" && strings.Contains(ev.Detail, "1 edge updates") {
 			saw = true
 		}
 	}
 	if !saw {
-		t.Fatalf("no session-update event recorded: %+v", rec.Snapshot().Events)
+		t.Fatalf("no session-update event recorded: %+v", run.Events)
 	}
 }

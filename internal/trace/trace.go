@@ -45,7 +45,7 @@ type Step struct {
 }
 
 // WorkerTiming is one worker's self-reported phase split for a superstep,
-// piggybacked on its reply frame (wire protocol v4) or reply struct (bus).
+// piggybacked on its reply frame (wire) or reply struct (bus).
 type WorkerTiming struct {
 	Worker    int   `json:"worker"`
 	ComputeNS int64 `json:"compute_ns"` // PEval / IncEval body

@@ -24,7 +24,7 @@
 //	        matching the in-process bus's accounting)
 //	bytes   payload (engine-encoded)
 //
-// Failure model (protocol v3+): every link failure is *classified* (see
+// Failure model: every link failure is *classified* (see
 // internal/mpi): a broken, silent, or frame-corrupting worker link surfaces
 // as one worker-fatal envelope per fragment assigned to that link — which
 // the engine either turns into a run error or, with recovery enabled,
@@ -39,8 +39,7 @@
 // stops waiting at the superstep barrier immediately; the engine then
 // broadcasts an abort command frame that makes each worker process discard
 // the run (engine.ErrAborted), and the setup frame carries the run deadline
-// so a worker bounds itself even if the coordinator dies first. Both were
-// added in protocol version 2.
+// so a worker bounds itself even if the coordinator dies first.
 package transport
 
 import (
@@ -70,19 +69,13 @@ func retryableDial(err error) bool {
 
 const (
 	magic = "GRPW"
-	// version 4 appends each worker's per-superstep compute/apply
-	// nanoseconds to the reply frame for the flight recorder; the decoder
-	// tolerates their absence, so the coordinator still accepts version 3
-	// workers (their timings read as zero). Version 3 added fault tolerance:
+	// version is the one protocol both ends speak: coordinator and worker
+	// ship from one tree, so the handshake refuses anything else. It covers
 	// the fragment field of the frame header (one link can host several
-	// fragments after reassignment), ping/pong liveness frames, and the
-	// liveness window in the handshake response. Version 2 added run
-	// cancellation (the abort frame and the setup frame's deadline). Older
-	// binaries are rejected at the handshake.
+	// fragments after reassignment), ping/pong liveness frames with the
+	// window in the handshake response, the abort frame and setup-frame
+	// deadline, and the compute/apply timing tail of reply frames.
 	version = 4
-	// minVersion is the oldest worker protocol the coordinator still
-	// accepts (see version 4's compat note).
-	minVersion = 3
 	// maxFrame caps a single frame: fragments of very large graphs dominate
 	// frame sizes; 1 GiB is far beyond anything this repo generates while
 	// still bounding a corrupted length prefix.
@@ -114,7 +107,7 @@ type acceptConfig struct {
 // WithLiveness overrides the liveness schedule: the coordinator pings every
 // link at interval every and kills a link silent for longer than window;
 // workers deadline their reads by the same window. WithLiveness(0, 0)
-// disables liveness entirely (no pings, unbounded reads — the v2 behavior).
+// disables liveness entirely (no pings, unbounded reads).
 func WithLiveness(every, window time.Duration) AcceptOption {
 	return func(c *acceptConfig) {
 		c.every = every
@@ -649,8 +642,8 @@ func handshakeCoordinator(cn *conn, index, n int, window time.Duration, deadline
 	if string(hello[:4]) != magic {
 		return fmt.Errorf("bad magic %q", hello[:4])
 	}
-	if v := binary.BigEndian.Uint32(hello[4:]); v < minVersion || v > version {
-		return fmt.Errorf("protocol version %d, want %d-%d", v, minVersion, version)
+	if v := binary.BigEndian.Uint32(hello[4:]); v != version {
+		return fmt.Errorf("protocol version %d, want %d", v, version)
 	}
 	var resp [16]byte
 	binary.BigEndian.PutUint32(resp[0:], uint32(index))

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"net"
+	"strings"
 	"testing"
 	"time"
 )
@@ -69,10 +70,23 @@ func TestFrameRejectsTruncatedHeader(t *testing.T) {
 	}
 }
 
-// TestHandshakeSurvivesBadMagic: a stray connection (wrong magic) must be
-// dropped without aborting the accept round — a later legitimate worker
-// still gets the slot.
+// TestHandshakeSurvivesBadMagic: a stray connection (wrong magic, or a hello
+// from an older protocol version — there is exactly one) must be dropped
+// without aborting the accept round — a later legitimate worker still gets
+// the slot.
 func TestHandshakeSurvivesBadMagic(t *testing.T) {
+	// The refusal names its cause.
+	for hello, want := range map[string]string{"NOPE\x00\x00\x00\x04": "bad magic", "GRPW\x00\x00\x00\x03": "protocol version 3, want 4"} {
+		a, b := net.Pipe()
+		go b.Write([]byte(hello))
+		err := handshakeCoordinator(newConn(a), 0, 1, time.Second, time.Now().Add(5*time.Second))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("hello %q: want a %q refusal, got %v", hello, want, err)
+		}
+		a.Close()
+		b.Close()
+	}
+
 	l, err := NewListener("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -93,6 +107,12 @@ func TestHandshakeSurvivesBadMagic(t *testing.T) {
 	}
 	defer nc.Close()
 	nc.Write([]byte("NOPE\x00\x00\x00\x01"))
+	old, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	old.Write([]byte("GRPW\x00\x00\x00\x03"))
 	w, err := Dial("tcp", l.Addr().String(), 5*time.Second)
 	if err != nil {
 		t.Fatalf("legitimate worker rejected after stray connection: %v", err)
