@@ -11,7 +11,6 @@ import (
 
 	"grape/internal/graph"
 	"grape/internal/mpi"
-	"grape/internal/partition"
 	"grape/internal/transport"
 )
 
@@ -517,7 +516,7 @@ func TestIdleWorkerDeadlineUnblocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(150 * time.Millisecond)
-	setup := encodeSetup("cancel-stepper", qblob, deadline.UnixMicro(), partition.AppendFragment(nil, layout.Fragments[0]))
+	setup := encodeSetup("cancel-stepper", qblob, deadline.UnixMicro(), layout.Fragments[0])
 
 	link := &closableLink{ch: make(chan mpi.Envelope, 1), closed: make(chan struct{})}
 	done := make(chan error, 1)
@@ -531,5 +530,56 @@ func TestIdleWorkerDeadlineUnblocks(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("idle worker hung past its propagated deadline")
+	}
+}
+
+// deadLinkTransport is a wire transport whose every worker link is already
+// broken: sends vanish and Recv delivers one worker-fatal envelope per
+// worker, round-robin.
+type deadLinkTransport struct{ n, next int }
+
+func (d *deadLinkTransport) Workers() int               { return d.n }
+func (*deadLinkTransport) Send(mpi.Envelope)            {}
+func (*deadLinkTransport) Messages() int64              { return 0 }
+func (*deadLinkTransport) Bytes() int64                 { return 0 }
+func (*deadLinkTransport) AddTraffic(msgs, bytes int64) {}
+func (*deadLinkTransport) Wire() bool                   { return true }
+func (d *deadLinkTransport) Recv(ctx context.Context, party int) (mpi.Envelope, error) {
+	w := d.next % d.n
+	d.next++
+	return mpi.Envelope{From: w, To: mpi.Coordinator, Payload: mpi.WorkerFatal(w, errors.New("worker link: EOF"))}, nil
+}
+
+// reachedDeadlineCtx is a context at the instant the race in
+// TestWireDeadlinePropagates opens: its deadline has been reached, its timer
+// has not fired yet (Err is nil, Done stays open).
+type reachedDeadlineCtx struct{ context.Context }
+
+func (reachedDeadlineCtx) Deadline() (time.Time, bool) {
+	return time.Now().Add(-time.Microsecond), true
+}
+
+// TestLinkFailureAtDeadlineCarriesDeadline: a wire worker holds a copy of the
+// run deadline and closes its link when it expires, possibly a hair before
+// the coordinator's own timer fires. The link failure the barrier then sees
+// is the deadline's doing and must say so — as the cancelled path does —
+// while a link failure on a run with time left stays a plain fault.
+func TestLinkFailureAtDeadlineCarriesDeadline(t *testing.T) {
+	layout, err := BuildLayout(ring(8), Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(ctx context.Context) error {
+		_, _, err := RunOnLayout(ctx, layout, wireStepper{stepper{}}, stepQuery{limit: 4}, Options{Workers: 2, Transport: &deadLinkTransport{n: 2}})
+		return err
+	}
+	err = run(reachedDeadlineCtx{context.Background()})
+	if !errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "worker link: EOF") {
+		t.Fatalf("want the link failure carrying context.DeadlineExceeded, got %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	if err := run(ctx); err == nil || errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("want a plain link failure with an hour left, got %v", err)
 	}
 }

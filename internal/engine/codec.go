@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"grape/internal/graph"
+	"grape/internal/partition"
 )
 
 // A Codec gives a program's update-parameter values a wire format, so runs
@@ -171,7 +172,7 @@ func decodeCmd[V any](c Codec[V], frame []byte) (workerCmd[V], error) {
 	}
 	cmd.kind = k
 	if k == cmdAdopt {
-		ad, err := decodeAdopt(c, frame[1:])
+		ad, err := decodeAdopt(c, frame)
 		if err != nil {
 			return cmd, err
 		}
@@ -199,60 +200,54 @@ func decodeCmd[V any](c Codec[V], frame []byte) (workerCmd[V], error) {
 	return cmd, nil
 }
 
-// Adopt frame (coordinator → worker, recovery): kind byte, length-prefixed
-// encoded fragment, uvarint owed superstep, uvarint replay-step count, then
-// per replay step a uvarint superstep number and its update batch. Adopt
-// frames are control traffic (metered size 0): the checkpoint records they
-// carry are copies of updates the run already paid for.
+// Adopt frame (coordinator → worker, recovery): kind byte, uvarint owed
+// superstep, uvarint replay-step count, then per replay step a uvarint
+// superstep number and its update batch; then zero padding to the next
+// 8-aligned frame offset and the fragment frame, which runs to the end (see
+// the setup frame for why). Adopt frames are control traffic (metered size
+// 0): the checkpoint records they carry are copies of updates the run
+// already paid for.
 
-func encodeAdopt[V any](c Codec[V], fragBlob []byte, steps []replayStep[V], owe int) []byte {
+func encodeAdopt[V any](c Codec[V], f *partition.Fragment, steps []replayStep[V], owe int) []byte {
 	frame := []byte{byte(cmdAdopt)}
-	frame = binary.AppendUvarint(frame, uint64(len(fragBlob)))
-	frame = append(frame, fragBlob...)
 	frame = binary.AppendUvarint(frame, uint64(owe))
 	frame = binary.AppendUvarint(frame, uint64(len(steps)))
 	for _, st := range steps {
 		frame = binary.AppendUvarint(frame, uint64(st.step))
 		frame = AppendUpdates(c, frame, st.updates)
 	}
-	return frame
+	return partition.AppendFragment(graph.AppendSection(frame, 0, nil), f)
 }
 
-// decodeAdopt decodes the body of an adopt frame (the kind byte already
-// consumed).
-func decodeAdopt[V any](c Codec[V], body []byte) (*adoptCmd[V], error) {
+// decodeAdopt decodes an adopt frame; ad.frag aliases it.
+func decodeAdopt[V any](c Codec[V], frame []byte) (*adoptCmd[V], error) {
 	ad := &adoptCmd[V]{}
-	pos := 0
-	fn, err := graph.ReadUvarint(body, &pos)
-	if err != nil {
-		return nil, err
-	}
-	if uint64(len(body)-pos) < fn {
-		return nil, errors.New("engine: truncated adopt frame fragment")
-	}
-	ad.frag = body[pos : pos+int(fn)]
-	pos += int(fn)
-	owe, err := graph.ReadUvarint(body, &pos)
+	pos := 1
+	owe, err := graph.ReadUvarint(frame, &pos)
 	if err != nil {
 		return nil, err
 	}
 	ad.owe = int(owe)
-	count, err := graph.ReadUvarint(body, &pos)
+	count, err := graph.ReadUvarint(frame, &pos)
 	if err != nil {
 		return nil, err
 	}
 	for i := uint64(0); i < count; i++ {
-		step, err := graph.ReadUvarint(body, &pos)
+		step, err := graph.ReadUvarint(frame, &pos)
 		if err != nil {
 			return nil, err
 		}
-		ups, used, err := DecodeUpdates(c, body[pos:])
+		ups, used, err := DecodeUpdates(c, frame[pos:])
 		if err != nil {
 			return nil, err
 		}
 		pos += used
 		ad.steps = append(ad.steps, replayStep[V]{step: int(step), updates: ups})
 	}
+	if pos = graph.Align8(pos); pos > len(frame) {
+		return nil, errors.New("engine: truncated adopt frame")
+	}
+	ad.frag = frame[pos:]
 	return ad, nil
 }
 
@@ -357,16 +352,20 @@ func decodePartialFrame(frame []byte) ([]byte, error) {
 // Setup frame (coordinator → worker, first frame of a run): program name,
 // program-encoded query, the run deadline as microseconds since the Unix
 // epoch (0 = unbounded; this is how a coordinator-side context deadline
-// propagates into the worker process), and the worker's fragment encoding.
+// propagates into the worker process); then zero padding to the next
+// 8-aligned frame offset and the worker's fragment frame, which runs to the
+// end. The transport delivers payloads in 8-aligned buffers, so the fragment
+// lies aligned on the worker and partition.DecodeFragment serves it from
+// where it lies.
 
-func encodeSetup(name string, query []byte, deadlineMicros int64, fragment []byte) []byte {
+func encodeSetup(name string, query []byte, deadlineMicros int64, f *partition.Fragment) []byte {
 	var frame []byte
 	frame = binary.AppendUvarint(frame, uint64(len(name)))
 	frame = append(frame, name...)
 	frame = binary.AppendUvarint(frame, uint64(len(query)))
 	frame = append(frame, query...)
 	frame = binary.AppendUvarint(frame, uint64(deadlineMicros))
-	return append(frame, fragment...)
+	return partition.AppendFragment(graph.AppendSection(frame, 0, nil), f)
 }
 
 func decodeSetup(frame []byte) (name string, query []byte, deadlineMicros int64, fragment []byte, err error) {
@@ -386,6 +385,9 @@ func decodeSetup(frame []byte) (name string, query []byte, deadlineMicros int64,
 	dl, err := graph.ReadUvarint(frame, &pos)
 	if err != nil {
 		return "", nil, 0, nil, err
+	}
+	if pos = graph.Align8(pos); pos > len(frame) {
+		return "", nil, 0, nil, errors.New("engine: truncated setup frame")
 	}
 	return name, query, int64(dl), frame[pos:], nil
 }

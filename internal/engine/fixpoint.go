@@ -168,8 +168,9 @@ func fixpoint[Q, V, R any](ctx context.Context, layout *partition.Layout, prog P
 		pending: pending, replies: make([]*workerReply[V], n), stillActive: stillActive,
 	}
 	fail := func(err error) (R, *metrics.Stats, error) {
-		sub.release(ctx.Err() != nil, pending)
-		if cerr := ctx.Err(); cerr != nil && !errors.Is(err, cerr) {
+		cerr := ctxErr(ctx)
+		sub.release(cerr != nil, pending)
+		if cerr != nil && !errors.Is(err, cerr) {
 			// both identities survive: a genuine worker error (e.g.
 			// ErrNotMonotonic) racing the deadline stays errors.Is-able
 			err = fmt.Errorf("%w: %w", err, cerr)
@@ -257,6 +258,21 @@ func fixpoint[Q, V, R any](ctx context.Context, layout *partition.Layout, prog P
 		return zero, stats, fmt.Errorf("engine: assemble: %w", err)
 	}
 	return res, stats, nil
+}
+
+// ctxErr is ctx.Err(), except that a deadline already reached counts as
+// exceeded before the context's own timer has fired: a wire worker holds a
+// copy of the deadline and may close its link a hair earlier than that timer
+// runs, and the link failure the coordinator then sees is the deadline's
+// doing, not a fault.
+func ctxErr(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 // cancelled wraps a context error with run provenance so callers can both

@@ -21,7 +21,8 @@
 package engine
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"grape/internal/graph"
 	"grape/internal/partition"
@@ -474,6 +475,8 @@ func (c *Context[V]) takeWork() int64 {
 	return w
 }
 
+// sortUpdates orders a batch by node ID. IDs are unique within a batch, so
+// the order is total.
 func sortUpdates[V any](ups []VarUpdate[V]) {
-	sort.Slice(ups, func(i, j int) bool { return ups[i].ID < ups[j].ID })
+	slices.SortFunc(ups, func(a, b VarUpdate[V]) int { return cmp.Compare(a.ID, b.ID) })
 }

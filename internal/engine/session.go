@@ -372,13 +372,13 @@ func (s *Session[Q, V, R]) applyInsert(u EdgeUpdate, dirtyByWorker map[int][]gra
 		if ps := g.Props(u.To); len(ps) > 0 {
 			f.G.SetProps(u.To, append([]string(nil), ps...))
 		}
-		f.AddOuter(u.To)
+		owner := s.layout.Asg.Owner(u.To)
+		f.AddOuter(u.To, owner)
 		s.layout.AddHost(u.To, w)
 		s.ctxs[w].addBorder(u.To)
 		if gv, ok := s.fold.lookup(u.To); ok {
 			s.ctxs[w].SetLocal(u.To, s.spec.Agg(s.ctxs[w].Get(u.To), gv))
 		}
-		owner := s.layout.Asg.Owner(u.To)
 		of := s.layout.Fragments[owner]
 		if of.AddInnerBorder(u.To) {
 			s.ctxs[owner].addBorder(u.To)

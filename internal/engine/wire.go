@@ -133,11 +133,11 @@ func (s *wireSubstrate[Q, V, R]) open(ctx context.Context) error {
 	}
 	var deadlineMicros int64
 	if dl, ok := ctx.Deadline(); ok {
-		deadlineMicros = dl.UnixMicro()
+		// rounded up: a worker must not expire before its coordinator
+		deadlineMicros = dl.Add(time.Microsecond - 1).UnixMicro()
 	}
 	for i, f := range s.layout.Fragments {
-		setup := encodeSetup(s.prog.Name(), qblob, deadlineMicros, partition.AppendFragment(nil, f))
-		s.tr.Send(mpi.Envelope{From: mpi.Coordinator, To: i, Frame: setup})
+		s.tr.Send(mpi.Envelope{From: mpi.Coordinator, To: i, Frame: encodeSetup(s.prog.Name(), qblob, deadlineMicros, f)})
 	}
 	return nil
 }
@@ -180,7 +180,7 @@ func (s *wireSubstrate[Q, V, R]) revive(frag int, log []replayStep[V], owe int) 
 		}
 		s.hostOf[frag] = host
 		s.hostLoad[host] += s.loads[frag]
-		frame := encodeAdopt(s.codec, partition.AppendFragment(nil, s.layout.Fragments[frag]), log, owe)
+		frame := encodeAdopt(s.codec, s.layout.Fragments[frag], log, owe)
 		s.tr.Send(mpi.Envelope{From: mpi.Coordinator, To: frag, Frame: frame})
 		return host, nil
 	}

@@ -14,10 +14,20 @@ package graph
 //	                         accessors (OutAt, InAt, LabelIDAt, …) traverse
 //	                         without a single hash lookup.
 //
+// The dense CSR is the one adjacency a frozen graph stores: 16 bytes per
+// packed edge, the arrays the kernels read and the arrays flat.go ships. The
+// sparse-ID []Edge arrays behind Out/In (32 bytes per edge, per direction)
+// are a view for the boundary API: the first Out, In or thaw that needs one
+// derives it from the dense array in a single pass under a sync.Once, so
+// concurrent first use is safe and a graph only ever walked densely — a
+// shipped fragment under a dense kernel — never pays for it.
+//
 // Mutating adjacency or the vertex set after Freeze (AddVertex, AddEdge)
 // transparently thaws the graph back to the build phase: dense vertex
 // indices are stable across freeze/thaw, but the CSR arrays and the label
 // table are dropped and OutAt/InAt become invalid until the next Freeze.
+// The frozen arrays are never written through — they may alias a read-only
+// file mapping or a received frame — so a thaw moves to heap memory first.
 // Property mutation (SetProps, AddProp) does not thaw — properties are not
 // part of the CSR form.
 
@@ -35,8 +45,9 @@ func (g *Graph) Frozen() bool { return g.frozen }
 
 // Freeze converts the graph to its frozen CSR form and returns it (for
 // chaining). It is idempotent. The per-vertex adjacency slices are released;
-// Out/In keep working (they slice the flat CSR arrays, contiguously and
-// allocation-free) and the dense accessors become available.
+// Out/In keep working (they slice the lazily derived sparse views,
+// contiguously and allocation-free after first use) and the dense accessors
+// become available.
 func (g *Graph) Freeze() *Graph {
 	if g.frozen {
 		return g
@@ -46,24 +57,6 @@ func (g *Graph) Freeze() *Graph {
 	for _, es := range g.out {
 		ne += len(es)
 	}
-	g.outOff = make([]int32, nv+1)
-	g.outCSR = make([]Edge, 0, ne)
-	for i, es := range g.out {
-		g.outCSR = append(g.outCSR, es...)
-		g.outOff[i+1] = int32(len(g.outCSR))
-	}
-	g.out = nil
-	g.in = nil
-	g.inBuilt = false
-	g.finishFreeze()
-	return g
-}
-
-// finishFreeze builds the label table, the dense-target edge array and the
-// eager reverse CSR from ids/index/labels/outOff/outCSR. It is shared by
-// Freeze and the wire decoder (which fills the flat arrays directly).
-func (g *Graph) finishFreeze() {
-	nv := len(g.ids)
 	g.labelIDs = make(map[string]int32)
 	g.labelNames = nil
 	intern := func(s string) int32 {
@@ -79,18 +72,27 @@ func (g *Graph) finishFreeze() {
 	for i, l := range g.labels {
 		g.vlab[i] = intern(l)
 	}
-	g.outDense = make([]DenseEdge, len(g.outCSR))
-	for k, e := range g.outCSR {
-		g.outDense[k] = DenseEdge{To: g.index[e.To], Label: intern(e.Label), W: e.W}
+	g.outOff = make([]int32, nv+1)
+	g.outDense = make([]DenseEdge, 0, ne)
+	for i, es := range g.out {
+		for _, e := range es {
+			g.outDense = append(g.outDense, DenseEdge{To: g.index[e.To], Label: intern(e.Label), W: e.W})
+		}
+		g.outOff[i+1] = int32(len(g.outDense))
 	}
+	g.out = nil
+	g.in = nil
+	g.inBuilt = false
 	g.buildReverseCSR()
+	g.sparse = &sparseViews{}
 	g.frozen = true
+	return g
 }
 
-// buildReverseCSR derives inOff/inCSR/inDense from the out CSR by counting
-// sort over targets, scanning sources in dense order — the exact per-target
-// edge order the lazy buildIn produced, so frozen and unfrozen In() agree
-// element for element. Undirected graphs alias In to Out and skip it.
+// buildReverseCSR derives inOff/inDense from the out CSR by counting sort
+// over targets, scanning sources in dense order — the exact per-target edge
+// order the lazy buildIn produces, so frozen and unfrozen In() agree element
+// for element. Undirected graphs alias In to Out and skip it.
 func (g *Graph) buildReverseCSR() {
 	if !g.directed {
 		return
@@ -103,50 +105,56 @@ func (g *Graph) buildReverseCSR() {
 	for i := 0; i < nv; i++ {
 		g.inOff[i+1] += g.inOff[i]
 	}
-	g.inCSR = make([]Edge, len(g.outCSR))
-	g.inDense = make([]DenseEdge, len(g.outCSR))
+	g.inDense = make([]DenseEdge, len(g.outDense))
 	next := make([]int32, nv)
 	copy(next, g.inOff[:nv])
 	for ui := 0; ui < nv; ui++ {
-		for k := g.outOff[ui]; k < g.outOff[ui+1]; k++ {
-			de := g.outDense[k]
-			pos := next[de.To]
+		for _, de := range g.outDense[g.outOff[ui]:g.outOff[ui+1]] {
+			g.inDense[next[de.To]] = DenseEdge{To: int32(ui), Label: de.Label, W: de.W}
 			next[de.To]++
-			g.inCSR[pos] = Edge{To: g.ids[ui], W: de.W, Label: g.outCSR[k].Label}
-			g.inDense[pos] = DenseEdge{To: int32(ui), Label: de.Label, W: de.W}
 		}
 	}
 }
 
-// thaw returns the graph to the mutable build phase. The CSR arrays are never
-// mutated in place, so the restored per-vertex slices alias them with full
-// capacity — the first append to a vertex's adjacency reallocates.
+// sparseEdges derives the sparse-ID view of a packed edge array — the
+// inverse of what Freeze interns: Edge{To: ids[e.To], W, labels[e.Label]}.
+// dense must have passed checkDense.
+func sparseEdges(dense []DenseEdge, ids []ID, labels []string) []Edge {
+	out := make([]Edge, len(dense))
+	for k, e := range dense {
+		out[k] = Edge{To: ids[e.To], W: e.W, Label: labels[e.Label]}
+	}
+	return out
+}
+
+// thaw returns the graph to the mutable build phase. The sparse views are
+// never mutated in place, so the restored per-vertex slices alias them with
+// full capacity — the first append to a vertex's adjacency reallocates.
 func (g *Graph) thaw() {
 	if !g.frozen {
 		return
 	}
-	nv := len(g.ids)
-	g.out = make([][]Edge, nv)
-	for i := 0; i < nv; i++ {
-		a, b := g.outOff[i], g.outOff[i+1]
-		if a != b {
-			g.out[i] = g.outCSR[a:b:b]
-		}
-	}
+	g.out = perVertex(g.outOff, g.sparseOut())
 	if g.directed {
-		g.in = make([][]Edge, nv)
-		for i := 0; i < nv; i++ {
-			a, b := g.inOff[i], g.inOff[i+1]
-			if a != b {
-				g.in[i] = g.inCSR[a:b:b]
-			}
-		}
+		g.in = perVertex(g.inOff, g.sparseIn())
 		g.inBuilt = true
 	}
-	g.outOff, g.outCSR, g.outDense = nil, nil, nil
-	g.inOff, g.inCSR, g.inDense = nil, nil, nil
+	g.outOff, g.outDense = nil, nil
+	g.inOff, g.inDense = nil, nil
 	g.vlab, g.labelNames, g.labelIDs = nil, nil, nil
+	g.sparse = nil
 	g.frozen = false
+}
+
+// perVertex slices a flat edge array into per-vertex adjacency lists.
+func perVertex(off []int32, es []Edge) [][]Edge {
+	adj := make([][]Edge, len(off)-1)
+	for i := range adj {
+		if a, b := off[i], off[i+1]; a != b {
+			adj[i] = es[a:b:b]
+		}
+	}
+	return adj
 }
 
 // OutAt returns the packed out-edges of the vertex at dense index i. Frozen

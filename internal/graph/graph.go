@@ -14,11 +14,20 @@
 // accessors (OutAt, InAt, LabelIDAt, …) traverse without hash lookups. The
 // engines freeze fragments at partition time; kernels take the dense path
 // whenever Frozen() reports true.
+//
+// A frozen graph stores one adjacency: the dense CSR (offsets plus packed
+// DenseEdge arrays). That form is also what travels — flat.go lays the same
+// arrays out as aligned sections for snapshots (internal/store) and for the
+// fragment frames of the socket substrate, and FromMapped/DecodeFlat alias
+// them back without copying. The sparse-ID []Edge views behind Out and In are
+// derived from it on first use, once, and shared by frozen clones.
 package graph
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
+	"sync"
 )
 
 // ID identifies a vertex. IDs are sparse: any non-negative int64 may be used.
@@ -50,17 +59,37 @@ type Graph struct {
 	numEdges int
 
 	// Frozen CSR form (see csr.go). When frozen, out/in above are nil and
-	// adjacency lives in the flat offset+packed arrays below.
+	// adjacency lives in the flat offset+packed arrays below — the only
+	// stored adjacency; sparse holds the []Edge views derived from it.
 	frozen     bool
-	outOff     []int32     // dense index -> [outOff[i], outOff[i+1]) in outCSR
-	outCSR     []Edge      // flat out-adjacency, sparse-ID edges (boundary API)
-	outDense   []DenseEdge // parallel to outCSR: dense targets, interned labels
+	outOff     []int32     // dense index -> [outOff[i], outOff[i+1]) in outDense
+	outDense   []DenseEdge // flat out-adjacency: dense targets, interned labels
 	inOff      []int32     // reverse CSR offsets (directed graphs)
-	inCSR      []Edge
 	inDense    []DenseEdge
 	vlab       []int32 // dense index -> interned vertex label
 	labelNames []string
 	labelIDs   map[string]int32
+	sparse     *sparseViews
+}
+
+// sparseViews holds the sparse-ID edge arrays of a frozen graph, parallel to
+// outDense/inDense and materialised on the first Out/In/thaw that needs them.
+// Frozen clones share the CSR arrays and so share the views.
+type sparseViews struct {
+	outOnce, inOnce sync.Once
+	out, in         []Edge
+}
+
+func (g *Graph) sparseOut() []Edge {
+	s := g.sparse
+	s.outOnce.Do(func() { s.out = sparseEdges(g.outDense, g.ids, g.labelNames) })
+	return s.out
+}
+
+func (g *Graph) sparseIn() []Edge {
+	s := g.sparse
+	s.inOnce.Do(func() { s.in = sparseEdges(g.inDense, g.ids, g.labelNames) })
+	return s.in
 }
 
 // New returns an empty directed graph.
@@ -220,17 +249,17 @@ func (g *Graph) Out(id ID) []Edge {
 			if a == b {
 				return nil
 			}
-			return g.outCSR[a:b:b]
+			return g.sparseOut()[a:b:b]
 		}
 		return g.out[i]
 	}
 	return nil
 }
 
-// In returns the in-edges of id. On frozen graphs the eagerly built reverse
-// CSR is sliced; on mutable graphs the reverse adjacency is built lazily on
-// first use (single-goroutine only — see the package phase contract). For
-// undirected graphs In equals Out.
+// In returns the in-edges of id. On frozen graphs the sparse view of the
+// reverse CSR is sliced; on mutable graphs the reverse adjacency is built
+// lazily on first use (single-goroutine only — see the package phase
+// contract). For undirected graphs In equals Out.
 func (g *Graph) In(id ID) []Edge {
 	if !g.directed {
 		return g.Out(id)
@@ -241,7 +270,7 @@ func (g *Graph) In(id ID) []Edge {
 			if a == b {
 				return nil
 			}
-			return g.inCSR[a:b:b]
+			return g.sparseIn()[a:b:b]
 		}
 		return nil
 	}
@@ -267,10 +296,20 @@ func (g *Graph) buildIn() {
 }
 
 // OutDegree returns the out-degree of id, 0 if absent.
-func (g *Graph) OutDegree(id ID) int { return len(g.Out(id)) }
+func (g *Graph) OutDegree(id ID) int {
+	if i, ok := g.index[id]; ok && g.frozen {
+		return g.OutDegreeAt(i)
+	}
+	return len(g.Out(id))
+}
 
 // InDegree returns the in-degree of id, 0 if absent.
-func (g *Graph) InDegree(id ID) int { return len(g.In(id)) }
+func (g *Graph) InDegree(id ID) int {
+	if i, ok := g.index[id]; ok && g.frozen {
+		return g.InDegreeAt(i)
+	}
+	return len(g.In(id))
+}
 
 // Vertices returns all vertex IDs in insertion order. The caller must not
 // mutate the returned slice.
@@ -324,9 +363,10 @@ func (g *Graph) Clone() *Graph {
 	}
 	if g.frozen {
 		c.frozen = true
-		c.outOff, c.outCSR, c.outDense = g.outOff, g.outCSR, g.outDense
-		c.inOff, c.inCSR, c.inDense = g.inOff, g.inCSR, g.inDense
+		c.outOff, c.outDense = g.outOff, g.outDense
+		c.inOff, c.inDense = g.inOff, g.inDense
 		c.vlab, c.labelNames, c.labelIDs = g.vlab, g.labelNames, g.labelIDs
+		c.sparse = g.sparse
 		return c
 	}
 	c.out = make([][]Edge, len(g.out))
@@ -416,6 +456,28 @@ func (g *Graph) TotalWeight() float64 {
 	return t
 }
 
+// Diff returns the first observable difference between a and b — kind, dense
+// vertex order, labels, properties, per-vertex adjacency order, edge count —
+// or nil when there is none. The phase (frozen or not) and the label intern
+// order are not observable and do not count.
+func Diff(a, b *Graph) error {
+	if a.directed != b.directed || a.numEdges != b.numEdges || !reflect.DeepEqual(a.ids, b.ids) {
+		return fmt.Errorf("graph: kind, edge count or dense vertex order differ")
+	}
+	for i, id := range a.ids {
+		if a.labels[i] != b.labels[i] {
+			return fmt.Errorf("graph: vertex %d labelled %q vs %q", id, a.labels[i], b.labels[i])
+		}
+		if len(a.props[i])+len(b.props[i]) > 0 && !reflect.DeepEqual(a.props[i], b.props[i]) {
+			return fmt.Errorf("graph: vertex %d properties %v vs %v", id, a.props[i], b.props[i])
+		}
+		if ea, eb := a.Out(id), b.Out(id); len(ea)+len(eb) > 0 && !reflect.DeepEqual(ea, eb) {
+			return fmt.Errorf("graph: vertex %d out-edges %v vs %v", id, ea, eb)
+		}
+	}
+	return nil
+}
+
 // Validate checks internal consistency and returns an error describing the
 // first problem found, or nil. It is used by tests and the storage layer
 // after deserialization.
@@ -433,25 +495,14 @@ func (g *Graph) Validate() error {
 		}
 	}
 	if g.frozen {
-		if len(g.outOff) != nv+1 || len(g.outDense) != len(g.outCSR) || len(g.vlab) != nv {
+		if len(g.outOff) != nv+1 || len(g.vlab) != nv {
 			return fmt.Errorf("graph: inconsistent CSR lengths")
 		}
-		for i := 0; i < nv; i++ {
-			if g.outOff[i] > g.outOff[i+1] {
-				return fmt.Errorf("graph: CSR offsets not monotone at %d", i)
-			}
+		if err := checkOffsets(g.outOff, len(g.outDense)); err != nil {
+			return fmt.Errorf("graph: out CSR: %w", err)
 		}
-		if int(g.outOff[nv]) != len(g.outCSR) {
-			return fmt.Errorf("graph: CSR offsets do not cover the edge array")
-		}
-		for k, e := range g.outCSR {
-			d := g.outDense[k]
-			if int(d.To) >= nv || g.ids[d.To] != e.To {
-				return fmt.Errorf("graph: packed edge %d targets %d, sparse view says %d", k, d.To, e.To)
-			}
-			if g.labelNames[d.Label] != e.Label {
-				return fmt.Errorf("graph: packed edge %d label %q, sparse view says %q", k, g.labelNames[d.Label], e.Label)
-			}
+		if err := checkDense(g.outDense, nv, len(g.labelNames)); err != nil {
+			return fmt.Errorf("graph: out CSR: %w", err)
 		}
 		return nil
 	}

@@ -8,7 +8,7 @@ import "fmt"
 // OutOff, OutDense, InOff, InDense) are the mmap-able half — FromMapped
 // aliases them as given, so they may point into a read-only file mapping.
 // The string-bearing half (Labels, Props) is always heap-resident; FromMapped
-// reconstructs the sparse CSR views and the intern maps from it.
+// reconstructs the intern maps from it.
 type CSRData struct {
 	Directed bool
 	// NumEdges is the logical edge count (undirected edges count once; the
@@ -53,15 +53,16 @@ func (g *Graph) CSRView() (CSRData, error) {
 
 // FromMapped constructs a frozen Graph from its flat form without calling
 // Freeze: the fixed-width slices of d are aliased as-is (they may live in a
-// read-only mmap — the graph never writes through them; mutation thaws into
-// freshly allocated memory first), and the derived structures Freeze would
-// have produced — the ID index, the label intern map, the sparse-ID edge
-// views — are rebuilt on the heap, exactly as finishFreeze defines them.
-// Every array is bounds-checked first, so corrupt input errors instead of
-// panicking later.
+// read-only mmap or a received frame — the graph never writes through them;
+// mutation thaws into freshly allocated memory first), and only the derived
+// structures are rebuilt on the heap: the ID index, the label intern map and
+// the per-vertex label strings. A directed d without InOff/InDense (the wire
+// form does not ship them) gets its reverse CSR by counting sort. Every array
+// is bounds-checked first, so corrupt input errors instead of panicking later.
 func FromMapped(d CSRData) (*Graph, error) {
 	nv := len(d.IDs)
 	ne := len(d.OutDense)
+	nl := len(d.Labels)
 	if len(d.VLabels) != nv {
 		return nil, fmt.Errorf("graph: mapped vlab covers %d of %d vertices", len(d.VLabels), nv)
 	}
@@ -74,7 +75,13 @@ func FromMapped(d CSRData) (*Graph, error) {
 	if err := checkOffsets(d.OutOff, ne); err != nil {
 		return nil, fmt.Errorf("graph: mapped out CSR: %w", err)
 	}
-	if d.Directed {
+	if err := checkDense(d.OutDense, nv, nl); err != nil {
+		return nil, fmt.Errorf("graph: mapped out CSR: %w", err)
+	}
+	deriveIn := d.Directed && d.InOff == nil && d.InDense == nil
+	switch {
+	case deriveIn:
+	case d.Directed:
 		if len(d.InOff) != nv+1 || len(d.InDense) != ne {
 			return nil, fmt.Errorf("graph: mapped reverse CSR has %d offsets / %d edges, want %d / %d",
 				len(d.InOff), len(d.InDense), nv+1, ne)
@@ -82,7 +89,10 @@ func FromMapped(d CSRData) (*Graph, error) {
 		if err := checkOffsets(d.InOff, ne); err != nil {
 			return nil, fmt.Errorf("graph: mapped in CSR: %w", err)
 		}
-	} else if len(d.InOff) != 0 || len(d.InDense) != 0 {
+		if err := checkDense(d.InDense, nv, nl); err != nil {
+			return nil, fmt.Errorf("graph: mapped in CSR: %w", err)
+		}
+	case len(d.InOff) != 0 || len(d.InDense) != 0:
 		return nil, fmt.Errorf("graph: mapped undirected graph carries a reverse CSR")
 	}
 
@@ -91,28 +101,31 @@ func FromMapped(d CSRData) (*Graph, error) {
 		ids:        d.IDs,
 		index:      make(map[ID]int32, nv),
 		numEdges:   d.NumEdges,
+		frozen:     true,
 		outOff:     d.OutOff,
 		outDense:   d.OutDense,
+		inOff:      d.InOff,
+		inDense:    d.InDense,
 		vlab:       d.VLabels,
 		labelNames: d.Labels,
-		labelIDs:   make(map[string]int32, len(d.Labels)),
+		labelIDs:   make(map[string]int32, nl),
+		sparse:     &sparseViews{},
 	}
 	for i, id := range d.IDs {
-		if _, dup := g.index[id]; dup {
-			return nil, fmt.Errorf("graph: mapped vertex %d appears twice", id)
-		}
 		g.index[id] = int32(i)
 	}
+	if len(g.index) != nv {
+		return nil, fmt.Errorf("graph: mapped vertex IDs repeat (%d distinct of %d)", len(g.index), nv)
+	}
 	for i, s := range d.Labels {
-		if _, dup := g.labelIDs[s]; dup {
-			return nil, fmt.Errorf("graph: mapped label %q interned twice", s)
-		}
 		g.labelIDs[s] = int32(i)
 	}
-	nl := int32(len(d.Labels))
+	if len(g.labelIDs) != nl {
+		return nil, fmt.Errorf("graph: mapped labels repeat (%d distinct of %d)", len(g.labelIDs), nl)
+	}
 	g.labels = make([]string, nv)
 	for i, l := range d.VLabels {
-		if l < 0 || l >= nl {
+		if l < 0 || int(l) >= nl {
 			return nil, fmt.Errorf("graph: mapped vertex %d has label id %d of %d", i, l, nl)
 		}
 		g.labels[i] = d.Labels[l]
@@ -122,18 +135,9 @@ func FromMapped(d CSRData) (*Graph, error) {
 	} else {
 		g.props = make([][]string, nv)
 	}
-	var err error
-	if g.outCSR, err = sparseEdges(d.OutDense, d.IDs, d.Labels); err != nil {
-		return nil, fmt.Errorf("graph: mapped out CSR: %w", err)
+	if deriveIn {
+		g.buildReverseCSR()
 	}
-	if d.Directed {
-		g.inOff = d.InOff
-		g.inDense = d.InDense
-		if g.inCSR, err = sparseEdges(d.InDense, d.IDs, d.Labels); err != nil {
-			return nil, fmt.Errorf("graph: mapped in CSR: %w", err)
-		}
-	}
-	g.frozen = true
 	return g, nil
 }
 
@@ -154,19 +158,16 @@ func checkOffsets(off []int32, ne int) error {
 	return nil
 }
 
-// sparseEdges rebuilds the sparse-ID edge view of a packed edge array — the
-// inverse of what finishFreeze interns: Edge{To: ids[e.To], W, labels[e.Label]}.
-func sparseEdges(dense []DenseEdge, ids []ID, labels []string) ([]Edge, error) {
-	nv, nl := int32(len(ids)), int32(len(labels))
-	out := make([]Edge, len(dense))
+// checkDense validates a packed edge array against the vertex and label
+// counts, so the dense accessors and the sparse views can index unchecked.
+func checkDense(dense []DenseEdge, nv, nl int) error {
 	for k, e := range dense {
-		if e.To < 0 || e.To >= nv {
-			return nil, fmt.Errorf("packed edge %d targets dense index %d of %d", k, e.To, nv)
+		if e.To < 0 || int(e.To) >= nv {
+			return fmt.Errorf("packed edge %d targets dense index %d of %d", k, e.To, nv)
 		}
-		if e.Label < 0 || e.Label >= nl {
-			return nil, fmt.Errorf("packed edge %d has label id %d of %d", k, e.Label, nl)
+		if e.Label < 0 || int(e.Label) >= nl {
+			return fmt.Errorf("packed edge %d has label id %d of %d", k, e.Label, nl)
 		}
-		out[k] = Edge{To: ids[e.To], W: e.W, Label: labels[e.Label]}
 	}
-	return out, nil
+	return nil
 }

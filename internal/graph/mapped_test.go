@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -9,16 +8,15 @@ import (
 )
 
 // equalFrozen checks that two frozen graphs are indistinguishable through
-// every public observation: the struct-level wire encoding (ids, labels,
-// props and adjacency in dense order), the dense accessors, the reverse CSR
-// and the label intern table.
+// every public observation: Diff (ids, labels, props and adjacency in dense
+// order), the dense accessors, the reverse CSR and the label intern table.
 func equalFrozen(t *testing.T, want, got *Graph) {
 	t.Helper()
 	if err := got.Validate(); err != nil {
 		t.Fatalf("reconstructed graph invalid: %v", err)
 	}
-	if !bytes.Equal(AppendGraph(nil, want), AppendGraph(nil, got)) {
-		t.Fatal("wire encodings differ")
+	if err := Diff(want, got); err != nil {
+		t.Fatal(err)
 	}
 	if want.NumEdges() != got.NumEdges() || want.Directed() != got.Directed() {
 		t.Fatal("edge count or kind differ")

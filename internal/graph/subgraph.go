@@ -97,6 +97,7 @@ func (b *SubgraphBuilder) Finish() *Graph {
 		props:    b.props,
 		numEdges: b.numEdges,
 		frozen:   true,
+		sparse:   &sparseViews{},
 	}
 	nv := len(b.ids)
 	lmap := make([]int32, b.src.NumLabels())
@@ -125,7 +126,6 @@ func (b *SubgraphBuilder) Finish() *Graph {
 		g.outOff[i+1] += g.outOff[i]
 	}
 	ne := len(b.esrc)
-	g.outCSR = make([]Edge, ne)
 	g.outDense = make([]DenseEdge, ne)
 	next := make([]int32, nv)
 	copy(next, g.outOff[:nv])
@@ -133,9 +133,7 @@ func (b *SubgraphBuilder) Finish() *Graph {
 		s := b.esrc[k]
 		pos := next[s]
 		next[s]++
-		lid := intern(b.elab[k])
-		g.outDense[pos] = DenseEdge{To: b.eto[k], Label: lid, W: b.ew[k]}
-		g.outCSR[pos] = Edge{To: g.ids[b.eto[k]], W: b.ew[k], Label: g.labelNames[lid]}
+		g.outDense[pos] = DenseEdge{To: b.eto[k], Label: intern(b.elab[k]), W: b.ew[k]}
 	}
 	g.labelIDs = make(map[string]int32, len(g.labelNames))
 	for i, s := range g.labelNames {

@@ -3,153 +3,13 @@ package graph
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
-// Wire encoding of a Graph, used by the socket transport to ship fragments
-// and pattern graphs between the coordinator and worker processes. The
-// encoding is struct-level — vertices in dense-index order with their exact
-// adjacency lists — so a decoded graph reproduces the original's dense
-// indices and iteration order bit for bit; sequential algorithms therefore
-// behave identically on both sides of the wire.
-//
-// Layout (all integers unsigned varints unless noted):
-//
-//	byte     directed
-//	uvarint  numVertices
-//	per vertex, dense order: uvarint id · string label · uvarint nprops · props
-//	per vertex, dense order: uvarint degree · per edge (uvarint targetID ·
-//	                         8-byte float weight · string label)
-//	uvarint  numEdges (undirected edges count once; not derivable from the
-//	                   adjacency because both directions are stored)
-//
-// Strings are uvarint length + raw bytes.
-
-// AppendGraph appends the wire encoding of g to buf and returns the extended
-// buffer.
-func AppendGraph(buf []byte, g *Graph) []byte {
-	if g.directed {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(g.ids)))
-	for i, id := range g.ids {
-		buf = binary.AppendUvarint(buf, uint64(id))
-		buf = appendString(buf, g.labels[i])
-		buf = binary.AppendUvarint(buf, uint64(len(g.props[i])))
-		for _, p := range g.props[i] {
-			buf = appendString(buf, p)
-		}
-	}
-	for i := range g.ids {
-		var es []Edge
-		if g.frozen {
-			es = g.outCSR[g.outOff[i]:g.outOff[i+1]]
-		} else {
-			es = g.out[i]
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(es)))
-		for _, e := range es {
-			buf = binary.AppendUvarint(buf, uint64(e.To))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.W))
-			buf = appendString(buf, e.Label)
-		}
-	}
-	return binary.AppendUvarint(buf, uint64(g.numEdges))
-}
-
-// DecodeGraph decodes a graph encoded by AppendGraph from the front of data,
-// returning the graph and the number of bytes consumed. The decoder fills the
-// CSR arrays directly and returns the graph already frozen — workers query
-// shipped fragments, they do not mutate them — so decoding pays no per-edge
-// append/index churn and the dense accessors are immediately available.
-func DecodeGraph(data []byte) (*Graph, int, error) {
-	pos := 0
-	if len(data) == 0 {
-		return nil, 0, fmt.Errorf("graph: truncated encoding")
-	}
-	directed := data[pos] != 0
-	pos++
-	nv, err := ReadUvarint(data, &pos)
-	if err != nil {
-		return nil, 0, err
-	}
-	g := &Graph{directed: directed, index: make(map[ID]int32, nv)}
-	for i := uint64(0); i < nv; i++ {
-		id, err := ReadUvarint(data, &pos)
-		if err != nil {
-			return nil, 0, err
-		}
-		label, err := ReadString(data, &pos)
-		if err != nil {
-			return nil, 0, err
-		}
-		if _, dup := g.index[ID(id)]; dup {
-			return nil, 0, fmt.Errorf("graph: duplicate vertex %d in encoding", id)
-		}
-		g.index[ID(id)] = int32(i)
-		g.ids = append(g.ids, ID(id))
-		g.labels = append(g.labels, label)
-		np, err := ReadUvarint(data, &pos)
-		if err != nil {
-			return nil, 0, err
-		}
-		var props []string
-		for j := uint64(0); j < np; j++ {
-			p, err := ReadString(data, &pos)
-			if err != nil {
-				return nil, 0, err
-			}
-			props = append(props, p)
-		}
-		g.props = append(g.props, props)
-	}
-	g.outOff = make([]int32, nv+1)
-	for i := uint64(0); i < nv; i++ {
-		deg, err := ReadUvarint(data, &pos)
-		if err != nil {
-			return nil, 0, err
-		}
-		for j := uint64(0); j < deg; j++ {
-			to, err := ReadUvarint(data, &pos)
-			if err != nil {
-				return nil, 0, err
-			}
-			if pos+8 > len(data) {
-				return nil, 0, fmt.Errorf("graph: truncated edge weight")
-			}
-			w := math.Float64frombits(binary.LittleEndian.Uint64(data[pos:]))
-			pos += 8
-			label, err := ReadString(data, &pos)
-			if err != nil {
-				return nil, 0, err
-			}
-			if _, ok := g.index[ID(to)]; !ok {
-				return nil, 0, fmt.Errorf("graph: edge to unknown vertex %d", to)
-			}
-			g.outCSR = append(g.outCSR, Edge{To: ID(to), W: w, Label: label})
-		}
-		g.outOff[i+1] = int32(len(g.outCSR))
-	}
-	ne, err := ReadUvarint(data, &pos)
-	if err != nil {
-		return nil, 0, err
-	}
-	g.numEdges = int(ne)
-	g.finishFreeze()
-	return g, pos, nil
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
+// Bounds-checked varint primitives shared by every wire decoder in the
+// repository (graph, partition, engine, queries, store): network and disk
+// input must error, never panic.
 
 // ReadUvarint decodes one unsigned varint from data at *pos, advancing it.
-// It is the bounds-checked primitive shared by every wire decoder in the
-// repository (graph, partition, engine, queries) — network input must error,
-// never panic.
 func ReadUvarint(data []byte, pos *int) (uint64, error) {
 	v, n := binary.Uvarint(data[*pos:])
 	if n <= 0 {

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"fmt"
 	"sort"
 
 	"grape/internal/graph"
@@ -29,14 +30,17 @@ type Fragment struct {
 	// of (i.e. targets of cut edges from elsewhere), ascending.
 	InnerBorder []graph.ID
 
-	inner map[graph.ID]bool
-	asg   *Assignment
+	// n is the number of fragments; owners[i] is the fragment owning the
+	// vertex at dense index i of G (Index itself for inner vertices). Both
+	// travel in the fragment frame, so Owner answers on either side of it.
+	n      int
+	owners []int32
 
 	// Dense caches over G's vertex index, built lazily after the fragment is
-	// assembled (Build/BuildExpanded/DecodeFragment finalize them eagerly).
-	// innerAt/innerIdx never change after construction — graph updates only
-	// ever add outer copies; the border caches are invalidated by
-	// AddOuter/AddInnerBorder.
+	// assembled (Build/BuildExpanded finalize them eagerly, DecodeFragment
+	// takes them from the frame). innerAt/innerIdx never change after
+	// construction — graph updates only ever add outer copies; the border
+	// caches are invalidated by AddOuter/AddInnerBorder.
 	innerAt   []bool     // dense index -> owned here
 	innerIdx  []int32    // dense indices of Inner, parallel to Inner
 	border    []graph.ID // cached Border(), ascending
@@ -46,7 +50,10 @@ type Fragment struct {
 }
 
 // IsInner reports whether id is owned by this fragment.
-func (f *Fragment) IsInner(id graph.ID) bool { return f.inner[id] }
+func (f *Fragment) IsInner(id graph.ID) bool {
+	i, ok := f.G.Index(id)
+	return ok && f.IsInnerAt(i)
+}
 
 // IsInnerAt reports whether the vertex at dense index i of the fragment graph
 // is owned by this fragment. Vertices appended after construction (new outer
@@ -82,8 +89,15 @@ func (f *Fragment) buildInnerCache() {
 	f.innerOK = true
 }
 
-// Owner returns the fragment index owning id in the global assignment.
-func (f *Fragment) Owner(id graph.ID) int { return f.asg.Owner(id) }
+// Owner returns the index of the fragment owning id, a vertex of G. It
+// panics if id is absent.
+func (f *Fragment) Owner(id graph.ID) int {
+	i, ok := f.G.Index(id)
+	if !ok {
+		panic(fmt.Sprintf("partition: vertex %d not in fragment %d", id, f.Index))
+	}
+	return int(f.owners[i])
+}
 
 // Border returns the nodes of this fragment that carry update parameters:
 // Outer ∪ InnerBorder, ascending. The slice is cached across calls (programs
@@ -104,11 +118,19 @@ func (f *Fragment) BorderIndices() []int32 {
 	return f.borderIdx
 }
 
+// buildBorderCache merges Outer and InnerBorder — both ascending, and
+// disjoint because an outer copy is never owned here — into Border().
 func (f *Fragment) buildBorderCache() {
-	out := make([]graph.ID, 0, len(f.Outer)+len(f.InnerBorder))
-	out = append(out, f.Outer...)
-	out = append(out, f.InnerBorder...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	a, b := f.Outer, f.InnerBorder
+	out := make([]graph.ID, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if a[0] < b[0] {
+			out, a = append(out, a[0]), a[1:]
+		} else {
+			out, b = append(out, b[0]), b[1:]
+		}
+	}
+	out = append(append(out, a...), b...)
 	f.border = out
 	f.borderIdx = make([]int32, len(out))
 	for k, id := range out {
@@ -121,21 +143,32 @@ func (f *Fragment) buildBorderCache() {
 	f.borderOK = true
 }
 
-// finalize freezes the local subgraph and builds the dense caches. Build,
-// BuildExpanded and DecodeFragment call it once the fragment is complete.
-func (f *Fragment) finalize() {
+// finalize freezes the local subgraph, records who owns each of its vertices
+// and builds the dense caches. Build and BuildExpanded call it once the
+// fragment is complete.
+func (f *Fragment) finalize(asg *Assignment) {
 	f.G.Freeze()
 	f.buildInnerCache()
 	f.buildBorderCache()
+	f.n = asg.N
+	f.owners = make([]int32, f.G.NumVertices())
+	for i, id := range f.G.Vertices() {
+		if f.innerAt[i] {
+			f.owners[i] = int32(f.Index)
+		} else {
+			f.owners[i] = int32(asg.Owner(id))
+		}
+	}
 }
 
-// AddOuter records a new outer copy (a vertex owned elsewhere that graph
-// updates just replicated here), keeping the border caches consistent. It is
-// a no-op if id is already an outer copy.
-func (f *Fragment) AddOuter(id graph.ID) {
+// AddOuter records a new outer copy: id, owned by fragment owner, which graph
+// updates just appended to G. It keeps the ownership table and the border
+// caches consistent, and is a no-op if id is already an outer copy.
+func (f *Fragment) AddOuter(id graph.ID, owner int) {
 	n := len(f.Outer)
 	f.Outer = insertSortedID(f.Outer, id)
 	if len(f.Outer) != n {
+		f.owners = append(f.owners, int32(owner))
 		f.borderOK = false
 	}
 }
@@ -278,7 +311,7 @@ func Build(g *graph.Graph, asg *Assignment) *Layout {
 		builders := make([]*graph.SubgraphBuilder, n)
 		nv := g.NumVertices()
 		for i := 0; i < n; i++ {
-			frags[i] = &Fragment{Index: i, inner: make(map[graph.ID]bool, nv/n+1), asg: asg}
+			frags[i] = &Fragment{Index: i}
 			builders[i] = graph.NewSubgraphBuilder(g, nv/n+1)
 		}
 		order := g.SortedIndices()
@@ -287,7 +320,6 @@ func Build(g *graph.Graph, asg *Assignment) *Layout {
 			w := asg.OwnerAt(i)
 			id := g.IDAt(i)
 			builders[w].AddVertex(i)
-			frags[w].inner[id] = true
 			frags[w].Inner = append(frags[w].Inner, id)
 		}
 		// edges + outer copies
@@ -324,7 +356,7 @@ func Build(g *graph.Graph, asg *Assignment) *Layout {
 			} else {
 				local = graph.NewUndirected()
 			}
-			frags[i] = &Fragment{Index: i, G: local, inner: make(map[graph.ID]bool), asg: asg}
+			frags[i] = &Fragment{Index: i, G: local}
 		}
 		// inner vertices
 		for _, id := range g.SortedVertices() {
@@ -333,7 +365,6 @@ func Build(g *graph.Graph, asg *Assignment) *Layout {
 			if ps := g.Props(id); len(ps) > 0 {
 				f.G.SetProps(id, append([]string(nil), ps...))
 			}
-			f.inner[id] = true
 			f.Inner = append(f.Inner, id)
 		}
 		// edges + outer copies
@@ -377,7 +408,7 @@ func Build(g *graph.Graph, asg *Assignment) *Layout {
 		sort.Slice(f.InnerBorder, func(i, j int) bool { return f.InnerBorder[i] < f.InnerBorder[j] })
 	}
 	for _, f := range frags {
-		f.finalize()
+		f.finalize(asg)
 	}
 	l := &Layout{Asg: asg, Fragments: frags, Placement: placement}
 	l.buildHostIndex()
@@ -408,9 +439,9 @@ func BuildExpanded(g *graph.Graph, asg *Assignment, d int) *Layout {
 		sort.Slice(seeds, func(a, b int) bool { return seeds[a] < seeds[b] })
 		region := g.UndirectedNeighborhood(seeds, d)
 		local := g.InducedSubgraph(region)
-		f := &Fragment{Index: i, G: local, inner: innerSets[i], asg: asg}
+		f := &Fragment{Index: i, G: local}
 		for _, id := range local.SortedVertices() {
-			if f.inner[id] {
+			if innerSets[i][id] {
 				f.Inner = append(f.Inner, id)
 			} else {
 				f.Outer = append(f.Outer, id)
@@ -426,7 +457,7 @@ func BuildExpanded(g *graph.Graph, asg *Assignment, d int) *Layout {
 			// a replicated vertex ships its ID + label + properties…
 			replication += 16
 			// …and its locally stored out-edges (ID + target + weight)
-			replication += int64(len(f.G.Out(v))) * 24
+			replication += int64(f.G.OutDegree(v)) * 24
 		}
 	}
 	for v, hosts := range placement {
@@ -437,7 +468,7 @@ func BuildExpanded(g *graph.Graph, asg *Assignment, d int) *Layout {
 	}
 	for _, f := range frags {
 		sort.Slice(f.InnerBorder, func(i, j int) bool { return f.InnerBorder[i] < f.InnerBorder[j] })
-		f.finalize()
+		f.finalize(asg)
 	}
 	l := &Layout{Asg: asg, Fragments: frags, Placement: placement, ReplicationBytes: replication}
 	l.buildHostIndex()

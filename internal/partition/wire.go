@@ -3,109 +3,161 @@ package partition
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 
 	"grape/internal/graph"
 )
 
-// Wire encoding of a Fragment, used by the socket transport to ship each
-// worker its fragment during the setup handshake. Everything a worker-side
-// PIE program touches is included: the local subgraph (in its exact dense
-// order, via graph.AppendGraph), the Inner/Outer/InnerBorder lists, and a
-// local ownership table so Fragment.Owner keeps answering for every local
-// vertex.
+// The fragment frame: what the socket substrate ships each worker at set-up
+// (and an adopting worker at recovery). It is flat — a fixed header, three
+// int32 sections that are byte for byte the fragment's own dense tables, and
+// the local subgraph in graph's wire form (graph/flat.go) — so encoding is a
+// handful of copies and decoding is a bounds check plus casts: the decoded
+// fragment's arrays are views into the frame it arrived in.
+//
+// Layout (little-endian; every section starts 8-aligned relative to the
+// first header byte, zero padding between):
+//
+//	offset  0  u32 magic "GRFG"
+//	offset  4  u32 fragment index
+//	offset  8  u32 fragment count N
+//	offset 12  u32 |V| of the local subgraph
+//	offset 16  u32 |Inner|
+//	offset 20  u32 |Border| (Outer ∪ InnerBorder)
+//	offset 24  owners    |V| × i32       fragment owning each local vertex
+//	           innerIdx  |Inner| × i32   dense indices of Inner, ascending by ID
+//	           borderIdx |Border| × i32  dense indices of Border(), ascending by ID
+//	           graph     the local subgraph, graph.AppendFlat
+//
+// Outer and InnerBorder are not shipped: they are Border() split by
+// ownership (an outer copy is owned elsewhere, an inner border vertex here).
 
-// AppendFragment appends the wire encoding of f to buf and returns the
-// extended buffer.
+const (
+	fragMagic     = 0x47465247 // "GRFG"
+	fragHeaderLen = 24
+)
+
+// AppendFragment appends the frame of f to buf and returns the extended
+// buffer. Sections are aligned relative to len(buf) at entry; see
+// graph.AppendFlat.
 func AppendFragment(buf []byte, f *Fragment) []byte {
-	buf = binary.AppendUvarint(buf, uint64(f.Index))
-	buf = binary.AppendUvarint(buf, uint64(f.asg.N))
-	buf = graph.AppendGraph(buf, f.G)
-	for _, id := range f.G.Vertices() {
-		buf = binary.AppendUvarint(buf, uint64(f.asg.Owner(id)))
+	base := len(buf)
+	innerIdx, borderIdx := f.InnerIndices(), f.BorderIndices()
+	buf = slices.Grow(buf, fragHeaderLen+4*(len(f.owners)+len(innerIdx)+len(borderIdx))+3*8) // sections + padding
+	le := binary.LittleEndian
+	for _, v := range [...]int{fragMagic, f.Index, f.n, len(f.owners), len(f.Inner), len(f.Outer) + len(f.InnerBorder)} {
+		buf = le.AppendUint32(buf, uint32(v))
 	}
-	buf = appendIDList(buf, f.Inner)
-	buf = appendIDList(buf, f.Outer)
-	return appendIDList(buf, f.InnerBorder)
+	buf = graph.AppendSection(buf, base, graph.Int32Bytes(f.owners))
+	buf = graph.AppendSection(buf, base, graph.Int32Bytes(innerIdx))
+	buf = graph.AppendSection(buf, base, graph.Int32Bytes(borderIdx))
+	buf = graph.AppendSection(buf, base, nil)
+	return graph.AppendFlat(buf, f.G)
 }
 
-// DecodeFragment decodes a fragment encoded by AppendFragment from the front
-// of data, returning the fragment and the number of bytes consumed. The
-// decoded fragment's ownership table covers its local vertices only (that is
-// all a worker can see).
+// DecodeFragment decodes a frame written by AppendFragment from the front of
+// data, returning the fragment and the number of bytes consumed. On a host
+// that can alias (graph.CanAlias) and 8-aligned input, the fragment's
+// ownership table, dense index caches and CSR arrays are views into data,
+// which must stay alive and unmodified as long as the fragment; misaligned
+// input is copied once first. Only the ID index, the reverse CSR, the ID
+// lists and the inner bitmap are built. Every count is checked against
+// len(data) before anything is sized from it.
 func DecodeFragment(data []byte) (*Fragment, int, error) {
-	pos := 0
-	idx, err := graph.ReadUvarint(data, &pos)
+	if len(data) < fragHeaderLen {
+		return nil, 0, fmt.Errorf("partition: fragment frame truncated: %d header bytes", len(data))
+	}
+	le := binary.LittleEndian
+	if le.Uint32(data) != fragMagic {
+		return nil, 0, fmt.Errorf("partition: not a fragment frame (bad magic)")
+	}
+	idx, n, nv := int(le.Uint32(data[4:])), int(le.Uint32(data[8:])), int(le.Uint32(data[12:]))
+	ni, nb := int(le.Uint32(data[16:])), int(le.Uint32(data[20:]))
+	if idx >= n || nv >= math.MaxInt32 || ni > nv || nb > nv {
+		return nil, 0, fmt.Errorf("partition: fragment frame claims fragment %d of %d, %d inner and %d border of %d vertices", idx, n, ni, nb, nv)
+	}
+	ownersOff := fragHeaderLen
+	innerOff := graph.Align8(ownersOff + 4*nv)
+	borderOff := graph.Align8(innerOff + 4*ni)
+	graphOff := graph.Align8(borderOff + 4*nb)
+	if graphOff > len(data) {
+		return nil, 0, fmt.Errorf("partition: fragment frame truncated: sections need %d of %d bytes", graphOff, len(data))
+	}
+	data = graph.Realigned(data)
+	g, used, err := graph.DecodeFlat(data[graphOff:])
 	if err != nil {
 		return nil, 0, err
 	}
-	n, err := graph.ReadUvarint(data, &pos)
-	if err != nil {
-		return nil, 0, err
+	if g.NumVertices() != nv {
+		return nil, 0, fmt.Errorf("partition: fragment frame covers %d vertices, its graph has %d", nv, g.NumVertices())
 	}
-	if n == 0 {
-		return nil, 0, fmt.Errorf("partition: fragment encodes zero workers")
+	f := &Fragment{
+		Index:     idx,
+		G:         g,
+		n:         n,
+		owners:    graph.ViewInt32s(data[ownersOff : ownersOff+4*nv]),
+		innerIdx:  graph.ViewInt32s(data[innerOff : innerOff+4*ni]),
+		borderIdx: graph.ViewInt32s(data[borderOff : borderOff+4*nb]),
+		innerAt:   make([]bool, nv),
+		innerOK:   true,
+		borderOK:  true,
 	}
-	g, used, err := graph.DecodeGraph(data[pos:])
-	if err != nil {
-		return nil, 0, err
-	}
-	pos += used
-	asg := NewAssignment(g, int(n))
-	for _, id := range g.Vertices() {
-		w, err := graph.ReadUvarint(data, &pos)
-		if err != nil {
-			return nil, 0, err
+	owned := 0
+	for i, w := range f.owners {
+		if w < 0 || int(w) >= n {
+			return nil, 0, fmt.Errorf("partition: vertex %d owned by out-of-range worker %d", g.IDAt(int32(i)), w)
 		}
-		if w >= n {
-			return nil, 0, fmt.Errorf("partition: vertex %d owned by out-of-range worker %d", id, w)
-		}
-		asg.SetOwner(id, int(w))
-	}
-	f := &Fragment{Index: int(idx), G: g, inner: make(map[graph.ID]bool), asg: asg}
-	if f.Inner, err = decodeIDList(data, &pos); err != nil {
-		return nil, 0, err
-	}
-	if f.Outer, err = decodeIDList(data, &pos); err != nil {
-		return nil, 0, err
-	}
-	if f.InnerBorder, err = decodeIDList(data, &pos); err != nil {
-		return nil, 0, err
-	}
-	for _, id := range f.Inner {
-		if !g.Has(id) {
-			return nil, 0, fmt.Errorf("partition: inner vertex %d missing from fragment graph", id)
-		}
-		f.inner[id] = true
-	}
-	for _, id := range append(append([]graph.ID(nil), f.Outer...), f.InnerBorder...) {
-		if !g.Has(id) {
-			return nil, 0, fmt.Errorf("partition: border vertex %d missing from fragment graph", id)
+		if int(w) == idx {
+			owned++
 		}
 	}
-	f.finalize()
-	return f, pos, nil
+	if f.Inner, err = ascendingIDs(g, f.innerIdx); err != nil {
+		return nil, 0, fmt.Errorf("partition: inner list: %w", err)
+	}
+	for _, i := range f.innerIdx {
+		if int(f.owners[i]) != idx {
+			return nil, 0, fmt.Errorf("partition: inner vertex %d is owned by worker %d", g.IDAt(i), f.owners[i])
+		}
+		f.innerAt[i] = true
+	}
+	if owned != ni {
+		return nil, 0, fmt.Errorf("partition: fragment owns %d local vertices but lists %d inner", owned, ni)
+	}
+	if f.border, err = ascendingIDs(g, f.borderIdx); err != nil {
+		return nil, 0, fmt.Errorf("partition: border list: %w", err)
+	}
+	nib := 0
+	for _, i := range f.borderIdx {
+		if f.innerAt[i] {
+			nib++
+		}
+	}
+	f.InnerBorder, f.Outer = make([]graph.ID, 0, nib), make([]graph.ID, 0, nb-nib)
+	for k, i := range f.borderIdx {
+		if f.innerAt[i] {
+			f.InnerBorder = append(f.InnerBorder, f.border[k])
+		} else {
+			f.Outer = append(f.Outer, f.border[k])
+		}
+	}
+	return f, graphOff + used, nil
 }
 
-func appendIDList(buf []byte, ids []graph.ID) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(ids)))
-	for _, id := range ids {
-		buf = binary.AppendUvarint(buf, uint64(id))
-	}
-	return buf
-}
-
-func decodeIDList(data []byte, pos *int) ([]graph.ID, error) {
-	n, err := graph.ReadUvarint(data, pos)
-	if err != nil {
-		return nil, err
-	}
-	var ids []graph.ID
-	for i := uint64(0); i < n; i++ {
-		id, err := graph.ReadUvarint(data, pos)
-		if err != nil {
-			return nil, err
+// ascendingIDs resolves a list of dense indices of g to vertex IDs, checking
+// that every index is in range and the IDs strictly ascend (so the list is
+// duplicate-free and binary-searchable).
+func ascendingIDs(g *graph.Graph, idx []int32) ([]graph.ID, error) {
+	nv := int32(g.NumVertices())
+	ids := make([]graph.ID, len(idx))
+	for k, i := range idx {
+		if i < 0 || i >= nv {
+			return nil, fmt.Errorf("dense index %d of %d", i, nv)
 		}
-		ids = append(ids, graph.ID(id))
+		ids[k] = g.IDAt(i)
+		if k > 0 && ids[k] <= ids[k-1] {
+			return nil, fmt.Errorf("vertex %d after %d, not ascending", ids[k], ids[k-1])
+		}
 	}
 	return ids, nil
 }

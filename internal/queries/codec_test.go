@@ -171,16 +171,32 @@ func TestQueryCodecRoundTrips(t *testing.T) {
 }
 
 // FuzzCodecRoundTrip feeds arbitrary bytes to every registered codec's
-// DecodeVal. Decoders must never panic; whatever they do decode must
-// re-encode and decode back to the same value (no lossy or ambiguous
-// encodings on the wire).
+// DecodeVal and to the pattern-query decoders. Decoders must never panic;
+// whatever they do decode must re-encode and decode back to the same value
+// (no lossy or ambiguous encodings on the wire).
 func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Add(engine.AppendUpdates(SSSP{}.WireCodec(), nil, []engine.VarUpdate[float64]{{ID: 3, Val: 1.5}}))
 	f.Add(CF{}.WireCodec().AppendVal(nil, []float64{1, 2, 3}))
+	// pattern blobs (graph.AppendFlat), bare and behind SubIso's match cap,
+	// and the input that made the varint graph decoder they replaced size a
+	// 4.6 GB map
+	for _, p := range Patterns() {
+		sim, _ := Sim{}.EncodeQuery(SimQuery{Pattern: p})
+		sub, _ := SubIso{}.EncodeQuery(SubIsoQuery{Pattern: p, MaxMatches: 9})
+		f.Add(sim)
+		f.Add(sub)
+	}
+	f.Add([]byte{0x01, 0x80, 0x80, 0x80, 0x40})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if q, err := (Sim{}).DecodeQuery(data); err == nil {
+			fuzzPattern(t, q.Pattern)
+		}
+		if q, err := (SubIso{}).DecodeQuery(data); err == nil {
+			fuzzPattern(t, q.Pattern)
+		}
 		fuzzOne[float64](t, SSSP{}.WireCodec(), func(a, b float64) bool {
 			return a == b || (math.IsNaN(a) && math.IsNaN(b))
 		}, data)
@@ -212,6 +228,26 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzPattern: an accepted pattern blob is a valid frozen graph that
+// re-encodes to a blob decoding to an equal graph.
+func fuzzPattern(t *testing.T, p *graph.Graph) {
+	t.Helper()
+	if err := p.Validate(); err != nil {
+		t.Fatalf("accepted pattern is invalid: %v", err)
+	}
+	blob, err := Sim{}.EncodeQuery(SimQuery{Pattern: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := Sim{}.DecodeQuery(blob)
+	if err != nil {
+		t.Fatalf("re-encoded pattern failed to decode: %v", err)
+	}
+	if err := graph.Diff(p, q.Pattern); err != nil {
+		t.Fatalf("pattern not stable: %v", err)
+	}
 }
 
 func fuzzOne[V any](t *testing.T, c engine.Codec[V], eq func(a, b V) bool, data []byte) {

@@ -206,12 +206,12 @@ func (Sim) EncodeQuery(q SimQuery) ([]byte, error) {
 	if q.Pattern == nil {
 		return nil, fmt.Errorf("sim: empty pattern")
 	}
-	return graph.AppendGraph(nil, q.Pattern), nil
+	return graph.AppendFlat(nil, q.Pattern), nil
 }
 
 // DecodeQuery implements engine.WireProgram.
 func (Sim) DecodeQuery(data []byte) (SimQuery, error) {
-	p, _, err := graph.DecodeGraph(data)
+	p, _, err := graph.DecodeFlat(data)
 	if err != nil {
 		return SimQuery{}, fmt.Errorf("sim: decoding pattern: %w", err)
 	}
@@ -229,7 +229,7 @@ func (SubIso) EncodeQuery(q SubIsoQuery) ([]byte, error) {
 		return nil, fmt.Errorf("subiso: empty pattern")
 	}
 	buf := binary.AppendUvarint(nil, uint64(q.MaxMatches))
-	return graph.AppendGraph(buf, q.Pattern), nil
+	return graph.AppendFlat(buf, q.Pattern), nil
 }
 
 // DecodeQuery implements engine.WireProgram.
@@ -239,7 +239,7 @@ func (SubIso) DecodeQuery(data []byte) (SubIsoQuery, error) {
 	if err != nil {
 		return SubIsoQuery{}, fmt.Errorf("subiso: bad query encoding: %w", err)
 	}
-	p, _, err := graph.DecodeGraph(data[pos:])
+	p, _, err := graph.DecodeFlat(data[pos:])
 	if err != nil {
 		return SubIsoQuery{}, fmt.Errorf("subiso: decoding pattern: %w", err)
 	}

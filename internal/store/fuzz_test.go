@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"grape/internal/graph"
 )
 
 // FuzzSnapshotRoundTrip throws arbitrary bytes at the snapshot parser: it
@@ -39,7 +41,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Parse from aligned memory, exactly as the plain-read path does —
 		// fuzz inputs carry no alignment guarantee.
-		buf := aligned8Buf(len(data))
+		buf := graph.AlignedBuf(len(data))
 		copy(buf, data)
 		g, si, err := parseSnapshot(buf)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 
 	"grape/internal/graph"
@@ -34,7 +35,10 @@ import (
 // the graph package's frozen arrays exactly; inOff/inDense are empty for
 // undirected graphs. The strs section holds everything string-shaped —
 // the label-intern table and vertex properties — uvarint-encoded; it is
-// reconstructed on the heap at open (strings cannot alias a mapping).
+// reconstructed on the heap at open (strings cannot alias a mapping). The
+// section encodings and the byte↔array casts are graph's flat codec
+// (graph/flat.go), shared with the socket substrate's fragment frames; this
+// file owns only the header, the section table and the checksums.
 //
 // The snapshot's identity is the SHA-256 of its 224-byte header (the section
 // CRCs bind the content), used by the journal to pair a WAL with exactly one
@@ -87,15 +91,14 @@ func WriteSnapshotFile(path string, g *graph.Graph, epoch uint64) ([32]byte, err
 	if err != nil {
 		return binding, fmt.Errorf("store: snapshot: %w", err)
 	}
-	strs := appendStrs(nil, d)
 	secs := [snapSections][]byte{
-		rawIDs(d.IDs),
-		rawInt32s(d.VLabels),
-		rawInt32s(d.OutOff),
-		rawDense(d.OutDense),
-		rawInt32s(d.InOff),
-		rawDense(d.InDense),
-		strs,
+		graph.IDBytes(d.IDs),
+		graph.Int32Bytes(d.VLabels),
+		graph.Int32Bytes(d.OutOff),
+		graph.DenseBytes(d.OutDense),
+		graph.Int32Bytes(d.InOff),
+		graph.DenseBytes(d.InDense),
+		graph.AppendStrings(nil, d),
 	}
 
 	header := make([]byte, snapHeaderSize)
@@ -177,8 +180,8 @@ func ReadSnapshotFile(path string) (*graph.Graph, *SnapshotInfo, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	data := aligned8Buf(int(st.Size()))
-	if _, err := readFull(f, data); err != nil {
+	data := graph.AlignedBuf(int(st.Size()))
+	if _, err := io.ReadFull(f, data); err != nil {
 		return nil, nil, fmt.Errorf("store: reading snapshot %s: %w", path, err)
 	}
 	g, si, err := parseSnapshot(data)
@@ -193,7 +196,7 @@ func ReadSnapshotFile(path string) (*graph.Graph, *SnapshotInfo, error) {
 // read otherwise. Callers must keep the returned SnapshotInfo alive as long
 // as the graph (or any clone of it) is in use.
 func OpenSnapshotFile(path string) (*graph.Graph, *SnapshotInfo, error) {
-	if !mmapSupported || !aliasOK() {
+	if !mmapSupported || !graph.CanAlias() {
 		return ReadSnapshotFile(path)
 	}
 	g, si, err := MapSnapshotFile(path)
@@ -211,7 +214,7 @@ func MapSnapshotFile(path string) (*graph.Graph, *SnapshotInfo, error) {
 	if !mmapSupported {
 		return nil, nil, fmt.Errorf("store: mmap not supported on this platform")
 	}
-	if !aliasOK() {
+	if !graph.CanAlias() {
 		return nil, nil, fmt.Errorf("store: host layout cannot alias snapshot sections")
 	}
 	f, err := os.Open(path)
@@ -299,19 +302,19 @@ func parseSnapshot(data []byte) (*graph.Graph, *SnapshotInfo, error) {
 		}
 		raw[i] = b
 	}
-	labels, props, err := parseStrs(raw[6], int(nv))
+	labels, props, err := graph.ParseStrings(raw[6], int(nv))
 	if err != nil {
 		return nil, nil, err
 	}
 	d := graph.CSRData{
 		Directed: directed,
 		NumEdges: int(ne),
-		IDs:      viewIDs(raw[0]),
-		VLabels:  viewInt32s(raw[1]),
-		OutOff:   viewInt32s(raw[2]),
-		OutDense: viewDense(raw[3]),
-		InOff:    viewInt32s(raw[4]),
-		InDense:  viewDense(raw[5]),
+		IDs:      graph.ViewIDs(raw[0]),
+		VLabels:  graph.ViewInt32s(raw[1]),
+		OutOff:   graph.ViewInt32s(raw[2]),
+		OutDense: graph.ViewDense(raw[3]),
+		InOff:    graph.ViewInt32s(raw[4]),
+		InDense:  graph.ViewDense(raw[5]),
 		Labels:   labels,
 		Props:    props,
 	}
@@ -322,84 +325,6 @@ func parseSnapshot(data []byte) (*graph.Graph, *SnapshotInfo, error) {
 	si := &SnapshotInfo{Epoch: epoch}
 	si.Binding = sha256.Sum256(header)
 	return g, si, nil
-}
-
-// appendStrs appends the string-shaped section: the label-intern table, then
-// the sparse property entries (uvarint dense index, uvarint count, strings).
-func appendStrs(buf []byte, d graph.CSRData) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(d.Labels)))
-	for _, s := range d.Labels {
-		buf = appendStr(buf, s)
-	}
-	entries := 0
-	for _, ps := range d.Props {
-		if len(ps) > 0 {
-			entries++
-		}
-	}
-	buf = binary.AppendUvarint(buf, uint64(entries))
-	for i, ps := range d.Props {
-		if len(ps) == 0 {
-			continue
-		}
-		buf = binary.AppendUvarint(buf, uint64(i))
-		buf = binary.AppendUvarint(buf, uint64(len(ps)))
-		for _, p := range ps {
-			buf = appendStr(buf, p)
-		}
-	}
-	return buf
-}
-
-func parseStrs(data []byte, nv int) (labels []string, props [][]string, err error) {
-	pos := 0
-	nl, err := graph.ReadUvarint(data, &pos)
-	if err != nil {
-		return nil, nil, err
-	}
-	if nl > uint64(len(data)) {
-		return nil, nil, fmt.Errorf("implausible label count %d", nl)
-	}
-	labels = make([]string, nl)
-	for i := range labels {
-		if labels[i], err = graph.ReadString(data, &pos); err != nil {
-			return nil, nil, err
-		}
-	}
-	entries, err := graph.ReadUvarint(data, &pos)
-	if err != nil {
-		return nil, nil, err
-	}
-	if entries > 0 {
-		props = make([][]string, nv)
-		for e := uint64(0); e < entries; e++ {
-			idx, err := graph.ReadUvarint(data, &pos)
-			if err != nil {
-				return nil, nil, err
-			}
-			if idx >= uint64(nv) {
-				return nil, nil, fmt.Errorf("property entry for vertex %d of %d", idx, nv)
-			}
-			np, err := graph.ReadUvarint(data, &pos)
-			if err != nil {
-				return nil, nil, err
-			}
-			if np > uint64(len(data)) {
-				return nil, nil, fmt.Errorf("implausible property count %d", np)
-			}
-			ps := make([]string, np)
-			for j := range ps {
-				if ps[j], err = graph.ReadString(data, &pos); err != nil {
-					return nil, nil, err
-				}
-			}
-			props[idx] = ps
-		}
-	}
-	if pos != len(data) {
-		return nil, nil, fmt.Errorf("%d trailing bytes in string section", len(data)-pos)
-	}
-	return labels, props, nil
 }
 
 func appendStr(buf []byte, s string) []byte {

@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"os"
@@ -41,17 +43,44 @@ func testGraph(seed int64, directed bool) *graph.Graph {
 	return g
 }
 
-// assertSameGraph compares two graphs through the canonical wire encoding,
-// which covers vertex set, labels, props, and the full edge multiset.
+// assertSameGraph compares two graphs through graph.Diff, which covers the
+// vertex set in dense order, labels, props, and the full edge multiset in
+// adjacency order.
 func assertSameGraph(t *testing.T, want, got *graph.Graph) {
 	t.Helper()
 	if err := got.Validate(); err != nil {
 		t.Fatalf("recovered graph invalid: %v", err)
 	}
-	wb := graph.AppendGraph(nil, want)
-	gb := graph.AppendGraph(nil, got)
-	if !bytes.Equal(wb, gb) {
-		t.Fatalf("graphs differ: wire encodings %d vs %d bytes", len(wb), len(gb))
+	if err := graph.Diff(want, got); err != nil {
+		t.Fatalf("graphs differ: %v", err)
+	}
+}
+
+// TestSnapshotFormatPinned pins the on-disk snapshot format (version 1) by
+// the SHA-256 of what WriteSnapshotFile produces for fixed graphs: the
+// section codec is shared with the wire's flat frames, and a change made for
+// the wire must not move a byte on disk. The hashes were taken before the
+// codec moved into internal/graph.
+func TestSnapshotFormatPinned(t *testing.T) {
+	for _, c := range []struct {
+		directed bool
+		want     string
+	}{
+		{true, "5a6acff11446f6f5e0c4748dc0041895b47769f6591eb0070c05586ce5604ea1"},
+		{false, "9414247c93c728de7c46c84d892b53076fb1d8eef89e97852449133dff700b57"},
+	} {
+		path := filepath.Join(t.TempDir(), "g.grs")
+		if _, err := WriteSnapshotFile(path, testGraph(3, c.directed).Freeze(), 42); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(data)
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("directed=%v: snapshot of %d bytes hashes to %s, pinned %s", c.directed, len(data), got, c.want)
+		}
 	}
 }
 
@@ -75,7 +104,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			assertSameGraph(t, g, rg)
 			rsi.Close()
 
-			if mmapSupported && aliasOK() {
+			if mmapSupported && graph.CanAlias() {
 				mg, msi, err := MapSnapshotFile(path)
 				if err != nil {
 					t.Fatalf("seed %d: map: %v", seed, err)

@@ -56,6 +56,7 @@ import (
 	"syscall"
 	"time"
 
+	"grape/internal/graph"
 	"grape/internal/mpi"
 )
 
@@ -74,8 +75,9 @@ const (
 	// the fragment field of the frame header (one link can host several
 	// fragments after reassignment), ping/pong liveness frames with the
 	// window in the handshake response, the abort frame and setup-frame
-	// deadline, and the compute/apply timing tail of reply frames.
-	version = 4
+	// deadline, the compute/apply timing tail of reply frames, and flat
+	// fragment frames laid 8-aligned at the tail of setup and adopt frames.
+	version = 5
 	// maxFrame caps a single frame: fragments of very large graphs dominate
 	// frame sizes; 1 GiB is far beyond anything this repo generates while
 	// still bounding a corrupted length prefix.
@@ -87,6 +89,9 @@ const (
 	pongFrag = -3
 
 	frameHeaderLen = 16
+	// connBuf sizes each link's read and write buffers. A payload that would
+	// not fit the write buffer beside its header goes to the socket directly.
+	connBuf = 1 << 16
 
 	// Liveness defaults: the coordinator pings every link at pingEvery and
 	// declares one dead after window of silence; workers bound their reads
@@ -580,7 +585,7 @@ type conn struct {
 }
 
 func newConn(nc net.Conn) *conn {
-	return &conn{nc: nc, br: bufio.NewReaderSize(nc, 1<<16), bw: bufio.NewWriterSize(nc, 1<<16)}
+	return &conn{nc: nc, br: bufio.NewReaderSize(nc, connBuf), bw: bufio.NewWriterSize(nc, connBuf)}
 }
 
 //grapevet:keep framing layer: callers (reader, pump, Send, Recv) classify its errors
@@ -595,6 +600,12 @@ func (c *conn) writeFrame(frag, step, size int, payload []byte) error {
 	binary.BigEndian.PutUint32(hdr[4:], uint32(int32(frag)))
 	binary.BigEndian.PutUint32(hdr[8:], uint32(int32(step)))
 	binary.BigEndian.PutUint32(hdr[12:], uint32(int32(size)))
+	if len(payload) > connBuf-frameHeaderLen {
+		// A fragment-sized payload: one gathered write of header and payload
+		// (bw is empty between frames), not a copy through bw in two writes.
+		_, err := (&net.Buffers{hdr[:], payload}).WriteTo(c.nc)
+		return err
+	}
 	if _, err := c.bw.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -625,7 +636,12 @@ func (c *conn) readFrame() (frag, step, size int, payload []byte, err error) {
 	if size < 0 || uint32(size) > length-(frameHeaderLen-4) {
 		return 0, 0, 0, nil, fmt.Errorf("transport: frame data size %d inconsistent with length %d", size, length)
 	}
-	payload = make([]byte, length-(frameHeaderLen-4))
+	// 8-aligned, so a flat fragment frame laid at an 8-aligned payload offset
+	// is decoded in place; a payload larger than br is read straight into it.
+	payload = graph.AlignedBuf(int(length - (frameHeaderLen - 4)))
+	if payload == nil {
+		payload = []byte{} // a nil Frame means "link failed" to the engine
+	}
 	if _, err := io.ReadFull(c.br, payload); err != nil {
 		return 0, 0, 0, nil, err
 	}

@@ -76,7 +76,7 @@ func TestFrameRejectsTruncatedHeader(t *testing.T) {
 // the slot.
 func TestHandshakeSurvivesBadMagic(t *testing.T) {
 	// The refusal names its cause.
-	for hello, want := range map[string]string{"NOPE\x00\x00\x00\x04": "bad magic", "GRPW\x00\x00\x00\x03": "protocol version 3, want 4"} {
+	for hello, want := range map[string]string{"NOPE\x00\x00\x00\x05": "bad magic", "GRPW\x00\x00\x00\x04": "protocol version 4, want 5"} {
 		a, b := net.Pipe()
 		go b.Write([]byte(hello))
 		err := handshakeCoordinator(newConn(a), 0, 1, time.Second, time.Now().Add(5*time.Second))
@@ -112,7 +112,7 @@ func TestHandshakeSurvivesBadMagic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer old.Close()
-	old.Write([]byte("GRPW\x00\x00\x00\x03"))
+	old.Write([]byte("GRPW\x00\x00\x00\x04"))
 	w, err := Dial("tcp", l.Addr().String(), 5*time.Second)
 	if err != nil {
 		t.Fatalf("legitimate worker rejected after stray connection: %v", err)
