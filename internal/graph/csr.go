@@ -8,8 +8,10 @@ package graph
 //	query phase (frozen)   — Freeze() flattens adjacency into CSR
 //	                         offset+packed-edge arrays whose edges carry the
 //	                         dense target index, interns vertex and edge
-//	                         labels into an int table, and eagerly builds the
-//	                         reverse CSR. All read methods — including In() —
+//	                         labels into an int table (the per-vertex label
+//	                         strings are dropped: Label/LabelAt resolve
+//	                         through the table, a thaw restores them), and
+//	                         eagerly builds the reverse CSR. All read methods — including In() —
 //	                         are then safe for concurrent use, and the dense
 //	                         accessors (OutAt, InAt, LabelIDAt, …) traverse
 //	                         without a single hash lookup.
@@ -80,6 +82,7 @@ func (g *Graph) Freeze() *Graph {
 		}
 		g.outOff[i+1] = int32(len(g.outDense))
 	}
+	g.labels = nil // vlab + the label table say the same in 4 bytes a vertex, not 16
 	g.out = nil
 	g.in = nil
 	g.inBuilt = false
@@ -139,6 +142,10 @@ func (g *Graph) thaw() {
 		g.in = perVertex(g.inOff, g.sparseIn())
 		g.inBuilt = true
 	}
+	g.labels = make([]string, len(g.vlab))
+	for i, l := range g.vlab {
+		g.labels[i] = g.labelNames[l]
+	}
 	g.outOff, g.outDense = nil, nil
 	g.inOff, g.inDense = nil, nil
 	g.vlab, g.labelNames, g.labelIDs = nil, nil, nil
@@ -193,7 +200,12 @@ func (g *Graph) InDegreeAt(i int32) int {
 func (g *Graph) LabelIDAt(i int32) int32 { return g.vlab[i] }
 
 // LabelAt returns the label string of the vertex at dense index i.
-func (g *Graph) LabelAt(i int32) string { return g.labels[i] }
+func (g *Graph) LabelAt(i int32) string {
+	if g.frozen {
+		return g.labelNames[g.vlab[i]]
+	}
+	return g.labels[i]
+}
 
 // PropsAt returns the property list of the vertex at dense index i. The
 // caller must not mutate the returned slice.

@@ -96,6 +96,12 @@ func TestThawRestoresMutability(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	// a frozen graph keeps labels interned only; the thaw restores them
+	for want, v := buildLabeled(), int32(0); int(v) < g.NumVertices(); v++ {
+		if g.LabelAt(v) != want.LabelAt(v) {
+			t.Fatalf("label of vertex %d: %q after the thaw, want %q", g.IDAt(v), g.LabelAt(v), want.LabelAt(v))
+		}
+	}
 	if len(g.Out(3)) != 2 {
 		t.Fatalf("out(3) = %v", g.Out(3))
 	}

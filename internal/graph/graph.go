@@ -51,7 +51,7 @@ type Graph struct {
 	directed bool
 	ids      []ID         // dense index -> ID
 	index    map[ID]int32 // ID -> dense index
-	labels   []string     // dense index -> vertex label
+	labels   []string     // dense index -> vertex label (build phase; a frozen graph keeps vlab only)
 	props    [][]string   // dense index -> vertex properties (keywords etc.)
 	out      [][]Edge     // dense index -> out-edges (build phase)
 	in       [][]Edge     // dense index -> in-edges; built lazily (build phase)
@@ -226,7 +226,7 @@ func (g *Graph) Has(id ID) bool { _, ok := g.index[id]; return ok }
 // Label returns the label of id, or "" if id is absent.
 func (g *Graph) Label(id ID) string {
 	if i, ok := g.index[id]; ok {
-		return g.labels[i]
+		return g.LabelAt(i)
 	}
 	return ""
 }
@@ -465,8 +465,8 @@ func Diff(a, b *Graph) error {
 		return fmt.Errorf("graph: kind, edge count or dense vertex order differ")
 	}
 	for i, id := range a.ids {
-		if a.labels[i] != b.labels[i] {
-			return fmt.Errorf("graph: vertex %d labelled %q vs %q", id, a.labels[i], b.labels[i])
+		if la, lb := a.LabelAt(int32(i)), b.LabelAt(int32(i)); la != lb {
+			return fmt.Errorf("graph: vertex %d labelled %q vs %q", id, la, lb)
 		}
 		if len(a.props[i])+len(b.props[i]) > 0 && !reflect.DeepEqual(a.props[i], b.props[i]) {
 			return fmt.Errorf("graph: vertex %d properties %v vs %v", id, a.props[i], b.props[i])
@@ -483,10 +483,10 @@ func Diff(a, b *Graph) error {
 // after deserialization.
 func (g *Graph) Validate() error {
 	nv := len(g.ids)
-	if nv != len(g.labels) || nv != len(g.props) {
+	if nv != len(g.props) || (g.frozen && nv != len(g.vlab)) {
 		return fmt.Errorf("graph: inconsistent slice lengths")
 	}
-	if !g.frozen && nv != len(g.out) {
+	if !g.frozen && (nv != len(g.out) || nv != len(g.labels)) {
 		return fmt.Errorf("graph: inconsistent slice lengths")
 	}
 	for id, i := range g.index {

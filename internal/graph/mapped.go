@@ -123,12 +123,10 @@ func FromMapped(d CSRData) (*Graph, error) {
 	if len(g.labelIDs) != nl {
 		return nil, fmt.Errorf("graph: mapped labels repeat (%d distinct of %d)", len(g.labelIDs), nl)
 	}
-	g.labels = make([]string, nv)
 	for i, l := range d.VLabels {
 		if l < 0 || int(l) >= nl {
 			return nil, fmt.Errorf("graph: mapped vertex %d has label id %d of %d", i, l, nl)
 		}
-		g.labels[i] = d.Labels[l]
 	}
 	if d.Props != nil {
 		g.props = d.Props

@@ -16,7 +16,6 @@ import "sort"
 type SubgraphBuilder struct {
 	src   *Graph
 	ids   []ID
-	lbl   []string
 	props [][]string
 	vlab  []int32 // new dense index -> source label ID
 	index map[ID]int32
@@ -56,7 +55,6 @@ func (b *SubgraphBuilder) AddVertex(i int32) int32 {
 	b.local[i] = li
 	id := b.src.ids[i]
 	b.ids = append(b.ids, id)
-	b.lbl = append(b.lbl, b.src.labels[i])
 	var props []string
 	if ps := b.src.props[i]; len(ps) > 0 {
 		props = append([]string(nil), ps...)
@@ -93,7 +91,6 @@ func (b *SubgraphBuilder) Finish() *Graph {
 		directed: b.src.directed,
 		ids:      b.ids,
 		index:    b.index,
-		labels:   b.lbl,
 		props:    b.props,
 		numEdges: b.numEdges,
 		frozen:   true,

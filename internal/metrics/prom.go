@@ -17,6 +17,8 @@ import (
 //	grape_cache_hit_rate / grape_queue_depth / grape_in_flight        gauges
 //	grape_runs_total{class=...}                                       counter
 //	grape_recoveries_total                                            counter
+//	grape_response_bytes_total{kind="hit"|"miss"}                     counter
+//	grape_cache_encoded_bytes                                         gauge
 //	grape_worker_imbalance{worker=...}                                gauge
 //	grape_journal_records{graph=...} / grape_journal_bytes{graph=...} gauges
 //	grape_snapshot_epoch{graph=...}                                   gauge
@@ -73,6 +75,9 @@ func (m *Serving) WritePrometheus(w io.Writer, queueDepth, inFlight int) error {
 		fmt.Fprintf(bw, "grape_runs_total{class=%q} %d\n", c, m.runs[c])
 	}
 	counter("grape_recoveries_total", "Worker failures survived by checkpoint recovery.", m.recoveries)
+	fmt.Fprintf(bw, "# HELP grape_response_bytes_total POST /query response body bytes written, by cache outcome.\n# TYPE grape_response_bytes_total counter\n")
+	fmt.Fprintf(bw, "grape_response_bytes_total{kind=\"hit\"} %d\ngrape_response_bytes_total{kind=\"miss\"} %d\n", m.respBytes.Hit, m.respBytes.Miss)
+	gauge("grape_cache_encoded_bytes", "Encoded result bytes held by live result-cache entries.", float64(m.cacheEncoded))
 	fmt.Fprintf(bw, "# HELP grape_worker_imbalance Per-worker work share of the most recent run, x workers (1.0 = perfect balance).\n# TYPE grape_worker_imbalance gauge\n")
 	for w, v := range m.imbalance {
 		fmt.Fprintf(bw, "grape_worker_imbalance{worker=\"%d\"} %s\n", w, formatPromValue(v))

@@ -16,6 +16,12 @@ func TestWritePrometheusParses(t *testing.T) {
 	m.ObserveTimeout()
 	m.ObserveRun("sssp", &Stats{Workers: 2, WorkPerStep: [][]int64{{30, 10}}})
 	m.ObserveRun("cc", &Stats{Workers: 2, WorkPerStep: [][]int64{{5, 5}}, Recoveries: []Recovery{{Superstep: 1}}})
+	m.ObserveResponse(false, 700)
+	m.ObserveResponse(true, 650)
+	m.ObserveResponse(true, 650)
+	m.AddCacheEncodedBytes(600)
+	m.AddCacheEncodedBytes(400)
+	m.AddCacheEncodedBytes(-600)
 
 	var buf bytes.Buffer
 	if err := m.WritePrometheus(&buf, 3, 2); err != nil {
@@ -27,21 +33,24 @@ func TestWritePrometheusParses(t *testing.T) {
 	}
 
 	want := map[string]float64{
-		"grape_queries_total":                  3,
-		"grape_cache_hits_total":               1,
-		"grape_cache_misses_total":             1,
-		"grape_errors_total":                   1,
-		"grape_rejected_total":                 1,
-		"grape_timeouts_total":                 1,
-		"grape_cache_hit_rate":                 0.5,
-		"grape_queue_depth":                    3,
-		"grape_in_flight":                      2,
-		`grape_runs_total{class="sssp"}`:       1,
-		`grape_runs_total{class="cc"}`:         1,
-		"grape_recoveries_total":               1,
-		`grape_worker_imbalance{worker="0"}`:   1, // last run was cc: 5*2/10
-		`grape_worker_imbalance{worker="1"}`:   1,
-		"grape_request_duration_seconds_count": 3,
+		"grape_queries_total":                     3,
+		"grape_cache_hits_total":                  1,
+		"grape_cache_misses_total":                1,
+		"grape_errors_total":                      1,
+		"grape_rejected_total":                    1,
+		"grape_timeouts_total":                    1,
+		"grape_cache_hit_rate":                    0.5,
+		"grape_queue_depth":                       3,
+		"grape_in_flight":                         2,
+		`grape_runs_total{class="sssp"}`:          1,
+		`grape_runs_total{class="cc"}`:            1,
+		"grape_recoveries_total":                  1,
+		`grape_response_bytes_total{kind="hit"}`:  1300,
+		`grape_response_bytes_total{kind="miss"}`: 700,
+		"grape_cache_encoded_bytes":               400,
+		`grape_worker_imbalance{worker="0"}`:      1, // last run was cc: 5*2/10
+		`grape_worker_imbalance{worker="1"}`:      1,
+		"grape_request_duration_seconds_count":    3,
 	}
 	for series, v := range want {
 		got, ok := samples[series]

@@ -42,6 +42,47 @@ type Serving struct {
 	// Durable-store observability (SetDurability): per-graph journal length,
 	// snapshot epoch and the last recovery's cost, keyed by graph name.
 	durable map[string]GraphDurability
+
+	// Answer-bytes observability: POST /query body bytes written, split by
+	// cache outcome (ObserveResponse), and the result encodings live cache
+	// entries hold right now (AddCacheEncodedBytes).
+	respBytes    ResponseBytes
+	cacheEncoded int64
+}
+
+// ResponseBytes counts POST /query response body bytes by cache outcome.
+type ResponseBytes struct {
+	Hit  uint64 `json:"hit"`
+	Miss uint64 `json:"miss"`
+}
+
+// ObserveResponse records n body bytes written for a /query answer.
+func (m *Serving) ObserveResponse(cached bool, n int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if cached {
+		m.respBytes.Hit += uint64(n)
+	} else {
+		m.respBytes.Miss += uint64(n)
+	}
+}
+
+// ObserveResponseError records an answer that was found or computed —
+// already counted as a hit or a miss — but could not be encoded for the
+// client, who got an error instead.
+func (m *Serving) ObserveResponseError() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.errors++
+}
+
+// AddCacheEncodedBytes moves the gauge of encoded result bytes held by live
+// cache entries: positive when an entry is first encoded, negative when an
+// encoded entry is evicted or overwritten.
+func (m *Serving) AddCacheEncodedBytes(delta int64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.cacheEncoded += delta
 }
 
 // GraphDurability is the durable-store state of one graph: how much journal
@@ -209,6 +250,12 @@ type ServingSnapshot struct {
 	Recoveries      uint64            `json:"recoveries"`
 	WorkerImbalance []float64         `json:"worker_imbalance,omitempty"`
 
+	// Answer bytes, mirrored on /metrics as
+	// grape_response_bytes_total{kind="hit"|"miss"} and
+	// grape_cache_encoded_bytes.
+	ResponseBytesTotal ResponseBytes `json:"response_bytes_total"`
+	CacheEncodedBytes  int64         `json:"cache_encoded_bytes"`
+
 	// Durable-store state per graph, sorted by name; mirrored on /metrics as
 	// grape_journal_records / grape_journal_bytes / grape_snapshot_epoch /
 	// grape_recovery_duration_seconds (all labeled {graph=...}).
@@ -229,6 +276,9 @@ func (m *Serving) Snapshot(queueDepth, inFlight int) ServingSnapshot {
 		Timeouts:    m.timeouts,
 		QueueDepth:  queueDepth,
 		InFlight:    inFlight,
+
+		ResponseBytesTotal: m.respBytes,
+		CacheEncodedBytes:  m.cacheEncoded,
 	}
 	if m.hits+m.misses > 0 {
 		s.CacheHitRate = float64(m.hits) / float64(m.hits+m.misses)

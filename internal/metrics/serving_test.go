@@ -37,6 +37,23 @@ func TestServingCounts(t *testing.T) {
 	if s.LatencyMeanMs <= 0 || s.LatencyP50Ms <= 0 || s.LatencyP99Ms < s.LatencyP50Ms {
 		t.Fatalf("implausible latency summary: %+v", s)
 	}
+
+	// Answer bytes: bodies by cache outcome, the held-encodings gauge, and an
+	// answer that could not be encoded — an error on top of its hit or miss,
+	// not another query.
+	m.ObserveResponse(true, 300)
+	m.ObserveResponse(false, 500)
+	m.ObserveResponse(true, 300)
+	m.AddCacheEncodedBytes(450)
+	m.AddCacheEncodedBytes(-200)
+	m.ObserveResponseError()
+	s = m.Snapshot(0, 0)
+	if s.ResponseBytesTotal != (ResponseBytes{Hit: 600, Miss: 500}) || s.CacheEncodedBytes != 250 {
+		t.Fatalf("response bytes %+v, cache encoded bytes %d; want {600 500} and 250", s.ResponseBytesTotal, s.CacheEncodedBytes)
+	}
+	if s.Errors != 2 || s.Queries != 4 {
+		t.Fatalf("errors/queries = %d/%d after a response error, want 2/4", s.Errors, s.Queries)
+	}
 }
 
 func TestServingHistogramBuckets(t *testing.T) {

@@ -7,11 +7,7 @@
 // query) result cache.
 package server
 
-import (
-	"encoding/json"
-
-	"grape/internal/trace"
-)
+import "grape/internal/trace"
 
 // QueryRequest is one query against a named resident graph. Workers and
 // Strategy override the server defaults for the layout the query runs on
@@ -38,9 +34,11 @@ type RunStats struct {
 }
 
 // QueryResponse is a served answer. Result is the program's result value
-// (JSON-marshaled on the wire; program-specific shape — e.g. sssp returns a
-// vertex→distance object). Cached reports whether it came from the result
-// cache; Epoch is the graph epoch it is valid for.
+// (program-specific shape — e.g. sssp returns a vertex→distance map), for
+// in-process callers; over HTTP the handler writes the answer's encoded
+// bytes instead (see writeAnswer), in the field order declared here. Cached
+// reports whether it came from the result cache; Epoch is the graph epoch it
+// is valid for.
 type QueryResponse struct {
 	Graph     string   `json:"graph"`
 	Epoch     uint64   `json:"epoch"`
@@ -54,33 +52,9 @@ type QueryResponse struct {
 	// cache hits (no run happened) and when retention already evicted it.
 	TraceID string `json:"trace_id,omitempty"`
 
-	// resultJSON, when set, is Result's memoized encoding (cache hits reuse
-	// it instead of re-marshaling a possibly large result per request).
-	resultJSON []byte
-}
-
-// MarshalJSON writes the wire shape, splicing in the memoized result
-// encoding when the cache already holds one.
-func (r QueryResponse) MarshalJSON() ([]byte, error) {
-	raw := json.RawMessage(r.resultJSON)
-	if raw == nil {
-		var err error
-		if raw, err = json.Marshal(r.Result); err != nil {
-			return nil, err
-		}
-	}
-	// alias with identical tags; Result pre-encoded
-	type wire struct {
-		Graph     string          `json:"graph"`
-		Epoch     uint64          `json:"epoch"`
-		Program   string          `json:"program"`
-		Canonical string          `json:"canonical"`
-		Cached    bool            `json:"cached"`
-		Result    json.RawMessage `json:"result"`
-		Stats     RunStats        `json:"stats"`
-		TraceID   string          `json:"trace_id,omitempty"`
-	}
-	return json.Marshal(wire{r.Graph, r.Epoch, r.Program, r.Canonical, r.Cached, raw, r.Stats, r.TraceID})
+	// answer is the computed answer Result and Stats came from; it owns the
+	// encoded result bytes the HTTP handler sends.
+	answer *cacheVal
 }
 
 // FlightIndex is the GET /debug/runs answer: the flight recorder's retained

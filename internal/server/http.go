@@ -1,11 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"strconv"
 
 	"grape/internal/metrics"
 	"grape/internal/trace"
@@ -23,16 +26,19 @@ import (
 //	GET  /debug/runs/{id} -> one run's trace as Chrome trace-event JSON
 //	                         (load it in Perfetto / chrome://tracing)
 //
-// Errors come back as {"error": "..."} with 400 (bad query), 404 (unknown
-// graph/program), 429 (admission queue full), 504 (deadline exceeded or
-// client gone — the engine run is cancelled with the request unless
-// Config.DetachRuns) or 500 (run failure).
+// Errors come back as {"error": "..."} with 400 (bad query, or a body that is
+// not exactly one JSON value of the request's shape), 404 (unknown
+// graph/program), 413 (body over 1 MiB), 429 (admission queue full), 504
+// (deadline exceeded or client gone — the engine run is cancelled with the
+// request unless Config.DetachRuns) or 500 (run failure, or an answer JSON
+// cannot carry, such as NaN factors from a diverged cf run: every request
+// for it gets the encoder's error, never a partial or empty 200).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) {
 		var req QueryRequest
-		if err := decodeBody(r, &req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		if err := decodeBody(w, r, &req); err != nil {
+			writeErr(w, statusOf(err), err)
 			return
 		}
 		resp, err := s.Query(r.Context(), req)
@@ -40,12 +46,12 @@ func (s *Server) Handler() http.Handler {
 			writeErr(w, statusOf(err), err)
 			return
 		}
-		writeJSON(w, resp)
+		s.writeAnswer(w, resp)
 	})
 	mux.HandleFunc("POST /update", func(w http.ResponseWriter, r *http.Request) {
 		var req MutateRequest
-		if err := decodeBody(r, &req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		if err := decodeBody(w, r, &req); err != nil {
+			writeErr(w, statusOf(err), err)
 			return
 		}
 		resp, err := s.Mutate(r.Context(), req.Graph, req.Program, req.Query, req.Edges)
@@ -83,17 +89,30 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-func decodeBody(r *http.Request, into any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
+// decodeBody reads the request body as exactly one JSON value of into's
+// shape: unknown fields, a second value and trailing garbage are all bad
+// requests, and a body over 1 MiB is too large.
+func decodeBody(w http.ResponseWriter, r *http.Request, into any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		return fmt.Errorf("decoding request body: %w", err)
+	err := dec.Decode(into)
+	if err == nil {
+		// Token reports bare io.EOF when only whitespace is left.
+		if _, err = dec.Token(); err == io.EOF {
+			return nil
+		}
+		if err == nil {
+			err = errors.New("unexpected data after the request's JSON value")
+		}
 	}
-	return nil
+	return fmt.Errorf("%w: decoding request body: %w", ErrBadQuery, err)
 }
 
 func statusOf(err error) int {
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrBadQuery):
 		return http.StatusBadRequest
 	case errors.Is(err, ErrNotFound):
@@ -107,14 +126,60 @@ func statusOf(err error) int {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(v); err != nil {
-		// headers are gone; nothing useful left to do
+// writeAnswer is the one function that writes a POST /query answer: envelope
+// head (graph, epoch, program, canonical, cached) · the answer's encoded
+// result bytes, verbatim · envelope tail (stats, trace_id), under an exact
+// Content-Length. The result bytes are made once per computed answer
+// (resultCache.encoded), so nothing here grows with the result. The envelope
+// goes through encoding/json, which keeps the body byte-identical to encoding
+// a QueryResponse whole. Everything that can fail happens before a header is
+// committed.
+func (s *Server) writeAnswer(w http.ResponseWriter, r *QueryResponse) {
+	result, err := s.cache.encoded(r.answer)
+	head, herr := json.Marshal(struct {
+		Graph     string `json:"graph"`
+		Epoch     uint64 `json:"epoch"`
+		Program   string `json:"program"`
+		Canonical string `json:"canonical"`
+		Cached    bool   `json:"cached"`
+	}{r.Graph, r.Epoch, r.Program, r.Canonical, r.Cached})
+	tail, terr := json.Marshal(struct {
+		Stats   RunStats `json:"stats"`
+		TraceID string   `json:"trace_id,omitempty"`
+	}{r.Stats, r.TraceID})
+	if err := errors.Join(err, herr, terr); err != nil {
+		s.serving.ObserveResponseError()
+		writeErr(w, http.StatusInternalServerError, fmt.Errorf("server: encoding the %s answer: %w", r.Program, err))
 		return
 	}
+	head = append(head[:len(head)-1], `,"result":`...) // reopen the object
+	tail[0] = ','                                      // and continue it
+	tail = append(tail, '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(result)+len(tail)))
+	var written int
+	for _, part := range [...][]byte{head, result, tail} {
+		n, err := w.Write(part)
+		written += n
+		if err != nil {
+			break // the client is gone; there is nobody to tell
+		}
+	}
+	s.serving.ObserveResponse(r.Cached, written)
+}
+
+// writeJSON encodes v before any header is committed, so a value JSON cannot
+// carry is a 500 with the encoder's message, not a 200 cut short.
+func writeJSON(w http.ResponseWriter, v any) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(buf.Bytes())
 }
 
 func writeErr(w http.ResponseWriter, status int, err error) {

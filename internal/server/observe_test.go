@@ -77,27 +77,44 @@ func TestStatsEndpointShape(t *testing.T) {
 	// The omitempty fields (histogram, runs_by_class, worker_imbalance) are
 	// present because the query above ran the engine.
 	want := []string{
-		"cache_hit_rate", "cache_hits", "cache_misses", "errors", "histogram",
-		"in_flight", "latency_max_ms", "latency_mean_ms", "latency_p50_ms",
-		"latency_p90_ms", "latency_p99_ms", "queries", "queue_depth",
-		"recoveries", "rejected", "runs_by_class", "timeouts",
-		"worker_imbalance",
+		"cache_encoded_bytes", "cache_hit_rate", "cache_hits", "cache_misses",
+		"errors", "histogram", "in_flight", "latency_max_ms", "latency_mean_ms",
+		"latency_p50_ms", "latency_p90_ms", "latency_p99_ms", "queries",
+		"queue_depth", "recoveries", "rejected", "response_bytes_total",
+		"runs_by_class", "timeouts", "worker_imbalance",
 	}
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("/stats field set changed:\n got %v\nwant %v", got, want)
+	}
+	// response_bytes_total splits by cache outcome; nothing went over HTTP
+	// yet, so nothing was encoded or written.
+	bytesBy, _ := m["response_bytes_total"].(map[string]any)
+	if len(bytesBy) != 2 || bytesBy["hit"] != 0.0 || bytesBy["miss"] != 0.0 || m["cache_encoded_bytes"] != 0.0 {
+		t.Fatalf("response_bytes_total = %v, cache_encoded_bytes = %v before any HTTP answer; want {hit:0 miss:0} and 0",
+			m["response_bytes_total"], m["cache_encoded_bytes"])
 	}
 }
 
 // TestMetricsEndpoint scrapes GET /metrics and validates the exposition with
 // the same parser CI uses in place of promtool.
 func TestMetricsEndpoint(t *testing.T) {
-	s, ts := observeServer(t, server.Config{})
-	ctx := context.Background()
-	req := server.QueryRequest{Graph: "road", Program: "sssp", Query: "source=0"}
-	if _, err := s.Query(ctx, req); err != nil {
-		t.Fatal(err)
+	_, ts := observeServer(t, server.Config{})
+	var answers [2][]byte // the miss, then the cache hit
+	for i := range answers {
+		resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(`{"graph":"road","program":"sssp","query":"source=0"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers[i], err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("query %d: status %d, err %v", i, resp.StatusCode, err)
+		}
 	}
-	if _, err := s.Query(ctx, req); err != nil { // cache hit
+	var answer struct {
+		Result json.RawMessage `json:"result"`
+	}
+	if err := json.Unmarshal(answers[1], &answer); err != nil {
 		t.Fatal(err)
 	}
 
@@ -117,6 +134,17 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if samples[`grape_request_duration_seconds_bucket{le="+Inf"}`] != 2 {
 		t.Fatalf("histogram +Inf = %g, want 2", samples[`grape_request_duration_seconds_bucket{le="+Inf"}`])
+	}
+	// The server's count of what it wrote equals what the client read, and
+	// the cache holds the one encoding both answers were written from.
+	for series, want := range map[string]int{
+		`grape_response_bytes_total{kind="miss"}`: len(answers[0]),
+		`grape_response_bytes_total{kind="hit"}`:  len(answers[1]),
+		"grape_cache_encoded_bytes":               len(answer.Result),
+	} {
+		if got, ok := samples[series]; !ok || got != float64(want) {
+			t.Errorf("%s = %g (present: %v), want %d", series, got, ok, want)
+		}
 	}
 }
 

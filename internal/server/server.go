@@ -28,7 +28,9 @@ import (
 var (
 	// ErrNotFound wraps unknown graph or program names.
 	ErrNotFound = errors.New("server: not found")
-	// ErrBadQuery wraps query strings the program's parser rejected.
+	// ErrBadQuery wraps requests that cannot be served as sent: a body that
+	// is not one JSON value of the request's shape, or a query string the
+	// program's parser rejected.
 	ErrBadQuery = errors.New("server: bad query")
 )
 
@@ -236,12 +238,12 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		sched:   newScheduler(cfg.MaxInFlight, cfg.MaxQueue),
-		cache:   newResultCache(cfg.CacheEntries),
 		serving: metrics.NewServing(),
 		flight:  trace.NewFlight(cfg.FlightRuns),
 		graphs:  make(map[string]*residentGraph),
 		loads:   make(map[string]*graphLoad),
 	}
+	s.cache = newResultCache(cfg.CacheEntries, s.serving.AddCacheEncodedBytes)
 	if cfg.Durable != nil {
 		s.compactStop = make(chan struct{})
 		s.compactDone = make(chan struct{})
@@ -570,16 +572,9 @@ func (s *Server) query(ctx context.Context, req QueryRequest, start time.Time) (
 	}
 
 	key := cacheKey{graph: req.Graph, gen: rg.gen, program: req.Program, canonical: pq.Canonical, strategy: stratName, workers: workers}
-	resp := func(epoch uint64, cached bool, result any, st RunStats) *QueryResponse {
+	resp := func(epoch uint64, cached bool, v *cacheVal) *QueryResponse {
 		return &QueryResponse{Graph: req.Graph, Epoch: epoch, Program: req.Program,
-			Canonical: pq.Canonical, Cached: cached, Result: result, Stats: st}
-	}
-	hit := func(epoch uint64, v *cacheVal) *QueryResponse {
-		r := resp(epoch, true, v.result, v.stats)
-		if enc, err := v.encodedResult(); err == nil {
-			r.resultJSON = enc
-		}
-		return r
+			Canonical: pq.Canonical, Cached: cached, Result: v.result, Stats: v.stats, answer: v}
 	}
 
 	// Fast path: answer from the cache at the current epoch without
@@ -590,7 +585,7 @@ func (s *Server) query(ctx context.Context, req QueryRequest, start time.Time) (
 		rg.mu.RUnlock()
 		if v, ok := s.cache.get(key); ok {
 			s.flight.Event("cache-hit", req.Program+" "+pq.Canonical)
-			return hit(key.epoch, v), true, nil
+			return resp(key.epoch, true, v), true, nil
 		}
 	}
 
@@ -620,13 +615,11 @@ func (s *Server) query(ctx context.Context, req QueryRequest, start time.Time) (
 		runCtx = trace.WithLogger(runCtx, s.cfg.Logger)
 	}
 	type outcome struct {
-		epoch      uint64
-		cached     bool
-		result     any
-		resultJSON []byte
-		stats      RunStats
-		traceID    string
-		err        error
+		epoch   uint64
+		cached  bool
+		answer  *cacheVal
+		traceID string
+		err     error
 	}
 	done := make(chan outcome, 1)
 	go func() {
@@ -640,11 +633,7 @@ func (s *Server) query(ctx context.Context, req QueryRequest, start time.Time) (
 			if v, ok := s.cache.get(key); ok {
 				s.flight.Event("cache-hit", req.Program+" "+pq.Canonical)
 				rec.Release() // no run happened; recycle the unused recorder
-				o := outcome{epoch: key.epoch, cached: true, result: v.result, stats: v.stats}
-				if enc, err := v.encodedResult(); err == nil {
-					o.resultJSON = enc
-				}
-				done <- o
+				done <- outcome{epoch: key.epoch, cached: true, answer: v}
 				return
 			}
 		}
@@ -671,8 +660,9 @@ func (s *Server) query(ctx context.Context, req QueryRequest, start time.Time) (
 		s.flight.Add(rec)
 		s.serving.ObserveRun(req.Program, st)
 		rs := RunStats{Supersteps: st.Supersteps, Messages: st.Messages, Bytes: st.Bytes, WallMs: st.WallTime.Seconds() * 1e3}
-		s.cache.put(key, &cacheVal{result: res, stats: rs})
-		done <- outcome{epoch: key.epoch, result: res, stats: rs, traceID: traceID}
+		v := &cacheVal{result: res, stats: rs}
+		s.cache.put(key, v)
+		done <- outcome{epoch: key.epoch, answer: v, traceID: traceID}
 	}()
 
 	select {
@@ -680,8 +670,7 @@ func (s *Server) query(ctx context.Context, req QueryRequest, start time.Time) (
 		if out.err != nil {
 			return nil, false, out.err
 		}
-		r := resp(out.epoch, out.cached, out.result, out.stats)
-		r.resultJSON = out.resultJSON
+		r := resp(out.epoch, out.cached, out.answer)
 		r.TraceID = out.traceID
 		return r, out.cached, nil
 	case <-ctx.Done():
@@ -818,6 +807,7 @@ func (s *Server) applyBatchLocked(ctx context.Context, rg *residentGraph, e engi
 	// results are not trustworthy; the next batch starts a fresh session
 	// over the mutated base graph.
 	rg.epoch++
+	s.cache.dropBefore(rg.name, rg.gen, rg.epoch)
 	rg.lmu.Lock()
 	rg.layouts = make(map[layoutKey]*layoutSlot)
 	rg.lmu.Unlock()
