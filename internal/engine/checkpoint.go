@@ -34,8 +34,8 @@ type CheckpointStore interface {
 	AppendEpoch(step int, frame []byte) error
 }
 
-// ckptEpoch is one superstep's snapshot: the folded changes (in fold shard
-// order, exactly as buildRoute walked them) and the post-superstep
+// ckptEpoch is one superstep's snapshot: the folded changes (ascending by
+// node ID, exactly as buildRoute walked them) and the post-superstep
 // keep-active flag of every worker.
 type ckptEpoch[V any] struct {
 	recs   []changeRec[V]
@@ -57,14 +57,14 @@ func newCheckpoint[V any](spec VarSpec[V], layout *partition.Layout, store Check
 }
 
 // append snapshots superstep step from the just-completed fold. Steps are
-// sequential from 1; the fold's changed shards are copied (the fold reuses
+// sequential from 1; the fold's merged changes are copied (the fold reuses
 // its buffers next superstep), the stillActive set is flattened to a dense
 // flag slice.
 func (c *checkpoint[V]) append(step int, fold *foldState[V], stillActive map[int]bool) error {
 	if step != len(c.epochs)+1 {
 		return fmt.Errorf("engine: checkpoint epoch %d out of order (have %d)", step, len(c.epochs))
 	}
-	recs := slices.Concat(fold.changed...)
+	recs := slices.Clone(fold.merged)
 	active := make([]bool, len(c.layout.Fragments))
 	for w := range active {
 		active[w] = stillActive[w]
@@ -118,7 +118,6 @@ func (c *checkpoint[V]) replayFor(frag, through int) []replayStep[V] {
 		if len(batch) == 0 && !ep.active[frag] {
 			continue
 		}
-		sortUpdates(batch)
 		steps = append(steps, replayStep[V]{step: s, updates: batch})
 	}
 	return steps

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"grape/internal/graph"
@@ -35,12 +37,12 @@ type foldState[V any] struct {
 	n      int        //grapevet:keep construction-time shape: worker count is a property of the layout the scratch was built for
 	shards int        //grapevet:keep construction-time shape: derived from n at construction
 
-	global  []map[graph.ID]V   // best-known border values, by shard
-	pos     []map[graph.ID]int // scratch: id -> index into changed[s]
-	changed [][]changeRec[V]   // this superstep's folded changes, by shard
-	errs    []error            // per-shard fold errors (parallel path)
-	buckets [][]VarUpdate[V]   // n*shards scratch for the parallel fold
-	route   [][]VarUpdate[V]   // per-worker routing buffers
+	global  []map[graph.ID]V // best-known border values, by shard
+	changed [][]changeRec[V] // this superstep's folded changes, by shard
+	merged  []changeRec[V]   // the same across all shards, ascending by ID
+	errs    []error          // per-shard fold errors (parallel path)
+	buckets [][]VarUpdate[V] // n*shards scratch for the parallel fold
+	route   [][]VarUpdate[V] // per-worker routing buffers
 }
 
 func newFoldState[V any](spec VarSpec[V], n int) *foldState[V] {
@@ -53,7 +55,6 @@ func newFoldState[V any](spec VarSpec[V], n int) *foldState[V] {
 		n:       n,
 		shards:  s,
 		global:  make([]map[graph.ID]V, s),
-		pos:     make([]map[graph.ID]int, s),
 		changed: make([][]changeRec[V], s),
 		errs:    make([]error, s),
 		buckets: make([][]VarUpdate[V], n*s),
@@ -61,7 +62,6 @@ func newFoldState[V any](spec VarSpec[V], n int) *foldState[V] {
 	}
 	for i := 0; i < s; i++ {
 		fs.global[i] = make(map[graph.ID]V)
-		fs.pos[i] = make(map[graph.ID]int)
 	}
 	return fs
 }
@@ -110,7 +110,6 @@ func (f *foldState[V]) fold(replies []*workerReply[V], checkMono bool) error {
 	}
 	for s := 0; s < f.shards; s++ {
 		f.changed[s] = f.changed[s][:0]
-		clear(f.pos[s])
 		f.errs[s] = nil
 	}
 	if f.shards == 1 || total < parallelFoldThreshold {
@@ -124,6 +123,10 @@ func (f *foldState[V]) fold(replies []*workerReply[V], checkMono bool) error {
 				}
 			}
 		}
+		for s := range f.changed {
+			f.settle(s)
+		}
+		f.merge()
 		return nil
 	}
 	// Bucket phase: split each worker's (ID-sorted) report by shard, workers
@@ -162,6 +165,7 @@ func (f *foldState[V]) fold(replies []*workerReply[V], checkMono bool) error {
 					}
 				}
 			}
+			f.settle(s)
 		}(s)
 	}
 	wg.Wait()
@@ -170,21 +174,73 @@ func (f *foldState[V]) fold(replies []*workerReply[V], checkMono bool) error {
 			return err
 		}
 	}
+	f.merge()
 	return nil
 }
 
-// foldOne merges one reported value into shard s's state, recording the
-// change (and its winning worker) when the global value moves.
+// settle leaves shard s with one record per changed node, ordered by node ID.
+// foldOne appends a record per report that moved a value; sorted by node and,
+// within a node, by reporting worker — the fold order — the last record of a
+// node carries its final value and winner (a queue variable instead folds its
+// reports, in that order, and goes to the owner whoever reported first).
+func (f *foldState[V]) settle(s int) {
+	recs := f.changed[s]
+	slices.SortFunc(recs, func(a, b changeRec[V]) int {
+		if c := cmp.Compare(a.id, b.id); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.winner, b.winner)
+	})
+	out := recs[:0]
+	for _, r := range recs {
+		n := len(out)
+		again := n > 0 && out[n-1].id == r.id
+		switch {
+		case again && f.spec.Consume:
+			out[n-1].val = f.spec.Agg(out[n-1].val, r.val)
+		case again:
+			out[n-1] = r
+		case f.spec.Consume:
+			r.val = f.spec.Agg(f.spec.Default, r.val)
+			fallthrough
+		default:
+			out = append(out, r)
+		}
+	}
+	f.changed[s] = out
+}
+
+// merge interleaves the shards' change lists, each sorted by its shard's
+// goroutine, into one list ordered by node ID. Ordering the changes here,
+// once, is what orders every batch buildRoute deals out of them (and every
+// batch a checkpoint replays): a change fans out to each host of its node, so
+// sorting per destination would sort it that often, on the coordinator, while
+// every worker waits.
+func (f *foldState[V]) merge() {
+	f.merged = f.merged[:0]
+	heads := make([]int, len(f.changed)) // read position per shard
+	for {
+		best := -1
+		for s, recs := range f.changed {
+			if h := heads[s]; h < len(recs) && (best < 0 || recs[h].id < f.changed[best][heads[best]].id) {
+				best = s
+			}
+		}
+		if best < 0 {
+			return
+		}
+		f.merged = append(f.merged, f.changed[best][heads[best]])
+		heads[best]++
+	}
+}
+
+// foldOne merges one reported value into shard s's state and, when the
+// global value moves, appends the change and the worker that caused it.
 func (f *foldState[V]) foldOne(s, w int, u VarUpdate[V], checkMono bool) error {
 	if f.spec.Consume {
-		// queue semantics: fold this superstep's reports only, deliver to
-		// the owner; nothing persists at the coordinator
-		if p, ok := f.pos[s][u.ID]; ok {
-			f.changed[s][p].val = f.spec.Agg(f.changed[s][p].val, u.Val)
-			return nil
-		}
-		f.pos[s][u.ID] = len(f.changed[s])
-		f.changed[s] = append(f.changed[s], changeRec[V]{id: u.ID, val: f.spec.Agg(f.spec.Default, u.Val), winner: w})
+		// queue semantics: this superstep's reports alone are folded (by
+		// settle) and delivered to the owner; nothing persists here
+		f.changed[s] = append(f.changed[s], changeRec[V]{id: u.ID, val: u.Val, winner: w})
 		return nil
 	}
 	old, has := f.global[s][u.ID]
@@ -199,12 +255,6 @@ func (f *foldState[V]) foldOne(s, w int, u VarUpdate[V], checkMono bool) error {
 		return fmt.Errorf("engine: node %d: %v -> %v: %w", u.ID, old, merged, ErrNotMonotonic)
 	}
 	f.global[s][u.ID] = merged
-	if p, ok := f.pos[s][u.ID]; ok {
-		f.changed[s][p].val = merged
-		f.changed[s][p].winner = w
-		return nil
-	}
-	f.pos[s][u.ID] = len(f.changed[s])
 	f.changed[s] = append(f.changed[s], changeRec[V]{id: u.ID, val: merged, winner: w})
 	return nil
 }
@@ -212,33 +262,31 @@ func (f *foldState[V]) foldOne(s, w int, u VarUpdate[V], checkMono bool) error {
 // buildRoute turns the folded changes into per-worker update batches: each
 // changed value goes to every fragment hosting the node except the winner
 // (queue variables go to the owner only: they are messages, not state).
-// Buffers are reused across supersteps — workers are done with the previous
-// batch before their replies reach the coordinator, so nothing aliases.
+// Batches come out ordered by node ID because the changes are. Buffers are
+// reused across supersteps — workers are done with the previous batch before
+// their replies reach the coordinator, so nothing aliases.
 // Returns the routing table (indexed by worker; empty slices mean "not
 // scheduled") and the number of workers with pending updates.
 func (f *foldState[V]) buildRoute(layout *partition.Layout) ([][]VarUpdate[V], int) {
 	for w := 0; w < f.n; w++ {
 		f.route[w] = f.route[w][:0]
 	}
-	for s := 0; s < f.shards; s++ {
-		for _, rec := range f.changed[s] {
-			if f.spec.Consume {
-				o := layout.Asg.Owner(rec.id)
-				f.route[o] = append(f.route[o], VarUpdate[V]{ID: rec.id, Val: rec.val})
+	for _, rec := range f.merged {
+		if f.spec.Consume {
+			o := layout.Asg.Owner(rec.id)
+			f.route[o] = append(f.route[o], VarUpdate[V]{ID: rec.id, Val: rec.val})
+			continue
+		}
+		for _, h := range layout.Hosts(rec.id) {
+			if h == rec.winner {
 				continue
 			}
-			for _, h := range layout.Hosts(rec.id) {
-				if h == rec.winner {
-					continue
-				}
-				f.route[h] = append(f.route[h], VarUpdate[V]{ID: rec.id, Val: rec.val})
-			}
+			f.route[h] = append(f.route[h], VarUpdate[V]{ID: rec.id, Val: rec.val})
 		}
 	}
 	scheduled := 0
 	for w := 0; w < f.n; w++ {
 		if len(f.route[w]) > 0 {
-			sortUpdates(f.route[w])
 			scheduled++
 		}
 	}

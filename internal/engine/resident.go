@@ -78,10 +78,10 @@ func (r *Resident[Q, V, R]) Run(ctx context.Context, q Q) (R, *metrics.Stats, er
 func (f *foldState[V]) reset() {
 	for s := 0; s < f.shards; s++ {
 		clear(f.global[s])
-		clear(f.pos[s])
 		f.changed[s] = f.changed[s][:0]
 		f.errs[s] = nil
 	}
+	f.merged = f.merged[:0]
 	for i := range f.buckets {
 		f.buckets[i] = f.buckets[i][:0]
 	}

@@ -78,8 +78,11 @@ type Row struct {
 	SimSeconds float64
 	CommMB     float64
 	Messages   int64
-	Work       int64
-	Note       string
+	Work       int64 // total over all workers and supersteps
+	// CriticalWork is the busiest worker's work summed over the supersteps:
+	// the compute the cost model charges.
+	CriticalWork int64
+	Note         string
 }
 
 func (r Row) String() string {
@@ -97,15 +100,16 @@ func PrintRows(w io.Writer, title string, rows []Row) {
 
 func rowFromStats(system, category string, st *metrics.Stats, cm metrics.CostModel, note string) Row {
 	return Row{
-		System:     system,
-		Category:   category,
-		Workers:    st.Workers,
-		Supersteps: st.Supersteps,
-		SimSeconds: cm.SimSeconds(st),
-		CommMB:     st.MB(),
-		Messages:   st.Messages,
-		Work:       st.TotalWork(),
-		Note:       note,
+		System:       system,
+		Category:     category,
+		Workers:      st.Workers,
+		Supersteps:   st.Supersteps,
+		SimSeconds:   cm.SimSeconds(st),
+		CommMB:       st.MB(),
+		Messages:     st.Messages,
+		Work:         st.TotalWork(),
+		CriticalWork: st.CriticalWork(),
+		Note:         note,
 	}
 }
 

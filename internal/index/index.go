@@ -13,31 +13,30 @@ import (
 	"grape/internal/graph"
 )
 
-// Inverted maps each property string to the sorted vertices carrying it.
+// Inverted maps each property string to the vertices carrying it, by dense
+// vertex index of the indexed graph, ascending.
 type Inverted struct {
-	byKeyword map[string][]graph.ID
+	byKeyword map[string][]int32
 }
 
-// BuildInverted scans g's vertex properties once and builds the index. A
-// vertex carrying the same keyword multiple times is indexed once.
+// BuildInverted scans g's vertex properties once, in dense-index order, and
+// builds the index. A vertex carrying the same keyword multiple times is
+// indexed once: its repeats would sit at the tail of the keyword's list.
 func BuildInverted(g *graph.Graph) *Inverted {
-	ix := &Inverted{byKeyword: make(map[string][]graph.ID)}
-	for _, v := range g.SortedVertices() {
-		seen := map[string]bool{}
-		for _, p := range g.Props(v) {
-			if seen[p] {
-				continue
+	ix := &Inverted{byKeyword: make(map[string][]int32)}
+	for i := int32(0); int(i) < g.NumVertices(); i++ {
+		for _, p := range g.PropsAt(i) {
+			if l := ix.byKeyword[p]; len(l) == 0 || l[len(l)-1] != i {
+				ix.byKeyword[p] = append(l, i)
 			}
-			seen[p] = true
-			ix.byKeyword[p] = append(ix.byKeyword[p], v)
 		}
 	}
 	return ix
 }
 
-// Lookup returns the vertices carrying keyword w (sorted, shared slice —
-// callers must not mutate).
-func (ix *Inverted) Lookup(w string) []graph.ID { return ix.byKeyword[w] }
+// Lookup returns the dense indices of the vertices carrying keyword w
+// (ascending, shared slice — callers must not mutate).
+func (ix *Inverted) Lookup(w string) []int32 { return ix.byKeyword[w] }
 
 // Keywords returns all indexed keywords, sorted.
 func (ix *Inverted) Keywords() []string {

@@ -14,10 +14,10 @@ func TestInvertedAgainstScan(t *testing.T) {
 	gen.AttachKeywords(g, vocab, 2, 0.3, 5)
 	ix := BuildInverted(g)
 	for _, w := range vocab {
-		var want []graph.ID
-		for _, v := range g.SortedVertices() {
+		var want []int32
+		for i, v := range g.Vertices() {
 			if seq.HasKeyword(g, v, w) {
-				want = append(want, v)
+				want = append(want, int32(i))
 			}
 		}
 		got := ix.Lookup(w)
@@ -38,11 +38,14 @@ func TestInvertedAgainstScan(t *testing.T) {
 func TestInvertedKeywordsSorted(t *testing.T) {
 	g := graph.New()
 	g.AddVertex(1, "")
-	g.SetProps(1, []string{"zebra", "apple"})
+	g.SetProps(1, []string{"zebra", "apple", "zebra"})
 	ix := BuildInverted(g)
 	ws := ix.Keywords()
 	if len(ws) != 2 || ws[0] != "apple" || ws[1] != "zebra" {
 		t.Fatalf("keywords not sorted: %v", ws)
+	}
+	if got := ix.Lookup("zebra"); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("a repeated keyword must index its vertex once, got %v", got)
 	}
 }
 

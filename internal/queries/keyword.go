@@ -1,8 +1,10 @@
 package queries
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -28,12 +30,18 @@ type KeywordQuery struct {
 // query keyword; vectors shrink element-wise (aggregate: element-wise min),
 // so the computation is monotonic.
 //
+// A worker relaxes on one flat n×|k| array of working distances (kwState, in
+// ctx.State) and the node variables hold what it has published: at the end of
+// a superstep every row that dropped is copied once, out of one slab, into
+// its variable — from where the engine ships border rows — so a relaxation
+// allocates nothing and a published vector is never written again.
+//
 //	PEval    — per keyword, multi-source Dijkstra from the local keyword
 //	           holders relaxing along in-edges (propagating "I can reach
 //	           keyword k at cost d" to predecessors). Holders are found via
 //	           the inverted index when enabled.
-//	IncEval  — bounded incremental relaxation from the border nodes whose
-//	           vectors shrank.
+//	IncEval  — bounded incremental relaxation: keyword k is re-relaxed from
+//	           exactly the nodes whose k-th component a message lowered.
 //	Assemble — roots whose vectors are within the bound, ranked by total
 //	           distance.
 type Keyword struct{}
@@ -41,17 +49,13 @@ type Keyword struct{}
 // Name implements engine.Program.
 func (Keyword) Name() string { return "keyword" }
 
-// kwVec is a keyword-distance vector; nil means "all unreached".
+// kwVec is a keyword-distance vector; nil means "all unreached". Vectors are
+// immutable once published: the fold, the routing buffers and every host's
+// variables share them.
 type kwVec = []float64
 
 // Spec implements engine.Program: vectors over (ℝ≥0 ∪ {∞}, min, <) pointwise.
 func (Keyword) Spec() engine.VarSpec[kwVec] {
-	at := func(v kwVec, i int) float64 {
-		if v == nil {
-			return seq.Inf
-		}
-		return v[i]
-	}
 	return engine.VarSpec[kwVec]{
 		Default: nil,
 		Agg: func(a, b kwVec) kwVec {
@@ -61,12 +65,25 @@ func (Keyword) Spec() engine.VarSpec[kwVec] {
 			if b == nil {
 				return a
 			}
+			// The pointwise min is one of the two whenever that one is
+			// nowhere larger — nearly always — and then needs no new vector.
+			aMin, bMin := true, true
+			for i := range a {
+				if a[i] > b[i] {
+					aMin = false
+				} else if a[i] < b[i] {
+					bMin = false
+				}
+			}
+			if aMin {
+				return a
+			}
+			if bMin {
+				return b
+			}
 			out := make(kwVec, len(a))
 			for i := range a {
-				out[i] = at(a, i)
-				if bi := at(b, i); bi < out[i] {
-					out[i] = bi
-				}
+				out[i] = min(a[i], b[i])
 			}
 			return out
 		},
@@ -104,161 +121,167 @@ func (Keyword) Spec() engine.VarSpec[kwVec] {
 	}
 }
 
-// kwSlot adapts the vector variables to seq.RelaxEdges's scalar interface
-// for the thawed fallback path. The ID is resolved to its dense index once
-// per access and the ...At accessors do the rest — the old Get-then-Set
-// spelling hashed twice per relaxation. Vertices outside the fragment graph
-// (the overflow map) keep the sparse path; relaxation never produces them.
-func kwSlot(ctx *engine.Context[kwVec], nk, k int) (get func(graph.ID) float64, set func(graph.ID, float64)) {
-	g := ctx.Frag.G
-	get = func(id graph.ID) float64 {
-		var v kwVec
-		if i, ok := g.Index(id); ok {
-			v = ctx.GetAt(i)
-		} else {
-			v = ctx.Get(id)
-		}
-		if v == nil {
-			return seq.Inf
-		}
-		return v[k]
-	}
-	set = func(id graph.ID, d float64) {
-		i, ok := g.Index(id)
-		var old kwVec
-		if ok {
-			old = ctx.GetAt(i)
-		} else {
-			old = ctx.Get(id)
-		}
-		nv := make(kwVec, nk)
-		for j := range nv {
-			if old == nil {
-				nv[j] = seq.Inf
-			} else {
-				nv[j] = old[j]
-			}
-		}
-		nv[k] = d
-		if ok {
-			ctx.SetAt(i, nv)
-		} else {
-			ctx.Set(id, nv)
-		}
-	}
-	return get, set
+// kwState is a worker's working state across supersteps: row i of dist (nk
+// entries) holds the distances of the vertex at dense index i, ∞ where
+// unreached. Between supersteps every row equals its published variable.
+type kwState struct {
+	nk      int
+	dist    []float64
+	lowered []bool    // by dense index: the row dropped since the last publish
+	rows    []int32   // the lowered rows, in the order they first dropped
+	seeds   [][]int32 // per keyword: nodes the next relaxation starts from
 }
 
-// kwSlotAt is kwSlot addressed by dense vertex index, for seq.RelaxIdx over
-// frozen fragment graphs.
-func kwSlotAt(ctx *engine.Context[kwVec], nk, k int) (get func(int32) float64, set func(int32, float64)) {
-	get = func(i int32) float64 {
-		v := ctx.GetAt(i)
-		if v == nil {
-			return seq.Inf
-		}
-		return v[k]
+// grow extends the state to n vertices (a session update may append outer
+// copies to the fragment graph); new rows are unreached.
+func (st *kwState) grow(n int) {
+	have := len(st.lowered)
+	if n <= have {
+		return
 	}
-	set = func(i int32, d float64) {
-		old := ctx.GetAt(i)
-		nv := make(kwVec, nk)
-		for j := range nv {
-			if old == nil {
-				nv[j] = seq.Inf
-			} else {
-				nv[j] = old[j]
-			}
-		}
-		nv[k] = d
-		ctx.SetAt(i, nv)
+	st.lowered = append(st.lowered, make([]bool, n-have)...)
+	st.dist = slices.Grow(st.dist, (n-have)*st.nk)[:n*st.nk]
+	for i := have * st.nk; i < len(st.dist); i++ {
+		st.dist[i] = seq.Inf
 	}
-	return get, set
+}
+
+// row returns the working distances of the vertex at dense index i.
+func (st *kwState) row(i int32) []float64 { return st.dist[int(i)*st.nk : (int(i)+1)*st.nk] }
+
+// lower sets component k of row i to the smaller d and notes the row for the
+// next publish.
+func (st *kwState) lower(i int32, k int, d float64) {
+	st.row(i)[k] = d
+	if !st.lowered[i] {
+		st.lowered[i] = true
+		st.rows = append(st.rows, i)
+	}
+}
+
+// relax runs keyword k's relaxation from its queued seeds along the
+// in-edges of g, on the CSR form when g is frozen, and returns the work.
+func (st *kwState) relax(g *graph.Graph, k int) int64 {
+	seeds := st.seeds[k]
+	st.seeds[k] = seeds[:0]
+	if len(seeds) == 0 {
+		return 0
+	}
+	get := func(i int32) float64 { return st.row(i)[k] }
+	set := func(i int32, d float64) { st.lower(i, k, d) }
+	if g.Frozen() {
+		return seq.RelaxIdx(g, true, seeds, get, set)
+	}
+	// A session update thawed the fragment graph: same state, sparse walk.
+	at := func(id graph.ID) int32 { i, _ := g.Index(id); return i }
+	ids := make([]graph.ID, len(seeds))
+	for j, s := range seeds {
+		ids[j] = g.IDAt(s)
+	}
+	return seq.RelaxEdges(g, g.In, ids,
+		func(id graph.ID) float64 { return get(at(id)) },
+		func(id graph.ID, d float64) { set(at(id), d) })
+}
+
+// publish copies every lowered row into its node variable, one copy each,
+// carved from a slab allocated for this superstep.
+func (st *kwState) publish(ctx *engine.Context[kwVec]) {
+	nk := st.nk
+	slab := make([]float64, len(st.rows)*nk)
+	for j, i := range st.rows {
+		pub := slab[j*nk : (j+1)*nk : (j+1)*nk]
+		copy(pub, st.row(i))
+		ctx.SetAt(i, pub)
+		st.lowered[i] = false
+	}
+	st.rows = st.rows[:0]
 }
 
 // PEval implements engine.Program.
 func (Keyword) PEval(q KeywordQuery, ctx *engine.Context[kwVec]) error {
-	if len(q.Keywords) == 0 {
+	nk := len(q.Keywords)
+	if nk == 0 {
 		return fmt.Errorf("keyword: empty keyword list")
 	}
-	f := ctx.Frag
+	g := ctx.Frag.G
+	n := g.NumVertices()
+	st := &kwState{nk: nk, seeds: make([][]int32, nk)}
+	st.grow(n)
+	ctx.State = st
 	var inv *index.Inverted
 	if q.UseIndex {
-		inv = index.BuildInverted(f.G)
-		ctx.AddWork(int64(f.G.NumVertices())) // one-time index build
+		inv = index.BuildInverted(g)
+		ctx.AddWork(int64(n)) // one-time index build
 	}
-	frozen := f.G.Frozen()
 	for k, w := range q.Keywords {
-		var seeds []graph.ID
 		if inv != nil {
-			seeds = inv.Lookup(w)
+			st.seeds[k] = append(st.seeds[k], inv.Lookup(w)...)
 			ctx.AddWork(1)
 		} else {
-			for _, v := range f.G.Vertices() {
-				ctx.AddWork(1)
-				if seq.HasKeyword(f.G, v, w) {
-					seeds = append(seeds, v)
+			ctx.AddWork(int64(n))
+			for i := int32(0); int(i) < n; i++ {
+				if slices.Contains(g.PropsAt(i), w) {
+					st.seeds[k] = append(st.seeds[k], i)
 				}
 			}
 		}
-		if frozen {
-			// Dense path: seeds resolve to dense indices once, the per-edge
-			// relaxation then runs hash-free along the reverse CSR.
-			g := f.G
-			sidx := make([]int32, 0, len(seeds))
-			for _, s := range seeds {
-				if i, ok := g.Index(s); ok {
-					sidx = append(sidx, i)
-				}
-			}
-			get, set := kwSlotAt(ctx, len(q.Keywords), k)
-			for _, s := range sidx {
-				set(s, 0)
-			}
-			ctx.AddWork(seq.RelaxIdx(g, true, sidx, get, set))
-			continue
+		for _, s := range st.seeds[k] {
+			st.lower(s, k, 0)
 		}
-		get, set := kwSlot(ctx, len(q.Keywords), k)
-		for _, s := range seeds {
-			set(s, 0)
-		}
-		work := seq.RelaxEdges(f.G, f.G.In, seeds, get, set)
-		ctx.AddWork(work)
+		ctx.AddWork(st.relax(g, k))
 	}
+	st.publish(ctx)
 	return nil
 }
 
-// IncEval implements engine.Program.
+// IncEval implements engine.Program. The rows of the updated nodes are
+// brought level with their variables, queueing each node for exactly the
+// keywords whose component a message lowered (ApplyUpdate may have queued
+// more); then every keyword with seeds relaxes.
 func (Keyword) IncEval(q KeywordQuery, ctx *engine.Context[kwVec]) error {
-	f := ctx.Frag
-	if g := f.G; g.Frozen() {
-		updated := ctx.UpdatedAt()
-		for k := range q.Keywords {
-			get, set := kwSlotAt(ctx, len(q.Keywords), k)
-			ctx.AddWork(seq.RelaxIdx(g, true, updated, get, set))
+	st := ctx.State.(*kwState)
+	g := ctx.Frag.G
+	st.grow(g.NumVertices())
+	for _, i := range ctx.UpdatedAt() {
+		row := st.row(i)
+		for k, d := range ctx.GetAt(i) {
+			if d < row[k] {
+				row[k] = d
+				st.seeds[k] = append(st.seeds[k], i)
+			}
 		}
-		return nil
 	}
-	updated := ctx.Updated()
 	for k := range q.Keywords {
-		get, set := kwSlot(ctx, len(q.Keywords), k)
-		work := seq.RelaxEdges(f.G, f.G.In, updated, get, set)
-		ctx.AddWork(work)
+		ctx.AddWork(st.relax(g, k))
 	}
+	st.publish(ctx)
 	return nil
 }
 
 // ApplyUpdate implements engine.Updater: keyword distances relax along
 // reverse edges, so inserting (u, v) can only improve u (and its ancestors)
-// via v's vector. Seeding the next IncEval round at v re-relaxes exactly the
-// affected region; if v's vector is still unset (nil = all-∞), the new edge
-// cannot improve anything yet and there is nothing to seed.
+// via v's vector. Queueing v, for every keyword it reaches, as a seed of the
+// next IncEval round re-relaxes exactly the affected region; if v's vector is
+// still unset (nil = all-∞), the new edge cannot improve anything yet and
+// there is nothing to seed. v may be an outer copy the session added and
+// filled in a moment ago: its row is brought level with the variable first.
 func (Keyword) ApplyUpdate(q KeywordQuery, ctx *engine.Context[kwVec], upd engine.EdgeUpdate) ([]graph.ID, error) {
 	if upd.W < 0 {
 		return nil, fmt.Errorf("keyword: negative edge weight %g", upd.W)
 	}
-	//grapevet:keep once per update, not a vertex loop — GetAt would pay the same Index hash to resolve upd.To first
-	if ctx.Get(upd.To) == nil {
+	v, _ := ctx.Frag.G.Index(upd.To) // the session hosts both endpoints before it calls
+	vec := ctx.GetAt(v)
+	if vec == nil {
 		return nil, nil
+	}
+	st := ctx.State.(*kwState)
+	st.grow(ctx.Frag.G.NumVertices())
+	row := st.row(v)
+	for k, d := range vec {
+		row[k] = min(row[k], d)
+		if d < seq.Inf {
+			st.seeds[k] = append(st.seeds[k], v)
+		}
 	}
 	return []graph.ID{upd.To}, nil
 }
@@ -293,11 +316,11 @@ func (Keyword) Assemble(q KeywordQuery, ctxs []*engine.Context[kwVec]) ([]seq.Ke
 			out = append(out, m)
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score < out[j].Score
+	slices.SortFunc(out, func(a, b seq.KeywordMatch) int {
+		if c := cmp.Compare(a.Score, b.Score); c != 0 {
+			return c
 		}
-		return out[i].Root < out[j].Root
+		return cmp.Compare(a.Root, b.Root)
 	})
 	return out, nil
 }
@@ -310,11 +333,20 @@ func parseKeyword(query string) (KeywordQuery, error) {
 	if kv["k"] == "" {
 		return KeywordQuery{}, fmt.Errorf("keyword: missing k=<keywords>")
 	}
+	keywords := strings.Split(kv["k"], ",")
+	if slices.Contains(keywords, "") {
+		return KeywordQuery{}, fmt.Errorf("keyword: empty keyword in k=%q", kv["k"])
+	}
 	bound, err := strconv.ParseFloat(kv["bound"], 64)
 	if err != nil {
 		return KeywordQuery{}, fmt.Errorf("keyword: bad bound: %v", err)
 	}
-	return KeywordQuery{Keywords: strings.Split(kv["k"], ","), Bound: bound, UseIndex: kv["noindex"] == ""}, nil
+	// NaN compares false with every distance, so it would answer — and be
+	// cached — as an unbounded query; a negative bound admits no root.
+	if math.IsNaN(bound) || bound < 0 {
+		return KeywordQuery{}, fmt.Errorf("keyword: bound must be a number >= 0, got %q", kv["bound"])
+	}
+	return KeywordQuery{Keywords: keywords, Bound: bound, UseIndex: kv["noindex"] == ""}, nil
 }
 
 // canonicalKeyword keeps the keyword order as given — it determines the

@@ -3,6 +3,7 @@ package queries
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"grape/internal/engine"
@@ -97,5 +98,81 @@ func TestKeywordEmptyQueryRejected(t *testing.T) {
 	g := gen.ConnectedRandom(10, 20, 1)
 	if _, _, err := engine.Run(context.Background(), g, Keyword{}, KeywordQuery{}, engine.Options{Workers: 2}); err == nil {
 		t.Fatal("expected error for empty keyword list")
+	}
+}
+
+// TestKeywordParseRejectsUnanswerableQueries: a bound that is not a number
+// >= 0 and an empty keyword are parse errors, not fixpoints that return
+// nothing — or, for NaN, everything.
+func TestKeywordParseRejectsUnanswerableQueries(t *testing.T) {
+	e, err := engine.Lookup("keyword")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		query string
+		ok    bool
+	}{
+		{"k=db,graph bound=4", true},
+		{"k=db bound=0", true},
+		{"k=db bound=+Inf", true},
+		{"k=db,graph bound=NaN", false},
+		{"k=db,graph bound=nan", false},
+		{"k=db,graph bound=-1", false},
+		{"k=db,graph bound=-Inf", false},
+		{"k=db,,graph bound=4", false},
+		{"k=,db bound=4", false},
+		{"k=db, bound=4", false},
+		{"k=db", false},
+		{"bound=4", false},
+	} {
+		if _, err := e.Parse(c.query); (err == nil) != c.ok {
+			t.Errorf("Parse(%q): err = %v, want ok=%v", c.query, err, c.ok)
+		}
+	}
+}
+
+// TestKeywordEqualsSequentialExactly: on 1, 3 and 8 fragments under three
+// strategies the roots, their order and every distance equal
+// seq.KeywordSearch's bit for bit — both sides take the least fixpoint of the
+// same float equations, whatever the relaxation order.
+func TestKeywordEqualsSequentialExactly(t *testing.T) {
+	g := gen.PreferentialAttachment(1500, 4, 9)
+	gen.AttachKeywords(g, []string{"db", "graph", "ml"}, 2, 0.1, 9)
+	g.Freeze()
+	q := KeywordQuery{Keywords: []string{"db", "graph", "ml"}, Bound: 5, UseIndex: true}
+	want := seq.KeywordSearch(g, q.Keywords, q.Bound)
+	if len(want) < 100 {
+		t.Fatalf("test wants a populated answer, seq finds %d roots", len(want))
+	}
+	for _, strat := range []partition.Strategy{partition.Hash{}, partition.TwoD{Cols: 40}, partition.Range{}} {
+		for _, n := range []int{1, 3, 8} {
+			got, _, err := engine.Run(context.Background(), g, Keyword{}, q,
+				engine.Options{Workers: n, Strategy: strat, CheckMonotonic: true})
+			if err != nil {
+				t.Fatalf("%s/%d: %v", strat.Name(), n, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/%d: %d roots differ from seq's %d", strat.Name(), n, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestKeywordTrafficPinned holds the benchmark's keyword op (its social
+// graph at seed 1, 8 hash fragments) to the supersteps, messages and bytes it
+// took before the relaxation kept its distances in a flat array: what a worker
+// publishes per superstep is a property of the fixpoint, not of the kernel.
+func TestKeywordTrafficPinned(t *testing.T) {
+	g := gen.PreferentialAttachment(10000, 5, 1)
+	gen.AttachKeywords(g, []string{"db", "graph", "ml"}, 2, 0.05, 1)
+	g.Freeze()
+	q := KeywordQuery{Keywords: []string{"db", "graph"}, Bound: 4, UseIndex: true}
+	_, st, err := engine.Run(context.Background(), g, Keyword{}, q, engine.Options{Workers: 8, Strategy: partition.Hash{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Supersteps != 4 || st.Messages != 48 || st.Bytes != 1440264 {
+		t.Fatalf("supersteps %d, messages %d, bytes %d; want 4, 48, 1440264", st.Supersteps, st.Messages, st.Bytes)
 	}
 }

@@ -30,9 +30,12 @@ type SubIsoQuery struct {
 // with Options.ExpandHops = Radius(q) so fragments carry the d-hop
 // neighborhoods of their inner vertices, and
 //
-//	PEval    — a VF2-style sequential enumeration restricted to matches
-//	           whose anchor lands on an inner vertex (each match is counted
-//	           by exactly one fragment);
+//	PEval    — seq.SubIso's backtracking, rooted at the fragment's inner
+//	           vertices only (the anchor: each match is counted by exactly
+//	           one fragment) and extended from there through the adjacency
+//	           of already matched vertices, so its work follows what the
+//	           pattern reaches from the inner vertices, not the size of the
+//	           expanded fragment;
 //	IncEval  — nothing to do: no update parameters change, so the fixpoint
 //	           is reached after one superstep;
 //	Assemble — concatenates and sorts the per-fragment match lists.
@@ -84,16 +87,12 @@ func (SubIso) PEval(q SubIsoQuery, ctx *engine.Context[uint8]) error {
 		return fmt.Errorf("subiso: empty pattern")
 	}
 	f := ctx.Frag
-	opts := seq.SubIsoOptions{
+	matches, work := seq.SubIso(q.Pattern, f.G, seq.SubIsoOptions{
 		MaxMatches: q.MaxMatches,
+		AnchorAt:   f.IsInnerAt,
 		AnchorVar:  anchorOf(q.Pattern),
-	}
-	if f.G.Frozen() {
-		opts.AnchorAt = f.IsInnerAt
-	} else {
-		opts.Anchor = f.IsInner
-	}
-	matches, work := seq.SubIso(q.Pattern, f.G, opts)
+		AnchorIdx:  f.InnerIndices(),
+	})
 	ctx.AddWork(work)
 	ctx.Partial = matches
 	return nil
@@ -193,7 +192,7 @@ func (st *subIsoPatch) rematch(q SubIsoQuery, g *graph.Graph, region map[graph.I
 			delete(st.matches, k)
 		}
 	}
-	sub := inducedSubgraph(g, region)
+	sub := inducedSubgraph(g, region).Freeze() // ours alone: freeze it here, not a copy of it in SubIso
 	found, _ := seq.SubIso(q.Pattern, sub, seq.SubIsoOptions{})
 	for _, m := range found {
 		st.matches[matchKey(pv, m)] = m
@@ -339,7 +338,7 @@ func canonicalSubIso(q SubIsoQuery) string {
 
 func init() {
 	engine.Register(entry(SubIso{},
-		"subgraph isomorphism (VF2-style PEval on d-hop expanded fragments; single superstep)",
+		"subgraph isomorphism (neighbour-driven backtracking PEval on d-hop expanded fragments; single superstep)",
 		"pattern=<name> [max=<k>]",
 		parseSubIso, canonicalSubIso,
 		func(q SubIsoQuery) int { return (SubIso{}).Radius(q) }))

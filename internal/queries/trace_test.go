@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
+	"time"
 
 	"grape/internal/engine"
 	"grape/internal/gen"
@@ -123,6 +126,51 @@ func checkTrace(t *testing.T, run *trace.Run, supersteps, workers int, substrate
 		if !nested {
 			t.Fatalf("worker span %q [%d,%d] not nested in any superstep span", ev.Name, ev.Ts, ev.Ts+ev.Dur)
 		}
+	}
+}
+
+// TestStepSaysWhetherTheBarrierWaitWasBusy: a traced 8-fragment bus run
+// carries, per superstep, the summed worker time and the core count, and the
+// two bound the barrier wait from below — workers cannot have been busy for
+// longer than the cores were available. With that, "the barrier took 8× the
+// slowest worker" reads as 8 fragments queued on the cores, not as idling.
+func TestStepSaysWhetherTheBarrierWaitWasBusy(t *testing.T) {
+	// A parked worker's clock keeps running, so nothing may park one: the
+	// collector is off, and the graph small enough that no worker meets the
+	// scheduler's 10 ms time slice, race detector included.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	g := gen.PreferentialAttachment(1000, 5, 1)
+	gen.AttachKeywords(g, []string{"db", "graph", "ml"}, 2, 0.05, 1)
+	rec := trace.NewRecorder("busy")
+	defer rec.Release()
+	ctx := trace.WithRecorder(context.Background(), rec)
+	q := KeywordQuery{Keywords: []string{"db", "graph"}, Bound: 4, UseIndex: true}
+	if _, _, err := engine.Run(ctx, g, Keyword{}, q, engine.Options{Workers: 8, Strategy: partition.Hash{}}); err != nil {
+		t.Fatal(err)
+	}
+	run := rec.Snapshot()
+	if len(run.Steps) == 0 {
+		t.Fatal("no superstep spans recorded")
+	}
+	for _, s := range run.Steps {
+		var sum int64
+		for _, wt := range s.Workers {
+			sum += wt.ComputeNS + wt.ApplyNS
+		}
+		if s.WorkerNSSum != sum || s.Procs != runtime.GOMAXPROCS(0) {
+			t.Fatalf("step %d: worker_ns_sum %d (rows sum to %d), procs %d (GOMAXPROCS %d)", s.Step, s.WorkerNSSum, sum, s.Procs, runtime.GOMAXPROCS(0))
+		}
+		wait := s.Barrier.Sub(s.Start).Nanoseconds()
+		if floor := s.WorkerNSSum / int64(s.Procs); floor > wait+wait/2+int64(500*time.Microsecond) {
+			t.Errorf("step %d: workers were busy %d ns on %d cores, yet the barrier fell after %d ns", s.Step, s.WorkerNSSum, s.Procs, wait)
+		}
+	}
+	var buf bytes.Buffer
+	if err := trace.WriteChrome(&buf, run); err != nil {
+		t.Fatal(err)
+	}
+	if out := buf.String(); !strings.Contains(out, `"worker_ns_sum":`) || !strings.Contains(out, `"procs":`) {
+		t.Error("chrome export's superstep args lack worker_ns_sum / procs")
 	}
 }
 

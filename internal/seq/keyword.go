@@ -1,6 +1,7 @@
 package seq
 
 import (
+	"slices"
 	"sort"
 
 	"grape/internal/graph"
@@ -9,38 +10,52 @@ import (
 // HasKeyword reports whether vertex id of g carries keyword w among its
 // properties.
 func HasKeyword(g *graph.Graph, id graph.ID, w string) bool {
-	for _, p := range g.Props(id) {
-		if p == w {
-			return true
+	return slices.Contains(g.Props(id), w)
+}
+
+// keywordDist returns, by dense vertex index of the frozen graph g, the
+// weighted distance from every vertex to the nearest vertex carrying w
+// following out-edges (0 if it carries w itself, Inf if none is reachable).
+// It relaxes along in-edges from the holders — the textbook multi-source
+// Dijkstra on the reversed graph, over the CSR form.
+func keywordDist(g *graph.Graph, w string) []float64 {
+	dist := make([]float64, g.NumVertices())
+	var seeds []int32
+	for i := range dist {
+		dist[i] = Inf
+		if slices.Contains(g.PropsAt(int32(i)), w) {
+			dist[i] = 0
+			seeds = append(seeds, int32(i))
 		}
 	}
-	return false
+	RelaxIdx(g, true, seeds,
+		func(i int32) float64 { return dist[i] },
+		func(i int32, d float64) { dist[i] = d })
+	return dist
+}
+
+// frozen returns g in CSR form: g itself when already frozen, else a frozen
+// private copy (dense indices and IDs survive).
+func frozen(g *graph.Graph) *graph.Graph {
+	if g.Frozen() {
+		return g
+	}
+	return g.Clone().Freeze()
 }
 
 // KeywordDistances computes, for each keyword, the weighted distance from
 // every vertex v to the nearest vertex carrying that keyword following
-// out-edges (dist 0 if v itself carries it). It relaxes along in-edges from
-// the keyword holders — the textbook multi-source Dijkstra on the reversed
-// graph. Unreachable pairs are absent.
+// out-edges (dist 0 if v itself carries it). Unreachable pairs are absent.
 func KeywordDistances(g *graph.Graph, keywords []string) map[string]map[graph.ID]float64 {
+	g = frozen(g)
 	out := make(map[string]map[graph.ID]float64, len(keywords))
 	for _, w := range keywords {
 		dist := map[graph.ID]float64{}
-		var seeds []graph.ID
-		for _, v := range g.Vertices() {
-			if HasKeyword(g, v, w) {
-				dist[v] = 0
-				seeds = append(seeds, v)
+		for i, d := range keywordDist(g, w) {
+			if d < Inf {
+				dist[g.IDAt(int32(i))] = d
 			}
 		}
-		get := func(id graph.ID) float64 {
-			if d, ok := dist[id]; ok {
-				return d
-			}
-			return Inf
-		}
-		set := func(id graph.ID, d float64) { dist[id] = d }
-		RelaxEdges(g, g.In, seeds, get, set)
 		out[w] = dist
 	}
 	return out
@@ -59,23 +74,25 @@ type KeywordMatch struct {
 // reachable within bound, ranked by total distance — the demo's Keyword
 // query class.
 func KeywordSearch(g *graph.Graph, keywords []string, bound float64) []KeywordMatch {
-	dists := KeywordDistances(g, keywords)
+	g = frozen(g)
+	dists := make([][]float64, len(keywords))
+	for k, w := range keywords {
+		dists[k] = keywordDist(g, w)
+	}
 	var out []KeywordMatch
-	for _, v := range g.Vertices() {
-		m := KeywordMatch{Root: v, Dists: make([]float64, len(keywords))}
-		ok := true
-		for i, w := range keywords {
-			d, reach := dists[w][v]
-			if !reach || d > bound {
-				ok = false
-				break
+roots:
+	for i, v := range g.Vertices() {
+		for k := range keywords {
+			if d := dists[k][i]; d == Inf || d > bound {
+				continue roots
 			}
-			m.Dists[i] = d
-			m.Score += d
 		}
-		if ok {
-			out = append(out, m)
+		m := KeywordMatch{Root: v, Dists: make([]float64, len(keywords))}
+		for k := range keywords {
+			m.Dists[k] = dists[k][i]
+			m.Score += dists[k][i]
 		}
+		out = append(out, m)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Score != out[j].Score {

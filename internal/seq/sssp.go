@@ -10,7 +10,6 @@
 package seq
 
 import (
-	"container/heap"
 	"math"
 	"sync"
 
@@ -20,34 +19,52 @@ import (
 // Inf is the "unreached" distance.
 var Inf = math.Inf(1)
 
-// distHeap is a min-heap of (vertex, distance) entries for Dijkstra.
-type distHeap struct {
-	ids  []graph.ID
-	dist []float64
+// minHeap is the binary min-heap of (distance, key) entries behind every
+// relaxation: K is a vertex ID on the sparse path and a dense vertex index on
+// the frozen one. It is container/heap's sift-up / sift-down spelled out over
+// a typed slice — the same comparisons and swaps in the same order, so
+// entries of equal distance pop in the order they always did and the work
+// counts of Relax and RelaxIdx agree — without boxing every entry in an `any`.
+type minHeap[K any] []heapEntry[K]
+
+type heapEntry[K any] struct {
+	d float64
+	k K
 }
 
-func (h *distHeap) Len() int           { return len(h.ids) }
-func (h *distHeap) Less(i, j int) bool { return h.dist[i] < h.dist[j] }
-func (h *distHeap) Swap(i, j int) {
-	h.ids[i], h.ids[j] = h.ids[j], h.ids[i]
-	h.dist[i], h.dist[j] = h.dist[j], h.dist[i]
-}
-func (h *distHeap) Push(x any) {
-	e := x.(distEntry)
-	h.ids = append(h.ids, e.id)
-	h.dist = append(h.dist, e.d)
-}
-func (h *distHeap) Pop() any {
-	n := len(h.ids) - 1
-	e := distEntry{h.ids[n], h.dist[n]}
-	h.ids = h.ids[:n]
-	h.dist = h.dist[:n]
-	return e
+func (h *minHeap[K]) push(k K, d float64) {
+	s := append(*h, heapEntry[K]{d, k})
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !(s[j].d < s[i].d) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+	*h = s
 }
 
-type distEntry struct {
-	id graph.ID
-	d  float64
+func (h *minHeap[K]) pop() (K, float64) {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && s[r].d < s[j].d {
+			j = r
+		}
+		if !(s[j].d < s[i].d) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	*h = s[:n]
+	return s[n].k, s[n].d
 }
 
 // Relax runs Dijkstra-style label-correcting relaxation on g starting from
@@ -72,26 +89,26 @@ func Relax(g *graph.Graph, seeds []graph.ID, get func(graph.ID) float64, set fun
 // predecessors.
 func RelaxEdges(g *graph.Graph, edges func(graph.ID) []graph.Edge, seeds []graph.ID, get func(graph.ID) float64, set func(graph.ID, float64)) int64 {
 	var work int64
-	h := &distHeap{}
+	var h minHeap[graph.ID]
 	for _, s := range seeds {
 		if !g.Has(s) {
 			continue
 		}
-		heap.Push(h, distEntry{s, get(s)})
+		h.push(s, get(s))
 		work++
 	}
-	for h.Len() > 0 {
-		e := heap.Pop(h).(distEntry)
+	for len(h) > 0 {
+		id, d := h.pop()
 		work++
-		if e.d > get(e.id) { // stale entry
+		if d > get(id) { // stale entry
 			continue
 		}
-		for _, edge := range edges(e.id) {
+		for _, edge := range edges(id) {
 			work++
-			nd := e.d + edge.W
+			nd := d + edge.W
 			if nd < get(edge.To) {
 				set(edge.To, nd)
-				heap.Push(h, distEntry{edge.To, nd})
+				h.push(edge.To, nd)
 				work++
 			}
 		}
@@ -99,43 +116,10 @@ func RelaxEdges(g *graph.Graph, edges func(graph.ID) []graph.Edge, seeds []graph
 	return work
 }
 
-// idxHeap is distHeap over dense vertex indices, used by the frozen-graph
-// fast path. Ordering depends only on the distances, so it pops in exactly
-// the same sequence as the ID-keyed heap and the two paths spend identical
-// work.
-type idxHeap struct {
-	idx  []int32
-	dist []float64
-}
-
-func (h *idxHeap) Len() int           { return len(h.idx) }
-func (h *idxHeap) Less(i, j int) bool { return h.dist[i] < h.dist[j] }
-func (h *idxHeap) Swap(i, j int) {
-	h.idx[i], h.idx[j] = h.idx[j], h.idx[i]
-	h.dist[i], h.dist[j] = h.dist[j], h.dist[i]
-}
-func (h *idxHeap) Push(x any) {
-	e := x.(idxEntry)
-	h.idx = append(h.idx, e.i)
-	h.dist = append(h.dist, e.d)
-}
-func (h *idxHeap) Pop() any {
-	n := len(h.idx) - 1
-	e := idxEntry{h.idx[n], h.dist[n]}
-	h.idx = h.idx[:n]
-	h.dist = h.dist[:n]
-	return e
-}
-
-type idxEntry struct {
-	i int32
-	d float64
-}
-
 // idxHeapPool recycles relaxation heaps across RelaxIdx calls: the engine
 // invokes one relaxation per worker per superstep, and the heap's backing
-// arrays are the only allocation on that path.
-var idxHeapPool = sync.Pool{New: func() any { return &idxHeap{} }}
+// array is the only allocation on that path.
+var idxHeapPool = sync.Pool{New: func() any { return new(minHeap[int32]) }}
 
 // RelaxIdx is Relax over a frozen graph's CSR form: seeds, reads and writes
 // are addressed by dense vertex index and every edge hop lands on the packed
@@ -144,34 +128,33 @@ var idxHeapPool = sync.Pool{New: func() any { return &idxHeap{} }}
 // exactly.
 func RelaxIdx(g *graph.Graph, rev bool, seeds []int32, get func(int32) float64, set func(int32, float64)) int64 {
 	var work int64
-	h := idxHeapPool.Get().(*idxHeap)
+	h := idxHeapPool.Get().(*minHeap[int32])
 	defer func() {
-		h.idx = h.idx[:0]
-		h.dist = h.dist[:0]
+		*h = (*h)[:0]
 		idxHeapPool.Put(h)
 	}()
 	for _, s := range seeds {
-		heap.Push(h, idxEntry{s, get(s)})
+		h.push(s, get(s))
 		work++
 	}
-	for h.Len() > 0 {
-		e := heap.Pop(h).(idxEntry)
+	for len(*h) > 0 {
+		i, d := h.pop()
 		work++
-		if e.d > get(e.i) { // stale entry
+		if d > get(i) { // stale entry
 			continue
 		}
 		var edges []graph.DenseEdge
 		if rev {
-			edges = g.InAt(e.i)
+			edges = g.InAt(i)
 		} else {
-			edges = g.OutAt(e.i)
+			edges = g.OutAt(i)
 		}
 		for _, edge := range edges {
 			work++
-			nd := e.d + edge.W
+			nd := d + edge.W
 			if nd < get(edge.To) {
 				set(edge.To, nd)
-				heap.Push(h, idxEntry{edge.To, nd})
+				h.push(edge.To, nd)
 				work++
 			}
 		}

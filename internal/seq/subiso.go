@@ -1,6 +1,8 @@
 package seq
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"grape/internal/graph"
@@ -13,181 +15,174 @@ type Match map[graph.ID]graph.ID
 type SubIsoOptions struct {
 	// MaxMatches stops enumeration after this many embeddings (0 = no cap).
 	MaxMatches int
-	// Anchor, if non-nil, restricts matches of pattern vertex AnchorVar to
-	// data vertices for which Anchor returns true. The GRAPE SubIso PEval
-	// uses it to count each match exactly once across fragments: a match is
-	// owned by the fragment owning its anchor vertex.
-	Anchor    func(graph.ID) bool
+	// AnchorAt, if non-nil, restricts matches of pattern vertex AnchorVar to
+	// the data vertices, addressed by dense index, for which it returns
+	// true. The GRAPE SubIso PEval uses it to count each match exactly once
+	// across fragments: a match is owned by the fragment owning its anchor
+	// vertex.
+	AnchorAt  func(int32) bool
 	AnchorVar graph.ID
-	// AnchorAt is Anchor addressed by dense vertex index; the frozen-graph
-	// enumeration prefers it, skipping the index→ID→hash round trip per
-	// candidate. When nil, the frozen path falls back to Anchor.
-	AnchorAt func(int32) bool
+	// AnchorIdx is the index behind AnchorAt: the dense indices of exactly
+	// the vertices it accepts, in ascending vertex-ID order. When AnchorVar
+	// opens the matching order, enumeration starts from this list instead of
+	// testing every vertex of the graph — on a d-hop-expanded fragment the
+	// inner vertices are a fraction of it.
+	AnchorIdx []int32
 }
 
-// SubIso enumerates embeddings of pattern p into g via backtracking with
-// label/degree pruning — a VF2-flavored sequential algorithm. Pattern edges
-// must map to data edges with matching labels (empty pattern label matches
-// any); vertex labels must match exactly; the mapping is injective.
-// It returns the embeddings and the work spent (candidate tests).
+// pedge is a pattern edge between a position of the matching order and an
+// earlier, already bound one, resolved against the data graph's intern table.
+type pedge struct {
+	tpos int   // matching-order position of the bound endpoint
+	out  bool  // the data edge runs from the candidate to the bound vertex
+	lid  int32 // interned data label the edge must carry
+	any  bool  // empty pattern label matches every data edge
+}
+
+// SubIso enumerates embeddings of pattern p into g by backtracking along a
+// connectivity-aware matching order. Pattern edges must map to data edges
+// with matching labels (empty pattern label matches any); vertex labels must
+// match exactly; the mapping is injective.
+//
+// Only the first position of the order (and the first of every further
+// pattern component) is bound by scanning candidates. Every other position
+// has a pattern edge to a bound vertex, and is bound by walking that vertex's
+// adjacency — the smallest one, when several bound neighbours offer theirs —
+// and testing label, degree, anchor and the remaining pattern edges on those
+// few vertices: the binary-join step of a worst-case-optimal join, work
+// proportional to what the partial match reaches, not to |g| per position.
+// Candidates are visited in ascending vertex-ID order at every position, so
+// the embeddings, and their order under MaxMatches, are those of a full
+// candidate scan. Everything runs on dense indices and interned labels; a
+// thawed graph is frozen into a private copy first (dense indices survive).
+//
+// It returns the embeddings and the work spent (vertices and adjacency
+// entries examined).
 func SubIso(p, g *graph.Graph, opts SubIsoOptions) ([]Match, int64) {
-	var work int64
 	pv := orderPatternVertices(p)
-	if len(pv) == 0 {
+	np := len(pv)
+	if np == 0 {
 		return nil, 0
 	}
-	if g.Frozen() {
-		return subIsoIdx(p, g, pv, opts)
-	}
-	// Candidate sets per pattern vertex by label and degree.
-	cands := make(map[graph.ID][]graph.ID, len(pv))
-	for _, u := range pv {
-		var cs []graph.ID
-		for _, v := range g.SortedVertices() {
-			work++
-			if g.Label(v) != p.Label(u) {
-				continue
-			}
-			if g.OutDegree(v) < p.OutDegree(u) {
-				continue
-			}
-			if u == opts.AnchorVar && opts.Anchor != nil && !opts.Anchor(v) {
-				continue
-			}
-			cs = append(cs, v)
-		}
-		cands[u] = cs
-	}
-
-	var out []Match
-	assign := make(Match, len(pv))
-	used := make(map[graph.ID]bool, len(pv))
-
-	var rec func(i int) bool // returns false to abort (cap reached)
-	rec = func(i int) bool {
-		if i == len(pv) {
-			m := make(Match, len(assign))
-			for k, v := range assign {
-				m[k] = v
-			}
-			out = append(out, m)
-			return opts.MaxMatches == 0 || len(out) < opts.MaxMatches
-		}
-		u := pv[i]
-		for _, v := range cands[u] {
-			work++
-			if used[v] {
-				continue
-			}
-			if !edgesConsistent(p, g, assign, u, v) {
-				continue
-			}
-			assign[u] = v
-			used[v] = true
-			ok := rec(i + 1)
-			delete(assign, u)
-			delete(used, v)
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
-	rec(0)
-	return out, work
-}
-
-// subIsoIdx is the enumeration over a frozen data graph: candidates,
-// assignments and adjacency tests all run on dense vertex indices and
-// interned labels, so the backtracking inner loops are hash-free. Candidate
-// order, pruning decisions and work accounting match the sparse path
-// exactly, and the same embeddings come out in the same order.
-func subIsoIdx(p, g *graph.Graph, pv []graph.ID, opts SubIsoOptions) ([]Match, int64) {
-	var work int64
-	np := len(pv)
+	g = frozen(g)
 	pos := make(map[graph.ID]int, np) // pattern vertex -> matching-order position
 	for i, u := range pv {
 		pos[u] = i
 	}
-	// Pattern edges between position i and already-assigned positions (< i),
-	// with labels resolved against the data graph's intern table once.
-	type pedge struct {
-		tpos    int   // matching-order position of the other endpoint
-		lid     int32 // interned data label the edge must carry
-		any     bool  // empty pattern label matches every data edge
-		present bool  // the label occurs in the data graph at all
-	}
-	outChk := make([][]pedge, np)
-	inChk := make([][]pedge, np)
+	// Per position: the interned vertex label, the degree bound and the
+	// pattern edges towards earlier positions. A label the data graph does
+	// not carry at all ends the search here.
+	vlab := make([]int32, np)
+	minDeg := make([]int, np)
+	chk := make([][]pedge, np)
+	apos := -1 // position of the anchored pattern vertex
 	for i, u := range pv {
-		for _, pe := range p.Out(u) {
-			if j := pos[pe.To]; j < i {
-				e := pedge{tpos: j, any: pe.Label == ""}
-				e.lid, e.present = g.LabelID(pe.Label)
-				outChk[i] = append(outChk[i], e)
-			}
+		var ok bool
+		if vlab[i], ok = g.LabelID(p.Label(u)); !ok {
+			return nil, 0
 		}
-		for _, pe := range p.In(u) {
-			if j := pos[pe.To]; j < i {
-				e := pedge{tpos: j, any: pe.Label == ""}
-				e.lid, e.present = g.LabelID(pe.Label)
-				inChk[i] = append(inChk[i], e)
-			}
+		minDeg[i] = p.OutDegree(u)
+		if u == opts.AnchorVar && opts.AnchorAt != nil {
+			apos = i
 		}
-	}
-	// Candidate sets per position by interned label and CSR degree, in
-	// ascending vertex-ID order.
-	sorted := g.SortedIndices()
-	cands := make([][]int32, np)
-	for i, u := range pv {
-		plab, plabOK := g.LabelID(p.Label(u))
-		minDeg := p.OutDegree(u)
-		for _, vi := range sorted {
-			work++
-			if !plabOK || g.LabelIDAt(vi) != plab {
-				continue
-			}
-			if g.OutDegreeAt(vi) < minDeg {
-				continue
-			}
-			if u == opts.AnchorVar {
-				if opts.AnchorAt != nil {
-					if !opts.AnchorAt(vi) {
-						continue
-					}
-				} else if opts.Anchor != nil && !opts.Anchor(g.IDAt(vi)) {
+		for dir, pes := range [2][]graph.Edge{p.In(u), p.Out(u)} {
+			for _, pe := range pes {
+				j := pos[pe.To]
+				if j >= i {
 					continue
 				}
+				e := pedge{tpos: j, out: dir == 1, any: pe.Label == ""}
+				if e.lid, ok = g.LabelID(pe.Label); !ok && !e.any {
+					return nil, 0
+				}
+				chk[i] = append(chk[i], e)
 			}
-			cands[i] = append(cands[i], vi)
 		}
 	}
 
-	hasEdgeAt := func(from, to int32, e pedge) bool {
+	var work int64
+	assign := make([]int32, np)
+	fits := func(i int, v int32, anchored bool) bool {
+		return g.LabelIDAt(v) == vlab[i] && g.OutDegreeAt(v) >= minDeg[i] &&
+			(!anchored || opts.AnchorAt(v))
+	}
+	// adjacent returns the adjacency of e's bound endpoint in which a
+	// candidate for the other endpoint must appear.
+	adjacent := func(e pedge) []graph.DenseEdge {
+		if e.out {
+			return g.InAt(assign[e.tpos])
+		}
+		return g.OutAt(assign[e.tpos])
+	}
+	hasEdge := func(e pedge, v int32) bool {
+		from, to := assign[e.tpos], v
+		if e.out {
+			from, to = to, from
+		}
 		for _, ge := range g.OutAt(from) {
-			if ge.To == to && (e.any || (e.present && ge.Label == e.lid)) {
+			if ge.To == to && (e.any || ge.Label == e.lid) {
 				return true
 			}
 		}
 		return false
 	}
-	consistent := func(i int, v int32, assign []int32) bool {
-		for _, e := range outChk[i] {
-			if !hasEdgeAt(v, assign[e.tpos], e) {
-				return false
+	byID := func(a, b int32) int { return cmp.Compare(g.IDAt(a), g.IDAt(b)) }
+
+	// scanned holds the candidates of the positions without a bound
+	// neighbour, which do not depend on the partial match: the anchor index
+	// when it applies, else every vertex, in ascending-ID order either way.
+	scanned := make([][]int32, np)
+	for i := range pv {
+		if len(chk[i]) > 0 {
+			continue
+		}
+		all, anchored := opts.AnchorIdx, false
+		if i != apos || all == nil {
+			all, anchored = g.SortedIndices(), i == apos
+		}
+		work += int64(len(all))
+		for _, v := range all {
+			if fits(i, v, anchored) {
+				scanned[i] = append(scanned[i], v)
 			}
 		}
-		for _, e := range inChk[i] {
-			if !hasEdgeAt(assign[e.tpos], v, e) {
-				return false
+	}
+	// candidates lists, in ascending-ID order, the vertices position i can
+	// take given assign[:i]; buf[i] is the position's scratch, free again
+	// once its loop in rec ends.
+	buf := make([][]int32, np)
+	candidates := func(i int) []int32 {
+		if len(chk[i]) == 0 {
+			return scanned[i]
+		}
+		pivot, adj := 0, adjacent(chk[i][0])
+		for k, e := range chk[i][1:] {
+			if a := adjacent(e); len(a) < len(adj) {
+				pivot, adj = k+1, a
 			}
 		}
-		return true
+		work += int64(len(adj))
+		cs := buf[i][:0]
+	next:
+		for _, ge := range adj {
+			v := ge.To
+			if e := chk[i][pivot]; !(e.any || ge.Label == e.lid) || !fits(i, v, i == apos) {
+				continue
+			}
+			for k, e := range chk[i] {
+				if k != pivot && !hasEdge(e, v) {
+					continue next
+				}
+			}
+			cs = append(cs, v)
+		}
+		slices.SortFunc(cs, byID)
+		cs = slices.Compact(cs) // parallel data edges list a neighbour twice
+		buf[i] = cs
+		return cs
 	}
 
 	var out []Match
-	assign := make([]int32, np)
-	used := make([]bool, g.NumVertices())
 	var rec func(i int) bool // returns false to abort (cap reached)
 	rec = func(i int) bool {
 		if i == np {
@@ -198,19 +193,13 @@ func subIsoIdx(p, g *graph.Graph, pv []graph.ID, opts SubIsoOptions) ([]Match, i
 			out = append(out, m)
 			return opts.MaxMatches == 0 || len(out) < opts.MaxMatches
 		}
-		for _, v := range cands[i] {
+		for _, v := range candidates(i) {
 			work++
-			if used[v] {
-				continue
-			}
-			if !consistent(i, v, assign) {
+			if slices.Contains(assign[:i], v) {
 				continue
 			}
 			assign[i] = v
-			used[v] = true
-			ok := rec(i + 1)
-			used[v] = false
-			if !ok {
+			if !rec(i + 1) {
 				return false
 			}
 		}
@@ -220,39 +209,10 @@ func subIsoIdx(p, g *graph.Graph, pv []graph.ID, opts SubIsoOptions) ([]Match, i
 	return out, work
 }
 
-// edgesConsistent checks every pattern edge between u and already-assigned
-// pattern vertices against the data graph.
-func edgesConsistent(p, g *graph.Graph, assign Match, u, v graph.ID) bool {
-	for _, pe := range p.Out(u) {
-		if w, ok := assign[pe.To]; ok {
-			if !hasEdge(g, v, w, pe.Label) {
-				return false
-			}
-		}
-	}
-	for _, pe := range p.In(u) {
-		if w, ok := assign[pe.To]; ok {
-			if !hasEdge(g, w, v, pe.Label) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func hasEdge(g *graph.Graph, from, to graph.ID, label string) bool {
-	for _, e := range g.Out(from) {
-		if e.To == to && (label == "" || label == e.Label) {
-			return true
-		}
-	}
-	return false
-}
-
 // orderPatternVertices returns p's vertices in a connectivity-aware matching
 // order: start from the vertex with the most edges, then repeatedly pick the
-// unvisited vertex most connected to the visited set. Connected orders let
-// edgesConsistent prune early.
+// unvisited vertex most connected to the visited set. In a connected order
+// every position after the first has a bound neighbour to be reached through.
 func orderPatternVertices(p *graph.Graph) []graph.ID {
 	vs := p.SortedVertices()
 	if len(vs) == 0 {

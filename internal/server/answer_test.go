@@ -352,6 +352,34 @@ func TestRequestBodiesAreParsedStrictly(t *testing.T) {
 	}
 }
 
+// TestKeywordQueriesAreValidated: the keyword queries that cannot be answered
+// as meant are 400s, the second time as the first — nothing of them is cached.
+func TestKeywordQueriesAreValidated(t *testing.T) {
+	s := New(Config{Workers: 2, Strategy: "hash"})
+	g := gen.ConnectedRandom(60, 180, 3)
+	gen.AttachKeywords(g, []string{"db", "graph"}, 2, 0.3, 3)
+	if err := s.AddGraph("social", g); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	for _, c := range []struct {
+		query  string
+		status int
+	}{
+		{"k=db,graph bound=4", http.StatusOK},
+		{"k=db,graph bound=NaN", http.StatusBadRequest},
+		{"k=db,graph bound=-1", http.StatusBadRequest},
+		{"k=db,,graph bound=4", http.StatusBadRequest},
+	} {
+		body, _ := json.Marshal(QueryRequest{Graph: "social", Program: "keyword", Query: c.query})
+		for try := 1; try <= 2; try++ {
+			if rec := post(h, "/query", body); rec.Code != c.status {
+				t.Errorf("%q, try %d: status %d, want %d\n%.200s", c.query, try, rec.Code, c.status, rec.Body)
+			}
+		}
+	}
+}
+
 // TestMutationDropsSupersededAnswers: once a graph's epoch moves on, no key
 // names the answers computed before it; the mutation drops them — results,
 // encodings and all — and leaves other graphs' answers alone.

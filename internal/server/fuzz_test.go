@@ -22,6 +22,11 @@ func FuzzQueryBody(f *testing.F) {
 		`{"graph":"road","program":"sssp","query":"source=0","edges":[{"from":1,"to":2,"w":2}]}`,
 		// the un-encodable answer: NaN factors from a diverged cf run
 		`{"graph":"r","program":"cf","query":"lr=50 epochs=30"}`,
+		// keyword queries Parse must refuse: a NaN bound (answered, and cached,
+		// as an unbounded query), a negative one, an empty keyword
+		`{"graph":"road","program":"keyword","query":"k=db,graph bound=NaN"}`,
+		`{"graph":"road","program":"keyword","query":"k=db,graph bound=-1"}`,
+		`{"graph":"road","program":"keyword","query":"k=db,,graph bound=4"}`,
 		// loosely parsed bodies: a second value, trailing garbage
 		`{"graph":"road","program":"cc","query":""}{"graph":"nope"}`,
 		`{"graph":"road","program":"cc","query":""} trailing garbage`,

@@ -105,7 +105,7 @@ func runEvents(run *Run, pid int, us func(t time.Time) int64) []chromeEvent {
 		ev = append(ev, chromeEvent{
 			Name: fmt.Sprintf("superstep %d", s.Step), Ph: "X", Pid: pid, Tid: 0,
 			Ts: start, Dur: sEnd - start,
-			Args: map[string]any{"scheduled": s.Sched},
+			Args: map[string]any{"scheduled": s.Sched, "worker_ns_sum": s.WorkerNSSum, "procs": s.Procs},
 		})
 		// Coordinator-view phases: compute ends at the slowest worker's
 		// self-reported busy time (clamped to the barrier), the remainder

@@ -16,6 +16,7 @@ package trace
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"time"
 )
@@ -35,13 +36,23 @@ type Run struct {
 // Step is one superstep span. Start..Barrier covers worker compute plus
 // message delivery (the coordinator is draining replies); Barrier..End is the
 // coordinator-side fold and routing of the next superstep's updates.
+//
+// WorkerNSSum and Procs say what the wait for the barrier was: bus workers
+// share Procs cores, so when Barrier−Start is about WorkerNSSum ÷ Procs the
+// cores were busy with other fragments the whole time, and only what exceeds
+// that was delivery, scheduling or idling. (Wire workers have cores of their
+// own; there the slowest worker is the floor. Worker times are wall clocks: one
+// the runtime parks mid-step — garbage collection, a step past the 10 ms time
+// slice — keeps counting, so the quotient is an upper bound on busy cores.)
 type Step struct {
-	Step    int            `json:"step"`
-	Sched   int            `json:"scheduled"` // workers dispatched this superstep
-	Start   time.Time      `json:"start"`
-	Barrier time.Time      `json:"barrier"` // last worker reply accepted
-	End     time.Time      `json:"end"`     // fold + route done
-	Workers []WorkerTiming `json:"workers,omitempty"`
+	Step        int            `json:"step"`
+	Sched       int            `json:"scheduled"` // workers dispatched this superstep
+	Start       time.Time      `json:"start"`
+	Barrier     time.Time      `json:"barrier"`       // last worker reply accepted
+	End         time.Time      `json:"end"`           // fold + route done
+	WorkerNSSum int64          `json:"worker_ns_sum"` // Σ over Workers of compute + apply
+	Procs       int            `json:"procs"`         // GOMAXPROCS of the recording process
+	Workers     []WorkerTiming `json:"workers,omitempty"`
 }
 
 // WorkerTiming is one worker's self-reported phase split for a superstep,
@@ -151,7 +162,7 @@ func (r *Recorder) BeginStep(step, sched int) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.run.Steps = append(r.run.Steps, Step{Step: step, Sched: sched, Start: time.Now()})
+	r.run.Steps = append(r.run.Steps, Step{Step: step, Sched: sched, Start: time.Now(), Procs: runtime.GOMAXPROCS(0)})
 	r.open = len(r.run.Steps) - 1
 }
 
@@ -177,6 +188,7 @@ func (r *Recorder) WorkerTiming(step, worker int, computeNS, applyNS int64) {
 	defer r.mu.Unlock()
 	if s := r.openStep(step); s != nil {
 		s.Workers = append(s.Workers, WorkerTiming{Worker: worker, ComputeNS: computeNS, ApplyNS: applyNS})
+		s.WorkerNSSum += computeNS + applyNS
 	}
 }
 
