@@ -269,6 +269,10 @@ func buildBlocks(g *graph.Graph, asg *partition.Assignment, blocksPerWorker int)
 		}
 	}
 	assigned := make([]bool, nv)
+	var bld *graph.SubgraphBuilder
+	if frozen && g.Directed() {
+		bld = graph.NewSubgraphBuilder(g)
+	}
 	var blocks []*Block
 	for w, idxs := range parts {
 		target := (len(idxs) + blocksPerWorker - 1) / blocksPerWorker
@@ -307,19 +311,7 @@ func buildBlocks(g *graph.Graph, asg *partition.Assignment, blocksPerWorker int)
 			}
 			// induced subgraph with out-edges (targets may leave the block)
 			if frozen && g.Directed() {
-				bld := graph.NewSubgraphBuilder(g, 2*len(b.gIdx))
-				for _, u := range b.gIdx {
-					bld.AddVertex(u)
-				}
-				for _, u := range b.gIdx {
-					for _, e := range g.OutAt(u) {
-						if !bld.Has(e.To) {
-							bld.AddVertex(e.To)
-						}
-						bld.AddEdge(u, e)
-					}
-				}
-				b.Sub = bld.Finish()
+				b.Sub = bld.Subgraph(b.gIdx, nil)
 			} else {
 				sub := graph.New()
 				for _, u := range b.Vertices {

@@ -284,6 +284,55 @@ func TestWorkerHonorsPropagatedDeadline(t *testing.T) {
 	}
 }
 
+// chanTransport is the coordinator's end of one chanLink per worker.
+type chanTransport struct{ links []chanLink }
+
+func (c chanTransport) Workers() int               { return len(c.links) }
+func (c chanTransport) Send(e mpi.Envelope)        { c.links[e.To].in <- e }
+func (chanTransport) Messages() int64              { return 0 }
+func (chanTransport) Bytes() int64                 { return 0 }
+func (chanTransport) AddTraffic(msgs, bytes int64) {}
+func (chanTransport) Wire() bool                   { return true }
+func (c chanTransport) Recv(ctx context.Context, party int) (mpi.Envelope, error) {
+	select {
+	case e := <-c.links[0].out: // the links share one channel up
+		return e, nil
+	case <-ctx.Done():
+		return mpi.Envelope{}, ctx.Err()
+	}
+}
+
+// TestReplyNamingUnknownVertexFailsRun: a reply frame that decodes cleanly
+// but names a vertex the graph does not have — a corrupt or hostile worker —
+// must fail the run with an error naming the worker and the vertex. It used
+// to reach Assignment.Owner through Layout.Hosts and panic the coordinator.
+func TestReplyNamingUnknownVertexFailsRun(t *testing.T) {
+	layout, err := BuildLayout(ring(8), Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec := wireStepper{}.WireCodec()
+	up := make(chan mpi.Envelope, 4)
+	tr := chanTransport{links: []chanLink{{in: make(chan mpi.Envelope, 4), out: up}, {in: make(chan mpi.Envelope, 4), out: up}}}
+	for w, link := range tr.links {
+		go func() { // a scripted worker: setup frame, one PEval, then whatever releases it
+			<-link.in
+			step := <-link.in
+			var rep workerReply[int64]
+			if w == 1 {
+				rep.changes = []VarUpdate[int64]{{ID: 999999, Val: 1}}
+			}
+			frame, size := encodeReply(codec, rep)
+			link.Send(mpi.Envelope{From: w, To: mpi.Coordinator, Step: step.Step, Frame: frame, Size: size})
+			<-link.in
+		}()
+	}
+	_, _, err = RunOnLayout(context.Background(), layout, wireStepper{stepper{}}, stepQuery{limit: 4}, Options{Workers: 2, Transport: tr})
+	if err == nil || !strings.Contains(err.Error(), "worker 1") || !strings.Contains(err.Error(), "vertex 999999") {
+		t.Fatalf("want a run error naming worker 1 and vertex 999999, got %v", err)
+	}
+}
+
 // wireStepper gives stepper the wire codec the deadline test needs.
 type wireStepper struct{ stepper }
 

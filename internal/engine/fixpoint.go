@@ -377,7 +377,7 @@ func (c *coordinator[V]) collectStep(ctx context.Context, rec *trace.Recorder, e
 	}
 	c.stats.WorkPerStep = append(c.stats.WorkPerStep, perWorker)
 	c.stats.BytesPerStep = append(c.stats.BytesPerStep, stepBytes)
-	route, scheduled := c.fold.buildRoute(c.layout)
+	route, scheduled, err := c.fold.buildRoute(c.layout)
 	rec.EndStep(step)
-	return route, scheduled, nil
+	return route, scheduled, err
 }

@@ -266,18 +266,24 @@ func (f *foldState[V]) foldOne(s, w int, u VarUpdate[V], checkMono bool) error {
 // reused across supersteps — workers are done with the previous batch before
 // their replies reach the coordinator, so nothing aliases.
 // Returns the routing table (indexed by worker; empty slices mean "not
-// scheduled") and the number of workers with pending updates.
-func (f *foldState[V]) buildRoute(layout *partition.Layout) ([][]VarUpdate[V], int) {
+// scheduled") and the number of workers with pending updates. A change to a
+// vertex the graph does not have — a corrupt or hostile reply: no program
+// sets a variable outside its fragment — fails the run, naming the worker.
+func (f *foldState[V]) buildRoute(layout *partition.Layout) ([][]VarUpdate[V], int, error) {
 	for w := 0; w < f.n; w++ {
 		f.route[w] = f.route[w][:0]
 	}
 	for _, rec := range f.merged {
+		hosts := layout.Hosts(rec.id)
+		if len(hosts) == 0 {
+			return nil, 0, fmt.Errorf("engine: worker %d reported a value for vertex %d, which the graph does not have", rec.winner, rec.id)
+		}
 		if f.spec.Consume {
 			o := layout.Asg.Owner(rec.id)
 			f.route[o] = append(f.route[o], VarUpdate[V]{ID: rec.id, Val: rec.val})
 			continue
 		}
-		for _, h := range layout.Hosts(rec.id) {
+		for _, h := range hosts {
 			if h == rec.winner {
 				continue
 			}
@@ -290,5 +296,5 @@ func (f *foldState[V]) buildRoute(layout *partition.Layout) ([][]VarUpdate[V], i
 			scheduled++
 		}
 	}
-	return f.route, scheduled
+	return f.route, scheduled, nil
 }

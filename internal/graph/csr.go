@@ -10,11 +10,11 @@ package graph
 //	                         dense target index, interns vertex and edge
 //	                         labels into an int table (the per-vertex label
 //	                         strings are dropped: Label/LabelAt resolve
-//	                         through the table, a thaw restores them), and
-//	                         eagerly builds the reverse CSR. All read methods — including In() —
-//	                         are then safe for concurrent use, and the dense
-//	                         accessors (OutAt, InAt, LabelIDAt, …) traverse
-//	                         without a single hash lookup.
+//	                         through the table, a thaw restores them). All
+//	                         read methods — including In() — are then safe
+//	                         for concurrent use, and the dense accessors
+//	                         (OutAt, InAt, LabelIDAt, …) traverse without a
+//	                         single hash lookup.
 //
 // The dense CSR is the one adjacency a frozen graph stores: 16 bytes per
 // packed edge, the arrays the kernels read and the arrays flat.go ships. The
@@ -22,7 +22,9 @@ package graph
 // are a view for the boundary API: the first Out, In or thaw that needs one
 // derives it from the dense array in a single pass under a sync.Once, so
 // concurrent first use is safe and a graph only ever walked densely — a
-// shipped fragment under a dense kernel — never pays for it.
+// shipped fragment under a dense kernel — never pays for it. The reverse CSR
+// of a directed graph is derived the same way, on the first InAt, In or
+// InDegreeAt: sssp, cc, keyword and cf never read it.
 //
 // Mutating adjacency or the vertex set after Freeze (AddVertex, AddEdge)
 // transparently thaws the graph back to the build phase: dense vertex
@@ -86,37 +88,34 @@ func (g *Graph) Freeze() *Graph {
 	g.out = nil
 	g.in = nil
 	g.inBuilt = false
-	g.buildReverseCSR()
-	g.sparse = &sparseViews{}
+	g.lazy = &lazyViews{}
 	g.frozen = true
 	return g
 }
 
-// buildReverseCSR derives inOff/inDense from the out CSR by counting sort
-// over targets, scanning sources in dense order — the exact per-target edge
-// order the lazy buildIn produces, so frozen and unfrozen In() agree element
-// for element. Undirected graphs alias In to Out and skip it.
-func (g *Graph) buildReverseCSR() {
-	if !g.directed {
-		return
-	}
-	nv := len(g.ids)
-	g.inOff = make([]int32, nv+1)
-	for _, e := range g.outDense {
-		g.inOff[e.To+1]++
+// reverseCSR derives the reverse CSR from the out CSR by counting sort over
+// targets, scanning sources in dense order — the exact per-target edge order
+// the lazy buildIn produces, so frozen and unfrozen In() agree element for
+// element.
+func reverseCSR(outOff []int32, outDense []DenseEdge) *revCSR {
+	nv := len(outOff) - 1
+	inOff := make([]int32, nv+1)
+	for _, e := range outDense {
+		inOff[e.To+1]++
 	}
 	for i := 0; i < nv; i++ {
-		g.inOff[i+1] += g.inOff[i]
+		inOff[i+1] += inOff[i]
 	}
-	g.inDense = make([]DenseEdge, len(g.outDense))
+	inDense := make([]DenseEdge, len(outDense))
 	next := make([]int32, nv)
-	copy(next, g.inOff[:nv])
+	copy(next, inOff[:nv])
 	for ui := 0; ui < nv; ui++ {
-		for _, de := range g.outDense[g.outOff[ui]:g.outOff[ui+1]] {
-			g.inDense[next[de.To]] = DenseEdge{To: int32(ui), Label: de.Label, W: de.W}
+		for _, de := range outDense[outOff[ui]:outOff[ui+1]] {
+			inDense[next[de.To]] = DenseEdge{To: int32(ui), Label: de.Label, W: de.W}
 			next[de.To]++
 		}
 	}
+	return &revCSR{inOff, inDense}
 }
 
 // sparseEdges derives the sparse-ID view of a packed edge array — the
@@ -139,7 +138,7 @@ func (g *Graph) thaw() {
 	}
 	g.out = perVertex(g.outOff, g.sparseOut())
 	if g.directed {
-		g.in = perVertex(g.inOff, g.sparseIn())
+		g.in = perVertex(g.reverse().off, g.sparseIn())
 		g.inBuilt = true
 	}
 	g.labels = make([]string, len(g.vlab))
@@ -147,9 +146,8 @@ func (g *Graph) thaw() {
 		g.labels[i] = g.labelNames[l]
 	}
 	g.outOff, g.outDense = nil, nil
-	g.inOff, g.inDense = nil, nil
 	g.vlab, g.labelNames, g.labelIDs = nil, nil, nil
-	g.sparse = nil
+	g.lazy = nil
 	g.frozen = false
 }
 
@@ -177,7 +175,11 @@ func (g *Graph) InAt(i int32) []DenseEdge {
 	if !g.directed {
 		return g.OutAt(i)
 	}
-	return g.inDense[g.inOff[i]:g.inOff[i+1]]
+	r := g.lazy.rev.Load() // kernels call this per vertex: one load once derived
+	if r == nil {
+		r = g.reverse()
+	}
+	return r.dense[r.off[i]:r.off[i+1]]
 }
 
 // OutDegreeAt returns the out-degree of the vertex at dense index i. Frozen
@@ -192,7 +194,11 @@ func (g *Graph) InDegreeAt(i int32) int {
 	if !g.directed {
 		return g.OutDegreeAt(i)
 	}
-	return int(g.inOff[i+1] - g.inOff[i])
+	r := g.lazy.rev.Load()
+	if r == nil {
+		r = g.reverse()
+	}
+	return int(r.off[i+1] - r.off[i])
 }
 
 // LabelIDAt returns the interned label of the vertex at dense index i.

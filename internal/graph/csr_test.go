@@ -259,3 +259,76 @@ func BenchmarkTraversalIn(b *testing.B) {
 		_ = sum
 	})
 }
+
+// TestLazyReverseCSR: a frozen directed graph derives its reverse CSR on the
+// first InAt / InDegreeAt / In — Freeze, Validate, Diff, the out side and the
+// wire form all leave it alone — and concurrent first callers, through the
+// graph and through frozen clones sharing its arrays, all see the in-edges
+// the build phase held. CSRView derives it too, so a snapshot of a graph
+// nobody asked still carries it. Run under -race.
+func TestLazyReverseCSR(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		g := randomGraph(seed, true)
+		wantIn := map[ID][]Edge{}
+		for _, id := range g.Vertices() {
+			wantIn[id] = g.In(id)
+		}
+		fz := g.Clone().Freeze()
+		dec, _, err := DecodeFlat(AppendFlat(nil, fz))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Diff(fz, dec); err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range []*Graph{fz, dec} {
+			if err := h.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			for i := int32(0); i < int32(h.NumVertices()); i++ {
+				_, _ = h.OutAt(i), h.Out(h.IDAt(i))
+			}
+			if h.lazy.rev.Load() != nil {
+				t.Fatalf("seed %d: reverse CSR derived before anything read it", seed)
+			}
+		}
+		var wg sync.WaitGroup
+		for _, h := range []*Graph{fz, fz.Clone(), dec, dec.Clone()} {
+			for r := 0; r < 4; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := int32(0); i < int32(h.NumVertices()); i++ {
+						want := wantIn[h.IDAt(i)]
+						got := h.InAt(i)
+						if len(got) != len(want) || h.InDegreeAt(i) != len(want) {
+							t.Errorf("seed %d vertex %d: %d in-edges, build phase had %d", seed, h.IDAt(i), len(got), len(want))
+							return
+						}
+						for k, e := range got {
+							if (Edge{To: h.IDAt(e.To), W: e.W, Label: h.LabelName(e.Label)}) != want[k] {
+								t.Errorf("seed %d vertex %d: in-edge %d is %+v, build phase had %+v", seed, h.IDAt(i), k, e, want[k])
+								return
+							}
+						}
+					}
+				}()
+			}
+		}
+		wg.Wait()
+
+		untouched := g.Clone().Freeze()
+		d, err := untouched.CSRView()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(d.InOff) != len(d.OutOff) || len(d.InDense) != len(d.OutDense) {
+			t.Fatalf("seed %d: CSRView of an untouched graph has %d/%d reverse entries", seed, len(d.InOff), len(d.InDense))
+		}
+		back, err := FromMapped(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		equalFrozen(t, fz, back)
+	}
+}

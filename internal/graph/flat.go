@@ -35,8 +35,9 @@ import (
 //	           outOff   (|V|+1) × i32
 //	           outDense packed × {u32 dense target, u32 interned label, f64 weight}
 //
-// The reverse CSR is not shipped: the decoder derives it by counting sort,
-// which costs less than moving 16 bytes per edge through a socket.
+// The reverse CSR is not shipped: the decoded graph derives it by counting
+// sort if a kernel asks for in-edges, which costs less than moving 16 bytes
+// per edge through a socket.
 
 const (
 	flatMagic     = 0x4c465247 // "GRFL"
@@ -322,7 +323,7 @@ func AppendFlat(buf []byte, g *Graph) []byte {
 	if !g.frozen {
 		g = g.Clone().Freeze()
 	}
-	d, _ := g.CSRView()
+	d := g.outView()
 	base := len(buf)
 	le := binary.LittleEndian
 	buf = le.AppendUint32(buf, flatMagic)

@@ -240,7 +240,7 @@ func TestOutAllocatesOnceNotPerCall(t *testing.T) {
 		for _, id := range ids {
 			_ = g.OutDegree(id) + g.InDegree(id)
 		}
-	}); n != 0 || g.sparse.out != nil || g.sparse.in != nil {
+	}); n != 0 || g.lazy.out != nil || g.lazy.in != nil {
 		t.Fatalf("degree queries allocated %v times or materialised the sparse views", n)
 	}
 	g.Out(ids[0])

@@ -26,8 +26,10 @@ package graph
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // ID identifies a vertex. IDs are sparse: any non-negative int64 may be used.
@@ -60,35 +62,54 @@ type Graph struct {
 
 	// Frozen CSR form (see csr.go). When frozen, out/in above are nil and
 	// adjacency lives in the flat offset+packed arrays below — the only
-	// stored adjacency; sparse holds the []Edge views derived from it.
+	// stored adjacency; lazy holds everything derived from it on first use.
 	frozen     bool
 	outOff     []int32     // dense index -> [outOff[i], outOff[i+1]) in outDense
 	outDense   []DenseEdge // flat out-adjacency: dense targets, interned labels
-	inOff      []int32     // reverse CSR offsets (directed graphs)
-	inDense    []DenseEdge
-	vlab       []int32 // dense index -> interned vertex label
+	vlab       []int32     // dense index -> interned vertex label
 	labelNames []string
 	labelIDs   map[string]int32
-	sparse     *sparseViews
+	lazy       *lazyViews
 }
 
-// sparseViews holds the sparse-ID edge arrays of a frozen graph, parallel to
-// outDense/inDense and materialised on the first Out/In/thaw that needs them.
-// Frozen clones share the CSR arrays and so share the views.
-type sparseViews struct {
-	outOnce, inOnce sync.Once
-	out, in         []Edge
+// lazyViews holds what a frozen graph derives from its out CSR, each part
+// under its own sync.Once on the first call that reads it, so concurrent
+// first use is safe and a run that never asks never pays: the reverse CSR of
+// a directed graph (InAt, In, InDegreeAt), the sparse-ID edge arrays parallel
+// to outDense/inDense (Out, In, thaw), and the ascending-ID vertex order
+// (SortedIndices). Frozen clones share the CSR arrays and so share the views.
+type lazyViews struct {
+	revOnce, outOnce, inOnce, orderOnce sync.Once
+
+	rev     atomic.Pointer[revCSR] // set once, under revOnce
+	out, in []Edge
+	order   []int32
+}
+
+// revCSR is the reverse CSR of a frozen directed graph.
+type revCSR struct {
+	off   []int32
+	dense []DenseEdge
+}
+
+// reverse returns the graph's reverse CSR, deriving it if nothing has yet.
+func (g *Graph) reverse() *revCSR {
+	s := g.lazy
+	s.revOnce.Do(func() { s.rev.Store(reverseCSR(g.outOff, g.outDense)) })
+	return s.rev.Load()
 }
 
 func (g *Graph) sparseOut() []Edge {
-	s := g.sparse
+	s := g.lazy
 	s.outOnce.Do(func() { s.out = sparseEdges(g.outDense, g.ids, g.labelNames) })
 	return s.out
 }
 
 func (g *Graph) sparseIn() []Edge {
-	s := g.sparse
-	s.inOnce.Do(func() { s.in = sparseEdges(g.inDense, g.ids, g.labelNames) })
+	s := g.lazy
+	s.inOnce.Do(func() {
+		s.in = sparseEdges(g.reverse().dense, g.ids, g.labelNames)
+	})
 	return s.in
 }
 
@@ -266,7 +287,8 @@ func (g *Graph) In(id ID) []Edge {
 	}
 	if g.frozen {
 		if i, ok := g.index[id]; ok {
-			a, b := g.inOff[i], g.inOff[i+1]
+			off := g.reverse().off
+			a, b := off[i], off[i+1]
 			if a == b {
 				return nil
 			}
@@ -364,9 +386,8 @@ func (g *Graph) Clone() *Graph {
 	if g.frozen {
 		c.frozen = true
 		c.outOff, c.outDense = g.outOff, g.outDense
-		c.inOff, c.inDense = g.inOff, g.inDense
 		c.vlab, c.labelNames, c.labelIDs = g.vlab, g.labelNames, g.labelIDs
-		c.sparse = g.sparse
+		c.lazy = g.lazy
 		return c
 	}
 	c.out = make([][]Edge, len(g.out))
@@ -376,50 +397,25 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// InducedSubgraph returns the subgraph induced by keep: vertices in keep and
-// every edge whose endpoints are both kept. Labels and properties are copied.
-// A frozen graph produces a frozen subgraph directly in CSR form.
+// InducedSubgraph returns the frozen subgraph induced by keep: vertices in
+// keep, in g's dense order, and every edge whose endpoints are both kept.
+// Labels are copied and properties shared. A graph in the build phase is cut
+// from a frozen clone.
 func (g *Graph) InducedSubgraph(keep map[ID]bool) *Graph {
-	if g.frozen {
-		b := NewSubgraphBuilder(g, len(keep))
-		for i := int32(0); i < int32(len(g.ids)); i++ {
-			if keep[g.ids[i]] {
-				b.AddVertex(i)
-			}
-		}
-		for i := int32(0); i < int32(len(g.ids)); i++ {
-			if !b.Has(i) {
-				continue
-			}
-			u := g.ids[i]
-			for _, e := range g.OutAt(i) {
-				if b.Has(e.To) && (g.directed || u <= g.ids[e.To]) {
-					b.AddEdge(i, e)
-				}
-			}
-		}
-		return b.Finish()
+	if !g.frozen {
+		g = g.Clone().Freeze()
 	}
-	s := &Graph{directed: g.directed, index: make(map[ID]int32)}
-	for _, id := range g.ids {
+	seeds := make([]int32, 0, len(keep))
+	for i, id := range g.ids {
 		if keep[id] {
-			s.AddVertex(id, g.Label(id))
-			s.SetProps(id, append([]string(nil), g.Props(id)...))
+			seeds = append(seeds, int32(i))
 		}
 	}
-	for _, u := range g.ids {
-		if !keep[u] {
-			continue
-		}
-		for _, e := range g.Out(u) {
-			if keep[e.To] {
-				if g.directed || u <= e.To { // avoid double-adding undirected edges
-					s.AddLabeledEdge(u, e.To, e.W, e.Label)
-				}
-			}
-		}
-	}
-	return s
+	b := NewSubgraphBuilder(g)
+	return b.Subgraph(seeds, func(i int32, e DenseEdge) bool {
+		// an undirected edge is stored from its lower endpoint, mirror included
+		return b.Local(e.To) >= 0 && (g.directed || g.ids[i] <= g.ids[e.To])
+	})
 }
 
 // Symmetrized returns a directed copy of g with every edge mirrored, so
@@ -461,7 +457,7 @@ func (g *Graph) TotalWeight() float64 {
 // or nil when there is none. The phase (frozen or not) and the label intern
 // order are not observable and do not count.
 func Diff(a, b *Graph) error {
-	if a.directed != b.directed || a.numEdges != b.numEdges || !reflect.DeepEqual(a.ids, b.ids) {
+	if a.directed != b.directed || a.numEdges != b.numEdges || !slices.Equal(a.ids, b.ids) {
 		return fmt.Errorf("graph: kind, edge count or dense vertex order differ")
 	}
 	for i, id := range a.ids {

@@ -24,13 +24,24 @@ type CSRData struct {
 	Props    [][]string  // dense index -> vertex properties; nil if none anywhere
 }
 
-// CSRView returns the graph's flat frozen form. The returned slices alias the
-// graph's internal arrays — read-only, valid until the graph thaws. The graph
-// must be frozen.
+// CSRView returns the graph's flat frozen form, deriving the reverse CSR of a
+// directed graph if nothing has yet. The returned slices alias the graph's
+// internal arrays — read-only, valid until the graph thaws. The graph must be
+// frozen.
 func (g *Graph) CSRView() (CSRData, error) {
 	if !g.frozen {
 		return CSRData{}, fmt.Errorf("graph: CSRView needs a frozen graph")
 	}
+	d := g.outView()
+	if g.directed {
+		r := g.reverse()
+		d.InOff, d.InDense = r.off, r.dense
+	}
+	return d, nil
+}
+
+// outView is CSRView without the reverse CSR: all the wire form ships.
+func (g *Graph) outView() CSRData {
 	d := CSRData{
 		Directed: g.directed,
 		NumEdges: g.numEdges,
@@ -38,8 +49,6 @@ func (g *Graph) CSRView() (CSRData, error) {
 		VLabels:  g.vlab,
 		OutOff:   g.outOff,
 		OutDense: g.outDense,
-		InOff:    g.inOff,
-		InDense:  g.inDense,
 		Labels:   g.labelNames,
 	}
 	for _, ps := range g.props {
@@ -48,17 +57,17 @@ func (g *Graph) CSRView() (CSRData, error) {
 			break
 		}
 	}
-	return d, nil
+	return d
 }
 
 // FromMapped constructs a frozen Graph from its flat form without calling
 // Freeze: the fixed-width slices of d are aliased as-is (they may live in a
 // read-only mmap or a received frame — the graph never writes through them;
 // mutation thaws into freshly allocated memory first), and only the derived
-// structures are rebuilt on the heap: the ID index, the label intern map and
-// the per-vertex label strings. A directed d without InOff/InDense (the wire
-// form does not ship them) gets its reverse CSR by counting sort. Every array
-// is bounds-checked first, so corrupt input errors instead of panicking later.
+// structures are rebuilt on the heap: the ID index and the label intern map.
+// A directed d without InOff/InDense (the wire form does not ship them)
+// derives its reverse CSR on first use, like any frozen graph. Every array is
+// bounds-checked first, so corrupt input errors instead of panicking later.
 func FromMapped(d CSRData) (*Graph, error) {
 	nv := len(d.IDs)
 	ne := len(d.OutDense)
@@ -104,12 +113,13 @@ func FromMapped(d CSRData) (*Graph, error) {
 		frozen:     true,
 		outOff:     d.OutOff,
 		outDense:   d.OutDense,
-		inOff:      d.InOff,
-		inDense:    d.InDense,
 		vlab:       d.VLabels,
 		labelNames: d.Labels,
 		labelIDs:   make(map[string]int32, nl),
-		sparse:     &sparseViews{},
+		lazy:       &lazyViews{},
+	}
+	if d.Directed && !deriveIn {
+		g.lazy.revOnce.Do(func() { g.lazy.rev.Store(&revCSR{d.InOff, d.InDense}) })
 	}
 	for i, id := range d.IDs {
 		g.index[id] = int32(i)
@@ -132,9 +142,6 @@ func FromMapped(d CSRData) (*Graph, error) {
 		g.props = d.Props
 	} else {
 		g.props = make([][]string, nv)
-	}
-	if deriveIn {
-		g.buildReverseCSR()
 	}
 	return g, nil
 }

@@ -1,153 +1,168 @@
 package graph
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
-// SubgraphBuilder assembles a frozen subgraph of a frozen source graph
-// without touching the mutable build API: vertices and edges are identified
-// by the source graph's dense indices and interned labels, remapped through
-// flat arrays, so copying a fragment costs one hash per vertex (the new
-// graph's own ID index) and zero per edge. partition.Build and
-// InducedSubgraph use it to cut fragments straight into CSR form.
-//
-// Usage: add vertices (idempotent, in the order their dense indices should
-// come out), then stream edges in any order; Finish counting-sorts the
-// stream by source — stably, so each vertex keeps its edges in insertion
-// order, exactly as the mutable API would have.
+// SubgraphBuilder cuts frozen subgraphs out of one frozen source graph, CSR
+// to CSR: vertices and edges are named by the source's dense indices and
+// remapped through flat arrays, so a cut costs one hash per vertex (the
+// subgraph's own ID index, sized once) and none per edge, and every array of
+// the result is allocated once, at its final size. The remapping scratch is
+// sized to the source once and shared by every subgraph cut from it.
+// partition.Build, InducedSubgraph and the block-centric baseline cut
+// through it.
 type SubgraphBuilder struct {
 	src   *Graph
-	ids   []ID
-	props [][]string
-	vlab  []int32 // new dense index -> source label ID
-	index map[ID]int32
-	local []int32 // source dense index -> new dense index, -1 if absent
-
-	esrc, eto []int32 // edge stream endpoints, new dense indices
-	elab      []int32 // edge stream labels, source label IDs
-	ew        []float64
-	numEdges  int
+	local []int32 // source dense index -> dense index in the latest subgraph, -1 if absent
+	verts []int32 // the latest subgraph's vertices, as source dense indices
+	next  []int32 // per subgraph vertex: out-degree after the first walk, write cursor in the second
+	lmap  []int32 // source label ID -> subgraph label ID, -1 outside Subgraph
 }
 
-// NewSubgraphBuilder returns a builder for a subgraph of src, which must be
-// frozen. sizeHint sizes the vertex index.
-func NewSubgraphBuilder(src *Graph, sizeHint int) *SubgraphBuilder {
-	local := make([]int32, src.NumVertices())
-	for i := range local {
-		local[i] = -1
+// NewSubgraphBuilder returns a builder for subgraphs of src, which must be
+// frozen.
+func NewSubgraphBuilder(src *Graph) *SubgraphBuilder {
+	nv := len(src.ids)
+	b := &SubgraphBuilder{src: src, local: make([]int32, nv), verts: make([]int32, 0, nv), next: make([]int32, nv), lmap: make([]int32, len(src.labelNames))}
+	for i := range b.local {
+		b.local[i] = -1
 	}
-	return &SubgraphBuilder{src: src, index: make(map[ID]int32, sizeHint), local: local}
+	for i := range b.lmap {
+		b.lmap[i] = -1
+	}
+	return b
 }
 
-// Has reports whether the vertex at source dense index i has been added.
-func (b *SubgraphBuilder) Has(i int32) bool { return b.local[i] >= 0 }
-
-// Local returns the subgraph dense index of the vertex at source dense index
-// i, or -1 if it has not been added.
+// Local returns the dense index, in the latest subgraph, of the vertex at
+// source dense index i, or -1 if it is not part of it.
 func (b *SubgraphBuilder) Local(i int32) int32 { return b.local[i] }
 
-// AddVertex copies the vertex at source dense index i — ID, label and a
-// fresh copy of its properties — and returns its dense index in the
-// subgraph. It is idempotent.
-func (b *SubgraphBuilder) AddVertex(i int32) int32 {
-	if li := b.local[i]; li >= 0 {
-		return li
-	}
-	li := int32(len(b.ids))
-	b.local[i] = li
-	id := b.src.ids[i]
-	b.ids = append(b.ids, id)
-	var props []string
-	if ps := b.src.props[i]; len(ps) > 0 {
-		props = append([]string(nil), ps...)
-	}
-	b.props = append(b.props, props)
-	b.vlab = append(b.vlab, b.src.vlab[i])
-	b.index[id] = li
-	return li
-}
+// Vertices returns the latest subgraph's vertices as source dense indices, in
+// its dense order. The slice is reused by the next Subgraph call.
+func (b *SubgraphBuilder) Vertices() []int32 { return b.verts }
 
-// AddEdge records a copy of the source's packed edge e leaving the vertex at
-// source dense index from. Both endpoints must have been added. One call per
-// logical edge: for an undirected source the mirror direction is stored
-// automatically, as the mutable AddEdge does.
-func (b *SubgraphBuilder) AddEdge(from int32, e DenseEdge) {
-	u, v := b.local[from], b.local[e.To]
-	b.esrc = append(b.esrc, u)
-	b.eto = append(b.eto, v)
-	b.elab = append(b.elab, e.Label)
-	b.ew = append(b.ew, e.W)
-	if !b.src.directed {
-		b.esrc = append(b.esrc, v)
-		b.eto = append(b.eto, u)
-		b.elab = append(b.elab, e.Label)
-		b.ew = append(b.ew, e.W)
+// Subgraph cuts one subgraph. The seeds (source dense indices, distinct)
+// become its first vertices, in the order given, and bring every out-edge
+// keep accepts (nil accepts all; keep must answer the same both times it is
+// asked). A target that is not a seed joins after the seeds, in order of
+// first appearance, with its label and properties (shared with the source,
+// not copied) and no out-edges of its own. For an undirected source the
+// mirror direction is stored automatically, as the mutable AddEdge does.
+//
+// The edges are walked twice, seeds in order and each seed's edges in the
+// source's order: the first walk counts per vertex, the second places each
+// edge at its vertex's cursor, and labels are then interned in CSR order —
+// byte for byte the graph the mutable API and Freeze would have produced.
+func (b *SubgraphBuilder) Subgraph(seeds []int32, keep func(from int32, e DenseEdge) bool) *Graph {
+	src, local, next := b.src, b.local, b.next
+	for li, i := range b.verts {
+		local[i], next[li] = -1, 0
 	}
-	b.numEdges++
-}
-
-// Finish assembles and returns the frozen subgraph. The builder must not be
-// reused afterwards.
-func (b *SubgraphBuilder) Finish() *Graph {
+	b.verts = append(b.verts[:0], seeds...)
+	for li, i := range seeds {
+		local[i] = int32(li)
+	}
+	ne := 0
+	for u, i := range seeds {
+		for _, e := range src.OutAt(i) {
+			if keep != nil && !keep(i, e) {
+				continue
+			}
+			v := local[e.To]
+			if v < 0 {
+				v = int32(len(b.verts))
+				local[e.To] = v
+				b.verts = append(b.verts, e.To)
+			}
+			next[u]++
+			if !src.directed {
+				next[v]++
+			}
+			ne++
+		}
+	}
+	nv := len(b.verts)
 	g := &Graph{
-		directed: b.src.directed,
-		ids:      b.ids,
-		index:    b.index,
-		props:    b.props,
-		numEdges: b.numEdges,
+		directed: src.directed,
+		ids:      make([]ID, nv),
+		index:    make(map[ID]int32, nv),
+		props:    make([][]string, nv),
+		vlab:     make([]int32, nv),
+		outOff:   make([]int32, nv+1),
+		numEdges: ne,
 		frozen:   true,
-		sparse:   &sparseViews{},
-	}
-	nv := len(b.ids)
-	lmap := make([]int32, b.src.NumLabels())
-	for i := range lmap {
-		lmap[i] = -1
+		lazy:     &lazyViews{},
 	}
 	intern := func(sid int32) int32 {
-		if nid := lmap[sid]; nid >= 0 {
-			return nid
+		if b.lmap[sid] < 0 {
+			b.lmap[sid] = int32(len(g.labelNames))
+			g.labelNames = append(g.labelNames, src.labelNames[sid])
 		}
-		nid := int32(len(g.labelNames))
-		g.labelNames = append(g.labelNames, b.src.labelNames[sid])
-		lmap[sid] = nid
-		return nid
+		return b.lmap[sid]
 	}
-	g.vlab = make([]int32, nv)
-	for i, sid := range b.vlab {
-		g.vlab[i] = intern(sid)
+	for li, i := range b.verts {
+		id := src.ids[i]
+		g.ids[li] = id
+		g.index[id] = int32(li)
+		if ps := src.props[i]; len(ps) > 0 {
+			g.props[li] = ps[:len(ps):len(ps)]
+		}
+		g.vlab[li] = intern(src.vlab[i])
+		g.outOff[li+1] = g.outOff[li] + next[li]
+		next[li] = g.outOff[li]
 	}
-	// Stable counting sort of the edge stream by source.
-	g.outOff = make([]int32, nv+1)
-	for _, s := range b.esrc {
-		g.outOff[s+1]++
+	out := make([]DenseEdge, g.outOff[nv])
+	for u, i := range seeds {
+		for _, e := range src.OutAt(i) {
+			if keep != nil && !keep(i, e) {
+				continue
+			}
+			v := local[e.To]
+			out[next[u]] = DenseEdge{To: v, Label: e.Label, W: e.W}
+			next[u]++
+			if !src.directed {
+				out[next[v]] = DenseEdge{To: int32(u), Label: e.Label, W: e.W}
+				next[v]++
+			}
+		}
 	}
-	for i := 0; i < nv; i++ {
-		g.outOff[i+1] += g.outOff[i]
+	for k := range out {
+		out[k].Label = intern(out[k].Label)
 	}
-	ne := len(b.esrc)
-	g.outDense = make([]DenseEdge, ne)
-	next := make([]int32, nv)
-	copy(next, g.outOff[:nv])
-	for k := 0; k < ne; k++ {
-		s := b.esrc[k]
-		pos := next[s]
-		next[s]++
-		g.outDense[pos] = DenseEdge{To: b.eto[k], Label: intern(b.elab[k]), W: b.ew[k]}
-	}
+	g.outDense = out
 	g.labelIDs = make(map[string]int32, len(g.labelNames))
 	for i, s := range g.labelNames {
 		g.labelIDs[s] = int32(i)
+		b.lmap[src.labelIDs[s]] = -1
 	}
-	g.buildReverseCSR()
 	return g
 }
 
-// SortedIndices returns the graph's dense vertex indices ordered by
-// ascending vertex ID — the dense counterpart of SortedVertices (a fresh
-// slice).
+// SortedIndices returns the graph's dense vertex indices ordered by ascending
+// vertex ID — the dense counterpart of SortedVertices. A frozen graph works
+// the order out once and shares it with its frozen clones; the caller must
+// not mutate the returned slice.
 func (g *Graph) SortedIndices() []int32 {
-	out := make([]int32, len(g.ids))
+	if !g.frozen {
+		return sortedIndices(g.ids)
+	}
+	s := g.lazy
+	s.orderOnce.Do(func() { s.order = sortedIndices(g.ids) })
+	return s.order
+}
+
+// sortedIndices sorts only when ids do not already ascend.
+func sortedIndices(ids []ID) []int32 {
+	out := make([]int32, len(ids))
+	ascending := true
 	for i := range out {
 		out[i] = int32(i)
+		ascending = ascending && (i == 0 || ids[i-1] < ids[i])
 	}
-	sort.Slice(out, func(a, b int) bool { return g.ids[out[a]] < g.ids[out[b]] })
+	if !ascending {
+		slices.SortFunc(out, func(a, b int32) int { return cmp.Compare(ids[a], ids[b]) })
+	}
 	return out
 }

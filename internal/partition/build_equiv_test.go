@@ -1,18 +1,310 @@
 package partition
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"grape/internal/gen"
 	"grape/internal/graph"
 )
 
-// TestBuildFrozenEquivalence: Build over a frozen input (the
-// SubgraphBuilder CSR path) and over a thawed copy of the same graph (the
-// mutable path) must produce identical layouts — same fragment graphs in
-// the same dense order (checked via graph.Diff, which compares exact
-// adjacency order), same Inner/Outer/InnerBorder, same placement.
+// The reference cut: the fragment cut as the mutable graph API spells it —
+// one AddVertex/AddLabeledEdge per copied vertex and edge, a map of copies,
+// a placement map, a hash per vertex to find every dense index — which is
+// how Build worked before it became a CSR-to-CSR gather. It survives here,
+// and only here, as the ground truth the equivalence suite holds Build to:
+// same fragment frames byte for byte, same hosts for every vertex.
+
+// refLayout is what the reference cut produces.
+type refLayout struct {
+	frags     []*Fragment
+	placement map[graph.ID][]int // border vertex -> sorted hosts
+	asg       *Assignment
+}
+
+func (r *refLayout) hosts(id graph.ID) []int {
+	if hs, ok := r.placement[id]; ok {
+		return hs
+	}
+	return []int{r.asg.Owner(id)}
+}
+
+func newLocal(g *graph.Graph) *graph.Graph {
+	if g.Directed() {
+		return graph.New()
+	}
+	return graph.NewUndirected()
+}
+
+func copyVertex(dst, src *graph.Graph, id graph.ID) {
+	dst.AddVertex(id, src.Label(id))
+	if ps := src.Props(id); len(ps) > 0 {
+		dst.SetProps(id, append([]string(nil), ps...))
+	}
+}
+
+// referenceBuild is the edge-cut: inner vertices in ascending-ID order with
+// all their out-edges, remote endpoints as outer copies on first sight.
+func referenceBuild(g *graph.Graph, asg *Assignment) *refLayout {
+	frags := make([]*Fragment, asg.N)
+	for i := range frags {
+		frags[i] = &Fragment{Index: i, G: newLocal(g)}
+	}
+	for _, id := range g.SortedVertices() {
+		f := frags[asg.Owner(id)]
+		copyVertex(f.G, g, id)
+		f.Inner = append(f.Inner, id)
+	}
+	for _, u := range g.SortedVertices() {
+		uo := asg.Owner(u)
+		f := frags[uo]
+		for _, e := range g.Out(u) {
+			if !g.Directed() && u > e.To && asg.Owner(e.To) == uo {
+				continue // undirected intra-fragment edge already added via the lower endpoint
+			}
+			if asg.Owner(e.To) != uo && !f.G.Has(e.To) {
+				copyVertex(f.G, g, e.To)
+				f.Outer = append(f.Outer, e.To)
+			}
+			f.G.AddLabeledEdge(u, e.To, e.W, e.Label)
+		}
+	}
+	return referenceFinish(frags, asg)
+}
+
+// referenceBuildExpanded is the d-hop data-shipping cut: each fragment is the
+// subgraph induced by everything within d hops, either direction, of its
+// inner vertices, in the source's dense order.
+func referenceBuildExpanded(g *graph.Graph, asg *Assignment, d int) *refLayout {
+	frags := make([]*Fragment, asg.N)
+	for i := range frags {
+		region := make(map[graph.ID]bool)
+		for _, id := range g.Vertices() {
+			if asg.Owner(id) == i {
+				region[id] = true
+			}
+		}
+		frontier := region
+		for hop := 0; hop < d; hop++ {
+			next := make(map[graph.ID]bool)
+			for u := range frontier {
+				for _, es := range [2][]graph.Edge{g.Out(u), g.In(u)} {
+					for _, e := range es {
+						if !region[e.To] {
+							next[e.To] = true
+						}
+					}
+				}
+			}
+			for v := range next {
+				region[v] = true
+			}
+			frontier = next
+		}
+		f := &Fragment{Index: i, G: newLocal(g)}
+		for _, id := range g.Vertices() {
+			if region[id] {
+				copyVertex(f.G, g, id)
+			}
+		}
+		for _, u := range g.Vertices() {
+			for _, e := range g.Out(u) {
+				if region[u] && region[e.To] && (g.Directed() || u <= e.To) {
+					f.G.AddLabeledEdge(u, e.To, e.W, e.Label)
+				}
+			}
+		}
+		for _, id := range f.G.SortedVertices() {
+			if asg.Owner(id) == i {
+				f.Inner = append(f.Inner, id)
+			} else {
+				f.Outer = append(f.Outer, id)
+			}
+		}
+		frags[i] = f
+	}
+	return referenceFinish(frags, asg)
+}
+
+// referenceFinish does the border bookkeeping from the fragments' outer
+// lists, freezes the subgraphs and fills in the dense tables by hashing.
+func referenceFinish(frags []*Fragment, asg *Assignment) *refLayout {
+	r := &refLayout{frags: frags, placement: make(map[graph.ID][]int), asg: asg}
+	for i, f := range frags {
+		sort.Slice(f.Outer, func(a, b int) bool { return f.Outer[a] < f.Outer[b] })
+		for _, v := range f.Outer {
+			r.placement[v] = append(r.placement[v], i)
+		}
+	}
+	for v, hosts := range r.placement {
+		owner := asg.Owner(v)
+		frags[owner].InnerBorder = append(frags[owner].InnerBorder, v)
+		r.placement[v] = append(hosts, owner)
+		sort.Ints(r.placement[v])
+	}
+	for _, f := range frags {
+		sort.Slice(f.InnerBorder, func(a, b int) bool { return f.InnerBorder[a] < f.InnerBorder[b] })
+		f.G.Freeze()
+		f.n = asg.N
+		f.innerAt = make([]bool, f.G.NumVertices())
+		for _, id := range f.Inner {
+			i, _ := f.G.Index(id)
+			f.innerAt[i] = true
+			f.innerIdx = append(f.innerIdx, i)
+		}
+		for _, id := range f.G.Vertices() {
+			f.owners = append(f.owners, int32(asg.Owner(id)))
+		}
+	}
+	return r
+}
+
+// checkAgainstReference holds a layout to the reference cut of the same
+// graph: every fragment frame byte-identical, the same hosts everywhere.
+func checkAgainstReference(t testing.TB, what string, l *Layout, ref *refLayout) {
+	t.Helper()
+	if len(l.Fragments) != len(ref.frags) {
+		t.Fatalf("%s: %d fragments, reference has %d", what, len(l.Fragments), len(ref.frags))
+	}
+	for i, f := range l.Fragments {
+		if !f.G.Frozen() {
+			t.Fatalf("%s fragment %d: not frozen", what, i)
+		}
+		if err := f.G.Validate(); err != nil {
+			t.Fatalf("%s fragment %d: %v", what, i, err)
+		}
+		rf := ref.frags[i]
+		if err := graph.Diff(f.G, rf.G); err != nil {
+			t.Fatalf("%s fragment %d: %v", what, i, err)
+		}
+		if !slices.Equal(f.Inner, rf.Inner) || !slices.Equal(f.Outer, rf.Outer) || !slices.Equal(f.InnerBorder, rf.InnerBorder) {
+			t.Fatalf("%s fragment %d: vertex lists differ:\n got inner %v outer %v border %v\nwant inner %v outer %v border %v",
+				what, i, f.Inner, f.Outer, f.InnerBorder, rf.Inner, rf.Outer, rf.InnerBorder)
+		}
+		if got, want := AppendFragment(nil, f), AppendFragment(nil, rf); !bytes.Equal(got, want) {
+			t.Fatalf("%s fragment %d: frame differs from the reference cut's (%d vs %d bytes)", what, i, len(got), len(want))
+		}
+	}
+	for _, id := range ref.asg.G.Vertices() {
+		if got, want := l.Hosts(id), ref.hosts(id); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Hosts(%d) = %v, reference %v", what, id, got, want)
+		}
+	}
+}
+
+// thawedCopy returns an unfrozen deep copy of g and asg rebound to it.
+func thawedCopy(g *graph.Graph, asg *Assignment) (*graph.Graph, *Assignment) {
+	t := g.Clone()
+	t.AddVertex(g.IDAt(0), "") // a no-op mutation thaws
+	return t, &Assignment{G: t, N: asg.N, owner: asg.owner}
+}
+
+// checkCuts runs Build and BuildExpanded (d ∈ {1, 2}) on g frozen and thawed
+// and holds all six layouts to the reference cuts of the thawed copy.
+func checkCuts(t testing.TB, name string, g *graph.Graph, s Strategy, n int) {
+	t.Helper()
+	g.Freeze()
+	asg, err := s.Partition(g, n)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	thawed, asgT := thawedCopy(g, asg)
+	if thawed.Frozen() {
+		t.Fatal("clone did not thaw")
+	}
+	ref := referenceBuild(thawed, asgT)
+	checkAgainstReference(t, name+" frozen", Build(g, asg), ref)
+	checkAgainstReference(t, name+" thawed", Build(thawed, asgT), ref)
+	if thawed.Frozen() {
+		t.Fatal("Build froze its input")
+	}
+	for d := 1; d <= 2; d++ {
+		ref := referenceBuildExpanded(thawed, asgT, d)
+		checkAgainstReference(t, fmt.Sprintf("%s frozen d=%d", name, d), BuildExpanded(g, asg, d), ref)
+		checkAgainstReference(t, fmt.Sprintf("%s thawed d=%d", name, d), BuildExpanded(thawed, asgT, d), ref)
+	}
+}
+
+// awkwardGraph draws a small graph with everything a cut can trip over:
+// sparse IDs inserted in shuffled order (unless ascending), vertex and edge
+// labels, properties, self-loops, parallel edges and isolated vertices.
+func awkwardGraph(seed int64, directed, ascending bool) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	g := graph.New()
+	if !directed {
+		g = graph.NewUndirected()
+	}
+	nv := 5 + rng.Intn(40)
+	ids := make([]graph.ID, nv)
+	for i := range ids {
+		ids[i] = graph.ID(i*7 + rng.Intn(7))
+	}
+	if !ascending {
+		rng.Shuffle(nv, func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	}
+	vlabels, elabels := []string{"", "person", "product"}, []string{"", "follows", "likes", "buys"}
+	for _, id := range ids {
+		g.AddVertex(id, vlabels[rng.Intn(len(vlabels))])
+		for k := rng.Intn(3); k > 0; k-- {
+			g.AddProp(id, fmt.Sprintf("kw%d", rng.Intn(5)))
+		}
+	}
+	linked := ids[:nv-nv/5] // the rest stay isolated
+	for k := rng.Intn(4 * nv); k > 0; k-- {
+		u, v := linked[rng.Intn(len(linked))], linked[rng.Intn(len(linked))] // u == v: a self-loop
+		for c := 1 + rng.Intn(2); c > 0; c-- {                               // twice: a parallel edge
+			g.AddLabeledEdge(u, v, float64(1+rng.Intn(9)), elabels[rng.Intn(len(elabels))])
+		}
+	}
+	return g
+}
+
+// TestBuildMatchesReferenceCut: Build and BuildExpanded against the reference
+// cut, over awkward graphs × every strategy × n ∈ {1, 3, 8, > |V|}, frozen
+// and thawed input, plus the generators' graphs under Hash.
+func TestBuildMatchesReferenceCut(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		for _, s := range Strategies() {
+			for _, n := range []int{1, 3, 8, 64} {
+				g := awkwardGraph(seed, seed%2 == 0, seed%3 == 0)
+				checkCuts(t, fmt.Sprintf("seed %d %s n=%d", seed, s.Name(), n), g, s, n)
+			}
+		}
+	}
+	for name, g := range map[string]*graph.Graph{
+		"road":     gen.RoadGrid(12, 17, 3),
+		"social":   gen.PreferentialAttachment(300, 4, 5),
+		"commerce": gen.SocialCommerce(gen.SocialCommerceConfig{People: 200, Products: 5, Follows: 4, AdoptP: 0.7, Seed: 2}),
+		"ratings":  gen.Ratings(gen.RatingsConfig{Users: 80, Items: 20, RatingsPerUser: 6, Factors: 3, Noise: 0.1, Seed: 4}),
+	} {
+		for _, n := range []int{1, 3, 8} {
+			checkCuts(t, fmt.Sprintf("%s n=%d", name, n), g, Hash{}, n)
+		}
+	}
+}
+
+// FuzzBuildEquivalence lets the fuzzer pick the graph, the strategy and the
+// fragment count.
+func FuzzBuildEquivalence(f *testing.F) {
+	f.Add(int64(1), true, false, uint8(0), uint8(3))
+	f.Add(int64(2), false, true, uint8(5), uint8(8))
+	f.Add(int64(3), false, false, uint8(2), uint8(200))
+	f.Fuzz(func(t *testing.T, seed int64, directed, ascending bool, strategy, n uint8) {
+		ss := Strategies()
+		checkCuts(t, "fuzz", awkwardGraph(seed, directed, ascending), ss[int(strategy)%len(ss)], 1+int(n))
+	})
+}
+
+// TestBuildFrozenEquivalence: Build over a frozen input and over a thawed
+// copy of the same graph must produce identical layouts — same fragment
+// graphs in the same dense order (graph.Diff compares exact adjacency order),
+// same Inner/Outer/InnerBorder, same hosts — and never freeze the caller's
+// graph on the way.
 func TestBuildFrozenEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -28,25 +320,21 @@ func TestBuildFrozenEquivalence(t *testing.T) {
 			if !frozen.Frozen() {
 				t.Fatal("generator did not freeze")
 			}
-			thawed := frozen.Clone()
-			thawed.AddVertex(frozen.IDAt(0), "") // no-op mutation thaws
-			if thawed.Frozen() {
-				t.Fatal("clone did not thaw")
-			}
-
 			for _, n := range []int{1, 3, 8} {
 				asgF, err := Hash{}.Partition(frozen, n)
 				if err != nil {
 					t.Fatal(err)
 				}
-				asgT, err := Hash{}.Partition(thawed, n)
-				if err != nil {
-					t.Fatal(err)
-				}
+				thawed, asgT := thawedCopy(frozen, asgF)
 				lf := Build(frozen, asgF)
 				lt := Build(thawed, asgT)
-				if !reflect.DeepEqual(lf.Placement, lt.Placement) {
-					t.Fatalf("n=%d: placement differs", n)
+				if thawed.Frozen() {
+					t.Fatal("Build froze its input")
+				}
+				for _, id := range frozen.Vertices() {
+					if !reflect.DeepEqual(lf.Hosts(id), lt.Hosts(id)) {
+						t.Fatalf("n=%d: hosts of %d differ", n, id)
+					}
 				}
 				for i := range lf.Fragments {
 					ff, ft := lf.Fragments[i], lt.Fragments[i]
@@ -67,6 +355,25 @@ func TestBuildFrozenEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBuildAllocationBudget: the cut allocates per fragment, not per vertex
+// or per edge — the same budget holds on a road grid four times the size
+// (what still grows is inside the ID index: a Go map adds a table per ~900
+// entries).
+func TestBuildAllocationBudget(t *testing.T) {
+	for _, side := range []int{48, 96} {
+		g := gen.RoadGrid(side, side, 1)
+		asg, err := TwoD{Cols: side}.Partition(g, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(5, func() { Build(g, asg) }); n > 200 {
+			t.Errorf("road %d×%d, 8 fragments: Build allocates %v times, budget 200", side, side, n)
+		} else {
+			t.Logf("road %d×%d: %v allocations", side, side, n)
+		}
 	}
 }
 

@@ -2,7 +2,7 @@ package partition
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"grape/internal/graph"
 )
@@ -36,16 +36,14 @@ type Fragment struct {
 	n      int
 	owners []int32
 
-	// Dense caches over G's vertex index, built lazily after the fragment is
-	// assembled (Build/BuildExpanded finalize them eagerly, DecodeFragment
-	// takes them from the frame). innerAt/innerIdx never change after
-	// construction — graph updates only ever add outer copies; the border
-	// caches are invalidated by AddOuter/AddInnerBorder.
+	// Dense tables over G's vertex index, from the cut or from the frame.
+	// innerAt/innerIdx never change after construction — graph updates only
+	// ever add outer copies; the border cache is invalidated by
+	// AddOuter/AddInnerBorder and rebuilt on the next Border().
 	innerAt   []bool     // dense index -> owned here
 	innerIdx  []int32    // dense indices of Inner, parallel to Inner
 	border    []graph.ID // cached Border(), ascending
 	borderIdx []int32    // dense indices of border, parallel to border
-	innerOK   bool
 	borderOK  bool
 }
 
@@ -59,35 +57,12 @@ func (f *Fragment) IsInner(id graph.ID) bool {
 // is owned by this fragment. Vertices appended after construction (new outer
 // copies from graph updates) fall past the cache and are never inner.
 func (f *Fragment) IsInnerAt(i int32) bool {
-	if !f.innerOK {
-		f.buildInnerCache()
-	}
 	return int(i) < len(f.innerAt) && f.innerAt[i]
 }
 
 // InnerIndices returns the dense indices of the fragment's inner vertices,
 // parallel to Inner. The caller must not mutate the returned slice.
-func (f *Fragment) InnerIndices() []int32 {
-	if !f.innerOK {
-		f.buildInnerCache()
-	}
-	return f.innerIdx
-}
-
-func (f *Fragment) buildInnerCache() {
-	f.innerAt = make([]bool, f.G.NumVertices())
-	f.innerIdx = make([]int32, len(f.Inner))
-	for k, id := range f.Inner {
-		i, ok := f.G.Index(id)
-		if !ok {
-			i = -1
-		} else {
-			f.innerAt[i] = true
-		}
-		f.innerIdx[k] = i
-	}
-	f.innerOK = true
-}
+func (f *Fragment) InnerIndices() []int32 { return f.innerIdx }
 
 // Owner returns the index of the fragment owning id, a vertex of G. It
 // panics if id is absent.
@@ -143,24 +118,6 @@ func (f *Fragment) buildBorderCache() {
 	f.borderOK = true
 }
 
-// finalize freezes the local subgraph, records who owns each of its vertices
-// and builds the dense caches. Build and BuildExpanded call it once the
-// fragment is complete.
-func (f *Fragment) finalize(asg *Assignment) {
-	f.G.Freeze()
-	f.buildInnerCache()
-	f.buildBorderCache()
-	f.n = asg.N
-	f.owners = make([]int32, f.G.NumVertices())
-	for i, id := range f.G.Vertices() {
-		if f.innerAt[i] {
-			f.owners[i] = int32(f.Index)
-		} else {
-			f.owners[i] = int32(asg.Owner(id))
-		}
-	}
-}
-
 // AddOuter records a new outer copy: id, owned by fragment owner, which graph
 // updates just appended to G. It keeps the ownership table and the border
 // caches consistent, and is a no-op if id is already an outer copy.
@@ -187,25 +144,18 @@ func (f *Fragment) AddInnerBorder(id graph.ID) bool {
 }
 
 func insertSortedID(ids []graph.ID, id graph.ID) []graph.ID {
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-	if i < len(ids) && ids[i] == id {
+	i, found := slices.BinarySearch(ids, id)
+	if found {
 		return ids
 	}
-	ids = append(ids, 0)
-	copy(ids[i+1:], ids[i:])
-	ids[i] = id
-	return ids
+	return slices.Insert(ids, i, id)
 }
 
 // Layout is the result of cutting a graph into fragments: the fragments plus
-// the placement map the coordinator uses to route update-parameter messages.
+// the host index the coordinator uses to route update-parameter messages.
 type Layout struct {
 	Asg       *Assignment
 	Fragments []*Fragment
-	// Placement maps each border vertex to the sorted list of fragment
-	// indices hosting it (its owner plus every fragment with an outer copy).
-	// Non-border vertices are absent: their values never travel.
-	Placement map[graph.ID][]int
 	// ReplicationBytes estimates the data shipped to build the fragments
 	// beyond the plain edge-cut: BuildExpanded replicates d-hop
 	// neighborhoods (GRAPE's data-shipping PEval for locality-bounded
@@ -215,10 +165,10 @@ type Layout struct {
 	ReplicationBytes int64
 
 	// Dense host index: hostList[hostOff[i]:hostOff[i+1]] is the packed,
-	// sorted host list of the vertex at dense index i of Asg.G — the owner
-	// alone for non-border vertices. The coordinator routes every changed
-	// value every superstep, so Hosts must not hash into Placement (a map of
-	// individually allocated slices) on that path.
+	// sorted list of fragments hosting the vertex at dense index i of Asg.G —
+	// its owner plus every fragment with an outer copy, so the owner alone
+	// for non-border vertices. The coordinator routes every changed value
+	// every superstep through it.
 	hostOff  []int32
 	hostList []int
 	// overflow holds host lists that changed after the build: the session
@@ -227,192 +177,169 @@ type Layout struct {
 	overflow map[graph.ID][]int
 }
 
-// Hosts returns the fragments hosting id: its placement entry if id is a
-// border node, else just its owner. The returned slice is shared; callers
-// must not mutate it.
+// Hosts returns the fragments hosting id, ascending: its owner, plus every
+// fragment with an outer copy if id is a border node. It returns nil for a
+// vertex the graph does not have. The returned slice is shared; callers must
+// not mutate it.
 func (l *Layout) Hosts(id graph.ID) []int {
 	if l.overflow != nil {
 		if hs, ok := l.overflow[id]; ok {
 			return hs
 		}
 	}
-	if l.hostOff != nil {
-		if i, ok := l.Asg.G.Index(id); ok {
-			return l.hostList[l.hostOff[i]:l.hostOff[i+1]]
-		}
+	if i, ok := l.Asg.G.Index(id); ok {
+		return l.hostList[l.hostOff[i]:l.hostOff[i+1]]
 	}
-	if hs, ok := l.Placement[id]; ok {
-		return hs
-	}
-	return []int{l.Asg.Owner(id)}
+	return nil
 }
 
-// AddHost records that fragment w now holds a copy of id, keeping Placement
-// and the dense host index consistent. The session layer calls it when a
-// graph update creates a new outer copy; it is a no-op if w already hosts id.
+// AddHost records that fragment w now holds a copy of id. The session layer
+// calls it when a graph update creates a new outer copy; it is a no-op if w
+// already hosts id.
 func (l *Layout) AddHost(id graph.ID, w int) {
 	hosts := l.Hosts(id)
-	for _, h := range hosts {
-		if h == w {
-			return
-		}
+	if slices.Contains(hosts, w) {
+		return
 	}
-	merged := make([]int, 0, len(hosts)+1)
-	merged = append(merged, hosts...)
-	merged = append(merged, w)
-	sort.Ints(merged)
+	merged := append(slices.Clone(hosts), w)
+	slices.Sort(merged)
 	if l.overflow == nil {
 		l.overflow = make(map[graph.ID][]int)
 	}
 	l.overflow[id] = merged
-	l.Placement[id] = merged
 }
 
-// buildHostIndex packs Placement (plus the owner-only default) into the
-// dense arrays Hosts reads on the routing hot path.
-func (l *Layout) buildHostIndex() {
-	g := l.Asg.G
-	nv := g.NumVertices()
-	size := 0
-	for i := 0; i < nv; i++ {
-		if hs, ok := l.Placement[g.IDAt(int32(i))]; ok {
-			size += len(hs)
-		} else {
-			size++
+// cut is the bookkeeping Build and BuildExpanded share: who is inner where,
+// each fragment's subgraph and outer copies as they are cut, and how many
+// copies every vertex has — from which the host index and every fragment's
+// inner border fall out, on dense indices of the source graph throughout.
+type cut struct {
+	g        *graph.Graph // the source, frozen
+	asg      *Assignment
+	innerOff []int32 // inner(w) = innerAll[innerOff[w]:innerOff[w+1]]
+	innerAll []int32
+	copies   []int32 // per source vertex: fragments holding an outer copy of it
+	pieces   []piece
+}
+
+// piece is one fragment mid-cut.
+type piece struct {
+	g        *graph.Graph
+	innerIdx []int32 // dense indices in g of the inner vertices, parallel to inner(w)
+	outer    []int32 // the outer copies, as dense indices of the source, in any order
+	outerIdx []int32 // and as dense indices in g
+}
+
+// newCut starts a cut of g by asg. An unfrozen g is cut from a private frozen
+// copy: there is one cut, it reads CSR, and dense indices survive the copy.
+func newCut(g *graph.Graph, asg *Assignment) *cut {
+	if !g.Frozen() {
+		g = g.Clone().Freeze()
+	}
+	c := &cut{g: g, asg: asg, innerOff: make([]int32, asg.N+1), innerAll: make([]int32, len(asg.owner)),
+		copies: make([]int32, len(asg.owner)), pieces: make([]piece, asg.N)}
+	for _, w := range asg.owner {
+		c.innerOff[w+1]++
+	}
+	for w := 0; w < asg.N; w++ {
+		c.innerOff[w+1] += c.innerOff[w]
+	}
+	next := slices.Clone(c.innerOff[:asg.N])
+	for _, i := range g.SortedIndices() {
+		w := asg.owner[i]
+		c.innerAll[next[w]] = i
+		next[w]++
+	}
+	return c
+}
+
+// inner returns the source dense indices of fragment w's inner vertices,
+// ascending by ID.
+func (c *cut) inner(w int) []int32 { return c.innerAll[c.innerOff[w]:c.innerOff[w+1]] }
+
+func (c *cut) add(w int, p piece) {
+	c.pieces[w] = p
+	for _, i := range p.outer {
+		c.copies[i]++
+	}
+}
+
+// layout finishes the cut. The host index is counted out of the fragments'
+// outer lists and filled fragment by fragment, so every host list ascends;
+// beside each host goes where it keeps the vertex, so one walk over the
+// border vertices in ascending-ID order deals every fragment its border —
+// outer copies and the inner vertices somebody copied — already sorted.
+func (c *cut) layout(replication int64) *Layout {
+	nv := len(c.copies)
+	l := &Layout{Asg: c.asg, Fragments: make([]*Fragment, len(c.pieces)), ReplicationBytes: replication, hostOff: make([]int32, nv+1)}
+	for i, k := range c.copies {
+		l.hostOff[i+1] = l.hostOff[i] + 1 + k
+	}
+	l.hostList = make([]int, l.hostOff[nv])
+	at := make([]int32, len(l.hostList)) // at[k]: the vertex's dense index in fragment hostList[k]
+	next := slices.Clone(l.hostOff[:nv])
+	for w, p := range c.pieces {
+		inner, nb := c.inner(w), len(p.outer)
+		for _, i := range inner {
+			if c.copies[i] > 0 {
+				nb++
+			}
+		}
+		nvl := p.g.NumVertices()
+		tables := make([]int32, nvl+nb) // both capped: AddOuter appends to owners
+		f := &Fragment{Index: w, G: p.g, n: c.asg.N, owners: tables[:nvl:nvl], innerIdx: p.innerIdx, borderIdx: tables[nvl:nvl]}
+		l.Fragments[w] = f
+		host := func(verts, local []int32) { // w hosts verts, at these dense indices of its own
+			for k, i := range verts {
+				f.owners[local[k]] = c.asg.owner[i]
+				l.hostList[next[i]], at[next[i]] = w, local[k]
+				next[i]++
+			}
+		}
+		host(inner, p.innerIdx)
+		host(p.outer, p.outerIdx)
+	}
+	for _, i := range c.g.SortedIndices() {
+		for k := l.hostOff[i]; c.copies[i] > 0 && k < l.hostOff[i+1]; k++ {
+			f := l.Fragments[l.hostList[k]]
+			f.borderIdx = append(f.borderIdx, at[k])
 		}
 	}
-	l.hostOff = make([]int32, nv+1)
-	l.hostList = make([]int, 0, size)
-	for i := 0; i < nv; i++ {
-		id := g.IDAt(int32(i))
-		if hs, ok := l.Placement[id]; ok {
-			l.hostList = append(l.hostList, hs...)
-		} else {
-			l.hostList = append(l.hostList, l.Asg.Owner(id))
+	for _, f := range l.Fragments {
+		if err := complete(f); err != nil {
+			panic(err) // the cut disagrees with itself
 		}
-		l.hostOff[i+1] = int32(len(l.hostList))
 	}
+	return l
 }
 
 // Build cuts g into fragments according to asg. Every inner vertex keeps all
 // of its out-edges; remote endpoints become outer copies with labels and
-// properties replicated (matching algorithms inspect them). A frozen input
-// produces the fragments directly in CSR form via graph.SubgraphBuilder —
-// the whole cut then costs one hash per fragment vertex and zero per edge;
-// an unfrozen input goes through the mutable graph API and the fragments are
-// frozen afterwards. Both paths yield identical fragments.
+// properties (matching algorithms inspect them). Each fragment is gathered
+// straight out of g's CSR into its own, exact-size CSR by one shared
+// graph.SubgraphBuilder — one hash per fragment vertex, none per edge.
 func Build(g *graph.Graph, asg *Assignment) *Layout {
-	n := asg.N
-	frags := make([]*Fragment, n)
-	placement := make(map[graph.ID][]int)
-	hasCopy := make(map[graph.ID]map[int]bool) // border vertex -> fragments with copies
-
-	if g.Frozen() {
-		builders := make([]*graph.SubgraphBuilder, n)
-		nv := g.NumVertices()
-		for i := 0; i < n; i++ {
-			frags[i] = &Fragment{Index: i}
-			builders[i] = graph.NewSubgraphBuilder(g, nv/n+1)
-		}
-		order := g.SortedIndices()
-		// inner vertices
-		for _, i := range order {
-			w := asg.OwnerAt(i)
-			id := g.IDAt(i)
-			builders[w].AddVertex(i)
-			frags[w].Inner = append(frags[w].Inner, id)
-		}
-		// edges + outer copies
-		directed := g.Directed()
-		for _, ui := range order {
-			uo := asg.OwnerAt(ui)
-			b := builders[uo]
-			u := g.IDAt(ui)
-			for _, e := range g.OutAt(ui) {
-				vo := asg.OwnerAt(e.To)
-				if !directed && vo == uo && u > g.IDAt(e.To) {
-					continue // undirected intra-fragment edge already added via the lower endpoint
-				}
-				if vo != uo && !b.Has(e.To) {
-					b.AddVertex(e.To)
-					v := g.IDAt(e.To)
-					frags[uo].Outer = append(frags[uo].Outer, v)
-					if hasCopy[v] == nil {
-						hasCopy[v] = make(map[int]bool)
-					}
-					hasCopy[v][uo] = true
-				}
-				b.AddEdge(ui, e)
-			}
-		}
-		for i := 0; i < n; i++ {
-			frags[i].G = builders[i].Finish()
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			var local *graph.Graph
-			if g.Directed() {
-				local = graph.New()
-			} else {
-				local = graph.NewUndirected()
-			}
-			frags[i] = &Fragment{Index: i, G: local}
-		}
-		// inner vertices
-		for _, id := range g.SortedVertices() {
-			f := frags[asg.Owner(id)]
-			f.G.AddVertex(id, g.Label(id))
-			if ps := g.Props(id); len(ps) > 0 {
-				f.G.SetProps(id, append([]string(nil), ps...))
-			}
-			f.Inner = append(f.Inner, id)
-		}
-		// edges + outer copies
-		for _, u := range g.SortedVertices() {
-			uo := asg.Owner(u)
-			f := frags[uo]
-			for _, e := range g.Out(u) {
-				if !g.Directed() && u > e.To && asg.Owner(e.To) == uo {
-					continue // undirected intra-fragment edge already added via the lower endpoint
-				}
-				vo := asg.Owner(e.To)
-				if vo != uo && !f.G.Has(e.To) {
-					f.G.AddVertex(e.To, g.Label(e.To))
-					if ps := g.Props(e.To); len(ps) > 0 {
-						f.G.SetProps(e.To, append([]string(nil), ps...))
-					}
-					f.Outer = append(f.Outer, e.To)
-					if hasCopy[e.To] == nil {
-						hasCopy[e.To] = make(map[int]bool)
-					}
-					hasCopy[e.To][uo] = true
-				}
-				f.G.AddLabeledEdge(u, e.To, e.W, e.Label)
-			}
+	c := newCut(g, asg)
+	src := c.g
+	b := graph.NewSubgraphBuilder(src)
+	first := make([]int32, len(asg.owner)) // a fragment's inner vertices are its first, its outer copies follow: 0, 1, 2, …
+	for i := range first {
+		first[i] = int32(i)
+	}
+	var w int // the fragment being cut; keep reads it
+	var keep func(int32, graph.DenseEdge) bool
+	if !src.Directed() {
+		// an undirected intra-fragment edge is stored from its lower endpoint, mirror included
+		keep = func(ui int32, e graph.DenseEdge) bool {
+			return asg.owner[e.To] != int32(w) || src.IDAt(ui) <= src.IDAt(e.To)
 		}
 	}
-	// Finish border bookkeeping.
-	for v, copies := range hasCopy {
-		owner := asg.Owner(v)
-		of := frags[owner]
-		of.InnerBorder = append(of.InnerBorder, v)
-		hosts := []int{owner}
-		for w := range copies {
-			hosts = append(hosts, w)
-		}
-		sort.Ints(hosts)
-		placement[v] = hosts
+	for w = range c.pieces {
+		sub := b.Subgraph(c.inner(w), keep)
+		ni, nvl := len(c.inner(w)), sub.NumVertices()
+		c.add(w, piece{g: sub, innerIdx: first[:ni:ni], outer: slices.Clone(b.Vertices()[ni:]), outerIdx: first[ni:nvl:nvl]})
 	}
-	for _, f := range frags {
-		sort.Slice(f.Outer, func(i, j int) bool { return f.Outer[i] < f.Outer[j] })
-		sort.Slice(f.InnerBorder, func(i, j int) bool { return f.InnerBorder[i] < f.InnerBorder[j] })
-	}
-	for _, f := range frags {
-		f.finalize(asg)
-	}
-	l := &Layout{Asg: asg, Fragments: frags, Placement: placement}
-	l.buildHostIndex()
-	return l
+	return c.layout(0)
 }
 
 // BuildExpanded cuts g into fragments and then expands each with the full
@@ -422,55 +349,27 @@ func Build(g *graph.Graph, asg *Assignment) *Layout {
 // isomorphism: matches anchored at inner vertices become entirely local, so
 // PEval is exact and IncEval terminates in one round.
 func BuildExpanded(g *graph.Graph, asg *Assignment, d int) *Layout {
-	n := asg.N
-	frags := make([]*Fragment, n)
-	innerSets := make([]map[graph.ID]bool, n)
-	for i := 0; i < n; i++ {
-		innerSets[i] = make(map[graph.ID]bool)
-	}
-	for _, id := range g.Vertices() {
-		innerSets[asg.Owner(id)][id] = true
-	}
-	for i := 0; i < n; i++ {
-		seeds := make([]graph.ID, 0, len(innerSets[i]))
-		for id := range innerSets[i] {
-			seeds = append(seeds, id)
-		}
-		sort.Slice(seeds, func(a, b int) bool { return seeds[a] < seeds[b] })
-		region := g.UndirectedNeighborhood(seeds, d)
-		local := g.InducedSubgraph(region)
-		f := &Fragment{Index: i, G: local}
-		for _, id := range local.SortedVertices() {
-			if innerSets[i][id] {
-				f.Inner = append(f.Inner, id)
-			} else {
-				f.Outer = append(f.Outer, id)
-			}
-		}
-		frags[i] = f
-	}
-	placement := make(map[graph.ID][]int)
+	c := newCut(g, asg)
+	src := c.g
 	var replication int64
-	for i, f := range frags {
-		for _, v := range f.Outer {
-			placement[v] = append(placement[v], i)
-			// a replicated vertex ships its ID + label + properties…
-			replication += 16
-			// …and its locally stored out-edges (ID + target + weight)
-			replication += int64(f.G.OutDegree(v)) * 24
+	for w := range c.pieces {
+		seeds := make([]graph.ID, len(c.inner(w)))
+		for k, i := range c.inner(w) {
+			seeds[k] = src.IDAt(i)
 		}
+		p := piece{g: src.InducedSubgraph(src.UndirectedNeighborhood(seeds, d))}
+		for _, li := range p.g.SortedIndices() {
+			i, _ := src.Index(p.g.IDAt(li))
+			if asg.owner[i] == int32(w) {
+				p.innerIdx = append(p.innerIdx, li)
+				continue
+			}
+			p.outer, p.outerIdx = append(p.outer, i), append(p.outerIdx, li)
+			// a replicated vertex ships its ID + label + properties, and its
+			// locally stored out-edges (ID + target + weight)
+			replication += 16 + 24*int64(p.g.OutDegreeAt(li))
+		}
+		c.add(w, p)
 	}
-	for v, hosts := range placement {
-		owner := asg.Owner(v)
-		frags[owner].InnerBorder = append(frags[owner].InnerBorder, v)
-		placement[v] = append(hosts, owner)
-		sort.Ints(placement[v])
-	}
-	for _, f := range frags {
-		sort.Slice(f.InnerBorder, func(i, j int) bool { return f.InnerBorder[i] < f.InnerBorder[j] })
-		f.finalize(asg)
-	}
-	l := &Layout{Asg: asg, Fragments: frags, Placement: placement, ReplicationBytes: replication}
-	l.buildHostIndex()
-	return l
+	return c.layout(replication)
 }

@@ -149,34 +149,37 @@ func TestBuildFragmentsInvariants(t *testing.T) {
 	if edgeCount != g.NumEdges() {
 		t.Fatalf("fragments store %d edges, graph has %d", edgeCount, g.NumEdges())
 	}
-	// 3. placement lists owner + every fragment holding a copy, sorted
-	for v, hosts := range layout.Placement {
-		ownerFound := false
+	// 3. Hosts lists owner + every fragment holding a copy, sorted — the
+	// owner alone for a vertex nobody copied, nothing for an unknown vertex
+	for _, v := range g.Vertices() {
+		hosts := layout.Hosts(v)
+		ownerFound, copies := false, 0
 		for i := 1; i < len(hosts); i++ {
 			if hosts[i-1] >= hosts[i] {
-				t.Fatalf("placement of %d not sorted: %v", v, hosts)
+				t.Fatalf("hosts of %d not sorted: %v", v, hosts)
 			}
 		}
 		for _, h := range hosts {
 			if h == asg.Owner(v) {
 				ownerFound = true
 			} else if !layout.Fragments[h].G.Has(v) {
-				t.Fatalf("placement says %d hosts %d but fragment lacks it", h, v)
+				t.Fatalf("Hosts says %d hosts %d but fragment lacks it", h, v)
 			}
 		}
 		if !ownerFound {
-			t.Fatalf("placement of %d misses its owner", v)
+			t.Fatalf("hosts of %d miss its owner", v)
+		}
+		for _, f := range layout.Fragments {
+			if f.G.Has(v) && !f.IsInner(v) {
+				copies++
+			}
+		}
+		if len(hosts) != 1+copies {
+			t.Fatalf("Hosts(%d) = %v, but %d fragments hold a copy", v, hosts, copies)
 		}
 	}
-	// 4. Hosts falls back to the owner for non-border vertices
-	for _, v := range g.Vertices() {
-		if _, ok := layout.Placement[v]; !ok {
-			hs := layout.Hosts(v)
-			if len(hs) != 1 || hs[0] != asg.Owner(v) {
-				t.Fatalf("Hosts(%d) = %v, want owner only", v, hs)
-			}
-			break
-		}
+	if hs := layout.Hosts(graph.ID(1 << 40)); hs != nil {
+		t.Fatalf("Hosts of a vertex the graph lacks = %v, want nil", hs)
 	}
 	// 5. border = outer ∪ innerBorder, sorted, consistent with placement
 	for _, f := range layout.Fragments {
@@ -187,7 +190,7 @@ func TestBuildFragmentsInvariants(t *testing.T) {
 			}
 		}
 		for _, b := range f.InnerBorder {
-			hosts := layout.Placement[b]
+			hosts := layout.Hosts(b)
 			if len(hosts) < 2 {
 				t.Fatalf("inner border %d should have copies elsewhere: %v", b, hosts)
 			}

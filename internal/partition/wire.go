@@ -61,9 +61,9 @@ func AppendFragment(buf []byte, f *Fragment) []byte {
 // that can alias (graph.CanAlias) and 8-aligned input, the fragment's
 // ownership table, dense index caches and CSR arrays are views into data,
 // which must stay alive and unmodified as long as the fragment; misaligned
-// input is copied once first. Only the ID index, the reverse CSR, the ID
-// lists and the inner bitmap are built. Every count is checked against
-// len(data) before anything is sized from it.
+// input is copied once first. Only the ID index, the ID lists and the inner
+// bitmap are built. Every count is checked against len(data) before anything
+// is sized from it.
 func DecodeFragment(data []byte) (*Fragment, int, error) {
 	if len(data) < fragHeaderLen {
 		return nil, 0, fmt.Errorf("partition: fragment frame truncated: %d header bytes", len(data))
@@ -99,67 +99,81 @@ func DecodeFragment(data []byte) (*Fragment, int, error) {
 		owners:    graph.ViewInt32s(data[ownersOff : ownersOff+4*nv]),
 		innerIdx:  graph.ViewInt32s(data[innerOff : innerOff+4*ni]),
 		borderIdx: graph.ViewInt32s(data[borderOff : borderOff+4*nb]),
-		innerAt:   make([]bool, nv),
-		innerOK:   true,
-		borderOK:  true,
 	}
+	if err := complete(f); err != nil {
+		return nil, 0, err
+	}
+	return f, graphOff + used, nil
+}
+
+// complete finishes a fragment that has its subgraph and the three dense
+// tables a frame carries (and a cut computes). It checks them against G and
+// each other — owners in range, Inner exactly the vertices owned here, both
+// index lists strictly ascending by ID — and derives what is not carried: the
+// ID lists (one allocation, each list capped so a later AddOuter reallocates)
+// and the inner bitmap.
+func complete(f *Fragment) error {
+	g, idx, owners, innerIdx, borderIdx := f.G, f.Index, f.owners, f.innerIdx, f.borderIdx
+	ni, nb := len(innerIdx), len(borderIdx)
+	ids := make([]graph.ID, ni+2*nb)
+	f.Inner, f.border, f.borderOK = ids[:ni:ni], ids[ni:ni+nb:ni+nb], true
+	f.innerAt = make([]bool, len(owners))
 	owned := 0
-	for i, w := range f.owners {
-		if w < 0 || int(w) >= n {
-			return nil, 0, fmt.Errorf("partition: vertex %d owned by out-of-range worker %d", g.IDAt(int32(i)), w)
+	for i, w := range owners {
+		if w < 0 || int(w) >= f.n {
+			return fmt.Errorf("partition: vertex %d owned by out-of-range worker %d", g.IDAt(int32(i)), w)
 		}
 		if int(w) == idx {
 			owned++
 		}
 	}
-	if f.Inner, err = ascendingIDs(g, f.innerIdx); err != nil {
-		return nil, 0, fmt.Errorf("partition: inner list: %w", err)
+	if err := ascendingIDs(g, innerIdx, f.Inner); err != nil {
+		return fmt.Errorf("partition: inner list: %w", err)
 	}
-	for _, i := range f.innerIdx {
-		if int(f.owners[i]) != idx {
-			return nil, 0, fmt.Errorf("partition: inner vertex %d is owned by worker %d", g.IDAt(i), f.owners[i])
+	for _, i := range innerIdx {
+		if int(owners[i]) != idx {
+			return fmt.Errorf("partition: inner vertex %d is owned by worker %d", g.IDAt(i), owners[i])
 		}
 		f.innerAt[i] = true
 	}
 	if owned != ni {
-		return nil, 0, fmt.Errorf("partition: fragment owns %d local vertices but lists %d inner", owned, ni)
+		return fmt.Errorf("partition: fragment owns %d local vertices but lists %d inner", owned, ni)
 	}
-	if f.border, err = ascendingIDs(g, f.borderIdx); err != nil {
-		return nil, 0, fmt.Errorf("partition: border list: %w", err)
+	if err := ascendingIDs(g, borderIdx, f.border); err != nil {
+		return fmt.Errorf("partition: border list: %w", err)
 	}
 	nib := 0
-	for _, i := range f.borderIdx {
+	for _, i := range borderIdx {
 		if f.innerAt[i] {
 			nib++
 		}
 	}
-	f.InnerBorder, f.Outer = make([]graph.ID, 0, nib), make([]graph.ID, 0, nb-nib)
-	for k, i := range f.borderIdx {
+	f.InnerBorder, f.Outer = ids[ni+nb:][:0:nib], ids[ni+nb+nib:][:0]
+	for k, i := range borderIdx {
 		if f.innerAt[i] {
 			f.InnerBorder = append(f.InnerBorder, f.border[k])
 		} else {
 			f.Outer = append(f.Outer, f.border[k])
 		}
 	}
-	return f, graphOff + used, nil
+	return nil
 }
 
-// ascendingIDs resolves a list of dense indices of g to vertex IDs, checking
-// that every index is in range and the IDs strictly ascend (so the list is
-// duplicate-free and binary-searchable).
-func ascendingIDs(g *graph.Graph, idx []int32) ([]graph.ID, error) {
+// ascendingIDs resolves a list of dense indices of g to vertex IDs, written
+// to ids, checking that every index is in range and the IDs strictly ascend
+// (so the list is duplicate-free and binary-searchable).
+func ascendingIDs(g *graph.Graph, idx []int32, ids []graph.ID) error {
 	nv := int32(g.NumVertices())
-	ids := make([]graph.ID, len(idx))
 	for k, i := range idx {
 		if i < 0 || i >= nv {
-			return nil, fmt.Errorf("dense index %d of %d", i, nv)
+			return fmt.Errorf("dense index %d of %d", i, nv)
 		}
 		ids[k] = g.IDAt(i)
 		if k > 0 && ids[k] <= ids[k-1] {
-			return nil, fmt.Errorf("vertex %d after %d, not ascending", ids[k], ids[k-1])
+			return fmt.Errorf("vertex %d after %d, not ascending", ids[k], ids[k-1])
 		}
 	}
-	return ids, nil
+	return nil
 }
 
 // Wire encoding of an Assignment's cut — the layout-persistence half of the

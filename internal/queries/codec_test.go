@@ -180,6 +180,10 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Add(engine.AppendUpdates(SSSP{}.WireCodec(), nil, []engine.VarUpdate[float64]{{ID: 3, Val: 1.5}}))
 	f.Add(CF{}.WireCodec().AppendVal(nil, []float64{1, 2, 3}))
+	// a well-formed batch naming a vertex no graph here has: it decodes, and
+	// the coordinator must fail the run on it, not panic
+	// (engine.TestReplyNamingUnknownVertexFailsRun)
+	f.Add(engine.AppendUpdates(CC{}.WireCodec(), nil, []engine.VarUpdate[graph.ID]{{ID: 999999, Val: 1}}))
 	// pattern blobs (graph.AppendFlat), bare and behind SubIso's match cap,
 	// and the input that made the varint graph decoder they replaced size a
 	// 4.6 GB map

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"grape/internal/engine"
@@ -87,7 +88,22 @@ func TestSnapshotFormatPinned(t *testing.T) {
 func TestSnapshotRoundTrip(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		for _, directed := range []bool{true, false} {
-			g := testGraph(seed, directed).Freeze()
+			g := testGraph(seed, directed)
+			wantIn := map[graph.ID][]graph.Edge{}
+			for _, id := range g.Vertices() {
+				wantIn[id] = g.In(id)
+			}
+			// frozen and written without anything having read an in-edge:
+			// the snapshot must carry the reverse CSR all the same
+			g.Freeze()
+			sameIn := func(got *graph.Graph) {
+				t.Helper()
+				for id, want := range wantIn {
+					if in := got.In(id); len(in)+len(want) > 0 && !reflect.DeepEqual(in, want) {
+						t.Fatalf("seed %d: vertex %d in-edges %v, want %v", seed, id, in, want)
+					}
+				}
+			}
 			path := filepath.Join(t.TempDir(), "g.grs")
 			epoch := uint64(seed) + 3
 			if _, err := WriteSnapshotFile(path, g, epoch); err != nil {
@@ -102,6 +118,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				t.Fatalf("seed %d: read epoch %d, want %d", seed, rsi.Epoch, epoch)
 			}
 			assertSameGraph(t, g, rg)
+			sameIn(rg)
 			rsi.Close()
 
 			if mmapSupported && graph.CanAlias() {
@@ -113,6 +130,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 					t.Fatalf("seed %d: MapSnapshotFile not mapped", seed)
 				}
 				assertSameGraph(t, g, mg)
+				sameIn(mg)
 				// Mutating the mapped graph must thaw into heap memory, not
 				// write through the read-only mapping.
 				mg.AddVertex(graph.ID(99999), "fresh")
