@@ -97,8 +97,8 @@ func isCollectLoop(rs *ast.RangeStmt) bool {
 	return true
 }
 
-// sortsAfter reports whether a sort-package call appears lexically after the
-// range statement inside the function body — the second half of the
+// sortsAfter reports whether a sort call (sort.*, slices.Sort*) appears
+// lexically after the range statement inside the function body — half two of the
 // collect-then-sort idiom. The pairing is lexical, not data-flow, which is
 // precise enough for review-time enforcement.
 func sortsAfter(body *ast.BlockStmt, rs *ast.RangeStmt) bool {
@@ -109,7 +109,7 @@ func sortsAfter(body *ast.BlockStmt, rs *ast.RangeStmt) bool {
 			return true
 		}
 		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-			if id, ok := sel.X.(*ast.Ident); ok && id.Name == "sort" {
+			if id, ok := sel.X.(*ast.Ident); ok && (id.Name == "sort" || id.Name == "slices" && strings.HasPrefix(sel.Sel.Name, "Sort")) {
 				found = true
 				return false
 			}

@@ -5,6 +5,7 @@ package mapdet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -29,6 +30,20 @@ func EncodeSorted(m map[string]int) []byte {
 		out = append(out, fmt.Sprintf("%s=%d;", k, m[k])...)
 	}
 	return out
+}
+
+// EncodeSlicesSorted is the same idiom through package slices; a slices call
+// that does not sort leaves the range flagged.
+func EncodeSlicesSorted(m map[string]int) []byte {
+	var keys, again []string
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for k := range m { // want "map iteration in deterministic path EncodeSlicesSorted"
+		again = append(again, k)
+	}
+	return []byte(fmt.Sprint(keys, slices.Clone(again)))
 }
 
 // EncodeSize only aggregates an order-insensitive total; the keep waives it.

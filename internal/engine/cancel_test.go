@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -235,14 +236,20 @@ func TestCancelledResidentRunLeavesPoolClean(t *testing.T) {
 }
 
 // chanLink is an in-process WorkerLink over channels, for exercising the
-// worker side of the wire protocol without sockets.
+// worker side of the wire protocol without sockets. A frame is the sender's
+// again when Send returns (mpi.Envelope), so the channel carries a copy.
 type chanLink struct {
 	in  chan mpi.Envelope
 	out chan mpi.Envelope
 }
 
 func (l chanLink) Recv() (mpi.Envelope, error) { return <-l.in, nil }
-func (l chanLink) Send(e mpi.Envelope) error   { l.out <- e; return nil }
+func (l chanLink) Send(e mpi.Envelope) error {
+	e.Frame = slices.Clone(e.Frame)
+	l.out <- e
+	return nil
+}
+func (chanLink) Release([]byte) {}
 
 // TestWorkerHonorsPropagatedDeadline drives serveWire directly with an
 // already-expired run context — the shape a worker process is in once the
@@ -266,10 +273,10 @@ func TestWorkerHonorsPropagatedDeadline(t *testing.T) {
 		served <- serveWire(ctx, prog, link, stepQuery{limit: 1 << 40}, layout.Fragments[0])
 	}()
 
-	peFrame, _ := encodeCmd(codec, workerCmd[int64]{kind: cmdPEval})
+	peFrame, _ := encodeCmd(codec, nil, workerCmd[int64]{kind: cmdPEval})
 	link.in <- mpi.Envelope{From: mpi.Coordinator, To: 0, Step: 1, Frame: peFrame}
 	env := <-link.out
-	rep, err := decodeReply(codec, env.Frame)
+	rep, err := decodeReply(codec, nil, env.Frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +284,7 @@ func TestWorkerHonorsPropagatedDeadline(t *testing.T) {
 		t.Fatalf("expired worker must reply with the deadline error, got %v", rep.err)
 	}
 	// the abort frame releases the worker with ErrAborted
-	abFrame, _ := encodeCmd(codec, workerCmd[int64]{kind: cmdAbort})
+	abFrame, _ := encodeCmd(codec, nil, workerCmd[int64]{kind: cmdAbort})
 	link.in <- mpi.Envelope{From: mpi.Coordinator, To: 0, Frame: abFrame}
 	if err := <-served; !errors.Is(err, ErrAborted) {
 		t.Fatalf("abort frame must surface ErrAborted, got %v", err)
@@ -287,8 +294,12 @@ func TestWorkerHonorsPropagatedDeadline(t *testing.T) {
 // chanTransport is the coordinator's end of one chanLink per worker.
 type chanTransport struct{ links []chanLink }
 
-func (c chanTransport) Workers() int               { return len(c.links) }
-func (c chanTransport) Send(e mpi.Envelope)        { c.links[e.To].in <- e }
+func (c chanTransport) Workers() int { return len(c.links) }
+func (c chanTransport) Send(e mpi.Envelope) {
+	e.Frame = slices.Clone(e.Frame)
+	c.links[e.To].in <- e
+}
+func (chanTransport) Release([]byte)               {}
 func (chanTransport) Messages() int64              { return 0 }
 func (chanTransport) Bytes() int64                 { return 0 }
 func (chanTransport) AddTraffic(msgs, bytes int64) {}
@@ -322,7 +333,7 @@ func TestReplyNamingUnknownVertexFailsRun(t *testing.T) {
 			if w == 1 {
 				rep.changes = []VarUpdate[int64]{{ID: 999999, Val: 1}}
 			}
-			frame, size := encodeReply(codec, rep)
+			frame, size := encodeReply(codec, nil, rep)
 			link.Send(mpi.Envelope{From: w, To: mpi.Coordinator, Step: step.Step, Frame: frame, Size: size})
 			<-link.in
 		}()
@@ -531,6 +542,7 @@ func (l *closableLink) Recv() (mpi.Envelope, error) {
 }
 
 func (l *closableLink) Send(e mpi.Envelope) error { return nil }
+func (l *closableLink) Release([]byte)            {}
 
 func (l *closableLink) Close() error {
 	l.closeOnce.Do(func() { close(l.closed) })
@@ -565,7 +577,7 @@ func TestIdleWorkerDeadlineUnblocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(150 * time.Millisecond)
-	setup := encodeSetup("cancel-stepper", qblob, deadline.UnixMicro(), layout.Fragments[0])
+	setup := encodeSetup(nil, "cancel-stepper", qblob, deadline.UnixMicro(), layout.Fragments[0])
 
 	link := &closableLink{ch: make(chan mpi.Envelope, 1), closed: make(chan struct{})}
 	done := make(chan error, 1)
@@ -589,6 +601,7 @@ type deadLinkTransport struct{ n, next int }
 
 func (d *deadLinkTransport) Workers() int               { return d.n }
 func (*deadLinkTransport) Send(mpi.Envelope)            {}
+func (*deadLinkTransport) Release([]byte)               {}
 func (*deadLinkTransport) Messages() int64              { return 0 }
 func (*deadLinkTransport) Bytes() int64                 { return 0 }
 func (*deadLinkTransport) AddTraffic(msgs, bytes int64) {}

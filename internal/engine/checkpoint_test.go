@@ -72,13 +72,13 @@ func TestEpochFrameRejectsTruncation(t *testing.T) {
 	// Reply frames likewise: there is one protocol version, so a reply cut
 	// anywhere — in particular before its compute/apply timing tail, the
 	// shape of a pre-timing worker's reply — is a decode error.
-	reply, _ := encodeReply[float64](f64Codec{}, workerReply[float64]{changes: []VarUpdate[float64]{{ID: 1, Val: 2}}, work: 3, active: true, computeNS: 40, applyNS: 5})
+	reply, _ := encodeReply[float64](f64Codec{}, nil, workerReply[float64]{changes: []VarUpdate[float64]{{ID: 1, Val: 2}}, work: 3, active: true, computeNS: 40, applyNS: 5})
 	for cut := 0; cut < len(reply); cut++ {
-		if _, err := decodeReply[float64](f64Codec{}, reply[:cut]); err == nil {
+		if _, err := decodeReply[float64](f64Codec{}, nil, reply[:cut]); err == nil {
 			t.Fatalf("reply truncated at %d of %d accepted", cut, len(reply))
 		}
 	}
-	if rep, err := decodeReply[float64](f64Codec{}, reply); err != nil || rep.computeNS != 40 || rep.applyNS != 5 {
+	if rep, err := decodeReply[float64](f64Codec{}, nil, reply); err != nil || rep.computeNS != 40 || rep.applyNS != 5 {
 		t.Fatalf("intact reply: %+v, %v", rep, err)
 	}
 }

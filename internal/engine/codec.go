@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"grape/internal/graph"
 	"grape/internal/partition"
@@ -20,9 +21,16 @@ type Codec[V any] interface {
 	// AppendVal appends the encoding of v to buf and returns the extended
 	// buffer.
 	AppendVal(buf []byte, v V) []byte
-	// DecodeVal decodes one value from the front of data, returning the
-	// value and the number of bytes consumed.
+	// DecodeVal decodes one value from the front of data, returning the value,
+	// which must not alias data (frames are reused), and the bytes consumed.
 	DecodeVal(data []byte) (V, int, error)
+}
+
+// ArenaCodec is implemented by codecs whose decoded values own memory
+// (vectors): Arena returns a codec that cuts the values of one batch of size
+// encoded bytes from a single allocation, which lives as long as any of them.
+type ArenaCodec[V any] interface {
+	Arena(size int) Codec[V]
 }
 
 // Update batches are the unit of traffic metering: the engine charges
@@ -37,21 +45,32 @@ type Codec[V any] interface {
 func AppendUpdates[V any](c Codec[V], buf []byte, ups []VarUpdate[V]) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(ups)))
 	for _, u := range ups {
-		buf = binary.AppendUvarint(buf, uint64(u.ID))
-		buf = c.AppendVal(buf, u.Val)
+		buf = appendUpdate(c, buf, u.ID, u.Val)
 	}
 	return buf
 }
 
+func appendUpdate[V any](c Codec[V], buf []byte, id graph.ID, v V) []byte {
+	return c.AppendVal(binary.AppendUvarint(buf, uint64(id)), v)
+}
+
 // DecodeUpdates decodes a batch encoded by AppendUpdates from the front of
-// data, returning the updates and the number of bytes consumed.
-func DecodeUpdates[V any](c Codec[V], data []byte) ([]VarUpdate[V], int, error) {
+// data into ups[:0] (a receiver passes the batch it is done with), returning
+// the updates and the number of bytes consumed. The count is checked against
+// the bytes left — an update takes two — before anything is sized from it.
+func DecodeUpdates[V any](c Codec[V], ups []VarUpdate[V], data []byte) ([]VarUpdate[V], int, error) {
 	pos := 0
 	n, err := graph.ReadUvarint(data, &pos)
 	if err != nil {
 		return nil, 0, err
 	}
-	var ups []VarUpdate[V]
+	if n > uint64(len(data)-pos)/2 {
+		return nil, 0, fmt.Errorf("engine: %d updates claimed in %d bytes", n, len(data)-pos)
+	}
+	ups = slices.Grow(ups[:0], int(n))
+	if a, ok := c.(ArenaCodec[V]); ok && n > 0 {
+		c = a.Arena(len(data) - pos)
+	}
 	for i := uint64(0); i < n; i++ {
 		id, err := graph.ReadUvarint(data, &pos)
 		if err != nil {
@@ -143,11 +162,12 @@ func DecodeEdgeUpdates(data []byte) ([]EdgeUpdate, int, error) {
 
 // Worker-command frame: kind byte, the update batch (IncEval), and the dirty
 // ID list (session LocalInc; unused over the wire but kept for symmetry).
-// encodeCmd also returns the encoded length of the update batch alone — the
-// metered data size of the message.
+// encodeCmd writes it over buf, the one frame buffer its sender keeps (see
+// mpi.Envelope), and also returns the encoded length of the update batch
+// alone — the metered data size of the message.
 
-func encodeCmd[V any](c Codec[V], cmd workerCmd[V]) (frame []byte, dataLen int) {
-	frame = append(frame, byte(cmd.kind))
+func encodeCmd[V any](c Codec[V], buf []byte, cmd workerCmd[V]) (frame []byte, dataLen int) {
+	frame = append(buf[:0], byte(cmd.kind))
 	mark := len(frame)
 	frame = AppendUpdates(c, frame, cmd.updates)
 	dataLen = len(frame) - mark
@@ -161,7 +181,9 @@ func encodeCmd[V any](c Codec[V], cmd workerCmd[V]) (frame []byte, dataLen int) 
 	return frame, dataLen
 }
 
-func decodeCmd[V any](c Codec[V], frame []byte) (workerCmd[V], error) {
+// decodeCmd decodes the update batch into ups[:0]; only an adopt command's
+// fragment aliases the frame.
+func decodeCmd[V any](c Codec[V], ups []VarUpdate[V], frame []byte) (workerCmd[V], error) {
 	var cmd workerCmd[V]
 	if len(frame) == 0 {
 		return cmd, errors.New("engine: empty command frame")
@@ -180,7 +202,7 @@ func decodeCmd[V any](c Codec[V], frame []byte) (workerCmd[V], error) {
 		return cmd, nil
 	}
 	pos := 1
-	ups, used, err := DecodeUpdates(c, frame[pos:])
+	ups, used, err := DecodeUpdates(c, ups, frame[pos:])
 	if err != nil {
 		return cmd, err
 	}
@@ -237,7 +259,7 @@ func decodeAdopt[V any](c Codec[V], frame []byte) (*adoptCmd[V], error) {
 		if err != nil {
 			return nil, err
 		}
-		ups, used, err := DecodeUpdates(c, frame[pos:])
+		ups, used, err := DecodeUpdates(c, nil, frame[pos:])
 		if err != nil {
 			return nil, err
 		}
@@ -257,8 +279,8 @@ func decodeAdopt[V any](c Codec[V], frame []byte) (*adoptCmd[V], error) {
 // metered data size; the timing tail is framing overhead and never counts
 // toward comm bytes.
 
-func encodeReply[V any](c Codec[V], rep workerReply[V]) (frame []byte, dataLen int) {
-	frame = AppendUpdates(c, frame, rep.changes)
+func encodeReply[V any](c Codec[V], buf []byte, rep workerReply[V]) (frame []byte, dataLen int) {
+	frame = AppendUpdates(c, buf[:0], rep.changes)
 	if len(rep.changes) > 0 {
 		dataLen = len(frame)
 	}
@@ -277,9 +299,10 @@ func encodeReply[V any](c Codec[V], rep workerReply[V]) (frame []byte, dataLen i
 	return frame, dataLen
 }
 
-func decodeReply[V any](c Codec[V], frame []byte) (workerReply[V], error) {
+// decodeReply decodes the change batch into ups[:0]; nothing aliases the frame.
+func decodeReply[V any](c Codec[V], ups []VarUpdate[V], frame []byte) (workerReply[V], error) {
 	var rep workerReply[V]
-	changes, pos, err := DecodeUpdates(c, frame)
+	changes, pos, err := DecodeUpdates(c, ups, frame)
 	if err != nil {
 		return rep, err
 	}
@@ -293,7 +316,10 @@ func decodeReply[V any](c Codec[V], frame []byte) (workerReply[V], error) {
 	if pos >= len(frame) {
 		return rep, errors.New("engine: truncated reply frame")
 	}
-	rep.active = frame[pos] != 0
+	if frame[pos] > 1 {
+		return rep, fmt.Errorf("engine: bad active flag %d in reply frame", frame[pos])
+	}
+	rep.active = frame[pos] == 1
 	pos++
 	msg, err := graph.ReadString(frame, &pos)
 	if err != nil {
@@ -316,18 +342,24 @@ func decodeReply[V any](c Codec[V], frame []byte) (workerReply[V], error) {
 }
 
 // Partial-result frame (worker → coordinator after the fixpoint): status
-// byte, then either the program's encoded partial answer or an error string.
+// byte, then the uvarint length of either the program's encoded partial answer
+// or an error string, then that. The body is written first, partialHead bytes
+// into buf, and the head laid right up against it once its length is known.
 
-func encodePartialFrame(blob []byte, err error) []byte {
+const partialHead = 1 + binary.MaxVarintLen64
+
+// encodePartialFrame heads the body buf[partialHead:] (or err's message) and
+// returns the frame, a tail of buf.
+func encodePartialFrame(buf []byte, err error) []byte {
+	status := byte(1)
 	if err != nil {
-		frame := []byte{0}
-		msg := err.Error()
-		frame = binary.AppendUvarint(frame, uint64(len(msg)))
-		return append(frame, msg...)
+		status, buf = 0, append(buf[:partialHead], err.Error()...)
 	}
-	frame := []byte{1}
-	frame = binary.AppendUvarint(frame, uint64(len(blob)))
-	return append(frame, blob...)
+	var head [partialHead]byte
+	head[0] = status
+	n := 1 + binary.PutUvarint(head[1:], uint64(len(buf)-partialHead))
+	copy(buf[partialHead-n:], head[:n])
+	return buf[partialHead-n:]
 }
 
 func decodePartialFrame(frame []byte) ([]byte, error) {
@@ -358,9 +390,8 @@ func decodePartialFrame(frame []byte) ([]byte, error) {
 // lies aligned on the worker and partition.DecodeFragment serves it from
 // where it lies.
 
-func encodeSetup(name string, query []byte, deadlineMicros int64, f *partition.Fragment) []byte {
-	var frame []byte
-	frame = binary.AppendUvarint(frame, uint64(len(name)))
+func encodeSetup(buf []byte, name string, query []byte, deadlineMicros int64, f *partition.Fragment) []byte {
+	frame := binary.AppendUvarint(buf[:0], uint64(len(name)))
 	frame = append(frame, name...)
 	frame = binary.AppendUvarint(frame, uint64(len(query)))
 	frame = append(frame, query...)

@@ -2,13 +2,15 @@ package engine
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
+	"sync"
 	"time"
 
 	"grape/internal/balance"
-	"grape/internal/graph"
 	"grape/internal/mpi"
 	"grape/internal/partition"
 )
@@ -40,8 +42,10 @@ type WireProgram[Q, V, R any] interface {
 // DecodePartial reconstitutes a coordinator-side Context that Assemble can
 // consume. Programs without it get the default: the worker ships all set
 // node variables and the coordinator replays them with SetLocal.
+// EncodePartial appends to buf, the worker's frame buffer; data is the
+// received frame, which DecodePartial must not retain.
 type PartialCodec[Q, V any] interface {
-	EncodePartial(q Q, ctx *Context[V]) ([]byte, error)
+	EncodePartial(buf []byte, q Q, ctx *Context[V]) ([]byte, error)
 	DecodePartial(q Q, ctx *Context[V], data []byte) error
 }
 
@@ -53,6 +57,8 @@ type WorkerLink interface {
 	Recv() (mpi.Envelope, error)
 	// Send delivers a frame to the coordinator.
 	Send(e mpi.Envelope) error
+	// Release hands a frame Recv delivered back for reuse (mpi.Envelope).
+	Release(frame []byte)
 }
 
 // ErrNoWireSupport is returned (wrapped) when a distributed run is requested
@@ -85,6 +91,10 @@ type wireSubstrate[Q, V, R any] struct {
 	layout *partition.Layout
 	codec  Codec[V]
 	tr     mpi.Transport
+	// buf is the frame every command is encoded into, decoded[w] the batch
+	// worker w's reply is decoded into: fold is done with it before w replies again.
+	buf     []byte
+	decoded [][]VarUpdate[V]
 
 	// Recovery (Options.Recover): each fragment starts on its own worker
 	// process (host); hostOf, aliveHost and hostLoad track the re-homing.
@@ -108,7 +118,7 @@ func newWireSubstrate[Q, V, R any](layout *partition.Layout, prog Program[Q, V, 
 	if opts.Fault != nil {
 		tr = opts.Fault(tr)
 	}
-	s := &wireSubstrate[Q, V, R]{prog: wp, q: q, layout: layout, codec: wp.WireCodec(), tr: tr}
+	s := &wireSubstrate[Q, V, R]{prog: wp, q: q, layout: layout, codec: wp.WireCodec(), tr: tr, decoded: make([][]VarUpdate[V], n)}
 	if opts.Recover {
 		if s.reassign, ok = tr.(mpi.Reassigner); !ok {
 			return nil, errors.New("engine: Options.Recover needs a transport that can reassign fragments (mpi.Reassigner)")
@@ -126,6 +136,12 @@ func newWireSubstrate[Q, V, R any](layout *partition.Layout, prog Program[Q, V, 
 
 func (s *wireSubstrate[Q, V, R]) link() mpi.Transport { return s.tr }
 
+// staged holds the buffers setup frames are encoded into: Send is done with a
+// frame when it returns, so a buffer serves the next link or session.
+var staged = sync.Pool{New: func() any { return new([]byte) }}
+
+// open ships the setup frames, all links at once: no worker waits for the
+// fragments before its own to be encoded and written.
 func (s *wireSubstrate[Q, V, R]) open(ctx context.Context) error {
 	qblob, err := s.prog.EncodeQuery(s.q)
 	if err != nil {
@@ -136,15 +152,25 @@ func (s *wireSubstrate[Q, V, R]) open(ctx context.Context) error {
 		// rounded up: a worker must not expire before its coordinator
 		deadlineMicros = dl.Add(time.Microsecond - 1).UnixMicro()
 	}
+	var wg sync.WaitGroup
 	for i, f := range s.layout.Fragments {
-		s.tr.Send(mpi.Envelope{From: mpi.Coordinator, To: i, Frame: encodeSetup(s.prog.Name(), qblob, deadlineMicros, f)})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := staged.Get().(*[]byte)
+			*buf = encodeSetup(*buf, s.prog.Name(), qblob, deadlineMicros, f)
+			s.tr.Send(mpi.Envelope{From: mpi.Coordinator, To: i, Frame: *buf})
+			staged.Put(buf)
+		}()
 	}
+	wg.Wait()
 	return nil
 }
 
 func (s *wireSubstrate[Q, V, R]) command(w, step int, cmd workerCmd[V]) {
-	frame, dataLen := encodeCmd(s.codec, cmd)
-	s.tr.Send(mpi.Envelope{From: mpi.Coordinator, To: w, Step: step, Frame: frame, Size: dataLen})
+	var dataLen int
+	s.buf, dataLen = encodeCmd(s.codec, s.buf, cmd)
+	s.tr.Send(mpi.Envelope{From: mpi.Coordinator, To: w, Step: step, Frame: s.buf, Size: dataLen})
 }
 
 func (s *wireSubstrate[Q, V, R]) reply(env mpi.Envelope) (workerReply[V], error) {
@@ -152,7 +178,10 @@ func (s *wireSubstrate[Q, V, R]) reply(env mpi.Envelope) (workerReply[V], error)
 	if err != nil {
 		return workerReply[V]{}, err
 	}
-	return decodeReply(s.codec, frame)
+	rep, err := decodeReply(s.codec, s.decoded[env.From], frame)
+	s.decoded[env.From] = rep.changes
+	s.tr.Release(frame)
+	return rep, err
 }
 
 // revive over the wire: when a host's link dies, every fragment assigned to
@@ -188,9 +217,8 @@ func (s *wireSubstrate[Q, V, R]) revive(frag int, log []replayStep[V], owe int) 
 
 // broadcast sends every fragment's worker a bare control command.
 func (s *wireSubstrate[Q, V, R]) broadcast(kind cmdKind) {
-	frame, _ := encodeCmd(s.codec, workerCmd[V]{kind: kind})
 	for i := range s.layout.Fragments {
-		s.tr.Send(mpi.Envelope{From: mpi.Coordinator, To: i, Frame: frame})
+		s.command(i, 0, workerCmd[V]{kind: kind})
 	}
 }
 
@@ -268,6 +296,7 @@ func (s *wireSubstrate[Q, V, R]) finish(ctx context.Context, step int, lost func
 		if err != nil {
 			return nil, fmt.Errorf("engine: worker %d partial result: %w", env.From, err)
 		}
+		s.tr.Release(env.Frame)
 		unseen[env.From] = false
 	}
 	return ctxs, nil
@@ -299,16 +328,23 @@ func serveWire[Q, V, R any](runCtx context.Context, prog WireProgram[Q, V, R], l
 	spec := prog.Spec()
 	codec := prog.WireCodec()
 	ctxs := map[int]*Context[V]{f.Index: newContext(f, spec)}
+	// Every reply is encoded into buf and every command decoded into ups: a
+	// command is applied, and its frame handed back, before the next is read.
+	var buf []byte
+	var ups []VarUpdate[V]
 	for {
 		env, err := link.Recv()
 		if err != nil {
 			return fmt.Errorf("engine: worker %d: %w", f.Index, err)
 		}
-		cmd, err := decodeCmd(codec, env.Frame)
+		cmd, err := decodeCmd(codec, ups, env.Frame)
 		if err != nil {
 			return fmt.Errorf("engine: worker %d: %w", f.Index, err)
 		}
-		if cmd.kind == cmdAdopt {
+		if cmd.kind != cmdAdopt {
+			ups = cmd.updates
+			link.Release(env.Frame)
+		} else {
 			ad := cmd.adopt
 			nf, _, err := partition.DecodeFragment(ad.frag)
 			if err != nil {
@@ -320,7 +356,7 @@ func serveWire[Q, V, R any](runCtx context.Context, prog WireProgram[Q, V, R], l
 			// Only the owed superstep's reply (or a replay error) goes back:
 			// every earlier reply was already folded by the coordinator.
 			if ad.owe > 0 || rerr != nil {
-				if err := replyWire(link, codec, nf.Index, ad.owe, nc, 0, 0, rerr); err != nil {
+				if buf, err = replyWire(link, codec, buf, nf.Index, ad.owe, nc, 0, 0, rerr); err != nil {
 					return fmt.Errorf("engine: worker %d: %w", f.Index, err)
 				}
 			}
@@ -340,12 +376,13 @@ func serveWire[Q, V, R any](runCtx context.Context, prog WireProgram[Q, V, R], l
 			//grapevet:keep ErrAborted is a cooperative shutdown the worker main matches with errors.Is, not a link fault
 			return fmt.Errorf("engine: worker %d: %w", f.Index, ErrAborted)
 		case cmdAssemble:
-			blob, perr := encodePartial(prog, codec, q, ctx)
+			buf = append(buf[:0], make([]byte, partialHead)...)
 			size := 0
+			body, perr := encodePartial(prog, codec, buf, q, ctx)
 			if perr == nil {
-				size = len(blob)
+				buf, size = body, len(body)-partialHead
 			}
-			err = link.Send(mpi.Envelope{From: env.To, To: mpi.Coordinator, Step: env.Step, Frame: encodePartialFrame(blob, perr), Size: size})
+			err = link.Send(mpi.Envelope{From: env.To, To: mpi.Coordinator, Step: env.Step, Frame: encodePartialFrame(buf, perr), Size: size})
 		case cmdPEval, cmdIncEval:
 			// The deadline gate: computing past an expired run context would
 			// burn CPU the coordinator has already written off. Reply with the
@@ -356,7 +393,7 @@ func serveWire[Q, V, R any](runCtx context.Context, prog WireProgram[Q, V, R], l
 			if perr == nil {
 				computeNS, applyNS, perr = execStep(prog, q, ctx, cmd)
 			}
-			err = replyWire(link, codec, env.To, env.Step, ctx, computeNS, applyNS, perr)
+			buf, err = replyWire(link, codec, buf, env.To, env.Step, ctx, computeNS, applyNS, perr)
 		default:
 			return mpi.RunFatal(fmt.Errorf("engine: worker %d: command %d is not supported over a wire transport", f.Index, cmd.kind))
 		}
@@ -366,25 +403,39 @@ func serveWire[Q, V, R any](runCtx context.Context, prog WireProgram[Q, V, R], l
 	}
 }
 
-func replyWire[V any](link WorkerLink, codec Codec[V], w, step int, ctx *Context[V], computeNS, applyNS int64, perr error) error {
+// replyWire encodes the superstep's reply over buf, sends it and returns buf.
+func replyWire[V any](link WorkerLink, codec Codec[V], buf []byte, w, step int, ctx *Context[V], computeNS, applyNS int64, perr error) ([]byte, error) {
 	changes := ctx.flush()
-	frame, dataLen := encodeReply(codec, workerReply[V]{changes: changes, work: ctx.takeWork(), active: ctx.active, err: perr, computeNS: computeNS, applyNS: applyNS})
-	return link.Send(mpi.Envelope{From: w, To: mpi.Coordinator, Step: step, Frame: frame, Size: dataLen})
+	buf, dataLen := encodeReply(codec, buf, workerReply[V]{changes: changes, work: ctx.takeWork(), active: ctx.active, err: perr, computeNS: computeNS, applyNS: applyNS})
+	return buf, link.Send(mpi.Envelope{From: w, To: mpi.Coordinator, Step: step, Frame: buf, Size: dataLen})
 }
 
-// encodePartial produces the worker's post-fixpoint payload for Assemble:
-// the program's PartialCodec encoding when it has one, else the default —
-// every set node variable, sorted by ID.
-func encodePartial[Q, V, R any](prog WireProgram[Q, V, R], codec Codec[V], q Q, ctx *Context[V]) ([]byte, error) {
+// encodePartial appends the worker's post-fixpoint payload for Assemble to
+// buf: the program's PartialCodec encoding when it has one, else the default
+// — every set node variable as one AppendUpdates batch, in the dense order
+// they lie in (SetLocal replays them: order means nothing), then the overflow
+// nodes by ID.
+func encodePartial[Q, V, R any](prog WireProgram[Q, V, R], codec Codec[V], buf []byte, q Q, ctx *Context[V]) ([]byte, error) {
 	if pc, ok := any(prog).(PartialCodec[Q, V]); ok {
-		return pc.EncodePartial(q, ctx)
+		return pc.EncodePartial(buf, q, ctx)
 	}
-	var ups []VarUpdate[V]
-	ctx.Vars(func(id graph.ID, v V) {
-		ups = append(ups, VarUpdate[V]{ID: id, Val: v})
-	})
-	sortUpdates(ups)
-	return AppendUpdates(codec, nil, ups), nil
+	n, size := len(ctx.vars), 0
+	for i, ok := range ctx.has {
+		if ok {
+			n++
+			size += 8 + ctx.spec.sizeOf(ctx.vals[i])
+		}
+	}
+	buf = binary.AppendUvarint(slices.Grow(buf, size), uint64(n))
+	for i, ok := range ctx.has {
+		if ok {
+			buf = appendUpdate(codec, buf, ctx.Frag.G.IDAt(int32(i)), ctx.vals[i])
+		}
+	}
+	for _, id := range slices.Sorted(maps.Keys(ctx.vars)) {
+		buf = appendUpdate(codec, buf, id, ctx.vars[id])
+	}
+	return buf, nil
 }
 
 // decodePartial is the coordinator-side inverse of encodePartial.
@@ -392,7 +443,7 @@ func decodePartial[Q, V, R any](prog WireProgram[Q, V, R], codec Codec[V], q Q, 
 	if pc, ok := any(prog).(PartialCodec[Q, V]); ok {
 		return pc.DecodePartial(q, ctx, blob)
 	}
-	ups, _, err := DecodeUpdates(codec, blob)
+	ups, _, err := DecodeUpdates(codec, nil, blob)
 	if err != nil {
 		return err
 	}

@@ -182,6 +182,16 @@ func (g *Graph) InAt(i int32) []DenseEdge {
 	return r.dense[r.off[i]:r.off[i+1]]
 }
 
+// InCSR returns the whole in-adjacency — InAt(i) is dense[off[i]:off[i+1]] —
+// for kernels that read it per vertex (InAt is not inlined). Frozen graphs only.
+func (g *Graph) InCSR() (off []int32, dense []DenseEdge) {
+	if !g.directed {
+		return g.outOff, g.outDense
+	}
+	r := g.reverse()
+	return r.off, r.dense
+}
+
 // OutDegreeAt returns the out-degree of the vertex at dense index i. Frozen
 // graphs only.
 func (g *Graph) OutDegreeAt(i int32) int {

@@ -115,6 +115,9 @@ func (f *FaultTransport) Messages() int64 { return f.inner.Messages() }
 // Bytes returns the inner transport's data-byte count.
 func (f *FaultTransport) Bytes() int64 { return f.inner.Bytes() }
 
+// Release hands the frame back to the inner transport.
+func (f *FaultTransport) Release(frame []byte) { f.inner.Release(frame) }
+
 // AddTraffic meters through to the inner transport.
 func (f *FaultTransport) AddTraffic(msgs, bytes int64) { f.inner.AddTraffic(msgs, bytes) }
 

@@ -41,6 +41,13 @@ const Coordinator = -1
 // bytes — the serialized-size estimate from the program's Size function on
 // the in-process bus, the actual encoded length of the data section on a
 // wire transport.
+//
+// Frame ownership, the rule that lets both ends reuse memory: a Frame handed
+// to Send is the caller's again when Send returns (the transport has written
+// or copied it), so a sender encodes every frame into one buffer. A Frame
+// delivered by Recv is the receiver's until it passes it to Release, having
+// copied out what it keeps. A frame something lives in — setup and adopt
+// frames, whose fragment is decoded in place — is never released.
 type Envelope struct {
 	From    int
 	To      int
@@ -69,6 +76,8 @@ type Transport interface {
 	// WorkerConn); on a broken worker link they deliver an Envelope with a
 	// nil Frame whose Payload is the error.
 	Recv(ctx context.Context, party int) (Envelope, error)
+	// Release hands a Frame that Recv delivered back for reuse (see Envelope).
+	Release(frame []byte)
 	// Messages returns the number of data messages sent so far.
 	Messages() int64
 	// Bytes returns the number of data bytes sent so far.
@@ -149,6 +158,9 @@ func (b *Bus) Recv(ctx context.Context, party int) (Envelope, error) {
 		return Envelope{}, ctx.Err()
 	}
 }
+
+// Release does nothing: the bus carries no frames.
+func (b *Bus) Release([]byte) {}
 
 // Messages returns the number of data messages sent so far.
 func (b *Bus) Messages() int64 { return b.msgs.Load() }

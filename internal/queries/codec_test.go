@@ -35,7 +35,7 @@ func roundTrip[V any](t *testing.T, c engine.Codec[V], eq func(a, b V) bool, sam
 		ups[i] = engine.VarUpdate[V]{ID: graph.ID(i * 7), Val: v}
 	}
 	buf := engine.AppendUpdates(c, nil, ups)
-	got, used, err := engine.DecodeUpdates(c, buf)
+	got, used, err := engine.DecodeUpdates(c, nil, buf)
 	if err != nil {
 		t.Fatalf("batch decode: %v", err)
 	}
@@ -194,6 +194,14 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		f.Add(sub)
 	}
 	f.Add([]byte{0x01, 0x80, 0x80, 0x80, 0x40})
+	// batches whose count exceeds what the bytes behind it could hold: refused
+	// before anything is sized from the count (engine.DecodeUpdates), the
+	// second one a count of 2^40
+	f.Add([]byte{33, 1})
+	f.Add(append([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x20}, make([]byte, 64)...))
+	// an empty-batch reply frame whose active flag is 2 (engine's decodeReply
+	// rejects it: TestDecodeUpdatesCountsBeforeAllocating)
+	f.Add([]byte{0, 6, 2, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if q, err := (Sim{}).DecodeQuery(data); err == nil {
 			fuzzPattern(t, q.Pattern)
@@ -221,9 +229,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		}
 		fuzzOne[kwVec](t, Keyword{}.WireCodec(), vecEq, data)
 		// batch layer over an arbitrary prefix
-		if ups, _, err := engine.DecodeUpdates(CC{}.WireCodec(), data); err == nil {
+		if ups, _, err := engine.DecodeUpdates(CC{}.WireCodec(), nil, data); err == nil {
 			re := engine.AppendUpdates(CC{}.WireCodec(), nil, ups)
-			ups2, _, err := engine.DecodeUpdates(CC{}.WireCodec(), re)
+			ups2, _, err := engine.DecodeUpdates(CC{}.WireCodec(), nil, re)
 			if err != nil {
 				t.Fatalf("re-encoded batch failed to decode: %v", err)
 			}

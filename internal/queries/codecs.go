@@ -1,10 +1,11 @@
 package queries
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"grape/internal/engine"
 	"grape/internal/graph"
@@ -81,8 +82,17 @@ func (byteCodec) DecodeVal(data []byte) (uint8, int, error) {
 // vecCodec encodes float64 vectors (Keyword distance vectors, CF latent
 // factors) as a uvarint length followed by raw IEEE-754 bytes. Length 0
 // decodes to nil, preserving the programs' "nil = unreached/uninitialized"
-// sentinel.
-type vecCodec struct{}
+// sentinel. With an arena (engine.ArenaCodec) decoded vectors are cut from it,
+// each capped so that an append to one cannot reach the next; without, every
+// vector is its own allocation.
+type vecCodec struct{ arena *[]float64 }
+
+// Arena implements engine.ArenaCodec: size encoded bytes hold at most size/8
+// floats.
+func (vecCodec) Arena(size int) engine.Codec[[]float64] {
+	arena := make([]float64, 0, size/8)
+	return vecCodec{&arena}
+}
 
 func (vecCodec) AppendVal(buf []byte, v []float64) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(v)))
@@ -92,7 +102,7 @@ func (vecCodec) AppendVal(buf []byte, v []float64) []byte {
 	return buf
 }
 
-func (vecCodec) DecodeVal(data []byte) ([]float64, int, error) {
+func (c vecCodec) DecodeVal(data []byte) ([]float64, int, error) {
 	n, used := binary.Uvarint(data)
 	if used <= 0 {
 		return nil, 0, fmt.Errorf("codec: bad vector length")
@@ -103,7 +113,13 @@ func (vecCodec) DecodeVal(data []byte) ([]float64, int, error) {
 	if n == 0 {
 		return nil, used, nil
 	}
-	out := make([]float64, n)
+	var out []float64
+	if a := c.arena; a != nil && int(n) <= cap(*a)-len(*a) {
+		*a = (*a)[:len(*a)+int(n)]
+		out = (*a)[len(*a)-int(n) : len(*a) : len(*a)]
+	} else {
+		out = make([]float64, n)
+	}
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[used+8*i:]))
 	}
@@ -143,15 +159,14 @@ func (CC) DecodeQuery(data []byte) (CCQuery, error) { return CCQuery{}, nil }
 // EncodePartial implements engine.PartialCodec: CC's Assemble reads labels
 // off the worker's union-find, so the worker materializes one (vertex,
 // label) pair per inner vertex.
-func (CC) EncodePartial(q CCQuery, ctx *engine.Context[graph.ID]) ([]byte, error) {
+func (CC) EncodePartial(buf []byte, q CCQuery, ctx *engine.Context[graph.ID]) ([]byte, error) {
 	st, ok := ctx.State.(*ccState)
 	if !ok {
 		return nil, fmt.Errorf("cc: no state to assemble (PEval has not run)")
 	}
 	inner := ctx.Frag.Inner
 	iidx := ctx.Frag.InnerIndices()
-	var buf []byte
-	buf = binary.AppendUvarint(buf, uint64(len(inner)))
+	buf = binary.AppendUvarint(slices.Grow(buf, 8*len(inner)), uint64(len(inner)))
 	for k, v := range inner {
 		buf = binary.AppendUvarint(buf, uint64(v))
 		buf = binary.AppendUvarint(buf, uint64(st.rootLabel[st.uf.Find(iidx[k])]))
@@ -249,19 +264,22 @@ func (SubIso) DecodeQuery(data []byte) (SubIsoQuery, error) {
 // EncodePartial implements engine.PartialCodec: the per-fragment match list
 // (Context.Partial), each match as its (pattern vertex, data vertex) pairs
 // in sorted pattern-vertex order.
-func (SubIso) EncodePartial(q SubIsoQuery, ctx *engine.Context[uint8]) ([]byte, error) {
+func (SubIso) EncodePartial(buf []byte, q SubIsoQuery, ctx *engine.Context[uint8]) ([]byte, error) {
 	var matches []seq.Match
 	if ctx.Partial != nil {
 		matches = ctx.Partial.([]seq.Match)
 	}
-	var buf []byte
+	if len(matches) > 0 {
+		buf = slices.Grow(buf, len(matches)*(1+6*len(matches[0])))
+	}
 	buf = binary.AppendUvarint(buf, uint64(len(matches)))
+	var keys []graph.ID
 	for _, m := range matches {
-		keys := make([]graph.ID, 0, len(m))
+		keys = keys[:0]
 		for u := range m {
 			keys = append(keys, u)
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		slices.Sort(keys)
 		buf = binary.AppendUvarint(buf, uint64(len(keys)))
 		for _, u := range keys {
 			buf = binary.AppendUvarint(buf, uint64(u))
@@ -395,28 +413,24 @@ func (CF) DecodeQuery(data []byte) (CFQuery, error) {
 // trained factor table and the inner-user list off the worker state, so both
 // ship (factors of outer items included — the global RMSE evaluates each
 // rating under its owner fragment's model).
-func (CF) EncodePartial(q CFQuery, ctx *engine.Context[[]float64]) ([]byte, error) {
+func (CF) EncodePartial(buf []byte, q CFQuery, ctx *engine.Context[[]float64]) ([]byte, error) {
 	st, ok := ctx.State.(*cfState)
 	if !ok {
 		return nil, fmt.Errorf("cf: no state to assemble (PEval has not run)")
 	}
 	g := ctx.Frag.G
-	ids := make([]graph.ID, 0, len(st.factors))
-	byID := make(map[graph.ID]int32, len(st.factors))
+	idx := make([]int32, 0, len(st.factors))
 	for i, vec := range st.factors {
 		if vec != nil {
-			v := g.IDAt(int32(i))
-			ids = append(ids, v)
-			byID[v] = int32(i)
+			idx = append(idx, int32(i))
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var buf []byte
-	buf = binary.AppendUvarint(buf, uint64(len(ids)))
+	slices.SortFunc(idx, func(a, b int32) int { return cmp.Compare(g.IDAt(a), g.IDAt(b)) })
+	buf = binary.AppendUvarint(slices.Grow(buf, len(idx)*(4+8*q.Cfg.Factors)+4*len(st.users)), uint64(len(idx)))
 	c := vecCodec{}
-	for _, v := range ids {
-		buf = binary.AppendUvarint(buf, uint64(v))
-		buf = c.AppendVal(buf, st.factors[byID[v]])
+	for _, i := range idx {
+		buf = binary.AppendUvarint(buf, uint64(g.IDAt(i)))
+		buf = c.AppendVal(buf, st.factors[i])
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(st.users)))
 	for _, u := range st.users {
@@ -434,7 +448,7 @@ func (CF) DecodePartial(q CFQuery, ctx *engine.Context[[]float64], data []byte) 
 	if err != nil {
 		return fmt.Errorf("cf: partial: %w", err)
 	}
-	c := vecCodec{}
+	c := vecCodec{}.Arena(len(data))
 	for i := uint64(0); i < n; i++ {
 		v, err := graph.ReadUvarint(data, &pos)
 		if err != nil {
@@ -483,18 +497,17 @@ func (TriCount) DecodeQuery(data []byte) (TriCountQuery, error) { return TriCoun
 
 // EncodePartial implements engine.PartialCodec: the fragment's total and
 // per-pivot triangle counts (Context.Partial).
-func (TriCount) EncodePartial(q TriCountQuery, ctx *engine.Context[uint8]) ([]byte, error) {
+func (TriCount) EncodePartial(buf []byte, q TriCountQuery, ctx *engine.Context[uint8]) ([]byte, error) {
 	var res TriCountResult
 	if ctx.Partial != nil {
 		res = ctx.Partial.(TriCountResult)
 	}
-	var buf []byte
-	buf = binary.AppendVarint(buf, res.Total)
+	buf = binary.AppendVarint(slices.Grow(buf, 8+6*len(res.PerPivot)), res.Total)
 	ids := make([]graph.ID, 0, len(res.PerPivot))
 	for v := range res.PerPivot {
 		ids = append(ids, v)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	buf = binary.AppendUvarint(buf, uint64(len(ids)))
 	for _, v := range ids {
 		buf = binary.AppendUvarint(buf, uint64(v))

@@ -98,6 +98,7 @@ func triCountIdx(ctx *engine.Context[uint8]) error {
 	epoch, adjEpoch := int32(0), int32(0)
 	var bigger []int32
 	iidx := f.InnerIndices()
+	inOff, inDense := g.InCSR()
 	for k, v := range f.Inner {
 		vi := iidx[k]
 		epoch++
@@ -116,7 +117,7 @@ func triCountIdx(ctx *engine.Context[uint8]) error {
 		for _, e := range g.OutAt(vi) {
 			collect(e.To)
 		}
-		for _, e := range g.InAt(vi) {
+		for _, e := range inDense[inOff[vi]:inOff[vi+1]] {
 			collect(e.To)
 		}
 		ctx.AddWork(int64(nbrs))
@@ -129,7 +130,7 @@ func triCountIdx(ctx *engine.Context[uint8]) error {
 					adj[e.To] = adjEpoch
 				}
 			}
-			for _, e := range g.InAt(bi) {
+			for _, e := range inDense[inOff[bi]:inOff[bi+1]] {
 				if e.To != bi {
 					adj[e.To] = adjEpoch
 				}

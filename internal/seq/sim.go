@@ -207,6 +207,7 @@ func RefineSimIdx(p, g *graph.Graph, mask func(int32) SimBits, setMask func(int3
 	}
 
 	nv := g.NumVertices()
+	inOff, inDense := g.InCSR()
 	inWork := make([]bool, nv)
 	var queue []int32
 	push := func(v int32) {
@@ -223,7 +224,7 @@ func RefineSimIdx(p, g *graph.Graph, mask func(int32) SimBits, setMask func(int3
 		for _, v := range dirty {
 			push(v)
 			// a changed vertex can only invalidate its predecessors
-			for _, e := range g.InAt(v) {
+			for _, e := range inDense[inOff[v]:inOff[v+1]] {
 				push(e.To)
 			}
 		}
@@ -259,7 +260,7 @@ func RefineSimIdx(p, g *graph.Graph, mask func(int32) SimBits, setMask func(int3
 		if nm != m {
 			setMask(v, nm)
 			onChange(v)
-			for _, e := range g.InAt(v) {
+			for _, e := range inDense[inOff[v]:inOff[v+1]] {
 				work++
 				push(e.To)
 			}

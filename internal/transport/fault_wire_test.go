@@ -20,7 +20,6 @@ import (
 	"grape/internal/metrics"
 	"grape/internal/mpi"
 	"grape/internal/queries"
-	"grape/internal/seq"
 	"grape/internal/transport"
 )
 
@@ -94,63 +93,7 @@ func TestKillWorkerMidFixpoint(t *testing.T) {
 	bin := buildWorkerBin(t)
 	const workers = 4
 
-	ssspG := gen.RoadGrid(24, 24, 1)
-	ccG := gen.PreferentialAttachment(800, 3, 2)
-	simG := gen.Random(150, 450, 21)
-	simLabels := []string{"a", "b", "c"}
-	for i, v := range simG.SortedVertices() {
-		simG.AddVertex(v, simLabels[i%len(simLabels)])
-	}
-	simP := graph.New()
-	simP.AddVertex(0, "a")
-	simP.AddVertex(1, "b")
-	simP.AddEdge(0, 1, 1)
-	simP.AddEdge(1, 0, 1)
-	subG := gen.Random(80, 240, 3)
-	subLabels := []string{"x", "y"}
-	for i, v := range subG.SortedVertices() {
-		subG.AddVertex(v, subLabels[i%len(subLabels)])
-	}
-	subP := graph.New()
-	subP.AddVertex(0, "x")
-	subP.AddVertex(1, "y")
-	subP.AddEdge(0, 1, 1)
-	kwG := gen.PreferentialAttachment(400, 3, 5)
-	gen.AttachKeywords(kwG, []string{"db", "graph", "ml"}, 2, 0.15, 31)
-	kwQ := queries.KeywordQuery{Keywords: []string{"db", "graph"}, Bound: 12, UseIndex: true}
-	cfG := gen.Ratings(gen.RatingsConfig{Users: 60, Items: 15, RatingsPerUser: 6, Factors: 4, Noise: 0.1, Seed: 5})
-	cfCfg := seq.DefaultCFConfig()
-	cfCfg.Epochs = 4
-	triG := gen.Random(120, 480, 7)
-
-	cases := []struct {
-		name string
-		run  func(opts engine.Options) (any, *metrics.Stats, error)
-	}{
-		{"sssp", func(opts engine.Options) (any, *metrics.Stats, error) {
-			return anyRun(engine.Run(context.Background(), ssspG, queries.SSSP{}, queries.SSSPQuery{Source: 0}, opts))
-		}},
-		{"cc", func(opts engine.Options) (any, *metrics.Stats, error) {
-			return anyRun(engine.Run(context.Background(), ccG, queries.CC{}, queries.CCQuery{}, opts))
-		}},
-		{"sim", func(opts engine.Options) (any, *metrics.Stats, error) {
-			return anyRun(engine.Run(context.Background(), simG, queries.Sim{}, queries.SimQuery{Pattern: simP}, opts))
-		}},
-		{"subiso", func(opts engine.Options) (any, *metrics.Stats, error) {
-			return anyRun(queries.RunSubIso(context.Background(), subG, queries.SubIsoQuery{Pattern: subP}, opts))
-		}},
-		{"keyword", func(opts engine.Options) (any, *metrics.Stats, error) {
-			return anyRun(engine.Run(context.Background(), kwG, queries.Keyword{}, kwQ, opts))
-		}},
-		{"cf", func(opts engine.Options) (any, *metrics.Stats, error) {
-			return anyRun(engine.Run(context.Background(), cfG, queries.CF{}, queries.CFQuery{Cfg: cfCfg}, opts))
-		}},
-		{"tricount", func(opts engine.Options) (any, *metrics.Stats, error) {
-			return anyRun(queries.RunTriCount(context.Background(), triG, opts))
-		}},
-	}
-
-	for _, c := range cases {
+	for _, c := range sevenClasses() {
 		t.Run(c.name, func(t *testing.T) {
 			cleanRes, clean, err := c.run(engine.Options{Workers: workers})
 			if err != nil {

@@ -49,12 +49,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"os"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
+	"unsafe"
 
 	"grape/internal/graph"
 	"grape/internal/mpi"
@@ -89,9 +91,11 @@ const (
 	pongFrag = -3
 
 	frameHeaderLen = 16
-	// connBuf sizes each link's read and write buffers. A payload that would
-	// not fit the write buffer beside its header goes to the socket directly.
+	// connBuf sizes each link's read buffer; larger payloads bypass it.
 	connBuf = 1 << 16
+	// Pooled payload buffers come in power-of-two classes, 1<<minClass to
+	// 1<<maxClass bytes; readFrame allocates no further ahead of arrival.
+	minClass, maxClass = 9, 19
 
 	// Liveness defaults: the coordinator pings every link at pingEvery and
 	// declares one dead after window of silence; workers bound their reads
@@ -317,15 +321,6 @@ func (c *Coordinator) Recv(ctx context.Context, party int) (mpi.Envelope, error)
 	if party != mpi.Coordinator {
 		panic(fmt.Sprintf("transport: coordinator cannot receive for party %d", party))
 	}
-	done := ctx.Done()
-	if done == nil {
-		env := <-c.inbox
-		if env.Size > 0 {
-			c.msgs.Add(1)
-			c.bytes.Add(int64(env.Size))
-		}
-		return env, nil
-	}
 	select {
 	case env := <-c.inbox:
 		if env.Size > 0 {
@@ -333,11 +328,14 @@ func (c *Coordinator) Recv(ctx context.Context, party int) (mpi.Envelope, error)
 			c.bytes.Add(int64(env.Size))
 		}
 		return env, nil
-	case <-done:
+	case <-ctx.Done(): // nil, and never ready, for a context that cannot be done
 		//grapevet:keep context cancellation is the engine's own bound, not a link fault to classify
 		return mpi.Envelope{}, ctx.Err()
 	}
 }
+
+// Release hands a frame Recv delivered back to the payload pool.
+func (c *Coordinator) Release(frame []byte) { putFrame(frame) }
 
 // Messages returns the number of data messages metered so far.
 func (c *Coordinator) Messages() int64 { return c.msgs.Load() }
@@ -372,6 +370,7 @@ func (c *Coordinator) Close() error {
 // worker-fatal and surfaced once per fragment the link was hosting.
 func (c *Coordinator) reader(h int, cn *conn) {
 	defer c.wg.Done()
+	defer cn.unread()
 	for {
 		frag, step, size, payload, err := cn.readFrame()
 		if err == nil && frag != pongFrag && (frag < 0 || frag >= c.n) {
@@ -513,6 +512,7 @@ func (w *WorkerConn) N() int { return w.n }
 // so a worker waiting for peers to finish the accept round is not killed by
 // its own patience.
 func (w *WorkerConn) pump() {
+	defer w.cn.unread()
 	armed := false
 	for {
 		if w.window > 0 && armed {
@@ -570,22 +570,55 @@ func (w *WorkerConn) Send(e mpi.Envelope) error {
 	return nil
 }
 
+// Release hands a frame Recv delivered back to the payload pool.
+func (w *WorkerConn) Release(frame []byte) { putFrame(frame) }
+
 // Close closes the link.
 func (w *WorkerConn) Close() error {
 	w.closeOnce.Do(func() { close(w.done) })
 	return w.cn.nc.Close()
 }
 
-// conn wraps a socket with buffered framing; writes are serialized by mu.
+// conn wraps a socket with framing: reads are buffered, a frame goes out as
+// one gathered write of header and payload, serialized by mu. Read buffers are
+// pooled across sessions: the goroutine reading a link returns its on exit.
 type conn struct {
 	nc net.Conn
 	br *bufio.Reader
 	mu sync.Mutex
-	bw *bufio.Writer
 }
 
+var (
+	readers = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, connBuf) }}
+	// frames[k] holds the base pointers of 8-aligned buffers of 1<<(minClass+k) bytes.
+	frames [maxClass - minClass + 1]sync.Pool
+)
+
 func newConn(nc net.Conn) *conn {
-	return &conn{nc: nc, br: bufio.NewReaderSize(nc, connBuf), bw: bufio.NewWriterSize(nc, connBuf)}
+	c := &conn{nc: nc, br: readers.Get().(*bufio.Reader)}
+	c.br.Reset(nc)
+	return c
+}
+
+func (c *conn) unread() {
+	c.br.Reset(nil)
+	readers.Put(c.br)
+}
+
+// getFrame returns an 8-aligned n-byte buffer, n in [1, 1<<maxClass], whose
+// capacity is its class size; putFrame takes such a buffer back, no other.
+func getFrame(n int) []byte {
+	k := max(bits.Len(uint(n-1)), minClass)
+	if p, _ := frames[k-minClass].Get().(*byte); p != nil {
+		return unsafe.Slice(p, 1<<k)[:n]
+	}
+	return graph.AlignedBuf(1 << k)[:n]
+}
+
+func putFrame(b []byte) {
+	if c := cap(b); c >= 1<<minClass && c <= 1<<maxClass && c&(c-1) == 0 {
+		frames[bits.Len(uint(c))-1-minClass].Put(unsafe.SliceData(b))
+	}
 }
 
 //grapevet:keep framing layer: callers (reader, pump, Send, Recv) classify its errors
@@ -593,26 +626,15 @@ func (c *conn) writeFrame(frag, step, size int, payload []byte) error {
 	if len(payload) > maxFrame-(frameHeaderLen-4) {
 		return fmt.Errorf("transport: frame payload of %d bytes exceeds the %d limit", len(payload), maxFrame-(frameHeaderLen-4))
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var hdr [frameHeaderLen]byte
 	binary.BigEndian.PutUint32(hdr[0:], uint32(frameHeaderLen-4+len(payload)))
 	binary.BigEndian.PutUint32(hdr[4:], uint32(int32(frag)))
 	binary.BigEndian.PutUint32(hdr[8:], uint32(int32(step)))
 	binary.BigEndian.PutUint32(hdr[12:], uint32(int32(size)))
-	if len(payload) > connBuf-frameHeaderLen {
-		// A fragment-sized payload: one gathered write of header and payload
-		// (bw is empty between frames), not a copy through bw in two writes.
-		_, err := (&net.Buffers{hdr[:], payload}).WriteTo(c.nc)
-		return err
-	}
-	if _, err := c.bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := c.bw.Write(payload); err != nil {
-		return err
-	}
-	return c.bw.Flush()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, err := (&net.Buffers{hdr[:], payload}).WriteTo(c.nc)
+	return err
 }
 
 // readFrame validates the header hard: a truncated, oversized or
@@ -637,15 +659,31 @@ func (c *conn) readFrame() (frag, step, size int, payload []byte, err error) {
 		return 0, 0, 0, nil, fmt.Errorf("transport: frame data size %d inconsistent with length %d", size, length)
 	}
 	// 8-aligned, so a flat fragment frame laid at an 8-aligned payload offset
-	// is decoded in place; a payload larger than br is read straight into it.
-	payload = graph.AlignedBuf(int(length - (frameHeaderLen - 4)))
-	if payload == nil {
-		payload = []byte{} // a nil Frame means "link failed" to the engine
+	// is decoded in place. Memory follows the bytes that arrive, not the
+	// length a header claims: a payload beyond the largest class doubles as
+	// it fills. A control payload that fits is cut to measure, not drawn from
+	// the pool: the large ones carry fragments and never come back.
+	n := int(length - (frameHeaderLen - 4))
+	switch {
+	case n == 0:
+		return frag, step, size, []byte{}, nil // a nil Frame means "link failed" to the engine
+	case size == 0 && n <= 1<<maxClass:
+		payload = graph.AlignedBuf(n)
+	default:
+		payload = getFrame(min(n, 1<<maxClass))
 	}
-	if _, err := io.ReadFull(c.br, payload); err != nil {
-		return 0, 0, 0, nil, err
+	for got := 0; ; {
+		if _, err := io.ReadFull(c.br, payload[got:]); err != nil {
+			return 0, 0, 0, nil, err
+		}
+		if got = len(payload); got == n {
+			return frag, step, size, payload, nil
+		}
+		grown := graph.AlignedBuf(min(n, 2*got))
+		copy(grown, payload)
+		putFrame(payload)
+		payload = grown
 	}
-	return frag, step, size, payload, nil
 }
 
 func handshakeCoordinator(cn *conn, index, n int, window time.Duration, deadline time.Time) error {
@@ -666,12 +704,8 @@ func handshakeCoordinator(cn *conn, index, n int, window time.Duration, deadline
 	binary.BigEndian.PutUint32(resp[4:], uint32(n))
 	binary.BigEndian.PutUint32(resp[8:], uint32(window/time.Millisecond))
 	// resp[12:16] reserved
-	cn.mu.Lock()
-	defer cn.mu.Unlock()
-	if _, err := cn.bw.Write(resp[:]); err != nil {
-		return err
-	}
-	return cn.bw.Flush()
+	_, err := cn.nc.Write(resp[:])
+	return err
 }
 
 func handshakeWorker(cn *conn, deadline time.Time) (index, n int, window time.Duration, err error) {
@@ -680,13 +714,7 @@ func handshakeWorker(cn *conn, deadline time.Time) (index, n int, window time.Du
 	var hello [8]byte
 	copy(hello[:4], magic)
 	binary.BigEndian.PutUint32(hello[4:], version)
-	cn.mu.Lock()
-	_, err = cn.bw.Write(hello[:])
-	if err == nil {
-		err = cn.bw.Flush()
-	}
-	cn.mu.Unlock()
-	if err != nil {
+	if _, err = cn.nc.Write(hello[:]); err != nil {
 		return 0, 0, 0, err
 	}
 	var resp [16]byte

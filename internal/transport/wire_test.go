@@ -1,6 +1,7 @@
 package transport_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -8,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"grape/internal/engine"
 	"grape/internal/gen"
@@ -27,42 +27,7 @@ import (
 // down and fails the test if any worker exited uncleanly.
 func startWorkers(t *testing.T, n int) (*transport.Coordinator, func()) {
 	t.Helper()
-	l, err := transport.NewListener("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			conn, err := transport.Dial("tcp", addr, 5*time.Second)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer conn.Close()
-			errs[i] = engine.ServeWorker(context.Background(), conn)
-		}(i)
-	}
-	tr, err := l.AcceptWorkers(n, 10*time.Second)
-	if err != nil {
-		l.Close()
-		t.Fatal(err)
-	}
-	finish := func() {
-		tr.Close()
-		l.Close()
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				t.Errorf("worker %d: %v", i, err)
-			}
-		}
-	}
-	return tr, finish
+	return startFleet(t, n, -1, plainLink)
 }
 
 // runBoth executes run twice — on the in-process bus and over the socket
@@ -191,7 +156,8 @@ func TestWireMatchesBus(t *testing.T) {
 
 // recordingTransport wraps a Coordinator and logs every envelope that
 // crosses it, so tests can audit the engine's byte metering against the
-// frames themselves.
+// frames themselves. It logs copies: a sent frame is the engine's to
+// overwrite once Send returns, a received one the transport's once released.
 type recordingTransport struct {
 	*transport.Coordinator
 	mu   sync.Mutex
@@ -200,10 +166,11 @@ type recordingTransport struct {
 }
 
 func (r *recordingTransport) Send(e mpi.Envelope) {
+	r.Coordinator.Send(e)
+	e.Frame = bytes.Clone(e.Frame)
 	r.mu.Lock()
 	r.sent = append(r.sent, e)
 	r.mu.Unlock()
-	r.Coordinator.Send(e)
 }
 
 func (r *recordingTransport) Recv(ctx context.Context, party int) (mpi.Envelope, error) {
@@ -211,8 +178,10 @@ func (r *recordingTransport) Recv(ctx context.Context, party int) (mpi.Envelope,
 	if err != nil {
 		return e, err
 	}
+	kept := e
+	kept.Frame = bytes.Clone(e.Frame)
 	r.mu.Lock()
-	r.recv = append(r.recv, e)
+	r.recv = append(r.recv, kept)
 	r.mu.Unlock()
 	return e, nil
 }
@@ -243,7 +212,7 @@ func TestWireBytesAreEncodedLengths(t *testing.T) {
 			continue
 		}
 		total += int64(e.Size)
-		ups, used, err := engine.DecodeUpdates(codec, e.Frame[1:])
+		ups, used, err := engine.DecodeUpdates(codec, nil, e.Frame[1:])
 		if err != nil {
 			t.Fatalf("decoding sent frame: %v", err)
 		}
@@ -266,7 +235,7 @@ func TestWireBytesAreEncodedLengths(t *testing.T) {
 			continue
 		}
 		total += int64(e.Size)
-		ups, used, err := engine.DecodeUpdates(codec, e.Frame)
+		ups, used, err := engine.DecodeUpdates(codec, nil, e.Frame)
 		if err != nil {
 			t.Fatalf("decoding received frame: %v", err)
 		}
@@ -313,6 +282,7 @@ type fakeWire struct{ n int }
 func (f fakeWire) Workers() int                                    { return f.n }
 func (f fakeWire) Send(mpi.Envelope)                               { panic("unreachable") }
 func (f fakeWire) Recv(context.Context, int) (mpi.Envelope, error) { panic("unreachable") }
+func (f fakeWire) Release([]byte)                                  {}
 func (f fakeWire) Messages() int64                                 { return 0 }
 func (f fakeWire) Bytes() int64                                    { return 0 }
 func (f fakeWire) AddTraffic(_, _ int64)                           {}
