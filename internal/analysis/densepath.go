@@ -17,6 +17,10 @@ import (
 // is in a recognized sparse fallback: lexically behind a branch on
 // (*graph.Graph).Frozen(), the documented thawed-graph path taken after a
 // session mutation. Anything else needs //grapevet:keep with a reason.
+//
+// The engine's per-update bodies (densepathPerUpdate) get the same protection:
+// inside them a vertex is a border position, a slot or a dense index, and a
+// call that finds one by its ID — a hash or a search per update — is flagged.
 var Densepath = &Analyzer{
 	Name: "densepath",
 	Doc: "PIE kernel bodies must use dense ...At accessors when one exists, unless " +
@@ -36,17 +40,45 @@ var densepathSparse = map[string]bool{
 	"IsBorder": true, "IsInner": true, "Updated": true, "Vars": true,
 }
 
+// densepathPerUpdate are the engine bodies that run once per update parameter;
+// densepathByID the calls, as Type.Method, that look a vertex up by ID.
+var (
+	densepathPerUpdate = map[string]bool{"flush": true, "apply": true, "fold": true, "buildRoute": true, "replayFor": true}
+	densepathByID      = map[string]bool{"Graph.Index": true, "Assignment.Owner": true, "Layout.SlotOf": true, "Fragment.BorderPos": true}
+)
+
 func runDensepath(p *Pass) error {
 	for _, file := range p.Pkg.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || fd.Body == nil || !densepathBodies[fd.Name.Name] {
+			if !ok || fd.Recv == nil || fd.Body == nil {
 				continue
 			}
-			checkDense(p, fd)
+			if densepathBodies[fd.Name.Name] {
+				checkDense(p, fd)
+			}
+			if densepathPerUpdate[fd.Name.Name] {
+				checkPositional(p, fd)
+			}
 		}
 	}
 	return nil
+}
+
+func checkPositional(p *Pass, fd *ast.FuncDecl) {
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if s, ok := p.Pkg.Info.Selections[sel]; ok && s.Kind() == types.MethodVal {
+			if named := namedOf(s.Recv()); named != nil && densepathByID[named.Obj().Name()+"."+sel.Sel.Name] {
+				p.Reportf(sel.Sel.Pos(), "%s.%s in %s looks a vertex up by ID once per update; inside the engine an update parameter is addressed by position (border position, slot, dense index) — resolve IDs where they enter, at decode or at a session call",
+					named.Obj().Name(), sel.Sel.Name, fd.Name.Name)
+			}
+		}
+		return true
+	})
 }
 
 func checkDense(p *Pass, fd *ast.FuncDecl) {

@@ -49,3 +49,43 @@ func (Prog) Assemble(c *Context) error {
 	}
 	return nil
 }
+
+// The engine's per-update bodies address vertices by position: a lookup by
+// ID inside one is flagged, the same lookup at the boundary is not.
+
+func (g *Graph) Index(id int64) (int32, bool) { return int32(id), true }
+
+type Layout struct{ slots map[int64]int32 }
+
+func (l *Layout) SlotOf(id int64) (int32, bool) { s, ok := l.slots[id]; return s, ok }
+
+type update struct {
+	id int64
+	at int32
+}
+
+func (c *Context) apply(ups []update) {
+	for _, u := range ups {
+		i, _ := c.G.Index(u.id) // want "Graph.Index in apply looks a vertex up by ID once per update"
+		c.dense[i]++
+		c.dense[u.at]++
+	}
+}
+
+type fold struct{ l *Layout }
+
+func (f *fold) buildRoute(ups []update) (n int32) {
+	for _, u := range ups {
+		s, _ := f.l.SlotOf(u.id) // want "Layout.SlotOf in buildRoute looks a vertex up by ID once per update"
+		//grapevet:keep fixture: a boundary call that happens to live in a per-update body
+		t, _ := f.l.SlotOf(u.id)
+		n += s + t
+	}
+	return n
+}
+
+// lookup enters with an ID: that is what SlotOf is for.
+func (f *fold) lookup(id int64) int32 {
+	s, _ := f.l.SlotOf(id)
+	return s
+}

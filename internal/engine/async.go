@@ -86,22 +86,23 @@ func RunAsync[Q, V, R any](ctx context.Context, g *graph.Graph, prog Program[Q, 
 		finish()
 	}
 
-	// route fans a worker's flushed changes out to the hosting fragments.
-	// Hosts reads the layout's dense host index, and batches are gathered in
-	// a dense per-host table (host order is naturally ascending) — batch
-	// slices themselves are fresh per call because mailboxes retain them
-	// until the receiver drains.
-	route := func(w int, changes []VarUpdate[V]) {
+	// route fans a worker's flushed changes out to the hosting fragments,
+	// through the layout's border index like the coordinator's buildRoute:
+	// the sender's border position names a slot, the slot its hosts and where
+	// each keeps the vertex. Batches are gathered in a dense per-host table
+	// (host order is naturally ascending) — batch slices themselves are fresh
+	// per call because mailboxes retain them until the receiver drains.
+	route := func(w int, changes []update[V]) {
 		if len(changes) == 0 {
 			return
 		}
-		byHost := make([][]VarUpdate[V], n)
+		slots := layout.Fragments[w].Slots()
+		byHost := make([][]update[V], n)
 		for _, u := range changes {
-			for _, h := range layout.Hosts(u.ID) {
-				if h == w {
-					continue
+			for _, h := range layout.SlotHosts(slots[u.at]) {
+				if int(h.Frag) != w {
+					byHost[h.Frag] = append(byHost[h.Frag], update[V]{at: h.At, val: u.val})
 				}
-				byHost[h] = append(byHost[h], u)
 			}
 		}
 		for h, batch := range byHost {
@@ -213,7 +214,7 @@ func RunAsync[Q, V, R any](ctx context.Context, g *graph.Graph, prog Program[Q, 
 type mailbox[V any] struct {
 	mu   sync.Mutex
 	cond *sync.Cond
-	q    [][]VarUpdate[V]
+	q    [][]update[V]
 }
 
 func newMailbox[V any]() *mailbox[V] {
@@ -222,7 +223,7 @@ func newMailbox[V any]() *mailbox[V] {
 	return m
 }
 
-func (m *mailbox[V]) push(batch []VarUpdate[V]) {
+func (m *mailbox[V]) push(batch []update[V]) {
 	m.mu.Lock()
 	m.q = append(m.q, batch)
 	m.mu.Unlock()
@@ -231,7 +232,7 @@ func (m *mailbox[V]) push(batch []VarUpdate[V]) {
 
 // popAll blocks until at least one batch is queued (or done closes, second
 // return false) and drains the entire queue.
-func (m *mailbox[V]) popAll(done <-chan struct{}) ([][]VarUpdate[V], bool) {
+func (m *mailbox[V]) popAll(done <-chan struct{}) ([][]update[V], bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for len(m.q) == 0 {

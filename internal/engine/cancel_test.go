@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"regexp"
 	"slices"
 	"strings"
@@ -12,6 +14,7 @@ import (
 
 	"grape/internal/graph"
 	"grape/internal/mpi"
+	"grape/internal/partition"
 	"grape/internal/transport"
 )
 
@@ -273,10 +276,10 @@ func TestWorkerHonorsPropagatedDeadline(t *testing.T) {
 		served <- serveWire(ctx, prog, link, stepQuery{limit: 1 << 40}, layout.Fragments[0])
 	}()
 
-	peFrame, _ := encodeCmd(codec, nil, workerCmd[int64]{kind: cmdPEval})
+	peFrame, _ := encodeCmd(codec, nil, workerCmd[int64]{kind: cmdPEval}, nil)
 	link.in <- mpi.Envelope{From: mpi.Coordinator, To: 0, Step: 1, Frame: peFrame}
 	env := <-link.out
-	rep, err := decodeReply(codec, nil, env.Frame)
+	rep, err := decodeReply(codec, nil, env.Frame, layout.Fragments[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +287,7 @@ func TestWorkerHonorsPropagatedDeadline(t *testing.T) {
 		t.Fatalf("expired worker must reply with the deadline error, got %v", rep.err)
 	}
 	// the abort frame releases the worker with ErrAborted
-	abFrame, _ := encodeCmd(codec, nil, workerCmd[int64]{kind: cmdAbort})
+	abFrame, _ := encodeCmd(codec, nil, workerCmd[int64]{kind: cmdAbort}, nil)
 	link.in <- mpi.Envelope{From: mpi.Coordinator, To: 0, Frame: abFrame}
 	if err := <-served; !errors.Is(err, ErrAborted) {
 		t.Fatalf("abort frame must surface ErrAborted, got %v", err)
@@ -313,34 +316,69 @@ func (c chanTransport) Recv(ctx context.Context, party int) (mpi.Envelope, error
 	}
 }
 
-// TestReplyNamingUnknownVertexFailsRun: a reply frame that decodes cleanly
-// but names a vertex the graph does not have — a corrupt or hostile worker —
-// must fail the run with an error naming the worker and the vertex. It used
-// to reach Assignment.Owner through Layout.Hosts and panic the coordinator.
-func TestReplyNamingUnknownVertexFailsRun(t *testing.T) {
-	layout, err := BuildLayout(ring(8), Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
+// forgedReplyFrame is the reply of a worker with nothing to report, except
+// that its change batch names id: what a corrupt or hostile worker can put on
+// the wire, and no encoder of this package will.
+func forgedReplyFrame(id graph.ID) []byte {
+	batch := AppendUpdates(wireStepper{}.WireCodec(), nil, []VarUpdate[int64]{{ID: id, Val: 1}})
+	return appendReplyTail(batch, workerReply[int64]{})
+}
+
+// TestReplyNamingForeignVertexFailsRun: a reply frame that decodes cleanly
+// but reports a value for a vertex its sender shares with nobody — a corrupt
+// or hostile worker — must fail the run with an error naming the worker and
+// the vertex: one the graph does not have (it used to reach Assignment.Owner
+// through Layout.Hosts and panic the coordinator), a non-border vertex inner
+// to another fragment (it used to be folded and routed to its owner, which
+// aggregated the forged value into the answer), and a border vertex the
+// sender holds no copy of.
+func TestReplyNamingForeignVertexFailsRun(t *testing.T) {
+	// 0 → 1 → … → 8 → 0 in three runs of three: fragment 0 copies 3, fragment
+	// 1 copies 6, fragment 2 copies 0; nothing else is border.
+	g := ring(9)
+	asg := partition.NewAssignment(g, 3)
+	for v := graph.ID(0); v < 9; v++ {
+		asg.SetOwner(v, int(v)/3)
 	}
-	codec := wireStepper{}.WireCodec()
-	up := make(chan mpi.Envelope, 4)
-	tr := chanTransport{links: []chanLink{{in: make(chan mpi.Envelope, 4), out: up}, {in: make(chan mpi.Envelope, 4), out: up}}}
-	for w, link := range tr.links {
-		go func() { // a scripted worker: setup frame, one PEval, then whatever releases it
-			<-link.in
-			step := <-link.in
-			var rep workerReply[int64]
-			if w == 1 {
-				rep.changes = []VarUpdate[int64]{{ID: 999999, Val: 1}}
+	layout := partition.Build(g, asg)
+	s3, _ := layout.SlotOf(3)
+	if _, border := layout.SlotOf(1); border || layout.Slots() != 3 || !reflect.DeepEqual(layout.SlotHosts(s3), []partition.Host{{Frag: 0, At: 3}, {Frag: 1, At: 0}}) {
+		t.Fatalf("fixture: %d slots, vertex 3 hosted at %v", layout.Slots(), layout.SlotHosts(s3))
+	}
+	cases := map[string]struct {
+		from int
+		id   graph.ID
+	}{
+		"a vertex the graph does not have":     {1, 999999},
+		"inner to another fragment, no slot":   {1, 1},
+		"inner to the sender, no slot":         {1, 4},
+		"a slot the sender holds no copy of":   {2, 3},
+		"a slot, reported by the third worker": {0, 6},
+	}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			up := make(chan mpi.Envelope, 4)
+			var tr chanTransport
+			for range layout.Fragments {
+				tr.links = append(tr.links, chanLink{in: make(chan mpi.Envelope, 4), out: up})
 			}
-			frame, size := encodeReply(codec, nil, rep)
-			link.Send(mpi.Envelope{From: w, To: mpi.Coordinator, Step: step.Step, Frame: frame, Size: size})
-			<-link.in
-		}()
-	}
-	_, _, err = RunOnLayout(context.Background(), layout, wireStepper{stepper{}}, stepQuery{limit: 4}, Options{Workers: 2, Transport: tr})
-	if err == nil || !strings.Contains(err.Error(), "worker 1") || !strings.Contains(err.Error(), "vertex 999999") {
-		t.Fatalf("want a run error naming worker 1 and vertex 999999, got %v", err)
+			for w, link := range tr.links {
+				go func() { // a scripted worker: setup frame, one PEval, then whatever releases it
+					<-link.in
+					step := <-link.in
+					frame := forgedReplyFrame(c.id)
+					if w != c.from {
+						frame, _ = encodeReply(wireStepper{}.WireCodec(), nil, workerReply[int64]{}, nil)
+					}
+					link.Send(mpi.Envelope{From: w, To: mpi.Coordinator, Step: step.Step, Frame: frame, Size: len(frame)})
+					<-link.in
+				}()
+			}
+			_, _, err := RunOnLayout(context.Background(), layout, wireStepper{stepper{}}, stepQuery{limit: 4}, Options{Workers: 3, Transport: tr})
+			if want := fmt.Sprintf("vertex %d", c.id); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("worker %d", c.from)) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("want a run error naming worker %d and %s, got %v", c.from, want, err)
+			}
+		})
 	}
 }
 

@@ -3,8 +3,8 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 
+	"grape/internal/graph"
 	"grape/internal/partition"
 )
 
@@ -34,6 +34,14 @@ type CheckpointStore interface {
 	AppendEpoch(step int, frame []byte) error
 }
 
+// changeRec is one folded change of a superstep: the node's slot, its new
+// global value, and the worker whose report set it.
+type changeRec[V any] struct {
+	slot   int32
+	val    V
+	winner int
+}
+
 // ckptEpoch is one superstep's snapshot: the folded changes (ascending by
 // node ID, exactly as buildRoute walked them) and the post-superstep
 // keep-active flag of every worker.
@@ -57,14 +65,17 @@ func newCheckpoint[V any](spec VarSpec[V], layout *partition.Layout, store Check
 }
 
 // append snapshots superstep step from the just-completed fold. Steps are
-// sequential from 1; the fold's merged changes are copied (the fold reuses
-// its buffers next superstep), the stillActive set is flattened to a dense
-// flag slice.
+// sequential from 1; the fold's changes are copied out of its arrays (the
+// next superstep overwrites them), the stillActive set is flattened to a
+// dense flag slice.
 func (c *checkpoint[V]) append(step int, fold *foldState[V], stillActive map[int]bool) error {
 	if step != len(c.epochs)+1 {
 		return fmt.Errorf("engine: checkpoint epoch %d out of order (have %d)", step, len(c.epochs))
 	}
-	recs := slices.Clone(fold.merged)
+	recs := make([]changeRec[V], len(fold.moved))
+	for k, s := range fold.moved {
+		recs[k] = changeRec[V]{slot: s, val: fold.val[s], winner: int(fold.winner[s])}
+	}
 	active := make([]bool, len(c.layout.Fragments))
 	for w := range active {
 		active[w] = stillActive[w]
@@ -72,7 +83,7 @@ func (c *checkpoint[V]) append(step int, fold *foldState[V], stillActive map[int
 	ep := ckptEpoch[V]{recs: recs, active: active}
 	c.epochs = append(c.epochs, ep)
 	if c.store != nil {
-		if err := c.store.AppendEpoch(step, appendEpochFrame(c.codec, nil, ep)); err != nil {
+		if err := c.store.AppendEpoch(step, appendEpochFrame(c.codec, nil, ep, c.layout.SlotID)); err != nil {
 			return fmt.Errorf("engine: checkpoint store at superstep %d: %w", step, err)
 		}
 	}
@@ -83,35 +94,24 @@ func (c *checkpoint[V]) append(step int, fold *foldState[V], stillActive map[int
 // update batch the coordinator sent the fragment at that superstep.
 type replayStep[V any] struct {
 	step    int
-	updates []VarUpdate[V]
+	updates []update[V]
 }
 
 // replayFor derives fragment frag's command log for supersteps 2..through
 // (superstep 1 is always PEval and needs no epoch). For each superstep it
-// re-runs buildRoute's routing rule against the epoch's folded records —
-// queue variables to the owner, converged variables to every host except the
-// winner — and keeps the superstep iff the fragment was scheduled (non-empty
-// batch, or it had asked to stay active). The result is exactly the frame
-// sequence the lost worker consumed.
+// re-runs buildRoute's routing rule against the epoch's folded records, from
+// the same host lists, and keeps the superstep iff the fragment was scheduled
+// (non-empty batch, or it had asked to stay active). The result is exactly
+// the frame sequence the lost worker consumed.
 func (c *checkpoint[V]) replayFor(frag, through int) []replayStep[V] {
 	var steps []replayStep[V]
 	for s := 2; s <= through && s-2 < len(c.epochs); s++ {
 		ep := c.epochs[s-2]
-		var batch []VarUpdate[V]
+		var batch []update[V]
 		for _, rec := range ep.recs {
-			if c.spec.Consume {
-				if c.layout.Asg.Owner(rec.id) == frag {
-					batch = append(batch, VarUpdate[V]{ID: rec.id, Val: rec.val})
-				}
-				continue
-			}
-			if rec.winner == frag {
-				continue
-			}
-			for _, h := range c.layout.Hosts(rec.id) {
-				if h == frag {
-					batch = append(batch, VarUpdate[V]{ID: rec.id, Val: rec.val})
-					break
+			for _, h := range c.layout.SlotHosts(rec.slot) {
+				if int(h.Frag) == frag && routed(c.spec.Consume, c.layout, h, rec.winner) {
+					batch = append(batch, update[V]{at: h.At, val: rec.val})
 				}
 			}
 		}
@@ -128,10 +128,10 @@ func (c *checkpoint[V]) replayFor(frag, through int) []replayStep[V] {
 // winning worker; then a uvarint worker count followed by one active flag
 // byte per worker.
 
-func appendEpochFrame[V any](c Codec[V], buf []byte, ep ckptEpoch[V]) []byte {
+func appendEpochFrame[V any](c Codec[V], buf []byte, ep ckptEpoch[V], idOf func(slot int32) graph.ID) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(ep.recs)))
 	for _, rec := range ep.recs {
-		buf = binary.AppendUvarint(buf, uint64(rec.id))
+		buf = binary.AppendUvarint(buf, uint64(idOf(rec.slot)))
 		buf = c.AppendVal(buf, rec.val)
 		buf = binary.AppendUvarint(buf, uint64(rec.winner))
 	}

@@ -27,16 +27,19 @@ func (f64Codec) DecodeVal(b []byte) (float64, int, error) {
 	return math.Float64frombits(binary.BigEndian.Uint64(b)), 8, nil
 }
 
+// slotIsID names slot s's vertex s: the epoch frame tests have no layout.
+func slotIsID(s int32) graph.ID { return graph.ID(s) }
+
 func TestEpochFrameRoundTrip(t *testing.T) {
 	ep := ckptEpoch[float64]{
 		recs: []changeRec[float64]{
-			{id: 3, val: 1.5, winner: 0},
-			{id: 7, val: math.Inf(1), winner: 2},
-			{id: 900, val: -0.25, winner: 3},
+			{slot: 3, val: 1.5, winner: 0},
+			{slot: 7, val: math.Inf(1), winner: 2},
+			{slot: 900, val: -0.25, winner: 3},
 		},
 		active: []bool{true, false, false, true},
 	}
-	frame := appendEpochFrame[float64](f64Codec{}, nil, ep)
+	frame := appendEpochFrame[float64](f64Codec{}, nil, ep, slotIsID)
 	got, err := decodeEpochFrame[float64](f64Codec{}, frame)
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +51,7 @@ func TestEpochFrameRoundTrip(t *testing.T) {
 
 func TestEpochFrameEmpty(t *testing.T) {
 	ep := ckptEpoch[float64]{active: []bool{false, false}}
-	frame := appendEpochFrame[float64](f64Codec{}, nil, ep)
+	frame := appendEpochFrame[float64](f64Codec{}, nil, ep, slotIsID)
 	got, err := decodeEpochFrame[float64](f64Codec{}, frame)
 	if err != nil {
 		t.Fatal(err)
@@ -60,10 +63,10 @@ func TestEpochFrameEmpty(t *testing.T) {
 
 func TestEpochFrameRejectsTruncation(t *testing.T) {
 	ep := ckptEpoch[float64]{
-		recs:   []changeRec[float64]{{id: 1, val: 2, winner: 1}},
+		recs:   []changeRec[float64]{{slot: 1, val: 2, winner: 1}},
 		active: []bool{true, true},
 	}
-	frame := appendEpochFrame[float64](f64Codec{}, nil, ep)
+	frame := appendEpochFrame[float64](f64Codec{}, nil, ep, slotIsID)
 	for cut := 1; cut < len(frame); cut++ {
 		if _, err := decodeEpochFrame[float64](f64Codec{}, frame[:cut]); err == nil {
 			t.Fatalf("truncation at %d of %d accepted", cut, len(frame))
@@ -72,13 +75,14 @@ func TestEpochFrameRejectsTruncation(t *testing.T) {
 	// Reply frames likewise: there is one protocol version, so a reply cut
 	// anywhere — in particular before its compute/apply timing tail, the
 	// shape of a pre-timing worker's reply — is a decode error.
-	reply, _ := encodeReply[float64](f64Codec{}, nil, workerReply[float64]{changes: []VarUpdate[float64]{{ID: 1, Val: 2}}, work: 3, active: true, computeNS: 40, applyNS: 5})
+	f := matching(t, 1).Fragments[0] // vertex 1 is its one border vertex
+	reply, _ := encodeReply[float64](f64Codec{}, nil, workerReply[float64]{changes: []update[float64]{{at: 0, val: 2}}, work: 3, active: true, computeNS: 40, applyNS: 5}, f.Border())
 	for cut := 0; cut < len(reply); cut++ {
-		if _, err := decodeReply[float64](f64Codec{}, nil, reply[:cut]); err == nil {
+		if _, err := decodeReply[float64](f64Codec{}, nil, reply[:cut], f); err == nil {
 			t.Fatalf("reply truncated at %d of %d accepted", cut, len(reply))
 		}
 	}
-	if rep, err := decodeReply[float64](f64Codec{}, nil, reply); err != nil || rep.computeNS != 40 || rep.applyNS != 5 {
+	if rep, err := decodeReply[float64](f64Codec{}, nil, reply, f); err != nil || rep.computeNS != 40 || rep.applyNS != 5 || len(rep.changes) != 1 {
 		t.Fatalf("intact reply: %+v, %v", rep, err)
 	}
 }
@@ -88,7 +92,7 @@ func TestCheckpointRejectsOutOfOrderEpoch(t *testing.T) {
 	g.AddVertex(0, "")
 	layout := partition.Build(g, partition.NewAssignment(g, 1))
 	c := newCheckpoint[float64](VarSpec[float64]{}, layout, nil, nil)
-	fold := newFoldState[float64](VarSpec[float64]{}, 1)
+	fold := newFoldState[float64](VarSpec[float64]{}, layout)
 	if err := c.append(2, fold, nil); err == nil {
 		t.Fatal("epoch 2 accepted before epoch 1")
 	}
@@ -116,7 +120,7 @@ func decodeEpochFrame[V any](c Codec[V], frame []byte) (ckptEpoch[V], error) {
 		if err != nil {
 			return ep, err
 		}
-		rec.id = graph.ID(id)
+		rec.slot = int32(id)
 		v, used, err := c.DecodeVal(frame[pos:])
 		if err != nil {
 			return ep, err

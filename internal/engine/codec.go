@@ -50,6 +50,16 @@ func AppendUpdates[V any](c Codec[V], buf []byte, ups []VarUpdate[V]) []byte {
 	return buf
 }
 
+// appendBatch is AppendUpdates for a batch addressed by position, byte for
+// byte: ids is a fragment's Border() for a reply, its Vertices() for a command.
+func appendBatch[V any](c Codec[V], buf []byte, ups []update[V], ids []graph.ID) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(ups)))
+	for _, u := range ups {
+		buf = appendUpdate(c, buf, ids[u.at], u.val)
+	}
+	return buf
+}
+
 func appendUpdate[V any](c Codec[V], buf []byte, id graph.ID, v V) []byte {
 	return c.AppendVal(binary.AppendUvarint(buf, uint64(id)), v)
 }
@@ -59,6 +69,12 @@ func appendUpdate[V any](c Codec[V], buf []byte, id graph.ID, v V) []byte {
 // the updates and the number of bytes consumed. The count is checked against
 // the bytes left — an update takes two — before anything is sized from it.
 func DecodeUpdates[V any](c Codec[V], ups []VarUpdate[V], data []byte) ([]VarUpdate[V], int, error) {
+	return decodeBatch(c, ups, data, func(id graph.ID, v V) (VarUpdate[V], error) { return VarUpdate[V]{ID: id, Val: v}, nil })
+}
+
+// decodeBatch is the one batch decoder. mk makes an update of a decoded pair:
+// the engine's own frames resolve the ID to a position there, once.
+func decodeBatch[V, U any](c Codec[V], ups []U, data []byte, mk func(graph.ID, V) (U, error)) ([]U, int, error) {
 	pos := 0
 	n, err := graph.ReadUvarint(data, &pos)
 	if err != nil {
@@ -81,9 +97,45 @@ func DecodeUpdates[V any](c Codec[V], ups []VarUpdate[V], data []byte) ([]VarUpd
 			return nil, 0, err
 		}
 		pos += used
-		ups = append(ups, VarUpdate[V]{ID: graph.ID(id), Val: v})
+		u, err := mk(graph.ID(id), v)
+		if err != nil {
+			return nil, 0, err
+		}
+		ups = append(ups, u)
 	}
 	return ups, pos, nil
+}
+
+// hostedAt resolves the IDs of a batch sent to a fragment with graph g to
+// dense indices; a vertex g does not have is a corrupt or misrouted frame.
+func hostedAt[V any](g *graph.Graph) func(graph.ID, V) (update[V], error) {
+	return func(id graph.ID, v V) (update[V], error) {
+		i, ok := g.Index(id)
+		if !ok {
+			return update[V]{}, fmt.Errorf("engine: update for vertex %d, which the fragment does not host", id)
+		}
+		return update[V]{at: i, val: v}, nil
+	}
+}
+
+// reportedAt resolves the IDs of fragment f's reply to positions in its
+// border; a flush ascends by position, so each is looked for where the last
+// one ended before the border is searched. A vertex that is not border in f —
+// unknown, inner to any fragment, or a border vertex f holds no copy of — is a
+// corrupt or hostile reply: folding it would route a forged value to its owner.
+func reportedAt[V any](f *partition.Fragment) func(graph.ID, V) (update[V], error) {
+	border, next := f.Border(), int32(0)
+	return func(id graph.ID, v V) (update[V], error) {
+		p := next
+		if int(p) >= len(border) || border[p] != id {
+			var ok bool
+			if p, ok = f.BorderPos(id); !ok {
+				return update[V]{}, fmt.Errorf("engine: worker %d reported a value for vertex %d, which is not a border vertex of its fragment", f.Index, id)
+			}
+		}
+		next = p + 1
+		return update[V]{at: p, val: v}, nil
+	}
 }
 
 // Edge-update frames carry graph mutations (session update batches) across
@@ -163,13 +215,14 @@ func DecodeEdgeUpdates(data []byte) ([]EdgeUpdate, int, error) {
 // Worker-command frame: kind byte, the update batch (IncEval), and the dirty
 // ID list (session LocalInc; unused over the wire but kept for symmetry).
 // encodeCmd writes it over buf, the one frame buffer its sender keeps (see
-// mpi.Envelope), and also returns the encoded length of the update batch
-// alone — the metered data size of the message.
+// mpi.Envelope), naming each update's vertex through ids, the receiving
+// fragment graph's Vertices(); it also returns the encoded length of the
+// update batch alone — the metered data size of the message.
 
-func encodeCmd[V any](c Codec[V], buf []byte, cmd workerCmd[V]) (frame []byte, dataLen int) {
+func encodeCmd[V any](c Codec[V], buf []byte, cmd workerCmd[V], ids []graph.ID) (frame []byte, dataLen int) {
 	frame = append(buf[:0], byte(cmd.kind))
 	mark := len(frame)
-	frame = AppendUpdates(c, frame, cmd.updates)
+	frame = appendBatch(c, frame, cmd.updates, ids)
 	dataLen = len(frame) - mark
 	frame = binary.AppendUvarint(frame, uint64(len(cmd.dirty)))
 	for _, id := range cmd.dirty {
@@ -181,28 +234,20 @@ func encodeCmd[V any](c Codec[V], buf []byte, cmd workerCmd[V]) (frame []byte, d
 	return frame, dataLen
 }
 
-// decodeCmd decodes the update batch into ups[:0]; only an adopt command's
-// fragment aliases the frame.
-func decodeCmd[V any](c Codec[V], ups []VarUpdate[V], frame []byte) (workerCmd[V], error) {
+// decodeCmd decodes a command for the fragment with graph g, any but adopt
+// (decodeAdopt), its update batch into ups[:0]; nothing aliases the frame.
+func decodeCmd[V any](c Codec[V], ups []update[V], frame []byte, g *graph.Graph) (workerCmd[V], error) {
 	var cmd workerCmd[V]
 	if len(frame) == 0 {
 		return cmd, errors.New("engine: empty command frame")
 	}
 	k := cmdKind(frame[0])
-	if k < cmdPEval || k > cmdAdopt {
+	if k < cmdPEval || k >= cmdAdopt {
 		return cmd, fmt.Errorf("engine: unknown command kind %d", frame[0])
 	}
 	cmd.kind = k
-	if k == cmdAdopt {
-		ad, err := decodeAdopt(c, frame)
-		if err != nil {
-			return cmd, err
-		}
-		cmd.adopt = ad
-		return cmd, nil
-	}
 	pos := 1
-	ups, used, err := DecodeUpdates(c, ups, frame[pos:])
+	ups, used, err := decodeBatch(c, ups, frame[pos:], hostedAt[V](g))
 	if err != nil {
 		return cmd, err
 	}
@@ -236,12 +281,14 @@ func encodeAdopt[V any](c Codec[V], f *partition.Fragment, steps []replayStep[V]
 	frame = binary.AppendUvarint(frame, uint64(len(steps)))
 	for _, st := range steps {
 		frame = binary.AppendUvarint(frame, uint64(st.step))
-		frame = AppendUpdates(c, frame, st.updates)
+		frame = appendBatch(c, frame, st.updates, f.G.Vertices())
 	}
 	return partition.AppendFragment(graph.AppendSection(frame, 0, nil), f)
 }
 
-// decodeAdopt decodes an adopt frame; ad.frag aliases it.
+// decodeAdopt decodes an adopt frame: the fragment, which aliases the frame,
+// and the replay log addressed into it — the fragment comes last, so the
+// batches are read as IDs first and resolved once it is decoded.
 func decodeAdopt[V any](c Codec[V], frame []byte) (*adoptCmd[V], error) {
 	ad := &adoptCmd[V]{}
 	pos := 1
@@ -254,6 +301,7 @@ func decodeAdopt[V any](c Codec[V], frame []byte) (*adoptCmd[V], error) {
 	if err != nil {
 		return nil, err
 	}
+	var named [][]VarUpdate[V]
 	for i := uint64(0); i < count; i++ {
 		step, err := graph.ReadUvarint(frame, &pos)
 		if err != nil {
@@ -264,26 +312,45 @@ func decodeAdopt[V any](c Codec[V], frame []byte) (*adoptCmd[V], error) {
 			return nil, err
 		}
 		pos += used
-		ad.steps = append(ad.steps, replayStep[V]{step: int(step), updates: ups})
+		named = append(named, ups)
+		ad.steps = append(ad.steps, replayStep[V]{step: int(step)})
 	}
 	if pos = graph.Align8(pos); pos > len(frame) {
 		return nil, errors.New("engine: truncated adopt frame")
 	}
-	ad.frag = frame[pos:]
+	if ad.frag, _, err = partition.DecodeFragment(frame[pos:]); err != nil {
+		return nil, fmt.Errorf("engine: decoding adopted fragment: %w", err)
+	}
+	at := hostedAt[V](ad.frag.G)
+	for k, ups := range named {
+		for _, u := range ups {
+			pu, err := at(u.ID, u.Val)
+			if err != nil {
+				return nil, err
+			}
+			ad.steps[k].updates = append(ad.steps[k].updates, pu)
+		}
+	}
 	return ad, nil
 }
 
-// Worker-reply frame: the flushed change batch, the superstep's work units,
-// the keep-active flag, the error string ("" = nil), and the worker's
-// compute/apply nanoseconds for the flight recorder. encodeReply also returns the encoded length of the change batch — the
-// metered data size; the timing tail is framing overhead and never counts
-// toward comm bytes.
+// Worker-reply frame: the flushed change batch (border names the vertex of
+// each position: the sender's Border()), the superstep's work units, the
+// keep-active flag, the error string ("" = nil), and the worker's
+// compute/apply nanoseconds for the flight recorder. encodeReply also returns
+// the encoded length of the change batch — the metered data size; the timing
+// tail is framing overhead and never counts toward comm bytes.
 
-func encodeReply[V any](c Codec[V], buf []byte, rep workerReply[V]) (frame []byte, dataLen int) {
-	frame = AppendUpdates(c, buf[:0], rep.changes)
+func encodeReply[V any](c Codec[V], buf []byte, rep workerReply[V], border []graph.ID) (frame []byte, dataLen int) {
+	frame = appendBatch(c, buf[:0], rep.changes, border)
 	if len(rep.changes) > 0 {
 		dataLen = len(frame)
 	}
+	return appendReplyTail(frame, rep), dataLen
+}
+
+// appendReplyTail appends everything of a reply frame after its change batch.
+func appendReplyTail[V any](frame []byte, rep workerReply[V]) []byte {
 	frame = appendFlag(binary.AppendVarint(frame, rep.work), rep.active)
 	msg := ""
 	if rep.err != nil {
@@ -295,14 +362,14 @@ func encodeReply[V any](c Codec[V], buf []byte, rep workerReply[V]) (frame []byt
 	frame = binary.AppendUvarint(frame, uint64(len(msg)))
 	frame = append(frame, msg...)
 	frame = binary.AppendUvarint(frame, uint64(rep.computeNS))
-	frame = binary.AppendUvarint(frame, uint64(rep.applyNS))
-	return frame, dataLen
+	return binary.AppendUvarint(frame, uint64(rep.applyNS))
 }
 
-// decodeReply decodes the change batch into ups[:0]; nothing aliases the frame.
-func decodeReply[V any](c Codec[V], ups []VarUpdate[V], frame []byte) (workerReply[V], error) {
+// decodeReply decodes fragment f's reply, its change batch into ups[:0];
+// nothing aliases the frame.
+func decodeReply[V any](c Codec[V], ups []update[V], frame []byte, f *partition.Fragment) (workerReply[V], error) {
 	var rep workerReply[V]
-	changes, pos, err := DecodeUpdates(c, ups, frame)
+	changes, pos, err := decodeBatch(c, ups, frame, reportedAt[V](f))
 	if err != nil {
 		return rep, err
 	}

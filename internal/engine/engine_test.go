@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -265,7 +266,7 @@ func TestContextSemantics(t *testing.T) {
 	ctx.Set(2, 7)
 	ctx.Set(2, 7) // idempotent
 	ups := ctx.flush()
-	if len(ups) != 1 || ups[0].ID != 2 || ups[0].Val != 7 {
+	if len(ups) != 1 || ctx.Frag.Border()[ups[0].at] != 2 || ups[0].val != 7 {
 		t.Fatalf("border flush wrong: %v", ups)
 	}
 	if len(ctx.flush()) != 0 {
@@ -277,12 +278,13 @@ func TestContextSemantics(t *testing.T) {
 		t.Fatal("SetLocal must not ship")
 	}
 	// apply folds with the aggregate and records only real changes
-	ctx.apply([]VarUpdate[int64]{{ID: 2, Val: 9}}) // same value: no change
+	at2, _ := ctx.Frag.G.Index(2)
+	ctx.apply([]update[int64]{{at: at2, val: 9}}) // same value: no change
 	if len(ctx.Updated()) != 0 {
 		t.Fatalf("unchanged value must not count as an update: %v", ctx.Updated())
 	}
-	ctx.apply([]VarUpdate[int64]{{ID: 2, Val: 3}})
-	if len(ctx.Updated()) != 1 || ctx.Get(2) != 3 {
+	ctx.apply([]update[int64]{{at: at2, val: 3}})
+	if !slices.Equal(ctx.Updated(), []graph.ID{2}) || ctx.Get(2) != 3 {
 		t.Fatal("apply did not fold the improvement")
 	}
 	// work accounting drains

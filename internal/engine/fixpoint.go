@@ -29,7 +29,7 @@ const (
 
 type workerCmd[V any] struct {
 	kind    cmdKind
-	updates []VarUpdate[V]
+	updates []update[V] // addressed by dense index in the receiver's graph
 	dirty   []graph.ID
 	adopt   *adoptCmd[V]
 }
@@ -37,14 +37,14 @@ type workerCmd[V any] struct {
 // adoptCmd carries a fragment revival: the checkpoint-derived command log to
 // replay, and the superstep whose reply the barrier is still owed (0 = none).
 type adoptCmd[V any] struct {
-	ctx   *Context[V] // bus: the fresh context the goroutine swaps in
-	frag  []byte      // wire: the encoded fragment the worker process rebuilds
+	ctx   *Context[V]         // bus: the fresh context the goroutine swaps in
+	frag  *partition.Fragment // wire: the fragment the worker process rebuilt from the frame
 	steps []replayStep[V]
 	owe   int
 }
 
 type workerReply[V any] struct {
-	changes   []VarUpdate[V]
+	changes   []update[V] // addressed by border position in the sender's fragment
 	work      int64
 	active    bool // worker wants another superstep regardless of messages
 	err       error
@@ -90,7 +90,6 @@ type coordinator[V any] struct {
 	// ckpt, non-nil under Options.Recover, makes the barrier survive
 	// worker-fatal envelopes.
 	ckpt      *checkpoint[V]
-	layout    *partition.Layout
 	stats     *metrics.Stats
 	checkMono bool
 
@@ -164,7 +163,7 @@ func fixpoint[Q, V, R any](ctx context.Context, layout *partition.Layout, prog P
 	}
 	pending, stillActive := make([]bool, n), make(map[int]bool)
 	c := &coordinator[V]{
-		name: prog.Name(), sub: sub, tr: tr, fold: fold, ckpt: ckpt, layout: layout, stats: stats, checkMono: opts.CheckMonotonic,
+		name: prog.Name(), sub: sub, tr: tr, fold: fold, ckpt: ckpt, stats: stats, checkMono: opts.CheckMonotonic,
 		pending: pending, replies: make([]*workerReply[V], n), stillActive: stillActive,
 	}
 	fail := func(err error) (R, *metrics.Stats, error) {
@@ -181,7 +180,7 @@ func fixpoint[Q, V, R any](ctx context.Context, layout *partition.Layout, prog P
 	// superstep dispatches cmds to the pending workers and runs the barrier,
 	// leaving the next superstep's routing table in route.
 	cmds := make([]workerCmd[V], n)
-	var route [][]VarUpdate[V]
+	var route [][]update[V]
 	var scheduled int
 	superstep := func() (err error) {
 		active := 0
@@ -307,7 +306,7 @@ func (c *coordinator[V]) revive(rec *trace.Recorder, w, step, owe int, during st
 // superstep a reply, the replayed fragment produces it — a fatal envelope
 // never consumes a reply slot. With recovery off it fails the run with its
 // classified error.
-func (c *coordinator[V]) collectStep(ctx context.Context, rec *trace.Recorder, expect, step int) ([][]VarUpdate[V], int, error) {
+func (c *coordinator[V]) collectStep(ctx context.Context, rec *trace.Recorder, expect, step int) ([][]update[V], int, error) {
 	n := len(c.pending)
 	perWorker := make([]int64, n)
 	var stepBytes int64
@@ -377,7 +376,7 @@ func (c *coordinator[V]) collectStep(ctx context.Context, rec *trace.Recorder, e
 	}
 	c.stats.WorkPerStep = append(c.stats.WorkPerStep, perWorker)
 	c.stats.BytesPerStep = append(c.stats.BytesPerStep, stepBytes)
-	route, scheduled, err := c.fold.buildRoute(c.layout)
+	route, scheduled := c.fold.buildRoute()
 	rec.EndStep(step)
-	return route, scheduled, err
+	return route, scheduled, nil
 }

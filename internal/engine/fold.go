@@ -3,298 +3,192 @@ package engine
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
-	"sync"
 
 	"grape/internal/graph"
 	"grape/internal/partition"
 )
 
 // The coordinator's per-superstep work — folding every worker's reported
-// update-parameter changes and routing the survivors — would cap worker
-// parallelism if it were one serial loop, so foldState shards it: changed IDs
-// hash into one shard per worker, each folded by its own goroutine. Within a
-// shard the fold walks replies in worker order, so aggregation stays
-// deterministic even for non-commutative aggregates (e.g. CF's parameter
-// averaging) — shards partition the ID space, so per-ID fold order is exactly
-// that of a serial loop.
+// update-parameter changes and routing the survivors — runs while every
+// worker waits, so it addresses nothing by vertex ID: a reported change names
+// a border position of its sender, the sender's fragment maps that to the
+// layout's slot, and the fold is arrays indexed by slot. Replies are walked in
+// worker order, so aggregation is deterministic even for non-commutative
+// aggregates (e.g. CF's parameter averaging), and the changes come out in
+// ascending slot order — ascending vertex ID, the order of every routed batch
+// and checkpoint epoch — because the cut numbered the slots so, not by a sort.
 
-// changeRec is one folded change of a superstep: the node, its new global
-// value, and the worker whose report set the final value (routing skips that
-// worker — it already holds the value).
-type changeRec[V any] struct {
-	id     graph.ID
-	val    V
-	winner int
-}
-
-// foldState carries the coordinator's aggregation machinery across
-// supersteps: the sharded global border state, per-shard change lists, and
-// per-worker routing buffers, all reused between supersteps so the hot path
-// stops reallocating.
+// foldState carries the coordinator's aggregation state across supersteps:
+// the best-known value of every border slot, this superstep's changes, and
+// the per-worker routing buffers, all reused between supersteps.
 type foldState[V any] struct {
-	spec   VarSpec[V] //grapevet:keep construction-time identity: fixed per Resident, like Context.spec
-	n      int        //grapevet:keep construction-time shape: worker count is a property of the layout the scratch was built for
-	shards int        //grapevet:keep construction-time shape: derived from n at construction
+	spec   VarSpec[V]        //grapevet:keep construction-time identity: fixed per Resident, like Context.spec
+	layout *partition.Layout //grapevet:keep construction-time identity: the slots are this layout's
 
-	global  []map[graph.ID]V // best-known border values, by shard
-	changed [][]changeRec[V] // this superstep's folded changes, by shard
-	merged  []changeRec[V]   // the same across all shards, ascending by ID
-	errs    []error          // per-shard fold errors (parallel path)
-	buckets [][]VarUpdate[V] // n*shards scratch for the parallel fold
-	route   [][]VarUpdate[V] // per-worker routing buffers
+	val    []V     // by slot: the folded value
+	has    []bool  // by slot: val is set (never, for queue variables)
+	winner []int32 // by slot: the worker whose report last moved val
+	// movedAt is a bitmap over slots, set while a superstep's replies are
+	// folded; moved lists the same slots, ascending by vertex ID, once fold
+	// returns: one per changed node, val and winner holding its final value
+	// and the worker that caused it (routing skips that worker — it already
+	// holds the value).
+	movedAt []uint64
+	moved   []int32
+	route   [][]update[V] // per-worker routing buffers
 }
 
-func newFoldState[V any](spec VarSpec[V], n int) *foldState[V] {
-	s := n
-	if s < 1 {
-		s = 1
-	}
-	fs := &foldState[V]{
-		spec:    spec,
-		n:       n,
-		shards:  s,
-		global:  make([]map[graph.ID]V, s),
-		changed: make([][]changeRec[V], s),
-		errs:    make([]error, s),
-		buckets: make([][]VarUpdate[V], n*s),
-		route:   make([][]VarUpdate[V], n),
-	}
-	for i := 0; i < s; i++ {
-		fs.global[i] = make(map[graph.ID]V)
-	}
-	return fs
+func newFoldState[V any](spec VarSpec[V], layout *partition.Layout) *foldState[V] {
+	f := &foldState[V]{spec: spec, layout: layout, route: make([][]update[V], len(layout.Fragments))}
+	f.grow()
+	return f
 }
 
-func (f *foldState[V]) shardOf(id graph.ID) int {
-	return int((uint64(id) * 0x9e3779b97f4a7c15) % uint64(f.shards))
+// grow sizes the arrays to the layout's slots; a session's graph updates
+// append some.
+func (f *foldState[V]) grow() {
+	if n := f.layout.Slots(); n > len(f.has) {
+		f.val = append(f.val, make([]V, n-len(f.val))...)
+		f.has = append(f.has, make([]bool, n-len(f.has))...)
+		f.winner = append(f.winner, make([]int32, n-len(f.winner))...)
+		f.movedAt = append(f.movedAt, make([]uint64, (n+63)/64-len(f.movedAt))...)
+	}
+}
+
+// reset clears a pooled fold state for the next run, keeping every buffer.
+func (f *foldState[V]) reset() {
+	clear(f.val)
+	clear(f.has)
+	clear(f.winner)
+	clear(f.movedAt)
+	f.moved = f.moved[:0]
+	for i := range f.route {
+		f.route[i] = f.route[i][:0]
+	}
 }
 
 // lookup returns the folded global value of id, if any. The session layer
 // uses it to bring new outer copies up to date.
-func (f *foldState[V]) lookup(id graph.ID) (V, bool) {
-	v, ok := f.global[f.shardOf(id)][id]
-	return v, ok
+func (f *foldState[V]) lookup(id graph.ID) (v V, ok bool) {
+	if s, border := f.layout.SlotOf(id); border && int(s) < len(f.has) && f.has[s] {
+		return f.val[s], true
+	}
+	return v, false
 }
 
-// forget drops the coordinator's folded value of id. Delete repair uses it
-// when a node's value is invalidated: the retained baseline would otherwise
+// forget drops the coordinator's folded value of slot s. Delete repair uses
+// it when a node's value is invalidated: the retained baseline would otherwise
 // suppress (via Eq) or reject (via the monotonicity check) the re-derived
 // value of the node.
-func (f *foldState[V]) forget(id graph.ID) {
-	delete(f.global[f.shardOf(id)], id)
+func (f *foldState[V]) forget(s int32) {
+	f.grow()
+	var zero V
+	f.val[s], f.has[s] = zero, false
 }
 
-// force overwrites the coordinator's folded value of id, bypassing Agg and
-// the monotonicity check. Delete repair uses it to re-align the baseline
+// force overwrites the coordinator's folded value of slot s, bypassing Agg
+// and the monotonicity check. Delete repair uses it to re-align the baseline
 // with a repaired value that may sit above the old one in the order (e.g. a
 // CC label after a component split).
-func (f *foldState[V]) force(id graph.ID, v V) {
-	f.global[f.shardOf(id)][id] = v
+func (f *foldState[V]) force(s int32, v V) {
+	f.grow()
+	f.val[s], f.has[s] = v, true
 }
-
-// parallelFoldThreshold is the changed-value count below which sharded
-// goroutines cost more than they save and the fold runs serially (over the
-// same shard structures, in the same order).
-const parallelFoldThreshold = 256
 
 // fold aggregates one superstep's reports. replies is indexed by worker;
 // nil entries are workers that were not scheduled. checkMono enables the
 // Assurance Theorem verification of Options.CheckMonotonic.
 func (f *foldState[V]) fold(replies []*workerReply[V], checkMono bool) error {
-	total := 0
-	for _, rep := range replies {
-		if rep != nil {
-			total += len(rep.changes)
-		}
-	}
-	for s := 0; s < f.shards; s++ {
-		f.changed[s] = f.changed[s][:0]
-		f.errs[s] = nil
-	}
-	if f.shards == 1 || total < parallelFoldThreshold {
-		for w := 0; w < f.n; w++ {
-			if replies[w] == nil {
-				continue
-			}
-			for _, u := range replies[w].changes {
-				if err := f.foldOne(f.shardOf(u.ID), w, u, checkMono); err != nil {
-					return err
-				}
-			}
-		}
-		for s := range f.changed {
-			f.settle(s)
-		}
-		f.merge()
-		return nil
-	}
-	// Bucket phase: split each worker's (ID-sorted) report by shard, workers
-	// in parallel, preserving per-worker order within every bucket.
-	var wg sync.WaitGroup
-	for w := 0; w < f.n; w++ {
-		base := w * f.shards
-		for s := 0; s < f.shards; s++ {
-			f.buckets[base+s] = f.buckets[base+s][:0]
-		}
-		if replies[w] == nil || len(replies[w].changes) == 0 {
+	f.grow()
+	spec := f.spec
+	for w, rep := range replies {
+		if rep == nil {
 			continue
 		}
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			base := w * f.shards
-			for _, u := range replies[w].changes {
-				s := f.shardOf(u.ID)
-				f.buckets[base+s] = append(f.buckets[base+s], u)
-			}
-		}(w)
-	}
-	wg.Wait()
-	// Fold phase: one goroutine per shard, walking buckets in worker order —
-	// the same deterministic order as the serial path.
-	for s := 0; s < f.shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			for w := 0; w < f.n; w++ {
-				for _, u := range f.buckets[w*f.shards+s] {
-					if err := f.foldOne(s, w, u, checkMono); err != nil {
-						f.errs[s] = err
-						return
-					}
+		slots := f.layout.Fragments[w].Slots()
+		for _, u := range rep.changes {
+			s := slots[u.at]
+			bit := uint64(1) << (s & 63)
+			if spec.Consume {
+				// queue semantics: this superstep's reports alone are folded,
+				// in worker order, and delivered to the owner; nothing
+				// persists here (has stays false)
+				if f.movedAt[s>>6]&bit != 0 {
+					f.val[s] = spec.Agg(f.val[s], u.val)
+					continue
 				}
+				f.val[s] = spec.Agg(spec.Default, u.val)
+			} else {
+				old := spec.Default
+				if f.has[s] {
+					old = f.val[s]
+				}
+				merged := spec.Agg(old, u.val)
+				if spec.Eq(old, merged) {
+					continue
+				}
+				if checkMono && spec.Less != nil && f.has[s] && !spec.Less(merged, old) {
+					return fmt.Errorf("engine: node %d: %v -> %v: %w", f.layout.SlotID(s), old, merged, ErrNotMonotonic)
+				}
+				f.val[s], f.has[s] = merged, true
 			}
-			f.settle(s)
-		}(s)
-	}
-	wg.Wait()
-	for _, err := range f.errs {
-		if err != nil {
-			return err
+			f.winner[s] = int32(w)
+			f.movedAt[s>>6] |= bit
 		}
 	}
-	f.merge()
-	return nil
-}
-
-// settle leaves shard s with one record per changed node, ordered by node ID.
-// foldOne appends a record per report that moved a value; sorted by node and,
-// within a node, by reporting worker — the fold order — the last record of a
-// node carries its final value and winner (a queue variable instead folds its
-// reports, in that order, and goes to the owner whoever reported first).
-func (f *foldState[V]) settle(s int) {
-	recs := f.changed[s]
-	slices.SortFunc(recs, func(a, b changeRec[V]) int {
-		if c := cmp.Compare(a.id, b.id); c != 0 {
-			return c
+	f.moved = f.moved[:0]
+	for w, word := range f.movedAt {
+		for ; word != 0; word &= word - 1 {
+			f.moved = append(f.moved, int32(w<<6|bits.TrailingZeros64(word)))
 		}
-		return cmp.Compare(a.winner, b.winner)
-	})
-	out := recs[:0]
-	for _, r := range recs {
-		n := len(out)
-		again := n > 0 && out[n-1].id == r.id
-		switch {
-		case again && f.spec.Consume:
-			out[n-1].val = f.spec.Agg(out[n-1].val, r.val)
-		case again:
-			out[n-1] = r
-		case f.spec.Consume:
-			r.val = f.spec.Agg(f.spec.Default, r.val)
-			fallthrough
-		default:
-			out = append(out, r)
-		}
+		f.movedAt[w] = 0
 	}
-	f.changed[s] = out
-}
-
-// merge interleaves the shards' change lists, each sorted by its shard's
-// goroutine, into one list ordered by node ID. Ordering the changes here,
-// once, is what orders every batch buildRoute deals out of them (and every
-// batch a checkpoint replays): a change fans out to each host of its node, so
-// sorting per destination would sort it that often, on the coordinator, while
-// every worker waits.
-func (f *foldState[V]) merge() {
-	f.merged = f.merged[:0]
-	heads := make([]int, len(f.changed)) // read position per shard
-	for {
-		best := -1
-		for s, recs := range f.changed {
-			if h := heads[s]; h < len(recs) && (best < 0 || recs[h].id < f.changed[best][heads[best]].id) {
-				best = s
-			}
-		}
-		if best < 0 {
-			return
-		}
-		f.merged = append(f.merged, f.changed[best][heads[best]])
-		heads[best]++
+	// Ascending slot is ascending ID among the slots the cut numbered — a
+	// property of the index. Slots a session appended since are in arrival
+	// order; when one of those moved, ID order is restored by sorting.
+	if n := len(f.moved); n > 0 && int(f.moved[n-1]) >= f.layout.CutSlots() {
+		slices.SortFunc(f.moved, func(a, b int32) int { return cmp.Compare(f.layout.SlotID(a), f.layout.SlotID(b)) })
 	}
-}
-
-// foldOne merges one reported value into shard s's state and, when the
-// global value moves, appends the change and the worker that caused it.
-func (f *foldState[V]) foldOne(s, w int, u VarUpdate[V], checkMono bool) error {
-	if f.spec.Consume {
-		// queue semantics: this superstep's reports alone are folded (by
-		// settle) and delivered to the owner; nothing persists here
-		f.changed[s] = append(f.changed[s], changeRec[V]{id: u.ID, val: u.Val, winner: w})
-		return nil
-	}
-	old, has := f.global[s][u.ID]
-	if !has {
-		old = f.spec.Default
-	}
-	merged := f.spec.Agg(old, u.Val)
-	if f.spec.Eq(old, merged) {
-		return nil
-	}
-	if checkMono && f.spec.Less != nil && has && !f.spec.Less(merged, old) {
-		return fmt.Errorf("engine: node %d: %v -> %v: %w", u.ID, old, merged, ErrNotMonotonic)
-	}
-	f.global[s][u.ID] = merged
-	f.changed[s] = append(f.changed[s], changeRec[V]{id: u.ID, val: merged, winner: w})
 	return nil
 }
 
 // buildRoute turns the folded changes into per-worker update batches: each
 // changed value goes to every fragment hosting the node except the winner
-// (queue variables go to the owner only: they are messages, not state).
-// Batches come out ordered by node ID because the changes are. Buffers are
-// reused across supersteps — workers are done with the previous batch before
-// their replies reach the coordinator, so nothing aliases.
-// Returns the routing table (indexed by worker; empty slices mean "not
-// scheduled") and the number of workers with pending updates. A change to a
-// vertex the graph does not have — a corrupt or hostile reply: no program
-// sets a variable outside its fragment — fails the run, naming the worker.
-func (f *foldState[V]) buildRoute(layout *partition.Layout) ([][]VarUpdate[V], int, error) {
-	for w := 0; w < f.n; w++ {
+// (queue variables go to the owner only: they are messages, not state),
+// addressed by the dense index the host keeps the node at. Batches come out
+// ordered by node ID because the changes are. Buffers are reused across
+// supersteps — workers are done with the previous batch before their replies
+// reach the coordinator, so nothing aliases. Returns the routing table
+// (indexed by worker; empty slices mean "not scheduled") and the number of
+// workers with pending updates.
+func (f *foldState[V]) buildRoute() ([][]update[V], int) {
+	for w := range f.route {
 		f.route[w] = f.route[w][:0]
 	}
-	for _, rec := range f.merged {
-		hosts := layout.Hosts(rec.id)
-		if len(hosts) == 0 {
-			return nil, 0, fmt.Errorf("engine: worker %d reported a value for vertex %d, which the graph does not have", rec.winner, rec.id)
-		}
-		if f.spec.Consume {
-			o := layout.Asg.Owner(rec.id)
-			f.route[o] = append(f.route[o], VarUpdate[V]{ID: rec.id, Val: rec.val})
-			continue
-		}
-		for _, h := range hosts {
-			if h == rec.winner {
-				continue
+	for _, s := range f.moved {
+		for _, h := range f.layout.SlotHosts(s) {
+			if routed(f.spec.Consume, f.layout, h, int(f.winner[s])) {
+				f.route[h.Frag] = append(f.route[h.Frag], update[V]{at: h.At, val: f.val[s]})
 			}
-			f.route[h] = append(f.route[h], VarUpdate[V]{ID: rec.id, Val: rec.val})
 		}
 	}
 	scheduled := 0
-	for w := 0; w < f.n; w++ {
-		if len(f.route[w]) > 0 {
+	for _, batch := range f.route {
+		if len(batch) > 0 {
 			scheduled++
 		}
 	}
-	return f.route, scheduled, nil
+	return f.route, scheduled
+}
+
+// routed is the routing rule, shared with checkpoint replay: a changed value
+// goes to host h unless h reported the winning value itself; a queue
+// variable's goes to the owner alone.
+func routed(consume bool, layout *partition.Layout, h partition.Host, winner int) bool {
+	if consume {
+		return layout.Fragments[h.Frag].IsInnerAt(h.At)
+	}
+	return int(h.Frag) != winner
 }

@@ -21,8 +21,7 @@
 package engine
 
 import (
-	"cmp"
-	"slices"
+	"math/bits"
 
 	"grape/internal/graph"
 	"grape/internal/partition"
@@ -69,10 +68,10 @@ func (s VarSpec[V]) sizeOf(v V) int {
 // 8-byte node ID plus the declared Size per value. It is the fallback
 // metering used by the bus and the async engine; wire transports charge
 // len(AppendUpdates(codec, ...)) instead — the actual encoded length.
-func shipSize[V any](spec VarSpec[V], ups []VarUpdate[V]) int {
+func shipSize[V any](spec VarSpec[V], ups []update[V]) int {
 	size := 0
 	for _, u := range ups {
-		size += 8 + spec.sizeOf(u.Val)
+		size += 8 + spec.sizeOf(u.val)
 	}
 	return size
 }
@@ -98,10 +97,23 @@ type Program[Q, V, R any] interface {
 	Assemble(q Q, ctxs []*Context[V]) (R, error)
 }
 
-// VarUpdate is one (node, value) pair of update-parameter traffic.
+// VarUpdate is one (node, value) pair of update-parameter traffic as it
+// crosses a boundary: in a frame, a checkpoint epoch, a partial answer.
 type VarUpdate[V any] struct {
 	ID  graph.ID
 	Val V
+}
+
+// update is the same pair inside the engine, addressed by position — no
+// superstep hashes a vertex ID. On its way to the coordinator (a flush, a
+// reply) at is the border position in the sender's fragment, which the fold
+// turns into the layout's slot through Fragment.Slots; on its way to a
+// fragment (a routed batch, a command, a replayed step) it is the dense index
+// in the receiver's graph. IDs come back only where bytes leave: the codecs
+// write IDAt of the same positions, and decode resolves them once.
+type update[V any] struct {
+	at  int32
+	val V
 }
 
 // Context is a worker's view of its fragment during a run: the node
@@ -125,15 +137,20 @@ type Context[V any] struct {
 	// overflow path for IDs a program addresses without hosting them; it is
 	// nil until first needed and such nodes are never border, so they never
 	// ship.
-	vals       []V
-	has        []bool
-	border     []bool
-	changedAt  []bool  // border vars changed since last flush, by dense index
-	changedIdx []int32 // dense indices of queued changes, insertion order
+	vals []V
+	has  []bool
+	// borderPos is the border position + 1 of the vertex at each dense index
+	// (0: not border), covering the first nb positions of Frag.Border();
+	// changed is a bitmap over those positions — the border variables set
+	// since the last flush, queued of them.
+	borderPos  []int32
+	nb         int
+	changed    []uint64
+	queued     int
 	vars       map[graph.ID]V
-	flushBuf   []VarUpdate[V] // reused across supersteps; see flush
-	updated    []graph.ID     // nodes changed by the last message application
-	updatedIdx []int32        // dense indices of updated (overflow nodes omitted)
+	flushBuf   []update[V] // reused across supersteps; see flush
+	updated    []graph.ID  // nodes changed by the last message application
+	updatedIdx []int32     // dense indices of updated (overflow nodes omitted)
 	work       int64
 	active     bool // worker requests another superstep even without messages
 }
@@ -155,20 +172,15 @@ func (c *Context[V]) reset() {
 		// scratch was built
 		c.vals = make([]V, nv)
 		c.has = make([]bool, nv)
-		c.border = make([]bool, nv)
-		c.changedAt = make([]bool, nv)
+		c.borderPos = make([]int32, nv)
 	} else {
 		clear(c.vals)
 		clear(c.has)
-		clear(c.border)
-		clear(c.changedAt)
+		clear(c.borderPos)
 	}
-	for _, i := range c.Frag.BorderIndices() {
-		if i >= 0 {
-			c.border[i] = true
-		}
-	}
-	c.changedIdx = c.changedIdx[:0]
+	clear(c.changed)
+	c.nb, c.queued = 0, 0
+	c.syncBorder()
 	c.vars = nil
 	c.flushBuf = c.flushBuf[:0]
 	c.updated = c.updated[:0]
@@ -186,8 +198,33 @@ func (c *Context[V]) ensure(i int32) {
 		var zero V
 		c.vals = append(c.vals, zero)
 		c.has = append(c.has, false)
-		c.border = append(c.border, false)
-		c.changedAt = append(c.changedAt, false)
+		c.borderPos = append(c.borderPos, 0)
+	}
+}
+
+// syncBorder takes note of the border positions the fragment has and the
+// context has not seen: all of them at reset, the ones a session's graph
+// updates appended since (positions never move, so the rest stands).
+func (c *Context[V]) syncBorder() {
+	idx := c.Frag.BorderIndices()
+	for p := c.nb; p < len(idx); p++ {
+		if i := idx[p]; i >= 0 {
+			c.ensure(i)
+			c.borderPos[i] = int32(p) + 1
+		}
+	}
+	c.nb = len(idx)
+	for len(c.changed) < (c.nb+63)/64 {
+		c.changed = append(c.changed, 0)
+	}
+}
+
+// queue marks the border variable at dense index i, if it is one, for the
+// next flush.
+func (c *Context[V]) queue(i int32) {
+	if p := c.borderPos[i] - 1; p >= 0 && c.changed[p>>6]&(1<<(p&63)) == 0 {
+		c.changed[p>>6] |= 1 << (p & 63)
+		c.queued++
 	}
 }
 
@@ -260,10 +297,7 @@ func (c *Context[V]) SetAt(i int32, v V) {
 	}
 	c.vals[i] = v
 	c.has[i] = true
-	if c.border[i] && !c.changedAt[i] {
-		c.changedAt[i] = true
-		c.changedIdx = append(c.changedIdx, i)
-	}
+	c.queue(i)
 }
 
 // SetLocalAt is SetLocal addressed by dense vertex index.
@@ -275,7 +309,7 @@ func (c *Context[V]) SetLocalAt(i int32, v V) {
 
 // IsBorderAt is IsBorder addressed by dense vertex index.
 func (c *Context[V]) IsBorderAt(i int32) bool {
-	return int(i) < len(c.border) && c.border[i]
+	return int(i) < len(c.borderPos) && c.borderPos[i] != 0
 }
 
 // IsInnerAt reports whether the vertex at dense index i is owned by this
@@ -337,80 +371,59 @@ func (c *Context[V]) Vars(f func(id graph.ID, v V)) {
 	}
 }
 
-// flush returns and clears the queued border changes, sorted by ID for
-// deterministic aggregation at the coordinator. The returned slice is reused
-// by the next flush; the coordinator consumes it within one collect, before
-// this worker can be scheduled again.
-func (c *Context[V]) flush() []VarUpdate[V] {
-	if len(c.changedIdx) == 0 {
+// flush returns and clears the queued border changes as (border position,
+// value), ascending by position — which is ascending by ID for a fragment as
+// cut — for deterministic aggregation at the coordinator. The returned slice
+// is reused by the next flush; the coordinator consumes it within one collect,
+// before this worker can be scheduled again.
+func (c *Context[V]) flush() []update[V] {
+	if c.queued == 0 {
 		return nil
 	}
-	g := c.Frag.G
+	idx := c.Frag.BorderIndices()
 	ups := c.flushBuf[:0]
-	for _, i := range c.changedIdx {
-		ups = append(ups, VarUpdate[V]{ID: g.IDAt(i), Val: c.vals[i]})
-		c.changedAt[i] = false
-		if c.spec.Consume {
-			var zero V
-			c.vals[i] = zero // shipped messages leave the sender
-			c.has[i] = false
+	for w := 0; len(ups) < c.queued; w++ {
+		for word := c.changed[w]; word != 0; word &= word - 1 {
+			p := w<<6 | bits.TrailingZeros64(word)
+			i := idx[p]
+			ups = append(ups, update[V]{at: int32(p), val: c.vals[i]})
+			if c.spec.Consume {
+				var zero V
+				c.vals[i] = zero // shipped messages leave the sender
+				c.has[i] = false
+			}
 		}
+		c.changed[w] = 0
 	}
-	c.changedIdx = c.changedIdx[:0]
-	sortUpdates(ups)
+	c.queued = 0
 	c.flushBuf = ups
 	return ups
 }
 
-// apply folds a batch of routed updates into the variables using Agg and
-// records which nodes actually changed; those become Updated() for IncEval.
-// Applied values are not re-queued for shipping: the coordinator already
-// knows them. Each node is resolved to its dense index once, not once per
-// Get/Set as the public accessors would.
-func (c *Context[V]) apply(ups []VarUpdate[V]) {
+// apply folds a batch of routed updates, addressed by dense index, into the
+// variables using Agg and records which nodes actually changed; those become
+// Updated() for IncEval, in batch order — ascending by ID, as the coordinator
+// routes. Applied values are not re-queued for shipping: the coordinator
+// already knows them.
+func (c *Context[V]) apply(ups []update[V]) {
 	c.updated = c.updated[:0]
 	c.updatedIdx = c.updatedIdx[:0]
+	g := c.Frag.G
 	for _, u := range ups {
-		i, ok := c.Frag.G.Index(u.ID)
-		if !ok {
-			// overflow node (addressed but not hosted): fold into the map
-			old, had := c.vars[u.ID]
-			if !had {
-				old = c.spec.Default
-			}
-			merged := c.spec.Agg(old, u.Val)
-			if c.spec.Eq(old, merged) {
-				continue
-			}
-			if c.vars == nil {
-				c.vars = make(map[graph.ID]V)
-			}
-			c.vars[u.ID] = merged
-			c.updated = append(c.updated, u.ID)
-			continue
-		}
+		i := u.at
 		c.ensure(i)
 		old := c.spec.Default
 		if c.has[i] {
 			old = c.vals[i]
 		}
-		merged := c.spec.Agg(old, u.Val)
+		merged := c.spec.Agg(old, u.val)
 		if c.spec.Eq(old, merged) {
 			continue
 		}
 		c.vals[i] = merged
 		c.has[i] = true
-		c.updated = append(c.updated, u.ID)
+		c.updated = append(c.updated, g.IDAt(i))
 		c.updatedIdx = append(c.updatedIdx, i)
-	}
-}
-
-// addBorder marks id as carrying an update parameter from now on; the
-// session layer calls it when graph updates enlarge the border.
-func (c *Context[V]) addBorder(id graph.ID) {
-	if i, ok := c.Frag.G.Index(id); ok {
-		c.ensure(i)
-		c.border[i] = true
 	}
 }
 
@@ -418,42 +431,36 @@ func (c *Context[V]) addBorder(id graph.ID) {
 // change — used when a node newly becomes border and its existing value must
 // reach the new copy holders.
 func (c *Context[V]) touch(id graph.ID) {
-	i, ok := c.Frag.G.Index(id)
-	if !ok || int(i) >= len(c.vals) {
-		return
-	}
-	if c.has[i] && c.border[i] && !c.changedAt[i] {
-		c.changedAt[i] = true
-		c.changedIdx = append(c.changedIdx, i)
+	if i, ok := c.Frag.G.Index(id); ok && int(i) < len(c.vals) && c.has[i] {
+		c.queue(i)
 	}
 }
 
 // clearVar erases id's variable entirely — afterwards Get returns the
-// declared default, exactly as if the node had never been set. A queued
-// border change for the node is dropped too: shipping the zeroed slot would
-// leak a meaningless value to the coordinator. The session layer's delete
-// repair uses this to invalidate the nodes whose values a removed edge may
-// have supported, before re-seeding the fixpoint.
+// declared default, exactly as if the node had never been set.
 func (c *Context[V]) clearVar(id graph.ID) {
-	i, ok := c.Frag.G.Index(id)
-	if !ok {
+	if i, ok := c.Frag.G.Index(id); ok {
+		c.clearVarAt(i)
+	} else {
 		delete(c.vars, id)
-		return
 	}
+}
+
+// clearVarAt is clearVar addressed by dense vertex index. A queued border
+// change for the node is dropped too: shipping the zeroed slot would leak a
+// meaningless value to the coordinator. The session layer's delete repair
+// uses this to invalidate the nodes whose values a removed edge may have
+// supported, before re-seeding the fixpoint.
+func (c *Context[V]) clearVarAt(i int32) {
 	if int(i) >= len(c.vals) {
 		return
 	}
 	var zero V
 	c.vals[i] = zero
 	c.has[i] = false
-	if c.changedAt[i] {
-		c.changedAt[i] = false
-		for k, j := range c.changedIdx {
-			if j == i {
-				c.changedIdx = append(c.changedIdx[:k], c.changedIdx[k+1:]...)
-				break
-			}
-		}
+	if p := c.borderPos[i] - 1; p >= 0 && c.changed[p>>6]&(1<<(p&63)) != 0 {
+		c.changed[p>>6] &^= 1 << (p & 63)
+		c.queued--
 	}
 }
 
@@ -473,10 +480,4 @@ func (c *Context[V]) takeWork() int64 {
 	w := c.work
 	c.work = 0
 	return w
-}
-
-// sortUpdates orders a batch by node ID. IDs are unique within a batch, so
-// the order is total.
-func sortUpdates[V any](ups []VarUpdate[V]) {
-	slices.SortFunc(ups, func(a, b VarUpdate[V]) int { return cmp.Compare(a.ID, b.ID) })
 }

@@ -51,7 +51,7 @@ func NewResident[Q, V, R any](layout *partition.Layout, prog Program[Q, V, R], o
 	r := &Resident[Q, V, R]{layout: layout, prog: prog, opts: opts}
 	spec := prog.Spec()
 	r.pool.New = func() any {
-		return &runScratch[V]{ctxs: freshContexts(layout, spec), fold: newFoldState(spec, len(layout.Fragments))}
+		return &runScratch[V]{ctxs: freshContexts(layout, spec), fold: newFoldState(spec, layout)}
 	}
 	return r, nil
 }
@@ -71,21 +71,4 @@ func (r *Resident[Q, V, R]) Run(ctx context.Context, q Q) (R, *metrics.Stats, er
 	res, stats, err := fixpoint(ctx, r.layout, r.prog, q, r.opts, newBusSubstrate(r.prog, q, r.opts, sc.ctxs), sc.fold, nil)
 	r.pool.Put(sc)
 	return res, stats, err
-}
-
-// reset clears a pooled fold state for the next run, keeping shard and
-// buffer capacity.
-func (f *foldState[V]) reset() {
-	for s := 0; s < f.shards; s++ {
-		clear(f.global[s])
-		f.changed[s] = f.changed[s][:0]
-		f.errs[s] = nil
-	}
-	f.merged = f.merged[:0]
-	for i := range f.buckets {
-		f.buckets[i] = f.buckets[i][:0]
-	}
-	for i := range f.route {
-		f.route[i] = f.route[i][:0]
-	}
 }

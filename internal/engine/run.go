@@ -151,7 +151,7 @@ func RunOnLayout[Q, V, R any](ctx context.Context, layout *partition.Layout, pro
 	var zero R
 	opts = opts.withDefaults()
 	spec := prog.Spec()
-	fold := newFoldState(spec, len(layout.Fragments))
+	fold := newFoldState(spec, layout)
 	if opts.Transport == nil {
 		return fixpoint(ctx, layout, prog, q, opts, newBusSubstrate(prog, q, opts, freshContexts(layout, spec)), fold, nil)
 	}

@@ -145,10 +145,15 @@ func (sc *RepairScope[V]) Value(id graph.ID) V {
 // coordinator's folded baseline, so a follow-up fixpoint re-derives the
 // value from scratch (or leaves it at the default if nothing reaches it).
 func (sc *RepairScope[V]) Invalidate(id graph.ID) {
-	for _, h := range sc.layout.Hosts(id) {
-		sc.ctxs[h].clearVar(id)
+	s, border := sc.layout.SlotOf(id)
+	if !border {
+		sc.ctxs[sc.layout.Asg.Owner(id)].clearVar(id)
+		return
 	}
-	sc.fold.forget(id)
+	for _, h := range sc.layout.SlotHosts(s) {
+		sc.ctxs[h.Frag].clearVarAt(h.At)
+	}
+	sc.fold.forget(s)
 }
 
 // ForceValue overwrites id's variable at every hosting fragment and the
@@ -156,10 +161,15 @@ func (sc *RepairScope[V]) Invalidate(id graph.ID) {
 // that may sit above the old ones in the order (e.g. CC labels after a
 // component split).
 func (sc *RepairScope[V]) ForceValue(id graph.ID, v V) {
-	for _, h := range sc.layout.Hosts(id) {
-		sc.ctxs[h].SetLocal(id, v)
+	s, border := sc.layout.SlotOf(id)
+	if !border {
+		sc.ctxs[sc.layout.Asg.Owner(id)].SetLocal(id, v)
+		return
 	}
-	sc.fold.force(id, v)
+	for _, h := range sc.layout.SlotHosts(s) {
+		sc.ctxs[h.Frag].SetLocalAt(h.At, v)
+	}
+	sc.fold.force(s, v)
 }
 
 // Session retains a query's distributed state across graph updates.
@@ -230,7 +240,7 @@ func NewSession[Q, V, R any](ctx context.Context, g *graph.Graph, prog Program[Q
 	if patcher != nil {
 		s.iq = patcher.SessionQuery(q)
 	}
-	s.fold = newFoldState(s.spec, len(layout.Fragments))
+	s.fold = newFoldState(s.spec, layout)
 	res, stats, err := s.run(ctx, nil)
 	if err != nil {
 		return nil, zero, stats, err
@@ -364,24 +374,21 @@ func (s *Session[Q, V, R]) applyInsert(u EdgeUpdate, dirtyByWorker map[int][]gra
 	w := s.layout.Asg.Owner(u.From)
 	f := s.layout.Fragments[w]
 	if w != s.layout.Asg.Owner(u.To) && !f.G.Has(u.To) {
-		// new outer copy: replicate the vertex, extend the border on
-		// both sides, and bring the copy up to date with the
-		// coordinator's folded value so no historic routing is missed.
+		// new outer copy: replicate the vertex, extend the border on both
+		// sides, and bring the copy up to date with the coordinator's
+		// folded value so no historic routing is missed.
 		g := s.layout.Asg.G
 		f.G.AddVertex(u.To, g.Label(u.To))
 		if ps := g.Props(u.To); len(ps) > 0 {
 			f.G.SetProps(u.To, append([]string(nil), ps...))
 		}
-		owner := s.layout.Asg.Owner(u.To)
-		f.AddOuter(u.To, owner)
-		s.layout.AddHost(u.To, w)
-		s.ctxs[w].addBorder(u.To)
+		owner, first := s.layout.AddHost(u.To, w)
+		s.ctxs[w].syncBorder()
 		if gv, ok := s.fold.lookup(u.To); ok {
 			s.ctxs[w].SetLocal(u.To, s.spec.Agg(s.ctxs[w].Get(u.To), gv))
 		}
-		of := s.layout.Fragments[owner]
-		if of.AddInnerBorder(u.To) {
-			s.ctxs[owner].addBorder(u.To)
+		if first {
+			s.ctxs[owner].syncBorder()
 		}
 		// the owner's current value never shipped if the node was not
 		// border before; force it onto the wire
@@ -503,7 +510,7 @@ func (s *Session[Q, V, R]) reseed(ctx context.Context, ups []EdgeUpdate) (R, *me
 		return zero, nil, err
 	}
 	s.layout = layout
-	s.fold = newFoldState(s.spec, len(layout.Fragments))
+	s.fold = newFoldState(s.spec, layout)
 	return s.run(ctx, nil)
 }
 

@@ -94,7 +94,7 @@ type wireSubstrate[Q, V, R any] struct {
 	// buf is the frame every command is encoded into, decoded[w] the batch
 	// worker w's reply is decoded into: fold is done with it before w replies again.
 	buf     []byte
-	decoded [][]VarUpdate[V]
+	decoded [][]update[V]
 
 	// Recovery (Options.Recover): each fragment starts on its own worker
 	// process (host); hostOf, aliveHost and hostLoad track the re-homing.
@@ -118,7 +118,7 @@ func newWireSubstrate[Q, V, R any](layout *partition.Layout, prog Program[Q, V, 
 	if opts.Fault != nil {
 		tr = opts.Fault(tr)
 	}
-	s := &wireSubstrate[Q, V, R]{prog: wp, q: q, layout: layout, codec: wp.WireCodec(), tr: tr, decoded: make([][]VarUpdate[V], n)}
+	s := &wireSubstrate[Q, V, R]{prog: wp, q: q, layout: layout, codec: wp.WireCodec(), tr: tr, decoded: make([][]update[V], n)}
 	if opts.Recover {
 		if s.reassign, ok = tr.(mpi.Reassigner); !ok {
 			return nil, errors.New("engine: Options.Recover needs a transport that can reassign fragments (mpi.Reassigner)")
@@ -169,7 +169,7 @@ func (s *wireSubstrate[Q, V, R]) open(ctx context.Context) error {
 
 func (s *wireSubstrate[Q, V, R]) command(w, step int, cmd workerCmd[V]) {
 	var dataLen int
-	s.buf, dataLen = encodeCmd(s.codec, s.buf, cmd)
+	s.buf, dataLen = encodeCmd(s.codec, s.buf, cmd, s.layout.Fragments[w].G.Vertices())
 	s.tr.Send(mpi.Envelope{From: mpi.Coordinator, To: w, Step: step, Frame: s.buf, Size: dataLen})
 }
 
@@ -178,7 +178,7 @@ func (s *wireSubstrate[Q, V, R]) reply(env mpi.Envelope) (workerReply[V], error)
 	if err != nil {
 		return workerReply[V]{}, err
 	}
-	rep, err := decodeReply(s.codec, s.decoded[env.From], frame)
+	rep, err := decodeReply(s.codec, s.decoded[env.From], frame, s.layout.Fragments[env.From])
 	s.decoded[env.From] = rep.changes
 	s.tr.Release(frame)
 	return rep, err
@@ -331,32 +331,24 @@ func serveWire[Q, V, R any](runCtx context.Context, prog WireProgram[Q, V, R], l
 	// Every reply is encoded into buf and every command decoded into ups: a
 	// command is applied, and its frame handed back, before the next is read.
 	var buf []byte
-	var ups []VarUpdate[V]
+	var ups []update[V]
 	for {
 		env, err := link.Recv()
 		if err != nil {
 			return fmt.Errorf("engine: worker %d: %w", f.Index, err)
 		}
-		cmd, err := decodeCmd(codec, ups, env.Frame)
-		if err != nil {
-			return fmt.Errorf("engine: worker %d: %w", f.Index, err)
-		}
-		if cmd.kind != cmdAdopt {
-			ups = cmd.updates
-			link.Release(env.Frame)
-		} else {
-			ad := cmd.adopt
-			nf, _, err := partition.DecodeFragment(ad.frag)
+		if len(env.Frame) > 0 && cmdKind(env.Frame[0]) == cmdAdopt {
+			ad, err := decodeAdopt(codec, env.Frame)
 			if err != nil {
-				return fmt.Errorf("engine: worker %d: decoding adopted fragment: %w", f.Index, err)
+				return fmt.Errorf("engine: worker %d: %w", f.Index, err)
 			}
-			nc := newContext(nf, spec)
+			nc := newContext(ad.frag, spec)
 			rerr := replayFragment(prog, q, nc, ad.steps, ad.owe)
-			ctxs[nf.Index] = nc
+			ctxs[ad.frag.Index] = nc
 			// Only the owed superstep's reply (or a replay error) goes back:
 			// every earlier reply was already folded by the coordinator.
 			if ad.owe > 0 || rerr != nil {
-				if buf, err = replyWire(link, codec, buf, nf.Index, ad.owe, nc, 0, 0, rerr); err != nil {
+				if buf, err = replyWire(link, codec, buf, ad.frag.Index, ad.owe, nc, 0, 0, rerr); err != nil {
 					return fmt.Errorf("engine: worker %d: %w", f.Index, err)
 				}
 			}
@@ -366,6 +358,12 @@ func serveWire[Q, V, R any](runCtx context.Context, prog WireProgram[Q, V, R], l
 		if ctx == nil {
 			return mpi.RunFatal(fmt.Errorf("engine: worker %d: command for fragment %d, which this worker does not host", f.Index, env.To))
 		}
+		cmd, err := decodeCmd(codec, ups, env.Frame, ctx.Frag.G)
+		if err != nil {
+			return fmt.Errorf("engine: worker %d: %w", f.Index, err)
+		}
+		ups = cmd.updates
+		link.Release(env.Frame)
 		switch cmd.kind {
 		case cmdStop:
 			delete(ctxs, env.To)
@@ -405,8 +403,7 @@ func serveWire[Q, V, R any](runCtx context.Context, prog WireProgram[Q, V, R], l
 
 // replyWire encodes the superstep's reply over buf, sends it and returns buf.
 func replyWire[V any](link WorkerLink, codec Codec[V], buf []byte, w, step int, ctx *Context[V], computeNS, applyNS int64, perr error) ([]byte, error) {
-	changes := ctx.flush()
-	buf, dataLen := encodeReply(codec, buf, workerReply[V]{changes: changes, work: ctx.takeWork(), active: ctx.active, err: perr, computeNS: computeNS, applyNS: applyNS})
+	buf, dataLen := encodeReply(codec, buf, workerReply[V]{changes: ctx.flush(), work: ctx.takeWork(), active: ctx.active, err: perr, computeNS: computeNS, applyNS: applyNS}, ctx.Frag.Border())
 	return buf, link.Send(mpi.Envelope{From: w, To: mpi.Coordinator, Step: step, Frame: buf, Size: dataLen})
 }
 

@@ -118,13 +118,14 @@ func TestWireSuperstepAllocsPerFrame(t *testing.T) {
 	go func() { served <- serveWire(context.Background(), prog, tr.links[0], vecQuery{}, layout.Fragments[0]) }()
 
 	var buf []byte
-	var decoded []VarUpdate[[]float64]
+	var decoded []update[[]float64]
+	f := layout.Fragments[0]
 	superstep := func(cmd workerCmd[[]float64], want int) {
 		var size int
-		buf, size = encodeCmd(codec, buf, cmd)
+		buf, size = encodeCmd(codec, buf, cmd, f.G.Vertices())
 		tr.Send(mpi.Envelope{From: mpi.Coordinator, To: 0, Step: 2, Frame: buf, Size: size})
 		env := <-up
-		rep, err := decodeReply(codec, decoded, env.Frame)
+		rep, err := decodeReply(codec, decoded, env.Frame, f)
 		if err != nil || rep.err != nil || len(rep.changes) != want {
 			t.Fatalf("reply: %d changes, want %d (decode %v, worker %v)", len(rep.changes), want, err, rep.err)
 		}
@@ -132,15 +133,16 @@ func TestWireSuperstepAllocsPerFrame(t *testing.T) {
 	}
 	superstep(workerCmd[[]float64]{kind: cmdPEval}, n)
 
-	ups := make([]VarUpdate[[]float64], n)
+	ups := make([]update[[]float64], n)
 	for i := range ups {
-		ups[i] = VarUpdate[[]float64]{ID: graph.ID(n + i), Val: []float64{0, 1, 2}}
+		at, _ := f.G.Index(graph.ID(n + i))
+		ups[i] = update[[]float64]{at: at, val: []float64{0, 1, 2}}
 	}
 	measure := func(k int) float64 {
 		batch := workerCmd[[]float64]{kind: cmdIncEval, updates: ups[:k]}
 		round := func() {
 			for _, u := range batch.updates {
-				u.Val[0]++ // a fresh value: the batch changes every vertex it names
+				u.val[0]++ // a fresh value: the batch changes every vertex it names
 			}
 			superstep(batch, k)
 		}
@@ -176,13 +178,14 @@ func TestDecodeUpdatesCountsBeforeAllocating(t *testing.T) {
 		t.Fatal("33 updates accepted in one byte")
 	}
 
-	reply, _ := encodeReply[float64](f64Codec{}, nil, workerReply[float64]{work: 3, active: true})
+	f := matching(t, 1).Fragments[0]
+	reply, _ := encodeReply[float64](f64Codec{}, nil, workerReply[float64]{work: 3, active: true}, nil)
 	flag := bytes.IndexByte(reply, 1) // count 0, work 3 as a varint (6), then the flag
-	if _, err := decodeReply[float64](f64Codec{}, nil, reply); err != nil || flag != 2 {
+	if _, err := decodeReply[float64](f64Codec{}, nil, reply, f); err != nil || flag != 2 {
 		t.Fatalf("intact reply: flag at %d, %v", flag, err)
 	}
 	reply[flag] = 2
-	if _, err := decodeReply[float64](f64Codec{}, nil, reply); err == nil {
+	if _, err := decodeReply[float64](f64Codec{}, nil, reply, f); err == nil {
 		t.Fatal("a reply whose active flag is 2 was accepted")
 	}
 }
@@ -208,7 +211,8 @@ func TestDefaultPartialKeepsSetAndLength(t *testing.T) {
 
 	var ref []VarUpdate[int64]
 	ctx.Vars(func(id graph.ID, v int64) { ref = append(ref, VarUpdate[int64]{ID: id, Val: v}) })
-	sortUpdates(ref)
+	byID := func(a, b VarUpdate[int64]) int { return int(a.ID - b.ID) }
+	slices.SortFunc(ref, byID)
 	want := AppendUpdates(codec, nil, ref)
 
 	buf, err := encodePartial(prog, codec, make([]byte, partialHead), stepQuery{}, ctx)
@@ -219,10 +223,10 @@ func TestDefaultPartialKeepsSetAndLength(t *testing.T) {
 	if err != nil || used != len(buf)-partialHead || used != len(want) {
 		t.Fatalf("partial of %d bytes, reference %d (decoded %d, %v)", len(buf)-partialHead, len(want), used, err)
 	}
-	if slices.IsSortedFunc(got, func(a, b VarUpdate[int64]) int { return int(a.ID - b.ID) }) {
+	if slices.IsSortedFunc(got, byID) {
 		t.Fatal("the fixture's dense order happens to be ID order: the test proves nothing")
 	}
-	sortUpdates(got)
+	slices.SortFunc(got, byID)
 	if !slices.Equal(got, ref) {
 		t.Fatalf("partial holds %v, want %v", got, ref)
 	}

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -341,7 +340,7 @@ func (g *Graph) Vertices() []ID { return g.ids }
 func (g *Graph) SortedVertices() []ID {
 	out := make([]ID, len(g.ids))
 	copy(out, g.ids)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

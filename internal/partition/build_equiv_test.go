@@ -160,8 +160,32 @@ func referenceFinish(frags []*Fragment, asg *Assignment) *refLayout {
 		for _, id := range f.G.Vertices() {
 			f.owners = append(f.owners, int32(asg.Owner(id)))
 		}
+		f.border = slices.Sorted(slices.Values(slices.Concat(f.Outer, f.InnerBorder)))
+		f.sorted = len(f.border)
+		for _, id := range f.border {
+			i, _ := f.G.Index(id)
+			f.borderIdx = append(f.borderIdx, i)
+		}
 	}
 	return r
+}
+
+// hostsOf lists the fragments hosting id, ascending — its owner, plus every
+// copy holder if the layout gave it a slot — and nothing for a vertex the
+// graph does not have.
+func hostsOf(l *Layout, id graph.ID) []int {
+	s, border := l.SlotOf(id)
+	if !border {
+		if l.Asg.G.Has(id) {
+			return []int{l.Asg.Owner(id)}
+		}
+		return nil
+	}
+	var out []int
+	for _, h := range l.SlotHosts(s) {
+		out = append(out, int(h.Frag))
+	}
+	return out
 }
 
 // checkAgainstReference holds a layout to the reference cut of the same
@@ -191,9 +215,55 @@ func checkAgainstReference(t testing.TB, what string, l *Layout, ref *refLayout)
 		}
 	}
 	for _, id := range ref.asg.G.Vertices() {
-		if got, want := l.Hosts(id), ref.hosts(id); !reflect.DeepEqual(got, want) {
+		if got, want := hostsOf(l, id), ref.hosts(id); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: Hosts(%d) = %v, reference %v", what, id, got, want)
 		}
+	}
+	checkBorderIndex(t, what, l)
+}
+
+// checkBorderIndex holds a layout's slot index to itself: slots ascend with
+// vertex ID as far as the cut numbered them, every (fragment, index) pair of a
+// slot names the slot's vertex in that fragment's graph, every fragment hosts
+// a slot once, and every border position of every fragment maps to the slot
+// that maps back to it.
+func checkBorderIndex(t testing.TB, what string, l *Layout) {
+	t.Helper()
+	positions := 0
+	for s := int32(0); int(s) < l.Slots(); s++ {
+		id, hs := l.SlotID(s), l.SlotHosts(s)
+		if int(s) > 0 && int(s) < l.CutSlots() && l.SlotID(s-1) >= id {
+			t.Fatalf("%s: slot %d stands for vertex %d, slot %d for %d: not ascending", what, s-1, l.SlotID(s-1), s, id)
+		}
+		if got, ok := l.SlotOf(id); !ok || got != s {
+			t.Fatalf("%s: slot %d stands for vertex %d, whose slot is %d (%v)", what, s, id, got, ok)
+		}
+		if len(hs) < 2 {
+			t.Fatalf("%s: slot %d (vertex %d) has hosts %v: not a border vertex", what, s, id, hs)
+		}
+		for k, h := range hs {
+			f := l.Fragments[h.Frag]
+			if k > 0 && hs[k-1].Frag >= h.Frag {
+				t.Fatalf("%s: hosts of slot %d not ascending: %v", what, s, hs)
+			}
+			if f.G.IDAt(h.At) != id {
+				t.Fatalf("%s: slot %d is vertex %d, but fragment %d keeps %d at index %d", what, s, id, h.Frag, f.G.IDAt(h.At), h.At)
+			}
+			p, ok := f.BorderPos(id)
+			if !ok || f.Slots()[p] != s || f.BorderIndices()[p] != h.At {
+				t.Fatalf("%s: fragment %d: vertex %d at border position %d (%v) does not map back to slot %d, index %d", what, h.Frag, id, p, ok, s, h.At)
+			}
+		}
+		positions += len(hs)
+	}
+	for _, f := range l.Fragments {
+		if len(f.Slots()) != len(f.Border()) || len(f.BorderIndices()) != len(f.Border()) {
+			t.Fatalf("%s: fragment %d: %d border vertices, %d indices, %d slots", what, f.Index, len(f.Border()), len(f.BorderIndices()), len(f.Slots()))
+		}
+		positions -= len(f.Border())
+	}
+	if positions != 0 {
+		t.Fatalf("%s: slots list %d more hosts than the fragments have border positions", what, positions)
 	}
 }
 
@@ -332,7 +402,7 @@ func TestBuildFrozenEquivalence(t *testing.T) {
 					t.Fatal("Build froze its input")
 				}
 				for _, id := range frozen.Vertices() {
-					if !reflect.DeepEqual(lf.Hosts(id), lt.Hosts(id)) {
+					if !reflect.DeepEqual(hostsOf(lf, id), hostsOf(lt, id)) {
 						t.Fatalf("n=%d: hosts of %d differ", n, id)
 					}
 				}
@@ -404,6 +474,58 @@ func TestBuildExpandedFrozen(t *testing.T) {
 			if bidx[k] < 0 || f.G.IDAt(bidx[k]) != id {
 				t.Fatalf("border cache broken at %d", id)
 			}
+		}
+	}
+}
+
+// TestAddHostGrowsTheIndex: what a session does when a graph update gives a
+// fragment an outer copy it never had — the copy gets the next border
+// position, a vertex nobody had copied the next slot, a slot that gains a host
+// a longer list — leaves an index that still maps every way round, and a
+// fragment that still ships as a frame.
+func TestAddHostGrowsTheIndex(t *testing.T) {
+	g := gen.Random(60, 90, 4)
+	asg, err := Hash{}.Partition(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := Build(g, asg)
+	cut, grown, firsts := l.Slots(), 0, 0
+	for _, id := range g.SortedVertices() {
+		for w, f := range l.Fragments {
+			if f.G.Has(id) || (int(id)+w)%3 != 0 {
+				continue
+			}
+			before := hostsOf(l, id)
+			f.G.AddVertex(id, g.Label(id))
+			owner, first := l.AddHost(id, w)
+			if owner != asg.Owner(id) || first != (len(before) == 1) {
+				t.Fatalf("AddHost(%d, %d) = owner %d, first %v; hosts were %v", id, w, owner, first, before)
+			}
+			if got, want := hostsOf(l, id), slices.Sorted(slices.Values(append(before, w))); !slices.Equal(got, want) {
+				t.Fatalf("hosts of %d after fragment %d copied it: %v, want %v", id, w, got, want)
+			}
+			if again, first := l.AddHost(id, w); again != owner || first {
+				t.Fatal("a second AddHost of the same copy is not a no-op")
+			}
+			grown++
+			if first {
+				firsts++
+			}
+		}
+	}
+	if l.CutSlots() != cut || l.Slots() != cut+firsts || firsts == 0 || firsts == grown {
+		t.Fatalf("fixture: %d copies added, %d of them firsts, slots %d -> %d (cut %d)", grown, firsts, cut, l.Slots(), l.CutSlots())
+	}
+	checkBorderIndex(t, "grown", l)
+	for _, f := range l.Fragments {
+		f.G.Freeze()
+		re, _, err := DecodeFragment(AppendFragment(nil, f))
+		if err != nil {
+			t.Fatalf("fragment %d no longer ships: %v", f.Index, err)
+		}
+		if got, want := re.Border(), slices.Sorted(slices.Values(f.Border())); !slices.Equal(got, want) {
+			t.Fatalf("fragment %d: shipped border %v, want %v", f.Index, got, want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -38,13 +39,20 @@ type Fragment struct {
 
 	// Dense tables over G's vertex index, from the cut or from the frame.
 	// innerAt/innerIdx never change after construction — graph updates only
-	// ever add outer copies; the border cache is invalidated by
-	// AddOuter/AddInnerBorder and rebuilt on the next Border().
-	innerAt   []bool     // dense index -> owned here
-	innerIdx  []int32    // dense indices of Inner, parallel to Inner
-	border    []graph.ID // cached Border(), ascending
-	borderIdx []int32    // dense indices of border, parallel to border
-	borderOK  bool
+	// ever add outer copies.
+	innerAt  []bool  // dense index -> owned here
+	innerIdx []int32 // dense indices of Inner, parallel to Inner
+
+	// The border, by position: border[p] is kept at dense index borderIdx[p]
+	// and, in a fragment a Layout cut, has the layout's slot slots[p] (a
+	// decoded fragment has none: a worker never sees a slot). Update parameters
+	// are addressed by position on their way to the coordinator, so positions
+	// never move: border[:sorted], the border as cut or decoded, ascends by ID;
+	// what a session made border since follows in the order it arrived.
+	border    []graph.ID
+	borderIdx []int32
+	slots     []int32
+	sorted    int
 }
 
 // IsInner reports whether id is owned by this fragment.
@@ -74,72 +82,65 @@ func (f *Fragment) Owner(id graph.ID) int {
 	return int(f.owners[i])
 }
 
-// Border returns the nodes of this fragment that carry update parameters:
-// Outer ∪ InnerBorder, ascending. The slice is cached across calls (programs
-// walk it every superstep); the caller must not mutate it.
-func (f *Fragment) Border() []graph.ID {
-	if !f.borderOK {
-		f.buildBorderCache()
-	}
-	return f.border
-}
+// Border returns the nodes of this fragment that carry update parameters,
+// Outer ∪ InnerBorder, by border position: ascending by ID as cut or decoded,
+// then what a session made border since. The caller must not mutate the slice.
+func (f *Fragment) Border() []graph.ID { return f.border }
 
 // BorderIndices returns the dense indices of Border(), parallel to it. The
 // caller must not mutate the returned slice.
-func (f *Fragment) BorderIndices() []int32 {
-	if !f.borderOK {
-		f.buildBorderCache()
+func (f *Fragment) BorderIndices() []int32 { return f.borderIdx }
+
+// Slots returns, parallel to Border(), the slot each border vertex has in the
+// layout this fragment was cut for; nil for a fragment decoded from a frame.
+func (f *Fragment) Slots() []int32 { return f.slots }
+
+// BorderPos returns the position of id in Border().
+func (f *Fragment) BorderPos(id graph.ID) (int32, bool) {
+	if p, ok := slices.BinarySearch(f.border[:f.sorted], id); ok {
+		return int32(p), true
 	}
-	return f.borderIdx
+	for p := f.sorted; p < len(f.border); p++ {
+		if f.border[p] == id {
+			return int32(p), true
+		}
+	}
+	return 0, false
 }
 
-// buildBorderCache merges Outer and InnerBorder — both ascending, and
-// disjoint because an outer copy is never owned here — into Border().
-func (f *Fragment) buildBorderCache() {
-	a, b := f.Outer, f.InnerBorder
-	out := make([]graph.ID, 0, len(a)+len(b))
-	for len(a) > 0 && len(b) > 0 {
-		if a[0] < b[0] {
-			out, a = append(out, a[0]), a[1:]
-		} else {
-			out, b = append(out, b[0]), b[1:]
-		}
+// addBorder gives id, a vertex of G (-1 if it is not one yet), the next
+// border position.
+func (f *Fragment) addBorder(id graph.ID) {
+	i, ok := f.G.Index(id)
+	if !ok {
+		i = -1
 	}
-	out = append(append(out, a...), b...)
-	f.border = out
-	f.borderIdx = make([]int32, len(out))
-	for k, id := range out {
-		i, ok := f.G.Index(id)
-		if !ok {
-			i = -1
-		}
-		f.borderIdx[k] = i
-	}
-	f.borderOK = true
+	f.border, f.borderIdx = append(f.border, id), append(f.borderIdx, i)
 }
 
 // AddOuter records a new outer copy: id, owned by fragment owner, which graph
-// updates just appended to G. It keeps the ownership table and the border
-// caches consistent, and is a no-op if id is already an outer copy.
-func (f *Fragment) AddOuter(id graph.ID, owner int) {
+// updates just appended to G, and reports whether id was newly added. A
+// fragment of a Layout grows through Layout.AddHost, which keeps the slots.
+func (f *Fragment) AddOuter(id graph.ID, owner int) bool {
 	n := len(f.Outer)
 	f.Outer = insertSortedID(f.Outer, id)
-	if len(f.Outer) != n {
-		f.owners = append(f.owners, int32(owner))
-		f.borderOK = false
+	if len(f.Outer) == n {
+		return false
 	}
+	f.owners = append(f.owners, int32(owner))
+	f.addBorder(id)
+	return true
 }
 
-// AddInnerBorder records that the inner vertex id now has copies elsewhere,
-// keeping the border caches consistent. It reports whether id was newly
-// added.
+// AddInnerBorder records that the inner vertex id now has copies elsewhere.
+// It reports whether id was newly added.
 func (f *Fragment) AddInnerBorder(id graph.ID) bool {
 	n := len(f.InnerBorder)
 	f.InnerBorder = insertSortedID(f.InnerBorder, id)
 	if len(f.InnerBorder) == n {
 		return false
 	}
-	f.borderOK = false
+	f.addBorder(id)
 	return true
 }
 
@@ -152,7 +153,7 @@ func insertSortedID(ids []graph.ID, id graph.ID) []graph.ID {
 }
 
 // Layout is the result of cutting a graph into fragments: the fragments plus
-// the host index the coordinator uses to route update-parameter messages.
+// the border index the coordinator folds and routes update parameters by.
 type Layout struct {
 	Asg       *Assignment
 	Fragments []*Fragment
@@ -164,49 +165,91 @@ type Layout struct {
 	// the initial partitioning, as in the paper's accounting.
 	ReplicationBytes int64
 
-	// Dense host index: hostList[hostOff[i]:hostOff[i+1]] is the packed,
-	// sorted list of fragments hosting the vertex at dense index i of Asg.G —
-	// its owner plus every fragment with an outer copy, so the owner alone
-	// for non-border vertices. The coordinator routes every changed value
-	// every superstep through it.
-	hostOff  []int32
-	hostList []int
-	// overflow holds host lists that changed after the build: the session
-	// layer extends placement when graph updates create new outer copies.
-	// It stays nil until the first AddHost so static runs never consult it.
-	overflow map[graph.ID][]int
+	// The border index. Every border vertex — one some fragment holds an
+	// outer copy of — has a slot; hosts[spans[s].off:][:spans[s].n] lists the
+	// fragments hosting slot s's vertex, its owner and every copy holder,
+	// ascending, each with where it keeps the vertex. The cut numbers the
+	// slots in ascending vertex ID, so among slots [0, cut) slot order is ID
+	// order; a vertex a session makes border gets the next slot, and a slot
+	// that gains a host its extended list, appended to hosts (the old is left).
+	spans []span
+	hosts []Host
+	cut   int
 }
 
-// Hosts returns the fragments hosting id, ascending: its owner, plus every
-// fragment with an outer copy if id is a border node. It returns nil for a
-// vertex the graph does not have. The returned slice is shared; callers must
-// not mutate it.
-func (l *Layout) Hosts(id graph.ID) []int {
-	if l.overflow != nil {
-		if hs, ok := l.overflow[id]; ok {
-			return hs
-		}
-	}
-	if i, ok := l.Asg.G.Index(id); ok {
-		return l.hostList[l.hostOff[i]:l.hostOff[i+1]]
-	}
-	return nil
+// Host is one fragment hosting a border vertex.
+type Host struct {
+	Frag int32 // the fragment
+	At   int32 // the vertex's dense index in that fragment's graph
 }
 
-// AddHost records that fragment w now holds a copy of id. The session layer
-// calls it when a graph update creates a new outer copy; it is a no-op if w
-// already hosts id.
-func (l *Layout) AddHost(id graph.ID, w int) {
-	hosts := l.Hosts(id)
-	if slices.Contains(hosts, w) {
-		return
+type span struct{ off, n int32 }
+
+// Slots returns the number of border slots.
+func (l *Layout) Slots() int { return len(l.spans) }
+
+// CutSlots returns how many slots the cut numbered: these ascend with vertex
+// ID, later ones are in the order sessions added them.
+func (l *Layout) CutSlots() int { return l.cut }
+
+// SlotHosts returns the fragments hosting slot s's vertex, ascending. The
+// slice is shared; callers must not mutate it.
+func (l *Layout) SlotHosts(s int32) []Host {
+	sp := l.spans[s]
+	return l.hosts[sp.off : sp.off+sp.n : sp.off+sp.n]
+}
+
+// SlotID returns the vertex slot s stands for.
+func (l *Layout) SlotID(s int32) graph.ID {
+	h := l.hosts[l.spans[s].off]
+	return l.Fragments[h.Frag].G.IDAt(h.At)
+}
+
+// SlotOf returns the slot of id, if id is a border vertex: one hash to find
+// its owner and a search of the owner's border. It is for calls that enter the
+// engine with an ID (session updates), not for a superstep's updates.
+func (l *Layout) SlotOf(id graph.ID) (int32, bool) {
+	i, ok := l.Asg.G.Index(id)
+	if !ok {
+		return 0, false
 	}
-	merged := append(slices.Clone(hosts), w)
-	slices.Sort(merged)
-	if l.overflow == nil {
-		l.overflow = make(map[graph.ID][]int)
+	f := l.Fragments[l.Asg.owner[i]]
+	p, ok := f.BorderPos(id)
+	if !ok {
+		return 0, false
 	}
-	l.overflow[id] = merged
+	return f.slots[p], true
+}
+
+// AddHost records that fragment w now holds an outer copy of id, a vertex
+// graph updates just appended to w's graph: the copy gets the next border
+// position in w, and — if it is id's first copy anywhere, which is reported —
+// id the next position in its owner and the next slot. It returns the owner,
+// and is a no-op if w already hosts id.
+func (l *Layout) AddHost(id graph.ID, w int) (owner int, first bool) {
+	owner = l.Asg.Owner(id)
+	f, of := l.Fragments[w], l.Fragments[owner]
+	if !f.AddOuter(id, owner) {
+		return owner, false
+	}
+	var s int32
+	var hs []Host
+	if first = of.AddInnerBorder(id); first {
+		s = int32(len(l.spans))
+		l.spans = append(l.spans, span{})
+		of.slots = append(of.slots, s)
+		hs = []Host{{int32(owner), of.borderIdx[len(of.borderIdx)-1]}}
+	} else {
+		p, _ := of.BorderPos(id)
+		s = of.slots[p]
+		hs = l.SlotHosts(s)
+	}
+	f.slots = append(f.slots, s)
+	k, _ := slices.BinarySearchFunc(hs, int32(w), func(h Host, w int32) int { return cmp.Compare(h.Frag, w) })
+	hs = slices.Insert(slices.Clone(hs), k, Host{int32(w), f.borderIdx[len(f.borderIdx)-1]})
+	l.spans[s] = span{int32(len(l.hosts)), int32(len(hs))}
+	l.hosts = append(l.hosts, hs...)
+	return owner, first
 }
 
 // cut is the bookkeeping Build and BuildExpanded share: who is inner where,
@@ -264,20 +307,30 @@ func (c *cut) add(w int, p piece) {
 	}
 }
 
-// layout finishes the cut. The host index is counted out of the fragments'
-// outer lists and filled fragment by fragment, so every host list ascends;
-// beside each host goes where it keeps the vertex, so one walk over the
-// border vertices in ascending-ID order deals every fragment its border —
-// outer copies and the inner vertices somebody copied — already sorted.
+// layout finishes the cut. One walk over the vertices in ascending-ID order
+// numbers the border vertices — the slots — and sizes each one's host list;
+// the lists are filled fragment by fragment, so every one ascends, each host
+// beside where it keeps the vertex; a walk over the slots then deals every
+// fragment its border — outer copies and the inner vertices somebody copied,
+// each with its slot — already sorted.
 func (c *cut) layout(replication int64) *Layout {
-	nv := len(c.copies)
-	l := &Layout{Asg: c.asg, Fragments: make([]*Fragment, len(c.pieces)), ReplicationBytes: replication, hostOff: make([]int32, nv+1)}
-	for i, k := range c.copies {
-		l.hostOff[i+1] = l.hostOff[i] + 1 + k
+	l := &Layout{Asg: c.asg, Fragments: make([]*Fragment, len(c.pieces)), ReplicationBytes: replication}
+	npairs := 0
+	for _, k := range c.copies {
+		if k > 0 {
+			l.cut++
+			npairs += 1 + int(k)
+		}
 	}
-	l.hostList = make([]int, l.hostOff[nv])
-	at := make([]int32, len(l.hostList)) // at[k]: the vertex's dense index in fragment hostList[k]
-	next := slices.Clone(l.hostOff[:nv])
+	l.spans, l.hosts = make([]span, 0, l.cut), make([]Host, npairs)
+	next := make([]int32, len(c.copies)) // per border vertex: where its next host goes
+	off := int32(0)
+	for _, i := range c.g.SortedIndices() {
+		if k := c.copies[i]; k > 0 {
+			l.spans, next[i] = append(l.spans, span{off, 1 + k}), off
+			off += 1 + k
+		}
+	}
 	for w, p := range c.pieces {
 		inner, nb := c.inner(w), len(p.outer)
 		for _, i := range inner {
@@ -286,23 +339,26 @@ func (c *cut) layout(replication int64) *Layout {
 			}
 		}
 		nvl := p.g.NumVertices()
-		tables := make([]int32, nvl+nb) // both capped: AddOuter appends to owners
-		f := &Fragment{Index: w, G: p.g, n: c.asg.N, owners: tables[:nvl:nvl], innerIdx: p.innerIdx, borderIdx: tables[nvl:nvl]}
+		tables := make([]int32, nvl+2*nb) // all capped: a session's AddHost appends to each
+		f := &Fragment{Index: w, G: p.g, n: c.asg.N, owners: tables[:nvl:nvl], innerIdx: p.innerIdx,
+			borderIdx: tables[nvl : nvl : nvl+nb], slots: tables[nvl+nb : nvl+nb]}
 		l.Fragments[w] = f
 		host := func(verts, local []int32) { // w hosts verts, at these dense indices of its own
 			for k, i := range verts {
 				f.owners[local[k]] = c.asg.owner[i]
-				l.hostList[next[i]], at[next[i]] = w, local[k]
-				next[i]++
+				if c.copies[i] > 0 {
+					l.hosts[next[i]] = Host{int32(w), local[k]}
+					next[i]++
+				}
 			}
 		}
 		host(inner, p.innerIdx)
 		host(p.outer, p.outerIdx)
 	}
-	for _, i := range c.g.SortedIndices() {
-		for k := l.hostOff[i]; c.copies[i] > 0 && k < l.hostOff[i+1]; k++ {
-			f := l.Fragments[l.hostList[k]]
-			f.borderIdx = append(f.borderIdx, at[k])
+	for s, sp := range l.spans {
+		for _, h := range l.hosts[sp.off : sp.off+sp.n] {
+			f := l.Fragments[h.Frag]
+			f.borderIdx, f.slots = append(f.borderIdx, h.At), append(f.slots, int32(s))
 		}
 	}
 	for _, f := range l.Fragments {

@@ -152,7 +152,7 @@ func TestBuildFragmentsInvariants(t *testing.T) {
 	// 3. Hosts lists owner + every fragment holding a copy, sorted — the
 	// owner alone for a vertex nobody copied, nothing for an unknown vertex
 	for _, v := range g.Vertices() {
-		hosts := layout.Hosts(v)
+		hosts := hostsOf(layout, v)
 		ownerFound, copies := false, 0
 		for i := 1; i < len(hosts); i++ {
 			if hosts[i-1] >= hosts[i] {
@@ -178,7 +178,7 @@ func TestBuildFragmentsInvariants(t *testing.T) {
 			t.Fatalf("Hosts(%d) = %v, but %d fragments hold a copy", v, hosts, copies)
 		}
 	}
-	if hs := layout.Hosts(graph.ID(1 << 40)); hs != nil {
+	if hs := hostsOf(layout, graph.ID(1<<40)); hs != nil {
 		t.Fatalf("Hosts of a vertex the graph lacks = %v, want nil", hs)
 	}
 	// 5. border = outer ∪ innerBorder, sorted, consistent with placement
@@ -190,7 +190,7 @@ func TestBuildFragmentsInvariants(t *testing.T) {
 			}
 		}
 		for _, b := range f.InnerBorder {
-			hosts := layout.Hosts(b)
+			hosts := hostsOf(layout, b)
 			if len(hosts) < 2 {
 				t.Fatalf("inner border %d should have copies elsewhere: %v", b, hosts)
 			}

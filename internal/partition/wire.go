@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -44,6 +45,10 @@ const (
 func AppendFragment(buf []byte, f *Fragment) []byte {
 	base := len(buf)
 	innerIdx, borderIdx := f.InnerIndices(), f.BorderIndices()
+	if f.sorted < len(borderIdx) { // a session grew the border: the frame lists it by ID
+		borderIdx = slices.Clone(borderIdx)
+		slices.SortFunc(borderIdx, func(a, b int32) int { return cmp.Compare(f.G.IDAt(a), f.G.IDAt(b)) })
+	}
 	buf = slices.Grow(buf, fragHeaderLen+4*(len(f.owners)+len(innerIdx)+len(borderIdx))+3*8) // sections + padding
 	le := binary.LittleEndian
 	for _, v := range [...]int{fragMagic, f.Index, f.n, len(f.owners), len(f.Inner), len(f.Outer) + len(f.InnerBorder)} {
@@ -116,7 +121,7 @@ func complete(f *Fragment) error {
 	g, idx, owners, innerIdx, borderIdx := f.G, f.Index, f.owners, f.innerIdx, f.borderIdx
 	ni, nb := len(innerIdx), len(borderIdx)
 	ids := make([]graph.ID, ni+2*nb)
-	f.Inner, f.border, f.borderOK = ids[:ni:ni], ids[ni:ni+nb:ni+nb], true
+	f.Inner, f.border, f.sorted = ids[:ni:ni], ids[ni:ni+nb:ni+nb], nb
 	f.innerAt = make([]bool, len(owners))
 	owned := 0
 	for i, w := range owners {

@@ -417,7 +417,7 @@ func containsBorder(idxs []int32, i int32) bool {
 // Assemble implements engine.Program: read each inner vertex's label off its
 // local set, via the fragment's cached dense inner indices.
 func (CC) Assemble(q CCQuery, ctxs []*engine.Context[graph.ID]) (map[graph.ID]graph.ID, error) {
-	out := make(map[graph.ID]graph.ID)
+	out := make(map[graph.ID]graph.ID, innerCount(ctxs))
 	for _, ctx := range ctxs {
 		st := ctx.State.(*ccState)
 		inner := ctx.Frag.Inner

@@ -3,6 +3,7 @@ package queries
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"grape/internal/engine"
@@ -109,8 +110,7 @@ func (CF) PEval(q CFQuery, ctx *engine.Context[[]float64]) error {
 	g := f.G
 	st := &cfState{factors: make([][]float64, g.NumVertices())}
 	ctx.State = st
-	for _, v := range g.SortedVertices() {
-		i, _ := g.Index(v)
+	for i, v := range g.Vertices() {
 		st.factors[i] = initVec(cfg.Seed, v, cfg.Factors)
 	}
 	iidx := f.InnerIndices()
@@ -128,7 +128,7 @@ func (CF) PEval(q CFQuery, ctx *engine.Context[[]float64]) error {
 		ctx.AddWork(work)
 		st.epoch++
 	}
-	cfShipBorder(ctx, st)
+	cfShipBorder(ctx, st, cfg.Factors)
 	return nil
 }
 
@@ -161,7 +161,13 @@ func cfEpoch(g *graph.Graph, st *cfState, cfg seq.CFConfig) int64 {
 func (CF) IncEval(q CFQuery, ctx *engine.Context[[]float64]) error {
 	st := ctx.State.(*cfState)
 	for _, u := range ctx.UpdatedAt() {
-		st.factors[u] = append([]float64(nil), ctx.GetAt(u)...)
+		// adopted in place: the vector at factors[u] is this worker's alone
+		// (only copies of it ship), the averaged one is shared with every host
+		if avg := ctx.GetAt(u); len(st.factors[u]) == len(avg) {
+			copy(st.factors[u], avg)
+		} else {
+			st.factors[u] = slices.Clone(avg)
+		}
 		ctx.AddWork(1)
 	}
 	if st.epoch >= q.Cfg.Epochs {
@@ -170,17 +176,23 @@ func (CF) IncEval(q CFQuery, ctx *engine.Context[[]float64]) error {
 	work := cfEpoch(ctx.Frag.G, st, q.Cfg)
 	ctx.AddWork(work)
 	st.epoch++
-	cfShipBorder(ctx, st)
+	cfShipBorder(ctx, st, q.Cfg.Factors)
 	return nil
 }
 
-func cfShipBorder(ctx *engine.Context[[]float64], st *cfState) {
-	for _, b := range ctx.Frag.BorderIndices() {
+// cfShipBorder publishes the border factors as they stand after an epoch: one
+// copy each, carved from a slab allocated for this superstep, never written
+// again (the fold, the routing buffers and every host's variables share it).
+func cfShipBorder(ctx *engine.Context[[]float64], st *cfState, k int) {
+	border := ctx.Frag.BorderIndices()
+	slab := make([]float64, 0, len(border)*k)
+	for _, b := range border {
 		if b < 0 || int(b) >= len(st.factors) {
 			continue // border ID not (yet) in the fragment graph / state
 		}
-		if vec := st.factors[b]; vec != nil {
-			ctx.SetAt(b, append([]float64(nil), vec...))
+		if vec := st.factors[b]; len(vec) == k {
+			slab = append(slab, vec...)
+			ctx.SetAt(b, slab[len(slab)-k:len(slab):len(slab)])
 		}
 	}
 }
@@ -188,7 +200,7 @@ func cfShipBorder(ctx *engine.Context[[]float64], st *cfState) {
 // Assemble implements engine.Program: collect owner factors and compute the
 // global RMSE with each rating evaluated under its owner fragment's model.
 func (CF) Assemble(q CFQuery, ctxs []*engine.Context[[]float64]) (CFResult, error) {
-	res := CFResult{Factors: make(seq.Factors)}
+	res := CFResult{Factors: make(seq.Factors, innerCount(ctxs))}
 	var sq float64
 	n := 0
 	for _, ctx := range ctxs {

@@ -180,10 +180,15 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Add(engine.AppendUpdates(SSSP{}.WireCodec(), nil, []engine.VarUpdate[float64]{{ID: 3, Val: 1.5}}))
 	f.Add(CF{}.WireCodec().AppendVal(nil, []float64{1, 2, 3}))
-	// a well-formed batch naming a vertex no graph here has: it decodes, and
-	// the coordinator must fail the run on it, not panic
-	// (engine.TestReplyNamingUnknownVertexFailsRun)
+	// well-formed batches a worker has no business sending: a vertex no graph
+	// here has, a vertex inner to another fragment (a forged 0 distance), a
+	// border vertex the sender holds no copy of. They decode; the coordinator
+	// resolves a reply's IDs against its sender's border and must fail the run
+	// on each, not panic and not fold it
+	// (engine.TestReplyNamingForeignVertexFailsRun)
 	f.Add(engine.AppendUpdates(CC{}.WireCodec(), nil, []engine.VarUpdate[graph.ID]{{ID: 999999, Val: 1}}))
+	f.Add(engine.AppendUpdates(SSSP{}.WireCodec(), nil, []engine.VarUpdate[float64]{{ID: 1, Val: 0}}))
+	f.Add(engine.AppendUpdates(SSSP{}.WireCodec(), nil, []engine.VarUpdate[float64]{{ID: 3, Val: 0}, {ID: 2, Val: 0}}))
 	// pattern blobs (graph.AppendFlat), bare and behind SubIso's match cap,
 	// and the input that made the varint graph decoder they replaced size a
 	// 4.6 GB map

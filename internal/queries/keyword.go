@@ -296,32 +296,49 @@ func (Keyword) ValidateUpdate(q KeywordQuery, upd engine.EdgeUpdate) error {
 	return nil
 }
 
-// Assemble implements engine.Program.
+// Assemble implements engine.Program. The qualifying roots are ranked as
+// 24-byte (score, root, where) keys; the answer is then built once, in rank
+// order, its distance vectors carved from one arena.
 func (Keyword) Assemble(q KeywordQuery, ctxs []*engine.Context[kwVec]) ([]seq.KeywordMatch, error) {
-	var out []seq.KeywordMatch
-	for _, ctx := range ctxs {
+	type key struct {
+		score   float64
+		root    graph.ID
+		ctx, at int32
+	}
+	nk := len(q.Keywords)
+	keys := make([]key, 0, innerCount(ctxs))
+	for c, ctx := range ctxs {
 		g := ctx.Frag.G
 		ctx.VarsAt(func(i int32, vec kwVec) {
 			if !ctx.IsInnerAt(i) || vec == nil {
 				return
 			}
-			m := seq.KeywordMatch{Root: g.IDAt(i), Dists: make([]float64, len(q.Keywords))}
-			for j := range q.Keywords {
-				if vec[j] > q.Bound {
+			score := 0.0
+			for _, d := range vec[:nk] {
+				if d > q.Bound {
 					return
 				}
-				m.Dists[j] = vec[j]
-				m.Score += vec[j]
+				score += d
 			}
-			out = append(out, m)
+			keys = append(keys, key{score, g.IDAt(i), int32(c), i})
 		})
 	}
-	slices.SortFunc(out, func(a, b seq.KeywordMatch) int {
-		if c := cmp.Compare(a.Score, b.Score); c != 0 {
-			return c
+	if len(keys) == 0 {
+		return nil, nil
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if a.score != b.score { // scores tie far more often than not
+			return cmp.Compare(a.score, b.score)
 		}
-		return cmp.Compare(a.Root, b.Root)
+		return cmp.Compare(a.root, b.root)
 	})
+	out := make([]seq.KeywordMatch, len(keys))
+	arena := make([]float64, len(keys)*nk)
+	for k, key := range keys {
+		dists := arena[k*nk : (k+1)*nk : (k+1)*nk]
+		copy(dists, ctxs[key.ctx].GetAt(key.at))
+		out[k] = seq.KeywordMatch{Root: key.root, Dists: dists, Score: key.score}
+	}
 	return out, nil
 }
 

@@ -238,3 +238,32 @@ func TestParseCanonicalization(t *testing.T) {
 		t.Error("unknown program accepted")
 	}
 }
+
+// TestResidentRunAllocationBudget: one sssp run over the resident road
+// layout (96×96 grid, 8 spatial fragments — the benchmark's) allocates 205
+// objects; with the coordinator's fold in maps, records sorted per superstep
+// and a result map grown from empty it allocated 304. The budget is between
+// the two: what is left is per run by design — goroutines, the bus, stats
+// rows, the answer.
+func TestResidentRunAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops the pooled scratch under the race detector")
+	}
+	layout, err := engine.BuildLayout(gen.RoadGrid(96, 96, 1), engine.Options{Workers: 8, Strategy: partition.TwoD{Cols: 96}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := engine.NewResident(layout, SSSP{}, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		if _, _, err := r.Run(context.Background(), SSSPQuery{Source: 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // fill the pooled scratch
+	if got := testing.AllocsPerRun(20, run); got > 240 {
+		t.Fatalf("a resident sssp run allocates %.0f objects, budget 240", got)
+	}
+}

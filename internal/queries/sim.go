@@ -3,7 +3,7 @@ package queries
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"grape/internal/engine"
 	"grape/internal/graph"
@@ -160,9 +160,8 @@ func (Sim) Assemble(q SimQuery, ctxs []*engine.Context[seq.SimBits]) (SimResult,
 			}
 		})
 	}
-	for u := range res {
-		vs := res[u]
-		sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
+	for _, vs := range res {
+		slices.Sort(vs)
 	}
 	return res, nil
 }

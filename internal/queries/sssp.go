@@ -204,7 +204,7 @@ func (SSSP) RepairBatch(q SSSPQuery, sc *engine.RepairScope[float64], batch []en
 // Assemble implements engine.Program: union of the inner-vertex distances.
 // Ownership is tested by dense index — no per-vertex hash.
 func (SSSP) Assemble(q SSSPQuery, ctxs []*engine.Context[float64]) (map[graph.ID]float64, error) {
-	out := make(map[graph.ID]float64)
+	out := make(map[graph.ID]float64, innerCount(ctxs))
 	for _, ctx := range ctxs {
 		g := ctx.Frag.G
 		ctx.VarsAt(func(i int32, d float64) {
@@ -214,6 +214,16 @@ func (SSSP) Assemble(q SSSPQuery, ctxs []*engine.Context[float64]) (map[graph.ID
 		})
 	}
 	return out, nil
+}
+
+// innerCount is the number of vertices of the whole graph — every one is inner
+// to exactly one fragment — and so the final size of a per-vertex result.
+func innerCount[V any](ctxs []*engine.Context[V]) int {
+	n := 0
+	for _, ctx := range ctxs {
+		n += len(ctx.Frag.Inner)
+	}
+	return n
 }
 
 func parseSSSP(query string) (SSSPQuery, error) {

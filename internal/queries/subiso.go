@@ -3,7 +3,7 @@ package queries
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 
 	"grape/internal/engine"
@@ -267,7 +267,7 @@ func inducedSubgraph(g *graph.Graph, region map[graph.ID]bool) *graph.Graph {
 	for v := range region {
 		ids = append(ids, v)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, v := range ids {
 		sub.AddVertex(v, g.Label(v))
 		if ps := g.Props(v); len(ps) > 0 {
@@ -286,17 +286,28 @@ func inducedSubgraph(g *graph.Graph, region map[graph.ID]bool) *graph.Graph {
 
 // sortMatches orders embeddings lexicographically by the images of the
 // pattern vertices (in sorted pattern-vertex order) so results are
-// deterministic regardless of fragmentation.
+// deterministic regardless of fragmentation. A match is a map: its images are
+// read out once, into one flat column of rows, and the rows are what is
+// compared.
 func sortMatches(p *graph.Graph, ms []seq.Match) {
 	pv := p.SortedVertices()
-	sort.Slice(ms, func(i, j int) bool {
-		for _, u := range pv {
-			if ms[i][u] != ms[j][u] {
-				return ms[i][u] < ms[j][u]
-			}
+	k := len(pv)
+	keys := make([]graph.ID, len(ms)*k)
+	order := make([]int32, len(ms))
+	for i, m := range ms {
+		order[i] = int32(i)
+		for j, u := range pv {
+			keys[i*k+j] = m[u]
 		}
-		return false
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		return slices.Compare(keys[int(a)*k:][:k], keys[int(b)*k:][:k])
 	})
+	sorted := make([]seq.Match, len(ms))
+	for i, j := range order {
+		sorted[i] = ms[j]
+	}
+	copy(ms, sorted)
 }
 
 // RunSubIso runs the SubIso program with the fragment expansion the pattern

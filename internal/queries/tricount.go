@@ -1,8 +1,9 @@
 package queries
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 
 	"grape/internal/engine"
 	"grape/internal/graph"
@@ -69,7 +70,7 @@ func (TriCount) PEval(q TriCountQuery, ctx *engine.Context[uint8]) error {
 				bigger = append(bigger, u)
 			}
 		}
-		sort.Slice(bigger, func(i, j int) bool { return bigger[i] < bigger[j] })
+		slices.Sort(bigger)
 		for i := 0; i < len(bigger); i++ {
 			ai := undirectedNeighborSet(f.G, bigger[i])
 			for j := i + 1; j < len(bigger); j++ {
@@ -121,7 +122,7 @@ func triCountIdx(ctx *engine.Context[uint8]) error {
 			collect(e.To)
 		}
 		ctx.AddWork(int64(nbrs))
-		sort.Slice(bigger, func(a, b int) bool { return g.IDAt(bigger[a]) < g.IDAt(bigger[b]) })
+		slices.SortFunc(bigger, func(a, b int32) int { return cmp.Compare(g.IDAt(a), g.IDAt(b)) })
 		for i := 0; i < len(bigger); i++ {
 			adjEpoch++
 			bi := bigger[i]
@@ -153,7 +154,13 @@ func (TriCount) IncEval(q TriCountQuery, ctx *engine.Context[uint8]) error { ret
 
 // Assemble implements engine.Program.
 func (TriCount) Assemble(q TriCountQuery, ctxs []*engine.Context[uint8]) (TriCountResult, error) {
-	out := TriCountResult{PerPivot: make(map[graph.ID]int64)}
+	pivots := 0
+	for _, ctx := range ctxs {
+		if p, ok := ctx.Partial.(TriCountResult); ok {
+			pivots += len(p.PerPivot) // a pivot is inner to one fragment: the final size
+		}
+	}
+	out := TriCountResult{PerPivot: make(map[graph.ID]int64, pivots)}
 	for _, ctx := range ctxs {
 		if ctx.Partial == nil {
 			continue

@@ -1,8 +1,8 @@
 package seq
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"grape/internal/graph"
 )
@@ -94,11 +94,11 @@ roots:
 		}
 		out = append(out, m)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score < out[j].Score
+	slices.SortFunc(out, func(a, b KeywordMatch) int {
+		if c := cmp.Compare(a.Score, b.Score); c != 0 {
+			return c
 		}
-		return out[i].Root < out[j].Root
+		return cmp.Compare(a.Root, b.Root)
 	})
 	return out
 }

@@ -1,7 +1,7 @@
 package seq
 
 import (
-	"sort"
+	"slices"
 
 	"grape/internal/graph"
 )
@@ -45,7 +45,7 @@ func Sim(p, g *graph.Graph) map[graph.ID][]graph.ID {
 		for v := range set {
 			vs = append(vs, v)
 		}
-		sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
+		slices.Sort(vs)
 		out[u] = vs
 	}
 	return out
