@@ -61,6 +61,7 @@ func bfs(ctx *grape.Context[bool], seeds []grape.ID) {
 
 // PEval is plain sequential BFS from the source, if it lives here.
 func (Reach) PEval(q ReachQuery, ctx *grape.Context[bool]) error {
+	//grapevet:keep the plugged-in algorithm is by-ID throughout: Set and Out below need the ID index anyway
 	if !ctx.Frag.G.Has(q.Source) {
 		return nil
 	}

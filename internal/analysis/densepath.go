@@ -18,6 +18,11 @@ import (
 // (*graph.Graph).Frozen(), the documented thawed-graph path taken after a
 // session mutation. Anything else needs //grapevet:keep with a reason.
 //
+// A by-ID lookup on a graph (densepathLookup) in PEval, IncEval or Assemble
+// is flagged the same way: a fragment builds its ID index on the first one,
+// so on the frozen path it costs every fragment a map on every run.
+// Fragment.Local is the one-off lookup that does not.
+//
 // The engine's per-update bodies (densepathPerUpdate) get the same protection:
 // inside them a vertex is a border position, a slot or a dense index, and a
 // call that finds one by its ID — a hash or a search per update — is flagged.
@@ -41,10 +46,14 @@ var densepathSparse = map[string]bool{
 }
 
 // densepathPerUpdate are the engine bodies that run once per update parameter;
-// densepathByID the calls, as Type.Method, that look a vertex up by ID.
+// densepathByID the calls, as Type.Method, that look a vertex up by ID;
+// densepathLookup those of them that build a fragment's ID index, and the
+// bodies they are flagged in.
 var (
 	densepathPerUpdate = map[string]bool{"flush": true, "apply": true, "fold": true, "buildRoute": true, "replayFor": true}
 	densepathByID      = map[string]bool{"Graph.Index": true, "Assignment.Owner": true, "Layout.SlotOf": true, "Fragment.BorderPos": true}
+	densepathLookup    = map[string]bool{"Graph.Index": true, "Graph.Has": true}
+	densepathPerRun    = map[string]bool{"PEval": true, "IncEval": true, "Assemble": true}
 )
 
 func runDensepath(p *Pass) error {
@@ -71,19 +80,29 @@ func checkPositional(p *Pass, fd *ast.FuncDecl) {
 		if !ok {
 			return true
 		}
-		if s, ok := p.Pkg.Info.Selections[sel]; ok && s.Kind() == types.MethodVal {
-			if named := namedOf(s.Recv()); named != nil && densepathByID[named.Obj().Name()+"."+sel.Sel.Name] {
-				p.Reportf(sel.Sel.Pos(), "%s.%s in %s looks a vertex up by ID once per update; inside the engine an update parameter is addressed by position (border position, slot, dense index) — resolve IDs where they enter, at decode or at a session call",
-					named.Obj().Name(), sel.Sel.Name, fd.Name.Name)
-			}
+		if m := methodOf(p.Pkg.Info, sel); densepathByID[m] {
+			p.Reportf(sel.Sel.Pos(), "%s in %s looks a vertex up by ID once per update; inside the engine an update parameter is addressed by position (border position, slot, dense index) — resolve IDs where they enter, at decode or at a session call",
+				m, fd.Name.Name)
 		}
 		return true
 	})
 }
 
+// methodOf names the method sel selects as Type.Method, or "" if it selects
+// none on a named type.
+func methodOf(info *types.Info, sel *ast.SelectorExpr) string {
+	if s, ok := info.Selections[sel]; ok && s.Kind() == types.MethodVal {
+		if named := namedOf(s.Recv()); named != nil {
+			return named.Obj().Name() + "." + sel.Sel.Name
+		}
+	}
+	return ""
+}
+
 func checkDense(p *Pass, fd *ast.FuncDecl) {
 	info := p.Pkg.Info
 	frozen := frozenVars(info, fd.Body)
+	perRun := densepathPerRun[fd.Name.Name]
 
 	// Walk with an explicit ancestor stack so each call site can see the
 	// branches that guard it.
@@ -95,6 +114,11 @@ func checkDense(p *Pass, fd *ast.FuncDecl) {
 			if named := recvWithDenseTwin(info, sel); named != nil && !inFrozenFallback(info, stack, frozen) {
 				p.Reportf(sel.Sel.Pos(), "%s.%s in %s hashes per call; the dense %sAt counterpart exists — resolve the index once and stay on the CSR fast path (or //grapevet:keep <why> for a thawed fallback)",
 					named.Obj().Name(), sel.Sel.Name, fd.Name.Name, sel.Sel.Name)
+			}
+		} else if ok && perRun {
+			if m := methodOf(info, sel); densepathLookup[m] && !inFrozenFallback(info, stack, frozen) {
+				p.Reportf(sel.Sel.Pos(), "%s in %s looks a vertex up by ID on the frozen path, which builds the ID index of every fragment on every run; use Fragment.Local for a one-off lookup (or //grapevet:keep <why>)",
+					m, fd.Name.Name)
 			}
 		}
 		children(n, walk)

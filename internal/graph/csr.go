@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // Frozen CSR form. A Graph lives in one of two phases:
 //
 //	build phase (mutable)  — AddVertex/AddEdge grow per-vertex adjacency
@@ -26,6 +28,15 @@ package graph
 // of a directed graph is derived the same way, on the first InAt, In or
 // InDegreeAt: sssp, cc, keyword and cf never read it.
 //
+// So is the ID index. A frozen graph stores its ids, vlab, outOff and
+// outDense, the label table, and property headers only if some vertex has a
+// property (Freeze drops an all-empty list). Freeze keeps the map the build
+// phase grew; a graph that never had one — a cut (Subgraph), a decoded frame
+// or snapshot (FromMapped, DecodeFlat) — builds it on the first by-ID lookup
+// (Index, Has, Out, In, Label, Props, …), once, shared by frozen clones.
+// Dense kernels never look a vertex up by ID, so a fragment that is only
+// computed on never holds one; a thaw builds a map of its own.
+//
 // Mutating adjacency or the vertex set after Freeze (AddVertex, AddEdge)
 // transparently thaws the graph back to the build phase: dense vertex
 // indices are stable across freeze/thaw, but the CSR arrays and the label
@@ -33,7 +44,7 @@ package graph
 // The frozen arrays are never written through — they may alias a read-only
 // file mapping or a received frame — so a thaw moves to heap memory first.
 // Property mutation (SetProps, AddProp) does not thaw — properties are not
-// part of the CSR form.
+// part of the CSR form; on a graph without headers it allocates them.
 
 // DenseEdge is the packed CSR edge of a frozen graph: the dense index of the
 // target vertex, the interned edge label, and the weight. The sparse target
@@ -85,6 +96,9 @@ func (g *Graph) Freeze() *Graph {
 		g.outOff[i+1] = int32(len(g.outDense))
 	}
 	g.labels = nil // vlab + the label table say the same in 4 bytes a vertex, not 16
+	if !slices.ContainsFunc(g.props, func(ps []string) bool { return len(ps) > 0 }) {
+		g.props = nil
+	}
 	g.out = nil
 	g.in = nil
 	g.inBuilt = false
@@ -131,11 +145,17 @@ func sparseEdges(dense []DenseEdge, ids []ID, labels []string) []Edge {
 
 // thaw returns the graph to the mutable build phase. The sparse views are
 // never mutated in place, so the restored per-vertex slices alias them with
-// full capacity — the first append to a vertex's adjacency reallocates.
+// full capacity — the first append to a vertex's adjacency reallocates. A
+// graph with no ID index of its own builds one it owns: the one built on
+// first lookup may be shared with frozen clones, and AddVertex writes.
 func (g *Graph) thaw() {
 	if !g.frozen {
 		return
 	}
+	if g.index == nil {
+		g.index = indexOf(g.ids)
+	}
+	g.ownProps()
 	g.out = perVertex(g.outOff, g.sparseOut())
 	if g.directed {
 		g.in = perVertex(g.reverse().off, g.sparseIn())
@@ -225,7 +245,12 @@ func (g *Graph) LabelAt(i int32) string {
 
 // PropsAt returns the property list of the vertex at dense index i. The
 // caller must not mutate the returned slice.
-func (g *Graph) PropsAt(i int32) []string { return g.props[i] }
+func (g *Graph) PropsAt(i int32) []string {
+	if g.props == nil {
+		return nil
+	}
+	return g.props[i]
+}
 
 // LabelID returns the interned ID of a vertex or edge label and whether the
 // label occurs in the graph at all. Frozen graphs only. Pattern-matching

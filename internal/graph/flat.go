@@ -353,8 +353,16 @@ func AppendFlat(buf []byte, g *Graph) []byte {
 // views into data, which must then stay alive and unmodified as long as the
 // graph (or a frozen clone) is in use; misaligned input is copied once first.
 // Every count is checked against len(data) before anything is sized from it,
-// and FromMapped bounds-checks every array, so hostile bytes error.
-func DecodeFlat(data []byte) (*Graph, int, error) {
+// and FromMapped bounds-checks every array and rejects repeated vertex IDs, so
+// hostile bytes error.
+func DecodeFlat(data []byte) (*Graph, int, error) { return DecodeFlatProven(data, distinctIDs) }
+
+// DecodeFlatProven is DecodeFlat for a caller that proves the vertex IDs
+// distinct from lists of its own — in linear time, where DecodeFlat would
+// build the ID index for IDs that do not ascend. distinct runs once every
+// array is bounds-checked, in place of DecodeFlat's check; its error is the
+// decode's. partition.DecodeFragment is that caller.
+func DecodeFlatProven(data []byte, distinct func(*Graph) error) (*Graph, int, error) {
 	if len(data) < flatHeaderLen {
 		return nil, 0, fmt.Errorf("graph: flat form truncated: %d header bytes", len(data))
 	}
@@ -374,7 +382,7 @@ func DecodeFlat(data []byte) (*Graph, int, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("graph: flat form strings: %w", err)
 	}
-	g, err := FromMapped(CSRData{
+	g, err := fromMapped(CSRData{
 		Directed: directed,
 		NumEdges: int(ne),
 		IDs:      ViewIDs(data[ids : ids+nv*8]),
@@ -383,7 +391,7 @@ func DecodeFlat(data []byte) (*Graph, int, error) {
 		OutDense: ViewDense(data[outDense : outDense+nd*16]),
 		Labels:   labels,
 		Props:    props,
-	})
+	}, distinct)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -2,11 +2,13 @@
 // engine in this repository: the GRAPE core, the vertex-centric and
 // block-centric baselines, and the sequential ground-truth algorithms.
 //
-// A Graph holds vertices identified by sparse int64 IDs, mapped internally to
-// dense indices so adjacency and per-vertex attributes live in slices. Graphs
-// may be directed or undirected; an undirected graph stores each edge in both
-// endpoint adjacency lists. Vertices carry a label (used by pattern matching
-// and GPARs) and a list of string properties (used by keyword search).
+// A Graph holds vertices identified by sparse int64 IDs at dense indices, so
+// adjacency and per-vertex attributes live in slices; the ID → dense index map
+// exists only where something looks a vertex up by ID (see the phases below).
+// Graphs may be directed or undirected; an undirected graph stores each edge
+// in both endpoint adjacency lists. Vertices carry a label (used by pattern
+// matching and GPARs) and a list of string properties (used by keyword
+// search).
 //
 // A Graph has two phases (see csr.go): a mutable build phase, which is not
 // safe for concurrent use, and a frozen CSR query phase entered via Freeze(),
@@ -20,11 +22,16 @@
 // arrays out as aligned sections for snapshots (internal/store) and for the
 // fragment frames of the socket substrate, and FromMapped/DecodeFlat alias
 // them back without copying. The sparse-ID []Edge views behind Out and In are
-// derived from it on first use, once, and shared by frozen clones.
+// derived from it on first use, once, and shared by frozen clones. A frozen
+// graph that never went through the build phase — a cut (Subgraph), a decoded
+// frame or snapshot (DecodeFlat, FromMapped) — stores only its arrays: its ID
+// index is built on the first by-ID lookup the same way, and its property
+// headers only if some vertex has a property.
 package graph
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"slices"
 	"sync"
@@ -51,9 +58,9 @@ type Edge struct {
 type Graph struct {
 	directed bool
 	ids      []ID         // dense index -> ID
-	index    map[ID]int32 // ID -> dense index
+	index    map[ID]int32 // ID -> dense index, owned; nil in a frozen graph that never had one (see Index)
 	labels   []string     // dense index -> vertex label (build phase; a frozen graph keeps vlab only)
-	props    [][]string   // dense index -> vertex properties (keywords etc.)
+	props    [][]string   // dense index -> vertex properties (keywords etc.); a frozen graph may hold nil for none
 	out      [][]Edge     // dense index -> out-edges (build phase)
 	in       [][]Edge     // dense index -> in-edges; built lazily (build phase)
 	inBuilt  bool
@@ -75,14 +82,17 @@ type Graph struct {
 // under its own sync.Once on the first call that reads it, so concurrent
 // first use is safe and a run that never asks never pays: the reverse CSR of
 // a directed graph (InAt, In, InDegreeAt), the sparse-ID edge arrays parallel
-// to outDense/inDense (Out, In, thaw), and the ascending-ID vertex order
-// (SortedIndices). Frozen clones share the CSR arrays and so share the views.
+// to outDense/inDense (Out, In, thaw), the ascending-ID vertex order
+// (SortedIndices) and, for a graph with no map of its own, the ID index
+// (Index and every by-ID lookup). Frozen clones share the CSR arrays and so
+// share the views.
 type lazyViews struct {
-	revOnce, outOnce, inOnce, orderOnce sync.Once
+	revOnce, outOnce, inOnce, orderOnce, indexOnce sync.Once
 
 	rev     atomic.Pointer[revCSR] // set once, under revOnce
 	out, in []Edge
 	order   []int32
+	index   map[ID]int32 // never written after indexOnce: a thaw builds its own
 }
 
 // revCSR is the reverse CSR of a frozen directed graph.
@@ -110,6 +120,29 @@ func (g *Graph) sparseIn() []Edge {
 		s.in = sparseEdges(g.reverse().dense, g.ids, g.labelNames)
 	})
 	return s.in
+}
+
+// idIndex returns the graph's ID index: its own map, or — for a frozen graph
+// with none — the shared one, built if nothing has yet.
+func (g *Graph) idIndex() map[ID]int32 {
+	if g.index != nil {
+		return g.index
+	}
+	return g.sharedIndex()
+}
+
+func (g *Graph) sharedIndex() map[ID]int32 {
+	s := g.lazy
+	s.indexOnce.Do(func() { s.index = indexOf(g.ids) })
+	return s.index
+}
+
+func indexOf(ids []ID) map[ID]int32 {
+	m := make(map[ID]int32, len(ids))
+	for i, id := range ids {
+		m[id] = int32(i)
+	}
+	return m
 }
 
 // New returns an empty directed graph.
@@ -155,13 +188,23 @@ func (g *Graph) AddVertex(id ID, label string) int32 {
 
 // SetProps replaces the property list of id. It panics if id is absent.
 func (g *Graph) SetProps(id ID, props []string) {
-	g.props[g.mustIndex(id)] = props
+	i := g.mustIndex(id)
+	g.ownProps()
+	g.props[i] = props
 }
 
 // AddProp appends a property to id's property list. It panics if id is absent.
 func (g *Graph) AddProp(id ID, prop string) {
 	i := g.mustIndex(id)
+	g.ownProps()
 	g.props[i] = append(g.props[i], prop)
+}
+
+// ownProps gives a graph that holds no property headers one per vertex.
+func (g *Graph) ownProps() {
+	if g.props == nil {
+		g.props = make([][]string, len(g.ids))
+	}
 }
 
 // AddEdge inserts an edge from u to v, creating missing endpoints with empty
@@ -198,8 +241,8 @@ func (g *Graph) AddLabeledEdge(u, v ID, w float64, label string) {
 // frozen Clones may still share. When no edge matches, the graph's edges are
 // unchanged and ok is false.
 func (g *Graph) RemoveEdge(u, v ID, label string) (removed Edge, ok bool) {
-	ui, uok := g.index[u]
-	vi, vok := g.index[v]
+	ui, uok := g.Index(u)
+	vi, vok := g.Index(v)
 	if !uok || !vok {
 		return Edge{}, false
 	}
@@ -241,11 +284,11 @@ func removeEdgeOnce(es *[]Edge, to ID, label string, w *float64) (Edge, bool) {
 }
 
 // Has reports whether the vertex exists.
-func (g *Graph) Has(id ID) bool { _, ok := g.index[id]; return ok }
+func (g *Graph) Has(id ID) bool { _, ok := g.Index(id); return ok }
 
 // Label returns the label of id, or "" if id is absent.
 func (g *Graph) Label(id ID) string {
-	if i, ok := g.index[id]; ok {
+	if i, ok := g.Index(id); ok {
 		return g.LabelAt(i)
 	}
 	return ""
@@ -254,8 +297,8 @@ func (g *Graph) Label(id ID) string {
 // Props returns the property list of id (nil if absent). The caller must not
 // mutate the returned slice.
 func (g *Graph) Props(id ID) []string {
-	if i, ok := g.index[id]; ok {
-		return g.props[i]
+	if i, ok := g.Index(id); ok {
+		return g.PropsAt(i)
 	}
 	return nil
 }
@@ -263,7 +306,7 @@ func (g *Graph) Props(id ID) []string {
 // Out returns the out-edges of id (nil if absent). The caller must not mutate
 // the returned slice.
 func (g *Graph) Out(id ID) []Edge {
-	if i, ok := g.index[id]; ok {
+	if i, ok := g.Index(id); ok {
 		if g.frozen {
 			a, b := g.outOff[i], g.outOff[i+1]
 			if a == b {
@@ -285,7 +328,7 @@ func (g *Graph) In(id ID) []Edge {
 		return g.Out(id)
 	}
 	if g.frozen {
-		if i, ok := g.index[id]; ok {
+		if i, ok := g.Index(id); ok {
 			off := g.reverse().off
 			a, b := off[i], off[i+1]
 			if a == b {
@@ -318,7 +361,7 @@ func (g *Graph) buildIn() {
 
 // OutDegree returns the out-degree of id, 0 if absent.
 func (g *Graph) OutDegree(id ID) int {
-	if i, ok := g.index[id]; ok && g.frozen {
+	if i, ok := g.Index(id); ok && g.frozen {
 		return g.OutDegreeAt(i)
 	}
 	return len(g.Out(id))
@@ -326,7 +369,7 @@ func (g *Graph) OutDegree(id ID) int {
 
 // InDegree returns the in-degree of id, 0 if absent.
 func (g *Graph) InDegree(id ID) int {
-	if i, ok := g.index[id]; ok && g.frozen {
+	if i, ok := g.Index(id); ok && g.frozen {
 		return g.InDegreeAt(i)
 	}
 	return len(g.In(id))
@@ -345,9 +388,11 @@ func (g *Graph) SortedVertices() []ID {
 }
 
 // Index returns the dense index of id and whether it exists. Dense indices
-// are stable across the graph's lifetime and lie in [0, NumVertices).
+// are stable across the graph's lifetime and lie in [0, NumVertices). Every
+// by-ID lookup goes through it; on a frozen graph with no map of its own the
+// first call builds the ID index, once, safely under concurrent first use.
 func (g *Graph) Index(id ID) (int32, bool) {
-	i, ok := g.index[id]
+	i, ok := g.idIndex()[id]
 	return i, ok
 }
 
@@ -355,7 +400,7 @@ func (g *Graph) Index(id ID) (int32, bool) {
 func (g *Graph) IDAt(i int32) ID { return g.ids[i] }
 
 func (g *Graph) mustIndex(id ID) int32 {
-	i, ok := g.index[id]
+	i, ok := g.Index(id)
 	if !ok {
 		panic(fmt.Sprintf("graph: vertex %d not present", id))
 	}
@@ -363,24 +408,23 @@ func (g *Graph) mustIndex(id ID) int32 {
 }
 
 // Clone returns a deep copy of the graph. A frozen graph clones frozen,
-// sharing the immutable CSR arrays and label table (they are never mutated
-// in place — thawing a clone drops the references, it does not write through
-// them); a mutable graph clones mutable, with the reverse adjacency rebuilt
-// on demand.
+// sharing the immutable CSR arrays, label table and derived views — the ID
+// index built on first lookup included (they are never mutated in place —
+// thawing a clone drops the references, it does not write through them); a
+// mutable graph clones mutable, with the reverse adjacency rebuilt on demand.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		directed: g.directed,
 		ids:      append([]ID(nil), g.ids...),
-		index:    make(map[ID]int32, len(g.index)),
+		index:    maps.Clone(g.index),
 		labels:   append([]string(nil), g.labels...),
-		props:    make([][]string, len(g.props)),
 		numEdges: g.numEdges,
 	}
-	for id, i := range g.index {
-		c.index[id] = i
-	}
-	for i, p := range g.props {
-		c.props[i] = append([]string(nil), p...)
+	if g.props != nil {
+		c.props = make([][]string, len(g.props))
+		for i, p := range g.props {
+			c.props[i] = append([]string(nil), p...)
+		}
 	}
 	if g.frozen {
 		c.frozen = true
@@ -463,8 +507,8 @@ func Diff(a, b *Graph) error {
 		if la, lb := a.LabelAt(int32(i)), b.LabelAt(int32(i)); la != lb {
 			return fmt.Errorf("graph: vertex %d labelled %q vs %q", id, la, lb)
 		}
-		if len(a.props[i])+len(b.props[i]) > 0 && !reflect.DeepEqual(a.props[i], b.props[i]) {
-			return fmt.Errorf("graph: vertex %d properties %v vs %v", id, a.props[i], b.props[i])
+		if pa, pb := a.PropsAt(int32(i)), b.PropsAt(int32(i)); len(pa)+len(pb) > 0 && !reflect.DeepEqual(pa, pb) {
+			return fmt.Errorf("graph: vertex %d properties %v vs %v", id, pa, pb)
 		}
 		if ea, eb := a.Out(id), b.Out(id); len(ea)+len(eb) > 0 && !reflect.DeepEqual(ea, eb) {
 			return fmt.Errorf("graph: vertex %d out-edges %v vs %v", id, ea, eb)
@@ -478,13 +522,17 @@ func Diff(a, b *Graph) error {
 // after deserialization.
 func (g *Graph) Validate() error {
 	nv := len(g.ids)
-	if nv != len(g.props) || (g.frozen && nv != len(g.vlab)) {
+	if (g.props != nil || !g.frozen) && nv != len(g.props) || (g.frozen && nv != len(g.vlab)) {
 		return fmt.Errorf("graph: inconsistent slice lengths")
 	}
 	if !g.frozen && (nv != len(g.out) || nv != len(g.labels)) {
 		return fmt.Errorf("graph: inconsistent slice lengths")
 	}
-	for id, i := range g.index {
+	index := g.idIndex()
+	if len(index) != nv {
+		return fmt.Errorf("graph: %d distinct vertex IDs of %d", len(index), nv)
+	}
+	for id, i := range index {
 		if int(i) >= nv || g.ids[i] != id {
 			return fmt.Errorf("graph: index entry %d -> %d broken", id, i)
 		}

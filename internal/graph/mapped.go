@@ -8,7 +8,7 @@ import "fmt"
 // OutOff, OutDense, InOff, InDense) are the mmap-able half — FromMapped
 // aliases them as given, so they may point into a read-only file mapping.
 // The string-bearing half (Labels, Props) is always heap-resident; FromMapped
-// reconstructs the intern maps from it.
+// reconstructs the label intern map from it.
 type CSRData struct {
 	Directed bool
 	// NumEdges is the logical edge count (undirected edges count once; the
@@ -63,12 +63,33 @@ func (g *Graph) outView() CSRData {
 // FromMapped constructs a frozen Graph from its flat form without calling
 // Freeze: the fixed-width slices of d are aliased as-is (they may live in a
 // read-only mmap or a received frame — the graph never writes through them;
-// mutation thaws into freshly allocated memory first), and only the derived
-// structures are rebuilt on the heap: the ID index and the label intern map.
-// A directed d without InOff/InDense (the wire form does not ship them)
-// derives its reverse CSR on first use, like any frozen graph. Every array is
-// bounds-checked first, so corrupt input errors instead of panicking later.
-func FromMapped(d CSRData) (*Graph, error) {
+// mutation thaws into freshly allocated memory first), and only the label
+// intern map is rebuilt on the heap. The ID index is built on the first
+// by-ID lookup, and a directed d without InOff/InDense (the wire form does not
+// ship them) derives its reverse CSR on first use, like any frozen graph.
+// Every array is bounds-checked first, so corrupt input errors instead of
+// panicking later, and repeated vertex IDs are rejected: in one pass when the
+// IDs ascend in dense order, otherwise by building the ID index now.
+func FromMapped(d CSRData) (*Graph, error) { return fromMapped(d, distinctIDs) }
+
+// distinctIDs proves a graph's vertex IDs distinct: by one pass when they
+// ascend in dense order (a generator's graphs and their snapshots), else by
+// building the ID index — kept for the first lookup — and counting it.
+func distinctIDs(g *Graph) error {
+	for k := 1; k < len(g.ids); k++ {
+		if g.ids[k] <= g.ids[k-1] {
+			if n := len(g.idIndex()); n != len(g.ids) {
+				return fmt.Errorf("graph: mapped vertex IDs repeat (%d distinct of %d)", n, len(g.ids))
+			}
+			return nil
+		}
+	}
+	return nil
+}
+
+// fromMapped is FromMapped with the proof of distinct vertex IDs supplied:
+// it runs once every array is bounds-checked.
+func fromMapped(d CSRData, distinct func(*Graph) error) (*Graph, error) {
 	nv := len(d.IDs)
 	ne := len(d.OutDense)
 	nl := len(d.Labels)
@@ -108,7 +129,7 @@ func FromMapped(d CSRData) (*Graph, error) {
 	g := &Graph{
 		directed:   d.Directed,
 		ids:        d.IDs,
-		index:      make(map[ID]int32, nv),
+		props:      d.Props,
 		numEdges:   d.NumEdges,
 		frozen:     true,
 		outOff:     d.OutOff,
@@ -121,12 +142,6 @@ func FromMapped(d CSRData) (*Graph, error) {
 	if d.Directed && !deriveIn {
 		g.lazy.revOnce.Do(func() { g.lazy.rev.Store(&revCSR{d.InOff, d.InDense}) })
 	}
-	for i, id := range d.IDs {
-		g.index[id] = int32(i)
-	}
-	if len(g.index) != nv {
-		return nil, fmt.Errorf("graph: mapped vertex IDs repeat (%d distinct of %d)", len(g.index), nv)
-	}
 	for i, s := range d.Labels {
 		g.labelIDs[s] = int32(i)
 	}
@@ -138,10 +153,8 @@ func FromMapped(d CSRData) (*Graph, error) {
 			return nil, fmt.Errorf("graph: mapped vertex %d has label id %d of %d", i, l, nl)
 		}
 	}
-	if d.Props != nil {
-		g.props = d.Props
-	} else {
-		g.props = make([][]string, nv)
+	if err := distinct(g); err != nil {
+		return nil, err
 	}
 	return g, nil
 }

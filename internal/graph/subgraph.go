@@ -7,9 +7,10 @@ import (
 
 // SubgraphBuilder cuts frozen subgraphs out of one frozen source graph, CSR
 // to CSR: vertices and edges are named by the source's dense indices and
-// remapped through flat arrays, so a cut costs one hash per vertex (the
-// subgraph's own ID index, sized once) and none per edge, and every array of
-// the result is allocated once, at its final size. The remapping scratch is
+// remapped through flat arrays, so a cut hashes nothing per vertex or per edge
+// (the subgraph builds its ID index on its first by-ID lookup, if any), and
+// every array of the result is allocated once, at its final size — property
+// headers only if some vertex brings properties. The remapping scratch is
 // sized to the source once and shared by every subgraph cut from it.
 // partition.Build, InducedSubgraph and the block-centric baseline cut
 // through it.
@@ -87,8 +88,6 @@ func (b *SubgraphBuilder) Subgraph(seeds []int32, keep func(from int32, e DenseE
 	g := &Graph{
 		directed: src.directed,
 		ids:      make([]ID, nv),
-		index:    make(map[ID]int32, nv),
-		props:    make([][]string, nv),
 		vlab:     make([]int32, nv),
 		outOff:   make([]int32, nv+1),
 		numEdges: ne,
@@ -103,10 +102,9 @@ func (b *SubgraphBuilder) Subgraph(seeds []int32, keep func(from int32, e DenseE
 		return b.lmap[sid]
 	}
 	for li, i := range b.verts {
-		id := src.ids[i]
-		g.ids[li] = id
-		g.index[id] = int32(li)
-		if ps := src.props[i]; len(ps) > 0 {
+		g.ids[li] = src.ids[i]
+		if ps := src.PropsAt(i); len(ps) > 0 {
+			g.ownProps()
 			g.props[li] = ps[:len(ps):len(ps)]
 		}
 		g.vlab[li] = intern(src.vlab[i])

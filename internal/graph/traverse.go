@@ -96,7 +96,7 @@ func (g *Graph) neighborhoodIdx(seeds []ID, d int, undirected bool) map[ID]bool 
 	frontier := make([]int32, 0, len(seeds))
 	n := 0
 	for _, s := range seeds {
-		if i, ok := g.index[s]; ok && !visited[i] {
+		if i, ok := g.Index(s); ok && !visited[i] {
 			visited[i] = true
 			frontier = append(frontier, i)
 			n++

@@ -27,12 +27,19 @@ func NewAssignment(g *graph.Graph, n int) *Assignment {
 
 // SetOwner assigns id to worker w. It panics if id is absent or w out of range.
 func (a *Assignment) SetOwner(id graph.ID, w int) {
-	if w < 0 || w >= a.N {
-		panic(fmt.Sprintf("partition: owner %d out of range [0,%d)", w, a.N))
-	}
 	i, ok := a.G.Index(id)
 	if !ok {
 		panic(fmt.Sprintf("partition: vertex %d not in graph", id))
+	}
+	a.SetOwnerAt(i, w)
+}
+
+// SetOwnerAt assigns the vertex at dense index i of G to worker w — SetOwner
+// without the hash, for strategies that walk the graph in dense order. It
+// panics if w is out of range.
+func (a *Assignment) SetOwnerAt(i int32, w int) {
+	if w < 0 || w >= a.N {
+		panic(fmt.Sprintf("partition: owner %d out of range [0,%d)", w, a.N))
 	}
 	a.owner[i] = int32(w)
 }

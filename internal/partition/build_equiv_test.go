@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -444,6 +445,72 @@ func TestBuildAllocationBudget(t *testing.T) {
 		} else {
 			t.Logf("road %d×%d: %v allocations", side, side, n)
 		}
+	}
+}
+
+// TestBuildAllocatedBytes pins what one cut of the 96×96 road grid into 8
+// fragments allocates: exact-size CSR arrays, dense tables and the cut's
+// scratch (1.26 MB), and neither an ID index (≈ 0.32 MB) nor property
+// headers (≈ 0.24 MB) per fragment — 1.82 MB when every fragment held both.
+func TestBuildAllocatedBytes(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation is instrumented under -race")
+	}
+	g := gen.RoadGrid(96, 96, 1)
+	asg, err := TwoD{Cols: 96}.Partition(g, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	Build(g, asg) // the source's ascending-ID order is derived once, on the first cut
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for r := 0; r < runs; r++ {
+		Build(g, asg)
+	}
+	runtime.ReadMemStats(&after)
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1e6; mb > 1.35 {
+		t.Errorf("Build allocates %.3f MB per cut, budget 1.35", mb)
+	} else {
+		t.Logf("%.3f MB per cut", mb)
+	}
+}
+
+// TestLocalAgreesWithIndex: Fragment.Local finds every vertex of a fragment
+// graph — inner, outer copy, one a session added — at its dense index, and
+// nothing else.
+func TestLocalAgreesWithIndex(t *testing.T) {
+	g := gen.SocialCommerce(gen.SocialCommerceConfig{People: 60, Products: 4, Follows: 3, AdoptP: 0.7, Seed: 3})
+	asg, err := Hash{}.Partition(g, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := Build(g, asg)
+	for _, f := range l.Fragments {
+		for _, id := range g.Vertices() {
+			want := slices.Contains(f.Inner, id) || slices.Contains(f.Outer, id)
+			if i, ok := f.Local(id); ok != want || ok && f.G.IDAt(i) != id {
+				t.Fatalf("fragment %d: Local(%d) = %d, %v; want found = %v", f.Index, id, i, ok, want)
+			}
+		}
+	}
+	f := l.Fragments[0]
+	fresh := g.Vertices()[0]
+	for _, id := range g.Vertices() {
+		if _, ok := f.Local(id); !ok {
+			fresh = id
+			break
+		}
+	}
+	f.G.AddVertex(fresh, g.Label(fresh))
+	l.AddHost(fresh, 0)
+	for i, id := range f.G.Vertices() {
+		if j, ok := f.Local(id); !ok || j != int32(i) {
+			t.Fatalf("Local(%d) = %d, %v; want %d", id, j, ok, i)
+		}
+	}
+	if _, ok := f.Local(-1); ok {
+		t.Fatal("Local found an absent vertex")
 	}
 }
 

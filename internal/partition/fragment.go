@@ -95,6 +95,20 @@ func (f *Fragment) BorderIndices() []int32 { return f.borderIdx }
 // layout this fragment was cut for; nil for a fragment decoded from a frame.
 func (f *Fragment) Slots() []int32 { return f.slots }
 
+// Local returns the dense index of id in G, found by binary search of the
+// inner list and the border (every vertex of G is inner or an outer copy),
+// never by G's ID index — for a one-off lookup per run, such as a query's
+// source, which must not make every fragment build that index.
+func (f *Fragment) Local(id graph.ID) (int32, bool) {
+	if k, ok := slices.BinarySearch(f.Inner, id); ok {
+		return f.innerIdx[k], true
+	}
+	if p, ok := f.BorderPos(id); ok && f.borderIdx[p] >= 0 {
+		return f.borderIdx[p], true
+	}
+	return 0, false
+}
+
 // BorderPos returns the position of id in Border().
 func (f *Fragment) BorderPos(id graph.ID) (int32, bool) {
 	if p, ok := slices.BinarySearch(f.border[:f.sorted], id); ok {
@@ -373,7 +387,7 @@ func (c *cut) layout(replication int64) *Layout {
 // of its out-edges; remote endpoints become outer copies with labels and
 // properties (matching algorithms inspect them). Each fragment is gathered
 // straight out of g's CSR into its own, exact-size CSR by one shared
-// graph.SubgraphBuilder — one hash per fragment vertex, none per edge.
+// graph.SubgraphBuilder — no hash per fragment vertex or per edge.
 func Build(g *graph.Graph, asg *Assignment) *Layout {
 	c := newCut(g, asg)
 	src := c.g

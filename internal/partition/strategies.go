@@ -21,8 +21,8 @@ func (Hash) Partition(g *graph.Graph, n int) (*Assignment, error) {
 		return nil, err
 	}
 	a := NewAssignment(g, n)
-	for _, id := range g.Vertices() {
-		a.SetOwner(id, int(mix(uint64(id))%uint64(n)))
+	for i, id := range g.Vertices() {
+		a.SetOwnerAt(int32(i), int(mix(uint64(id))%uint64(n)))
 	}
 	return a, nil
 }
@@ -50,15 +50,15 @@ func (Range) Partition(g *graph.Graph, n int) (*Assignment, error) {
 	if err := checkN(g, n); err != nil {
 		return nil, err
 	}
-	ids := g.SortedVertices()
+	order := g.SortedIndices()
 	a := NewAssignment(g, n)
-	per := (len(ids) + n - 1) / n
-	for i, id := range ids {
-		w := i / per
+	per := (len(order) + n - 1) / n
+	for k, i := range order {
+		w := k / per
 		if w >= n {
 			w = n - 1
 		}
-		a.SetOwner(id, w)
+		a.SetOwnerAt(i, w)
 	}
 	return a, nil
 }
@@ -100,7 +100,7 @@ func (t TwoD) Partition(g *graph.Graph, n int) (*Assignment, error) {
 	}
 	pc := n / pr
 	a := NewAssignment(g, n)
-	for _, id := range g.Vertices() {
+	for i, id := range g.Vertices() {
 		r := int(id) / cols
 		c := int(id) % cols
 		br := r * pr / rows
@@ -111,7 +111,7 @@ func (t TwoD) Partition(g *graph.Graph, n int) (*Assignment, error) {
 		if bc >= pc {
 			bc = pc - 1
 		}
-		a.SetOwner(id, br*pc+bc)
+		a.SetOwnerAt(int32(i), br*pc+bc)
 	}
 	return a, nil
 }

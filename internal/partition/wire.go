@@ -66,9 +66,10 @@ func AppendFragment(buf []byte, f *Fragment) []byte {
 // that can alias (graph.CanAlias) and 8-aligned input, the fragment's
 // ownership table, dense index caches and CSR arrays are views into data,
 // which must stay alive and unmodified as long as the fragment; misaligned
-// input is copied once first. Only the ID index, the ID lists and the inner
-// bitmap are built. Every count is checked against len(data) before anything
-// is sized from it.
+// input is copied once first. Only the ID lists and the inner bitmap are
+// built — the graph's ID index waits for its first by-ID lookup, and the
+// lists are the proof its IDs are distinct (see complete). Every count is
+// checked against len(data) before anything is sized from it.
 func DecodeFragment(data []byte) (*Fragment, int, error) {
 	if len(data) < fragHeaderLen {
 		return nil, 0, fmt.Errorf("partition: fragment frame truncated: %d header bytes", len(data))
@@ -90,22 +91,21 @@ func DecodeFragment(data []byte) (*Fragment, int, error) {
 		return nil, 0, fmt.Errorf("partition: fragment frame truncated: sections need %d of %d bytes", graphOff, len(data))
 	}
 	data = graph.Realigned(data)
-	g, used, err := graph.DecodeFlat(data[graphOff:])
-	if err != nil {
-		return nil, 0, err
-	}
-	if g.NumVertices() != nv {
-		return nil, 0, fmt.Errorf("partition: fragment frame covers %d vertices, its graph has %d", nv, g.NumVertices())
-	}
 	f := &Fragment{
 		Index:     idx,
-		G:         g,
 		n:         n,
 		owners:    graph.ViewInt32s(data[ownersOff : ownersOff+4*nv]),
 		innerIdx:  graph.ViewInt32s(data[innerOff : innerOff+4*ni]),
 		borderIdx: graph.ViewInt32s(data[borderOff : borderOff+4*nb]),
 	}
-	if err := complete(f); err != nil {
+	_, used, err := graph.DecodeFlatProven(data[graphOff:], func(g *graph.Graph) error {
+		if g.NumVertices() != nv {
+			return fmt.Errorf("partition: fragment frame covers %d vertices, its graph has %d", nv, g.NumVertices())
+		}
+		f.G = g
+		return complete(f)
+	})
+	if err != nil {
 		return nil, 0, err
 	}
 	return f, graphOff + used, nil
@@ -114,9 +114,11 @@ func DecodeFragment(data []byte) (*Fragment, int, error) {
 // complete finishes a fragment that has its subgraph and the three dense
 // tables a frame carries (and a cut computes). It checks them against G and
 // each other — owners in range, Inner exactly the vertices owned here, both
-// index lists strictly ascending by ID — and derives what is not carried: the
-// ID lists (one allocation, each list capped so a later AddOuter reallocates)
-// and the inner bitmap.
+// index lists strictly ascending by ID, every vertex inner or an outer copy —
+// and derives what is not carried: the ID lists (one allocation, each list
+// capped so a later AddOuter reallocates) and the inner bitmap. Merging the
+// ascending Inner and Outer then proves G's vertex IDs distinct, in linear
+// time and without G's ID index.
 func complete(f *Fragment) error {
 	g, idx, owners, innerIdx, borderIdx := f.G, f.Index, f.owners, f.innerIdx, f.borderIdx
 	ni, nb := len(innerIdx), len(borderIdx)
@@ -159,6 +161,24 @@ func complete(f *Fragment) error {
 			f.InnerBorder = append(f.InnerBorder, f.border[k])
 		} else {
 			f.Outer = append(f.Outer, f.border[k])
+		}
+	}
+	if ni+len(f.Outer) != len(owners) {
+		return fmt.Errorf("partition: %d inner and %d outer of %d vertices", ni, len(f.Outer), len(owners))
+	}
+	return disjoint(f.Inner, f.Outer)
+}
+
+// disjoint merges two ascending ID lists and errors on an ID in both.
+func disjoint(a, b []graph.ID) error {
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			a = a[1:]
+		case b[0] < a[0]:
+			b = b[1:]
+		default:
+			return fmt.Errorf("partition: vertex ID %d repeats", a[0])
 		}
 	}
 	return nil

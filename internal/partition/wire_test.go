@@ -2,6 +2,7 @@ package partition
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -258,6 +259,33 @@ func TestDecodeFragmentRejectsCorruptFrames(t *testing.T) {
 	corrupt("border list not ascending", borderOff, good[borderOff+4])
 }
 
+// repeatedIDFrame is the frame of fragment 0 of the path 0→1→…→5 cut by
+// parity: inner 0, 2, 4, outer copies 1, 3, 5, border 1…5. With repeat, the
+// copy of 1 is renamed 0 in the graph's ID section: both lists still ascend
+// and every count holds, so only merging Inner with Outer finds the repeat.
+func repeatedIDFrame(tb testing.TB, repeat bool) []byte {
+	g := graph.New()
+	for v := graph.ID(0); v < 5; v++ {
+		g.AddEdge(v, v+1, 1)
+	}
+	asg := NewAssignment(g.Freeze(), 2)
+	for i := range g.Vertices() {
+		asg.SetOwnerAt(int32(i), i%2)
+	}
+	fr := Build(g, asg).Fragments[0]
+	frame := AppendFragment(nil, fr)
+	at, ok := fr.Local(1)
+	if !ok || !repeat {
+		return frame
+	}
+	innerOff := graph.Align8(fragHeaderLen + 4*len(fr.owners))
+	borderOff := graph.Align8(innerOff + 4*len(fr.Inner))
+	graphOff := graph.Align8(borderOff + 4*len(fr.Border()))
+	ids := graphOff + graph.Align8(32+int(binary.LittleEndian.Uint32(frame[graphOff+24:])))
+	binary.LittleEndian.PutUint64(frame[ids+8*int(at):], 0)
+	return frame
+}
+
 // FuzzFragmentFrame throws arbitrary bytes at the frame decoder: it must
 // never panic or allocate out of proportion to its input, anything it accepts
 // must be a valid fragment, and a valid frame must round-trip byte for byte.
@@ -281,6 +309,14 @@ func FuzzFragmentFrame(f *testing.F) {
 			f.Add(flipped)
 		}
 	}
+	if _, _, err := DecodeFragment(repeatedIDFrame(f, false)); err != nil {
+		f.Fatalf("the frame a repeated ID is patched into: %v", err)
+	}
+	dup := repeatedIDFrame(f, true)
+	if _, _, err := DecodeFragment(dup); err == nil {
+		f.Fatal("a frame whose inner and outer lists share an ID decoded")
+	}
+	f.Add(dup)
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0x80, 0x80, 0x80, 0x40})
 	f.Add([]byte("GRFG\x00\x00\x00\x00\x01\x00\x00\x00\xff\xff\xff\x7e\x00\x00\x00\x00\x00\x00\x00\x00"))

@@ -54,12 +54,13 @@ func (SSSP) Spec() engine.VarSpec[float64] {
 }
 
 // PEval implements engine.Program with sequential Dijkstra. On a frozen
-// fragment graph (the partition layer freezes at build time) the relaxation
-// runs over the CSR form through the hash-free dense accessors.
+// fragment graph (the partition layer freezes at build time) the source is
+// found by the fragment's sorted lists, not the graph's ID index, and the
+// relaxation runs over the CSR form through the hash-free dense accessors.
 func (SSSP) PEval(q SSSPQuery, ctx *engine.Context[float64]) error {
 	f := ctx.Frag
 	if g := f.G; g.Frozen() {
-		si, ok := g.Index(q.Source)
+		si, ok := f.Local(q.Source)
 		if !ok {
 			return nil
 		}

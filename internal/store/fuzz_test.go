@@ -1,6 +1,8 @@
 package store
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -33,6 +35,14 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 				f.Add(data[:snapHeaderSize])
 				f.Add(data[:len(data)-1])
 			}
+			dup := repeatID(data)
+			buf := graph.AlignedBuf(len(dup))
+			copy(buf, dup)
+			if _, si, err := parseSnapshot(buf); err == nil {
+				si.Close()
+				f.Fatalf("seed %d: a snapshot naming one vertex ID twice was accepted", seed)
+			}
+			f.Add(dup)
 		}
 	}
 	f.Add([]byte{})
@@ -57,6 +67,20 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			t.Fatalf("rewriting accepted snapshot: %v", err)
 		}
 	})
+}
+
+// repeatID returns a copy of a snapshot whose ID section names its first
+// vertex again at the last position, with the section and header checksums
+// recomputed: nothing but the distinct-ID check stands between it and a graph.
+func repeatID(data []byte) []byte {
+	out := append([]byte(nil), data...)
+	le := binary.LittleEndian
+	off, n := le.Uint64(out[48:]), le.Uint64(out[56:])
+	ids := out[off : off+n]
+	copy(ids[n-8:], ids[:8])
+	le.PutUint32(out[64:], crc32.Checksum(ids, castagnoli))
+	le.PutUint32(out[snapHeaderSize-8:], crc32.Checksum(out[:snapHeaderSize-8], castagnoli))
+	return out
 }
 
 func seedOffset(seed int64, span int) int64 {
