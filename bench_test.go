@@ -385,41 +385,6 @@ func BenchmarkCoordinatorFold(b *testing.B) {
 	})
 }
 
-// BenchmarkAsyncAblation contrasts the BSP engine with the barrier-free
-// asynchronous mode on a skewed layout (the AAP follow-up's trade-off).
-func BenchmarkAsyncAblation(b *testing.B) {
-	sc := benchScale()
-	g := sc.Social()
-	asg, err := partition.Range{}.Partition(g, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("sync", func(b *testing.B) {
-		var st *metrics.Stats
-		for i := 0; i < b.N; i++ {
-			layout := partition.Build(g, asg)
-			var err error
-			_, st, err = engine.RunOnLayout(context.Background(), layout, queries.SSSP{}, queries.SSSPQuery{Source: 0}, engine.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		report(b, st)
-	})
-	b.Run("async", func(b *testing.B) {
-		var st *metrics.Stats
-		for i := 0; i < b.N; i++ {
-			layout := partition.Build(g, asg)
-			var err error
-			_, st, err = engine.RunAsync(context.Background(), g, queries.SSSP{}, queries.SSSPQuery{Source: 0}, engine.Options{Layout: layout})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		report(b, st)
-	})
-}
-
 // BenchmarkScalingGap sweeps grid sizes and reports the Giraph/GRAPE
 // communication ratio — the perimeter-vs-area effect behind Table 1's
 // absolute numbers.

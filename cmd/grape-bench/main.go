@@ -2,6 +2,7 @@
 // evaluation from this reproduction (see DESIGN.md's per-experiment index):
 //
 //	table1     Table 1 — SSSP on the road network, four systems
+//	tablecc    Table 1 analogue for CC — four systems on the social graph
 //	partition  Section 3 — partition-strategy impact on SSSP
 //	scaleup    Fig. 3(4) — GRAPE analytics while varying workers
 //	bounded    Example 1(d) — bounded IncEval vs full recomputation
@@ -9,6 +10,8 @@
 //	simtheorem Simulation Theorem — Pregel programs on GRAPE, superstep parity
 //	index      graph-level optimization — keyword search with/without index
 //	library    Section 3 — all six registered query classes end to end
+//	reuse      Partition Manager — partition per query vs once
+//	gap        why Table 1's communication ratio grows with graph size
 //	all        everything above
 //
 // Numbers are simulated cluster seconds (BSP cost model over measured work
@@ -24,6 +27,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"grape/internal/experiments"
 	"grape/internal/metrics"
@@ -35,11 +39,14 @@ import (
 // call is harmless after that.
 var stopProf = func() {}
 
+// experimentNames are the -exp values, in the order -exp all runs them.
+var experimentNames = []string{"table1", "tablecc", "partition", "scaleup", "bounded", "gpar", "simtheorem", "index", "library", "reuse", "gap"}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("grape-bench: ")
 	var (
-		exp      = flag.String("exp", "all", "experiment: table1|partition|scaleup|bounded|gpar|simtheorem|index|library|all")
+		exp      = flag.String("exp", "all", "experiment: "+strings.Join(experimentNames, "|")+"|all")
 		workers  = flag.Int("workers", 24, "worker count for fixed-worker experiments")
 		rows     = flag.Int("rows", 128, "road grid rows")
 		cols     = flag.Int("cols", 128, "road grid cols")
@@ -153,10 +160,6 @@ func main() {
 			perQuery, reused, err := experiments.LayoutReuse(ctx, sc, 16, 8, cm)
 			exitIf(err)
 			experiments.PrintRows(out, "Partition Manager amortization: 8 queries, partition per query vs once", []experiments.Row{perQuery, reused})
-		case "async":
-			rows, err := experiments.AsyncAblation(ctx, sc, *workers, cm)
-			exitIf(err)
-			experiments.PrintRows(out, "Async ablation: BSP vs barrier-free execution on a skewed layout", rows)
 		case "gap":
 			rows, err := experiments.ScalingGap(ctx, []int{32, 64, 128}, *workers)
 			exitIf(err)
@@ -171,7 +174,7 @@ func main() {
 	}
 
 	if *exp == "all" {
-		for _, name := range []string{"table1", "tablecc", "partition", "scaleup", "bounded", "gpar", "simtheorem", "index", "library", "reuse", "async", "gap"} {
+		for _, name := range experimentNames {
 			run(name)
 		}
 		return

@@ -107,16 +107,6 @@ func Run[Q, V, R any](ctx context.Context, g *Graph, prog Program[Q, V, R], q Q,
 	return engine.Run(ctx, g, prog, q, opts)
 }
 
-// RunAsync executes a PIE program without BSP barriers: workers exchange
-// changed update parameters peer-to-peer and react immediately. For
-// programs with a monotone update-parameter order the answer is identical
-// to Run's; the cost profile trades barriers for possible stale-value
-// recomputation.
-// A cancelled ctx stops the workers at their next delivery round.
-func RunAsync[Q, V, R any](ctx context.Context, g *Graph, prog Program[Q, V, R], q Q, opts Options) (R, *Stats, error) {
-	return engine.RunAsync(ctx, g, prog, q, opts)
-}
-
 // Register adds a PIE program to the library so RunProgram can play it by
 // name. Build the Entry with MakeEntry — Register rejects entries with
 // missing hooks.

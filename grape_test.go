@@ -159,7 +159,7 @@ func TestFacadeSessions(t *testing.T) {
 }
 
 // minProg is a tiny custom PIE program exercising the generic facade
-// surface (Run, RunAsync, Register, NewSession): it floods the minimum
+// surface (Run, Register, NewSession): it floods the minimum
 // vertex ID through the graph.
 type minProg struct{}
 
@@ -215,22 +215,15 @@ func (minProg) Assemble(_ minQuery, ctxs []*grape.Context[int64]) (map[grape.ID]
 	return out, nil
 }
 
-func TestFacadeCustomProgramSyncAsyncSession(t *testing.T) {
+func TestFacadeCustomProgramCheckedRunAndSession(t *testing.T) {
 	g := grape.RoadGrid(10, 10, 3)
-	syncRes, _, err := grape.Run(context.Background(), g, minProg{}, minQuery{}, grape.Options{Workers: 4, CheckMonotonic: true})
+	res, _, err := grape.Run(context.Background(), g, minProg{}, minQuery{}, grape.Options{Workers: 4, CheckMonotonic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	asyncRes, _, err := grape.RunAsync(context.Background(), g, minProg{}, minQuery{}, grape.Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v, x := range syncRes {
+	for v, x := range res {
 		if x != 0 {
 			t.Fatalf("grid floods to 0 everywhere, vertex %d got %d", v, x)
-		}
-		if asyncRes[v] != x {
-			t.Fatalf("async differs at %d: %d vs %d", v, asyncRes[v], x)
 		}
 	}
 	// generic session constructor (no Updater: Update falls back to a

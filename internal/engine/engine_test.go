@@ -83,6 +83,16 @@ func (countdown) Assemble(q cdQuery, ctxs []*Context[int64]) (map[graph.ID]int64
 	return out, nil
 }
 
+// minCountdown gives countdown a min aggregate, so replicas of a border node
+// settle on the smallest value whichever order their updates arrive in.
+type minCountdown struct{ countdown }
+
+func (m minCountdown) Spec() VarSpec[int64] {
+	s := m.countdown.Spec()
+	s.Agg = func(a, b int64) int64 { return min(a, b) }
+	return s
+}
+
 func TestEngineRunsToFixpoint(t *testing.T) {
 	g := gen.Random(60, 180, 1)
 	res, stats, err := Run(context.Background(), g, countdown{}, cdQuery{}, Options{Workers: 4})
@@ -185,7 +195,7 @@ func TestEngineOverPartitionWithBalancer(t *testing.T) {
 	// the balancer wiring (worker count, coverage); result equivalence for
 	// a partition-independent program is asserted in the queries package.
 	g := gen.PreferentialAttachment(500, 4, 8)
-	balanced, stats, err := Run(context.Background(), g, asyncProg{}, cdQuery{}, Options{Workers: 4, Fragments: 16})
+	balanced, stats, err := Run(context.Background(), g, minCountdown{}, cdQuery{}, Options{Workers: 4, Fragments: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,9 +65,9 @@ func (s VarSpec[V]) sizeOf(v V) int {
 }
 
 // shipSize is the in-process traffic estimate for a batch of updates: an
-// 8-byte node ID plus the declared Size per value. It is the fallback
-// metering used by the bus and the async engine; wire transports charge
-// len(AppendUpdates(codec, ...)) instead — the actual encoded length.
+// 8-byte node ID plus the declared Size per value. It is the metering used
+// by the bus; wire transports charge len(AppendUpdates(codec, ...))
+// instead — the actual encoded length.
 func shipSize[V any](spec VarSpec[V], ups []update[V]) int {
 	size := 0
 	for _, u := range ups {

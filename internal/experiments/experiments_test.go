@@ -190,29 +190,6 @@ func TestQueryLibraryRunsAllClasses(t *testing.T) {
 	}
 }
 
-func TestAsyncAblationShape(t *testing.T) {
-	cm := metrics.DefaultCostModel()
-	rows, err := AsyncAblation(context.Background(), testScale(), 8, cm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	syncRow, asyncRow := rows[0], rows[1]
-	// Async trades barriers for possible stale-value recomputation: it must
-	// stay competitive (the recomputation must not blow up) while running
-	// in a single barrier-free phase. Which side wins by a few percent is
-	// scale- and schedule-dependent — exactly the trade-off the adaptive
-	// (AAP) follow-up work navigates.
-	if asyncRow.SimSeconds > 1.5*syncRow.SimSeconds {
-		t.Errorf("async (%.4f) blew up against sync (%.4f)", asyncRow.SimSeconds, syncRow.SimSeconds)
-	}
-	if asyncRow.Supersteps != 1 {
-		t.Errorf("async runs barrier-free, got %d phases", asyncRow.Supersteps)
-	}
-	if syncRow.Supersteps <= 1 {
-		t.Errorf("sync run should have multiple supersteps, got %d", syncRow.Supersteps)
-	}
-}
-
 func TestScalingGapWidens(t *testing.T) {
 	rows, err := ScalingGap(context.Background(), []int{24, 48, 96}, 8)
 	if err != nil {

@@ -15,40 +15,6 @@ import (
 	"grape/internal/vertexcentric"
 )
 
-// AsyncAblation contrasts the synchronous BSP engine with the barrier-free
-// asynchronous mode on a deliberately skewed layout (range partition of a
-// scale-free graph: early fragments own the hubs). Synchronous execution
-// pays the straggler at every superstep; async's simulated time is the
-// busiest worker's total work. The flip side — async workers acting on
-// stale values re-relax more and ship more — shows up in total work and
-// messages, which the rows also report. This is the trade GRAPE's follow-up
-// work on adaptive asynchronous parallelization navigates.
-func AsyncAblation(ctx context.Context, sc Scale, workers int, cm metrics.CostModel) ([]Row, error) {
-	g := sc.Social()
-	asg, err := partition.Range{}.Partition(g, workers)
-	if err != nil {
-		return nil, err
-	}
-	var rows []Row
-	layout := partition.Build(g, asg)
-	_, stSync, err := engine.RunOnLayout(ctx, layout, queries.SSSP{}, queries.SSSPQuery{Source: 0}, engine.Options{})
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, rowFromStats("GRAPE/sync", "async ablation", stSync, cm,
-		fmt.Sprintf("BSP: pays %d barriers + stragglers", stSync.Supersteps)))
-
-	layout2 := partition.Build(g, asg)
-	_, stAsync, err := engine.RunAsync(ctx, g, queries.SSSP{}, queries.SSSPQuery{Source: 0},
-		engine.Options{Layout: layout2})
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, rowFromStats("GRAPE/async", "async ablation", stAsync, cm,
-		"barrier-free; may recompute on stale values"))
-	return rows, nil
-}
-
 // TableCC is the CC analogue of Table 1 (the SIGMOD paper evaluates CC
 // across the same systems): weakly connected components over the social
 // graph on all four engines. Vertex-centric CC floods labels vertex by

@@ -36,7 +36,7 @@ import (
 type msgQueue []float64
 
 // vcState is the per-worker state: vertex values, halted flags, and the
-// local mailbox for intra-fragment messages (which never touch the network,
+// local inbox for intra-fragment messages (which never touch the network,
 // exactly like messages between co-located vertices in Pregel).
 type vcState struct {
 	values map[graph.ID]float64
@@ -98,7 +98,7 @@ func (a Adapter) PEval(_ Query, ctx *engine.Context[msgQueue]) error {
 // superstep.
 func (a Adapter) IncEval(_ Query, ctx *engine.Context[msgQueue]) error {
 	st := ctx.State.(*vcState)
-	// Drain the routed queues into the local mailbox, then clear them so
+	// Drain the routed queues into the local inbox, then clear them so
 	// the queues do not re-trigger (consumption, not convergence). Consumable
 	// messages route to their owner, which always hosts the target vertex, so
 	// the dense UpdatedAt view covers every queue Updated would.
