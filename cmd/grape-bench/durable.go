@@ -11,23 +11,21 @@ import (
 	"grape/internal/experiments"
 	"grape/internal/graph"
 	"grape/internal/partition"
-	"grape/internal/storage"
 	"grape/internal/store"
 )
 
-// durableRows measures the durable backend against the text store it
-// replaces. The load rows are the restart question — how much work stands
-// between a killed server and a resident graph with a known cut — under the
-// three cold-start paths:
+// durableRows measures the durable store behind grape-serve -data. The load
+// rows are the restart question — how much work stands between a killed
+// server and a resident graph with a known cut — under its two cold-start
+// paths:
 //
-//	durable/load/text      text part files reparsed + graph repartitioned
 //	durable/load/snapshot  binary snapshot read + persisted cut decoded
 //	durable/load/mmap      snapshot mapped zero-copy + persisted cut decoded
 //
-// Fragment construction (partition.Build) is deliberately outside all three:
-// it is identical shared work downstream of either path, and the rows price
-// exactly what the durable store lets a restart skip — text parsing and the
-// partitioning strategy.
+// Fragment construction (partition.Build) is deliberately outside both: it
+// is identical shared work downstream of either path, and the rows price
+// what a restart costs before it — reading the graph and its persisted cut
+// instead of repartitioning.
 //
 // The journal rows price the write-ahead guarantee per mutation batch:
 // fsync is the full POST /update durability cost, mem is the same encode +
@@ -72,12 +70,6 @@ func durableRows(sc experiments.Scale) ([]benchRow, error) {
 		return nil, err
 	}
 
-	// The text baseline: the pre-durability restart path.
-	ts := &storage.Store{Root: filepath.Join(dir, "text")}
-	if err := ts.SaveGraph("road", road); err != nil {
-		return nil, err
-	}
-
 	var rows []benchRow
 	addRow := func(name string, fn func() error) error {
 		var runErr error
@@ -96,18 +88,6 @@ func durableRows(sc experiments.Scale) ([]benchRow, error) {
 		rows = append(rows, benchRow{Name: name, NsPerOp: r.NsPerOp(), AllocsPerOp: r.AllocsPerOp(), BytesPerOp: r.AllocedBytesPerOp()})
 		fmt.Fprintf(os.Stderr, "grape-bench: %-22s %12d ns/op %9d allocs/op\n", name, r.NsPerOp(), r.AllocsPerOp())
 		return nil
-	}
-
-	if err := addRow("durable/load/text", func() error {
-		g, err := ts.LoadGraph("road")
-		if err != nil {
-			return err
-		}
-		g.Freeze()
-		_, err = strat.Partition(g, workers)
-		return err
-	}); err != nil {
-		return nil, err
 	}
 
 	loadCut := func(g *graph.Graph) error {

@@ -1,6 +1,6 @@
 // Command grape-gen generates the synthetic datasets of the reproduction and
-// writes them in the graph text format (readable by cmd/grape -input and the
-// storage layer), printing a structural summary so you can check the dataset
+// writes them in the graph text format (readable by cmd/grape -input and
+// graph.ReadText), printing a structural summary so you can check the dataset
 // has the property its experiment depends on (diameter for road networks,
 // degree skew for social graphs).
 package main

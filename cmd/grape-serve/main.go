@@ -7,7 +7,6 @@
 // Examples:
 //
 //	grape-serve -addr :8080 -preload road,social
-//	grape-serve -addr :8080 -store ./graphs -workers 16 -strategy fennel
 //	grape-serve -addr :8080 -preload road -data ./graphdata
 //	curl -s localhost:8080/query -d '{"graph":"road","program":"sssp","query":"source=0"}'
 //	curl -s localhost:8080/graphs
@@ -60,7 +59,6 @@ import (
 
 	"grape"
 	"grape/internal/server"
-	"grape/internal/storage"
 	dstore "grape/internal/store"
 )
 
@@ -74,7 +72,6 @@ func main() {
 		timeout  = flag.Duration("timeout", 60*time.Second, "per-query deadline (queue wait + run)")
 		cache    = flag.Int("cache", 256, "result cache entries (-1 disables)")
 		detach   = flag.Bool("detach", false, "legacy overload behavior: let timed-out/disconnected queries run to completion and cache")
-		store    = flag.String("store", "", "storage.Store directory: its graphs become queryable by name")
 		data     = flag.String("data", "", "durable data directory: binary snapshots + write-ahead journals; graphs recover here on restart")
 		compactN = flag.Int("compact-records", 0, "journal records that trigger compaction (0 = default 4096, <0 disables)")
 		compactB = flag.Int64("compact-bytes", 0, "journal bytes that trigger compaction (0 = default 64MiB, <0 disables)")
@@ -116,9 +113,6 @@ func main() {
 		Logger:       lg,
 		FlightRuns:   *flight,
 	}
-	if *store != "" {
-		cfg.Store = &storage.Store{Root: *store}
-	}
 	if *data != "" {
 		ds, err := dstore.Open(*data)
 		if err != nil {
@@ -159,13 +153,6 @@ func main() {
 			fatal(err)
 		}
 		lg.Info("preloaded", "graph", name, "vertices", g.NumVertices(), "edges", g.NumEdges())
-	}
-	if cfg.Store != nil {
-		names, err := cfg.Store.ListGraphs()
-		if err != nil {
-			fatal(err)
-		}
-		lg.Info("store attached", "dir", *store, "graphs", names)
 	}
 
 	if *debug != "" {

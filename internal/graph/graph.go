@@ -518,8 +518,8 @@ func Diff(a, b *Graph) error {
 }
 
 // Validate checks internal consistency and returns an error describing the
-// first problem found, or nil. It is used by tests and the storage layer
-// after deserialization.
+// first problem found, or nil. Tests use it to check a graph after
+// deserialization.
 func (g *Graph) Validate() error {
 	nv := len(g.ids)
 	if (g.props != nil || !g.frozen) && nv != len(g.props) || (g.frozen && nv != len(g.vlab)) {

@@ -40,9 +40,9 @@ type RecoveryInfo struct {
 }
 
 // RecoverAll recovers every graph with durable state, making each resident
-// at its pre-crash epoch. Call it once at startup, before serving traffic.
-// Graphs without durable state are skipped (they load lazily, or via
-// AddGraph). Requires Config.Durable.
+// at its pre-crash epoch. Call it once at startup, before serving traffic:
+// it is the only way durable state becomes resident. Graphs without durable
+// state are skipped (AddGraph makes them resident). Requires Config.Durable.
 func (s *Server) RecoverAll(ctx context.Context) ([]RecoveryInfo, error) {
 	if s.cfg.Durable == nil {
 		return nil, fmt.Errorf("server: RecoverAll without Config.Durable")
@@ -111,7 +111,11 @@ func (s *Server) recoverGraph(ctx context.Context, name string) (*residentGraph,
 	}
 
 	// Replay. rg is not yet published, so the lock is uncontended — held
-	// anyway because applyBatchLocked requires it.
+	// anyway because applyBatchLocked requires it. Replay ignores
+	// cancellation, as Mutate does once a batch is journaled: a session that
+	// fails to open on a cancelled ctx would read as a rejected batch and
+	// leave replay short of the journaled epochs.
+	ctx = context.WithoutCancel(ctx)
 	rg.mu.Lock()
 	for i, r := range rec.Records {
 		if rg.epoch != r.PreEpoch {
@@ -138,9 +142,9 @@ func (s *Server) recoverGraph(ctx context.Context, name string) (*residentGraph,
 			continue
 		}
 		if err != nil {
-			// The batch broke the session partway live and did so again (or
-			// the replay context ended); the epoch bumped either way and the
-			// next record starts a fresh session, exactly like the live path.
+			// The batch broke the session partway live and did so again; the
+			// epoch bumped and the next record starts a fresh session,
+			// exactly like the live path.
 			continue
 		}
 		rs := RunStats{Supersteps: st.Supersteps, Messages: st.Messages, Bytes: st.Bytes, WallMs: st.WallTime.Seconds() * 1e3}

@@ -322,3 +322,67 @@ func TestDurableLayoutReuse(t *testing.T) {
 		t.Fatal("answer from the reloaded cut differs")
 	}
 }
+
+// TestDurableUnknownGraphTouchesNothing checks that a query or mutation
+// naming a graph that is not resident is ErrNotFound and leaves the data
+// directory exactly as it was: hostile names cannot grow it.
+func TestDurableUnknownGraphTouchesNothing(t *testing.T) {
+	dir := t.TempDir()
+	s := newDurableServer(t, dir, Config{Workers: 4, Strategy: "hash"})
+	defer s.Close()
+	listing := func() []string {
+		t.Helper()
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := make([]string, len(ents))
+		for i, e := range ents {
+			names[i] = e.Name()
+		}
+		return names
+	}
+	before := listing()
+	ctx := context.Background()
+	if _, err := s.Query(ctx, QueryRequest{Graph: "nope", Program: "cc"}); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("query of an unknown graph: %v, want ErrNotFound", err)
+	}
+	if _, err := s.Mutate(ctx, "nope2", "", "", []EdgeJSON{{From: 0, To: 1, W: 1}}); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("mutation of an unknown graph: %v, want ErrNotFound", err)
+	}
+	if after := listing(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("data directory holds %v after unknown-graph requests, held %v", after, before)
+	}
+}
+
+// TestDurableRecoverAllCancelledContext checks that recovery replays every
+// journaled batch even when the caller's context is already cancelled: a
+// session that fails to open on that context must not read as a rejected
+// batch and leave replay short of the journaled epoch.
+func TestDurableRecoverAllCancelledContext(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Workers: 4, Strategy: "hash"}
+	s := newDurableServer(t, dir, cfg)
+	for i := int64(0); i < 2; i++ {
+		if _, err := s.Mutate(context.Background(), "road", "", "", []EdgeJSON{{From: i, To: 500 + i, W: 1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+
+	ds, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Durable = ds
+	s2 := New(cfg)
+	defer s2.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s2.RecoverAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := graphEpochs(s2)["road"]; got != 3 {
+		t.Fatalf("road recovered at epoch %d under a cancelled context, want 3", got)
+	}
+}

@@ -18,7 +18,6 @@ import (
 	"grape/internal/mpi"
 	"grape/internal/partition"
 	_ "grape/internal/queries" // register the query classes sessions run
-	"grape/internal/storage"
 	"grape/internal/store"
 	"grape/internal/trace"
 )
@@ -64,16 +63,14 @@ type Config struct {
 	DetachRuns bool
 	// CacheEntries sizes the result cache; < 0 disables it. Default 256.
 	CacheEntries int
-	// Store, if non-nil, backs the graph namespace: a query naming a graph
-	// not yet resident loads it from the store on first use.
-	Store *storage.Store
 	// Durable, if non-nil, is the binary snapshot + journal store behind the
 	// serving path (grape-serve -data). Every POST /update batch is journaled
 	// and fsync-ed before the session mutates, AddGraph persists a snapshot,
-	// and RecoverAll at startup replays each graph's journal so a killed
-	// server restarts onto the exact epoch and bit-identical answers. A
-	// background compactor re-snapshots at the current epoch once the
-	// journal crosses CompactRecords or CompactBytes.
+	// and RecoverAll — the only way durable state becomes resident — replays
+	// each graph's journal at startup so a killed server restarts onto the
+	// exact epoch and bit-identical answers. A background compactor
+	// re-snapshots at the current epoch once the journal crosses
+	// CompactRecords or CompactBytes.
 	Durable *store.Store
 	// CompactRecords is the journal length that triggers compaction.
 	// Default 4096 records; < 0 disables record-triggered compaction.
@@ -158,7 +155,6 @@ type Server struct {
 
 	mu     sync.Mutex
 	graphs map[string]*residentGraph
-	loads  map[string]*graphLoad
 	gen    uint64 // generation counter for graph instances (cache-key scope)
 
 	// Compactor lifecycle (durable.go); both nil without Config.Durable.
@@ -166,14 +162,6 @@ type Server struct {
 	compactDone chan struct{}
 	closeOnce   sync.Once
 	retired     []*store.GraphStore // stores of replaced graphs, closed at Close
-}
-
-// graphLoad deduplicates lazy store loads for one name without holding the
-// server-wide mutex across the disk read and freeze.
-type graphLoad struct {
-	once sync.Once
-	rg   *residentGraph
-	err  error
 }
 
 // residentGraph is one named graph plus everything derived from it. mu is
@@ -231,8 +219,8 @@ type layoutSlot struct {
 	runners map[string]engine.ResidentRunner
 }
 
-// New returns an empty server; add graphs with AddGraph or back it with a
-// Config.Store.
+// New returns an empty server; graphs become resident through AddGraph or,
+// on a durable server, RecoverAll.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -241,7 +229,6 @@ func New(cfg Config) *Server {
 		serving: metrics.NewServing(),
 		flight:  trace.NewFlight(cfg.FlightRuns),
 		graphs:  make(map[string]*residentGraph),
-		loads:   make(map[string]*graphLoad),
 	}
 	s.cache = newResultCache(cfg.CacheEntries, s.serving.AddCacheEncodedBytes)
 	if cfg.Durable != nil {
@@ -350,96 +337,17 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 // Flight exposes the run-trace retention ring (GET /debug/runs).
 func (s *Server) Flight() *trace.Flight { return s.flight }
 
-// resident resolves name, loading from a backing store on first use. The
-// disk read and freeze run outside s.mu (deduplicated per name by a
-// sync.Once), so loading one large graph does not stall queries for the
-// others. Durable state is tried first — it may carry journaled mutations
-// past the text copy — then the text store, whose load is persisted to the
-// durable store so the next restart recovers from the snapshot instead.
-func (s *Server) resident(ctx context.Context, name string) (*residentGraph, error) {
+// resident resolves name among the resident graphs. A graph becomes resident
+// only through AddGraph or RecoverAll; any other name is ErrNotFound, and
+// looking it up touches nothing on disk.
+func (s *Server) resident(name string) (*residentGraph, error) {
 	s.mu.Lock()
-	if rg, ok := s.graphs[name]; ok {
-		s.mu.Unlock()
-		return rg, nil
-	}
-	if s.cfg.Store == nil && s.cfg.Durable == nil {
-		s.mu.Unlock()
+	rg, ok := s.graphs[name]
+	s.mu.Unlock()
+	if !ok {
 		return nil, fmt.Errorf("%w: no graph %q resident", ErrNotFound, name)
 	}
-	ld, ok := s.loads[name]
-	if !ok {
-		ld = &graphLoad{}
-		s.loads[name] = ld
-	}
-	s.mu.Unlock()
-
-	ld.once.Do(func() {
-		defer func() {
-			s.mu.Lock()
-			delete(s.loads, name)
-			s.mu.Unlock()
-		}()
-		if s.cfg.Durable != nil {
-			rg, err := s.recoverGraph(ctx, name)
-			switch {
-			case err == nil:
-				ld.rg = rg
-				return
-			case !errors.Is(err, store.ErrNoSnapshot):
-				ld.err = fmt.Errorf("%w: graph %q durable state unusable: %v", ErrNotFound, name, err)
-				return
-			}
-		}
-		if s.cfg.Store == nil {
-			ld.err = fmt.Errorf("%w: no graph %q resident", ErrNotFound, name)
-			return
-		}
-		g, err := s.cfg.Store.LoadGraph(name)
-		if err != nil {
-			ld.err = fmt.Errorf("%w: graph %q not resident and not loadable: %v", ErrNotFound, name, err)
-			return
-		}
-		g.Freeze()
-		var ds *store.GraphStore
-		if s.cfg.Durable != nil {
-			if ds, err = s.cfg.Durable.Graph(name); err == nil {
-				if err = ds.Create(g, 1); err != nil {
-					ds.Close()
-					ds = nil
-				}
-			} else {
-				ds = nil
-			}
-		}
-		s.mu.Lock()
-		if cur, ok := s.graphs[name]; ok {
-			// AddGraph installed this name while we were loading: the
-			// explicit graph wins over the on-disk copy
-			ld.rg = cur
-			if ds != nil {
-				s.retired = append(s.retired, ds)
-			}
-		} else {
-			ld.rg = s.newResident(name, g)
-			ld.rg.ds = ds
-			s.graphs[name] = ld.rg
-		}
-		s.mu.Unlock()
-		if ld.rg.ds == ds && ds != nil {
-			s.publishDurability(ld.rg)
-		}
-	})
-	if ld.err != nil {
-		// drop the failed load record so a later retry (e.g. after the
-		// graph is saved) can succeed
-		s.mu.Lock()
-		if s.loads[name] == ld {
-			delete(s.loads, name)
-		}
-		s.mu.Unlock()
-		return nil, ld.err
-	}
-	return ld.rg, nil
+	return rg, nil
 }
 
 // layoutFor returns the slot's layout, building it on first use. On a
@@ -566,7 +474,7 @@ func (s *Server) query(ctx context.Context, req QueryRequest, start time.Time) (
 	if err != nil {
 		return nil, false, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
-	rg, err := s.resident(ctx, req.Graph)
+	rg, err := s.resident(req.Graph)
 	if err != nil {
 		return nil, false, err
 	}
@@ -704,7 +612,7 @@ func (s *Server) Mutate(ctx context.Context, name, program, query string, edges 
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
-	rg, err := s.resident(ctx, name)
+	rg, err := s.resident(name)
 	if err != nil {
 		return nil, err
 	}

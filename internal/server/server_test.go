@@ -12,7 +12,6 @@ import (
 	"grape/internal/graph"
 	"grape/internal/partition"
 	"grape/internal/queries"
-	"grape/internal/storage"
 )
 
 // testGraphs builds one graph per query-class family and the query each
@@ -331,7 +330,7 @@ func TestMutateProgramRouting(t *testing.T) {
 	if !cc.Cached {
 		t.Fatal("cc answer was not primed after the program switch")
 	}
-	rg, err := s.resident(context.Background(), "road")
+	rg, err := s.resident("road")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +400,7 @@ func TestLayoutSharing(t *testing.T) {
 			t.Fatalf("%s: %v", q.Program, err)
 		}
 	}
-	rg, err := s.resident(context.Background(), "road")
+	rg, err := s.resident("road")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,44 +457,5 @@ func TestReplacedGraphCannotServeStaleCache(t *testing.T) {
 				t.Fatal("replacement graph returned the old graph's answer shape")
 			}
 		}
-	}
-}
-
-// TestLazyStoreLoad pins Config.Store: a graph not resident loads from the
-// store on first query, concurrent first queries deduplicate the load, and
-// unknown names still 404.
-func TestLazyStoreLoad(t *testing.T) {
-	st := &storage.Store{Root: t.TempDir()}
-	g := gen.RoadGrid(10, 10, 3)
-	if err := st.SaveGraph("stored", g); err != nil {
-		t.Fatal(err)
-	}
-	s := New(Config{Workers: 4, Strategy: "hash", Store: st})
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := s.Query(context.Background(), QueryRequest{Graph: "stored", Program: "cc", Query: ""})
-			if err != nil {
-				errs <- err
-				return
-			}
-			if got := len(resp.Result.(map[graph.ID]graph.ID)); got != g.NumVertices() {
-				errs <- fmt.Errorf("cc over %d vertices, want %d", got, g.NumVertices())
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-	if len(s.Graphs()) != 1 {
-		t.Fatalf("graphs = %+v, want the one loaded instance", s.Graphs())
-	}
-	if _, err := s.Query(context.Background(), QueryRequest{Graph: "missing", Program: "cc"}); !errorsIs(err, ErrNotFound) {
-		t.Fatalf("unknown stored graph: %v, want ErrNotFound", err)
 	}
 }
