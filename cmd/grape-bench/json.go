@@ -263,67 +263,43 @@ func serveRows(ctx context.Context, road *graph.Graph) ([]benchRow, error) {
 	return rows, nil
 }
 
-// overloadRows pins the capacity win of run cancellation: 64 concurrent
-// clients, 50% of whose queries carry a deadline sized to one *solo* run —
-// trivially met on an idle server, hopeless under 64-way overload, so each
-// such query is abandoned moments after its run starts (the disconnecting-
-// client shape the redesign exists for). All queries are uncached engine
-// runs. The same workload (same deadline, alternating rounds, median of 3
-// — single shots on a shared box are too noisy to trust) hits two servers:
-// the default (an abandoned run is cancelled and its workers freed within
-// one superstep) and Config.DetachRuns (the PR 4 behavior: the abandoned
-// run burns worker CPU to convergence). Each row's ns_op is nanoseconds
-// per *successful* query, so goodput qps = 1e9/ns_op.
+// overloadRows measures goodput under overload: 64 concurrent clients, 50%
+// of whose queries carry a deadline sized to one *solo* run — trivially met
+// on an idle server, hopeless under 64-way overload, so each such query is
+// abandoned moments after its run starts and the run is cancelled within
+// one superstep. All queries are uncached engine runs; the row is the
+// median of 3 rounds (single shots on a shared box are too noisy to trust).
+// ns_op is nanoseconds per *successful* query, so goodput qps = 1e9/ns_op.
 func overloadRows(ctx context.Context, road *graph.Graph) ([]benchRow, error) {
-	type mode struct {
-		name string
-		ts   *httptest.Server
-		qps  []float64
+	cfg := servebench.ServerConfig()
+	// Admit every client: with no queue (a queue-expired query never starts a
+	// run), the contended resource is worker CPU, what cancelled runs return.
+	cfg.MaxInFlight = servebench.OverloadClients
+	s := server.New(cfg)
+	if err := s.AddGraph("road", road); err != nil {
+		return nil, err
 	}
-	modes := [2]*mode{{name: "cancel"}, {name: "detach"}}
-	for i, m := range modes {
-		cfg := servebench.ServerConfig()
-		cfg.DetachRuns = i == 1
-		// Admit every client: with the queue out of the way (a queue-expired
-		// query never starts a run in either mode), the contended resource
-		// is worker CPU — exactly what detached runs steal and cancelled
-		// runs return.
-		cfg.MaxInFlight = servebench.OverloadClients
-		s := server.New(cfg)
-		if err := s.AddGraph("road", road); err != nil {
-			return nil, err
-		}
-		m.ts = httptest.NewServer(s.Handler())
-		defer m.ts.Close()
-		if _, err := servebench.Warm(ctx, m.ts.URL, false); err != nil {
-			return nil, fmt.Errorf("overload/%s: %w", m.name, err)
-		}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	name := fmt.Sprintf("overload/c%d/cancel", servebench.OverloadClients)
+	if _, err := servebench.Warm(ctx, ts.URL, false); err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	// One shared deadline for both modes: per-mode measurement would hand
-	// one of them a systematically more generous budget.
-	deadline, err := servebench.MeasureRunLatency(ctx, modes[0].ts.URL)
+	deadline, err := servebench.MeasureRunLatency(ctx, ts.URL)
 	if err != nil {
 		return nil, err
 	}
+	var qpss []float64
 	for round := 0; round < 3; round++ {
-		for _, m := range modes {
-			qps, frac := servebench.RunOverload(ctx, m.ts.URL, servebench.OverloadClients, 8, deadline)
-			m.qps = append(m.qps, qps)
-			fmt.Fprintf(os.Stderr, "grape-bench: overload/c%d/%s round %d: %.1f good-qps (%.0f%% succeeded)\n",
-				servebench.OverloadClients, m.name, round, qps, 100*frac)
-		}
+		qps, frac := servebench.RunOverload(ctx, ts.URL, servebench.OverloadClients, 8, deadline)
+		qpss = append(qpss, qps)
+		fmt.Fprintf(os.Stderr, "grape-bench: %s round %d: %.1f good-qps (%.0f%% succeeded)\n", name, round, qps, 100*frac)
 	}
-	var rows []benchRow
-	for _, m := range modes {
-		sort.Float64s(m.qps)
-		goodqps := m.qps[len(m.qps)/2]
-		name := fmt.Sprintf("overload/c%d/%s", servebench.OverloadClients, m.name)
-		if goodqps <= 0 {
-			return nil, fmt.Errorf("%s: zero goodput — every query failed; fix the workload before committing a baseline", name)
-		}
-		rows = append(rows, benchRow{Name: name, NsPerOp: int64(1e9 / goodqps)})
-		fmt.Fprintf(os.Stderr, "grape-bench: %-22s %12.1f good-qps (median of 3; 50%% of requests deadline-bounded at %s)\n",
-			name, goodqps, deadline)
+	sort.Float64s(qpss)
+	goodqps := qpss[len(qpss)/2]
+	if goodqps <= 0 {
+		return nil, fmt.Errorf("%s: zero goodput — every query failed; fix the workload before committing a baseline", name)
 	}
-	return rows, nil
+	fmt.Fprintf(os.Stderr, "grape-bench: %-22s %12.1f good-qps (median of 3; 50%% of requests deadline-bounded at %s)\n", name, goodqps, deadline)
+	return []benchRow{{Name: name, NsPerOp: int64(1e9 / goodqps)}}, nil
 }

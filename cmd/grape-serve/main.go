@@ -33,8 +33,7 @@
 //
 // A query's context threads from the HTTP request through admission into
 // the engine run: a disconnected client or an expired deadline cancels the
-// run at its next superstep barrier and frees its workers (-detach restores
-// the old run-to-completion-and-cache behavior).
+// run at its next superstep barrier and frees its workers.
 //
 // Durability: -data DIR snapshots every resident graph (binary CSR format,
 // mmap-ed zero-copy where supported) and write-ahead journals every update
@@ -71,7 +70,6 @@ func main() {
 		queue    = flag.Int("queue", 64, "max queries waiting for a run slot")
 		timeout  = flag.Duration("timeout", 60*time.Second, "per-query deadline (queue wait + run)")
 		cache    = flag.Int("cache", 256, "result cache entries (-1 disables)")
-		detach   = flag.Bool("detach", false, "legacy overload behavior: let timed-out/disconnected queries run to completion and cache")
 		data     = flag.String("data", "", "durable data directory: binary snapshots + write-ahead journals; graphs recover here on restart")
 		compactN = flag.Int("compact-records", 0, "journal records that trigger compaction (0 = default 4096, <0 disables)")
 		compactB = flag.Int64("compact-bytes", 0, "journal bytes that trigger compaction (0 = default 64MiB, <0 disables)")
@@ -109,7 +107,6 @@ func main() {
 		MaxQueue:     *queue,
 		QueryTimeout: *timeout,
 		CacheEntries: *cache,
-		DetachRuns:   *detach,
 		Logger:       lg,
 		FlightRuns:   *flight,
 	}

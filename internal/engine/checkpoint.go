@@ -1,10 +1,8 @@
 package engine
 
 import (
-	"encoding/binary"
 	"fmt"
 
-	"grape/internal/graph"
 	"grape/internal/partition"
 )
 
@@ -21,18 +19,7 @@ import (
 //
 // Checkpoints are coordinator-side and in-memory: they cost no extra
 // communication (the records are copies of what the fold already computed)
-// and die with the run. Options.CheckpointStore additionally streams each
-// epoch out as an encoded frame, the hook a durable store can implement
-// without the engine knowing about storage.
-
-// CheckpointStore receives every superstep checkpoint epoch of a run as an
-// opaque encoded frame (see appendEpochFrame for the layout). AppendEpoch is
-// called once per superstep, in order, from the coordinator's barrier; an
-// error fails the run. Implementations that persist frames can rebuild the
-// coordinator's recovery state offline.
-type CheckpointStore interface {
-	AppendEpoch(step int, frame []byte) error
-}
+// and die with the run.
 
 // changeRec is one folded change of a superstep: the node's slot, its new
 // global value, and the worker whose report set it.
@@ -56,12 +43,10 @@ type checkpoint[V any] struct {
 	spec   VarSpec[V]
 	layout *partition.Layout
 	epochs []ckptEpoch[V]
-	store  CheckpointStore
-	codec  Codec[V]
 }
 
-func newCheckpoint[V any](spec VarSpec[V], layout *partition.Layout, store CheckpointStore, codec Codec[V]) *checkpoint[V] {
-	return &checkpoint[V]{spec: spec, layout: layout, store: store, codec: codec}
+func newCheckpoint[V any](spec VarSpec[V], layout *partition.Layout) *checkpoint[V] {
+	return &checkpoint[V]{spec: spec, layout: layout}
 }
 
 // append snapshots superstep step from the just-completed fold. Steps are
@@ -80,13 +65,7 @@ func (c *checkpoint[V]) append(step int, fold *foldState[V], stillActive map[int
 	for w := range active {
 		active[w] = stillActive[w]
 	}
-	ep := ckptEpoch[V]{recs: recs, active: active}
-	c.epochs = append(c.epochs, ep)
-	if c.store != nil {
-		if err := c.store.AppendEpoch(step, appendEpochFrame(c.codec, nil, ep, c.layout.SlotID)); err != nil {
-			return fmt.Errorf("engine: checkpoint store at superstep %d: %w", step, err)
-		}
-	}
+	c.epochs = append(c.epochs, ckptEpoch[V]{recs: recs, active: active})
 	return nil
 }
 
@@ -121,23 +100,4 @@ func (c *checkpoint[V]) replayFor(frag, through int) []replayStep[V] {
 		steps = append(steps, replayStep[V]{step: s, updates: batch})
 	}
 	return steps
-}
-
-// Epoch frame layout (the CheckpointStore encoding): uvarint record count;
-// per record a uvarint node ID, the codec-encoded value, and a uvarint
-// winning worker; then a uvarint worker count followed by one active flag
-// byte per worker.
-
-func appendEpochFrame[V any](c Codec[V], buf []byte, ep ckptEpoch[V], idOf func(slot int32) graph.ID) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(ep.recs)))
-	for _, rec := range ep.recs {
-		buf = binary.AppendUvarint(buf, uint64(idOf(rec.slot)))
-		buf = c.AppendVal(buf, rec.val)
-		buf = binary.AppendUvarint(buf, uint64(rec.winner))
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(ep.active)))
-	for _, a := range ep.active {
-		buf = appendFlag(buf, a)
-	}
-	return buf
 }

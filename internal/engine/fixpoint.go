@@ -124,19 +124,8 @@ func fixpoint[Q, V, R any](ctx context.Context, layout *partition.Layout, prog P
 	n := len(layout.Fragments)
 
 	var ckpt *checkpoint[V]
-	if opts.CheckpointStore != nil && !opts.Recover {
-		return zero, nil, fmt.Errorf("engine: %s: Options.CheckpointStore requires Options.Recover", prog.Name())
-	}
 	if opts.Recover {
-		var codec Codec[V]
-		if opts.CheckpointStore != nil {
-			wc, ok := any(prog).(interface{ WireCodec() Codec[V] })
-			if !ok {
-				return zero, nil, fmt.Errorf("engine: %s: Options.CheckpointStore needs a wire codec to encode epochs: %w", prog.Name(), ErrNoWireSupport)
-			}
-			codec = wc.WireCodec()
-		}
-		ckpt = newCheckpoint(prog.Spec(), layout, opts.CheckpointStore, codec)
+		ckpt = newCheckpoint(prog.Spec(), layout)
 	}
 
 	start := time.Now()

@@ -98,7 +98,7 @@ type Program[Q, V, R any] interface {
 }
 
 // VarUpdate is one (node, value) pair of update-parameter traffic as it
-// crosses a boundary: in a frame, a checkpoint epoch, a partial answer.
+// crosses a boundary: in a frame or a partial answer.
 type VarUpdate[V any] struct {
 	ID  graph.ID
 	Val V

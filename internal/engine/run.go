@@ -53,12 +53,6 @@ type Options struct {
 	// the transport must implement mpi.Reassigner. Run-fatal errors (program
 	// errors, cancellation, monotonicity violations) still fail the run.
 	Recover bool
-	// CheckpointStore, if non-nil (requires Recover), additionally streams
-	// every checkpoint epoch out as an encoded frame — the hook a durable
-	// store implements. The program must expose a wire codec (WireProgram's
-	// WireCodec) so epochs can be encoded; bus runs without one reject the
-	// store rather than silently skipping it.
-	CheckpointStore CheckpointStore
 	// Fault, if non-nil, wraps the run's data transport — the seam fault
 	// injection uses (mpi.NewFaultTransport) in tests and benches. Control
 	// traffic that must not be lost (worker release on the in-process bus)

@@ -216,8 +216,8 @@ func NewSession[Q, V, R any](ctx context.Context, g *graph.Graph, prog Program[Q
 	if opts.Transport != nil {
 		return nil, zero, nil, fmt.Errorf("engine: sessions run on the in-process bus only (graph updates mutate shared fragments)")
 	}
-	if opts.Recover || opts.CheckpointStore != nil {
-		return nil, zero, nil, fmt.Errorf("engine: sessions do not support Options.Recover or Options.CheckpointStore (a replay from PEval cannot rebuild a resumed session context)")
+	if opts.Recover {
+		return nil, zero, nil, fmt.Errorf("engine: sessions do not support Options.Recover (a replay from PEval cannot rebuild a resumed session context)")
 	}
 	opts = opts.withDefaults()
 	patcher, _ := any(prog).(SessionPatcher[Q, R])

@@ -206,25 +206,16 @@ func TestSessionRejectsUndirected(t *testing.T) {
 }
 
 // TestSessionRejectsFaultTolerance: a replay from PEval cannot rebuild a
-// *resumed* session context, so sessions must refuse Options.Recover and
-// Options.CheckpointStore loudly instead of accepting and ignoring them.
+// *resumed* session context, so sessions must refuse Options.Recover loudly
+// instead of accepting and ignoring it.
 func TestSessionRejectsFaultTolerance(t *testing.T) {
 	g := graph.New()
 	g.AddEdge(0, 1, 1)
-	for name, opts := range map[string]Options{
-		"Recover":         {Workers: 2, Recover: true},
-		"CheckpointStore": {Workers: 2, CheckpointStore: discardEpochs{}},
-	} {
-		_, _, _, err := NewSession(context.Background(), g, sessionProg{}, cdQuery{}, opts)
-		if err == nil || !strings.Contains(err.Error(), "Options.Recover") {
-			t.Fatalf("%s: want a loud rejection naming the option, got %v", name, err)
-		}
+	_, _, _, err := NewSession(context.Background(), g, sessionProg{}, cdQuery{}, Options{Workers: 2, Recover: true})
+	if err == nil || !strings.Contains(err.Error(), "Options.Recover") {
+		t.Fatalf("want a loud rejection naming the option, got %v", err)
 	}
 }
-
-type discardEpochs struct{}
-
-func (discardEpochs) AppendEpoch(int, []byte) error { return nil }
 
 // TestSessionFaultBreaksSession: sessions run the shared superstep driver, so
 // Options.Fault reaches them. With recovery unavailable, an injected

@@ -221,66 +221,6 @@ func TestFaultRecoveryMultipleDeaths(t *testing.T) {
 	}
 }
 
-// epochLog records CheckpointStore callbacks for inspection.
-type epochLog struct {
-	steps  []int
-	frames [][]byte
-}
-
-func (l *epochLog) AppendEpoch(step int, frame []byte) error {
-	l.steps = append(l.steps, step)
-	l.frames = append(l.frames, frame)
-	return nil
-}
-
-// TestCheckpointStoreReceivesEveryEpoch: with a store plugged in, the
-// coordinator streams one encoded epoch frame per superstep, in order, and
-// the run's answer is unchanged.
-func TestCheckpointStoreReceivesEveryEpoch(t *testing.T) {
-	g := gen.RoadGrid(12, 12, 1)
-	want, clean, err := engine.Run(context.Background(), g, queries.SSSP{}, queries.SSSPQuery{Source: 0},
-		engine.Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	log := &epochLog{}
-	got, stats, err := engine.Run(context.Background(), g, queries.SSSP{}, queries.SSSPQuery{Source: 0},
-		engine.Options{Workers: 4, Recover: true, CheckpointStore: log})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("checkpointed run changed the answer")
-	}
-	if stats.Supersteps != clean.Supersteps {
-		t.Fatalf("checkpointing changed the schedule: %d vs %d supersteps", stats.Supersteps, clean.Supersteps)
-	}
-	if len(log.steps) != stats.Supersteps {
-		t.Fatalf("store got %d epochs for a %d-superstep run", len(log.steps), stats.Supersteps)
-	}
-	for i, s := range log.steps {
-		if s != i+1 {
-			t.Fatalf("epoch order broken: %v", log.steps)
-		}
-	}
-	for i, f := range log.frames {
-		if len(f) == 0 {
-			t.Fatalf("epoch %d frame is empty", i+1)
-		}
-	}
-}
-
-// TestCheckpointStoreNeedsRecover: a store without Recover is a
-// configuration error, reported before the run starts.
-func TestCheckpointStoreNeedsRecover(t *testing.T) {
-	g := gen.RoadGrid(4, 4, 1)
-	_, _, err := engine.Run(context.Background(), g, queries.SSSP{}, queries.SSSPQuery{Source: 0},
-		engine.Options{Workers: 2, CheckpointStore: &epochLog{}})
-	if err == nil {
-		t.Fatal("CheckpointStore without Recover accepted")
-	}
-}
-
 // FuzzFaultRecovery derives a single-fault plan from the seed and asserts
 // the recovered run matches the failure-free one exactly.
 func FuzzFaultRecovery(f *testing.F) {

@@ -245,13 +245,14 @@ func (s *Server) maybeCompact(rg *residentGraph) {
 	}
 }
 
-// Close stops the background compactor and releases every durable store —
-// journals are closed and snapshot mappings unmapped, so graphs recovered
-// from mapped snapshots must not be used afterwards. Only meaningful on a
-// durable server; otherwise a no-op. Safe to call more than once.
+// Close stops admission, waits until every admitted run (abandoned ones
+// included) has released its slot, stops the compactor and closes every
+// durable store: graphs recovered from mapped snapshots must not be used
+// afterwards. Safe to call more than once.
 func (s *Server) Close() error {
 	var firstErr error
 	s.closeOnce.Do(func() {
+		s.sched.drain()
 		if s.compactStop != nil {
 			close(s.compactStop)
 			<-s.compactDone

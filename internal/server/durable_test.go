@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"grape/internal/engine"
 	"grape/internal/store"
 )
 
@@ -384,5 +385,91 @@ func TestDurableRecoverAllCancelledContext(t *testing.T) {
 	}
 	if got := graphEpochs(s2)["road"]; got != 3 {
 		t.Fatalf("road recovered at epoch %d under a cancelled context, want 3", got)
+	}
+}
+
+// gateProg is a fixture whose PEval signals gateEntered and then blocks until
+// gateRelease is closed, so a test can hold a run inside its run slot for as
+// long as it likes.
+type gateProg struct{}
+
+var (
+	gateEntered = make(chan struct{}, 64)
+	gateRelease chan struct{}
+)
+
+func (gateProg) Name() string                { return "server-gate" }
+func (gateProg) Spec() engine.VarSpec[int64] { return engine.VarSpec[int64]{} }
+
+func (gateProg) PEval(_ struct{}, _ *engine.Context[int64]) error {
+	gateEntered <- struct{}{}
+	<-gateRelease
+	return nil
+}
+
+func (gateProg) IncEval(struct{}, *engine.Context[int64]) error { return nil }
+
+func (gateProg) Assemble(struct{}, []*engine.Context[int64]) (int64, error) { return 0, nil }
+
+func init() {
+	engine.Register(engine.MakeEntry(engine.EntrySpec[struct{}, int64, int64]{
+		Prog:      gateProg{},
+		Parse:     func(string) (struct{}, error) { return struct{}{}, nil },
+		Canonical: func(struct{}) string { return "" },
+	}))
+}
+
+// TestDurableCloseWaitsForAbandonedRun: a cancelled query returns while its
+// run still holds a run slot, and the run may be reading a mapped snapshot.
+// Close must wait for that run to release its slot before it unmaps the
+// stores.
+func TestDurableCloseWaitsForAbandonedRun(t *testing.T) {
+	s := newDurableServer(t, t.TempDir(), Config{Workers: 2, MaxInFlight: 2, QueryTimeout: time.Minute})
+	gateRelease = make(chan struct{})
+	released := false
+	defer func() {
+		if !released {
+			close(gateRelease)
+		}
+	}()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	queried := make(chan error, 1)
+	go func() {
+		_, err := s.Query(ctx, QueryRequest{Graph: "road", Program: "server-gate"})
+		queried <- err
+	}()
+	select {
+	case <-gateEntered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("gated run never started")
+	}
+	cancel()
+	if err := <-queried; !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while an abandoned run still held its slot")
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(gateRelease)
+	released = true
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return after the run was released")
+	}
+	if _, inFlight := s.sched.gauges(); inFlight != 0 {
+		t.Fatalf("Close returned with %d runs in flight", inFlight)
+	}
+	if _, err := s.Query(context.Background(), QueryRequest{Graph: "road", Program: "sssp", Query: "source=0", NoCache: true}); err == nil {
+		t.Fatal("a closed server admitted a run")
 	}
 }

@@ -30,7 +30,7 @@ import (
 // not exactly one JSON value of the request's shape), 404 (unknown
 // graph/program), 413 (body over 1 MiB), 429 (admission queue full), 504
 // (deadline exceeded or client gone — the engine run is cancelled with the
-// request unless Config.DetachRuns) or 500 (run failure, or an answer JSON
+// request) or 500 (run failure, or an answer JSON
 // cannot carry, such as NaN factors from a diverged cf run: every request
 // for it gets the encoder's error, never a partial or empty 200).
 func (s *Server) Handler() http.Handler {

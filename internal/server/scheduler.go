@@ -10,6 +10,9 @@ import (
 // is already full — the server sheds load instead of buffering unboundedly.
 var ErrOverloaded = errors.New("server: overloaded: admission queue full")
 
+// errClosed refuses admission on a server that Close is shutting down.
+var errClosed = errors.New("server: closed")
+
 // scheduler is the server's admission controller: at most maxInFlight
 // queries run at once, at most maxQueue more wait in strict FIFO order, and
 // anything beyond that is rejected immediately. A waiter that gives up
@@ -20,11 +23,14 @@ type scheduler struct {
 	maxQueue    int
 	free        int // slots not running anyone
 	waiters     []*waiter
+	closed      bool      // drain has begun: admit no one
+	idle        sync.Cond // L is mu (set by drain); signalled when no run holds a slot
 }
 
 // waiter is one queued query. granted is written under the scheduler mutex:
 // release hands a slot directly to the head waiter, and a waiter that times
-// out at that exact moment must pass the slot on rather than leak it.
+// out at that exact moment must pass the slot on rather than leak it. A
+// waiter woken without granted was turned away by drain.
 type waiter struct {
 	ch      chan struct{}
 	granted bool
@@ -38,6 +44,10 @@ func newScheduler(maxInFlight, maxQueue int) *scheduler {
 // or ctx expires. On nil error the caller owns a slot and must release it.
 func (s *scheduler) acquire(ctx context.Context) error {
 	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return errClosed
+	}
 	if s.free > 0 {
 		s.free--
 		s.mu.Unlock()
@@ -53,6 +63,9 @@ func (s *scheduler) acquire(ctx context.Context) error {
 
 	select {
 	case <-w.ch:
+		if !w.granted {
+			return errClosed
+		}
 		return nil
 	case <-ctx.Done():
 		s.mu.Lock()
@@ -89,7 +102,26 @@ func (s *scheduler) release() {
 	if s.free < s.maxInFlight {
 		s.free++
 	}
+	if s.free == s.maxInFlight {
+		s.idle.Broadcast()
+	}
 	s.mu.Unlock()
+}
+
+// drain stops admission — queued and later acquires fail with errClosed —
+// and blocks until every admitted run has released its slot: at most
+// Config.QueryTimeout plus one superstep, as runs inherit their request's.
+func (s *scheduler) drain() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closed, s.idle.L = true, &s.mu
+	for _, w := range s.waiters {
+		close(w.ch)
+	}
+	s.waiters = nil
+	for s.free < s.maxInFlight {
+		s.idle.Wait()
+	}
 }
 
 // gauges reports the current queue depth and in-flight count.

@@ -120,14 +120,11 @@ func MeasureRunLatency(ctx context.Context, url string) (time.Duration, error) {
 // RunOverload is the overload scenario proper: nClients concurrent client
 // goroutines issue perClient uncached queries each; every other client
 // attaches the given per-request deadline (callers size it to a solo run's
-// latency: trivially met idle, hopeless under overload, so those requests
-// are abandoned moments after their runs start), the rest run unbounded. It returns goodput — successful queries
-// per second — and the fraction of requests that succeeded. With run
-// cancellation a doomed query frees its workers at the next superstep
-// barrier; with Config.DetachRuns it burns a run slot to convergence, and
-// the goodput gap between the two servers is the capacity the redesign
-// reclaims. A fixed request count (not a b.N ramp) keeps the measurement
-// out of the small-sample regime where one slow request dominates.
+// latency: trivially met idle, hopeless under overload, so those runs are
+// cancelled moments after they start), the rest run unbounded. It returns
+// goodput — successful queries per second — and the fraction of requests
+// that succeeded. A fixed request count (not a b.N ramp) keeps the
+// measurement out of the small-sample regime where one slow request dominates.
 func RunOverload(ctx context.Context, url string, nClients, perClient int, deadline time.Duration) (goodqps, goodfrac float64) {
 	var good atomic.Int64
 	start := time.Now()

@@ -53,14 +53,6 @@ type Config struct {
 	MaxQueue int
 	// QueryTimeout bounds one query's queue wait plus run. Default 60s.
 	QueryTimeout time.Duration
-	// DetachRuns restores the pre-cancellation behavior: a query whose
-	// client disconnected or whose deadline expired keeps its engine run
-	// alive to completion and still populates the result cache. The default
-	// (false) cancels the run instead — the abandoned query's workers stop
-	// within one superstep and the capacity goes to live queries, which is
-	// the right trade under overload (grape-bench's overload rows measure
-	// the difference).
-	DetachRuns bool
 	// CacheEntries sizes the result cache; < 0 disables it. Default 256.
 	CacheEntries int
 	// Durable, if non-nil, is the binary snapshot + journal store behind the
@@ -415,8 +407,7 @@ func (slot *layoutSlot) runnerFor(e engine.Entry, cfg Config) (engine.ResidentRu
 // the way down — queue wait (scheduler admission), then the engine fixpoint
 // itself — and is bounded by Config.QueryTimeout (or a sooner ctx deadline
 // or client disconnect): an abandoned run is cancelled at its next
-// superstep barrier and its workers freed, unless Config.DetachRuns opts
-// back into run-to-completion-and-cache.
+// superstep barrier and its workers freed.
 func (s *Server) Query(ctx context.Context, req QueryRequest) (*QueryResponse, error) {
 	start := time.Now()
 	resp, cached, err := s.query(ctx, req, start)
@@ -506,19 +497,16 @@ func (s *Server) query(ctx context.Context, req QueryRequest, start time.Time) (
 	// The run holds rg.mu for read end to end: a mutation can bump the
 	// epoch before or after this block, never during it, so the result is
 	// cached under exactly the epoch it was computed against. The run
-	// inherits the request context (unless DetachRuns), so a request that
-	// times out or disconnects takes its engine run down with it at the
-	// next superstep barrier; only completed runs reach the cache.
-	runCtx := ctx
-	if s.cfg.DetachRuns {
-		runCtx = context.WithoutCancel(ctx)
-	}
+	// inherits the request context, so a request that times out or
+	// disconnects takes its engine run down with it at the next superstep
+	// barrier; only completed runs reach the cache.
+	//
 	// Every engine run is flight-recorded: the recorder rides the run
 	// context, the engine fills it in, and the snapshot lands in the
 	// retention ring behind GET /debug/runs/{id} whether the run completed
 	// or failed — failed runs are exactly the ones worth inspecting.
 	rec := trace.NewRecorder(s.flight.NextID())
-	runCtx = trace.WithRecorder(runCtx, rec)
+	runCtx := trace.WithRecorder(ctx, rec)
 	if s.cfg.Logger != nil {
 		runCtx = trace.WithLogger(runCtx, s.cfg.Logger)
 	}

@@ -47,8 +47,8 @@ func TestEveryProgramCovered(t *testing.T) {
 		covered[c.program] = true
 	}
 	for _, e := range engine.Library() {
-		if e.Name == "server-spinner" {
-			continue // cancellation-test fixture registered by cancel_test.go
+		if e.Name == "server-spinner" || e.Name == "server-gate" {
+			continue // fixtures registered by cancel_test.go and durable_test.go
 		}
 		if !covered[e.Name] {
 			t.Errorf("registered program %q has no serving test case", e.Name)
