@@ -25,6 +25,7 @@ import (
 //	grape_compactions_total{graph=...}                                gauge
 //	grape_recovery_duration_seconds{graph=...}                        gauge
 //	grape_recovery_replayed_records{graph=...}                        gauge
+//	grape_unusable_snapshots_total                                    counter
 //	grape_request_duration_seconds                                    histogram
 //
 // The histogram re-expresses the power-of-two-microsecond buckets as
@@ -110,6 +111,8 @@ func (m *Serving) WritePrometheus(w io.Writer, queueDepth, inFlight int) error {
 		durGauge("grape_recovery_replayed_records", "Journal records replayed by the last crash recovery.",
 			func(d GraphDurability) float64 { return float64(d.Replayed) })
 	}
+
+	counter("grape_unusable_snapshots_total", "Graphs recovery left non-resident: durable state whose snapshots all fail validation.", m.unusable)
 
 	// Histogram: cumulative buckets with `le` in seconds.
 	fmt.Fprintf(bw, "# HELP grape_request_duration_seconds Request latency (queue wait included).\n# TYPE grape_request_duration_seconds histogram\n")

@@ -22,6 +22,7 @@ func TestWritePrometheusParses(t *testing.T) {
 	m.AddCacheEncodedBytes(600)
 	m.AddCacheEncodedBytes(400)
 	m.AddCacheEncodedBytes(-600)
+	m.ObserveUnusableSnapshot()
 
 	var buf bytes.Buffer
 	if err := m.WritePrometheus(&buf, 3, 2); err != nil {
@@ -48,6 +49,7 @@ func TestWritePrometheusParses(t *testing.T) {
 		`grape_response_bytes_total{kind="hit"}`:  1300,
 		`grape_response_bytes_total{kind="miss"}`: 700,
 		"grape_cache_encoded_bytes":               400,
+		"grape_unusable_snapshots_total":          1,
 		`grape_worker_imbalance{worker="0"}`:      1, // last run was cc: 5*2/10
 		`grape_worker_imbalance{worker="1"}`:      1,
 		"grape_request_duration_seconds_count":    3,

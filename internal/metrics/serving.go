@@ -40,8 +40,11 @@ type Serving struct {
 	imbalance  []float64
 
 	// Durable-store observability (SetDurability): per-graph journal length,
-	// snapshot epoch and the last recovery's cost, keyed by graph name.
-	durable map[string]GraphDurability
+	// snapshot epoch and the last recovery's cost, keyed by graph name; and
+	// the graphs recovery found durable state for but no snapshot that
+	// validates (ObserveUnusableSnapshot).
+	durable  map[string]GraphDurability
+	unusable uint64
 
 	// Answer-bytes observability: POST /query body bytes written, split by
 	// cache outcome (ObserveResponse), and the result encodings live cache
@@ -108,6 +111,14 @@ func (m *Serving) SetDurability(d GraphDurability) {
 		m.durable = make(map[string]GraphDurability)
 	}
 	m.durable[d.Graph] = d
+}
+
+// ObserveUnusableSnapshot records a graph whose durable state recovery could
+// not use: snapshots exist, none validates, and the graph stays non-resident.
+func (m *Serving) ObserveUnusableSnapshot() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.unusable++
 }
 
 const servingBuckets = 32
@@ -260,6 +271,10 @@ type ServingSnapshot struct {
 	// grape_journal_records / grape_journal_bytes / grape_snapshot_epoch /
 	// grape_recovery_duration_seconds (all labeled {graph=...}).
 	Durable []GraphDurability `json:"durable,omitempty"`
+	// UnusableSnapshots counts graphs recovery refused because no snapshot
+	// of theirs validates; mirrored on /metrics as
+	// grape_unusable_snapshots_total.
+	UnusableSnapshots uint64 `json:"unusable_snapshots,omitempty"`
 }
 
 // Snapshot copies the counters out. queueDepth and inFlight are the
@@ -279,6 +294,7 @@ func (m *Serving) Snapshot(queueDepth, inFlight int) ServingSnapshot {
 
 		ResponseBytesTotal: m.respBytes,
 		CacheEncodedBytes:  m.cacheEncoded,
+		UnusableSnapshots:  m.unusable,
 	}
 	if m.hits+m.misses > 0 {
 		s.CacheHitRate = float64(m.hits) / float64(m.hits+m.misses)

@@ -2,7 +2,6 @@ package server
 
 import (
 	"container/list"
-	"encoding/json"
 	"sync"
 )
 
@@ -67,11 +66,21 @@ func newResultCache(maxSize int, gauge func(delta int64)) *resultCache {
 }
 
 // encoded returns the JSON encoding of v's result, computed once — the only
-// place a result is encoded. An encoding error is as permanent as the bytes
-// would have been: every request for the answer gets it again.
+// place a result is encoded. The bytes are appendAnswer's (encode.go): byte
+// for byte what json.Marshal gives, written without reflection for the
+// map-shaped results, into pooled scratch and kept as an exact-size copy. An
+// encoding error is as permanent as the bytes would have been: every request
+// for the answer gets it again, with json.Marshal's message.
 func (c *resultCache) encoded(v *cacheVal) ([]byte, error) {
 	v.encOnce.Do(func() {
-		v.enc, v.encErr = json.Marshal(v.result)
+		sc := answerScratchPool.Get().(*answerScratch)
+		buf, err := appendAnswer(sc.buf[:0], v.result, sc)
+		if v.encErr = err; err == nil {
+			v.enc = make([]byte, len(buf))
+			copy(v.enc, buf)
+		}
+		sc.buf = buf[:0]
+		answerScratchPool.Put(sc)
 		if c == nil {
 			return
 		}

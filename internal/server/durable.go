@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"grape/internal/engine"
@@ -41,8 +42,12 @@ type RecoveryInfo struct {
 
 // RecoverAll recovers every graph with durable state, making each resident
 // at its pre-crash epoch. Call it once at startup, before serving traffic:
-// it is the only way durable state becomes resident. Graphs without durable
-// state are skipped (AddGraph makes them resident). Requires Config.Durable.
+// it is the only way durable state becomes resident. A directory holding no
+// snapshot is skipped (AddGraph makes that graph resident). A graph whose
+// snapshots all fail validation is not recovered either, but loudly: an
+// ERROR log record with the epoch and the reason, the unusable_snapshots
+// counter, and a 404 saying so for every request naming it. Requires
+// Config.Durable.
 func (s *Server) RecoverAll(ctx context.Context) ([]RecoveryInfo, error) {
 	if s.cfg.Durable == nil {
 		return nil, fmt.Errorf("server: RecoverAll without Config.Durable")
@@ -55,8 +60,12 @@ func (s *Server) RecoverAll(ctx context.Context) ([]RecoveryInfo, error) {
 	for _, name := range names {
 		rg, err := s.recoverGraph(ctx, name)
 		if err != nil {
+			if err == store.ErrNoSnapshot { // returned bare: no snapshot at all
+				continue
+			}
 			if errors.Is(err, store.ErrNoSnapshot) {
-				continue // directory exists but holds no usable state
+				s.refuseUnusable(name, err)
+				continue
 			}
 			return infos, fmt.Errorf("server: recovering %q: %w", name, err)
 		}
@@ -83,9 +92,35 @@ func (s *Server) RecoverAll(ctx context.Context) ([]RecoveryInfo, error) {
 	return infos, nil
 }
 
+// refuseUnusable keeps name non-resident because its snapshots exist but none
+// validates, and says so: to the log, to the counters, and (through
+// Server.resident) to every request naming the graph.
+func (s *Server) refuseUnusable(name string, err error) {
+	s.mu.Lock()
+	s.unusable[name] = err.Error()
+	s.mu.Unlock()
+	s.serving.ObserveUnusableSnapshot()
+	if lg := s.cfg.Logger; lg != nil {
+		lg.Error("snapshot unusable, graph not recovered", "graph", name, "epoch", unusableEpoch(err), "reason", err.Error())
+	}
+}
+
+// unusableEpoch is the epoch store.GraphStore.Open names in its reason for
+// refusing a graph's newest snapshot — "snapshot epoch N: …", or "journal for
+// epoch N: …" when the journal paired with it is the broken half — or 0.
+func unusableEpoch(err error) uint64 {
+	msg := err.Error()
+	var epoch uint64
+	if i := strings.Index(msg, "epoch "); i >= 0 {
+		_, _ = fmt.Sscan(msg[i+len("epoch "):], &epoch) // reads up to the ':'; no number leaves 0
+	}
+	return epoch
+}
+
 // recoverGraph opens name's durable state, replays its journal through the
 // session layer, and publishes the graph resident at its pre-crash epoch.
-// Returns store.ErrNoSnapshot (wrapped) when name has no durable state.
+// Returns store.ErrNoSnapshot bare when name's directory holds no snapshot,
+// and wrapped with the store's reason when none of its snapshots validates.
 func (s *Server) recoverGraph(ctx context.Context, name string) (*residentGraph, error) {
 	start := time.Now()
 	gs, err := s.cfg.Durable.Graph(name)

@@ -1,8 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,6 +17,7 @@ import (
 	"time"
 
 	"grape/internal/engine"
+	"grape/internal/metrics"
 	"grape/internal/store"
 )
 
@@ -471,5 +478,97 @@ func TestDurableCloseWaitsForAbandonedRun(t *testing.T) {
 	}
 	if _, err := s.Query(context.Background(), QueryRequest{Graph: "road", Program: "sssp", Query: "source=0", NoCache: true}); err == nil {
 		t.Fatal("a closed server admitted a run")
+	}
+}
+
+// TestDurableCorruptSnapshotIsLoud: a graph whose snapshots exist but none
+// validates is not recovered, and not silently either — an ERROR record with
+// the graph, epoch and reason, the unusable_snapshots counter on /stats and
+// /metrics, and a 404 that names the unusable snapshot. A directory holding
+// no snapshot at all is still skipped quietly.
+func TestDurableCorruptSnapshotIsLoud(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Workers: 4, Strategy: "hash"}
+	s := newDurableServer(t, dir, cfg)
+	if _, err := s.Mutate(context.Background(), "road", "", "", []EdgeJSON{{From: 0, To: 300, W: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	snaps, err := filepath.Glob(filepath.Join(dir, "road", "snap-*.grs"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshot files: %v %v", snaps, err)
+	}
+	data, err := os.ReadFile(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(snaps[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, "empty"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+
+	ds, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logs bytes.Buffer
+	cfg.Durable, cfg.Logger = ds, slog.New(slog.NewJSONHandler(&logs, nil))
+	s2 := New(cfg)
+	infos, err := s2.RecoverAll(context.Background())
+	if err != nil {
+		t.Fatalf("RecoverAll: %v", err)
+	}
+	for _, info := range infos {
+		if info.Graph == "road" || info.Graph == "empty" {
+			t.Fatalf("recovered %q: %+v", info.Graph, info)
+		}
+	}
+	h := s2.Handler()
+
+	for _, req := range []struct{ path, body string }{
+		{"/query", `{"graph":"road","program":"cc"}`},
+		{"/update", `{"graph":"road","edges":[{"from":0,"to":1,"w":1}]}`},
+	} {
+		rec := post(h, req.path, []byte(req.body))
+		if body := rec.Body.String(); rec.Code != http.StatusNotFound || !strings.Contains(body, "snapshot is unusable") ||
+			!strings.Contains(body, "snapshot epoch 1") || strings.Contains(body, "no graph") {
+			t.Errorf("POST %s naming the corrupt graph: %d %s", req.path, rec.Code, body)
+		}
+	}
+	if rec := post(h, "/query", []byte(`{"graph":"empty","program":"cc"}`)); !strings.Contains(rec.Body.String(), `no graph \"empty\" resident`) {
+		t.Errorf("query naming the empty directory: %d %s", rec.Code, rec.Body)
+	}
+
+	get := func(path string) []byte {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec.Body.Bytes()
+	}
+	var stats map[string]any
+	if err := json.Unmarshal(get("/stats"), &stats); err != nil || stats["unusable_snapshots"] != 1.0 {
+		t.Errorf("/stats unusable_snapshots = %v (err %v), want 1", stats["unusable_snapshots"], err)
+	}
+	samples, err := metrics.ParseExposition(get("/metrics"))
+	if err != nil || samples["grape_unusable_snapshots_total"] != 1 {
+		t.Errorf("/metrics grape_unusable_snapshots_total = %v (err %v), want 1", samples["grape_unusable_snapshots_total"], err)
+	}
+	s2.Close()
+
+	var loud []map[string]any
+	for _, line := range bytes.Split(bytes.TrimSpace(logs.Bytes()), []byte("\n")) {
+		var r map[string]any
+		if err := json.Unmarshal(line, &r); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		if r["level"] == "ERROR" {
+			loud = append(loud, r)
+		}
+	}
+	if len(loud) != 1 || loud[0]["graph"] != "road" || loud[0]["epoch"] != 1.0 ||
+		!strings.Contains(fmt.Sprint(loud[0]["reason"]), "checksum mismatch") {
+		t.Fatalf("ERROR records %v, want one naming road, epoch 1 and the checksum mismatch", loud)
 	}
 }

@@ -130,9 +130,11 @@ func statusOf(err error) int {
 // head (graph, epoch, program, canonical, cached) · the answer's encoded
 // result bytes, verbatim · envelope tail (stats, trace_id), under an exact
 // Content-Length. The result bytes are made once per computed answer
-// (resultCache.encoded), so nothing here grows with the result. The envelope
-// goes through encoding/json, which keeps the body byte-identical to encoding
-// a QueryResponse whole. Everything that can fail happens before a header is
+// (resultCache.encoded, by appendAnswer in encode.go: json.Marshal's bytes
+// and errors exactly, without reflection for the sssp, cc, sim and subiso
+// results), so nothing here grows with the result. The envelope goes through
+// encoding/json, which keeps the body byte-identical to encoding a
+// QueryResponse whole. Everything that can fail happens before a header is
 // committed.
 func (s *Server) writeAnswer(w http.ResponseWriter, r *QueryResponse) {
 	result, err := s.cache.encoded(r.answer)

@@ -148,6 +148,9 @@ type Server struct {
 	mu     sync.Mutex
 	graphs map[string]*residentGraph
 	gen    uint64 // generation counter for graph instances (cache-key scope)
+	// unusable maps the graphs RecoverAll refused — snapshots on disk, none
+	// valid — to the store's reason, which their 404s repeat.
+	unusable map[string]string
 
 	// Compactor lifecycle (durable.go); both nil without Config.Durable.
 	compactStop chan struct{}
@@ -216,11 +219,12 @@ type layoutSlot struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		sched:   newScheduler(cfg.MaxInFlight, cfg.MaxQueue),
-		serving: metrics.NewServing(),
-		flight:  trace.NewFlight(cfg.FlightRuns),
-		graphs:  make(map[string]*residentGraph),
+		cfg:      cfg,
+		sched:    newScheduler(cfg.MaxInFlight, cfg.MaxQueue),
+		serving:  metrics.NewServing(),
+		flight:   trace.NewFlight(cfg.FlightRuns),
+		graphs:   make(map[string]*residentGraph),
+		unusable: make(map[string]string),
 	}
 	s.cache = newResultCache(cfg.CacheEntries, s.serving.AddCacheEncodedBytes)
 	if cfg.Durable != nil {
@@ -330,16 +334,22 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 func (s *Server) Flight() *trace.Flight { return s.flight }
 
 // resident resolves name among the resident graphs. A graph becomes resident
-// only through AddGraph or RecoverAll; any other name is ErrNotFound, and
-// looking it up touches nothing on disk.
+// only through AddGraph or RecoverAll; any other name is ErrNotFound — which
+// for a graph RecoverAll refused says why — and looking it up touches nothing
+// on disk.
 func (s *Server) resident(name string) (*residentGraph, error) {
 	s.mu.Lock()
 	rg, ok := s.graphs[name]
+	reason, refused := s.unusable[name]
 	s.mu.Unlock()
-	if !ok {
+	switch {
+	case ok:
+		return rg, nil
+	case refused:
+		return nil, fmt.Errorf("%w: graph %q is not resident: its snapshot is unusable: %s", ErrNotFound, name, reason)
+	default:
 		return nil, fmt.Errorf("%w: no graph %q resident", ErrNotFound, name)
 	}
-	return rg, nil
 }
 
 // layoutFor returns the slot's layout, building it on first use. On a
