@@ -1,15 +1,14 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation.
-// Each benchmark corresponds to one entry of DESIGN.md's per-experiment
-// index; cmd/grape-bench prints the same data as formatted tables.
+// Each benchmark corresponds to one experiment of internal/experiments;
+// cmd/grape-bench prints the same data as formatted tables.
 //
 // Custom metrics reported alongside ns/op:
 //
-//	sim-ms/run   simulated cluster milliseconds under the BSP cost model
 //	comm-KB/run  bytes crossing worker boundaries
 //	steps/run    BSP supersteps
 //
-// Absolute wall times are single-core and meaningless for cluster claims;
-// the sim/comm/steps metrics carry the paper's shapes (see EXPERIMENTS.md).
+// Wall times come from one host and say nothing about a cluster; the
+// comm/steps counters are exact and carry the paper's shapes.
 package grape_test
 
 import (
@@ -46,8 +45,6 @@ func benchScale() experiments.Scale {
 
 func report(b *testing.B, st *metrics.Stats) {
 	b.Helper()
-	cm := metrics.DefaultCostModel()
-	b.ReportMetric(cm.SimSeconds(st)*1e3, "sim-ms/run")
 	b.ReportMetric(float64(st.Bytes)/1e3, "comm-KB/run")
 	b.ReportMetric(float64(st.Supersteps), "steps/run")
 }
@@ -65,7 +62,7 @@ func BenchmarkTable1SSSP(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var err error
 			_, st, err = vertexcentric.Run(g, vertexcentric.SSSPProgram{Source: 0},
-				vertexcentric.Config{Workers: workers, EngineName: "giraph-like"})
+				vertexcentric.Config{Workers: workers})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -77,7 +74,7 @@ func BenchmarkTable1SSSP(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var err error
 			_, st, err = vertexcentric.RunGAS(g, vertexcentric.GASSSSP{Source: 0},
-				vertexcentric.GASConfig{Workers: workers, EngineName: "graphlab-like"})
+				vertexcentric.GASConfig{Workers: workers})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -195,7 +192,7 @@ func BenchmarkBoundedIncEval(b *testing.B) {
 }
 
 // BenchmarkGPARMarketing is Fig. 4: GPAR customer discovery, one
-// sub-benchmark per worker count — more workers, smaller sim-ms.
+// sub-benchmark per worker count.
 func BenchmarkGPARMarketing(b *testing.B) {
 	sc := benchScale()
 	g := sc.Commerce()

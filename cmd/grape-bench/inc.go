@@ -122,8 +122,6 @@ func incRows(ctx context.Context, sc experiments.Scale) ([]benchRow, error) {
 func statRow(name string, ns int64, st *metrics.Stats) benchRow {
 	r := benchRow{Name: name, NsPerOp: ns}
 	if st != nil {
-		cm := metrics.DefaultCostModel()
-		r.SimMs = cm.SimSeconds(st) * 1e3
 		r.CommKB = float64(st.Bytes) / 1e3
 		r.Steps = st.Supersteps
 	}

@@ -22,14 +22,13 @@ import (
 )
 
 // benchRow is one workload of the machine-readable bench matrix: wall time
-// and allocation rate from testing.Benchmark, plus the BSP metrics (simulated
-// milliseconds, communication, supersteps) of the workload's last run.
+// and allocation rate from testing.Benchmark, plus the BSP counters
+// (communication, supersteps) of the workload's last run.
 type benchRow struct {
 	Name        string  `json:"name"`
 	NsPerOp     int64   `json:"ns_op"`
 	AllocsPerOp int64   `json:"allocs_op"`
 	BytesPerOp  int64   `json:"bytes_op"`
-	SimMs       float64 `json:"sim_ms"`
 	CommKB      float64 `json:"comm_kb"`
 	Steps       int     `json:"steps"`
 }
@@ -125,13 +124,11 @@ func benchStats(name string, run func() (*metrics.Stats, error)) (benchRow, erro
 	if runErr != nil {
 		return benchRow{}, fmt.Errorf("%s: %w", name, runErr)
 	}
-	cm := metrics.DefaultCostModel()
 	row := benchRow{
 		Name:        name,
 		NsPerOp:     r.NsPerOp(),
 		AllocsPerOp: r.AllocsPerOp(),
 		BytesPerOp:  r.AllocedBytesPerOp(),
-		SimMs:       cm.SimSeconds(last) * 1e3,
 		CommKB:      float64(last.Bytes) / 1e3,
 		Steps:       last.Supersteps,
 	}

@@ -1,5 +1,5 @@
 // Command grape-bench regenerates every table and figure of the paper's
-// evaluation from this reproduction (see DESIGN.md's per-experiment index):
+// evaluation from this reproduction, one internal/experiments function each:
 //
 //	table1     Table 1 — SSSP on the road network, four systems
 //	tablecc    Table 1 analogue for CC — four systems on the social graph
@@ -14,9 +14,8 @@
 //	gap        why Table 1's communication ratio grows with graph size
 //	all        everything above
 //
-// Numbers are simulated cluster seconds (BSP cost model over measured work
-// and traffic; see EXPERIMENTS.md for the calibration) plus measured
-// communication.
+// Numbers are exact counts: supersteps, critical-path work units, messages
+// and bytes crossing worker boundaries.
 package main
 
 import (
@@ -30,7 +29,6 @@ import (
 	"strings"
 
 	"grape/internal/experiments"
-	"grape/internal/metrics"
 )
 
 // stopProf flushes and closes the -cpuprofile, if one is running. exitIf
@@ -52,7 +50,7 @@ func main() {
 		cols     = flag.Int("cols", 128, "road grid cols")
 		socialN  = flag.Int("social", 20000, "social graph vertices")
 		seed     = flag.Int64("seed", 1, "dataset seed")
-		jsonOut  = flag.String("json", "", "write the bench matrix (ns/op, allocs/op, sim-ms, comm-KB, steps) as JSON to this file and exit")
+		jsonOut  = flag.String("json", "", "write the bench matrix (ns/op, allocs/op, comm-KB, steps) as JSON to this file and exit")
 		smoke    = flag.Bool("smoke", false, "with -json: reduced scale for CI smoke runs")
 		traceOut = flag.String("trace", "", "run each query class once and write a combined Chrome trace-event JSON file (open in Perfetto), then exit")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole bench run to this file (go tool pprof)")
@@ -110,26 +108,25 @@ func main() {
 		exitIf(runJSONBench(ctx, sc, *jsonOut))
 		return
 	}
-	cm := metrics.DefaultCostModel()
 	out := os.Stdout
 
 	run := func(name string) {
 		switch name {
 		case "table1":
-			rows, err := experiments.Table1(ctx, sc, *workers, cm)
+			rows, err := experiments.Table1(ctx, sc, *workers)
 			exitIf(err)
 			experiments.PrintRows(out, fmt.Sprintf("Table 1: SSSP on road network (%dx%d grid, %d workers)", sc.RoadRows, sc.RoadCols, *workers), rows)
-			fmt.Fprintln(out, "paper shape: GRAPE << Blogel << GraphLab ~ Giraph in time; GRAPE ships orders of magnitude less data")
+			fmt.Fprintln(out, "paper shape: GRAPE < Blogel < GraphLab, Giraph in supersteps, messages and MB; GRAPE ships orders of magnitude less data")
 		case "partition":
-			rows, err := experiments.PartitionImpact(ctx, sc, 16, cm)
+			rows, err := experiments.PartitionImpact(ctx, sc, 16)
 			exitIf(err)
 			experiments.PrintRows(out, "Partition impact: SSSP on social graph, 16 workers (paper: METIS 18.3s/7.5M msgs vs streaming 30s/40M)", rows)
 		case "scaleup":
-			rows, err := experiments.ScaleUp(ctx, sc, []int{4, 8, 16, 24, 32}, cm)
+			rows, err := experiments.ScaleUp(ctx, sc, []int{4, 8, 16, 24, 32})
 			exitIf(err)
 			experiments.PrintRows(out, "Scale-up: GRAPE SSSP and CC, growing workers (Fig. 3(4))", rows)
 		case "bounded":
-			bounded, recompute, steps, err := experiments.BoundedIncEval(ctx, sc, *workers, cm)
+			bounded, recompute, steps, err := experiments.BoundedIncEval(ctx, sc, *workers)
 			exitIf(err)
 			experiments.PrintRows(out, "Bounded IncEval vs recompute (Example 1(d))", []experiments.Row{bounded, recompute})
 			fmt.Fprintln(out, "per-superstep critical-path work (bounded vs recompute; fragment ≈", steps[0].FragmentSz, "vertices):")
@@ -137,27 +134,27 @@ func main() {
 				fmt.Fprintf(out, "  superstep %3d: bounded %8d   recompute %8d\n", s.Superstep, s.MaxWork, s.RecomputeWork)
 			}
 		case "gpar":
-			rows, err := experiments.GPARScale(ctx, sc, []int{1, 2, 4, 8, 16}, cm)
+			rows, err := experiments.GPARScale(ctx, sc, []int{1, 2, 4, 8, 16})
 			exitIf(err)
 			experiments.PrintRows(out, "GPAR social-media marketing (Fig. 4): more workers, faster", rows)
 		case "simtheorem":
-			rows, err := experiments.SimTheorem(ctx, sc, 8, cm)
+			rows, err := experiments.SimTheorem(ctx, sc, 8)
 			exitIf(err)
 			experiments.PrintRows(out, "Simulation Theorem: Pregel programs on GRAPE, superstep parity", rows)
 		case "index":
-			rows, err := experiments.IndexAblation(ctx, sc, 8, cm)
+			rows, err := experiments.IndexAblation(ctx, sc, 8)
 			exitIf(err)
 			experiments.PrintRows(out, "Graph-level optimization: keyword search with/without inverted index", rows)
 		case "library":
-			rows, err := experiments.QueryLibrary(ctx, sc, 8, cm)
+			rows, err := experiments.QueryLibrary(ctx, sc, 8)
 			exitIf(err)
 			experiments.PrintRows(out, "Query-class library: all six registered PIE programs", rows)
 		case "tablecc":
-			rows, err := experiments.TableCC(ctx, sc, *workers, cm)
+			rows, err := experiments.TableCC(ctx, sc, *workers)
 			exitIf(err)
 			experiments.PrintRows(out, "Table 1 analogue for CC: four systems on the social graph", rows)
 		case "reuse":
-			perQuery, reused, err := experiments.LayoutReuse(ctx, sc, 16, 8, cm)
+			perQuery, reused, err := experiments.LayoutReuse(ctx, sc, 16, 8)
 			exitIf(err)
 			experiments.PrintRows(out, "Partition Manager amortization: 8 queries, partition per query vs once", []experiments.Row{perQuery, reused})
 		case "gap":

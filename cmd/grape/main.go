@@ -166,9 +166,8 @@ func main() {
 	}
 
 	printResult(*program, res)
-	cm := grape.DefaultCostModel()
-	fmt.Printf("\nanalytics: %d workers, %d supersteps, %d messages, %.4f MB, %.4f simulated s (wall %v)\n",
-		stats.Workers, stats.Supersteps, stats.Messages, stats.MB(), cm.SimSeconds(stats), stats.WallTime)
+	fmt.Printf("\nanalytics: %d workers, %d supersteps, %d messages, %.4f MB (wall %v)\n",
+		stats.Workers, stats.Supersteps, stats.Messages, stats.MB(), stats.WallTime)
 	for _, r := range stats.Recoveries {
 		fmt.Printf("recovered: fragment %d reassigned to worker %d at superstep %d\n", r.Fragment, r.Host, r.Superstep)
 	}

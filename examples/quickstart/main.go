@@ -28,9 +28,8 @@ func main() {
 	fmt.Printf("distance to opposite corner (%d): %.2f\n", corner, dists[corner])
 	fmt.Printf("reached %d vertices\n", len(dists))
 
-	cm := grape.DefaultCostModel()
-	fmt.Printf("run: %d supersteps, %d messages, %.4f MB shipped, %.4f simulated s (wall %v)\n",
-		stats.Supersteps, stats.Messages, stats.MB(), cm.SimSeconds(stats), stats.WallTime)
+	fmt.Printf("run: %d supersteps, %d messages, %.4f MB shipped (wall %v)\n",
+		stats.Supersteps, stats.Messages, stats.MB(), stats.WallTime)
 
 	// The same engine, different partition strategy: structure-aware
 	// partitioning cuts communication (the Section 3 partition experiment).

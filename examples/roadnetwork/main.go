@@ -23,10 +23,9 @@ func main() {
 
 	g := grape.RoadGrid(*rows, *cols, *seed)
 	fmt.Printf("road network: %d intersections, %d segments\n\n", g.NumVertices(), g.NumEdges())
-	cm := grape.DefaultCostModel()
 
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "workers\tstrategy\tsupersteps\tsim seconds\tcomm MB\tmessages")
+	fmt.Fprintln(tw, "workers\tstrategy\tsupersteps\tcrit work\tcomm MB\tmessages")
 	for _, n := range []int{4, 8, 16, 24} {
 		for _, name := range []string{"hash", "metis", "2d"} {
 			strat, err := grape.StrategyByName(name)
@@ -37,8 +36,8 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			fmt.Fprintf(tw, "%d\t%s\t%d\t%.4f\t%.4f\t%d\n",
-				n, name, st.Supersteps, cm.SimSeconds(st), st.MB(), st.Messages)
+			fmt.Fprintf(tw, "%d\t%s\t%d\t%d\t%.4f\t%d\n",
+				n, name, st.Supersteps, st.CriticalWork(), st.MB(), st.Messages)
 		}
 	}
 	tw.Flush()

@@ -43,14 +43,13 @@ func main() {
 	fmt.Printf("  matching ran in %d superstep(s), %.4f MB shipped\n\n", stats.Supersteps, stats.MB())
 
 	// Fig. 4's guarantee: the more workers, the faster.
-	cm := grape.DefaultCostModel()
-	fmt.Println("scale-up (simulated seconds for the matching phase):")
+	fmt.Println("scale-up (critical-path work units for the matching phase):")
 	for _, n := range []int{1, 2, 4, 8, 16} {
 		_, st, err := grape.EvalRule(context.Background(), g, rule, grape.Options{Workers: n})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  %2d workers: %.4f s\n", n, cm.SimSeconds(st))
+		fmt.Printf("  %2d workers: %d\n", n, st.CriticalWork())
 	}
 
 	// Beyond evaluating a hand-written rule: mine the rule set itself and

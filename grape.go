@@ -62,8 +62,6 @@ type (
 	// Stats reports what a run measured: supersteps, per-worker work,
 	// messages and bytes shipped, wall time.
 	Stats = metrics.Stats
-	// CostModel converts Stats into simulated cluster seconds.
-	CostModel = metrics.CostModel
 	// Strategy is a graph partitioner.
 	Strategy = partition.Strategy
 	// Entry is a PIE program registered in the library.
@@ -147,9 +145,6 @@ func New() *Graph { return graph.New() }
 
 // NewUndirected returns an empty undirected graph.
 func NewUndirected() *Graph { return graph.NewUndirected() }
-
-// DefaultCostModel returns the calibration documented in EXPERIMENTS.md.
-func DefaultCostModel() CostModel { return metrics.DefaultCostModel() }
 
 // Strategies lists the built-in partition strategies (hash, range, fennel,
 // metis-like, 2d).

@@ -114,7 +114,6 @@ type Config struct {
 	Strategy        partition.Strategy // worker-level partition; default hash
 	BlocksPerWorker int                // target number of blocks per worker; default 8
 	MaxSupersteps   int
-	EngineName      string // default "blogel"
 }
 
 // Run executes the block-centric program and returns the vertex values.
@@ -131,16 +130,12 @@ func Run(g *graph.Graph, prog Program, cfg Config) (map[graph.ID]float64, *metri
 	if cfg.MaxSupersteps == 0 {
 		cfg.MaxSupersteps = 1 << 20
 	}
-	name := cfg.EngineName
-	if name == "" {
-		name = "blogel"
-	}
 	start := time.Now()
 	asg, err := cfg.Strategy.Partition(g, cfg.Workers)
 	if err != nil {
 		return nil, nil, err
 	}
-	stats := &metrics.Stats{Engine: name + "/" + prog.Name(), Workers: cfg.Workers}
+	stats := &metrics.Stats{Workers: cfg.Workers}
 
 	nv := g.NumVertices()
 	blocks := buildBlocks(g, asg, cfg.BlocksPerWorker)

@@ -130,7 +130,7 @@ func fixpoint[Q, V, R any](ctx context.Context, layout *partition.Layout, prog P
 
 	start := time.Now()
 	tr := sub.link()
-	stats := &metrics.Stats{Engine: "grape/" + prog.Name(), Workers: n}
+	stats := &metrics.Stats{Workers: n}
 	where := "bus"
 	if tr.Wire() {
 		where, stats.Transport = "wire", "wire"

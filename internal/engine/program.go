@@ -346,8 +346,7 @@ func (c *Context[V]) VarsAt(f func(i int32, v V)) {
 }
 
 // AddWork charges n elementary work units (heap operation, edge relaxation,
-// …) to this worker in the current superstep; the cost model converts work
-// into simulated time.
+// …) to this worker in the current superstep; Stats.WorkPerStep records it.
 func (c *Context[V]) AddWork(n int64) { c.work += n }
 
 // KeepActive asks the engine to schedule this worker again next superstep

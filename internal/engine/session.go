@@ -539,7 +539,7 @@ func (s *Session[Q, V, R]) patchBatch(ups []EdgeUpdate) (R, *metrics.Stats, erro
 		}
 		s.patch = st
 	}
-	stats := &metrics.Stats{Engine: "grape/" + s.prog.Name(), Workers: len(s.layout.Fragments), WallTime: time.Since(start)}
+	stats := &metrics.Stats{Workers: len(s.layout.Fragments), WallTime: time.Since(start)}
 	res, err := s.patcher.PatchResult(s.q, s.patch)
 	if err != nil {
 		s.broken = true

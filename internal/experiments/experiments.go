@@ -6,12 +6,11 @@
 // cmd/grape-bench prints them; bench_test.go wraps them in testing.B; tests
 // assert their qualitative shape (who wins, what grows, what shrinks).
 //
-// Times are simulated cluster seconds from metrics.CostModel (see that
-// package for why), communication is measured bytes crossing the worker
-// boundary, supersteps and work units are exact counts. All experiments run
-// on the in-process bus so byte columns stay comparable across engines; the
-// socket transport (internal/transport) reports measured encodings instead
-// and is exercised by its own equivalence and smoke tests.
+// Every column is an exact count: supersteps, messages and bytes crossing
+// the worker boundary, and work units (total and critical path). All
+// experiments run on the in-process bus so byte columns stay comparable
+// across engines; the socket transport (internal/transport) reports measured
+// encodings instead and is exercised by its own equivalence and smoke tests.
 package experiments
 
 import (
@@ -43,7 +42,8 @@ type Scale struct {
 	Seed               int64 // master seed
 }
 
-// DefaultScale is the calibration recorded in EXPERIMENTS.md.
+// DefaultScale is the scale cmd/grape-bench runs unless its flags say
+// otherwise.
 func DefaultScale() Scale {
 	return Scale{
 		RoadRows: 128, RoadCols: 128,
@@ -69,25 +69,26 @@ func (s Scale) Commerce() *graph.Graph {
 	})
 }
 
-// Row is one line of an experiment report.
+// Row is one line of an experiment report. It carries no time column: each
+// engine's Stats.WallTime covers a different span (GRAPE's starts at the
+// fixpoint, the baselines' include partitioning and block building).
 type Row struct {
 	System     string
 	Category   string
 	Workers    int
 	Supersteps int
-	SimSeconds float64
 	CommMB     float64
 	Messages   int64
 	Work       int64 // total over all workers and supersteps
 	// CriticalWork is the busiest worker's work summed over the supersteps:
-	// the compute the cost model charges.
+	// the BSP critical path.
 	CriticalWork int64
 	Note         string
 }
 
 func (r Row) String() string {
-	return fmt.Sprintf("%-20s %-22s %3dw %6d steps %14.4f sim-s %12.4f MB %12d msgs  %s",
-		r.System, r.Category, r.Workers, r.Supersteps, r.SimSeconds, r.CommMB, r.Messages, r.Note)
+	return fmt.Sprintf("%-20s %-22s %3dw %6d steps %14d crit-work %12.4f MB %12d msgs  %s",
+		r.System, r.Category, r.Workers, r.Supersteps, r.CriticalWork, r.CommMB, r.Messages, r.Note)
 }
 
 // PrintRows writes rows under a header.
@@ -98,13 +99,12 @@ func PrintRows(w io.Writer, title string, rows []Row) {
 	}
 }
 
-func rowFromStats(system, category string, st *metrics.Stats, cm metrics.CostModel, note string) Row {
+func rowFromStats(system, category string, st *metrics.Stats, note string) Row {
 	return Row{
 		System:       system,
 		Category:     category,
 		Workers:      st.Workers,
 		Supersteps:   st.Supersteps,
-		SimSeconds:   cm.SimSeconds(st),
 		CommMB:       st.MB(),
 		Messages:     st.Messages,
 		Work:         st.TotalWork(),
@@ -120,23 +120,23 @@ func rowFromStats(system, category string, st *metrics.Stats, cm metrics.CostMod
 // partition (Blogel brings its Voronoi blocks, GRAPE lets the user pick —
 // this is exactly the paper's point (3) about inheriting graph-level
 // optimizations).
-func Table1(ctx context.Context, sc Scale, workers int, cm metrics.CostModel) ([]Row, error) {
+func Table1(ctx context.Context, sc Scale, workers int) ([]Row, error) {
 	g := sc.Road()
 	src := graph.ID(0)
 	var rows []Row
 
 	if _, st, err := vertexcentric.Run(g, vertexcentric.SSSPProgram{Source: src},
-		vertexcentric.Config{Workers: workers, EngineName: "giraph-like"}); err != nil {
+		vertexcentric.Config{Workers: workers}); err != nil {
 		return nil, err
 	} else {
-		rows = append(rows, rowFromStats("Giraph-like", "vertex-centric", st, cm, "hash partition, no combiner"))
+		rows = append(rows, rowFromStats("Giraph-like", "vertex-centric", st, "hash partition, no combiner"))
 	}
 
 	if _, st, err := vertexcentric.RunGAS(g, vertexcentric.GASSSSP{Source: src},
-		vertexcentric.GASConfig{Workers: workers, EngineName: "graphlab-like"}); err != nil {
+		vertexcentric.GASConfig{Workers: workers}); err != nil {
 		return nil, err
 	} else {
-		rows = append(rows, rowFromStats("GraphLab-like", "vertex-centric (GAS)", st, cm, "hash partition, sync engine"))
+		rows = append(rows, rowFromStats("GraphLab-like", "vertex-centric (GAS)", st, "hash partition, sync engine"))
 	}
 
 	spatial := partition.TwoD{Cols: sc.RoadCols} // the best built-in for grids
@@ -144,14 +144,14 @@ func Table1(ctx context.Context, sc Scale, workers int, cm metrics.CostModel) ([
 		blockcentric.Config{Workers: workers, Strategy: spatial, BlocksPerWorker: 8}); err != nil {
 		return nil, err
 	} else {
-		rows = append(rows, rowFromStats("Blogel-like", "block-centric", st, cm, "2D parts, 8 blocks/worker"))
+		rows = append(rows, rowFromStats("Blogel-like", "block-centric", st, "2D parts, 8 blocks/worker"))
 	}
 
 	if _, st, err := engine.Run(ctx, g, queries.SSSP{}, queries.SSSPQuery{Source: src},
 		engine.Options{Workers: workers, Strategy: spatial}); err != nil {
 		return nil, err
 	} else {
-		rows = append(rows, rowFromStats("GRAPE", "auto-parallelization", st, cm, "2D parts, PIE/SSSP"))
+		rows = append(rows, rowFromStats("GRAPE", "auto-parallelization", st, "2D parts, PIE/SSSP"))
 	}
 	return rows, nil
 }
@@ -161,7 +161,7 @@ func Table1(ctx context.Context, sc Scale, workers int, cm metrics.CostModel) ([
 // reports 18.3 s / 7.5M messages with METIS vs 30 s / 40M messages with
 // stream-based partitioning on 16 nodes; the shape is "better cut ⇒ fewer
 // messages and less time".
-func PartitionImpact(ctx context.Context, sc Scale, workers int, cm metrics.CostModel) ([]Row, error) {
+func PartitionImpact(ctx context.Context, sc Scale, workers int) ([]Row, error) {
 	g := sc.Social()
 	var rows []Row
 	for _, strat := range []partition.Strategy{partition.MetisLike{}, partition.Fennel{}, partition.Hash{}} {
@@ -175,19 +175,18 @@ func PartitionImpact(ctx context.Context, sc Scale, workers int, cm metrics.Cost
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, rowFromStats("GRAPE/"+strat.Name(), "partition impact", st, cm,
+		rows = append(rows, rowFromStats("GRAPE/"+strat.Name(), "partition impact", st,
 			fmt.Sprintf("edge cut %d (%.1f%%), border %d", q.EdgeCut, 100*q.CutFraction, q.BorderNodes)))
 	}
 	return rows, nil
 }
 
 // ScaleUp reproduces the Fig. 3(4) analytics: GRAPE SSSP and CC as the
-// worker count grows. Simulated time falls while the per-fragment compute
-// dominates the superstep barrier — which requires fragments big enough to
-// be compute-bound, so this experiment runs on a 2x-per-side (4x vertices)
-// road grid relative to sc. Communication grows slowly with workers (border
-// size follows the partition perimeter).
-func ScaleUp(ctx context.Context, sc Scale, workerCounts []int, cm metrics.CostModel) ([]Row, error) {
+// worker count grows. The critical-path work falls as fragments shrink; the
+// experiment runs on a 2x-per-side (4x vertices) road grid relative to sc so
+// fragments stay large at every worker count. Communication grows slowly
+// with workers (border size follows the partition perimeter).
+func ScaleUp(ctx context.Context, sc Scale, workerCounts []int) ([]Row, error) {
 	g := gen.RoadGrid(2*sc.RoadRows, 2*sc.RoadCols, sc.Seed)
 	spatial := partition.TwoD{Cols: 2 * sc.RoadCols}
 	var rows []Row
@@ -197,7 +196,7 @@ func ScaleUp(ctx context.Context, sc Scale, workerCounts []int, cm metrics.CostM
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, rowFromStats("GRAPE/sssp", "scale-up", st, cm, ""))
+		rows = append(rows, rowFromStats("GRAPE/sssp", "scale-up", st, ""))
 	}
 	for _, n := range workerCounts {
 		_, st, err := engine.Run(ctx, g, queries.CC{}, queries.CCQuery{},
@@ -205,7 +204,7 @@ func ScaleUp(ctx context.Context, sc Scale, workerCounts []int, cm metrics.CostM
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, rowFromStats("GRAPE/cc", "scale-up", st, cm, ""))
+		rows = append(rows, rowFromStats("GRAPE/cc", "scale-up", st, ""))
 	}
 	return rows, nil
 }
@@ -225,7 +224,7 @@ type BoundedRow struct {
 // BoundedIncEval contrasts GRAPE's bounded IncEval with a recompute-from-
 // scratch variant on the same layout: total work and the per-superstep decay
 // demonstrate the boundedness claim of Example 1.
-func BoundedIncEval(ctx context.Context, sc Scale, workers int, cm metrics.CostModel) (bounded, recompute Row, steps []BoundedRow, err error) {
+func BoundedIncEval(ctx context.Context, sc Scale, workers int) (bounded, recompute Row, steps []BoundedRow, err error) {
 	g := sc.Road()
 	asg, err := partition.MetisLike{}.Partition(g, workers)
 	if err != nil {
@@ -241,8 +240,8 @@ func BoundedIncEval(ctx context.Context, sc Scale, workers int, cm metrics.CostM
 	if err != nil {
 		return
 	}
-	bounded = rowFromStats("GRAPE/inc-eval", "bounded IncEval", stB, cm, "Ramalingam-Reps relaxation")
-	recompute = rowFromStats("GRAPE/recompute", "full re-PEval each round", stR, cm, "Dijkstra from scratch per superstep")
+	bounded = rowFromStats("GRAPE/inc-eval", "bounded IncEval", stB, "Ramalingam-Reps relaxation")
+	recompute = rowFromStats("GRAPE/recompute", "full re-PEval each round", stR, "Dijkstra from scratch per superstep")
 	avgFrag := g.NumVertices() / workers
 	maxAt := func(st *metrics.Stats, r int) int64 {
 		if r >= len(st.WorkPerStep) {
@@ -273,7 +272,7 @@ func BoundedIncEval(ctx context.Context, sc Scale, workers int, cm metrics.CostM
 
 // GPARScale reproduces the Fig. 4 claim: the more workers, the faster GRAPE
 // finds potential customers.
-func GPARScale(ctx context.Context, sc Scale, workerCounts []int, cm metrics.CostModel) ([]Row, error) {
+func GPARScale(ctx context.Context, sc Scale, workerCounts []int) ([]Row, error) {
 	g := sc.Commerce()
 	rule := gpar.Example2Rule(0.8)
 	var rows []Row
@@ -282,7 +281,7 @@ func GPARScale(ctx context.Context, sc Scale, workerCounts []int, cm metrics.Cos
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, rowFromStats("GRAPE/gpar", "social marketing", st, cm,
+		rows = append(rows, rowFromStats("GRAPE/gpar", "social marketing", st,
 			fmt.Sprintf("candidates %d, confidence %.2f", len(res.Candidates), res.Confidence)))
 	}
 	return rows, nil
@@ -290,7 +289,7 @@ func GPARScale(ctx context.Context, sc Scale, workerCounts []int, cm metrics.Cos
 
 // SimTheorem verifies the Simulation Theorem operationally: a vertex program
 // runs under GRAPE with the same superstep count as natively.
-func SimTheorem(ctx context.Context, sc Scale, workers int, cm metrics.CostModel) ([]Row, error) {
+func SimTheorem(ctx context.Context, sc Scale, workers int) ([]Row, error) {
 	g := sc.Social()
 	var rows []Row
 
@@ -298,30 +297,30 @@ func SimTheorem(ctx context.Context, sc Scale, workers int, cm metrics.CostModel
 	if err != nil {
 		return nil, err
 	}
-	rows = append(rows, rowFromStats("Pregel native", "simulation theorem", stN, cm, "sssp"))
+	rows = append(rows, rowFromStats("Pregel native", "simulation theorem", stN, "sssp"))
 	_, stS, err := simulate.Run(ctx, g, vertexcentric.SSSPProgram{Source: 0}, engine.Options{Workers: workers})
 	if err != nil {
 		return nil, err
 	}
-	rows = append(rows, rowFromStats("Pregel on GRAPE", "simulation theorem", stS, cm, "sssp"))
+	rows = append(rows, rowFromStats("Pregel on GRAPE", "simulation theorem", stS, "sssp"))
 
 	pr := vertexcentric.PageRankProgram{Damping: 0.85, Iters: 10, N: g.NumVertices()}
 	_, stN2, err := vertexcentric.Run(g, pr, vertexcentric.Config{Workers: workers})
 	if err != nil {
 		return nil, err
 	}
-	rows = append(rows, rowFromStats("Pregel native", "simulation theorem", stN2, cm, "pagerank"))
+	rows = append(rows, rowFromStats("Pregel native", "simulation theorem", stN2, "pagerank"))
 	_, stS2, err := simulate.Run(ctx, g, pr, engine.Options{Workers: workers})
 	if err != nil {
 		return nil, err
 	}
-	rows = append(rows, rowFromStats("Pregel on GRAPE", "simulation theorem", stS2, cm, "pagerank"))
+	rows = append(rows, rowFromStats("Pregel on GRAPE", "simulation theorem", stS2, "pagerank"))
 	return rows, nil
 }
 
 // IndexAblation reproduces experiment E9: keyword search PEval work with and
 // without the Index Manager's inverted index.
-func IndexAblation(ctx context.Context, sc Scale, workers int, cm metrics.CostModel) ([]Row, error) {
+func IndexAblation(ctx context.Context, sc Scale, workers int) ([]Row, error) {
 	g := sc.Social()
 	vocab := []string{"db", "graph", "ml", "sys", "net"}
 	gen.AttachKeywords(g, vocab, 2, 0.05, sc.Seed)
@@ -331,19 +330,19 @@ func IndexAblation(ctx context.Context, sc Scale, workers int, cm metrics.CostMo
 	if err != nil {
 		return nil, err
 	}
-	rows = append(rows, rowFromStats("GRAPE/keyword+index", "graph-level optimization", stI, cm, "inverted index"))
+	rows = append(rows, rowFromStats("GRAPE/keyword+index", "graph-level optimization", stI, "inverted index"))
 	q.UseIndex = false
 	_, stS, err := engine.Run(ctx, g, queries.Keyword{}, q, engine.Options{Workers: workers})
 	if err != nil {
 		return nil, err
 	}
-	rows = append(rows, rowFromStats("GRAPE/keyword-scan", "graph-level optimization", stS, cm, "full property scan"))
+	rows = append(rows, rowFromStats("GRAPE/keyword-scan", "graph-level optimization", stS, "full property scan"))
 	return rows, nil
 }
 
 // QueryLibrary runs all six registered query classes end to end — the
 // Section 3 walk-through — and reports one row each.
-func QueryLibrary(ctx context.Context, sc Scale, workers int, cm metrics.CostModel) ([]Row, error) {
+func QueryLibrary(ctx context.Context, sc Scale, workers int) ([]Row, error) {
 	var rows []Row
 
 	road := sc.Road()
@@ -351,13 +350,13 @@ func QueryLibrary(ctx context.Context, sc Scale, workers int, cm metrics.CostMod
 		engine.Options{Workers: workers, Strategy: partition.MetisLike{}}); err != nil {
 		return nil, err
 	} else {
-		rows = append(rows, rowFromStats("sssp", "query library", st, cm, "road grid"))
+		rows = append(rows, rowFromStats("sssp", "query library", st, "road grid"))
 	}
 	if _, st, err := engine.Run(ctx, road, queries.CC{}, queries.CCQuery{},
 		engine.Options{Workers: workers, Strategy: partition.MetisLike{}}); err != nil {
 		return nil, err
 	} else {
-		rows = append(rows, rowFromStats("cc", "query library", st, cm, "road grid"))
+		rows = append(rows, rowFromStats("cc", "query library", st, "road grid"))
 	}
 
 	commerce := sc.Commerce()
@@ -369,13 +368,13 @@ func QueryLibrary(ctx context.Context, sc Scale, workers int, cm metrics.CostMod
 		engine.Options{Workers: workers}); err != nil {
 		return nil, err
 	} else {
-		rows = append(rows, rowFromStats("sim", "query library", st, cm, "social commerce"))
+		rows = append(rows, rowFromStats("sim", "query library", st, "social commerce"))
 	}
 	if _, st, err := queries.RunSubIso(ctx, commerce, queries.SubIsoQuery{Pattern: p},
 		engine.Options{Workers: workers}); err != nil {
 		return nil, err
 	} else {
-		rows = append(rows, rowFromStats("subiso", "query library", st, cm, "social commerce"))
+		rows = append(rows, rowFromStats("subiso", "query library", st, "social commerce"))
 	}
 
 	kwg := sc.Social()
@@ -385,7 +384,7 @@ func QueryLibrary(ctx context.Context, sc Scale, workers int, cm metrics.CostMod
 		engine.Options{Workers: workers}); err != nil {
 		return nil, err
 	} else {
-		rows = append(rows, rowFromStats("keyword", "query library", st, cm, "social + keywords"))
+		rows = append(rows, rowFromStats("keyword", "query library", st, "social + keywords"))
 	}
 
 	ratings := gen.Ratings(gen.RatingsConfig{Users: sc.Users, Items: sc.Items, RatingsPerUser: 12, Factors: 4, Noise: 0.1, Seed: sc.Seed})
@@ -393,7 +392,7 @@ func QueryLibrary(ctx context.Context, sc Scale, workers int, cm metrics.CostMod
 	if res, st, err := engine.Run(ctx, ratings, queries.CF{}, cfg, engine.Options{Workers: workers}); err != nil {
 		return nil, err
 	} else {
-		rows = append(rows, rowFromStats("cf", "query library", st, cm, fmt.Sprintf("RMSE %.3f", res.RMSE)))
+		rows = append(rows, rowFromStats("cf", "query library", st, fmt.Sprintf("RMSE %.3f", res.RMSE)))
 	}
 	return rows, nil
 }

@@ -20,34 +20,34 @@ import (
 // graph on all four engines. Vertex-centric CC floods labels vertex by
 // vertex; the block- and fragment-based systems collapse whole regions per
 // superstep.
-func TableCC(ctx context.Context, sc Scale, workers int, cm metrics.CostModel) ([]Row, error) {
+func TableCC(ctx context.Context, sc Scale, workers int) ([]Row, error) {
 	g := sc.Social()
 	sym := g.Symmetrized() // engines that flood along out-edges need mirrors
 	var rows []Row
 
 	if _, st, err := vertexcentric.Run(g, vertexcentric.CCProgram{},
-		vertexcentric.Config{Workers: workers, EngineName: "giraph-like"}); err != nil {
+		vertexcentric.Config{Workers: workers}); err != nil {
 		return nil, err
 	} else {
-		rows = append(rows, rowFromStats("Giraph-like", "vertex-centric", st, cm, "min-label flooding"))
+		rows = append(rows, rowFromStats("Giraph-like", "vertex-centric", st, "min-label flooding"))
 	}
 	if _, st, err := vertexcentric.RunGAS(sym, vertexcentric.GASCC{},
-		vertexcentric.GASConfig{Workers: workers, EngineName: "graphlab-like"}); err != nil {
+		vertexcentric.GASConfig{Workers: workers}); err != nil {
 		return nil, err
 	} else {
-		rows = append(rows, rowFromStats("GraphLab-like", "vertex-centric (GAS)", st, cm, "symmetrized gather"))
+		rows = append(rows, rowFromStats("GraphLab-like", "vertex-centric (GAS)", st, "symmetrized gather"))
 	}
 	if _, st, err := blockcentric.Run(sym, blockcentric.CCBlock{},
 		blockcentric.Config{Workers: workers, Strategy: partition.Fennel{}, BlocksPerWorker: 8}); err != nil {
 		return nil, err
 	} else {
-		rows = append(rows, rowFromStats("Blogel-like", "block-centric", st, cm, "block-level label exchange"))
+		rows = append(rows, rowFromStats("Blogel-like", "block-centric", st, "block-level label exchange"))
 	}
 	if _, st, err := engine.Run(ctx, g, queries.CC{}, queries.CCQuery{},
 		engine.Options{Workers: workers, Strategy: partition.Fennel{}}); err != nil {
 		return nil, err
 	} else {
-		rows = append(rows, rowFromStats("GRAPE", "auto-parallelization", st, cm, "union-find PIE"))
+		rows = append(rows, rowFromStats("GRAPE", "auto-parallelization", st, "union-find PIE"))
 	}
 	return rows, nil
 }
@@ -56,7 +56,7 @@ func TableCC(ctx context.Context, sc Scale, workers int, cm metrics.CostModel) (
 // partitions a graph once and then answers many queries against the same
 // fragments. The experiment compares Q queries with per-query partitioning
 // against Q queries on one prebuilt layout.
-func LayoutReuse(ctx context.Context, sc Scale, workers, queriesN int, cm metrics.CostModel) (perQuery, reused Row, err error) {
+func LayoutReuse(ctx context.Context, sc Scale, workers, queriesN int) (perQuery, reused Row, err error) {
 	g := sc.Road()
 	spatial := partition.TwoD{Cols: sc.RoadCols}
 	sources := make([]graph.ID, queriesN)
@@ -64,7 +64,6 @@ func LayoutReuse(ctx context.Context, sc Scale, workers, queriesN int, cm metric
 		sources[i] = graph.ID((i * 7919) % g.NumVertices())
 	}
 
-	var wallPer, wallReuse time.Duration
 	agg := func(dst *metrics.Stats, st *metrics.Stats) {
 		dst.Supersteps += st.Supersteps
 		dst.Messages += st.Messages
@@ -73,7 +72,7 @@ func LayoutReuse(ctx context.Context, sc Scale, workers, queriesN int, cm metric
 		dst.BytesPerStep = append(dst.BytesPerStep, st.BytesPerStep...)
 	}
 
-	statsPer := &metrics.Stats{Engine: "grape/sssp", Workers: workers}
+	statsPer := &metrics.Stats{Workers: workers}
 	start := time.Now()
 	for _, src := range sources {
 		_, st, err := engine.Run(ctx, g, queries.SSSP{}, queries.SSSPQuery{Source: src},
@@ -83,9 +82,9 @@ func LayoutReuse(ctx context.Context, sc Scale, workers, queriesN int, cm metric
 		}
 		agg(statsPer, st)
 	}
-	wallPer = time.Since(start)
+	wallPer := time.Since(start)
 
-	statsReuse := &metrics.Stats{Engine: "grape/sssp", Workers: workers}
+	statsReuse := &metrics.Stats{Workers: workers}
 	start = time.Now()
 	asg, err := spatial.Partition(g, workers)
 	if err != nil {
@@ -99,12 +98,13 @@ func LayoutReuse(ctx context.Context, sc Scale, workers, queriesN int, cm metric
 		}
 		agg(statsReuse, st)
 	}
-	wallReuse = time.Since(start)
+	wallReuse := time.Since(start)
 
-	statsPer.WallTime = wallPer
-	statsReuse.WallTime = wallReuse
-	perQuery = rowFromStats("partition-per-query", "layout reuse", statsPer, cm, fmt.Sprintf("%d queries", queriesN))
-	reused = rowFromStats("partition-once", "layout reuse", statsReuse, cm, fmt.Sprintf("%d queries", queriesN))
+	note := func(wall time.Duration) string {
+		return fmt.Sprintf("%d queries, wall %v", queriesN, wall.Round(time.Microsecond))
+	}
+	perQuery = rowFromStats("partition-per-query", "layout reuse", statsPer, note(wallPer))
+	reused = rowFromStats("partition-once", "layout reuse", statsReuse, note(wallReuse))
 	return perQuery, reused, nil
 }
 
@@ -129,7 +129,7 @@ func ScalingGap(ctx context.Context, sides []int, workers int) ([]GapRow, error)
 		g := gen.RoadGrid(side, side, 1)
 		src := graph.ID(0)
 		_, stG, err := vertexcentric.Run(g, vertexcentric.SSSPProgram{Source: src},
-			vertexcentric.Config{Workers: workers, EngineName: "giraph-like"})
+			vertexcentric.Config{Workers: workers})
 		if err != nil {
 			return nil, err
 		}

@@ -11,40 +11,6 @@ import (
 // (a "ragged" run — byte rows are appended per collect, work rows per fold,
 // and a failed run can leave them uneven).
 
-func TestSimSecondsZeroWork(t *testing.T) {
-	m := CostModel{SecPerWork: 1e-6, Latency: 0.001, Bandwidth: 1e6}
-	s := &Stats{
-		Workers:      2,
-		WorkPerStep:  [][]int64{{0, 0}, {0, 0}},
-		BytesPerStep: []int64{0, 0},
-	}
-	// No work and no bytes: only the per-superstep latency remains.
-	want := 2 * 0.001
-	if got := m.SimSeconds(s); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("zero-work sim seconds: got %.9f want %.9f", got, want)
-	}
-
-	empty := &Stats{}
-	if got := m.SimSeconds(empty); got != 0 {
-		t.Fatalf("empty stats sim seconds: got %g want 0", got)
-	}
-}
-
-func TestSimSecondsRaggedBytesPerStep(t *testing.T) {
-	m := CostModel{SecPerWork: 1e-6, Latency: 0.001, Bandwidth: 1e6}
-	// Three work rows but only one byte row: the missing rows must charge
-	// no transfer time instead of panicking or reading out of range.
-	s := &Stats{
-		Workers:      2,
-		WorkPerStep:  [][]int64{{100, 50}, {10, 30}, {0, 5}},
-		BytesPerStep: []int64{1_000_000},
-	}
-	want := 135e-6 + 3*0.001 + 1.0
-	if got := m.SimSeconds(s); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("ragged sim seconds: got %.9f want %.9f", got, want)
-	}
-}
-
 func TestStepReportZeroWork(t *testing.T) {
 	s := &Stats{
 		Workers:      2,

@@ -1,20 +1,12 @@
 // Package metrics defines the measurement vocabulary shared by every engine
-// in the reproduction (GRAPE, Pregel-style, GAS, block-centric): superstep
-// counts, per-worker work units, traffic, and an analytic cost model that
-// converts them into simulated cluster seconds.
+// in the reproduction (GRAPE, Pregel-style, GAS, block-centric).
 //
-// Why a cost model: the paper's Table 1 was measured on 24 cluster nodes;
-// this reproduction runs on one core, where wall-clock cannot exhibit
-// parallel speedup or network cost. Engines therefore count elementary work
-// units (heap operations, edge relaxations, gather ops — each roughly tens of
-// nanoseconds of real work) per worker per superstep, and the model charges
-//
-//	T = Σ_r [ max_i work_i(r) · SecPerWork + Latency + bytes(r) / Bandwidth ]
-//
-// which is the standard BSP cost formula. The *shape* of the paper's results
-// (orders of magnitude between systems, crossover points) is driven by
-// superstep counts × critical-path work × traffic, all of which are measured,
-// not modeled.
+// Stats holds exact counts: supersteps, cross-worker messages and bytes, and
+// the elementary work units (heap operations, edge relaxations, gather ops)
+// each worker spent in each superstep. The counts are deterministic for a
+// given graph, program and partition, so tests compare engines on them
+// directly. WallTime is the one measured time, the real elapsed time of the
+// run on this host; what span it covers differs between engines.
 package metrics
 
 import (
@@ -25,7 +17,6 @@ import (
 
 // Stats aggregates everything one engine run measured.
 type Stats struct {
-	Engine     string
 	Workers    int
 	Supersteps int
 
@@ -93,50 +84,6 @@ func (s *Stats) CriticalWork() int64 {
 
 // MB returns traffic in megabytes.
 func (s *Stats) MB() float64 { return float64(s.Bytes) / 1e6 }
-
-// CostModel converts Stats into simulated seconds.
-type CostModel struct {
-	// SecPerWork is the seconds one work unit costs. Default 20ns,
-	// calibrated to a ~2.5GHz Xeon doing a handful of dependent memory
-	// accesses per heap/edge operation (the paper's ECS n2.large).
-	SecPerWork float64
-	// Latency is the per-superstep synchronization cost (BSP barrier + MPI
-	// round-trips). Default 0.2ms — an MPICH barrier across ~16 nodes on a
-	// commodity LAN costs on the order of 100–200µs.
-	Latency float64
-	// Bandwidth is effective network bandwidth in bytes/second shared by the
-	// job. Default 100 MB/s.
-	Bandwidth float64
-}
-
-// DefaultCostModel returns the calibration documented in EXPERIMENTS.md.
-func DefaultCostModel() CostModel {
-	return CostModel{SecPerWork: 20e-9, Latency: 0.2e-3, Bandwidth: 100e6}
-}
-
-// SimSeconds charges the BSP cost formula against s.
-func (m CostModel) SimSeconds(s *Stats) float64 {
-	var t float64
-	for r, step := range s.WorkPerStep {
-		var max int64
-		for _, w := range step {
-			if w > max {
-				max = w
-			}
-		}
-		t += float64(max)*m.SecPerWork + m.Latency
-		if r < len(s.BytesPerStep) {
-			t += float64(s.BytesPerStep[r]) / m.Bandwidth
-		}
-	}
-	return t
-}
-
-// Row formats the Table 1 style report line for this run.
-func (s *Stats) Row(m CostModel) string {
-	return fmt.Sprintf("%-22s %4d workers  %6d supersteps  %12.3f sim-s  %10.4f MB  %12d msgs  (wall %v)",
-		s.Engine, s.Workers, s.Supersteps, m.SimSeconds(s), s.MB(), s.Messages, s.WallTime.Round(time.Millisecond))
-}
 
 // StepReport renders the per-superstep breakdown the demo's analytics panel
 // visualizes: superstep 1 is PEval, later rows are incremental steps; each

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -9,7 +8,6 @@ import (
 
 func sample() *Stats {
 	return &Stats{
-		Engine:     "test",
 		Workers:    2,
 		Supersteps: 3,
 		Messages:   10,
@@ -36,28 +34,6 @@ func TestTotalAndCriticalWork(t *testing.T) {
 	}
 }
 
-func TestSimSecondsFormula(t *testing.T) {
-	s := sample()
-	m := CostModel{SecPerWork: 1e-6, Latency: 0.001, Bandwidth: 1e6}
-	// Σ max_work*1e-6 + 3*latency + Σ bytes/bw
-	want := 135e-6 + 3*0.001 + 1.0
-	if got := m.SimSeconds(s); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("sim seconds: got %.9f want %.9f", got, want)
-	}
-}
-
-func TestSimSecondsMonotoneInWork(t *testing.T) {
-	m := DefaultCostModel()
-	f := func(w1, w2 uint16) bool {
-		a := &Stats{WorkPerStep: [][]int64{{int64(w1)}}, BytesPerStep: []int64{0}}
-		b := &Stats{WorkPerStep: [][]int64{{int64(w1) + int64(w2)}}, BytesPerStep: []int64{0}}
-		return m.SimSeconds(b) >= m.SimSeconds(a)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCriticalWorkBelowTotal(t *testing.T) {
 	f := func(work []uint8) bool {
 		if len(work) == 0 {
@@ -72,28 +48,6 @@ func TestCriticalWorkBelowTotal(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRowFormatting(t *testing.T) {
-	s := sample()
-	row := s.Row(DefaultCostModel())
-	for _, frag := range []string{"test", "2 workers", "3 supersteps", "MB"} {
-		if !strings.Contains(row, frag) {
-			t.Fatalf("row %q missing %q", row, frag)
-		}
-	}
-}
-
-func TestDefaultCostModelSane(t *testing.T) {
-	m := DefaultCostModel()
-	if m.SecPerWork <= 0 || m.Latency <= 0 || m.Bandwidth <= 0 {
-		t.Fatalf("bad defaults: %+v", m)
-	}
-	// a do-nothing run costs only its barriers
-	s := &Stats{Supersteps: 2, WorkPerStep: [][]int64{{0}, {0}}, BytesPerStep: []int64{0, 0}}
-	if got := m.SimSeconds(s); math.Abs(got-2*m.Latency) > 1e-12 {
-		t.Fatalf("barrier-only cost wrong: %g", got)
 	}
 }
 

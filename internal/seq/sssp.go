@@ -6,7 +6,7 @@
 //
 // Functions that participate in PEval/IncEval report their work in elementary
 // units (heap operations, edge relaxations, refinement steps) so the engines
-// can account simulated time.
+// can count each worker's work per superstep.
 package seq
 
 import (

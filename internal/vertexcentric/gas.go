@@ -38,7 +38,6 @@ type GASConfig struct {
 	Workers       int
 	Strategy      partition.Strategy
 	MaxSupersteps int
-	EngineName    string // default "gas"
 }
 
 // RunGAS executes prog until no vertex is active. Traffic accounting models
@@ -54,16 +53,12 @@ func RunGAS(g *graph.Graph, prog GASProgram, cfg GASConfig) (map[graph.ID]float6
 	if cfg.MaxSupersteps == 0 {
 		cfg.MaxSupersteps = 1 << 20
 	}
-	name := cfg.EngineName
-	if name == "" {
-		name = "gas"
-	}
 	start := time.Now()
 	asg, err := cfg.Strategy.Partition(g, cfg.Workers)
 	if err != nil {
 		return nil, nil, err
 	}
-	stats := &metrics.Stats{Engine: name + "/" + prog.Name(), Workers: cfg.Workers}
+	stats := &metrics.Stats{Workers: cfg.Workers}
 
 	// Engine state in flat arrays by dense vertex index; on a frozen graph
 	// the gather/scatter loops run over the CSR form. Iteration order
@@ -98,7 +93,7 @@ func RunGAS(g *graph.Graph, prog GASProgram, cfg GASConfig) (map[graph.ID]float6
 	var newVals []pending
 	for activeCount > 0 {
 		if stats.Supersteps >= cfg.MaxSupersteps {
-			return nil, stats, fmt.Errorf("vertexcentric: %s: superstep limit exceeded", stats.Engine)
+			return nil, stats, fmt.Errorf("vertexcentric: %s: superstep limit exceeded", prog.Name())
 		}
 		work := make([]int64, cfg.Workers)
 		var stepBytes int64

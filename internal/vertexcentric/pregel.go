@@ -91,11 +91,9 @@ type Config struct {
 	Combiner func(a, b float64) float64
 	// MaxSupersteps caps the run. Default 1 << 20.
 	MaxSupersteps int
-	// EngineName overrides the stats label (e.g. "giraph").
-	EngineName string
 }
 
-func (c Config) withDefaults(prog Program) Config {
+func (c Config) withDefaults() Config {
 	if c.Workers == 0 {
 		c.Workers = 4
 	}
@@ -105,10 +103,6 @@ func (c Config) withDefaults(prog Program) Config {
 	if c.MaxSupersteps == 0 {
 		c.MaxSupersteps = 1 << 20
 	}
-	if c.EngineName == "" {
-		c.EngineName = "pregel"
-	}
-	c.EngineName += "/" + prog.Name()
 	return c
 }
 
@@ -129,13 +123,13 @@ const msgSize = 16
 // worker) match the original map-based engine exactly, so values, work,
 // message counts and supersteps are all bit-identical.
 func Run(g *graph.Graph, prog Program, cfg Config) (map[graph.ID]float64, *metrics.Stats, error) {
-	cfg = cfg.withDefaults(prog)
+	cfg = cfg.withDefaults()
 	start := time.Now()
 	asg, err := cfg.Strategy.Partition(g, cfg.Workers)
 	if err != nil {
 		return nil, nil, err
 	}
-	stats := &metrics.Stats{Engine: cfg.EngineName, Workers: cfg.Workers}
+	stats := &metrics.Stats{Workers: cfg.Workers}
 
 	nv := g.NumVertices()
 	sortedIdx := g.SortedIndices()
@@ -263,7 +257,7 @@ func Run(g *graph.Graph, prog Program, cfg Config) (map[graph.ID]float64, *metri
 
 	for inboxCount > 0 || awakeCount > 0 {
 		if stats.Supersteps >= cfg.MaxSupersteps {
-			return nil, stats, fmt.Errorf("vertexcentric: %s: superstep limit %d exceeded", cfg.EngineName, cfg.MaxSupersteps)
+			return nil, stats, fmt.Errorf("vertexcentric: %s: superstep limit %d exceeded", prog.Name(), cfg.MaxSupersteps)
 		}
 		group(stats.Supersteps, false)
 		runStep(stats.Supersteps, false)
