@@ -32,7 +32,7 @@ import (
 //     fixpoint where needed;
 //   - locality-bounded programs (SubIso, TriCount) implement SessionPatcher:
 //     the session retains their assembled answer and patches it exactly per
-//     update, mutating only the global graph;
+//     batch, mutating only the global graph;
 //   - everything else — and any batch a repairer declines — falls back to a
 //     reseed: re-partition the mutated global graph and run the full
 //     PEval/IncEval fixpoint again inside the same session. A reseed is the
@@ -99,16 +99,19 @@ type DeleteRepairer[Q, V any] interface {
 
 // SessionPatcher is implemented by locality-bounded programs (SubIso,
 // TriCount) whose sessions retain the assembled answer and patch it exactly
-// per update instead of re-running any fixpoint. SessionQuery may widen the
+// per batch instead of re-running any fixpoint. SessionQuery may widen the
 // user's query for the initial run (SubIso drops MaxMatches: a truncated
 // match list cannot be patched); PatchResult narrows the retained state back
-// to the user's answer. ApplyPatch receives the update and an apply closure
-// that performs the graph mutation — the patcher decides whether to inspect
-// the graph before or after calling it (exactly once).
+// to the user's answer. ApplyPatch receives the whole batch and an apply
+// closure that performs the graph mutation of batch[i]. The patcher calls
+// apply(i) exactly once per update, in batch order — which instance a
+// deletion removes depends on the updates before it — and decides what to
+// inspect in between (once apply has run, batch[i].W of a deletion holds the
+// removed instance's weight).
 type SessionPatcher[Q, R any] interface {
 	SessionQuery(q Q) Q
 	InitPatch(q Q, g *graph.Graph, res R) (any, error)
-	ApplyPatch(q Q, g *graph.Graph, state any, upd EdgeUpdate, apply func()) (any, error)
+	ApplyPatch(q Q, g *graph.Graph, state any, batch []EdgeUpdate, apply func(i int)) (any, error)
 	PatchResult(q Q, state any) (R, error)
 }
 
@@ -514,31 +517,30 @@ func (s *Session[Q, V, R]) reseed(ctx context.Context, ups []EdgeUpdate) (R, *me
 	return s.run(ctx, nil)
 }
 
-// patchBatch is the SessionPatcher path: per update, hand the patcher the
-// global graph plus an apply closure performing the mutation, and retain the
-// patched state. No fixpoint runs; the per-fragment machinery of the initial
-// run is left behind (a patched answer never consults it).
+// patchBatch is the SessionPatcher path: hand the patcher the global graph,
+// the batch and an apply closure performing the mutations in order, and
+// retain the patched state. No fixpoint runs; the per-fragment machinery of
+// the initial run is left behind (a patched answer never consults it).
 func (s *Session[Q, V, R]) patchBatch(ups []EdgeUpdate) (R, *metrics.Stats, error) {
 	var zero R
 	start := time.Now()
 	g := s.layout.Asg.G
-	for i := range ups {
-		u := &ups[i]
-		applied := false
-		apply := func() {
-			applied = true
-			mutateGlobal(g, u)
+	applied := 0
+	apply := func(i int) {
+		if i == applied {
+			mutateGlobal(g, &ups[i])
+			applied++
 		}
-		st, err := s.patcher.ApplyPatch(s.q, g, s.patch, *u, apply)
-		if err != nil {
-			s.broken = true
-			return zero, nil, fmt.Errorf("engine: %s: patching %v: %w", s.prog.Name(), *u, err)
-		}
-		if !applied {
-			apply()
-		}
-		s.patch = st
 	}
+	st, err := s.patcher.ApplyPatch(s.q, g, s.patch, ups, apply)
+	if err == nil && applied != len(ups) {
+		err = fmt.Errorf("the patcher applied %d of %d updates in order", applied, len(ups))
+	}
+	if err != nil {
+		s.broken = true
+		return zero, nil, fmt.Errorf("engine: %s: patching a batch of %d updates: %w", s.prog.Name(), len(ups), err)
+	}
+	s.patch = st
 	stats := &metrics.Stats{Workers: len(s.layout.Fragments), WallTime: time.Since(start)}
 	res, err := s.patcher.PatchResult(s.q, s.patch)
 	if err != nil {

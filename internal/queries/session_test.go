@@ -211,9 +211,12 @@ func sessionCases() []sessionCase {
 		gen.AttachKeywords(g, []string{"db", "graph", "ml"}, 2, 0.3, 7)
 		return g
 	}
-	commerce := func() *graph.Graph {
-		return gen.SocialCommerce(gen.SocialCommerceConfig{People: 90, Products: 3, Follows: 3, AdoptP: 0.9, Seed: 3})
+	commerceOf := func(people int) func() *graph.Graph {
+		return func() *graph.Graph {
+			return gen.SocialCommerce(gen.SocialCommerceConfig{People: people, Products: 3, Follows: 3, AdoptP: 0.9, Seed: 3})
+		}
 	}
+	commerce := commerceOf(90)
 	road := func() *graph.Graph { return gen.RoadGrid(10, 10, 1) }
 	return []sessionCase{
 		{"sssp", "sssp", "source=0", road,
@@ -228,6 +231,10 @@ func sessionCases() []sessionCase {
 			gen.StreamConfig{Batches: 3, BatchSize: 5, DeleteP: 1, Seed: 19}},
 		{"subiso", "subiso", "pattern=follows-recommend", commerce,
 			gen.StreamConfig{Batches: 3, BatchSize: 4, DeleteP: 0.5, Seed: 14}},
+		// serve-churn's batch shape: many sources per batch, some sharing a
+		// match, insertions and deletions of one edge in the same batch
+		{"subiso/churn", "subiso", "pattern=follows-recommend", commerceOf(300),
+			gen.StreamConfig{Batches: 6, BatchSize: 16, DeleteP: 0.4, Seed: 21}},
 		{"keyword", "keyword", "k=db,graph bound=4", social,
 			gen.StreamConfig{Batches: 4, BatchSize: 6, DeleteP: 0.4, Seed: 15}},
 		{"keyword/inserts", "keyword", "k=db,graph bound=4", social,
@@ -237,6 +244,8 @@ func sessionCases() []sessionCase {
 		}, gen.StreamConfig{Batches: 3, BatchSize: 5, DeleteP: 0.4, Seed: 16, MaxW: 5}},
 		{"tricount", "tricount", "", social,
 			gen.StreamConfig{Batches: 4, BatchSize: 6, DeleteP: 0.5, Seed: 17}},
+		{"tricount/churn", "tricount", "", social,
+			gen.StreamConfig{Batches: 6, BatchSize: 16, DeleteP: 0.4, Seed: 22}},
 	}
 }
 
@@ -438,6 +447,80 @@ func FuzzSessionUpdateStream(f *testing.F) {
 			got := res
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("session CC diverged from sequential union-find after batch %+v", batch)
+			}
+		}
+	})
+}
+
+// FuzzSubIsoSession throws arbitrary update batches at a SubIso session on a
+// small commerce graph (people 0..23, products 24 and 25, 26..31 unknown):
+// inserts and deletions under the follow, recommend and empty labels, self
+// loops, product sources, dead edges. The first byte picks the pattern. A
+// rejected batch must leave the graph unchanged; no batch may break the
+// session; after an accepted batch the answer must be seq.SubIso's on a
+// shadow graph mutated in lockstep.
+func FuzzSubIsoSession(f *testing.F) {
+	f.Add([]byte{0, 3, 1, 0, 3, 1, 1})           // insert 3->1 and delete it in one batch
+	f.Add([]byte{1, 1, 0, 0, 1, 0, 1})           // a parallel 1->0 follow, then delete the first instance
+	f.Add([]byte{0, 1, 0, 1})                    // delete the follow 1->0 that matches use
+	f.Add([]byte{0, 5, 5, 0, 5, 5, 2, 5, 24, 2}) // self-loops, then a recommendation from 5
+	f.Add([]byte{1, 24, 3, 2, 24, 25, 0, 7, 24, 4, 8, 7, 0})
+	f.Add([]byte{0, 30, 1, 0, 2, 9, 1}) // an unknown vertex; a dead edge
+	labels := []string{gen.EdgeFollow, gen.EdgeRecommend, ""}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		name := []string{"follows-recommend", "co-recommend"}[data[0]%2]
+		data = data[1:]
+		g := gen.SocialCommerce(gen.SocialCommerceConfig{People: 24, Products: 2, Follows: 2, AdoptP: 0.9, Seed: 1})
+		shadow := g.Clone()
+		e, err := engine.Lookup("subiso")
+		if err != nil {
+			t.Fatal(err)
+		}
+		pq, err := e.Parse("pattern=" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, _, _, err := e.Session(context.Background(), g, engine.Options{Workers: 3, Strategy: partition.Hash{}}, pq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const rec = 3 // from, to, flags: bit 0 deletes, the rest pick the label
+		for off := 0; off+rec <= len(data); {
+			var batch []engine.EdgeUpdate
+			for len(batch) < 4 && off+rec <= len(data) {
+				b := data[off : off+rec]
+				off += rec
+				batch = append(batch, engine.EdgeUpdate{
+					From: graph.ID(b[0] % 32), To: graph.ID(b[1] % 32), W: 1,
+					Label: labels[int(b[2]>>1)%len(labels)], Del: b[2]&1 == 1,
+				})
+			}
+			res, _, err := sess.Update(context.Background(), batch)
+			if sess.Broken() {
+				t.Fatalf("batch %+v broke the session: %v", batch, err)
+			}
+			if err != nil {
+				if g.NumEdges() != shadow.NumEdges() {
+					t.Fatalf("rejected batch %+v mutated the graph: %d edges, want %d", batch, g.NumEdges(), shadow.NumEdges())
+				}
+				continue
+			}
+			for _, u := range batch {
+				if u.Del {
+					if _, ok := shadow.RemoveEdge(u.From, u.To, u.Label); !ok {
+						t.Fatalf("session accepted deletion of dead edge %+v", u)
+					}
+				} else {
+					shadow.AddLabeledEdge(u.From, u.To, u.W, u.Label)
+				}
+			}
+			want, _ := seq.SubIso(Patterns()[name], shadow, seq.SubIsoOptions{})
+			sortMatches(Patterns()[name], want)
+			if got := res.([]seq.Match); !reflect.DeepEqual(got, want) {
+				t.Fatalf("after batch %+v: session has %d matches %v, seq.SubIso %d %v", batch, len(got), got, len(want), want)
 			}
 		}
 	})

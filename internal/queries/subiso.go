@@ -1,8 +1,10 @@
 package queries
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"maps"
 	"slices"
 	"strconv"
 
@@ -117,17 +119,6 @@ func (SubIso) Assemble(q SubIsoQuery, ctxs []*engine.Context[uint8]) ([]seq.Matc
 	return all, nil
 }
 
-// subIsoPatch is the session-retained state of the SubIso patcher: every
-// match of the *uncapped* query, keyed by its image tuple, plus the pattern
-// eccentricity bound that limits how far an edge update can matter.
-type subIsoPatch struct {
-	// diam is the largest undirected eccentricity over all pattern vertices:
-	// whatever pattern vertex an updated edge's endpoint is the image of,
-	// every other image of that match lies within diam undirected hops.
-	diam    int
-	matches map[string]seq.Match
-}
-
 // SessionQuery implements engine.SessionPatcher: the session enumerates the
 // full match set internally. A MaxMatches cap cannot be patched — a new
 // match may sort before retained ones, and a deleted match must be replaced
@@ -137,151 +128,82 @@ func (SubIso) SessionQuery(q SubIsoQuery) SubIsoQuery {
 	return q
 }
 
-// InitPatch implements engine.SessionPatcher.
+// InitPatch implements engine.SessionPatcher. The retained state is every
+// match of the *uncapped* query in answer order (Assemble's), in a slice of
+// its own: the caller keeps res.
 func (SubIso) InitPatch(q SubIsoQuery, g *graph.Graph, res []seq.Match) (any, error) {
-	diam := 0
-	for _, u := range q.Pattern.SortedVertices() {
-		if r := seq.PatternRadius(q.Pattern, u); r > diam {
-			diam = r
-		}
+	return slices.Clone(res), nil
+}
+
+// ApplyPatch implements engine.SessionPatcher by anchored re-enumeration,
+// the delta rule of a binary join. Whether an image tuple is a match depends
+// on vertex labels, on the out-edges of its images and on their out-degrees
+// — nothing else — and an update (u, v) changes only u's. So after the whole
+// batch lands, exactly the matches whose image contains a source S of the
+// batch may have changed: they are dropped, and for each pattern vertex p
+// the matches mapping p into S are enumerated afresh, anchored there. The
+// union of those runs is every current match touching S; the other retained
+// matches are untouched by the batch, stay in order, and take the few fresh
+// ones in by merge.
+func (SubIso) ApplyPatch(q SubIsoQuery, g *graph.Graph, state any, batch []engine.EdgeUpdate, apply func(i int)) (any, error) {
+	srcs := make(map[graph.ID]bool, len(batch))
+	for i, u := range batch {
+		apply(i)
+		srcs[u.From] = true
 	}
-	st := &subIsoPatch{diam: diam, matches: make(map[string]seq.Match, len(res))}
+	g.Freeze() // once per batch: the enumeration reads the CSR, and a server refreezes a mutated graph anyway
 	pv := q.Pattern.SortedVertices()
-	for _, m := range res {
-		st.matches[matchKey(pv, m)] = m
+	kept := slices.DeleteFunc(state.([]seq.Match), func(m seq.Match) bool {
+		return slices.ContainsFunc(pv, func(u graph.ID) bool { return srcs[m[u]] })
+	})
+	anchors := make(map[int32]bool, len(srcs))
+	idx := make([]int32, 0, len(srcs))
+	for _, v := range slices.Sorted(maps.Keys(srcs)) {
+		i, _ := g.Index(v)
+		anchors[i] = true
+		idx = append(idx, i)
 	}
-	return st, nil
+	var fresh []seq.Match
+	for _, p := range pv {
+		found, _ := seq.SubIso(q.Pattern, g, seq.SubIsoOptions{
+			AnchorAt:  func(i int32) bool { return anchors[i] },
+			AnchorVar: p,
+			AnchorIdx: idx,
+		})
+		fresh = append(fresh, found...)
+	}
+	// a match touching S at several pattern vertices was found once per vertex
+	order := func(a, b seq.Match) int { return compareMatches(pv, a, b) }
+	sortMatches(q.Pattern, fresh)
+	fresh = slices.CompactFunc(fresh, func(a, b seq.Match) bool { return order(a, b) == 0 })
+	merged := make([]seq.Match, 0, len(kept)+len(fresh))
+	for _, m := range fresh {
+		at, _ := slices.BinarySearchFunc(kept, m, order)
+		merged = append(append(merged, kept[:at]...), m)
+		kept = kept[at:]
+	}
+	return append(merged, kept...), nil
 }
 
-// ApplyPatch implements engine.SessionPatcher by re-matching the affected
-// region: every match gaining or losing validity through edge {u, v}
-// contains both endpoints, so its images lie within diam undirected hops of
-// u and of v — measured on the graph that *contains* the edge (the match's
-// own edges form the connecting paths). The region's matches are therefore
-// re-enumerated from scratch on the induced subgraph and swapped wholesale
-// into the retained set; matches reaching outside the region cannot involve
-// the edge and stay untouched.
-func (SubIso) ApplyPatch(q SubIsoQuery, g *graph.Graph, state any, upd engine.EdgeUpdate, apply func()) (any, error) {
-	st := state.(*subIsoPatch)
-	if upd.Del {
-		// region on the pre-delete graph, which still has the edge
-		region := ballUnion(g, upd.From, upd.To, st.diam)
-		apply()
-		st.rematch(q, g, region)
-		return st, nil
-	}
-	apply()
-	region := ballUnion(g, upd.From, upd.To, st.diam)
-	st.rematch(q, g, region)
-	return st, nil
-}
-
-// rematch replaces the retained matches lying fully inside region with a
-// fresh enumeration over the region's induced subgraph.
-func (st *subIsoPatch) rematch(q SubIsoQuery, g *graph.Graph, region map[graph.ID]bool) {
-	pv := q.Pattern.SortedVertices()
-	for k, m := range st.matches {
-		inside := true
-		for _, u := range pv {
-			if !region[m[u]] {
-				inside = false
-				break
-			}
-		}
-		if inside {
-			delete(st.matches, k)
-		}
-	}
-	sub := inducedSubgraph(g, region).Freeze() // ours alone: freeze it here, not a copy of it in SubIso
-	found, _ := seq.SubIso(q.Pattern, sub, seq.SubIsoOptions{})
-	for _, m := range found {
-		st.matches[matchKey(pv, m)] = m
-	}
-}
-
-// PatchResult implements engine.SessionPatcher: sort like Assemble and apply
-// the user's cap globally.
+// PatchResult implements engine.SessionPatcher: the retained matches are in
+// answer order already; apply the user's cap globally.
 func (SubIso) PatchResult(q SubIsoQuery, state any) ([]seq.Match, error) {
-	st := state.(*subIsoPatch)
-	var all []seq.Match
-	for _, m := range st.matches {
-		all = append(all, m)
-	}
-	sortMatches(q.Pattern, all)
+	all := state.([]seq.Match)
 	if q.MaxMatches > 0 && len(all) > q.MaxMatches {
 		all = all[:q.MaxMatches]
 	}
-	return all, nil
+	return append([]seq.Match(nil), all...), nil // nil when empty, like Assemble
 }
 
-// matchKey renders a match's image tuple (in sorted pattern-vertex order) as
-// a map key.
-func matchKey(pv []graph.ID, m seq.Match) string {
-	buf := make([]byte, 0, 16*len(pv))
+// compareMatches orders two embeddings by their images in pv order, the
+// order sortMatches establishes.
+func compareMatches(pv []graph.ID, a, b seq.Match) int {
 	for _, u := range pv {
-		buf = strconv.AppendInt(buf, int64(m[u]), 10)
-		buf = append(buf, ',')
-	}
-	return string(buf)
-}
-
-// ballUnion returns the union of the undirected d-hop balls around a and b.
-// Each ball is walked with its own visited set: the balls overlap, and a
-// vertex reached at depth k from one source may still open fresh territory
-// from the other.
-func ballUnion(g *graph.Graph, a, b graph.ID, d int) map[graph.ID]bool {
-	region := make(map[graph.ID]bool)
-	for _, src := range []graph.ID{a, b} {
-		seen := map[graph.ID]bool{src: true}
-		region[src] = true
-		frontier := []graph.ID{src}
-		for hop := 0; hop < d && len(frontier) > 0; hop++ {
-			var next []graph.ID
-			visit := func(v graph.ID) {
-				if !seen[v] {
-					seen[v] = true
-					region[v] = true
-					next = append(next, v)
-				}
-			}
-			for _, v := range frontier {
-				for _, e := range g.Out(v) {
-					visit(e.To)
-				}
-				for _, e := range g.In(v) {
-					visit(e.To)
-				}
-			}
-			frontier = next
+		if c := cmp.Compare(a[u], b[u]); c != 0 {
+			return c
 		}
 	}
-	return region
-}
-
-// inducedSubgraph copies the region's vertices (with labels and properties)
-// and every edge running between them. A match confined to the region uses
-// only such edges, so enumeration on the copy is exact.
-func inducedSubgraph(g *graph.Graph, region map[graph.ID]bool) *graph.Graph {
-	sub := graph.New()
-	ids := make([]graph.ID, 0, len(region))
-	for v := range region {
-		ids = append(ids, v)
-	}
-	slices.Sort(ids)
-	for _, v := range ids {
-		sub.AddVertex(v, g.Label(v))
-		if ps := g.Props(v); len(ps) > 0 {
-			sub.SetProps(v, append([]string(nil), ps...))
-		}
-	}
-	for _, v := range ids {
-		for _, e := range g.Out(v) {
-			if region[e.To] {
-				sub.AddLabeledEdge(v, e.To, e.W, e.Label)
-			}
-		}
-	}
-	return sub
+	return 0
 }
 
 // sortMatches orders embeddings lexicographically by the images of the

@@ -188,8 +188,8 @@ func (TriCount) InitPatch(q TriCountQuery, g *graph.Graph, res TriCountResult) (
 	return st, nil
 }
 
-// ApplyPatch implements engine.SessionPatcher with the exact delta of one
-// edge update: a triangle through edge {u, v} is a common undirected
+// ApplyPatch implements engine.SessionPatcher with the exact delta of each
+// edge update in turn: a triangle through edge {u, v} is a common undirected
 // neighbor of u and v, so the update changes the count by |N(u) ∩ N(v)| —
 // and only when it changes the undirected adjacency at all (a parallel or
 // reverse instance means the neighbor *sets* the enumeration works on are
@@ -197,55 +197,46 @@ func (TriCount) InitPatch(q TriCountQuery, g *graph.Graph, res TriCountResult) (
 // deletions after the instance is gone, so both sides see the graph without
 // the {u, v} connection. Each affected triangle is credited to its smallest
 // vertex, matching PEval's pivot rule.
-func (TriCount) ApplyPatch(q TriCountQuery, g *graph.Graph, state any, upd engine.EdgeUpdate, apply func()) (any, error) {
+func (TriCount) ApplyPatch(q TriCountQuery, g *graph.Graph, state any, batch []engine.EdgeUpdate, apply func(i int)) (any, error) {
 	st := state.(TriCountResult)
-	u, v := upd.From, upd.To
-	if u == v {
-		apply()
-		return st, nil // self-loops touch no triangle
-	}
-	adjacent := func() bool { return undirectedNeighborSet(g, u)[v] }
-	pivotOf := func(w graph.ID) graph.ID {
-		p := u
-		if v < p {
-			p = v
+	for i, upd := range batch {
+		u, v := upd.From, upd.To
+		if u == v {
+			apply(i)
+			continue // self-loops touch no triangle
 		}
-		if w < p {
-			p = w
+		adjacent := func() bool { return undirectedNeighborSet(g, u)[v] }
+		if upd.Del {
+			apply(i)
+			if adjacent() {
+				continue // another instance still connects u and v
+			}
+			nu := undirectedNeighborSet(g, u)
+			for w := range undirectedNeighborSet(g, v) {
+				if !nu[w] {
+					continue
+				}
+				st.Total--
+				p := min(u, v, w)
+				if st.PerPivot[p]--; st.PerPivot[p] == 0 {
+					delete(st.PerPivot, p)
+				}
+			}
+			continue
 		}
-		return p
-	}
-	if upd.Del {
-		apply()
 		if adjacent() {
-			return st, nil // another instance still connects u and v
+			apply(i)
+			continue // set-semantics: adjacency unchanged
 		}
 		nu := undirectedNeighborSet(g, u)
 		for w := range undirectedNeighborSet(g, v) {
-			if !nu[w] {
-				continue
-			}
-			st.Total--
-			p := pivotOf(w)
-			if st.PerPivot[p]--; st.PerPivot[p] == 0 {
-				delete(st.PerPivot, p)
+			if nu[w] {
+				st.Total++
+				st.PerPivot[min(u, v, w)]++
 			}
 		}
-		return st, nil
+		apply(i)
 	}
-	if adjacent() {
-		apply()
-		return st, nil // set-semantics: adjacency unchanged
-	}
-	nu := undirectedNeighborSet(g, u)
-	for w := range undirectedNeighborSet(g, v) {
-		if !nu[w] {
-			continue
-		}
-		st.Total++
-		st.PerPivot[pivotOf(w)]++
-	}
-	apply()
 	return st, nil
 }
 

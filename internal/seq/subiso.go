@@ -3,7 +3,6 @@ package seq
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"grape/internal/graph"
 )
@@ -23,10 +22,14 @@ type SubIsoOptions struct {
 	AnchorAt  func(int32) bool
 	AnchorVar graph.ID
 	// AnchorIdx is the index behind AnchorAt: the dense indices of exactly
-	// the vertices it accepts, in ascending vertex-ID order. When AnchorVar
-	// opens the matching order, enumeration starts from this list instead of
-	// testing every vertex of the graph — on a d-hop-expanded fragment the
-	// inner vertices are a fraction of it.
+	// the vertices it accepts, in ascending vertex-ID order. Given one, the
+	// matching order opens at AnchorVar and enumeration starts from this list
+	// instead of testing every vertex of the graph — on a d-hop-expanded
+	// fragment the inner vertices are a fraction of it, in a session patch
+	// the sources of one batch. The embeddings are those of the unindexed
+	// call; their order (and so the prefix a MaxMatches cap keeps) is the
+	// default one only when AnchorVar already opens it, as the first
+	// max-degree pattern vertex by ID does.
 	AnchorIdx []int32
 }
 
@@ -59,7 +62,11 @@ type pedge struct {
 // It returns the embeddings and the work spent (vertices and adjacency
 // entries examined).
 func SubIso(p, g *graph.Graph, opts SubIsoOptions) ([]Match, int64) {
-	pv := orderPatternVertices(p)
+	first := graph.NoID
+	if opts.AnchorAt != nil && opts.AnchorIdx != nil {
+		first = opts.AnchorVar
+	}
+	pv := orderPatternVertices(p, first)
 	np := len(pv)
 	if np == 0 {
 		return nil, 0
@@ -210,23 +217,26 @@ func SubIso(p, g *graph.Graph, opts SubIsoOptions) ([]Match, int64) {
 }
 
 // orderPatternVertices returns p's vertices in a connectivity-aware matching
-// order: start from the vertex with the most edges, then repeatedly pick the
-// unvisited vertex most connected to the visited set. In a connected order
-// every position after the first has a bound neighbour to be reached through.
-func orderPatternVertices(p *graph.Graph) []graph.ID {
+// order: start from first if p has it, else from the first vertex by ID with
+// the most edges, then repeatedly pick the unvisited vertex most connected to
+// the visited set. In a connected order every position after the first has a
+// bound neighbour to be reached through.
+func orderPatternVertices(p *graph.Graph, first graph.ID) []graph.ID {
 	vs := p.SortedVertices()
 	if len(vs) == 0 {
 		return nil
 	}
-	deg := func(u graph.ID) int { return p.OutDegree(u) + p.InDegree(u) }
-	sort.Slice(vs, func(i, j int) bool {
-		if deg(vs[i]) != deg(vs[j]) {
-			return deg(vs[i]) > deg(vs[j])
+	if !p.Has(first) {
+		deg := func(u graph.ID) int { return p.OutDegree(u) + p.InDegree(u) }
+		first = vs[0]
+		for _, u := range vs {
+			if deg(u) > deg(first) {
+				first = u
+			}
 		}
-		return vs[i] < vs[j]
-	})
-	order := []graph.ID{vs[0]}
-	inOrder := map[graph.ID]bool{vs[0]: true}
+	}
+	order := []graph.ID{first}
+	inOrder := map[graph.ID]bool{first: true}
 	for len(order) < len(vs) {
 		best, bestConn := graph.NoID, -1
 		for _, u := range vs {

@@ -41,7 +41,11 @@ func labelledGraph(rng *rand.Rand, n, m int) *graph.Graph {
 
 // checkSubIso holds SubIso to the reference scan on g, thawed and frozen,
 // under no cap, two caps, and an anchor predicate on every pattern vertex in
-// turn (with and without its index). It returns the uncapped match count.
+// turn (with and without its index). An index re-roots the matching order at
+// its anchor vertex: where that vertex opens the default order anyway
+// (PEval's case) the embeddings must come in the reference's order, otherwise
+// they are compared as sets — under a cap, as that many distinct embeddings
+// of the uncapped reference. It returns the uncapped match count.
 func checkSubIso(t *testing.T, p, g *graph.Graph) int {
 	t.Helper()
 	frozen := g.Clone().Freeze()
@@ -68,14 +72,41 @@ func checkSubIso(t *testing.T, p, g *graph.Graph) int {
 				t.Fatalf("%s frozen=%v: %d matches %v, reference has %d %v", name, dg.Frozen(), len(got), got, len(want), want)
 			}
 		}
-		if opts.AnchorAt != nil {
-			opts.AnchorIdx = evenIdx
-			if got, _ := seq.SubIso(p, frozen, opts); !reflect.DeepEqual(got, want) {
+		if opts.AnchorAt == nil {
+			continue
+		}
+		opts.AnchorIdx = evenIdx
+		got, _ := seq.SubIso(p, frozen, opts)
+		if opts.AnchorVar == seq.PatternOpener(p) {
+			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s with AnchorIdx: %d matches, reference has %d", name, len(got), len(want))
 			}
+			continue
+		}
+		uncapped := opts
+		uncapped.MaxMatches = 0
+		if !distinctWithin(got, seq.SubIsoScan(p, g, uncapped), len(want)) {
+			t.Fatalf("%s with re-rooting AnchorIdx: %d matches %v are not %d distinct reference embeddings", name, len(got), got, len(want))
 		}
 	}
 	return len(seq.SubIsoScan(p, g, seq.SubIsoOptions{}))
+}
+
+// distinctWithin reports whether got holds exactly n distinct embeddings,
+// each one of all's.
+func distinctWithin(got, all []seq.Match, n int) bool {
+	in := make(map[string]bool, len(all))
+	for _, m := range all {
+		in[fmt.Sprint(m)] = true // fmt prints a map in key order
+	}
+	for _, m := range got {
+		k := fmt.Sprint(m)
+		if !in[k] {
+			return false
+		}
+		delete(in, k)
+	}
+	return len(got) == n
 }
 
 // TestSubIsoMatchesReferenceScan: over random labelled graphs and every

@@ -9,7 +9,7 @@ import "grape/internal/graph"
 // positions already bound. It reads the graph through the sparse accessors,
 // so it runs on frozen and thawed graphs alike.
 func subIsoScan(p, g *graph.Graph, opts SubIsoOptions) []Match {
-	pv := orderPatternVertices(p)
+	pv := orderPatternVertices(p, graph.NoID)
 	if len(pv) == 0 {
 		return nil
 	}
