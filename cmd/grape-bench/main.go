@@ -1,5 +1,7 @@
 // Command grape-bench regenerates every table and figure of the paper's
-// evaluation from this reproduction, one internal/experiments function each:
+// evaluation from this reproduction, one internal/experiments function each.
+// -exp picks the experiment; -workers, -rows, -cols, -social and -seed set
+// its scale:
 //
 //	table1     Table 1 — SSSP on the road network, four systems
 //	tablecc    Table 1 analogue for CC — four systems on the social graph
@@ -15,7 +17,8 @@
 //	all        everything above
 //
 // Numbers are exact counts: supersteps, critical-path work units, messages
-// and bytes crossing worker boundaries.
+// and bytes crossing worker boundaries. Wall-time and allocation
+// measurements of the system live in benchmark/ (BENCHMARK.json).
 package main
 
 import (
@@ -24,18 +27,10 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"grape/internal/experiments"
 )
-
-// stopProf flushes and closes the -cpuprofile, if one is running. exitIf
-// calls it before log.Fatal (which skips defers), so a failed run still
-// leaves a readable profile behind; it is idempotent so the normal deferred
-// call is harmless after that.
-var stopProf = func() {}
 
 // experimentNames are the -exp values, in the order -exp all runs them.
 var experimentNames = []string{"table1", "tablecc", "partition", "scaleup", "bounded", "gpar", "simtheorem", "index", "library", "reuse", "gap"}
@@ -44,70 +39,19 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("grape-bench: ")
 	var (
-		exp      = flag.String("exp", "all", "experiment: "+strings.Join(experimentNames, "|")+"|all")
-		workers  = flag.Int("workers", 24, "worker count for fixed-worker experiments")
-		rows     = flag.Int("rows", 128, "road grid rows")
-		cols     = flag.Int("cols", 128, "road grid cols")
-		socialN  = flag.Int("social", 20000, "social graph vertices")
-		seed     = flag.Int64("seed", 1, "dataset seed")
-		jsonOut  = flag.String("json", "", "write the bench matrix (ns/op, allocs/op, comm-KB, steps) as JSON to this file and exit")
-		smoke    = flag.Bool("smoke", false, "with -json: reduced scale for CI smoke runs")
-		traceOut = flag.String("trace", "", "run each query class once and write a combined Chrome trace-event JSON file (open in Perfetto), then exit")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole bench run to this file (go tool pprof)")
-		memProf  = flag.String("memprofile", "", "write a heap profile (after GC) at exit to this file")
+		exp     = flag.String("exp", "all", "experiment: "+strings.Join(experimentNames, "|")+"|all")
+		workers = flag.Int("workers", 24, "worker count for fixed-worker experiments")
+		rows    = flag.Int("rows", 128, "road grid rows")
+		cols    = flag.Int("cols", 128, "road grid cols")
+		socialN = flag.Int("social", 20000, "social graph vertices")
+		seed    = flag.Int64("seed", 1, "dataset seed")
 	)
 	flag.Parse()
-
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		exitIf(err)
-		exitIf(pprof.StartCPUProfile(f))
-		stopProf = func() {
-			pprof.StopCPUProfile()
-			f.Close()
-			stopProf = func() {}
-		}
-		defer stopProf()
-	}
-	if *memProf != "" {
-		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				log.Print(err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // profile live heap, not garbage
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Print(err)
-			}
-		}()
-	}
 
 	ctx := context.Background()
 	sc := experiments.DefaultScale()
 	sc.RoadRows, sc.RoadCols, sc.SocialN, sc.Seed = *rows, *cols, *socialN, *seed
 
-	if *traceOut != "" {
-		if *smoke {
-			sc.RoadRows, sc.RoadCols = 48, 48
-			sc.SocialN, sc.SocialDeg = 3000, 4
-			sc.People, sc.Products = 600, 8
-			sc.Users, sc.Items = 150, 40
-		}
-		exitIf(runTraceBench(ctx, sc, *traceOut))
-		return
-	}
-	if *jsonOut != "" {
-		if *smoke {
-			sc.RoadRows, sc.RoadCols = 48, 48
-			sc.SocialN, sc.SocialDeg = 3000, 4
-			sc.People, sc.Products = 600, 8
-			sc.Users, sc.Items = 150, 40
-		}
-		exitIf(runJSONBench(ctx, sc, *jsonOut))
-		return
-	}
 	out := os.Stdout
 
 	run := func(name string) {
@@ -181,7 +125,6 @@ func main() {
 
 func exitIf(err error) {
 	if err != nil {
-		stopProf()
 		log.Fatal(err)
 	}
 }

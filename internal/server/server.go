@@ -79,8 +79,8 @@ type Config struct {
 	// still fills the cache under its graph epoch.
 	Recover bool
 	// Fault, if non-nil, wraps every query run's transport (see
-	// engine.Options.Fault) — the fault-injection hook grape-bench and the
-	// tests use to exercise Recover end to end.
+	// engine.Options.Fault) — the fault-injection hook the tests use to
+	// exercise Recover end to end.
 	Fault func(mpi.Transport) mpi.Transport
 	// Logger, if non-nil, receives structured request/run records (one per
 	// served query and mutation, plus engine run start/complete at Debug).
