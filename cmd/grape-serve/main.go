@@ -39,9 +39,8 @@
 // mmap-ed zero-copy where supported) and write-ahead journals every update
 // batch — fsync-ed before the mutation applies. On restart the graphs in
 // DIR recover to their exact pre-crash epoch via snapshot + journal replay
-// (names being recovered are skipped by -preload), partition cuts reload
-// from disk instead of repartitioning, and a background compactor
-// re-snapshots once a journal crosses -compact-records/-compact-bytes.
+// (names being recovered are skipped by -preload), and a background
+// compactor re-snapshots once a journal crosses -compact-records/-compact-bytes.
 package main
 
 import (

@@ -200,59 +200,3 @@ func ascendingIDs(g *graph.Graph, idx []int32, ids []graph.ID) error {
 	}
 	return nil
 }
-
-// Wire encoding of an Assignment's cut — the layout-persistence half of the
-// durable store: a snapshot preserves a graph's dense vertex order exactly,
-// so the cut is just the owner array in dense order and a restart can rebuild
-// a Layout with partition.Build instead of re-running the strategy.
-
-// AppendAssignment appends the wire encoding of a's cut to buf and returns
-// the extended buffer: uvarint worker count, uvarint vertex count, then one
-// uvarint owner per dense vertex index.
-func AppendAssignment(buf []byte, a *Assignment) []byte {
-	// a.G itself is never on the wire — the decode side supplies the graph
-	// (a snapshot preserves dense order exactly) — but the cut must cover it.
-	if len(a.owner) != a.G.NumVertices() {
-		panic("partition: assignment out of sync with its graph")
-	}
-	buf = binary.AppendUvarint(buf, uint64(a.N))
-	buf = binary.AppendUvarint(buf, uint64(len(a.owner)))
-	for _, w := range a.owner {
-		buf = binary.AppendUvarint(buf, uint64(w))
-	}
-	return buf
-}
-
-// DecodeAssignment decodes a cut encoded by AppendAssignment against g, which
-// must have the same vertex set in the same dense order as the graph the cut
-// was computed for. It returns the assignment and the number of bytes
-// consumed.
-func DecodeAssignment(data []byte, g *graph.Graph) (*Assignment, int, error) {
-	pos := 0
-	n, err := graph.ReadUvarint(data, &pos)
-	if err != nil {
-		return nil, 0, err
-	}
-	if n == 0 {
-		return nil, 0, fmt.Errorf("partition: assignment encodes zero workers")
-	}
-	nv, err := graph.ReadUvarint(data, &pos)
-	if err != nil {
-		return nil, 0, err
-	}
-	if int(nv) != g.NumVertices() {
-		return nil, 0, fmt.Errorf("partition: assignment covers %d vertices, graph has %d", nv, g.NumVertices())
-	}
-	a := &Assignment{G: g, N: int(n), owner: make([]int32, nv)}
-	for i := range a.owner {
-		w, err := graph.ReadUvarint(data, &pos)
-		if err != nil {
-			return nil, 0, err
-		}
-		if int(w) >= a.N {
-			return nil, 0, fmt.Errorf("partition: vertex %d owned by out-of-range worker %d", g.IDAt(int32(i)), w)
-		}
-		a.owner[i] = int32(w)
-	}
-	return a, pos, nil
-}

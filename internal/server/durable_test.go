@@ -241,10 +241,12 @@ func TestDurableTamperedJournal(t *testing.T) {
 
 // TestDurableCompaction drives the background compactor: once the journal
 // crosses the record threshold the graph is re-snapshotted at its current
-// epoch, the journal truncates, and a restart replays (almost) nothing.
+// epoch, the journal truncates, and a restart replays (almost) nothing. The
+// threshold equals the number of mutations, so the one compaction can only
+// land after the last of them.
 func TestDurableCompaction(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Workers: 4, Strategy: "hash", CompactRecords: 2, CompactBytes: -1, CompactInterval: 20 * time.Millisecond}
+	cfg := Config{Workers: 4, Strategy: "hash", CompactRecords: 3, CompactBytes: -1, CompactInterval: 20 * time.Millisecond}
 	s := newDurableServer(t, dir, cfg)
 	defer s.Close()
 	ctx := context.Background()
@@ -296,25 +298,50 @@ func TestDurableCompaction(t *testing.T) {
 	}
 }
 
-// TestDurableLayoutReuse checks the partition-cut cache: a query after
-// restart at the same epoch rebuilds its layout from the persisted cut
-// (visible as a layout file on disk keyed to the epoch), and the answer
-// matches the pre-restart one.
-func TestDurableLayoutReuse(t *testing.T) {
+// TestDurableStoreHoldsOnePair checks what the data directory holds: after
+// rounds of updates and uncached queries every graph directory holds exactly
+// one snapshot and one journal — layouts live only in memory — and after a
+// restart an uncached query, cut afresh, answers as before.
+func TestDurableStoreHoldsOnePair(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Workers: 4, Strategy: "fennel"}
 	s := newDurableServer(t, dir, cfg)
 	ctx := context.Background()
-	resp, err := s.Query(ctx, QueryRequest{Graph: "road", Program: "sssp", Query: "source=0"})
-	if err != nil {
-		t.Fatal(err)
+	// sssp on road cuts a plain layout, tricount on social a 1-hop expanded one.
+	queries := []QueryRequest{
+		{Graph: "road", Program: "sssp", Query: "source=0", NoCache: true},
+		{Graph: "social", Program: "tricount", NoCache: true},
 	}
-	layouts, err := filepath.Glob(filepath.Join(dir, "road", "layout-*.grl"))
-	if err != nil || len(layouts) != 1 {
-		t.Fatalf("layout cache files after first query: %v %v", layouts, err)
+	want := make([]*QueryResponse, len(queries))
+	for i := int64(0); i < 3; i++ {
+		for k, q := range queries {
+			if _, err := s.Mutate(ctx, q.Graph, "", "", []EdgeJSON{{From: i, To: 200 + i, W: 0.5}}); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := s.Query(ctx, q)
+			if err != nil {
+				t.Fatalf("%s after update %d: %v", q.Program, i, err)
+			}
+			want[k] = resp
+		}
 	}
-	if !strings.Contains(layouts[0], "-fennel-w4-h0.grl") {
-		t.Fatalf("layout file not keyed by (strategy, workers, hops): %s", layouts[0])
+	graphs, err := os.ReadDir(dir)
+	if err != nil || len(graphs) != 4 {
+		t.Fatalf("data directory holds %v (err %v), want 4 graphs", graphs, err)
+	}
+	for _, g := range graphs {
+		files, err := os.ReadDir(filepath.Join(dir, g.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, f := range files {
+			names = append(names, f.Name())
+		}
+		if len(names) != 2 || !strings.HasPrefix(names[0], "snap-") || !strings.HasSuffix(names[0], ".grs") ||
+			!strings.HasPrefix(names[1], "wal-") || !strings.HasSuffix(names[1], ".grj") {
+			t.Errorf("graph %s holds %v, want one snap-*.grs and one wal-*.grj", g.Name(), names)
+		}
 	}
 
 	s2, infos := reopenDurable(t, dir, cfg)
@@ -322,12 +349,14 @@ func TestDurableLayoutReuse(t *testing.T) {
 	if len(infos) != 4 {
 		t.Fatalf("recovered %d graphs", len(infos))
 	}
-	resp2, err := s2.Query(ctx, QueryRequest{Graph: "road", Program: "sssp", Query: "source=0", NoCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(resp.Result, resp2.Result) {
-		t.Fatal("answer from the reloaded cut differs")
+	for k, q := range queries {
+		resp, err := s2.Query(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Epoch != want[k].Epoch || !reflect.DeepEqual(resp.Result, want[k].Result) {
+			t.Fatalf("%s answer after restart at epoch %d differs from the one at epoch %d", q.Program, resp.Epoch, want[k].Epoch)
+		}
 	}
 }
 

@@ -352,12 +352,8 @@ func (s *Server) resident(name string) (*residentGraph, error) {
 	}
 }
 
-// layoutFor returns the slot's layout, building it on first use. On a
-// durable graph the partition cut is cached on disk keyed by (epoch,
-// strategy, workers, hops): a restart reloads the cut and only rebuilds the
-// fragments, skipping the partitioning itself (the expensive step for the
-// streaming strategies). Freshly computed cuts are persisted for the next
-// restart. Callers hold rg.mu for read, so the epoch is stable throughout.
+// layoutFor returns the slot's layout, building it on first use. Callers
+// hold rg.mu for read, so the graph is stable throughout.
 func (s *Server) layoutFor(rg *residentGraph, key layoutKey, strat partition.Strategy) (*layoutSlot, error) {
 	rg.lmu.Lock()
 	slot, ok := rg.layouts[key]
@@ -367,29 +363,11 @@ func (s *Server) layoutFor(rg *residentGraph, key layoutKey, strat partition.Str
 	}
 	rg.lmu.Unlock()
 	slot.once.Do(func() {
-		if rg.ds != nil {
-			if asg, _ := rg.ds.LoadLayout(rg.g, rg.epoch, key.strategy, key.workers, key.hops); asg != nil {
-				// Rebuild fragments from the persisted cut — the same
-				// post-partition step BuildLayout runs, so the layout is
-				// identical to recomputing.
-				if key.hops > 0 {
-					slot.layout = partition.BuildExpanded(rg.g, asg, key.hops)
-				} else {
-					slot.layout = partition.Build(rg.g, asg)
-				}
-				return
-			}
-		}
 		slot.layout, slot.err = engine.BuildLayout(rg.g, engine.Options{
 			Workers:    key.workers,
 			Strategy:   strat,
 			ExpandHops: key.hops,
 		})
-		if slot.err == nil && rg.ds != nil {
-			if err := rg.ds.SaveLayout(slot.layout.Asg, rg.epoch, key.strategy, key.workers, key.hops); err != nil && s.cfg.Logger != nil {
-				s.cfg.Logger.Warn("layout cache write failed", "graph", rg.name, "err", err.Error())
-			}
-		}
 	})
 	return slot, slot.err
 }

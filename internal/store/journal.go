@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 
 	"grape/internal/engine"
@@ -100,11 +101,22 @@ func (d *Damage) Error() string {
 
 // Journal is an open mutation log positioned for appending.
 type Journal struct {
-	f       *os.File
+	f       file
 	path    string
 	prev    [32]byte
 	records int
 	size    int64
+	failed  error // once set, every later Append returns it (see Append)
+}
+
+// file is what a Journal needs of its *os.File; tests substitute one that
+// fails on demand.
+type file interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Seek(offset int64, whence int) (int64, error)
+	Close() error
 }
 
 func walHeader(baseEpoch uint64, binding [32]byte) []byte {
@@ -232,7 +244,16 @@ func openJournal(path string, baseEpoch uint64, binding [32]byte) (*Journal, []R
 
 // Append encodes r, extends the hash chain, writes the record and fsyncs it.
 // It returns only after the record is durable — callers mutate state after.
+// A failed append leaves no bytes behind it: the file is cut back to the
+// last acknowledged record, so the refused record is never replayed and the
+// next one extends the intact chain. After a failed fsync, or a cut that
+// fails, the journal refuses every later Append until it is reopened or
+// compacted away: a failed fsync is never retried, since the kernel may
+// already have dropped the pages it could not write.
 func (j *Journal) Append(r Record) error {
+	if j.failed != nil {
+		return j.failed
+	}
 	payload := AppendRecord(nil, r)
 	if len(payload) > maxRecordLen {
 		return fmt.Errorf("store: journal record of %d bytes exceeds the %d cap", len(payload), maxRecordLen)
@@ -246,15 +267,32 @@ func (j *Journal) Append(r Record) error {
 	buf = append(buf, payload...)
 	buf = append(buf, chain[:]...)
 	if _, err := j.f.Write(buf); err != nil {
-		return fmt.Errorf("store: appending to journal %s: %w", j.path, err)
+		return j.unwrite(fmt.Errorf("store: appending to journal %s: %w", j.path, err), false)
 	}
 	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("store: syncing journal %s: %w", j.path, err)
+		return j.unwrite(fmt.Errorf("store: syncing journal %s: %w", j.path, err), true)
 	}
 	j.prev = chain
 	j.records++
 	j.size += int64(len(buf))
 	return nil
+}
+
+// unwrite cuts the file back to j.size after the append that failed with
+// err, and returns err. It marks the journal failed when poison is set (the
+// fsync failed) or the cut does not succeed.
+func (j *Journal) unwrite(err error, poison bool) error {
+	if terr := j.f.Truncate(j.size); terr != nil {
+		err = fmt.Errorf("%w; cutting it back: %v", err, terr)
+		poison = true
+	} else if _, serr := j.f.Seek(j.size, io.SeekStart); serr != nil {
+		err = fmt.Errorf("%w; seeking back: %v", err, serr)
+		poison = true
+	}
+	if poison {
+		j.failed = fmt.Errorf("store: journal %s refuses appends after a failed one (%w)", j.path, err)
+	}
+	return err
 }
 
 // Records returns the number of records in the journal.

@@ -1,15 +1,13 @@
 // Package store is the durable backend of the serving path: versioned binary
 // snapshots of frozen CSR graphs (mmap-able, zero-copy), an append-only
-// hash-chained mutation journal fsync-ed ahead of every applied batch, and
-// partition-layout caches — together they let a killed server restart onto
-// the exact epoch and bit-identical answers it was serving, without reloading
-// text or repartitioning.
+// hash-chained mutation journal fsync-ed ahead of every applied batch —
+// together they let a killed server restart onto the exact epoch and
+// bit-identical answers it was serving, without reloading text.
 //
 // On-disk layout, one directory per named graph:
 //
 //	<root>/<name>/snap-<epoch>.grs    snapshot frozen at <epoch>
 //	<root>/<name>/wal-<epoch>.grj     journal of batches applied since it
-//	<root>/<name>/layout-<epoch>-<strategy>-wN-hH.grl   cached partition cuts
 //
 // Snapshot and journal always travel as a pair: the journal header embeds
 // the SHA-256 of its snapshot's header, so a mixed pair (from a torn
@@ -28,7 +26,6 @@ import (
 	"sync"
 
 	"grape/internal/graph"
-	"grape/internal/partition"
 )
 
 // ErrNoSnapshot reports that a graph directory holds no usable snapshot —
@@ -67,16 +64,14 @@ func (s *Store) List() ([]string, error) {
 	return names, nil
 }
 
-// Graph opens (creating if needed) the per-graph store for name.
+// Graph returns the per-graph store for name. It touches nothing on disk:
+// Create makes the graph's directory, and Open of a graph without one is
+// ErrNoSnapshot.
 func (s *Store) Graph(name string) (*GraphStore, error) {
 	if !validGraphName(name) {
 		return nil, fmt.Errorf("store: invalid graph name %q", name)
 	}
-	dir := filepath.Join(s.root, name)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	return &GraphStore{name: name, dir: dir}, nil
+	return &GraphStore{name: name, dir: filepath.Join(s.root, name)}, nil
 }
 
 // validGraphName rejects names that would escape the data directory or
@@ -139,12 +134,9 @@ func (gs *GraphStore) walPath(epoch uint64) string {
 	return filepath.Join(gs.dir, fmt.Sprintf("wal-%016x.grj", epoch))
 }
 
-func (gs *GraphStore) layoutPath(epoch uint64, strategy string, workers, hops int) string {
-	return filepath.Join(gs.dir, fmt.Sprintf("layout-%016x-%s-w%d-h%d.grl", epoch, strategy, workers, hops))
-}
-
-// Create wipes any prior state and persists g as the graph's snapshot at
-// epoch, with an empty journal bound to it.
+// Create makes the graph's directory if needed, wipes any prior state and
+// persists g as the graph's snapshot at epoch, with an empty journal bound
+// to it.
 func (gs *GraphStore) Create(g *graph.Graph, epoch uint64) error {
 	gs.mu.Lock()
 	defer gs.mu.Unlock()
@@ -152,7 +144,10 @@ func (gs *GraphStore) Create(g *graph.Graph, epoch uint64) error {
 		gs.journal.Close()
 		gs.journal = nil
 	}
-	if err := gs.removeFilesLocked(func(kind string, e uint64) bool { return true }); err != nil {
+	if err := os.MkdirAll(gs.dir, 0o755); err != nil {
+		return err
+	}
+	if err := gs.removeFilesLocked(func(uint64) bool { return true }); err != nil {
 		return err
 	}
 	binding, err := WriteSnapshotFile(gs.snapPath(epoch), g, epoch)
@@ -173,9 +168,9 @@ func (gs *GraphStore) Create(g *graph.Graph, epoch uint64) error {
 // Open recovers the graph: it loads the highest-epoch valid snapshot
 // (falling back to older ones if the newest fails validation), opens the
 // paired journal — truncating any damaged tail to its intact prefix — and
-// garbage-collects superseded pairs and stale layout caches. The caller
-// replays Records through the session layer to reach the pre-crash epoch.
-// Returns ErrNoSnapshot if the directory holds no usable snapshot.
+// garbage-collects superseded pairs. The caller replays Records through the
+// session layer to reach the pre-crash epoch. Returns ErrNoSnapshot if the
+// directory is missing or holds no usable snapshot.
 func (gs *GraphStore) Open() (*Recovered, error) {
 	gs.mu.Lock()
 	defer gs.mu.Unlock()
@@ -249,10 +244,10 @@ func (gs *GraphStore) Stats() Stats {
 }
 
 // Compact re-snapshots g (the current in-memory graph) at epoch and swaps in
-// a fresh journal, then deletes the superseded pair and stale layouts. The
-// new pair is fully written before anything is removed, so a crash at any
-// point leaves a complete pair on disk. The caller must ensure g is frozen
-// and not mutated for the duration (the server holds the graph's read lock).
+// a fresh journal, then deletes the superseded pair. The new pair is fully
+// written before anything is removed, so a crash at any point leaves a
+// complete pair on disk. The caller must ensure g is frozen and not mutated
+// for the duration (the server holds the graph's read lock).
 func (gs *GraphStore) Compact(g *graph.Graph, epoch uint64) error {
 	gs.mu.Lock()
 	defer gs.mu.Unlock()
@@ -279,28 +274,6 @@ func (gs *GraphStore) Compact(g *graph.Graph, epoch uint64) error {
 	return nil
 }
 
-// SaveLayout caches a partition cut for (strategy, workers, hops) computed
-// on the graph state at epoch.
-func (gs *GraphStore) SaveLayout(a *partition.Assignment, epoch uint64, strategy string, workers, hops int) error {
-	return writeLayoutFile(gs.layoutPath(epoch, strategy, workers, hops), a, epoch, strategy, workers, hops)
-}
-
-// LoadLayout returns the cached cut for (epoch, strategy, workers, hops), or
-// (nil, nil) when absent or unusable — a missing or corrupt layout cache is
-// never an error, just a recompute.
-func (gs *GraphStore) LoadLayout(g *graph.Graph, epoch uint64, strategy string, workers, hops int) (*partition.Assignment, error) {
-	path := gs.layoutPath(epoch, strategy, workers, hops)
-	a, err := readLayoutFile(path, g, epoch, strategy, workers, hops)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			// Corrupt cache: drop it so the rewrite after recompute is clean.
-			os.Remove(path)
-		}
-		return nil, nil
-	}
-	return a, nil
-}
-
 // Close closes the journal and releases any live snapshot mappings. The
 // graph recovered from a mapped snapshot must not be used after Close.
 func (gs *GraphStore) Close() error {
@@ -322,9 +295,13 @@ func (gs *GraphStore) Close() error {
 	return firstErr
 }
 
-// snapshotEpochsLocked lists epochs with a snapshot file present, ascending.
+// snapshotEpochsLocked lists epochs with a snapshot file present, ascending;
+// a missing directory holds none.
 func (gs *GraphStore) snapshotEpochsLocked() ([]uint64, error) {
 	entries, err := os.ReadDir(gs.dir)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -338,44 +315,26 @@ func (gs *GraphStore) snapshotEpochsLocked() ([]uint64, error) {
 	return epochs, nil
 }
 
-// gcLocked removes snapshot/journal pairs other than keep's, and layout
-// caches older than keep (layouts at epochs > keep remain valid: they can
-// be reached again by replaying the journal).
+// gcLocked removes snapshot/journal pairs other than keep's.
 func (gs *GraphStore) gcLocked(keep uint64) {
-	gs.removeFilesLocked(func(kind string, epoch uint64) bool {
-		if kind == "layout" {
-			return epoch < keep
-		}
-		return epoch != keep
-	})
+	gs.removeFilesLocked(func(epoch uint64) bool { return epoch != keep })
 }
 
-// removeFilesLocked deletes store files matching drop(kind, epoch), where
-// kind is "snap", "wal" or "layout". Removal errors are ignored — GC retries
+// removeFilesLocked deletes every leftover .tmp file and every snapshot or
+// journal whose epoch matches drop. Removal errors are ignored — GC retries
 // on the next open/compaction — but listing errors are returned.
-func (gs *GraphStore) removeFilesLocked(drop func(kind string, epoch uint64) bool) error {
+func (gs *GraphStore) removeFilesLocked(drop func(epoch uint64) bool) error {
 	entries, err := os.ReadDir(gs.dir)
 	if err != nil {
 		return err
 	}
 	for _, e := range entries {
 		name := e.Name()
-		var kind string
-		var epoch uint64
-		var ok bool
-		switch {
-		case strings.HasSuffix(name, ".tmp"):
-			kind, epoch, ok = "tmp", 0, true
-		default:
-			if epoch, ok = parseEpochFile(name, "snap-", ".grs"); ok {
-				kind = "snap"
-			} else if epoch, ok = parseEpochFile(name, "wal-", ".grj"); ok {
-				kind = "wal"
-			} else if epoch, ok = parseLayoutEpoch(name); ok {
-				kind = "layout"
-			}
+		epoch, ok := parseEpochFile(name, "snap-", ".grs")
+		if !ok {
+			epoch, ok = parseEpochFile(name, "wal-", ".grj")
 		}
-		if ok && (kind == "tmp" || drop(kind, epoch)) {
+		if strings.HasSuffix(name, ".tmp") || ok && drop(epoch) {
 			os.Remove(filepath.Join(gs.dir, name))
 		}
 	}
@@ -389,18 +348,6 @@ func parseEpochFile(name, prefix, suffix string) (uint64, bool) {
 	}
 	hex := name[len(prefix) : len(name)-len(suffix)]
 	return parseHex16(hex)
-}
-
-// parseLayoutEpoch extracts the epoch from "layout-<16 hex>-<key>.grl".
-func parseLayoutEpoch(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, "layout-") || !strings.HasSuffix(name, ".grl") {
-		return 0, false
-	}
-	rest := name[len("layout-"):]
-	if len(rest) < 17 || rest[16] != '-' {
-		return 0, false
-	}
-	return parseHex16(rest[:16])
 }
 
 func parseHex16(s string) (uint64, bool) {
@@ -420,16 +367,6 @@ func parseHex16(s string) (uint64, bool) {
 		}
 	}
 	return v, true
-}
-
-// syncFile fsyncs the file at path.
-func syncFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return f.Sync()
 }
 
 // syncParentDir best-effort fsyncs the directory containing path, making a

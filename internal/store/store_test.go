@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -13,7 +14,6 @@ import (
 
 	"grape/internal/engine"
 	"grape/internal/graph"
-	"grape/internal/partition"
 )
 
 func testGraph(seed int64, directed bool) *graph.Graph {
@@ -557,49 +557,122 @@ func TestStoreOpenEmpty(t *testing.T) {
 	}
 }
 
-func TestLayoutRoundTrip(t *testing.T) {
-	s, _ := Open(t.TempDir())
-	gs, _ := s.Graph("g")
-	g := testGraph(31, true).Freeze()
-	if err := gs.Create(g, 1); err != nil {
-		t.Fatal(err)
-	}
-	strat, err := partition.ByName("hash")
+// TestGraphTouchesNothing: naming a graph creates nothing on disk; only
+// Create makes its directory.
+func TestGraphTouchesNothing(t *testing.T) {
+	root := t.TempDir()
+	s, _ := Open(root)
+	gs, err := s.Graph("x")
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := strat.Partition(g, 4)
-	if err != nil {
+	if ents, err := os.ReadDir(root); err != nil || len(ents) != 0 {
+		t.Fatalf("root holds %v (err %v) after Graph(\"x\"), want nothing", ents, err)
+	}
+	if _, err := gs.Open(); err != ErrNoSnapshot {
+		t.Fatalf("Open without a directory: %v, want ErrNoSnapshot", err)
+	}
+	if err := gs.Create(testGraph(5, true).Freeze(), 1); err != nil {
 		t.Fatal(err)
-	}
-	if err := gs.SaveLayout(a, 1, "hash", 4, 2); err != nil {
-		t.Fatal(err)
-	}
-	got, err := gs.LoadLayout(g, 1, "hash", 4, 2)
-	if err != nil || got == nil {
-		t.Fatalf("LoadLayout: %v %v", got, err)
-	}
-	for i := int32(0); i < int32(g.NumVertices()); i++ {
-		if a.OwnerAt(i) != got.OwnerAt(i) {
-			t.Fatalf("owner[%d] = %d, want %d", i, got.OwnerAt(i), a.OwnerAt(i))
-		}
-	}
-	// Wrong key or epoch: a silent miss, never a wrong cut.
-	if miss, err := gs.LoadLayout(g, 2, "hash", 4, 2); miss != nil || err != nil {
-		t.Fatalf("epoch miss: %v %v", miss, err)
-	}
-	if miss, err := gs.LoadLayout(g, 1, "hash", 5, 2); miss != nil || err != nil {
-		t.Fatalf("key miss: %v %v", miss, err)
-	}
-	// Corrupt the layout file: load must miss (and recompute), not error.
-	path := gs.layoutPath(1, "hash", 4, 2)
-	data, _ := os.ReadFile(path)
-	data[len(data)-1] ^= 0xff
-	os.WriteFile(path, data, 0o644)
-	if miss, err := gs.LoadLayout(g, 1, "hash", 4, 2); miss != nil || err != nil {
-		t.Fatalf("corrupt layout served: %v %v", miss, err)
 	}
 	gs.Close()
+	if names, err := s.List(); err != nil || !reflect.DeepEqual(names, []string{"x"}) {
+		t.Fatalf("List after Create = %v, %v", names, err)
+	}
+}
+
+// faultyFile fails the journal's next Write (after writing half of it), its
+// next Sync, or every Truncate, as armed.
+type faultyFile struct {
+	*os.File
+	shortWrite, failSync, failTruncate bool
+}
+
+var errInjected = errors.New("injected I/O fault")
+
+func (f *faultyFile) Write(p []byte) (int, error) {
+	if f.shortWrite {
+		f.shortWrite = false
+		n, _ := f.File.Write(p[:len(p)/2])
+		return n, errInjected
+	}
+	return f.File.Write(p)
+}
+
+func (f *faultyFile) Sync() error {
+	if f.failSync {
+		f.failSync = false
+		return errInjected
+	}
+	return f.File.Sync()
+}
+
+func (f *faultyFile) Truncate(size int64) error {
+	if f.failTruncate {
+		return errInjected
+	}
+	return f.File.Truncate(size)
+}
+
+// TestJournalFailedAppend: append A, fail B's write or fsync, append C,
+// reopen. A failed append leaves no bytes behind it, so recovery yields
+// [A, C], or [A] with C refused — never B, and never without an
+// acknowledged record.
+func TestJournalFailedAppend(t *testing.T) {
+	recs := testRecords(3)
+	a, b, c := recs[0], recs[1], recs[2]
+	for _, tc := range []struct {
+		name    string
+		arm     func(*faultyFile)
+		refuseC bool // the fault leaves the journal failed
+	}{
+		{"short write", func(f *faultyFile) { f.shortWrite = true }, false},
+		{"failed fsync", func(f *faultyFile) { f.failSync = true }, true},
+		{"short write, failed cut", func(f *faultyFile) { f.shortWrite, f.failTruncate = true, true }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "wal.grj")
+			binding := [32]byte{0xcc}
+			j, err := createJournal(path, 1, binding)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Append(a); err != nil {
+				t.Fatal(err)
+			}
+			ff := &faultyFile{File: j.f.(*os.File)}
+			j.f = ff
+			tc.arm(ff)
+			if err := j.Append(b); !errors.Is(err, errInjected) {
+				t.Fatalf("append B under a fault: %v, want the injected error", err)
+			}
+			if j.Records() != 1 {
+				t.Fatalf("journal counts %d records after a refused append, want 1", j.Records())
+			}
+			errC := j.Append(c)
+			j.Close()
+
+			j2, got, _, err := openJournal(path, 1, binding)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j2.Close()
+			want := []Record{a, c}
+			if errC != nil {
+				want = want[:1]
+			}
+			if !sameRecords(want, got) {
+				var queries []string
+				for _, r := range got {
+					queries = append(queries, r.Query)
+				}
+				t.Fatalf("recovered %q with C's append returning %v; want A then C if C was acknowledged, never B", queries, errC)
+			}
+			if tc.refuseC != (errC != nil) {
+				t.Fatalf("append C after the fault: %v, want refused=%v", errC, tc.refuseC)
+			}
+		})
+	}
 }
 
 func TestGraphNameValidation(t *testing.T) {
