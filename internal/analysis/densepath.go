@@ -13,24 +13,22 @@ import (
 // answer, just slower, which no test catches.
 //
 // Inside PIE-program bodies (PEval/IncEval/Assemble/ApplyUpdate), a call to
-// a method M whose receiver also offers M+"At" is flagged, unless the call
-// is in a recognized sparse fallback: lexically behind a branch on
-// (*graph.Graph).Frozen(), the documented thawed-graph path taken after a
-// session mutation. Anything else needs //grapevet:keep with a reason.
+// a method M whose receiver also offers M+"At" is flagged. Fragment graphs
+// are always frozen (sessions splice theirs), so there is no thawed fallback
+// to exempt; a call that must stay needs //grapevet:keep with a reason.
 //
 // A by-ID lookup on a graph (densepathLookup) in PEval, IncEval or Assemble
 // is flagged the same way: a fragment builds its ID index on the first one,
-// so on the frozen path it costs every fragment a map on every run.
-// Fragment.Local is the one-off lookup that does not.
+// so it costs every fragment a map on every run. Fragment.Local is the
+// one-off lookup that does not.
 //
 // The engine's per-update bodies (densepathPerUpdate) get the same protection:
 // inside them a vertex is a border position, a slot or a dense index, and a
 // call that finds one by its ID — a hash or a search per update — is flagged.
 var Densepath = &Analyzer{
 	Name: "densepath",
-	Doc: "PIE kernel bodies must use dense ...At accessors when one exists, unless " +
-		"guarded by a Frozen() fallback branch",
-	Run: runDensepath,
+	Doc:  "PIE kernel bodies must use dense ...At accessors when one exists",
+	Run:  runDensepath,
 }
 
 // densepathBodies are the PIE program entry points whose bodies are kernels.
@@ -101,30 +99,23 @@ func methodOf(info *types.Info, sel *ast.SelectorExpr) string {
 
 func checkDense(p *Pass, fd *ast.FuncDecl) {
 	info := p.Pkg.Info
-	frozen := frozenVars(info, fd.Body)
 	perRun := densepathPerRun[fd.Name.Name]
-
-	// Walk with an explicit ancestor stack so each call site can see the
-	// branches that guard it.
-	var stack []ast.Node
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		stack = append(stack, n)
-		if sel, ok := n.(*ast.SelectorExpr); ok && densepathSparse[sel.Sel.Name] {
-			if named := recvWithDenseTwin(info, sel); named != nil && !inFrozenFallback(info, stack, frozen) {
-				p.Reportf(sel.Sel.Pos(), "%s.%s in %s hashes per call; the dense %sAt counterpart exists — resolve the index once and stay on the CSR fast path (or //grapevet:keep <why> for a thawed fallback)",
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if densepathSparse[sel.Sel.Name] {
+			if named := recvWithDenseTwin(info, sel); named != nil {
+				p.Reportf(sel.Sel.Pos(), "%s.%s in %s hashes per call; the dense %sAt counterpart exists — resolve the index once and stay on the CSR path (or //grapevet:keep <why>)",
 					named.Obj().Name(), sel.Sel.Name, fd.Name.Name, sel.Sel.Name)
 			}
-		} else if ok && perRun {
-			if m := methodOf(info, sel); densepathLookup[m] && !inFrozenFallback(info, stack, frozen) {
-				p.Reportf(sel.Sel.Pos(), "%s in %s looks a vertex up by ID on the frozen path, which builds the ID index of every fragment on every run; use Fragment.Local for a one-off lookup (or //grapevet:keep <why>)",
-					m, fd.Name.Name)
-			}
+		} else if m := methodOf(info, sel); perRun && densepathLookup[m] {
+			p.Reportf(sel.Sel.Pos(), "%s in %s looks a vertex up by ID, which builds the ID index of every fragment on every run; use Fragment.Local for a one-off lookup (or //grapevet:keep <why>)",
+				m, fd.Name.Name)
 		}
-		children(n, walk)
-		stack = stack[:len(stack)-1]
-	}
-	walk(fd.Body)
+		return true
+	})
 }
 
 // recvWithDenseTwin returns the receiver's named type if sel selects a
@@ -149,128 +140,4 @@ func hasMethod(n *types.Named, name string) bool {
 		}
 	}
 	return false
-}
-
-// frozenVars collects identifiers assigned from a .Frozen() call, e.g.
-// `frozen := g.Frozen()`, so guards spelled through a variable count.
-func frozenVars(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
-	out := map[types.Object]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		for i, rhs := range as.Rhs {
-			if i >= len(as.Lhs) {
-				break
-			}
-			call, ok := rhs.(*ast.CallExpr)
-			if !ok {
-				continue
-			}
-			if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || sel.Sel.Name != "Frozen" {
-				continue
-			}
-			if id, ok := as.Lhs[i].(*ast.Ident); ok {
-				if obj := info.Defs[id]; obj != nil {
-					out[obj] = true
-				} else if obj := info.Uses[id]; obj != nil {
-					out[obj] = true
-				}
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// mentionsFrozen reports whether the condition involves a Frozen() call or a
-// variable bound to one.
-func mentionsFrozen(info *types.Info, cond ast.Expr, frozen map[types.Object]bool) bool {
-	found := false
-	ast.Inspect(cond, func(n ast.Node) bool {
-		switch nn := n.(type) {
-		case *ast.SelectorExpr:
-			if nn.Sel.Name == "Frozen" {
-				found = true
-			}
-		case *ast.Ident:
-			if obj := info.Uses[nn]; obj != nil && frozen[obj] {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// inFrozenFallback reports whether the innermost node of stack sits in a
-// recognized sparse-fallback region: the else branch of an if on Frozen(),
-// or lexically after a sibling `if ...Frozen()... { ...; return/continue/
-// break }` in an enclosing block. This matches the repo's idiom exactly —
-// the dense path exits early and the sparse fallback follows.
-func inFrozenFallback(info *types.Info, stack []ast.Node, frozen map[types.Object]bool) bool {
-	target := stack[len(stack)-1]
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch n := stack[i].(type) {
-		case *ast.IfStmt:
-			if n.Else != nil && within(target, n.Else) && mentionsFrozen(info, n.Cond, frozen) {
-				return true
-			}
-		case *ast.BlockStmt:
-			for _, stmt := range n.List {
-				if stmt.End() > target.Pos() {
-					break
-				}
-				ifs, ok := stmt.(*ast.IfStmt)
-				if !ok || !mentionsFrozen(info, ifs.Cond, frozen) {
-					continue
-				}
-				if endsInExit(ifs.Body) {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-func within(n ast.Node, outer ast.Node) bool {
-	return n.Pos() >= outer.Pos() && n.End() <= outer.End()
-}
-
-// endsInExit reports whether the block's last statement leaves the enclosing
-// region (return, continue, break, or a panic call).
-func endsInExit(b *ast.BlockStmt) bool {
-	if len(b.List) == 0 {
-		return false
-	}
-	switch last := b.List[len(b.List)-1].(type) {
-	case *ast.ReturnStmt:
-		return true
-	case *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		if call, ok := last.X.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// children invokes walk on each direct child of n, in source order.
-func children(n ast.Node, walk func(ast.Node)) {
-	first := true
-	ast.Inspect(n, func(m ast.Node) bool {
-		if first {
-			first = false
-			return true
-		}
-		if m != nil {
-			walk(m)
-		}
-		return false
-	})
 }

@@ -3,9 +3,7 @@
 // dense ...At twins, and PIE-named method bodies using them.
 package densepath
 
-type Graph struct{ frozen bool }
-
-func (g *Graph) Frozen() bool { return g.frozen }
+type Graph struct{}
 
 type Context struct {
 	G     *Graph
@@ -20,33 +18,25 @@ func (c *Context) SetAt(i int32, v float64) { c.dense[i] = v }
 
 type Prog struct{}
 
-// PEval's sparse tail is a recognized fallback: it sits lexically behind a
-// Frozen()-guarded block that returns.
+// PEval stays on the dense accessors.
 func (Prog) PEval(c *Context) error {
-	if c.G.Frozen() {
-		c.SetAt(0, 1)
-		return nil
-	}
-	c.Set(1, 1)
+	c.SetAt(0, 1)
 	return nil
 }
 
-// IncEval reaches for the sparse accessor with no guard — the violation.
+// IncEval reaches for the sparse accessors — the violation, wherever it sits.
 func (Prog) IncEval(c *Context) error {
 	c.Set(2, 2) // want "Context.Set in IncEval hashes per call"
+	if c.GetAt(0) > 0 {
+		_ = c.Get(4) // want "Context.Get in IncEval hashes per call"
+	}
 	return nil
 }
 
-// Assemble shows both escape hatches: an annotated keep and the else branch
-// of a Frozen() test.
+// Assemble shows the escape hatch: an annotated keep.
 func (Prog) Assemble(c *Context) error {
-	//grapevet:keep fixture: documented thawed fallback
+	//grapevet:keep fixture: a measured sparse call
 	c.Set(3, 3)
-	if g := c.G; g.Frozen() {
-		_ = c.GetAt(0)
-	} else {
-		_ = c.Get(4)
-	}
 	return nil
 }
 

@@ -34,19 +34,14 @@ type runScratch[V any] struct {
 	fold *foldState[V]
 }
 
-// NewResident validates the layout for resident use (frozen fragments, no
-// wire transport — resident runs share in-process fragments) and returns
-// the reusable runner. Options.Workers and Options.Layout are implied by the
-// layout and ignored.
+// NewResident returns the reusable runner, refusing a wire transport —
+// resident runs share in-process fragments. Options.Workers and
+// Options.Layout are implied by the layout and ignored. Like every run, each
+// Run refuses a layout whose fragments are not frozen.
 func NewResident[Q, V, R any](layout *partition.Layout, prog Program[Q, V, R], opts Options) (*Resident[Q, V, R], error) {
 	opts = opts.withDefaults()
 	if opts.Transport != nil {
 		return nil, fmt.Errorf("engine: resident runs use the in-process bus (wire workers cannot share a resident layout)")
-	}
-	for _, f := range layout.Fragments {
-		if !f.G.Frozen() {
-			return nil, fmt.Errorf("engine: resident layout fragment %d is not frozen (concurrent reads need the CSR form)", f.Index)
-		}
 	}
 	r := &Resident[Q, V, R]{layout: layout, prog: prog, opts: opts}
 	spec := prog.Spec()

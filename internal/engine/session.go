@@ -38,6 +38,11 @@ import (
 //     PEval/IncEval fixpoint again inside the same session. A reseed is the
 //     from-scratch pipeline verbatim, so it is correct for every program;
 //     the capability hooks above exist to beat it, not to replace it.
+//
+// The fragments stay frozen throughout: the first two paths bring each
+// fragment a batch touches up to date with one graph.Splice (a new frozen
+// graph; nothing is thawed), so kernels run the same CSR body in a session as
+// in any other run. Only the global graph is mutated in place.
 
 // EdgeUpdate is one graph mutation: an edge insertion (or, equivalently for
 // weighted graphs, a weight decrease when the edge already exists), or —
@@ -55,8 +60,9 @@ type EdgeUpdate struct {
 // Updater is implemented by PIE programs that support incremental
 // re-evaluation over edge insertions. ApplyUpdate mutates the fragment-local
 // state for one update whose source vertex lives on this fragment and
-// returns the nodes whose variables may need re-relaxation; the edge has
-// already been added to ctx.Frag.G when it is called. Deletions never reach
+// returns the nodes whose variables may need re-relaxation; the whole batch
+// has already been spliced into ctx.Frag.G when it is called, and the
+// border bookkeeping done up to this update. Deletions never reach
 // ApplyUpdate — they go through DeleteRepairer or force a reseed.
 type Updater[Q, V any] interface {
 	ApplyUpdate(q Q, ctx *Context[V], upd EdgeUpdate) ([]graph.ID, error)
@@ -368,23 +374,63 @@ func (s *Session[Q, V, R]) validate(updates []EdgeUpdate) error {
 	return nil
 }
 
-// applyInsert routes one insertion to the owner of its source vertex (where
-// the edge is stored) and mutates that fragment plus the global graph. New
-// endpoints may enlarge the border: placement, border variables and the
-// coordinator's fold are kept in sync, and workers whose queued values must
-// flush are marked in dirtyByWorker (with no dirty nodes of their own).
+// splice brings every fragment that stores a batch edge — the owner of its
+// source — up to date in one graph.Splice: an outer copy, with the global
+// graph's label and properties, for each inserted target it does not host
+// yet, then its edges in batch order. The fragments stay frozen, so the
+// kernels keep their one CSR body. The border bookkeeping for the new copies
+// follows in applyInsert; a deletion's W is rewritten when the global graph
+// drops the same instance (both list a vertex's edges in the same order).
+func (s *Session[Q, V, R]) splice(ups []EdgeUpdate) error {
+	g := s.layout.Asg.G
+	batches := make([]*graph.Batch, len(s.layout.Fragments))
+	copies := make(map[[2]int64]bool) // (fragment, vertex) copies the batches add
+	for _, u := range ups {
+		w := s.layout.Asg.Owner(u.From)
+		if batches[w] == nil {
+			batches[w] = new(graph.Batch)
+		}
+		b := batches[w]
+		if u.Del {
+			b.RemoveEdge(u.From, u.To, u.Label)
+			continue
+		}
+		if k := [2]int64{int64(w), int64(u.To)}; !copies[k] && !s.hosts(w, u.To) {
+			copies[k] = true
+			b.AddVertex(u.To, g.Label(u.To), slices.Clone(g.Props(u.To)))
+		}
+		b.AddEdge(u.From, u.To, u.W, u.Label)
+	}
+	for w, b := range batches {
+		if b == nil {
+			continue
+		}
+		f := s.layout.Fragments[w]
+		ng, _, err := graph.Splice(f.G, b)
+		if err != nil {
+			return fmt.Errorf("engine: fragment %d: %w", w, err)
+		}
+		f.G = ng
+	}
+	return nil
+}
+
+// hosts reports whether fragment w's border bookkeeping already covers id: w
+// owns it, or holds an outer copy of it.
+func (s *Session[Q, V, R]) hosts(w int, id graph.ID) bool {
+	_, outer := slices.BinarySearch(s.layout.Fragments[w].Outer, id)
+	return outer || s.layout.Asg.Owner(id) == w
+}
+
+// applyInsert does the rest of one insertion, after splice: it mirrors the
+// edge into the global graph, and when its target is a new outer copy on the
+// owner of its source, it extends the border on both sides and brings the
+// copy up to date with the coordinator's folded value, so no historic routing
+// is missed. Workers whose queued values must flush are marked in
+// dirtyByWorker (with no dirty nodes of their own).
 func (s *Session[Q, V, R]) applyInsert(u EdgeUpdate, dirtyByWorker map[int][]graph.ID) int {
 	w := s.layout.Asg.Owner(u.From)
-	f := s.layout.Fragments[w]
-	if w != s.layout.Asg.Owner(u.To) && !f.G.Has(u.To) {
-		// new outer copy: replicate the vertex, extend the border on both
-		// sides, and bring the copy up to date with the coordinator's
-		// folded value so no historic routing is missed.
-		g := s.layout.Asg.G
-		f.G.AddVertex(u.To, g.Label(u.To))
-		if ps := g.Props(u.To); len(ps) > 0 {
-			f.G.SetProps(u.To, append([]string(nil), ps...))
-		}
+	if !s.hosts(w, u.To) {
 		owner, first := s.layout.AddHost(u.To, w)
 		s.ctxs[w].syncBorder()
 		if gv, ok := s.fold.lookup(u.To); ok {
@@ -404,31 +450,12 @@ func (s *Session[Q, V, R]) applyInsert(u EdgeUpdate, dirtyByWorker map[int][]gra
 			dirtyByWorker[owner] = nil
 		}
 	}
-	f.G.AddLabeledEdge(u.From, u.To, u.W, u.Label)
 	// mirror into the global graph so later sessions/partitions see it
 	s.layout.Asg.G.AddLabeledEdge(u.From, u.To, u.W, u.Label)
 	if _, ok := dirtyByWorker[w]; !ok {
 		dirtyByWorker[w] = nil
 	}
 	return w
-}
-
-// applyDelete removes one matching edge instance from the owner fragment and
-// the global graph, rewriting u.W to the removed instance's weight. Both
-// adjacencies were built in the same order, so "first match" picks the same
-// instance in each.
-func (s *Session[Q, V, R]) applyDelete(u *EdgeUpdate) error {
-	w := s.layout.Asg.Owner(u.From)
-	f := s.layout.Fragments[w]
-	removed, ok := f.G.RemoveEdge(u.From, u.To, u.Label)
-	if !ok {
-		return fmt.Errorf("engine: deleting %v: edge missing from owner fragment %d", *u, w)
-	}
-	if _, ok := s.layout.Asg.G.RemoveEdge(u.From, u.To, u.Label); !ok {
-		return fmt.Errorf("engine: deleting %v: edge missing from global graph", *u)
-	}
-	u.W = removed.W
-	return nil
 }
 
 // mutateGlobal applies u to the global graph alone, rewriting a deletion's W
@@ -452,6 +479,10 @@ func mutateGlobal(g *graph.Graph, u *EdgeUpdate) bool {
 // breaks the session.
 func (s *Session[Q, V, R]) incremental(ctx context.Context, up Updater[Q, V], ups []EdgeUpdate) (R, *metrics.Stats, error) {
 	var zero R
+	if err := s.splice(ups); err != nil {
+		s.broken = true
+		return zero, nil, err
+	}
 	dirtyByWorker := make(map[int][]graph.ID)
 	for _, u := range ups {
 		w := s.applyInsert(u, dirtyByWorker)
@@ -472,15 +503,17 @@ func (s *Session[Q, V, R]) incremental(ctx context.Context, up Updater[Q, V], up
 // fixpoint seeded with whatever the repair dirtied.
 func (s *Session[Q, V, R]) repair(ctx context.Context, rep DeleteRepairer[Q, V], ups []EdgeUpdate) (R, *metrics.Stats, error) {
 	var zero R
+	if err := s.splice(ups); err != nil {
+		s.broken = true
+		return zero, nil, err
+	}
 	dirtyByWorker := make(map[int][]graph.ID)
 	for i := range ups {
-		if ups[i].Del {
-			if err := s.applyDelete(&ups[i]); err != nil {
-				s.broken = true
-				return zero, nil, err
-			}
-		} else {
+		if !ups[i].Del {
 			s.applyInsert(ups[i], dirtyByWorker)
+		} else if !mutateGlobal(s.layout.Asg.G, &ups[i]) {
+			s.broken = true
+			return zero, nil, fmt.Errorf("engine: deleting %v: edge missing from global graph", ups[i])
 		}
 	}
 	repDirty, err := rep.RepairBatch(s.q, &RepairScope[V]{layout: s.layout, ctxs: s.ctxs, fold: s.fold}, ups)

@@ -106,6 +106,59 @@ func TestSessionUpdateCreatesOuterCopy(t *testing.T) {
 	}
 }
 
+// repairProg is sessionProg with a DeleteRepairer that invalidates nothing:
+// the follow-up fixpoint starts from the batch's sources.
+type repairProg struct{ sessionProg }
+
+func (repairProg) CanRepair(q cdQuery, batch []EdgeUpdate) bool { return true }
+
+func (repairProg) RepairBatch(q cdQuery, sc *RepairScope[int64], batch []EdgeUpdate) (map[int][]graph.ID, error) {
+	dirty := make(map[int][]graph.ID)
+	for _, u := range batch {
+		dirty[sc.Owner(u.From)] = append(dirty[sc.Owner(u.From)], u.From)
+	}
+	return dirty, nil
+}
+
+// TestSessionFragmentsStayFrozen pins that a session splices its fragments
+// instead of mutating them in place: after every Update, on the incremental,
+// repair and reseed paths, each fragment graph is frozen.
+func TestSessionFragmentsStayFrozen(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		prog Program[cdQuery, int64, map[graph.ID]int64]
+	}{
+		{"incremental", sessionProg{}},
+		{"repair", repairProg{}},
+		{"reseed", countdown{}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g := gen.Random(60, 180, 9)
+			s, _, _, err := NewSession(context.Background(), g, c.prog, cdQuery{}, Options{Workers: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			vs := g.Vertices()
+			for round := 0; round < 4; round++ {
+				u := vs[(7*round)%len(vs)]
+				batch := []EdgeUpdate{{From: u, To: vs[(7*round+31)%len(vs)], W: 5}, {From: u, To: u, W: 3}}
+				if round%2 == 1 && c.name != "incremental" {
+					e := g.Out(u)[0]
+					batch = append(batch, EdgeUpdate{From: u, To: e.To, Label: e.Label, Del: true})
+				}
+				if _, _, err := s.Update(context.Background(), batch); err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+				for _, f := range s.layout.Fragments {
+					if !f.G.Frozen() {
+						t.Fatalf("round %d: fragment %d thawed", round, f.Index)
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestSessionRejectsUnknownVertices(t *testing.T) {
 	g := gen.Random(20, 40, 1)
 	s, _, _, err := NewSession(context.Background(), g, sessionProg{}, cdQuery{}, Options{Workers: 2})

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"grape/internal/engine"
-	"grape/internal/graph"
 	"grape/internal/queries"
 	"grape/internal/seq"
 )
@@ -22,36 +21,22 @@ func (RecomputeSSSP) Name() string { return "sssp-recompute" }
 
 // IncEval implements engine.Program by full recomputation. The scan and the
 // restart both stay deliberately fragment-wide — that is the ablation — but
-// they address vertices the same way the real program does (dense indices on
-// frozen fragment graphs), so the comparison isolates algorithmic boundedness
-// rather than accessor cost. Vertices() iterates in dense-index order and
-// RelaxIdx mirrors Relax's heap and work accounting, so both paths charge
-// identical work.
+// they address vertices the same way the real program does (dense indices
+// over the CSR form), so the comparison isolates algorithmic boundedness
+// rather than accessor cost.
 func (RecomputeSSSP) IncEval(q queries.SSSPQuery, ctx *engine.Context[float64]) error {
-	f := ctx.Frag
 	// Seed from every node with a finite distance (the fragment-wide
 	// restart), paying at least one unit per vertex — the |F_i| scan a
 	// non-incremental algorithm cannot avoid.
-	if g := f.G; g.Frozen() {
-		var seeds []int32
-		for i := int32(0); i < int32(g.NumVertices()); i++ {
-			ctx.AddWork(1)
-			if ctx.GetAt(i) < seq.Inf {
-				seeds = append(seeds, i)
-			}
-		}
-		ctx.AddWork(seq.RelaxIdx(g, false, seeds, ctx.GetAt, ctx.SetAt))
-		return nil
-	}
-	var seeds []graph.ID
-	for _, v := range f.G.Vertices() {
+	g := ctx.Frag.G
+	var seeds []int32
+	for i := int32(0); i < int32(g.NumVertices()); i++ {
 		ctx.AddWork(1)
-		if ctx.Get(v) < seq.Inf {
-			seeds = append(seeds, v)
+		if ctx.GetAt(i) < seq.Inf {
+			seeds = append(seeds, i)
 		}
 	}
-	work := seq.Relax(f.G, seeds, ctx.Get, ctx.Set)
-	ctx.AddWork(work)
+	ctx.AddWork(seq.RelaxIdx(g, false, seeds, ctx.GetAt, ctx.SetAt))
 	return nil
 }
 

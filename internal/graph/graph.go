@@ -14,8 +14,10 @@
 // safe for concurrent use, and a frozen CSR query phase entered via Freeze(),
 // in which all read methods are safe for concurrent use and the dense
 // accessors (OutAt, InAt, LabelIDAt, …) traverse without hash lookups. The
-// engines freeze fragments at partition time; kernels take the dense path
-// whenever Frozen() reports true.
+// engines freeze fragments at partition time and never thaw them: a session
+// brings a fragment up to date with Splice (splice.go), which builds a new
+// frozen graph from the old one and a Batch, so kernels read only the CSR
+// form.
 //
 // A frozen graph stores one adjacency: the dense CSR (offsets plus packed
 // DenseEdge arrays). That form is also what travels — flat.go lays the same
@@ -410,8 +412,10 @@ func (g *Graph) mustIndex(id ID) int32 {
 // Clone returns a deep copy of the graph. A frozen graph clones frozen,
 // sharing the immutable CSR arrays, label table and derived views — the ID
 // index built on first lookup included (they are never mutated in place —
-// thawing a clone drops the references, it does not write through them); a
-// mutable graph clones mutable, with the reverse adjacency rebuilt on demand.
+// thawing a clone drops the references, it does not write through them). The
+// shared vertex labels are clipped, so Splice, which appends to them, gives
+// each of two clones an array of its own. A mutable graph clones mutable,
+// with the reverse adjacency rebuilt on demand.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		directed: g.directed,
@@ -429,7 +433,7 @@ func (g *Graph) Clone() *Graph {
 	if g.frozen {
 		c.frozen = true
 		c.outOff, c.outDense = g.outOff, g.outDense
-		c.vlab, c.labelNames, c.labelIDs = g.vlab, g.labelNames, g.labelIDs
+		c.vlab, c.labelNames, c.labelIDs = slices.Clip(g.vlab), g.labelNames, g.labelIDs
 		c.lazy = g.lazy
 		return c
 	}

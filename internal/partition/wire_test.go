@@ -135,10 +135,9 @@ func TestFragmentFrameEquivalence(t *testing.T) {
 	}
 }
 
-// mutateLikeASession applies what engine.Session.applyInsert/applyDelete do
-// to a fragment when a graph update lands on it: replicate a new outer
-// vertex with its label and properties, record it, add an edge to it, delete
-// an edge.
+// mutateLikeASession applies a graph update to a fragment in place, through
+// the mutable API: replicate a new outer vertex with its label and
+// properties, record it, add an edge to it, delete an edge.
 func mutateLikeASession(t *testing.T, f *Fragment) {
 	t.Helper()
 	if f.n == 1 {

@@ -70,9 +70,8 @@ func (CC) Spec() engine.VarSpec[graph.ID] {
 	}
 }
 
-// PEval implements engine.Program: local union-find over the fragment. On a
-// frozen fragment graph every edge hop unions packed dense indices directly;
-// otherwise each target pays one index lookup.
+// PEval implements engine.Program: local union-find over the fragment, every
+// edge hop unioning packed dense indices directly.
 func (CC) PEval(q CCQuery, ctx *engine.Context[graph.ID]) error {
 	f := ctx.Frag
 	g := f.G
@@ -84,20 +83,10 @@ func (CC) PEval(q CCQuery, ctx *engine.Context[graph.ID]) error {
 		borderOf:  map[int32][]int32{},
 	}
 	ctx.State = st
-	if g.Frozen() {
-		for i := int32(0); i < int32(nv); i++ {
-			for _, e := range g.OutAt(i) {
-				st.uf.Union(i, e.To)
-				ctx.AddWork(1)
-			}
-		}
-	} else {
-		for i := int32(0); i < int32(nv); i++ {
-			for _, e := range g.Out(g.IDAt(i)) {
-				vi, _ := g.Index(e.To)
-				st.uf.Union(i, vi)
-				ctx.AddWork(1)
-			}
+	for i := int32(0); i < int32(nv); i++ {
+		for _, e := range g.OutAt(i) {
+			st.uf.Union(i, e.To)
+			ctx.AddWork(1)
 		}
 	}
 	// label each set with its minimum member
@@ -352,9 +341,8 @@ func (CC) RepairBatch(q CCQuery, sc *engine.RepairScope[graph.ID], batch []engin
 				borderOf:  map[int32][]int32{},
 			}
 			for i := int32(0); i < int32(nv); i++ {
-				for _, e := range fg.Out(fg.IDAt(i)) {
-					vi, _ := fg.Index(e.To)
-					fresh.uf.Union(i, vi)
+				for _, e := range fg.OutAt(i) {
+					fresh.uf.Union(i, e.To)
 				}
 			}
 			for i := int32(0); i < int32(nv); i++ {

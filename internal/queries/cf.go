@@ -113,10 +113,9 @@ func (CF) PEval(q CFQuery, ctx *engine.Context[[]float64]) error {
 	for i, v := range g.Vertices() {
 		st.factors[i] = initVec(cfg.Seed, v, cfg.Factors)
 	}
-	iidx := f.InnerIndices()
-	for k, u := range f.Inner {
-		if g.Label(u) == "user" {
-			st.users = append(st.users, iidx[k])
+	for _, i := range f.InnerIndices() {
+		if g.LabelAt(i) == "user" {
+			st.users = append(st.users, i)
 		}
 	}
 	epochs := 1
@@ -124,36 +123,12 @@ func (CF) PEval(q CFQuery, ctx *engine.Context[[]float64]) error {
 		epochs = cfg.Epochs // nothing to synchronize with
 	}
 	for e := 0; e < epochs; e++ {
-		work := cfEpoch(g, st, cfg)
+		work, _, _ := seq.SGDEpochIdx(g, st.users, st.factors, cfg)
 		ctx.AddWork(work)
 		st.epoch++
 	}
 	cfShipBorder(ctx, st, cfg.Factors)
 	return nil
-}
-
-// cfEpoch runs one SGD pass, over the CSR form when the fragment graph is
-// frozen and through the boundary API otherwise (a thawed session graph).
-// Both visit the ratings in the same order.
-func cfEpoch(g *graph.Graph, st *cfState, cfg seq.CFConfig) int64 {
-	if g.Frozen() {
-		work, _, _ := seq.SGDEpochIdx(g, st.users, st.factors, cfg)
-		return work
-	}
-	var work int64
-	for _, u := range st.users {
-		pu := st.factors[u]
-		for _, e := range g.Out(g.IDAt(u)) {
-			i, _ := g.Index(e.To)
-			qi := st.factors[i]
-			if qi == nil || pu == nil {
-				continue
-			}
-			seq.SGDStep(pu, qi, e.W, cfg)
-			work += int64(len(pu))
-		}
-	}
-	return work
 }
 
 // IncEval implements engine.Program: adopt the averaged border factors and
@@ -173,7 +148,7 @@ func (CF) IncEval(q CFQuery, ctx *engine.Context[[]float64]) error {
 	if st.epoch >= q.Cfg.Epochs {
 		return nil // trained out; stop changing parameters
 	}
-	work := cfEpoch(ctx.Frag.G, st, q.Cfg)
+	work, _, _ := seq.SGDEpochIdx(ctx.Frag.G, st.users, st.factors, q.Cfg)
 	ctx.AddWork(work)
 	st.epoch++
 	cfShipBorder(ctx, st, q.Cfg.Factors)
@@ -214,21 +189,8 @@ func (CF) Assemble(q CFQuery, ctxs []*engine.Context[[]float64]) (CFResult, erro
 		}
 		for _, u := range st.users {
 			pu := st.factors[u]
-			if g.Frozen() {
-				for _, e := range g.OutAt(u) {
-					qi := st.factors[e.To]
-					if qi == nil {
-						continue
-					}
-					d := e.W - dotVec(pu, qi)
-					sq += d * d
-					n++
-				}
-				continue
-			}
-			for _, e := range g.Out(g.IDAt(u)) {
-				i, _ := g.Index(e.To)
-				qi := st.factors[i]
+			for _, e := range g.OutAt(u) {
+				qi := st.factors[e.To]
 				if qi == nil {
 					continue
 				}

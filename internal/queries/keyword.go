@@ -160,27 +160,16 @@ func (st *kwState) lower(i int32, k int, d float64) {
 }
 
 // relax runs keyword k's relaxation from its queued seeds along the
-// in-edges of g, on the CSR form when g is frozen, and returns the work.
+// in-edges of g's CSR form and returns the work.
 func (st *kwState) relax(g *graph.Graph, k int) int64 {
 	seeds := st.seeds[k]
 	st.seeds[k] = seeds[:0]
 	if len(seeds) == 0 {
 		return 0
 	}
-	get := func(i int32) float64 { return st.row(i)[k] }
-	set := func(i int32, d float64) { st.lower(i, k, d) }
-	if g.Frozen() {
-		return seq.RelaxIdx(g, true, seeds, get, set)
-	}
-	// A session update thawed the fragment graph: same state, sparse walk.
-	at := func(id graph.ID) int32 { i, _ := g.Index(id); return i }
-	ids := make([]graph.ID, len(seeds))
-	for j, s := range seeds {
-		ids[j] = g.IDAt(s)
-	}
-	return seq.RelaxEdges(g, g.In, ids,
-		func(id graph.ID) float64 { return get(at(id)) },
-		func(id graph.ID, d float64) { set(at(id), d) })
+	return seq.RelaxIdx(g, true, seeds,
+		func(i int32) float64 { return st.row(i)[k] },
+		func(i int32, d float64) { st.lower(i, k, d) })
 }
 
 // publish copies every lowered row into its node variable, one copy each,

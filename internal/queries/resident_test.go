@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -30,11 +31,6 @@ func TestResidentConcurrentPrograms(t *testing.T) {
 	layout, err := engine.BuildLayout(g, opts)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, f := range layout.Fragments {
-		if !f.G.Frozen() {
-			t.Fatalf("fragment %d not frozen", f.Index)
-		}
 	}
 
 	progs := []struct {
@@ -179,7 +175,9 @@ func TestResidentExpandedLayouts(t *testing.T) {
 	}
 }
 
-// TestResidentRejectsUnfrozenLayout pins the safety precondition.
+// TestResidentRejectsUnfrozenLayout pins the safety precondition: a run over
+// a layout whose fragment was mutated in place (which thaws it) fails and
+// names the fragment.
 func TestResidentRejectsUnfrozenLayout(t *testing.T) {
 	g := gen.RoadGrid(8, 8, 1)
 	layout, err := engine.BuildLayout(g, engine.Options{Workers: 2, Strategy: partition.Hash{}})
@@ -187,13 +185,21 @@ func TestResidentRejectsUnfrozenLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	// thaw one fragment by mutating it
-	layout.Fragments[0].G.AddVertex(graph.ID(10_000), "")
+	layout.Fragments[1].G.AddVertex(graph.ID(10_000), "")
 	e, err := engine.Lookup("sssp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Resident(layout, engine.Options{}); err == nil {
-		t.Fatal("resident runner accepted a thawed fragment")
+	pq, err := e.Parse("source=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := e.Resident(layout, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := r.RunParsed(context.Background(), pq); err == nil || !strings.Contains(err.Error(), "fragment 1 is not frozen") {
+		t.Fatalf("resident run over a thawed fragment: want the fragment named, got %v", err)
 	}
 }
 

@@ -68,26 +68,16 @@ func (Sim) PEval(q SimQuery, ctx *engine.Context[seq.SimBits]) error {
 	// Initial candidates by label. Every replica of a node derives the same
 	// mask from its replicated label, so the initialization itself need not
 	// be shipped — only refinements are. Outer copies stay optimistic and
-	// frozen; their truth arrives from their owner.
-	if g := f.G; g.Frozen() {
-		// Dense path: label bits come from a table indexed by interned
-		// label, the refinement runs over the CSR form.
-		tab := seq.LabelBitsIdx(q.Pattern, g)
-		for i := int32(0); i < int32(g.NumVertices()); i++ {
-			ctx.SetLocalAt(i, tab[g.LabelIDAt(i)])
-			ctx.AddWork(1)
-		}
-		work := seq.RefineSimIdx(q.Pattern, g, ctx.GetAt, ctx.SetAt,
-			func(i int32) bool { return !f.IsInnerAt(i) }, nil, true, func(int32) {})
-		ctx.AddWork(work)
-		return nil
-	}
-	for _, v := range f.G.Vertices() {
-		ctx.SetLocal(v, seq.LabelBits(q.Pattern, f.G.Label(v)))
+	// frozen; their truth arrives from their owner. Label bits come from a
+	// table indexed by interned label; the refinement runs over the CSR form.
+	g := f.G
+	tab := seq.LabelBitsIdx(q.Pattern, g)
+	for i := int32(0); i < int32(g.NumVertices()); i++ {
+		ctx.SetLocalAt(i, tab[g.LabelIDAt(i)])
 		ctx.AddWork(1)
 	}
-	work := seq.RefineSim(q.Pattern, f.G, ctx.Get, ctx.Set,
-		func(v graph.ID) bool { return !f.IsInner(v) }, nil, func(graph.ID) {})
+	work := seq.RefineSimIdx(q.Pattern, g, ctx.GetAt, ctx.SetAt,
+		func(i int32) bool { return !f.IsInnerAt(i) }, nil, true, func(int32) {})
 	ctx.AddWork(work)
 	return nil
 }
@@ -96,14 +86,8 @@ func (Sim) PEval(q SimQuery, ctx *engine.Context[seq.SimBits]) error {
 // masks.
 func (Sim) IncEval(q SimQuery, ctx *engine.Context[seq.SimBits]) error {
 	f := ctx.Frag
-	if g := f.G; g.Frozen() {
-		work := seq.RefineSimIdx(q.Pattern, g, ctx.GetAt, ctx.SetAt,
-			func(i int32) bool { return !f.IsInnerAt(i) }, ctx.UpdatedAt(), false, func(int32) {})
-		ctx.AddWork(work)
-		return nil
-	}
-	work := seq.RefineSim(q.Pattern, f.G, ctx.Get, ctx.Set,
-		func(v graph.ID) bool { return !f.IsInner(v) }, ctx.Updated(), func(graph.ID) {})
+	work := seq.RefineSimIdx(q.Pattern, f.G, ctx.GetAt, ctx.SetAt,
+		func(i int32) bool { return !f.IsInnerAt(i) }, ctx.UpdatedAt(), false, func(int32) {})
 	ctx.AddWork(work)
 	return nil
 }

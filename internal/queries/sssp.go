@@ -53,39 +53,24 @@ func (SSSP) Spec() engine.VarSpec[float64] {
 	}
 }
 
-// PEval implements engine.Program with sequential Dijkstra. On a frozen
-// fragment graph (the partition layer freezes at build time) the source is
-// found by the fragment's sorted lists, not the graph's ID index, and the
-// relaxation runs over the CSR form through the hash-free dense accessors.
+// PEval implements engine.Program with sequential Dijkstra over the fragment's
+// CSR form: the source is found by the fragment's sorted lists, not the
+// graph's ID index, and the relaxation runs through the hash-free dense
+// accessors.
 func (SSSP) PEval(q SSSPQuery, ctx *engine.Context[float64]) error {
-	f := ctx.Frag
-	if g := f.G; g.Frozen() {
-		si, ok := f.Local(q.Source)
-		if !ok {
-			return nil
-		}
-		ctx.SetAt(si, 0)
-		ctx.AddWork(seq.RelaxIdx(g, false, []int32{si}, ctx.GetAt, ctx.SetAt))
+	si, ok := ctx.Frag.Local(q.Source)
+	if !ok {
 		return nil
 	}
-	if !f.G.Has(q.Source) {
-		return nil
-	}
-	ctx.Set(q.Source, 0)
-	work := seq.Relax(f.G, []graph.ID{q.Source}, ctx.Get, ctx.Set)
-	ctx.AddWork(work)
+	ctx.SetAt(si, 0)
+	ctx.AddWork(seq.RelaxIdx(ctx.Frag.G, false, []int32{si}, ctx.GetAt, ctx.SetAt))
 	return nil
 }
 
 // IncEval implements engine.Program with bounded incremental relaxation from
 // the changed border nodes.
 func (SSSP) IncEval(q SSSPQuery, ctx *engine.Context[float64]) error {
-	if g := ctx.Frag.G; g.Frozen() {
-		ctx.AddWork(seq.RelaxIdx(g, false, ctx.UpdatedAt(), ctx.GetAt, ctx.SetAt))
-		return nil
-	}
-	work := seq.Relax(ctx.Frag.G, ctx.Updated(), ctx.Get, ctx.Set)
-	ctx.AddWork(work)
+	ctx.AddWork(seq.RelaxIdx(ctx.Frag.G, false, ctx.UpdatedAt(), ctx.GetAt, ctx.SetAt))
 	return nil
 }
 

@@ -49,44 +49,10 @@ func (TriCount) Spec() engine.VarSpec[uint8] {
 	}
 }
 
-// PEval implements engine.Program. On a frozen fragment graph the pivot
-// enumeration runs over the CSR form with epoch-stamped scratch arrays for
-// neighbor dedup and adjacency tests — no per-pivot map allocation and no
-// hash per traversed edge.
+// PEval implements engine.Program. The pivot enumeration runs over the CSR
+// form with epoch-stamped scratch arrays for neighbor dedup and adjacency
+// tests — no per-pivot map allocation and no hash per traversed edge.
 func (TriCount) PEval(q TriCountQuery, ctx *engine.Context[uint8]) error {
-	f := ctx.Frag
-	if f.G.Frozen() {
-		return triCountIdx(ctx)
-	}
-	counts := make(map[graph.ID]int64)
-	var total int64
-	for _, v := range f.Inner {
-		nbrs := undirectedNeighbors(f.G, v)
-		ctx.AddWork(int64(len(nbrs)))
-		// only pivot at the smallest vertex of the triangle
-		var bigger []graph.ID
-		for _, u := range nbrs {
-			if u > v {
-				bigger = append(bigger, u)
-			}
-		}
-		slices.Sort(bigger)
-		for i := 0; i < len(bigger); i++ {
-			ai := undirectedNeighborSet(f.G, bigger[i])
-			for j := i + 1; j < len(bigger); j++ {
-				ctx.AddWork(1)
-				if ai[bigger[j]] {
-					counts[v]++
-					total++
-				}
-			}
-		}
-	}
-	ctx.Partial = TriCountResult{Total: total, PerPivot: counts}
-	return nil
-}
-
-func triCountIdx(ctx *engine.Context[uint8]) error {
 	f := ctx.Frag
 	g := f.G
 	nv := g.NumVertices()
@@ -257,17 +223,8 @@ func RunTriCount(ctx context.Context, g *graph.Graph, opts engine.Options) (TriC
 	return engine.Run(ctx, g, TriCount{}, TriCountQuery{}, opts)
 }
 
-// undirectedNeighbors returns the distinct neighbors of v over both edge
-// directions in the local graph.
-func undirectedNeighbors(g *graph.Graph, v graph.ID) []graph.ID {
-	set := undirectedNeighborSet(g, v)
-	out := make([]graph.ID, 0, len(set))
-	for u := range set {
-		out = append(out, u)
-	}
-	return out
-}
-
+// undirectedNeighborSet returns the distinct neighbors of v over both edge
+// directions.
 func undirectedNeighborSet(g *graph.Graph, v graph.ID) map[graph.ID]bool {
 	set := make(map[graph.ID]bool)
 	for _, e := range g.Out(v) {

@@ -44,8 +44,8 @@ func InitFactors(g *graph.Graph, cfg CFConfig) Factors {
 // SGDStep applies one stochastic-gradient update for a single rating
 // r(u, i) = w to the user and item factor vectors in place and returns the
 // prediction error before the update. It is the one copy of the update rule
-// shared by every SGD loop (sparse, dense, and the engine's thawed-graph
-// fallback) — change it here and all paths stay bit-identical.
+// shared by the sparse and dense SGD loops — change it here and both stay
+// bit-identical.
 func SGDStep(pu, qi []float64, w float64, cfg CFConfig) float64 {
 	err := w - dot(pu, qi)
 	for k := range pu {

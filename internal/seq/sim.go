@@ -73,92 +73,6 @@ func simOK(p, g *graph.Graph, sim map[graph.ID]map[graph.ID]bool, u, v graph.ID)
 // limited to 64 vertices, far beyond any practical simulation pattern.
 type SimBits = uint64
 
-// LabelBits returns the initial mask for a data vertex: one bit per pattern
-// vertex with a matching label.
-func LabelBits(p *graph.Graph, label string) SimBits {
-	var m SimBits
-	for k, u := range p.Vertices() {
-		if p.Label(u) == label {
-			m |= 1 << uint(k)
-		}
-	}
-	return m
-}
-
-// RefineSim refines the masks of the data graph g against pattern p until a
-// local fixpoint: bit k of mask(v) is cleared if some pattern edge (u_k, u_j)
-// has no g-successor edge from v (with a compatible label) whose target still
-// has bit j. Vertices in frozen keep their mask regardless (they are outer
-// copies whose edges live on another fragment; their truth arrives via
-// messages). dirty seeds the worklist; pass nil to refine everything.
-// It reports the work spent and invokes onChange for every vertex whose mask
-// shrank.
-func RefineSim(p, g *graph.Graph, mask func(graph.ID) SimBits, setMask func(graph.ID, SimBits), frozen func(graph.ID) bool, dirty []graph.ID, onChange func(graph.ID)) int64 {
-	var work int64
-	pverts := p.Vertices()
-
-	inWork := make(map[graph.ID]bool)
-	var queue []graph.ID
-	push := func(v graph.ID) {
-		if !inWork[v] && !frozen(v) {
-			inWork[v] = true
-			queue = append(queue, v)
-		}
-	}
-	if dirty == nil {
-		for _, v := range g.Vertices() {
-			push(v)
-		}
-	} else {
-		for _, v := range dirty {
-			push(v)
-			// a changed vertex can only invalidate its predecessors
-			for _, e := range g.In(v) {
-				push(e.To)
-			}
-		}
-	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		inWork[v] = false
-		m := mask(v)
-		if m == 0 {
-			continue
-		}
-		nm := m
-		for k, u := range pverts {
-			if nm&(1<<uint(k)) == 0 {
-				continue
-			}
-			for _, pe := range p.Out(u) {
-				j := indexOf(pverts, pe.To)
-				ok := false
-				for _, ge := range g.Out(v) {
-					work++
-					if (pe.Label == "" || pe.Label == ge.Label) && mask(ge.To)&(1<<uint(j)) != 0 {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					nm &^= 1 << uint(k)
-					break
-				}
-			}
-		}
-		if nm != m {
-			setMask(v, nm)
-			onChange(v)
-			for _, e := range g.In(v) {
-				work++
-				push(e.To)
-			}
-		}
-	}
-	return work
-}
-
 func indexOf(ids []graph.ID, id graph.ID) int {
 	for i, x := range ids {
 		if x == id {
@@ -168,13 +82,16 @@ func indexOf(ids []graph.ID, id graph.ID) int {
 	return -1
 }
 
-// LabelBitsIdx precomputes LabelBits per interned data-graph vertex label:
-// entry lid of the returned table is the initial mask of a data vertex whose
-// LabelIDAt is lid. Frozen graphs only.
+// LabelBitsIdx returns the initial masks of the frozen data graph g's
+// vertices, per interned label: entry lid holds one bit per pattern vertex
+// labelled LabelName(lid), and is the mask of every vertex whose LabelIDAt is
+// lid.
 func LabelBitsIdx(p, g *graph.Graph) []SimBits {
 	tab := make([]SimBits, g.NumLabels())
-	for lid := range tab {
-		tab[lid] = LabelBits(p, g.LabelName(int32(lid)))
+	for k, u := range p.Vertices() {
+		if lid, ok := g.LabelID(p.Label(u)); ok {
+			tab[lid] |= 1 << uint(k)
+		}
 	}
 	return tab
 }
@@ -189,11 +106,16 @@ type simPlanEdge struct {
 	present bool  // the label occurs in the data graph at all
 }
 
-// RefineSimIdx is RefineSim over a frozen graph's CSR form: masks are
-// addressed by dense vertex index and every adjacency hop lands on packed
-// dense targets. With all=true every vertex seeds the worklist (PEval);
-// otherwise only dirty and its in-neighbors do (IncEval). The refinement
-// order, fixpoint and work accounting match RefineSim exactly.
+// RefineSimIdx refines the masks of the frozen data graph g against pattern p
+// until a local fixpoint: bit k of mask(v) is cleared if some pattern edge
+// (u_k, u_j) has no g-successor edge from v (with a compatible label) whose
+// target still has bit j. Vertices for which frozenAt holds keep their mask
+// regardless (they are outer copies whose edges live on another fragment;
+// their truth arrives via messages). Masks are addressed by dense vertex
+// index and every adjacency hop lands on packed dense targets. With all=true
+// every vertex seeds the worklist (PEval); otherwise only dirty and its
+// in-neighbors do (IncEval). It reports the work spent and invokes onChange
+// for every vertex whose mask shrank.
 func RefineSimIdx(p, g *graph.Graph, mask func(int32) SimBits, setMask func(int32, SimBits), frozenAt func(int32) bool, dirty []int32, all bool, onChange func(int32)) int64 {
 	var work int64
 	pverts := p.Vertices()

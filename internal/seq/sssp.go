@@ -81,13 +81,6 @@ func (h *minHeap[K]) pop() (K, float64) {
 //
 // It returns the number of work units spent (heap pushes + edge relaxations).
 func Relax(g *graph.Graph, seeds []graph.ID, get func(graph.ID) float64, set func(graph.ID, float64)) int64 {
-	return RelaxEdges(g, g.Out, seeds, get, set)
-}
-
-// RelaxEdges is Relax over an arbitrary adjacency accessor; keyword search
-// relaxes along in-edges (g.In) to propagate keyword distances to
-// predecessors.
-func RelaxEdges(g *graph.Graph, edges func(graph.ID) []graph.Edge, seeds []graph.ID, get func(graph.ID) float64, set func(graph.ID, float64)) int64 {
 	var work int64
 	var h minHeap[graph.ID]
 	for _, s := range seeds {
@@ -103,7 +96,7 @@ func RelaxEdges(g *graph.Graph, edges func(graph.ID) []graph.Edge, seeds []graph
 		if d > get(id) { // stale entry
 			continue
 		}
-		for _, edge := range edges(id) {
+		for _, edge := range g.Out(id) {
 			work++
 			nd := d + edge.W
 			if nd < get(edge.To) {
