@@ -19,6 +19,13 @@ type CCQuery struct{}
 // a bounded IncEval. Everything is addressed by the fragment graph's dense
 // vertex index: the union-find is flat arrays, and labels/border lists key on
 // dense root indices.
+//
+// Invariant: each local set lies inside one component of the current graph,
+// and its label is that component's. A session keeps it without re-walking a
+// fragment on every batch: after a local deletion a set may be coarser than
+// local connectivity, which is sound because its members still share one
+// global label; a set is rebuilt only when a split makes it straddle two
+// components (RepairBatch).
 type ccState struct {
 	uf *seq.DenseUnionFind
 	// rootLabel is the current (global) component label of each local set,
@@ -38,6 +45,131 @@ func (st *ccState) grow(nv int) {
 		st.rootLabel = append(st.rootLabel, 0)
 		st.rootHas = append(st.rootHas, false)
 	}
+}
+
+// newCCState builds the local sets of the fragment's CSR, every edge hop
+// unioning packed dense indices directly, and labels each set with the lowest
+// labelOf among its members.
+func newCCState(ctx *engine.Context[graph.ID], labelOf func(i int32) graph.ID) *ccState {
+	g := ctx.Frag.G
+	nv := g.NumVertices()
+	st := &ccState{
+		uf:        seq.NewDenseUnionFind(nv),
+		rootLabel: make([]graph.ID, nv),
+		rootHas:   make([]bool, nv),
+		borderOf:  map[int32][]int32{},
+	}
+	for i := int32(0); i < int32(nv); i++ {
+		for _, e := range g.OutAt(i) {
+			st.uf.Union(i, e.To)
+			ctx.AddWork(1)
+		}
+	}
+	for i := int32(0); i < int32(nv); i++ {
+		r := st.uf.Find(i)
+		if l := labelOf(i); !st.rootHas[r] || l < st.rootLabel[r] {
+			st.rootLabel[r] = l
+			st.rootHas[r] = true
+		}
+		ctx.AddWork(1)
+	}
+	for _, b := range ctx.Frag.BorderIndices() {
+		if b < 0 { // border ID not (yet) in the fragment graph
+			continue
+		}
+		r := st.uf.Find(b)
+		st.borderOf[r] = append(st.borderOf[r], b)
+	}
+	return st
+}
+
+// labelAt is the best-known label of the vertex at dense index i: its set's,
+// or — for a vertex first seen now (a new outer copy) — its variable, seeded
+// from the coordinator, or its own ID if it is inner.
+func (st *ccState) labelAt(ctx *engine.Context[graph.ID], i int32) graph.ID {
+	if r := st.uf.Find(i); st.rootHas[r] {
+		return st.rootLabel[r]
+	}
+	l := ctx.GetAt(i)
+	if l == noComponent && ctx.IsInnerAt(i) {
+		l = ctx.Frag.G.IDAt(i)
+	}
+	return l
+}
+
+// merge applies an inserted edge: the local sets of its ends become one,
+// labeled with the lower of their labels, and that set's border nodes re-ship
+// it. Labels only decrease, so the follow-up fixpoint stays monotone and
+// bounded.
+func (st *ccState) merge(ctx *engine.Context[graph.ID], upd engine.EdgeUpdate) error {
+	g := ctx.Frag.G
+	st.grow(g.NumVertices())
+	fi, ok := g.Index(upd.From)
+	if !ok {
+		return fmt.Errorf("cc: update source %d missing from fragment", upd.From)
+	}
+	ti, ok := g.Index(upd.To)
+	if !ok {
+		return fmt.Errorf("cc: update target %d missing from fragment", upd.To)
+	}
+	ru, rv := st.uf.Find(fi), st.uf.Find(ti)
+	if ru == rv {
+		return nil
+	}
+	l := min(st.labelAt(ctx, fi), st.labelAt(ctx, ti))
+	st.uf.Union(fi, ti)
+	nr := st.uf.Find(fi)
+	// merge bookkeeping of both old roots into the new one
+	borders := append(st.borderOf[ru], st.borderOf[rv]...)
+	delete(st.borderOf, ru)
+	delete(st.borderOf, rv)
+	// newly-border endpoints must be tracked too
+	for _, i := range []int32{fi, ti} {
+		if ctx.IsBorderAt(i) && !containsBorder(borders, i) {
+			borders = append(borders, i)
+		}
+	}
+	st.borderOf[nr] = borders
+	st.rootHas[ru], st.rootHas[rv] = false, false
+	st.rootLabel[ru], st.rootLabel[rv] = 0, 0
+	st.rootLabel[nr] = l
+	st.rootHas[nr] = true
+	for _, b := range borders {
+		if l < ctx.GetAt(b) {
+			ctx.SetAt(b, l)
+		}
+		ctx.AddWork(1)
+	}
+	return nil
+}
+
+// rebuild returns the fragment's state recomputed from its spliced CSR, for a
+// fragment that hosts a vertex of a piece RepairBatch split off: a member of a
+// piece takes the piece's label, any other member keeps the one st gives it,
+// and each new set takes the lowest among its members. A set whose label fell
+// below what one of its border nodes carries re-ships it, as merge would;
+// piece labels reach the variables through ForceValue instead.
+func (st *ccState) rebuild(ctx *engine.Context[graph.ID], piece map[graph.ID]graph.ID) *ccState {
+	g := ctx.Frag.G
+	st.grow(g.NumVertices())
+	fresh := newCCState(ctx, func(i int32) graph.ID {
+		if l, ok := piece[g.IDAt(i)]; ok {
+			return l
+		}
+		return st.labelAt(ctx, i)
+	})
+	for _, b := range ctx.Frag.BorderIndices() {
+		if b < 0 {
+			continue
+		}
+		if _, ok := piece[g.IDAt(b)]; ok {
+			continue
+		}
+		if l := fresh.rootLabel[fresh.uf.Find(b)]; l < ctx.GetAt(b) {
+			ctx.SetAt(b, l)
+		}
+	}
+	return fresh
 }
 
 // CC is the PIE program for connected components: PEval labels local
@@ -70,46 +202,15 @@ func (CC) Spec() engine.VarSpec[graph.ID] {
 	}
 }
 
-// PEval implements engine.Program: local union-find over the fragment, every
-// edge hop unioning packed dense indices directly.
+// PEval implements engine.Program: local union-find over the fragment, each
+// set labeled with its minimum member, and every border node's label shipped.
 func (CC) PEval(q CCQuery, ctx *engine.Context[graph.ID]) error {
-	f := ctx.Frag
-	g := f.G
-	nv := g.NumVertices()
-	st := &ccState{
-		uf:        seq.NewDenseUnionFind(nv),
-		rootLabel: make([]graph.ID, nv),
-		rootHas:   make([]bool, nv),
-		borderOf:  map[int32][]int32{},
-	}
+	st := newCCState(ctx, ctx.Frag.G.IDAt)
 	ctx.State = st
-	for i := int32(0); i < int32(nv); i++ {
-		for _, e := range g.OutAt(i) {
-			st.uf.Union(i, e.To)
-			ctx.AddWork(1)
+	for _, b := range ctx.Frag.BorderIndices() {
+		if b >= 0 {
+			ctx.SetAt(b, st.rootLabel[st.uf.Find(b)])
 		}
-	}
-	// label each set with its minimum member
-	for i := int32(0); i < int32(nv); i++ {
-		r := st.uf.Find(i)
-		if v := g.IDAt(i); !st.rootHas[r] || v < st.rootLabel[r] {
-			st.rootLabel[r] = v
-			st.rootHas[r] = true
-		}
-		ctx.AddWork(1)
-	}
-	for _, b := range f.BorderIndices() {
-		if b < 0 { // border ID not (yet) in the fragment graph
-			continue
-		}
-		r := st.uf.Find(b)
-		st.borderOf[r] = append(st.borderOf[r], b)
-	}
-	for _, b := range f.BorderIndices() {
-		if b < 0 {
-			continue
-		}
-		ctx.SetAt(b, st.rootLabel[st.uf.Find(b)])
 	}
 	return nil
 }
@@ -156,61 +257,7 @@ func (CC) ApplyUpdate(q CCQuery, ctx *engine.Context[graph.ID], upd engine.EdgeU
 	if !ok {
 		return nil, fmt.Errorf("cc: session state missing (PEval has not run)")
 	}
-	f := ctx.Frag
-	g := f.G
-	st.grow(g.NumVertices())
-	fi, ok := g.Index(upd.From)
-	if !ok {
-		return nil, fmt.Errorf("cc: update source %d missing from fragment", upd.From)
-	}
-	ti, ok := g.Index(upd.To)
-	if !ok {
-		return nil, fmt.Errorf("cc: update target %d missing from fragment", upd.To)
-	}
-	ru, rv := st.uf.Find(fi), st.uf.Find(ti)
-	labelOf := func(r, i int32, v graph.ID) graph.ID {
-		if st.rootHas[r] {
-			return st.rootLabel[r]
-		}
-		// a vertex first seen now (new outer copy): its best-known label is
-		// its variable (seeded from the coordinator) or, if inner, itself
-		l := ctx.GetAt(i)
-		if l == noComponent && f.IsInnerAt(i) {
-			l = v
-		}
-		return l
-	}
-	lu, lv := labelOf(ru, fi, upd.From), labelOf(rv, ti, upd.To)
-	min := lu
-	if lv < min {
-		min = lv
-	}
-	if ru != rv {
-		st.uf.Union(fi, ti)
-		nr := st.uf.Find(fi)
-		// merge bookkeeping of both old roots into the new one
-		borders := append(st.borderOf[ru], st.borderOf[rv]...)
-		delete(st.borderOf, ru)
-		delete(st.borderOf, rv)
-		// newly-border endpoints must be tracked too
-		for _, i := range []int32{fi, ti} {
-			if ctx.IsBorderAt(i) && !containsBorder(borders, i) {
-				borders = append(borders, i)
-			}
-		}
-		st.borderOf[nr] = borders
-		st.rootHas[ru], st.rootHas[rv] = false, false
-		st.rootLabel[ru], st.rootLabel[rv] = 0, 0
-		st.rootLabel[nr] = min
-		st.rootHas[nr] = true
-		for _, b := range borders {
-			if min < ctx.GetAt(b) {
-				ctx.SetAt(b, min)
-			}
-			ctx.AddWork(1)
-		}
-	}
-	return nil, nil
+	return nil, st.merge(ctx, upd)
 }
 
 // PublishBorder implements engine.BorderPublisher: when a graph update turns
@@ -243,154 +290,269 @@ func (CC) PublishBorder(q CCQuery, ctx *engine.Context[graph.ID], id graph.ID) {
 	}
 }
 
-// CanRepair implements engine.DeleteRepairer: the region relabel below is
-// exact for any mix of insertions and deletions.
+// CanRepair implements engine.DeleteRepairer: the split test and merges below
+// are exact for any mix of insertions and deletions.
 func (CC) CanRepair(q CCQuery, batch []engine.EdgeUpdate) bool { return true }
 
 // RepairBatch implements engine.DeleteRepairer. Deleting an edge can split a
 // component, which no monotone label propagation can express — labels only
-// decrease. Instead the repair recomputes connectivity exactly on the region
-// the batch can possibly affect: the union of the old components of every
-// batch endpoint. That region is closed under new-graph adjacency (old edges
-// connect vertices of one old component; inserted edges connect batch
-// endpoints), so a union-find over the region's vertices against the mutated
-// global graph yields their exact new components, labeled min-member as
-// everywhere else. Fragment states are then re-aligned: fragments whose
-// local adjacency changed (they own a batch edge) rebuild their union-find
-// from scratch, the rest only relabel the local sets containing region
-// members. Variables and the coordinator's fold are overwritten with the new
-// labels — a split raises labels, which the monotone machinery would reject.
-// The returned dirty map is empty: the repair is already exact, so the
-// follow-up fixpoint converges immediately.
+// decrease — but most deletions split nothing, so a batch costs what it
+// changes:
+//
+//   - Split test. Each deleted edge (u, v) runs a lockstep search from both
+//     ends over the mutated global graph (ccRepair.connected). If the searches
+//     meet, the deletion changes no label. If one side runs out, it is a
+//     whole component of the new graph — a piece, labeled with its minimum —
+//     and the other end survives in the old component.
+//   - Remainder. The rest of an old component keeps its old label unless its
+//     old minimum fell into a piece, or the surviving ends of its splitting
+//     deletions do not all meet (ccRepair.settle). Then it is walked whole
+//     and becomes a piece too: the only case that costs O(component).
+//   - State. Only fragments hosting a piece vertex rebuild their union-find
+//     from their spliced CSR (ccState.rebuild), and only the border vertices
+//     of pieces get ForceValue, which also re-aligns the coordinator's fold:
+//     a split raises labels, which Agg/min would refuse.
+//   - Merges. Every other fragment keeps its sets — no set of it meets a
+//     piece, so the ccState invariant holds — and takes the batch's inserts
+//     through merge, as ApplyUpdate does; the lowered labels ride the
+//     follow-up fixpoint.
+//
+// The returned dirty map names the rebuilt fragments, whose lowered border
+// labels must flush.
 func (CC) RepairBatch(q CCQuery, sc *engine.RepairScope[graph.ID], batch []engine.EdgeUpdate) (map[int][]graph.ID, error) {
-	g := sc.Global()
-	oldLabelOf := func(id graph.ID) graph.ID {
-		ctx := sc.Ctx(sc.Owner(id))
-		st, ok := ctx.State.(*ccState)
-		if !ok {
-			return id
-		}
-		i, ok := ctx.Frag.G.Index(id)
-		if !ok || int(i) >= len(st.rootLabel) {
-			return id
-		}
-		r := st.uf.Find(i)
-		if !st.rootHas[r] {
-			return id
-		}
-		return st.rootLabel[r]
-	}
-	touched := make(map[graph.ID]bool)
-	for _, u := range batch {
-		touched[oldLabelOf(u.From)] = true
-		touched[oldLabelOf(u.To)] = true
-	}
-	// region: every vertex of a touched old component, in ascending ID order
-	var region []graph.ID
-	pos := make(map[graph.ID]int)
-	for _, id := range g.Vertices() {
-		if touched[oldLabelOf(id)] {
-			pos[id] = len(region)
-			region = append(region, id)
-		}
-	}
-	// exact new connectivity of the region against the mutated graph
-	ruf := seq.NewDenseUnionFind(len(region))
-	for k, id := range region {
-		for _, e := range g.Out(id) {
-			if j, ok := pos[e.To]; ok {
-				ruf.Union(int32(k), int32(j))
-			}
-		}
-	}
-	minLabel := make([]graph.ID, len(region))
-	for k := range region {
-		minLabel[k] = noComponent
-	}
-	for k, id := range region {
-		r := ruf.Find(int32(k))
-		if id < minLabel[r] {
-			minLabel[r] = id
-		}
-	}
-	newLabel := func(k int) graph.ID { return minLabel[ruf.Find(int32(k))] }
-
-	mutated := make(map[int]bool)
-	for _, u := range batch {
-		mutated[sc.Owner(u.From)] = true
-	}
-	for w := 0; w < sc.Workers(); w++ {
+	states := make([]*ccState, sc.Workers())
+	for w := range states {
 		ctx := sc.Ctx(w)
 		st, ok := ctx.State.(*ccState)
 		if !ok {
-			continue
+			return nil, fmt.Errorf("cc: fragment %d: session state missing (PEval has not run)", w)
 		}
-		fg := ctx.Frag.G
-		st.grow(fg.NumVertices())
-		if mutated[w] {
-			// local adjacency changed: rebuild the union-find over the
-			// mutated fragment graph, carrying each member's exact global
-			// label (new for region members, unchanged for the rest — every
-			// local set is globally connected, so its members agree)
-			old := *st
-			nv := fg.NumVertices()
-			fresh := &ccState{
-				uf:        seq.NewDenseUnionFind(nv),
-				rootLabel: make([]graph.ID, nv),
-				rootHas:   make([]bool, nv),
-				borderOf:  map[int32][]int32{},
-			}
-			for i := int32(0); i < int32(nv); i++ {
-				for _, e := range fg.OutAt(i) {
-					fresh.uf.Union(i, e.To)
-				}
-			}
-			for i := int32(0); i < int32(nv); i++ {
-				id := fg.IDAt(i)
-				var l graph.ID
-				if k, ok := pos[id]; ok {
-					l = newLabel(k)
-				} else {
-					or := old.uf.Find(i)
-					if old.rootHas[or] {
-						l = old.rootLabel[or]
-					} else {
-						l = id
-					}
-				}
-				r := fresh.uf.Find(i)
-				if !fresh.rootHas[r] || l < fresh.rootLabel[r] {
-					fresh.rootLabel[r] = l
-					fresh.rootHas[r] = true
-				}
-			}
-			for _, b := range ctx.Frag.BorderIndices() {
-				if b < 0 {
-					continue
-				}
-				r := fresh.uf.Find(b)
-				fresh.borderOf[r] = append(fresh.borderOf[r], b)
-			}
-			ctx.State = fresh
-			continue
+		st.grow(ctx.Frag.G.NumVertices())
+		states[w] = st
+	}
+	r := &ccRepair{
+		g: sc.Global(),
+		oldLabel: func(id graph.ID) graph.ID {
+			w := sc.Owner(id)
+			ctx := sc.Ctx(w)
+			i, _ := ctx.Frag.G.Index(id)
+			return states[w].labelAt(ctx, i)
+		},
+		piece: map[graph.ID]graph.ID{},
+		ends:  map[graph.ID][]graph.ID{},
+		a:     side{seen: map[graph.ID]bool{}},
+		b:     side{seen: map[graph.ID]bool{}},
+	}
+	for _, u := range batch {
+		if u.Del {
+			r.cut(u.From, u.To)
 		}
-		// adjacency untouched: only relabel the local sets holding region
-		// members (a local set is globally connected, so one member's new
-		// label is the whole set's)
-		for k, id := range region {
-			if i, ok := fg.Index(id); ok {
-				r := st.uf.Find(i)
-				st.rootLabel[r] = newLabel(k)
-				st.rootHas[r] = true
+	}
+	r.settle()
+
+	var dirty map[int][]graph.ID
+	rebuilt := make([]bool, sc.Workers())
+	for _, id := range r.order {
+		for w := range rebuilt {
+			if _, ok := sc.Ctx(w).Frag.G.Index(id); ok {
+				rebuilt[w] = true
 			}
 		}
 	}
-	// re-align the shipped variables and the coordinator's baseline: a split
-	// raises labels, which Agg/min would refuse
-	for k, id := range region {
-		sc.ForceValue(id, newLabel(k))
+	for w, ok := range rebuilt {
+		if ok {
+			ctx := sc.Ctx(w)
+			ctx.State = states[w].rebuild(ctx, r.piece)
+			if dirty == nil {
+				dirty = make(map[int][]graph.ID)
+			}
+			dirty[w] = nil
+		}
 	}
-	return nil, nil
+	for _, u := range batch {
+		if w := sc.Owner(u.From); !u.Del && !rebuilt[w] {
+			if err := states[w].merge(sc.Ctx(w), u); err != nil {
+				return nil, err
+			}
+		}
+	}
+	// Only border variables carry labels: a variable forced onto a vertex no
+	// one else hosts would stop PublishBorder from shipping its label once
+	// the vertex turns border.
+	for _, id := range r.order {
+		ctx := sc.Ctx(sc.Owner(id))
+		if i, _ := ctx.Frag.G.Index(id); ctx.IsBorderAt(i) {
+			sc.ForceValue(id, r.piece[id])
+		}
+	}
+	return dirty, nil
+}
+
+// ccRepair is RepairBatch's view of the batch's splits on the mutated global
+// graph: the pieces found so far and, per old component, the surviving ends
+// of the deletions that split it.
+type ccRepair struct {
+	g        *graph.Graph
+	oldLabel func(graph.ID) graph.ID // a vertex's label before the batch
+	// piece maps every vertex of a piece to the piece's label; order lists
+	// them as found.
+	piece map[graph.ID]graph.ID
+	order []graph.ID
+	// ends lists, per old label, the surviving ends of the splitting
+	// deletions in that old component; labels holds the old labels in the
+	// order first seen.
+	ends   map[graph.ID][]graph.ID
+	labels []graph.ID
+	a, b   side
+}
+
+// cut runs the split test for the deleted edge (u, v). An end already in a
+// piece needs no search: the other end, if not in one, survives.
+func (r *ccRepair) cut(u, v graph.ID) {
+	_, pu := r.piece[u]
+	_, pv := r.piece[v]
+	switch {
+	case pu && pv:
+	case pu:
+		r.survive(v)
+	case pv:
+		r.survive(u)
+	default:
+		met, out := r.connected(u, v)
+		if met {
+			return
+		}
+		r.addPiece(out)
+		if out == &r.a {
+			r.survive(v)
+		} else {
+			r.survive(u)
+		}
+	}
+}
+
+func (r *ccRepair) survive(id graph.ID) {
+	l := r.oldLabel(id)
+	if _, ok := r.ends[l]; !ok {
+		r.labels = append(r.labels, l)
+	}
+	r.ends[l] = append(r.ends[l], id)
+}
+
+// settle applies the remainder rule to every old component a deletion split.
+// Its surviving ends outside pieces are searched against one representative;
+// a side that runs out is one more piece, and if it was the representative's,
+// the other end takes over. The ends left then lie in one component of the
+// new graph, which holds everything of the old component outside pieces:
+// every path out of a piece crosses a deleted edge, whose other end survived.
+// That remainder keeps the old label unless the old minimum — the label — is
+// in a piece; then it is walked whole into a piece of its own.
+func (r *ccRepair) settle() {
+	for _, l := range r.labels {
+		rep := graph.NoID
+		for _, s := range r.ends[l] {
+			if _, ok := r.piece[s]; ok {
+				continue
+			}
+			if rep == graph.NoID {
+				rep = s
+				continue
+			}
+			met, out := r.connected(rep, s)
+			if met {
+				continue
+			}
+			r.addPiece(out)
+			if out == &r.a {
+				rep = s
+			}
+		}
+		if _, moved := r.piece[l]; moved && rep != graph.NoID {
+			r.a.reset(rep)
+			for !r.a.done() {
+				r.a.step(r.g, nil)
+			}
+			r.addPiece(&r.a)
+		}
+	}
+}
+
+// connected runs the lockstep search between u and v over the mutated graph,
+// edge direction ignored, expanding one vertex per side per turn. It reports
+// whether the two meet; if not, it returns the side that ran out first — a
+// whole component of the graph, found at about twice the cost of the smaller
+// side at most.
+func (r *ccRepair) connected(u, v graph.ID) (bool, *side) {
+	if u == v {
+		return true, nil
+	}
+	r.a.reset(u)
+	r.b.reset(v)
+	for {
+		if r.a.done() {
+			return false, &r.a
+		}
+		if r.a.step(r.g, r.b.seen) {
+			return true, nil
+		}
+		if r.b.done() {
+			return false, &r.b
+		}
+		if r.b.step(r.g, r.a.seen) {
+			return true, nil
+		}
+	}
+}
+
+// addPiece records the component s reached as a piece, labeled with its
+// minimum.
+func (r *ccRepair) addPiece(s *side) {
+	l := noComponent
+	for _, id := range s.queue {
+		l = min(l, id)
+	}
+	for _, id := range s.queue {
+		r.piece[id] = l
+	}
+	r.order = append(r.order, s.queue...)
+}
+
+// side is one end of a lockstep search: the vertices it reached, in the order
+// reached, and how many of them it has expanded.
+type side struct {
+	seen  map[graph.ID]bool
+	queue []graph.ID
+	head  int
+}
+
+func (s *side) reset(id graph.ID) {
+	clear(s.seen)
+	s.seen[id] = true
+	s.queue = append(s.queue[:0], id)
+	s.head = 0
+}
+
+// done reports whether the side has expanded all it reached, which is then a
+// whole component.
+func (s *side) done() bool { return s.head == len(s.queue) }
+
+// step expands the side's next vertex over its out- and in-edges and reports
+// whether it reached a vertex of other.
+func (s *side) step(g *graph.Graph, other map[graph.ID]bool) bool {
+	id := s.queue[s.head]
+	s.head++
+	for _, es := range [2][]graph.Edge{g.Out(id), g.In(id)} {
+		for _, e := range es {
+			if other[e.To] {
+				return true
+			}
+			if !s.seen[e.To] {
+				s.seen[e.To] = true
+				s.queue = append(s.queue, e.To)
+			}
+		}
+	}
+	return false
 }
 
 func containsBorder(idxs []int32, i int32) bool {

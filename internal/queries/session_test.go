@@ -225,6 +225,11 @@ func sessionCases() []sessionCase {
 			gen.StreamConfig{Batches: 3, BatchSize: 6, DeleteP: 0, Seed: 18}},
 		{"cc", "cc", "", func() *graph.Graph { return gen.Random(120, 220, 5) },
 			gen.StreamConfig{Batches: 4, BatchSize: 6, DeleteP: 0.5, Seed: 12}},
+		// a tree plus a few chords: most deletions split a component, and
+		// this stream moves a component's minimum into a piece (without the
+		// remainder rule of CC.RepairBatch it fails)
+		{"cc/splits", "cc", "", func() *graph.Graph { return treePlusChords(120, 3, 9) },
+			gen.StreamConfig{Batches: 5, BatchSize: 6, DeleteP: 0.6, Seed: 24}},
 		{"sim", "sim", "pattern=follows-recommend", commerce,
 			gen.StreamConfig{Batches: 4, BatchSize: 5, DeleteP: 0.5, Seed: 13}},
 		{"sim/deletes", "sim", "pattern=follows-recommend", commerce,
@@ -387,18 +392,33 @@ func TestSessionEquivalence(t *testing.T) {
 }
 
 // FuzzSessionUpdateStream throws arbitrary update streams — mixed inserts,
-// deletions, unknown vertices, dead edges — at a CC session. Invariants:
+// deletions, unknown vertices, dead edges — at a CC session. The first byte
+// picks the graph: an even one gen.Random(24, 60, 1), an odd one a tree with
+// three chords, on which most deletions split a component. Invariants:
 // no panic; a rejected batch (error without Broken) leaves the graph
 // unmutated and the session usable; an accepted batch leaves the session's
 // answer identical to sequential union-find on a shadow graph; once Broken,
 // every further Update fails with ErrSessionBroken.
 func FuzzSessionUpdateStream(f *testing.F) {
-	f.Add([]byte{1, 2, 30, 0, 3, 4, 31, 1})
-	f.Add([]byte{0, 1, 5, 0, 0, 1, 5, 1, 0, 1, 5, 1})       // insert, delete it, delete again (dead)
-	f.Add([]byte{200, 1, 5, 0})                             // unknown vertex
-	f.Add([]byte{9, 9, 1, 0, 7, 3, 0, 1, 2, 2, 2, 0, 1, 1}) // self-loop, delete, trailing garbage
+	f.Add([]byte{0, 1, 2, 30, 0, 3, 4, 31, 1})
+	f.Add([]byte{0, 0, 1, 5, 0, 0, 1, 5, 1, 0, 1, 5, 1})       // insert, delete it, delete again (dead)
+	f.Add([]byte{0, 200, 1, 5, 0})                             // unknown vertex
+	f.Add([]byte{0, 9, 9, 1, 0, 7, 3, 0, 1, 2, 2, 2, 0, 1, 1}) // self-loop, delete, trailing garbage
+	// On the tree (treePlusChords(24, 3, 18)), TestCCRepairSplits' shapes:
+	f.Add([]byte{1, 7, 9, 1, 1})                // cut 7->9: the piece 0..8 holds the old minimum
+	f.Add([]byte{1, 10, 9, 1, 1, 11, 10, 1, 1}) // cut both bridges of 10: 0..9 and 11..23 part
+	// cut 7->9 (two self-loops pad the batch), then merge the halves back
+	// through 8->20 and cut 1->4, the bridge holding the merged minimum
+	f.Add([]byte{1, 7, 9, 1, 1, 0, 0, 1, 0, 0, 0, 1, 0, 8, 20, 1, 0, 1, 4, 1, 1, 0, 0, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
 		g := gen.Random(24, 60, 1)
+		if data[0]%2 == 1 {
+			g = treePlusChords(24, 3, 18)
+		}
+		data = data[1:]
 		shadow := g.Clone()
 		sess, _, _, err := engine.NewSession(context.Background(), g, CC{}, CCQuery{},
 			engine.Options{Workers: 3, Strategy: partition.Hash{}})
