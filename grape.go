@@ -135,7 +135,9 @@ type (
 // returns a Session whose Update method applies edge insertions
 // incrementally. The program must implement engine.Updater to accept
 // updates (the built-in SSSP and CC do). ctx bounds the initial fixpoint;
-// each Update carries its own.
+// each Update carries its own. The session freezes g and owns it: g itself
+// never changes, and Session.Graph returns the current graph, every accepted
+// batch spliced in.
 func NewSession[Q, V, R any](ctx context.Context, g *Graph, prog Program[Q, V, R], q Q, opts Options) (*Session[Q, V, R], R, *Stats, error) {
 	return engine.NewSession(ctx, g, prog, q, opts)
 }

@@ -135,3 +135,5 @@ func (a sessionAdapter[Q, V, R]) Result() (any, error) {
 }
 
 func (a sessionAdapter[Q, V, R]) Broken() bool { return a.s.Broken() }
+
+func (a sessionAdapter[Q, V, R]) Graph() *graph.Graph { return a.s.Graph() }

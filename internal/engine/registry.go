@@ -55,6 +55,8 @@ type SessionHandle interface {
 	// Broken reports whether an aborted update diverged the retained state;
 	// a broken session must be dropped and rebuilt.
 	Broken() bool
+	// Graph returns the current global graph (see Session.Graph).
+	Graph() *graph.Graph
 }
 
 // Entry describes a PIE program registered in the GRAPE API library — the

@@ -32,17 +32,17 @@ import (
 //     fixpoint where needed;
 //   - locality-bounded programs (SubIso, TriCount) implement SessionPatcher:
 //     the session retains their assembled answer and patches it exactly per
-//     batch, mutating only the global graph;
+//     batch from the graphs before and after it;
 //   - everything else — and any batch a repairer declines — falls back to a
-//     reseed: re-partition the mutated global graph and run the full
+//     reseed: re-partition the updated global graph and run the full
 //     PEval/IncEval fixpoint again inside the same session. A reseed is the
 //     from-scratch pipeline verbatim, so it is correct for every program;
 //     the capability hooks above exist to beat it, not to replace it.
 //
-// The fragments stay frozen throughout: the first two paths bring each
-// fragment a batch touches up to date with one graph.Splice (a new frozen
-// graph; nothing is thawed), so kernels run the same CSR body in a session as
-// in any other run. Only the global graph is mutated in place.
+// Nothing is thawed. Every path starts from the global graph spliced once per
+// batch (graph.Splice: a new frozen graph, the old one left intact), and the
+// first two also splice each fragment the batch touches, so kernels run the
+// same CSR body in a session as in any other run.
 
 // EdgeUpdate is one graph mutation: an edge insertion (or, equivalently for
 // weighted graphs, a weight decrease when the edge already exists), or —
@@ -108,16 +108,14 @@ type DeleteRepairer[Q, V any] interface {
 // per batch instead of re-running any fixpoint. SessionQuery may widen the
 // user's query for the initial run (SubIso drops MaxMatches: a truncated
 // match list cannot be patched); PatchResult narrows the retained state back
-// to the user's answer. ApplyPatch receives the whole batch and an apply
-// closure that performs the graph mutation of batch[i]. The patcher calls
-// apply(i) exactly once per update, in batch order — which instance a
-// deletion removes depends on the updates before it — and decides what to
-// inspect in between (once apply has run, batch[i].W of a deletion holds the
-// removed instance's weight).
+// to the user's answer. ApplyPatch receives the whole batch — a deletion's W
+// already rewritten to the removed instance's weight — with the global graph
+// before it (old) and after it (g): both frozen, with the same dense indices,
+// and both readable, since a session never adds vertices.
 type SessionPatcher[Q, R any] interface {
 	SessionQuery(q Q) Q
 	InitPatch(q Q, g *graph.Graph, res R) (any, error)
-	ApplyPatch(q Q, g *graph.Graph, state any, batch []EdgeUpdate, apply func(i int)) (any, error)
+	ApplyPatch(q Q, old, g *graph.Graph, state any, batch []EdgeUpdate) (any, error)
 	PatchResult(q Q, state any) (R, error)
 }
 
@@ -131,7 +129,7 @@ type RepairScope[V any] struct {
 	fold   *foldState[V]
 }
 
-// Global returns the global (whole) graph, already mutated by the batch.
+// Global returns the global (whole) graph, with the batch already spliced in.
 func (sc *RepairScope[V]) Global() *graph.Graph { return sc.layout.Asg.G }
 
 // Workers returns the number of fragments.
@@ -207,8 +205,8 @@ type Session[Q, V, R any] struct {
 
 // ErrSessionBroken is returned (wrapped) by Update and Result after an
 // incremental fixpoint was cancelled or failed partway: the retained state
-// is not trustworthy. Start a fresh session over the (already mutated)
-// graph.
+// is not trustworthy. Start a fresh session over Graph(), which holds the
+// whole batch.
 var ErrSessionBroken = errors.New("session state diverged by an aborted update; start a new session")
 
 // NewSession runs the initial PEval/IncEval fixpoint and retains the state
@@ -216,7 +214,9 @@ var ErrSessionBroken = errors.New("session state diverged by an aborted update; 
 // programs without incremental capabilities fall back to reseeding on
 // Update, which re-runs the from-scratch pipeline on the mutated graph
 // inside the same session. The context bounds the initial fixpoint only;
-// each Update call carries its own.
+// each Update call carries its own. NewSession freezes g, and the session
+// owns it from then on: g itself never changes, each batch yields a new
+// graph, and Graph returns the current one.
 func NewSession[Q, V, R any](ctx context.Context, g *graph.Graph, prog Program[Q, V, R], q Q, opts Options) (*Session[Q, V, R], R, *metrics.Stats, error) {
 	var zero R
 	if !g.Directed() {
@@ -229,6 +229,7 @@ func NewSession[Q, V, R any](ctx context.Context, g *graph.Graph, prog Program[Q
 		return nil, zero, nil, fmt.Errorf("engine: sessions do not support Options.Recover (a replay from PEval cannot rebuild a resumed session context)")
 	}
 	opts = opts.withDefaults()
+	g.Freeze()
 	patcher, _ := any(prog).(SessionPatcher[Q, R])
 	if opts.ExpandHops > 0 && patcher == nil {
 		return nil, zero, nil, fmt.Errorf("engine: %s: expanded fragments replicate edges across workers, which incremental updates cannot keep consistent; only SessionPatcher programs run sessions with ExpandHops > 0", prog.Name())
@@ -274,6 +275,11 @@ func NewSession[Q, V, R any](ctx context.Context, g *graph.Graph, prog Program[Q
 // nothing happened" from "state diverged, drop the session".
 func (s *Session[Q, V, R]) Broken() bool { return s.broken }
 
+// Graph returns the session's current global graph, frozen: the graph
+// NewSession was given with every accepted batch spliced in — a batch that
+// broke the session included.
+func (s *Session[Q, V, R]) Graph() *graph.Graph { return s.layout.Asg.G }
+
 // Result re-assembles the current answer without recomputation.
 func (s *Session[Q, V, R]) Result() (R, error) {
 	if s.broken {
@@ -288,15 +294,16 @@ func (s *Session[Q, V, R]) Result() (R, error) {
 
 // Update applies a batch of mixed edge insertions and deletions and brings
 // the retained answer up to date — the paper's Q(G ⊕ M) = Q(G) ⊕ ΔO. The
-// whole batch is validated before anything is mutated, so a rejected batch
-// leaves the session (and the graph) untouched. The execution path depends
-// on the program's capabilities: seeded IncEval for insert-only batches of
-// an Updater, coordinator-side repair plus follow-up fixpoint for a
-// DeleteRepairer, exact answer patching for a SessionPatcher, and a full
-// reseed of the mutated graph for everything else. A cancelled ctx aborts
-// an incremental fixpoint at the next superstep barrier; the graph mutation
-// has already been applied by then and the retained state has diverged, so
-// the session marks itself broken — further Update/Result calls fail with
+// whole batch is validated before anything changes, so a rejected batch
+// leaves the session (and the graph) untouched; an accepted one is spliced
+// into the global graph whole, in one graph.Splice, before any path runs. The
+// execution path depends on the program's capabilities: seeded IncEval for
+// insert-only batches of an Updater, coordinator-side repair plus follow-up
+// fixpoint for a DeleteRepairer, exact answer patching for a SessionPatcher,
+// and a full reseed of the updated graph for everything else. A cancelled
+// ctx aborts an incremental fixpoint at the next superstep barrier; the
+// batch is in Graph() by then and the retained state has diverged, so the
+// session marks itself broken — further Update/Result calls fail with
 // ErrSessionBroken instead of returning silently stale answers.
 func (s *Session[Q, V, R]) Update(ctx context.Context, updates []EdgeUpdate) (R, *metrics.Stats, error) {
 	var zero R
@@ -313,8 +320,12 @@ func (s *Session[Q, V, R]) Update(ctx context.Context, updates []EdgeUpdate) (R,
 	// copy so the caller's batch stays untouched.
 	ups := make([]EdgeUpdate, len(updates))
 	copy(ups, updates)
+	old := s.layout.Asg.G
+	if err := s.spliceGlobal(ups); err != nil {
+		return zero, nil, err
+	}
 	if s.patcher != nil {
-		return s.patchBatch(ups)
+		return s.patchBatch(old, ups)
 	}
 	hasDelete := slices.ContainsFunc(ups, func(u EdgeUpdate) bool { return u.Del })
 	if up, ok := any(s.prog).(Updater[Q, V]); ok && !hasDelete {
@@ -323,19 +334,20 @@ func (s *Session[Q, V, R]) Update(ctx context.Context, updates []EdgeUpdate) (R,
 	if rep, ok := any(s.prog).(DeleteRepairer[Q, V]); ok && rep.CanRepair(s.q, ups) {
 		return s.repair(ctx, rep, ups)
 	}
-	return s.reseed(ctx, ups)
+	return s.reseed(ctx)
 }
 
-// validate rejects a bad batch before any state is mutated: unknown
+// validate rejects a bad batch before any state changes: unknown
 // endpoints, program-specific rules (UpdateValidator), and deletions of
 // edges that do not exist — counted against a per-batch multiset, so a
 // batch may delete an edge it inserted earlier, and two deletions of the
-// same edge need two live instances.
+// same edge need two live instances. Edges are counted on the CSR by dense
+// index.
 func (s *Session[Q, V, R]) validate(updates []EdgeUpdate) error {
 	g := s.layout.Asg.G
 	validator, hasValidator := any(s.prog).(UpdateValidator[Q])
 	type ekey struct {
-		from, to graph.ID
+		from, to int32
 		label    string
 	}
 	counts := make(map[ekey]int)
@@ -344,16 +356,20 @@ func (s *Session[Q, V, R]) validate(updates []EdgeUpdate) error {
 			return c
 		}
 		c := 0
-		for _, e := range g.Out(k.from) {
-			if e.To == k.to && e.Label == k.label {
-				c++
+		if l, ok := g.LabelID(k.label); ok {
+			for _, e := range g.OutAt(k.from) {
+				if e.To == k.to && e.Label == l {
+					c++
+				}
 			}
 		}
 		counts[k] = c
 		return c
 	}
 	for _, u := range updates {
-		if !g.Has(u.From) || !g.Has(u.To) {
+		from, okFrom := g.Index(u.From)
+		to, okTo := g.Index(u.To)
+		if !okFrom || !okTo {
 			return fmt.Errorf("engine: update %v references unknown vertices (vertex additions are not supported)", u)
 		}
 		if hasValidator {
@@ -361,7 +377,7 @@ func (s *Session[Q, V, R]) validate(updates []EdgeUpdate) error {
 				return fmt.Errorf("engine: rejecting %v: %w", u, err)
 			}
 		}
-		k := ekey{u.From, u.To, u.Label}
+		k := ekey{from, to, u.Label}
 		if u.Del {
 			if liveCount(k) <= 0 {
 				return fmt.Errorf("engine: deleting %v: no matching edge (%d->%d label %q)", u, u.From, u.To, u.Label)
@@ -374,13 +390,39 @@ func (s *Session[Q, V, R]) validate(updates []EdgeUpdate) error {
 	return nil
 }
 
+// spliceGlobal replaces the global graph with one holding the whole batch,
+// built in one graph.Splice, and rewrites each deletion's W to the weight of
+// the instance it removed. It runs right after validate, which has checked
+// everything Splice would refuse; should Splice refuse anyway, the graph and
+// the session are as they were.
+func (s *Session[Q, V, R]) spliceGlobal(ups []EdgeUpdate) error {
+	var b graph.Batch
+	for _, u := range ups {
+		if u.Del {
+			b.RemoveEdge(u.From, u.To, u.Label)
+		} else {
+			b.AddEdge(u.From, u.To, u.W, u.Label)
+		}
+	}
+	g, removed, err := graph.Splice(s.layout.Asg.G, &b)
+	if err != nil {
+		return fmt.Errorf("engine: %s: %w", s.prog.Name(), err)
+	}
+	for i := range ups {
+		if ups[i].Del {
+			ups[i].W, removed = removed[0], removed[1:]
+		}
+	}
+	s.layout.Asg.G = g
+	return nil
+}
+
 // splice brings every fragment that stores a batch edge — the owner of its
 // source — up to date in one graph.Splice: an outer copy, with the global
 // graph's label and properties, for each inserted target it does not host
 // yet, then its edges in batch order. The fragments stay frozen, so the
 // kernels keep their one CSR body. The border bookkeeping for the new copies
-// follows in applyInsert; a deletion's W is rewritten when the global graph
-// drops the same instance (both list a vertex's edges in the same order).
+// follows in applyInsert.
 func (s *Session[Q, V, R]) splice(ups []EdgeUpdate) error {
 	g := s.layout.Asg.G
 	batches := make([]*graph.Batch, len(s.layout.Fragments))
@@ -422,12 +464,11 @@ func (s *Session[Q, V, R]) hosts(w int, id graph.ID) bool {
 	return outer || s.layout.Asg.Owner(id) == w
 }
 
-// applyInsert does the rest of one insertion, after splice: it mirrors the
-// edge into the global graph, and when its target is a new outer copy on the
-// owner of its source, it extends the border on both sides and brings the
-// copy up to date with the coordinator's folded value, so no historic routing
-// is missed. Workers whose queued values must flush are marked in
-// dirtyByWorker (with no dirty nodes of their own).
+// applyInsert does the rest of one insertion, after splice: when its target
+// is a new outer copy on the owner of its source, it extends the border on
+// both sides and brings the copy up to date with the coordinator's folded
+// value, so no historic routing is missed. Workers whose queued values must
+// flush are marked in dirtyByWorker (with no dirty nodes of their own).
 func (s *Session[Q, V, R]) applyInsert(u EdgeUpdate, dirtyByWorker map[int][]graph.ID) int {
 	w := s.layout.Asg.Owner(u.From)
 	if !s.hosts(w, u.To) {
@@ -450,33 +491,17 @@ func (s *Session[Q, V, R]) applyInsert(u EdgeUpdate, dirtyByWorker map[int][]gra
 			dirtyByWorker[owner] = nil
 		}
 	}
-	// mirror into the global graph so later sessions/partitions see it
-	s.layout.Asg.G.AddLabeledEdge(u.From, u.To, u.W, u.Label)
 	if _, ok := dirtyByWorker[w]; !ok {
 		dirtyByWorker[w] = nil
 	}
 	return w
 }
 
-// mutateGlobal applies u to the global graph alone, rewriting a deletion's W
-// to the removed instance's weight; false means no such edge existed.
-func mutateGlobal(g *graph.Graph, u *EdgeUpdate) bool {
-	if !u.Del {
-		g.AddLabeledEdge(u.From, u.To, u.W, u.Label)
-		return true
-	}
-	removed, ok := g.RemoveEdge(u.From, u.To, u.Label)
-	if ok {
-		u.W = removed.W
-	}
-	return ok
-}
-
-// incremental is the insert-only Updater path: mutate fragments, collect the
-// program's dirty nodes, and re-run the seeded IncEval fixpoint. An error
-// once mutation has begun leaves earlier batch entries applied locally but
-// never propagated — the same divergence as an aborted fixpoint — so it
-// breaks the session.
+// incremental is the insert-only Updater path: splice the fragments, collect
+// the program's dirty nodes, and re-run the seeded IncEval fixpoint. An error
+// once the fragments have changed leaves earlier batch entries applied
+// locally but never propagated — the same divergence as an aborted fixpoint —
+// so it breaks the session.
 func (s *Session[Q, V, R]) incremental(ctx context.Context, up Updater[Q, V], ups []EdgeUpdate) (R, *metrics.Stats, error) {
 	var zero R
 	if err := s.splice(ups); err != nil {
@@ -498,9 +523,9 @@ func (s *Session[Q, V, R]) incremental(ctx context.Context, up Updater[Q, V], up
 	return s.run(ctx, dirtyByWorker)
 }
 
-// repair is the DeleteRepairer path: apply every structural mutation, let
-// the program patch its retained state coordinator-side, and run a follow-up
-// fixpoint seeded with whatever the repair dirtied.
+// repair is the DeleteRepairer path: splice the fragments and extend the
+// border, let the program patch its retained state coordinator-side, and run
+// a follow-up fixpoint seeded with whatever the repair dirtied.
 func (s *Session[Q, V, R]) repair(ctx context.Context, rep DeleteRepairer[Q, V], ups []EdgeUpdate) (R, *metrics.Stats, error) {
 	var zero R
 	if err := s.splice(ups); err != nil {
@@ -508,12 +533,9 @@ func (s *Session[Q, V, R]) repair(ctx context.Context, rep DeleteRepairer[Q, V],
 		return zero, nil, err
 	}
 	dirtyByWorker := make(map[int][]graph.ID)
-	for i := range ups {
-		if !ups[i].Del {
-			s.applyInsert(ups[i], dirtyByWorker)
-		} else if !mutateGlobal(s.layout.Asg.G, &ups[i]) {
-			s.broken = true
-			return zero, nil, fmt.Errorf("engine: deleting %v: edge missing from global graph", ups[i])
+	for _, u := range ups {
+		if !u.Del {
+			s.applyInsert(u, dirtyByWorker)
 		}
 	}
 	repDirty, err := rep.RepairBatch(s.q, &RepairScope[V]{layout: s.layout, ctxs: s.ctxs, fold: s.fold}, ups)
@@ -527,20 +549,13 @@ func (s *Session[Q, V, R]) repair(ctx context.Context, rep DeleteRepairer[Q, V],
 	return s.run(ctx, dirtyByWorker)
 }
 
-// reseed is the universal fallback: mutate the global graph only, rebuild
-// the layout from it, and run the from-scratch PEval/IncEval fixpoint inside
-// the session — the exact pipeline Run would execute on the mutated graph.
-// Old fragments, contexts and fold state are discarded wholesale.
-func (s *Session[Q, V, R]) reseed(ctx context.Context, ups []EdgeUpdate) (R, *metrics.Stats, error) {
+// reseed is the universal fallback: rebuild the layout from the spliced
+// global graph and run the from-scratch PEval/IncEval fixpoint inside the
+// session — the exact pipeline Run would execute on that graph. Old
+// fragments, contexts and fold state are discarded wholesale.
+func (s *Session[Q, V, R]) reseed(ctx context.Context) (R, *metrics.Stats, error) {
 	var zero R
-	g := s.layout.Asg.G
-	for i := range ups {
-		if !mutateGlobal(g, &ups[i]) {
-			s.broken = true
-			return zero, nil, fmt.Errorf("engine: deleting %v: edge missing from global graph", ups[i])
-		}
-	}
-	layout, err := BuildLayout(g, s.opts)
+	layout, err := BuildLayout(s.layout.Asg.G, s.opts)
 	if err != nil {
 		s.broken = true
 		return zero, nil, err
@@ -550,25 +565,14 @@ func (s *Session[Q, V, R]) reseed(ctx context.Context, ups []EdgeUpdate) (R, *me
 	return s.run(ctx, nil)
 }
 
-// patchBatch is the SessionPatcher path: hand the patcher the global graph,
-// the batch and an apply closure performing the mutations in order, and
-// retain the patched state. No fixpoint runs; the per-fragment machinery of
-// the initial run is left behind (a patched answer never consults it).
-func (s *Session[Q, V, R]) patchBatch(ups []EdgeUpdate) (R, *metrics.Stats, error) {
+// patchBatch is the SessionPatcher path: hand the patcher the global graphs
+// before and after the batch, and the batch, and retain the patched state. No
+// fixpoint runs; the per-fragment machinery of the initial run is left behind
+// (a patched answer never consults it).
+func (s *Session[Q, V, R]) patchBatch(old *graph.Graph, ups []EdgeUpdate) (R, *metrics.Stats, error) {
 	var zero R
 	start := time.Now()
-	g := s.layout.Asg.G
-	applied := 0
-	apply := func(i int) {
-		if i == applied {
-			mutateGlobal(g, &ups[i])
-			applied++
-		}
-	}
-	st, err := s.patcher.ApplyPatch(s.q, g, s.patch, ups, apply)
-	if err == nil && applied != len(ups) {
-		err = fmt.Errorf("the patcher applied %d of %d updates in order", applied, len(ups))
-	}
+	st, err := s.patcher.ApplyPatch(s.q, old, s.layout.Asg.G, s.patch, ups)
 	if err != nil {
 		s.broken = true
 		return zero, nil, fmt.Errorf("engine: %s: patching a batch of %d updates: %w", s.prog.Name(), len(ups), err)

@@ -230,12 +230,12 @@ func TestSessionValidateRejectsMissingDelete(t *testing.T) {
 			t.Skip("random graph happens to contain the edge")
 		}
 	}
-	edges := g.NumEdges()
+	edges := s.Graph().NumEdges()
 	_, _, err = s.Update(context.Background(), []EdgeUpdate{{From: u, To: v, Del: true}})
 	if err == nil || !strings.Contains(err.Error(), "no matching edge") {
 		t.Fatalf("want missing-edge rejection, got %v", err)
 	}
-	if g.NumEdges() != edges {
+	if s.Graph().NumEdges() != edges {
 		t.Fatal("rejected batch must not mutate the graph")
 	}
 	if s.Broken() {

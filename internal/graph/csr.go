@@ -40,17 +40,18 @@ import "slices"
 // A frozen graph changes in one of two ways. Splice (splice.go) applies a
 // Batch of appended vertices, edge insertions and deletions and returns a new
 // frozen graph, built in one pass over the out CSR; the old arrays are never
-// written, and dense indices stay. This is how session fragments move from
-// batch to batch, so a kernel never meets a thawed graph. Mutating adjacency
-// or the vertex set after Freeze (AddVertex, AddEdge, RemoveEdge) instead
-// transparently thaws the graph back to the build phase — the path the base
-// graph of a served session still takes: dense vertex indices are stable
-// across freeze/thaw, but the CSR arrays and the label table are dropped and
-// OutAt/InAt become invalid until the next Freeze. The frozen arrays are
-// never written through — they may alias a read-only file mapping or a
-// received frame — so a thaw moves to heap memory first. Property mutation
-// (SetProps, AddProp) does not thaw — properties are not part of the CSR
-// form; on a graph without headers it allocates them.
+// written, and dense indices stay. This is how a session moves its fragments
+// and its global graph — the base graph a server serves — from batch to
+// batch, so nothing in the engine meets a thawed graph. Mutating adjacency or
+// the vertex set after Freeze (AddVertex, AddEdge, RemoveEdge) instead
+// transparently thaws the graph back to the build phase, for generators,
+// loaders and tests: dense vertex indices are stable across freeze/thaw, but
+// the CSR arrays and the label table are dropped and OutAt/InAt become
+// invalid until the next Freeze. The frozen arrays are never written through
+// — they may alias a read-only file mapping or a received frame — so a thaw
+// moves to heap memory first. Property mutation (SetProps, AddProp) does not
+// thaw — properties are not part of the CSR form; on a graph without headers
+// it allocates them.
 
 // DenseEdge is the packed CSR edge of a frozen graph: the dense index of the
 // target vertex, the interned edge label, and the weight. The sparse target

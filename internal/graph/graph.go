@@ -15,9 +15,9 @@
 // in which all read methods are safe for concurrent use and the dense
 // accessors (OutAt, InAt, LabelIDAt, …) traverse without hash lookups. The
 // engines freeze fragments at partition time and never thaw them: a session
-// brings a fragment up to date with Splice (splice.go), which builds a new
-// frozen graph from the old one and a Batch, so kernels read only the CSR
-// form.
+// brings its global graph and each fragment up to date with Splice
+// (splice.go), which builds a new frozen graph from the old one and a Batch,
+// so kernels read only the CSR form.
 //
 // A frozen graph stores one adjacency: the dense CSR (offsets plus packed
 // DenseEdge arrays). That form is also what travels — flat.go lays the same

@@ -58,10 +58,13 @@ func (b *Batch) RemoveEdge(u, v ID, label string) {
 // leaves unchanged, and grows the vertex arrays by appending to g's, past
 // their length — in place when they have room, as a growing slice does (an
 // array aliasing a frame or a mapping never has). It also takes over g's ID
-// index, if g has one of its own, adding the new vertices to it. So g must
-// not be used once Splice has succeeded. A batch naming a vertex that is
-// neither in g nor added, adding one twice, or deleting an edge that does not
-// exist at its point of the batch is refused, and g is left as it was.
+// index, if g has one of its own, adding the new vertices to it. So once a
+// batch that appends vertices has been spliced, g must not be used. A batch
+// that appends none writes nothing g can see: g stays valid beside the
+// result, which is how a session hands a patcher the graphs before and after
+// a batch. A batch naming a vertex that is neither in g nor added, adding one
+// twice, or deleting an edge that does not exist at its point of the batch is
+// refused, and g is left as it was.
 func Splice(g *Graph, b *Batch) (*Graph, []float64, error) {
 	if !g.frozen || !g.directed {
 		return nil, nil, fmt.Errorf("graph: Splice needs a frozen directed graph")

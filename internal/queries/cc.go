@@ -536,19 +536,20 @@ func (s *side) reset(id graph.ID) {
 // whole component.
 func (s *side) done() bool { return s.head == len(s.queue) }
 
-// step expands the side's next vertex over its out- and in-edges and reports
-// whether it reached a vertex of other.
+// step expands the side's next vertex over its out- and in-edges, read off
+// the CSR, and reports whether it reached a vertex of other.
 func (s *side) step(g *graph.Graph, other map[graph.ID]bool) bool {
-	id := s.queue[s.head]
+	i, _ := g.Index(s.queue[s.head])
 	s.head++
-	for _, es := range [2][]graph.Edge{g.Out(id), g.In(id)} {
+	for _, es := range [2][]graph.DenseEdge{g.OutAt(i), g.InAt(i)} {
 		for _, e := range es {
-			if other[e.To] {
+			to := g.IDAt(e.To)
+			if other[to] {
 				return true
 			}
-			if !s.seen[e.To] {
-				s.seen[e.To] = true
-				s.queue = append(s.queue, e.To)
+			if !s.seen[to] {
+				s.seen[to] = true
+				s.queue = append(s.queue, to)
 			}
 		}
 	}

@@ -87,7 +87,7 @@ func TestSSSPSessionRejectsNegativeWeight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edges := g.NumEdges()
+	edges := s.Graph().NumEdges()
 	if _, _, err := s.Update(context.Background(), []engine.EdgeUpdate{{From: 0, To: 1, W: -2}}); err == nil {
 		t.Fatal("negative weights must be rejected")
 	}
@@ -97,8 +97,8 @@ func TestSSSPSessionRejectsNegativeWeight(t *testing.T) {
 	if s.Broken() {
 		t.Fatal("a rejected batch must not break the session")
 	}
-	if g.NumEdges() != edges {
-		t.Fatalf("rejected update mutated the graph: %d edges, had %d", g.NumEdges(), edges)
+	if s.Graph().NumEdges() != edges {
+		t.Fatalf("rejected update mutated the graph: %d edges, had %d", s.Graph().NumEdges(), edges)
 	}
 	after, err := s.Result()
 	if err != nil {
@@ -438,13 +438,13 @@ func FuzzSessionUpdateStream(f *testing.F) {
 					Del:  b[3]&1 == 1,
 				})
 			}
-			edgesBefore := g.NumEdges()
+			edgesBefore := sess.Graph().NumEdges()
 			res, _, err := sess.Update(context.Background(), batch)
 			if err != nil {
 				if !sess.Broken() {
 					// validation rejection: nothing may have been applied
-					if g.NumEdges() != edgesBefore {
-						t.Fatalf("rejected batch mutated the graph: %d -> %d edges", edgesBefore, g.NumEdges())
+					if sess.Graph().NumEdges() != edgesBefore {
+						t.Fatalf("rejected batch mutated the graph: %d -> %d edges", edgesBefore, sess.Graph().NumEdges())
 					}
 					continue
 				}
@@ -523,8 +523,8 @@ func FuzzSubIsoSession(f *testing.F) {
 				t.Fatalf("batch %+v broke the session: %v", batch, err)
 			}
 			if err != nil {
-				if g.NumEdges() != shadow.NumEdges() {
-					t.Fatalf("rejected batch %+v mutated the graph: %d edges, want %d", batch, g.NumEdges(), shadow.NumEdges())
+				if sess.Graph().NumEdges() != shadow.NumEdges() {
+					t.Fatalf("rejected batch %+v mutated the graph: %d edges, want %d", batch, sess.Graph().NumEdges(), shadow.NumEdges())
 				}
 				continue
 			}

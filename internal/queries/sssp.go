@@ -142,15 +142,17 @@ func (SSSP) RepairBatch(q SSSPQuery, sc *engine.RepairScope[float64], batch []en
 		x := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		dx := affected[x]
-		for _, e := range g.Out(x) {
-			if e.To == q.Source {
+		xi, _ := g.Index(x)
+		for _, e := range g.OutAt(xi) {
+			z := g.IDAt(e.To)
+			if z == q.Source {
 				continue
 			}
-			if _, ok := affected[e.To]; ok {
+			if _, ok := affected[z]; ok {
 				continue
 			}
-			if dz := sc.Value(e.To); dz < seq.Inf && dx+e.W == dz {
-				suspect(e.To, dz)
+			if dz := sc.Value(z); dz < seq.Inf && dx+e.W == dz {
+				suspect(z, dz)
 			}
 		}
 	}
@@ -158,8 +160,9 @@ func (SSSP) RepairBatch(q SSSPQuery, sc *engine.RepairScope[float64], batch []en
 	for x := range affected {
 		// the region's in-frontier re-proposes distances; the edge y->x
 		// lives on y's owner, so that worker relaxes it
-		for _, e := range g.In(x) {
-			y := e.To
+		xi, _ := g.Index(x)
+		for _, e := range g.InAt(xi) {
+			y := g.IDAt(e.To)
 			if _, ok := affected[y]; ok {
 				continue
 			}

@@ -144,14 +144,12 @@ func (SubIso) InitPatch(q SubIsoQuery, g *graph.Graph, res []seq.Match) (any, er
 // the matches mapping p into S are enumerated afresh, anchored there. The
 // union of those runs is every current match touching S; the other retained
 // matches are untouched by the batch, stay in order, and take the few fresh
-// ones in by merge.
-func (SubIso) ApplyPatch(q SubIsoQuery, g *graph.Graph, state any, batch []engine.EdgeUpdate, apply func(i int)) (any, error) {
+// ones in by merge. Only the graph after the batch is read.
+func (SubIso) ApplyPatch(q SubIsoQuery, _, g *graph.Graph, state any, batch []engine.EdgeUpdate) (any, error) {
 	srcs := make(map[graph.ID]bool, len(batch))
-	for i, u := range batch {
-		apply(i)
+	for _, u := range batch {
 		srcs[u.From] = true
 	}
-	g.Freeze() // once per batch: the enumeration reads the CSR, and a server refreezes a mutated graph anyway
 	pv := q.Pattern.SortedVertices()
 	kept := slices.DeleteFunc(state.([]seq.Match), func(m seq.Match) bool {
 		return slices.ContainsFunc(pv, func(u graph.ID) bool { return srcs[m[u]] })
@@ -194,6 +192,8 @@ func (SubIso) PatchResult(q SubIsoQuery, state any) ([]seq.Match, error) {
 	}
 	return append([]seq.Match(nil), all...), nil // nil when empty, like Assemble
 }
+
+var _ engine.SessionPatcher[SubIsoQuery, []seq.Match] = SubIso{}
 
 // compareMatches orders two embeddings by their images in pv order, the
 // order sortMatches establishes.

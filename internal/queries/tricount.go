@@ -154,56 +154,66 @@ func (TriCount) InitPatch(q TriCountQuery, g *graph.Graph, res TriCountResult) (
 	return st, nil
 }
 
-// ApplyPatch implements engine.SessionPatcher with the exact delta of each
-// edge update in turn: a triangle through edge {u, v} is a common undirected
-// neighbor of u and v, so the update changes the count by |N(u) ∩ N(v)| —
-// and only when it changes the undirected adjacency at all (a parallel or
-// reverse instance means the neighbor *sets* the enumeration works on are
-// unchanged). Insertions count common neighbors before the edge lands;
-// deletions after the instance is gone, so both sides see the graph without
-// the {u, v} connection. Each affected triangle is credited to its smallest
-// vertex, matching PEval's pivot rule.
-func (TriCount) ApplyPatch(q TriCountQuery, g *graph.Graph, state any, batch []engine.EdgeUpdate, apply func(i int)) (any, error) {
+// ApplyPatch implements engine.SessionPatcher with the exact delta of the
+// batch, read off the graphs before and after it. The enumeration works on
+// undirected neighbor sets, so only an undirected pair {u, v} whose adjacency
+// the batch changed — a connection the batch created (no instance before, one
+// after) or removed — changes the count; parallel and reverse instances do
+// not. A lost triangle is one of the old graph with a removed pair, a new
+// triangle one of the new graph with a created pair, and every other
+// triangle is in both. So each changed pair counts the common neighbors w of
+// its ends in the graph where it is connected, and each triangle {u, v, w}
+// is counted once, by the smallest changed pair among its three, and credited
+// to its smallest vertex, matching PEval's pivot rule.
+func (TriCount) ApplyPatch(q TriCountQuery, old, g *graph.Graph, state any, batch []engine.EdgeUpdate) (any, error) {
 	st := state.(TriCountResult)
-	for i, upd := range batch {
-		u, v := upd.From, upd.To
-		if u == v {
-			apply(i)
-			continue // self-loops touch no triangle
+	type pair struct{ a, b int32 } // dense indices, a < b
+	pairOf := func(a, b int32) pair { return pair{min(a, b), max(a, b)} }
+	seen := make(map[pair]bool)
+	changed := make(map[pair]bool) // the pairs whose adjacency the batch changed; true if it created them
+	for _, u := range batch {
+		a, _ := g.Index(u.From)
+		b, _ := g.Index(u.To)
+		p := pairOf(a, b)
+		if a == b || seen[p] {
+			continue // a self-loop touches no triangle; a repeated pair is checked already
 		}
-		adjacent := func() bool { return undirectedNeighborSet(g, u)[v] }
-		if upd.Del {
-			apply(i)
-			if adjacent() {
-				continue // another instance still connects u and v
+		seen[p] = true
+		if was, is := adjacent(old, a, b), adjacent(g, a, b); was != is {
+			changed[p] = is
+		}
+	}
+	for p, made := range changed {
+		h, sign := old, int64(-1)
+		if made {
+			h, sign = g, 1
+		}
+		smaller := func(x pair) bool {
+			_, ok := changed[x]
+			return ok && (x.a < p.a || x.a == p.a && x.b < p.b)
+		}
+		na := undirectedNeighborSet(h, p.a)
+		for w := range undirectedNeighborSet(h, p.b) {
+			if !na[w] || smaller(pairOf(p.a, w)) || smaller(pairOf(p.b, w)) {
+				continue // no triangle, or one a smaller changed pair counts
 			}
-			nu := undirectedNeighborSet(g, u)
-			for w := range undirectedNeighborSet(g, v) {
-				if !nu[w] {
-					continue
-				}
-				st.Total--
-				p := min(u, v, w)
-				if st.PerPivot[p]--; st.PerPivot[p] == 0 {
-					delete(st.PerPivot, p)
-				}
-			}
-			continue
-		}
-		if adjacent() {
-			apply(i)
-			continue // set-semantics: adjacency unchanged
-		}
-		nu := undirectedNeighborSet(g, u)
-		for w := range undirectedNeighborSet(g, v) {
-			if nu[w] {
-				st.Total++
-				st.PerPivot[min(u, v, w)]++
+			pivot := min(h.IDAt(p.a), h.IDAt(p.b), h.IDAt(w))
+			st.Total += sign
+			if st.PerPivot[pivot] += sign; st.PerPivot[pivot] == 0 {
+				delete(st.PerPivot, pivot)
 			}
 		}
-		apply(i)
 	}
 	return st, nil
+}
+
+// adjacent reports whether an edge joins the vertices at dense indices a and
+// b, in either direction.
+func adjacent(g *graph.Graph, a, b int32) bool {
+	has := func(x, y int32) bool {
+		return slices.ContainsFunc(g.OutAt(x), func(e graph.DenseEdge) bool { return e.To == y })
+	}
+	return has(a, b) || has(b, a)
 }
 
 // PatchResult implements engine.SessionPatcher: hand out a copy, matching
@@ -223,18 +233,15 @@ func RunTriCount(ctx context.Context, g *graph.Graph, opts engine.Options) (TriC
 	return engine.Run(ctx, g, TriCount{}, TriCountQuery{}, opts)
 }
 
-// undirectedNeighborSet returns the distinct neighbors of v over both edge
-// directions.
-func undirectedNeighborSet(g *graph.Graph, v graph.ID) map[graph.ID]bool {
-	set := make(map[graph.ID]bool)
-	for _, e := range g.Out(v) {
-		if e.To != v {
-			set[e.To] = true
-		}
-	}
-	for _, e := range g.In(v) {
-		if e.To != v {
-			set[e.To] = true
+// undirectedNeighborSet returns the distinct neighbors of the vertex at dense
+// index v over both edge directions, as dense indices.
+func undirectedNeighborSet(g *graph.Graph, v int32) map[int32]bool {
+	set := make(map[int32]bool)
+	for _, es := range [2][]graph.DenseEdge{g.OutAt(v), g.InAt(v)} {
+		for _, e := range es {
+			if e.To != v {
+				set[e.To] = true
+			}
 		}
 	}
 	return set
@@ -243,16 +250,27 @@ func undirectedNeighborSet(g *graph.Graph, v graph.ID) map[graph.ID]bool {
 // SeqTriangles is the sequential ground truth: direct enumeration over the
 // whole graph with the same smallest-pivot rule.
 func SeqTriangles(g *graph.Graph) int64 {
+	neighbors := func(v graph.ID) map[graph.ID]bool {
+		set := make(map[graph.ID]bool)
+		for _, es := range [2][]graph.Edge{g.Out(v), g.In(v)} {
+			for _, e := range es {
+				if e.To != v {
+					set[e.To] = true
+				}
+			}
+		}
+		return set
+	}
 	var total int64
 	for _, v := range g.SortedVertices() {
 		var bigger []graph.ID
-		for u := range undirectedNeighborSet(g, v) {
+		for u := range neighbors(v) {
 			if u > v {
 				bigger = append(bigger, u)
 			}
 		}
 		for i := 0; i < len(bigger); i++ {
-			ai := undirectedNeighborSet(g, bigger[i])
+			ai := neighbors(bigger[i])
 			for j := i + 1; j < len(bigger); j++ {
 				if ai[bigger[j]] {
 					total++
@@ -262,6 +280,8 @@ func SeqTriangles(g *graph.Graph) int64 {
 	}
 	return total
 }
+
+var _ engine.SessionPatcher[TriCountQuery, TriCountResult] = TriCount{}
 
 func init() {
 	engine.Register(entry(TriCount{},

@@ -2,6 +2,7 @@ package queries
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -104,5 +105,54 @@ func TestTriCountIgnoresSelfLoopsAndParallelEdges(t *testing.T) {
 	}
 	if res.Total != 1 {
 		t.Fatalf("want exactly 1 triangle, got %d", res.Total)
+	}
+}
+
+// TestTriCountPatchCountsSharedTrianglesOnce drives batches whose changed
+// pairs share triangles: two sides of one triangle created together, a pair
+// removed and re-created in one batch, a reverse instance outliving the
+// original, and four pairs of a K4 at once. After every batch the patched
+// counts, pivot by pivot, must equal a fresh run's on the session's graph.
+func TestTriCountPatchCountsSharedTrianglesOnce(t *testing.T) {
+	ctx := context.Background()
+	g := graph.New()
+	for i := graph.ID(0); i < 6; i++ {
+		g.AddVertex(i, "")
+	}
+	g.AddEdge(0, 1, 1)
+	g.AddEdge(1, 2, 1)
+	g.AddEdge(3, 4, 1)
+	e, err := engine.Lookup("tricount")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pq, err := e.Parse("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := engine.Options{Workers: 2, Strategy: partition.Hash{}}
+	sess, _, _, err := e.Session(ctx, g, opts, pq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins := func(u, v graph.ID) engine.EdgeUpdate { return engine.EdgeUpdate{From: u, To: v, W: 1} }
+	del := func(u, v graph.ID) engine.EdgeUpdate { return engine.EdgeUpdate{From: u, To: v, Del: true} }
+	for bi, batch := range [][]engine.EdgeUpdate{
+		{ins(2, 0), ins(4, 5), ins(5, 3)},            // closes {0,1,2}; {3,4,5} gains two sides at once
+		{ins(1, 0), del(0, 1)},                       // the reverse instance keeps {0,1} connected
+		{del(2, 0), ins(0, 2), del(3, 4)},            // {0,2} removed and re-created; {3,4} removed
+		{ins(0, 3), ins(1, 3), ins(2, 3), ins(3, 3)}, // a K4 on {0,1,2,3}, and a self-loop
+	} {
+		res, _, err := sess.Update(ctx, batch)
+		if err != nil {
+			t.Fatalf("batch %d: %v", bi, err)
+		}
+		want, _, err := e.Run(ctx, sess.Graph(), opts, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, want) {
+			t.Fatalf("batch %d: patched %+v, fresh run %+v", bi, res, want)
+		}
 	}
 }

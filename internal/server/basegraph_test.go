@@ -1,0 +1,268 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+	"reflect"
+	"runtime"
+	"slices"
+	"testing"
+
+	"grape/internal/engine"
+	"grape/internal/gen"
+	"grape/internal/graph"
+	"grape/internal/queries"
+	"grape/internal/seq"
+)
+
+// The served base graph is never thawed: a session splices each accepted
+// batch into a new frozen graph, and the server serves that graph from then
+// on. The graph before the batch is left as it was, so a frozen clone of it
+// stays valid.
+
+// edgesOf converts a generated batch to the /update wire form.
+func edgesOf(batch []gen.Update) []EdgeJSON {
+	out := make([]EdgeJSON, len(batch))
+	for i, u := range batch {
+		out[i] = EdgeJSON{From: int64(u.From), To: int64(u.To), W: u.W, Label: u.Label, Del: u.Del}
+	}
+	return out
+}
+
+// applyTo replays a batch on a shadow graph with the mutable API.
+func applyTo(t testing.TB, shadow *graph.Graph, edges []EdgeJSON) {
+	t.Helper()
+	for _, e := range edges {
+		if !e.Del {
+			shadow.AddLabeledEdge(graph.ID(e.From), graph.ID(e.To), e.W, e.Label)
+		} else if _, ok := shadow.RemoveEdge(graph.ID(e.From), graph.ID(e.To), e.Label); !ok {
+			t.Fatalf("shadow has no edge %+v", e)
+		}
+	}
+}
+
+// matchKeys renders embeddings as sorted strings, so two enumeration orders
+// compare as sets.
+func matchKeys(ms []seq.Match) []string {
+	keys := make([]string, len(ms))
+	for i, m := range ms {
+		keys[i] = fmt.Sprint(m) // fmt prints a map's keys in sorted order
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// TestServerBaseGraphStaysFrozen runs /update batches through sssp, cc,
+// subiso and tricount sessions, and one rejected batch. After every batch the
+// base graph is frozen and equals a shadow graph updated in lockstep, a frozen
+// clone taken before the batch encodes to the same bytes as before it, and the
+// session's primed answer equals internal/seq's on the shadow.
+func TestServerBaseGraphStaysFrozen(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 4, Strategy: "hash"})
+	h := s.Handler()
+	pattern := queries.Patterns()["follows-recommend"]
+	cases := []struct {
+		graph, program, query string
+		check                 func(t *testing.T, got any, shadow *graph.Graph)
+	}{
+		{"road", "sssp", "source=0", func(t *testing.T, got any, shadow *graph.Graph) {
+			if want := seq.Dijkstra(shadow, 0); !reflect.DeepEqual(got, want) {
+				t.Fatal("sssp answer differs from seq.Dijkstra")
+			}
+		}},
+		{"social", "cc", "", func(t *testing.T, got any, shadow *graph.Graph) {
+			if want := seq.Components(shadow); !reflect.DeepEqual(got, want) {
+				t.Fatal("cc answer differs from seq.Components")
+			}
+		}},
+		{"commerce", "subiso", "pattern=follows-recommend", func(t *testing.T, got any, shadow *graph.Graph) {
+			if want, _ := seq.SubIso(pattern, shadow, seq.SubIsoOptions{}); !reflect.DeepEqual(matchKeys(got.([]seq.Match)), matchKeys(want)) {
+				t.Fatalf("subiso: %d matches, seq.SubIso %d", len(got.([]seq.Match)), len(want))
+			}
+		}},
+		{"social", "tricount", "", func(t *testing.T, got any, shadow *graph.Graph) {
+			if got, want := got.(queries.TriCountResult).Total, queries.SeqTriangles(shadow); got != want {
+				t.Fatalf("tricount: %d triangles, want %d", got, want)
+			}
+		}},
+	}
+	// update posts one batch and checks the base graph afterwards: frozen,
+	// and the clone of the graph before the batch byte for byte unchanged.
+	update := func(t *testing.T, graphName, program, query string, edges []EdgeJSON) int {
+		t.Helper()
+		g, _ := servedState(t, s, graphName)
+		before := g.Clone()
+		flat := graph.AppendFlat(nil, before)
+		body, err := json.Marshal(MutateRequest{Graph: graphName, Program: program, Query: query, Edges: edges})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := post(h, "/update", body)
+		if now, _ := servedState(t, s, graphName); !now.Frozen() {
+			t.Fatal("the base graph is not frozen after a batch")
+		}
+		if !bytes.Equal(graph.AppendFlat(nil, before), flat) {
+			t.Fatal("a batch wrote into the arrays of the graph before it")
+		}
+		return rec.Code
+	}
+	for i, c := range cases {
+		t.Run(c.program, func(t *testing.T) {
+			g, _ := servedState(t, s, c.graph)
+			shadow := g.Clone()
+			stream := gen.UpdateStream(shadow, gen.StreamConfig{Batches: 4, BatchSize: 16, DeleteP: 0.4, Seed: int64(i + 1)})
+			for bi, batch := range stream {
+				edges := edgesOf(batch)
+				if code := update(t, c.graph, c.program, c.query, edges); code != http.StatusOK {
+					t.Fatalf("batch %d: HTTP %d", bi, code)
+				}
+				applyTo(t, shadow, edges)
+				now, _ := servedState(t, s, c.graph)
+				if err := graph.Diff(shadow, now); err != nil {
+					t.Fatalf("batch %d: the base graph differs from the shadow: %v", bi, err)
+				}
+				resp, err := s.Query(context.Background(), QueryRequest{Graph: c.graph, Program: c.program, Query: c.query})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !resp.Cached {
+					t.Fatalf("batch %d: the session's answer was not primed", bi)
+				}
+				c.check(t, resp.Result, shadow)
+			}
+		})
+	}
+	t.Run("rejected", func(t *testing.T) {
+		g, epoch := servedState(t, s, "road")
+		edges := []EdgeJSON{{From: 0, To: 1, W: 1}, {From: 0, To: 1, Label: "no-such-label", Del: true}}
+		if code := update(t, "road", "sssp", "source=0", edges); code != http.StatusBadRequest {
+			t.Fatalf("a batch deleting a missing edge: HTTP %d, want 400", code)
+		}
+		if now, nowEpoch := servedState(t, s, "road"); now != g || nowEpoch != epoch {
+			t.Fatalf("a rejected batch replaced the graph or moved the epoch %d -> %d", epoch, nowEpoch)
+		}
+	})
+}
+
+// failingUpdate is a fixture program whose ApplyUpdate refuses an edge
+// labelled "poison". By then the session has spliced the whole batch into its
+// graph, so the refusal breaks the session partway through the batch.
+type failingUpdate struct{}
+
+func (failingUpdate) Name() string { return "server-failing-update" }
+
+func (failingUpdate) Spec() engine.VarSpec[int64] {
+	return engine.VarSpec[int64]{
+		Agg:  func(a, b int64) int64 { return min(a, b) },
+		Eq:   func(a, b int64) bool { return a == b },
+		Size: func(int64) int { return 8 },
+	}
+}
+
+func (failingUpdate) PEval(struct{}, *engine.Context[int64]) error   { return nil }
+func (failingUpdate) IncEval(struct{}, *engine.Context[int64]) error { return nil }
+
+func (failingUpdate) Assemble(struct{}, []*engine.Context[int64]) (int64, error) { return 0, nil }
+
+func (failingUpdate) ApplyUpdate(_ struct{}, _ *engine.Context[int64], u engine.EdgeUpdate) ([]graph.ID, error) {
+	if u.Label == "poison" {
+		return nil, errors.New("poisoned update")
+	}
+	return nil, nil
+}
+
+func init() {
+	engine.Register(engine.MakeEntry(engine.EntrySpec[struct{}, int64, int64]{
+		Prog:      failingUpdate{},
+		Parse:     func(string) (struct{}, error) { return struct{}{}, nil },
+		Canonical: func(struct{}) string { return "" },
+	}))
+}
+
+// TestDurableBrokenBatchIsWhole: an ApplyUpdate that fails partway through a
+// batch breaks the session, yet the base graph holds the whole batch — the
+// updates after the failing one too — the epoch moves on, and a restart,
+// which replays the batch and fails the same way, recovers the same graph.
+func TestDurableBrokenBatchIsWhole(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Workers: 4, Strategy: "hash"}
+	s := newDurableServer(t, dir, cfg)
+	ctx := context.Background()
+	g, _ := servedState(t, s, "road")
+	shadow := g.Clone()
+	edges := []EdgeJSON{{From: 0, To: 100, W: 1}, {From: 1, To: 101, W: 1, Label: "poison"}, {From: 2, To: 102, W: 1}}
+	_, err := s.Mutate(ctx, "road", "server-failing-update", "", edges)
+	if err == nil || errors.Is(err, ErrBadQuery) {
+		t.Fatalf("a batch failing in ApplyUpdate: %v, want a broken-session error", err)
+	}
+	applyTo(t, shadow, edges)
+	live, epoch := servedState(t, s, "road")
+	if epoch != 2 {
+		t.Fatalf("epoch %d after a broken batch, want 2", epoch)
+	}
+	if !live.Frozen() {
+		t.Fatal("the base graph is not frozen after a broken batch")
+	}
+	if err := graph.Diff(shadow, live); err != nil {
+		t.Fatalf("the base graph does not hold the whole batch: %v", err)
+	}
+	if rg, _ := s.resident("road"); rg.sess != nil {
+		t.Fatal("the broken session was kept")
+	}
+	// Simulated crash: only the snapshot and the journal survive.
+	s = nil
+
+	s2, infos := reopenDurable(t, dir, cfg)
+	defer s2.Close()
+	for _, info := range infos {
+		if info.Graph == "road" && (info.Epoch != 2 || info.Replayed != 1) {
+			t.Fatalf("road recovered at epoch %d after %d records, want 2 after 1", info.Epoch, info.Replayed)
+		}
+	}
+	recovered, _ := servedState(t, s2, "road")
+	if err := graph.Diff(live, recovered); err != nil {
+		t.Fatalf("the recovered graph differs from the live one: %v", err)
+	}
+}
+
+// TestMutateAllocBudget holds the bytes one 16-edge mixed CC batch allocates
+// through Server.Mutate on PreferentialAttachment(10000, 5), serve-churn's
+// social graph, to half of what it allocated while every batch thawed and
+// refroze the base graph: 8.93 MB a batch then (the mean over the same 20
+// batches, go1.24, amd64).
+func TestMutateAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocations would swamp the budget")
+	}
+	const thawedBytes = 8.93e6
+	g := gen.PreferentialAttachment(10000, 5, 1)
+	stream := gen.UpdateStream(g, gen.StreamConfig{Batches: 21, BatchSize: 16, DeleteP: 0.4, Seed: 1})
+	s := New(Config{})
+	defer s.Close()
+	if err := s.AddGraph("social", g); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	// The first batch opens the session: its initial fixpoint is no batch's cost.
+	if _, err := s.Mutate(ctx, "social", "cc", "", edgesOf(stream[0])); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, batch := range stream[1:] {
+		if _, err := s.Mutate(ctx, "social", "cc", "", edgesOf(batch)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perBatch := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(stream)-1)
+	t.Logf("%.2f MB allocated a batch", perBatch/1e6)
+	if perBatch > thawedBytes/2 {
+		t.Fatalf("%.2f MB allocated a batch, budget %.2f MB", perBatch/1e6, thawedBytes/2e6)
+	}
+}

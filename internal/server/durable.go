@@ -23,11 +23,13 @@ import (
 // and bit-identical answers. Replay checks PreEpoch record by record and
 // refuses to serve a divergent recovery rather than guessing.
 //
-// One documented caveat: a live batch whose application was torn by
-// cancellation mid-update (epoch bumped, session dropped) replays to
-// completion on restart — recovery lands on the batch's full effect, a
-// superset of the torn live state. The journaled write-ahead contract makes
-// this the safe direction: nothing journaled is ever lost.
+// A batch lands whole or not at all: the session splices every update of
+// an accepted batch into the base graph before any program hook runs, so a
+// batch that breaks its session partway (epoch bumped, session dropped)
+// leaves the same graph live and on replay. What can differ is the session
+// alone: a failure the batch does not determine may not recur on replay,
+// and then recovery keeps the session the live server dropped — its primed
+// answer is the one a fresh run on that graph gives.
 
 // RecoveryInfo reports what recovering one graph cost (RecoverAll).
 type RecoveryInfo struct {

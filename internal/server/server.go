@@ -668,15 +668,17 @@ func (s *Server) ensureSessionLocked(ctx context.Context, rg *residentGraph, e e
 }
 
 // applyBatchLocked runs one batch through the retained session and, when the
-// batch lands, bumps the epoch, drops the resident layouts and re-freezes the
-// mutated base graph. Both the live Mutate and journal replay go through
-// here, so recovery reproduces exactly the live epoch/state sequence.
-// Callers hold rg.mu for write.
+// batch lands, bumps the epoch, drops the resident layouts and takes the
+// session's spliced graph as the base graph: the session splices each
+// accepted batch into a new frozen graph, so there is nothing to refreeze.
+// Both the live Mutate and journal replay go through here, so recovery
+// reproduces exactly the live epoch/state sequence. Callers hold rg.mu for
+// write.
 //
 // applied=false means the session's deterministic pre-mutation validation
 // rejected the batch and nothing changed. applied=true with a non-nil error
-// means the batch broke partway: the graph has mutated (epoch bumped) and
-// the session was dropped as untrustworthy.
+// means the batch broke the session partway: the base graph holds the whole
+// batch (epoch bumped) and the session was dropped as untrustworthy.
 func (s *Server) applyBatchLocked(ctx context.Context, rg *residentGraph, e engine.Entry, program string, pq engine.ParsedQuery, ups []engine.EdgeUpdate) (res any, st *metrics.Stats, applied bool, err error) {
 	if err := s.ensureSessionLocked(ctx, rg, e, program, pq); err != nil {
 		return nil, nil, false, err
@@ -685,17 +687,17 @@ func (s *Server) applyBatchLocked(ctx context.Context, rg *residentGraph, e engi
 	if uerr != nil && !rg.sess.Broken() {
 		return nil, st, false, uerr
 	}
-	// Past validation the session applies updates one by one; an error
-	// partway through has mutated the graph already. Invalidate
-	// unconditionally, and drop a broken session — its retained partial
-	// results are not trustworthy; the next batch starts a fresh session
-	// over the mutated base graph.
+	// Past validation the session has spliced the whole batch into its
+	// graph; an error after that leaves the graph updated but the session's
+	// retained state diverged. Invalidate unconditionally, take the graph
+	// before dropping a broken session — its retained partial results are
+	// not trustworthy; the next batch starts a fresh session over it.
 	rg.epoch++
 	s.cache.dropBefore(rg.name, rg.gen, rg.epoch)
 	rg.lmu.Lock()
 	rg.layouts = make(map[layoutKey]*layoutSlot)
 	rg.lmu.Unlock()
-	rg.g.Freeze() // session mutation thawed the base graph; next cut wants CSR
+	rg.g = rg.sess.Graph()
 	if uerr != nil {
 		rg.sess = nil
 		return nil, st, true, uerr

@@ -47,8 +47,8 @@ func TestEveryProgramCovered(t *testing.T) {
 		covered[c.program] = true
 	}
 	for _, e := range engine.Library() {
-		if e.Name == "server-spinner" || e.Name == "server-gate" {
-			continue // fixtures registered by cancel_test.go and durable_test.go
+		if e.Name == "server-spinner" || e.Name == "server-gate" || e.Name == "server-failing-update" {
+			continue // fixtures registered by cancel_test.go, durable_test.go and basegraph_test.go
 		}
 		if !covered[e.Name] {
 			t.Errorf("registered program %q has no serving test case", e.Name)
@@ -66,6 +66,20 @@ func newTestServer(t testing.TB, cfg Config) (*Server, map[string]*graph.Graph) 
 		}
 	}
 	return s, gs
+}
+
+// servedState reads the graph and epoch s serves under name now. A mutation
+// replaces the graph with a new one; the one AddGraph was given stays as it
+// was.
+func servedState(t testing.TB, s *Server, name string) (*graph.Graph, uint64) {
+	t.Helper()
+	rg, err := s.resident(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rg.mu.RLock()
+	defer rg.mu.RUnlock()
+	return rg.g, rg.epoch
 }
 
 // TestServerMatchesEngineRun is the core acceptance: every registered query
@@ -202,7 +216,7 @@ func TestServerCache(t *testing.T) {
 // old epoch stop being served, and post-mutation answers match a fresh solo
 // run on the mutated graph.
 func TestMutateBumpsEpochAndInvalidates(t *testing.T) {
-	s, gs := newTestServer(t, Config{Workers: 4, Strategy: "hash"})
+	s, _ := newTestServer(t, Config{Workers: 4, Strategy: "hash"})
 	req := QueryRequest{Graph: "road", Program: "sssp", Query: "source=0", Workers: 4, Strategy: "hash"}
 	before, err := s.Query(context.Background(), req)
 	if err != nil {
@@ -240,7 +254,8 @@ func TestMutateBumpsEpochAndInvalidates(t *testing.T) {
 	if got := after.Result.(map[graph.ID]float64)[target]; got != 0.01 {
 		t.Fatalf("distance to %d after shortcut = %g, want 0.01", target, got)
 	}
-	want, _, err := engine.Run(context.Background(), gs["road"], queries.SSSP{}, queries.SSSPQuery{Source: 0},
+	road, _ := servedState(t, s, "road")
+	want, _, err := engine.Run(context.Background(), road, queries.SSSP{}, queries.SSSPQuery{Source: 0},
 		engine.Options{Workers: 4, Strategy: partition.Hash{}})
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +273,7 @@ func TestMutateBumpsEpochAndInvalidates(t *testing.T) {
 		t.Fatal("cc answer was not primed by the mutation")
 	}
 	// ...and identical to a fresh run
-	wantCC, _, err := engine.Run(context.Background(), gs["road"], queries.CC{}, queries.CCQuery{},
+	wantCC, _, err := engine.Run(context.Background(), road, queries.CC{}, queries.CCQuery{},
 		engine.Options{Workers: 4, Strategy: partition.Hash{}})
 	if err != nil {
 		t.Fatal(err)
@@ -274,11 +289,12 @@ func TestMutateBumpsEpochAndInvalidates(t *testing.T) {
 // cache key, and switching programs drops the retained session without
 // losing correctness.
 func TestMutateProgramRouting(t *testing.T) {
-	s, gs := newTestServer(t, Config{Workers: 4, Strategy: "hash"})
+	s, _ := newTestServer(t, Config{Workers: 4, Strategy: "hash"})
 	req := QueryRequest{Graph: "road", Program: "sssp", Query: "source=0"}
 	fresh := func() map[graph.ID]float64 {
 		t.Helper()
-		want, _, err := engine.Run(context.Background(), gs["road"], queries.SSSP{}, queries.SSSPQuery{Source: 0},
+		road, _ := servedState(t, s, "road")
+		want, _, err := engine.Run(context.Background(), road, queries.SSSP{}, queries.SSSPQuery{Source: 0},
 			engine.Options{Workers: 4, Strategy: partition.Hash{}})
 		if err != nil {
 			t.Fatal(err)
