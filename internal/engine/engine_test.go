@@ -238,6 +238,7 @@ func TestRegistryLifecycle(t *testing.T) {
 		Session: func(ctx context.Context, g *graph.Graph, opts Options, pq ParsedQuery) (SessionHandle, any, *metrics.Stats, error) {
 			return nil, nil, nil, nil
 		},
+		Validate: func(g *graph.Graph, pq ParsedQuery, ups []EdgeUpdate) error { return nil },
 	})
 	e, err := Lookup(name)
 	if err != nil {

@@ -82,10 +82,9 @@ func MakeEntry[Q, V, R any](s EntrySpec[Q, V, R]) Entry {
 			return residentAdapter[Q, V, R]{name: name, r: r}, nil
 		},
 		Session: func(ctx context.Context, g *graph.Graph, opts Options, pq ParsedQuery) (SessionHandle, any, *metrics.Stats, error) {
-			q, ok := pq.Query.(Q)
-			if !ok {
-				var want Q
-				return nil, nil, nil, fmt.Errorf("engine: %s: parsed query has type %T, want %T", name, pq.Query, want)
+			q, err := queryOf[Q](name, pq)
+			if err != nil {
+				return nil, nil, nil, err
 			}
 			if s.Hops != nil {
 				opts.ExpandHops = pq.Hops
@@ -96,11 +95,27 @@ func MakeEntry[Q, V, R any](s EntrySpec[Q, V, R]) Entry {
 			}
 			return sessionAdapter[Q, V, R]{s: sess}, any(res), stats, nil
 		},
+		Validate: func(g *graph.Graph, pq ParsedQuery, ups []EdgeUpdate) error {
+			q, err := queryOf[Q](name, pq)
+			if err != nil {
+				return err
+			}
+			return validateBatch(g, s.Prog, q, ups)
+		},
 	}
 	if wp, ok := any(s.Prog).(WireProgram[Q, V, R]); ok {
 		e.Wire = WireServe(wp)
 	}
 	return e
+}
+
+// queryOf unwraps pq's typed query for program name.
+func queryOf[Q any](name string, pq ParsedQuery) (Q, error) {
+	q, ok := pq.Query.(Q)
+	if !ok {
+		return q, fmt.Errorf("engine: %s: parsed query has type %T, want %T", name, pq.Query, q)
+	}
+	return q, nil
 }
 
 // residentAdapter erases a typed Resident into ResidentRunner for the
@@ -111,9 +126,9 @@ type residentAdapter[Q, V, R any] struct {
 }
 
 func (a residentAdapter[Q, V, R]) RunParsed(ctx context.Context, pq ParsedQuery) (any, *metrics.Stats, error) {
-	q, ok := pq.Query.(Q)
-	if !ok {
-		return nil, nil, fmt.Errorf("engine: %s: parsed query has type %T, want %T", a.name, pq.Query, q)
+	q, err := queryOf[Q](a.name, pq)
+	if err != nil {
+		return nil, nil, err
 	}
 	res, stats, err := a.r.Run(ctx, q)
 	return any(res), stats, err

@@ -44,6 +44,9 @@ type ResidentRunner interface {
 
 // SessionHandle is the erased view of a Session the serving layer drives:
 // apply update batches, re-read the retained answer, and detect divergence.
+// Update validates a batch first, by the same check as Entry.Validate, so a
+// batch Entry.Validate accepted lands whole in Graph(). Journal replay needs
+// no session: it splices each batch into the graph (SpliceBatch).
 // Implementations are NOT safe for concurrent use — the serving layer
 // serializes mutations per graph.
 type SessionHandle interface {
@@ -67,9 +70,10 @@ type SessionHandle interface {
 // Entries are built with MakeEntry, which derives every hook from one typed
 // source (the program plus its parse/canonical pair), so the hooks cannot
 // drift apart: Run always parses through the same Parse the serving layer
-// uses, Resident always answers exactly the queries Parse produces, and
-// Wire is present exactly when the program has a wire codec. Register
-// rejects hand-assembled entries with missing hooks.
+// uses, Resident always answers exactly the queries Parse produces,
+// Validate is the check every Session update runs first, and Wire is present
+// exactly when the program has a wire codec. Register rejects hand-assembled
+// entries with missing hooks.
 type Entry struct {
 	// Name is the registry key, e.g. "sssp".
 	Name string
@@ -99,6 +103,14 @@ type Entry struct {
 	// themselves (with the expansion pq.Hops requires), own their fragments,
 	// and run on the in-process bus.
 	Session func(ctx context.Context, g *graph.Graph, opts Options, pq ParsedQuery) (SessionHandle, any, *metrics.Stats, error)
+	// Validate checks an update batch against g for a parsed query without
+	// opening a session or running the program: unknown endpoints, each
+	// deletion against a live edge instance (counted per batch), and the
+	// program's UpdateValidator. It is the check every session Update runs
+	// first, so a batch it accepts lands whole — in a session over g, or
+	// spliced into g alone (SpliceBatch). The serving layer validates before
+	// it journals a batch, and replay validates each journaled one.
+	Validate func(g *graph.Graph, pq ParsedQuery, ups []EdgeUpdate) error
 	// Wire serves the worker side of a distributed run: decode the query
 	// from the setup frame, run PEval/IncEval on the shipped fragment as
 	// commanded, ship encoded replies and the final partial answer, honoring
@@ -126,7 +138,7 @@ func Register(e Entry) {
 	if e.Name == "" {
 		panic("engine: Register: empty program name")
 	}
-	if e.Run == nil || e.Parse == nil || e.Resident == nil || e.Session == nil {
+	if e.Run == nil || e.Parse == nil || e.Resident == nil || e.Session == nil || e.Validate == nil {
 		panic(fmt.Sprintf("engine: Register(%q): incomplete entry (build it with MakeEntry)", e.Name))
 	}
 	if _, dup := registry[e.Name]; dup {

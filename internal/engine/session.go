@@ -310,7 +310,7 @@ func (s *Session[Q, V, R]) Update(ctx context.Context, updates []EdgeUpdate) (R,
 	if s.broken {
 		return zero, nil, fmt.Errorf("engine: %s: %w", s.prog.Name(), ErrSessionBroken)
 	}
-	if err := s.validate(updates); err != nil {
+	if err := validateBatch(s.layout.Asg.G, s.prog, s.q, updates); err != nil {
 		return zero, nil, err
 	}
 	if rec := trace.FromContext(ctx); rec != nil {
@@ -321,9 +321,11 @@ func (s *Session[Q, V, R]) Update(ctx context.Context, updates []EdgeUpdate) (R,
 	ups := make([]EdgeUpdate, len(updates))
 	copy(ups, updates)
 	old := s.layout.Asg.G
-	if err := s.spliceGlobal(ups); err != nil {
-		return zero, nil, err
+	g, err := SpliceBatch(old, ups)
+	if err != nil {
+		return zero, nil, fmt.Errorf("engine: %s: %w", s.prog.Name(), err)
 	}
+	s.layout.Asg.G = g
 	if s.patcher != nil {
 		return s.patchBatch(old, ups)
 	}
@@ -337,15 +339,16 @@ func (s *Session[Q, V, R]) Update(ctx context.Context, updates []EdgeUpdate) (R,
 	return s.reseed(ctx)
 }
 
-// validate rejects a bad batch before any state changes: unknown
+// validateBatch rejects a bad batch before any state changes: unknown
 // endpoints, program-specific rules (UpdateValidator), and deletions of
 // edges that do not exist — counted against a per-batch multiset, so a
 // batch may delete an edge it inserted earlier, and two deletions of the
-// same edge need two live instances. Edges are counted on the CSR by dense
-// index.
-func (s *Session[Q, V, R]) validate(updates []EdgeUpdate) error {
-	g := s.layout.Asg.G
-	validator, hasValidator := any(s.prog).(UpdateValidator[Q])
+// same edge need two live instances. Edges are counted on g's CSR by dense
+// index. It checks everything SpliceBatch would refuse. Session.Update and
+// Entry.Validate both run it, so a batch the serving layer accepts is one
+// the session accepts.
+func validateBatch[Q any](g *graph.Graph, prog any, q Q, updates []EdgeUpdate) error {
+	validator, hasValidator := prog.(UpdateValidator[Q])
 	type ekey struct {
 		from, to int32
 		label    string
@@ -373,7 +376,7 @@ func (s *Session[Q, V, R]) validate(updates []EdgeUpdate) error {
 			return fmt.Errorf("engine: update %v references unknown vertices (vertex additions are not supported)", u)
 		}
 		if hasValidator {
-			if err := validator.ValidateUpdate(s.q, u); err != nil {
+			if err := validator.ValidateUpdate(q, u); err != nil {
 				return fmt.Errorf("engine: rejecting %v: %w", u, err)
 			}
 		}
@@ -390,12 +393,14 @@ func (s *Session[Q, V, R]) validate(updates []EdgeUpdate) error {
 	return nil
 }
 
-// spliceGlobal replaces the global graph with one holding the whole batch,
-// built in one graph.Splice, and rewrites each deletion's W to the weight of
-// the instance it removed. It runs right after validate, which has checked
-// everything Splice would refuse; should Splice refuse anyway, the graph and
-// the session are as they were.
-func (s *Session[Q, V, R]) spliceGlobal(ups []EdgeUpdate) error {
+// SpliceBatch returns g with the whole batch in it, built in one
+// graph.Splice (g itself stays intact), and rewrites each deletion's W to the
+// weight of the instance it removed. A session splices every accepted batch
+// into its global graph through here, and journal replay splices every
+// journaled batch: the same batch yields the same graph on both paths.
+// Validate the batch first (Entry.Validate): Splice refuses only what
+// validation rejects.
+func SpliceBatch(g *graph.Graph, ups []EdgeUpdate) (*graph.Graph, error) {
 	var b graph.Batch
 	for _, u := range ups {
 		if u.Del {
@@ -404,17 +409,16 @@ func (s *Session[Q, V, R]) spliceGlobal(ups []EdgeUpdate) error {
 			b.AddEdge(u.From, u.To, u.W, u.Label)
 		}
 	}
-	g, removed, err := graph.Splice(s.layout.Asg.G, &b)
+	ng, removed, err := graph.Splice(g, &b)
 	if err != nil {
-		return fmt.Errorf("engine: %s: %w", s.prog.Name(), err)
+		return nil, err
 	}
 	for i := range ups {
 		if ups[i].Del {
 			ups[i].W, removed = removed[0], removed[1:]
 		}
 	}
-	s.layout.Asg.G = g
-	return nil
+	return ng, nil
 }
 
 // splice brings every fragment that stores a batch edge — the owner of its

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"grape/internal/engine"
@@ -151,7 +152,10 @@ func TestServerBaseGraphStaysFrozen(t *testing.T) {
 // failingUpdate is a fixture program whose ApplyUpdate refuses an edge
 // labelled "poison". By then the session has spliced the whole batch into its
 // graph, so the refusal breaks the session partway through the batch.
+// failingUpdateCalls counts its ApplyUpdate calls.
 type failingUpdate struct{}
+
+var failingUpdateCalls atomic.Int64
 
 func (failingUpdate) Name() string { return "server-failing-update" }
 
@@ -169,6 +173,7 @@ func (failingUpdate) IncEval(struct{}, *engine.Context[int64]) error { return ni
 func (failingUpdate) Assemble(struct{}, []*engine.Context[int64]) (int64, error) { return 0, nil }
 
 func (failingUpdate) ApplyUpdate(_ struct{}, _ *engine.Context[int64], u engine.EdgeUpdate) ([]graph.ID, error) {
+	failingUpdateCalls.Add(1)
 	if u.Label == "poison" {
 		return nil, errors.New("poisoned update")
 	}
@@ -186,7 +191,8 @@ func init() {
 // TestDurableBrokenBatchIsWhole: an ApplyUpdate that fails partway through a
 // batch breaks the session, yet the base graph holds the whole batch — the
 // updates after the failing one too — the epoch moves on, and a restart,
-// which replays the batch and fails the same way, recovers the same graph.
+// which splices the batch without running ApplyUpdate, recovers the same
+// graph.
 func TestDurableBrokenBatchIsWhole(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Workers: 4, Strategy: "hash"}
@@ -216,12 +222,16 @@ func TestDurableBrokenBatchIsWhole(t *testing.T) {
 	// Simulated crash: only the snapshot and the journal survive.
 	s = nil
 
+	calls := failingUpdateCalls.Load()
 	s2, infos := reopenDurable(t, dir, cfg)
 	defer s2.Close()
 	for _, info := range infos {
 		if info.Graph == "road" && (info.Epoch != 2 || info.Replayed != 1) {
 			t.Fatalf("road recovered at epoch %d after %d records, want 2 after 1", info.Epoch, info.Replayed)
 		}
+	}
+	if n := failingUpdateCalls.Load() - calls; n != 0 {
+		t.Fatalf("replay ran ApplyUpdate %d times, want 0", n)
 	}
 	recovered, _ := servedState(t, s2, "road")
 	if err := graph.Diff(live, recovered); err != nil {

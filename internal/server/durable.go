@@ -15,21 +15,17 @@ import (
 // Crash recovery and journal compaction for servers backed by Config.Durable.
 //
 // The epoch invariant: a graph's epoch starts at 1 (or at the snapshot's
-// epoch), and each successfully applied mutation batch bumps it by exactly
-// one; rejected batches do not. The journal records every batch with the
-// epoch it was applied against (Record.PreEpoch), and replay pushes each
-// record through the same applyBatchLocked as the live path — so a recovered
-// graph lands on exactly the pre-crash epoch, with the same session state
-// and bit-identical answers. Replay checks PreEpoch record by record and
+// epoch), and each accepted mutation batch bumps it by exactly one. Mutate
+// validates a batch before it journals it, so the journal holds exactly the
+// accepted batches, each with the epoch it was applied against
+// (Record.PreEpoch); a rejected batch never reaches disk. A batch lands
+// whole: the session splices all of it into the base graph before any
+// program hook runs, so one that breaks its session partway is in the graph
+// too. Replay therefore needs no session: it splices each record into the
+// snapshot graph (engine.SpliceBatch, as the session did) and bumps the
+// epoch, landing on exactly the pre-crash graph and epoch, from which any
+// answer can be computed again. Replay checks PreEpoch record by record and
 // refuses to serve a divergent recovery rather than guessing.
-//
-// A batch lands whole or not at all: the session splices every update of
-// an accepted batch into the base graph before any program hook runs, so a
-// batch that breaks its session partway (epoch bumped, session dropped)
-// leaves the same graph live and on replay. What can differ is the session
-// alone: a failure the batch does not determine may not recur on replay,
-// and then recovery keeps the session the live server dropped — its primed
-// answer is the one a fresh run on that graph gives.
 
 // RecoveryInfo reports what recovering one graph cost (RecoverAll).
 type RecoveryInfo struct {
@@ -48,8 +44,8 @@ type RecoveryInfo struct {
 // snapshot is skipped (AddGraph makes that graph resident). A graph whose
 // snapshots all fail validation is not recovered either, but loudly: an
 // ERROR log record with the epoch and the reason, the unusable_snapshots
-// counter, and a 404 saying so for every request naming it. Requires
-// Config.Durable.
+// counter, and a 404 saying so for every request naming it. Recovery runs
+// no program, so ctx does not bound it. Requires Config.Durable.
 func (s *Server) RecoverAll(ctx context.Context) ([]RecoveryInfo, error) {
 	if s.cfg.Durable == nil {
 		return nil, fmt.Errorf("server: RecoverAll without Config.Durable")
@@ -60,7 +56,7 @@ func (s *Server) RecoverAll(ctx context.Context) ([]RecoveryInfo, error) {
 	}
 	var infos []RecoveryInfo
 	for _, name := range names {
-		rg, err := s.recoverGraph(ctx, name)
+		rg, err := s.recoverGraph(name)
 		if err != nil {
 			if err == store.ErrNoSnapshot { // returned bare: no snapshot at all
 				continue
@@ -119,11 +115,13 @@ func unusableEpoch(err error) uint64 {
 	return epoch
 }
 
-// recoverGraph opens name's durable state, replays its journal through the
-// session layer, and publishes the graph resident at its pre-crash epoch.
-// Returns store.ErrNoSnapshot bare when name's directory holds no snapshot,
-// and wrapped with the store's reason when none of its snapshots validates.
-func (s *Server) recoverGraph(ctx context.Context, name string) (*residentGraph, error) {
+// recoverGraph opens name's durable state, splices its journal into the
+// snapshot graph, and publishes the graph resident at its pre-crash epoch. No
+// session opens and no program runs: the first Mutate opens its session at
+// the recovered epoch, as it does after AddGraph. Returns store.ErrNoSnapshot
+// bare when name's directory holds no snapshot, and wrapped with the store's
+// reason when none of its snapshots validates.
+func (s *Server) recoverGraph(name string) (*residentGraph, error) {
 	start := time.Now()
 	gs, err := s.cfg.Durable.Graph(name)
 	if err != nil {
@@ -147,47 +145,12 @@ func (s *Server) recoverGraph(ctx context.Context, name string) (*residentGraph,
 		}
 	}
 
-	// Replay. rg is not yet published, so the lock is uncontended — held
-	// anyway because applyBatchLocked requires it. Replay ignores
-	// cancellation, as Mutate does once a batch is journaled: a session that
-	// fails to open on a cancelled ctx would read as a rejected batch and
-	// leave replay short of the journaled epochs.
-	ctx = context.WithoutCancel(ctx)
-	rg.mu.Lock()
 	for i, r := range rec.Records {
-		if rg.epoch != r.PreEpoch {
-			rg.mu.Unlock()
-			gs.Close()
-			return nil, fmt.Errorf("replaying record %d: journaled against epoch %d but replay reached %d — refusing divergent recovery", i, r.PreEpoch, rg.epoch)
-		}
-		e, err := engine.Lookup(r.Program)
-		if err != nil {
-			rg.mu.Unlock()
+		if err := rg.replay(r); err != nil {
 			gs.Close()
 			return nil, fmt.Errorf("replaying record %d: %w", i, err)
 		}
-		pq, err := e.Parse(r.Query)
-		if err != nil {
-			rg.mu.Unlock()
-			gs.Close()
-			return nil, fmt.Errorf("replaying record %d (%s %q): %w", i, r.Program, r.Query, err)
-		}
-		res, st, applied, err := s.applyBatchLocked(ctx, rg, e, r.Program, pq, r.Updates)
-		if err != nil && !applied {
-			// Rejected by the session's deterministic validation — it was
-			// rejected live too; the epoch stays, replay continues.
-			continue
-		}
-		if err != nil {
-			// The batch broke the session partway live and did so again; the
-			// epoch bumped and the next record starts a fresh session,
-			// exactly like the live path.
-			continue
-		}
-		rs := RunStats{Supersteps: st.Supersteps, Messages: st.Messages, Bytes: st.Bytes, WallMs: st.WallTime.Seconds() * 1e3}
-		s.primeSessionResult(rg, r.Program, pq.Canonical, res, rs)
 	}
-	rg.mu.Unlock()
 	rg.replayed = len(rec.Records)
 	rg.recoveryMs = time.Since(start).Seconds() * 1e3
 
@@ -204,6 +167,36 @@ func (s *Server) recoverGraph(ctx context.Context, name string) (*residentGraph,
 	s.mu.Unlock()
 	s.publishDurability(rg)
 	return rg, nil
+}
+
+// replay splices one journal record into the graph and bumps the epoch,
+// taking no lock: rg is not yet published. A record its program's validation
+// rejects was refused live by a server that journaled before validating: it
+// is skipped without bumping the epoch, as that server did, and the next
+// record's PreEpoch check catches any divergence. A splice refused after
+// validation passed is a divergence too.
+func (rg *residentGraph) replay(r store.Record) error {
+	if rg.epoch != r.PreEpoch {
+		return fmt.Errorf("journaled against epoch %d but replay reached %d — refusing divergent recovery", r.PreEpoch, rg.epoch)
+	}
+	e, err := engine.Lookup(r.Program)
+	if err != nil {
+		return err
+	}
+	pq, err := e.Parse(r.Query)
+	if err != nil {
+		return fmt.Errorf("%s %q: %w", r.Program, r.Query, err)
+	}
+	if e.Validate(rg.g, pq, r.Updates) != nil {
+		return nil
+	}
+	g, err := engine.SpliceBatch(rg.g, r.Updates)
+	if err != nil {
+		return fmt.Errorf("validated, yet the splice refused it: %w — refusing divergent recovery", err)
+	}
+	rg.g = g
+	rg.epoch++
+	return nil
 }
 
 // publishDurability pushes the graph's current durable-store gauges into the
@@ -262,8 +255,9 @@ func (s *Server) maybeCompact(rg *residentGraph) {
 	rg.mu.RLock()
 	defer rg.mu.RUnlock()
 	if rg.epoch <= st.SnapshotEpoch {
-		// Journal grew without the epoch moving (rejected batches only):
-		// nothing new to snapshot, and the journal replays to a no-op.
+		// The journal grew without the epoch moving: only a journal written
+		// by a server that journaled rejected batches holds such records.
+		// Nothing new to snapshot, and the journal replays to a no-op.
 		return
 	}
 	start := time.Now()

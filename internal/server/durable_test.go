@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"grape/internal/engine"
+	"grape/internal/graph"
 	"grape/internal/metrics"
 	"grape/internal/store"
 )
@@ -91,6 +92,10 @@ func TestDurableRestartIdenticalAnswers(t *testing.T) {
 	if wantEpochs["road"] != 3 || wantEpochs["social"] != 3 {
 		t.Fatalf("pre-crash epochs = %v", wantEpochs)
 	}
+	liveGraphs := map[string]*graph.Graph{}
+	for _, name := range []string{"road", "social"} {
+		liveGraphs[name], _ = servedState(t, s, name)
+	}
 	wantResults := map[string]any{}
 	for _, c := range programCases {
 		resp, err := s.Query(ctx, QueryRequest{Graph: c.graph, Program: c.program, Query: c.query, NoCache: true})
@@ -124,6 +129,12 @@ func TestDurableRestartIdenticalAnswers(t *testing.T) {
 	if got := graphEpochs(s2); !reflect.DeepEqual(got, wantEpochs) {
 		t.Fatalf("post-recovery epochs %v, want %v", got, wantEpochs)
 	}
+	for name, live := range liveGraphs {
+		recovered, _ := servedState(t, s2, name)
+		if err := graph.Diff(live, recovered); err != nil {
+			t.Fatalf("%s recovered graph differs from the live one: %v", name, err)
+		}
+	}
 	for _, c := range programCases {
 		resp, err := s2.Query(ctx, QueryRequest{Graph: c.graph, Program: c.program, Query: c.query, NoCache: true})
 		if err != nil {
@@ -147,21 +158,37 @@ func TestDurableRestartIdenticalAnswers(t *testing.T) {
 	}
 }
 
-// TestDurableRejectedBatchReplay checks the epoch invariant across rejected
-// batches: a journaled batch the session's validation rejects bumps nothing
-// live, re-rejects identically on replay, and the recovered epoch still
-// matches.
-func TestDurableRejectedBatchReplay(t *testing.T) {
+// durability returns the /stats durability gauges of one graph.
+func durability(t testing.TB, s *Server, name string) metrics.GraphDurability {
+	t.Helper()
+	for _, d := range s.Stats().Durable {
+		if d.Graph == name {
+			return d
+		}
+	}
+	t.Fatalf("no durability gauges for %q", name)
+	return metrics.GraphDurability{}
+}
+
+// TestDurableRejectedBatchNotJournaled checks that Mutate validates a batch
+// before it journals it: a rejected batch is bad input that never reaches
+// the disk and never replaces the retained session, the journal holds only
+// the accepted batches, the durability gauges match the store, and a
+// restart replays exactly those batches onto the live epoch.
+func TestDurableRejectedBatchNotJournaled(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Workers: 4, Strategy: "hash"}
 	s := newDurableServer(t, dir, cfg)
 	ctx := context.Background()
+	rg, err := s.resident("road")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if _, err := s.Mutate(ctx, "road", "", "", []EdgeJSON{{From: 0, To: 200, W: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	// A batch naming a vertex that doesn't exist is rejected by validation
-	// after it was journaled: nothing applied, epoch stays.
+	// A batch naming a vertex that doesn't exist: rejected, nothing applied.
 	if _, err := s.Mutate(ctx, "road", "", "", []EdgeJSON{{From: 0, To: 1, W: 1}, {From: 0, To: 999999, W: 1}}); !errors.Is(err, ErrBadQuery) {
 		t.Fatalf("invalid batch: %v, want ErrBadQuery", err)
 	}
@@ -172,18 +199,91 @@ func TestDurableRejectedBatchReplay(t *testing.T) {
 	if want != 3 {
 		t.Fatalf("epoch after 2 applied + 1 rejected = %d, want 3", want)
 	}
+	sess := rg.sess
+	before := durability(t, s, "road")
+	if st := rg.ds.Stats(); before.JournalRecords != 2 || st.JournalRecords != 2 || before.JournalBytes != st.JournalBytes {
+		t.Fatalf("journal after 2 applied + 1 rejected: gauges %d records %d bytes, store %d records %d bytes; want 2 records, equal bytes",
+			before.JournalRecords, before.JournalBytes, st.JournalRecords, st.JournalBytes)
+	}
+	// 20 more rejected batches, some under another program: an unknown
+	// vertex, a deletion of an edge that does not exist, an sssp negative
+	// weight. None touches the journal, the epoch or the retained session.
+	for i := 0; i < 20; i++ {
+		program, query, edges := "", "", []EdgeJSON{{From: 2, To: 202, W: 1}, {From: int64(1000000 + i), To: 3, W: 1}}
+		switch i % 3 {
+		case 1:
+			edges = []EdgeJSON{{From: 3, To: 203, W: 1, Del: true}}
+		case 2:
+			program, query, edges = "sssp", "source=0", []EdgeJSON{{From: 0, To: 1, W: -1}}
+		}
+		if _, err := s.Mutate(ctx, "road", program, query, edges); !errors.Is(err, ErrBadQuery) {
+			t.Fatalf("rejected batch %d: %v, want ErrBadQuery", i, err)
+		}
+	}
+	after := durability(t, s, "road")
+	if after.JournalRecords != before.JournalRecords || after.JournalBytes != before.JournalBytes {
+		t.Fatalf("20 rejected batches moved the journal gauges from %d records %d bytes to %d records %d bytes",
+			before.JournalRecords, before.JournalBytes, after.JournalRecords, after.JournalBytes)
+	}
+	if st := rg.ds.Stats(); st.JournalRecords != 2 || st.JournalBytes != before.JournalBytes {
+		t.Fatalf("20 rejected batches grew the journal to %d records %d bytes", st.JournalRecords, st.JournalBytes)
+	}
+	if got := graphEpochs(s)["road"]; got != want {
+		t.Fatalf("epoch %d after rejected batches, want %d", got, want)
+	}
+	if rg.sess != sess {
+		t.Fatal("a rejected batch replaced the retained session")
+	}
 
 	s2, infos := reopenDurable(t, dir, cfg)
 	defer s2.Close()
 	for _, info := range infos {
-		if info.Graph == "road" {
-			if info.Replayed != 3 {
-				t.Fatalf("replayed %d records, want 3 (rejected batch included)", info.Replayed)
-			}
-			if info.Epoch != want {
-				t.Fatalf("recovered epoch %d, want %d", info.Epoch, want)
-			}
+		if info.Graph == "road" && (info.Replayed != 2 || info.Epoch != want) {
+			t.Fatalf("road recovered at epoch %d after %d records, want %d after 2", info.Epoch, info.Replayed, want)
 		}
+	}
+}
+
+// TestDurableReplaySkipsRejectedRecord: a server that journaled a batch
+// before validating it left records in the journal that its session then
+// rejected. Replay validates each record, skips such a one without bumping
+// the epoch, and lands on the live graph. The record here is an sssp
+// negative weight, which a bare splice would accept.
+func TestDurableReplaySkipsRejectedRecord(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Workers: 4, Strategy: "hash"}
+	s := newDurableServer(t, dir, cfg)
+	ctx := context.Background()
+	if _, err := s.Mutate(ctx, "road", "sssp", "source=0", []EdgeJSON{{From: 0, To: 200, W: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	rg, err := s.resident("road")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rejected := store.Record{PreEpoch: 2, Program: "sssp", Query: "source=0", Updates: []engine.EdgeUpdate{{From: 0, To: 1, W: -1}}}
+	if err := rg.ds.Append(rejected); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Mutate(ctx, "road", "sssp", "source=0", []EdgeJSON{{From: 1, To: 201, W: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	live, epoch := servedState(t, s, "road")
+	if epoch != 3 {
+		t.Fatalf("live epoch %d, want 3", epoch)
+	}
+	s = nil // simulated crash: only the snapshot and the journal survive
+
+	s2, infos := reopenDurable(t, dir, cfg)
+	defer s2.Close()
+	for _, info := range infos {
+		if info.Graph == "road" && (info.Epoch != 3 || info.Replayed != 3) {
+			t.Fatalf("road recovered at epoch %d after %d records, want 3 after 3", info.Epoch, info.Replayed)
+		}
+	}
+	recovered, _ := servedState(t, s2, "road")
+	if err := graph.Diff(live, recovered); err != nil {
+		t.Fatalf("the recovered graph differs from the live one: %v", err)
 	}
 }
 
@@ -392,10 +492,9 @@ func TestDurableUnknownGraphTouchesNothing(t *testing.T) {
 	}
 }
 
-// TestDurableRecoverAllCancelledContext checks that recovery replays every
-// journaled batch even when the caller's context is already cancelled: a
-// session that fails to open on that context must not read as a rejected
-// batch and leave replay short of the journaled epoch.
+// TestDurableRecoverAllCancelledContext checks that replay ignores ctx: it
+// runs no program, so a context cancelled before RecoverAll still recovers
+// every journaled batch, up to the journaled epoch.
 func TestDurableRecoverAllCancelledContext(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Workers: 4, Strategy: "hash"}

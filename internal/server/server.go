@@ -56,11 +56,12 @@ type Config struct {
 	// CacheEntries sizes the result cache; < 0 disables it. Default 256.
 	CacheEntries int
 	// Durable, if non-nil, is the binary snapshot + journal store behind the
-	// serving path (grape-serve -data). Every POST /update batch is journaled
-	// and fsync-ed before the session mutates, AddGraph persists a snapshot,
-	// and RecoverAll — the only way durable state becomes resident — replays
-	// each graph's journal at startup so a killed server restarts onto the
-	// exact epoch and bit-identical answers. A background compactor
+	// serving path (grape-serve -data). Every POST /update batch is
+	// validated, then journaled and fsync-ed before the session mutates (a
+	// rejected batch never reaches disk), AddGraph persists a snapshot, and
+	// RecoverAll — the only way durable state becomes resident — splices
+	// each graph's journal into its snapshot at startup so a killed server
+	// restarts onto the exact graph and epoch. A background compactor
 	// re-snapshots at the current epoch once the journal crosses
 	// CompactRecords or CompactBytes.
 	Durable *store.Store
@@ -572,7 +573,8 @@ func (s *Server) query(ctx context.Context, req QueryRequest, start time.Time) (
 // under the new epoch — continuous updates keep that query warm instead of
 // merely invalidating it. Mutating under a different (program, query) drops
 // the retained session and seeds a new one. Mutations require a directed
-// graph, as sessions do.
+// graph, as sessions do. A batch the program's validation rejects
+// (Entry.Validate) is ErrBadQuery and changes nothing, on disk or in memory.
 func (s *Server) Mutate(ctx context.Context, name, program, query string, edges []EdgeJSON) (*MutateResponse, error) {
 	if len(edges) == 0 {
 		return nil, fmt.Errorf("%w: empty edge list", ErrBadQuery)
@@ -598,10 +600,14 @@ func (s *Server) Mutate(ctx context.Context, name, program, query string, edges 
 	for i, e := range edges {
 		ups[i] = engine.EdgeUpdate{From: graph.ID(e.From), To: graph.ID(e.To), W: e.W, Label: e.Label, Del: e.Del}
 	}
+	// Validate first: a rejected batch is bad input (HTTP 400) that changes
+	// nothing — not the epoch, the journal or the retained session.
+	if err := e.Validate(rg.g, pq, ups); err != nil {
+		return nil, fmt.Errorf("%w: mutating %q: %v", ErrBadQuery, name, err)
+	}
 	// The session must exist before the batch is journaled: session creation
 	// can fail for infrastructure reasons (cancellation included), and a
-	// journaled batch must only be able to fail deterministically, or replay
-	// would diverge from the live epoch sequence.
+	// journaled batch must land.
 	if err := s.ensureSessionLocked(ctx, rg, e, program, pq); err != nil {
 		return nil, err
 	}
@@ -617,18 +623,22 @@ func (s *Server) Mutate(ctx context.Context, name, program, query string, edges 
 		ctx = context.WithoutCancel(ctx)
 	}
 	s.flight.Event("session-update", fmt.Sprintf("%s %s/%s: %d edge updates", name, program, pq.Canonical, len(ups)))
-	res, st, applied, err := s.applyBatchLocked(ctx, rg, e, program, pq, ups)
-	if err != nil && !applied {
-		// The session's pre-mutation validation rejected the batch: nothing
-		// was applied, nothing to invalidate — the epoch, layouts, cache and
-		// session all stay. Surface it as bad input (HTTP 400). The journaled
-		// copy (if durable) re-rejects identically on replay.
-		return nil, fmt.Errorf("%w: mutating %q: %v", ErrBadQuery, name, err)
-	}
+	res, st, err := rg.sess.Update(ctx, ups)
+	// The batch passed the validation Update runs first, so the session has
+	// spliced all of it into its graph before any program hook ran: the
+	// batch lands even if it broke the session partway, whose retained state
+	// is then dropped — the next batch starts a fresh session over the graph.
+	rg.epoch++
+	s.cache.dropBefore(rg.name, rg.gen, rg.epoch)
+	rg.lmu.Lock()
+	rg.layouts = make(map[layoutKey]*layoutSlot)
+	rg.lmu.Unlock()
+	rg.g = rg.sess.Graph()
 	if rg.ds != nil {
 		s.publishDurability(rg)
 	}
 	if err != nil {
+		rg.sess = nil
 		return nil, fmt.Errorf("server: mutating %q: %w", name, err)
 	}
 	s.serving.ObserveRun(program, st)
@@ -636,10 +646,11 @@ func (s *Server) Mutate(ctx context.Context, name, program, query string, edges 
 		lg.Info("mutation applied", "graph", name, "program", program, "edges", len(ups), "epoch", rg.epoch, "supersteps", st.Supersteps)
 	}
 	rs := RunStats{Supersteps: st.Supersteps, Messages: st.Messages, Bytes: st.Bytes, WallMs: st.WallTime.Seconds() * 1e3}
-	// Prime the session's fresh answer under the new epoch. The key carries
-	// this instance's generation, so if AddGraph replaced the name while we
-	// mutated the detached instance, the new graph cannot hit this entry.
-	s.primeSessionResult(rg, program, pq.Canonical, res, rs)
+	// Prime the fresh answer under the key an identical query computes. It
+	// carries this instance's generation: if AddGraph replaced the name
+	// meanwhile, the new graph cannot hit this entry.
+	s.cache.put(cacheKey{graph: name, gen: rg.gen, epoch: rg.epoch, program: program, canonical: pq.Canonical,
+		strategy: s.cfg.Strategy, workers: s.cfg.Workers}, &cacheVal{result: res, stats: rs})
 	return &MutateResponse{Graph: name, Epoch: rg.epoch, Program: program, Canonical: pq.Canonical, Stats: rs}, nil
 }
 
@@ -665,50 +676,4 @@ func (s *Server) ensureSessionLocked(ctx context.Context, rg *residentGraph, e e
 	}
 	rg.sess, rg.sessProg, rg.sessCanon = sess, program, pq.Canonical
 	return nil
-}
-
-// applyBatchLocked runs one batch through the retained session and, when the
-// batch lands, bumps the epoch, drops the resident layouts and takes the
-// session's spliced graph as the base graph: the session splices each
-// accepted batch into a new frozen graph, so there is nothing to refreeze.
-// Both the live Mutate and journal replay go through here, so recovery
-// reproduces exactly the live epoch/state sequence. Callers hold rg.mu for
-// write.
-//
-// applied=false means the session's deterministic pre-mutation validation
-// rejected the batch and nothing changed. applied=true with a non-nil error
-// means the batch broke the session partway: the base graph holds the whole
-// batch (epoch bumped) and the session was dropped as untrustworthy.
-func (s *Server) applyBatchLocked(ctx context.Context, rg *residentGraph, e engine.Entry, program string, pq engine.ParsedQuery, ups []engine.EdgeUpdate) (res any, st *metrics.Stats, applied bool, err error) {
-	if err := s.ensureSessionLocked(ctx, rg, e, program, pq); err != nil {
-		return nil, nil, false, err
-	}
-	res, st, uerr := rg.sess.Update(ctx, ups)
-	if uerr != nil && !rg.sess.Broken() {
-		return nil, st, false, uerr
-	}
-	// Past validation the session has spliced the whole batch into its
-	// graph; an error after that leaves the graph updated but the session's
-	// retained state diverged. Invalidate unconditionally, take the graph
-	// before dropping a broken session — its retained partial results are
-	// not trustworthy; the next batch starts a fresh session over it.
-	rg.epoch++
-	s.cache.dropBefore(rg.name, rg.gen, rg.epoch)
-	rg.lmu.Lock()
-	rg.layouts = make(map[layoutKey]*layoutSlot)
-	rg.lmu.Unlock()
-	rg.g = rg.sess.Graph()
-	if uerr != nil {
-		rg.sess = nil
-		return nil, st, true, uerr
-	}
-	return res, st, true, nil
-}
-
-// primeSessionResult caches the session's refreshed answer under the current
-// epoch and the default (strategy, workers) — the key a subsequent identical
-// query computes.
-func (s *Server) primeSessionResult(rg *residentGraph, program, canonical string, res any, rs RunStats) {
-	s.cache.put(cacheKey{graph: rg.name, gen: rg.gen, epoch: rg.epoch, program: program, canonical: canonical,
-		strategy: s.cfg.Strategy, workers: s.cfg.Workers}, &cacheVal{result: res, stats: rs})
 }
