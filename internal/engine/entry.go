@@ -56,10 +56,11 @@ func MakeEntry[Q, V, R any](s EntrySpec[Q, V, R]) Entry {
 		return pq, nil
 	}
 	e := Entry{
-		Name:        name,
-		Description: s.Description,
-		QueryHelp:   s.QueryHelp,
-		Parse:       doParse,
+		Name:         name,
+		Description:  s.Description,
+		QueryHelp:    s.QueryHelp,
+		CutInvariant: s.Prog.Spec().Less != nil,
+		Parse:        doParse,
 		Run: func(ctx context.Context, g *graph.Graph, opts Options, query string) (any, *metrics.Stats, error) {
 			pq, err := doParse(query)
 			if err != nil {
@@ -130,6 +131,9 @@ func (a residentAdapter[Q, V, R]) RunParsed(ctx context.Context, pq ParsedQuery)
 	if err != nil {
 		return nil, nil, err
 	}
+	if pq.Hops > a.r.layout.Hops {
+		return nil, nil, fmt.Errorf("engine: %s: query needs fragments expanded %d hops, the layout has %d", a.name, pq.Hops, a.r.layout.Hops)
+	}
 	res, stats, err := a.r.Run(ctx, q)
 	return any(res), stats, err
 }
@@ -152,3 +156,5 @@ func (a sessionAdapter[Q, V, R]) Result() (any, error) {
 func (a sessionAdapter[Q, V, R]) Broken() bool { return a.s.Broken() }
 
 func (a sessionAdapter[Q, V, R]) Graph() *graph.Graph { return a.s.Graph() }
+
+func (a sessionAdapter[Q, V, R]) Layout() *partition.Layout { return a.s.Layout() }

@@ -60,6 +60,10 @@ type SessionHandle interface {
 	Broken() bool
 	// Graph returns the current global graph (see Session.Graph).
 	Graph() *graph.Graph
+	// Layout returns the session's layout while its fragments hold Graph(),
+	// else nil (see Session.Layout). A cut-invariant program's resident
+	// runner may answer on it between two Updates.
+	Layout() *partition.Layout
 }
 
 // Entry describes a PIE program registered in the GRAPE API library — the
@@ -81,6 +85,13 @@ type Entry struct {
 	Description string
 	// QueryHelp documents the query string syntax accepted by Run.
 	QueryHelp string
+	// CutInvariant reports that the program answers Q(G) on any cut of G,
+	// a session's evolved one included. MakeEntry derives it from the
+	// program's VarSpec: a declared Less is the Assurance Theorem's
+	// monotonicity condition, under which the fixpoint is the same whatever
+	// the fragments. cf, whose pairwise averaging depends on the order
+	// values meet, declares none.
+	CutInvariant bool
 	// Run parses query, executes the program on g, and returns its result.
 	// The context bounds the run exactly as in the generic Run. With a wire
 	// transport in opts.Transport the run is distributed; the worker half
@@ -93,8 +104,8 @@ type Entry struct {
 	// Resident builds a runner answering this program's parsed queries over
 	// a caller-owned prebuilt layout, without re-partitioning and with
 	// per-run scratch pooled across calls. The layout's fragments must be
-	// frozen and built with the expansion Parse reported for the queries it
-	// will see.
+	// frozen; a query whose expansion (ParsedQuery.Hops) exceeds the
+	// layout's (Layout.Hops) is refused, not answered short.
 	Resident func(layout *partition.Layout, opts Options) (ResidentRunner, error)
 	// Session runs the initial fixpoint for a parsed query on g and retains
 	// the distributed state for incremental updates (NewSession). Every

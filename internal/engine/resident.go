@@ -12,7 +12,7 @@ import (
 // Resident executes one program over one prebuilt layout many times — the
 // serving half of the paper's Fig. 2 system, where a graph is loaded and
 // partitioned once and then answers a stream of user queries. The layout is
-// never re-partitioned and its fragments are never written: every Run gets
+// never re-partitioned and no run writes its fragments: every Run gets
 // its own Contexts, so concurrent Runs over the same Resident (or over
 // distinct Residents sharing the layout) are safe — frozen graphs are
 // race-tested for concurrent reads, and the fragments' dense caches are

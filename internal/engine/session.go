@@ -280,6 +280,19 @@ func (s *Session[Q, V, R]) Broken() bool { return s.broken }
 // broke the session included.
 func (s *Session[Q, V, R]) Graph() *graph.Graph { return s.layout.Asg.G }
 
+// Layout returns the session's layout while its fragments hold Graph(): the
+// cut NewSession (or the last reseed) made, with every batch since spliced
+// into its fragments. It is nil for a SessionPatcher session, whose fragments
+// stay as the initial run left them, and for a broken one. The layout changes
+// in place at the next Update; callers must not run on it concurrently with
+// one.
+func (s *Session[Q, V, R]) Layout() *partition.Layout {
+	if s.patcher != nil || s.broken {
+		return nil
+	}
+	return s.layout
+}
+
 // Result re-assembles the current answer without recomputation.
 func (s *Session[Q, V, R]) Result() (R, error) {
 	if s.broken {

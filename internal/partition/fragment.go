@@ -178,6 +178,10 @@ type Layout struct {
 	// the run. Plain Build leaves it zero — outer copies there are part of
 	// the initial partitioning, as in the paper's accounting.
 	ReplicationBytes int64
+	// Hops is the expansion depth the fragments were cut with: 0 from
+	// Build, d from BuildExpanded. A query needing more is not answerable
+	// on this layout.
+	Hops int
 
 	// The border index. Every border vertex — one some fragment holds an
 	// outer copy of — has a slot; hosts[spans[s].off:][:spans[s].n] lists the
@@ -327,8 +331,8 @@ func (c *cut) add(w int, p piece) {
 // beside where it keeps the vertex; a walk over the slots then deals every
 // fragment its border — outer copies and the inner vertices somebody copied,
 // each with its slot — already sorted.
-func (c *cut) layout(replication int64) *Layout {
-	l := &Layout{Asg: c.asg, Fragments: make([]*Fragment, len(c.pieces)), ReplicationBytes: replication}
+func (c *cut) layout(replication int64, hops int) *Layout {
+	l := &Layout{Asg: c.asg, Fragments: make([]*Fragment, len(c.pieces)), ReplicationBytes: replication, Hops: hops}
 	npairs := 0
 	for _, k := range c.copies {
 		if k > 0 {
@@ -409,7 +413,7 @@ func Build(g *graph.Graph, asg *Assignment) *Layout {
 		ni, nvl := len(c.inner(w)), sub.NumVertices()
 		c.add(w, piece{g: sub, innerIdx: first[:ni:ni], outer: slices.Clone(b.Vertices()[ni:]), outerIdx: first[ni:nvl:nvl]})
 	}
-	return c.layout(0)
+	return c.layout(0, 0)
 }
 
 // BuildExpanded cuts g into fragments and then expands each with the full
@@ -441,5 +445,5 @@ func BuildExpanded(g *graph.Graph, asg *Assignment, d int) *Layout {
 		}
 		c.add(w, p)
 	}
-	return c.layout(replication)
+	return c.layout(replication, d)
 }

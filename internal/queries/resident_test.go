@@ -12,6 +12,7 @@ import (
 	"grape/internal/gen"
 	"grape/internal/graph"
 	"grape/internal/partition"
+	"grape/internal/seq"
 )
 
 // TestResidentConcurrentPrograms is the serving-layer safety argument made
@@ -271,5 +272,60 @@ func TestResidentRunAllocationBudget(t *testing.T) {
 	run() // fill the pooled scratch
 	if got := testing.AllocsPerRun(20, run); got > 240 {
 		t.Fatalf("a resident sssp run allocates %.0f objects, budget 240", got)
+	}
+}
+
+// TestResidentRefusesDeeperQuery: a layout records the expansion depth it was
+// cut with, and a resident runner refuses a query that needs more. Subiso on
+// a hops-0 cut of the commerce graph would otherwise answer short, without an
+// error: only the matches that happen to fall inside one fragment.
+func TestResidentRefusesDeeperQuery(t *testing.T) {
+	g := gen.SocialCommerce(gen.SocialCommerceConfig{People: 2000, Products: 20, Follows: 4, AdoptP: 0.9, Seed: 1})
+	opts := engine.Options{Workers: 8, Strategy: partition.Hash{}}
+	e, err := engine.Lookup("subiso")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pq, err := e.Parse("pattern=follows-recommend")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, err := engine.BuildLayout(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flat.Hops != 0 {
+		t.Fatalf("a plain cut records %d hops, want 0", flat.Hops)
+	}
+	r, err := e.Resident(flat, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, _, err := r.RunParsed(context.Background(), pq); err == nil {
+		t.Fatalf("subiso (hops %d) on a hops-0 layout answered %d matches, want an error", pq.Hops, len(res.([]seq.Match)))
+	}
+
+	expOpts := opts
+	expOpts.ExpandHops = pq.Hops
+	deep, err := engine.BuildLayout(g, expOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if deep.Hops != pq.Hops {
+		t.Fatalf("an expanded cut records %d hops, want %d", deep.Hops, pq.Hops)
+	}
+	if r, err = e.Resident(deep, engine.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := r.RunParsed(context.Background(), pq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := e.Run(context.Background(), g, opts, "pattern=follows-recommend")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("subiso on a hops-%d layout: %d matches, engine.Run %d", pq.Hops, len(got.([]seq.Match)), len(want.([]seq.Match)))
 	}
 }

@@ -131,8 +131,11 @@ func (c Config) withDefaults() Config {
 }
 
 // Server keeps named graphs resident — each partitioned at most once per
-// (strategy, workers, hops) into a frozen layout — and answers concurrent
-// queries over the shared layouts. Safe for concurrent use.
+// (strategy, workers, hops) and epoch into a frozen layout — and answers
+// concurrent queries over the shared layouts. Under an ID-only strategy the
+// default key's layout after a batch is the update session's own, spliced by
+// the batch rather than cut again, for every program that answers the same on
+// any cut. Safe for concurrent use.
 //
 // Admission is global (one MaxInFlight pool across all graphs), which keeps
 // the resource bound simple but means a graph whose runs are slow — or
@@ -178,8 +181,9 @@ type residentGraph struct {
 	// sess is the continuous-update session mutations flow through, lazily
 	// created for the (program, canonical query) the client mutates under —
 	// any registered class works; programs without incremental hooks reseed
-	// inside the session. It owns its own layout; resident query layouts are
-	// rebuilt from the mutated base graph instead.
+	// inside the session. It owns its own layout, which Mutate may also hand
+	// to the default layout slot (see layoutSlot.session); every other
+	// resident query layout is cut from the mutated base graph on first use.
 	sess      engine.SessionHandle
 	sessProg  string
 	sessCanon string
@@ -203,10 +207,19 @@ type layoutKey struct {
 	hops     int
 }
 
-// layoutSlot builds its layout at most once; concurrent first queries on
-// the same key wait on the sync.Once. runners holds one pooled resident
-// runner per program over this layout.
+// layoutSlot is one key's layout at the current epoch. It builds a fresh cut
+// at most once; concurrent first queries on the same key wait on the
+// sync.Once. runners holds one pooled resident runner per program.
 type layoutSlot struct {
+	// session, set on the default key after a batch under an ID-only
+	// strategy, is the retained update session's own layout: the cut the
+	// session opened with, every batch since spliced in. Cut-invariant programs run on it, and the fresh cut
+	// is built only when another program asks. It needs no copy: Mutate,
+	// the one writer of that layout, holds rg.mu for write and every run
+	// holds it for read, and Mutate replaces the slot map at every batch, so
+	// no runner sees the layout change under it.
+	session *partition.Layout
+
 	once   sync.Once
 	layout *partition.Layout
 	err    error
@@ -353,9 +366,11 @@ func (s *Server) resident(name string) (*residentGraph, error) {
 	}
 }
 
-// layoutFor returns the slot's layout, building it on first use. Callers
-// hold rg.mu for read, so the graph is stable throughout.
-func (s *Server) layoutFor(rg *residentGraph, key layoutKey, strat partition.Strategy) (*layoutSlot, error) {
+// runnerFor returns the pooled resident runner for a program on key's slot:
+// on the session's layout for a cut-invariant program when the slot holds
+// one, else on the slot's fresh cut, built on first use. Callers hold rg.mu
+// for read, so the graph is stable throughout.
+func (s *Server) runnerFor(rg *residentGraph, key layoutKey, strat partition.Strategy, e engine.Entry) (engine.ResidentRunner, error) {
 	rg.lmu.Lock()
 	slot, ok := rg.layouts[key]
 	if !ok {
@@ -363,18 +378,20 @@ func (s *Server) layoutFor(rg *residentGraph, key layoutKey, strat partition.Str
 		rg.layouts[key] = slot
 	}
 	rg.lmu.Unlock()
-	slot.once.Do(func() {
-		slot.layout, slot.err = engine.BuildLayout(rg.g, engine.Options{
-			Workers:    key.workers,
-			Strategy:   strat,
-			ExpandHops: key.hops,
+	layout := slot.session
+	if layout == nil || !e.CutInvariant {
+		slot.once.Do(func() {
+			slot.layout, slot.err = engine.BuildLayout(rg.g, engine.Options{
+				Workers:    key.workers,
+				Strategy:   strat,
+				ExpandHops: key.hops,
+			})
 		})
-	})
-	return slot, slot.err
-}
-
-// runnerFor returns the slot's pooled resident runner for a program.
-func (slot *layoutSlot) runnerFor(e engine.Entry, cfg Config) (engine.ResidentRunner, error) {
+		if slot.err != nil {
+			return nil, slot.err
+		}
+		layout = slot.layout
+	}
 	slot.rmu.Lock()
 	defer slot.rmu.Unlock()
 	if r, ok := slot.runners[e.Name]; ok {
@@ -383,7 +400,7 @@ func (slot *layoutSlot) runnerFor(e engine.Entry, cfg Config) (engine.ResidentRu
 	if e.Resident == nil {
 		return nil, fmt.Errorf("server: program %q cannot run resident (no Resident hook registered)", e.Name)
 	}
-	r, err := e.Resident(slot.layout, engine.Options{Recover: cfg.Recover, Fault: cfg.Fault})
+	r, err := e.Resident(layout, engine.Options{Recover: s.cfg.Recover, Fault: s.cfg.Fault})
 	if err != nil {
 		return nil, err
 	}
@@ -522,13 +539,7 @@ func (s *Server) query(ctx context.Context, req QueryRequest, start time.Time) (
 				return
 			}
 		}
-		slot, err := s.layoutFor(rg, layoutKey{strategy: stratName, workers: workers, hops: pq.Hops}, strat)
-		if err != nil {
-			rec.Release()
-			done <- outcome{err: err}
-			return
-		}
-		runner, err := slot.runnerFor(e, s.cfg)
+		runner, err := s.runnerFor(rg, layoutKey{strategy: stratName, workers: workers, hops: pq.Hops}, strat, e)
 		if err != nil {
 			rec.Release()
 			done <- outcome{err: err}
@@ -566,14 +577,17 @@ func (s *Server) query(ctx context.Context, req QueryRequest, start time.Time) (
 // Mutate applies a batch of edge insertions and deletions to a named graph
 // through the engine's continuous-query session machinery and bumps the
 // graph's epoch: every cached result keyed to earlier epochs becomes
-// unreachable, and resident layouts are dropped so the next query
-// re-partitions the mutated graph. The mutation flows through a retained
-// session of the requested program (default CC with its parameterless
-// query), whose incrementally refreshed answer is primed into the cache
-// under the new epoch — continuous updates keep that query warm instead of
-// merely invalidating it. Mutating under a different (program, query) drops
-// the retained session and seeds a new one. Mutations require a directed
-// graph, as sessions do. A batch the program's validation rejects
+// unreachable, and resident layouts are dropped. Under an ID-only strategy
+// (partition.IDOnly) the default key's slot starts over holding the
+// session's layout, which the batch spliced, so a cut-invariant program's
+// next miss runs without partitioning; any other program or key cuts the
+// mutated graph afresh. The mutation flows through a
+// retained session of the requested program (default CC with its
+// parameterless query), whose incrementally refreshed answer is primed into
+// the cache under the new epoch — continuous updates keep that query warm
+// instead of merely invalidating it. Mutating under a different (program,
+// query) drops the retained session and seeds a new one. Mutations require a
+// directed graph, as sessions do. A batch the program's validation rejects
 // (Entry.Validate) is ErrBadQuery and changes nothing, on disk or in memory.
 func (s *Server) Mutate(ctx context.Context, name, program, query string, edges []EdgeJSON) (*MutateResponse, error) {
 	if len(edges) == 0 {
@@ -630,10 +644,19 @@ func (s *Server) Mutate(ctx context.Context, name, program, query string, edges 
 	// is then dropped — the next batch starts a fresh session over the graph.
 	rg.epoch++
 	s.cache.dropBefore(rg.name, rg.gen, rg.epoch)
-	rg.lmu.Lock()
-	rg.layouts = make(map[layoutKey]*layoutSlot)
-	rg.lmu.Unlock()
 	rg.g = rg.sess.Graph()
+	// The session's layout serves the default key only under an ID-only
+	// strategy, whose assignment is the one a fresh cut would make. An
+	// edge-driven one (fennel, ldg, metis) would cut the changed graph
+	// otherwise, and the session's older cut drifts from it.
+	layouts, key := make(map[layoutKey]*layoutSlot), layoutKey{strategy: s.cfg.Strategy, workers: s.cfg.Workers}
+	strat, _ := partition.ByName(s.cfg.Strategy) // the session opened with it
+	if l := rg.sess.Layout(); err == nil && l != nil && l.Hops == key.hops && partition.IDOnly(strat) {
+		layouts[key] = &layoutSlot{session: l, runners: make(map[string]engine.ResidentRunner)}
+	}
+	rg.lmu.Lock()
+	rg.layouts = layouts
+	rg.lmu.Unlock()
 	if rg.ds != nil {
 		s.publishDurability(rg)
 	}

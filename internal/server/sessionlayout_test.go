@@ -1,0 +1,265 @@
+package server
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"sync"
+	"testing"
+
+	"grape/internal/engine"
+	"grape/internal/gen"
+	"grape/internal/graph"
+	"grape/internal/partition"
+	"grape/internal/queries"
+	"grape/internal/seq"
+)
+
+// After a batch, under an ID-only strategy, the default (strategy, workers,
+// hops 0) slot holds the retained session's layout, spliced to the new epoch,
+// and cut-invariant programs answer misses on it instead of on a fresh cut.
+
+// defaultSlot returns the graph's default-key slot and its retained session's
+// layout (nil without a session), under the graph's read lock.
+func defaultSlot(t *testing.T, s *Server, name string) (*layoutSlot, *partition.Layout) {
+	t.Helper()
+	rg, err := s.resident(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rg.mu.RLock()
+	defer rg.mu.RUnlock()
+	var sess *partition.Layout
+	if rg.sess != nil {
+		sess = rg.sess.Layout()
+	}
+	rg.lmu.Lock()
+	defer rg.lmu.Unlock()
+	return rg.layouts[layoutKey{strategy: s.cfg.Strategy, workers: s.cfg.Workers}], sess
+}
+
+// missCase is one nocache read and its internal/seq answer on a graph.
+type missCase struct {
+	graph, program, query string
+	want                  func(g *graph.Graph) any
+}
+
+func sessionLayoutMisses(t *testing.T) []missCase {
+	t.Helper()
+	e, err := engine.Lookup("keyword")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pq, err := e.Parse("k=db,graph bound=4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kq := pq.Query.(queries.KeywordQuery)
+	return []missCase{
+		{"road", "cc", "", func(g *graph.Graph) any { return seq.Components(g) }},
+		{"social", "sssp", "source=0", func(g *graph.Graph) any { return seq.Dijkstra(g, 0) }},
+		{"social", "keyword", "k=db,graph bound=4", func(g *graph.Graph) any { return seq.KeywordSearch(g, kq.Keywords, kq.Bound) }},
+	}
+}
+
+// TestServedMissOnSessionLayout mutates road through an sssp session and
+// social through a cc session. After every batch a nocache cc on road and
+// sssp and keyword on social answer as internal/seq does on a shadow graph,
+// and run on the session's layout: the default slot holds it, and no fresh
+// cut was built. A batch that breaks the session, a SubIso session, whose
+// fragments lag its graph, and a server partitioning by fennel, whose fresh
+// cut would differ from the session's, fall back to a fresh cut.
+// Then nocache queries run beside a loop of batches, each answer checked
+// against the shadow at the epoch it reports.
+func TestServedMissOnSessionLayout(t *testing.T) {
+	s, gs := newTestServer(t, Config{Workers: 4, Strategy: "2d"})
+	defer s.Close()
+	ctx := context.Background()
+	sessions := map[string][2]string{"road": {"sssp", "source=0"}, "social": {"cc", ""}}
+	misses := sessionLayoutMisses(t)
+	streams := map[string][][]gen.Update{}
+	shadows := map[string]*graph.Graph{}
+	for i, name := range []string{"road", "social"} {
+		shadows[name] = gs[name].Clone()
+		streams[name] = gen.UpdateStream(gs[name], gen.StreamConfig{Batches: 12, BatchSize: 16, DeleteP: 0.4, Seed: int64(i + 1)})
+	}
+	mutate := func(name string, batch []gen.Update) {
+		t.Helper()
+		edges := edgesOf(batch)
+		if _, err := s.Mutate(ctx, name, sessions[name][0], sessions[name][1], edges); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		applyTo(t, shadows[name], edges)
+	}
+	miss := func(c missCase) *QueryResponse {
+		t.Helper()
+		resp, err := s.Query(ctx, QueryRequest{Graph: c.graph, Program: c.program, Query: c.query, NoCache: true})
+		if err != nil {
+			t.Fatalf("%s on %s: %v", c.program, c.graph, err)
+		}
+		return resp
+	}
+
+	for b := range 6 {
+		for _, name := range []string{"road", "social"} {
+			mutate(name, streams[name][b])
+		}
+		for _, c := range misses {
+			if got := miss(c); !reflect.DeepEqual(got.Result, c.want(shadows[c.graph])) {
+				t.Fatalf("batch %d: %s on %s differs from internal/seq", b, c.program, c.graph)
+			}
+		}
+		for _, name := range []string{"road", "social"} {
+			slot, sess := defaultSlot(t, s, name)
+			if sess == nil || slot == nil || slot.session != sess {
+				t.Fatalf("batch %d: %s's default slot does not hold the session's layout", b, name)
+			}
+			if slot.layout != nil {
+				t.Fatalf("batch %d: %s's misses built a fresh cut", b, name)
+			}
+		}
+	}
+
+	// A batch that breaks the session lands whole; the session is dropped,
+	// so the next miss cuts the graph fresh.
+	poison := []EdgeJSON{{From: 0, To: 100, W: 1}, {From: 1, To: 101, W: 1, Label: "poison"}}
+	if _, err := s.Mutate(ctx, "road", "server-failing-update", "", poison); err == nil {
+		t.Fatal("a poisoned batch did not break its session")
+	}
+	applyTo(t, shadows["road"], poison)
+	if got := miss(misses[0]); !reflect.DeepEqual(got.Result, misses[0].want(shadows["road"])) {
+		t.Fatal("cc on road after a broken batch differs from internal/seq")
+	}
+	if slot, sess := defaultSlot(t, s, "road"); sess != nil || slot == nil || slot.session != nil || slot.layout == nil {
+		t.Fatal("after a broken batch the miss did not run on a fresh cut")
+	}
+
+	// A SubIso session patches its answer and leaves its fragments behind,
+	// so it offers no layout: a miss on commerce cuts the graph fresh.
+	if _, err := s.Mutate(ctx, "commerce", "subiso", "pattern=follows-recommend", []EdgeJSON{{From: 0, To: 1, W: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Query(ctx, QueryRequest{Graph: "commerce", Program: "sim", Query: "pattern=follows-recommend", NoCache: true}); err != nil {
+		t.Fatal(err)
+	}
+	if slot, sess := defaultSlot(t, s, "commerce"); sess != nil || slot == nil || slot.session != nil || slot.layout == nil {
+		t.Fatal("a SubIso session's fragments served a miss")
+	}
+
+	// fennel places vertices by their edges: the session's cut is not the one
+	// a fresh cut of the changed graph would make, so it serves no miss.
+	fs, _ := newTestServer(t, Config{Workers: 4})
+	defer fs.Close()
+	if _, err := fs.Mutate(ctx, "social", "cc", "", edgesOf(streams["social"][0])); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.Query(ctx, QueryRequest{Graph: "social", Program: "sssp", Query: "source=0", NoCache: true}); err != nil {
+		t.Fatal(err)
+	}
+	if slot, sess := defaultSlot(t, fs, "social"); sess == nil || slot == nil || slot.session != nil || slot.layout == nil {
+		t.Fatal("a fennel session's layout served a miss")
+	}
+
+	// Concurrent misses beside the rest of the batches: every answer must be
+	// the shadow's at the epoch the server reports.
+	want := map[string]map[uint64]any{} // graph/program → epoch → answer
+	for _, c := range misses {
+		want[c.graph+"/"+c.program] = map[uint64]any{}
+	}
+	batches := map[string][][]EdgeJSON{}
+	for _, name := range []string{"road", "social"} {
+		_, epoch := servedState(t, s, name)
+		for b := 6; ; b++ {
+			for _, c := range misses {
+				if c.graph == name {
+					want[c.graph+"/"+c.program][epoch] = c.want(shadows[name])
+				}
+			}
+			if b == len(streams[name]) {
+				break
+			}
+			edges := edgesOf(streams[name][b])
+			batches[name] = append(batches[name], edges)
+			applyTo(t, shadows[name], edges)
+			epoch++
+		}
+	}
+	done := make(chan struct{})
+	errs := make(chan error, 16)
+	var wg sync.WaitGroup
+	for _, c := range misses {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-done:
+					if n > 0 {
+						return
+					}
+				default:
+				}
+				resp, err := s.Query(ctx, QueryRequest{Graph: c.graph, Program: c.program, Query: c.query, NoCache: true})
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !reflect.DeepEqual(resp.Result, want[c.graph+"/"+c.program][resp.Epoch]) {
+					errs <- fmt.Errorf("%s on %s at epoch %d differs from internal/seq", c.program, c.graph, resp.Epoch)
+					return
+				}
+			}
+		}()
+	}
+	for b := range batches["road"] {
+		for _, name := range []string{"road", "social"} {
+			if _, err := s.Mutate(ctx, name, sessions[name][0], sessions[name][1], batches[name][b]); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+		}
+	}
+	close(done)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestServedCFAfterMutationMatchesFreshCut: cf is not cut-invariant — its
+// pairwise averaging depends on the order values meet, so its answer depends
+// on the fragments. After batches through a cc session, a cf miss must still
+// run on a fresh cut and equal a fresh server's answer over the same graph.
+func TestServedCFAfterMutationMatchesFreshCut(t *testing.T) {
+	g := gen.DirectedRatings(gen.RatingsConfig{Users: 200, Items: 40, RatingsPerUser: 8, Factors: 4, Noise: 0.1, Seed: 5})
+	cfg := Config{Strategy: "2d"}
+	s := New(cfg)
+	defer s.Close()
+	if err := s.AddGraph("ratings", g); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, batch := range gen.UpdateStream(g, gen.StreamConfig{Batches: 10, BatchSize: 16, DeleteP: 0.6, Seed: 1}) {
+		if _, err := s.Mutate(ctx, "ratings", "cc", "", edgesOf(batch)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	req := QueryRequest{Graph: "ratings", Program: "cf", NoCache: true}
+	got, err := s.Query(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, _ := servedState(t, s, "ratings")
+	fresh := New(cfg)
+	defer fresh.Close()
+	if err := fresh.AddGraph("ratings", live); err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Query(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Result, want.Result) {
+		t.Fatalf("cf after 10 batches: RMSE %v, a fresh server's %v", got.Result.(queries.CFResult).RMSE, want.Result.(queries.CFResult).RMSE)
+	}
+}
