@@ -1,8 +1,9 @@
 // Command grape-serve is the resident query service: it loads named graphs
-// once, partitions each at most once per (strategy, workers, hops), keeps
-// the frozen layouts resident, and answers concurrent HTTP/JSON queries over
-// them — the serving shape of the paper's Fig. 2 system, where a stream of
-// user queries hits a long-lived engine instead of a one-shot CLI run.
+// once, partitions each at most once per expansion depth (hops) under the
+// -strategy and -workers it was started with, keeps the frozen layouts
+// resident, and answers concurrent HTTP/JSON queries over them — the serving
+// shape of the paper's Fig. 2 system, where a stream of user queries hits a
+// long-lived engine instead of a one-shot CLI run.
 //
 // Examples:
 //
@@ -16,7 +17,7 @@
 //
 // API:
 //
-//	POST /query   {"graph","program","query","workers?","strategy?","nocache?"}
+//	POST /query   {"graph","program","query","nocache?"}
 //	POST /update  {"graph","edges":[{"from","to","w","label?"}]}  (bumps the graph epoch)
 //	GET  /graphs  resident graphs with sizes and epochs
 //	GET  /stats   serving metrics: latency histogram, queue depth, cache hit rate
@@ -63,8 +64,8 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:8080", "listen address")
-		workers  = flag.Int("workers", 8, "default fragments per resident layout")
-		strategy = flag.String("strategy", "fennel", "default partition strategy (hash|range|fennel|metis|2d)")
+		workers  = flag.Int("workers", 8, "fragments per resident layout")
+		strategy = flag.String("strategy", "fennel", "partition strategy of every resident layout (hash|range|fennel|ldg|metis|2d)")
 		inflight = flag.Int("inflight", 0, "max concurrently running queries (0 = GOMAXPROCS)")
 		queue    = flag.Int("queue", 64, "max queries waiting for a run slot")
 		timeout  = flag.Duration("timeout", 60*time.Second, "per-query deadline (queue wait + run)")
@@ -99,6 +100,9 @@ func main() {
 		os.Exit(1)
 	}
 
+	if _, err := grape.StrategyByName(*strategy); err != nil {
+		fatal(err)
+	}
 	cfg := server.Config{
 		Workers:      *workers,
 		Strategy:     *strategy,

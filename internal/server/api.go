@@ -9,17 +9,15 @@ package server
 
 import "grape/internal/trace"
 
-// QueryRequest is one query against a named resident graph. Workers and
-// Strategy override the server defaults for the layout the query runs on
-// (layouts are cached per combination); NoCache skips the result-cache read
-// so the engine runs even if the answer is known.
+// QueryRequest is one query against a named resident graph, run on the
+// server's one layout for its expansion depth (a client cannot pick another:
+// "workers" or "strategy" in a body is an unknown field); NoCache skips the
+// result-cache read so the engine runs even if the answer is known.
 type QueryRequest struct {
-	Graph    string `json:"graph"`
-	Program  string `json:"program"`
-	Query    string `json:"query"`
-	Workers  int    `json:"workers,omitempty"`
-	Strategy string `json:"strategy,omitempty"`
-	NoCache  bool   `json:"nocache,omitempty"`
+	Graph   string `json:"graph"`
+	Program string `json:"program"`
+	Query   string `json:"query"`
+	NoCache bool   `json:"nocache,omitempty"`
 }
 
 // RunStats summarizes the engine run that produced an answer. Cache hits

@@ -7,8 +7,8 @@ import (
 
 // cacheKey identifies one answer: the graph *instance* (gen — AddGraph
 // replacing a name mints a new generation, so a detached old graph can
-// never collide with its successor) *at one epoch*, the program, the
-// canonical query, and the layout parameters that shaped the run. Mutating
+// never collide with its successor) *at one epoch*, the program and the
+// canonical query — one configured layout per depth serves them all. Mutating
 // a graph bumps its epoch, so every key minted before the mutation simply
 // stops being generated — stale entries are never served, and the mutation
 // drops them (dropBefore) rather than let them hold their results and
@@ -19,8 +19,6 @@ type cacheKey struct {
 	epoch     uint64
 	program   string
 	canonical string
-	strategy  string
-	workers   int
 }
 
 // cacheVal is a computed answer. result is the program's Go result value,

@@ -17,6 +17,7 @@ import (
 func FuzzQueryBody(f *testing.F) {
 	for _, seed := range []string{
 		`{"graph":"road","program":"sssp","query":"source=0"}`,
+		// layout fields a body cannot set: an unknown-field 400
 		`{"graph":"road","program":"cc","query":"","workers":3,"strategy":"2d","nocache":true}`,
 		`{"graph":"road","edges":[{"from":0,"to":9,"w":0.5},{"from":0,"to":1,"del":true}]}`,
 		`{"graph":"road","program":"sssp","query":"source=0","edges":[{"from":1,"to":2,"w":2}]}`,

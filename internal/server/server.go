@@ -35,16 +35,10 @@ var (
 
 // Config tunes a Server. Zero values select the documented defaults.
 type Config struct {
-	// Workers is the default fragment count of a resident layout (per-query
-	// override: QueryRequest.Workers). Default 8.
+	// Workers is the fragment count of every resident layout. Default 8.
 	Workers int
-	// MaxWorkers caps the per-query Workers override: each distinct
-	// (strategy, workers, hops) combination keeps a full partitioned copy
-	// of the graph resident, and fragments cost goroutines per run, so the
-	// override must not be client-unbounded. Default 64.
-	MaxWorkers int
-	// Strategy is the default partition strategy name (see
-	// partition.ByName). Default "fennel".
+	// Strategy names the partition strategy of every resident layout (see
+	// partition.ByName; an unknown name fails every request). Default "fennel".
 	Strategy string
 	// MaxInFlight bounds concurrently running queries. Default GOMAXPROCS.
 	MaxInFlight int
@@ -97,12 +91,6 @@ func (c Config) withDefaults() Config {
 	if c.Workers == 0 {
 		c.Workers = 8
 	}
-	if c.MaxWorkers == 0 {
-		c.MaxWorkers = 64
-	}
-	if c.Workers > c.MaxWorkers {
-		c.MaxWorkers = c.Workers
-	}
 	if c.Strategy == "" {
 		c.Strategy = "fennel"
 	}
@@ -131,11 +119,11 @@ func (c Config) withDefaults() Config {
 }
 
 // Server keeps named graphs resident — each partitioned at most once per
-// (strategy, workers, hops) and epoch into a frozen layout — and answers
-// concurrent queries over the shared layouts. Under an ID-only strategy the
-// default key's layout after a batch is the update session's own, spliced by
-// the batch rather than cut again, for every program that answers the same on
-// any cut. Safe for concurrent use.
+// hops and epoch into a frozen layout, under the configured strategy and
+// workers — and answers concurrent queries over the shared layouts. Under an
+// ID-only strategy the hops-0 layout after a batch is the update session's
+// own, spliced by the batch rather than cut again, for every program that
+// answers the same on any cut. Safe for concurrent use.
 //
 // Admission is global (one MaxInFlight pool across all graphs), which keeps
 // the resource bound simple but means a graph whose runs are slow — or
@@ -148,6 +136,9 @@ type Server struct {
 	cache   *resultCache
 	serving *metrics.Serving
 	flight  *trace.Flight
+
+	strat    partition.Strategy // cfg.Strategy, resolved once by New
+	stratErr error              // why it did not resolve: a server fault every request fails with
 
 	mu     sync.Mutex
 	graphs map[string]*residentGraph
@@ -176,13 +167,13 @@ type residentGraph struct {
 	epoch uint64
 
 	lmu     sync.Mutex
-	layouts map[layoutKey]*layoutSlot
+	layouts map[int]*layoutSlot // by expansion hops
 
 	// sess is the continuous-update session mutations flow through, lazily
 	// created for the (program, canonical query) the client mutates under —
 	// any registered class works; programs without incremental hooks reseed
 	// inside the session. It owns its own layout, which Mutate may also hand
-	// to the default layout slot (see layoutSlot.session); every other
+	// to the hops-0 layout slot (see layoutSlot.session); every other
 	// resident query layout is cut from the mutated base graph on first use.
 	sess      engine.SessionHandle
 	sessProg  string
@@ -201,17 +192,11 @@ type residentGraph struct {
 	compactions atomic.Uint64
 }
 
-type layoutKey struct {
-	strategy string
-	workers  int
-	hops     int
-}
-
-// layoutSlot is one key's layout at the current epoch. It builds a fresh cut
-// at most once; concurrent first queries on the same key wait on the
-// sync.Once. runners holds one pooled resident runner per program.
+// layoutSlot is one expansion depth's layout at the current epoch. It builds
+// a fresh cut at most once; concurrent first queries on the same depth wait
+// on the sync.Once. runners holds one pooled resident runner per program.
 type layoutSlot struct {
-	// session, set on the default key after a batch under an ID-only
+	// session, set on the hops-0 slot after a batch under an ID-only
 	// strategy, is the retained update session's own layout: the cut the
 	// session opened with, every batch since spliced in. Cut-invariant programs run on it, and the fresh cut
 	// is built only when another program asks. It needs no copy: Mutate,
@@ -232,8 +217,11 @@ type layoutSlot struct {
 // on a durable server, RecoverAll.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
+	strat, err := partition.ByName(cfg.Strategy)
 	s := &Server{
 		cfg:      cfg,
+		strat:    strat,
+		stratErr: err,
 		sched:    newScheduler(cfg.MaxInFlight, cfg.MaxQueue),
 		serving:  metrics.NewServing(),
 		flight:   trace.NewFlight(cfg.FlightRuns),
@@ -253,7 +241,7 @@ func New(cfg Config) *Server {
 // s.mu (the generation counter is guarded by it).
 func (s *Server) newResident(name string, g *graph.Graph) *residentGraph {
 	s.gen++
-	return &residentGraph{name: name, gen: s.gen, g: g, epoch: 1, layouts: make(map[layoutKey]*layoutSlot)}
+	return &residentGraph{name: name, gen: s.gen, g: g, epoch: 1, layouts: make(map[int]*layoutSlot)}
 }
 
 // AddGraph makes g resident under name, replacing any previous graph with
@@ -366,25 +354,25 @@ func (s *Server) resident(name string) (*residentGraph, error) {
 	}
 }
 
-// runnerFor returns the pooled resident runner for a program on key's slot:
-// on the session's layout for a cut-invariant program when the slot holds
-// one, else on the slot's fresh cut, built on first use. Callers hold rg.mu
-// for read, so the graph is stable throughout.
-func (s *Server) runnerFor(rg *residentGraph, key layoutKey, strat partition.Strategy, e engine.Entry) (engine.ResidentRunner, error) {
+// runnerFor returns the pooled resident runner for a program on the hops
+// slot: on the session's layout for a cut-invariant program when the slot
+// holds one, else on the slot's fresh cut, built on first use. Callers hold
+// rg.mu for read, so the graph is stable throughout.
+func (s *Server) runnerFor(rg *residentGraph, hops int, e engine.Entry) (engine.ResidentRunner, error) {
 	rg.lmu.Lock()
-	slot, ok := rg.layouts[key]
+	slot, ok := rg.layouts[hops]
 	if !ok {
 		slot = &layoutSlot{runners: make(map[string]engine.ResidentRunner)}
-		rg.layouts[key] = slot
+		rg.layouts[hops] = slot
 	}
 	rg.lmu.Unlock()
 	layout := slot.session
 	if layout == nil || !e.CutInvariant {
 		slot.once.Do(func() {
 			slot.layout, slot.err = engine.BuildLayout(rg.g, engine.Options{
-				Workers:    key.workers,
-				Strategy:   strat,
-				ExpandHops: key.hops,
+				Workers:    s.cfg.Workers,
+				Strategy:   s.strat,
+				ExpandHops: hops,
 			})
 		})
 		if slot.err != nil {
@@ -456,27 +444,15 @@ func (s *Server) query(ctx context.Context, req QueryRequest, start time.Time) (
 	if err != nil {
 		return nil, false, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.cfg.Workers
-	}
-	if workers > s.cfg.MaxWorkers {
-		return nil, false, fmt.Errorf("%w: workers=%d exceeds the server's cap of %d", ErrBadQuery, workers, s.cfg.MaxWorkers)
-	}
-	stratName := req.Strategy
-	if stratName == "" {
-		stratName = s.cfg.Strategy
-	}
-	strat, err := partition.ByName(stratName)
-	if err != nil {
-		return nil, false, fmt.Errorf("%w: %v", ErrBadQuery, err)
+	if s.stratErr != nil {
+		return nil, false, s.stratErr
 	}
 	rg, err := s.resident(req.Graph)
 	if err != nil {
 		return nil, false, err
 	}
 
-	key := cacheKey{graph: req.Graph, gen: rg.gen, program: req.Program, canonical: pq.Canonical, strategy: stratName, workers: workers}
+	key := cacheKey{graph: req.Graph, gen: rg.gen, program: req.Program, canonical: pq.Canonical}
 	resp := func(epoch uint64, cached bool, v *cacheVal) *QueryResponse {
 		return &QueryResponse{Graph: req.Graph, Epoch: epoch, Program: req.Program,
 			Canonical: pq.Canonical, Cached: cached, Result: v.result, Stats: v.stats, answer: v}
@@ -539,7 +515,7 @@ func (s *Server) query(ctx context.Context, req QueryRequest, start time.Time) (
 				return
 			}
 		}
-		runner, err := s.runnerFor(rg, layoutKey{strategy: stratName, workers: workers, hops: pq.Hops}, strat, e)
+		runner, err := s.runnerFor(rg, pq.Hops, e)
 		if err != nil {
 			rec.Release()
 			done <- outcome{err: err}
@@ -578,11 +554,11 @@ func (s *Server) query(ctx context.Context, req QueryRequest, start time.Time) (
 // through the engine's continuous-query session machinery and bumps the
 // graph's epoch: every cached result keyed to earlier epochs becomes
 // unreachable, and resident layouts are dropped. Under an ID-only strategy
-// (partition.IDOnly) the default key's slot starts over holding the
-// session's layout, which the batch spliced, so a cut-invariant program's
-// next miss runs without partitioning; any other program or key cuts the
-// mutated graph afresh. The mutation flows through a
-// retained session of the requested program (default CC with its
+// (partition.IDOnly) the hops-0 slot starts over holding the session's
+// layout, which the batch spliced, so a cut-invariant program's next miss
+// runs without partitioning; any other program or depth cuts the mutated
+// graph afresh. The mutation flows through a retained session of the
+// requested program (default CC with its
 // parameterless query), whose incrementally refreshed answer is primed into
 // the cache under the new epoch — continuous updates keep that query warm
 // instead of merely invalidating it. Mutating under a different (program,
@@ -645,14 +621,13 @@ func (s *Server) Mutate(ctx context.Context, name, program, query string, edges 
 	rg.epoch++
 	s.cache.dropBefore(rg.name, rg.gen, rg.epoch)
 	rg.g = rg.sess.Graph()
-	// The session's layout serves the default key only under an ID-only
+	// The session's layout serves the hops-0 slot only under an ID-only
 	// strategy, whose assignment is the one a fresh cut would make. An
 	// edge-driven one (fennel, ldg, metis) would cut the changed graph
 	// otherwise, and the session's older cut drifts from it.
-	layouts, key := make(map[layoutKey]*layoutSlot), layoutKey{strategy: s.cfg.Strategy, workers: s.cfg.Workers}
-	strat, _ := partition.ByName(s.cfg.Strategy) // the session opened with it
-	if l := rg.sess.Layout(); err == nil && l != nil && l.Hops == key.hops && partition.IDOnly(strat) {
-		layouts[key] = &layoutSlot{session: l, runners: make(map[string]engine.ResidentRunner)}
+	layouts := make(map[int]*layoutSlot)
+	if l := rg.sess.Layout(); err == nil && l != nil && l.Hops == 0 && partition.IDOnly(s.strat) {
+		layouts[0] = &layoutSlot{session: l, runners: make(map[string]engine.ResidentRunner)}
 	}
 	rg.lmu.Lock()
 	rg.layouts = layouts
@@ -672,8 +647,7 @@ func (s *Server) Mutate(ctx context.Context, name, program, query string, edges 
 	// Prime the fresh answer under the key an identical query computes. It
 	// carries this instance's generation: if AddGraph replaced the name
 	// meanwhile, the new graph cannot hit this entry.
-	s.cache.put(cacheKey{graph: name, gen: rg.gen, epoch: rg.epoch, program: program, canonical: pq.Canonical,
-		strategy: s.cfg.Strategy, workers: s.cfg.Workers}, &cacheVal{result: res, stats: rs})
+	s.cache.put(cacheKey{graph: name, gen: rg.gen, epoch: rg.epoch, program: program, canonical: pq.Canonical}, &cacheVal{result: res, stats: rs})
 	return &MutateResponse{Graph: name, Epoch: rg.epoch, Program: program, Canonical: pq.Canonical, Stats: rs}, nil
 }
 
@@ -689,11 +663,10 @@ func (s *Server) ensureSessionLocked(ctx context.Context, rg *residentGraph, e e
 	if rg.sess != nil {
 		return nil
 	}
-	strat, err := partition.ByName(s.cfg.Strategy)
-	if err != nil {
-		return err
+	if s.stratErr != nil {
+		return s.stratErr
 	}
-	sess, _, _, err := e.Session(ctx, rg.g, engine.Options{Workers: s.cfg.Workers, Strategy: strat}, pq)
+	sess, _, _, err := e.Session(ctx, rg.g, engine.Options{Workers: s.cfg.Workers, Strategy: s.strat}, pq)
 	if err != nil {
 		return fmt.Errorf("server: starting %s update session for %q: %w", program, rg.name, err)
 	}

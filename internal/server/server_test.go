@@ -3,7 +3,10 @@ package server
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -217,7 +220,7 @@ func TestServerCache(t *testing.T) {
 // run on the mutated graph.
 func TestMutateBumpsEpochAndInvalidates(t *testing.T) {
 	s, _ := newTestServer(t, Config{Workers: 4, Strategy: "hash"})
-	req := QueryRequest{Graph: "road", Program: "sssp", Query: "source=0", Workers: 4, Strategy: "hash"}
+	req := QueryRequest{Graph: "road", Program: "sssp", Query: "source=0"}
 	before, err := s.Query(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -368,8 +371,6 @@ func TestServerErrors(t *testing.T) {
 		{"unknown graph", QueryRequest{Graph: "nope", Program: "sssp", Query: "source=0"}, ErrNotFound},
 		{"unknown program", QueryRequest{Graph: "road", Program: "nope"}, ErrNotFound},
 		{"bad query", QueryRequest{Graph: "road", Program: "sssp", Query: "source=abc"}, ErrBadQuery},
-		{"bad strategy", QueryRequest{Graph: "road", Program: "sssp", Query: "source=0", Strategy: "nope"}, ErrBadQuery},
-		{"workers over cap", QueryRequest{Graph: "road", Program: "sssp", Query: "source=0", Workers: 1 << 20}, ErrBadQuery},
 		{"negative subiso max", QueryRequest{Graph: "road", Program: "subiso", Query: "pattern=triangle max=-1"}, ErrBadQuery},
 	}
 	for _, c := range cases {
@@ -383,6 +384,21 @@ func TestServerErrors(t *testing.T) {
 	if _, err := s.Mutate(context.Background(), "ratings", "", "", []EdgeJSON{{From: 0, To: 1, W: 1}}); err == nil {
 		t.Fatal("mutating an undirected graph must fail (sessions are directed-only)")
 	}
+	// A strategy the server was configured with but cannot resolve is the
+	// server's fault, not the client's: neither a 400 nor a 404.
+	t.Run("unknown configured strategy", func(t *testing.T) {
+		s := New(Config{Strategy: "nope"})
+		if err := s.AddGraph("road", gen.RoadGrid(4, 4, 1)); err != nil {
+			t.Fatal(err)
+		}
+		_, qerr := s.Query(context.Background(), QueryRequest{Graph: "road", Program: "sssp", Query: "source=0"})
+		_, merr := s.Mutate(context.Background(), "road", "", "", []EdgeJSON{{From: 0, To: 15, W: 1}})
+		for _, err := range []error{qerr, merr} {
+			if err == nil || errorsIs(err, ErrBadQuery) || errorsIs(err, ErrNotFound) || !strings.Contains(err.Error(), `unknown strategy "nope"`) {
+				t.Fatalf("err = %v, want the unknown strategy as a server fault", err)
+			}
+		}
+	})
 }
 
 // errorsIs avoids importing errors just for the test.
@@ -404,7 +420,7 @@ func unwrap(err error) error {
 }
 
 // TestLayoutSharing checks the partition-once promise: two programs on the
-// same (graph, strategy, workers, hops) share one layout slot.
+// same (graph, hops) share one layout slot.
 func TestLayoutSharing(t *testing.T) {
 	s, _ := newTestServer(t, Config{Workers: 4})
 	for _, q := range []QueryRequest{
@@ -425,17 +441,63 @@ func TestLayoutSharing(t *testing.T) {
 	if len(rg.layouts) != 2 {
 		t.Fatalf("layout slots = %d, want 2 (hops 0 shared by sssp+cc, hops 1 for tricount)", len(rg.layouts))
 	}
-	for k, slot := range rg.layouts {
+	for hops, slot := range rg.layouts {
 		wantRunners := 2
-		if k.hops == 1 {
+		if hops == 1 {
 			wantRunners = 1
 		}
 		slot.rmu.Lock()
 		if len(slot.runners) != wantRunners {
-			t.Fatalf("slot %+v has %d runners, want %d", k, len(slot.runners), wantRunners)
+			t.Fatalf("hops %d slot has %d runners, want %d", hops, len(slot.runners), wantRunners)
 		}
 		slot.rmu.Unlock()
 	}
+}
+
+// TestResidentLayoutsBounded pins one resident layout per (graph, hops): a
+// client cannot make the server partition the graph again by naming a
+// worker count or a strategy. 96 nocache bodies that name both are refused,
+// and they leave no layout slot and no live heap behind.
+func TestResidentLayoutsBounded(t *testing.T) {
+	s := New(Config{Workers: 8, Strategy: "2d"})
+	if err := s.AddGraph("social", gen.PreferentialAttachment(10000, 5, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Query(context.Background(), QueryRequest{Graph: "social", Program: "cc"}); err != nil {
+		t.Fatal(err)
+	}
+	liveHeap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := liveHeap()
+	h := s.Handler()
+	for _, strat := range []string{"hash", "range", "2d", "fennel", "ldg", "metis"} {
+		for workers := 1; workers <= 16; workers++ {
+			body := fmt.Sprintf(`{"graph":"social","program":"cc","query":"","nocache":true,"workers":%d,"strategy":%q}`, workers, strat)
+			if rec := post(h, "/query", []byte(body)); rec.Code != http.StatusBadRequest {
+				t.Errorf("%s: status %d, want 400", body, rec.Code)
+			}
+		}
+	}
+	after := liveHeap()
+	rg, err := s.resident("social")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rg.lmu.Lock()
+	slots := len(rg.layouts)
+	rg.lmu.Unlock()
+	if slots > 1 {
+		t.Errorf("layout slots = %d, want at most 1 (one per hops served)", slots)
+	}
+	if grown := int64(after) - int64(before); grown > 16<<20 {
+		t.Errorf("live heap grew %.1f MB, want at most 16", float64(grown)/(1<<20))
+	}
+	runtime.KeepAlive(s)
 }
 
 // TestReplacedGraphCannotServeStaleCache pins the generation half of the

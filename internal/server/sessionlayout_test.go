@@ -15,11 +15,11 @@ import (
 	"grape/internal/seq"
 )
 
-// After a batch, under an ID-only strategy, the default (strategy, workers,
-// hops 0) slot holds the retained session's layout, spliced to the new epoch,
-// and cut-invariant programs answer misses on it instead of on a fresh cut.
+// After a batch, under an ID-only strategy, the hops-0 slot holds the
+// retained session's layout, spliced to the new epoch, and cut-invariant
+// programs answer misses on it instead of on a fresh cut.
 
-// defaultSlot returns the graph's default-key slot and its retained session's
+// defaultSlot returns the graph's hops-0 slot and its retained session's
 // layout (nil without a session), under the graph's read lock.
 func defaultSlot(t *testing.T, s *Server, name string) (*layoutSlot, *partition.Layout) {
 	t.Helper()
@@ -35,7 +35,7 @@ func defaultSlot(t *testing.T, s *Server, name string) (*layoutSlot, *partition.
 	}
 	rg.lmu.Lock()
 	defer rg.lmu.Unlock()
-	return rg.layouts[layoutKey{strategy: s.cfg.Strategy, workers: s.cfg.Workers}], sess
+	return rg.layouts[0], sess
 }
 
 // missCase is one nocache read and its internal/seq answer on a graph.
