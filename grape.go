@@ -122,22 +122,25 @@ func MakeEntry[Q, V, R any](s EntrySpec[Q, V, R]) Entry { return engine.MakeEntr
 
 // Continuous queries over evolving graphs: the paper defines IncEval over
 // updates M to G; a Session retains the distributed state of a query so
-// that edge insertions re-run only the bounded incremental step.
+// that an update batch re-runs only the bounded incremental step.
 type (
 	// Session retains a query's fragments and partial results across graph
 	// updates.
 	Session[Q, V, R any] = engine.Session[Q, V, R]
-	// EdgeUpdate is one edge insertion (or weight decrease).
+	// EdgeUpdate is one edge insertion (or weight decrease) or, with Del
+	// set, one edge deletion.
 	EdgeUpdate = engine.EdgeUpdate
 )
 
 // NewSession starts a continuous query: it runs the initial fixpoint and
-// returns a Session whose Update method applies edge insertions
-// incrementally. The program must implement engine.Updater to accept
-// updates (the built-in SSSP and CC do). ctx bounds the initial fixpoint;
-// each Update carries its own. The session freezes g and owns it: g itself
-// never changes, and Session.Graph returns the current graph, every accepted
-// batch spliced in.
+// returns a Session whose Update method applies batches of edge insertions
+// and deletions. Every program accepts updates: a program that implements
+// engine.Repairer (the built-in SSSP, CC, Sim and Keyword do) or
+// engine.SessionPatcher (SubIso, TriCount) brings its answer up to date
+// incrementally, and any batch that no hook takes reseeds the session from
+// the updated graph. ctx bounds the initial fixpoint; each Update carries its
+// own. The session freezes g and owns it: g itself never changes, and
+// Session.Graph returns the current graph, every accepted batch spliced in.
 func NewSession[Q, V, R any](ctx context.Context, g *Graph, prog Program[Q, V, R], q Q, opts Options) (*Session[Q, V, R], R, *Stats, error) {
 	return engine.NewSession(ctx, g, prog, q, opts)
 }

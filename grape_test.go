@@ -226,7 +226,7 @@ func TestFacadeCustomProgramCheckedRunAndSession(t *testing.T) {
 			t.Fatalf("grid floods to 0 everywhere, vertex %d got %d", v, x)
 		}
 	}
-	// generic session constructor (no Updater: Update falls back to a
+	// generic session constructor (no Repairer: Update falls back to a
 	// from-scratch reseed and still brings the answer up to date)
 	s, res, _, err := grape.NewSession(context.Background(), g, minProg{}, minQuery{}, grape.Options{Workers: 3})
 	if err != nil {

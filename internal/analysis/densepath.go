@@ -12,7 +12,7 @@ import (
 // edit from quietly reaching for them — the program still returns the right
 // answer, just slower, which no test catches.
 //
-// Inside PIE-program bodies (PEval/IncEval/Assemble/ApplyUpdate), a call to
+// Inside PIE-program bodies (PEval/IncEval/Assemble/RepairBatch), a call to
 // a method M whose receiver also offers M+"At" is flagged. Fragment graphs
 // are always frozen (sessions splice theirs), so there is no thawed fallback
 // to exempt; a call that must stay needs //grapevet:keep with a reason.
@@ -33,7 +33,7 @@ var Densepath = &Analyzer{
 
 // densepathBodies are the PIE program entry points whose bodies are kernels.
 var densepathBodies = map[string]bool{
-	"PEval": true, "IncEval": true, "Assemble": true, "ApplyUpdate": true,
+	"PEval": true, "IncEval": true, "Assemble": true, "RepairBatch": true,
 }
 
 // densepathSparse limits matching to the engine's known sparse accessors, so

@@ -42,8 +42,8 @@ func (Lookup) IncEval(q Query, f *Fragment, c *Context) error {
 	return nil
 }
 
-// ApplyUpdate enters with an ID per update: the lookup is the boundary.
-func (Lookup) ApplyUpdate(q Query, f *Fragment, c *Context) error {
+// RepairBatch enters with an ID per update: the lookup is the boundary.
+func (Lookup) RepairBatch(q Query, f *Fragment, c *Context) error {
 	if i, ok := f.G.Index(q.Source); ok {
 		c.SetAt(i, 2)
 	}

@@ -519,21 +519,28 @@ func TestCancelMessageSameOnEveryEntryPoint(t *testing.T) {
 	}
 }
 
-// updStepper adds the Updater hook so stepper can drive a Session; negative
-// weights are rejected (after the edge insertion, like SSSP's check) so
-// tests can trigger a mid-batch apply failure.
+// updStepper adds the Repairer hook so stepper can drive a Session; negative
+// weights are rejected (after the batch is spliced in, like a repairer's
+// failure) so tests can trigger a mid-batch apply failure.
 type updStepper struct{ stepper }
 
-func (u updStepper) ApplyUpdate(q stepQuery, ctx *Context[int64], upd EdgeUpdate) ([]graph.ID, error) {
-	if upd.W < 0 {
-		return nil, errors.New("negative weight")
+func (u updStepper) CanRepair(q stepQuery, batch []EdgeUpdate) bool { return true }
+
+func (u updStepper) RepairBatch(q stepQuery, sc *RepairScope[int64], batch []EdgeUpdate) (map[int][]graph.ID, error) {
+	dirty := make(map[int][]graph.ID)
+	for _, upd := range batch {
+		if upd.W < 0 {
+			return nil, errors.New("negative weight")
+		}
+		w := sc.Owner(upd.From)
+		dirty[w] = append(dirty[w], upd.From, upd.To)
 	}
-	return []graph.ID{upd.From, upd.To}, nil
+	return dirty, nil
 }
 
-// TestFailedApplyBreaksSession: an error partway through an update batch has
-// already mutated the graph (earlier entries, and the failing edge itself),
-// so the session must mark itself broken exactly like an aborted fixpoint.
+// TestFailedApplyBreaksSession: an error from the repair hook comes after the
+// whole batch is spliced into the graph, so the session must mark itself
+// broken exactly like an aborted fixpoint.
 func TestFailedApplyBreaksSession(t *testing.T) {
 	g := graph.New()
 	for i := 0; i < 32; i++ {

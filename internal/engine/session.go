@@ -24,12 +24,10 @@ import (
 // A Session holds that retained state. Each update batch takes the cheapest
 // execution path its program supports:
 //
-//   - insert-only batches of an Updater program run the seeded IncEval
-//     fixpoint (the bounded incremental run of Example 1(d));
-//   - batches containing deletions go to the program's DeleteRepairer, which
-//     patches the retained state coordinator-side (sessions run on the
-//     in-process bus, so every fragment is addressable) and seeds a follow-up
-//     fixpoint where needed;
+//   - a Repairer program patches its retained state coordinator-side for any
+//     batch it accepts (sessions run on the in-process bus, so every fragment
+//     is addressable) and seeds a follow-up IncEval fixpoint — for an
+//     insert-only batch, the bounded incremental run of Example 1(d);
 //   - locality-bounded programs (SubIso, TriCount) implement SessionPatcher:
 //     the session retains their assembled answer and patches it exactly per
 //     batch from the graphs before and after it;
@@ -41,7 +39,7 @@ import (
 //
 // Nothing is thawed. Every path starts from the global graph spliced once per
 // batch (graph.Splice: a new frozen graph, the old one left intact), and the
-// first two also splice each fragment the batch touches, so kernels run the
+// repair path also splices each fragment the batch touches, so kernels run the
 // same CSR body in a session as in any other run.
 
 // EdgeUpdate is one graph mutation: an edge insertion (or, equivalently for
@@ -57,23 +55,12 @@ type EdgeUpdate struct {
 	Del      bool
 }
 
-// Updater is implemented by PIE programs that support incremental
-// re-evaluation over edge insertions. ApplyUpdate mutates the fragment-local
-// state for one update whose source vertex lives on this fragment and
-// returns the nodes whose variables may need re-relaxation; the whole batch
-// has already been spliced into ctx.Frag.G when it is called, and the
-// border bookkeeping done up to this update. Deletions never reach
-// ApplyUpdate — they go through DeleteRepairer or force a reseed.
-type Updater[Q, V any] interface {
-	ApplyUpdate(q Q, ctx *Context[V], upd EdgeUpdate) ([]graph.ID, error)
-}
-
-// UpdateValidator is optionally implemented by Updater programs to reject
-// invalid updates *before* the engine mutates any graph state. ApplyUpdate
-// runs after the edge has been inserted, so a rejection there necessarily
-// leaves the graph changed and the session broken; checks that need no
-// engine state (e.g. SSSP's negative-weight rule) belong here, where a
-// failure costs nothing.
+// UpdateValidator is optionally implemented by programs to reject invalid
+// updates *before* the engine mutates any graph state. RepairBatch runs after
+// the batch has been spliced in, so a rejection there necessarily leaves the
+// graph changed and the session broken; checks that need no engine state
+// (e.g. SSSP's negative-weight rule) belong here, where a failure costs
+// nothing.
 type UpdateValidator[Q any] interface {
 	ValidateUpdate(q Q, upd EdgeUpdate) error
 }
@@ -88,8 +75,8 @@ type BorderPublisher[Q, V any] interface {
 	PublishBorder(q Q, ctx *Context[V], id graph.ID)
 }
 
-// DeleteRepairer is implemented by PIE programs that can repair their
-// retained session state after a batch containing edge deletions, instead of
+// Repairer is implemented by PIE programs that bring their retained session
+// state up to date after a batch of insertions and deletions, instead of
 // paying a full reseed. The session applies all structural mutations
 // (fragment and global graphs, border bookkeeping) first, then calls
 // RepairBatch with coordinator-side access to every fragment's context; the
@@ -98,7 +85,7 @@ type BorderPublisher[Q, V any] interface {
 // anything is mutated: returning false sends the batch down the reseed path
 // (e.g. Sim repairs deletions, whose masks only shrink, but must reseed when
 // the batch also inserts).
-type DeleteRepairer[Q, V any] interface {
+type Repairer[Q, V any] interface {
 	CanRepair(q Q, batch []EdgeUpdate) bool
 	RepairBatch(q Q, sc *RepairScope[V], batch []EdgeUpdate) (map[int][]graph.ID, error)
 }
@@ -119,7 +106,7 @@ type SessionPatcher[Q, R any] interface {
 	PatchResult(q Q, state any) (R, error)
 }
 
-// RepairScope is a DeleteRepairer's coordinator-side view of the session:
+// RepairScope is a Repairer's coordinator-side view of the session:
 // the global graph, every fragment's context, and the value/invalidation
 // plumbing that keeps the per-host variables and the coordinator's fold in
 // step. It is only valid for the duration of one RepairBatch call.
@@ -310,14 +297,14 @@ func (s *Session[Q, V, R]) Result() (R, error) {
 // whole batch is validated before anything changes, so a rejected batch
 // leaves the session (and the graph) untouched; an accepted one is spliced
 // into the global graph whole, in one graph.Splice, before any path runs. The
-// execution path depends on the program's capabilities: seeded IncEval for
-// insert-only batches of an Updater, coordinator-side repair plus follow-up
-// fixpoint for a DeleteRepairer, exact answer patching for a SessionPatcher,
-// and a full reseed of the updated graph for everything else. A cancelled
-// ctx aborts an incremental fixpoint at the next superstep barrier; the
-// batch is in Graph() by then and the retained state has diverged, so the
-// session marks itself broken — further Update/Result calls fail with
-// ErrSessionBroken instead of returning silently stale answers.
+// execution path depends on the program's capabilities: exact answer patching
+// for a SessionPatcher, coordinator-side repair plus follow-up fixpoint for a
+// Repairer that accepts the batch, and a full reseed of the updated graph for
+// everything else. A cancelled ctx aborts an incremental fixpoint at the next
+// superstep barrier; the batch is in Graph() by then and the retained state
+// has diverged, so the session marks itself broken — further Update/Result
+// calls fail with ErrSessionBroken instead of returning silently stale
+// answers.
 func (s *Session[Q, V, R]) Update(ctx context.Context, updates []EdgeUpdate) (R, *metrics.Stats, error) {
 	var zero R
 	if s.broken {
@@ -342,11 +329,7 @@ func (s *Session[Q, V, R]) Update(ctx context.Context, updates []EdgeUpdate) (R,
 	if s.patcher != nil {
 		return s.patchBatch(old, ups)
 	}
-	hasDelete := slices.ContainsFunc(ups, func(u EdgeUpdate) bool { return u.Del })
-	if up, ok := any(s.prog).(Updater[Q, V]); ok && !hasDelete {
-		return s.incremental(ctx, up, ups)
-	}
-	if rep, ok := any(s.prog).(DeleteRepairer[Q, V]); ok && rep.CanRepair(s.q, ups) {
+	if rep, ok := any(s.prog).(Repairer[Q, V]); ok && rep.CanRepair(s.q, ups) {
 		return s.repair(ctx, rep, ups)
 	}
 	return s.reseed(ctx)
@@ -486,7 +469,7 @@ func (s *Session[Q, V, R]) hosts(w int, id graph.ID) bool {
 // both sides and brings the copy up to date with the coordinator's folded
 // value, so no historic routing is missed. Workers whose queued values must
 // flush are marked in dirtyByWorker (with no dirty nodes of their own).
-func (s *Session[Q, V, R]) applyInsert(u EdgeUpdate, dirtyByWorker map[int][]graph.ID) int {
+func (s *Session[Q, V, R]) applyInsert(u EdgeUpdate, dirtyByWorker map[int][]graph.ID) {
 	w := s.layout.Asg.Owner(u.From)
 	if !s.hosts(w, u.To) {
 		owner, first := s.layout.AddHost(u.To, w)
@@ -511,39 +494,14 @@ func (s *Session[Q, V, R]) applyInsert(u EdgeUpdate, dirtyByWorker map[int][]gra
 	if _, ok := dirtyByWorker[w]; !ok {
 		dirtyByWorker[w] = nil
 	}
-	return w
 }
 
-// incremental is the insert-only Updater path: splice the fragments, collect
-// the program's dirty nodes, and re-run the seeded IncEval fixpoint. An error
-// once the fragments have changed leaves earlier batch entries applied
-// locally but never propagated — the same divergence as an aborted fixpoint —
-// so it breaks the session.
-func (s *Session[Q, V, R]) incremental(ctx context.Context, up Updater[Q, V], ups []EdgeUpdate) (R, *metrics.Stats, error) {
-	var zero R
-	if err := s.splice(ups); err != nil {
-		s.broken = true
-		return zero, nil, err
-	}
-	dirtyByWorker := make(map[int][]graph.ID)
-	for _, u := range ups {
-		w := s.applyInsert(u, dirtyByWorker)
-		dirty, err := up.ApplyUpdate(s.q, s.ctxs[w], u)
-		if err != nil {
-			// the edge itself was already inserted above; the session's
-			// retained state no longer matches a clean graph
-			s.broken = true
-			return zero, nil, fmt.Errorf("engine: applying %v: %w", u, err)
-		}
-		dirtyByWorker[w] = append(dirtyByWorker[w], dirty...)
-	}
-	return s.run(ctx, dirtyByWorker)
-}
-
-// repair is the DeleteRepairer path: splice the fragments and extend the
-// border, let the program patch its retained state coordinator-side, and run
-// a follow-up fixpoint seeded with whatever the repair dirtied.
-func (s *Session[Q, V, R]) repair(ctx context.Context, rep DeleteRepairer[Q, V], ups []EdgeUpdate) (R, *metrics.Stats, error) {
+// repair is the Repairer path: splice the fragments and extend the border,
+// let the program patch its retained state coordinator-side, and run a
+// follow-up fixpoint seeded with whatever the repair dirtied. A failure after
+// the splice leaves the batch in the graph but not in the retained state, so
+// it breaks the session.
+func (s *Session[Q, V, R]) repair(ctx context.Context, rep Repairer[Q, V], ups []EdgeUpdate) (R, *metrics.Stats, error) {
 	var zero R
 	if err := s.splice(ups); err != nil {
 		s.broken = true

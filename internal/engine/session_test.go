@@ -11,20 +11,31 @@ import (
 	"grape/internal/mpi"
 )
 
-// sessionProg is countdown extended with an Updater so the session machinery
+// sessionProg is countdown extended with a Repairer so the session machinery
 // can be tested without pulling in the queries package (which would create
 // an import cycle for engine tests).
 type sessionProg struct{ countdown }
 
-// ApplyUpdate lowers the target endpoint's value to the edge weight if that
-// improves it (a decrease-only toy update rule).
-func (sessionProg) ApplyUpdate(q cdQuery, ctx *Context[int64], upd EdgeUpdate) ([]graph.ID, error) {
-	w := int64(upd.W)
-	if w < ctx.Get(upd.To) {
-		ctx.Set(upd.To, w)
-		return []graph.ID{upd.To}, nil
+func (sessionProg) CanRepair(q cdQuery, batch []EdgeUpdate) bool { return true }
+
+// RepairBatch lowers each inserted edge's target to the edge weight where
+// that improves it (a decrease-only toy update rule) and invalidates nothing
+// for a deletion: the follow-up fixpoint starts from the lowered targets and
+// the deleted edges' sources.
+func (sessionProg) RepairBatch(q cdQuery, sc *RepairScope[int64], batch []EdgeUpdate) (map[int][]graph.ID, error) {
+	dirty := make(map[int][]graph.ID)
+	for _, u := range batch {
+		w := sc.Owner(u.From)
+		if u.Del {
+			dirty[w] = append(dirty[w], u.From)
+			continue
+		}
+		if ctx := sc.Ctx(w); int64(u.W) < ctx.Get(u.To) {
+			ctx.Set(u.To, int64(u.W))
+			dirty[w] = append(dirty[w], u.To)
+		}
 	}
-	return nil, nil
+	return dirty, nil
 }
 
 func TestSessionInitialRunMatchesRun(t *testing.T) {
@@ -61,7 +72,7 @@ func TestSessionUpdatePropagatesAcrossFragments(t *testing.T) {
 	if len(res) != 4 {
 		t.Fatalf("want 4 vertices, got %d", len(res))
 	}
-	// insert an edge 0 -> 3 with weight 2: ApplyUpdate lowers 3's value to 2,
+	// insert an edge 0 -> 3 with weight 2: RepairBatch lowers 3's value to 2,
 	// then the halving fixpoint brings it to 1
 	res2, stats, err := s.Update(context.Background(), []EdgeUpdate{{From: 0, To: 3, W: 2}})
 	if err != nil {
@@ -106,30 +117,15 @@ func TestSessionUpdateCreatesOuterCopy(t *testing.T) {
 	}
 }
 
-// repairProg is sessionProg with a DeleteRepairer that invalidates nothing:
-// the follow-up fixpoint starts from the batch's sources.
-type repairProg struct{ sessionProg }
-
-func (repairProg) CanRepair(q cdQuery, batch []EdgeUpdate) bool { return true }
-
-func (repairProg) RepairBatch(q cdQuery, sc *RepairScope[int64], batch []EdgeUpdate) (map[int][]graph.ID, error) {
-	dirty := make(map[int][]graph.ID)
-	for _, u := range batch {
-		dirty[sc.Owner(u.From)] = append(dirty[sc.Owner(u.From)], u.From)
-	}
-	return dirty, nil
-}
-
 // TestSessionFragmentsStayFrozen pins that a session splices its fragments
-// instead of mutating them in place: after every Update, on the incremental,
-// repair and reseed paths, each fragment graph is frozen.
+// instead of mutating them in place: after every Update, on the repair and
+// reseed paths, each fragment graph is frozen.
 func TestSessionFragmentsStayFrozen(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		prog Program[cdQuery, int64, map[graph.ID]int64]
 	}{
-		{"incremental", sessionProg{}},
-		{"repair", repairProg{}},
+		{"repair", sessionProg{}},
 		{"reseed", countdown{}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -142,7 +138,7 @@ func TestSessionFragmentsStayFrozen(t *testing.T) {
 			for round := 0; round < 4; round++ {
 				u := vs[(7*round)%len(vs)]
 				batch := []EdgeUpdate{{From: u, To: vs[(7*round+31)%len(vs)], W: 5}, {From: u, To: u, W: 3}}
-				if round%2 == 1 && c.name != "incremental" {
+				if round%2 == 1 {
 					e := g.Out(u)[0]
 					batch = append(batch, EdgeUpdate{From: u, To: e.To, Label: e.Label, Del: true})
 				}

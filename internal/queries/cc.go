@@ -249,17 +249,6 @@ func (CC) IncEval(q CCQuery, ctx *engine.Context[graph.ID]) error {
 	return nil
 }
 
-// ApplyUpdate implements engine.Updater: inserting edge (u, v) merges the
-// local sets of u and v; labels only decrease (toward the new minimum), so
-// the computation stays monotone and the follow-up IncEval is bounded.
-func (CC) ApplyUpdate(q CCQuery, ctx *engine.Context[graph.ID], upd engine.EdgeUpdate) ([]graph.ID, error) {
-	st, ok := ctx.State.(*ccState)
-	if !ok {
-		return nil, fmt.Errorf("cc: session state missing (PEval has not run)")
-	}
-	return nil, st.merge(ctx, upd)
-}
-
 // PublishBorder implements engine.BorderPublisher: when a graph update turns
 // an inner node into a border node, materialize and ship its current label
 // (CC keeps labels per local set, not per node, so Context.touch would find
@@ -290,11 +279,11 @@ func (CC) PublishBorder(q CCQuery, ctx *engine.Context[graph.ID], id graph.ID) {
 	}
 }
 
-// CanRepair implements engine.DeleteRepairer: the split test and merges below
+// CanRepair implements engine.Repairer: the split test and merges below
 // are exact for any mix of insertions and deletions.
 func (CC) CanRepair(q CCQuery, batch []engine.EdgeUpdate) bool { return true }
 
-// RepairBatch implements engine.DeleteRepairer. Deleting an edge can split a
+// RepairBatch implements engine.Repairer. Deleting an edge can split a
 // component, which no monotone label propagation can express — labels only
 // decrease — but most deletions split nothing, so a batch costs what it
 // changes:
@@ -314,8 +303,8 @@ func (CC) CanRepair(q CCQuery, batch []engine.EdgeUpdate) bool { return true }
 //     a split raises labels, which Agg/min would refuse.
 //   - Merges. Every other fragment keeps its sets — no set of it meets a
 //     piece, so the ccState invariant holds — and takes the batch's inserts
-//     through merge, as ApplyUpdate does; the lowered labels ride the
-//     follow-up fixpoint.
+//     through merge; the lowered labels ride the follow-up fixpoint. An
+//     insert-only batch is this step alone.
 //
 // The returned dirty map names the rebuilt fragments, whose lowered border
 // labels must flush.
@@ -387,6 +376,8 @@ func (CC) RepairBatch(q CCQuery, sc *engine.RepairScope[graph.ID], batch []engin
 	}
 	return dirty, nil
 }
+
+var _ engine.Repairer[CCQuery, graph.ID] = CC{}
 
 // ccRepair is RepairBatch's view of the batch's splits on the mutated global
 // graph: the pieces found so far and, per old component, the surviving ends

@@ -178,42 +178,16 @@ func TestCCRepairSplits(t *testing.T) {
 	}
 }
 
-// ccRepairOnly is CC without ApplyUpdate, so a session sends insert-only
-// batches through RepairBatch as well.
-type ccRepairOnly struct{ cc CC }
-
-func (p ccRepairOnly) Name() string                   { return p.cc.Name() }
-func (p ccRepairOnly) Spec() engine.VarSpec[graph.ID] { return p.cc.Spec() }
-func (p ccRepairOnly) PEval(q CCQuery, ctx *engine.Context[graph.ID]) error {
-	return p.cc.PEval(q, ctx)
-}
-func (p ccRepairOnly) IncEval(q CCQuery, ctx *engine.Context[graph.ID]) error {
-	return p.cc.IncEval(q, ctx)
-}
-func (p ccRepairOnly) Assemble(q CCQuery, ctxs []*engine.Context[graph.ID]) (map[graph.ID]graph.ID, error) {
-	return p.cc.Assemble(q, ctxs)
-}
-func (p ccRepairOnly) PublishBorder(q CCQuery, ctx *engine.Context[graph.ID], id graph.ID) {
-	p.cc.PublishBorder(q, ctx, id)
-}
-func (p ccRepairOnly) CanRepair(q CCQuery, batch []engine.EdgeUpdate) bool {
-	return p.cc.CanRepair(q, batch)
-}
-func (p ccRepairOnly) RepairBatch(q CCQuery, sc *engine.RepairScope[graph.ID], batch []engine.EdgeUpdate) (map[int][]graph.ID, error) {
-	return p.cc.RepairBatch(q, sc, batch)
-}
-
 // BenchmarkCCSessionBatch times one 16-edge batch of a CC session on
 // PreferentialAttachment(10000, 5) over 8 Fennel fragments — serve-churn's
 // social graph and layout: a mixed batch (40 % deletions, as serve-churn
-// draws them) through RepairBatch, and an insert-only batch through the
-// incremental ApplyUpdate path and through RepairBatch.
+// draws them) and an insert-only batch, both through RepairBatch.
 func BenchmarkCCSessionBatch(b *testing.B) {
 	base := gen.PreferentialAttachment(10000, 5, 1).Freeze()
-	run := func(b *testing.B, prog engine.Program[CCQuery, graph.ID, map[graph.ID]graph.ID], deleteP float64) {
+	run := func(b *testing.B, deleteP float64) {
 		g := base.Clone()
 		stream := gen.UpdateStream(g, gen.StreamConfig{Batches: b.N, BatchSize: 16, DeleteP: deleteP, Seed: 1})
-		sess, _, _, err := engine.NewSession(context.Background(), g, prog, CCQuery{},
+		sess, _, _, err := engine.NewSession(context.Background(), g, CC{}, CCQuery{},
 			engine.Options{Workers: 8, Strategy: partition.Fennel{}})
 		if err != nil {
 			b.Fatal(err)
@@ -231,7 +205,6 @@ func BenchmarkCCSessionBatch(b *testing.B) {
 			}
 		}
 	}
-	b.Run("mixed/repair", func(b *testing.B) { run(b, CC{}, 0.4) })
-	b.Run("inserts/incremental", func(b *testing.B) { run(b, CC{}, 0) })
-	b.Run("inserts/repair", func(b *testing.B) { run(b, ccRepairOnly{}, 0) })
+	b.Run("mixed", func(b *testing.B) { run(b, 0.4) })
+	b.Run("inserts", func(b *testing.B) { run(b, 0) })
 }

@@ -225,7 +225,7 @@ func (Keyword) PEval(q KeywordQuery, ctx *engine.Context[kwVec]) error {
 
 // IncEval implements engine.Program. The rows of the updated nodes are
 // brought level with their variables, queueing each node for exactly the
-// keywords whose component a message lowered (ApplyUpdate may have queued
+// keywords whose component a message lowered (RepairBatch may have queued
 // more); then every keyword with seeds relaxes.
 func (Keyword) IncEval(q KeywordQuery, ctx *engine.Context[kwVec]) error {
 	st := ctx.State.(*kwState)
@@ -247,33 +247,46 @@ func (Keyword) IncEval(q KeywordQuery, ctx *engine.Context[kwVec]) error {
 	return nil
 }
 
-// ApplyUpdate implements engine.Updater: keyword distances relax along
-// reverse edges, so inserting (u, v) can only improve u (and its ancestors)
-// via v's vector. Queueing v, for every keyword it reaches, as a seed of the
-// next IncEval round re-relaxes exactly the affected region; if v's vector is
-// still unset (nil = all-∞), the new edge cannot improve anything yet and
-// there is nothing to seed. v may be an outer copy the session added and
-// filled in a moment ago: its row is brought level with the variable first.
-func (Keyword) ApplyUpdate(q KeywordQuery, ctx *engine.Context[kwVec], upd engine.EdgeUpdate) ([]graph.ID, error) {
-	if upd.W < 0 {
-		return nil, fmt.Errorf("keyword: negative edge weight %g", upd.W)
-	}
-	v, _ := ctx.Frag.G.Index(upd.To) // the session hosts both endpoints before it calls
-	vec := ctx.GetAt(v)
-	if vec == nil {
-		return nil, nil
-	}
-	st := ctx.State.(*kwState)
-	st.grow(ctx.Frag.G.NumVertices())
-	row := st.row(v)
-	for k, d := range vec {
-		row[k] = min(row[k], d)
-		if d < seq.Inf {
-			st.seeds[k] = append(st.seeds[k], v)
-		}
-	}
-	return []graph.ID{upd.To}, nil
+// CanRepair implements engine.Repairer: insert-only batches. A deletion can
+// raise distances, which the min-aggregated vectors cannot express; mixed
+// batches reseed.
+func (Keyword) CanRepair(q KeywordQuery, batch []engine.EdgeUpdate) bool {
+	return !slices.ContainsFunc(batch, func(u engine.EdgeUpdate) bool { return u.Del })
 }
+
+// RepairBatch implements engine.Repairer: keyword distances relax along
+// reverse edges, so inserting (u, v) can only improve u (and its ancestors)
+// via v's vector. Queueing v on u's owner, for every keyword it reaches, as a
+// seed of the next IncEval round re-relaxes exactly the affected region; if
+// v's vector there is still unset (nil = all-∞), the new edge cannot improve
+// anything yet and there is nothing to seed. v may be an outer copy the
+// session added and filled in a moment ago: its row is brought level with the
+// variable first.
+func (Keyword) RepairBatch(q KeywordQuery, sc *engine.RepairScope[kwVec], batch []engine.EdgeUpdate) (map[int][]graph.ID, error) {
+	dirty := make(map[int][]graph.ID)
+	for _, u := range batch {
+		w := sc.Owner(u.From)
+		ctx := sc.Ctx(w)
+		v, _ := ctx.Frag.G.Index(u.To) // the session hosts both endpoints before it calls
+		vec := ctx.GetAt(v)
+		if vec == nil {
+			continue
+		}
+		st := ctx.State.(*kwState)
+		st.grow(ctx.Frag.G.NumVertices())
+		row := st.row(v)
+		for k, d := range vec {
+			row[k] = min(row[k], d)
+			if d < seq.Inf {
+				st.seeds[k] = append(st.seeds[k], v)
+			}
+		}
+		dirty[w] = append(dirty[w], u.To)
+	}
+	return dirty, nil
+}
+
+var _ engine.Repairer[KeywordQuery, kwVec] = Keyword{}
 
 // ValidateUpdate implements engine.UpdateValidator: distances need
 // non-negative weights, checkable before the engine mutates anything.

@@ -63,21 +63,53 @@ func TestSSSPSessionTracksEvolvingGraph(t *testing.T) {
 	}
 }
 
-func TestSSSPSessionIncrementalIsCheaperThanRerun(t *testing.T) {
-	g := gen.RoadGrid(40, 40, 5)
-	s, _, initStats, err := engine.NewSession(context.Background(), g, SSSP{}, SSSPQuery{Source: 0},
-		engine.Options{Workers: 8, Strategy: partition.TwoD{Cols: 40}})
-	if err != nil {
-		t.Fatal(err)
+// TestSessionUpdateIsCheaperThanRerun: one small insert-only batch must cost
+// a fifth of the initial run's work or less for every class that repairs it.
+// A class whose batch silently falls back to a reseed fails here, while every
+// answer test still passes.
+func TestSessionUpdateIsCheaperThanRerun(t *testing.T) {
+	road := func() *graph.Graph { return gen.RoadGrid(40, 40, 5) }
+	social := func() *graph.Graph {
+		g := gen.PreferentialAttachment(2000, 3, 1)
+		gen.AttachKeywords(g, []string{"db", "graph", "ml"}, 2, 0.05, 1)
+		return g
 	}
-	// one local shortcut in a far corner
-	_, updStats, err := s.Update(context.Background(), []engine.EdgeUpdate{{From: 1599, To: 1558, W: 0.1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if updStats.TotalWork()*5 > initStats.TotalWork() {
-		t.Fatalf("incremental update not bounded: %d vs initial %d",
-			updStats.TotalWork(), initStats.TotalWork())
+	roadOpts := engine.Options{Workers: 8, Strategy: partition.TwoD{Cols: 40}}
+	for _, c := range []struct {
+		program, query string
+		build          func() *graph.Graph
+		opts           engine.Options
+		upd            engine.EdgeUpdate
+	}{
+		// one local shortcut in a far corner
+		{"sssp", "source=0", road, roadOpts, engine.EdgeUpdate{From: 1599, To: 1558, W: 0.1}},
+		{"cc", "", road, roadOpts, engine.EdgeUpdate{From: 1599, To: 1558, W: 0.1}},
+		{"keyword", "k=db,graph bound=4", social, engine.Options{Workers: 8, Strategy: partition.Hash{}},
+			engine.EdgeUpdate{From: 1999, To: 0, W: 1}},
+	} {
+		t.Run(c.program, func(t *testing.T) {
+			e, err := engine.Lookup(c.program)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pq, err := e.Parse(c.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, _, initStats, err := e.Session(context.Background(), c.build(), c.opts, pq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, updStats, err := s.Update(context.Background(), []engine.EdgeUpdate{c.upd})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("update work %d, initial %d", updStats.TotalWork(), initStats.TotalWork())
+			if updStats.TotalWork()*5 > initStats.TotalWork() {
+				t.Fatalf("incremental update not bounded: %d vs initial %d",
+					updStats.TotalWork(), initStats.TotalWork())
+			}
+		})
 	}
 }
 
@@ -194,9 +226,9 @@ func TestCCSessionEvolvingProperty(t *testing.T) {
 
 // sessionCase is one class's session-equivalence run: a deterministic graph
 // builder, a query, and an update-stream shape. Cases with DeleteP 0 pin
-// the seeded-IncEval insert path, DeleteP 1 the delete-repair path, and
-// mixed streams whatever route each class picks per batch (repair, patch,
-// or reseed).
+// the insert half of the repair path, DeleteP 1 its delete half, and mixed
+// streams whatever route each class picks per batch (repair, patch, or
+// reseed).
 type sessionCase struct {
 	name    string
 	program string

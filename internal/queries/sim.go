@@ -92,7 +92,7 @@ func (Sim) IncEval(q SimQuery, ctx *engine.Context[seq.SimBits]) error {
 	return nil
 }
 
-// CanRepair implements engine.DeleteRepairer: deletions only, and only when
+// CanRepair implements engine.Repairer: deletions only, and only when
 // the batch has no insertions. Removing an edge can only shrink simulation
 // masks — the same monotone direction as refinement — so re-refining from
 // the deleted edges' tails is exact. An insertion can *grow* masks, which
@@ -106,7 +106,7 @@ func (Sim) CanRepair(q SimQuery, batch []engine.EdgeUpdate) bool {
 	return true
 }
 
-// RepairBatch implements engine.DeleteRepairer by seeding the follow-up
+// RepairBatch implements engine.Repairer by seeding the follow-up
 // refinement at each deleted edge's tail: only the tail lost a successor, so
 // only its mask can be directly refuted; the refinement cascades to
 // ancestors as usual. The retained masks and fold need no surgery — every
@@ -120,6 +120,8 @@ func (Sim) RepairBatch(q SimQuery, sc *engine.RepairScope[seq.SimBits], batch []
 	}
 	return dirty, nil
 }
+
+var _ engine.Repairer[SimQuery, seq.SimBits] = Sim{}
 
 // Assemble implements engine.Program. Every pattern vertex gets an entry,
 // empty when nothing simulates it — matching the sequential Sim's shape.

@@ -85,33 +85,21 @@ func (SSSP) ValidateUpdate(q SSSPQuery, upd engine.EdgeUpdate) error {
 	return nil
 }
 
-// ApplyUpdate implements engine.Updater for continuous queries over an
-// evolving graph: inserting edge (u, v) (or lowering its weight) can only
-// decrease distances downstream of u, so seeding the next IncEval round at u
-// re-relaxes exactly the affected region — the decrease-only case of
-// Ramalingam–Reps, still bounded.
-func (SSSP) ApplyUpdate(q SSSPQuery, ctx *engine.Context[float64], upd engine.EdgeUpdate) ([]graph.ID, error) {
-	if upd.W < 0 {
-		return nil, fmt.Errorf("sssp: negative edge weight %g", upd.W)
-	}
-	i, ok := ctx.Frag.G.Index(upd.From)
-	if !ok || ctx.GetAt(i) >= seq.Inf {
-		return nil, nil // unknown or unreached source: nothing can improve yet
-	}
-	return []graph.ID{upd.From}, nil
-}
-
-// CanRepair implements engine.DeleteRepairer: the invalidate-and-repropagate
+// CanRepair implements engine.Repairer: the invalidate-and-repropagate
 // repair below is exact for any mix of insertions and deletions.
 func (SSSP) CanRepair(q SSSPQuery, batch []engine.EdgeUpdate) bool { return true }
 
-// RepairBatch implements engine.DeleteRepairer with invalidation and
-// re-propagation. Deleting an edge can only break distances it supported:
-// the affected region is seeded by the heads of deleted edges that were
-// *tight* (dist(u) + w == dist(v)) and closed under tight out-edges of the
-// mutated graph — at a shortest-path fixpoint every vertex's distance is
-// supported by some tight in-edge, so a vertex whose tight in-edges all lead
-// back into the region cannot keep its value. The region's variables are
+// RepairBatch implements engine.Repairer with invalidation and
+// re-propagation. Inserting edge (u, v) (or lowering its weight) can only
+// decrease distances downstream of u, so an insert-only batch seeds the next
+// IncEval round at its reached tails and re-relaxes exactly the affected
+// region — the decrease-only case of Ramalingam–Reps, still bounded.
+// Deleting an edge can only break distances it supported: the affected
+// region is seeded by the heads of deleted edges that were *tight*
+// (dist(u) + w == dist(v)) and closed under tight out-edges of the mutated
+// graph — at a shortest-path fixpoint every vertex's distance is supported by
+// some tight in-edge, so a vertex whose tight in-edges all lead back into the
+// region cannot keep its value. The region's variables are
 // erased everywhere (including the coordinator's fold, so re-derived values
 // are not suppressed as non-improvements), and the follow-up fixpoint
 // re-relaxes from the region's surviving in-frontier plus any inserted
@@ -189,6 +177,8 @@ func (SSSP) RepairBatch(q SSSPQuery, sc *engine.RepairScope[float64], batch []en
 	}
 	return dirty, nil
 }
+
+var _ engine.Repairer[SSSPQuery, float64] = SSSP{}
 
 // Assemble implements engine.Program: union of the inner-vertex distances.
 // Ownership is tested by dense index — no per-vertex hash.

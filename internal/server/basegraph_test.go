@@ -149,10 +149,10 @@ func TestServerBaseGraphStaysFrozen(t *testing.T) {
 	})
 }
 
-// failingUpdate is a fixture program whose ApplyUpdate refuses an edge
-// labelled "poison". By then the session has spliced the whole batch into its
-// graph, so the refusal breaks the session partway through the batch.
-// failingUpdateCalls counts its ApplyUpdate calls.
+// failingUpdate is a fixture program whose RepairBatch refuses a batch with
+// an edge labelled "poison". By then the session has spliced the whole batch
+// into its graph, so the refusal breaks the session. failingUpdateCalls
+// counts its RepairBatch calls.
 type failingUpdate struct{}
 
 var failingUpdateCalls atomic.Int64
@@ -172,10 +172,14 @@ func (failingUpdate) IncEval(struct{}, *engine.Context[int64]) error { return ni
 
 func (failingUpdate) Assemble(struct{}, []*engine.Context[int64]) (int64, error) { return 0, nil }
 
-func (failingUpdate) ApplyUpdate(_ struct{}, _ *engine.Context[int64], u engine.EdgeUpdate) ([]graph.ID, error) {
+func (failingUpdate) CanRepair(struct{}, []engine.EdgeUpdate) bool { return true }
+
+func (failingUpdate) RepairBatch(_ struct{}, _ *engine.RepairScope[int64], batch []engine.EdgeUpdate) (map[int][]graph.ID, error) {
 	failingUpdateCalls.Add(1)
-	if u.Label == "poison" {
-		return nil, errors.New("poisoned update")
+	for _, u := range batch {
+		if u.Label == "poison" {
+			return nil, errors.New("poisoned update")
+		}
 	}
 	return nil, nil
 }
@@ -188,11 +192,10 @@ func init() {
 	}))
 }
 
-// TestDurableBrokenBatchIsWhole: an ApplyUpdate that fails partway through a
-// batch breaks the session, yet the base graph holds the whole batch — the
-// updates after the failing one too — the epoch moves on, and a restart,
-// which splices the batch without running ApplyUpdate, recovers the same
-// graph.
+// TestDurableBrokenBatchIsWhole: a RepairBatch that refuses a batch breaks
+// the session, yet the base graph holds the whole batch — the updates after
+// the poisoned one too — the epoch moves on, and a restart, which splices the
+// batch without running RepairBatch, recovers the same graph.
 func TestDurableBrokenBatchIsWhole(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Workers: 4, Strategy: "hash"}
@@ -203,7 +206,7 @@ func TestDurableBrokenBatchIsWhole(t *testing.T) {
 	edges := []EdgeJSON{{From: 0, To: 100, W: 1}, {From: 1, To: 101, W: 1, Label: "poison"}, {From: 2, To: 102, W: 1}}
 	_, err := s.Mutate(ctx, "road", "server-failing-update", "", edges)
 	if err == nil || errors.Is(err, ErrBadQuery) {
-		t.Fatalf("a batch failing in ApplyUpdate: %v, want a broken-session error", err)
+		t.Fatalf("a batch failing in RepairBatch: %v, want a broken-session error", err)
 	}
 	applyTo(t, shadow, edges)
 	live, epoch := servedState(t, s, "road")
@@ -231,7 +234,7 @@ func TestDurableBrokenBatchIsWhole(t *testing.T) {
 		}
 	}
 	if n := failingUpdateCalls.Load() - calls; n != 0 {
-		t.Fatalf("replay ran ApplyUpdate %d times, want 0", n)
+		t.Fatalf("replay ran RepairBatch %d times, want 0", n)
 	}
 	recovered, _ := servedState(t, s2, "road")
 	if err := graph.Diff(live, recovered); err != nil {

@@ -88,7 +88,7 @@ func TestDurableKillRestart(t *testing.T) {
 		"-seed", fmt.Sprint(seed), "-keywords", "db,graph,ml")
 
 	// Mixed insert/delete streams: road mutates through an sssp session (the
-	// incremental path), social through the default program. Every batch is
+	// repair path), social through the default program. Every batch is
 	// journaled and fsync-ed before it applies.
 	mutate := func(graphName, program, query string, edges []server.EdgeJSON) {
 		t.Helper()
