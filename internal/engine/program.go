@@ -22,6 +22,7 @@ package engine
 
 import (
 	"math/bits"
+	"slices"
 
 	"grape/internal/graph"
 	"grape/internal/partition"
@@ -167,13 +168,20 @@ func newContext[V any](f *partition.Fragment, spec VarSpec[V]) *Context[V] {
 // arrays are sized and cleared.
 func (c *Context[V]) reset() {
 	nv := c.Frag.G.NumVertices()
-	if len(c.vals) < nv {
-		// new, or the fragment grew (a session mutated it) since this
-		// scratch was built
+	switch {
+	case c.vals == nil:
+		// new: sized exactly
 		c.vals = make([]V, nv)
 		c.has = make([]bool, nv)
 		c.borderPos = make([]int32, nv)
-	} else {
+	case len(c.vals) < nv:
+		// pooled, and a session appended vertices to the fragment since:
+		// grow with headroom, as its next batches will append more
+		c.vals = slices.Grow(c.vals, nv-len(c.vals))[:nv]
+		c.has = slices.Grow(c.has, nv-len(c.has))[:nv]
+		c.borderPos = slices.Grow(c.borderPos, nv-len(c.borderPos))[:nv]
+		fallthrough
+	default:
 		clear(c.vals)
 		clear(c.has)
 		clear(c.borderPos)

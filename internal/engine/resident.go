@@ -22,6 +22,14 @@ import (
 // and the coordinator's fold state) is recycled through a sync.Pool: a query
 // service answering many small queries would otherwise spend its time
 // reallocating O(|V|) arrays per request.
+//
+// The layout may be a session's (SessionHandle.Layout), which the session
+// splices between runs — never during one: the caller serializes its batches
+// against its runs. The pooled scratch survives that: it is bound to the
+// layout's *Fragment objects, whose graphs a splice swaps in place; each Run
+// resets the contexts to the fragment's current size and border, the fold
+// grows with the layout's slots, and border positions never move. A reseed
+// builds a new layout, which needs a new Resident.
 type Resident[Q, V, R any] struct {
 	layout *partition.Layout
 	prog   Program[Q, V, R]

@@ -23,6 +23,7 @@ import (
 //	grape_journal_records{graph=...} / grape_journal_bytes{graph=...} gauges
 //	grape_snapshot_epoch{graph=...}                                   gauge
 //	grape_compactions_total{graph=...}                                gauge
+//	grape_journal_append_failures_total{graph=...}                    gauge
 //	grape_recovery_duration_seconds{graph=...}                        gauge
 //	grape_recovery_replayed_records{graph=...}                        gauge
 //	grape_unusable_snapshots_total                                    counter
@@ -106,6 +107,8 @@ func (m *Serving) WritePrometheus(w io.Writer, queueDepth, inFlight int) error {
 			func(d GraphDurability) float64 { return float64(d.SnapshotEpoch) })
 		durGauge("grape_compactions_total", "Journal compactions since the graph became resident.",
 			func(d GraphDurability) float64 { return float64(d.Compactions) })
+		durGauge("grape_journal_append_failures_total", "Mutation batches refused because the journal append failed.",
+			func(d GraphDurability) float64 { return float64(d.AppendFailures) })
 		durGauge("grape_recovery_duration_seconds", "Wall time of the last crash recovery (snapshot load + journal replay).",
 			func(d GraphDurability) float64 { return d.RecoveryMs / 1e3 })
 		durGauge("grape_recovery_replayed_records", "Journal records replayed by the last crash recovery.",

@@ -99,6 +99,7 @@ type GraphDurability struct {
 	JournalBytes   int64   `json:"journal_bytes"`
 	Mapped         bool    `json:"mapped"`
 	Compactions    uint64  `json:"compactions"`
+	AppendFailures uint64  `json:"append_failures"`
 	RecoveryMs     float64 `json:"recovery_ms"`
 	Replayed       int     `json:"replayed_records"`
 }

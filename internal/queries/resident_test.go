@@ -329,3 +329,105 @@ func TestResidentRefusesDeeperQuery(t *testing.T) {
 		t.Fatalf("subiso on a hops-%d layout: %d matches, engine.Run %d", pq.Hops, len(got.([]seq.Match)), len(want.([]seq.Match)))
 	}
 }
+
+// TestResidentSurvivesSessionBatches pins the contract a server relies on
+// when it keeps a runner across batches: a pooled Resident on a session's
+// layout stays valid while the session splices that layout. One runner per
+// class is built on the session's layout and kept; after each of 50 mixed
+// 16-edge batches it must answer with the supersteps, messages and bytes of
+// a runner built fresh on the same layout, and both as internal/seq does on
+// a shadow graph. Keyword reseeds a mixed batch onto a new layout, where the
+// kept runner is rebuilt as the server rebuilds it; every other keyword
+// batch is cut to its insertions, which it repairs on the layout it has.
+func TestResidentSurvivesSessionBatches(t *testing.T) {
+	road := gen.RoadGrid(32, 32, 1)
+	social := gen.PreferentialAttachment(3000, 4, 1)
+	gen.AttachKeywords(social, []string{"db", "graph", "ml"}, 2, 0.05, 1)
+	social.Freeze()
+	kws := []string{"db", "graph"}
+	cases := []struct {
+		program, query string
+		g              *graph.Graph
+		insertOnly     func(b int) bool
+		want           func(g *graph.Graph) any
+	}{
+		{"sssp", "source=0", road, nil, func(g *graph.Graph) any { return seq.Dijkstra(g, 0) }},
+		{"cc", "", social, nil, func(g *graph.Graph) any { return seq.Components(g) }},
+		{"keyword", "k=db,graph bound=4", social, func(b int) bool { return b%2 == 1 },
+			func(g *graph.Graph) any { return seq.KeywordSearch(g, kws, 4) }},
+	}
+	ctx := context.Background()
+	for _, c := range cases {
+		t.Run(c.program, func(t *testing.T) {
+			e, err := engine.Lookup(c.program)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pq, err := e.Parse(c.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess, _, _, err := e.Session(ctx, c.g, engine.Options{Workers: 8, Strategy: partition.TwoD{}}, pq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			layout := sess.Layout()
+			kept, err := e.Resident(layout, engine.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			shadow, reused := c.g.Clone(), 0
+			for b, batch := range gen.UpdateStream(c.g, gen.StreamConfig{Batches: 50, BatchSize: 16, DeleteP: 0.4, Seed: 1}) {
+				var ups []engine.EdgeUpdate
+				for _, u := range batch {
+					if u.Del && c.insertOnly != nil && c.insertOnly(b) {
+						continue
+					}
+					ups = append(ups, engine.EdgeUpdate{From: u.From, To: u.To, W: u.W, Label: u.Label, Del: u.Del})
+					if !u.Del {
+						shadow.AddLabeledEdge(u.From, u.To, u.W, u.Label)
+					} else if _, ok := shadow.RemoveEdge(u.From, u.To, u.Label); !ok {
+						t.Fatalf("batch %d: shadow has no edge %+v", b, u)
+					}
+				}
+				if _, _, err := sess.Update(ctx, ups); err != nil {
+					t.Fatalf("batch %d: %v", b, err)
+				}
+				if l := sess.Layout(); l != layout {
+					layout = l
+					if kept, err = e.Resident(layout, engine.Options{}); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					reused++
+				}
+				fresh, err := e.Resident(layout, engine.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, gst, err := kept.RunParsed(ctx, pq)
+				if err != nil {
+					t.Fatalf("batch %d: kept runner: %v", b, err)
+				}
+				want, wst, err := fresh.RunParsed(ctx, pq)
+				if err != nil {
+					t.Fatalf("batch %d: fresh runner: %v", b, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("batch %d: the kept runner answers differently from a fresh one", b)
+				}
+				if gst.Supersteps != wst.Supersteps || gst.Messages != wst.Messages || gst.Bytes != wst.Bytes {
+					t.Fatalf("batch %d: kept runner %d supersteps %d messages %d bytes, fresh %d / %d / %d",
+						b, gst.Supersteps, gst.Messages, gst.Bytes, wst.Supersteps, wst.Messages, wst.Bytes)
+				}
+				if !reflect.DeepEqual(got, c.want(shadow)) {
+					t.Fatalf("batch %d: the kept runner's answer differs from internal/seq", b)
+				}
+			}
+			if reused == 0 {
+				t.Fatal("no batch kept the session's layout")
+			}
+			t.Logf("%d of 50 batches kept the layout and its runner", reused)
+		})
+	}
+}

@@ -210,6 +210,7 @@ func (s *Server) publishDurability(rg *residentGraph) {
 		JournalBytes:   st.JournalBytes,
 		Mapped:         st.Mapped,
 		Compactions:    rg.compactions.Load(),
+		AppendFailures: rg.appendFailures,
 		RecoveryMs:     rg.recoveryMs,
 		Replayed:       rg.replayed,
 	})

@@ -244,6 +244,61 @@ func TestDurableRejectedBatchNotJournaled(t *testing.T) {
 	}
 }
 
+// TestDurableFailedAppendCounted: a batch whose journal append fails is a
+// server fault (not a 400) that changes nothing, and /stats and /metrics
+// count it: append_failures 1, journal_records still the one applied batch.
+func TestDurableFailedAppendCounted(t *testing.T) {
+	s := newDurableServer(t, t.TempDir(), Config{Workers: 4, Strategy: "hash"})
+	defer s.Close()
+	h := s.Handler()
+	update := func(to int) *httptest.ResponseRecorder {
+		return post(h, "/update", []byte(fmt.Sprintf(`{"graph":"road","edges":[{"from":0,"to":%d,"w":1}]}`, to)))
+	}
+	if rec := update(200); rec.Code != http.StatusOK {
+		t.Fatalf("first batch: status %d: %s", rec.Code, rec.Body)
+	}
+	rg, err := s.resident("road")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rg.ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rec := update(201); rec.Code == http.StatusOK || rec.Code == http.StatusBadRequest {
+		t.Fatalf("a batch the journal refused: status %d, want a server error", rec.Code)
+	}
+	if got := graphEpochs(s)["road"]; got != 2 {
+		t.Fatalf("epoch %d after a refused append, want 2", got)
+	}
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	var stats struct {
+		Durable []metrics.GraphDurability `json:"durable"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	var road *metrics.GraphDurability
+	for i := range stats.Durable {
+		if stats.Durable[i].Graph == "road" {
+			road = &stats.Durable[i]
+		}
+	}
+	if road == nil || road.AppendFailures != 1 || road.JournalRecords != 1 {
+		t.Fatalf("/stats durability for road: %+v, want append_failures 1 and journal_records 1", road)
+	}
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	samples, err := metrics.ParseExposition(rec.Body.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := samples[`grape_journal_append_failures_total{graph="road"}`]; got != 1 {
+		t.Fatalf("grape_journal_append_failures_total{graph=\"road\"} = %g, want 1", got)
+	}
+}
+
 // TestDurableReplaySkipsRejectedRecord: a server that journaled a batch
 // before validating it left records in the journal that its session then
 // rejected. Replay validates each record, skips such a one without bumping

@@ -184,12 +184,13 @@ type residentGraph struct {
 	// recovery replayed its journal to reach the current epoch. The recovery
 	// cost fields are written once before the graph is published and feed
 	// the durability gauges; compactions is bumped by the compactor, which
-	// only holds mu for read.
-	ds          *store.GraphStore
-	recoveryMs  float64
-	replayed    int
-	damage      string
-	compactions atomic.Uint64
+	// only holds mu for read, appendFailures by Mutate, under mu.
+	ds             *store.GraphStore
+	recoveryMs     float64
+	replayed       int
+	damage         string
+	compactions    atomic.Uint64
+	appendFailures uint64
 }
 
 // layoutSlot is one expansion depth's layout at the current epoch. It builds
@@ -198,11 +199,17 @@ type residentGraph struct {
 type layoutSlot struct {
 	// session, set on the hops-0 slot after a batch under an ID-only
 	// strategy, is the retained update session's own layout: the cut the
-	// session opened with, every batch since spliced in. Cut-invariant programs run on it, and the fresh cut
-	// is built only when another program asks. It needs no copy: Mutate,
-	// the one writer of that layout, holds rg.mu for write and every run
-	// holds it for read, and Mutate replaces the slot map at every batch, so
-	// no runner sees the layout change under it.
+	// session opened with, every batch since spliced in. Cut-invariant
+	// programs run on it, and the fresh cut is built only when another
+	// program asks. It needs no copy: Mutate, the one writer of that layout,
+	// holds rg.mu for write and every run holds it for read, so no run sees
+	// the layout change under it. While the session keeps the same layout
+	// pointer, Mutate carries this slot's runners on it into the next
+	// epoch's slot, pooled scratch and all: the scratch is bound to the
+	// layout's *Fragment objects, whose graphs the session swaps in place;
+	// Context.reset and syncBorder absorb the vertices and border positions
+	// a batch appends, and border positions never move. A reseed, a new
+	// session or a broken one yields another layout, and runners start over.
 	session *partition.Layout
 
 	once   sync.Once
@@ -556,7 +563,8 @@ func (s *Server) query(ctx context.Context, req QueryRequest, start time.Time) (
 // unreachable, and resident layouts are dropped. Under an ID-only strategy
 // (partition.IDOnly) the hops-0 slot starts over holding the session's
 // layout, which the batch spliced, so a cut-invariant program's next miss
-// runs without partitioning; any other program or depth cuts the mutated
+// runs without partitioning — on the previous slot's runner when the session
+// spliced the same layout; any other program or depth cuts the mutated
 // graph afresh. The mutation flows through a retained session of the
 // requested program (default CC with its
 // parameterless query), whose incrementally refreshed answer is primed into
@@ -608,6 +616,8 @@ func (s *Server) Mutate(ctx context.Context, name, program, query string, edges 
 		// client hangs up — journal and memory must not diverge.
 		rec := store.Record{PreEpoch: rg.epoch, Program: program, Query: pq.Canonical, Updates: ups}
 		if err := rg.ds.Append(rec); err != nil {
+			rg.appendFailures++
+			s.publishDurability(rg)
 			return nil, fmt.Errorf("server: journaling mutation for %q: %w", name, err)
 		}
 		ctx = context.WithoutCancel(ctx)
@@ -626,10 +636,20 @@ func (s *Server) Mutate(ctx context.Context, name, program, query string, edges 
 	// edge-driven one (fennel, ldg, metis) would cut the changed graph
 	// otherwise, and the session's older cut drifts from it.
 	layouts := make(map[int]*layoutSlot)
-	if l := rg.sess.Layout(); err == nil && l != nil && l.Hops == 0 && partition.IDOnly(s.strat) {
-		layouts[0] = &layoutSlot{session: l, runners: make(map[string]engine.ResidentRunner)}
-	}
 	rg.lmu.Lock()
+	if l := rg.sess.Layout(); err == nil && l != nil && l.Hops == 0 && partition.IDOnly(s.strat) {
+		slot := &layoutSlot{session: l, runners: make(map[string]engine.ResidentRunner)}
+		// The same session spliced this very layout: its runners' pooled
+		// scratch stays bound to the right fragments (see layoutSlot.session).
+		if old := rg.layouts[0]; old != nil && old.session == l {
+			for name, r := range old.runners {
+				if entry, _ := engine.Lookup(name); entry.CutInvariant {
+					slot.runners[name] = r
+				}
+			}
+		}
+		layouts[0] = slot
+	}
 	rg.layouts = layouts
 	rg.lmu.Unlock()
 	if rg.ds != nil {

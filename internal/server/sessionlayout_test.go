@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -261,5 +262,146 @@ func TestServedCFAfterMutationMatchesFreshCut(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Result, want.Result) {
 		t.Fatalf("cf after 10 batches: RMSE %v, a fresh server's %v", got.Result.(queries.CFResult).RMSE, want.Result.(queries.CFResult).RMSE)
+	}
+}
+
+// slotRunner returns the hops-0 slot's pooled runner for program, nil if the
+// slot holds none.
+func slotRunner(t *testing.T, s *Server, name, program string) engine.ResidentRunner {
+	t.Helper()
+	slot, _ := defaultSlot(t, s, name)
+	if slot == nil {
+		return nil
+	}
+	slot.rmu.Lock()
+	defer slot.rmu.Unlock()
+	return slot.runners[program]
+}
+
+// TestServedMissReusesRunner: while the session splices the layout it opened
+// with, a batch carries the hops-0 slot's runners on it into the next epoch,
+// so a miss after a batch reuses their pooled run scratch. A keyword session
+// reseeding on a mixed batch, or a batch that breaks the session, leaves
+// another layout or none, and the runner starts over. Over 30 cc batches on
+// PreferentialAttachment(10000, 5) the mean nocache sssp miss allocates at
+// most half of the slot's first miss, which builds the scratch.
+func TestServedMissReusesRunner(t *testing.T) {
+	s, gs := newTestServer(t, Config{Workers: 8, Strategy: "2d"})
+	defer s.Close()
+	ctx := context.Background()
+	shadow := gs["social"].Clone()
+	stream := gen.UpdateStream(gs["social"], gen.StreamConfig{Batches: 5, BatchSize: 16, DeleteP: 0.4, Seed: 1})
+	mutate := func(name, program, query string, edges []EdgeJSON) error {
+		t.Helper()
+		_, err := s.Mutate(ctx, name, program, query, edges)
+		return err
+	}
+	miss := func(name string) {
+		t.Helper()
+		resp, err := s.Query(ctx, QueryRequest{Graph: name, Program: "sssp", Query: "source=0", NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "social" && !reflect.DeepEqual(resp.Result, seq.Dijkstra(shadow, 0)) {
+			t.Fatal("sssp on social differs from internal/seq")
+		}
+	}
+	step := func(program, query string, edges []EdgeJSON) {
+		t.Helper()
+		if err := mutate("social", program, query, edges); err != nil {
+			t.Fatal(err)
+		}
+		applyTo(t, shadow, edges)
+	}
+	inserts := func(batch []gen.Update) []EdgeJSON {
+		var out []EdgeJSON
+		for _, e := range edgesOf(batch) {
+			if !e.Del {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+
+	step("cc", "", edgesOf(stream[0]))
+	miss("social")
+	r := slotRunner(t, s, "social", "sssp")
+	if r == nil {
+		t.Fatal("the miss left no sssp runner in the default slot")
+	}
+	step("cc", "", edgesOf(stream[1]))
+	if got := slotRunner(t, s, "social", "sssp"); got != r {
+		t.Fatal("a cc batch replaced the sssp runner on the session's layout")
+	}
+	miss("social")
+
+	// keyword repairs an insert-only batch on its layout and reseeds a mixed
+	// one onto a new layout.
+	const kw = "k=db,graph bound=4"
+	step("keyword", kw, inserts(stream[2]))
+	miss("social")
+	r = slotRunner(t, s, "social", "sssp")
+	step("keyword", kw, inserts(stream[3]))
+	if got := slotRunner(t, s, "social", "sssp"); got != r {
+		t.Fatal("an insert-only keyword batch replaced the sssp runner")
+	}
+	miss("social")
+	step("keyword", kw, edgesOf(stream[4]))
+	if got := slotRunner(t, s, "social", "sssp"); got != nil {
+		t.Fatal("a keyword reseed kept the sssp runner of the old layout")
+	}
+	miss("social")
+
+	// A batch that breaks the session drops its layout, and the runner on it.
+	clean := func(i int) []EdgeJSON { return []EdgeJSON{{From: int64(i), To: int64(100 + i), W: 1}} }
+	for i := range 2 {
+		if err := mutate("road", "server-failing-update", "", clean(i)); err != nil {
+			t.Fatal(err)
+		}
+		miss("road")
+	}
+	r = slotRunner(t, s, "road", "sssp")
+	if err := mutate("road", "server-failing-update", "", []EdgeJSON{{From: 3, To: 103, W: 1, Label: "poison"}}); err == nil {
+		t.Fatal("a poisoned batch did not break its session")
+	}
+	if got := slotRunner(t, s, "road", "sssp"); got != nil {
+		t.Fatal("a broken session's batch kept the sssp runner")
+	}
+	miss("road")
+	if got := slotRunner(t, s, "road", "sssp"); got == nil || got == r {
+		t.Fatal("the miss after a broken batch did not start a new runner")
+	}
+
+	if raceEnabled {
+		t.Skip("sync.Pool drops the pooled scratch under the race detector")
+	}
+	big := New(Config{Workers: 8, Strategy: "2d"})
+	defer big.Close()
+	g := gen.PreferentialAttachment(10000, 5, 1)
+	if err := big.AddGraph("social", g); err != nil {
+		t.Fatal(err)
+	}
+	batches := gen.UpdateStream(g, gen.StreamConfig{Batches: 31, BatchSize: 16, DeleteP: 0.4, Seed: 1})
+	missBytes := func(batch []gen.Update) float64 {
+		t.Helper()
+		if _, err := big.Mutate(ctx, "social", "cc", "", edgesOf(batch)); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := big.Query(ctx, QueryRequest{Graph: "social", Program: "sssp", Query: "source=0", NoCache: true}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	first, sum := missBytes(batches[0]), 0.0
+	for _, batch := range batches[1:] {
+		sum += missBytes(batch)
+	}
+	mean := sum / float64(len(batches)-1)
+	t.Logf("nocache sssp miss after a batch: %.2f MB the slot's first, %.2f MB the mean of the next %d", first/1e6, mean/1e6, len(batches)-1)
+	if mean > first/2 {
+		t.Fatalf("the mean miss after a batch allocates %.2f MB, over half the first's %.2f MB", mean/1e6, first/1e6)
 	}
 }

@@ -18,6 +18,7 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -117,6 +118,7 @@ type GraphStore struct {
 
 	mu        sync.Mutex
 	journal   *Journal
+	closed    *Journal // the journal Close closed; Stats still reports it
 	snapEpoch uint64
 	binding   [32]byte
 	mapped    bool
@@ -236,9 +238,9 @@ func (gs *GraphStore) Stats() Stats {
 	gs.mu.Lock()
 	defer gs.mu.Unlock()
 	st := Stats{SnapshotEpoch: gs.snapEpoch, Mapped: gs.mapped}
-	if gs.journal != nil {
-		st.JournalRecords = gs.journal.Records()
-		st.JournalBytes = gs.journal.Size()
+	if j := cmp.Or(gs.journal, gs.closed); j != nil {
+		st.JournalRecords = j.Records()
+		st.JournalBytes = j.Size()
 	}
 	return st
 }
@@ -276,6 +278,7 @@ func (gs *GraphStore) Compact(g *graph.Graph, epoch uint64) error {
 
 // Close closes the journal and releases any live snapshot mappings. The
 // graph recovered from a mapped snapshot must not be used after Close.
+// Stats still reports the closed journal, which Append refuses.
 func (gs *GraphStore) Close() error {
 	gs.mu.Lock()
 	defer gs.mu.Unlock()
@@ -284,7 +287,7 @@ func (gs *GraphStore) Close() error {
 		if err := gs.journal.Close(); err != nil {
 			firstErr = err
 		}
-		gs.journal = nil
+		gs.journal, gs.closed = nil, gs.journal
 	}
 	for _, c := range gs.closers {
 		if err := c(); err != nil && firstErr == nil {
