@@ -273,7 +273,7 @@ func TestWorkerHonorsPropagatedDeadline(t *testing.T) {
 	link := chanLink{in: make(chan mpi.Envelope, 4), out: make(chan mpi.Envelope, 4)}
 	served := make(chan error, 1)
 	go func() {
-		served <- serveWire(ctx, prog, link, stepQuery{limit: 1 << 40}, layout.Fragments[0])
+		served <- serveWire(ctx, prog, link, stepQuery{limit: 1 << 40}, &wireScratch[int64]{ctx: newContext(layout.Fragments[0], prog.Spec())})
 	}()
 
 	peFrame, _ := encodeCmd(codec, nil, workerCmd[int64]{kind: cmdPEval}, nil)

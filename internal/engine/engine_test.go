@@ -268,6 +268,70 @@ func TestRegistryLifecycle(t *testing.T) {
 	Register(Entry{Name: name})
 }
 
+// TestContextRebind: a pooled context rebound larger → smaller → larger
+// fragment is, after each reset, the context newContext builds for that
+// fragment — arrays sized to it exactly, no variable or queued border change
+// left over from the last one — and then behaves like it. The second sequence
+// grows a context and then rebinds it to a size between its arrays' grown
+// capacities, which Go rounds up apart (100 → 150 vertices leaves vals 224,
+// has 208), so each array must be sized against its own.
+func TestContextRebind(t *testing.T) {
+	t.Run("shrink-grow", func(t *testing.T) { testContextRebind(t, 2, 300, 40, 500) })
+	t.Run("grow-grow", func(t *testing.T) { testContextRebind(t, 1, 100, 150, 215) })
+}
+
+func testContextRebind(t *testing.T, workers int, sizes ...int) {
+	spec := countdown{}.Spec()
+	var frags []*partition.Fragment
+	for i, n := range sizes {
+		layout, err := BuildLayout(gen.Random(n, 3*n, int64(i)), Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := layout.Fragments[0]
+		if workers == 1 && f.G.NumVertices() != n {
+			t.Fatalf("one-worker fragment of a %d-vertex graph has %d vertices", n, f.G.NumVertices())
+		}
+		frags = append(frags, f)
+	}
+	vars := func(c *Context[int64]) (out []int64) {
+		c.VarsAt(func(i int32, v int64) { out = append(out, int64(i), v) })
+		return out
+	}
+	// dirty sets every variable, queueing every border change
+	dirty := func(c *Context[int64]) {
+		for i := range int32(c.Frag.G.NumVertices()) {
+			c.SetAt(i, int64(i))
+		}
+	}
+	c := newContext(frags[0], spec)
+	for _, f := range frags[1:] {
+		dirty(c)
+		c.reset(f)
+		fresh := newContext(f, spec)
+		nv := f.G.NumVertices()
+		if len(c.vals) != nv || len(c.has) != nv || len(c.borderPos) != nv {
+			t.Fatalf("fragment of %d vertices: rebound arrays have lengths %d, %d, %d", nv, len(c.vals), len(c.has), len(c.borderPos))
+		}
+		if c.Frag != f || !slices.Equal(vars(c), vars(fresh)) {
+			t.Fatalf("fragment of %d vertices: rebound context holds %v, a fresh one %v", nv, vars(c), vars(fresh))
+		}
+		for i := range int32(nv) {
+			if c.IsInnerAt(i) != fresh.IsInnerAt(i) || c.IsBorderAt(i) != fresh.IsBorderAt(i) {
+				t.Fatalf("fragment of %d vertices: vertex %d inner/border %v/%v, fresh %v/%v", nv, i, c.IsInnerAt(i), c.IsBorderAt(i), fresh.IsInnerAt(i), fresh.IsBorderAt(i))
+			}
+		}
+		if !slices.Equal(c.borderPos, fresh.borderPos) || !slices.Equal(c.changed, fresh.changed) || c.nb != fresh.nb || c.queued != fresh.queued {
+			t.Fatalf("fragment of %d vertices: border bitmap differs from a fresh context's", nv)
+		}
+		dirty(c)
+		dirty(fresh)
+		if got, want := c.flush(), fresh.flush(); !slices.Equal(got, want) || !slices.Equal(vars(c), vars(fresh)) {
+			t.Fatalf("fragment of %d vertices: rebound context flushed %v, a fresh one %v", nv, got, want)
+		}
+	}
+}
+
 func TestContextSemantics(t *testing.T) {
 	g := graph.New()
 	g.AddEdge(1, 2, 1)

@@ -122,7 +122,7 @@ type update[V any] struct {
 // scratch space for the program.
 type Context[V any] struct {
 	// Frag is the fragment this worker owns.
-	Frag *partition.Fragment //grapevet:keep construction-time identity: the pooled scratch is bound to its fragment; reset clears run state, not the binding
+	Frag *partition.Fragment
 	// State is program-private per-worker state that persists across
 	// supersteps (e.g. CF's epoch counter and factor matrices).
 	State any
@@ -157,36 +157,37 @@ type Context[V any] struct {
 }
 
 func newContext[V any](f *partition.Fragment, spec VarSpec[V]) *Context[V] {
-	c := &Context[V]{Frag: f, spec: spec}
-	c.reset()
+	c := &Context[V]{spec: spec}
+	c.reset(f)
 	return c
 }
 
-// reset puts a context — new, or pooled by a Resident — into its
-// just-constructed state, so a run starts from the program's declared
-// defaults. The fragment is shared and untouched; only this run's variable
-// arrays are sized and cleared.
-func (c *Context[V]) reset() {
-	nv := c.Frag.G.NumVertices()
-	switch {
-	case c.vals == nil:
+// reset binds a context — new, or pooled — to fragment f and puts it into
+// its just-constructed state, so a run starts from the program's declared
+// defaults. A Resident rebinds each context to the fragment it always had, a
+// wire worker to the one its setup frame carried. The fragment is shared and
+// untouched; only this run's variable arrays are sized to it and cleared.
+func (c *Context[V]) reset(f *partition.Fragment) {
+	c.Frag = f
+	nv := f.G.NumVertices()
+	if c.vals == nil {
 		// new: sized exactly
 		c.vals = make([]V, nv)
 		c.has = make([]bool, nv)
 		c.borderPos = make([]int32, nv)
-	case len(c.vals) < nv:
-		// pooled, and a session appended vertices to the fragment since:
-		// grow with headroom, as its next batches will append more
-		c.vals = slices.Grow(c.vals, nv-len(c.vals))[:nv]
-		c.has = slices.Grow(c.has, nv-len(c.has))[:nv]
-		c.borderPos = slices.Grow(c.borderPos, nv-len(c.borderPos))[:nv]
-		fallthrough
-	default:
+	} else {
+		// pooled: each array sized against its own capacity — ensure's
+		// appends and Go's size classes round them up apart — growing with
+		// headroom when the fragment outgrew it, as a session's next batches
+		// will append more
+		c.vals = slices.Grow(c.vals[:0], nv)[:nv]
+		c.has = slices.Grow(c.has[:0], nv)[:nv]
+		c.borderPos = slices.Grow(c.borderPos[:0], nv)[:nv]
 		clear(c.vals)
 		clear(c.has)
 		clear(c.borderPos)
 	}
-	clear(c.changed)
+	c.changed = c.changed[:0]
 	c.nb, c.queued = 0, 0
 	c.syncBorder()
 	c.vars = nil

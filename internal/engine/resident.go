@@ -68,7 +68,7 @@ func NewResident[Q, V, R any](layout *partition.Layout, prog Program[Q, V, R], o
 func (r *Resident[Q, V, R]) Run(ctx context.Context, q Q) (R, *metrics.Stats, error) {
 	sc := r.pool.Get().(*runScratch[V])
 	for _, c := range sc.ctxs {
-		c.reset()
+		c.reset(c.Frag)
 	}
 	sc.fold.reset()
 	res, stats, err := fixpoint(ctx, r.layout, r.prog, q, r.opts, newBusSubstrate(r.prog, q, r.opts, sc.ctxs), sc.fold, nil)

@@ -316,28 +316,34 @@ func wireFrame(env mpi.Envelope) ([]byte, error) {
 }
 
 // serveWire is the worker process's serve loop: command frames in, encoded
-// replies out. A worker starts hosting the one fragment the setup frame
-// assigned it, but recovery can hand it more: an adopt frame carries a dead
+// replies out. A worker starts hosting the fragment its setup frame assigned
+// it, sc.ctx's, but recovery can hand it more: an adopt frame carries a dead
 // peer's fragment plus its checkpoint replay log, and from then on commands
 // are dispatched to the addressed fragment (Envelope.To, the frame header's
 // fragment field). The worker exits when a stop frame has released every
 // fragment it hosts, or with ErrAborted on an abort frame. runCtx carries the
 // deadline the coordinator shipped in the setup frame (plus whatever the
 // worker process layered on, e.g. a signal context).
-func serveWire[Q, V, R any](runCtx context.Context, prog WireProgram[Q, V, R], link WorkerLink, q Q, f *partition.Fragment) error {
+func serveWire[Q, V, R any](runCtx context.Context, prog WireProgram[Q, V, R], link WorkerLink, q Q, sc *wireScratch[V]) error {
+	f := sc.ctx.Frag
 	spec := prog.Spec()
 	codec := prog.WireCodec()
-	ctxs := map[int]*Context[V]{f.Index: newContext(f, spec)}
-	// Every reply is encoded into buf and every command decoded into ups: a
-	// command is applied, and its frame handed back, before the next is read.
-	var buf []byte
-	var ups []update[V]
+	ctxs := map[int]*Context[V]{f.Index: sc.ctx}
+	// An adopted fragment is decoded in place, so its frame goes back only
+	// once the run that lives in it has returned.
+	var adopted [][]byte
+	defer func() {
+		for _, frame := range adopted {
+			link.Release(frame)
+		}
+	}()
 	for {
 		env, err := link.Recv()
 		if err != nil {
 			return fmt.Errorf("engine: worker %d: %w", f.Index, err)
 		}
 		if len(env.Frame) > 0 && cmdKind(env.Frame[0]) == cmdAdopt {
+			adopted = append(adopted, env.Frame)
 			ad, err := decodeAdopt(codec, env.Frame)
 			if err != nil {
 				return fmt.Errorf("engine: worker %d: %w", f.Index, err)
@@ -348,7 +354,7 @@ func serveWire[Q, V, R any](runCtx context.Context, prog WireProgram[Q, V, R], l
 			// Only the owed superstep's reply (or a replay error) goes back:
 			// every earlier reply was already folded by the coordinator.
 			if ad.owe > 0 || rerr != nil {
-				if buf, err = replyWire(link, codec, buf, ad.frag.Index, ad.owe, nc, 0, 0, rerr); err != nil {
+				if sc.buf, err = replyWire(link, codec, sc.buf, ad.frag.Index, ad.owe, nc, 0, 0, rerr); err != nil {
 					return fmt.Errorf("engine: worker %d: %w", f.Index, err)
 				}
 			}
@@ -358,11 +364,11 @@ func serveWire[Q, V, R any](runCtx context.Context, prog WireProgram[Q, V, R], l
 		if ctx == nil {
 			return mpi.RunFatal(fmt.Errorf("engine: worker %d: command for fragment %d, which this worker does not host", f.Index, env.To))
 		}
-		cmd, err := decodeCmd(codec, ups, env.Frame, ctx.Frag.G)
+		cmd, err := decodeCmd(codec, sc.ups, env.Frame, ctx.Frag.G)
 		if err != nil {
 			return fmt.Errorf("engine: worker %d: %w", f.Index, err)
 		}
-		ups = cmd.updates
+		sc.ups = cmd.updates
 		link.Release(env.Frame)
 		switch cmd.kind {
 		case cmdStop:
@@ -374,13 +380,13 @@ func serveWire[Q, V, R any](runCtx context.Context, prog WireProgram[Q, V, R], l
 			//grapevet:keep ErrAborted is a cooperative shutdown the worker main matches with errors.Is, not a link fault
 			return fmt.Errorf("engine: worker %d: %w", f.Index, ErrAborted)
 		case cmdAssemble:
-			buf = append(buf[:0], make([]byte, partialHead)...)
+			sc.buf = append(sc.buf[:0], make([]byte, partialHead)...)
 			size := 0
-			body, perr := encodePartial(prog, codec, buf, q, ctx)
+			body, perr := encodePartial(prog, codec, sc.buf, q, ctx)
 			if perr == nil {
-				buf, size = body, len(body)-partialHead
+				sc.buf, size = body, len(body)-partialHead
 			}
-			err = link.Send(mpi.Envelope{From: env.To, To: mpi.Coordinator, Step: env.Step, Frame: encodePartialFrame(buf, perr), Size: size})
+			err = link.Send(mpi.Envelope{From: env.To, To: mpi.Coordinator, Step: env.Step, Frame: encodePartialFrame(sc.buf, perr), Size: size})
 		case cmdPEval, cmdIncEval:
 			// The deadline gate: computing past an expired run context would
 			// burn CPU the coordinator has already written off. Reply with the
@@ -391,7 +397,7 @@ func serveWire[Q, V, R any](runCtx context.Context, prog WireProgram[Q, V, R], l
 			if perr == nil {
 				computeNS, applyNS, perr = execStep(prog, q, ctx, cmd)
 			}
-			buf, err = replyWire(link, codec, buf, env.To, env.Step, ctx, computeNS, applyNS, perr)
+			sc.buf, err = replyWire(link, codec, sc.buf, env.To, env.Step, ctx, computeNS, applyNS, perr)
 		default:
 			return mpi.RunFatal(fmt.Errorf("engine: worker %d: command %d is not supported over a wire transport", f.Index, cmd.kind))
 		}
@@ -450,17 +456,39 @@ func decodePartial[Q, V, R any](prog WireProgram[Q, V, R], codec Codec[V], q Q, 
 	return nil
 }
 
+// wireScratch is what a wire worker's run allocates and the next run of the
+// same program reuses, as a Resident's runScratch is on the bus: the context
+// of the fragment the setup frame assigned, the batch every command decodes
+// into and the buffer every reply is encoded into.
+type wireScratch[V any] struct {
+	ctx *Context[V]
+	ups []update[V]
+	buf []byte
+}
+
 // WireServe adapts a WireProgram into the type-erased worker hook registered
 // in Entry.Wire: it decodes the query from the setup frame and serves the
 // fixpoint on the given fragment until the coordinator releases (or aborts)
-// it.
+// it. Its runs draw their scratch from one pool, so a worker process serving
+// run after run reuses the memory of the last.
 func WireServe[Q, V, R any](prog WireProgram[Q, V, R]) func(context.Context, WorkerLink, []byte, *partition.Fragment) error {
+	spec := prog.Spec()
+	var pool sync.Pool // *wireScratch[V]
+	pool.New = func() any { return &wireScratch[V]{ctx: &Context[V]{spec: spec}} }
 	return func(ctx context.Context, link WorkerLink, query []byte, f *partition.Fragment) error {
 		q, err := prog.DecodeQuery(query)
 		if err != nil {
 			return fmt.Errorf("engine: %s: decoding query: %w", prog.Name(), err)
 		}
-		return serveWire(ctx, prog, link, q, f)
+		sc := pool.Get().(*wireScratch[V])
+		sc.ctx.reset(f)
+		err = serveWire(ctx, prog, link, q, sc)
+		// The fragment lives in the setup frame, which goes back to the
+		// transport next: the pooled context keeps neither it nor the
+		// program's state reachable.
+		sc.ctx.Frag, sc.ctx.State, sc.ctx.Partial = nil, nil, nil
+		pool.Put(sc)
+		return err
 	}
 }
 
@@ -477,6 +505,9 @@ func ServeWorker(ctx context.Context, link WorkerLink) error {
 	if err != nil {
 		return fmt.Errorf("engine: reading setup frame: %w", err)
 	}
+	// The fragment is decoded in place: the frame goes back once the run
+	// that lives in it has returned.
+	defer link.Release(env.Frame)
 	name, query, deadlineMicros, fragBlob, err := decodeSetup(env.Frame)
 	if err != nil {
 		return fmt.Errorf("engine: decoding setup frame: %w", err)

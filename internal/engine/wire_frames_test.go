@@ -115,7 +115,9 @@ func TestWireSuperstepAllocsPerFrame(t *testing.T) {
 	up := make(chan mpi.Envelope, 1)
 	tr := chanTransport{links: []chanLink{{in: make(chan mpi.Envelope, 1), out: up}}}
 	served := make(chan error, 1)
-	go func() { served <- serveWire(context.Background(), prog, tr.links[0], vecQuery{}, layout.Fragments[0]) }()
+	go func() {
+		served <- serveWire(context.Background(), prog, tr.links[0], vecQuery{}, &wireScratch[[]float64]{ctx: newContext(layout.Fragments[0], prog.Spec())})
+	}()
 
 	var buf []byte
 	var decoded []update[[]float64]

@@ -45,9 +45,10 @@ const Coordinator = -1
 // Frame ownership, the rule that lets both ends reuse memory: a Frame handed
 // to Send is the caller's again when Send returns (the transport has written
 // or copied it), so a sender encodes every frame into one buffer. A Frame
-// delivered by Recv is the receiver's until it passes it to Release, having
-// copied out what it keeps. A frame something lives in — setup and adopt
-// frames, whose fragment is decoded in place — is never released.
+// delivered by Recv is the receiver's until it passes it to Release, which it
+// does exactly once, when nothing lives in it any more: a command or reply
+// once decoded, a setup or adopt frame — whose fragment is decoded in place —
+// once the run on that fragment has returned.
 type Envelope struct {
 	From    int
 	To      int

@@ -1,0 +1,5 @@
+package transport
+
+// RaceDetector hands the external tests the build's race flag: a test that
+// counts on sync.Pool reuse skips under it, as TestSessionBuffersAreReused does.
+const RaceDetector = raceDetector

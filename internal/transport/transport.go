@@ -94,8 +94,10 @@ const (
 	// connBuf sizes each link's read buffer; larger payloads bypass it.
 	connBuf = 1 << 16
 	// Pooled payload buffers come in power-of-two classes, 1<<minClass to
-	// 1<<maxClass bytes; readFrame allocates no further ahead of arrival.
-	minClass, maxClass = 9, 19
+	// 1<<maxClass bytes. readFrame's first read of a payload takes at most
+	// 1<<firstClass bytes, and each further read at most what has arrived,
+	// so memory never runs further ahead of arrival than that.
+	minClass, firstClass, maxClass = 9, 19, 22
 
 	// Liveness defaults: the coordinator pings every link at pingEvery and
 	// declares one dead after window of silence; workers bound their reads
@@ -660,18 +662,15 @@ func (c *conn) readFrame() (frag, step, size int, payload []byte, err error) {
 	}
 	// 8-aligned, so a flat fragment frame laid at an 8-aligned payload offset
 	// is decoded in place. Memory follows the bytes that arrive, not the
-	// length a header claims: a payload beyond the largest class doubles as
-	// it fills. A control payload that fits is cut to measure, not drawn from
-	// the pool: the large ones carry fragments and never come back.
+	// length a header claims: the first read takes at most 1<<firstClass
+	// bytes and the buffer doubles as it fills. Every payload up to
+	// 1<<maxClass lies in a pooled class buffer, so the receiver's Release
+	// recycles it — fragment frames included, once nothing lives in them.
 	n := int(length - (frameHeaderLen - 4))
-	switch {
-	case n == 0:
+	if n == 0 {
 		return frag, step, size, []byte{}, nil // a nil Frame means "link failed" to the engine
-	case size == 0 && n <= 1<<maxClass:
-		payload = graph.AlignedBuf(n)
-	default:
-		payload = getFrame(min(n, 1<<maxClass))
 	}
+	payload = getFrame(min(n, 1<<firstClass))
 	for got := 0; ; {
 		if _, err := io.ReadFull(c.br, payload[got:]); err != nil {
 			return 0, 0, 0, nil, err
@@ -679,7 +678,12 @@ func (c *conn) readFrame() (frag, step, size int, payload []byte, err error) {
 		if got = len(payload); got == n {
 			return frag, step, size, payload, nil
 		}
-		grown := graph.AlignedBuf(min(n, 2*got))
+		var grown []byte
+		if next := min(n, 2*got); next <= 1<<maxClass {
+			grown = getFrame(next)
+		} else {
+			grown = graph.AlignedBuf(next)
+		}
 		copy(grown, payload)
 		putFrame(payload)
 		payload = grown
