@@ -134,18 +134,6 @@ type Strategy interface {
 	Partition(g *graph.Graph, n int) (*Assignment, error)
 }
 
-// IDOnly reports whether s assigns owners from the vertex IDs alone (Hash,
-// Range, TwoD), never from the edges. Such an assignment survives any batch
-// of edge insertions and deletions: a fresh cut of the changed graph would
-// leave every vertex where it is.
-func IDOnly(s Strategy) bool {
-	switch s.(type) {
-	case Hash, Range, TwoD:
-		return true
-	}
-	return false
-}
-
 // Strategies returns the built-in strategy library in a stable order,
 // mirroring the strategy picker of the demo's play panel.
 func Strategies() []Strategy {

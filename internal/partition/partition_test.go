@@ -37,43 +37,6 @@ func TestEveryStrategyProducesTotalValidAssignment(t *testing.T) {
 	}
 }
 
-// TestIDOnlyAssignmentSurvivesEdgeBatches: an ID-only strategy assigns a
-// graph that gained and lost edges exactly as before.
-func TestIDOnlyAssignmentSurvivesEdgeBatches(t *testing.T) {
-	g := gen.RoadGrid(48, 48, 1)
-	var b graph.Batch
-	for _, batch := range gen.UpdateStream(g, gen.StreamConfig{Batches: 20, BatchSize: 16, DeleteP: 0.4, Seed: 1}) {
-		for _, u := range batch {
-			if u.Del {
-				b.RemoveEdge(u.From, u.To, u.Label)
-			} else {
-				b.AddEdge(u.From, u.To, u.W, u.Label)
-			}
-		}
-	}
-	changed, _, err := graph.Splice(g, &b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, strat := range Strategies() {
-		before, err := strat.Partition(g, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		after, err := strat.Partition(changed, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		same := true
-		for _, id := range g.Vertices() {
-			same = same && before.Owner(id) == after.Owner(id)
-		}
-		if IDOnly(strat) && !same {
-			t.Errorf("%s is ID-only, yet moved vertices after a batch of edges", strat.Name())
-		}
-	}
-}
-
 func TestBalanceWithinTolerance(t *testing.T) {
 	g := gen.PreferentialAttachment(2000, 4, 5)
 	for _, strat := range Strategies() {

@@ -120,10 +120,10 @@ func (c Config) withDefaults() Config {
 
 // Server keeps named graphs resident — each partitioned at most once per
 // hops and epoch into a frozen layout, under the configured strategy and
-// workers — and answers concurrent queries over the shared layouts. Under an
-// ID-only strategy the hops-0 layout after a batch is the update session's
-// own, spliced by the batch rather than cut again, for every program that
-// answers the same on any cut. Safe for concurrent use.
+// workers — and answers concurrent queries over the shared layouts. After a
+// batch the hops-0 layout is the update session's own, spliced by the batch
+// rather than cut again, for every program that answers the same on any cut.
+// Safe for concurrent use.
 //
 // Admission is global (one MaxInFlight pool across all graphs), which keeps
 // the resource bound simple but means a graph whose runs are slow — or
@@ -172,9 +172,10 @@ type residentGraph struct {
 	// sess is the continuous-update session mutations flow through, lazily
 	// created for the (program, canonical query) the client mutates under —
 	// any registered class works; programs without incremental hooks reseed
-	// inside the session. It owns its own layout, which Mutate may also hand
-	// to the hops-0 layout slot (see layoutSlot.session); every other
-	// resident query layout is cut from the mutated base graph on first use.
+	// inside the session. It owns its own layout, which Mutate hands to the
+	// hops-0 layout slot when it has hops 0 (see layoutSlot.session); every
+	// other resident query layout is cut from the mutated base graph on first
+	// use.
 	sess      engine.SessionHandle
 	sessProg  string
 	sessCanon string
@@ -197,14 +198,16 @@ type residentGraph struct {
 // a fresh cut at most once; concurrent first queries on the same depth wait
 // on the sync.Once. runners holds one pooled resident runner per program.
 type layoutSlot struct {
-	// session, set on the hops-0 slot after a batch under an ID-only
-	// strategy, is the retained update session's own layout: the cut the
-	// session opened with, every batch since spliced in. Cut-invariant
-	// programs run on it, and the fresh cut is built only when another
-	// program asks. It needs no copy: Mutate, the one writer of that layout,
-	// holds rg.mu for write and every run holds it for read, so no run sees
-	// the layout change under it. While the session keeps the same layout
-	// pointer, Mutate carries this slot's runners on it into the next
+	// session, set on the hops-0 slot after a batch, is the retained update
+	// session's own layout: the cut the session opened with, every batch
+	// since spliced in. It is never cut again, so under an edge-driven
+	// strategy (fennel, ldg, metis) it drifts from the cut the changed graph
+	// would get: cut-invariant answers do not move, their traffic may.
+	// Cut-invariant programs run on it, and the fresh cut is built only when
+	// another program asks. It needs no copy: Mutate, the one writer of that
+	// layout, holds rg.mu for write and every run holds it for read, so no
+	// run sees the layout change under it. While the session keeps the same
+	// layout pointer, Mutate carries this slot's runners on it into the next
 	// epoch's slot, pooled scratch and all: the scratch is bound to the
 	// layout's *Fragment objects, whose graphs the session swaps in place;
 	// Context.reset and syncBorder absorb the vertices and border positions
@@ -560,19 +563,20 @@ func (s *Server) query(ctx context.Context, req QueryRequest, start time.Time) (
 // Mutate applies a batch of edge insertions and deletions to a named graph
 // through the engine's continuous-query session machinery and bumps the
 // graph's epoch: every cached result keyed to earlier epochs becomes
-// unreachable, and resident layouts are dropped. Under an ID-only strategy
-// (partition.IDOnly) the hops-0 slot starts over holding the session's
-// layout, which the batch spliced, so a cut-invariant program's next miss
-// runs without partitioning — on the previous slot's runner when the session
-// spliced the same layout; any other program or depth cuts the mutated
-// graph afresh. The mutation flows through a retained session of the
-// requested program (default CC with its
-// parameterless query), whose incrementally refreshed answer is primed into
-// the cache under the new epoch — continuous updates keep that query warm
-// instead of merely invalidating it. Mutating under a different (program,
-// query) drops the retained session and seeds a new one. Mutations require a
-// directed graph, as sessions do. A batch the program's validation rejects
-// (Entry.Validate) is ErrBadQuery and changes nothing, on disk or in memory.
+// unreachable, and resident layouts are dropped. The hops-0 slot starts over
+// holding the session's layout, which the batch spliced, so a cut-invariant
+// program's next miss runs without partitioning — on the previous slot's
+// runner when the session spliced the same layout; any other program or
+// depth, and every miss after a batch that broke the session or whose
+// session has no hops-0 layout, cuts the mutated graph afresh. The mutation
+// flows through a retained session of the requested program (default CC with
+// its parameterless query), whose incrementally refreshed answer is primed
+// into the cache under the new epoch — continuous updates keep that query
+// warm instead of merely invalidating it. Mutating under a different
+// (program, query) drops the retained session and seeds a new one. Mutations
+// require a directed graph, as sessions do. A batch the program's validation
+// rejects (Entry.Validate) is ErrBadQuery and changes nothing, on disk or in
+// memory.
 func (s *Server) Mutate(ctx context.Context, name, program, query string, edges []EdgeJSON) (*MutateResponse, error) {
 	if len(edges) == 0 {
 		return nil, fmt.Errorf("%w: empty edge list", ErrBadQuery)
@@ -631,13 +635,13 @@ func (s *Server) Mutate(ctx context.Context, name, program, query string, edges 
 	rg.epoch++
 	s.cache.dropBefore(rg.name, rg.gen, rg.epoch)
 	rg.g = rg.sess.Graph()
-	// The session's layout serves the hops-0 slot only under an ID-only
-	// strategy, whose assignment is the one a fresh cut would make. An
-	// edge-driven one (fennel, ldg, metis) would cut the changed graph
-	// otherwise, and the session's older cut drifts from it.
+	// The session's layout, which the batch updated in place as IncEval does
+	// rather than re-partitioning, serves the hops-0 slot under every
+	// strategy. A broken or patching session offers none, and an expanded
+	// one (hops > 0) is not the hops-0 slot's.
 	layouts := make(map[int]*layoutSlot)
 	rg.lmu.Lock()
-	if l := rg.sess.Layout(); err == nil && l != nil && l.Hops == 0 && partition.IDOnly(s.strat) {
+	if l := rg.sess.Layout(); err == nil && l != nil && l.Hops == 0 {
 		slot := &layoutSlot{session: l, runners: make(map[string]engine.ResidentRunner)}
 		// The same session spliced this very layout: its runners' pooled
 		// scratch stays bound to the right fragments (see layoutSlot.session).

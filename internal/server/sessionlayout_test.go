@@ -16,9 +16,9 @@ import (
 	"grape/internal/seq"
 )
 
-// After a batch, under an ID-only strategy, the hops-0 slot holds the
-// retained session's layout, spliced to the new epoch, and cut-invariant
-// programs answer misses on it instead of on a fresh cut.
+// After a batch, under every strategy, the hops-0 slot holds the retained
+// session's layout, spliced to the new epoch, and cut-invariant programs
+// answer misses on it instead of on a fresh cut.
 
 // defaultSlot returns the graph's hops-0 slot and its retained session's
 // layout (nil without a session), under the graph's read lock.
@@ -64,16 +64,23 @@ func sessionLayoutMisses(t *testing.T) []missCase {
 }
 
 // TestServedMissOnSessionLayout mutates road through an sssp session and
-// social through a cc session. After every batch a nocache cc on road and
-// sssp and keyword on social answer as internal/seq does on a shadow graph,
-// and run on the session's layout: the default slot holds it, and no fresh
-// cut was built. A batch that breaks the session, a SubIso session, whose
-// fragments lag its graph, and a server partitioning by fennel, whose fresh
-// cut would differ from the session's, fall back to a fresh cut.
+// social through a cc session, under each built-in strategy. After every
+// batch a nocache cc on road and sssp and keyword on social answer as
+// internal/seq does on a shadow graph, and run on the session's layout: the
+// default slot holds it, and no fresh cut was built — an edge-driven
+// strategy's session layout included, although a fresh cut of the changed
+// graph would place vertices elsewhere. A batch that breaks the session and a
+// SubIso session, whose fragments lag its graph, fall back to a fresh cut.
 // Then nocache queries run beside a loop of batches, each answer checked
 // against the shadow at the epoch it reports.
 func TestServedMissOnSessionLayout(t *testing.T) {
-	s, gs := newTestServer(t, Config{Workers: 4, Strategy: "2d"})
+	for _, strat := range partition.Strategies() {
+		t.Run(strat.Name(), func(t *testing.T) { servedMissOnSessionLayout(t, strat.Name()) })
+	}
+}
+
+func servedMissOnSessionLayout(t *testing.T, strategy string) {
+	s, gs := newTestServer(t, Config{Workers: 4, Strategy: strategy})
 	defer s.Close()
 	ctx := context.Background()
 	sessions := map[string][2]string{"road": {"sssp", "source=0"}, "social": {"cc", ""}}
@@ -145,20 +152,6 @@ func TestServedMissOnSessionLayout(t *testing.T) {
 	}
 	if slot, sess := defaultSlot(t, s, "commerce"); sess != nil || slot == nil || slot.session != nil || slot.layout == nil {
 		t.Fatal("a SubIso session's fragments served a miss")
-	}
-
-	// fennel places vertices by their edges: the session's cut is not the one
-	// a fresh cut of the changed graph would make, so it serves no miss.
-	fs, _ := newTestServer(t, Config{Workers: 4})
-	defer fs.Close()
-	if _, err := fs.Mutate(ctx, "social", "cc", "", edgesOf(streams["social"][0])); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.Query(ctx, QueryRequest{Graph: "social", Program: "sssp", Query: "source=0", NoCache: true}); err != nil {
-		t.Fatal(err)
-	}
-	if slot, sess := defaultSlot(t, fs, "social"); sess == nil || slot == nil || slot.session != nil || slot.layout == nil {
-		t.Fatal("a fennel session's layout served a miss")
 	}
 
 	// Concurrent misses beside the rest of the batches: every answer must be
@@ -284,9 +277,16 @@ func slotRunner(t *testing.T, s *Server, name, program string) engine.ResidentRu
 // reseeding on a mixed batch, or a batch that breaks the session, leaves
 // another layout or none, and the runner starts over. Over 30 cc batches on
 // PreferentialAttachment(10000, 5) the mean nocache sssp miss allocates at
-// most half of the slot's first miss, which builds the scratch.
+// most half of the slot's first miss, which builds the scratch. It runs under
+// an ID-driven strategy (2d) and an edge-driven one (fennel, the default).
 func TestServedMissReusesRunner(t *testing.T) {
-	s, gs := newTestServer(t, Config{Workers: 8, Strategy: "2d"})
+	for _, strategy := range []string{"2d", "fennel"} {
+		t.Run(strategy, func(t *testing.T) { servedMissReusesRunner(t, strategy) })
+	}
+}
+
+func servedMissReusesRunner(t *testing.T, strategy string) {
+	s, gs := newTestServer(t, Config{Workers: 8, Strategy: strategy})
 	defer s.Close()
 	ctx := context.Background()
 	shadow := gs["social"].Clone()
@@ -375,7 +375,7 @@ func TestServedMissReusesRunner(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops the pooled scratch under the race detector")
 	}
-	big := New(Config{Workers: 8, Strategy: "2d"})
+	big := New(Config{Workers: 8, Strategy: strategy})
 	defer big.Close()
 	g := gen.PreferentialAttachment(10000, 5, 1)
 	if err := big.AddGraph("social", g); err != nil {
