@@ -354,7 +354,7 @@ func (c *Context[V]) VarsAt(f func(i int32, v V)) {
 	}
 }
 
-// AddWork charges n elementary work units (heap operation, edge relaxation,
+// AddWork charges n elementary work units (queue operation, edge relaxation,
 // …) to this worker in the current superstep; Stats.WorkPerStep records it.
 func (c *Context[V]) AddWork(n int64) { c.work += n }
 

@@ -1,6 +1,8 @@
 package seq
 
 import (
+	"math/rand"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 
@@ -184,4 +186,64 @@ func BenchmarkRelax(b *testing.B) {
 			RelaxIdx(g, false, []int32{i0}, get, set)
 		}
 	})
+}
+
+// manySeeds is keyword's IncEval shape: the reverse relaxation over a
+// unit-weight social graph from about 2,000 seeds lowered to distances 0–3,
+// so the queue holds thousands of entries at a handful of distances. It
+// returns the seeds and a function that resets dist to them.
+func manySeeds(g *graph.Graph, dist []float64) ([]int32, func()) {
+	rng := rand.New(rand.NewSource(1))
+	seeds := make([]int32, 2000)
+	at := make([]float64, len(seeds))
+	for i := range seeds {
+		seeds[i] = int32(rng.Intn(g.NumVertices()))
+		at[i] = float64(rng.Intn(4))
+	}
+	return seeds, func() {
+		for i := range dist {
+			dist[i] = Inf
+		}
+		for i, s := range seeds {
+			dist[s] = min(dist[s], at[i])
+		}
+	}
+}
+
+// BenchmarkRelaxManySeeds times one many-seed reverse relaxation, the shape
+// of keyword's IncEval, where a binary heap paid log n per seed.
+func BenchmarkRelaxManySeeds(b *testing.B) {
+	g := gen.PreferentialAttachment(10000, 5, 1)
+	dist := make([]float64, g.NumVertices())
+	get := func(i int32) float64 { return dist[i] }
+	set := func(i int32, d float64) { dist[i] = d }
+	seeds, reset := manySeeds(g, dist)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for k := 0; k < b.N; k++ {
+		reset()
+		RelaxIdx(g, true, seeds, get, set)
+	}
+}
+
+// TestRelaxIdxAllocatesNothing: once its pooled queue has grown, a
+// relaxation allocates nothing.
+func TestRelaxIdxAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items on purpose")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection would empty the pool
+	g := gen.PreferentialAttachment(10000, 5, 1)
+	dist := make([]float64, g.NumVertices())
+	get := func(i int32) float64 { return dist[i] }
+	set := func(i int32, d float64) { dist[i] = d }
+	seeds, reset := manySeeds(g, dist)
+	run := func() {
+		reset()
+		RelaxIdx(g, true, seeds, get, set)
+	}
+	run()
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+		t.Fatalf("warmed RelaxIdx allocated %.1f objects per run, want 0", allocs)
+	}
 }

@@ -5,12 +5,13 @@
 // single-worker baselines in benchmarks.
 //
 // Functions that participate in PEval/IncEval report their work in elementary
-// units (heap operations, edge relaxations, refinement steps) so the engines
+// units (queue operations, edge relaxations, refinement steps) so the engines
 // can count each worker's work per superstep.
 package seq
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 
 	"grape/internal/graph"
@@ -19,53 +20,112 @@ import (
 // Inf is the "unreached" distance.
 var Inf = math.Inf(1)
 
-// minHeap is the binary min-heap of (distance, key) entries behind every
-// relaxation: K is a vertex ID on the sparse path and a dense vertex index on
-// the frozen one. It is container/heap's sift-up / sift-down spelled out over
-// a typed slice — the same comparisons and swaps in the same order, so
-// entries of equal distance pop in the order they always did and the work
-// counts of Relax and RelaxIdx agree — without boxing every entry in an `any`.
-type minHeap[K any] []heapEntry[K]
+// radixQueue is the monotone priority queue of (distance, key) entries behind
+// every relaxation — the radix heap of Ahuja, Mehlhorn, Orlin and Tarjan
+// (1990). K is a vertex ID on the sparse path and a dense vertex index on the
+// frozen one.
+//
+// An entry's key is the bit pattern of its distance: for non-negative floats
+// that order is the numeric one. Bucket 0 holds the entries whose key is at
+// most last, the key of the latest refill; bucket b > 0 holds the keys above
+// last whose highest bit differing from last is bit b-1, and bit b of mask
+// marks bucket b non-empty. A pop takes from bucket 0; when that is empty it
+// refills it from the lowest non-empty bucket, whose minimum becomes last and
+// whose other entries move to lower buckets. An entry only ever moves down,
+// so at most 63 times, and when distances repeat — unit weights, many seeds
+// at a few distances — an entry moves about once.
+//
+// With non-negative weights every push is at least last, so bucket 0 holds
+// only keys equal to last and pops come out in Dijkstra order (ties in
+// bucket 0 pop last-in first-out). A negative weight can push a distance
+// below last; it joins bucket 0 and pops before every other bucket, so no
+// entry is lost and the relaxation stays label-correcting. The order of pops
+// depends on distances alone, never on K, so Relax and RelaxIdx pop the same
+// sequence over the same graph.
+type radixQueue[K any] struct {
+	last    uint64
+	mask    uint64
+	buckets [64][]radixEntry[K]
+}
 
-type heapEntry[K any] struct {
+type radixEntry[K any] struct {
 	d float64
 	k K
 }
 
-func (h *minHeap[K]) push(k K, d float64) {
-	s := append(*h, heapEntry[K]{d, k})
-	for j := len(s) - 1; j > 0; {
-		i := (j - 1) / 2
-		if !(s[j].d < s[i].d) {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		j = i
+// radixKey is d's queue key: its bit pattern, with -0, every negative
+// distance and NaN folded to 0, the least key. No key has the sign bit set,
+// so every bucket index is below 64.
+func radixKey(d float64) uint64 {
+	if !(d > 0) {
+		return 0
 	}
-	*h = s
+	return math.Float64bits(d)
 }
 
-func (h *minHeap[K]) pop() (K, float64) {
-	s := *h
-	n := len(s) - 1
-	s[0], s[n] = s[n], s[0]
-	for i := 0; ; {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if r := j + 1; r < n && s[r].d < s[j].d {
-			j = r
-		}
-		if !(s[j].d < s[i].d) {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		i = j
+func (q *radixQueue[K]) empty() bool { return q.mask == 0 }
+
+func (q *radixQueue[K]) push(k K, d float64) {
+	b := 0
+	if key := radixKey(d); key > q.last {
+		b = bits.Len64(key ^ q.last)
 	}
-	*h = s[:n]
-	return s[n].k, s[n].d
+	q.buckets[b] = append(q.buckets[b], radixEntry[K]{d, k})
+	q.mask |= 1 << b
 }
+
+// pop removes and returns an entry of the least distance; the queue must not
+// be empty.
+func (q *radixQueue[K]) pop() (K, float64) {
+	if q.mask&1 == 0 {
+		q.refill()
+	}
+	s := q.buckets[0]
+	n := len(s) - 1
+	e := s[n]
+	q.buckets[0] = s[:n]
+	if n == 0 {
+		q.mask &^= 1
+	}
+	return e.k, e.d
+}
+
+// refill empties the lowest non-empty bucket into the ones below it around
+// its minimum, which becomes last and lands in bucket 0.
+func (q *radixQueue[K]) refill() {
+	b := bits.TrailingZeros64(q.mask)
+	s := q.buckets[b]
+	last := radixKey(s[0].d)
+	for _, e := range s[1:] {
+		last = min(last, radixKey(e.d))
+	}
+	q.last = last
+	for _, e := range s {
+		nb := bits.Len64(radixKey(e.d) ^ last)
+		q.buckets[nb] = append(q.buckets[nb], e)
+		q.mask |= 1 << nb
+	}
+	q.buckets[b] = s[:0]
+	q.mask &^= 1 << b
+}
+
+// reset empties the queue for a new relaxation, keeping its buckets'
+// capacity.
+func (q *radixQueue[K]) reset() {
+	for m := q.mask; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		q.buckets[b] = q.buckets[b][:0]
+	}
+	q.last, q.mask = 0, 0
+}
+
+// idQueuePool and idxQueuePool recycle relaxation queues across Relax and
+// RelaxIdx calls: the engine invokes one relaxation per worker per superstep,
+// and the queue's buckets are the only allocation on that path.
+var (
+	idQueuePool  = sync.Pool{New: func() any { return new(radixQueue[graph.ID]) }}
+	idxQueuePool = sync.Pool{New: func() any { return new(radixQueue[int32]) }}
+)
 
 // Relax runs Dijkstra-style label-correcting relaxation on g starting from
 // seeds, reading and writing distances through get/set. It assumes the seed
@@ -79,19 +139,24 @@ func (h *minHeap[K]) pop() (K, float64) {
 //     proportional to the nodes whose distance actually changes (|CHANGED|
 //     and their incident edges), not to |F_i|.
 //
-// It returns the number of work units spent (heap pushes + edge relaxations).
+// It returns the number of work units spent (queue pushes, queue pops and
+// edge scans).
 func Relax(g *graph.Graph, seeds []graph.ID, get func(graph.ID) float64, set func(graph.ID, float64)) int64 {
 	var work int64
-	var h minHeap[graph.ID]
+	q := idQueuePool.Get().(*radixQueue[graph.ID])
+	defer func() {
+		q.reset()
+		idQueuePool.Put(q)
+	}()
 	for _, s := range seeds {
 		if !g.Has(s) {
 			continue
 		}
-		h.push(s, get(s))
+		q.push(s, get(s))
 		work++
 	}
-	for len(h) > 0 {
-		id, d := h.pop()
+	for !q.empty() {
+		id, d := q.pop()
 		work++
 		if d > get(id) { // stale entry
 			continue
@@ -101,18 +166,13 @@ func Relax(g *graph.Graph, seeds []graph.ID, get func(graph.ID) float64, set fun
 			nd := d + edge.W
 			if nd < get(edge.To) {
 				set(edge.To, nd)
-				h.push(edge.To, nd)
+				q.push(edge.To, nd)
 				work++
 			}
 		}
 	}
 	return work
 }
-
-// idxHeapPool recycles relaxation heaps across RelaxIdx calls: the engine
-// invokes one relaxation per worker per superstep, and the heap's backing
-// array is the only allocation on that path.
-var idxHeapPool = sync.Pool{New: func() any { return new(minHeap[int32]) }}
 
 // RelaxIdx is Relax over a frozen graph's CSR form: seeds, reads and writes
 // are addressed by dense vertex index and every edge hop lands on the packed
@@ -121,17 +181,17 @@ var idxHeapPool = sync.Pool{New: func() any { return new(minHeap[int32]) }}
 // exactly.
 func RelaxIdx(g *graph.Graph, rev bool, seeds []int32, get func(int32) float64, set func(int32, float64)) int64 {
 	var work int64
-	h := idxHeapPool.Get().(*minHeap[int32])
+	q := idxQueuePool.Get().(*radixQueue[int32])
 	defer func() {
-		*h = (*h)[:0]
-		idxHeapPool.Put(h)
+		q.reset()
+		idxQueuePool.Put(q)
 	}()
 	for _, s := range seeds {
-		h.push(s, get(s))
+		q.push(s, get(s))
 		work++
 	}
-	for len(*h) > 0 {
-		i, d := h.pop()
+	for !q.empty() {
+		i, d := q.pop()
 		work++
 		if d > get(i) { // stale entry
 			continue
@@ -147,7 +207,7 @@ func RelaxIdx(g *graph.Graph, rev bool, seeds []int32, get func(int32) float64, 
 			nd := d + edge.W
 			if nd < get(edge.To) {
 				set(edge.To, nd)
-				h.push(edge.To, nd)
+				q.push(edge.To, nd)
 				work++
 			}
 		}
