@@ -417,6 +417,30 @@ func BenchmarkTriCount(b *testing.B) {
 	report(b, st)
 }
 
+// BenchmarkTriCountResident is one tricount op of the benchmark's
+// resident-bus workload: the social graph cut by hash into 8 fragments
+// expanded by one hop, the layout prebuilt, each op a run on it.
+func BenchmarkTriCountResident(b *testing.B) {
+	g := gen.PreferentialAttachment(10000, 5, 1).Freeze()
+	layout, err := engine.BuildLayout(g, engine.Options{Workers: 8, Strategy: partition.Hash{}, ExpandHops: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, err := engine.NewResident(layout, queries.TriCount{}, engine.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var st *metrics.Stats
+	for i := 0; i < b.N; i++ {
+		if _, st, err = r.Run(context.Background(), queries.TriCountQuery{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	report(b, st)
+}
+
 // BenchmarkContinuousUpdates measures the session layer: cost of a small
 // update batch against a standing SSSP query (Example 1(d) over graph
 // updates).

@@ -26,7 +26,8 @@ import "slices"
 // concurrent first use is safe and a graph only ever walked densely — a
 // shipped fragment under a dense kernel — never pays for it. The reverse CSR
 // of a directed graph is derived the same way, on the first InAt, In or
-// InDegreeAt: sssp, cc, keyword and cf never read it.
+// InDegreeAt (sssp, cc, keyword, cf and tricount never read it), and so is
+// the larger-ID neighbor view tricount reads (UpCSR).
 //
 // So is the ID index. A frozen graph stores its ids, vlab, outOff and
 // outDense, the label table, and property headers only if some vertex has a
@@ -139,6 +140,61 @@ func reverseCSR(outOff []int32, outDense []DenseEdge) *revCSR {
 	return &revCSR{inOff, inDense}
 }
 
+// upCSR derives UpCSR's lists from the out CSR alone, in three passes: count
+// every non-loop edge at its smaller-ID end, fill, then drop repeats
+// (parallel and reciprocal edges) with a stamp, compacting in place.
+func upCSR(ids []ID, outOff []int32, outDense []DenseEdge) (off, adj []int32) {
+	nv := len(outOff) - 1
+	off = make([]int32, nv+1)
+	for u := int32(0); u < int32(nv); u++ {
+		for _, e := range outDense[outOff[u]:outOff[u+1]] {
+			switch {
+			case ids[u] < ids[e.To]:
+				off[u+1]++
+			case ids[e.To] < ids[u]:
+				off[e.To+1]++
+			}
+		}
+	}
+	for i := 0; i < nv; i++ {
+		off[i+1] += off[i]
+	}
+	adj = make([]int32, off[nv])
+	next := make([]int32, nv)
+	copy(next, off[:nv])
+	for u := int32(0); u < int32(nv); u++ {
+		for _, e := range outDense[outOff[u]:outOff[u+1]] {
+			switch {
+			case ids[u] < ids[e.To]:
+				adj[next[u]] = e.To
+				next[u]++
+			case ids[e.To] < ids[u]:
+				adj[next[e.To]] = u
+				next[e.To]++
+			}
+		}
+	}
+	stamp := next // spent: stamp[x] == v+1 once x is kept for v
+	clear(stamp)
+	w := int32(0)
+	for v := 0; v < nv; v++ {
+		lo, hi := off[v], off[v+1]
+		off[v] = w
+		for _, x := range adj[lo:hi] {
+			if stamp[x] != int32(v)+1 {
+				stamp[x] = int32(v) + 1
+				adj[w] = x
+				w++
+			}
+		}
+	}
+	off[nv] = w
+	if int(w) < len(adj) {
+		adj = slices.Clone(adj[:w]) // the view lives as long as the graph: no slack
+	}
+	return off, adj
+}
+
 // sparseEdges derives the sparse-ID view of a packed edge array — the
 // inverse of what Freeze interns: Edge{To: ids[e.To], W, labels[e.Label]}.
 // dense must have passed checkDense.
@@ -217,6 +273,18 @@ func (g *Graph) InCSR() (off []int32, dense []DenseEdge) {
 	}
 	r := g.reverse()
 	return r.off, r.dense
+}
+
+// UpCSR returns, for each vertex, its undirected neighbors with a larger ID
+// — adj[off[i]:off[i+1]] for the vertex at dense index i, as dense indices,
+// each once: self-loops are dropped and parallel and reciprocal edges
+// collapse. It is derived from the out CSR on first call and shared by frozen
+// clones; the reverse CSR is not needed. Frozen graphs only; the caller must
+// not mutate the returned slices.
+func (g *Graph) UpCSR() (off, adj []int32) {
+	s := g.lazy
+	s.upOnce.Do(func() { s.upOff, s.upAdj = upCSR(g.ids, g.outOff, g.outDense) })
+	return s.upOff, s.upAdj
 }
 
 // OutDegreeAt returns the out-degree of the vertex at dense index i. Frozen

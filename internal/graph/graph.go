@@ -85,16 +85,17 @@ type Graph struct {
 // first use is safe and a run that never asks never pays: the reverse CSR of
 // a directed graph (InAt, In, InDegreeAt), the sparse-ID edge arrays parallel
 // to outDense/inDense (Out, In, thaw), the ascending-ID vertex order
-// (SortedIndices) and, for a graph with no map of its own, the ID index
-// (Index and every by-ID lookup). Frozen clones share the CSR arrays and so
-// share the views.
+// (SortedIndices), the larger-ID neighbor lists (UpCSR) and, for a graph
+// with no map of its own, the ID index (Index and every by-ID lookup). Frozen
+// clones share the CSR arrays and so share the views.
 type lazyViews struct {
-	revOnce, outOnce, inOnce, orderOnce, indexOnce sync.Once
+	revOnce, outOnce, inOnce, orderOnce, upOnce, indexOnce sync.Once
 
-	rev     atomic.Pointer[revCSR] // set once, under revOnce
-	out, in []Edge
-	order   []int32
-	index   map[ID]int32 // never written after indexOnce: a thaw builds its own
+	rev          atomic.Pointer[revCSR] // set once, under revOnce
+	out, in      []Edge
+	order        []int32
+	upOff, upAdj []int32
+	index        map[ID]int32 // never written after indexOnce: a thaw builds its own
 }
 
 // revCSR is the reverse CSR of a frozen directed graph.

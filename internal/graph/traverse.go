@@ -28,36 +28,17 @@ func (g *Graph) BFS(src ID, visit func(id ID, depth int) bool) {
 // Neighborhood returns the set of vertices within d hops of each seed
 // (following out-edges), including the seeds themselves.
 func (g *Graph) Neighborhood(seeds []ID, d int) map[ID]bool {
-	if g.frozen {
-		return g.neighborhoodIdx(seeds, d, false)
-	}
-	seen := make(map[ID]bool, len(seeds))
-	frontier := make([]ID, 0, len(seeds))
-	for _, s := range seeds {
-		if g.Has(s) && !seen[s] {
-			seen[s] = true
-			frontier = append(frontier, s)
-		}
-	}
-	for hop := 0; hop < d && len(frontier) > 0; hop++ {
-		var next []ID
-		for _, u := range frontier {
-			for _, e := range g.Out(u) {
-				if !seen[e.To] {
-					seen[e.To] = true
-					next = append(next, e.To)
-				}
-			}
-		}
-		frontier = next
-	}
-	return seen
+	return g.neighborhood(seeds, d, false)
 }
 
 // UndirectedNeighborhood is Neighborhood following both edge directions.
 func (g *Graph) UndirectedNeighborhood(seeds []ID, d int) map[ID]bool {
+	return g.neighborhood(seeds, d, true)
+}
+
+func (g *Graph) neighborhood(seeds []ID, d int, undirected bool) map[ID]bool {
 	if g.frozen {
-		return g.neighborhoodIdx(seeds, d, true)
+		return g.neighborhoodIdx(seeds, d, undirected)
 	}
 	seen := make(map[ID]bool, len(seeds))
 	frontier := make([]ID, 0, len(seeds))
@@ -70,16 +51,16 @@ func (g *Graph) UndirectedNeighborhood(seeds []ID, d int) map[ID]bool {
 	for hop := 0; hop < d && len(frontier) > 0; hop++ {
 		var next []ID
 		for _, u := range frontier {
-			for _, e := range g.Out(u) {
-				if !seen[e.To] {
-					seen[e.To] = true
-					next = append(next, e.To)
-				}
+			sides := [2][]Edge{g.Out(u)}
+			if undirected {
+				sides[1] = g.In(u)
 			}
-			for _, e := range g.In(u) {
-				if !seen[e.To] {
-					seen[e.To] = true
-					next = append(next, e.To)
+			for _, es := range sides {
+				for _, e := range es {
+					if !seen[e.To] {
+						seen[e.To] = true
+						next = append(next, e.To)
+					}
 				}
 			}
 		}
@@ -105,15 +86,12 @@ func (g *Graph) neighborhoodIdx(seeds []ID, d int, undirected bool) map[ID]bool 
 	for hop := 0; hop < d && len(frontier) > 0; hop++ {
 		var next []int32
 		for _, u := range frontier {
-			for _, e := range g.OutAt(u) {
-				if !visited[e.To] {
-					visited[e.To] = true
-					next = append(next, e.To)
-					n++
-				}
-			}
+			sides := [2][]DenseEdge{g.OutAt(u)}
 			if undirected {
-				for _, e := range g.InAt(u) {
+				sides[1] = g.InAt(u)
+			}
+			for _, es := range sides {
+				for _, e := range es {
 					if !visited[e.To] {
 						visited[e.To] = true
 						next = append(next, e.To)

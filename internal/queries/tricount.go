@@ -1,13 +1,14 @@
 package queries
 
 import (
-	"cmp"
 	"context"
+	"maps"
 	"slices"
 
 	"grape/internal/engine"
 	"grape/internal/graph"
 	"grape/internal/metrics"
+	"grape/internal/seq"
 )
 
 // TriCountQuery asks for the number of triangles in the undirected view of
@@ -27,11 +28,12 @@ type TriCountResult struct {
 // through v lies inside v's 1-hop neighborhood, so with fragments expanded
 // by one hop (Options.ExpandHops = 1),
 //
-//	PEval    — the textbook pivot enumeration: for each inner pivot v and
-//	           neighbor pair (a, b) of v, count the triangle iff a and b are
-//	           adjacent and v is the smallest endpoint (each triangle has
-//	           exactly one smallest vertex, so the global count needs no
-//	           deduplication);
+//	PEval    — the forward triangle count (seq.TrianglesAt): for each inner
+//	           pivot v, the triangles {v, a, b} with v < a < b by ID, read
+//	           off the fragment's larger-ID neighbor lists (graph.UpCSR,
+//	           derived from its out-CSR once; no reverse CSR) — up(v)
+//	           stamped, up(a) scanned for every a in up(v). Each triangle has
+//	           one smallest vertex, so the count needs no deduplication;
 //	IncEval  — nothing to do: one superstep;
 //	Assemble — sums the per-fragment counts.
 type TriCount struct{}
@@ -49,68 +51,16 @@ func (TriCount) Spec() engine.VarSpec[uint8] {
 	}
 }
 
-// PEval implements engine.Program. The pivot enumeration runs over the CSR
-// form with epoch-stamped scratch arrays for neighbor dedup and adjacency
-// tests — no per-pivot map allocation and no hash per traversed edge.
+// PEval implements engine.Program: seq.TrianglesAt over the fragment's inner
+// vertices. AddWork counts up-list scans: the entries the kernel read.
 func (TriCount) PEval(q TriCountQuery, ctx *engine.Context[uint8]) error {
-	f := ctx.Frag
-	g := f.G
-	nv := g.NumVertices()
+	f, g := ctx.Frag, ctx.Frag.G
 	counts := make(map[graph.ID]int64)
 	var total int64
-	// epoch-stamped scratch: seen dedups a pivot's neighborhood, adj marks
-	// the neighborhood of one `bigger` candidate for O(1) adjacency tests.
-	seen := make([]int32, nv)
-	adj := make([]int32, nv)
-	epoch, adjEpoch := int32(0), int32(0)
-	var bigger []int32
-	iidx := f.InnerIndices()
-	inOff, inDense := g.InCSR()
-	for k, v := range f.Inner {
-		vi := iidx[k]
-		epoch++
-		nbrs := 0
-		bigger = bigger[:0]
-		collect := func(t int32) {
-			if t == vi || seen[t] == epoch {
-				return
-			}
-			seen[t] = epoch
-			nbrs++
-			if g.IDAt(t) > v {
-				bigger = append(bigger, t)
-			}
-		}
-		for _, e := range g.OutAt(vi) {
-			collect(e.To)
-		}
-		for _, e := range inDense[inOff[vi]:inOff[vi+1]] {
-			collect(e.To)
-		}
-		ctx.AddWork(int64(nbrs))
-		slices.SortFunc(bigger, func(a, b int32) int { return cmp.Compare(g.IDAt(a), g.IDAt(b)) })
-		for i := 0; i < len(bigger); i++ {
-			adjEpoch++
-			bi := bigger[i]
-			for _, e := range g.OutAt(bi) {
-				if e.To != bi {
-					adj[e.To] = adjEpoch
-				}
-			}
-			for _, e := range inDense[inOff[bi]:inOff[bi+1]] {
-				if e.To != bi {
-					adj[e.To] = adjEpoch
-				}
-			}
-			for j := i + 1; j < len(bigger); j++ {
-				ctx.AddWork(1)
-				if adj[bigger[j]] == adjEpoch {
-					counts[v]++
-					total++
-				}
-			}
-		}
-	}
+	ctx.AddWork(seq.TrianglesAt(g, f.InnerIndices(), func(v int32, n int64) {
+		counts[g.IDAt(v)] = n
+		total += n
+	}))
 	ctx.Partial = TriCountResult{Total: total, PerPivot: counts}
 	return nil
 }
@@ -128,13 +78,9 @@ func (TriCount) Assemble(q TriCountQuery, ctxs []*engine.Context[uint8]) (TriCou
 	}
 	out := TriCountResult{PerPivot: make(map[graph.ID]int64, pivots)}
 	for _, ctx := range ctxs {
-		if ctx.Partial == nil {
-			continue
-		}
-		p := ctx.Partial.(TriCountResult)
-		out.Total += p.Total
-		for v, c := range p.PerPivot {
-			out.PerPivot[v] += c
+		if p, ok := ctx.Partial.(TriCountResult); ok {
+			out.Total += p.Total
+			maps.Copy(out.PerPivot, p.PerPivot)
 		}
 	}
 	return out, nil
@@ -147,42 +93,35 @@ func (TriCount) SessionQuery(q TriCountQuery) TriCountQuery { return q }
 // InitPatch implements engine.SessionPatcher: retain a private copy of the
 // assembled counts (the caller keeps the returned result).
 func (TriCount) InitPatch(q TriCountQuery, g *graph.Graph, res TriCountResult) (any, error) {
-	st := TriCountResult{Total: res.Total, PerPivot: make(map[graph.ID]int64, len(res.PerPivot))}
-	for v, c := range res.PerPivot {
-		st.PerPivot[v] = c
-	}
-	return st, nil
+	return TriCountResult{Total: res.Total, PerPivot: maps.Clone(res.PerPivot)}, nil
 }
 
 // ApplyPatch implements engine.SessionPatcher with the exact delta of the
-// batch, read off the graphs before and after it. The enumeration works on
+// batch, read off the graphs before and after it. The count works on
 // undirected neighbor sets, so only an undirected pair {u, v} whose adjacency
 // the batch changed — a connection the batch created (no instance before, one
 // after) or removed — changes the count; parallel and reverse instances do
 // not. A lost triangle is one of the old graph with a removed pair, a new
 // triangle one of the new graph with a created pair, and every other
 // triangle is in both. So each changed pair counts the common neighbors w of
-// its ends in the graph where it is connected, and each triangle {u, v, w}
-// is counted once, by the smallest changed pair among its three, and credited
-// to its smallest vertex, matching PEval's pivot rule.
+// its ends in the graph where it is connected — one end's neighbors stamped,
+// the other's scanned — and each triangle {u, v, w} is counted once, by the
+// smallest changed pair among its three, and credited to its smallest
+// vertex, matching PEval's pivot rule.
 func (TriCount) ApplyPatch(q TriCountQuery, old, g *graph.Graph, state any, batch []engine.EdgeUpdate) (any, error) {
 	st := state.(TriCountResult)
 	type pair struct{ a, b int32 } // dense indices, a < b
 	pairOf := func(a, b int32) pair { return pair{min(a, b), max(a, b)} }
-	seen := make(map[pair]bool)
 	changed := make(map[pair]bool) // the pairs whose adjacency the batch changed; true if it created them
 	for _, u := range batch {
 		a, _ := g.Index(u.From)
 		b, _ := g.Index(u.To)
-		p := pairOf(a, b)
-		if a == b || seen[p] {
-			continue // a self-loop touches no triangle; a repeated pair is checked already
-		}
-		seen[p] = true
-		if was, is := adjacent(old, a, b), adjacent(g, a, b); was != is {
-			changed[p] = is
+		if was, is := adjacent(old, a, b), adjacent(g, a, b); a != b && was != is {
+			changed[pairOf(a, b)] = is // a self-loop touches no triangle
 		}
 	}
+	var stamp []int32 // stamp[w] == k: w neighbors the first end of the k-th changed pair
+	k := int32(0)
 	for p, made := range changed {
 		h, sign := old, int64(-1)
 		if made {
@@ -192,15 +131,30 @@ func (TriCount) ApplyPatch(q TriCountQuery, old, g *graph.Graph, state any, batc
 			_, ok := changed[x]
 			return ok && (x.a < p.a || x.a == p.a && x.b < p.b)
 		}
-		na := undirectedNeighborSet(h, p.a)
-		for w := range undirectedNeighborSet(h, p.b) {
-			if !na[w] || smaller(pairOf(p.a, w)) || smaller(pairOf(p.b, w)) {
-				continue // no triangle, or one a smaller changed pair counts
+		if stamp == nil {
+			stamp = make([]int32, g.NumVertices()) // old's vertices are a prefix of g's
+		}
+		k++
+		for _, es := range [2][]graph.DenseEdge{h.OutAt(p.a), h.InAt(p.a)} {
+			for _, e := range es {
+				stamp[e.To] = k
 			}
-			pivot := min(h.IDAt(p.a), h.IDAt(p.b), h.IDAt(w))
-			st.Total += sign
-			if st.PerPivot[pivot] += sign; st.PerPivot[pivot] == 0 {
-				delete(st.PerPivot, pivot)
+		}
+		for _, es := range [2][]graph.DenseEdge{h.OutAt(p.b), h.InAt(p.b)} {
+			for _, e := range es {
+				w := e.To
+				if w == p.a || w == p.b || stamp[w] != k {
+					continue // a loop, or not a common neighbor, or one counted already
+				}
+				stamp[w] = 0
+				if smaller(pairOf(p.a, w)) || smaller(pairOf(p.b, w)) {
+					continue // a smaller changed pair counts this triangle
+				}
+				pivot := min(h.IDAt(p.a), h.IDAt(p.b), h.IDAt(w))
+				st.Total += sign
+				if st.PerPivot[pivot] += sign; st.PerPivot[pivot] == 0 {
+					delete(st.PerPivot, pivot)
+				}
 			}
 		}
 	}
@@ -220,11 +174,7 @@ func adjacent(g *graph.Graph, a, b int32) bool {
 // Assemble's fresh-maps-per-call contract.
 func (TriCount) PatchResult(q TriCountQuery, state any) (TriCountResult, error) {
 	st := state.(TriCountResult)
-	out := TriCountResult{Total: st.Total, PerPivot: make(map[graph.ID]int64, len(st.PerPivot))}
-	for v, c := range st.PerPivot {
-		out.PerPivot[v] = c
-	}
-	return out, nil
+	return TriCountResult{Total: st.Total, PerPivot: maps.Clone(st.PerPivot)}, nil
 }
 
 // RunTriCount runs the program with the 1-hop expansion it needs.
@@ -233,59 +183,15 @@ func RunTriCount(ctx context.Context, g *graph.Graph, opts engine.Options) (TriC
 	return engine.Run(ctx, g, TriCount{}, TriCountQuery{}, opts)
 }
 
-// undirectedNeighborSet returns the distinct neighbors of the vertex at dense
-// index v over both edge directions, as dense indices.
-func undirectedNeighborSet(g *graph.Graph, v int32) map[int32]bool {
-	set := make(map[int32]bool)
-	for _, es := range [2][]graph.DenseEdge{g.OutAt(v), g.InAt(v)} {
-		for _, e := range es {
-			if e.To != v {
-				set[e.To] = true
-			}
-		}
-	}
-	return set
-}
-
-// SeqTriangles is the sequential ground truth: direct enumeration over the
-// whole graph with the same smallest-pivot rule.
-func SeqTriangles(g *graph.Graph) int64 {
-	neighbors := func(v graph.ID) map[graph.ID]bool {
-		set := make(map[graph.ID]bool)
-		for _, es := range [2][]graph.Edge{g.Out(v), g.In(v)} {
-			for _, e := range es {
-				if e.To != v {
-					set[e.To] = true
-				}
-			}
-		}
-		return set
-	}
-	var total int64
-	for _, v := range g.SortedVertices() {
-		var bigger []graph.ID
-		for u := range neighbors(v) {
-			if u > v {
-				bigger = append(bigger, u)
-			}
-		}
-		for i := 0; i < len(bigger); i++ {
-			ai := neighbors(bigger[i])
-			for j := i + 1; j < len(bigger); j++ {
-				if ai[bigger[j]] {
-					total++
-				}
-			}
-		}
-	}
-	return total
-}
+// SeqTriangles is the sequential ground truth: seq.Triangles, the same
+// kernel over every vertex of the whole graph.
+func SeqTriangles(g *graph.Graph) int64 { return seq.Triangles(g) }
 
 var _ engine.SessionPatcher[TriCountQuery, TriCountResult] = TriCount{}
 
 func init() {
 	engine.Register(entry(TriCount{},
-		"triangle counting (pivot enumeration on 1-hop expanded fragments; single superstep)",
+		"triangle counting (forward count over larger-ID neighbors on 1-hop expanded fragments; single superstep)",
 		"(no parameters)",
 		func(string) (TriCountQuery, error) { return TriCountQuery{}, nil },
 		func(TriCountQuery) string { return "" },

@@ -2,7 +2,10 @@ package queries
 
 import (
 	"context"
+	"maps"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -154,5 +157,145 @@ func TestTriCountPatchCountsSharedTrianglesOnce(t *testing.T) {
 		if !reflect.DeepEqual(res, want) {
 			t.Fatalf("batch %d: patched %+v, fresh run %+v", bi, res, want)
 		}
+	}
+}
+
+// oracleTriangles is the map formulation the forward kernel replaced: for
+// each vertex v, the neighbor sets over both edge directions, every pair of
+// v's larger neighbors tested for adjacency. It returns the triangles
+// pivoted at each vertex (their smallest-ID vertex), nonzero counts only.
+func oracleTriangles(g *graph.Graph) map[graph.ID]int64 {
+	neighbors := func(v graph.ID) map[graph.ID]bool {
+		set := make(map[graph.ID]bool)
+		for _, es := range [2][]graph.Edge{g.Out(v), g.In(v)} {
+			for _, e := range es {
+				if e.To != v {
+					set[e.To] = true
+				}
+			}
+		}
+		return set
+	}
+	per := make(map[graph.ID]int64)
+	for _, v := range g.SortedVertices() {
+		var bigger []graph.ID
+		for u := range neighbors(v) {
+			if u > v {
+				bigger = append(bigger, u)
+			}
+		}
+		for i := 0; i < len(bigger); i++ {
+			ai := neighbors(bigger[i])
+			for j := i + 1; j < len(bigger); j++ {
+				if ai[bigger[j]] {
+					per[v]++
+				}
+			}
+		}
+	}
+	return per
+}
+
+// TestTriCountPerPivotMatchesOracle: the engine's per-pivot counts equal the
+// map oracle's, vertex for vertex, at 1, 3 and 8 workers under hash and
+// fennel — on graphs with self-loops, parallel and reciprocal edges and a
+// dense order that does not ascend by ID — and on the fragments of a
+// session's layout, whose outer copies the batches appended out of ID order.
+func TestTriCountPerPivotMatchesOracle(t *testing.T) {
+	ctx := context.Background()
+	pa := gen.PreferentialAttachment(400, 4, 7)
+	shuffled := graph.New() // dense order a random permutation of the IDs
+	src := gen.Random(150, 900, 11)
+	ids := src.Vertices()
+	rand.New(rand.NewSource(11)).Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	for _, v := range ids {
+		shuffled.AddVertex(3*v+1, "")
+	}
+	for _, u := range src.Vertices() {
+		for _, e := range src.Out(u) {
+			shuffled.AddEdge(3*u+1, 3*e.To+1, e.W)
+			shuffled.AddEdge(3*e.To+1, 3*u+1, e.W) // reciprocal
+		}
+		shuffled.AddEdge(3*u+1, 3*u+1, 1) // self-loop
+	}
+	for name, g := range map[string]*graph.Graph{"pa": pa, "shuffled": shuffled} {
+		want := oracleTriangles(g)
+		if len(want) == 0 {
+			t.Fatalf("%s: no triangles to count", name)
+		}
+		var total int64
+		for _, c := range want {
+			total += c
+		}
+		if got := SeqTriangles(g); got != total {
+			t.Fatalf("%s: SeqTriangles counts %d, the oracle %d", name, got, total)
+		}
+		for _, strat := range []partition.Strategy{partition.Hash{}, partition.Fennel{}} {
+			for _, m := range []int{1, 3, 8} {
+				res, _, err := RunTriCount(ctx, g, engine.Options{Workers: m, Strategy: strat})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Total != total || !maps.Equal(res.PerPivot, want) {
+					t.Fatalf("%s %s m=%d: total %d, want %d; per-pivot counts differ from the oracle's", name, strat.Name(), m, res.Total, total)
+				}
+			}
+		}
+	}
+
+	// A cc session's fragments after a few batches hold outer copies
+	// appended behind their cut. Counted on the layout as it stands (read as
+	// 1-hop: each fragment answers for its own graph), every inner pivot
+	// must carry the oracle's count on its fragment's graph.
+	e, err := engine.Lookup("cc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pq, err := e.Parse("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, _, _, err := e.Session(ctx, pa, engine.Options{Workers: 3, Strategy: partition.Hash{}}, pq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range gen.UpdateStream(pa, gen.StreamConfig{Batches: 6, BatchSize: 40, DeleteP: 0.2, Seed: 3}) {
+		ups := make([]engine.EdgeUpdate, len(batch))
+		for k, u := range batch {
+			ups[k] = engine.EdgeUpdate{From: u.From, To: u.To, W: u.W, Label: u.Label, Del: u.Del}
+		}
+		if _, _, err := sess.Update(ctx, ups); err != nil {
+			t.Fatal(err)
+		}
+	}
+	layout := *sess.Layout()
+	layout.Hops = 1
+	want := make(map[graph.ID]int64)
+	unordered := false
+	for _, f := range layout.Fragments {
+		ids := make([]graph.ID, f.G.NumVertices())
+		for i := range ids {
+			ids[i] = f.G.IDAt(int32(i))
+		}
+		unordered = unordered || !slices.IsSorted(ids)
+		for v, c := range oracleTriangles(f.G) {
+			if f.IsInner(v) {
+				want[v] = c
+			}
+		}
+	}
+	if !unordered {
+		t.Fatal("no session fragment has a dense order out of ID order")
+	}
+	r, err := engine.NewResident(&layout, TriCount{}, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := r.Run(ctx, TriCountQuery{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || !maps.Equal(res.PerPivot, want) {
+		t.Fatalf("session layout: %d pivots counted, the oracle has %d; per-pivot counts differ", len(res.PerPivot), len(want))
 	}
 }
