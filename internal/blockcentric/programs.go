@@ -95,9 +95,7 @@ func relaxBlock(ctx *BCtx, b *Block, seeds []graph.ID) {
 		}
 	}
 	st.sidx = sidx
-	work := seq.RelaxIdx(sub, false, sidx,
-		func(i int32) float64 { return dist[i] },
-		func(i int32, d float64) { dist[i] = d })
+	work, _ := seq.RelaxCol(sub, false, sidx, dist, 1, 0, nil, nil)
 	ctx.AddWork(work)
 	for i := 0; i < nm; i++ {
 		if dist[i] < init[i] {

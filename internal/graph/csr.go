@@ -265,6 +265,10 @@ func (g *Graph) InAt(i int32) []DenseEdge {
 	return r.dense[r.off[i]:r.off[i+1]]
 }
 
+// OutCSR returns the whole out-adjacency — OutAt(i) is dense[off[i]:off[i+1]].
+// Frozen graphs only.
+func (g *Graph) OutCSR() (off []int32, dense []DenseEdge) { return g.outOff, g.outDense }
+
 // InCSR returns the whole in-adjacency — InAt(i) is dense[off[i]:off[i+1]] —
 // for kernels that read it per vertex (InAt is not inlined). Frozen graphs only.
 func (g *Graph) InCSR() (off []int32, dense []DenseEdge) {

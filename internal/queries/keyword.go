@@ -1,7 +1,6 @@
 package queries
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -150,7 +149,7 @@ func (st *kwState) grow(n int) {
 func (st *kwState) row(i int32) []float64 { return st.dist[int(i)*st.nk : (int(i)+1)*st.nk] }
 
 // lower sets component k of row i to the smaller d and notes the row for the
-// next publish.
+// next publish, as seq.RelaxCol notes the rows it lowers.
 func (st *kwState) lower(i int32, k int, d float64) {
 	st.row(i)[k] = d
 	if !st.lowered[i] {
@@ -160,16 +159,17 @@ func (st *kwState) lower(i int32, k int, d float64) {
 }
 
 // relax runs keyword k's relaxation from its queued seeds along the
-// in-edges of g's CSR form and returns the work.
+// in-edges of g's CSR form, noting every row it lowers for the next publish,
+// and returns the work.
 func (st *kwState) relax(g *graph.Graph, k int) int64 {
 	seeds := st.seeds[k]
 	st.seeds[k] = seeds[:0]
 	if len(seeds) == 0 {
 		return 0
 	}
-	return seq.RelaxIdx(g, true, seeds,
-		func(i int32) float64 { return st.row(i)[k] },
-		func(i int32, d float64) { st.lower(i, k, d) })
+	work, rows := seq.RelaxCol(g, true, seeds, st.dist, st.nk, k, st.lowered, st.rows)
+	st.rows = rows
+	return work
 }
 
 // publish copies every lowered row into its node variable, one copy each,
@@ -298,50 +298,27 @@ func (Keyword) ValidateUpdate(q KeywordQuery, upd engine.EdgeUpdate) error {
 	return nil
 }
 
-// Assemble implements engine.Program. The qualifying roots are ranked as
-// 24-byte (score, root, where) keys; the answer is then built once, in rank
-// order, its distance vectors carved from one arena.
+// Assemble implements engine.Program: the roots that reach every keyword
+// within the bound (bound=inf included), ranked as seq.KeywordSearch ranks.
 func (Keyword) Assemble(q KeywordQuery, ctxs []*engine.Context[kwVec]) ([]seq.KeywordMatch, error) {
-	type key struct {
-		score   float64
-		root    graph.ID
-		ctx, at int32
-	}
 	nk := len(q.Keywords)
-	keys := make([]key, 0, innerCount(ctxs))
+	r := seq.NewRanking(innerCount(ctxs))
 	for c, ctx := range ctxs {
-		g := ctx.Frag.G
 		ctx.VarsAt(func(i int32, vec kwVec) {
 			if !ctx.IsInnerAt(i) || vec == nil {
 				return
 			}
 			score := 0.0
 			for _, d := range vec[:nk] {
-				if d > q.Bound {
+				if d == seq.Inf || d > q.Bound {
 					return
 				}
 				score += d
 			}
-			keys = append(keys, key{score, g.IDAt(i), int32(c), i})
+			r.Add(score, ctx.Frag.G.IDAt(i), int64(c)<<32|int64(i))
 		})
 	}
-	if len(keys) == 0 {
-		return nil, nil
-	}
-	slices.SortFunc(keys, func(a, b key) int {
-		if a.score != b.score { // scores tie far more often than not
-			return cmp.Compare(a.score, b.score)
-		}
-		return cmp.Compare(a.root, b.root)
-	})
-	out := make([]seq.KeywordMatch, len(keys))
-	arena := make([]float64, len(keys)*nk)
-	for k, key := range keys {
-		dists := arena[k*nk : (k+1)*nk : (k+1)*nk]
-		copy(dists, ctxs[key.ctx].GetAt(key.at))
-		out[k] = seq.KeywordMatch{Root: key.root, Dists: dists, Score: key.score}
-	}
-	return out, nil
+	return r.Matches(nk, func(ref int64) []float64 { return ctxs[ref>>32].GetAt(int32(ref)) }), nil
 }
 
 func parseKeyword(query string) (KeywordQuery, error) {

@@ -1,13 +1,18 @@
 package queries
 
 import (
+	"cmp"
 	"context"
+	"encoding/json"
 	"math"
 	"reflect"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"grape/internal/engine"
 	"grape/internal/gen"
+	"grape/internal/graph"
 	"grape/internal/partition"
 	"grape/internal/seq"
 )
@@ -132,10 +137,56 @@ func TestKeywordParseRejectsUnanswerableQueries(t *testing.T) {
 	}
 }
 
+// oracleKeywordSearch is keyword search written without the flat column
+// kernel and the radix ranking that the engine and seq.KeywordSearch share:
+// one distance array per keyword relaxed through RelaxIdx's get/set
+// callbacks, and a comparison sort by (score, root). g must be frozen.
+func oracleKeywordSearch(g *graph.Graph, keywords []string, bound float64) []seq.KeywordMatch {
+	dists := make([][]float64, len(keywords))
+	for k, w := range keywords {
+		dist := make([]float64, g.NumVertices())
+		var seeds []int32
+		for i := range dist {
+			dist[i] = seq.Inf
+			if slices.Contains(g.PropsAt(int32(i)), w) {
+				dist[i] = 0
+				seeds = append(seeds, int32(i))
+			}
+		}
+		seq.RelaxIdx(g, true, seeds,
+			func(i int32) float64 { return dist[i] },
+			func(i int32, d float64) { dist[i] = d })
+		dists[k] = dist
+	}
+	var out []seq.KeywordMatch
+roots:
+	for i, v := range g.Vertices() {
+		m := seq.KeywordMatch{Root: v, Dists: make([]float64, len(keywords))}
+		for k := range keywords {
+			d := dists[k][i]
+			if d == seq.Inf || d > bound {
+				continue roots
+			}
+			m.Dists[k] = d
+			m.Score += d
+		}
+		out = append(out, m)
+	}
+	slices.SortFunc(out, func(a, b seq.KeywordMatch) int {
+		if c := cmp.Compare(a.Score, b.Score); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Root, b.Root)
+	})
+	return out
+}
+
 // TestKeywordEqualsSequentialExactly: on 1, 3 and 8 fragments under three
 // strategies the roots, their order and every distance equal
 // seq.KeywordSearch's bit for bit — both sides take the least fixpoint of the
-// same float equations, whatever the relaxation order.
+// same float equations, whatever the relaxation order. seq.KeywordSearch in
+// turn equals oracleKeywordSearch, which shares neither its kernel nor its
+// ranking with the engine.
 func TestKeywordEqualsSequentialExactly(t *testing.T) {
 	g := gen.PreferentialAttachment(1500, 4, 9)
 	gen.AttachKeywords(g, []string{"db", "graph", "ml"}, 2, 0.1, 9)
@@ -144,6 +195,9 @@ func TestKeywordEqualsSequentialExactly(t *testing.T) {
 	want := seq.KeywordSearch(g, q.Keywords, q.Bound)
 	if len(want) < 100 {
 		t.Fatalf("test wants a populated answer, seq finds %d roots", len(want))
+	}
+	if oracle := oracleKeywordSearch(g, q.Keywords, q.Bound); !reflect.DeepEqual(want, oracle) {
+		t.Fatalf("seq.KeywordSearch's %d roots differ from the oracle's %d", len(want), len(oracle))
 	}
 	for _, strat := range []partition.Strategy{partition.Hash{}, partition.TwoD{Cols: 40}, partition.Range{}} {
 		for _, n := range []int{1, 3, 8} {
@@ -174,5 +228,86 @@ func TestKeywordTrafficPinned(t *testing.T) {
 	}
 	if st.Supersteps != 4 || st.Messages != 48 || st.Bytes != 1440264 {
 		t.Fatalf("supersteps %d, messages %d, bytes %d; want 4, 48, 1440264", st.Supersteps, st.Messages, st.Bytes)
+	}
+}
+
+// TestKeywordInfiniteBoundMatchesSequential: bound=inf parses, and the engine
+// then answers what seq.KeywordSearch answers — the roots that reach every
+// keyword — not every root that reaches any keyword, scored +Inf, which no
+// JSON encoder accepts.
+func TestKeywordInfiniteBoundMatchesSequential(t *testing.T) {
+	g := graph.New()
+	for _, e := range [][2]graph.ID{{0, 1}, {2, 1}, {2, 4}, {3, 4}, {5, 0}} {
+		g.AddEdge(e[0], e[1], 1)
+	}
+	g.SetProps(1, []string{"db"})
+	g.SetProps(4, []string{"graph"})
+	g.Freeze()
+	q, err := parseKeyword("k=db,graph bound=inf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := seq.KeywordSearch(g, q.Keywords, q.Bound)
+	if len(want) != 1 || want[0].Root != 2 {
+		t.Fatalf("seq answers %v, want root 2 alone", want)
+	}
+	if oracle := oracleKeywordSearch(g, q.Keywords, q.Bound); !reflect.DeepEqual(want, oracle) {
+		t.Fatalf("seq answers %v, the oracle %v", want, oracle)
+	}
+	for _, n := range []int{1, 2, 3} {
+		got, _, err := engine.Run(context.Background(), g, Keyword{}, q, engine.Options{Workers: n, Strategy: partition.Hash{}})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", n, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: engine answers %v, seq %v", n, got, want)
+		}
+		if _, err := json.Marshal(got); err != nil {
+			t.Fatalf("workers=%d: answer does not encode: %v", n, err)
+		}
+	}
+}
+
+// assembleProbe is Keyword whose Assemble first counts the allocations of a
+// warmed Keyword.Assemble over the run's contexts.
+type assembleProbe struct {
+	Keyword
+	allocs *float64
+}
+
+func (p assembleProbe) Assemble(q KeywordQuery, ctxs []*engine.Context[kwVec]) ([]seq.KeywordMatch, error) {
+	*p.allocs = testing.AllocsPerRun(10, func() { p.Keyword.Assemble(q, ctxs) })
+	return p.Keyword.Assemble(q, ctxs)
+}
+
+// TestKeywordAssembleAllocatesOnlyTheAnswer: on the benchmark's keyword op,
+// resident over 8 hash fragments, Assemble allocates two objects — the
+// answer's matches and their distance arena. The ranking scratch is pooled.
+func TestKeywordAssembleAllocatesOnlyTheAnswer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items on purpose")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection would empty the pool
+	g := gen.PreferentialAttachment(10000, 5, 1)
+	gen.AttachKeywords(g, []string{"db", "graph", "ml"}, 2, 0.05, 1)
+	g.Freeze()
+	layout, err := engine.BuildLayout(g, engine.Options{Workers: 8, Strategy: partition.Hash{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var allocs float64
+	r, err := engine.NewResident(layout, assembleProbe{allocs: &allocs}, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := r.Run(context.Background(), KeywordQuery{Keywords: []string{"db", "graph"}, Bound: 4, UseIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) < 1000 {
+		t.Fatalf("test wants a populated answer, got %d roots", len(got))
+	}
+	if allocs != 2 {
+		t.Fatalf("a warmed keyword Assemble allocates %.1f objects, want 2 (the answer)", allocs)
 	}
 }

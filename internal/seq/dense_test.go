@@ -211,19 +211,31 @@ func manySeeds(g *graph.Graph, dist []float64) ([]int32, func()) {
 }
 
 // BenchmarkRelaxManySeeds times one many-seed reverse relaxation, the shape
-// of keyword's IncEval, where a binary heap paid log n per seed.
+// of keyword's IncEval, where a binary heap paid log n per seed: "col" is
+// RelaxCol on column 1 of an n×2 array, marking the rows it lowers, as
+// keyword runs it; "idx" is RelaxIdx through get/set callbacks.
 func BenchmarkRelaxManySeeds(b *testing.B) {
 	g := gen.PreferentialAttachment(10000, 5, 1)
-	dist := make([]float64, g.NumVertices())
-	get := func(i int32) float64 { return dist[i] }
-	set := func(i int32, d float64) { dist[i] = d }
-	seeds, reset := manySeeds(g, dist)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for k := 0; k < b.N; k++ {
-		reset()
-		RelaxIdx(g, true, seeds, get, set)
-	}
+	b.Run("col", func(b *testing.B) {
+		run := manySeedsCol(g, 2, 1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for range b.N {
+			run()
+		}
+	})
+	b.Run("idx", func(b *testing.B) {
+		dist := make([]float64, g.NumVertices())
+		get := func(i int32) float64 { return dist[i] }
+		set := func(i int32, d float64) { dist[i] = d }
+		seeds, reset := manySeeds(g, dist)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for range b.N {
+			reset()
+			RelaxIdx(g, true, seeds, get, set)
+		}
+	})
 }
 
 // TestRelaxIdxAllocatesNothing: once its pooled queue has grown, a

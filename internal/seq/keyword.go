@@ -1,8 +1,9 @@
 package seq
 
 import (
-	"cmp"
+	"math"
 	"slices"
+	"sync"
 
 	"grape/internal/graph"
 )
@@ -13,25 +14,20 @@ func HasKeyword(g *graph.Graph, id graph.ID, w string) bool {
 	return slices.Contains(g.Props(id), w)
 }
 
-// keywordDist returns, by dense vertex index of the frozen graph g, the
-// weighted distance from every vertex to the nearest vertex carrying w
-// following out-edges (0 if it carries w itself, Inf if none is reachable).
-// It relaxes along in-edges from the holders — the textbook multi-source
-// Dijkstra on the reversed graph, over the CSR form.
-func keywordDist(g *graph.Graph, w string) []float64 {
-	dist := make([]float64, g.NumVertices())
+// keywordDist fills column k of the row-major n×w array dist with every
+// vertex's weighted distance to the nearest holder of word following out-edges
+// (0 for a holder, Inf if none is reachable): multi-source Dijkstra from the
+// holders along the in-edges of the frozen graph g, with the engine's kernel.
+func keywordDist(g *graph.Graph, word string, dist []float64, w, k int) {
 	var seeds []int32
-	for i := range dist {
-		dist[i] = Inf
-		if slices.Contains(g.PropsAt(int32(i)), w) {
-			dist[i] = 0
+	for i := range g.NumVertices() {
+		dist[i*w+k] = Inf
+		if slices.Contains(g.PropsAt(int32(i)), word) {
+			dist[i*w+k] = 0
 			seeds = append(seeds, int32(i))
 		}
 	}
-	RelaxIdx(g, true, seeds,
-		func(i int32) float64 { return dist[i] },
-		func(i int32, d float64) { dist[i] = d })
-	return dist
+	RelaxCol(g, true, seeds, dist, w, k, nil, nil)
 }
 
 // frozen returns g in CSR form: g itself when already frozen, else a frozen
@@ -49,9 +45,11 @@ func frozen(g *graph.Graph) *graph.Graph {
 func KeywordDistances(g *graph.Graph, keywords []string) map[string]map[graph.ID]float64 {
 	g = frozen(g)
 	out := make(map[string]map[graph.ID]float64, len(keywords))
+	col := make([]float64, g.NumVertices())
 	for _, w := range keywords {
+		keywordDist(g, w, col, 1, 0)
 		dist := map[graph.ID]float64{}
-		for i, d := range keywordDist(g, w) {
+		for i, d := range col {
 			if d < Inf {
 				dist[g.IDAt(int32(i))] = d
 			}
@@ -75,30 +73,119 @@ type KeywordMatch struct {
 // query class.
 func KeywordSearch(g *graph.Graph, keywords []string, bound float64) []KeywordMatch {
 	g = frozen(g)
-	dists := make([][]float64, len(keywords))
+	nk := len(keywords)
+	dist := make([]float64, g.NumVertices()*nk) // row-major, one column per keyword
 	for k, w := range keywords {
-		dists[k] = keywordDist(g, w)
+		keywordDist(g, w, dist, nk, k)
 	}
-	var out []KeywordMatch
+	r := NewRanking(g.NumVertices())
 roots:
 	for i, v := range g.Vertices() {
-		for k := range keywords {
-			if d := dists[k][i]; d == Inf || d > bound {
+		score := 0.0
+		for _, d := range dist[i*nk : (i+1)*nk] {
+			if d == Inf || d > bound {
 				continue roots
 			}
+			score += d
 		}
-		m := KeywordMatch{Root: v, Dists: make([]float64, len(keywords))}
-		for k := range keywords {
-			m.Dists[k] = dists[k][i]
-			m.Score += dists[k][i]
-		}
-		out = append(out, m)
+		r.Add(score, v, int64(i))
 	}
-	slices.SortFunc(out, func(a, b KeywordMatch) int {
-		if c := cmp.Compare(a.Score, b.Score); c != 0 {
-			return c
+	return r.Matches(nk, func(i int64) []float64 { return dist[int(i)*nk : (int(i)+1)*nk] })
+}
+
+// Ranking orders candidates by score, then root, as cmp.Compare orders each
+// (-0 ties +0, NaN first): an LSD radix sort over order-preserving 64-bit
+// keys, one stable pass per byte position in which the keys differ. Its
+// pooled scratch is pointer-free, so it keeps no answer alive.
+type Ranking struct{ keys, tmp []rankKey }
+
+type rankKey struct {
+	score float64
+	root  graph.ID
+	ref   int64 // the caller's handle on the candidate's distances
+}
+
+var rankingPool = sync.Pool{New: func() any { return new(Ranking) }}
+
+// NewRanking takes an empty Ranking with room for n candidates from the pool.
+func NewRanking(n int) *Ranking {
+	r := rankingPool.Get().(*Ranking)
+	r.keys = slices.Grow(r.keys, n)
+	return r
+}
+
+// Add queues a candidate root with its score and the caller's ref.
+func (r *Ranking) Add(score float64, root graph.ID, ref int64) {
+	r.keys = append(r.keys, rankKey{score, root, ref})
+}
+
+// Matches ranks the candidates and builds the answer once, in rank order,
+// its nk-wide distance vectors copied from dists(ref) into one arena; nil if
+// there is no candidate. r goes back to the pool and must not be used again.
+func (r *Ranking) Matches(nk int, dists func(ref int64) []float64) []KeywordMatch {
+	var out []KeywordMatch
+	if n := len(r.keys); n > 0 {
+		r.sort()
+		out = make([]KeywordMatch, n)
+		arena := make([]float64, n*nk)
+		for j, key := range r.keys {
+			row := arena[j*nk : (j+1)*nk : (j+1)*nk]
+			copy(row, dists(key.ref))
+			out[j] = KeywordMatch{Root: key.root, Dists: row, Score: key.score}
 		}
-		return cmp.Compare(a.Root, b.Root)
-	})
+	}
+	r.reset()
+	rankingPool.Put(r)
 	return out
+}
+
+// reset empties r for the next ranking, keeping both arrays' capacity.
+func (r *Ranking) reset() { r.keys, r.tmp = r.keys[:0], r.tmp[:0] }
+
+// word is the key's score (hi) or root as an unsigned integer in the same
+// order: NaN is 0, -0 is +0, and a float's sign bit is flipped, with every
+// other bit too when it is negative.
+func (k rankKey) word(hi bool) uint64 {
+	if !hi {
+		return uint64(k.root) ^ 1<<63
+	}
+	if k.score != k.score {
+		return 0
+	}
+	b := math.Float64bits(k.score + 0) // -0 + 0 is +0
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// sort orders r.keys by (score word, root word), least significant byte
+// first, skipping every byte position in which all keys agree.
+func (r *Ranking) sort() {
+	r.tmp = slices.Grow(r.tmp[:0], len(r.keys))[:len(r.keys)]
+	first := r.keys[0]
+	var diff [2]uint64 // root, score: the bits in which some key differs from the first
+	for _, k := range r.keys[1:] {
+		diff[0] |= k.word(false) ^ first.word(false)
+		diff[1] |= k.word(true) ^ first.word(true)
+	}
+	src, dst := r.keys, r.tmp
+	for pass := range 16 {
+		hi, shift := pass >= 8, uint(pass%8)*8
+		if byte(diff[pass/8]>>shift) == 0 {
+			continue
+		}
+		var at [256]int
+		for _, k := range src {
+			at[byte(k.word(hi)>>shift)]++
+		}
+		sum := 0
+		for b, c := range at {
+			at[b], sum = sum, sum+c
+		}
+		for _, k := range src {
+			b := byte(k.word(hi) >> shift)
+			dst[at[b]] = k
+			at[b]++
+		}
+		src, dst = dst, src
+	}
+	r.keys, r.tmp = src, dst
 }

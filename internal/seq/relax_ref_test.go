@@ -10,6 +10,38 @@ import (
 	"grape/internal/graph"
 )
 
+// Relax is RelaxIdx addressed by vertex ID on any graph, thawed or frozen:
+// the sparse reference the dense kernels are held to, with the same queue and
+// the same work accounting (queue pushes, queue pops and edge scans).
+func Relax(g *graph.Graph, seeds []graph.ID, get func(graph.ID) float64, set func(graph.ID, float64)) int64 {
+	var work int64
+	q := new(radixQueue[graph.ID])
+	for _, s := range seeds {
+		if !g.Has(s) {
+			continue
+		}
+		q.push(s, get(s))
+		work++
+	}
+	for !q.empty() {
+		id, d := q.pop()
+		work++
+		if d > get(id) { // stale entry
+			continue
+		}
+		for _, edge := range g.Out(id) {
+			work++
+			nd := d + edge.W
+			if nd < get(edge.To) {
+				set(edge.To, nd)
+				q.push(edge.To, nd)
+				work++
+			}
+		}
+	}
+	return work
+}
+
 // refHeap is a container/heap min-heap, the reference the radix queue is held
 // to.
 type refHeap struct {

@@ -22,8 +22,8 @@ var Inf = math.Inf(1)
 
 // radixQueue is the monotone priority queue of (distance, key) entries behind
 // every relaxation — the radix heap of Ahuja, Mehlhorn, Orlin and Tarjan
-// (1990). K is a vertex ID on the sparse path and a dense vertex index on the
-// frozen one.
+// (1990). K is a dense vertex index (the sparse reference relaxation in the
+// tests keys it by vertex ID).
 //
 // An entry's key is the bit pattern of its distance: for non-negative floats
 // that order is the numeric one. Bucket 0 holds the entries whose key is at
@@ -40,8 +40,8 @@ var Inf = math.Inf(1)
 // bucket 0 pop last-in first-out). A negative weight can push a distance
 // below last; it joins bucket 0 and pops before every other bucket, so no
 // entry is lost and the relaxation stays label-correcting. The order of pops
-// depends on distances alone, never on K, so Relax and RelaxIdx pop the same
-// sequence over the same graph.
+// depends on distances alone, never on K, so RelaxIdx and RelaxCol pop the
+// same sequence over the same graph.
 type radixQueue[K any] struct {
 	last    uint64
 	mask    uint64
@@ -119,18 +119,16 @@ func (q *radixQueue[K]) reset() {
 	q.last, q.mask = 0, 0
 }
 
-// idQueuePool and idxQueuePool recycle relaxation queues across Relax and
-// RelaxIdx calls: the engine invokes one relaxation per worker per superstep,
-// and the queue's buckets are the only allocation on that path.
-var (
-	idQueuePool  = sync.Pool{New: func() any { return new(radixQueue[graph.ID]) }}
-	idxQueuePool = sync.Pool{New: func() any { return new(radixQueue[int32]) }}
-)
+// idxQueuePool recycles relaxation queues across RelaxIdx and RelaxCol calls:
+// the engine invokes one relaxation per worker per superstep, and the queue's
+// buckets are the only allocation on that path.
+var idxQueuePool = sync.Pool{New: func() any { return new(radixQueue[int32]) }}
 
-// Relax runs Dijkstra-style label-correcting relaxation on g starting from
-// seeds, reading and writing distances through get/set. It assumes the seed
-// distances were already lowered by the caller and only ever decreases
-// distances, which makes it serve simultaneously as:
+// RelaxIdx runs Dijkstra-style label-correcting relaxation over a frozen
+// graph's CSR form from seeds, reading and writing distances by dense vertex
+// index through get/set; with rev=true it relaxes along in-edges. It assumes
+// the seed distances were already lowered by the caller and only ever
+// decreases distances, which makes it serve simultaneously as:
 //
 //   - PEval for SSSP (seeds = {source}, all distances ∞), where it is exactly
 //     Dijkstra's algorithm, and
@@ -140,45 +138,8 @@ var (
 //     and their incident edges), not to |F_i|.
 //
 // It returns the number of work units spent (queue pushes, queue pops and
-// edge scans).
-func Relax(g *graph.Graph, seeds []graph.ID, get func(graph.ID) float64, set func(graph.ID, float64)) int64 {
-	var work int64
-	q := idQueuePool.Get().(*radixQueue[graph.ID])
-	defer func() {
-		q.reset()
-		idQueuePool.Put(q)
-	}()
-	for _, s := range seeds {
-		if !g.Has(s) {
-			continue
-		}
-		q.push(s, get(s))
-		work++
-	}
-	for !q.empty() {
-		id, d := q.pop()
-		work++
-		if d > get(id) { // stale entry
-			continue
-		}
-		for _, edge := range g.Out(id) {
-			work++
-			nd := d + edge.W
-			if nd < get(edge.To) {
-				set(edge.To, nd)
-				q.push(edge.To, nd)
-				work++
-			}
-		}
-	}
-	return work
-}
-
-// RelaxIdx is Relax over a frozen graph's CSR form: seeds, reads and writes
-// are addressed by dense vertex index and every edge hop lands on the packed
-// dense target — no hash lookups anywhere on the path. With rev=true it
-// relaxes along in-edges (keyword search). Work accounting matches Relax
-// exactly.
+// edge scans). It serves distances that live behind get/set, such as the
+// engine's variables; distances in a plain array relax with RelaxCol.
 func RelaxIdx(g *graph.Graph, rev bool, seeds []int32, get func(int32) float64, set func(int32, float64)) int64 {
 	var work int64
 	q := idxQueuePool.Get().(*radixQueue[int32])
@@ -215,31 +176,54 @@ func RelaxIdx(g *graph.Graph, rev bool, seeds []int32, get func(int32) float64, 
 	return work
 }
 
-// Dijkstra computes single-source shortest distances over g from src.
-// Unreachable vertices are absent from the result.
-func Dijkstra(g *graph.Graph, src graph.ID) map[graph.ID]float64 {
-	if g.Frozen() {
-		return dijkstraIdx(g, src)
+// RelaxCol is RelaxIdx, with equal work, over column k of the row-major n×w
+// array dist (vertex i's distance is dist[i*w+k]), reading the CSR arrays and
+// calling nothing per edge. Given lowered, it marks each row it lowers while
+// unmarked and appends it to rows, which it returns; seeds are not marked.
+func RelaxCol(g *graph.Graph, rev bool, seeds []int32, dist []float64, w, k int, lowered []bool, rows []int32) (int64, []int32) {
+	off, edges := g.OutCSR()
+	if rev {
+		off, edges = g.InCSR()
 	}
-	dist := map[graph.ID]float64{}
-	if !g.Has(src) {
-		return dist
+	var work int64
+	q := idxQueuePool.Get().(*radixQueue[int32])
+	defer func() {
+		q.reset()
+		idxQueuePool.Put(q)
+	}()
+	for _, s := range seeds {
+		q.push(s, dist[int(s)*w+k])
+		work++
 	}
-	dist[src] = 0
-	get := func(id graph.ID) float64 {
-		if d, ok := dist[id]; ok {
-			return d
+	for !q.empty() {
+		i, d := q.pop()
+		work++
+		if d > dist[int(i)*w+k] { // stale entry
+			continue
 		}
-		return Inf
+		for _, edge := range edges[off[i]:off[i+1]] {
+			work++
+			nd := d + edge.W
+			if j := int(edge.To)*w + k; nd < dist[j] {
+				dist[j] = nd
+				if lowered != nil && !lowered[edge.To] {
+					lowered[edge.To] = true
+					rows = append(rows, edge.To)
+				}
+				q.push(edge.To, nd)
+				work++
+			}
+		}
 	}
-	set := func(id graph.ID, d float64) { dist[id] = d }
-	Relax(g, []graph.ID{src}, get, set)
-	return dist
+	return work, rows
 }
 
-// dijkstraIdx is Dijkstra over the CSR form: distances live in a flat array
-// indexed by dense vertex index and only the final result builds a map.
-func dijkstraIdx(g *graph.Graph, src graph.ID) map[graph.ID]float64 {
+// Dijkstra computes single-source shortest distances over g from src on its
+// CSR form (a frozen private copy when g is not frozen): distances live in a
+// flat array indexed by dense vertex index and only the result builds a map.
+// Unreachable vertices are absent from the result.
+func Dijkstra(g *graph.Graph, src graph.ID) map[graph.ID]float64 {
+	g = frozen(g)
 	out := map[graph.ID]float64{}
 	si, ok := g.Index(src)
 	if !ok {
@@ -250,9 +234,7 @@ func dijkstraIdx(g *graph.Graph, src graph.ID) map[graph.ID]float64 {
 		dist[i] = Inf
 	}
 	dist[si] = 0
-	RelaxIdx(g, false, []int32{si},
-		func(i int32) float64 { return dist[i] },
-		func(i int32, d float64) { dist[i] = d })
+	RelaxCol(g, false, []int32{si}, dist, 1, 0, nil, nil)
 	for i, d := range dist {
 		if d < Inf {
 			out[g.IDAt(int32(i))] = d
