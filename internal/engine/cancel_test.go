@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"regexp"
 	"slices"
 	"strings"
@@ -276,10 +275,10 @@ func TestWorkerHonorsPropagatedDeadline(t *testing.T) {
 		served <- serveWire(ctx, prog, link, stepQuery{limit: 1 << 40}, &wireScratch[int64]{ctx: newContext(layout.Fragments[0], prog.Spec())})
 	}()
 
-	peFrame, _ := encodeCmd(codec, nil, workerCmd[int64]{kind: cmdPEval}, nil)
+	peFrame, _ := encodeCmd(codec, nil, workerCmd[int64]{kind: cmdPEval})
 	link.in <- mpi.Envelope{From: mpi.Coordinator, To: 0, Step: 1, Frame: peFrame}
 	env := <-link.out
-	rep, err := decodeReply(codec, nil, env.Frame, layout.Fragments[0])
+	rep, err := decodeReply(codec, nil, env.Frame, len(layout.Fragments[0].Border()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +286,7 @@ func TestWorkerHonorsPropagatedDeadline(t *testing.T) {
 		t.Fatalf("expired worker must reply with the deadline error, got %v", rep.err)
 	}
 	// the abort frame releases the worker with ErrAborted
-	abFrame, _ := encodeCmd(codec, nil, workerCmd[int64]{kind: cmdAbort}, nil)
+	abFrame, _ := encodeCmd(codec, nil, workerCmd[int64]{kind: cmdAbort})
 	link.in <- mpi.Envelope{From: mpi.Coordinator, To: 0, Frame: abFrame}
 	if err := <-served; !errors.Is(err, ErrAborted) {
 		t.Fatalf("abort frame must surface ErrAborted, got %v", err)
@@ -316,46 +315,64 @@ func (c chanTransport) Recv(ctx context.Context, party int) (mpi.Envelope, error
 	}
 }
 
-// forgedReplyFrame is the reply of a worker with nothing to report, except
-// that its change batch names id: what a corrupt or hostile worker can put on
-// the wire, and no encoder of this package will.
-func forgedReplyFrame(id graph.ID) []byte {
-	batch := AppendUpdates(wireStepper{}.WireCodec(), nil, []VarUpdate[int64]{{ID: id, Val: 1}})
-	return appendReplyTail(batch, workerReply[int64]{})
-}
-
-// TestReplyNamingForeignVertexFailsRun: a reply frame that decodes cleanly
-// but reports a value for a vertex its sender shares with nobody — a corrupt
-// or hostile worker — must fail the run with an error naming the worker and
-// the vertex: one the graph does not have (it used to reach Assignment.Owner
-// through Layout.Hosts and panic the coordinator), a non-border vertex inner
-// to another fragment (it used to be folded and routed to its owner, which
-// aggregated the forged value into the answer), and a border vertex the
-// sender holds no copy of.
-func TestReplyNamingForeignVertexFailsRun(t *testing.T) {
-	// 0 → 1 → … → 8 → 0 in three runs of three: fragment 0 copies 3, fragment
-	// 1 copies 6, fragment 2 copies 0; nothing else is border.
+// runsOfThree is ring(9) cut into three runs of three: 0 → 1 → … → 8 → 0,
+// so fragment 0 copies 3, fragment 1 copies 6, fragment 2 copies 0, and each
+// fragment's border is two vertices — the one it copies and the one copied
+// from it.
+func runsOfThree(t testing.TB) *partition.Layout {
+	t.Helper()
 	g := ring(9)
 	asg := partition.NewAssignment(g, 3)
 	for v := graph.ID(0); v < 9; v++ {
 		asg.SetOwner(v, int(v)/3)
 	}
 	layout := partition.Build(g, asg)
-	s3, _ := layout.SlotOf(3)
-	if _, border := layout.SlotOf(1); border || layout.Slots() != 3 || !reflect.DeepEqual(layout.SlotHosts(s3), []partition.Host{{Frag: 0, At: 3}, {Frag: 1, At: 0}}) {
-		t.Fatalf("fixture: %d slots, vertex 3 hosted at %v", layout.Slots(), layout.SlotHosts(s3))
+	for _, f := range layout.Fragments {
+		if len(f.Border()) != 2 {
+			t.Fatalf("fixture: fragment %d has border %v", f.Index, f.Border())
+		}
 	}
-	cases := map[string]struct {
-		from int
-		id   graph.ID
-	}{
-		"a vertex the graph does not have":     {1, 999999},
-		"inner to another fragment, no slot":   {1, 1},
-		"inner to the sender, no slot":         {1, 4},
-		"a slot the sender holds no copy of":   {2, 3},
-		"a slot, reported by the third worker": {0, 6},
+	return layout
+}
+
+// forgery is a reply frame that worker from can put on the wire and no
+// encoder of this package will, and the words its refusal must contain.
+type forgery struct {
+	from  int
+	frame []byte
+	want  string
+}
+
+// forgedReplies are the shapes a corrupt or hostile worker's change batch can
+// take against runsOfThree: positions the sender's border does not have, or
+// out of the ascending order flush emits, or a value cut short.
+func forgedReplies() map[string]forgery {
+	codec := wireStepper{}.WireCodec()
+	naming := func(at ...int32) []byte {
+		ups := make([]update[int64], len(at))
+		for i, p := range at {
+			ups[i] = update[int64]{at: p, val: 1}
+		}
+		frame, _ := encodeReply(codec, nil, workerReply[int64]{changes: ups})
+		return frame
 	}
-	for name, c := range cases {
+	return map[string]forgery{
+		"a position past the border": {1, naming(2), "position 2, outside [0, 2)"},
+		"a repeated position":        {0, naming(1, 1), "position 1, outside [2, 2)"},
+		"a descending pair":          {2, naming(1, 0), "position 0, outside [2, 2)"},
+		"a truncated value":          {1, naming(0)[:1+1+7], "short int64"},
+	}
+}
+
+// TestReplyNamingForeignVertexFailsRun: a reply frame whose change batch
+// names a border position its sender does not have, or breaks the ascending
+// order a flush emits, or ends inside a value — a corrupt or hostile worker —
+// must fail the run with an error naming the worker, never reach the fold
+// (folding it would route a forged value to the owner of whatever vertex the
+// position happened to land on).
+func TestReplyNamingForeignVertexFailsRun(t *testing.T) {
+	layout := runsOfThree(t)
+	for name, c := range forgedReplies() {
 		t.Run(name, func(t *testing.T) {
 			up := make(chan mpi.Envelope, 4)
 			var tr chanTransport
@@ -366,17 +383,17 @@ func TestReplyNamingForeignVertexFailsRun(t *testing.T) {
 				go func() { // a scripted worker: setup frame, one PEval, then whatever releases it
 					<-link.in
 					step := <-link.in
-					frame := forgedReplyFrame(c.id)
+					frame := c.frame
 					if w != c.from {
-						frame, _ = encodeReply(wireStepper{}.WireCodec(), nil, workerReply[int64]{}, nil)
+						frame, _ = encodeReply(wireStepper{}.WireCodec(), nil, workerReply[int64]{})
 					}
 					link.Send(mpi.Envelope{From: w, To: mpi.Coordinator, Step: step.Step, Frame: frame, Size: len(frame)})
 					<-link.in
 				}()
 			}
 			_, _, err := RunOnLayout(context.Background(), layout, wireStepper{stepper{}}, stepQuery{limit: 4}, Options{Workers: 3, Transport: tr})
-			if want := fmt.Sprintf("vertex %d", c.id); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("worker %d", c.from)) || !strings.Contains(err.Error(), want) {
-				t.Fatalf("want a run error naming worker %d and %s, got %v", c.from, want, err)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("worker %d", c.from)) || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("want a run error naming worker %d and %q, got %v", c.from, c.want, err)
 			}
 		})
 	}

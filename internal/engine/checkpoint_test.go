@@ -30,13 +30,13 @@ func (f64Codec) DecodeVal(b []byte) (float64, int, error) {
 // a pre-timing worker's reply — is a decode error.
 func TestReplyRejectsTruncation(t *testing.T) {
 	f := matching(t, 1).Fragments[0] // vertex 1 is its one border vertex
-	reply, _ := encodeReply[float64](f64Codec{}, nil, workerReply[float64]{changes: []update[float64]{{at: 0, val: 2}}, work: 3, active: true, computeNS: 40, applyNS: 5}, f.Border())
+	reply, _ := encodeReply[float64](f64Codec{}, nil, workerReply[float64]{changes: []update[float64]{{at: 0, val: 2}}, work: 3, active: true, computeNS: 40, applyNS: 5})
 	for cut := 0; cut < len(reply); cut++ {
-		if _, err := decodeReply[float64](f64Codec{}, nil, reply[:cut], f); err == nil {
+		if _, err := decodeReply[float64](f64Codec{}, nil, reply[:cut], len(f.Border())); err == nil {
 			t.Fatalf("reply truncated at %d of %d accepted", cut, len(reply))
 		}
 	}
-	if rep, err := decodeReply[float64](f64Codec{}, nil, reply, f); err != nil || rep.computeNS != 40 || rep.applyNS != 5 || len(rep.changes) != 1 {
+	if rep, err := decodeReply[float64](f64Codec{}, nil, reply, len(f.Border())); err != nil || rep.computeNS != 40 || rep.applyNS != 5 || len(rep.changes) != 1 {
 		t.Fatalf("intact reply: %+v, %v", rep, err)
 	}
 }

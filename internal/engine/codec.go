@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -34,34 +35,35 @@ type ArenaCodec[V any] interface {
 }
 
 // Update batches are the unit of traffic metering: the engine charges
-// len(AppendUpdates(...)) as the Size of every data message on a wire
+// len(appendBatch(...)) as the Size of every data message on a wire
 // transport, so "bytes" in metrics.Stats is exactly the encoded length of
 // the update-parameter payloads (framing overhead excluded, mirroring the
 // in-process accounting which also counts payloads only).
 
 // AppendUpdates appends the encoding of a batch of update-parameter changes:
 // uvarint count, then per update a uvarint node ID followed by the
-// codec-encoded value.
+// codec-encoded value. Engine frames name a position both ends share instead
+// (appendBatch); only the default partial answer's overflow nodes keep IDs.
 func AppendUpdates[V any](c Codec[V], buf []byte, ups []VarUpdate[V]) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(ups)))
 	for _, u := range ups {
-		buf = appendUpdate(c, buf, u.ID, u.Val)
+		buf = appendUpdate(c, buf, uint64(u.ID), u.Val)
 	}
 	return buf
 }
 
-// appendBatch is AppendUpdates for a batch addressed by position, byte for
-// byte: ids is a fragment's Border() for a reply, its Vertices() for a command.
-func appendBatch[V any](c Codec[V], buf []byte, ups []update[V], ids []graph.ID) []byte {
+// appendBatch is AppendUpdates for a batch named by position: a border
+// position in a reply, a dense index everywhere else.
+func appendBatch[V any](c Codec[V], buf []byte, ups []update[V]) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(ups)))
 	for _, u := range ups {
-		buf = appendUpdate(c, buf, ids[u.at], u.val)
+		buf = appendUpdate(c, buf, uint64(u.at), u.val)
 	}
 	return buf
 }
 
-func appendUpdate[V any](c Codec[V], buf []byte, id graph.ID, v V) []byte {
-	return c.AppendVal(binary.AppendUvarint(buf, uint64(id)), v)
+func appendUpdate[V any](c Codec[V], buf []byte, key uint64, v V) []byte {
+	return c.AppendVal(binary.AppendUvarint(buf, key), v)
 }
 
 // DecodeUpdates decodes a batch encoded by AppendUpdates from the front of
@@ -69,12 +71,30 @@ func appendUpdate[V any](c Codec[V], buf []byte, id graph.ID, v V) []byte {
 // the updates and the number of bytes consumed. The count is checked against
 // the bytes left — an update takes two — before anything is sized from it.
 func DecodeUpdates[V any](c Codec[V], ups []VarUpdate[V], data []byte) ([]VarUpdate[V], int, error) {
-	return decodeBatch(c, ups, data, func(id graph.ID, v V) (VarUpdate[V], error) { return VarUpdate[V]{ID: id, Val: v}, nil })
+	return readBatch(c, ups, data, func(key uint64, v V) (VarUpdate[V], error) { return VarUpdate[V]{ID: graph.ID(key), Val: v}, nil })
 }
 
-// decodeBatch is the one batch decoder. mk makes an update of a decoded pair:
-// the engine's own frames resolve the ID to a position there, once.
-func decodeBatch[V, U any](c Codec[V], ups []U, data []byte, mk func(graph.ID, V) (U, error)) ([]U, int, error) {
+// decodeBatch decodes a batch written by appendBatch from the front of data
+// into ups[:0]. Every position must lie below n and, when ascending is set,
+// above the one before: a position outside the receiver's fragment or out of
+// its sender's order is a corrupt or hostile frame, which must reach neither
+// a fragment's arrays nor the fold.
+func decodeBatch[V any](c Codec[V], ups []update[V], data []byte, n int, ascending bool) ([]update[V], int, error) {
+	next := uint64(0)
+	return readBatch(c, ups, data, func(p uint64, v V) (update[V], error) {
+		if p < next || p >= uint64(n) {
+			return update[V]{}, fmt.Errorf("engine: update at position %d, outside [%d, %d)", p, next, n)
+		}
+		if ascending {
+			next = p + 1
+		}
+		return update[V]{at: int32(p), val: v}, nil
+	})
+}
+
+// readBatch is the one batch reader: count, then (key, value) pairs, each made
+// an update by mk, which also vets the key.
+func readBatch[V, U any](c Codec[V], ups []U, data []byte, mk func(uint64, V) (U, error)) ([]U, int, error) {
 	pos := 0
 	n, err := graph.ReadUvarint(data, &pos)
 	if err != nil {
@@ -88,7 +108,7 @@ func decodeBatch[V, U any](c Codec[V], ups []U, data []byte, mk func(graph.ID, V
 		c = a.Arena(len(data) - pos)
 	}
 	for i := uint64(0); i < n; i++ {
-		id, err := graph.ReadUvarint(data, &pos)
+		key, err := graph.ReadUvarint(data, &pos)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -97,7 +117,7 @@ func decodeBatch[V, U any](c Codec[V], ups []U, data []byte, mk func(graph.ID, V
 			return nil, 0, err
 		}
 		pos += used
-		u, err := mk(graph.ID(id), v)
+		u, err := mk(key, v)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -106,36 +126,12 @@ func decodeBatch[V, U any](c Codec[V], ups []U, data []byte, mk func(graph.ID, V
 	return ups, pos, nil
 }
 
-// hostedAt resolves the IDs of a batch sent to a fragment with graph g to
-// dense indices; a vertex g does not have is a corrupt or misrouted frame.
-func hostedAt[V any](g *graph.Graph) func(graph.ID, V) (update[V], error) {
-	return func(id graph.ID, v V) (update[V], error) {
-		i, ok := g.Index(id)
-		if !ok {
-			return update[V]{}, fmt.Errorf("engine: update for vertex %d, which the fragment does not host", id)
-		}
-		return update[V]{at: i, val: v}, nil
+// ended fails a frame that runs on past its last section.
+func ended(what string, frame []byte, pos int) error {
+	if pos != len(frame) {
+		return fmt.Errorf("engine: %d bytes after the end of a %s frame", len(frame)-pos, what)
 	}
-}
-
-// reportedAt resolves the IDs of fragment f's reply to positions in its
-// border; a flush ascends by position, so each is looked for where the last
-// one ended before the border is searched. A vertex that is not border in f —
-// unknown, inner to any fragment, or a border vertex f holds no copy of — is a
-// corrupt or hostile reply: folding it would route a forged value to its owner.
-func reportedAt[V any](f *partition.Fragment) func(graph.ID, V) (update[V], error) {
-	border, next := f.Border(), int32(0)
-	return func(id graph.ID, v V) (update[V], error) {
-		p := next
-		if int(p) >= len(border) || border[p] != id {
-			var ok bool
-			if p, ok = f.BorderPos(id); !ok {
-				return update[V]{}, fmt.Errorf("engine: worker %d reported a value for vertex %d, which is not a border vertex of its fragment", f.Index, id)
-			}
-		}
-		next = p + 1
-		return update[V]{at: p, val: v}, nil
-	}
+	return nil
 }
 
 // Edge-update frames carry graph mutations (session update batches) across
@@ -212,68 +208,49 @@ func DecodeEdgeUpdates(data []byte) ([]EdgeUpdate, int, error) {
 	return ups, pos, nil
 }
 
-// Worker-command frame: kind byte, the update batch (IncEval), and the dirty
-// ID list (session LocalInc; unused over the wire but kept for symmetry).
-// encodeCmd writes it over buf, the one frame buffer its sender keeps (see
-// mpi.Envelope), naming each update's vertex through ids, the receiving
-// fragment graph's Vertices(); it also returns the encoded length of the
-// update batch alone — the metered data size of the message.
+// Worker-command frame: kind byte, then the update batch — IncEval's, empty
+// for every other kind — naming each update by its dense index in the
+// receiving fragment's graph. encodeCmd writes it over buf, the one frame
+// buffer its sender keeps (see mpi.Envelope); it also returns the encoded
+// length of the update batch alone — the metered data size of the message.
 
-func encodeCmd[V any](c Codec[V], buf []byte, cmd workerCmd[V], ids []graph.ID) (frame []byte, dataLen int) {
-	frame = append(buf[:0], byte(cmd.kind))
-	mark := len(frame)
-	frame = appendBatch(c, frame, cmd.updates, ids)
-	dataLen = len(frame) - mark
-	frame = binary.AppendUvarint(frame, uint64(len(cmd.dirty)))
-	for _, id := range cmd.dirty {
-		frame = binary.AppendUvarint(frame, uint64(id))
-	}
-	if len(cmd.updates) == 0 {
-		dataLen = 0 // a bare count is control, not data
+func encodeCmd[V any](c Codec[V], buf []byte, cmd workerCmd[V]) (frame []byte, dataLen int) {
+	frame = appendBatch(c, append(buf[:0], byte(cmd.kind)), cmd.updates)
+	if len(cmd.updates) > 0 {
+		dataLen = len(frame) - 1 // a bare count is control, not data
 	}
 	return frame, dataLen
 }
 
-// decodeCmd decodes a command for the fragment with graph g, any but adopt
-// (decodeAdopt), its update batch into ups[:0]; nothing aliases the frame.
-func decodeCmd[V any](c Codec[V], ups []update[V], frame []byte, g *graph.Graph) (workerCmd[V], error) {
+// decodeCmd decodes a command for a fragment of n vertices, of a kind a wire
+// worker is sent other than adopt (decodeAdopt), its update batch into
+// ups[:0]; nothing aliases the frame.
+func decodeCmd[V any](c Codec[V], ups []update[V], frame []byte, n int) (workerCmd[V], error) {
 	var cmd workerCmd[V]
 	if len(frame) == 0 {
 		return cmd, errors.New("engine: empty command frame")
 	}
-	k := cmdKind(frame[0])
-	if k < cmdPEval || k >= cmdAdopt {
-		return cmd, fmt.Errorf("engine: unknown command kind %d", frame[0])
+	if cmd.kind = cmdKind(frame[0]); cmd.kind == cmdLocalInc || cmd.kind >= cmdAdopt {
+		return cmd, fmt.Errorf("engine: command kind %d is never sent over a wire", frame[0])
 	}
-	cmd.kind = k
-	pos := 1
-	ups, used, err := decodeBatch(c, ups, frame[pos:], hostedAt[V](g))
+	ups, used, err := decodeBatch(c, ups, frame[1:], n, false)
 	if err != nil {
 		return cmd, err
 	}
-	pos += used
+	if len(ups) > 0 && cmd.kind != cmdIncEval {
+		return cmd, fmt.Errorf("engine: command kind %d carries %d updates", cmd.kind, len(ups))
+	}
 	cmd.updates = ups
-	n, err := graph.ReadUvarint(frame, &pos)
-	if err != nil {
-		return cmd, err
-	}
-	for i := uint64(0); i < n; i++ {
-		id, err := graph.ReadUvarint(frame, &pos)
-		if err != nil {
-			return cmd, err
-		}
-		cmd.dirty = append(cmd.dirty, graph.ID(id))
-	}
-	return cmd, nil
+	return cmd, ended("command", frame, 1+used)
 }
 
 // Adopt frame (coordinator → worker, recovery): kind byte, uvarint owed
 // superstep, uvarint replay-step count, then per replay step a uvarint
-// superstep number and its update batch; then zero padding to the next
-// 8-aligned frame offset and the fragment frame, which runs to the end (see
-// the setup frame for why). Adopt frames are control traffic (metered size
-// 0): the checkpoint records they carry are copies of updates the run
-// already paid for.
+// superstep number and its update batch, named by dense index in the adopted
+// fragment's graph; then zero padding to the next 8-aligned frame offset and
+// the fragment frame, which runs to the end (see the setup frame for why).
+// Adopt frames are control traffic (metered size 0): the checkpoint records
+// they carry are copies of updates the run already paid for.
 
 func encodeAdopt[V any](c Codec[V], f *partition.Fragment, steps []replayStep[V], owe int) []byte {
 	frame := []byte{byte(cmdAdopt)}
@@ -281,14 +258,14 @@ func encodeAdopt[V any](c Codec[V], f *partition.Fragment, steps []replayStep[V]
 	frame = binary.AppendUvarint(frame, uint64(len(steps)))
 	for _, st := range steps {
 		frame = binary.AppendUvarint(frame, uint64(st.step))
-		frame = appendBatch(c, frame, st.updates, f.G.Vertices())
+		frame = appendBatch(c, frame, st.updates)
 	}
 	return partition.AppendFragment(graph.AppendSection(frame, 0, nil), f)
 }
 
 // decodeAdopt decodes an adopt frame: the fragment, which aliases the frame,
 // and the replay log addressed into it — the fragment comes last, so the
-// batches are read as IDs first and resolved once it is decoded.
+// log's indices are range-checked once it has decoded.
 func decodeAdopt[V any](c Codec[V], frame []byte) (*adoptCmd[V], error) {
 	ad := &adoptCmd[V]{}
 	pos := 1
@@ -301,48 +278,47 @@ func decodeAdopt[V any](c Codec[V], frame []byte) (*adoptCmd[V], error) {
 	if err != nil {
 		return nil, err
 	}
-	var named [][]VarUpdate[V]
 	for i := uint64(0); i < count; i++ {
 		step, err := graph.ReadUvarint(frame, &pos)
 		if err != nil {
 			return nil, err
 		}
-		ups, used, err := DecodeUpdates(c, nil, frame[pos:])
+		ups, used, err := decodeBatch(c, nil, frame[pos:], math.MaxInt32, false)
 		if err != nil {
 			return nil, err
 		}
 		pos += used
-		named = append(named, ups)
-		ad.steps = append(ad.steps, replayStep[V]{step: int(step)})
+		ad.steps = append(ad.steps, replayStep[V]{step: int(step), updates: ups})
 	}
-	if pos = graph.Align8(pos); pos > len(frame) {
-		return nil, errors.New("engine: truncated adopt frame")
+	var pad [8]byte
+	end := graph.Align8(pos)
+	if end > len(frame) || !bytes.Equal(frame[pos:end], pad[:end-pos]) {
+		return nil, errors.New("engine: adopt frame truncated or unpadded before its fragment")
 	}
-	if ad.frag, _, err = partition.DecodeFragment(frame[pos:]); err != nil {
+	frag, used, err := partition.DecodeFragment(frame[end:])
+	if err != nil {
 		return nil, fmt.Errorf("engine: decoding adopted fragment: %w", err)
 	}
-	at := hostedAt[V](ad.frag.G)
-	for k, ups := range named {
-		for _, u := range ups {
-			pu, err := at(u.ID, u.Val)
-			if err != nil {
-				return nil, err
+	for _, st := range ad.steps {
+		for _, u := range st.updates {
+			if int(u.at) >= frag.G.NumVertices() {
+				return nil, fmt.Errorf("engine: replayed update at position %d, of %d", u.at, frag.G.NumVertices())
 			}
-			ad.steps[k].updates = append(ad.steps[k].updates, pu)
 		}
 	}
-	return ad, nil
+	ad.frag = frag
+	return ad, ended("adopt", frame, end+used)
 }
 
-// Worker-reply frame: the flushed change batch (border names the vertex of
-// each position: the sender's Border()), the superstep's work units, the
-// keep-active flag, the error string ("" = nil), and the worker's
+// Worker-reply frame: the flushed change batch, named by border position in
+// the sender's fragment and ascending as flush emits it, the superstep's work
+// units, the keep-active flag, the error string ("" = nil), and the worker's
 // compute/apply nanoseconds for the flight recorder. encodeReply also returns
 // the encoded length of the change batch — the metered data size; the timing
 // tail is framing overhead and never counts toward comm bytes.
 
-func encodeReply[V any](c Codec[V], buf []byte, rep workerReply[V], border []graph.ID) (frame []byte, dataLen int) {
-	frame = appendBatch(c, buf[:0], rep.changes, border)
+func encodeReply[V any](c Codec[V], buf []byte, rep workerReply[V]) (frame []byte, dataLen int) {
+	frame = appendBatch(c, buf[:0], rep.changes)
 	if len(rep.changes) > 0 {
 		dataLen = len(frame)
 	}
@@ -365,21 +341,20 @@ func appendReplyTail[V any](frame []byte, rep workerReply[V]) []byte {
 	return binary.AppendUvarint(frame, uint64(rep.applyNS))
 }
 
-// decodeReply decodes fragment f's reply, its change batch into ups[:0];
-// nothing aliases the frame.
-func decodeReply[V any](c Codec[V], ups []update[V], frame []byte, f *partition.Fragment) (workerReply[V], error) {
+// decodeReply decodes the reply of a fragment with nb border vertices, its
+// change batch into ups[:0]; nothing aliases the frame.
+func decodeReply[V any](c Codec[V], ups []update[V], frame []byte, nb int) (workerReply[V], error) {
 	var rep workerReply[V]
-	changes, pos, err := decodeBatch(c, ups, frame, reportedAt[V](f))
+	changes, pos, err := decodeBatch(c, ups, frame, nb, true)
 	if err != nil {
 		return rep, err
 	}
 	rep.changes = changes
-	work, n := binary.Varint(frame[pos:])
-	if n <= 0 {
-		return rep, errors.New("engine: bad work count in reply frame")
+	work, err := graph.ReadUvarint(frame, &pos)
+	if err != nil {
+		return rep, err
 	}
-	pos += n
-	rep.work = work
+	rep.work = int64(work>>1) ^ -int64(work&1) // zig-zag, as AppendVarint wrote it
 	if pos >= len(frame) {
 		return rep, errors.New("engine: truncated reply frame")
 	}
@@ -405,13 +380,14 @@ func decodeReply[V any](c Codec[V], ups []update[V], frame []byte, f *partition.
 	}
 	rep.computeNS = int64(compute)
 	rep.applyNS = int64(apply)
-	return rep, nil
+	return rep, ended("reply", frame, pos)
 }
 
 // Partial-result frame (worker → coordinator after the fixpoint): status
-// byte, then the uvarint length of either the program's encoded partial answer
-// or an error string, then that. The body is written first, partialHead bytes
-// into buf, and the head laid right up against it once its length is known.
+// byte (1 = ok, 0 = failed), then the uvarint length of either the program's
+// encoded partial answer or an error string, then that, to the frame's end.
+// The body is written first, partialHead bytes into buf, and the head laid
+// right up against it once its length is known.
 
 const partialHead = 1 + binary.MaxVarintLen64
 
@@ -433,15 +409,18 @@ func decodePartialFrame(frame []byte) ([]byte, error) {
 	if len(frame) == 0 {
 		return nil, errors.New("engine: empty partial-result frame")
 	}
+	if frame[0] > 1 {
+		return nil, fmt.Errorf("engine: bad status %d in partial-result frame", frame[0])
+	}
 	pos := 1
 	n, err := graph.ReadUvarint(frame, &pos)
 	if err != nil {
 		return nil, err
 	}
-	if uint64(len(frame)-pos) < n {
-		return nil, errors.New("engine: truncated partial-result frame")
+	if uint64(len(frame)-pos) != n {
+		return nil, fmt.Errorf("engine: partial-result frame of %d bytes claims a body of %d", len(frame), n)
 	}
-	body := frame[pos : pos+int(n)]
+	body := frame[pos:]
 	if frame[0] == 0 {
 		return nil, errors.New(string(body))
 	}

@@ -67,8 +67,8 @@ func (s VarSpec[V]) sizeOf(v V) int {
 
 // shipSize is the in-process traffic estimate for a batch of updates: an
 // 8-byte node ID plus the declared Size per value. It is the metering used
-// by the bus; wire transports charge len(AppendUpdates(codec, ...))
-// instead — the actual encoded length.
+// by the bus; wire transports charge the encoded batch's length
+// (appendBatch) instead.
 func shipSize[V any](spec VarSpec[V], ups []update[V]) int {
 	size := 0
 	for _, u := range ups {
@@ -98,8 +98,8 @@ type Program[Q, V, R any] interface {
 	Assemble(q Q, ctxs []*Context[V]) (R, error)
 }
 
-// VarUpdate is one (node, value) pair of update-parameter traffic as it
-// crosses a boundary: in a frame or a partial answer.
+// VarUpdate is one (node, value) pair of update-parameter traffic named by
+// vertex ID, as AppendUpdates writes it.
 type VarUpdate[V any] struct {
 	ID  graph.ID
 	Val V
@@ -110,8 +110,8 @@ type VarUpdate[V any] struct {
 // reply) at is the border position in the sender's fragment, which the fold
 // turns into the layout's slot through Fragment.Slots; on its way to a
 // fragment (a routed batch, a command, a replayed step) it is the dense index
-// in the receiver's graph. IDs come back only where bytes leave: the codecs
-// write IDAt of the same positions, and decode resolves them once.
+// in the receiver's graph. Engine frames carry the same positions: both ends
+// hold the fragment, so neither resolves an ID.
 type update[V any] struct {
 	at  int32
 	val V

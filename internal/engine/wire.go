@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"grape/internal/balance"
+	"grape/internal/graph"
 	"grape/internal/mpi"
 	"grape/internal/partition"
 )
@@ -169,7 +170,7 @@ func (s *wireSubstrate[Q, V, R]) open(ctx context.Context) error {
 
 func (s *wireSubstrate[Q, V, R]) command(w, step int, cmd workerCmd[V]) {
 	var dataLen int
-	s.buf, dataLen = encodeCmd(s.codec, s.buf, cmd, s.layout.Fragments[w].G.Vertices())
+	s.buf, dataLen = encodeCmd(s.codec, s.buf, cmd)
 	s.tr.Send(mpi.Envelope{From: mpi.Coordinator, To: w, Step: step, Frame: s.buf, Size: dataLen})
 }
 
@@ -178,7 +179,7 @@ func (s *wireSubstrate[Q, V, R]) reply(env mpi.Envelope) (workerReply[V], error)
 	if err != nil {
 		return workerReply[V]{}, err
 	}
-	rep, err := decodeReply(s.codec, s.decoded[env.From], frame, s.layout.Fragments[env.From])
+	rep, err := decodeReply(s.codec, s.decoded[env.From], frame, len(s.layout.Fragments[env.From].Border()))
 	s.decoded[env.From] = rep.changes
 	s.tr.Release(frame)
 	return rep, err
@@ -364,7 +365,7 @@ func serveWire[Q, V, R any](runCtx context.Context, prog WireProgram[Q, V, R], l
 		if ctx == nil {
 			return mpi.RunFatal(fmt.Errorf("engine: worker %d: command for fragment %d, which this worker does not host", f.Index, env.To))
 		}
-		cmd, err := decodeCmd(codec, sc.ups, env.Frame, ctx.Frag.G)
+		cmd, err := decodeCmd(codec, sc.ups, env.Frame, ctx.Frag.G.NumVertices())
 		if err != nil {
 			return fmt.Errorf("engine: worker %d: %w", f.Index, err)
 		}
@@ -398,8 +399,6 @@ func serveWire[Q, V, R any](runCtx context.Context, prog WireProgram[Q, V, R], l
 				computeNS, applyNS, perr = execStep(prog, q, ctx, cmd)
 			}
 			sc.buf, err = replyWire(link, codec, sc.buf, env.To, env.Step, ctx, computeNS, applyNS, perr)
-		default:
-			return mpi.RunFatal(fmt.Errorf("engine: worker %d: command %d is not supported over a wire transport", f.Index, cmd.kind))
 		}
 		if err != nil {
 			return fmt.Errorf("engine: worker %d: %w", f.Index, err)
@@ -409,20 +408,20 @@ func serveWire[Q, V, R any](runCtx context.Context, prog WireProgram[Q, V, R], l
 
 // replyWire encodes the superstep's reply over buf, sends it and returns buf.
 func replyWire[V any](link WorkerLink, codec Codec[V], buf []byte, w, step int, ctx *Context[V], computeNS, applyNS int64, perr error) ([]byte, error) {
-	buf, dataLen := encodeReply(codec, buf, workerReply[V]{changes: ctx.flush(), work: ctx.takeWork(), active: ctx.active, err: perr, computeNS: computeNS, applyNS: applyNS}, ctx.Frag.Border())
+	buf, dataLen := encodeReply(codec, buf, workerReply[V]{changes: ctx.flush(), work: ctx.takeWork(), active: ctx.active, err: perr, computeNS: computeNS, applyNS: applyNS})
 	return buf, link.Send(mpi.Envelope{From: w, To: mpi.Coordinator, Step: step, Frame: buf, Size: dataLen})
 }
 
 // encodePartial appends the worker's post-fixpoint payload for Assemble to
 // buf: the program's PartialCodec encoding when it has one, else the default
-// — every set node variable as one AppendUpdates batch, in the dense order
-// they lie in (SetLocal replays them: order means nothing), then the overflow
-// nodes by ID.
+// — every set node variable as one batch named by dense index, ascending, then
+// the overflow nodes, which the fragment graph does not have, as one batch
+// named by ID, ascending.
 func encodePartial[Q, V, R any](prog WireProgram[Q, V, R], codec Codec[V], buf []byte, q Q, ctx *Context[V]) ([]byte, error) {
 	if pc, ok := any(prog).(PartialCodec[Q, V]); ok {
 		return pc.EncodePartial(buf, q, ctx)
 	}
-	n, size := len(ctx.vars), 0
+	n, size := 0, 0
 	for i, ok := range ctx.has {
 		if ok {
 			n++
@@ -432,28 +431,43 @@ func encodePartial[Q, V, R any](prog WireProgram[Q, V, R], codec Codec[V], buf [
 	buf = binary.AppendUvarint(slices.Grow(buf, size), uint64(n))
 	for i, ok := range ctx.has {
 		if ok {
-			buf = appendUpdate(codec, buf, ctx.Frag.G.IDAt(int32(i)), ctx.vals[i])
+			buf = appendUpdate(codec, buf, uint64(i), ctx.vals[i])
 		}
 	}
+	buf = binary.AppendUvarint(buf, uint64(len(ctx.vars)))
 	for _, id := range slices.Sorted(maps.Keys(ctx.vars)) {
-		buf = appendUpdate(codec, buf, id, ctx.vars[id])
+		buf = appendUpdate(codec, buf, uint64(id), ctx.vars[id])
 	}
 	return buf, nil
 }
 
-// decodePartial is the coordinator-side inverse of encodePartial.
+// decodePartial is the coordinator-side inverse of encodePartial; the default
+// body's indices are checked against the fragment, its overflow IDs are not.
 func decodePartial[Q, V, R any](prog WireProgram[Q, V, R], codec Codec[V], q Q, ctx *Context[V], blob []byte) error {
 	if pc, ok := any(prog).(PartialCodec[Q, V]); ok {
 		return pc.DecodePartial(q, ctx, blob)
 	}
-	ups, _, err := DecodeUpdates(codec, nil, blob)
+	ups, pos, err := decodeBatch(codec, nil, blob, ctx.Frag.G.NumVertices(), true)
 	if err != nil {
 		return err
 	}
 	for _, u := range ups {
-		ctx.SetLocal(u.ID, u.Val)
+		ctx.SetLocalAt(u.at, u.val)
 	}
-	return nil
+	over, used, err := DecodeUpdates(codec, nil, blob[pos:])
+	if err != nil {
+		return err
+	}
+	for k, u := range over {
+		if k > 0 && u.ID <= over[k-1].ID {
+			return fmt.Errorf("engine: overflow node %d after %d, out of order", u.ID, over[k-1].ID)
+		}
+		if ctx.vars == nil {
+			ctx.vars = make(map[graph.ID]V, len(over))
+		}
+		ctx.vars[u.ID] = u.Val
+	}
+	return ended("partial-result", blob, pos+used)
 }
 
 // wireScratch is what a wire worker's run allocates and the next run of the

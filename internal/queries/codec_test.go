@@ -180,12 +180,11 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Add(engine.AppendUpdates(SSSP{}.WireCodec(), nil, []engine.VarUpdate[float64]{{ID: 3, Val: 1.5}}))
 	f.Add(CF{}.WireCodec().AppendVal(nil, []float64{1, 2, 3}))
-	// well-formed batches a worker has no business sending: a vertex no graph
-	// here has, a vertex inner to another fragment (a forged 0 distance), a
-	// border vertex the sender holds no copy of. They decode; the coordinator
-	// resolves a reply's IDs against its sender's border and must fail the run
-	// on each, not panic and not fold it
-	// (engine.TestReplyNamingForeignVertexFailsRun)
+	// well-formed batches: a position far past any border, a lone update, a
+	// descending pair. They decode here; the coordinator also checks a
+	// reply's positions against its sender's border and the ascending order a
+	// flush emits, and fails the run on the first and the last — no panic, no
+	// fold (engine.TestReplyNamingForeignVertexFailsRun, engine.FuzzEngineFrames)
 	f.Add(engine.AppendUpdates(CC{}.WireCodec(), nil, []engine.VarUpdate[graph.ID]{{ID: 999999, Val: 1}}))
 	f.Add(engine.AppendUpdates(SSSP{}.WireCodec(), nil, []engine.VarUpdate[float64]{{ID: 1, Val: 0}}))
 	f.Add(engine.AppendUpdates(SSSP{}.WireCodec(), nil, []engine.VarUpdate[float64]{{ID: 3, Val: 0}, {ID: 2, Val: 0}}))

@@ -210,7 +210,7 @@ func TestLivenessDetectsSilentWorker(t *testing.T) {
 	// and never speak again.
 	var hello [8]byte
 	copy(hello[:4], "GRPW")
-	binary.BigEndian.PutUint32(hello[4:], 5)
+	binary.BigEndian.PutUint32(hello[4:], transport.Version)
 	if _, err := nc.Write(hello[:]); err != nil {
 		t.Fatal(err)
 	}

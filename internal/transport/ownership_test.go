@@ -229,15 +229,36 @@ func TestFrameOwnershipPoison(t *testing.T) {
 // The reference encoders: the frame encoders as they stood before frames were
 // written into reused buffers, each building its frame from nil. Setup and
 // adopt frames end in partition.AppendFragment, which this change left alone.
+// Updates are handed over named by ID and written as the position both ends
+// of the link share: key maps each ID to it — the dense index in the
+// receiving fragment's graph (denseAt), the border position in the sending
+// fragment (borderAt), or the ID itself for a default partial answer's
+// overflow nodes (byID).
 
-func refUpdates[V any](c engine.Codec[V], buf []byte, ups []engine.VarUpdate[V]) []byte {
+func refUpdates[V any](c engine.Codec[V], buf []byte, ups []engine.VarUpdate[V], key func(graph.ID) uint64) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(ups)))
 	for _, u := range ups {
-		buf = binary.AppendUvarint(buf, uint64(u.ID))
+		buf = binary.AppendUvarint(buf, key(u.ID))
 		buf = c.AppendVal(buf, u.Val)
 	}
 	return buf
 }
+
+func denseAt(f *partition.Fragment) func(graph.ID) uint64 {
+	return func(id graph.ID) uint64 {
+		i, _ := f.G.Index(id)
+		return uint64(i)
+	}
+}
+
+func borderAt(f *partition.Fragment) func(graph.ID) uint64 {
+	return func(id graph.ID) uint64 {
+		p, _ := f.BorderPos(id)
+		return uint64(p)
+	}
+}
+
+func byID(id graph.ID) uint64 { return uint64(id) }
 
 func refSetup(name string, query []byte, deadlineMicros int64, f *partition.Fragment) []byte {
 	var frame []byte
@@ -249,9 +270,8 @@ func refSetup(name string, query []byte, deadlineMicros int64, f *partition.Frag
 	return partition.AppendFragment(graph.AppendSection(frame, 0, nil), f)
 }
 
-func refCmd[V any](c engine.Codec[V], kind byte, ups []engine.VarUpdate[V]) []byte {
-	frame := refUpdates(c, []byte{kind}, ups)
-	return binary.AppendUvarint(frame, 0) // no dirty list crosses a wire
+func refCmd[V any](c engine.Codec[V], f *partition.Fragment, kind byte, ups []engine.VarUpdate[V]) []byte {
+	return refUpdates(c, []byte{kind}, ups, denseAt(f))
 }
 
 type refStep[V any] struct {
@@ -265,18 +285,36 @@ func refAdopt[V any](c engine.Codec[V], f *partition.Fragment, steps []refStep[V
 	frame = binary.AppendUvarint(frame, uint64(len(steps)))
 	for _, st := range steps {
 		frame = binary.AppendUvarint(frame, st.step)
-		frame = refUpdates(c, frame, st.ups)
+		frame = refUpdates(c, frame, st.ups, denseAt(f))
 	}
 	return partition.AppendFragment(graph.AppendSection(frame, 0, nil), f)
 }
 
-func refReply[V any](c engine.Codec[V], ups []engine.VarUpdate[V], work int64, active byte, msg string, computeNS, applyNS uint64) []byte {
-	frame := refUpdates(c, nil, ups)
+func refReply[V any](c engine.Codec[V], f *partition.Fragment, ups []engine.VarUpdate[V], work int64, active byte, msg string, computeNS, applyNS uint64) []byte {
+	frame := refUpdates(c, nil, ups, borderAt(f))
 	frame = append(binary.AppendVarint(frame, work), active)
 	frame = binary.AppendUvarint(frame, uint64(len(msg)))
 	frame = append(frame, msg...)
 	frame = binary.AppendUvarint(frame, computeNS)
 	return binary.AppendUvarint(frame, applyNS)
+}
+
+// refPartial is the default partial answer of fragment f holding ups: the
+// vertices f's graph has by dense index, ascending, then the rest by ID,
+// ascending.
+func refPartial[V any](c engine.Codec[V], f *partition.Fragment, ups []engine.VarUpdate[V]) []byte {
+	var hosted, overflow []engine.VarUpdate[V]
+	for _, u := range ups {
+		if _, ok := f.G.Index(u.ID); ok {
+			hosted = append(hosted, u)
+		} else {
+			overflow = append(overflow, u)
+		}
+	}
+	at := denseAt(f)
+	slices.SortFunc(hosted, func(a, b engine.VarUpdate[V]) int { return cmp.Compare(at(a.ID), at(b.ID)) })
+	slices.SortFunc(overflow, func(a, b engine.VarUpdate[V]) int { return cmp.Compare(a.ID, b.ID) })
+	return refUpdates(c, refUpdates(c, nil, hosted, at), overflow, byID)
 }
 
 func uvarint(t *testing.T, frame []byte, pos *int) uint64 {
@@ -289,21 +327,29 @@ func uvarint(t *testing.T, frame []byte, pos *int) uint64 {
 	return v
 }
 
-func updates[V any](t *testing.T, c engine.Codec[V], frame []byte, pos *int) []engine.VarUpdate[V] {
+// updates decodes the batch at *pos and names each update by the vertex its
+// position stands for in names, or keeps the key as the ID where names is nil.
+func updates[V any](t *testing.T, c engine.Codec[V], frame []byte, pos *int, names []graph.ID) []engine.VarUpdate[V] {
 	t.Helper()
 	ups, used, err := engine.DecodeUpdates(c, nil, frame[*pos:])
 	if err != nil {
 		t.Fatalf("update batch at offset %d: %v", *pos, err)
 	}
 	*pos += used
+	for i := 0; names != nil && i < len(ups); i++ {
+		if ups[i].ID < 0 || int(ups[i].ID) >= len(names) {
+			t.Fatalf("update batch at offset %d names position %d of %d", *pos, ups[i].ID, len(names))
+		}
+		ups[i].ID = names[ups[i].ID]
+	}
 	return ups
 }
 
 // goldenFrames decodes every frame rec saw and requires the reference
 // encoders to reproduce it byte for byte; a partial answer must be one
 // well-formed blob of its metered size and, where it is the default (every
-// set variable as one batch), hold each vertex once and re-encode, sorted the
-// way the parent shipped it, to the same length.
+// set variable as one batch, the overflow nodes as another), hold each vertex
+// once and equal the reference layout of what it holds.
 func goldenFrames[Q, V, R any](t *testing.T, prog engine.WireProgram[Q, V, R], q Q, layout *partition.Layout, rec *recordingTransport) {
 	t.Helper()
 	codec := prog.WireCodec()
@@ -316,27 +362,28 @@ func goldenFrames[Q, V, R any](t *testing.T, prog engine.WireProgram[Q, V, R], q
 	setUp := make([]bool, len(layout.Fragments))
 	for _, e := range rec.sent {
 		var want []byte
+		f := layout.Fragments[e.To]
 		switch pos := 1; {
 		case !setUp[e.To]:
 			setUp[e.To] = true
 			kinds["setup"]++
-			want = refSetup(prog.Name(), qblob, 0, layout.Fragments[e.To])
+			want = refSetup(prog.Name(), qblob, 0, f)
 		case e.Frame[0] == 6:
 			kinds["adopt"]++
 			owe := uvarint(t, e.Frame, &pos)
 			steps := make([]refStep[V], uvarint(t, e.Frame, &pos))
 			for i := range steps {
 				steps[i].step = uvarint(t, e.Frame, &pos)
-				steps[i].ups = updates(t, codec, e.Frame, &pos)
+				steps[i].ups = updates(t, codec, e.Frame, &pos, f.G.Vertices())
 			}
-			want = refAdopt(codec, layout.Fragments[e.To], steps, owe)
+			want = refAdopt(codec, f, steps, owe)
 		default:
 			kinds["command"]++
-			ups := updates(t, codec, e.Frame, &pos)
+			ups := updates(t, codec, e.Frame, &pos, f.G.Vertices())
 			if size := pos - 1; len(ups) > 0 && e.Size != size || len(ups) == 0 && e.Size != 0 {
 				t.Fatalf("command frame to %d metered %d bytes, its batch of %d takes %d", e.To, e.Size, len(ups), size)
 			}
-			want = refCmd(codec, e.Frame[0], ups)
+			want = refCmd(codec, f, e.Frame[0], ups)
 		}
 		if !bytes.Equal(e.Frame, want) {
 			t.Fatalf("frame to worker %d (superstep %d) differs from the reference encoding: %d bytes, want %d", e.To, e.Step, len(e.Frame), len(want))
@@ -346,10 +393,11 @@ func goldenFrames[Q, V, R any](t *testing.T, prog engine.WireProgram[Q, V, R], q
 		if e.Frame == nil {
 			continue // a link's death
 		}
+		f := layout.Fragments[e.From]
 		pos := 0
 		if e.Step > 0 {
 			kinds["reply"]++
-			ups := updates(t, codec, e.Frame, &pos)
+			ups := updates(t, codec, e.Frame, &pos, f.Border())
 			if len(ups) > 0 && e.Size != pos || len(ups) == 0 && e.Size != 0 {
 				t.Fatalf("reply frame from %d metered %d bytes, its batch of %d takes %d", e.From, e.Size, len(ups), pos)
 			}
@@ -361,7 +409,7 @@ func goldenFrames[Q, V, R any](t *testing.T, prog engine.WireProgram[Q, V, R], q
 			pos += 1 + len(msg)
 			computeNS := uvarint(t, e.Frame, &pos)
 			applyNS := uvarint(t, e.Frame, &pos)
-			if want := refReply(codec, ups, work, active, msg, computeNS, applyNS); !bytes.Equal(e.Frame, want) {
+			if want := refReply(codec, f, ups, work, active, msg, computeNS, applyNS); !bytes.Equal(e.Frame, want) {
 				t.Fatalf("reply frame from worker %d (superstep %d) differs from the reference encoding: %d bytes, want %d", e.From, e.Step, len(e.Frame), len(want))
 			}
 			continue
@@ -375,18 +423,21 @@ func goldenFrames[Q, V, R any](t *testing.T, prog engine.WireProgram[Q, V, R], q
 		if ownPartial {
 			continue
 		}
-		ups := updates(t, codec, e.Frame, &pos)
+		body := pos
+		ups := updates(t, codec, e.Frame, &pos, f.G.Vertices())
+		ups = append(ups, updates(t, codec, e.Frame, &pos, nil)...)
 		if pos != len(e.Frame) {
 			t.Fatalf("partial frame from %d: %d trailing bytes", e.From, len(e.Frame)-pos)
 		}
-		slices.SortFunc(ups, func(a, b engine.VarUpdate[V]) int { return cmp.Compare(a.ID, b.ID) })
-		for i := 1; i < len(ups); i++ {
-			if ups[i].ID == ups[i-1].ID {
-				t.Fatalf("partial frame from %d names vertex %d twice", e.From, ups[i].ID)
+		seen := map[graph.ID]bool{}
+		for _, u := range ups {
+			if seen[u.ID] {
+				t.Fatalf("partial frame from %d names vertex %d twice", e.From, u.ID)
 			}
+			seen[u.ID] = true
 		}
-		if got := len(refUpdates(codec, nil, ups)); got != n {
-			t.Fatalf("partial frame from %d: %d bytes, the sorted reference encoding takes %d", e.From, n, got)
+		if want := refPartial(codec, f, ups); !bytes.Equal(e.Frame[body:], want) {
+			t.Fatalf("partial frame from %d: %d bytes differ from the reference layout's %d", e.From, n, len(want))
 		}
 	}
 	for _, k := range []string{"setup", "adopt", "command", "reply", "partial"} {

@@ -77,9 +77,11 @@ const (
 	// the fragment field of the frame header (one link can host several
 	// fragments after reassignment), ping/pong liveness frames with the
 	// window in the handshake response, the abort frame and setup-frame
-	// deadline, the compute/apply timing tail of reply frames, and flat
-	// fragment frames laid 8-aligned at the tail of setup and adopt frames.
-	version = 5
+	// deadline, the compute/apply timing tail of reply frames, flat
+	// fragment frames laid 8-aligned at the tail of setup and adopt frames,
+	// and engine frames that name a vertex by the position both ends share
+	// (a dense index or a border position), never by its ID.
+	version = 6
 	// maxFrame caps a single frame: fragments of very large graphs dominate
 	// frame sizes; 1 GiB is far beyond anything this repo generates while
 	// still bounding a corrupted length prefix.

@@ -205,8 +205,8 @@ func TestWireBytesAreEncodedLengths(t *testing.T) {
 	}
 	codec := queries.SSSP{}.WireCodec()
 	var total int64
-	// Coordinator → worker: IncEval command frames carry kind byte, update
-	// batch, dirty list; Size must equal the batch's encoded length.
+	// Coordinator → worker: IncEval command frames carry a kind byte, then
+	// the update batch; Size must equal the batch's encoded length.
 	for _, e := range rec.sent {
 		if e.Size == 0 {
 			continue
