@@ -11,7 +11,7 @@ import (
 // busSubstrate keeps a run's workers in this process: one goroutine per
 // fragment on an mpi.Bus, commands and replies passed by reference and
 // metered by the VarSpec.Size estimate. The contexts are the caller's —
-// fresh per run (RunOnLayout), pooled (Resident) or retained (Session).
+// pooled (RunOnLayout, Resident) or retained (Session).
 type busSubstrate[Q, V, R any] struct {
 	prog Program[Q, V, R]
 	q    Q

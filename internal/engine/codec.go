@@ -68,62 +68,104 @@ func appendUpdate[V any](c Codec[V], buf []byte, key uint64, v V) []byte {
 
 // DecodeUpdates decodes a batch encoded by AppendUpdates from the front of
 // data into ups[:0] (a receiver passes the batch it is done with), returning
-// the updates and the number of bytes consumed. The count is checked against
-// the bytes left — an update takes two — before anything is sized from it.
+// the updates and the number of bytes consumed.
 func DecodeUpdates[V any](c Codec[V], ups []VarUpdate[V], data []byte) ([]VarUpdate[V], int, error) {
-	return readBatch(c, ups, data, func(key uint64, v V) (VarUpdate[V], error) { return VarUpdate[V]{ID: graph.ID(key), Val: v}, nil })
-}
-
-// decodeBatch decodes a batch written by appendBatch from the front of data
-// into ups[:0]. Every position must lie below n and, when ascending is set,
-// above the one before: a position outside the receiver's fragment or out of
-// its sender's order is a corrupt or hostile frame, which must reach neither
-// a fragment's arrays nor the fold.
-func decodeBatch[V any](c Codec[V], ups []update[V], data []byte, n int, ascending bool) ([]update[V], int, error) {
-	next := uint64(0)
-	return readBatch(c, ups, data, func(p uint64, v V) (update[V], error) {
-		if p < next || p >= uint64(n) {
-			return update[V]{}, fmt.Errorf("engine: update at position %d, outside [%d, %d)", p, next, n)
-		}
-		if ascending {
-			next = p + 1
-		}
-		return update[V]{at: int32(p), val: v}, nil
-	})
-}
-
-// readBatch is the one batch reader: count, then (key, value) pairs, each made
-// an update by mk, which also vets the key.
-func readBatch[V, U any](c Codec[V], ups []U, data []byte, mk func(uint64, V) (U, error)) ([]U, int, error) {
-	pos := 0
-	n, err := graph.ReadUvarint(data, &pos)
+	br, err := openBatch(c, data)
 	if err != nil {
 		return nil, 0, err
 	}
-	if n > uint64(len(data)-pos)/2 {
-		return nil, 0, fmt.Errorf("engine: %d updates claimed in %d bytes", n, len(data)-pos)
+	ups = slices.Grow(ups[:0], br.count)
+	for range br.count {
+		key, v, err := br.next()
+		if err != nil {
+			return nil, 0, err
+		}
+		ups = append(ups, VarUpdate[V]{ID: graph.ID(key), Val: v})
 	}
-	ups = slices.Grow(ups[:0], int(n))
+	return ups, br.pos, nil
+}
+
+// decodeBatch decodes a batch written by appendBatch from the front of data
+// into ups[:0], its positions vetted as positions{n, ascending} says.
+func decodeBatch[V any](c Codec[V], ups []update[V], data []byte, n int, ascending bool) ([]update[V], int, error) {
+	br, err := openBatch(c, data)
+	if err != nil {
+		return nil, 0, err
+	}
+	at := positions{n: n, ascending: ascending}
+	ups = slices.Grow(ups[:0], br.count)
+	for range br.count {
+		key, v, err := br.next()
+		if err != nil {
+			return nil, 0, err
+		}
+		i, err := at.check(key)
+		if err != nil {
+			return nil, 0, err
+		}
+		ups = append(ups, update[V]{at: i, val: v})
+	}
+	return ups, br.pos, nil
+}
+
+// positions vets the positions of one batch: each must lie below n and, when
+// ascending is set, above the one before. A position outside the receiver's
+// fragment or out of its sender's order is a corrupt or hostile frame, which
+// must reach neither a fragment's arrays nor the fold.
+type positions struct {
+	n         int
+	ascending bool
+	next      uint64
+}
+
+func (p *positions) check(key uint64) (int32, error) {
+	if key < p.next || key >= uint64(p.n) {
+		return 0, fmt.Errorf("engine: update at position %d, outside [%d, %d)", key, p.next, p.n)
+	}
+	if p.ascending {
+		p.next = key + 1
+	}
+	return int32(key), nil
+}
+
+// batchReader is the one batch reader: a count, then count (key, value)
+// pairs, read one pair per next. pos is the bytes of data consumed so far.
+type batchReader[V any] struct {
+	c     Codec[V]
+	data  []byte
+	pos   int
+	count int
+}
+
+// openBatch reads the count of the batch at the front of data, checked
+// against the bytes left — an update takes two — before anything is sized
+// from it.
+func openBatch[V any](c Codec[V], data []byte) (batchReader[V], error) {
+	br := batchReader[V]{c: c, data: data}
+	n, err := graph.ReadUvarint(data, &br.pos)
+	if err != nil {
+		return br, err
+	}
+	if n > uint64(len(data)-br.pos)/2 {
+		return br, fmt.Errorf("engine: %d updates claimed in %d bytes", n, len(data)-br.pos)
+	}
+	br.count = int(n)
 	if a, ok := c.(ArenaCodec[V]); ok && n > 0 {
-		c = a.Arena(len(data) - pos)
+		br.c = a.Arena(len(data) - br.pos)
 	}
-	for i := uint64(0); i < n; i++ {
-		key, err := graph.ReadUvarint(data, &pos)
-		if err != nil {
-			return nil, 0, err
-		}
-		v, used, err := c.DecodeVal(data[pos:])
-		if err != nil {
-			return nil, 0, err
-		}
-		pos += used
-		u, err := mk(key, v)
-		if err != nil {
-			return nil, 0, err
-		}
-		ups = append(ups, u)
+	return br, nil
+}
+
+func (br *batchReader[V]) next() (key uint64, v V, err error) {
+	if key, err = graph.ReadUvarint(br.data, &br.pos); err != nil {
+		return 0, v, err
 	}
-	return ups, pos, nil
+	v, used, err := br.c.DecodeVal(br.data[br.pos:])
+	if err != nil {
+		return 0, v, err
+	}
+	br.pos += used
+	return key, v, nil
 }
 
 // ended fails a frame that runs on past its last section.
@@ -132,6 +174,17 @@ func ended(what string, frame []byte, pos int) error {
 		return fmt.Errorf("engine: %d bytes after the end of a %s frame", len(frame)-pos, what)
 	}
 	return nil
+}
+
+// padded returns the 8-aligned frame offset a fragment starts at after pos,
+// failing a frame that ends before it or has anything but zeros in between.
+func padded(what string, frame []byte, pos int) (int, error) {
+	var pad [8]byte
+	end := graph.Align8(pos)
+	if end > len(frame) || !bytes.Equal(frame[pos:end], pad[:end-pos]) {
+		return 0, fmt.Errorf("engine: %s frame truncated or unpadded before its fragment", what)
+	}
+	return end, nil
 }
 
 // Edge-update frames carry graph mutations (session update batches) across
@@ -290,10 +343,9 @@ func decodeAdopt[V any](c Codec[V], frame []byte) (*adoptCmd[V], error) {
 		pos += used
 		ad.steps = append(ad.steps, replayStep[V]{step: int(step), updates: ups})
 	}
-	var pad [8]byte
-	end := graph.Align8(pos)
-	if end > len(frame) || !bytes.Equal(frame[pos:end], pad[:end-pos]) {
-		return nil, errors.New("engine: adopt frame truncated or unpadded before its fragment")
+	end, err := padded("adopt", frame, pos)
+	if err != nil {
+		return nil, err
 	}
 	frag, used, err := partition.DecodeFragment(frame[end:])
 	if err != nil {
@@ -445,7 +497,8 @@ func encodeSetup(buf []byte, name string, query []byte, deadlineMicros int64, f 
 	return partition.AppendFragment(graph.AppendSection(frame, 0, nil), f)
 }
 
-func decodeSetup(frame []byte) (name string, query []byte, deadlineMicros int64, fragment []byte, err error) {
+// decodeSetup decodes a setup frame; the fragment aliases the frame.
+func decodeSetup(frame []byte) (name string, query []byte, deadlineMicros int64, frag *partition.Fragment, err error) {
 	pos := 0
 	if name, err = graph.ReadString(frame, &pos); err != nil {
 		return "", nil, 0, nil, err
@@ -463,8 +516,13 @@ func decodeSetup(frame []byte) (name string, query []byte, deadlineMicros int64,
 	if err != nil {
 		return "", nil, 0, nil, err
 	}
-	if pos = graph.Align8(pos); pos > len(frame) {
-		return "", nil, 0, nil, errors.New("engine: truncated setup frame")
+	end, err := padded("setup", frame, pos)
+	if err != nil {
+		return "", nil, 0, nil, err
 	}
-	return name, query, int64(dl), frame[pos:], nil
+	frag, used, err := partition.DecodeFragment(frame[end:])
+	if err != nil {
+		return "", nil, 0, nil, fmt.Errorf("engine: decoding fragment: %w", err)
+	}
+	return name, query, int64(dl), frag, ended("setup", frame, end+used)
 }

@@ -110,7 +110,7 @@ type coordinator[V any] struct {
 // Superstep 1 is PEval on all n workers when dirty is nil (a fresh run); a
 // session resuming its retained contexts passes the per-worker dirty nodes
 // instead, and exactly those workers run IncEval seeded with them
-// (cmdLocalInc). fold is the caller's: fresh per run, pooled by Resident,
+// (cmdLocalInc). fold is the caller's: pooled by RunOnLayout and Resident,
 // retained by Session.
 //
 // Every fragment graph must be frozen: kernels read the CSR form only, and

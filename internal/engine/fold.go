@@ -22,10 +22,11 @@ import (
 
 // foldState carries the coordinator's aggregation state across supersteps:
 // the best-known value of every border slot, this superstep's changes, and
-// the per-worker routing buffers, all reused between supersteps.
+// the per-worker routing buffers, all reused between supersteps — and, through
+// a pooled runScratch, between runs, each rebound to its run's layout.
 type foldState[V any] struct {
-	spec   VarSpec[V]        //grapevet:keep construction-time identity: fixed per Resident, like Context.spec
-	layout *partition.Layout //grapevet:keep construction-time identity: the slots are this layout's
+	spec   VarSpec[V]
+	layout *partition.Layout
 
 	val    []V     // by slot: the folded value
 	has    []bool  // by slot: val is set (never, for queue variables)
@@ -41,8 +42,8 @@ type foldState[V any] struct {
 }
 
 func newFoldState[V any](spec VarSpec[V], layout *partition.Layout) *foldState[V] {
-	f := &foldState[V]{spec: spec, layout: layout, route: make([][]update[V], len(layout.Fragments))}
-	f.grow()
+	f := new(foldState[V])
+	f.reset(spec, layout)
 	return f
 }
 
@@ -57,15 +58,37 @@ func (f *foldState[V]) grow() {
 	}
 }
 
-// reset clears a pooled fold state for the next run, keeping every buffer.
-func (f *foldState[V]) reset() {
+// reset binds a new or released fold to a run over layout: the slot arrays
+// sized to its slots and cleared, one routing buffer per fragment, every
+// buffer kept.
+func (f *foldState[V]) reset(spec VarSpec[V], layout *partition.Layout) {
+	f.spec, f.layout = spec, layout
+	n := layout.Slots()
+	f.val = slices.Grow(f.val[:0], n)[:n]
+	f.has = slices.Grow(f.has[:0], n)[:n]
+	f.winner = slices.Grow(f.winner[:0], n)[:n]
+	f.movedAt = slices.Grow(f.movedAt[:0], (n+63)/64)[:(n+63)/64]
 	clear(f.val)
 	clear(f.has)
 	clear(f.winner)
 	clear(f.movedAt)
 	f.moved = f.moved[:0]
+	f.route = slices.Grow(f.route[:0], len(layout.Fragments))[:len(layout.Fragments)]
 	for i := range f.route {
 		f.route[i] = f.route[i][:0]
+	}
+}
+
+// release drops what a pooled fold holds of its finished run — the layout and
+// every folded or routed value — keeping every buffer, so the pool pins
+// neither a one-shot layout nor its values.
+func (f *foldState[V]) release() {
+	f.spec, f.layout = VarSpec[V]{}, nil
+	clear(f.val)
+	for i, batch := range f.route {
+		batch = batch[:cap(batch)]
+		clear(batch)
+		f.route[i] = batch[:0]
 	}
 }
 

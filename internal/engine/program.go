@@ -131,7 +131,7 @@ type Context[V any] struct {
 	// Assemble reads it.
 	Partial any
 
-	spec VarSpec[V] //grapevet:keep construction-time identity: one Resident serves one program, so the spec never varies across pooled runs
+	spec VarSpec[V] //grapevet:keep set by whoever binds the context — newContext, a pooled run scratch — before reset, which keeps it
 	// Node variables live in dense slices indexed by the fragment graph's
 	// dense vertex index — the fragment is fixed during a run, and the
 	// session layer's vertex additions are absorbed by ensure(). vars is the
@@ -164,9 +164,10 @@ func newContext[V any](f *partition.Fragment, spec VarSpec[V]) *Context[V] {
 
 // reset binds a context — new, or pooled — to fragment f and puts it into
 // its just-constructed state, so a run starts from the program's declared
-// defaults. A Resident rebinds each context to the fragment it always had, a
-// wire worker to the one its setup frame carried. The fragment is shared and
-// untouched; only this run's variable arrays are sized to it and cleared.
+// defaults. A pooled run scratch rebinds each context to its run's fragment —
+// under a Resident, the one it always had — and a wire worker to the one its
+// setup frame carried. The fragment is shared and untouched; only this run's
+// variable arrays are sized to it and cleared.
 func (c *Context[V]) reset(f *partition.Fragment) {
 	c.Frag = f
 	nv := f.G.NumVertices()

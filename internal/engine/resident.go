@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"grape/internal/metrics"
@@ -18,17 +19,17 @@ import (
 // race-tested for concurrent reads, and the fragments' dense caches are
 // finalized at build time.
 //
-// Per-run scratch (the n worker contexts with their dense variable arrays,
-// and the coordinator's fold state) is recycled through a sync.Pool: a query
-// service answering many small queries would otherwise spend its time
-// reallocating O(|V|) arrays per request.
+// Per-run scratch (runScratch: the n worker contexts with their dense
+// variable arrays, and the coordinator's fold state) is recycled through a
+// sync.Pool of the runner's own: a query service answering many small queries
+// would otherwise spend its time reallocating O(|V|) arrays per request.
 //
 // The layout may be a session's (SessionHandle.Layout), which the session
 // splices between runs — never during one: the caller serializes its batches
 // against its runs. The pooled scratch survives that: it is bound to the
 // layout's *Fragment objects, whose graphs a splice swaps in place; each Run
-// resets the contexts to the fragment's current size and border, the fold
-// grows with the layout's slots, and border positions never move. A reseed
+// resets the contexts to the fragment's current size and border and the fold
+// to the layout's current slots, and border positions never move. A reseed
 // builds a new layout, which needs a new Resident.
 type Resident[Q, V, R any] struct {
 	layout *partition.Layout
@@ -37,9 +38,61 @@ type Resident[Q, V, R any] struct {
 	pool   sync.Pool // *runScratch[V]
 }
 
+// runScratch is what one run allocates and the next run of the same program
+// reuses: the n worker contexts — the bus's workers, and on the wire the
+// contexts finish decodes the partial answers into — the coordinator's fold
+// state, and on the wire the batch each worker's reply is decoded into.
 type runScratch[V any] struct {
-	ctxs []*Context[V]
-	fold *foldState[V]
+	ctxs    []*Context[V]
+	fold    foldState[V]
+	decoded [][]update[V]
+}
+
+// acquireScratch takes a run's scratch from pool — a new one when the pool is
+// empty or holds a scratch of another value type, which a program sharing
+// the name of the pool's (RunOnLayout pools by name) put there — and binds it
+// to layout: every context reset to its fragment with the program's spec, the
+// fold to the layout's slots, one empty reply batch per fragment.
+func acquireScratch[V any](pool *sync.Pool, layout *partition.Layout, spec VarSpec[V]) *runScratch[V] {
+	sc, ok := pool.Get().(*runScratch[V])
+	if !ok {
+		sc = new(runScratch[V])
+	}
+	n := len(layout.Fragments)
+	// contexts past a smaller layout's fragments are kept for a larger one
+	if n > cap(sc.ctxs) {
+		sc.ctxs = slices.Grow(sc.ctxs[:cap(sc.ctxs)], n-cap(sc.ctxs))
+	}
+	sc.ctxs = sc.ctxs[:n]
+	for i, c := range sc.ctxs {
+		if c == nil {
+			c = new(Context[V])
+			sc.ctxs[i] = c
+		}
+		c.spec = spec
+		c.reset(layout.Fragments[i])
+	}
+	sc.fold.reset(spec, layout)
+	sc.decoded = slices.Grow(sc.decoded[:0], n)[:n]
+	return sc
+}
+
+// releaseScratch puts sc back into pool once nothing of the run it served
+// is reachable through it: no layout, fragment, program state or partial
+// answer, and no folded or decoded value. A pooled scratch must not pin the
+// layout of a one-shot run. Every context sized at the last acquire stays
+// allocated, and its variables are cleared when it is next bound.
+func releaseScratch[V any](pool *sync.Pool, sc *runScratch[V]) {
+	for _, c := range sc.ctxs {
+		c.Frag, c.State, c.Partial, c.vars = nil, nil, nil, nil
+	}
+	sc.fold.release()
+	for i, batch := range sc.decoded {
+		batch = batch[:cap(batch)]
+		clear(batch)
+		sc.decoded[i] = batch[:0]
+	}
+	pool.Put(sc)
 }
 
 // NewResident returns the reusable runner, refusing a wire transport —
@@ -51,12 +104,7 @@ func NewResident[Q, V, R any](layout *partition.Layout, prog Program[Q, V, R], o
 	if opts.Transport != nil {
 		return nil, fmt.Errorf("engine: resident runs use the in-process bus (wire workers cannot share a resident layout)")
 	}
-	r := &Resident[Q, V, R]{layout: layout, prog: prog, opts: opts}
-	spec := prog.Spec()
-	r.pool.New = func() any {
-		return &runScratch[V]{ctxs: freshContexts(layout, spec), fold: newFoldState(spec, layout)}
-	}
-	return r, nil
+	return &Resident[Q, V, R]{layout: layout, prog: prog, opts: opts}, nil
 }
 
 // Run executes one query over the resident layout. Safe for concurrent use.
@@ -66,12 +114,8 @@ func NewResident[Q, V, R any](layout *partition.Layout, prog Program[Q, V, R], o
 // reset on the next Get, so a cancelled run can never leak half-written
 // state into a later one.
 func (r *Resident[Q, V, R]) Run(ctx context.Context, q Q) (R, *metrics.Stats, error) {
-	sc := r.pool.Get().(*runScratch[V])
-	for _, c := range sc.ctxs {
-		c.reset(c.Frag)
-	}
-	sc.fold.reset()
-	res, stats, err := fixpoint(ctx, r.layout, r.prog, q, r.opts, newBusSubstrate(r.prog, q, r.opts, sc.ctxs), sc.fold, nil)
-	r.pool.Put(sc)
+	sc := acquireScratch(&r.pool, r.layout, r.prog.Spec())
+	res, stats, err := fixpoint(ctx, r.layout, r.prog, q, r.opts, newBusSubstrate(r.prog, q, r.opts, sc.ctxs), &sc.fold, nil)
+	releaseScratch(&r.pool, sc)
 	return res, stats, err
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"sync"
 
 	"grape/internal/balance"
 	"grape/internal/graph"
@@ -140,22 +141,37 @@ func partitionFor(g *graph.Graph, opts Options) (*partition.Assignment, error) {
 // Options.Transport the fixpoint drives remote worker processes (see
 // wire.go); otherwise workers are goroutines on an in-process bus (bus.go).
 // Either way the superstep loop is fixpoint. The context is honored as in
-// Run.
+// Run. The run's contexts, fold state and reply batches come from a pool
+// per program name and go back when it returns, as a Resident's do.
 func RunOnLayout[Q, V, R any](ctx context.Context, layout *partition.Layout, prog Program[Q, V, R], q Q, opts Options) (R, *metrics.Stats, error) {
 	var zero R
 	opts = opts.withDefaults()
-	spec := prog.Spec()
-	fold := newFoldState(spec, layout)
-	if opts.Transport == nil {
-		return fixpoint(ctx, layout, prog, q, opts, newBusSubstrate(prog, q, opts, freshContexts(layout, spec)), fold, nil)
-	}
-	if !opts.Transport.Wire() {
+	if opts.Transport != nil && !opts.Transport.Wire() {
 		// Refuse rather than silently run on a hidden internal bus.
 		return zero, nil, errors.New("engine: custom non-wire transports are not supported; leave Options.Transport nil for the in-process bus")
 	}
-	sub, err := newWireSubstrate(layout, prog, q, opts)
+	pool := runPool(prog.Name())
+	sc := acquireScratch(pool, layout, prog.Spec())
+	defer releaseScratch(pool, sc)
+	if opts.Transport == nil {
+		return fixpoint(ctx, layout, prog, q, opts, newBusSubstrate(prog, q, opts, sc.ctxs), &sc.fold, nil)
+	}
+	sub, err := newWireSubstrate(layout, prog, q, opts, sc)
 	if err != nil {
 		return zero, nil, err
 	}
-	return fixpoint(ctx, layout, prog, q, opts, sub, fold, nil)
+	return fixpoint(ctx, layout, prog, q, opts, sub, &sc.fold, nil)
+}
+
+// runPools holds RunOnLayout's scratch pools, one *sync.Pool per program
+// name. They are sync.Pools so that a collection empties them: between
+// queries a one-shot caller holds no run memory.
+var runPools sync.Map
+
+func runPool(name string) *sync.Pool {
+	if p, ok := runPools.Load(name); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := runPools.LoadOrStore(name, new(sync.Pool))
+	return p.(*sync.Pool)
 }

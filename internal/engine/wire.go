@@ -93,9 +93,12 @@ type wireSubstrate[Q, V, R any] struct {
 	codec  Codec[V]
 	tr     mpi.Transport
 	// buf is the frame every command is encoded into, decoded[w] the batch
-	// worker w's reply is decoded into: fold is done with it before w replies again.
+	// worker w's reply is decoded into: fold is done with it before w replies
+	// again. decoded and ctxs, the contexts finish decodes the partial
+	// answers into, are the run scratch's.
 	buf     []byte
 	decoded [][]update[V]
+	ctxs    []*Context[V]
 
 	// Recovery (Options.Recover): each fragment starts on its own worker
 	// process (host); hostOf, aliveHost and hostLoad track the re-homing.
@@ -106,7 +109,7 @@ type wireSubstrate[Q, V, R any] struct {
 	hostLoad  []float64
 }
 
-func newWireSubstrate[Q, V, R any](layout *partition.Layout, prog Program[Q, V, R], q Q, opts Options) (*wireSubstrate[Q, V, R], error) {
+func newWireSubstrate[Q, V, R any](layout *partition.Layout, prog Program[Q, V, R], q Q, opts Options, sc *runScratch[V]) (*wireSubstrate[Q, V, R], error) {
 	wp, ok := any(prog).(WireProgram[Q, V, R])
 	if !ok {
 		return nil, fmt.Errorf("engine: %s: %w", prog.Name(), ErrNoWireSupport)
@@ -119,7 +122,7 @@ func newWireSubstrate[Q, V, R any](layout *partition.Layout, prog Program[Q, V, 
 	if opts.Fault != nil {
 		tr = opts.Fault(tr)
 	}
-	s := &wireSubstrate[Q, V, R]{prog: wp, q: q, layout: layout, codec: wp.WireCodec(), tr: tr, decoded: make([][]update[V], n)}
+	s := &wireSubstrate[Q, V, R]{prog: wp, q: q, layout: layout, codec: wp.WireCodec(), tr: tr, decoded: sc.decoded, ctxs: sc.ctxs}
 	if opts.Recover {
 		if s.reassign, ok = tr.(mpi.Reassigner); !ok {
 			return nil, errors.New("engine: Options.Recover needs a transport that can reassign fragments (mpi.Reassigner)")
@@ -253,15 +256,16 @@ func (s *wireSubstrate[Q, V, R]) release(cancelled bool, inflight []bool) {
 	}
 }
 
-// finish pulls every worker's encoded partial answer into fresh contexts for
-// Assemble, then releases the workers — by abort, draining the partials still
-// in flight, if the run was cancelled meanwhile.
+// finish pulls every worker's encoded partial answer into the run's contexts,
+// bound to their fragments and cleared, for Assemble, then releases the
+// workers — by abort, draining the partials still in flight, if the run was
+// cancelled meanwhile.
 func (s *wireSubstrate[Q, V, R]) finish(ctx context.Context, step int, lost func(frag int) error) (ctxs []*Context[V], err error) {
 	n := len(s.layout.Fragments)
 	unseen := slices.Repeat([]bool{true}, n)
 	defer func() { s.release(err != nil && ctx.Err() != nil, unseen) }()
 	s.broadcast(cmdAssemble)
-	ctxs = freshContexts(s.layout, s.prog.Spec())
+	ctxs = s.ctxs
 	for slices.Contains(unseen, true) {
 		env, err := s.tr.Recv(ctx, mpi.Coordinator)
 		if err != nil {
@@ -442,19 +446,29 @@ func encodePartial[Q, V, R any](prog WireProgram[Q, V, R], codec Codec[V], buf [
 }
 
 // decodePartial is the coordinator-side inverse of encodePartial; the default
-// body's indices are checked against the fragment, its overflow IDs are not.
+// body's indices are checked against the fragment and applied as they are
+// read, its overflow IDs are not checked.
 func decodePartial[Q, V, R any](prog WireProgram[Q, V, R], codec Codec[V], q Q, ctx *Context[V], blob []byte) error {
 	if pc, ok := any(prog).(PartialCodec[Q, V]); ok {
 		return pc.DecodePartial(q, ctx, blob)
 	}
-	ups, pos, err := decodeBatch(codec, nil, blob, ctx.Frag.G.NumVertices(), true)
+	br, err := openBatch(codec, blob)
 	if err != nil {
 		return err
 	}
-	for _, u := range ups {
-		ctx.SetLocalAt(u.at, u.val)
+	at := positions{n: ctx.Frag.G.NumVertices(), ascending: true}
+	for range br.count {
+		key, v, err := br.next()
+		if err != nil {
+			return err
+		}
+		i, err := at.check(key)
+		if err != nil {
+			return err
+		}
+		ctx.SetLocalAt(i, v)
 	}
-	over, used, err := DecodeUpdates(codec, nil, blob[pos:])
+	over, used, err := DecodeUpdates(codec, nil, blob[br.pos:])
 	if err != nil {
 		return err
 	}
@@ -467,7 +481,7 @@ func decodePartial[Q, V, R any](prog WireProgram[Q, V, R], codec Codec[V], q Q, 
 		}
 		ctx.vars[u.ID] = u.Val
 	}
-	return ended("partial-result", blob, pos+used)
+	return ended("partial-result", blob, br.pos+used)
 }
 
 // wireScratch is what a wire worker's run allocates and the next run of the
@@ -522,7 +536,7 @@ func ServeWorker(ctx context.Context, link WorkerLink) error {
 	// The fragment is decoded in place: the frame goes back once the run
 	// that lives in it has returned.
 	defer link.Release(env.Frame)
-	name, query, deadlineMicros, fragBlob, err := decodeSetup(env.Frame)
+	name, query, deadlineMicros, f, err := decodeSetup(env.Frame)
 	if err != nil {
 		return fmt.Errorf("engine: decoding setup frame: %w", err)
 	}
@@ -547,10 +561,6 @@ func ServeWorker(ctx context.Context, link WorkerLink) error {
 	if e.Wire == nil {
 		//grapevet:keep ErrNoWireSupport is a setup rejection callers match with errors.Is, not a link fault
 		return fmt.Errorf("engine: %s: %w", name, ErrNoWireSupport)
-	}
-	f, _, err := partition.DecodeFragment(fragBlob)
-	if err != nil {
-		return fmt.Errorf("engine: decoding fragment: %w", err)
 	}
 	err = e.Wire(ctx, link, query, f)
 	if err != nil && ctx.Err() != nil && !errors.Is(err, ErrAborted) {

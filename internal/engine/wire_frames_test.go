@@ -372,7 +372,52 @@ func TestEngineFramesRejectJunk(t *testing.T) {
 			t.Errorf("adopt frame with a %s accepted", name)
 		}
 	}
+
+	// A worker must refuse a junk setup frame before it serves anything: it
+	// reads no frame after it. An intact one it serves, reading on until the
+	// link fails.
+	registerWireStepper()
+	qblob, _ := wireStepper{}.EncodeQuery(stepQuery{limit: 1})
+	setup := encodeSetup(nil, "cancel-stepper", qblob, 0, f)
+	head := len(setup) - len(partition.AppendFragment(nil, f))
+	if fields := 1 + len("cancel-stepper") + 1 + len(qblob) + 1; fields >= head {
+		t.Fatalf("the setup frame's %d header bytes leave no padding before byte %d", fields, head)
+	}
+	unpadded := slices.Clone(setup)
+	unpadded[head-1] = 1
+	serve := func(frame []byte) (int, error) {
+		link := &setupLink{frame: frame}
+		err := ServeWorker(context.Background(), link)
+		return link.recvs, err
+	}
+	if recvs, err := serve(setup); recvs != 2 || err == nil {
+		t.Fatalf("intact setup frame: %d frames read, %v; want it served until the link failed", recvs, err)
+	}
+	for name, frame := range map[string][]byte{
+		"trailing byte":    append(slices.Clone(setup), 0),
+		"non-zero padding": unpadded,
+	} {
+		if recvs, err := serve(frame); recvs != 1 || err == nil {
+			t.Errorf("setup frame with a %s served: %d frames read, %v", name, recvs, err)
+		}
+	}
 }
+
+// setupLink delivers one setup frame, then fails every Recv.
+type setupLink struct {
+	frame []byte
+	recvs int
+}
+
+func (l *setupLink) Recv() (mpi.Envelope, error) {
+	l.recvs++
+	if l.recvs > 1 {
+		return mpi.Envelope{}, errors.New("link closed")
+	}
+	return mpi.Envelope{From: mpi.Coordinator, Frame: l.frame}, nil
+}
+func (*setupLink) Send(mpi.Envelope) error { return nil }
+func (*setupLink) Release([]byte)          {}
 
 // FuzzEngineFrames throws random and mutated command, reply, adopt and
 // partial frames at their decoders, addressed to a fragment of runsOfThree:

@@ -275,6 +275,30 @@ func TestResidentRunAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestRunOnLayoutAllocationBudget: RunOnLayout draws its contexts and fold
+// state from a pool per program name, as a resident runner draws from its
+// own, so a warmed sssp run over the road layout of
+// TestResidentRunAllocationBudget allocates what a resident run does: 204
+// objects. Binding fresh contexts and fold arrays to every run cost 528.
+func TestRunOnLayoutAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops the pooled scratch under the race detector")
+	}
+	layout, err := engine.BuildLayout(gen.RoadGrid(96, 96, 1), engine.Options{Workers: 8, Strategy: partition.TwoD{Cols: 96}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		if _, _, err := engine.RunOnLayout(context.Background(), layout, SSSP{}, SSSPQuery{Source: 0}, engine.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // fill the pooled scratch
+	if got := testing.AllocsPerRun(20, run); got > 240 {
+		t.Fatalf("a RunOnLayout sssp run allocates %.0f objects, budget 240", got)
+	}
+}
+
 // TestResidentRefusesDeeperQuery: a layout records the expansion depth it was
 // cut with, and a resident runner refuses a query that needs more. Subiso on
 // a hops-0 cut of the commerce graph would otherwise answer short, without an

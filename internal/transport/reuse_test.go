@@ -11,7 +11,9 @@ import (
 
 	"grape/internal/engine"
 	"grape/internal/gen"
+	"grape/internal/graph"
 	"grape/internal/mpi"
+	"grape/internal/partition"
 	"grape/internal/queries"
 	"grape/internal/transport"
 )
@@ -154,5 +156,69 @@ func TestSetupFrameReleasedOnce(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWireCoordinatorReusesRunMemory: a second wire run of a program takes
+// the coordinator's contexts, fold state and reply batches from the scratch
+// the first one gave back. The worker is a grape-worker process, so this
+// process allocates the coordinator's side alone. A cc run first warms what
+// every run over the layout shares — the transport's frame buffers, the setup
+// frame's staging — and then a first sssp run pays for its run memory, which a
+// second must not. A run that bound fresh contexts would allocate their dense
+// arrays again, 13 bytes per fragment vertex; the second run must allocate
+// less than the first by half of that at least. SSSP from the head of one of
+// 20,000 disjoint edges keeps every later frame and the answer small, so
+// nothing else sets the two runs apart. One worker, because a run that stages
+// several setup frames more concurrently than any run before it grows one
+// more staging buffer.
+func TestWireCoordinatorReusesRunMemory(t *testing.T) {
+	if transport.RaceDetector {
+		t.Skip("sync.Pool is lossy under the race detector")
+	}
+	if testing.Short() {
+		t.Skip("builds a binary and spawns a process")
+	}
+	bin := buildWorkerBin(t)
+	const workers = 1
+	g := graph.New()
+	for v := graph.ID(0); v < 40000; v += 2 {
+		g.AddEdge(v, v+1, 1)
+	}
+	sink := graph.ID(1)
+	layout, err := engine.BuildLayout(g, engine.Options{Workers: workers, Strategy: partition.Range{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctxBytes := uint64(0)
+	for _, f := range layout.Fragments {
+		ctxBytes += 13 * uint64(f.G.NumVertices())
+	}
+	run := func(sssp bool) uint64 {
+		tr, _ := spawnFleet(t, bin, workers)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if sssp {
+			res, _, err := engine.RunOnLayout(context.Background(), layout, queries.SSSP{}, queries.SSSPQuery{Source: sink}, engine.Options{Transport: tr})
+			if err == nil && (len(res) != 1 || res[sink] != 0) {
+				t.Fatalf("sssp from an isolated vertex answered %v", res)
+			}
+		} else {
+			_, _, err = engine.RunOnLayout(context.Background(), layout, queries.CC{}, queries.CCQuery{}, engine.Options{Transport: tr})
+		}
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection between the runs would empty the pools
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))  // see TestWorkerRunReusesMemory
+	run(false)
+	first := run(true)
+	second := run(true)
+	t.Logf("first sssp run allocated %d bytes, second %d; the contexts' arrays are %d", first, second, ctxBytes)
+	if second+ctxBytes/2 > first {
+		t.Fatalf("second run allocated %d bytes, first %d: want less by half the contexts' %d at least", second, first, ctxBytes)
 	}
 }
