@@ -1,11 +1,11 @@
 package index
 
 import (
+	"slices"
 	"testing"
 
 	"grape/internal/gen"
 	"grape/internal/graph"
-	"grape/internal/seq"
 )
 
 func TestInvertedAgainstScan(t *testing.T) {
@@ -16,7 +16,7 @@ func TestInvertedAgainstScan(t *testing.T) {
 	for _, w := range vocab {
 		var want []int32
 		for i, v := range g.Vertices() {
-			if seq.HasKeyword(g, v, w) {
+			if slices.Contains(g.Props(v), w) {
 				want = append(want, int32(i))
 			}
 		}

@@ -194,7 +194,7 @@ func (CF) Assemble(q CFQuery, ctxs []*engine.Context[[]float64]) (CFResult, erro
 				if qi == nil {
 					continue
 				}
-				d := e.W - dotVec(pu, qi)
+				d := e.W - seq.Dot(pu, qi)
 				sq += d * d
 				n++
 			}
@@ -204,14 +204,6 @@ func (CF) Assemble(q CFQuery, ctxs []*engine.Context[[]float64]) (CFResult, erro
 		res.RMSE = math.Sqrt(sq / float64(n))
 	}
 	return res, nil
-}
-
-func dotVec(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
 }
 
 func parseCF(query string) (CFQuery, error) {

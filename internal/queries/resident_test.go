@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -296,6 +298,49 @@ func TestRunOnLayoutAllocationBudget(t *testing.T) {
 	run() // fill the pooled scratch
 	if got := testing.AllocsPerRun(20, run); got > 240 {
 		t.Fatalf("a RunOnLayout sssp run allocates %.0f objects, budget 240", got)
+	}
+}
+
+// TestSSSPAssembleSizedByReach: the answer map is sized by what the source
+// reached, not by the layout. A warmed run from an isolated vertex over a
+// 25,601-vertex layout answers one entry; sized for every inner vertex, its
+// map alone took about 577 KB.
+func TestSSSPAssembleSizedByReach(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops the pooled scratch under the race detector")
+	}
+	g := gen.RoadGrid(160, 160, 1)
+	const iso = graph.ID(1 << 20)
+	g.AddVertex(iso, "")
+	layout, err := engine.BuildLayout(g.Freeze(), engine.Options{Workers: 4, Strategy: partition.Hash{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		res, _, err := engine.RunOnLayout(context.Background(), layout, SSSP{}, SSSPQuery{Source: iso}, engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := map[graph.ID]float64{iso: 0}; !reflect.DeepEqual(res, want) {
+			t.Fatalf("sssp from an isolated vertex answered %d entries, want %v", len(res), want)
+		}
+	}
+	// One P and no collection, so the warmed scratch stays in the pool slot
+	// the next run takes it from.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	run() // fill the pooled scratch
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	kb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1e3
+	t.Logf("a one-entry sssp run allocates %.1f KB", kb)
+	if kb >= 64 {
+		t.Fatalf("a one-entry sssp run allocates %.0f KB, budget 64", kb)
 	}
 }
 

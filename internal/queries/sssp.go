@@ -181,9 +181,18 @@ func (SSSP) RepairBatch(q SSSPQuery, sc *engine.RepairScope[float64], batch []en
 var _ engine.Repairer[SSSPQuery, float64] = SSSP{}
 
 // Assemble implements engine.Program: union of the inner-vertex distances.
-// Ownership is tested by dense index — no per-vertex hash.
+// Ownership is tested by dense index — no per-vertex hash — and the map is
+// sized by the vertices the source reached.
 func (SSSP) Assemble(q SSSPQuery, ctxs []*engine.Context[float64]) (map[graph.ID]float64, error) {
-	out := make(map[graph.ID]float64, innerCount(ctxs))
+	n := 0
+	for _, ctx := range ctxs {
+		ctx.VarsAt(func(i int32, d float64) {
+			if ctx.IsInnerAt(i) && d < seq.Inf {
+				n++
+			}
+		})
+	}
+	out := make(map[graph.ID]float64, n)
 	for _, ctx := range ctxs {
 		g := ctx.Frag.G
 		ctx.VarsAt(func(i int32, d float64) {

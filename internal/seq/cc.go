@@ -4,37 +4,10 @@ import "grape/internal/graph"
 
 // Components labels every vertex of g with the smallest vertex ID in its
 // weakly connected component (edge direction is ignored), the canonical
-// sequential CC algorithm via union-find with path compression. On a frozen
-// graph the union-find runs over dense indices in flat arrays.
+// sequential CC algorithm via union-find with path compression, over dense
+// indices in flat arrays.
 func Components(g *graph.Graph) map[graph.ID]graph.ID {
-	if g.Frozen() {
-		return componentsIdx(g)
-	}
-	uf := NewUnionFind()
-	for _, v := range g.Vertices() {
-		uf.Add(v)
-	}
-	for _, u := range g.Vertices() {
-		for _, e := range g.Out(u) {
-			uf.Union(u, e.To)
-		}
-	}
-	out := make(map[graph.ID]graph.ID, g.NumVertices())
-	// Min-ID canonicalization: find the minimum member of each set.
-	min := make(map[graph.ID]graph.ID)
-	for _, v := range g.Vertices() {
-		r := uf.Find(v)
-		if m, ok := min[r]; !ok || v < m {
-			min[r] = v
-		}
-	}
-	for _, v := range g.Vertices() {
-		out[v] = min[uf.Find(v)]
-	}
-	return out
-}
-
-func componentsIdx(g *graph.Graph) map[graph.ID]graph.ID {
+	g = frozen(g)
 	nv := g.NumVertices()
 	uf := NewDenseUnionFind(nv)
 	for i := int32(0); i < int32(nv); i++ {
@@ -59,57 +32,8 @@ func componentsIdx(g *graph.Graph) map[graph.ID]graph.ID {
 	return out
 }
 
-// UnionFind is a disjoint-set forest over sparse vertex IDs with union by
-// size and path compression.
-type UnionFind struct {
-	parent map[graph.ID]graph.ID
-	size   map[graph.ID]int
-}
-
-// NewUnionFind returns an empty forest.
-func NewUnionFind() *UnionFind {
-	return &UnionFind{parent: make(map[graph.ID]graph.ID), size: make(map[graph.ID]int)}
-}
-
-// Add inserts v as a singleton if absent.
-func (u *UnionFind) Add(v graph.ID) {
-	if _, ok := u.parent[v]; !ok {
-		u.parent[v] = v
-		u.size[v] = 1
-	}
-}
-
-// Find returns the representative of v's set, adding v if needed.
-func (u *UnionFind) Find(v graph.ID) graph.ID {
-	u.Add(v)
-	root := v
-	for u.parent[root] != root {
-		root = u.parent[root]
-	}
-	for u.parent[v] != root { // path compression
-		v, u.parent[v] = u.parent[v], root
-	}
-	return root
-}
-
-// Union merges the sets of a and b and reports whether they were distinct.
-func (u *UnionFind) Union(a, b graph.ID) bool {
-	ra, rb := u.Find(a), u.Find(b)
-	if ra == rb {
-		return false
-	}
-	if u.size[ra] < u.size[rb] {
-		ra, rb = rb, ra
-	}
-	u.parent[rb] = ra
-	u.size[ra] += u.size[rb]
-	return true
-}
-
-// DenseUnionFind is a disjoint-set forest over dense vertex indices — flat
-// parent/size arrays instead of maps, with the same union-by-size and
-// path-compression policy as UnionFind, so both produce identical set
-// structures given the same Union sequence.
+// DenseUnionFind is a disjoint-set forest over dense vertex indices in flat
+// parent/size arrays, with union by size and path compression.
 type DenseUnionFind struct {
 	parent []int32
 	size   []int32

@@ -26,66 +26,14 @@ func DefaultCFConfig() CFConfig {
 // Factors holds the learned latent vectors per vertex (users and items).
 type Factors map[graph.ID][]float64
 
-// InitFactors returns small deterministic random vectors for every vertex of
-// the bipartite ratings graph.
-func InitFactors(g *graph.Graph, cfg CFConfig) Factors {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	f := make(Factors, g.NumVertices())
-	for _, v := range g.SortedVertices() {
-		vec := make([]float64, cfg.Factors)
-		for i := range vec {
-			vec[i] = rng.Float64() * 0.1
-		}
-		f[v] = vec
-	}
-	return f
-}
-
-// SGDStep applies one stochastic-gradient update for a single rating
-// r(u, i) = w to the user and item factor vectors in place and returns the
-// prediction error before the update. It is the one copy of the update rule
-// shared by the sparse and dense SGD loops — change it here and both stay
-// bit-identical.
-func SGDStep(pu, qi []float64, w float64, cfg CFConfig) float64 {
-	err := w - dot(pu, qi)
-	for k := range pu {
-		du := cfg.LR * (err*qi[k] - cfg.Reg*pu[k])
-		di := cfg.LR * (err*pu[k] - cfg.Reg*qi[k])
-		pu[k] += du
-		qi[k] += di
-	}
-	return err
-}
-
-// SGDEpoch runs one SGD pass over the rating edges incident to the given
-// users, updating factors in place, and returns (work units, squared-error
-// sum, rating count). Edges are visited in sorted-user order for
-// determinism.
-func SGDEpoch(g *graph.Graph, users []graph.ID, f Factors, cfg CFConfig) (int64, float64, int) {
-	var work int64
-	var sqErr float64
-	count := 0
-	for _, u := range users {
-		pu := f[u]
-		for _, e := range g.Out(u) {
-			qi := f[e.To]
-			if qi == nil || pu == nil {
-				continue
-			}
-			err := SGDStep(pu, qi, e.W, cfg)
-			sqErr += err * err
-			count++
-			work += int64(len(pu))
-		}
-	}
-	return work, sqErr, count
-}
-
-// SGDEpochIdx is SGDEpoch over a frozen graph's CSR form: factors live in a
-// flat slice indexed by dense vertex index and each rating edge lands on its
-// packed dense target. Users must be given in the same order as the IDs
-// passed to SGDEpoch would be — the gradient updates then happen in an
-// identical sequence and both paths produce bit-identical factors.
+// SGDEpochIdx runs one SGD pass over the rating edges out of the given users
+// of the frozen graph g, updating the factors in place, and returns (work
+// units, squared-error sum, rating count): each rating r(u, i) = w moves the
+// user and item vectors along the gradient of the regularised squared
+// prediction error, taken before the update. Factors live in a flat slice
+// indexed by dense vertex index (nil = unset, the edge is skipped) and each
+// rating edge lands on its packed dense target; users are visited in the
+// order given.
 func SGDEpochIdx(g *graph.Graph, users []int32, f [][]float64, cfg CFConfig) (int64, float64, int) {
 	var work int64
 	var sqErr float64
@@ -97,7 +45,13 @@ func SGDEpochIdx(g *graph.Graph, users []int32, f [][]float64, cfg CFConfig) (in
 			if qi == nil || pu == nil {
 				continue
 			}
-			err := SGDStep(pu, qi, e.W, cfg)
+			err := e.W - Dot(pu, qi)
+			for k := range pu {
+				du := cfg.LR * (err*qi[k] - cfg.Reg*pu[k])
+				di := cfg.LR * (err*pu[k] - cfg.Reg*qi[k])
+				pu[k] += du
+				qi[k] += di
+			}
 			sqErr += err * err
 			count++
 			work += int64(len(pu))
@@ -107,45 +61,42 @@ func SGDEpochIdx(g *graph.Graph, users []int32, f [][]float64, cfg CFConfig) (in
 }
 
 // TrainCF trains factors on the full graph sequentially (the ground-truth /
-// single-worker baseline) and returns the factors and final RMSE.
+// single-worker baseline) and returns the factors of every vertex and the
+// RMSE of the last epoch. Initial vectors are small deterministic random
+// draws, one vector per vertex in ascending ID order; users absent from g
+// rate nothing.
 func TrainCF(g *graph.Graph, users []graph.ID, cfg CFConfig) (Factors, float64) {
-	f := InitFactors(g, cfg)
+	g = frozen(g)
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	f := make([][]float64, g.NumVertices())
+	for _, i := range g.SortedIndices() {
+		vec := make([]float64, cfg.Factors)
+		for k := range vec {
+			vec[k] = rng.Float64() * 0.1
+		}
+		f[i] = vec
+	}
+	ui := make([]int32, 0, len(users))
+	for _, u := range users {
+		if i, ok := g.Index(u); ok {
+			ui = append(ui, i)
+		}
+	}
 	var rmse float64
 	for ep := 0; ep < cfg.Epochs; ep++ {
-		_, sq, n := SGDEpoch(g, users, f, cfg)
-		if n > 0 {
+		if _, sq, n := SGDEpochIdx(g, ui, f, cfg); n > 0 {
 			rmse = math.Sqrt(sq / float64(n))
 		}
 	}
-	return f, rmse
+	out := make(Factors, len(f))
+	for i, vec := range f {
+		out[g.IDAt(int32(i))] = vec
+	}
+	return out, rmse
 }
 
-// RMSE evaluates factors against all rating edges out of the given users.
-func RMSE(g *graph.Graph, users []graph.ID, f Factors) float64 {
-	var sq float64
-	n := 0
-	for _, u := range users {
-		pu := f[u]
-		if pu == nil {
-			continue
-		}
-		for _, e := range g.Out(u) {
-			qi := f[e.To]
-			if qi == nil {
-				continue
-			}
-			d := e.W - dot(pu, qi)
-			sq += d * d
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Sqrt(sq / float64(n))
-}
-
-func dot(a, b []float64) float64 {
+// Dot is the inner product of two factor vectors of equal length.
+func Dot(a, b []float64) float64 {
 	var s float64
 	for i := range a {
 		s += a[i] * b[i]

@@ -4,46 +4,10 @@ import (
 	"math/rand"
 	"runtime/debug"
 	"testing"
-	"testing/quick"
 
 	"grape/internal/gen"
 	"grape/internal/graph"
 )
-
-// TestDenseUnionFindMatchesSparse replays a random Union sequence against
-// both forests and checks they induce the same partition (same-set queries
-// agree for every pair).
-func TestDenseUnionFindMatchesSparse(t *testing.T) {
-	f := func(pairs []uint16) bool {
-		const n = 24
-		sparse := NewUnionFind()
-		dense := NewDenseUnionFind(n)
-		for v := 0; v < n; v++ {
-			sparse.Add(graph.ID(v))
-		}
-		for _, p := range pairs {
-			a, b := int32(p>>8)%n, int32(p&0xff)%n
-			sa := sparse.Union(graph.ID(a), graph.ID(b))
-			da := dense.Union(a, b)
-			if sa != da {
-				return false
-			}
-		}
-		for a := int32(0); a < n; a++ {
-			for b := a + 1; b < n; b++ {
-				sSame := sparse.Find(graph.ID(a)) == sparse.Find(graph.ID(b))
-				dSame := dense.Find(a) == dense.Find(b)
-				if sSame != dSame {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestDenseUnionFindGrow(t *testing.T) {
 	u := NewDenseUnionFind(2)
@@ -130,20 +94,6 @@ func TestComponentsFrozenMatchesThawed(t *testing.T) {
 	for v, l := range cm {
 		if cf[v] != l {
 			t.Fatalf("label of %d differs: %d vs %d", v, cf[v], l)
-		}
-	}
-}
-
-// TestPageRankFrozenMatchesThawed: bit-identical ranks either way.
-func TestPageRankFrozenMatchesThawed(t *testing.T) {
-	g := gen.PreferentialAttachment(400, 3, 5) // frozen
-	th := g.Clone()
-	th.AddVertex(0, "")
-	rf := PageRank(g, 0.85, 30, 1e-12)
-	rm := PageRank(th, 0.85, 30, 1e-12)
-	for v, r := range rm {
-		if rf[v] != r {
-			t.Fatalf("rank of %d differs: %v vs %v", v, rf[v], r)
 		}
 	}
 }

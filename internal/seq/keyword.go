@@ -8,12 +8,6 @@ import (
 	"grape/internal/graph"
 )
 
-// HasKeyword reports whether vertex id of g carries keyword w among its
-// properties.
-func HasKeyword(g *graph.Graph, id graph.ID, w string) bool {
-	return slices.Contains(g.Props(id), w)
-}
-
 // keywordDist fills column k of the row-major n×w array dist with every
 // vertex's weighted distance to the nearest holder of word following out-edges
 // (0 for a holder, Inf if none is reachable): multi-source Dijkstra from the
@@ -37,26 +31,6 @@ func frozen(g *graph.Graph) *graph.Graph {
 		return g
 	}
 	return g.Clone().Freeze()
-}
-
-// KeywordDistances computes, for each keyword, the weighted distance from
-// every vertex v to the nearest vertex carrying that keyword following
-// out-edges (dist 0 if v itself carries it). Unreachable pairs are absent.
-func KeywordDistances(g *graph.Graph, keywords []string) map[string]map[graph.ID]float64 {
-	g = frozen(g)
-	out := make(map[string]map[graph.ID]float64, len(keywords))
-	col := make([]float64, g.NumVertices())
-	for _, w := range keywords {
-		keywordDist(g, w, col, 1, 0)
-		dist := map[graph.ID]float64{}
-		for i, d := range col {
-			if d < Inf {
-				dist[g.IDAt(int32(i))] = d
-			}
-		}
-		out[w] = dist
-	}
-	return out
 }
 
 // KeywordMatch is one keyword-search answer: a root vertex that reaches a

@@ -1,7 +1,8 @@
 package seq
 
 import (
-	"slices"
+	"fmt"
+	"math/bits"
 
 	"grape/internal/graph"
 )
@@ -15,56 +16,33 @@ import (
 //     (v, v') with label ℓ (empty pattern label matches any) and v' ∈ sim(u').
 //
 // Graph simulation is the quadratic-time relative of subgraph isomorphism
-// used by the demo's Sim query class.
+// used by the demo's Sim query class. It runs the engine's kernel,
+// RefineSimIdx, over every vertex of a frozen g, so like SimBits it takes
+// at most 64 pattern vertices and panics past that bound.
 func Sim(p, g *graph.Graph) map[graph.ID][]graph.ID {
-	sim := make(map[graph.ID]map[graph.ID]bool)
-	for _, u := range p.Vertices() {
-		cand := make(map[graph.ID]bool)
-		for _, v := range g.Vertices() {
-			if g.Label(v) == p.Label(u) {
-				cand[v] = true
-			}
-		}
-		sim[u] = cand
+	pv := p.Vertices()
+	if len(pv) > 64 {
+		panic(fmt.Sprintf("seq.Sim: pattern has %d vertices, max 64", len(pv)))
 	}
-	// Refine to fixpoint.
-	for changed := true; changed; {
-		changed = false
-		for _, u := range p.Vertices() {
-			for v := range sim[u] {
-				if !simOK(p, g, sim, u, v) {
-					delete(sim[u], v)
-					changed = true
-				}
-			}
-		}
+	g = frozen(g)
+	tab := LabelBitsIdx(p, g)
+	mask := make([]SimBits, g.NumVertices())
+	for i := range mask {
+		mask[i] = tab[g.LabelIDAt(int32(i))]
 	}
-	out := make(map[graph.ID][]graph.ID, len(sim))
-	for u, set := range sim {
-		vs := make([]graph.ID, 0, len(set))
-		for v := range set {
-			vs = append(vs, v)
+	RefineSimIdx(p, g, func(i int32) SimBits { return mask[i] }, func(i int32, m SimBits) { mask[i] = m },
+		func(int32) bool { return false }, nil, true, func(int32) {})
+	out := make(map[graph.ID][]graph.ID, len(pv))
+	for _, u := range pv {
+		out[u] = []graph.ID{}
+	}
+	for _, i := range g.SortedIndices() {
+		for m := mask[i]; m != 0; m &= m - 1 {
+			u := pv[bits.TrailingZeros64(m)]
+			out[u] = append(out[u], g.IDAt(i))
 		}
-		slices.Sort(vs)
-		out[u] = vs
 	}
 	return out
-}
-
-func simOK(p, g *graph.Graph, sim map[graph.ID]map[graph.ID]bool, u, v graph.ID) bool {
-	for _, pe := range p.Out(u) {
-		found := false
-		for _, ge := range g.Out(v) {
-			if (pe.Label == "" || pe.Label == ge.Label) && sim[pe.To][ge.To] {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
 }
 
 // SimBits is the bitmask encoding of simulation sets used by the distributed

@@ -7,18 +7,18 @@ import (
 	"grape/internal/graph"
 )
 
-// TestUnionFindEquivalenceProperty checks the disjoint-set forest against a
+// TestUnionFindEquivalenceProperty checks DenseUnionFind against a
 // naive transitive-closure model over random union sequences: two elements
 // share a representative iff they are connected in the model.
 func TestUnionFindEquivalenceProperty(t *testing.T) {
 	f := func(pairs []uint8) bool {
-		uf := NewUnionFind()
 		const n = 24
+		uf := NewDenseUnionFind(n)
 		// naive model: adjacency + BFS connectivity
 		adj := make([][]int, n)
 		for _, p := range pairs {
 			a, b := int(p>>4)%n, int(p&0xf)%n
-			uf.Union(graph.ID(a), graph.ID(b))
+			uf.Union(int32(a), int32(b))
 			adj[a] = append(adj[a], b)
 			adj[b] = append(adj[b], a)
 		}
@@ -43,7 +43,7 @@ func TestUnionFindEquivalenceProperty(t *testing.T) {
 		}
 		for a := 0; a < n; a++ {
 			for b := a + 1; b < n; b++ {
-				same := uf.Find(graph.ID(a)) == uf.Find(graph.ID(b))
+				same := uf.Find(int32(a)) == uf.Find(int32(b))
 				if same != connected(a, b) {
 					return false
 				}
