@@ -111,13 +111,16 @@ func Run[Q, V, R any](ctx context.Context, g *Graph, prog Program[Q, V, R], q Q,
 func Register(e Entry) { engine.Register(e) }
 
 // EntrySpec is the typed source MakeEntry derives an Entry from: the PIE
-// program plus its query-string parse/canonical pair.
+// program, its query-string parse/canonical pair and, optionally, its
+// ground truth (Reference, the sequential answer, and Agree, the rule an
+// engine answer is held to).
 type EntrySpec[Q, V, R any] = engine.EntrySpec[Q, V, R]
 
 // MakeEntry derives a registry Entry's full hook set (Run, Parse, Resident,
-// and — when the program has a wire codec — Wire) from one typed spec, so
-// the CLI, the serving layer and distributed workers cannot disagree about
-// what a query string means. See examples/plugplay.
+// Wire when the program has a wire codec, and Check when the spec sets
+// Reference and Agree) from one typed spec, so the CLI, the serving layer,
+// distributed workers and tests cannot disagree about what a query string
+// means or what a correct answer is. See examples/plugplay.
 func MakeEntry[Q, V, R any](s EntrySpec[Q, V, R]) Entry { return engine.MakeEntry(s) }
 
 // Continuous queries over evolving graphs: the paper defines IncEval over
@@ -225,12 +228,6 @@ type (
 	// QueryResponse is a served answer.
 	QueryResponse = server.QueryResponse
 )
-
-// ErrNoParser marks ParseQuery failures for entries lacking a Parse hook.
-// Register has required the hook since the MakeEntry unification, so this
-// only fires for Entry values that were never registered; it stays exported
-// for callers that branch on it.
-var ErrNoParser = queries.ErrNoParser
 
 // ParseQuery resolves a textual query against a registered program — the
 // same parser the CLI, the serving layer and tests share.

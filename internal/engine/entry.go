@@ -10,9 +10,10 @@ import (
 )
 
 // EntrySpec is the one typed source an Entry is derived from: the PIE
-// program plus its query-string parse/canonical pair. MakeEntry turns it
-// into the registry's erased hooks, which are all views of the same spec and
-// cannot disagree about what a query string means.
+// program, its query-string parse/canonical pair and, optionally, its ground
+// truth. MakeEntry turns it into the registry's erased hooks, which are all
+// views of the same spec and cannot disagree about what a query string means
+// or what a correct answer is.
 type EntrySpec[Q, V, R any] struct {
 	// Prog is the PIE program. If it also implements WireProgram, the entry
 	// gains the Wire hook and can run distributed.
@@ -31,6 +32,12 @@ type EntrySpec[Q, V, R any] struct {
 	// (Options.ExpandHops); locality-bounded programs like SubIso set it,
 	// most programs leave it nil (no expansion).
 	Hops func(q Q) int
+	// Reference, if non-nil, answers a query the plain sequential way, and
+	// Agree names the first difference between an engine answer and the
+	// reference answer (nil if none). The two come together; MakeEntry
+	// derives Entry.Check from them.
+	Reference func(g *graph.Graph, q Q) R
+	Agree     func(got, want R) error
 }
 
 // MakeEntry derives the full erased hook set of an Entry from one typed
@@ -42,6 +49,9 @@ func MakeEntry[Q, V, R any](s EntrySpec[Q, V, R]) Entry {
 	}
 	if s.Parse == nil || s.Canonical == nil {
 		panic(fmt.Sprintf("engine: MakeEntry(%q): Parse and Canonical are required", s.Prog.Name()))
+	}
+	if (s.Reference == nil) != (s.Agree == nil) {
+		panic(fmt.Sprintf("engine: MakeEntry(%q): Reference and Agree come together", s.Prog.Name()))
 	}
 	name := s.Prog.Name()
 	doParse := func(query string) (ParsedQuery, error) {
@@ -106,6 +116,16 @@ func MakeEntry[Q, V, R any](s EntrySpec[Q, V, R]) Entry {
 	}
 	if wp, ok := any(s.Prog).(WireProgram[Q, V, R]); ok {
 		e.Wire = WireServe(wp)
+	}
+	if s.Reference != nil {
+		e.Check = func(g *graph.Graph, pq ParsedQuery, got any) error {
+			q, qok := pq.Query.(Q)
+			res, ok := got.(R)
+			if !qok || !ok {
+				return fmt.Errorf("engine: %s: cannot check a %T answer to a %T query", name, got, pq.Query)
+			}
+			return s.Agree(res, s.Reference(g, q))
+		}
 	}
 	return e
 }

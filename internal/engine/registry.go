@@ -75,9 +75,9 @@ type SessionHandle interface {
 // source (the program plus its parse/canonical pair), so the hooks cannot
 // drift apart: Run always parses through the same Parse the serving layer
 // uses, Resident always answers exactly the queries Parse produces,
-// Validate is the check every Session update runs first, and Wire is present
-// exactly when the program has a wire codec. Register rejects hand-assembled
-// entries with missing hooks.
+// Validate is the check every Session update runs first, and Wire and Check
+// are present exactly when the program has a wire codec and a reference
+// answer. Register rejects hand-assembled entries with missing hooks.
 type Entry struct {
 	// Name is the registry key, e.g. "sssp".
 	Name string
@@ -130,6 +130,10 @@ type Entry struct {
 	// program implements WireProgram; nil means the program cannot run
 	// distributed.
 	Wire func(ctx context.Context, link WorkerLink, query []byte, f *partition.Fragment) error
+	// Check holds got, an answer to pq on g, to the spec's Reference answer
+	// by its Agree rule; an answer of another type is an error, not a panic.
+	// Like Wire it is capability-gated: nil when the spec has no Reference.
+	Check func(g *graph.Graph, pq ParsedQuery, got any) error
 }
 
 var (
@@ -140,9 +144,9 @@ var (
 // Register adds a program to the library. It panics on duplicate names and
 // on entries with missing hooks: registration happens in package init,
 // where both are programming errors. Build entries with MakeEntry — it
-// derives a coherent set of hooks from the typed program; the only hook
-// allowed to be nil is Wire (a genuine capability: no wire codec, no
-// distributed runs).
+// derives a coherent set of hooks from the typed program; the only hooks
+// allowed to be nil are Wire and Check (genuine capabilities: no wire codec,
+// no distributed runs; no reference answer, nothing to check against).
 func Register(e Entry) {
 	regMu.Lock()
 	defer regMu.Unlock()

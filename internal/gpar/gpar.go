@@ -270,13 +270,3 @@ func Example2Rule(minFrac float64) Rule {
 		},
 	}
 }
-
-// PlantedPrecision measures how well a result matches the generator's
-// planted buy signal: the fraction of (x, y) pairs that satisfy the rule's
-// quantified condition which actually bought. Used by tests.
-func PlantedPrecision(g *graph.Graph, r *Result) float64 {
-	if r.Support == 0 {
-		return 0
-	}
-	return r.Confidence
-}

@@ -572,9 +572,13 @@ func (CC) Assemble(q CCQuery, ctxs []*engine.Context[graph.ID]) (map[graph.ID]gr
 }
 
 func init() {
-	engine.Register(entry(CC{},
-		"weakly connected components (union-find PEval, label-merging bounded IncEval, min aggregate)",
-		"(no parameters)",
-		func(string) (CCQuery, error) { return CCQuery{}, nil },
-		func(CCQuery) string { return "" }, nil))
+	engine.Register(engine.MakeEntry(engine.EntrySpec[CCQuery, graph.ID, map[graph.ID]graph.ID]{
+		Prog:        CC{},
+		Description: "weakly connected components (union-find PEval, label-merging bounded IncEval, min aggregate)",
+		QueryHelp:   "(no parameters)",
+		Parse:       func(string) (CCQuery, error) { return CCQuery{}, nil },
+		Canonical:   func(CCQuery) string { return "" },
+		Reference:   func(g *graph.Graph, _ CCQuery) map[graph.ID]graph.ID { return seq.Components(g) },
+		Agree:       agreeMaps[map[graph.ID]graph.ID](equal),
+	}))
 }

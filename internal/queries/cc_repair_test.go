@@ -10,7 +10,6 @@ import (
 	"grape/internal/gen"
 	"grape/internal/graph"
 	"grape/internal/partition"
-	"grape/internal/seq"
 )
 
 // treePlusChords is a random tree on vertices 0..n-1 plus chords random extra
@@ -49,8 +48,8 @@ func ins(u, v graph.ID) engine.EdgeUpdate { return engine.EdgeUpdate{From: u, To
 
 // TestCCRepairSplits drives CC sessions through batches whose deletions
 // really split components — the cases the split test and the remainder rule
-// of RepairBatch exist for — and holds the answer to seq.Components after
-// every batch, on 1, 3 and 8 fragments.
+// of RepairBatch exist for — and holds the answer to cc's ground truth
+// (seq.Components) after every batch, on 1, 3 and 8 fragments.
 func TestCCRepairSplits(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -152,26 +151,19 @@ func TestCCRepairSplits(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameLabels(t, seq.Components(shadow), res, "initial")
+				mustAgree(t, "initial", "cc", shadow, CCQuery{}, res)
 				for bi, batch := range c.batches {
 					res, _, err := sess.Update(context.Background(), batch)
 					if err != nil {
 						t.Fatalf("batch %d: %v", bi, err)
 					}
-					for _, u := range batch {
-						if !u.Del {
-							shadow.AddEdge(u.From, u.To, u.W)
-						} else if _, ok := shadow.RemoveEdge(u.From, u.To, ""); !ok {
-							t.Fatalf("batch %d: shadow has no edge %d->%d", bi, u.From, u.To)
-						}
-					}
-					want := seq.Components(shadow)
-					sameLabels(t, want, res, fmt.Sprintf("batch %d", bi))
+					applyShadow(t, shadow, batch)
+					mustAgree(t, fmt.Sprintf("batch %d", bi), "cc", shadow, CCQuery{}, res)
 					got, err := sess.Result()
 					if err != nil {
 						t.Fatal(err)
 					}
-					sameLabels(t, want, got, fmt.Sprintf("batch %d, retained", bi))
+					mustAgree(t, fmt.Sprintf("batch %d, retained", bi), "cc", shadow, CCQuery{}, got)
 				}
 			})
 		}
@@ -194,9 +186,7 @@ func BenchmarkCCSessionBatch(b *testing.B) {
 		}
 		batches := make([][]engine.EdgeUpdate, len(stream))
 		for i, batch := range stream {
-			for _, u := range batch {
-				batches[i] = append(batches[i], engine.EdgeUpdate{From: u.From, To: u.To, W: u.W, Label: u.Label, Del: u.Del})
-			}
+			batches[i] = updatesOf(batch)
 		}
 		b.ResetTimer()
 		for _, batch := range batches {

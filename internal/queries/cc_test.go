@@ -9,20 +9,7 @@ import (
 	"grape/internal/gen"
 	"grape/internal/graph"
 	"grape/internal/partition"
-	"grape/internal/seq"
 )
-
-func sameLabels(t *testing.T, want, got map[graph.ID]graph.ID, label string) {
-	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("%s: label count: want %d got %d", label, len(want), len(got))
-	}
-	for v, c := range want {
-		if got[v] != c {
-			t.Fatalf("%s: vertex %d: want component %d got %d", label, v, c, got[v])
-		}
-	}
-}
 
 func TestCCMatchesSequentialAcrossStrategies(t *testing.T) {
 	// a graph with several components: random clusters plus isolated nodes
@@ -30,14 +17,13 @@ func TestCCMatchesSequentialAcrossStrategies(t *testing.T) {
 	for v := 1000; v < 1010; v++ {
 		g.AddVertex(graph.ID(v), "")
 	}
-	want := seq.Components(g)
 	for _, strat := range partition.Strategies() {
 		for _, n := range []int{1, 2, 5} {
 			res, _, err := engine.Run(context.Background(), g, CC{}, CCQuery{}, engine.Options{Workers: n, Strategy: strat, CheckMonotonic: true})
 			if err != nil {
 				t.Fatalf("%s/%d: %v", strat.Name(), n, err)
 			}
-			sameLabels(t, want, res, strat.Name())
+			mustAgree(t, strat.Name(), "cc", g, CCQuery{}, res)
 		}
 	}
 }
@@ -59,21 +45,9 @@ func TestCCProperty(t *testing.T) {
 	f := func(seed int64, nw uint8) bool {
 		n := 2 + int(uint(seed)%80)
 		g := gen.Random(n, n, seed)
-		want := seq.Components(g)
 		res, _, err := engine.Run(context.Background(), g, CC{}, CCQuery{},
 			engine.Options{Workers: 1 + int(nw%5), Strategy: partition.Hash{}, CheckMonotonic: true})
-		if err != nil {
-			return false
-		}
-		if len(res) != len(want) {
-			return false
-		}
-		for v, c := range want {
-			if res[v] != c {
-				return false
-			}
-		}
-		return true
+		return err == nil && verdict("cc", g, CCQuery{}, res) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

@@ -93,11 +93,7 @@ func TestEvolvedLayoutDrift(t *testing.T) {
 				}
 				var fresh *partition.Layout
 				for b, batch := range gen.UpdateStream(c.g, gen.StreamConfig{Batches: batches, BatchSize: 16, DeleteP: 0.4, Seed: 1}) {
-					ups := make([]engine.EdgeUpdate, len(batch))
-					for i, u := range batch {
-						ups[i] = engine.EdgeUpdate{From: u.From, To: u.To, W: u.W, Label: u.Label, Del: u.Del}
-					}
-					if _, _, err := sess.Update(ctx, ups); err != nil {
+					if _, _, err := sess.Update(ctx, updatesOf(batch)); err != nil {
 						t.Fatal(err)
 					}
 					if (b+1)%100 != 0 {

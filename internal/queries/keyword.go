@@ -356,8 +356,18 @@ func canonicalKeyword(q KeywordQuery) string {
 }
 
 func init() {
-	engine.Register(entry(Keyword{},
-		"keyword search (multi-source Dijkstra per keyword via the inverted index, element-wise min aggregate)",
-		"k=<w1,w2,...> bound=<d> [noindex=1]",
-		parseKeyword, canonicalKeyword, nil))
+	engine.Register(engine.MakeEntry(engine.EntrySpec[KeywordQuery, kwVec, []seq.KeywordMatch]{
+		Prog:        Keyword{},
+		Description: "keyword search (multi-source Dijkstra per keyword via the inverted index, element-wise min aggregate)",
+		QueryHelp:   "k=<w1,w2,...> bound=<d> [noindex=1]",
+		Parse:       parseKeyword,
+		Canonical:   canonicalKeyword,
+		Reference: func(g *graph.Graph, q KeywordQuery) []seq.KeywordMatch {
+			return seq.KeywordSearch(g, q.Keywords, q.Bound)
+		},
+		// exact: roots, their order, scores and distances bit for bit
+		Agree: agreeRanked(func(a, b seq.KeywordMatch) bool {
+			return a.Root == b.Root && a.Score == b.Score && slices.Equal(a.Dists, b.Dists)
+		}),
+	}))
 }

@@ -4,7 +4,7 @@ import (
 	"cmp"
 	"context"
 	"encoding/json"
-	"math"
+	"fmt"
 	"reflect"
 	"runtime/debug"
 	"slices"
@@ -22,22 +22,13 @@ func TestKeywordMatchesSequential(t *testing.T) {
 	g := gen.ConnectedRandom(200, 600, 31)
 	gen.AttachKeywords(g, vocab, 2, 0.15, 31)
 	q := KeywordQuery{Keywords: []string{"db", "graph"}, Bound: 12, UseIndex: true}
-	want := seq.KeywordSearch(g, q.Keywords, q.Bound)
 	for _, n := range []int{1, 3, 6} {
 		got, _, err := engine.Run(context.Background(), g, Keyword{}, q,
 			engine.Options{Workers: n, Strategy: partition.Fennel{}, CheckMonotonic: true})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", n, err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d roots, want %d", n, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Root != want[i].Root || math.Abs(got[i].Score-want[i].Score) > 1e-9 {
-				t.Fatalf("workers=%d: rank %d: got (%d,%g) want (%d,%g)",
-					n, i, got[i].Root, got[i].Score, want[i].Root, want[i].Score)
-			}
-		}
+		mustAgree(t, fmt.Sprintf("workers=%d", n), "keyword", g, q, got)
 	}
 }
 
@@ -183,10 +174,11 @@ roots:
 
 // TestKeywordEqualsSequentialExactly: on 1, 3 and 8 fragments under three
 // strategies the roots, their order and every distance equal
-// seq.KeywordSearch's bit for bit — both sides take the least fixpoint of the
-// same float equations, whatever the relaxation order. seq.KeywordSearch in
-// turn equals oracleKeywordSearch, which shares neither its kernel nor its
-// ranking with the engine.
+// seq.KeywordSearch's bit for bit (keyword's Entry.Check) — both sides take
+// the least fixpoint of the same float equations, whatever the relaxation
+// order. seq.KeywordSearch in turn equals oracleKeywordSearch, which shares
+// neither its kernel nor its ranking with the engine; that comparison calls
+// seq directly, since it tests seq itself.
 func TestKeywordEqualsSequentialExactly(t *testing.T) {
 	g := gen.PreferentialAttachment(1500, 4, 9)
 	gen.AttachKeywords(g, []string{"db", "graph", "ml"}, 2, 0.1, 9)
@@ -206,9 +198,7 @@ func TestKeywordEqualsSequentialExactly(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%d: %v", strat.Name(), n, err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s/%d: %d roots differ from seq's %d", strat.Name(), n, len(got), len(want))
-			}
+			mustAgree(t, fmt.Sprintf("%s/%d", strat.Name(), n), "keyword", g, q, got)
 		}
 	}
 }
@@ -247,7 +237,7 @@ func TestKeywordInfiniteBoundMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := seq.KeywordSearch(g, q.Keywords, q.Bound)
+	want := seq.KeywordSearch(g, q.Keywords, q.Bound) // seq itself under test, against the known answer
 	if len(want) != 1 || want[0].Root != 2 {
 		t.Fatalf("seq answers %v, want root 2 alone", want)
 	}
@@ -259,9 +249,7 @@ func TestKeywordInfiniteBoundMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", n, err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: engine answers %v, seq %v", n, got, want)
-		}
+		mustAgree(t, fmt.Sprintf("workers=%d", n), "keyword", g, q, got)
 		if _, err := json.Marshal(got); err != nil {
 			t.Fatalf("workers=%d: answer does not encode: %v", n, err)
 		}

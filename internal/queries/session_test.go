@@ -2,7 +2,8 @@ package queries
 
 import (
 	"context"
-	"math"
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -13,7 +14,6 @@ import (
 	"grape/internal/gen"
 	"grape/internal/graph"
 	"grape/internal/partition"
-	"grape/internal/seq"
 	"grape/internal/transport"
 )
 
@@ -30,15 +30,7 @@ func TestSSSPSessionTracksEvolvingGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	check := func(round int, got map[graph.ID]float64) {
-		want := seq.Dijkstra(shadow, 0)
-		if len(got) != len(want) {
-			t.Fatalf("round %d: reach %d vs %d", round, len(got), len(want))
-		}
-		for v, d := range want {
-			if math.Abs(got[v]-d) > 1e-9 {
-				t.Fatalf("round %d: vertex %d: %g vs %g", round, v, got[v], d)
-			}
-		}
+		mustAgree(t, fmt.Sprintf("round %d", round), "sssp", shadow, SSSPQuery{Source: 0}, got)
 	}
 	check(0, res)
 
@@ -160,12 +152,7 @@ func TestCCSessionMergesComponents(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAgainst := func(round int, got map[graph.ID]graph.ID) {
-		want := seq.Components(shadow)
-		for v, c := range want {
-			if got[v] != c {
-				t.Fatalf("round %d: vertex %d: %d vs %d", round, v, got[v], c)
-			}
-		}
+		mustAgree(t, fmt.Sprintf("round %d", round), "cc", shadow, CCQuery{}, got)
 	}
 	checkAgainst(0, res)
 
@@ -215,12 +202,7 @@ func TestCCSessionEvolvingProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		want := seq.Components(shadow)
-		for v, c := range want {
-			if got[v] != c {
-				t.Fatalf("round %d: vertex %d: got %d want %d", round, v, got[v], c)
-			}
-		}
+		mustAgree(t, fmt.Sprintf("round %d", round), "cc", shadow, CCQuery{}, got)
 	}
 }
 
@@ -370,25 +352,12 @@ func TestSessionEquivalence(t *testing.T) {
 			}
 			var want any
 			for bi, batch := range stream {
-				ups := make([]engine.EdgeUpdate, len(batch))
-				for i, u := range batch {
-					ups[i] = engine.EdgeUpdate{From: u.From, To: u.To, W: u.W, Label: u.Label, Del: u.Del}
-				}
+				ups := updatesOf(batch)
 				res, _, err := sess.Update(context.Background(), ups)
 				if err != nil {
 					t.Fatalf("batch %d: %v", bi, err)
 				}
-				// the shadow replays the same operations in the same order,
-				// so first-instance deletion resolves identically
-				for _, u := range batch {
-					if u.Del {
-						if _, ok := shadow.RemoveEdge(u.From, u.To, u.Label); !ok {
-							t.Fatalf("batch %d: shadow delete found no edge %+v", bi, u)
-						}
-					} else {
-						shadow.AddLabeledEdge(u.From, u.To, u.W, u.Label)
-					}
-				}
+				applyShadow(t, shadow, ups)
 				want = fresh(shadow, opts)
 				if !reflect.DeepEqual(res, want) {
 					t.Fatalf("batch %d: session update result differs from a fresh run on the mutated graph", bi)
@@ -481,25 +450,13 @@ func FuzzSessionUpdateStream(f *testing.F) {
 					continue
 				}
 				// broken sessions must stay broken with the sentinel error
-				if _, _, err := sess.Update(context.Background(), []engine.EdgeUpdate{{From: 0, To: 1, W: 1}}); !errorsIsSessionBroken(err) {
+				if _, _, err := sess.Update(context.Background(), []engine.EdgeUpdate{{From: 0, To: 1, W: 1}}); !errors.Is(err, engine.ErrSessionBroken) {
 					t.Fatalf("broken session Update returned %v, want ErrSessionBroken", err)
 				}
 				return
 			}
-			for _, u := range batch {
-				if u.Del {
-					if _, ok := shadow.RemoveEdge(u.From, u.To, u.Label); !ok {
-						t.Fatalf("session accepted deletion of dead edge %+v", u)
-					}
-				} else {
-					shadow.AddLabeledEdge(u.From, u.To, u.W, u.Label)
-				}
-			}
-			want := seq.Components(shadow)
-			got := res
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("session CC diverged from sequential union-find after batch %+v", batch)
-			}
+			applyShadow(t, shadow, batch) // fails on a dead edge the session accepted
+			mustAgree(t, fmt.Sprintf("batch %+v", batch), "cc", shadow, CCQuery{}, res)
 		}
 	})
 }
@@ -560,35 +517,10 @@ func FuzzSubIsoSession(f *testing.F) {
 				}
 				continue
 			}
-			for _, u := range batch {
-				if u.Del {
-					if _, ok := shadow.RemoveEdge(u.From, u.To, u.Label); !ok {
-						t.Fatalf("session accepted deletion of dead edge %+v", u)
-					}
-				} else {
-					shadow.AddLabeledEdge(u.From, u.To, u.W, u.Label)
-				}
-			}
-			want, _ := seq.SubIso(Patterns()[name], shadow, seq.SubIsoOptions{})
-			sortMatches(Patterns()[name], want)
-			if got := res.([]seq.Match); !reflect.DeepEqual(got, want) {
-				t.Fatalf("after batch %+v: session has %d matches %v, seq.SubIso %d %v", batch, len(got), got, len(want), want)
+			applyShadow(t, shadow, batch) // fails on a dead edge the session accepted
+			if err := e.Check(shadow, pq, res); err != nil {
+				t.Fatalf("after batch %+v: %v", batch, err)
 			}
 		}
 	})
-}
-
-func errorsIsSessionBroken(err error) bool {
-	for ; err != nil; err = func() error {
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return nil
-		}
-		return u.Unwrap()
-	}() {
-		if err == engine.ErrSessionBroken {
-			return true
-		}
-	}
-	return false
 }

@@ -165,9 +165,13 @@ func parseSim(query string) (SimQuery, error) {
 }
 
 func init() {
-	engine.Register(entry(Sim{},
-		"graph pattern matching via simulation (HHK refinement PEval, incremental refinement IncEval, ∩ aggregate)",
-		"pattern=<name from queries.Patterns>",
-		parseSim,
-		func(q SimQuery) string { return "pattern=" + q.name }, nil))
+	engine.Register(engine.MakeEntry(engine.EntrySpec[SimQuery, seq.SimBits, SimResult]{
+		Prog:        Sim{},
+		Description: "graph pattern matching via simulation (HHK refinement PEval, incremental refinement IncEval, ∩ aggregate)",
+		QueryHelp:   "pattern=<name from queries.Patterns>",
+		Parse:       parseSim,
+		Canonical:   func(q SimQuery) string { return "pattern=" + q.name },
+		Reference:   func(g *graph.Graph, q SimQuery) SimResult { return SimResult(seq.Sim(q.Pattern, g)) },
+		Agree:       agreeMaps[SimResult](slices.Equal[[]graph.ID]), // a nil and an empty set are the same
+	}))
 }

@@ -2,6 +2,7 @@ package queries
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -9,7 +10,6 @@ import (
 	"grape/internal/gen"
 	"grape/internal/graph"
 	"grape/internal/partition"
-	"grape/internal/seq"
 )
 
 func labeledRandom(n, m int, seed int64, labels []string) *graph.Graph {
@@ -19,24 +19,6 @@ func labeledRandom(n, m int, seed int64, labels []string) *graph.Graph {
 		g.AddVertex(v, labels[(uint(i)*7+uint(seed))%uint(len(labels))])
 	}
 	return g
-}
-
-func simEqual(a, b map[graph.ID][]graph.ID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for u, va := range a {
-		vb := b[u]
-		if len(va) != len(vb) {
-			return false
-		}
-		for i := range va {
-			if va[i] != vb[i] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 func TestSimMatchesSequential(t *testing.T) {
@@ -51,7 +33,6 @@ func TestSimMatchesSequential(t *testing.T) {
 	p.AddEdge(1, 2, 1)
 	p.AddEdge(2, 1, 1)
 
-	want := seq.Sim(p, g)
 	for _, strat := range partition.Strategies() {
 		for _, n := range []int{1, 2, 4, 7} {
 			got, _, err := engine.Run(context.Background(), g, Sim{}, SimQuery{Pattern: p},
@@ -59,9 +40,7 @@ func TestSimMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%d: %v", strat.Name(), n, err)
 			}
-			if !simEqual(want, map[graph.ID][]graph.ID(got)) {
-				t.Fatalf("%s/%d: sim mismatch: want %v got %v", strat.Name(), n, want, got)
-			}
+			mustAgree(t, fmt.Sprintf("%s/%d", strat.Name(), n), "sim", g, SimQuery{Pattern: p}, got)
 		}
 	}
 }
@@ -113,13 +92,9 @@ func TestSimPropertyMatchesSequential(t *testing.T) {
 	f := func(seed int64, nw uint8) bool {
 		n := 5 + int(uint(seed)%40)
 		g := labeledRandom(n, 2*n, seed, labels)
-		want := seq.Sim(p, g)
 		got, _, err := engine.Run(context.Background(), g, Sim{}, SimQuery{Pattern: p},
 			engine.Options{Workers: 1 + int(nw%5), Strategy: partition.Fennel{}, CheckMonotonic: true})
-		if err != nil {
-			return false
-		}
-		return simEqual(want, map[graph.ID][]graph.ID(got))
+		return err == nil && verdict("sim", g, SimQuery{Pattern: p}, got) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -132,14 +107,11 @@ func TestSimOnSocialCommerce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := seq.Sim(p, g)
 	got, _, err := engine.Run(context.Background(), g, Sim{}, SimQuery{Pattern: p}, engine.Options{Workers: 4, CheckMonotonic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !simEqual(want, map[graph.ID][]graph.ID(got)) {
-		t.Fatal("sim mismatch on social-commerce graph")
-	}
+	mustAgree(t, "social-commerce graph", "sim", g, SimQuery{Pattern: p}, got)
 	if len(got[2]) == 0 {
 		t.Fatal("expected some recommended products in simulation result")
 	}

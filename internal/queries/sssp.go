@@ -229,10 +229,16 @@ func parseSSSP(query string) (SSSPQuery, error) {
 func canonicalSSSP(q SSSPQuery) string { return fmt.Sprintf("source=%d", q.Source) }
 
 func init() {
-	engine.Register(entry(SSSP{},
-		"single-source shortest paths (Example 1: Dijkstra + bounded incremental relaxation, min aggregate)",
-		"source=<vertex id>",
-		parseSSSP, canonicalSSSP, nil))
+	engine.Register(engine.MakeEntry(engine.EntrySpec[SSSPQuery, float64, map[graph.ID]float64]{
+		Prog:        SSSP{},
+		Description: "single-source shortest paths (Example 1: Dijkstra + bounded incremental relaxation, min aggregate)",
+		QueryHelp:   "source=<vertex id>",
+		Parse:       parseSSSP,
+		Canonical:   canonicalSSSP,
+		// exact: both sides take the least fixpoint of the same float sums
+		Reference: func(g *graph.Graph, q SSSPQuery) map[graph.ID]float64 { return seq.Dijkstra(g, q.Source) },
+		Agree:     agreeMaps[map[graph.ID]float64](equal),
+	}))
 }
 
 // parseKV parses "k1=v1 k2=v2" query strings used by the registry.

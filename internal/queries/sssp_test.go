@@ -2,7 +2,6 @@ package queries
 
 import (
 	"context"
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -10,12 +9,7 @@ import (
 	"grape/internal/gen"
 	"grape/internal/graph"
 	"grape/internal/partition"
-	"grape/internal/seq"
 )
-
-func ssspGround(g *graph.Graph, src graph.ID) map[graph.ID]float64 {
-	return seq.Dijkstra(g, src)
-}
 
 func runSSSP(t *testing.T, g *graph.Graph, src graph.ID, opts engine.Options) map[graph.ID]float64 {
 	t.Helper()
@@ -29,38 +23,20 @@ func runSSSP(t *testing.T, g *graph.Graph, src graph.ID, opts engine.Options) ma
 	return res
 }
 
-func sameDistances(t *testing.T, want, got map[graph.ID]float64, label string) {
-	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("%s: reach set size: want %d got %d", label, len(want), len(got))
-	}
-	for v, d := range want {
-		gd, ok := got[v]
-		if !ok {
-			t.Fatalf("%s: vertex %d missing", label, v)
-		}
-		if math.Abs(gd-d) > 1e-9 {
-			t.Fatalf("%s: vertex %d: want %g got %g", label, v, d, gd)
-		}
-	}
-}
-
 func TestSSSPMatchesDijkstraAcrossStrategiesAndWorkers(t *testing.T) {
 	g := gen.ConnectedRandom(300, 900, 42)
-	want := ssspGround(g, 0)
 	for _, strat := range partition.Strategies() {
 		for _, n := range []int{1, 2, 3, 8} {
 			got := runSSSP(t, g, 0, engine.Options{Workers: n, Strategy: strat, CheckMonotonic: true})
-			sameDistances(t, want, got, strat.Name())
+			mustAgree(t, strat.Name(), "sssp", g, SSSPQuery{Source: 0}, got)
 		}
 	}
 }
 
 func TestSSSPOnRoadGrid(t *testing.T) {
 	g := gen.RoadGrid(20, 30, 7)
-	want := ssspGround(g, 0)
 	got := runSSSP(t, g, 0, engine.Options{Workers: 6, Strategy: partition.MetisLike{}, CheckMonotonic: true})
-	sameDistances(t, want, got, "road grid")
+	mustAgree(t, "road grid", "sssp", g, SSSPQuery{Source: 0}, got)
 }
 
 func TestSSSPUnreachableSource(t *testing.T) {
@@ -81,30 +57,23 @@ func TestSSSPSourceAbsent(t *testing.T) {
 }
 
 func TestSSSPPropertyRandomGraphs(t *testing.T) {
-	// Property: for random graphs, GRAPE-SSSP equals sequential Dijkstra,
-	// which in turn equals Bellman-Ford, for every partition strategy.
+	// Property: for random graphs, GRAPE-SSSP equals sequential Dijkstra
+	// exactly (internal/seq holds Dijkstra to Bellman-Ford).
 	f := func(seed int64, nw uint8) bool {
 		n := 3 + int(uint(seed)%60)
 		m := 2 * n
 		g := gen.ConnectedRandom(n, m, seed)
-		src := graph.ID(int(uint(seed) % uint(n)))
-		want := seq.BellmanFord(g, src)
+		q := SSSPQuery{Source: graph.ID(int(uint(seed) % uint(n)))}
 		workers := 1 + int(nw%6)
-		res, _, err := engine.Run(context.Background(), g, SSSP{}, SSSPQuery{Source: src},
+		res, _, err := engine.Run(context.Background(), g, SSSP{}, q,
 			engine.Options{Workers: workers, Strategy: partition.Fennel{}, CheckMonotonic: true})
+		if err == nil {
+			err = verdict("sssp", g, q, res)
+		}
 		if err != nil {
-			t.Logf("engine error: %v", err)
-			return false
+			t.Log(err)
 		}
-		if len(res) != len(want) {
-			return false
-		}
-		for v, d := range want {
-			if math.Abs(res[v]-d) > 1e-9 {
-				return false
-			}
-		}
-		return true
+		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -138,9 +107,8 @@ func TestSSSPWithLoadBalancedFragments(t *testing.T) {
 	// Over-partition into 16 fragments packed onto 4 workers: the answer is
 	// partition-independent and must match Dijkstra exactly.
 	g := gen.PreferentialAttachment(800, 4, 15)
-	want := ssspGround(g, 0)
 	got := runSSSP(t, g, 0, engine.Options{Workers: 4, Fragments: 16, Strategy: partition.Fennel{}})
-	sameDistances(t, want, got, "balanced fragments")
+	mustAgree(t, "balanced fragments", "sssp", g, SSSPQuery{Source: 0}, got)
 }
 
 func TestSSSPRegistryRun(t *testing.T) {
@@ -153,8 +121,13 @@ func TestSSSPRegistryRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dists := res.(map[graph.ID]float64)
-	sameDistances(t, ssspGround(g, 0), dists, "registry")
+	pq, err := e.Parse("source=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Check(g, pq, res); err != nil {
+		t.Fatalf("registry: %v", err)
+	}
 	if stats == nil || stats.Workers != 3 {
 		t.Fatalf("stats missing or wrong workers: %+v", stats)
 	}

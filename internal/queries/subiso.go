@@ -113,10 +113,15 @@ func (SubIso) Assemble(q SubIsoQuery, ctxs []*engine.Context[uint8]) ([]seq.Matc
 		all = append(all, ctx.Partial.([]seq.Match)...)
 	}
 	sortMatches(q.Pattern, all)
-	if q.MaxMatches > 0 && len(all) > q.MaxMatches {
-		all = all[:q.MaxMatches]
+	return capped(q, all), nil
+}
+
+// capped applies the query's global cap to matches in answer order.
+func capped(q SubIsoQuery, ms []seq.Match) []seq.Match {
+	if q.MaxMatches > 0 && len(ms) > q.MaxMatches {
+		return ms[:q.MaxMatches]
 	}
-	return all, nil
+	return ms
 }
 
 // SessionQuery implements engine.SessionPatcher: the session enumerates the
@@ -186,11 +191,7 @@ func (SubIso) ApplyPatch(q SubIsoQuery, _, g *graph.Graph, state any, batch []en
 // PatchResult implements engine.SessionPatcher: the retained matches are in
 // answer order already; apply the user's cap globally.
 func (SubIso) PatchResult(q SubIsoQuery, state any) ([]seq.Match, error) {
-	all := state.([]seq.Match)
-	if q.MaxMatches > 0 && len(all) > q.MaxMatches {
-		all = all[:q.MaxMatches]
-	}
-	return append([]seq.Match(nil), all...), nil // nil when empty, like Assemble
+	return append([]seq.Match(nil), capped(q, state.([]seq.Match))...), nil // nil when empty, like Assemble
 }
 
 var _ engine.SessionPatcher[SubIsoQuery, []seq.Match] = SubIso{}
@@ -270,9 +271,18 @@ func canonicalSubIso(q SubIsoQuery) string {
 }
 
 func init() {
-	engine.Register(entry(SubIso{},
-		"subgraph isomorphism (neighbour-driven backtracking PEval on d-hop expanded fragments; single superstep)",
-		"pattern=<name> [max=<k>]",
-		parseSubIso, canonicalSubIso,
-		func(q SubIsoQuery) int { return (SubIso{}).Radius(q) }))
+	engine.Register(engine.MakeEntry(engine.EntrySpec[SubIsoQuery, uint8, []seq.Match]{
+		Prog:        SubIso{},
+		Description: "subgraph isomorphism (neighbour-driven backtracking PEval on d-hop expanded fragments; single superstep)",
+		QueryHelp:   "pattern=<name> [max=<k>]",
+		Parse:       parseSubIso,
+		Canonical:   canonicalSubIso,
+		Hops:        SubIso{}.Radius,
+		Reference: func(g *graph.Graph, q SubIsoQuery) []seq.Match {
+			ms, _ := seq.SubIso(q.Pattern, g, seq.SubIsoOptions{})
+			sortMatches(q.Pattern, ms)
+			return capped(q, ms)
+		},
+		Agree: agreeRanked(maps.Equal[seq.Match]), // exact in rank order
+	}))
 }

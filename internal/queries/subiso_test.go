@@ -2,28 +2,13 @@ package queries
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"grape/internal/engine"
 	"grape/internal/graph"
 	"grape/internal/partition"
-	"grape/internal/seq"
 )
-
-func matchesEqual(a, b []seq.Match, p *graph.Graph) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	pv := p.SortedVertices()
-	for i := range a {
-		for _, u := range pv {
-			if a[i][u] != b[i][u] {
-				return false
-			}
-		}
-	}
-	return true
-}
 
 func TestSubIsoMatchesSequential(t *testing.T) {
 	labels := []string{"a", "b", "c"}
@@ -35,16 +20,12 @@ func TestSubIsoMatchesSequential(t *testing.T) {
 	p.AddEdge(0, 1, 1)
 	p.AddEdge(1, 2, 1)
 
-	want, _ := seq.SubIso(p, g, seq.SubIsoOptions{})
-	sortMatches(p, want)
 	for _, n := range []int{1, 2, 4, 6} {
 		got, stats, err := RunSubIso(context.Background(), g, SubIsoQuery{Pattern: p}, engine.Options{Workers: n, Strategy: partition.Hash{}})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", n, err)
 		}
-		if !matchesEqual(want, got, p) {
-			t.Fatalf("workers=%d: %d matches, want %d", n, len(got), len(want))
-		}
+		mustAgree(t, fmt.Sprintf("workers=%d", n), "subiso", g, SubIsoQuery{Pattern: p}, got)
 		if stats.Supersteps != 1 {
 			t.Fatalf("subiso should finish in one superstep, took %d", stats.Supersteps)
 		}
@@ -86,17 +67,15 @@ func TestSubIsoMaxMatches(t *testing.T) {
 	p.AddVertex(0, "a")
 	p.AddVertex(1, "b")
 	p.AddEdge(0, 1, 1)
-	all, _ := seq.SubIso(p, g, seq.SubIsoOptions{})
-	if len(all) < 5 {
-		t.Skip("graph too sparse for this seed")
-	}
-	got, _, err := RunSubIso(context.Background(), g, SubIsoQuery{Pattern: p, MaxMatches: 5}, engine.Options{Workers: 4})
+	q := SubIsoQuery{Pattern: p, MaxMatches: 5}
+	got, _, err := RunSubIso(context.Background(), g, q, engine.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 5 {
 		t.Fatalf("want capped 5 matches, got %d", len(got))
 	}
+	mustAgree(t, "capped", "subiso", g, q, got) // the first 5 in rank order
 }
 
 func TestSubIsoAnchorsPartitionMatchesExactlyOnce(t *testing.T) {
@@ -109,13 +88,9 @@ func TestSubIsoAnchorsPartitionMatchesExactlyOnce(t *testing.T) {
 	p.AddVertex(2, "b")
 	p.AddEdge(0, 1, 1)
 	p.AddEdge(1, 2, 1)
-	want, _ := seq.SubIso(p, g, seq.SubIsoOptions{})
-	sortMatches(p, want)
 	got, _, err := RunSubIso(context.Background(), g, SubIsoQuery{Pattern: p}, engine.Options{Workers: 10, Strategy: partition.Hash{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !matchesEqual(want, got, p) {
-		t.Fatalf("duplicate or missing matches: got %d want %d", len(got), len(want))
-	}
+	mustAgree(t, "duplicate or missing matches", "subiso", g, SubIsoQuery{Pattern: p}, got)
 }

@@ -2,6 +2,7 @@ package queries
 
 import (
 	"context"
+	"fmt"
 	"maps"
 	"slices"
 
@@ -190,10 +191,20 @@ func SeqTriangles(g *graph.Graph) int64 { return seq.Triangles(g) }
 var _ engine.SessionPatcher[TriCountQuery, TriCountResult] = TriCount{}
 
 func init() {
-	engine.Register(entry(TriCount{},
-		"triangle counting (forward count over larger-ID neighbors on 1-hop expanded fragments; single superstep)",
-		"(no parameters)",
-		func(string) (TriCountQuery, error) { return TriCountQuery{}, nil },
-		func(TriCountQuery) string { return "" },
-		func(TriCountQuery) int { return 1 }))
+	engine.Register(engine.MakeEntry(engine.EntrySpec[TriCountQuery, uint8, TriCountResult]{
+		Prog:        TriCount{},
+		Description: "triangle counting (forward count over larger-ID neighbors on 1-hop expanded fragments; single superstep)",
+		QueryHelp:   "(no parameters)",
+		Parse:       func(string) (TriCountQuery, error) { return TriCountQuery{}, nil },
+		Canonical:   func(TriCountQuery) string { return "" },
+		Hops:        func(TriCountQuery) int { return 1 },
+		// seq counts the total only
+		Reference: func(g *graph.Graph, _ TriCountQuery) TriCountResult { return TriCountResult{Total: seq.Triangles(g)} },
+		Agree: func(got, want TriCountResult) error {
+			if got.Total != want.Total {
+				return fmt.Errorf("%d triangles, want %d", got.Total, want.Total)
+			}
+			return nil
+		},
+	}))
 }

@@ -3,12 +3,10 @@ package server_test
 import (
 	"context"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"testing"
 
 	"grape/internal/gen"
-	"grape/internal/seq"
 	"grape/internal/server"
 	"grape/internal/server/client"
 )
@@ -32,9 +30,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := seq.Dijkstra(road, 0); !reflect.DeepEqual(got, want) {
-		t.Fatalf("HTTP sssp answer differs from sequential Dijkstra (%d vs %d vertices)", len(got), len(want))
-	}
+	server.CheckAnswer(t, road, "sssp", "source=0", got)
 	if res.Canonical != "source=0" || res.Epoch != 1 || res.Cached {
 		t.Fatalf("unexpected response envelope: %+v", res)
 	}

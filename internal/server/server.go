@@ -447,9 +447,6 @@ func (s *Server) query(ctx context.Context, req QueryRequest, start time.Time) (
 	if err != nil {
 		return nil, false, fmt.Errorf("%w: %v", ErrNotFound, err)
 	}
-	if e.Parse == nil {
-		return nil, false, fmt.Errorf("%w: program %q cannot be served (no parser)", ErrNotFound, req.Program)
-	}
 	pq, err := e.Parse(req.Query)
 	if err != nil {
 		return nil, false, fmt.Errorf("%w: %v", ErrBadQuery, err)

@@ -13,7 +13,6 @@ import (
 	"grape/internal/graph"
 	"grape/internal/partition"
 	"grape/internal/queries"
-	"grape/internal/seq"
 )
 
 // After a batch, under every strategy, the hops-0 slot holds the retained
@@ -39,29 +38,9 @@ func defaultSlot(t *testing.T, s *Server, name string) (*layoutSlot, *partition.
 	return rg.layouts[0], sess
 }
 
-// missCase is one nocache read and its internal/seq answer on a graph.
-type missCase struct {
-	graph, program, query string
-	want                  func(g *graph.Graph) any
-}
-
-func sessionLayoutMisses(t *testing.T) []missCase {
-	t.Helper()
-	e, err := engine.Lookup("keyword")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pq, err := e.Parse("k=db,graph bound=4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	kq := pq.Query.(queries.KeywordQuery)
-	return []missCase{
-		{"road", "cc", "", func(g *graph.Graph) any { return seq.Components(g) }},
-		{"social", "sssp", "source=0", func(g *graph.Graph) any { return seq.Dijkstra(g, 0) }},
-		{"social", "keyword", "k=db,graph bound=4", func(g *graph.Graph) any { return seq.KeywordSearch(g, kq.Keywords, kq.Bound) }},
-	}
-}
+// missCase is one nocache read on a graph, checked by its class's
+// Entry.Check.
+type missCase struct{ graph, program, query string }
 
 // TestServedMissOnSessionLayout mutates road through an sssp session and
 // social through a cc session, under each built-in strategy. After every
@@ -84,7 +63,7 @@ func servedMissOnSessionLayout(t *testing.T, strategy string) {
 	defer s.Close()
 	ctx := context.Background()
 	sessions := map[string][2]string{"road": {"sssp", "source=0"}, "social": {"cc", ""}}
-	misses := sessionLayoutMisses(t)
+	misses := []missCase{{"road", "cc", ""}, {"social", "sssp", "source=0"}, {"social", "keyword", "k=db,graph bound=4"}}
 	streams := map[string][][]gen.Update{}
 	shadows := map[string]*graph.Graph{}
 	for i, name := range []string{"road", "social"} {
@@ -113,9 +92,7 @@ func servedMissOnSessionLayout(t *testing.T, strategy string) {
 			mutate(name, streams[name][b])
 		}
 		for _, c := range misses {
-			if got := miss(c); !reflect.DeepEqual(got.Result, c.want(shadows[c.graph])) {
-				t.Fatalf("batch %d: %s on %s differs from internal/seq", b, c.program, c.graph)
-			}
+			CheckAnswer(t, shadows[c.graph], c.program, c.query, miss(c).Result)
 		}
 		for _, name := range []string{"road", "social"} {
 			slot, sess := defaultSlot(t, s, name)
@@ -135,9 +112,7 @@ func servedMissOnSessionLayout(t *testing.T, strategy string) {
 		t.Fatal("a poisoned batch did not break its session")
 	}
 	applyTo(t, shadows["road"], poison)
-	if got := miss(misses[0]); !reflect.DeepEqual(got.Result, misses[0].want(shadows["road"])) {
-		t.Fatal("cc on road after a broken batch differs from internal/seq")
-	}
+	CheckAnswer(t, shadows["road"], "cc", "", miss(misses[0]).Result)
 	if slot, sess := defaultSlot(t, s, "road"); sess != nil || slot == nil || slot.session != nil || slot.layout == nil {
 		t.Fatal("after a broken batch the miss did not run on a fresh cut")
 	}
@@ -155,20 +130,14 @@ func servedMissOnSessionLayout(t *testing.T, strategy string) {
 	}
 
 	// Concurrent misses beside the rest of the batches: every answer must be
-	// the shadow's at the epoch the server reports.
-	want := map[string]map[uint64]any{} // graph/program → epoch → answer
-	for _, c := range misses {
-		want[c.graph+"/"+c.program] = map[uint64]any{}
-	}
+	// correct on the shadow at the epoch the server reports.
+	at := map[string]map[uint64]*graph.Graph{} // graph → epoch → frozen shadow
 	batches := map[string][][]EdgeJSON{}
 	for _, name := range []string{"road", "social"} {
 		_, epoch := servedState(t, s, name)
+		at[name] = map[uint64]*graph.Graph{}
 		for b := 6; ; b++ {
-			for _, c := range misses {
-				if c.graph == name {
-					want[c.graph+"/"+c.program][epoch] = c.want(shadows[name])
-				}
-			}
+			at[name][epoch] = shadows[name].Clone().Freeze()
 			if b == len(streams[name]) {
 				break
 			}
@@ -198,8 +167,13 @@ func servedMissOnSessionLayout(t *testing.T, strategy string) {
 					errs <- err
 					return
 				}
-				if !reflect.DeepEqual(resp.Result, want[c.graph+"/"+c.program][resp.Epoch]) {
-					errs <- fmt.Errorf("%s on %s at epoch %d differs from internal/seq", c.program, c.graph, resp.Epoch)
+				g := at[c.graph][resp.Epoch]
+				if g == nil {
+					errs <- fmt.Errorf("%s on %s answered at epoch %d, which no batch made", c.program, c.graph, resp.Epoch)
+					return
+				}
+				if err := answerErr(g, c.program, c.query, resp.Result); err != nil {
+					errs <- fmt.Errorf("%s on %s at epoch %d: %v", c.program, c.graph, resp.Epoch, err)
 					return
 				}
 			}
@@ -302,8 +276,8 @@ func servedMissReusesRunner(t *testing.T, strategy string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if name == "social" && !reflect.DeepEqual(resp.Result, seq.Dijkstra(shadow, 0)) {
-			t.Fatal("sssp on social differs from internal/seq")
+		if name == "social" {
+			CheckAnswer(t, shadow, "sssp", "source=0", resp.Result)
 		}
 	}
 	step := func(program, query string, edges []EdgeJSON) {
