@@ -426,15 +426,11 @@ func BenchmarkTriCountResident(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r, err := engine.NewResident(layout, queries.TriCount{}, engine.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var st *metrics.Stats
 	for i := 0; i < b.N; i++ {
-		if _, st, err = r.Run(context.Background(), queries.TriCountQuery{}); err != nil {
+		if _, st, err = engine.RunOnLayout(context.Background(), layout, queries.TriCount{}, queries.TriCountQuery{}, engine.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

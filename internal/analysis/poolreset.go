@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// Poolreset guards the scratch-recycling invariant behind engine.Resident:
+// Poolreset guards the scratch-recycling invariant behind engine.RunOnLayout:
 // any struct that travels through a sync.Pool and exposes a reset() method
 // must assign every one of its fields in reset. The reset methods are
 // hand-maintained field lists — add a field to the struct, forget the line
@@ -31,7 +31,7 @@ func runPoolreset(p *Pass) error {
 
 	// Pool-reachable structs: the pooled roots plus every same-package named
 	// struct reachable through fields, pointers, slices, arrays and maps —
-	// Resident pools a *runScratch whose fields hold the actual Contexts and
+	// RunOnLayout pools a *runScratch whose fields hold the actual Contexts and
 	// fold state, so reachability is the honest definition of "recycled".
 	reach := map[*types.Named]bool{}
 	var expand func(t types.Type)

@@ -11,7 +11,7 @@ import (
 // busSubstrate keeps a run's workers in this process: one goroutine per
 // fragment on an mpi.Bus, commands and replies passed by reference and
 // metered by the VarSpec.Size estimate. The contexts are the caller's —
-// pooled (RunOnLayout, Resident) or retained (Session).
+// pooled (RunOnLayout) or retained (Session).
 type busSubstrate[Q, V, R any] struct {
 	prog Program[Q, V, R]
 	q    Q
@@ -84,7 +84,7 @@ func (b *busSubstrate[Q, V, R]) revive(frag int, log []replayStep[V], owe int) (
 }
 
 // release stops every worker goroutine and waits for it to exit, cancelled
-// or not: contexts handed back to Resident's pool or retained by a Session
+// or not: contexts handed back to RunOnLayout's pool or retained by a Session
 // are never still being written by a straggler.
 func (b *busSubstrate[Q, V, R]) release(bool, []bool) {
 	for w := range b.ctxs {

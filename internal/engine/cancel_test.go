@@ -176,10 +176,10 @@ func TestCancelMidFixpoint(t *testing.T) {
 }
 
 // TestCancelledResidentRunLeavesPoolClean cancels runs mid-fixpoint on a
-// pooled Resident and asserts (a) the cancelled runs error with the context
+// resident layout and asserts (a) the cancelled runs error with the context
 // error, and (b) subsequent runs on the same layout — which recycle the
-// very contexts and fold state the cancelled runs abandoned — still produce
-// the exact fixpoint a fresh engine produces.
+// very contexts and fold state the cancelled runs abandoned to RunOnLayout's
+// pool — still produce the exact fixpoint a fresh engine produces.
 func TestCancelledResidentRunLeavesPoolClean(t *testing.T) {
 	g := ring(64)
 	layout, err := BuildLayout(g, Options{Workers: 4})
@@ -188,13 +188,13 @@ func TestCancelledResidentRunLeavesPoolClean(t *testing.T) {
 	}
 	steps := make(chan struct{}, 4096)
 	prog := stepper{steps: steps}
-	r, err := NewResident(layout, prog, Options{})
-	if err != nil {
-		t.Fatal(err)
+	run := func(ctx context.Context, q stepQuery) (map[graph.ID]int64, error) {
+		res, _, err := RunOnLayout(ctx, layout, prog, q, Options{})
+		return res, err
 	}
 	q := stepQuery{limit: 40}
 
-	want, _, err := r.Run(context.Background(), q)
+	want, err := run(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestCancelledResidentRunLeavesPoolClean(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		errCh := make(chan error, 1)
 		go func() {
-			_, _, err := r.Run(ctx, stepQuery{limit: 1 << 40})
+			_, err := run(ctx, stepQuery{limit: 1 << 40})
 			errCh <- err
 		}()
 		for i := 0; i < 8; i++ {
@@ -222,7 +222,7 @@ func TestCancelledResidentRunLeavesPoolClean(t *testing.T) {
 		}
 		drainThenCount(steps, 0)
 
-		got, _, err := r.Run(context.Background(), q)
+		got, err := run(context.Background(), q)
 		if err != nil {
 			t.Fatalf("round %d: run after cancellation: %v", round, err)
 		}
@@ -456,8 +456,8 @@ func TestCancelledUpdateBreaksSession(t *testing.T) {
 
 // TestCancelMessageSameOnEveryEntryPoint: there is one superstep driver, so
 // a cancelled run reports the same "engine: <prog> cancelled at superstep k"
-// error whichever door it came through — a one-shot bus run, a pooled
-// Resident, worker processes behind sockets, or a session update.
+// error whichever door it came through — a one-shot bus run, an entry's
+// resident runner, worker processes behind sockets, or a session update.
 func TestCancelMessageSameOnEveryEntryPoint(t *testing.T) {
 	registerWireStepper()
 	const n = 4
@@ -476,11 +476,16 @@ func TestCancelMessageSameOnEveryEntryPoint(t *testing.T) {
 			return err
 		},
 		"resident": func() error {
-			r, err := NewResident(layout, prog, Options{})
+			e := MakeEntry(EntrySpec[stepQuery, int64, map[graph.ID]int64]{
+				Prog:      prog,
+				Parse:     func(string) (stepQuery, error) { return endless, nil },
+				Canonical: func(stepQuery) string { return "" },
+			})
+			r, err := e.Resident(layout, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, _, err = r.Run(ctx, endless)
+			_, _, err = r.RunParsed(ctx, ParsedQuery{Program: e.Name, Query: endless})
 			return err
 		},
 		"wire": func() error {

@@ -83,16 +83,6 @@ func (countdown) Assemble(q cdQuery, ctxs []*Context[int64]) (map[graph.ID]int64
 	return out, nil
 }
 
-// minCountdown gives countdown a min aggregate, so replicas of a border node
-// settle on the smallest value whichever order their updates arrive in.
-type minCountdown struct{ countdown }
-
-func (m minCountdown) Spec() VarSpec[int64] {
-	s := m.countdown.Spec()
-	s.Agg = func(a, b int64) int64 { return min(a, b) }
-	return s
-}
-
 func TestEngineRunsToFixpoint(t *testing.T) {
 	g := gen.Random(60, 180, 1)
 	res, stats, err := Run(context.Background(), g, countdown{}, cdQuery{}, Options{Workers: 4})
@@ -205,23 +195,6 @@ func TestEngineDeterministicStats(t *testing.T) {
 }
 
 var registryTestSeq atomic.Int64
-
-func TestEngineOverPartitionWithBalancer(t *testing.T) {
-	// countdown's fixpoint depends on fragment indices, so this test checks
-	// the balancer wiring (worker count, coverage); result equivalence for
-	// a partition-independent program is asserted in the queries package.
-	g := gen.PreferentialAttachment(500, 4, 8)
-	balanced, stats, err := Run(context.Background(), g, minCountdown{}, cdQuery{}, Options{Workers: 4, Fragments: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Workers != 4 {
-		t.Fatalf("balancer must keep %d workers, got %d", 4, stats.Workers)
-	}
-	if len(balanced) != g.NumVertices() {
-		t.Fatalf("balanced run assembled %d of %d", len(balanced), g.NumVertices())
-	}
-}
 
 func TestRegistryLifecycle(t *testing.T) {
 	// unique per invocation: the registry is process-global and -count=N

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"grape/internal/graph"
@@ -86,11 +87,10 @@ func MakeEntry[Q, V, R any](s EntrySpec[Q, V, R]) Entry {
 			return any(res), stats, err
 		},
 		Resident: func(layout *partition.Layout, opts Options) (ResidentRunner, error) {
-			r, err := NewResident(layout, s.Prog, opts)
-			if err != nil {
-				return nil, err
+			if opts.Transport != nil {
+				return nil, errors.New("engine: resident runs use the in-process bus (wire workers cannot share a resident layout)")
 			}
-			return residentAdapter[Q, V, R]{name: name, r: r}, nil
+			return residentRunner[Q, V, R]{prog: s.Prog, layout: layout, opts: opts}, nil
 		},
 		Session: func(ctx context.Context, g *graph.Graph, opts Options, pq ParsedQuery) (SessionHandle, any, *metrics.Stats, error) {
 			q, err := queryOf[Q](name, pq)
@@ -139,22 +139,24 @@ func queryOf[Q any](name string, pq ParsedQuery) (Q, error) {
 	return q, nil
 }
 
-// residentAdapter erases a typed Resident into ResidentRunner for the
-// registry.
-type residentAdapter[Q, V, R any] struct {
-	name string
-	r    *Resident[Q, V, R]
+// residentRunner answers parsed queries of one program over one layout
+// through RunOnLayout, whose pool recycles every run's scratch.
+type residentRunner[Q, V, R any] struct {
+	prog   Program[Q, V, R]
+	layout *partition.Layout
+	opts   Options
 }
 
-func (a residentAdapter[Q, V, R]) RunParsed(ctx context.Context, pq ParsedQuery) (any, *metrics.Stats, error) {
-	q, err := queryOf[Q](a.name, pq)
+func (r residentRunner[Q, V, R]) RunParsed(ctx context.Context, pq ParsedQuery) (any, *metrics.Stats, error) {
+	name := r.prog.Name()
+	q, err := queryOf[Q](name, pq)
 	if err != nil {
 		return nil, nil, err
 	}
-	if pq.Hops > a.r.layout.Hops {
-		return nil, nil, fmt.Errorf("engine: %s: query needs fragments expanded %d hops, the layout has %d", a.name, pq.Hops, a.r.layout.Hops)
+	if pq.Hops > r.layout.Hops {
+		return nil, nil, fmt.Errorf("engine: %s: query needs fragments expanded %d hops, the layout has %d", name, pq.Hops, r.layout.Hops)
 	}
-	res, stats, err := a.r.Run(ctx, q)
+	res, stats, err := RunOnLayout(ctx, r.layout, r.prog, q, r.opts)
 	return any(res), stats, err
 }
 

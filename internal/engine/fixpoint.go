@@ -101,8 +101,8 @@ type coordinator[V any] struct {
 	stillActive map[int]bool
 }
 
-// fixpoint is the engine's one superstep driver, behind Run, RunOnLayout,
-// Resident.Run and Session on either substrate: superstep 1, then IncEval
+// fixpoint is the engine's one superstep driver, behind Run, RunOnLayout
+// and Session on either substrate: superstep 1, then IncEval
 // on every fragment that received messages (or asked to stay active) until
 // no update parameter changes anywhere and every worker is quiescent — the
 // simultaneous fixpoint of Section 2.2 — then Assemble.
@@ -110,8 +110,8 @@ type coordinator[V any] struct {
 // Superstep 1 is PEval on all n workers when dirty is nil (a fresh run); a
 // session resuming its retained contexts passes the per-worker dirty nodes
 // instead, and exactly those workers run IncEval seeded with them
-// (cmdLocalInc). fold is the caller's: pooled by RunOnLayout and Resident,
-// retained by Session.
+// (cmdLocalInc). fold is the caller's: pooled by RunOnLayout, retained by
+// Session.
 //
 // Every fragment graph must be frozen: kernels read the CSR form only, and
 // concurrent runs over one layout rely on its reads being safe. A layout

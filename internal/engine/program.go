@@ -164,10 +164,10 @@ func newContext[V any](f *partition.Fragment, spec VarSpec[V]) *Context[V] {
 
 // reset binds a context — new, or pooled — to fragment f and puts it into
 // its just-constructed state, so a run starts from the program's declared
-// defaults. A pooled run scratch rebinds each context to its run's fragment —
-// under a Resident, the one it always had — and a wire worker to the one its
-// setup frame carried. The fragment is shared and untouched; only this run's
-// variable arrays are sized to it and cleared.
+// defaults. A pooled run scratch rebinds each context to its run's fragment,
+// perhaps another layout's, and a wire worker to the one its setup frame
+// carried. The fragment is shared and untouched; only this run's variable
+// arrays are sized to it and cleared.
 func (c *Context[V]) reset(f *partition.Fragment) {
 	c.Frag = f
 	nv := f.G.NumVertices()

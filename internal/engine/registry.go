@@ -102,10 +102,11 @@ type Entry struct {
 	// layer and tests all parse through here so they cannot drift.
 	Parse func(query string) (ParsedQuery, error)
 	// Resident builds a runner answering this program's parsed queries over
-	// a caller-owned prebuilt layout, without re-partitioning and with
-	// per-run scratch pooled across calls. The layout's fragments must be
-	// frozen; a query whose expansion (ParsedQuery.Hops) exceeds the
-	// layout's (Layout.Hops) is refused, not answered short.
+	// a caller-owned prebuilt layout through RunOnLayout, without
+	// re-partitioning and with per-run scratch from RunOnLayout's pool. It
+	// refuses a wire transport. The layout's fragments must be frozen; a
+	// query whose expansion (ParsedQuery.Hops) exceeds the layout's
+	// (Layout.Hops) is refused, not answered short.
 	Resident func(layout *partition.Layout, opts Options) (ResidentRunner, error)
 	// Session runs the initial fixpoint for a parsed query on g and retains
 	// the distributed state for incremental updates (NewSession). Every

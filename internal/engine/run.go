@@ -3,9 +3,9 @@ package engine
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 
-	"grape/internal/balance"
 	"grape/internal/graph"
 	"grape/internal/metrics"
 	"grape/internal/mpi"
@@ -31,12 +31,6 @@ type Options struct {
 	// update-parameter change descends along the program's declared partial
 	// order, surfacing Assurance Theorem violations as errors.
 	CheckMonotonic bool
-	// Fragments, when larger than Workers, over-partitions the graph into
-	// this many fragments and lets the Load Balancer pack them onto the
-	// Workers with the LPT heuristic (workload estimated from vertex, edge
-	// and border counts). Over-partitioning evens skewed graphs out — one
-	// of the graph-level optimizations of Fig. 2's balancer tier.
-	Fragments int
 	// Transport, if non-nil, must be a wire transport (Transport.Wire() ==
 	// true) and runs the fixpoint distributed: workers are separate
 	// processes on the far side of the transport (see internal/transport),
@@ -107,12 +101,12 @@ func Run[Q, V, R any](ctx context.Context, g *graph.Graph, prog Program[Q, V, R]
 }
 
 // BuildLayout is the partition-once step of a resident service: it cuts g per
-// opts (Workers, Strategy, Fragments for over-partitioning, ExpandHops for
-// data-shipping expansion) and returns the frozen layout, which many
-// subsequent runs — concurrent ones included, see Resident — can share.
+// opts (Workers, Strategy, ExpandHops for data-shipping expansion) and
+// returns the frozen layout, which many subsequent runs — concurrent ones
+// included, see RunOnLayout — can share.
 func BuildLayout(g *graph.Graph, opts Options) (*partition.Layout, error) {
 	opts = opts.withDefaults()
-	asg, err := partitionFor(g, opts)
+	asg, err := opts.Strategy.Partition(g, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -122,27 +116,20 @@ func BuildLayout(g *graph.Graph, opts Options) (*partition.Layout, error) {
 	return partition.Build(g, asg), nil
 }
 
-// partitionFor computes the worker-level assignment, optionally via the
-// Load Balancer: over-partition into Options.Fragments and LPT-pack onto
-// Options.Workers.
-func partitionFor(g *graph.Graph, opts Options) (*partition.Assignment, error) {
-	if opts.Fragments <= opts.Workers {
-		return opts.Strategy.Partition(g, opts.Workers)
-	}
-	fine, err := opts.Strategy.Partition(g, opts.Fragments)
-	if err != nil {
-		return nil, err
-	}
-	coarse, _, err := balance.Rebalance(partition.Build(g, fine), opts.Workers, balance.DefaultWeights())
-	return coarse, err
-}
-
 // RunOnLayout is Run on a prebuilt layout. With a wire transport in
 // Options.Transport the fixpoint drives remote worker processes (see
 // wire.go); otherwise workers are goroutines on an in-process bus (bus.go).
 // Either way the superstep loop is fixpoint. The context is honored as in
-// Run. The run's contexts, fold state and reply batches come from a pool
-// per program name and go back when it returns, as a Resident's do.
+// Run. The layout is only read, so concurrent runs may share it.
+//
+// The run's contexts, fold state and reply batches come from a pool per
+// program name and go back when it returns, cancelled or not: a service
+// answering many small queries over resident layouts would otherwise
+// reallocate O(|V|) arrays per request. The layout may be a session's
+// (SessionHandle.Layout), which the session splices between runs — never
+// during one: the caller serializes its batches against its runs. Each run
+// rebinds the scratch to the fragments' current size and border and to the
+// layout's current slots, and border positions never move.
 func RunOnLayout[Q, V, R any](ctx context.Context, layout *partition.Layout, prog Program[Q, V, R], q Q, opts Options) (R, *metrics.Stats, error) {
 	var zero R
 	opts = opts.withDefaults()
@@ -174,4 +161,63 @@ func runPool(name string) *sync.Pool {
 	}
 	p, _ := runPools.LoadOrStore(name, new(sync.Pool))
 	return p.(*sync.Pool)
+}
+
+// runScratch is what one run allocates and the next run of the same program
+// reuses: the n worker contexts — the bus's workers, and on the wire the
+// contexts finish decodes the partial answers into — the coordinator's fold
+// state, and on the wire the batch each worker's reply is decoded into.
+type runScratch[V any] struct {
+	ctxs    []*Context[V]
+	fold    foldState[V]
+	decoded [][]update[V]
+}
+
+// acquireScratch takes a run's scratch from pool — a new one when the pool is
+// empty or holds a scratch of another value type, which a program sharing
+// the name of the pool's put there — and binds it to layout: every context
+// reset to its fragment with the program's spec, the fold to the layout's
+// slots, one empty reply batch per fragment.
+func acquireScratch[V any](pool *sync.Pool, layout *partition.Layout, spec VarSpec[V]) *runScratch[V] {
+	sc, ok := pool.Get().(*runScratch[V])
+	if !ok {
+		sc = new(runScratch[V])
+	}
+	n := len(layout.Fragments)
+	// contexts past a smaller layout's fragments are kept for a larger one
+	if n > cap(sc.ctxs) {
+		sc.ctxs = slices.Grow(sc.ctxs[:cap(sc.ctxs)], n-cap(sc.ctxs))
+	}
+	sc.ctxs = sc.ctxs[:n]
+	for i, c := range sc.ctxs {
+		if c == nil {
+			c = new(Context[V])
+			sc.ctxs[i] = c
+		}
+		c.spec = spec
+		c.reset(layout.Fragments[i])
+	}
+	sc.fold.reset(spec, layout)
+	sc.decoded = slices.Grow(sc.decoded[:0], n)[:n]
+	return sc
+}
+
+// releaseScratch puts sc back into pool once nothing of the run it served
+// is reachable through it: no layout, fragment, program state or partial
+// answer, and no folded or decoded value. A pooled scratch must not pin the
+// layout of a one-shot run. Every context sized at the last acquire stays
+// allocated, and its variables are cleared when it is next bound. A
+// cancelled run's scratch is released too: the bus waits for every worker
+// goroutine to exit before fixpoint returns, so nothing writes it after.
+func releaseScratch[V any](pool *sync.Pool, sc *runScratch[V]) {
+	for _, c := range sc.ctxs {
+		c.Frag, c.State, c.Partial, c.vars = nil, nil, nil, nil
+	}
+	sc.fold.release()
+	for i, batch := range sc.decoded {
+		batch = batch[:cap(batch)]
+		clear(batch)
+		sc.decoded[i] = batch[:0]
+	}
+	pool.Put(sc)
 }

@@ -302,9 +302,9 @@ func TestSessionFaultBreaksSession(t *testing.T) {
 // TestThawMutateRefreezeKeepsResidentStable is the regression pinning the
 // session/serving interaction with the CSR lifecycle: mutating the base
 // graph (which thaws it) and refreezing must keep the graph's dense vertex
-// indices stable, and a pooled Resident built over the pre-mutation layout
-// must keep producing bit-identical results — its recycled contexts, fold
-// state and fragment graphs may not alias storage the mutation touched.
+// indices stable, and pooled runs over the pre-mutation layout must keep
+// producing bit-identical results — their recycled contexts, fold state and
+// fragment graphs may not alias storage the mutation touched.
 func TestThawMutateRefreezeKeepsResidentStable(t *testing.T) {
 	g := ring(64)
 	idx := make(map[graph.ID]int32, g.NumVertices())
@@ -319,13 +319,9 @@ func TestThawMutateRefreezeKeepsResidentStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	steps := make(chan struct{}, 4096)
-	r, err := NewResident(layout, stepper{steps: steps}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := stepper{steps: make(chan struct{}, 4096)}
 	q := stepQuery{limit: 40}
-	want, _, err := r.Run(context.Background(), q)
+	want, _, err := RunOnLayout(context.Background(), layout, prog, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +344,7 @@ func TestThawMutateRefreezeKeepsResidentStable(t *testing.T) {
 				t.Fatalf("round %d: dense index of %d moved: %d -> %d (ok=%v)", round, id, wantIdx, got, ok)
 			}
 		}
-		got, _, err := r.Run(context.Background(), q)
+		got, _, err := RunOnLayout(context.Background(), layout, prog, q, Options{})
 		if err != nil {
 			t.Fatalf("round %d: pooled run after thaw/refreeze: %v", round, err)
 		}

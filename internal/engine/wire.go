@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"grape/internal/balance"
 	"grape/internal/graph"
 	"grape/internal/mpi"
 	"grape/internal/partition"
@@ -127,7 +126,7 @@ func newWireSubstrate[Q, V, R any](layout *partition.Layout, prog Program[Q, V, 
 		if s.reassign, ok = tr.(mpi.Reassigner); !ok {
 			return nil, errors.New("engine: Options.Recover needs a transport that can reassign fragments (mpi.Reassigner)")
 		}
-		s.loads = balance.Estimate(layout, balance.DefaultWeights())
+		s.loads = estimateLoads(layout)
 		s.hostLoad = append([]float64(nil), s.loads...)
 		s.hostOf = make([]int, n)
 		s.aliveHost = make([]bool, n)
@@ -190,11 +189,10 @@ func (s *wireSubstrate[Q, V, R]) reply(env mpi.Envelope) (workerReply[V], error)
 
 // revive over the wire: when a host's link dies, every fragment assigned to
 // it gets a worker-fatal envelope; each is re-homed onto the least loaded
-// surviving host (the balancer's workload estimate, greedily — the same
-// quantity LPT packs), the transport's routing is pointed at it, and an
-// adopt frame ships the fragment plus its checkpoint replay log. A host that
-// dies during the reassignment is marked dead and the pick repeats; with no
-// survivors the run fails.
+// surviving host (by estimateLoads, greedily), the transport's routing is
+// pointed at it, and an adopt frame ships the fragment plus its checkpoint
+// replay log. A host that dies during the reassignment is marked dead and
+// the pick repeats; with no survivors the run fails.
 func (s *wireSubstrate[Q, V, R]) revive(frag int, log []replayStep[V], owe int) (int, error) {
 	s.aliveHost[s.hostOf[frag]] = false
 	for {
@@ -217,6 +215,16 @@ func (s *wireSubstrate[Q, V, R]) revive(frag int, log []replayStep[V], owe int) 
 		s.tr.Send(mpi.Envelope{From: mpi.Coordinator, To: frag, Frame: frame})
 		return host, nil
 	}
+}
+
+// estimateLoads weighs every fragment of l for re-homing: 1 per vertex, 4
+// per edge, 8 per border node.
+func estimateLoads(l *partition.Layout) []float64 {
+	out := make([]float64, len(l.Fragments))
+	for i, f := range l.Fragments {
+		out[i] = float64(len(f.Inner)) + 4*float64(f.G.NumEdges()) + 8*float64(len(f.Outer)+len(f.InnerBorder))
+	}
+	return out
 }
 
 // broadcast sends every fragment's worker a bare control command.
@@ -485,7 +493,7 @@ func decodePartial[Q, V, R any](prog WireProgram[Q, V, R], codec Codec[V], q Q, 
 }
 
 // wireScratch is what a wire worker's run allocates and the next run of the
-// same program reuses, as a Resident's runScratch is on the bus: the context
+// same program reuses, as a runScratch is on the coordinator: the context
 // of the fragment the setup frame assigned, the batch every command decodes
 // into and the buffer every reply is encoded into.
 type wireScratch[V any] struct {

@@ -284,11 +284,8 @@ func TestKeywordAssembleAllocatesOnlyTheAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	var allocs float64
-	r, err := engine.NewResident(layout, assembleProbe{allocs: &allocs}, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := r.Run(context.Background(), KeywordQuery{Keywords: []string{"db", "graph"}, Bound: 4, UseIndex: true})
+	q := KeywordQuery{Keywords: []string{"db", "graph"}, Bound: 4, UseIndex: true}
+	got, _, err := engine.RunOnLayout(context.Background(), layout, assembleProbe{allocs: &allocs}, q, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

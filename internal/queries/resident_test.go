@@ -248,56 +248,72 @@ func TestParseCanonicalization(t *testing.T) {
 	}
 }
 
-// TestResidentRunAllocationBudget: one sssp run over the resident road
-// layout (96×96 grid, 8 spatial fragments — the benchmark's) allocates 205
-// objects; with the coordinator's fold in maps, records sorted per superstep
-// and a result map grown from empty it allocated 304. The budget is between
-// the two: what is left is per run by design — goroutines, the bus, stats
-// rows, the answer.
-func TestResidentRunAllocationBudget(t *testing.T) {
+// warmSSSPRuns returns two sssp runs from vertex 0 over the resident road
+// layout (96×96 grid, 8 spatial fragments — the benchmark's): one through
+// RunOnLayout, one through the sssp entry's resident runner. The pooled
+// scratch is filled and collections are off until the test ends, since a
+// collection would empty the pool.
+func warmSSSPRuns(t *testing.T) (oneShot, resident func()) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("sync.Pool drops the pooled scratch under the race detector")
 	}
+	old := debug.SetGCPercent(-1)
+	t.Cleanup(func() { debug.SetGCPercent(old) })
 	layout, err := engine.BuildLayout(gen.RoadGrid(96, 96, 1), engine.Options{Workers: 8, Strategy: partition.TwoD{Cols: 96}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := engine.NewResident(layout, SSSP{}, engine.Options{})
+	e, err := engine.Lookup("sssp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() {
-		if _, _, err := r.Run(context.Background(), SSSPQuery{Source: 0}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run() // fill the pooled scratch
-	if got := testing.AllocsPerRun(20, run); got > 240 {
-		t.Fatalf("a resident sssp run allocates %.0f objects, budget 240", got)
-	}
-}
-
-// TestRunOnLayoutAllocationBudget: RunOnLayout draws its contexts and fold
-// state from a pool per program name, as a resident runner draws from its
-// own, so a warmed sssp run over the road layout of
-// TestResidentRunAllocationBudget allocates what a resident run does: 204
-// objects. Binding fresh contexts and fold arrays to every run cost 528.
-func TestRunOnLayoutAllocationBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops the pooled scratch under the race detector")
-	}
-	layout, err := engine.BuildLayout(gen.RoadGrid(96, 96, 1), engine.Options{Workers: 8, Strategy: partition.TwoD{Cols: 96}})
+	pq, err := e.Parse("source=0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() {
+	r, err := e.Resident(layout, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneShot = func() {
 		if _, _, err := engine.RunOnLayout(context.Background(), layout, SSSP{}, SSSPQuery{Source: 0}, engine.Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	run() // fill the pooled scratch
-	if got := testing.AllocsPerRun(20, run); got > 240 {
+	resident = func() {
+		if _, _, err := r.RunParsed(context.Background(), pq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oneShot() // fill the pooled scratch
+	return oneShot, resident
+}
+
+// TestRunOnLayoutAllocationBudget: one warmed sssp run over the road layout
+// of warmSSSPRuns allocates 204 objects once RunOnLayout's pool holds its
+// contexts and fold state; binding fresh contexts and fold arrays to every
+// run costs 528. What is left is per run by design — goroutines, the bus,
+// stats rows, the answer.
+func TestRunOnLayoutAllocationBudget(t *testing.T) {
+	oneShot, _ := warmSSSPRuns(t)
+	if got := testing.AllocsPerRun(20, oneShot); got > 240 {
 		t.Fatalf("a RunOnLayout sssp run allocates %.0f objects, budget 240", got)
+	}
+}
+
+// TestResidentRunAllocationBudget: a run through the sssp entry's resident
+// runner, which calls RunOnLayout, stays within the same budget and
+// allocates what a direct RunOnLayout run does: both draw from one pool.
+func TestResidentRunAllocationBudget(t *testing.T) {
+	oneShot, resident := warmSSSPRuns(t)
+	direct, viaEntry := testing.AllocsPerRun(20, oneShot), testing.AllocsPerRun(20, resident)
+	t.Logf("a warmed sssp run allocates %.0f objects through RunOnLayout, %.0f through Entry.Resident", direct, viaEntry)
+	if viaEntry > 240 {
+		t.Fatalf("a resident sssp run allocates %.0f objects, budget 240", viaEntry)
+	}
+	if viaEntry != direct {
+		t.Fatalf("a resident sssp run allocates %.0f objects, RunOnLayout %.0f: both draw from one pool", viaEntry, direct)
 	}
 }
 
@@ -400,14 +416,14 @@ func TestResidentRefusesDeeperQuery(t *testing.T) {
 }
 
 // TestResidentSurvivesSessionBatches pins the contract a server relies on
-// when it keeps a runner across batches: a pooled Resident on a session's
-// layout stays valid while the session splices that layout. One runner per
+// when it answers misses on a session's layout: runs there stay valid while
+// the session splices that layout, pooled scratch and all. One runner per
 // class is built on the session's layout and kept; after each of 50 mixed
 // 16-edge batches it must answer with the supersteps, messages and bytes of
 // a runner built fresh on the same layout, and both as internal/seq does on
 // a shadow graph. Keyword reseeds a mixed batch onto a new layout, where the
-// kept runner is rebuilt as the server rebuilds it; every other keyword
-// batch is cut to its insertions, which it repairs on the layout it has.
+// kept runner is rebuilt; every other keyword batch is cut to its
+// insertions, which it repairs on the layout it has.
 func TestResidentSurvivesSessionBatches(t *testing.T) {
 	road := gen.RoadGrid(32, 32, 1)
 	social := gen.PreferentialAttachment(3000, 4, 1)

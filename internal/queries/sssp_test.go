@@ -103,14 +103,6 @@ func TestSSSPCommunicationIsBorderBounded(t *testing.T) {
 	}
 }
 
-func TestSSSPWithLoadBalancedFragments(t *testing.T) {
-	// Over-partition into 16 fragments packed onto 4 workers: the answer is
-	// partition-independent and must match Dijkstra exactly.
-	g := gen.PreferentialAttachment(800, 4, 15)
-	got := runSSSP(t, g, 0, engine.Options{Workers: 4, Fragments: 16, Strategy: partition.Fennel{}})
-	mustAgree(t, "balanced fragments", "sssp", g, SSSPQuery{Source: 0}, got)
-}
-
 func TestSSSPRegistryRun(t *testing.T) {
 	g := gen.ConnectedRandom(100, 300, 9)
 	e, err := engine.Lookup("sssp")

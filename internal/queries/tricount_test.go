@@ -277,11 +277,7 @@ func TestTriCountPerPivotMatchesOracle(t *testing.T) {
 	if !unordered {
 		t.Fatal("no session fragment has a dense order out of ID order")
 	}
-	r, err := engine.NewResident(&layout, TriCount{}, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, _, err := r.Run(ctx, TriCountQuery{})
+	res, _, err := engine.RunOnLayout(ctx, &layout, TriCount{}, TriCountQuery{}, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -196,7 +196,7 @@ type residentGraph struct {
 
 // layoutSlot is one expansion depth's layout at the current epoch. It builds
 // a fresh cut at most once; concurrent first queries on the same depth wait
-// on the sync.Once. runners holds one pooled resident runner per program.
+// on the sync.Once.
 type layoutSlot struct {
 	// session, set on the hops-0 slot after a batch, is the retained update
 	// session's own layout: the cut the session opened with, every batch
@@ -206,21 +206,12 @@ type layoutSlot struct {
 	// Cut-invariant programs run on it, and the fresh cut is built only when
 	// another program asks. It needs no copy: Mutate, the one writer of that
 	// layout, holds rg.mu for write and every run holds it for read, so no
-	// run sees the layout change under it. While the session keeps the same
-	// layout pointer, Mutate carries this slot's runners on it into the next
-	// epoch's slot, pooled scratch and all: the scratch is bound to the
-	// layout's *Fragment objects, whose graphs the session swaps in place;
-	// Context.reset and syncBorder absorb the vertices and border positions
-	// a batch appends, and border positions never move. A reseed, a new
-	// session or a broken one yields another layout, and runners start over.
+	// run sees the layout change under it.
 	session *partition.Layout
 
 	once   sync.Once
 	layout *partition.Layout
 	err    error
-
-	rmu     sync.Mutex
-	runners map[string]engine.ResidentRunner
 }
 
 // New returns an empty server; graphs become resident through AddGraph or,
@@ -364,46 +355,29 @@ func (s *Server) resident(name string) (*residentGraph, error) {
 	}
 }
 
-// runnerFor returns the pooled resident runner for a program on the hops
-// slot: on the session's layout for a cut-invariant program when the slot
-// holds one, else on the slot's fresh cut, built on first use. Callers hold
-// rg.mu for read, so the graph is stable throughout.
-func (s *Server) runnerFor(rg *residentGraph, hops int, e engine.Entry) (engine.ResidentRunner, error) {
+// layoutFor returns the layout a program's query on the hops slot runs on:
+// the session's for a cut-invariant program when the slot holds one, else
+// the slot's fresh cut, built on first use. Callers hold rg.mu for read, so
+// the graph is stable throughout.
+func (s *Server) layoutFor(rg *residentGraph, hops int, e engine.Entry) (*partition.Layout, error) {
 	rg.lmu.Lock()
 	slot, ok := rg.layouts[hops]
 	if !ok {
-		slot = &layoutSlot{runners: make(map[string]engine.ResidentRunner)}
+		slot = new(layoutSlot)
 		rg.layouts[hops] = slot
 	}
 	rg.lmu.Unlock()
-	layout := slot.session
-	if layout == nil || !e.CutInvariant {
-		slot.once.Do(func() {
-			slot.layout, slot.err = engine.BuildLayout(rg.g, engine.Options{
-				Workers:    s.cfg.Workers,
-				Strategy:   s.strat,
-				ExpandHops: hops,
-			})
+	if slot.session != nil && e.CutInvariant {
+		return slot.session, nil
+	}
+	slot.once.Do(func() {
+		slot.layout, slot.err = engine.BuildLayout(rg.g, engine.Options{
+			Workers:    s.cfg.Workers,
+			Strategy:   s.strat,
+			ExpandHops: hops,
 		})
-		if slot.err != nil {
-			return nil, slot.err
-		}
-		layout = slot.layout
-	}
-	slot.rmu.Lock()
-	defer slot.rmu.Unlock()
-	if r, ok := slot.runners[e.Name]; ok {
-		return r, nil
-	}
-	if e.Resident == nil {
-		return nil, fmt.Errorf("server: program %q cannot run resident (no Resident hook registered)", e.Name)
-	}
-	r, err := e.Resident(layout, engine.Options{Recover: s.cfg.Recover, Fault: s.cfg.Fault})
-	if err != nil {
-		return nil, err
-	}
-	slot.runners[e.Name] = r
-	return r, nil
+	})
+	return slot.layout, slot.err
 }
 
 // Query answers one request: parse, try the cache, pass admission, run on
@@ -522,7 +496,11 @@ func (s *Server) query(ctx context.Context, req QueryRequest, start time.Time) (
 				return
 			}
 		}
-		runner, err := s.runnerFor(rg, pq.Hops, e)
+		layout, err := s.layoutFor(rg, pq.Hops, e)
+		var runner engine.ResidentRunner
+		if err == nil {
+			runner, err = e.Resident(layout, engine.Options{Recover: s.cfg.Recover, Fault: s.cfg.Fault})
+		}
 		if err != nil {
 			rec.Release()
 			done <- outcome{err: err}
@@ -562,8 +540,7 @@ func (s *Server) query(ctx context.Context, req QueryRequest, start time.Time) (
 // graph's epoch: every cached result keyed to earlier epochs becomes
 // unreachable, and resident layouts are dropped. The hops-0 slot starts over
 // holding the session's layout, which the batch spliced, so a cut-invariant
-// program's next miss runs without partitioning — on the previous slot's
-// runner when the session spliced the same layout; any other program or
+// program's next miss runs without partitioning; any other program or
 // depth, and every miss after a batch that broke the session or whose
 // session has no hops-0 layout, cuts the mutated graph afresh. The mutation
 // flows through a retained session of the requested program (default CC with
@@ -639,17 +616,7 @@ func (s *Server) Mutate(ctx context.Context, name, program, query string, edges 
 	layouts := make(map[int]*layoutSlot)
 	rg.lmu.Lock()
 	if l := rg.sess.Layout(); err == nil && l != nil && l.Hops == 0 {
-		slot := &layoutSlot{session: l, runners: make(map[string]engine.ResidentRunner)}
-		// The same session spliced this very layout: its runners' pooled
-		// scratch stays bound to the right fragments (see layoutSlot.session).
-		if old := rg.layouts[0]; old != nil && old.session == l {
-			for name, r := range old.runners {
-				if entry, _ := engine.Lookup(name); entry.CutInvariant {
-					slot.runners[name] = r
-				}
-			}
-		}
-		layouts[0] = slot
+		layouts[0] = &layoutSlot{session: l}
 	}
 	rg.layouts = layouts
 	rg.lmu.Unlock()
