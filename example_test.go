@@ -8,16 +8,16 @@ import (
 	"grape/internal/queries"
 )
 
-// The canonical GRAPE workflow: generate a graph, pick a worker count and a
+// The canonical GRAPE workflow: build a graph, pick a worker count and a
 // partition strategy, run a registered PIE program.
 func ExampleRunSSSP() {
-	g := grape.New()
-	g.AddEdge(0, 1, 4)
-	g.AddEdge(0, 2, 1)
-	g.AddEdge(2, 1, 2)
-	g.AddEdge(1, 3, 1)
+	b := grape.NewBuilder()
+	b.AddEdge(0, 1, 4)
+	b.AddEdge(0, 2, 1)
+	b.AddEdge(2, 1, 2)
+	b.AddEdge(1, 3, 1)
 
-	dists, _, err := grape.RunSSSP(context.Background(), g, 0, grape.Options{Workers: 2})
+	dists, _, err := grape.RunSSSP(context.Background(), b.Graph(), 0, grape.Options{Workers: 2})
 	if err != nil {
 		panic(err)
 	}
@@ -28,12 +28,12 @@ func ExampleRunSSSP() {
 // Connected components label every vertex with the smallest vertex ID in
 // its weakly connected component.
 func ExampleRunCC() {
-	g := grape.New()
-	g.AddEdge(5, 9, 1)
-	g.AddEdge(9, 7, 1)
-	g.AddEdge(2, 4, 1)
+	b := grape.NewBuilder()
+	b.AddEdge(5, 9, 1)
+	b.AddEdge(9, 7, 1)
+	b.AddEdge(2, 4, 1)
 
-	comp, _, err := grape.RunCC(context.Background(), g, grape.Options{Workers: 2})
+	comp, _, err := grape.RunCC(context.Background(), b.Graph(), grape.Options{Workers: 2})
 	if err != nil {
 		panic(err)
 	}
@@ -44,18 +44,18 @@ func ExampleRunCC() {
 // Subgraph isomorphism ships d-hop neighborhoods in PEval and finishes in a
 // single parallel superstep.
 func ExampleRunSubIso() {
-	g := grape.New()
-	g.AddVertex(1, "person")
-	g.AddVertex(2, "person")
-	g.AddVertex(3, "product")
-	g.AddLabeledEdge(1, 2, 1, "follow")
-	g.AddLabeledEdge(2, 3, 1, "recommend")
+	b := grape.NewBuilder()
+	b.AddVertex(1, "person")
+	b.AddVertex(2, "person")
+	b.AddVertex(3, "product")
+	b.AddLabeledEdge(1, 2, 1, "follow")
+	b.AddLabeledEdge(2, 3, 1, "recommend")
 
 	pattern, err := grape.PatternByName("follows-recommend")
 	if err != nil {
 		panic(err)
 	}
-	matches, stats, err := grape.RunSubIso(context.Background(), g, pattern, 0, grape.Options{Workers: 2})
+	matches, stats, err := grape.RunSubIso(context.Background(), b.Graph(), pattern, 0, grape.Options{Workers: 2})
 	if err != nil {
 		panic(err)
 	}
@@ -79,11 +79,11 @@ func ExampleRunProgram() {
 // Sessions answer a standing query over an evolving graph: edge insertions
 // re-run only the bounded incremental step.
 func ExampleNewSession() {
-	g := grape.New()
-	g.AddEdge(0, 1, 10)
-	g.AddEdge(1, 2, 10)
+	b := grape.NewBuilder()
+	b.AddEdge(0, 1, 10)
+	b.AddEdge(1, 2, 10)
 
-	session, dists, _, err := grape.NewSession(context.Background(), g, queries.SSSP{}, queries.SSSPQuery{Source: 0}, grape.Options{Workers: 2})
+	session, dists, _, err := grape.NewSession(context.Background(), b.Graph(), queries.SSSP{}, queries.SSSPQuery{Source: 0}, grape.Options{Workers: 2})
 	if err != nil {
 		panic(err)
 	}

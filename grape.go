@@ -51,6 +51,8 @@ import (
 type (
 	// Graph is the labeled, weighted graph all engines operate on.
 	Graph = graph.Graph
+	// Builder builds a Graph from nothing; Builder.Graph returns it.
+	Builder = graph.Builder
 	// ID identifies a vertex.
 	ID = graph.ID
 	// Edge is one adjacency entry.
@@ -142,17 +144,26 @@ type (
 // engine.SessionPatcher (SubIso, TriCount) brings its answer up to date
 // incrementally, and any batch that no hook takes reseeds the session from
 // the updated graph. ctx bounds the initial fixpoint; each Update carries its
-// own. The session freezes g and owns it: g itself never changes, and
-// Session.Graph returns the current graph, every accepted batch spliced in.
+// own. The session owns g: g itself never changes, and Session.Graph returns
+// the current graph, every accepted batch spliced in.
 func NewSession[Q, V, R any](ctx context.Context, g *Graph, prog Program[Q, V, R], q Q, opts Options) (*Session[Q, V, R], R, *Stats, error) {
 	return engine.NewSession(ctx, g, prog, q, opts)
 }
 
-// New returns an empty directed graph.
+// New returns an empty directed graph. Each mutator call on a Graph
+// (AddVertex, AddEdge, AddLabeledEdge, RemoveEdge) builds a new CSR form,
+// so it costs O(|V|+|E|): build a graph in bulk with NewBuilder.
 func New() *Graph { return graph.New() }
 
-// NewUndirected returns an empty undirected graph.
+// NewUndirected returns an empty undirected graph; its mutators cost as New's
+// do.
 func NewUndirected() *Graph { return graph.NewUndirected() }
+
+// NewBuilder returns a builder of a directed graph.
+func NewBuilder() *Builder { return graph.NewBuilder() }
+
+// NewUndirectedBuilder returns a builder of an undirected graph.
+func NewUndirectedBuilder() *Builder { return graph.NewUndirectedBuilder() }
 
 // Strategies lists the built-in partition strategies (hash, range, fennel,
 // metis-like, 2d).

@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// Densepath protects the PR 3 performance property: kernels traverse frozen
+// Densepath protects the dense-path performance property: kernels traverse
 // CSR graphs through hash-free dense-index accessors (GetAt/SetAt/
 // IsInnerAt/...), worth 2–8× end to end on most query classes. The sparse
 // by-ID accessors hash on every call, and nothing but review stops a kernel
@@ -13,9 +13,8 @@ import (
 // answer, just slower, which no test catches.
 //
 // Inside PIE-program bodies (PEval/IncEval/Assemble/RepairBatch), a call to
-// a method M whose receiver also offers M+"At" is flagged. Fragment graphs
-// are always frozen (sessions splice theirs), so there is no thawed fallback
-// to exempt; a call that must stay needs //grapevet:keep with a reason.
+// a method M whose receiver also offers M+"At" is flagged; a call that must
+// stay needs //grapevet:keep with a reason.
 //
 // A by-ID lookup on a graph (densepathLookup) in PEval, IncEval or Assemble
 // is flagged the same way: a fragment builds its ID index on the first one,

@@ -25,9 +25,9 @@ type Block struct {
 	Worker   int
 	Vertices []graph.ID // sorted
 	// Sub is the induced subgraph over the block's vertices plus their
-	// out-edges (targets may be outside the block). It is frozen, and its
-	// dense order starts with the members: the vertex at Sub dense index i <
-	// len(Vertices) is Vertices[i]; later indices are out-of-block targets.
+	// out-edges (targets may be outside the block). Its dense order starts
+	// with the members: the vertex at Sub dense index i < len(Vertices) is
+	// Vertices[i]; later indices are out-of-block targets.
 	Sub *graph.Graph
 	// State is program-private block state persisted across supersteps.
 	State any
@@ -230,10 +230,9 @@ func Run(g *graph.Graph, prog Program, cfg Config) (map[graph.ID]float64, *metri
 // roughly |part|/blocksPerWorker vertices by BFS region growing over the
 // induced subgraph (Blogel's Voronoi-flavored block construction,
 // simplified). The region growing runs over dense indices with flat visited
-// arrays; each block's subgraph is frozen so B-compute traverses CSR.
+// arrays; each block's subgraph is cut CSR to CSR.
 func buildBlocks(g *graph.Graph, asg *partition.Assignment, blocksPerWorker int) []*Block {
 	nv := g.NumVertices()
-	frozen := g.Frozen()
 	sortedIdx := g.SortedIndices()
 	parts := make([][]int32, asg.N)
 	for _, i := range sortedIdx {
@@ -242,32 +241,15 @@ func buildBlocks(g *graph.Graph, asg *partition.Assignment, blocksPerWorker int)
 	}
 	// neighbors visits u's undirected neighborhood as dense indices.
 	neighbors := func(u int32, visit func(int32)) {
-		if frozen {
-			for _, e := range g.OutAt(u) {
-				visit(e.To)
-			}
-			for _, e := range g.InAt(u) {
-				visit(e.To)
-			}
-			return
+		for _, e := range g.OutAt(u) {
+			visit(e.To)
 		}
-		id := g.IDAt(u)
-		for _, e := range g.Out(id) {
-			if i, ok := g.Index(e.To); ok {
-				visit(i)
-			}
-		}
-		for _, e := range g.In(id) {
-			if i, ok := g.Index(e.To); ok {
-				visit(i)
-			}
+		for _, e := range g.InAt(u) {
+			visit(e.To)
 		}
 	}
 	assigned := make([]bool, nv)
-	var bld *graph.SubgraphBuilder
-	if frozen && g.Directed() {
-		bld = graph.NewSubgraphBuilder(g)
-	}
+	bld := graph.NewSubgraphBuilder(g)
 	var blocks []*Block
 	for w, idxs := range parts {
 		target := (len(idxs) + blocksPerWorker - 1) / blocksPerWorker
@@ -305,20 +287,7 @@ func buildBlocks(g *graph.Graph, asg *partition.Assignment, blocksPerWorker int)
 				b.member[id] = true
 			}
 			// induced subgraph with out-edges (targets may leave the block)
-			if frozen && g.Directed() {
-				b.Sub = bld.Subgraph(b.gIdx, nil)
-			} else {
-				sub := graph.New()
-				for _, u := range b.Vertices {
-					sub.AddVertex(u, g.Label(u))
-				}
-				for _, u := range b.Vertices {
-					for _, e := range g.Out(u) {
-						sub.AddLabeledEdge(u, e.To, e.W, e.Label)
-					}
-				}
-				b.Sub = sub.Freeze()
-			}
+			b.Sub = bld.Subgraph(b.gIdx, nil)
 			blocks = append(blocks, b)
 		}
 	}

@@ -62,7 +62,7 @@ type outMsg struct {
 }
 
 // relaxBlock runs Dijkstra over the block from the seeds, entirely on the
-// frozen block subgraph's dense indices: distances live in a flat scratch
+// block subgraph's dense indices: distances live in a flat scratch
 // array seeded from the global values, and only actual improvements are
 // written back. Improvements to vertices outside the block become messages,
 // combined per target (Blogel's combiner).

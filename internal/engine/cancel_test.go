@@ -98,12 +98,11 @@ func (s stepper) Assemble(q stepQuery, ctxs []*Context[int64]) (map[graph.ID]int
 // ring returns a directed cycle, which hash-partitions into fragments whose
 // border is essentially every vertex — each superstep touches every worker.
 func ring(n int) *graph.Graph {
-	g := graph.New()
+	b := graph.NewBuilder()
 	for i := 0; i < n; i++ {
-		g.AddEdge(graph.ID(i), graph.ID((i+1)%n), 1)
+		b.AddEdge(graph.ID(i), graph.ID((i+1)%n), 1)
 	}
-	g.Freeze()
-	return g
+	return b.Graph()
 }
 
 // drainThenCount empties steps, waits, and reports how many new signals

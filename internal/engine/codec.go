@@ -488,7 +488,18 @@ func decodePartialFrame(frame []byte) ([]byte, error) {
 // lies aligned on the worker and partition.DecodeFragment serves it from
 // where it lies.
 
+// encodeSetup encodes a setup frame into buf, which it first grows, if it
+// lacks room, to exactly the frame's length: one allocation, however large
+// the fragment.
 func encodeSetup(buf []byte, name string, query []byte, deadlineMicros int64, f *partition.Fragment) []byte {
+	var varint [binary.MaxVarintLen64]byte
+	head := len(name) + len(query)
+	for _, v := range [...]uint64{uint64(len(name)), uint64(len(query)), uint64(deadlineMicros)} {
+		head += len(binary.AppendUvarint(varint[:0], v))
+	}
+	if n := graph.Align8(head) + partition.FrameLen(f); cap(buf) < n {
+		buf = make([]byte, 0, n)
+	}
 	frame := binary.AppendUvarint(buf[:0], uint64(len(name)))
 	frame = append(frame, name...)
 	frame = binary.AppendUvarint(frame, uint64(len(query)))

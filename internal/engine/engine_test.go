@@ -149,22 +149,6 @@ func TestEngineSingleWorkerNoTraffic(t *testing.T) {
 	}
 }
 
-// TestRunOnLayoutRefusesThawedFragment: kernels have one body, over the CSR
-// form, so a layout whose fragment graph was mutated in place — which thaws
-// it — is refused with the fragment named, not run.
-func TestRunOnLayoutRefusesThawedFragment(t *testing.T) {
-	layout, err := BuildLayout(gen.Random(40, 120, 6), Options{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := layout.Fragments[2]
-	f.G.AddEdge(f.Inner[0], f.Inner[0], 1)
-	_, _, err = RunOnLayout(context.Background(), layout, countdown{}, cdQuery{}, Options{})
-	if err == nil || !contains(err.Error(), "fragment 2 is not frozen") {
-		t.Fatalf("want the thawed fragment named, got %v", err)
-	}
-}
-
 func TestEngineEmptyFragmentTolerated(t *testing.T) {
 	// more workers than vertices: some fragments are empty
 	g := graph.New()

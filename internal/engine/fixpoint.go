@@ -113,9 +113,7 @@ type coordinator[V any] struct {
 // (cmdLocalInc). fold is the caller's: pooled by RunOnLayout, retained by
 // Session.
 //
-// Every fragment graph must be frozen: kernels read the CSR form only, and
-// concurrent runs over one layout rely on its reads being safe. A layout
-// whose fragment was mutated in place is refused.
+// Concurrent runs over one layout rely on a graph's reads being safe.
 //
 // ctx is checked at every barrier — while waiting for worker replies and
 // before scheduling the next superstep. A cancelled run abandons the fold,
@@ -126,12 +124,6 @@ type coordinator[V any] struct {
 func fixpoint[Q, V, R any](ctx context.Context, layout *partition.Layout, prog Program[Q, V, R], q Q, opts Options, sub substrate[V], fold *foldState[V], dirty map[int][]graph.ID) (R, *metrics.Stats, error) {
 	var zero R
 	n := len(layout.Fragments)
-	for _, f := range layout.Fragments {
-		if !f.G.Frozen() {
-			return zero, nil, fmt.Errorf("engine: %s: fragment %d is not frozen (kernels read the CSR form only)", prog.Name(), f.Index)
-		}
-	}
-
 	var ckpt *checkpoint[V]
 	if opts.Recover {
 		ckpt = newCheckpoint(prog.Spec(), layout)

@@ -288,7 +288,7 @@ func (c *Context[V]) SetLocal(id graph.ID, v V) {
 }
 
 // GetAt is Get addressed by the fragment graph's dense vertex index — the
-// hash-free accessor kernels traversing a frozen graph use per edge hop.
+// hash-free accessor kernels traversing a graph use per edge hop.
 func (c *Context[V]) GetAt(i int32) V {
 	if int(i) < len(c.vals) && c.has[i] {
 		return c.vals[i]

@@ -104,8 +104,7 @@ type Entry struct {
 	// Resident builds a runner answering this program's parsed queries over
 	// a caller-owned prebuilt layout through RunOnLayout, without
 	// re-partitioning and with per-run scratch from RunOnLayout's pool. It
-	// refuses a wire transport. The layout's fragments must be frozen; a
-	// query whose expansion (ParsedQuery.Hops) exceeds the layout's
+	// refuses a wire transport. A query whose expansion (ParsedQuery.Hops) exceeds the layout's
 	// (Layout.Hops) is refused, not answered short.
 	Resident func(layout *partition.Layout, opts Options) (ResidentRunner, error)
 	// Session runs the initial fixpoint for a parsed query on g and retains

@@ -37,10 +37,10 @@ import (
 //     from-scratch pipeline verbatim, so it is correct for every program;
 //     the capability hooks above exist to beat it, not to replace it.
 //
-// Nothing is thawed. Every path starts from the global graph spliced once per
-// batch (graph.Splice: a new frozen graph, the old one left intact), and the
-// repair path also splices each fragment the batch touches, so kernels run the
-// same CSR body in a session as in any other run.
+// Every path starts from the global graph spliced once per batch
+// (graph.Splice: a new graph, the old one left intact), and the repair path
+// also splices each fragment the batch touches, so kernels run the same CSR
+// body in a session as in any other run.
 
 // EdgeUpdate is one graph mutation: an edge insertion (or, equivalently for
 // weighted graphs, a weight decrease when the edge already exists), or —
@@ -97,7 +97,7 @@ type Repairer[Q, V any] interface {
 // match list cannot be patched); PatchResult narrows the retained state back
 // to the user's answer. ApplyPatch receives the whole batch — a deletion's W
 // already rewritten to the removed instance's weight — with the global graph
-// before it (old) and after it (g): both frozen, with the same dense indices,
+// before it (old) and after it (g), with the same dense indices,
 // and both readable, since a session never adds vertices.
 type SessionPatcher[Q, R any] interface {
 	SessionQuery(q Q) Q
@@ -201,9 +201,9 @@ var ErrSessionBroken = errors.New("session state diverged by an aborted update; 
 // programs without incremental capabilities fall back to reseeding on
 // Update, which re-runs the from-scratch pipeline on the mutated graph
 // inside the same session. The context bounds the initial fixpoint only;
-// each Update call carries its own. NewSession freezes g, and the session
-// owns it from then on: g itself never changes, each batch yields a new
-// graph, and Graph returns the current one.
+// each Update call carries its own. The session owns g from then on: g
+// itself never changes, each batch yields a new graph, and Graph returns the
+// current one.
 func NewSession[Q, V, R any](ctx context.Context, g *graph.Graph, prog Program[Q, V, R], q Q, opts Options) (*Session[Q, V, R], R, *metrics.Stats, error) {
 	var zero R
 	if !g.Directed() {
@@ -216,7 +216,6 @@ func NewSession[Q, V, R any](ctx context.Context, g *graph.Graph, prog Program[Q
 		return nil, zero, nil, fmt.Errorf("engine: sessions do not support Options.Recover (a replay from PEval cannot rebuild a resumed session context)")
 	}
 	opts = opts.withDefaults()
-	g.Freeze()
 	patcher, _ := any(prog).(SessionPatcher[Q, R])
 	if opts.ExpandHops > 0 && patcher == nil {
 		return nil, zero, nil, fmt.Errorf("engine: %s: expanded fragments replicate edges across workers, which incremental updates cannot keep consistent; only SessionPatcher programs run sessions with ExpandHops > 0", prog.Name())
@@ -262,7 +261,7 @@ func NewSession[Q, V, R any](ctx context.Context, g *graph.Graph, prog Program[Q
 // nothing happened" from "state diverged, drop the session".
 func (s *Session[Q, V, R]) Broken() bool { return s.broken }
 
-// Graph returns the session's current global graph, frozen: the graph
+// Graph returns the session's current global graph: the graph
 // NewSession was given with every accepted batch spliced in — a batch that
 // broke the session included.
 func (s *Session[Q, V, R]) Graph() *graph.Graph { return s.layout.Asg.G }
@@ -420,8 +419,7 @@ func SpliceBatch(g *graph.Graph, ups []EdgeUpdate) (*graph.Graph, error) {
 // splice brings every fragment that stores a batch edge — the owner of its
 // source — up to date in one graph.Splice: an outer copy, with the global
 // graph's label and properties, for each inserted target it does not host
-// yet, then its edges in batch order. The fragments stay frozen, so the
-// kernels keep their one CSR body. The border bookkeeping for the new copies
+// yet, then its edges in batch order. The border bookkeeping for the new copies
 // follows in applyInsert.
 func (s *Session[Q, V, R]) splice(ups []EdgeUpdate) error {
 	g := s.layout.Asg.G

@@ -11,6 +11,7 @@ import (
 	"slices"
 	"testing"
 
+	"grape/internal/gen"
 	"grape/internal/graph"
 	"grape/internal/mpi"
 	"grape/internal/partition"
@@ -94,11 +95,11 @@ func (c arenaVecCodec) DecodeVal(data []byte) ([]float64, int, error) {
 // owns the sources and holds an outer copy, a border vertex, of every target.
 func matching(t *testing.T, n int) *partition.Layout {
 	t.Helper()
-	g := graph.New()
+	b := graph.NewBuilder()
 	for i := 0; i < n; i++ {
-		g.AddEdge(graph.ID(i), graph.ID(n+i), 1)
+		b.AddEdge(graph.ID(i), graph.ID(n+i), 1)
 	}
-	layout, err := BuildLayout(g, Options{Workers: 2, Strategy: partition.Range{}})
+	layout, err := BuildLayout(b.Graph(), Options{Workers: 2, Strategy: partition.Range{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,4 +523,25 @@ func FuzzEngineFrames(f *testing.F) {
 			t.Fatalf("frame kind %d to fragment %d: %x decodes and re-encodes to %x", kind, fr.Index, frame, again)
 		}
 	})
+}
+
+// TestSetupFrameGrowsOnce: encodeSetup sizes a buffer that lacks room to the
+// frame's exact length before it writes, so a setup frame of fragment 0 of a
+// keyword social graph (about 800 KB) costs one allocation with no slack.
+func TestSetupFrameGrowsOnce(t *testing.T) {
+	g := gen.PreferentialAttachment(10000, 5, 1)
+	gen.AttachKeywords(g, []string{"db", "graph", "ml"}, 2, 0.05, 1)
+	layout, err := BuildLayout(g, Options{Workers: 8, Strategy: partition.Hash{}, ExpandHops: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := layout.Fragments[0]
+	var frame []byte
+	allocs := testing.AllocsPerRun(1, func() { frame = encodeSetup(nil, "keyword", []byte("k=db,graph"), 0, f) })
+	if allocs != 1 || cap(frame) != len(frame) {
+		t.Fatalf("a %d KB setup frame: %v allocations, cap %d for len %d; want 1 and no slack", len(frame)>>10, allocs, cap(frame), len(frame))
+	}
+	if _, _, _, got, err := decodeSetup(frame); err != nil || graph.Diff(f.G, got.G) != nil {
+		t.Fatalf("the frame does not decode to its fragment: %v", err)
+	}
 }

@@ -15,9 +15,7 @@
 //   - Random: an Erdős–Rényi G(n, m) graph for property-based tests.
 //
 // Every generator takes an explicit seed and is fully deterministic, and
-// every generator returns its graph frozen (graph.Freeze) so the engines and
-// the partition layer start from the CSR form. Callers that want to mutate a
-// generated graph can do so — the first mutation transparently thaws it.
+// builds its graph with a graph.Builder.
 package gen
 
 import (
@@ -32,7 +30,7 @@ import (
 // are r*cols+c. The graph is connected and has hop diameter ≈ rows+cols.
 func RoadGrid(rows, cols int, seed int64) *graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
-	g := graph.New()
+	g := graph.NewBuilder()
 	id := func(r, c int) graph.ID { return graph.ID(r*cols + c) }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
@@ -66,7 +64,7 @@ func RoadGrid(rows, cols int, seed int64) *graph.Graph {
 			g.AddEdge(id(r, c+span), id(r, c), w)
 		}
 	}
-	return g.Freeze()
+	return g.Graph()
 }
 
 // PreferentialAttachment returns a directed scale-free graph with n vertices
@@ -78,7 +76,7 @@ func PreferentialAttachment(n, m int, seed int64) *graph.Graph {
 		m = 1
 	}
 	rng := rand.New(rand.NewSource(seed))
-	g := graph.New()
+	g := graph.NewBuilder()
 	// repeated-endpoint list implements preferential selection in O(1)
 	targets := make([]graph.ID, 0, 2*n*m)
 	for v := 0; v < n; v++ {
@@ -111,15 +109,18 @@ func PreferentialAttachment(n, m int, seed int64) *graph.Graph {
 			targets = append(targets, t, id)
 		}
 	}
-	return g.Freeze()
+	return g.Graph()
 }
 
 // Random returns a directed Erdős–Rényi-style graph with n vertices and m
 // edges (self-loops excluded, parallel edges possible). Weights are uniform
 // in [1, 10).
 func Random(n, m int, seed int64) *graph.Graph {
-	rng := rand.New(rand.NewSource(seed))
-	g := graph.New()
+	return random(n, m, rand.New(rand.NewSource(seed))).Graph()
+}
+
+func random(n, m int, rng *rand.Rand) *graph.Builder {
+	g := graph.NewBuilder()
 	for v := 0; v < n; v++ {
 		g.AddVertex(graph.ID(v), "")
 	}
@@ -131,13 +132,13 @@ func Random(n, m int, seed int64) *graph.Graph {
 		}
 		g.AddEdge(graph.ID(u), graph.ID(v), 1+rng.Float64()*9)
 	}
-	return g.Freeze()
+	return g
 }
 
 // ConnectedRandom returns Random plus a random spanning path so that every
 // vertex is reachable from vertex 0. Used where tests need full reachability.
 func ConnectedRandom(n, m int, seed int64) *graph.Graph {
-	g := Random(n, m, seed)
+	g := random(n, m, rand.New(rand.NewSource(seed)))
 	rng := rand.New(rand.NewSource(seed + 1))
 	perm := rng.Perm(n)
 	prev := graph.ID(0)
@@ -149,7 +150,7 @@ func ConnectedRandom(n, m int, seed int64) *graph.Graph {
 		g.AddEdge(prev, v, 1+rng.Float64()*9)
 		prev = v
 	}
-	return g.Freeze()
+	return g.Graph()
 }
 
 // Labels used by SocialCommerce.
@@ -184,7 +185,7 @@ type SocialCommerceConfig struct {
 // (cross-community follows, bad ratings, random buys) around them.
 func SocialCommerce(cfg SocialCommerceConfig) *graph.Graph {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	g := graph.New()
+	g := graph.NewBuilder()
 	person := func(i int) graph.ID { return graph.ID(i) }
 	product := func(j int) graph.ID { return graph.ID(cfg.People + j) }
 	if cfg.Products < 1 {
@@ -276,7 +277,7 @@ func SocialCommerce(cfg SocialCommerceConfig) *graph.Graph {
 			g.AddLabeledEdge(p, product(rng.Intn(cfg.Products)), 1, EdgeBuy)
 		}
 	}
-	return g.Freeze()
+	return g.Graph()
 }
 
 // RatingsConfig controls Ratings generation.
@@ -305,7 +306,7 @@ func Ratings(cfg RatingsConfig) *graph.Graph {
 	for i := range q {
 		q[i] = randVec(rng, cfg.Factors)
 	}
-	g := graph.NewUndirected()
+	g := graph.NewUndirectedBuilder()
 	for u := 0; u < cfg.Users; u++ {
 		g.AddVertex(graph.ID(u), "user")
 	}
@@ -330,7 +331,7 @@ func Ratings(cfg RatingsConfig) *graph.Graph {
 			g.AddEdge(graph.ID(u), graph.ID(cfg.Users+i), r)
 		}
 	}
-	return g.Freeze()
+	return g.Graph()
 }
 
 // DirectedRatings is Ratings with user→item edges on a directed graph — the
@@ -350,7 +351,7 @@ func DirectedRatings(cfg RatingsConfig) *graph.Graph {
 	for i := range q {
 		q[i] = randVec(rng, cfg.Factors)
 	}
-	g := graph.New()
+	g := graph.NewBuilder()
 	for u := 0; u < cfg.Users; u++ {
 		g.AddVertex(graph.ID(u), "user")
 	}
@@ -375,7 +376,7 @@ func DirectedRatings(cfg RatingsConfig) *graph.Graph {
 			g.AddEdge(graph.ID(u), graph.ID(cfg.Users+i), r)
 		}
 	}
-	return g.Freeze()
+	return g.Graph()
 }
 
 func randVec(rng *rand.Rand, k int) []float64 {

@@ -173,27 +173,27 @@ func CandidateRules(minFracs []float64) []Rule {
 	var rules []Rule
 
 	// direct: x recommends y ⇒ x buys y
-	direct := graph.New()
+	direct := graph.NewBuilder()
 	direct.AddVertex(0, gen.LabelPerson)
 	direct.AddVertex(2, gen.LabelProduct)
 	direct.AddLabeledEdge(0, 2, 1, gen.EdgeRecommend)
 	rules = append(rules, Rule{
-		Name: "recommender-buys", Q: direct, X: 0, Y: 2, Consequent: gen.EdgeBuy,
+		Name: "recommender-buys", Q: direct.Graph(), X: 0, Y: 2, Consequent: gen.EdgeBuy,
 	})
 
 	// social proof: x follows someone who recommends y ⇒ x buys y
-	social := graph.New()
+	social := graph.NewBuilder()
 	social.AddVertex(0, gen.LabelPerson)
 	social.AddVertex(1, gen.LabelPerson)
 	social.AddVertex(2, gen.LabelProduct)
 	social.AddLabeledEdge(0, 1, 1, gen.EdgeFollow)
 	social.AddLabeledEdge(1, 2, 1, gen.EdgeRecommend)
 	rules = append(rules, Rule{
-		Name: "one-followee-recommends", Q: social, X: 0, Y: 2, Consequent: gen.EdgeBuy,
+		Name: "one-followee-recommends", Q: social.Graph(), X: 0, Y: 2, Consequent: gen.EdgeBuy,
 	})
 
 	// two independent recommenders among followees
-	double := graph.New()
+	double := graph.NewBuilder()
 	double.AddVertex(0, gen.LabelPerson)
 	double.AddVertex(1, gen.LabelPerson)
 	double.AddVertex(3, gen.LabelPerson)
@@ -203,7 +203,7 @@ func CandidateRules(minFracs []float64) []Rule {
 	double.AddLabeledEdge(1, 2, 1, gen.EdgeRecommend)
 	double.AddLabeledEdge(3, 2, 1, gen.EdgeRecommend)
 	rules = append(rules, Rule{
-		Name: "two-followees-recommend", Q: double, X: 0, Y: 2, Consequent: gen.EdgeBuy,
+		Name: "two-followees-recommend", Q: double.Graph(), X: 0, Y: 2, Consequent: gen.EdgeBuy,
 	})
 
 	// quantified majority rules (Example 2 at several thresholds)
@@ -230,7 +230,7 @@ func hasLabeledEdge(g *graph.Graph, from, to graph.ID, label string) bool {
 // topological skeleton (x follows someone who recommends y); the percentage
 // and no-bad-rating conditions are the quantifier.
 func Example2Rule(minFrac float64) Rule {
-	q := graph.New()
+	q := graph.NewBuilder()
 	q.AddVertex(0, gen.LabelPerson)  // x
 	q.AddVertex(1, gen.LabelPerson)  // a followee
 	q.AddVertex(2, gen.LabelProduct) // y
@@ -238,7 +238,7 @@ func Example2Rule(minFrac float64) Rule {
 	q.AddLabeledEdge(1, 2, 1, gen.EdgeRecommend)
 	return Rule{
 		Name:       "example2-huawei-mate9",
-		Q:          q,
+		Q:          q.Graph(),
 		X:          0,
 		Y:          2,
 		Consequent: gen.EdgeBuy,

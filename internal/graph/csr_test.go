@@ -22,29 +22,28 @@ func buildLabeled() *Graph {
 	return g
 }
 
+// TestFreezePreservesBoundaryAPI: the one-operation mutators, Freeze
+// included, build the graph a Builder builds, observation for observation.
 func TestFreezePreservesBoundaryAPI(t *testing.T) {
-	g := buildLabeled()
-	want := g.Clone() // stays mutable
-	g.Freeze()
-	if !g.Frozen() {
-		t.Fatal("Freeze did not freeze")
-	}
+	g := buildLabeled().Freeze()
+	b := NewBuilder()
+	b.AddVertex(10, "person")
+	b.AddVertex(3, "")
+	b.AddVertex(77, "product")
+	b.SetProps(10, []string{"db", "graph"})
+	b.AddLabeledEdge(10, 3, 1.5, "follows")
+	b.AddLabeledEdge(10, 3, 2.5, "follows")
+	b.AddLabeledEdge(3, 77, 2.25, "buy")
+	b.AddLabeledEdge(77, 77, 1, "")
+	b.AddEdge(10, 77, 0.125)
+	want := b.Graph()
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if g.NumVertices() != want.NumVertices() || g.NumEdges() != want.NumEdges() {
-		t.Fatal("counts changed")
+	if err := Diff(want, g); err != nil {
+		t.Fatal(err)
 	}
 	for _, v := range want.Vertices() {
-		if g.Label(v) != want.Label(v) {
-			t.Fatalf("label of %d changed", v)
-		}
-		if !reflect.DeepEqual(g.Props(v), want.Props(v)) {
-			t.Fatalf("props of %d changed", v)
-		}
-		if !reflect.DeepEqual(g.Out(v), want.Out(v)) {
-			t.Fatalf("out of %d changed: %v vs %v", v, g.Out(v), want.Out(v))
-		}
 		if !reflect.DeepEqual(g.In(v), want.In(v)) {
 			t.Fatalf("in of %d changed: %v vs %v", v, g.In(v), want.In(v))
 		}
@@ -52,7 +51,7 @@ func TestFreezePreservesBoundaryAPI(t *testing.T) {
 }
 
 func TestDenseAccessorsAgreeWithBoundaryAPI(t *testing.T) {
-	g := buildLabeled().Freeze()
+	g := buildLabeled()
 	for i := int32(0); i < int32(g.NumVertices()); i++ {
 		id := g.IDAt(i)
 		if g.LabelAt(i) != g.Label(id) {
@@ -85,53 +84,18 @@ func TestDenseAccessorsAgreeWithBoundaryAPI(t *testing.T) {
 	}
 }
 
-// TestThawRestoresMutability: mutating a frozen graph transparently thaws
-// it, preserving everything and allowing further growth; re-freezing works.
-func TestThawRestoresMutability(t *testing.T) {
-	g := buildLabeled().Freeze()
-	g.AddLabeledEdge(3, 10, 9, "back") // thaws
-	if g.Frozen() {
-		t.Fatal("mutation did not thaw")
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// a frozen graph keeps labels interned only; the thaw restores them
-	for want, v := buildLabeled(), int32(0); int(v) < g.NumVertices(); v++ {
-		if g.LabelAt(v) != want.LabelAt(v) {
-			t.Fatalf("label of vertex %d: %q after the thaw, want %q", g.IDAt(v), g.LabelAt(v), want.LabelAt(v))
-		}
-	}
-	if len(g.Out(3)) != 2 {
-		t.Fatalf("out(3) = %v", g.Out(3))
-	}
-	if len(g.In(10)) != 1 || g.In(10)[0].Label != "back" {
-		t.Fatalf("in(10) = %v", g.In(10))
-	}
-	g.AddVertex(500, "new")
-	g.Freeze()
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if g.Label(500) != "new" || len(g.Out(10)) != 3 {
-		t.Fatal("refreeze lost data")
-	}
-}
-
-// TestFrozenConcurrentReads is the regression test for the buildIn race: on
-// a frozen graph every read accessor — In() included — must be safe for
-// concurrent use (run under -race in CI). Before Freeze existed, In() built
-// the reverse adjacency lazily with no synchronization.
+// TestFrozenConcurrentReads: every read accessor — In() included — is safe
+// for concurrent use (run under -race in CI).
 func TestFrozenConcurrentReads(t *testing.T) {
-	g := New()
+	b := NewBuilder()
 	for v := 0; v < 200; v++ {
-		g.AddVertex(ID(v), "")
+		b.AddVertex(ID(v), "")
 	}
 	for v := 0; v < 200; v++ {
-		g.AddEdge(ID(v), ID((v*7+1)%200), 1)
-		g.AddEdge(ID(v), ID((v*13+5)%200), 2)
+		b.AddEdge(ID(v), ID((v*7+1)%200), 1)
+		b.AddEdge(ID(v), ID((v*13+5)%200), 2)
 	}
-	g.Freeze()
+	g := b.Graph()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -155,17 +119,12 @@ func TestFrozenConcurrentReads(t *testing.T) {
 }
 
 func TestCloneFrozenIsIndependent(t *testing.T) {
-	g := buildLabeled().Freeze()
+	g := buildLabeled()
 	c := g.Clone()
-	if !c.Frozen() {
-		t.Fatal("clone of frozen graph should be frozen")
-	}
-	c.AddEdge(3, 10, 1) // thaws the clone only
-	if c.Frozen() || !g.Frozen() {
-		t.Fatal("thaw leaked between clone and original")
-	}
-	if len(g.Out(3)) != 1 || len(c.Out(3)) != 2 {
-		t.Fatalf("adjacency leaked: orig %v clone %v", g.Out(3), c.Out(3))
+	c.AddEdge(3, 10, 1)
+	c.AddVertex(3, "relabelled")
+	if len(g.Out(3)) != 1 || len(c.Out(3)) != 2 || g.Label(3) != "" {
+		t.Fatalf("a change leaked: orig %v %q clone %v", g.Out(3), g.Label(3), c.Out(3))
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
@@ -179,7 +138,7 @@ func TestCloneFrozenIsIndependent(t *testing.T) {
 // engine machinery. Run with -bench 'BenchmarkTraversal' -benchmem.
 
 func benchGraph(n int) *Graph {
-	g := New()
+	g := NewBuilder()
 	for v := 0; v < n; v++ {
 		g.AddVertex(ID(v), "")
 	}
@@ -188,16 +147,16 @@ func benchGraph(n int) *Graph {
 			g.AddEdge(ID(v), ID((v*k+k)%n), float64(k))
 		}
 	}
-	return g
+	return g.Graph()
 }
 
 // The benchmark bodies do what every traversal kernel does per edge hop:
-// land on the target and touch per-target state. On the unfrozen path
-// Edge.To is a sparse ID, so the landing costs a hash lookup; on the frozen
-// path DenseEdge.To indexes directly.
+// land on the target and touch per-target state. On the sparse path Edge.To
+// is a sparse ID, so the landing costs a hash lookup; on the dense path
+// DenseEdge.To indexes directly.
 func BenchmarkTraversalOut(b *testing.B) {
 	const n = 10000
-	b.Run("unfrozen", func(b *testing.B) {
+	b.Run("sparse", func(b *testing.B) {
 		g := benchGraph(n)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -211,8 +170,8 @@ func BenchmarkTraversalOut(b *testing.B) {
 		}
 		_ = sum
 	})
-	b.Run("frozen", func(b *testing.B) {
-		g := benchGraph(n).Freeze()
+	b.Run("dense", func(b *testing.B) {
+		g := benchGraph(n)
 		b.ReportAllocs()
 		b.ResetTimer()
 		sum := 0
@@ -229,9 +188,9 @@ func BenchmarkTraversalOut(b *testing.B) {
 
 func BenchmarkTraversalIn(b *testing.B) {
 	const n = 10000
-	b.Run("unfrozen", func(b *testing.B) {
+	b.Run("sparse", func(b *testing.B) {
 		g := benchGraph(n)
-		g.In(0) // build the lazy reverse adjacency outside the timing loop
+		g.In(0) // derive the sparse reverse view outside the timing loop
 		b.ReportAllocs()
 		b.ResetTimer()
 		sum := 0
@@ -244,8 +203,8 @@ func BenchmarkTraversalIn(b *testing.B) {
 		}
 		_ = sum
 	})
-	b.Run("frozen", func(b *testing.B) {
-		g := benchGraph(n).Freeze()
+	b.Run("dense", func(b *testing.B) {
+		g := benchGraph(n)
 		b.ReportAllocs()
 		b.ResetTimer()
 		sum := 0
@@ -260,20 +219,34 @@ func BenchmarkTraversalIn(b *testing.B) {
 	})
 }
 
-// TestLazyReverseCSR: a frozen directed graph derives its reverse CSR on the
-// first InAt / InDegreeAt / In — Freeze, Validate, Diff, the out side and the
-// wire form all leave it alone — and concurrent first callers, through the
-// graph and through frozen clones sharing its arrays, all see the in-edges
-// the build phase held. CSRView derives it too, so a snapshot of a graph
-// nobody asked still carries it. Run under -race.
+// inEdges lists each vertex's in-edges from the out-edges, sources in dense
+// order — the reference for the derived reverse CSR.
+func inEdges(g *Graph) map[ID][]Edge {
+	in := map[ID][]Edge{}
+	for _, u := range g.Vertices() {
+		for _, e := range g.Out(u) {
+			in[e.To] = append(in[e.To], Edge{To: u, W: e.W, Label: e.Label})
+		}
+	}
+	if !g.Directed() {
+		for _, u := range g.Vertices() {
+			in[u] = g.Out(u)
+		}
+	}
+	return in
+}
+
+// TestLazyReverseCSR: a directed graph derives its reverse CSR on the first
+// InAt / InDegreeAt / In — Builder.Graph, Validate, Diff, the out side and
+// the wire form all leave it alone — and concurrent first callers, through
+// the graph and through clones sharing its arrays, all see the in-edges the
+// out-edges imply. CSRView derives it too, so a snapshot of a graph nobody
+// asked still carries it. Run under -race.
 func TestLazyReverseCSR(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		g := randomGraph(seed, true)
-		wantIn := map[ID][]Edge{}
-		for _, id := range g.Vertices() {
-			wantIn[id] = g.In(id)
-		}
-		fz := g.Clone().Freeze()
+		wantIn := inEdges(g)
+		fz := g.Clone()
 		dec, _, err := DecodeFlat(AppendFlat(nil, fz))
 		if err != nil {
 			t.Fatal(err)
@@ -302,12 +275,12 @@ func TestLazyReverseCSR(t *testing.T) {
 						want := wantIn[h.IDAt(i)]
 						got := h.InAt(i)
 						if len(got) != len(want) || h.InDegreeAt(i) != len(want) {
-							t.Errorf("seed %d vertex %d: %d in-edges, build phase had %d", seed, h.IDAt(i), len(got), len(want))
+							t.Errorf("seed %d vertex %d: %d in-edges, want %d", seed, h.IDAt(i), len(got), len(want))
 							return
 						}
 						for k, e := range got {
 							if (Edge{To: h.IDAt(e.To), W: e.W, Label: h.LabelName(e.Label)}) != want[k] {
-								t.Errorf("seed %d vertex %d: in-edge %d is %+v, build phase had %+v", seed, h.IDAt(i), k, e, want[k])
+								t.Errorf("seed %d vertex %d: in-edge %d is %+v, want %+v", seed, h.IDAt(i), k, e, want[k])
 								return
 							}
 						}
@@ -317,11 +290,8 @@ func TestLazyReverseCSR(t *testing.T) {
 		}
 		wg.Wait()
 
-		untouched := g.Clone().Freeze()
-		d, err := untouched.CSRView()
-		if err != nil {
-			t.Fatal(err)
-		}
+		untouched := randomGraph(seed, true)
+		d := untouched.CSRView()
 		if len(d.InOff) != len(d.OutOff) || len(d.InDense) != len(d.OutDense) {
 			t.Fatalf("seed %d: CSRView of an untouched graph has %d/%d reverse entries", seed, len(d.InOff), len(d.InDense))
 		}
@@ -329,6 +299,6 @@ func TestLazyReverseCSR(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		equalFrozen(t, fz, back)
+		equalGraphs(t, fz, back)
 	}
 }

@@ -4,11 +4,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"unsafe"
 )
 
-// The flat codec: a frozen graph as 8-aligned, fixed-width, little-endian
+// The flat codec: a graph as 8-aligned, fixed-width, little-endian
 // sections that are byte for byte the arrays the graph holds, plus one
 // string section for everything string-shaped. internal/store lays these
 // sections out behind a CRC-guarded header as a snapshot file; AppendFlat /
@@ -215,6 +216,28 @@ func AppendStrings(buf []byte, d CSRData) []byte {
 	return buf
 }
 
+// stringsLen returns the length of the string section AppendStrings writes.
+func stringsLen(d CSRData) int {
+	n, entries := 0, 0
+	str := func(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
+	for _, s := range d.Labels {
+		n += str(s)
+	}
+	for i, ps := range d.Props {
+		if len(ps) == 0 {
+			continue
+		}
+		entries++
+		n += uvarintLen(uint64(i)) + uvarintLen(uint64(len(ps)))
+		for _, p := range ps {
+			n += str(p)
+		}
+	}
+	return n + uvarintLen(uint64(len(d.Labels))) + uvarintLen(uint64(entries))
+}
+
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
 func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
@@ -313,17 +336,23 @@ func flatLayout(nv, nd, strs uint64) (ids, vlab, outOff, outDense, total uint64)
 	return ids, vlab, outOff, outDense, outDense + nd*16
 }
 
-// AppendFlat appends the wire form of g to buf and returns the extended
-// buffer: the small string section first, then one grow and one copy per
-// fixed-width section. Sections are aligned relative to len(buf) at entry — a
-// caller that wants the decoder to alias them places that offset 8-aligned in
-// an 8-aligned buffer. A graph in the build phase is encoded from a frozen
-// clone.
-func AppendFlat(buf []byte, g *Graph) []byte {
-	if !g.frozen {
-		g = g.Clone().Freeze()
-	}
+// FlatLen returns the exact number of bytes AppendFlat writes for g.
+func FlatLen(g *Graph) int {
 	d := g.outView()
+	_, _, _, _, total := flatLayout(uint64(len(d.IDs)), uint64(len(d.OutDense)), uint64(stringsLen(d)))
+	return int(total)
+}
+
+// AppendFlat appends the wire form of g to buf and returns the extended
+// buffer, growing it once to FlatLen(g) more bytes: the small string section
+// first, then one copy per fixed-width section. Sections are aligned relative
+// to len(buf) at entry — a caller that wants the decoder to alias them places
+// that offset 8-aligned in an 8-aligned buffer.
+func AppendFlat(buf []byte, g *Graph) []byte {
+	d := g.outView()
+	strs := stringsLen(d)
+	_, _, _, _, total := flatLayout(uint64(len(d.IDs)), uint64(len(d.OutDense)), uint64(strs))
+	buf = slices.Grow(buf, int(total))
 	base := len(buf)
 	le := binary.LittleEndian
 	buf = le.AppendUint32(buf, flatMagic)
@@ -335,12 +364,8 @@ func AppendFlat(buf []byte, g *Graph) []byte {
 	buf = le.AppendUint32(buf, uint32(len(d.IDs)))
 	buf = le.AppendUint32(buf, uint32(len(d.OutDense)))
 	buf = le.AppendUint64(buf, uint64(d.NumEdges))
-	buf = le.AppendUint64(buf, 0) // string-section length, patched below
+	buf = le.AppendUint64(buf, uint64(strs))
 	buf = AppendStrings(buf, d)
-	strs := len(buf) - base - flatHeaderLen
-	le.PutUint32(buf[base+24:], uint32(strs))
-	_, _, _, _, total := flatLayout(uint64(len(d.IDs)), uint64(len(d.OutDense)), uint64(strs))
-	buf = slices.Grow(buf, int(total)-(len(buf)-base))
 	buf = AppendSection(buf, base, IDBytes(d.IDs))
 	buf = AppendSection(buf, base, Int32Bytes(d.VLabels))
 	buf = AppendSection(buf, base, Int32Bytes(d.OutOff))
@@ -348,10 +373,10 @@ func AppendFlat(buf []byte, g *Graph) []byte {
 }
 
 // DecodeFlat decodes a wire form from the front of data, returning the
-// frozen graph and the number of bytes consumed (a multiple of 8). When the
+// graph and the number of bytes consumed (a multiple of 8). When the
 // host can alias and data is 8-aligned, the graph's fixed-width arrays are
 // views into data, which must then stay alive and unmodified as long as the
-// graph (or a frozen clone) is in use; misaligned input is copied once first.
+// graph (or a clone) is in use; misaligned input is copied once first.
 // Every count is checked against len(data) before anything is sized from it,
 // and FromMapped bounds-checks every array and rejects repeated vertex IDs, so
 // hostile bytes error.

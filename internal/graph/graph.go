@@ -4,31 +4,21 @@
 //
 // A Graph holds vertices identified by sparse int64 IDs at dense indices, so
 // adjacency and per-vertex attributes live in slices; the ID → dense index map
-// exists only where something looks a vertex up by ID (see the phases below).
-// Graphs may be directed or undirected; an undirected graph stores each edge
-// in both endpoint adjacency lists. Vertices carry a label (used by pattern
-// matching and GPARs) and a list of string properties (used by keyword
-// search).
+// exists only where something looks a vertex up by ID (see csr.go). Graphs
+// may be directed or undirected; an undirected graph stores each edge in both
+// endpoint adjacency lists. Vertices carry a label (used by pattern matching
+// and GPARs) and a list of string properties (used by keyword search).
 //
-// A Graph has two phases (see csr.go): a mutable build phase, which is not
-// safe for concurrent use, and a frozen CSR query phase entered via Freeze(),
-// in which all read methods are safe for concurrent use and the dense
-// accessors (OutAt, InAt, LabelIDAt, …) traverse without hash lookups. The
-// engines freeze fragments at partition time and never thaw them: a session
-// brings its global graph and each fragment up to date with Splice
-// (splice.go), which builds a new frozen graph from the old one and a Batch,
-// so kernels read only the CSR form.
+// A Graph has one representation, the CSR form of csr.go, and every read
+// method is safe for concurrent use. A Builder (builder.go) builds one from
+// nothing; Splice (splice.go) changes one, building a new graph from the old
+// one and a Batch without writing the old arrays. The mutators on Graph are
+// one-operation splices, each O(|G|).
 //
-// A frozen graph stores one adjacency: the dense CSR (offsets plus packed
-// DenseEdge arrays). That form is also what travels — flat.go lays the same
-// arrays out as aligned sections for snapshots (internal/store) and for the
-// fragment frames of the socket substrate, and FromMapped/DecodeFlat alias
-// them back without copying. The sparse-ID []Edge views behind Out and In are
-// derived from it on first use, once, and shared by frozen clones. A frozen
-// graph that never went through the build phase — a cut (Subgraph), a decoded
-// frame or snapshot (DecodeFlat, FromMapped) — stores only its arrays: its ID
-// index is built on the first by-ID lookup the same way, and its property
-// headers only if some vertex has a property.
+// The CSR form is also what travels — flat.go lays the same arrays out as
+// aligned sections for snapshots (internal/store) and for the fragment frames
+// of the socket substrate, and FromMapped/DecodeFlat alias them back without
+// copying.
 package graph
 
 import (
@@ -55,23 +45,17 @@ type Edge struct {
 	Label string
 }
 
-// Graph is a labeled, weighted graph. The zero value is not usable; call New
-// or NewUndirected.
+// Graph is a labeled, weighted graph in CSR form. The zero value is not
+// usable; build one with a Builder, or start from New or NewUndirected.
 type Graph struct {
 	directed bool
 	ids      []ID         // dense index -> ID
-	index    map[ID]int32 // ID -> dense index, owned; nil in a frozen graph that never had one (see Index)
-	labels   []string     // dense index -> vertex label (build phase; a frozen graph keeps vlab only)
-	props    [][]string   // dense index -> vertex properties (keywords etc.); a frozen graph may hold nil for none
-	out      [][]Edge     // dense index -> out-edges (build phase)
-	in       [][]Edge     // dense index -> in-edges; built lazily (build phase)
-	inBuilt  bool
+	index    map[ID]int32 // ID -> dense index, owned; nil in a graph that never had one (see Index)
+	props    [][]string   // dense index -> vertex properties (keywords etc.); nil for none
 	numEdges int
 
-	// Frozen CSR form (see csr.go). When frozen, out/in above are nil and
-	// adjacency lives in the flat offset+packed arrays below — the only
-	// stored adjacency; lazy holds everything derived from it on first use.
-	frozen     bool
+	// The CSR form (see csr.go): the only stored adjacency; lazy holds
+	// everything derived from it on first use.
 	outOff     []int32     // dense index -> [outOff[i], outOff[i+1]) in outDense
 	outDense   []DenseEdge // flat out-adjacency: dense targets, interned labels
 	vlab       []int32     // dense index -> interned vertex label
@@ -80,14 +64,14 @@ type Graph struct {
 	lazy       *lazyViews
 }
 
-// lazyViews holds what a frozen graph derives from its out CSR, each part
+// lazyViews holds what a graph derives from its out CSR, each part
 // under its own sync.Once on the first call that reads it, so concurrent
 // first use is safe and a run that never asks never pays: the reverse CSR of
 // a directed graph (InAt, In, InDegreeAt), the sparse-ID edge arrays parallel
-// to outDense/inDense (Out, In, thaw), the ascending-ID vertex order
+// to outDense/inDense (Out, In), the ascending-ID vertex order
 // (SortedIndices), the larger-ID neighbor lists (UpCSR) and, for a graph
-// with no map of its own, the ID index (Index and every by-ID lookup). Frozen
-// clones share the CSR arrays and so share the views.
+// with no map of its own, the ID index (Index and every by-ID lookup). Clones
+// share the CSR arrays and so share the views.
 type lazyViews struct {
 	revOnce, outOnce, inOnce, orderOnce, upOnce, indexOnce sync.Once
 
@@ -95,10 +79,10 @@ type lazyViews struct {
 	out, in      []Edge
 	order        []int32
 	upOff, upAdj []int32
-	index        map[ID]int32 // never written after indexOnce: a thaw builds its own
+	index        map[ID]int32 // never written after indexOnce: Splice builds its own
 }
 
-// revCSR is the reverse CSR of a frozen directed graph.
+// revCSR is the reverse CSR of a directed graph.
 type revCSR struct {
 	off   []int32
 	dense []DenseEdge
@@ -125,8 +109,8 @@ func (g *Graph) sparseIn() []Edge {
 	return s.in
 }
 
-// idIndex returns the graph's ID index: its own map, or — for a frozen graph
-// with none — the shared one, built if nothing has yet.
+// idIndex returns the graph's ID index: its own map, or — for a graph with
+// none — the shared one, built if nothing has yet.
 func (g *Graph) idIndex() map[ID]int32 {
 	if g.index != nil {
 		return g.index
@@ -149,11 +133,11 @@ func indexOf(ids []ID) map[ID]int32 {
 }
 
 // New returns an empty directed graph.
-func New() *Graph { return &Graph{directed: true, index: make(map[ID]int32)} }
+func New() *Graph { return NewBuilder().Graph() }
 
 // NewUndirected returns an empty undirected graph. AddEdge stores both
 // directions, and NumEdges counts each undirected edge once.
-func NewUndirected() *Graph { return &Graph{directed: false, index: make(map[ID]int32)} }
+func NewUndirected() *Graph { return NewUndirectedBuilder().Graph() }
 
 // Directed reports whether the graph is directed.
 func (g *Graph) Directed() bool { return g.directed }
@@ -166,27 +150,43 @@ func (g *Graph) NumEdges() int { return g.numEdges }
 
 // AddVertex inserts a vertex with the given label if it does not exist, and
 // returns its dense index. Re-adding an existing vertex updates its label
-// only when label is non-empty.
+// only when label is non-empty. Like AddEdge, AddLabeledEdge and RemoveEdge
+// it builds the graph anew — a one-operation Splice written over the
+// receiver — so a call is O(|G|): bulk callers use a Builder or a Batch.
 func (g *Graph) AddVertex(id ID, label string) int32 {
-	if g.frozen {
-		g.thaw()
-	}
-	if i, ok := g.index[id]; ok {
-		if label != "" {
-			g.labels[i] = label
+	if i, ok := g.Index(id); ok {
+		if label != "" && g.LabelAt(i) != label {
+			g.relabel(i, label)
 		}
 		return i
 	}
-	i := int32(len(g.ids))
-	g.index[id] = i
-	g.ids = append(g.ids, id)
-	g.labels = append(g.labels, label)
-	g.props = append(g.props, nil)
-	g.out = append(g.out, nil)
-	if g.inBuilt {
-		g.in = append(g.in, nil)
+	var b Batch
+	b.AddVertex(id, label, nil)
+	g.splice(&b)
+	return int32(len(g.ids) - 1)
+}
+
+// relabel gives the vertex at dense index i a new label, in arrays of the
+// graph's own: the old ones may be shared with clones and splices.
+func (g *Graph) relabel(i int32, label string) {
+	l, ok := g.labelIDs[label]
+	if !ok {
+		l = int32(len(g.labelNames))
+		g.labelNames = append(slices.Clip(g.labelNames), label)
+		g.labelIDs = maps.Clone(g.labelIDs)
+		g.labelIDs[label] = l
 	}
-	return i
+	g.vlab = slices.Clone(g.vlab)
+	g.vlab[i] = l
+}
+
+// splice applies a batch that cannot be refused and writes the result over g.
+func (g *Graph) splice(b *Batch) {
+	ng, _, err := Splice(g, b)
+	if err != nil {
+		panic(err)
+	}
+	*g = *ng
 }
 
 // SetProps replaces the property list of id. It panics if id is absent.
@@ -212,78 +212,37 @@ func (g *Graph) ownProps() {
 
 // AddEdge inserts an edge from u to v, creating missing endpoints with empty
 // labels. For undirected graphs the reverse edge is stored too. Parallel
-// edges are allowed.
+// edges are allowed. A call is O(|G|), as AddVertex says.
 func (g *Graph) AddEdge(u, v ID, w float64) { g.AddLabeledEdge(u, v, w, "") }
 
 // AddLabeledEdge is AddEdge with an edge label.
 func (g *Graph) AddLabeledEdge(u, v ID, w float64, label string) {
-	if g.frozen {
-		g.thaw()
+	var b Batch
+	if !g.Has(u) {
+		b.AddVertex(u, "", nil)
 	}
-	ui := g.AddVertex(u, "")
-	vi := g.AddVertex(v, "")
-	g.out[ui] = append(g.out[ui], Edge{To: v, W: w, Label: label})
-	if !g.directed {
-		g.out[vi] = append(g.out[vi], Edge{To: u, W: w, Label: label})
+	if !g.Has(v) && v != u {
+		b.AddVertex(v, "", nil)
 	}
-	if g.inBuilt {
-		g.in[vi] = append(g.in[vi], Edge{To: u, W: w, Label: label})
-		if !g.directed {
-			g.in[ui] = append(g.in[ui], Edge{To: v, W: w, Label: label})
-		}
-	}
-	g.numEdges++
+	b.AddEdge(u, v, w, label)
+	g.splice(&b)
 }
 
 // RemoveEdge removes one edge instance from u to v with the given label
 // (weight is not part of the match; parallel edges with the same label are
 // removed one instance per call, first in adjacency order) and returns the
-// removed edge. A frozen graph is transparently thawed, exactly as the Add*
-// mutators do. The surviving adjacency is freshly allocated, never edited in
-// place: after a thaw the per-vertex slices alias the CSR arrays, which
-// frozen Clones may still share. When no edge matches, the graph's edges are
-// unchanged and ok is false.
+// removed edge. For undirected graphs the stored reverse instance goes too.
+// When no edge matches, the graph is unchanged and ok is false. A call is
+// O(|G|), as AddVertex says.
 func (g *Graph) RemoveEdge(u, v ID, label string) (removed Edge, ok bool) {
-	ui, uok := g.Index(u)
-	vi, vok := g.Index(v)
-	if !uok || !vok {
+	var b Batch
+	b.RemoveEdge(u, v, label)
+	ng, ws, err := Splice(g, &b)
+	if err != nil {
 		return Edge{}, false
 	}
-	if g.frozen {
-		g.thaw()
-	}
-	removed, ok = removeEdgeOnce(&g.out[ui], v, label, nil)
-	if !ok {
-		return Edge{}, false
-	}
-	if !g.directed {
-		// the stored reverse instance (for self-loops, the second copy)
-		removeEdgeOnce(&g.out[vi], u, label, &removed.W)
-	}
-	if g.directed && g.inBuilt {
-		removeEdgeOnce(&g.in[vi], u, label, &removed.W)
-	}
-	g.numEdges--
-	return removed, true
-}
-
-// removeEdgeOnce deletes the first edge in *es targeting to with the given
-// label (and, when w is non-nil, exactly weight *w) by rebuilding the slice
-// into fresh memory — *es may alias a shared CSR array.
-func removeEdgeOnce(es *[]Edge, to ID, label string, w *float64) (Edge, bool) {
-	for k, e := range *es {
-		if e.To == to && e.Label == label && (w == nil || e.W == *w) {
-			var rest []Edge
-			if len(*es) > 1 {
-				rest = make([]Edge, 0, len(*es)-1)
-				rest = append(rest, (*es)[:k]...)
-				rest = append(rest, (*es)[k+1:]...)
-			}
-			*es = rest
-			return e, true
-		}
-	}
-	return Edge{}, false
+	*g = *ng
+	return Edge{To: v, W: ws[0], Label: label}, true
 }
 
 // Has reports whether the vertex exists.
@@ -310,72 +269,46 @@ func (g *Graph) Props(id ID) []string {
 // the returned slice.
 func (g *Graph) Out(id ID) []Edge {
 	if i, ok := g.Index(id); ok {
-		if g.frozen {
-			a, b := g.outOff[i], g.outOff[i+1]
-			if a == b {
-				return nil
-			}
-			return g.sparseOut()[a:b:b]
+		a, b := g.outOff[i], g.outOff[i+1]
+		if a == b {
+			return nil
 		}
-		return g.out[i]
+		return g.sparseOut()[a:b:b]
 	}
 	return nil
 }
 
-// In returns the in-edges of id. On frozen graphs the sparse view of the
-// reverse CSR is sliced; on mutable graphs the reverse adjacency is built
-// lazily on first use (single-goroutine only — see the package phase
-// contract). For undirected graphs In equals Out.
+// In returns the in-edges of id, a slice of the sparse view of the reverse
+// CSR. For undirected graphs In equals Out.
 func (g *Graph) In(id ID) []Edge {
 	if !g.directed {
 		return g.Out(id)
 	}
-	if g.frozen {
-		if i, ok := g.Index(id); ok {
-			off := g.reverse().off
-			a, b := off[i], off[i+1]
-			if a == b {
-				return nil
-			}
-			return g.sparseIn()[a:b:b]
+	if i, ok := g.Index(id); ok {
+		off := g.reverse().off
+		a, b := off[i], off[i+1]
+		if a == b {
+			return nil
 		}
-		return nil
-	}
-	if !g.inBuilt {
-		g.buildIn()
-	}
-	if i, ok := g.index[id]; ok {
-		return g.in[i]
+		return g.sparseIn()[a:b:b]
 	}
 	return nil
 }
 
-func (g *Graph) buildIn() {
-	g.in = make([][]Edge, len(g.ids))
-	for ui, edges := range g.out {
-		u := g.ids[ui]
-		for _, e := range edges {
-			vi := g.index[e.To]
-			g.in[vi] = append(g.in[vi], Edge{To: u, W: e.W, Label: e.Label})
-		}
-	}
-	g.inBuilt = true
-}
-
 // OutDegree returns the out-degree of id, 0 if absent.
 func (g *Graph) OutDegree(id ID) int {
-	if i, ok := g.Index(id); ok && g.frozen {
+	if i, ok := g.Index(id); ok {
 		return g.OutDegreeAt(i)
 	}
-	return len(g.Out(id))
+	return 0
 }
 
 // InDegree returns the in-degree of id, 0 if absent.
 func (g *Graph) InDegree(id ID) int {
-	if i, ok := g.Index(id); ok && g.frozen {
+	if i, ok := g.Index(id); ok {
 		return g.InDegreeAt(i)
 	}
-	return len(g.In(id))
+	return 0
 }
 
 // Vertices returns all vertex IDs in insertion order. The caller must not
@@ -391,9 +324,10 @@ func (g *Graph) SortedVertices() []ID {
 }
 
 // Index returns the dense index of id and whether it exists. Dense indices
-// are stable across the graph's lifetime and lie in [0, NumVertices). Every
-// by-ID lookup goes through it; on a frozen graph with no map of its own the
-// first call builds the ID index, once, safely under concurrent first use.
+// are stable across the graph's lifetime and its splices, and lie in [0,
+// NumVertices). Every by-ID lookup goes through it; on a graph with no map of
+// its own the first call builds the ID index, once, safely under concurrent
+// first use.
 func (g *Graph) Index(id ID) (int32, bool) {
 	i, ok := g.idIndex()[id]
 	return i, ok
@@ -410,20 +344,23 @@ func (g *Graph) mustIndex(id ID) int32 {
 	return i
 }
 
-// Clone returns a deep copy of the graph. A frozen graph clones frozen,
-// sharing the immutable CSR arrays, label table and derived views — the ID
-// index built on first lookup included (they are never mutated in place —
-// thawing a clone drops the references, it does not write through them). The
-// shared vertex labels are clipped, so Splice, which appends to them, gives
-// each of two clones an array of its own. A mutable graph clones mutable,
-// with the reverse adjacency rebuilt on demand.
+// Clone returns a copy of the graph that shares the immutable CSR arrays,
+// label table and derived views — the ID index built on first lookup
+// included (nothing writes them in place). The ids, ID index and properties
+// are copied, and the shared vertex labels are clipped, so Splice, which
+// appends to them, gives each of two clones an array of its own.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
-		directed: g.directed,
-		ids:      append([]ID(nil), g.ids...),
-		index:    maps.Clone(g.index),
-		labels:   append([]string(nil), g.labels...),
-		numEdges: g.numEdges,
+		directed:   g.directed,
+		ids:        append([]ID(nil), g.ids...),
+		index:      maps.Clone(g.index),
+		numEdges:   g.numEdges,
+		outOff:     g.outOff,
+		outDense:   g.outDense,
+		vlab:       slices.Clip(g.vlab),
+		labelNames: g.labelNames,
+		labelIDs:   g.labelIDs,
+		lazy:       g.lazy,
 	}
 	if g.props != nil {
 		c.props = make([][]string, len(g.props))
@@ -431,28 +368,13 @@ func (g *Graph) Clone() *Graph {
 			c.props[i] = append([]string(nil), p...)
 		}
 	}
-	if g.frozen {
-		c.frozen = true
-		c.outOff, c.outDense = g.outOff, g.outDense
-		c.vlab, c.labelNames, c.labelIDs = slices.Clip(g.vlab), g.labelNames, g.labelIDs
-		c.lazy = g.lazy
-		return c
-	}
-	c.out = make([][]Edge, len(g.out))
-	for i, es := range g.out {
-		c.out[i] = append([]Edge(nil), es...)
-	}
 	return c
 }
 
-// InducedSubgraph returns the frozen subgraph induced by keep: vertices in
-// keep, in g's dense order, and every edge whose endpoints are both kept.
-// Labels are copied and properties shared. A graph in the build phase is cut
-// from a frozen clone.
+// InducedSubgraph returns the subgraph induced by keep: vertices in keep, in
+// g's dense order, and every edge whose endpoints are both kept. Labels are
+// copied and properties shared.
 func (g *Graph) InducedSubgraph(keep map[ID]bool) *Graph {
-	if !g.frozen {
-		g = g.Clone().Freeze()
-	}
 	seeds := make([]int32, 0, len(keep))
 	for i, id := range g.ids {
 		if keep[id] {
@@ -471,10 +393,10 @@ func (g *Graph) InducedSubgraph(keep map[ID]bool) *Graph {
 // properties and weights are preserved; mirror edges reuse the original
 // weight and label.
 func (g *Graph) Symmetrized() *Graph {
-	s := New()
-	for _, id := range g.ids {
-		s.AddVertex(id, g.Label(id))
-		if ps := g.Props(id); len(ps) > 0 {
+	s := NewBuilder()
+	for i, id := range g.ids {
+		s.AddVertex(id, g.LabelAt(int32(i)))
+		if ps := g.PropsAt(int32(i)); len(ps) > 0 {
 			s.SetProps(id, append([]string(nil), ps...))
 		}
 	}
@@ -484,7 +406,7 @@ func (g *Graph) Symmetrized() *Graph {
 			s.AddLabeledEdge(e.To, u, e.W, e.Label)
 		}
 	}
-	return s
+	return s.Graph()
 }
 
 // TotalWeight returns the sum of all edge weights (undirected edges once).
@@ -502,8 +424,8 @@ func (g *Graph) TotalWeight() float64 {
 
 // Diff returns the first observable difference between a and b — kind, dense
 // vertex order, labels, properties, per-vertex adjacency order, edge count —
-// or nil when there is none. The phase (frozen or not) and the label intern
-// order are not observable and do not count.
+// or nil when there is none. The label intern order is not observable and
+// does not count.
 func Diff(a, b *Graph) error {
 	if a.directed != b.directed || a.numEdges != b.numEdges || !slices.Equal(a.ids, b.ids) {
 		return fmt.Errorf("graph: kind, edge count or dense vertex order differ")
@@ -527,10 +449,7 @@ func Diff(a, b *Graph) error {
 // deserialization.
 func (g *Graph) Validate() error {
 	nv := len(g.ids)
-	if (g.props != nil || !g.frozen) && nv != len(g.props) || (g.frozen && nv != len(g.vlab)) {
-		return fmt.Errorf("graph: inconsistent slice lengths")
-	}
-	if !g.frozen && (nv != len(g.out) || nv != len(g.labels)) {
+	if g.props != nil && nv != len(g.props) || nv != len(g.vlab) || len(g.outOff) != nv+1 {
 		return fmt.Errorf("graph: inconsistent slice lengths")
 	}
 	index := g.idIndex()
@@ -542,24 +461,11 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("graph: index entry %d -> %d broken", id, i)
 		}
 	}
-	if g.frozen {
-		if len(g.outOff) != nv+1 || len(g.vlab) != nv {
-			return fmt.Errorf("graph: inconsistent CSR lengths")
-		}
-		if err := checkOffsets(g.outOff, len(g.outDense)); err != nil {
-			return fmt.Errorf("graph: out CSR: %w", err)
-		}
-		if err := checkDense(g.outDense, nv, len(g.labelNames)); err != nil {
-			return fmt.Errorf("graph: out CSR: %w", err)
-		}
-		return nil
+	if err := checkOffsets(g.outOff, len(g.outDense)); err != nil {
+		return fmt.Errorf("graph: out CSR: %w", err)
 	}
-	for ui, es := range g.out {
-		for _, e := range es {
-			if _, ok := g.index[e.To]; !ok {
-				return fmt.Errorf("graph: edge from %d to missing vertex %d", g.ids[ui], e.To)
-			}
-		}
+	if err := checkDense(g.outDense, nv, len(g.labelNames)); err != nil {
+		return fmt.Errorf("graph: out CSR: %w", err)
 	}
 	return nil
 }

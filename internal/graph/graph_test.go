@@ -54,6 +54,8 @@ func TestUndirectedMirrorsEdges(t *testing.T) {
 	}
 }
 
+// TestInEdgesLazyBuild: the reverse CSR is derived on first use, and an edge
+// added after that shows in the next In.
 func TestInEdgesLazyBuild(t *testing.T) {
 	g := New()
 	g.AddEdge(1, 2, 1)
@@ -176,10 +178,19 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// corrupt: edge to a vertex we sneak out of the index
-	g.out[0] = append(g.out[0], Edge{To: 999})
-	if err := g.Validate(); err == nil {
-		t.Fatal("expected validation error")
+	// corrupt each CSR array in turn, on a clone sharing none of the others' damage
+	for name, corrupt := range map[string]func(c *Graph){
+		"target":  func(c *Graph) { c.outDense = []DenseEdge{{To: 999}} },
+		"label":   func(c *Graph) { c.outDense = []DenseEdge{{To: 1, Label: 99}} },
+		"offsets": func(c *Graph) { c.outOff = []int32{0, 2, 1} },
+		"vlab":    func(c *Graph) { c.vlab = c.vlab[:1] },
+		"index":   func(c *Graph) { c.index = map[ID]int32{1: 1, 2: 0} },
+	} {
+		c := g.Clone()
+		corrupt(c)
+		if err := c.Validate(); err == nil {
+			t.Fatalf("%s: expected validation error", name)
+		}
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// chain returns a frozen directed path over n vertices whose IDs ascend in
+// chain returns a directed path over n vertices whose IDs ascend in
 // dense order (step apart) or, with descending, fall; no vertex has a
 // property.
 func chain(n int, step ID, descending bool) *Graph {
@@ -20,7 +20,7 @@ func chain(n int, step ID, descending bool) *Graph {
 	for k := 0; k+1 < n; k++ {
 		g.AddLabeledEdge(id(k), id(k+1), float64(k)+0.5, []string{"", "x"}[k%2])
 	}
-	return g.Freeze()
+	return g
 }
 
 // holdsIndex reports whether g holds an ID index, its own or built on lookup.
@@ -44,11 +44,7 @@ func checkLookups(t *testing.T, name string, g *Graph) {
 // when nothing has a property — until something looks a vertex up by ID.
 func TestDerivedGraphsIndexOnFirstLookup(t *testing.T) {
 	src := chain(40, 3, false)
-	d, err := src.CSRView()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mapped, err := FromMapped(d)
+	mapped, err := FromMapped(src.CSRView())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,25 +83,25 @@ func TestDerivedGraphsIndexOnFirstLookup(t *testing.T) {
 	}
 }
 
-// TestFrozenCloneSharesIndex: frozen clones share the index built on first
-// lookup, whichever of them looks first; a clone that thaws builds a map of
-// its own, and the original's lookups are untouched by what it adds.
+// TestFrozenCloneSharesIndex: clones share the index built on first lookup,
+// whichever of them looks first; a clone that is spliced builds a map of its
+// own, and the original's lookups are untouched by what it adds.
 func TestFrozenCloneSharesIndex(t *testing.T) {
 	g := NewSubgraphBuilder(chain(30, 2, false)).Subgraph([]int32{3, 4, 5, 6, 7, 8}, nil)
 	a, b := g.Clone(), g.Clone()
 	checkLookups(t, "clone", a)
 	if !holdsIndex(g) || !holdsIndex(b) || reflect.ValueOf(g.lazy.index).Pointer() != reflect.ValueOf(a.lazy.index).Pointer() {
-		t.Fatal("frozen clones do not share the index built on first lookup")
+		t.Fatal("clones do not share the index built on first lookup")
 	}
 	shared := len(g.lazy.index)
 
 	b.AddVertex(1000, "new")
 	b.AddLabeledEdge(g.IDAt(0), 1000, 1, "")
-	if b.Frozen() || b.index == nil || !b.Has(1000) {
-		t.Fatal("AddVertex on a frozen clone did not thaw it onto its own index")
+	if b.index == nil || !b.Has(1000) {
+		t.Fatal("AddVertex on a clone did not splice it onto its own index")
 	}
 	if g.Has(1000) || a.Has(1000) || len(g.lazy.index) != shared {
-		t.Fatal("thawing a clone wrote into the shared index")
+		t.Fatal("splicing a clone wrote into the shared index")
 	}
 	checkLookups(t, "original", g)
 	checkLookups(t, "sibling", a)
@@ -115,9 +111,9 @@ func TestFrozenCloneSharesIndex(t *testing.T) {
 }
 
 // TestPropsFromNilHeaders: properties set on a graph that holds no property
-// headers survive thaw, Freeze and the wire form — Subgraph → AppendFlat →
-// DecodeFlat → thaw → SetProps/AddProp → Freeze — equal to the same graph
-// built through the mutable API; and Freeze drops a list with nothing in it.
+// headers survive splices and the wire form — Subgraph → AppendFlat →
+// DecodeFlat → AddVertex/SetProps/AddProp — equal to the same graph built by
+// a Builder; and Builder.Graph drops a list with nothing in it.
 func TestPropsFromNilHeaders(t *testing.T) {
 	sub := NewSubgraphBuilder(chain(20, 5, false)).Subgraph([]int32{2, 3, 4}, nil)
 	dec, _, err := DecodeFlat(AppendFlat(nil, sub))
@@ -126,23 +122,23 @@ func TestPropsFromNilHeaders(t *testing.T) {
 	}
 	first, last := dec.IDAt(0), dec.IDAt(int32(dec.NumVertices()-1))
 	mutate := func(g *Graph) {
-		g.AddVertex(999, "fresh") // thaws a frozen graph
+		g.AddVertex(999, "fresh")
 		g.SetProps(first, []string{"db", "graph"})
 		g.AddProp(last, "ml")
 		g.AddProp(999, "sys")
-		g.Freeze()
 	}
 	mutate(dec)
 
-	want := New()
+	wb := NewBuilder()
 	for _, id := range sub.Vertices() {
-		want.AddVertex(id, sub.Label(id))
+		wb.AddVertex(id, sub.Label(id))
 	}
 	for _, id := range sub.Vertices() {
 		for _, e := range sub.Out(id) {
-			want.AddLabeledEdge(id, e.To, e.W, e.Label)
+			wb.AddLabeledEdge(id, e.To, e.W, e.Label)
 		}
 	}
+	want := wb.Graph()
 	mutate(want)
 	if err := Diff(want, dec); err != nil {
 		t.Fatal(err)
@@ -158,20 +154,20 @@ func TestPropsFromNilHeaders(t *testing.T) {
 		t.Fatalf("props %v / %v", again.Props(first), again.Props(sub.IDAt(1)))
 	}
 
-	frozen, _, err := DecodeFlat(AppendFlat(nil, sub))
+	bare, _, err := DecodeFlat(AppendFlat(nil, sub))
 	if err != nil {
 		t.Fatal(err)
 	}
-	frozen.AddProp(first, "kw") // property mutation does not thaw
-	if !frozen.Frozen() || !reflect.DeepEqual(frozen.Props(first), []string{"kw"}) || frozen.Validate() != nil {
-		t.Fatal("AddProp on a frozen graph without headers")
+	bare.AddProp(first, "kw")
+	if !reflect.DeepEqual(bare.Props(first), []string{"kw"}) || bare.Validate() != nil {
+		t.Fatal("AddProp on a graph without headers")
 	}
 
-	empty := New()
+	empty := NewBuilder()
 	empty.AddVertex(1, "")
 	empty.SetProps(1, []string{})
-	if empty.Freeze().props != nil {
-		t.Fatal("Freeze kept a property list with nothing in it")
+	if empty.Graph().props != nil {
+		t.Fatal("Builder.Graph kept a property list with nothing in it")
 	}
 }
 

@@ -20,11 +20,9 @@ import (
 // ReadText parses a graph in the text format above. directed selects the
 // graph kind.
 func ReadText(r io.Reader, directed bool) (*Graph, error) {
-	var g *Graph
+	g := NewUndirectedBuilder()
 	if directed {
-		g = New()
-	} else {
-		g = NewUndirected()
+		g = NewBuilder()
 	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -84,7 +82,7 @@ func ReadText(r io.Reader, directed bool) (*Graph, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	return g, nil
+	return g.Graph(), nil
 }
 
 // WriteText writes the graph in the text format accepted by ReadText.

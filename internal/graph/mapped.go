@@ -2,7 +2,7 @@ package graph
 
 import "fmt"
 
-// CSRData is the flat frozen form of a Graph: exactly the arrays Freeze()
+// CSRData is the flat form of a Graph: exactly the arrays Builder.Graph
 // builds, exposed so a storage layer can lay them out in a file and hand them
 // back without re-deriving anything. The fixed-width slices (IDs, VLabels,
 // OutOff, OutDense, InOff, InDense) are the mmap-able half — FromMapped
@@ -24,20 +24,16 @@ type CSRData struct {
 	Props    [][]string  // dense index -> vertex properties; nil if none anywhere
 }
 
-// CSRView returns the graph's flat frozen form, deriving the reverse CSR of a
+// CSRView returns the graph's flat form, deriving the reverse CSR of a
 // directed graph if nothing has yet. The returned slices alias the graph's
-// internal arrays — read-only, valid until the graph thaws. The graph must be
-// frozen.
-func (g *Graph) CSRView() (CSRData, error) {
-	if !g.frozen {
-		return CSRData{}, fmt.Errorf("graph: CSRView needs a frozen graph")
-	}
+// internal arrays and are read-only.
+func (g *Graph) CSRView() CSRData {
 	d := g.outView()
 	if g.directed {
 		r := g.reverse()
 		d.InOff, d.InDense = r.off, r.dense
 	}
-	return d, nil
+	return d
 }
 
 // outView is CSRView without the reverse CSR: all the wire form ships.
@@ -60,13 +56,13 @@ func (g *Graph) outView() CSRData {
 	return d
 }
 
-// FromMapped constructs a frozen Graph from its flat form without calling
-// Freeze: the fixed-width slices of d are aliased as-is (they may live in a
-// read-only mmap or a received frame — the graph never writes through them;
-// mutation thaws into freshly allocated memory first), and only the label
+// FromMapped constructs a Graph from its flat form: the fixed-width slices of
+// d are aliased as-is (they may live in a read-only mmap or a received frame
+// — the graph never writes through them; a splice builds new arrays on the
+// heap), and only the label
 // intern map is rebuilt on the heap. The ID index is built on the first
 // by-ID lookup, and a directed d without InOff/InDense (the wire form does not
-// ship them) derives its reverse CSR on first use, like any frozen graph.
+// ship them) derives its reverse CSR on first use, like any graph.
 // Every array is bounds-checked first, so corrupt input errors instead of
 // panicking later, and repeated vertex IDs are rejected: in one pass when the
 // IDs ascend in dense order, otherwise by building the ID index now.
@@ -131,7 +127,6 @@ func fromMapped(d CSRData, distinct func(*Graph) error) (*Graph, error) {
 		ids:        d.IDs,
 		props:      d.Props,
 		numEdges:   d.NumEdges,
-		frozen:     true,
 		outOff:     d.OutOff,
 		outDense:   d.OutDense,
 		vlab:       d.VLabels,

@@ -7,10 +7,10 @@ import (
 	"testing/quick"
 )
 
-// equalFrozen checks that two frozen graphs are indistinguishable through
+// equalGraphs checks that two graphs are indistinguishable through
 // every public observation: Diff (ids, labels, props and adjacency in dense
 // order), the dense accessors, the reverse CSR and the label intern table.
-func equalFrozen(t *testing.T, want, got *Graph) {
+func equalGraphs(t *testing.T, want, got *Graph) {
 	t.Helper()
 	if err := got.Validate(); err != nil {
 		t.Fatalf("reconstructed graph invalid: %v", err)
@@ -51,11 +51,9 @@ func equalFrozen(t *testing.T, want, got *Graph) {
 // self-loops all possible.
 func randomGraph(seed int64, directed bool) *Graph {
 	rng := rand.New(rand.NewSource(seed))
-	var g *Graph
+	g := NewUndirectedBuilder()
 	if directed {
-		g = New()
-	} else {
-		g = NewUndirected()
+		g = NewBuilder()
 	}
 	nv := rng.Intn(40)
 	vlabels := []string{"", "a", "b", "person"}
@@ -76,24 +74,20 @@ func randomGraph(seed int64, directed bool) *Graph {
 			g.AddLabeledEdge(u, v, float64(rng.Intn(8))+0.5, elabels[rng.Intn(len(elabels))])
 		}
 	}
-	return g
+	return g.Graph()
 }
 
-// TestFromMappedFreezeEquivalence is the Freeze()-equivalence property test:
-// for random graphs, FromMapped(CSRView(Freeze(g))) must be indistinguishable
-// from Freeze(g) itself — the flat form round-trips every observation.
+// TestFromMappedFreezeEquivalence: for random graphs, FromMapped(CSRView(g))
+// must be indistinguishable from g itself — the flat form round-trips every
+// observation.
 func TestFromMappedFreezeEquivalence(t *testing.T) {
 	prop := func(seed int64, directed bool) bool {
-		g := randomGraph(seed, directed).Freeze()
-		d, err := g.CSRView()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := FromMapped(d)
+		g := randomGraph(seed, directed)
+		got, err := FromMapped(g.CSRView())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		equalFrozen(t, g, got)
+		equalGraphs(t, g, got)
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
@@ -104,11 +98,8 @@ func TestFromMappedFreezeEquivalence(t *testing.T) {
 // TestFromMappedCopiesOnMutate proves a mapped graph never writes through the
 // arrays it was built from: mutate it, and the caller's slices are unchanged.
 func TestFromMappedCopiesOnMutate(t *testing.T) {
-	g := randomGraph(7, true).Freeze()
-	d, err := g.CSRView()
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := randomGraph(7, true)
+	d := g.CSRView()
 	// Snapshot the mapped arrays the way a file mapping would hold them.
 	ids := append([]ID(nil), d.IDs...)
 	outOff := append([]int32(nil), d.OutOff...)
@@ -133,7 +124,6 @@ func TestFromMappedCopiesOnMutate(t *testing.T) {
 			break
 		}
 	}
-	m.Freeze()
 	if !reflect.DeepEqual(ids[:len(d.IDs)], d.IDs) ||
 		!reflect.DeepEqual(outOff, d.OutOff) ||
 		!reflect.DeepEqual(outDense, d.OutDense) {
@@ -143,11 +133,8 @@ func TestFromMappedCopiesOnMutate(t *testing.T) {
 
 // TestFromMappedRejectsCorruptInput spot-checks the bounds validation.
 func TestFromMappedRejectsCorruptInput(t *testing.T) {
-	g := randomGraph(11, true).Freeze()
-	base, err := g.CSRView()
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := randomGraph(11, true)
+	base := g.CSRView()
 	if g.NumVertices() < 2 || len(base.OutDense) == 0 {
 		t.Skip("degenerate seed")
 	}

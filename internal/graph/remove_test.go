@@ -107,31 +107,29 @@ func TestRemoveEdgeUndirectedSelfLoop(t *testing.T) {
 	}
 }
 
-// TestRemoveEdgeFrozenCloneAliasSafety pins the contract that makes session
-// deletions safe under the serving layer's cached frozen clones: thawing and
-// deleting must never write through the CSR arrays a frozen Clone shares.
+// TestRemoveEdgeFrozenCloneAliasSafety pins the contract that makes
+// deletions safe under clones that share CSR arrays: a removal never writes
+// through them.
 func TestRemoveEdgeFrozenCloneAliasSafety(t *testing.T) {
 	g := New()
 	g.AddEdge(1, 2, 5)
 	g.AddEdge(1, 3, 6)
 	g.AddEdge(2, 3, 7)
-	g.Freeze()
 	snapshot := g.Clone() // shares CSR arrays with g
+	if in := snapshot.In(2); len(in) != 1 || in[0].To != 1 {
+		t.Fatalf("clone in(2) = %v", in)
+	}
 
 	wantOut1 := append([]Edge(nil), snapshot.Out(1)...)
-	if _, ok := g.RemoveEdge(1, 2, ""); !ok { // transparent thaw + delete
-		t.Fatal("removal on frozen graph failed")
-	}
-	if g.Frozen() {
-		t.Fatal("graph should have thawed")
+	if _, ok := g.RemoveEdge(1, 2, ""); !ok {
+		t.Fatal("removal failed")
 	}
 	if !reflect.DeepEqual(snapshot.Out(1), wantOut1) {
-		t.Fatalf("frozen clone mutated through shared CSR: %v != %v", snapshot.Out(1), wantOut1)
+		t.Fatalf("clone mutated through shared CSR: %v != %v", snapshot.Out(1), wantOut1)
 	}
 	if snapshot.NumEdges() != 3 || g.NumEdges() != 2 {
 		t.Fatalf("edge counts: clone %d (want 3), graph %d (want 2)", snapshot.NumEdges(), g.NumEdges())
 	}
-	// the in-mirror restored by thaw aliases the reverse CSR too
 	if in := snapshot.In(2); len(in) != 1 || in[0].To != 1 {
 		t.Fatalf("clone in(2) = %v", in)
 	}
@@ -140,15 +138,14 @@ func TestRemoveEdgeFrozenCloneAliasSafety(t *testing.T) {
 	}
 }
 
-// TestRemoveEdgeFreezeThawCycleKeepsIndices covers the session lifecycle:
-// thaw → delete → refreeze must keep every dense index stable so retained
-// per-index state (contexts, union-finds) stays addressable.
+// TestRemoveEdgeFreezeThawCycleKeepsIndices covers the session lifecycle: a
+// delete must keep every dense index stable so retained per-index state
+// (contexts, union-finds) stays addressable.
 func TestRemoveEdgeFreezeThawCycleKeepsIndices(t *testing.T) {
 	g := New()
 	for i := ID(0); i < 20; i++ {
 		g.AddEdge(i, (i+1)%20, float64(i))
 	}
-	g.Freeze()
 	before := make(map[ID]int32)
 	for _, id := range g.Vertices() {
 		i, _ := g.Index(id)
@@ -157,7 +154,6 @@ func TestRemoveEdgeFreezeThawCycleKeepsIndices(t *testing.T) {
 	if _, ok := g.RemoveEdge(4, 5, ""); !ok {
 		t.Fatal("removal failed")
 	}
-	g.Freeze()
 	for _, id := range g.Vertices() {
 		i, _ := g.Index(id)
 		if before[id] != i {
@@ -168,6 +164,6 @@ func TestRemoveEdgeFreezeThawCycleKeepsIndices(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(g.Out(4)) != 0 || len(g.In(5)) != 0 {
-		t.Fatalf("edge survived the cycle: out(4)=%v in(5)=%v", g.Out(4), g.In(5))
+		t.Fatalf("edge survived: out(4)=%v in(5)=%v", g.Out(4), g.In(5))
 	}
 }

@@ -46,13 +46,15 @@ func (b *Batch) RemoveEdge(u, v ID, label string) {
 	b.dels++
 }
 
-// Splice applies b to the frozen directed graph g and returns the result,
-// frozen, together with the weight each RemoveEdge of b removed, in batch
-// order. The result is the graph a thaw, the same AddVertex, SetProps,
-// AddLabeledEdge and RemoveEdge calls and a Freeze would produce, edge for
-// edge, but it is built in one pass over g's out CSR into exact-size arrays:
-// existing dense indices stay, new vertices follow in the order added, and
-// labels g has not seen join the end of the intern table.
+// Splice applies b to g and returns the result together with the weight each
+// RemoveEdge of b removed, in batch order. The result is the graph a Builder
+// would produce from g's vertices and edges with b's changes made to its
+// edge lists, edge for edge, but it is built in one pass over g's out CSR
+// into exact-size arrays: existing dense indices stay, new vertices follow in
+// the order added, and labels g has not seen join the end of the intern
+// table. On an undirected graph an insertion also appends the mirror edge at
+// its target, and a deletion also removes the first mirror instance with the
+// removed weight; a self-loop is stored, and removed, twice.
 //
 // Splice never writes an element of g's arrays. The result shares those it
 // leaves unchanged, and grows the vertex arrays by appending to g's, past
@@ -66,18 +68,14 @@ func (b *Batch) RemoveEdge(u, v ID, label string) {
 // twice, or deleting an edge that does not exist at its point of the batch is
 // refused, and g is left as it was.
 func Splice(g *Graph, b *Batch) (*Graph, []float64, error) {
-	if !g.frozen || !g.directed {
-		return nil, nil, fmt.Errorf("graph: Splice needs a frozen directed graph")
-	}
 	nv, nn := int32(len(g.ids)), int32(len(g.ids)+len(b.verts))
 	ng := &Graph{
-		directed:   true,
+		directed:   g.directed,
 		ids:        g.ids,
 		index:      g.index,
 		vlab:       g.vlab,
 		props:      g.props,
 		numEdges:   g.numEdges + len(b.edges) - 2*b.dels,
-		frozen:     true,
 		outOff:     make([]int32, nn+1),
 		labelNames: g.labelNames,
 		labelIDs:   g.labelIDs,
@@ -126,15 +124,37 @@ func Splice(g *Graph, b *Batch) (*Graph, []float64, error) {
 		return 0, fmt.Errorf("graph: Splice names vertex %d, which is absent", id)
 	}
 
-	// Each source's edge operations, in batch order, replay on a copy of its
-	// out-edges; touched lists the sources in ascending dense order, each
-	// with its final out-edges.
-	type op struct {
-		from, to int32
-		e        batchEdge
+	// The edge operations replay in batch order, each on a copy of its
+	// vertex's out-edges taken when the batch first touches it; touched then
+	// lists the vertices in ascending dense order, each with its final
+	// out-edges.
+	type run struct {
+		u  int32
+		es []DenseEdge
 	}
-	ops := make([]op, len(b.edges))
-	for k, e := range b.edges {
+	var touched []run
+	slot := make(map[int32]int)
+	oldOff := func(i int32) int32 { return g.outOff[min(i, nv)] } // a new vertex has no old edges
+	edges := func(u int32) *[]DenseEdge {
+		k, ok := slot[u]
+		if !ok {
+			k = len(touched)
+			slot[u] = k
+			touched = append(touched, run{u, slices.Clone(g.outDense[oldOff(u):oldOff(u+1)])})
+		}
+		return &touched[k].es
+	}
+	del := func(es *[]DenseEdge, match func(DenseEdge) bool) (float64, bool) {
+		k := slices.IndexFunc(*es, match)
+		if k < 0 {
+			return 0, false
+		}
+		w := (*es)[k].W
+		*es = slices.Delete(*es, k, k+1)
+		return w, true
+	}
+	removed := make([]float64, b.dels)
+	for _, e := range b.edges {
 		u, err := at(e.from)
 		if err != nil {
 			return nil, nil, err
@@ -143,37 +163,37 @@ func Splice(g *Graph, b *Batch) (*Graph, []float64, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		ops[k] = op{u, v, e}
-	}
-	slices.SortStableFunc(ops, func(x, y op) int { return int(x.from - y.from) })
-	oldOff := func(i int32) int32 { return g.outOff[min(i, nv)] } // a new vertex has no old edges
-	type run struct {
-		u  int32
-		es []DenseEdge
-	}
-	var touched []run
-	removed := make([]float64, b.dels)
-	for _, o := range ops {
-		if len(touched) == 0 || touched[len(touched)-1].u != o.from {
-			touched = append(touched, run{o.from, slices.Clone(g.outDense[oldOff(o.from):oldOff(o.from+1)])})
-		}
-		r := &touched[len(touched)-1]
-		if o.e.del < 0 {
-			r.es = append(r.es, DenseEdge{To: o.to, Label: intern(o.e.label), W: o.e.w})
+		if e.del < 0 {
+			l := intern(e.label)
+			es := edges(u)
+			*es = append(*es, DenseEdge{To: v, Label: l, W: e.w})
+			if !g.directed {
+				es = edges(v)
+				*es = append(*es, DenseEdge{To: u, Label: l, W: e.w})
+			}
 			continue
 		}
-		l, ok := ng.labelIDs[o.e.label]
-		k := slices.IndexFunc(r.es, func(e DenseEdge) bool { return ok && e.To == o.to && e.Label == l })
-		if k < 0 {
-			return nil, nil, fmt.Errorf("graph: Splice deletes edge %d->%d label %q, which is absent", o.e.from, o.e.to, o.e.label)
+		l, known := ng.labelIDs[e.label]
+		w, ok := del(edges(u), func(x DenseEdge) bool { return known && x.To == v && x.Label == l })
+		if !ok {
+			return nil, nil, fmt.Errorf("graph: Splice deletes edge %d->%d label %q, which is absent", e.from, e.to, e.label)
 		}
-		removed[o.e.del] = r.es[k].W
-		r.es = slices.Delete(r.es, k, k+1)
+		removed[e.del] = w
+		if !g.directed {
+			if _, ok := del(edges(v), func(x DenseEdge) bool { return x.To == u && x.Label == l && x.W == w }); !ok {
+				return nil, nil, fmt.Errorf("graph: Splice deletes edge %d->%d label %q, whose mirror is absent", e.from, e.to, e.label)
+			}
+		}
 	}
+	slices.SortFunc(touched, func(x, y run) int { return int(x.u - y.u) })
 
 	// The one pass: an untouched vertex copies its run of g's CSR, its offset
 	// shifted by what the touched vertices before it gained or lost.
-	ng.outDense = make([]DenseEdge, 0, ng.numEdges)
+	stored := 1 // packed edges per edge
+	if !g.directed {
+		stored = 2
+	}
+	ng.outDense = make([]DenseEdge, 0, len(g.outDense)+stored*(len(b.edges)-2*b.dels))
 	from, shift := int32(0), int32(0)
 	copyRun := func(to int32) {
 		ng.outDense = append(ng.outDense, g.outDense[oldOff(from):oldOff(to)]...)

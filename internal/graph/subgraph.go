@@ -5,8 +5,7 @@ import (
 	"slices"
 )
 
-// SubgraphBuilder cuts frozen subgraphs out of one frozen source graph, CSR
-// to CSR: vertices and edges are named by the source's dense indices and
+// SubgraphBuilder cuts subgraphs out of one source graph, CSR to CSR: vertices and edges are named by the source's dense indices and
 // remapped through flat arrays, so a cut hashes nothing per vertex or per edge
 // (the subgraph builds its ID index on its first by-ID lookup, if any), and
 // every array of the result is allocated once, at its final size — property
@@ -22,8 +21,7 @@ type SubgraphBuilder struct {
 	lmap  []int32 // source label ID -> subgraph label ID, -1 outside Subgraph
 }
 
-// NewSubgraphBuilder returns a builder for subgraphs of src, which must be
-// frozen.
+// NewSubgraphBuilder returns a builder for subgraphs of src.
 func NewSubgraphBuilder(src *Graph) *SubgraphBuilder {
 	nv := len(src.ids)
 	b := &SubgraphBuilder{src: src, local: make([]int32, nv), verts: make([]int32, 0, nv), next: make([]int32, nv), lmap: make([]int32, len(src.labelNames))}
@@ -50,12 +48,12 @@ func (b *SubgraphBuilder) Vertices() []int32 { return b.verts }
 // asked). A target that is not a seed joins after the seeds, in order of
 // first appearance, with its label and properties (shared with the source,
 // not copied) and no out-edges of its own. For an undirected source the
-// mirror direction is stored automatically, as the mutable AddEdge does.
+// mirror direction is stored automatically, as Builder.AddEdge does.
 //
 // The edges are walked twice, seeds in order and each seed's edges in the
 // source's order: the first walk counts per vertex, the second places each
 // edge at its vertex's cursor, and labels are then interned in CSR order —
-// byte for byte the graph the mutable API and Freeze would have produced.
+// byte for byte the graph a Builder would have produced.
 func (b *SubgraphBuilder) Subgraph(seeds []int32, keep func(from int32, e DenseEdge) bool) *Graph {
 	src, local, next := b.src, b.local, b.next
 	for li, i := range b.verts {
@@ -91,7 +89,6 @@ func (b *SubgraphBuilder) Subgraph(seeds []int32, keep func(from int32, e DenseE
 		vlab:     make([]int32, nv),
 		outOff:   make([]int32, nv+1),
 		numEdges: ne,
-		frozen:   true,
 		lazy:     &lazyViews{},
 	}
 	intern := func(sid int32) int32 {
@@ -139,13 +136,10 @@ func (b *SubgraphBuilder) Subgraph(seeds []int32, keep func(from int32, e DenseE
 }
 
 // SortedIndices returns the graph's dense vertex indices ordered by ascending
-// vertex ID — the dense counterpart of SortedVertices. A frozen graph works
-// the order out once and shares it with its frozen clones; the caller must
-// not mutate the returned slice.
+// vertex ID — the dense counterpart of SortedVertices. The graph works the
+// order out once and shares it with its clones; the caller must not mutate
+// the returned slice.
 func (g *Graph) SortedIndices() []int32 {
-	if !g.frozen {
-		return sortedIndices(g.ids)
-	}
 	s := g.lazy
 	s.orderOnce.Do(func() { s.order = sortedIndices(g.ids) })
 	return s.order

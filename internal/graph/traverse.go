@@ -36,43 +36,10 @@ func (g *Graph) UndirectedNeighborhood(seeds []ID, d int) map[ID]bool {
 	return g.neighborhood(seeds, d, true)
 }
 
+// neighborhood is shared by Neighborhood and UndirectedNeighborhood: the BFS
+// runs over dense indices with a flat visited array, hashing only to resolve
+// the seeds and build the result set.
 func (g *Graph) neighborhood(seeds []ID, d int, undirected bool) map[ID]bool {
-	if g.frozen {
-		return g.neighborhoodIdx(seeds, d, undirected)
-	}
-	seen := make(map[ID]bool, len(seeds))
-	frontier := make([]ID, 0, len(seeds))
-	for _, s := range seeds {
-		if g.Has(s) && !seen[s] {
-			seen[s] = true
-			frontier = append(frontier, s)
-		}
-	}
-	for hop := 0; hop < d && len(frontier) > 0; hop++ {
-		var next []ID
-		for _, u := range frontier {
-			sides := [2][]Edge{g.Out(u)}
-			if undirected {
-				sides[1] = g.In(u)
-			}
-			for _, es := range sides {
-				for _, e := range es {
-					if !seen[e.To] {
-						seen[e.To] = true
-						next = append(next, e.To)
-					}
-				}
-			}
-		}
-		frontier = next
-	}
-	return seen
-}
-
-// neighborhoodIdx is the frozen fast path shared by Neighborhood and
-// UndirectedNeighborhood: the BFS runs over dense indices with a flat
-// visited array, hashing only to resolve the seeds and build the result set.
-func (g *Graph) neighborhoodIdx(seeds []ID, d int, undirected bool) map[ID]bool {
 	visited := make([]bool, len(g.ids))
 	frontier := make([]int32, 0, len(seeds))
 	n := 0

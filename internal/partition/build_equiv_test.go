@@ -14,10 +14,10 @@ import (
 	"grape/internal/graph"
 )
 
-// The reference cut: the fragment cut as the mutable graph API spells it —
-// one AddVertex/AddLabeledEdge per copied vertex and edge, a map of copies,
-// a placement map, a hash per vertex to find every dense index — which is
-// how Build worked before it became a CSR-to-CSR gather. It survives here,
+// The reference cut: the fragment cut as a graph.Builder spells it — one
+// AddVertex/AddLabeledEdge per copied vertex and edge, a map of copies, a
+// placement map, a hash per vertex to find every dense index — which is how
+// Build worked before it became a CSR-to-CSR gather. It survives here,
 // and only here, as the ground truth the equivalence suite holds Build to:
 // same fragment frames byte for byte, same hosts for every vertex.
 
@@ -35,14 +35,14 @@ func (r *refLayout) hosts(id graph.ID) []int {
 	return []int{r.asg.Owner(id)}
 }
 
-func newLocal(g *graph.Graph) *graph.Graph {
+func newLocal(g *graph.Graph) *graph.Builder {
 	if g.Directed() {
-		return graph.New()
+		return graph.NewBuilder()
 	}
-	return graph.NewUndirected()
+	return graph.NewUndirectedBuilder()
 }
 
-func copyVertex(dst, src *graph.Graph, id graph.ID) {
+func copyVertex(dst *graph.Builder, src *graph.Graph, id graph.ID) {
 	dst.AddVertex(id, src.Label(id))
 	if ps := src.Props(id); len(ps) > 0 {
 		dst.SetProps(id, append([]string(nil), ps...))
@@ -53,12 +53,13 @@ func copyVertex(dst, src *graph.Graph, id graph.ID) {
 // all their out-edges, remote endpoints as outer copies on first sight.
 func referenceBuild(g *graph.Graph, asg *Assignment) *refLayout {
 	frags := make([]*Fragment, asg.N)
+	locals := make([]*graph.Builder, asg.N)
 	for i := range frags {
-		frags[i] = &Fragment{Index: i, G: newLocal(g)}
+		frags[i], locals[i] = &Fragment{Index: i}, newLocal(g)
 	}
 	for _, id := range g.SortedVertices() {
 		f := frags[asg.Owner(id)]
-		copyVertex(f.G, g, id)
+		copyVertex(locals[f.Index], g, id)
 		f.Inner = append(f.Inner, id)
 	}
 	for _, u := range g.SortedVertices() {
@@ -68,14 +69,14 @@ func referenceBuild(g *graph.Graph, asg *Assignment) *refLayout {
 			if !g.Directed() && u > e.To && asg.Owner(e.To) == uo {
 				continue // undirected intra-fragment edge already added via the lower endpoint
 			}
-			if asg.Owner(e.To) != uo && !f.G.Has(e.To) {
-				copyVertex(f.G, g, e.To)
+			if asg.Owner(e.To) != uo && !slices.Contains(f.Outer, e.To) {
+				copyVertex(locals[uo], g, e.To)
 				f.Outer = append(f.Outer, e.To)
 			}
-			f.G.AddLabeledEdge(u, e.To, e.W, e.Label)
+			locals[uo].AddLabeledEdge(u, e.To, e.W, e.Label)
 		}
 	}
-	return referenceFinish(frags, asg)
+	return referenceFinish(frags, locals, asg)
 }
 
 // referenceBuildExpanded is the d-hop data-shipping cut: each fragment is the
@@ -107,19 +108,20 @@ func referenceBuildExpanded(g *graph.Graph, asg *Assignment, d int) *refLayout {
 			}
 			frontier = next
 		}
-		f := &Fragment{Index: i, G: newLocal(g)}
+		local := newLocal(g)
 		for _, id := range g.Vertices() {
 			if region[id] {
-				copyVertex(f.G, g, id)
+				copyVertex(local, g, id)
 			}
 		}
 		for _, u := range g.Vertices() {
 			for _, e := range g.Out(u) {
 				if region[u] && region[e.To] && (g.Directed() || u <= e.To) {
-					f.G.AddLabeledEdge(u, e.To, e.W, e.Label)
+					local.AddLabeledEdge(u, e.To, e.W, e.Label)
 				}
 			}
 		}
+		f := &Fragment{Index: i, G: local.Graph()}
 		for _, id := range f.G.SortedVertices() {
 			if asg.Owner(id) == i {
 				f.Inner = append(f.Inner, id)
@@ -129,12 +131,13 @@ func referenceBuildExpanded(g *graph.Graph, asg *Assignment, d int) *refLayout {
 		}
 		frags[i] = f
 	}
-	return referenceFinish(frags, asg)
+	return referenceFinish(frags, nil, asg)
 }
 
 // referenceFinish does the border bookkeeping from the fragments' outer
-// lists, freezes the subgraphs and fills in the dense tables by hashing.
-func referenceFinish(frags []*Fragment, asg *Assignment) *refLayout {
+// lists, builds the subgraphs still in locals and fills in the dense tables
+// by hashing.
+func referenceFinish(frags []*Fragment, locals []*graph.Builder, asg *Assignment) *refLayout {
 	r := &refLayout{frags: frags, placement: make(map[graph.ID][]int), asg: asg}
 	for i, f := range frags {
 		sort.Slice(f.Outer, func(a, b int) bool { return f.Outer[a] < f.Outer[b] })
@@ -148,9 +151,11 @@ func referenceFinish(frags []*Fragment, asg *Assignment) *refLayout {
 		r.placement[v] = append(hosts, owner)
 		sort.Ints(r.placement[v])
 	}
-	for _, f := range frags {
+	for i, f := range frags {
 		sort.Slice(f.InnerBorder, func(a, b int) bool { return f.InnerBorder[a] < f.InnerBorder[b] })
-		f.G.Freeze()
+		if locals != nil {
+			f.G = locals[i].Graph()
+		}
 		f.n = asg.N
 		f.innerAt = make([]bool, f.G.NumVertices())
 		for _, id := range f.Inner {
@@ -197,9 +202,6 @@ func checkAgainstReference(t testing.TB, what string, l *Layout, ref *refLayout)
 		t.Fatalf("%s: %d fragments, reference has %d", what, len(l.Fragments), len(ref.frags))
 	}
 	for i, f := range l.Fragments {
-		if !f.G.Frozen() {
-			t.Fatalf("%s fragment %d: not frozen", what, i)
-		}
 		if err := f.G.Validate(); err != nil {
 			t.Fatalf("%s fragment %d: %v", what, i, err)
 		}
@@ -268,37 +270,52 @@ func checkBorderIndex(t testing.TB, what string, l *Layout) {
 	}
 }
 
-// thawedCopy returns an unfrozen deep copy of g and asg rebound to it.
-func thawedCopy(g *graph.Graph, asg *Assignment) (*graph.Graph, *Assignment) {
-	t := g.Clone()
-	t.AddVertex(g.IDAt(0), "") // a no-op mutation thaws
-	return t, &Assignment{G: t, N: asg.N, owner: asg.owner}
-}
-
-// checkCuts runs Build and BuildExpanded (d ∈ {1, 2}) on g frozen and thawed
-// and holds all six layouts to the reference cuts of the thawed copy.
+// checkCuts runs Build and BuildExpanded (d ∈ {1, 2}) on g and holds all
+// three layouts to the reference cuts.
 func checkCuts(t testing.TB, name string, g *graph.Graph, s Strategy, n int) {
 	t.Helper()
-	g.Freeze()
 	asg, err := s.Partition(g, n)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	thawed, asgT := thawedCopy(g, asg)
-	if thawed.Frozen() {
-		t.Fatal("clone did not thaw")
-	}
-	ref := referenceBuild(thawed, asgT)
-	checkAgainstReference(t, name+" frozen", Build(g, asg), ref)
-	checkAgainstReference(t, name+" thawed", Build(thawed, asgT), ref)
-	if thawed.Frozen() {
-		t.Fatal("Build froze its input")
-	}
+	checkAgainstReference(t, name, Build(g, asg), referenceBuild(g, asg))
 	for d := 1; d <= 2; d++ {
-		ref := referenceBuildExpanded(thawed, asgT, d)
-		checkAgainstReference(t, fmt.Sprintf("%s frozen d=%d", name, d), BuildExpanded(g, asg, d), ref)
-		checkAgainstReference(t, fmt.Sprintf("%s thawed d=%d", name, d), BuildExpanded(thawed, asgT, d), ref)
+		checkAgainstReference(t, fmt.Sprintf("%s d=%d", name, d), BuildExpanded(g, asg, d), referenceBuildExpanded(g, asg, d))
 	}
+}
+
+// rebuilt builds g again from nothing with a Builder: its vertices in dense
+// order, then each vertex's out-edges — an undirected edge once, from its
+// earlier endpoint in dense order, and a self-loop once for its two stored
+// copies. That reproduces every adjacency list of a graph whose undirected
+// edges were added from their earlier endpoint, as gen.Ratings adds them.
+func rebuilt(g *graph.Graph) *graph.Graph {
+	b := graph.NewBuilder()
+	if !g.Directed() {
+		b = graph.NewUndirectedBuilder()
+	}
+	for i, id := range g.Vertices() {
+		b.AddVertex(id, g.LabelAt(int32(i)))
+		if ps := g.PropsAt(int32(i)); len(ps) > 0 {
+			b.SetProps(id, ps)
+		}
+	}
+	for i, u := range g.Vertices() {
+		loops := 0
+		for _, e := range g.OutAt(int32(i)) {
+			switch {
+			case g.Directed() || e.To > int32(i):
+			case e.To == int32(i):
+				if loops++; loops%2 == 0 {
+					continue // the second stored copy
+				}
+			default:
+				continue // added from its earlier endpoint
+			}
+			b.AddLabeledEdge(u, g.IDAt(e.To), e.W, g.LabelName(e.Label))
+		}
+	}
+	return b.Graph()
 }
 
 // awkwardGraph draws a small graph with everything a cut can trip over:
@@ -336,8 +353,8 @@ func awkwardGraph(seed int64, directed, ascending bool) *graph.Graph {
 }
 
 // TestBuildMatchesReferenceCut: Build and BuildExpanded against the reference
-// cut, over awkward graphs × every strategy × n ∈ {1, 3, 8, > |V|}, frozen
-// and thawed input, plus the generators' graphs under Hash.
+// cut, over awkward graphs × every strategy × n ∈ {1, 3, 8, > |V|}, plus the
+// generators' graphs under Hash.
 func TestBuildMatchesReferenceCut(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		for _, s := range Strategies() {
@@ -371,11 +388,10 @@ func FuzzBuildEquivalence(f *testing.F) {
 	})
 }
 
-// TestBuildFrozenEquivalence: Build over a frozen input and over a thawed
-// copy of the same graph must produce identical layouts — same fragment
-// graphs in the same dense order (graph.Diff compares exact adjacency order),
-// same Inner/Outer/InnerBorder, same hosts — and never freeze the caller's
-// graph on the way.
+// TestBuildFrozenEquivalence: Build over a generator's graph and over the
+// same graph rebuilt by a Builder must produce identical layouts — same
+// fragment graphs in the same dense order (graph.Diff compares exact
+// adjacency order), same Inner/Outer/InnerBorder, same hosts.
 func TestBuildFrozenEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -387,22 +403,18 @@ func TestBuildFrozenEquivalence(t *testing.T) {
 		{"ratings-undirected", gen.Ratings(gen.RatingsConfig{Users: 80, Items: 20, RatingsPerUser: 6, Factors: 3, Noise: 0.1, Seed: 4})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			frozen := tc.g // generators freeze
-			if !frozen.Frozen() {
-				t.Fatal("generator did not freeze")
+			again := rebuilt(tc.g)
+			if err := graph.Diff(tc.g, again); err != nil {
+				t.Fatalf("rebuilt graph differs: %v", err)
 			}
 			for _, n := range []int{1, 3, 8} {
-				asgF, err := Hash{}.Partition(frozen, n)
+				asg, err := Hash{}.Partition(tc.g, n)
 				if err != nil {
 					t.Fatal(err)
 				}
-				thawed, asgT := thawedCopy(frozen, asgF)
-				lf := Build(frozen, asgF)
-				lt := Build(thawed, asgT)
-				if thawed.Frozen() {
-					t.Fatal("Build froze its input")
-				}
-				for _, id := range frozen.Vertices() {
+				lf := Build(tc.g, asg)
+				lt := Build(again, &Assignment{G: again, N: asg.N, owner: asg.owner})
+				for _, id := range tc.g.Vertices() {
 					if !reflect.DeepEqual(hostsOf(lf, id), hostsOf(lt, id)) {
 						t.Fatalf("n=%d: hosts of %d differ", n, id)
 					}
@@ -413,9 +425,6 @@ func TestBuildFrozenEquivalence(t *testing.T) {
 						!reflect.DeepEqual(ff.Outer, ft.Outer) ||
 						!reflect.DeepEqual(ff.InnerBorder, ft.InnerBorder) {
 						t.Fatalf("n=%d fragment %d: vertex lists differ", n, i)
-					}
-					if !ff.G.Frozen() || !ft.G.Frozen() {
-						t.Fatalf("n=%d fragment %d: fragments must come out frozen", n, i)
 					}
 					if err := graph.Diff(ff.G, ft.G); err != nil {
 						t.Fatalf("n=%d fragment %d: dense order or adjacency changed: %v", n, i, err)
@@ -514,8 +523,8 @@ func TestLocalAgreesWithIndex(t *testing.T) {
 	}
 }
 
-// TestBuildExpandedFrozen: the data-shipping variant also yields frozen,
-// valid fragments with intact caches.
+// TestBuildExpandedFrozen: the data-shipping variant also yields valid
+// fragments with intact caches.
 func TestBuildExpandedFrozen(t *testing.T) {
 	g := gen.SocialCommerce(gen.SocialCommerceConfig{People: 150, Products: 4, Follows: 4, AdoptP: 0.7, Seed: 9})
 	asg, err := Hash{}.Partition(g, 4)
@@ -524,9 +533,6 @@ func TestBuildExpandedFrozen(t *testing.T) {
 	}
 	l := BuildExpanded(g, asg, 2)
 	for _, f := range l.Fragments {
-		if !f.G.Frozen() {
-			t.Fatal("expanded fragment not frozen")
-		}
 		if err := f.G.Validate(); err != nil {
 			t.Fatal(err)
 		}
@@ -586,7 +592,6 @@ func TestAddHostGrowsTheIndex(t *testing.T) {
 	}
 	checkBorderIndex(t, "grown", l)
 	for _, f := range l.Fragments {
-		f.G.Freeze()
 		re, _, err := DecodeFragment(AppendFragment(nil, f))
 		if err != nil {
 			t.Fatalf("fragment %d no longer ships: %v", f.Index, err)

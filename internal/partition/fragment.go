@@ -275,7 +275,7 @@ func (l *Layout) AddHost(id graph.ID, w int) (owner int, first bool) {
 // copies every vertex has — from which the host index and every fragment's
 // inner border fall out, on dense indices of the source graph throughout.
 type cut struct {
-	g        *graph.Graph // the source, frozen
+	g        *graph.Graph // the source
 	asg      *Assignment
 	innerOff []int32 // inner(w) = innerAll[innerOff[w]:innerOff[w+1]]
 	innerAll []int32
@@ -291,12 +291,8 @@ type piece struct {
 	outerIdx []int32 // and as dense indices in g
 }
 
-// newCut starts a cut of g by asg. An unfrozen g is cut from a private frozen
-// copy: there is one cut, it reads CSR, and dense indices survive the copy.
+// newCut starts a cut of g by asg.
 func newCut(g *graph.Graph, asg *Assignment) *cut {
-	if !g.Frozen() {
-		g = g.Clone().Freeze()
-	}
 	c := &cut{g: g, asg: asg, innerOff: make([]int32, asg.N+1), innerAll: make([]int32, len(asg.owner)),
 		copies: make([]int32, len(asg.owner)), pieces: make([]piece, asg.N)}
 	for _, w := range asg.owner {

@@ -39,9 +39,15 @@ const (
 	fragHeaderLen = 24
 )
 
-// AppendFragment appends the frame of f to buf and returns the extended
-// buffer. Sections are aligned relative to len(buf) at entry; see
-// graph.AppendFlat.
+// FrameLen returns the exact number of bytes AppendFragment writes for f.
+func FrameLen(f *Fragment) int {
+	graphOff := graph.Align8(graph.Align8(graph.Align8(fragHeaderLen+4*len(f.owners))+4*len(f.innerIdx)) + 4*len(f.borderIdx))
+	return graphOff + graph.FlatLen(f.G)
+}
+
+// AppendFragment appends the frame of f to buf, growing it once to FrameLen(f)
+// more bytes, and returns the extended buffer. Sections are aligned relative
+// to len(buf) at entry; see graph.AppendFlat.
 func AppendFragment(buf []byte, f *Fragment) []byte {
 	base := len(buf)
 	innerIdx, borderIdx := f.InnerIndices(), f.BorderIndices()
@@ -49,7 +55,7 @@ func AppendFragment(buf []byte, f *Fragment) []byte {
 		borderIdx = slices.Clone(borderIdx)
 		slices.SortFunc(borderIdx, func(a, b int32) int { return cmp.Compare(f.G.IDAt(a), f.G.IDAt(b)) })
 	}
-	buf = slices.Grow(buf, fragHeaderLen+4*(len(f.owners)+len(innerIdx)+len(borderIdx))+3*8) // sections + padding
+	buf = slices.Grow(buf, FrameLen(f))
 	le := binary.LittleEndian
 	for _, v := range [...]int{fragMagic, f.Index, f.n, len(f.owners), len(f.Inner), len(f.Outer) + len(f.InnerBorder)} {
 		buf = le.AppendUint32(buf, uint32(v))

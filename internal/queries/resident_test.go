@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
-	"strings"
 	"sync"
 	"testing"
 
@@ -175,34 +174,6 @@ func TestResidentExpandedLayouts(t *testing.T) {
 				t.Error(err)
 			}
 		})
-	}
-}
-
-// TestResidentRejectsUnfrozenLayout pins the safety precondition: a run over
-// a layout whose fragment was mutated in place (which thaws it) fails and
-// names the fragment.
-func TestResidentRejectsUnfrozenLayout(t *testing.T) {
-	g := gen.RoadGrid(8, 8, 1)
-	layout, err := engine.BuildLayout(g, engine.Options{Workers: 2, Strategy: partition.Hash{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// thaw one fragment by mutating it
-	layout.Fragments[1].G.AddVertex(graph.ID(10_000), "")
-	e, err := engine.Lookup("sssp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pq, err := e.Parse("source=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := e.Resident(layout, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := r.RunParsed(context.Background(), pq); err == nil || !strings.Contains(err.Error(), "fragment 1 is not frozen") {
-		t.Fatalf("resident run over a thawed fragment: want the fragment named, got %v", err)
 	}
 }
 

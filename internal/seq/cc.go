@@ -7,7 +7,6 @@ import "grape/internal/graph"
 // sequential CC algorithm via union-find with path compression, over dense
 // indices in flat arrays.
 func Components(g *graph.Graph) map[graph.ID]graph.ID {
-	g = frozen(g)
 	nv := g.NumVertices()
 	uf := NewDenseUnionFind(nv)
 	for i := int32(0); i < int32(nv); i++ {

@@ -27,7 +27,7 @@ func DefaultCFConfig() CFConfig {
 type Factors map[graph.ID][]float64
 
 // SGDEpochIdx runs one SGD pass over the rating edges out of the given users
-// of the frozen graph g, updating the factors in place, and returns (work
+// of graph g, updating the factors in place, and returns (work
 // units, squared-error sum, rating count): each rating r(u, i) = w moves the
 // user and item vectors along the gradient of the regularised squared
 // prediction error, taken before the update. Factors live in a flat slice
@@ -66,7 +66,6 @@ func SGDEpochIdx(g *graph.Graph, users []int32, f [][]float64, cfg CFConfig) (in
 // draws, one vector per vertex in ascending ID order; users absent from g
 // rate nothing.
 func TrainCF(g *graph.Graph, users []graph.ID, cfg CFConfig) (Factors, float64) {
-	g = frozen(g)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	f := make([][]float64, g.NumVertices())
 	for _, i := range g.SortedIndices() {

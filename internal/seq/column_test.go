@@ -12,15 +12,15 @@ import (
 	"grape/internal/graph"
 )
 
-// relaxGraph is a random frozen graph for the column-kernel tests: directed
+// relaxGraph is a random graph for the column-kernel tests: directed
 // with a third of the weights 0 (kind 0), a directed DAG with negative
 // weights (kind 1; no negative cycle in either direction) or undirected with
 // zero weights (kind 2).
 func relaxGraph(rng *rand.Rand, kind int) *graph.Graph {
 	n := 20 + rng.Intn(150)
-	g := graph.New()
+	g := graph.NewBuilder()
 	if kind == 2 {
-		g = graph.NewUndirected()
+		g = graph.NewUndirectedBuilder()
 	}
 	for v := 0; v < n; v++ {
 		g.AddVertex(graph.ID(v), "")
@@ -38,7 +38,7 @@ func relaxGraph(rng *rand.Rand, kind int) *graph.Graph {
 		}
 		g.AddEdge(graph.ID(a), graph.ID(b), w)
 	}
-	return g.Freeze()
+	return g.Graph()
 }
 
 // TestRelaxColMatchesRelaxIdx: on random directed and undirected graphs with

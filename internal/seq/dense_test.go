@@ -22,15 +22,27 @@ func TestDenseUnionFindGrow(t *testing.T) {
 	}
 }
 
-// TestRelaxIdxMatchesRelax: the dense and sparse relaxations produce
-// identical distances and identical work on the same graph.
-func TestRelaxIdxMatchesRelax(t *testing.T) {
-	g := gen.ConnectedRandom(300, 900, 7) // frozen
-	th := g.Clone()
-	th.AddVertex(0, "") // no-op mutation: thaws the clone for the sparse path
-	if th.Frozen() || !g.Frozen() {
-		t.Fatal("test setup: expected one frozen and one thawed graph")
+// rebuilt builds the directed graph g again from nothing with a Builder: its
+// vertices in dense order, then each vertex's out-edges.
+func rebuilt(g *graph.Graph) *graph.Graph {
+	b := graph.NewBuilder()
+	for i, id := range g.Vertices() {
+		b.AddVertex(id, g.LabelAt(int32(i)))
 	}
+	for _, u := range g.Vertices() {
+		for _, e := range g.Out(u) {
+			b.AddLabeledEdge(u, e.To, e.W, e.Label)
+		}
+	}
+	return b.Graph()
+}
+
+// TestRelaxIdxMatchesRelax: the dense and sparse relaxations produce
+// identical distances and identical work, the sparse one on the graph rebuilt
+// by a Builder.
+func TestRelaxIdxMatchesRelax(t *testing.T) {
+	g := gen.ConnectedRandom(300, 900, 7)
+	th := rebuilt(g)
 
 	sparse := map[graph.ID]float64{0: 0}
 	getS := func(id graph.ID) float64 {
@@ -68,7 +80,7 @@ func TestRelaxIdxMatchesRelax(t *testing.T) {
 		}
 	}
 
-	// Dijkstra's frozen fast path agrees with the thawed map path.
+	// Dijkstra agrees on the rebuilt graph.
 	df := Dijkstra(g, 0)
 	dm := Dijkstra(th, 0)
 	if len(df) != len(dm) {
@@ -81,11 +93,11 @@ func TestRelaxIdxMatchesRelax(t *testing.T) {
 	}
 }
 
-// TestComponentsFrozenMatchesThawed: same labels either way.
+// TestComponentsFrozenMatchesThawed: same labels on a generator's graph and
+// on the graph rebuilt by a Builder.
 func TestComponentsFrozenMatchesThawed(t *testing.T) {
-	g := gen.Random(200, 260, 11) // frozen, likely several components
-	th := g.Clone()
-	th.AddVertex(0, "")
+	g := gen.Random(200, 260, 11) // likely several components
+	th := rebuilt(g)
 	cf := Components(g)
 	cm := Components(th)
 	if len(cf) != len(cm) {
@@ -99,12 +111,12 @@ func TestComponentsFrozenMatchesThawed(t *testing.T) {
 }
 
 // BenchmarkRelax isolates the CSR win in the single hottest kernel from all
-// engine machinery: full-graph Dijkstra relaxation, frozen vs unfrozen.
+// engine machinery: full-graph Dijkstra relaxation, addressed by ID vs by
+// dense index.
 func BenchmarkRelax(b *testing.B) {
-	g := gen.RoadGrid(96, 96, 1) // frozen
-	th := g.Clone()
-	th.AddVertex(0, "") // thawed twin with identical contents
-	b.Run("unfrozen", func(b *testing.B) {
+	g := gen.RoadGrid(96, 96, 1)
+	th := g
+	b.Run("sparse", func(b *testing.B) {
 		b.ReportAllocs()
 		nv := th.NumVertices()
 		dist := make([]float64, nv)
@@ -120,7 +132,7 @@ func BenchmarkRelax(b *testing.B) {
 			Relax(th, []graph.ID{0}, get, set)
 		}
 	})
-	b.Run("frozen", func(b *testing.B) {
+	b.Run("dense", func(b *testing.B) {
 		b.ReportAllocs()
 		nv := g.NumVertices()
 		dist := make([]float64, nv)

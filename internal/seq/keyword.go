@@ -11,7 +11,7 @@ import (
 // keywordDist fills column k of the row-major n×w array dist with every
 // vertex's weighted distance to the nearest holder of word following out-edges
 // (0 for a holder, Inf if none is reachable): multi-source Dijkstra from the
-// holders along the in-edges of the frozen graph g, with the engine's kernel.
+// holders along the in-edges of g, with the engine's kernel.
 func keywordDist(g *graph.Graph, word string, dist []float64, w, k int) {
 	var seeds []int32
 	for i := range g.NumVertices() {
@@ -22,15 +22,6 @@ func keywordDist(g *graph.Graph, word string, dist []float64, w, k int) {
 		}
 	}
 	RelaxCol(g, true, seeds, dist, w, k, nil, nil)
-}
-
-// frozen returns g in CSR form: g itself when already frozen, else a frozen
-// private copy (dense indices and IDs survive).
-func frozen(g *graph.Graph) *graph.Graph {
-	if g.Frozen() {
-		return g
-	}
-	return g.Clone().Freeze()
 }
 
 // KeywordMatch is one keyword-search answer: a root vertex that reaches a
@@ -46,7 +37,6 @@ type KeywordMatch struct {
 // reachable within bound, ranked by total distance — the demo's Keyword
 // query class.
 func KeywordSearch(g *graph.Graph, keywords []string, bound float64) []KeywordMatch {
-	g = frozen(g)
 	nk := len(keywords)
 	dist := make([]float64, g.NumVertices()*nk) // row-major, one column per keyword
 	for k, w := range keywords {

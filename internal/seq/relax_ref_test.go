@@ -10,7 +10,7 @@ import (
 	"grape/internal/graph"
 )
 
-// Relax is RelaxIdx addressed by vertex ID on any graph, thawed or frozen:
+// Relax is RelaxIdx addressed by vertex ID:
 // the sparse reference the dense kernels are held to, with the same queue and
 // the same work accounting (queue pushes, queue pops and edge scans).
 func Relax(g *graph.Graph, seeds []graph.ID, get func(graph.ID) float64, set func(graph.ID, float64)) int64 {
@@ -115,16 +115,16 @@ func TestRelaxIdxMatchesContainerHeap(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 50 + rng.Intn(200)
-		g := graph.New()
+		b := graph.NewBuilder()
 		for v := 0; v < n; v++ {
-			g.AddVertex(graph.ID(v), "")
+			b.AddVertex(graph.ID(v), "")
 		}
 		for e := 0; e < 4*n; e++ {
 			// a third of the weights are 0 and the rest small integers, so
 			// many entries tie
-			g.AddEdge(graph.ID(rng.Intn(n)), graph.ID(rng.Intn(n)), float64(max(0, rng.Intn(6)-2)))
+			b.AddEdge(graph.ID(rng.Intn(n)), graph.ID(rng.Intn(n)), float64(max(0, rng.Intn(6)-2)))
 		}
-		g.Freeze()
+		g := b.Graph()
 		for _, rev := range []bool{false, true} {
 			var seeds []int32
 			for k := 0; k < 1+rng.Intn(5); k++ {
@@ -239,9 +239,9 @@ func TestRelaxIdxNegativeWeights(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 5 + rng.Intn(60)
 		order := rng.Perm(n) // edges run forward in this order
-		g := graph.New()
+		gb := graph.NewBuilder()
 		for v := 0; v < n; v++ {
-			g.AddVertex(graph.ID(v), "")
+			gb.AddVertex(graph.ID(v), "")
 		}
 		for e := 0; e < 3*n; e++ {
 			a, b := rng.Intn(n), rng.Intn(n)
@@ -255,9 +255,9 @@ func TestRelaxIdxNegativeWeights(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				w += rng.Float64()
 			}
-			g.AddEdge(graph.ID(order[a]), graph.ID(order[b]), w)
+			gb.AddEdge(graph.ID(order[a]), graph.ID(order[b]), w)
 		}
-		g.Freeze()
+		g := gb.Graph()
 		src := graph.ID(order[rng.Intn(n)])
 		want := BellmanFord(g, src)
 
@@ -270,9 +270,7 @@ func TestRelaxIdxNegativeWeights(t *testing.T) {
 		RelaxIdx(g, false, []int32{si},
 			func(i int32) float64 { return dist[i] },
 			func(i int32, d float64) { dist[i] = d })
-		th := g.Clone()
-		th.AddVertex(0, "") // thaws the clone for the sparse path
-		sparse := Dijkstra(th, src)
+		sparse := Dijkstra(g, src)
 		for i, d := range dist {
 			id := g.IDAt(int32(i))
 			w, ok := want[id]

@@ -17,14 +17,13 @@ import (
 //
 // Graph simulation is the quadratic-time relative of subgraph isomorphism
 // used by the demo's Sim query class. It runs the engine's kernel,
-// RefineSimIdx, over every vertex of a frozen g, so like SimBits it takes
+// RefineSimIdx, over every vertex of g, so like SimBits it takes
 // at most 64 pattern vertices and panics past that bound.
 func Sim(p, g *graph.Graph) map[graph.ID][]graph.ID {
 	pv := p.Vertices()
 	if len(pv) > 64 {
 		panic(fmt.Sprintf("seq.Sim: pattern has %d vertices, max 64", len(pv)))
 	}
-	g = frozen(g)
 	tab := LabelBitsIdx(p, g)
 	mask := make([]SimBits, g.NumVertices())
 	for i := range mask {
@@ -60,7 +59,7 @@ func indexOf(ids []graph.ID, id graph.ID) int {
 	return -1
 }
 
-// LabelBitsIdx returns the initial masks of the frozen data graph g's
+// LabelBitsIdx returns the initial masks of the data graph g's
 // vertices, per interned label: entry lid holds one bit per pattern vertex
 // labelled LabelName(lid), and is the mask of every vertex whose LabelIDAt is
 // lid.
@@ -84,7 +83,7 @@ type simPlanEdge struct {
 	present bool  // the label occurs in the data graph at all
 }
 
-// RefineSimIdx refines the masks of the frozen data graph g against pattern p
+// RefineSimIdx refines the masks of the data graph g against pattern p
 // until a local fixpoint: bit k of mask(v) is cleared if some pattern edge
 // (u_k, u_j) has no g-successor edge from v (with a compatible label) whose
 // target still has bit j. Vertices for which frozenAt holds keep their mask

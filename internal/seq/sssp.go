@@ -124,7 +124,7 @@ func (q *radixQueue[K]) reset() {
 // buckets are the only allocation on that path.
 var idxQueuePool = sync.Pool{New: func() any { return new(radixQueue[int32]) }}
 
-// RelaxIdx runs Dijkstra-style label-correcting relaxation over a frozen
+// RelaxIdx runs Dijkstra-style label-correcting relaxation over a
 // graph's CSR form from seeds, reading and writing distances by dense vertex
 // index through get/set; with rev=true it relaxes along in-edges. It assumes
 // the seed distances were already lowered by the caller and only ever
@@ -219,11 +219,10 @@ func RelaxCol(g *graph.Graph, rev bool, seeds []int32, dist []float64, w, k int,
 }
 
 // Dijkstra computes single-source shortest distances over g from src on its
-// CSR form (a frozen private copy when g is not frozen): distances live in a
-// flat array indexed by dense vertex index and only the result builds a map.
-// Unreachable vertices are absent from the result.
+// CSR form: distances live in a flat array indexed by dense vertex index and
+// only the result builds a map. Unreachable vertices are absent from the
+// result.
 func Dijkstra(g *graph.Graph, src graph.ID) map[graph.ID]float64 {
-	g = frozen(g)
 	out := map[graph.ID]float64{}
 	si, ok := g.Index(src)
 	if !ok {

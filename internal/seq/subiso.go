@@ -56,8 +56,7 @@ type pedge struct {
 // proportional to what the partial match reaches, not to |g| per position.
 // Candidates are visited in ascending vertex-ID order at every position, so
 // the embeddings, and their order under MaxMatches, are those of a full
-// candidate scan. Everything runs on dense indices and interned labels; a
-// thawed graph is frozen into a private copy first (dense indices survive).
+// candidate scan. Everything runs on dense indices and interned labels.
 //
 // It returns the embeddings and the work spent (vertices and adjacency
 // entries examined).
@@ -71,7 +70,6 @@ func SubIso(p, g *graph.Graph, opts SubIsoOptions) ([]Match, int64) {
 	if np == 0 {
 		return nil, 0
 	}
-	g = frozen(g)
 	pos := make(map[graph.ID]int, np) // pattern vertex -> matching-order position
 	for i, u := range pv {
 		pos[u] = i

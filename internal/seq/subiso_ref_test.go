@@ -6,8 +6,7 @@ import "grape/internal/graph"
 // neighbour-driven, kept as the reference of the equivalence suites: at every
 // position of the matching order it scans a table of all label/degree/anchor
 // candidates in ascending-ID order and tests the pattern edges towards the
-// positions already bound. It reads the graph through the sparse accessors,
-// so it runs on frozen and thawed graphs alike.
+// positions already bound. It reads the graph through the sparse accessors.
 func subIsoScan(p, g *graph.Graph, opts SubIsoOptions) []Match {
 	pv := orderPatternVertices(p, graph.NoID)
 	if len(pv) == 0 {

@@ -4,17 +4,15 @@ import "grape/internal/graph"
 
 // Triangles counts the triangles of g's undirected view: unordered vertex
 // triples pairwise joined by an edge in either direction. Self-loops,
-// parallel and reciprocal edges add none. A graph in the build phase is
-// counted on a frozen private copy.
+// parallel and reciprocal edges add none.
 func Triangles(g *graph.Graph) int64 {
-	g = frozen(g)
 	var total int64
 	TrianglesAt(g, g.SortedIndices(), func(_ int32, n int64) { total += n })
 	return total
 }
 
-// TrianglesAt is the forward (ID-oriented) triangle count over the frozen
-// graph g's larger-ID neighbor lists (graph.UpCSR). For each vertex v at a
+// TrianglesAt is the forward (ID-oriented) triangle count over graph g's
+// larger-ID neighbor lists (graph.UpCSR). For each vertex v at a
 // dense index in pivots it stamps up(v), then counts the stamped entries of
 // up(a) for every a in up(v): each triangle is counted once, at its
 // smallest-ID vertex. It calls at(v, n) for every pivot v with n > 0

@@ -248,9 +248,8 @@ func (s *Server) newResident(name string, g *graph.Graph) *residentGraph {
 // AddGraph makes g resident under name, replacing any previous graph with
 // that name. The replacement gets a fresh cache-key generation, so answers
 // computed against the old instance — even by a Mutate racing with the
-// replacement — can never be served for the new one. The server freezes g
-// and owns it from here on: callers must not mutate it — route updates
-// through Mutate.
+// replacement — can never be served for the new one. The server owns g from
+// here on: callers must not mutate it — route updates through Mutate.
 //
 // On a durable server (Config.Durable), AddGraph also persists g: any prior
 // durable state under name is wiped and replaced by a snapshot at epoch 1
@@ -261,7 +260,6 @@ func (s *Server) AddGraph(name string, g *graph.Graph) error {
 	if name == "" {
 		return fmt.Errorf("server: empty graph name")
 	}
-	g.Freeze()
 	var ds *store.GraphStore
 	if s.cfg.Durable != nil {
 		var err error

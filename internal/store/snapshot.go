@@ -12,7 +12,7 @@ import (
 	"grape/internal/graph"
 )
 
-// Snapshot file format (version 1) — a frozen CSR graph laid out so the
+// Snapshot file format (version 1) — a CSR graph laid out so the
 // fixed-width arrays can be mmap-ed and served zero-copy:
 //
 //	offset   0  magic "GRAPESNP" (8 bytes)
@@ -32,7 +32,7 @@ import (
 // All fixed-width integers are little-endian. Sections ids (int64), vlab
 // (int32), outOff (int32, |V|+1 entries), outDense/inDense (16-byte packed
 // edges: u32 dense target, u32 interned label, f64 weight) and inOff mirror
-// the graph package's frozen arrays exactly; inOff/inDense are empty for
+// the graph package's arrays exactly; inOff/inDense are empty for
 // undirected graphs. The strs section holds everything string-shaped —
 // the label-intern table and vertex properties — uvarint-encoded; it is
 // reconstructed on the heap at open (strings cannot alias a mapping). The
@@ -81,16 +81,13 @@ type snapSection struct {
 	crc    uint32
 }
 
-// WriteSnapshotFile writes a snapshot of the frozen graph g at epoch to path
+// WriteSnapshotFile writes a snapshot of the graph g at epoch to path
 // atomically (tmp file + fsync + rename + directory fsync) and returns the
 // snapshot's binding hash. The encoding is deterministic: the same graph and
 // epoch produce byte-identical files.
 func WriteSnapshotFile(path string, g *graph.Graph, epoch uint64) ([32]byte, error) {
 	var binding [32]byte
-	d, err := g.CSRView()
-	if err != nil {
-		return binding, fmt.Errorf("store: snapshot: %w", err)
-	}
+	d := g.CSRView()
 	secs := [snapSections][]byte{
 		graph.IDBytes(d.IDs),
 		graph.Int32Bytes(d.VLabels),

@@ -1,5 +1,5 @@
 // Package store is the durable backend of the serving path: versioned binary
-// snapshots of frozen CSR graphs (mmap-able, zero-copy), an append-only
+// snapshots of CSR graphs (mmap-able, zero-copy), an append-only
 // hash-chained mutation journal fsync-ed ahead of every applied batch —
 // together they let a killed server restart onto the exact epoch and
 // bit-identical answers it was serving, without reloading text.
@@ -248,8 +248,8 @@ func (gs *GraphStore) Stats() Stats {
 // Compact re-snapshots g (the current in-memory graph) at epoch and swaps in
 // a fresh journal, then deletes the superseded pair. The new pair is fully
 // written before anything is removed, so a crash at any point leaves a
-// complete pair on disk. The caller must ensure g is frozen and not mutated
-// for the duration (the server holds the graph's read lock).
+// complete pair on disk. The caller must ensure g is not mutated for the
+// duration (the server holds the graph's read lock).
 func (gs *GraphStore) Compact(g *graph.Graph, epoch uint64) error {
 	gs.mu.Lock()
 	defer gs.mu.Unlock()

@@ -18,11 +18,9 @@ import (
 
 func testGraph(seed int64, directed bool) *graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
-	var g *graph.Graph
+	g := graph.NewUndirectedBuilder()
 	if directed {
-		g = graph.New()
-	} else {
-		g = graph.NewUndirected()
+		g = graph.NewBuilder()
 	}
 	nv := 5 + rng.Intn(40)
 	vlabels := []string{"", "a", "b", "person"}
@@ -41,7 +39,7 @@ func testGraph(seed int64, directed bool) *graph.Graph {
 		u, v := ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]
 		g.AddLabeledEdge(u, v, float64(rng.Intn(8))+0.5, elabels[rng.Intn(len(elabels))])
 	}
-	return g
+	return g.Graph()
 }
 
 // assertSameGraph compares two graphs through graph.Diff, which covers the
@@ -131,8 +129,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				}
 				assertSameGraph(t, g, mg)
 				sameIn(mg)
-				// Mutating the mapped graph must thaw into heap memory, not
-				// write through the read-only mapping.
+				// Splicing the mapped graph must write to heap memory, not
+				// through the read-only mapping.
 				mg.AddVertex(graph.ID(99999), "fresh")
 				msi.Close()
 			}

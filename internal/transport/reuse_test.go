@@ -181,10 +181,11 @@ func TestWireCoordinatorReusesRunMemory(t *testing.T) {
 	}
 	bin := buildWorkerBin(t)
 	const workers = 1
-	g := graph.New()
+	b := graph.NewBuilder()
 	for v := graph.ID(0); v < 40000; v += 2 {
-		g.AddEdge(v, v+1, 1)
+		b.AddEdge(v, v+1, 1)
 	}
+	g := b.Graph()
 	sink := graph.ID(1)
 	layout, err := engine.BuildLayout(g, engine.Options{Workers: workers, Strategy: partition.Range{}})
 	if err != nil {

@@ -60,12 +60,11 @@ func RunGAS(g *graph.Graph, prog GASProgram, cfg GASConfig) (map[graph.ID]float6
 	}
 	stats := &metrics.Stats{Workers: cfg.Workers}
 
-	// Engine state in flat arrays by dense vertex index; on a frozen graph
-	// the gather/scatter loops run over the CSR form. Iteration order
+	// Engine state in flat arrays by dense vertex index; the gather/scatter
+	// loops run over the CSR form. Iteration order
 	// (ascending vertex ID) and per-edge traffic accounting match the
 	// map-based engine exactly.
 	nv := g.NumVertices()
-	frozen := g.Frozen()
 	sortedIdx := g.SortedIndices()
 	val := make([]float64, nv)
 	active := make([]bool, nv)
@@ -120,15 +119,8 @@ func RunGAS(g *graph.Graph, prog GASProgram, cfg GASConfig) (map[graph.ID]float6
 					stepBytes += msgSize
 				}
 			}
-			if frozen {
-				for _, e := range g.InAt(i) {
-					gather(e.To, graph.Edge{To: g.IDAt(e.To), W: e.W, Label: g.LabelName(e.Label)})
-				}
-			} else {
-				for _, e := range g.In(id) {
-					ti, _ := g.Index(e.To)
-					gather(ti, e)
-				}
+			for _, e := range g.InAt(i) {
+				gather(e.To, graph.Edge{To: g.IDAt(e.To), W: e.W, Label: g.LabelName(e.Label)})
 			}
 			nval, changed := prog.Apply(id, val[i], acc)
 			work[w]++
@@ -147,15 +139,8 @@ func RunGAS(g *graph.Graph, prog GASProgram, cfg GASConfig) (map[graph.ID]float6
 						stepBytes += msgSize
 					}
 				}
-				if frozen {
-					for _, e := range g.OutAt(i) {
-						scatter(e.To)
-					}
-				} else {
-					for _, e := range g.Out(id) {
-						ti, _ := g.Index(e.To)
-						scatter(ti)
-					}
+				for _, e := range g.OutAt(i) {
+					scatter(e.To)
 				}
 			}
 		}
