@@ -23,7 +23,7 @@ import "slices"
 // label table, and property headers only if some vertex has a property.
 // Builder.Graph keeps the map the builder grew and Splice keeps or builds
 // one; a graph that never had one — a cut (Subgraph), a decoded frame or
-// snapshot (FromMapped, DecodeFlat) — builds it on the first by-ID lookup
+// snapshot (DecodeFlat) — builds it on the first by-ID lookup
 // (Index, Has, Out, In, Label, Props, …), once, shared by clones. Dense
 // kernels never look a vertex up by ID, so a fragment that is only computed
 // on never holds one.

@@ -11,14 +11,14 @@ import (
 
 // The flat codec: a graph as 8-aligned, fixed-width, little-endian
 // sections that are byte for byte the arrays the graph holds, plus one
-// string section for everything string-shaped. internal/store lays these
-// sections out behind a CRC-guarded header as a snapshot file; AppendFlat /
-// DecodeFlat put them behind a small header as the graph wire form (pattern
-// blobs, and the core of partition's fragment frame). Either way, reading is
-// a bounds check and a cast: on a little-endian host whose DenseEdge is
-// packed like the format, sections alias memory in both directions; any
-// other host — or misaligned input — transparently takes a copy, and the
-// bytes are identical either way.
+// string section for everything string-shaped. AppendFlat / DecodeFlat put
+// them behind a small header as the graph wire form, the one byte layout of a
+// graph: pattern blobs, the core of partition's fragment frame, and the body
+// of internal/store's snapshot file all carry it. Reading is a bounds check
+// and a cast: on a little-endian host whose DenseEdge is packed like the
+// format, sections alias memory in both directions; any other host — or
+// misaligned input — transparently takes a copy, and the bytes are identical
+// either way.
 //
 // Wire form (all integers little-endian; every section starts 8-aligned
 // relative to the first header byte, zero padding between):
@@ -38,7 +38,7 @@ import (
 //
 // The reverse CSR is not shipped: the decoded graph derives it by counting
 // sort if a kernel asks for in-edges, which costs less than moving 16 bytes
-// per edge through a socket.
+// per edge through a socket or onto disk.
 
 const (
 	flatMagic     = 0x4c465247 // "GRFL"
@@ -77,8 +77,8 @@ func bytesSlice[T any](b []byte) []T {
 	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), len(b)/int(unsafe.Sizeof(z)))
 }
 
-// IDBytes returns the section bytes of an ID array (write path).
-func IDBytes(v []ID) []byte {
+// idBytes returns the section bytes of an ID array (write path).
+func idBytes(v []ID) []byte {
 	if CanAlias() {
 		return sliceBytes(v)
 	}
@@ -101,8 +101,8 @@ func Int32Bytes(v []int32) []byte {
 	return buf
 }
 
-// DenseBytes returns the section bytes of a packed edge array (write path).
-func DenseBytes(v []DenseEdge) []byte {
+// denseBytes returns the section bytes of a packed edge array (write path).
+func denseBytes(v []DenseEdge) []byte {
 	if CanAlias() {
 		return sliceBytes(v)
 	}
@@ -115,10 +115,10 @@ func DenseBytes(v []DenseEdge) []byte {
 	return buf
 }
 
-// ViewIDs returns the typed view of an ID section (read path). Where the host
+// viewIDs returns the typed view of an ID section (read path). Where the host
 // can alias, b must be 8-aligned and stay alive and unmodified as long as the
 // returned slice.
-func ViewIDs(b []byte) []ID {
+func viewIDs(b []byte) []ID {
 	if CanAlias() {
 		return bytesSlice[ID](b)
 	}
@@ -129,7 +129,7 @@ func ViewIDs(b []byte) []ID {
 	return v
 }
 
-// ViewInt32s is ViewIDs for an int32 section.
+// ViewInt32s is viewIDs for an int32 section.
 func ViewInt32s(b []byte) []int32 {
 	if CanAlias() {
 		return bytesSlice[int32](b)
@@ -141,8 +141,8 @@ func ViewInt32s(b []byte) []int32 {
 	return v
 }
 
-// ViewDense is ViewIDs for a packed edge section.
-func ViewDense(b []byte) []DenseEdge {
+// viewDense is viewIDs for a packed edge section.
+func viewDense(b []byte) []DenseEdge {
 	if CanAlias() {
 		return bytesSlice[DenseEdge](b)
 	}
@@ -188,10 +188,10 @@ func AppendSection(buf []byte, base int, sec []byte) []byte {
 	return append(buf, sec...)
 }
 
-// AppendStrings appends the string section of d: the label-intern table,
+// appendStrings appends the string section of d: the label-intern table,
 // then the sparse property entries (uvarint dense index, uvarint count,
 // strings). Strings are uvarint length + raw bytes.
-func AppendStrings(buf []byte, d CSRData) []byte {
+func appendStrings(buf []byte, d csrData) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(d.Labels)))
 	for _, s := range d.Labels {
 		buf = appendString(buf, s)
@@ -216,8 +216,8 @@ func AppendStrings(buf []byte, d CSRData) []byte {
 	return buf
 }
 
-// stringsLen returns the length of the string section AppendStrings writes.
-func stringsLen(d CSRData) int {
+// stringsLen returns the length of the string section appendStrings writes.
+func stringsLen(d csrData) int {
 	n, entries := 0, 0
 	str := func(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
 	for _, s := range d.Labels {
@@ -243,13 +243,13 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// ParseStrings decodes a string section for a graph of nv vertices. The
+// parseStrings decodes a string section for a graph of nv vertices. The
 // section is copied to the heap once and every label and property is a
 // substring of that copy (strings cannot alias a mapping that may be
 // unmapped, or a frame), so decoding allocates per section, not per string.
 // Every count is checked against the bytes that remain before anything is
 // sized from it. props is nil when no vertex has any.
-func ParseStrings(data []byte, nv int) (labels []string, props [][]string, err error) {
+func parseStrings(data []byte, nv int) (labels []string, props [][]string, err error) {
 	all := string(data)
 	pos := 0
 	str := func() (string, error) {
@@ -338,7 +338,7 @@ func flatLayout(nv, nd, strs uint64) (ids, vlab, outOff, outDense, total uint64)
 
 // FlatLen returns the exact number of bytes AppendFlat writes for g.
 func FlatLen(g *Graph) int {
-	d := g.outView()
+	d := g.flatView()
 	_, _, _, _, total := flatLayout(uint64(len(d.IDs)), uint64(len(d.OutDense)), uint64(stringsLen(d)))
 	return int(total)
 }
@@ -349,7 +349,7 @@ func FlatLen(g *Graph) int {
 // to len(buf) at entry — a caller that wants the decoder to alias them places
 // that offset 8-aligned in an 8-aligned buffer.
 func AppendFlat(buf []byte, g *Graph) []byte {
-	d := g.outView()
+	d := g.flatView()
 	strs := stringsLen(d)
 	_, _, _, _, total := flatLayout(uint64(len(d.IDs)), uint64(len(d.OutDense)), uint64(strs))
 	buf = slices.Grow(buf, int(total))
@@ -365,11 +365,11 @@ func AppendFlat(buf []byte, g *Graph) []byte {
 	buf = le.AppendUint32(buf, uint32(len(d.OutDense)))
 	buf = le.AppendUint64(buf, uint64(d.NumEdges))
 	buf = le.AppendUint64(buf, uint64(strs))
-	buf = AppendStrings(buf, d)
-	buf = AppendSection(buf, base, IDBytes(d.IDs))
+	buf = appendStrings(buf, d)
+	buf = AppendSection(buf, base, idBytes(d.IDs))
 	buf = AppendSection(buf, base, Int32Bytes(d.VLabels))
 	buf = AppendSection(buf, base, Int32Bytes(d.OutOff))
-	return AppendSection(buf, base, DenseBytes(d.OutDense))
+	return AppendSection(buf, base, denseBytes(d.OutDense))
 }
 
 // DecodeFlat decodes a wire form from the front of data, returning the
@@ -378,7 +378,7 @@ func AppendFlat(buf []byte, g *Graph) []byte {
 // views into data, which must then stay alive and unmodified as long as the
 // graph (or a clone) is in use; misaligned input is copied once first.
 // Every count is checked against len(data) before anything is sized from it,
-// and FromMapped bounds-checks every array and rejects repeated vertex IDs, so
+// and every array is bounds-checked and repeated vertex IDs are rejected, so
 // hostile bytes error.
 func DecodeFlat(data []byte) (*Graph, int, error) { return DecodeFlatProven(data, distinctIDs) }
 
@@ -403,17 +403,17 @@ func DecodeFlatProven(data []byte, distinct func(*Graph) error) (*Graph, int, er
 		return nil, 0, fmt.Errorf("graph: flat form claims |V|=%d packed=%d |E|=%d strs=%d in %d bytes", nv, nd, ne, strs, len(data))
 	}
 	data = Realigned(data[:total])
-	labels, props, err := ParseStrings(data[flatHeaderLen:flatHeaderLen+strs], int(nv))
+	labels, props, err := parseStrings(data[flatHeaderLen:flatHeaderLen+strs], int(nv))
 	if err != nil {
 		return nil, 0, fmt.Errorf("graph: flat form strings: %w", err)
 	}
-	g, err := fromMapped(CSRData{
+	g, err := fromFlat(csrData{
 		Directed: directed,
 		NumEdges: int(ne),
-		IDs:      ViewIDs(data[ids : ids+nv*8]),
+		IDs:      viewIDs(data[ids : ids+nv*8]),
 		VLabels:  ViewInt32s(data[vlab : vlab+nv*4]),
 		OutOff:   ViewInt32s(data[outOff : outOff+(nv+1)*4]),
-		OutDense: ViewDense(data[outDense : outDense+nd*16]),
+		OutDense: viewDense(data[outDense : outDense+nd*16]),
 		Labels:   labels,
 		Props:    props,
 	}, distinct)

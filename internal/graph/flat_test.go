@@ -176,7 +176,7 @@ func TestDecodeCountsBeforeAllocating(t *testing.T) {
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, _, err := ParseStrings(strs, 1)
+		_, _, err := parseStrings(strs, 1)
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Fatalf("strs % x: parsed without error", strs)

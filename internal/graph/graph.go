@@ -16,9 +16,9 @@
 // one-operation splices, each O(|G|).
 //
 // The CSR form is also what travels — flat.go lays the same arrays out as
-// aligned sections for snapshots (internal/store) and for the fragment frames
-// of the socket substrate, and FromMapped/DecodeFlat alias them back without
-// copying.
+// aligned sections, the one byte layout of a graph: fragment frames of the
+// socket substrate and snapshots (internal/store) carry it, and DecodeFlat
+// aliases the arrays back without copying.
 package graph
 
 import (

@@ -39,15 +39,12 @@ func checkLookups(t *testing.T, name string, g *Graph) {
 	}
 }
 
-// TestDerivedGraphsIndexOnFirstLookup: a cut, a decoded wire form and a
-// mapped snapshot keep only their arrays — no ID map, no property headers
-// when nothing has a property — until something looks a vertex up by ID.
+// TestDerivedGraphsIndexOnFirstLookup: a cut and a decoded wire form (a
+// frame's or a snapshot's) keep only their arrays — no ID map, no property
+// headers when nothing has a property — until something looks a vertex up by
+// ID.
 func TestDerivedGraphsIndexOnFirstLookup(t *testing.T) {
 	src := chain(40, 3, false)
-	mapped, err := FromMapped(src.CSRView())
-	if err != nil {
-		t.Fatal(err)
-	}
 	sub := NewSubgraphBuilder(src).Subgraph([]int32{4, 5, 6, 7}, nil)
 	dec, _, err := DecodeFlat(AppendFlat(nil, sub))
 	if err != nil {
@@ -58,7 +55,7 @@ func TestDerivedGraphsIndexOnFirstLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	derived := map[string]*Graph{"FromMapped": mapped, "Subgraph": sub, "DecodeFlat": dec, "DecodeFlatProven": proven}
+	derived := map[string]*Graph{"Subgraph": sub, "DecodeFlat": dec, "DecodeFlatProven": proven}
 	for name, g := range derived {
 		if holdsIndex(g) {
 			t.Fatalf("%s: holds an ID index before any lookup", name)
@@ -68,7 +65,7 @@ func TestDerivedGraphsIndexOnFirstLookup(t *testing.T) {
 		}
 	}
 	for name, g := range derived {
-		if err := Diff(map[string]*Graph{"FromMapped": src, "Subgraph": sub, "DecodeFlat": sub, "DecodeFlatProven": falling}[name], g); err != nil {
+		if err := Diff(map[string]*Graph{"Subgraph": sub, "DecodeFlat": sub, "DecodeFlatProven": falling}[name], g); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		checkLookups(t, name, g)

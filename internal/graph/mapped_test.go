@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"encoding/binary"
 	"math/rand"
-	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -33,14 +35,14 @@ func equalGraphs(t *testing.T, want, got *Graph) {
 		if want.LabelIDAt(i) != got.LabelIDAt(i) {
 			t.Fatalf("vertex %d: interned label differs", i)
 		}
-		if !reflect.DeepEqual(want.OutAt(i), got.OutAt(i)) {
+		if !slices.Equal(want.OutAt(i), got.OutAt(i)) {
 			t.Fatalf("vertex %d: packed out-edges differ", i)
 		}
-		if !reflect.DeepEqual(want.InAt(i), got.InAt(i)) {
+		if !slices.Equal(want.InAt(i), got.InAt(i)) {
 			t.Fatalf("vertex %d: packed in-edges differ", i)
 		}
 		id := want.IDAt(i)
-		if !reflect.DeepEqual(want.In(id), got.In(id)) {
+		if !slices.Equal(want.In(id), got.In(id)) {
 			t.Fatalf("vertex %d: sparse in-edges differ", id)
 		}
 	}
@@ -77,13 +79,13 @@ func randomGraph(seed int64, directed bool) *Graph {
 	return g.Graph()
 }
 
-// TestFromMappedFreezeEquivalence: for random graphs, FromMapped(CSRView(g))
+// TestFlatRoundTripRandom: for random graphs, DecodeFlat(AppendFlat(g))
 // must be indistinguishable from g itself — the flat form round-trips every
 // observation.
-func TestFromMappedFreezeEquivalence(t *testing.T) {
+func TestFlatRoundTripRandom(t *testing.T) {
 	prop := func(seed int64, directed bool) bool {
 		g := randomGraph(seed, directed)
-		got, err := FromMapped(g.CSRView())
+		got, _, err := DecodeFlat(AppendFlat(nil, g))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -95,63 +97,46 @@ func TestFromMappedFreezeEquivalence(t *testing.T) {
 	}
 }
 
-// TestFromMappedCopiesOnMutate proves a mapped graph never writes through the
-// arrays it was built from: mutate it, and the caller's slices are unchanged.
-func TestFromMappedCopiesOnMutate(t *testing.T) {
-	g := randomGraph(7, true)
-	d := g.CSRView()
-	// Snapshot the mapped arrays the way a file mapping would hold them.
-	ids := append([]ID(nil), d.IDs...)
-	outOff := append([]int32(nil), d.OutOff...)
-	outDense := append([]DenseEdge(nil), d.OutDense...)
-	m, err := FromMapped(CSRData{
-		Directed: d.Directed, NumEdges: d.NumEdges,
-		IDs: ids, VLabels: append([]int32(nil), d.VLabels...),
-		OutOff: outOff, OutDense: outDense,
-		InOff: append([]int32(nil), d.InOff...), InDense: append([]DenseEdge(nil), d.InDense...),
-		Labels: append([]string(nil), d.Labels...),
-	})
-	if err != nil {
+// TestDecodeFlatRejectsCorruptArrays: DecodeFlat refuses flat bytes whose
+// arrays disagree with each other or with the header's counts, each for the
+// reason the mutation plants. The graph is fixed — four vertices whose IDs
+// ascend, labeled edges — so no case can skip, and a repeated ID must be
+// caught by building the index, not by the one-pass ascent proof.
+func TestDecodeFlatRejectsCorruptArrays(t *testing.T) {
+	b := NewBuilder()
+	for i, l := range []string{"a", "b", "", "a"} {
+		b.AddVertex(ID(10*(i+1)), l)
+	}
+	b.AddLabeledEdge(10, 20, 1.5, "x")
+	b.AddEdge(20, 30, 2)
+	b.AddLabeledEdge(30, 40, 0.5, "y")
+	b.AddEdge(40, 10, 1)
+	good := AppendFlat(nil, b.Graph())
+	if _, _, err := DecodeFlat(good); err != nil {
 		t.Fatal(err)
 	}
-	m.AddLabeledEdge(9999, 9998, 1.25, "new")
-	m.AddVertex(9997, "fresh")
-	for i := int32(0); i < int32(len(ids)); i++ {
-		if es := m.Out(ids[i]); len(es) > 0 {
-			if _, ok := m.RemoveEdge(ids[i], es[0].To, es[0].Label); !ok {
-				t.Fatal("remove failed")
-			}
-			break
+	le := binary.LittleEndian
+	ids, vlab, outOff, outDense, _ := flatLayout(4, 4, uint64(le.Uint32(good[24:])))
+	for _, c := range []struct {
+		name, want string
+		mut        func(b []byte)
+	}{
+		{"repeated ID", "IDs repeat", func(b []byte) { le.PutUint64(b[ids+16:], 10) }},
+		{"vertex label out of range", "vertex 1 has label id", func(b []byte) { le.PutUint32(b[vlab+4:], 99) }},
+		{"edge target out of range", "targets dense index 4 of 4", func(b []byte) { le.PutUint32(b[outDense+16:], 4) }},
+		{"edge label out of range", "has label id 99", func(b []byte) { le.PutUint32(b[outDense+20:], 99) }},
+		{"non-monotone offsets", "not monotone at 2", func(b []byte) { le.PutUint32(b[outOff+4:], 3) }},
+		{"packed count below the offsets", "offsets cover 4 of 3 edges", func(b []byte) {
+			le.PutUint32(b[12:], 3) // and |E| with it, past the header's own check
+			le.PutUint64(b[16:], 3)
+		}},
+		{"|V| beyond the bytes", "claims |V|=5", func(b []byte) { le.PutUint32(b[8:], 5) }},
+	} {
+		bad := append([]byte(nil), good...)
+		c.mut(bad)
+		_, _, err := DecodeFlat(bad)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error containing %q", c.name, err, c.want)
 		}
 	}
-	if !reflect.DeepEqual(ids[:len(d.IDs)], d.IDs) ||
-		!reflect.DeepEqual(outOff, d.OutOff) ||
-		!reflect.DeepEqual(outDense, d.OutDense) {
-		t.Fatal("mutation wrote through the mapped arrays")
-	}
-}
-
-// TestFromMappedRejectsCorruptInput spot-checks the bounds validation.
-func TestFromMappedRejectsCorruptInput(t *testing.T) {
-	g := randomGraph(11, true)
-	base := g.CSRView()
-	if g.NumVertices() < 2 || len(base.OutDense) == 0 {
-		t.Skip("degenerate seed")
-	}
-	corrupt := func(name string, mut func(*CSRData)) {
-		d := base
-		d.IDs = append([]ID(nil), base.IDs...)
-		d.VLabels = append([]int32(nil), base.VLabels...)
-		d.OutOff = append([]int32(nil), base.OutOff...)
-		d.OutDense = append([]DenseEdge(nil), base.OutDense...)
-		mut(&d)
-		if _, err := FromMapped(d); err == nil {
-			t.Errorf("%s: corrupt input accepted", name)
-		}
-	}
-	corrupt("dup id", func(d *CSRData) { d.IDs[1] = d.IDs[0] })
-	corrupt("label out of range", func(d *CSRData) { d.VLabels[0] = int32(len(d.Labels)) })
-	corrupt("target out of range", func(d *CSRData) { d.OutDense[0].To = int32(len(d.IDs)) })
-	corrupt("offsets not monotone", func(d *CSRData) { d.OutOff[1] = d.OutOff[len(d.OutOff)-1] + 1 })
-	corrupt("short vlab", func(d *CSRData) { d.VLabels = d.VLabels[:len(d.VLabels)-1] })
 }

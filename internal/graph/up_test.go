@@ -76,7 +76,7 @@ func checkUp(t *testing.T, what string, h *Graph, want map[ID]map[ID]bool) {
 // TestUpCSRMatchesNeighbourSets: UpCSR lists, for every vertex, each of its
 // undirected neighbors with a larger ID exactly once — on random directed
 // and undirected graphs with sparse IDs, self-loops, parallel and reciprocal
-// edges; as built, rebuilt by FromMapped without a reverse CSR, and spliced
+// edges; as built, decoded from its flat form, and spliced
 // (a batch appending a vertex out of ID order) — and deriving it leaves the
 // reverse CSR underived.
 func TestUpCSRMatchesNeighbourSets(t *testing.T) {
@@ -85,13 +85,11 @@ func TestUpCSRMatchesNeighbourSets(t *testing.T) {
 			g := upGraph(seed, directed)
 			want := upSets(g)
 			fz := g.Clone()
-			d := upGraph(seed, directed).CSRView() // not g: a clone shares its views
-			d.InOff, d.InDense = nil, nil
-			mapped, err := FromMapped(d)
+			decoded, _, err := DecodeFlat(AppendFlat(nil, g))
 			if err != nil {
 				t.Fatal(err)
 			}
-			for what, h := range map[string]*Graph{"frozen": fz, "mapped": mapped} {
+			for what, h := range map[string]*Graph{"frozen": fz, "decoded": decoded} {
 				checkUp(t, what, h, want)
 				if h.lazy.rev.Load() != nil {
 					t.Fatalf("seed %d directed=%v %s: deriving the up view derived the reverse CSR", seed, directed, what)

@@ -755,3 +755,37 @@ func TestDurableCorruptSnapshotIsLoud(t *testing.T) {
 		t.Fatalf("ERROR records %v, want one naming road, epoch 1 and the checksum mismatch", loud)
 	}
 }
+
+// TestDurableVersion1SnapshotIsUnusable: a graph whose only snapshot names
+// format version 1 — a layout no reader of this build parses — is not
+// recovered, and every request naming it says why.
+func TestDurableVersion1SnapshotIsUnusable(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Workers: 4, Strategy: "hash"}
+	newDurableServer(t, dir, cfg).Close()
+	snaps, err := filepath.Glob(filepath.Join(dir, "road", "snap-*.grs"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshot files: %v %v", snaps, err)
+	}
+	data, err := os.ReadFile(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[8], data[9], data[10], data[11] = 1, 0, 0, 0
+	if err := os.WriteFile(snaps[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, infos := reopenDurable(t, dir, cfg)
+	defer s.Close()
+	for _, info := range infos {
+		if info.Graph == "road" {
+			t.Fatalf("recovered road from a version-1 snapshot: %+v", info)
+		}
+	}
+	_, err = s.Query(context.Background(), QueryRequest{Graph: "road", Program: "cc"})
+	if !errors.Is(err, ErrNotFound) || !strings.Contains(err.Error(), "snapshot is unusable") ||
+		!strings.Contains(err.Error(), "unsupported format version 1") {
+		t.Fatalf("query naming road: %v, want not-resident naming version 1", err)
+	}
+}

@@ -1,10 +1,12 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"grape/internal/graph"
@@ -12,10 +14,12 @@ import (
 
 // FuzzSnapshotRoundTrip throws arbitrary bytes at the snapshot parser: it
 // must never panic, and anything it does accept must be a valid graph. The
-// corpus is seeded with real snapshots (and light mutations of them) so the
-// fuzzer starts past the magic/CRC gates.
+// corpus is seeded with real snapshots and light mutations of them, one
+// naming format version 1; each input is also parsed resealed, so the
+// fuzzer's mutations of the body reach graph.DecodeFlat past the checksums.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	dir := f.TempDir()
+	var v2 []byte
 	for seed := int64(0); seed < 4; seed++ {
 		for _, directed := range []bool{true, false} {
 			g := testGraph(seed, directed).Freeze()
@@ -28,6 +32,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 				f.Fatal(err)
 			}
 			f.Add(data)
+			v2 = data
 			if len(data) > snapHeaderSize {
 				flipped := append([]byte(nil), data...)
 				flipped[snapHeaderSize+seedOffset(seed, len(flipped)-snapHeaderSize)] ^= 0x10
@@ -38,49 +43,79 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			dup := repeatID(data)
 			buf := graph.AlignedBuf(len(dup))
 			copy(buf, dup)
-			if _, si, err := parseSnapshot(buf); err == nil {
-				si.Close()
-				f.Fatalf("seed %d: a snapshot naming one vertex ID twice was accepted", seed)
+			if _, _, err := parseSnapshot(buf); err == nil || !strings.Contains(err.Error(), "IDs repeat") {
+				f.Fatalf("seed %d: a snapshot naming one vertex ID twice: %v, want the distinct-ID check's refusal", seed, err)
 			}
 			f.Add(dup)
 		}
 	}
 	f.Add([]byte{})
 	f.Add([]byte("GRAPESNP"))
+	f.Add(withVersion(v2, 1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Parse from aligned memory, exactly as the plain-read path does —
-		// fuzz inputs carry no alignment guarantee.
-		buf := graph.AlignedBuf(len(data))
-		copy(buf, data)
-		g, si, err := parseSnapshot(buf)
-		if err != nil {
-			return
-		}
-		defer si.Close()
-		if err := g.Validate(); err != nil {
-			t.Fatalf("accepted snapshot decodes to invalid graph: %v", err)
-		}
-		// Round-trip: re-writing the accepted graph must succeed.
-		p := filepath.Join(t.TempDir(), "rt.grs")
-		if _, err := WriteSnapshotFile(p, g, si.Epoch); err != nil {
-			t.Fatalf("rewriting accepted snapshot: %v", err)
+		parseAccepted(t, data)
+		if len(data) >= snapHeaderSize {
+			// The same bytes resealed: a mutation that breaks a checksum
+			// still reaches graph.DecodeFlat.
+			parseAccepted(t, reseal(append([]byte(nil), data...)))
 		}
 	})
 }
 
-// repeatID returns a copy of a snapshot whose ID section names its first
-// vertex again at the last position, with the section and header checksums
-// recomputed: nothing but the distinct-ID check stands between it and a graph.
+// parseAccepted parses data as a snapshot from aligned memory, exactly as
+// the plain-read path does — fuzz inputs carry no alignment guarantee — and,
+// if the parser accepts it, requires a valid graph whose own snapshot parses
+// back to a graph with the same snapshot, byte for byte.
+func parseAccepted(t *testing.T, data []byte) {
+	buf := graph.AlignedBuf(len(data))
+	copy(buf, data)
+	g, si, err := parseSnapshot(buf)
+	if err != nil {
+		return
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatalf("accepted snapshot decodes to invalid graph: %v", err)
+	}
+	image := encodeSnapshot(g, si.Epoch)
+	back, bsi, err := parseSnapshot(image)
+	if err != nil {
+		t.Fatalf("re-encoding an accepted snapshot: %v", err)
+	}
+	if !bytes.Equal(encodeSnapshot(back, bsi.Epoch), image) {
+		t.Fatal("an accepted snapshot does not round-trip")
+	}
+}
+
+// reseal rewrites a snapshot image's body length and both checksums in
+// place to match its bytes, and returns it.
+func reseal(b []byte) []byte {
+	le := binary.LittleEndian
+	le.PutUint64(b[24:], uint64(len(b)-snapHeaderSize))
+	le.PutUint32(b[32:], crc32.Checksum(b[snapHeaderSize:], castagnoli))
+	le.PutUint32(b[44:], crc32.Checksum(b[:44], castagnoli))
+	return b
+}
+
+// repeatID returns a copy of a snapshot whose ID array names its first
+// vertex again at the last position, resealed: nothing but the distinct-ID
+// check stands between it and a graph.
 func repeatID(data []byte) []byte {
 	out := append([]byte(nil), data...)
+	body := out[snapHeaderSize:]
 	le := binary.LittleEndian
-	off, n := le.Uint64(out[48:]), le.Uint64(out[56:])
-	ids := out[off : off+n]
-	copy(ids[n-8:], ids[:8])
-	le.PutUint32(out[64:], crc32.Checksum(ids, castagnoli))
-	le.PutUint32(out[snapHeaderSize-8:], crc32.Checksum(out[:snapHeaderSize-8], castagnoli))
-	return out
+	nv := int(le.Uint32(body[8:]))
+	ids := body[graph.Align8(32+int(le.Uint32(body[24:]))):][:8*nv]
+	copy(ids[8*(nv-1):], ids[:8])
+	return reseal(out)
+}
+
+// withVersion returns a copy of a snapshot whose header names format version
+// v, resealed.
+func withVersion(data []byte, v uint32) []byte {
+	out := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(out[8:], v)
+	return reseal(out)
 }
 
 func seedOffset(seed int64, span int) int64 {

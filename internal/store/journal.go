@@ -312,3 +312,8 @@ func bytesEqual32(b []byte, want [32]byte) bool {
 	copy(got[:], b)
 	return got == want
 }
+
+func appendStr(buf []byte, s string) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(s)))
+	return append(buf, s...)
+}

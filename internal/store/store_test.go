@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"grape/internal/engine"
@@ -55,18 +56,17 @@ func assertSameGraph(t *testing.T, want, got *graph.Graph) {
 	}
 }
 
-// TestSnapshotFormatPinned pins the on-disk snapshot format (version 1) by
-// the SHA-256 of what WriteSnapshotFile produces for fixed graphs: the
-// section codec is shared with the wire's flat frames, and a change made for
-// the wire must not move a byte on disk. The hashes were taken before the
-// codec moved into internal/graph.
+// TestSnapshotFormatPinned pins the on-disk snapshot format (version 2) by
+// the SHA-256 of what WriteSnapshotFile produces for fixed graphs: the body
+// is the flat wire form that fragment frames and pattern blobs also carry,
+// and a change made for the wire must not move a byte on disk unnoticed.
 func TestSnapshotFormatPinned(t *testing.T) {
 	for _, c := range []struct {
 		directed bool
 		want     string
 	}{
-		{true, "5a6acff11446f6f5e0c4748dc0041895b47769f6591eb0070c05586ce5604ea1"},
-		{false, "9414247c93c728de7c46c84d892b53076fb1d8eef89e97852449133dff700b57"},
+		{true, "7f676d106ce9df17a4e05e782972a3982528d87edf830c82a5771560b001f6c8"},
+		{false, "d6a283523cb7d9d2ae21150716b44380e63c8eab84585c320a1b013b027f94db"},
 	} {
 		path := filepath.Join(t.TempDir(), "g.grs")
 		if _, err := WriteSnapshotFile(path, testGraph(3, c.directed).Freeze(), 42); err != nil {
@@ -91,9 +91,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			for _, id := range g.Vertices() {
 				wantIn[id] = g.In(id)
 			}
-			// frozen and written without anything having read an in-edge:
-			// the snapshot must carry the reverse CSR all the same
-			g.Freeze()
+			// the snapshot carries no reverse CSR: the reopened graph
+			// derives the in-edges its out-edges imply
 			sameIn := func(got *graph.Graph) {
 				t.Helper()
 				for id, want := range wantIn {
@@ -172,7 +171,7 @@ func TestSnapshotCorruptionDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip one byte at a spread of offsets across the whole file; every
-	// flip must be caught by the header or a section checksum.
+	// flip must be caught by the header or the body checksum.
 	for off := 0; off < len(orig); off += 1 + len(orig)/97 {
 		bad := append([]byte(nil), orig...)
 		bad[off] ^= 0x40
@@ -195,6 +194,38 @@ func TestSnapshotCorruptionDetected(t *testing.T) {
 			si.Close()
 			t.Fatalf("truncation to %d bytes not detected", cut)
 		}
+	}
+}
+
+// TestSnapshotVersion1Refused: a snapshot whose header names format
+// version 1 is refused by its version on both read paths, and a store whose
+// only snapshot it is opens as ErrNoSnapshot with that reason.
+func TestSnapshotVersion1Refused(t *testing.T) {
+	s, _ := Open(t.TempDir())
+	gs, _ := s.Graph("g")
+	if err := gs.Create(testGraph(3, true), 1); err != nil {
+		t.Fatal(err)
+	}
+	gs.Close()
+	path := gs.snapPath(1)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, withVersion(data, 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const want = "unsupported format version 1"
+	for name, open := range map[string]func(string) (*graph.Graph, *SnapshotInfo, error){
+		"read": ReadSnapshotFile, "open": OpenSnapshotFile,
+	} {
+		if _, si, err := open(path); err == nil || !strings.Contains(err.Error(), want) {
+			si.Close()
+			t.Fatalf("%s: %v, want an error naming version 1", name, err)
+		}
+	}
+	if _, err := gs.Open(); !errors.Is(err, ErrNoSnapshot) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open: %v, want ErrNoSnapshot naming version 1", err)
 	}
 }
 
