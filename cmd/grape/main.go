@@ -50,7 +50,7 @@ func main() {
 		program  = flag.String("program", "", "program name (see -list)")
 		query    = flag.String("query", "", "query string (see each program's help)")
 		workers  = flag.Int("workers", 8, "number of workers")
-		strategy = flag.String("strategy", "fennel", "partition strategy (hash|range|fennel|metis|2d)")
+		strategy = flag.String("strategy", "fennel", "partition strategy (hash|range|fennel|ldg|metis|2d)")
 		check    = flag.Bool("check", false, "verify the monotonic condition at run time")
 		steps    = flag.Bool("steps", false, "print the per-superstep PEval/IncEval breakdown")
 		traceOut = flag.String("trace", "", "write the run's flight-recorder trace to this file as Chrome trace-event JSON (open in Perfetto or chrome://tracing)")

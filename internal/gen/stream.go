@@ -51,9 +51,9 @@ func UpdateStream(g *graph.Graph, cfg StreamConfig) [][]Update {
 		label    string
 	}
 	var live []inst
-	for _, u := range vs {
-		for _, e := range g.Out(u) {
-			live = append(live, inst{u, e.To, e.Label})
+	for _, u := range g.SortedIndices() {
+		for _, e := range g.OutAt(u) {
+			live = append(live, inst{g.IDAt(u), g.IDAt(e.To), g.LabelName(e.Label)})
 		}
 	}
 	pickLabel := func() string {

@@ -216,8 +216,12 @@ func CandidateRules(minFracs []float64) []Rule {
 }
 
 func hasLabeledEdge(g *graph.Graph, from, to graph.ID, label string) bool {
-	for _, e := range g.Out(from) {
-		if e.To == to && e.Label == label {
+	i, ok := g.Index(from)
+	if !ok {
+		return false
+	}
+	for _, e := range g.OutAt(i) {
+		if g.IDAt(e.To) == to && g.LabelName(e.Label) == label {
 			return true
 		}
 	}
@@ -243,19 +247,23 @@ func Example2Rule(minFrac float64) Rule {
 		Y:          2,
 		Consequent: gen.EdgeBuy,
 		Quantifier: func(g *graph.Graph, x, y graph.ID) bool {
+			xi, ok := g.Index(x)
+			if !ok {
+				return false
+			}
 			followees := 0
 			recommenders := 0
-			for _, e := range g.Out(x) {
-				if e.Label != gen.EdgeFollow {
+			for _, e := range g.OutAt(xi) {
+				if g.LabelName(e.Label) != gen.EdgeFollow {
 					continue
 				}
 				followees++
 				recommends := false
-				for _, fe := range g.Out(e.To) {
-					if fe.To != y {
+				for _, fe := range g.OutAt(e.To) {
+					if g.IDAt(fe.To) != y {
 						continue
 					}
-					switch fe.Label {
+					switch g.LabelName(fe.Label) {
 					case gen.EdgeRecommend:
 						recommends = true
 					case gen.EdgeRateBad:

@@ -9,15 +9,13 @@ import "slices"
 // lookup, and every read method is safe for concurrent use.
 //
 // The dense CSR is the one adjacency a graph stores: 16 bytes per packed
-// edge, the arrays the kernels read and the arrays flat.go ships. The
-// sparse-ID []Edge arrays behind Out/In (32 bytes per edge, per direction)
-// are a view for the boundary API: the first Out or In that needs one derives
-// it from the dense array in a single pass under a sync.Once, so concurrent
-// first use is safe and a graph only ever walked densely — a shipped fragment
-// under a dense kernel — never pays for it. The reverse CSR of a directed
-// graph is derived the same way, on the first InAt, In or InDegreeAt (sssp,
-// cc, keyword, cf and tricount never read it), and so is the larger-ID
-// neighbor view tricount reads (UpCSR).
+// edge, the arrays the kernels read and the arrays flat.go ships. Out and In
+// resolve a vertex's packed edges to sparse-ID Edges on each call, for
+// programs, examples and tests; nothing keeps an ID-keyed copy of the
+// adjacency. The reverse CSR of a directed graph is derived from the out CSR
+// on the first InAt, In or InDegreeAt, once, under a sync.Once, so concurrent
+// first use is safe (sssp, cc, keyword, cf and tricount never read it), and
+// so is the larger-ID neighbor view tricount reads (UpCSR).
 //
 // So is the ID index. A graph stores its ids, vlab, outOff and outDense, the
 // label table, and property headers only if some vertex has a property.
@@ -124,17 +122,6 @@ func upCSR(ids []ID, outOff []int32, outDense []DenseEdge) (off, adj []int32) {
 		adj = slices.Clone(adj[:w]) // the view lives as long as the graph: no slack
 	}
 	return off, adj
-}
-
-// sparseEdges derives the sparse-ID view of a packed edge array — the
-// inverse of what Builder.Graph interns: Edge{To: ids[e.To], W, labels[e.Label]}.
-// dense must have passed checkDense.
-func sparseEdges(dense []DenseEdge, ids []ID, labels []string) []Edge {
-	out := make([]Edge, len(dense))
-	for k, e := range dense {
-		out[k] = Edge{To: ids[e.To], W: e.W, Label: labels[e.Label]}
-	}
-	return out
 }
 
 // OutAt returns the packed out-edges of the vertex at dense index i. The

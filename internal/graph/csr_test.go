@@ -151,72 +151,38 @@ func benchGraph(n int) *Graph {
 }
 
 // The benchmark bodies do what every traversal kernel does per edge hop:
-// land on the target and touch per-target state. On the sparse path Edge.To
-// is a sparse ID, so the landing costs a hash lookup; on the dense path
-// DenseEdge.To indexes directly.
+// land on the target and touch per-target state. DenseEdge.To indexes that
+// state directly.
 func BenchmarkTraversalOut(b *testing.B) {
 	const n = 10000
-	b.Run("sparse", func(b *testing.B) {
-		g := benchGraph(n)
-		b.ReportAllocs()
-		b.ResetTimer()
-		sum := 0
-		for i := 0; i < b.N; i++ {
-			for v := 0; v < n; v++ {
-				for _, e := range g.Out(ID(v)) {
-					sum += g.OutDegree(e.To) // sparse target: hash per hop
-				}
+	g := benchGraph(n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	sum := 0
+	for i := 0; i < b.N; i++ {
+		for vi := int32(0); vi < int32(n); vi++ {
+			for _, e := range g.OutAt(vi) {
+				sum += g.OutDegreeAt(e.To)
 			}
 		}
-		_ = sum
-	})
-	b.Run("dense", func(b *testing.B) {
-		g := benchGraph(n)
-		b.ReportAllocs()
-		b.ResetTimer()
-		sum := 0
-		for i := 0; i < b.N; i++ {
-			for vi := int32(0); vi < int32(n); vi++ {
-				for _, e := range g.OutAt(vi) {
-					sum += g.OutDegreeAt(e.To) // dense target: direct index
-				}
-			}
-		}
-		_ = sum
-	})
+	}
+	_ = sum
 }
 
 func BenchmarkTraversalIn(b *testing.B) {
 	const n = 10000
-	b.Run("sparse", func(b *testing.B) {
-		g := benchGraph(n)
-		g.In(0) // derive the sparse reverse view outside the timing loop
-		b.ReportAllocs()
-		b.ResetTimer()
-		sum := 0
-		for i := 0; i < b.N; i++ {
-			for v := 0; v < n; v++ {
-				for _, e := range g.In(ID(v)) {
-					sum += g.OutDegree(e.To)
-				}
+	g := benchGraph(n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	sum := 0
+	for i := 0; i < b.N; i++ {
+		for vi := int32(0); vi < int32(n); vi++ {
+			for _, e := range g.InAt(vi) {
+				sum += g.OutDegreeAt(e.To)
 			}
 		}
-		_ = sum
-	})
-	b.Run("dense", func(b *testing.B) {
-		g := benchGraph(n)
-		b.ReportAllocs()
-		b.ResetTimer()
-		sum := 0
-		for i := 0; i < b.N; i++ {
-			for vi := int32(0); vi < int32(n); vi++ {
-				for _, e := range g.InAt(vi) {
-					sum += g.OutDegreeAt(e.To)
-				}
-			}
-		}
-		_ = sum
-	})
+	}
+	_ = sum
 }
 
 // inEdges lists each vertex's in-edges from the out-edges, sources in dense

@@ -24,7 +24,7 @@ package graph
 import (
 	"fmt"
 	"maps"
-	"reflect"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -67,16 +67,14 @@ type Graph struct {
 // lazyViews holds what a graph derives from its out CSR, each part
 // under its own sync.Once on the first call that reads it, so concurrent
 // first use is safe and a run that never asks never pays: the reverse CSR of
-// a directed graph (InAt, In, InDegreeAt), the sparse-ID edge arrays parallel
-// to outDense/inDense (Out, In), the ascending-ID vertex order
+// a directed graph (InAt, In, InDegreeAt), the ascending-ID vertex order
 // (SortedIndices), the larger-ID neighbor lists (UpCSR) and, for a graph
 // with no map of its own, the ID index (Index and every by-ID lookup). Clones
 // share the CSR arrays and so share the views.
 type lazyViews struct {
-	revOnce, outOnce, inOnce, orderOnce, upOnce, indexOnce sync.Once
+	revOnce, orderOnce, upOnce, indexOnce sync.Once
 
 	rev          atomic.Pointer[revCSR] // set once, under revOnce
-	out, in      []Edge
 	order        []int32
 	upOff, upAdj []int32
 	index        map[ID]int32 // never written after indexOnce: Splice builds its own
@@ -93,20 +91,6 @@ func (g *Graph) reverse() *revCSR {
 	s := g.lazy
 	s.revOnce.Do(func() { s.rev.Store(reverseCSR(g.outOff, g.outDense)) })
 	return s.rev.Load()
-}
-
-func (g *Graph) sparseOut() []Edge {
-	s := g.lazy
-	s.outOnce.Do(func() { s.out = sparseEdges(g.outDense, g.ids, g.labelNames) })
-	return s.out
-}
-
-func (g *Graph) sparseIn() []Edge {
-	s := g.lazy
-	s.inOnce.Do(func() {
-		s.in = sparseEdges(g.reverse().dense, g.ids, g.labelNames)
-	})
-	return s.in
 }
 
 // idIndex returns the graph's ID index: its own map, or — for a graph with
@@ -265,34 +249,35 @@ func (g *Graph) Props(id ID) []string {
 	return nil
 }
 
-// Out returns the out-edges of id (nil if absent). The caller must not mutate
-// the returned slice.
+// Out returns the out-edges of id (nil if absent or none), built from OutAt
+// on each call: a by-ID convenience for programs, examples and tests. Library
+// code walks OutAt.
 func (g *Graph) Out(id ID) []Edge {
 	if i, ok := g.Index(id); ok {
-		a, b := g.outOff[i], g.outOff[i+1]
-		if a == b {
-			return nil
-		}
-		return g.sparseOut()[a:b:b]
+		return g.edges(g.OutAt(i))
 	}
 	return nil
 }
 
-// In returns the in-edges of id, a slice of the sparse view of the reverse
-// CSR. For undirected graphs In equals Out.
+// In returns the in-edges of id (nil if absent or none), built from InAt on
+// each call, as Out is. For undirected graphs In equals Out.
 func (g *Graph) In(id ID) []Edge {
-	if !g.directed {
-		return g.Out(id)
-	}
 	if i, ok := g.Index(id); ok {
-		off := g.reverse().off
-		a, b := off[i], off[i+1]
-		if a == b {
-			return nil
-		}
-		return g.sparseIn()[a:b:b]
+		return g.edges(g.InAt(i))
 	}
 	return nil
+}
+
+// edges resolves packed edges to a fresh []Edge, nil when there are none.
+func (g *Graph) edges(dense []DenseEdge) []Edge {
+	if len(dense) == 0 {
+		return nil
+	}
+	out := make([]Edge, len(dense))
+	for k, e := range dense {
+		out[k] = Edge{To: g.ids[e.To], W: e.W, Label: g.labelNames[e.Label]}
+	}
+	return out
 }
 
 // OutDegree returns the out-degree of id, 0 if absent.
@@ -371,23 +356,6 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// InducedSubgraph returns the subgraph induced by keep: vertices in keep, in
-// g's dense order, and every edge whose endpoints are both kept. Labels are
-// copied and properties shared.
-func (g *Graph) InducedSubgraph(keep map[ID]bool) *Graph {
-	seeds := make([]int32, 0, len(keep))
-	for i, id := range g.ids {
-		if keep[id] {
-			seeds = append(seeds, int32(i))
-		}
-	}
-	b := NewSubgraphBuilder(g)
-	return b.Subgraph(seeds, func(i int32, e DenseEdge) bool {
-		// an undirected edge is stored from its lower endpoint, mirror included
-		return b.Local(e.To) >= 0 && (g.directed || g.ids[i] <= g.ids[e.To])
-	})
-}
-
 // Symmetrized returns a directed copy of g with every edge mirrored, so
 // algorithms that flood along out-edges see weak connectivity. Labels,
 // properties and weights are preserved; mirror edges reuse the original
@@ -400,10 +368,11 @@ func (g *Graph) Symmetrized() *Graph {
 			s.SetProps(id, append([]string(nil), ps...))
 		}
 	}
-	for _, u := range g.ids {
-		for _, e := range g.Out(u) {
-			s.AddLabeledEdge(u, e.To, e.W, e.Label)
-			s.AddLabeledEdge(e.To, u, e.W, e.Label)
+	for i, u := range g.ids {
+		for _, e := range g.OutAt(int32(i)) {
+			v, l := g.ids[e.To], g.labelNames[e.Label]
+			s.AddLabeledEdge(u, v, e.W, l)
+			s.AddLabeledEdge(v, u, e.W, l)
 		}
 	}
 	return s.Graph()
@@ -412,9 +381,9 @@ func (g *Graph) Symmetrized() *Graph {
 // TotalWeight returns the sum of all edge weights (undirected edges once).
 func (g *Graph) TotalWeight() float64 {
 	var t float64
-	for _, u := range g.ids {
-		for _, e := range g.Out(u) {
-			if g.directed || u <= e.To {
+	for i, u := range g.ids {
+		for _, e := range g.OutAt(int32(i)) {
+			if g.directed || u <= g.ids[e.To] {
 				t += e.W
 			}
 		}
@@ -424,8 +393,8 @@ func (g *Graph) TotalWeight() float64 {
 
 // Diff returns the first observable difference between a and b — kind, dense
 // vertex order, labels, properties, per-vertex adjacency order, edge count —
-// or nil when there is none. The label intern order is not observable and
-// does not count.
+// or nil when there is none. Weights compare by their bits, so a NaN weight
+// equals itself. The label intern order is not observable and does not count.
 func Diff(a, b *Graph) error {
 	if a.directed != b.directed || a.numEdges != b.numEdges || !slices.Equal(a.ids, b.ids) {
 		return fmt.Errorf("graph: kind, edge count or dense vertex order differ")
@@ -434,11 +403,18 @@ func Diff(a, b *Graph) error {
 		if la, lb := a.LabelAt(int32(i)), b.LabelAt(int32(i)); la != lb {
 			return fmt.Errorf("graph: vertex %d labelled %q vs %q", id, la, lb)
 		}
-		if pa, pb := a.PropsAt(int32(i)), b.PropsAt(int32(i)); len(pa)+len(pb) > 0 && !reflect.DeepEqual(pa, pb) {
+		if pa, pb := a.PropsAt(int32(i)), b.PropsAt(int32(i)); !slices.Equal(pa, pb) {
 			return fmt.Errorf("graph: vertex %d properties %v vs %v", id, pa, pb)
 		}
-		if ea, eb := a.Out(id), b.Out(id); len(ea)+len(eb) > 0 && !reflect.DeepEqual(ea, eb) {
-			return fmt.Errorf("graph: vertex %d out-edges %v vs %v", id, ea, eb)
+		ea, eb := a.OutAt(int32(i)), b.OutAt(int32(i))
+		if len(ea) != len(eb) {
+			return fmt.Errorf("graph: vertex %d has %d vs %d out-edges", id, len(ea), len(eb))
+		}
+		for k, x := range ea {
+			y := eb[k]
+			if x.To != y.To || math.Float64bits(x.W) != math.Float64bits(y.W) || a.labelNames[x.Label] != b.labelNames[y.Label] {
+				return fmt.Errorf("graph: vertex %d out-edge %d: %+v vs %+v", id, k, a.edges(ea[k : k+1])[0], b.edges(eb[k : k+1])[0])
+			}
 		}
 	}
 	return nil

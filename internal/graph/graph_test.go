@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -113,23 +114,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestInducedSubgraph(t *testing.T) {
-	g := New()
-	g.AddVertex(1, "a")
-	g.AddVertex(2, "b")
-	g.AddVertex(3, "c")
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(2, 3, 1)
-	g.AddEdge(3, 1, 1)
-	s := g.InducedSubgraph(map[ID]bool{1: true, 2: true})
-	if s.NumVertices() != 2 || s.NumEdges() != 1 {
-		t.Fatalf("induced subgraph wrong: %d vertices %d edges", s.NumVertices(), s.NumEdges())
-	}
-	if s.Label(1) != "a" || s.Label(2) != "b" {
-		t.Fatal("labels not copied")
-	}
-}
-
 func TestSymmetrized(t *testing.T) {
 	g := New()
 	g.AddLabeledEdge(1, 2, 5, "x")
@@ -159,13 +143,23 @@ func TestBFSAndNeighborhood(t *testing.T) {
 	if count != 2 {
 		t.Fatalf("bfs should stop early, visited %d", count)
 	}
-	nb := g.Neighborhood([]ID{0}, 2)
-	if len(nb) != 3 || !nb[2] || nb[3] {
-		t.Fatalf("2-hop neighborhood wrong: %v", nb)
+	ids := func(idx []int32) []ID {
+		var out []ID
+		for _, i := range idx {
+			out = append(out, g.IDAt(i))
+		}
+		return out
 	}
-	un := g.UndirectedNeighborhood([]ID{3}, 1)
-	if !un[2] || un[1] {
-		t.Fatalf("undirected neighborhood wrong: %v", un)
+	i1, _ := g.Index(1)
+	i3, _ := g.Index(3)
+	if un := ids(g.UndirectedNeighborhood([]int32{i3}, 1)); !slices.Equal(un, []ID{2, 3}) {
+		t.Fatalf("undirected 1-hop neighborhood of 3: %v", un)
+	}
+	if un := ids(g.UndirectedNeighborhood([]int32{i3, i1, i3}, 1)); !slices.Equal(un, []ID{0, 1, 2, 3}) {
+		t.Fatalf("undirected 1-hop neighborhood of 3 and 1: %v", un)
+	}
+	if un := ids(g.UndirectedNeighborhood([]int32{i1}, 0)); !slices.Equal(un, []ID{1}) {
+		t.Fatalf("0-hop neighborhood of 1: %v", un)
 	}
 	if d := g.Diameter(0); d != 3 {
 		t.Fatalf("eccentricity from 0 should be 3, got %d", d)

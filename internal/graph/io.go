@@ -89,25 +89,27 @@ func ReadText(r io.Reader, directed bool) (*Graph, error) {
 // Undirected edges are written once (smaller endpoint first by insertion).
 func WriteText(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
-	for _, id := range g.Vertices() {
-		if g.Label(id) == "" && len(g.Props(id)) == 0 {
+	for i, id := range g.ids {
+		label, props := g.LabelAt(int32(i)), g.PropsAt(int32(i))
+		if label == "" && len(props) == 0 {
 			continue // implied by edges
 		}
-		fmt.Fprintf(bw, "v %d %s", id, orDash(g.Label(id)))
-		for _, p := range g.Props(id) {
+		fmt.Fprintf(bw, "v %d %s", id, orDash(label))
+		for _, p := range props {
 			fmt.Fprintf(bw, " %s", p)
 		}
 		fmt.Fprintln(bw)
 	}
-	for _, u := range g.Vertices() {
-		for _, e := range g.Out(u) {
-			if !g.Directed() && u > e.To {
+	for i, u := range g.ids {
+		for _, e := range g.OutAt(int32(i)) {
+			v := g.ids[e.To]
+			if !g.directed && u > v {
 				continue
 			}
-			if e.Label != "" {
-				fmt.Fprintf(bw, "e %d %d %g %s\n", u, e.To, e.W, e.Label)
+			if l := g.labelNames[e.Label]; l != "" {
+				fmt.Fprintf(bw, "e %d %d %g %s\n", u, v, e.W, l)
 			} else {
-				fmt.Fprintf(bw, "e %d %d %g\n", u, e.To, e.W)
+				fmt.Fprintf(bw, "e %d %d %g\n", u, v, e.W)
 			}
 		}
 	}

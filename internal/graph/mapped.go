@@ -131,7 +131,7 @@ func checkOffsets(off []int32, ne int) error {
 }
 
 // checkDense validates a packed edge array against the vertex and label
-// counts, so the dense accessors and the sparse views can index unchecked.
+// counts, so the dense accessors, Out and In can index unchecked.
 func checkDense(dense []DenseEdge, nv, nl int) error {
 	for k, e := range dense {
 		if e.To < 0 || int(e.To) >= nv {

@@ -11,8 +11,8 @@ import (
 // every array of the result is allocated once, at its final size — property
 // headers only if some vertex brings properties. The remapping scratch is
 // sized to the source once and shared by every subgraph cut from it.
-// partition.Build, InducedSubgraph and the block-centric baseline cut
-// through it.
+// partition.Build, partition.BuildExpanded and the block-centric baseline
+// cut through it.
 type SubgraphBuilder struct {
 	src   *Graph
 	local []int32 // source dense index -> dense index in the latest subgraph, -1 if absent

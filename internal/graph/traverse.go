@@ -2,18 +2,24 @@ package graph
 
 // BFS runs a breadth-first traversal from src over out-edges, invoking visit
 // with each reached vertex and its hop distance. If visit returns false the
-// traversal stops. src must exist.
+// traversal stops. An absent src reaches only itself.
 func (g *Graph) BFS(src ID, visit func(id ID, depth int) bool) {
-	seen := map[ID]bool{src: true}
-	frontier := []ID{src}
+	s, ok := g.Index(src)
+	if !ok {
+		visit(src, 0)
+		return
+	}
+	seen := make([]bool, len(g.ids))
+	seen[s] = true
+	frontier := []int32{s}
 	depth := 0
 	for len(frontier) > 0 {
-		var next []ID
+		var next []int32
 		for _, u := range frontier {
-			if !visit(u, depth) {
+			if !visit(g.ids[u], depth) {
 				return
 			}
-			for _, e := range g.Out(u) {
+			for _, e := range g.OutAt(u) {
 				if !seen[e.To] {
 					seen[e.To] = true
 					next = append(next, e.To)
@@ -25,39 +31,24 @@ func (g *Graph) BFS(src ID, visit func(id ID, depth int) bool) {
 	}
 }
 
-// Neighborhood returns the set of vertices within d hops of each seed
-// (following out-edges), including the seeds themselves.
-func (g *Graph) Neighborhood(seeds []ID, d int) map[ID]bool {
-	return g.neighborhood(seeds, d, false)
-}
-
-// UndirectedNeighborhood is Neighborhood following both edge directions.
-func (g *Graph) UndirectedNeighborhood(seeds []ID, d int) map[ID]bool {
-	return g.neighborhood(seeds, d, true)
-}
-
-// neighborhood is shared by Neighborhood and UndirectedNeighborhood: the BFS
-// runs over dense indices with a flat visited array, hashing only to resolve
-// the seeds and build the result set.
-func (g *Graph) neighborhood(seeds []ID, d int, undirected bool) map[ID]bool {
+// UndirectedNeighborhood returns the dense indices of the vertices within d
+// hops of the seeds (dense indices), following both edge directions and
+// including the seeds themselves, in ascending dense order.
+func (g *Graph) UndirectedNeighborhood(seeds []int32, d int) []int32 {
 	visited := make([]bool, len(g.ids))
 	frontier := make([]int32, 0, len(seeds))
 	n := 0
 	for _, s := range seeds {
-		if i, ok := g.Index(s); ok && !visited[i] {
-			visited[i] = true
-			frontier = append(frontier, i)
+		if !visited[s] {
+			visited[s] = true
+			frontier = append(frontier, s)
 			n++
 		}
 	}
 	for hop := 0; hop < d && len(frontier) > 0; hop++ {
 		var next []int32
 		for _, u := range frontier {
-			sides := [2][]DenseEdge{g.OutAt(u)}
-			if undirected {
-				sides[1] = g.InAt(u)
-			}
-			for _, es := range sides {
+			for _, es := range [2][]DenseEdge{g.OutAt(u), g.InAt(u)} {
 				for _, e := range es {
 					if !visited[e.To] {
 						visited[e.To] = true
@@ -69,13 +60,13 @@ func (g *Graph) neighborhood(seeds []ID, d int, undirected bool) map[ID]bool {
 		}
 		frontier = next
 	}
-	seen := make(map[ID]bool, n)
+	region := make([]int32, 0, n)
 	for i, ok := range visited {
 		if ok {
-			seen[g.ids[i]] = true
+			region = append(region, int32(i))
 		}
 	}
-	return seen
+	return region
 }
 
 // Diameter returns the hop eccentricity of src: the maximum BFS depth reached

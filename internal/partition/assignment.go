@@ -69,10 +69,9 @@ func (a *Assignment) Sizes() []int {
 // EdgeCut returns the number of edges whose endpoints have different owners.
 func (a *Assignment) EdgeCut() int {
 	cut := 0
-	for _, u := range a.G.Vertices() {
-		uo := a.Owner(u)
-		for _, e := range a.G.Out(u) {
-			if a.Owner(e.To) != uo {
+	for u, uo := range a.owner {
+		for _, e := range a.G.OutAt(int32(u)) {
+			if a.owner[e.To] != uo {
 				cut++
 			}
 		}
@@ -100,17 +99,23 @@ func (a *Assignment) Balance() float64 {
 // BorderCount returns the number of distinct vertices incident to a cut edge
 // (on either side). These are exactly the nodes carrying update parameters.
 func (a *Assignment) BorderCount() int {
-	border := make(map[graph.ID]bool)
-	for _, u := range a.G.Vertices() {
-		uo := a.Owner(u)
-		for _, e := range a.G.Out(u) {
-			if a.Owner(e.To) != uo {
-				border[u] = true
-				border[e.To] = true
+	border := make([]bool, len(a.owner))
+	n := 0
+	mark := func(i int32) {
+		if !border[i] {
+			border[i] = true
+			n++
+		}
+	}
+	for u, uo := range a.owner {
+		for _, e := range a.G.OutAt(int32(u)) {
+			if a.owner[e.To] != uo {
+				mark(int32(u))
+				mark(e.To)
 			}
 		}
 	}
-	return len(border)
+	return n
 }
 
 // Validate checks that every vertex has an owner in range.

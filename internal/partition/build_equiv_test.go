@@ -485,6 +485,37 @@ func TestBuildAllocatedBytes(t *testing.T) {
 	}
 }
 
+// TestGraphRetainsNoEdgeCopies: every strategy, EdgeCut, BorderCount,
+// BuildExpanded and an update stream walk a graph's CSR. What the graph keeps
+// afterwards is its reverse CSR (16 B per edge) and per-vertex views, not an
+// ID-keyed copy of its adjacency (32 B per edge and direction).
+func TestGraphRetainsNoEdgeCopies(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation is instrumented under -race")
+	}
+	g := gen.PreferentialAttachment(10000, 5, 1)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, s := range Strategies() {
+		asg, err := s.Partition(g, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = asg.EdgeCut(), asg.BorderCount()
+		BuildExpanded(g, asg, 1)
+	}
+	gen.UpdateStream(g, gen.StreamConfig{Batches: 4, BatchSize: 16, DeleteP: 0.5, Seed: 1})
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perEdge := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(g.NumEdges())
+	runtime.KeepAlive(g)
+	if perEdge > 24 {
+		t.Fatalf("the graph gained %.1f B per edge, budget 24", perEdge)
+	}
+	t.Logf("the graph gained %.1f B per edge", perEdge)
+}
+
 // TestLocalAgreesWithIndex: Fragment.Local finds every vertex of a fragment
 // graph — inner, outer copy, one a session added — at its dense index, and
 // nothing else.

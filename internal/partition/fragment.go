@@ -421,15 +421,18 @@ func Build(g *graph.Graph, asg *Assignment) *Layout {
 func BuildExpanded(g *graph.Graph, asg *Assignment, d int) *Layout {
 	c := newCut(g, asg)
 	src := c.g
+	b := graph.NewSubgraphBuilder(src)
+	// the region's induced subgraph: an undirected edge is stored from its
+	// lower endpoint, mirror included
+	keep := func(ui int32, e graph.DenseEdge) bool {
+		return b.Local(e.To) >= 0 && (src.Directed() || src.IDAt(ui) <= src.IDAt(e.To))
+	}
 	var replication int64
 	for w := range c.pieces {
-		seeds := make([]graph.ID, len(c.inner(w)))
-		for k, i := range c.inner(w) {
-			seeds[k] = src.IDAt(i)
-		}
-		p := piece{g: src.InducedSubgraph(src.UndirectedNeighborhood(seeds, d))}
+		region := src.UndirectedNeighborhood(c.inner(w), d)
+		p := piece{g: b.Subgraph(region, keep)} // its dense order is the region's
 		for _, li := range p.g.SortedIndices() {
-			i, _ := src.Index(p.g.IDAt(li))
+			i := region[li]
 			if asg.owner[i] == int32(w) {
 				p.innerIdx = append(p.innerIdx, li)
 				continue

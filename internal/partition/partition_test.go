@@ -217,7 +217,24 @@ func TestBuildExpandedContainsNeighborhoods(t *testing.T) {
 	d := 2
 	layout := BuildExpanded(g, asg, d)
 	for _, f := range layout.Fragments {
-		region := g.UndirectedNeighborhood(f.Inner, d)
+		// the region by its own by-ID breadth-first search over both directions
+		region := map[graph.ID]bool{}
+		frontier := f.Inner
+		for _, v := range frontier {
+			region[v] = true
+		}
+		for hop := 0; hop < d; hop++ {
+			var next []graph.ID
+			for _, u := range frontier {
+				for _, e := range append(g.Out(u), g.In(u)...) {
+					if !region[e.To] {
+						region[e.To] = true
+						next = append(next, e.To)
+					}
+				}
+			}
+			frontier = next
+		}
 		for v := range region {
 			if !f.G.Has(v) {
 				t.Fatalf("fragment %d misses %d from its %d-hop region", f.Index, v, d)

@@ -148,25 +148,12 @@ func (f Fennel) Partition(g *graph.Graph, n int) (*Assignment, error) {
 		alpha = 1
 	}
 	cap := int(math.Ceil(slack * float64(nv) / float64(n)))
-	ids := g.SortedVertices()
 	a := NewAssignment(g, n)
-	placed := make(map[graph.ID]int, nv)
+	placed := unplaced(nv)
 	sizes := make([]int, n)
 	neighborCount := make([]int, n) // scratch
-	for _, v := range ids {
-		for i := range neighborCount {
-			neighborCount[i] = 0
-		}
-		for _, e := range g.Out(v) {
-			if w, ok := placed[e.To]; ok {
-				neighborCount[w]++
-			}
-		}
-		for _, e := range g.In(v) {
-			if w, ok := placed[e.To]; ok {
-				neighborCount[w]++
-			}
-		}
+	for _, v := range g.SortedIndices() {
+		countPlaced(g, v, placed, neighborCount)
 		best, bestScore := -1, math.Inf(-1)
 		for w := 0; w < n; w++ {
 			if sizes[w] >= cap {
@@ -180,11 +167,33 @@ func (f Fennel) Partition(g *graph.Graph, n int) (*Assignment, error) {
 		if best < 0 { // all at cap (can't happen with slack > 1, but be safe)
 			best = argmin(sizes)
 		}
-		placed[v] = best
+		placed[v] = int32(best)
 		sizes[best]++
-		a.SetOwner(v, best)
+		a.SetOwnerAt(v, best)
 	}
 	return a, nil
+}
+
+// unplaced returns an owner array of nv vertices, each -1: not yet placed.
+func unplaced(nv int) []int32 {
+	owner := make([]int32, nv)
+	for i := range owner {
+		owner[i] = -1
+	}
+	return owner
+}
+
+// countPlaced sets counts[w] to the number of v's neighbours, over out- and
+// in-edges, that placed puts on part w.
+func countPlaced(g *graph.Graph, v int32, placed []int32, counts []int) {
+	clear(counts)
+	for _, es := range [2][]graph.DenseEdge{g.OutAt(v), g.InAt(v)} {
+		for _, e := range es {
+			if w := placed[e.To]; w >= 0 {
+				counts[w]++
+			}
+		}
+	}
 }
 
 func argmin(xs []int) int {
@@ -221,23 +230,11 @@ func (l LDG) Partition(g *graph.Graph, n int) (*Assignment, error) {
 	}
 	capacity := slack * float64(g.NumVertices()) / float64(n)
 	a := NewAssignment(g, n)
-	placed := make(map[graph.ID]int, g.NumVertices())
+	placed := unplaced(g.NumVertices())
 	sizes := make([]int, n)
 	neighborCount := make([]int, n)
-	for _, v := range g.SortedVertices() {
-		for i := range neighborCount {
-			neighborCount[i] = 0
-		}
-		for _, e := range g.Out(v) {
-			if w, ok := placed[e.To]; ok {
-				neighborCount[w]++
-			}
-		}
-		for _, e := range g.In(v) {
-			if w, ok := placed[e.To]; ok {
-				neighborCount[w]++
-			}
-		}
+	for _, v := range g.SortedIndices() {
+		countPlaced(g, v, placed, neighborCount)
 		best, bestScore := -1, math.Inf(-1)
 		for w := 0; w < n; w++ {
 			if float64(sizes[w]) >= capacity {
@@ -252,9 +249,9 @@ func (l LDG) Partition(g *graph.Graph, n int) (*Assignment, error) {
 		if best < 0 {
 			best = argmin(sizes)
 		}
-		placed[v] = best
+		placed[v] = int32(best)
 		sizes[best]++
-		a.SetOwner(v, best)
+		a.SetOwnerAt(v, best)
 	}
 	return a, nil
 }
@@ -289,45 +286,38 @@ func (m MetisLike) Partition(g *graph.Graph, n int) (*Assignment, error) {
 	nv := g.NumVertices()
 	cap := int(math.Ceil(slack * float64(nv) / float64(n)))
 
-	owner := make(map[graph.ID]int, nv)
+	owner := unplaced(nv)
 	sizes := make([]int, n)
 
 	// Phase 1: region growing. Seeds spread across the ID space; each BFS
-	// claims unassigned vertices until its part reaches the ideal size.
-	ids := g.SortedVertices()
-	ideal := (nv + n - 1) / n
+	// claims unassigned vertices until its part reaches the cap.
+	order := g.SortedIndices()
 	seedStep := nv / n
-	var queues [][]graph.ID
-	for w := 0; w < n; w++ {
-		queues = append(queues, []graph.ID{ids[min(w*seedStep, nv-1)]})
+	queues := make([][]int32, n)
+	for w := range queues {
+		queues[w] = []int32{order[min(w*seedStep, nv-1)]}
 	}
 	assigned := 0
 	for assigned < nv {
 		progress := false
 		for w := 0; w < n && assigned < nv; w++ {
-			if sizes[w] >= ideal && assigned < nv {
-				// still allowed to grow if others are stuck
-			}
 			grew := 0
 			for len(queues[w]) > 0 && grew < 8 && sizes[w] < cap {
 				v := queues[w][0]
 				queues[w] = queues[w][1:]
-				if _, ok := owner[v]; ok {
+				if owner[v] >= 0 {
 					continue
 				}
-				owner[v] = w
+				owner[v] = int32(w)
 				sizes[w]++
 				assigned++
 				grew++
 				progress = true
-				for _, e := range g.Out(v) {
-					if _, ok := owner[e.To]; !ok {
-						queues[w] = append(queues[w], e.To)
-					}
-				}
-				for _, e := range g.In(v) {
-					if _, ok := owner[e.To]; !ok {
-						queues[w] = append(queues[w], e.To)
+				for _, es := range [2][]graph.DenseEdge{g.OutAt(v), g.InAt(v)} {
+					for _, e := range es {
+						if owner[e.To] < 0 {
+							queues[w] = append(queues[w], e.To)
+						}
 					}
 				}
 			}
@@ -336,8 +326,8 @@ func (m MetisLike) Partition(g *graph.Graph, n int) (*Assignment, error) {
 			// Disconnected remainder: reseed the smallest part with the first
 			// unassigned vertex.
 			w := argmin(sizes)
-			for _, v := range ids {
-				if _, ok := owner[v]; !ok {
+			for _, v := range order {
+				if owner[v] < 0 {
 					queues[w] = append(queues[w], v)
 					break
 				}
@@ -351,10 +341,10 @@ func (m MetisLike) Partition(g *graph.Graph, n int) (*Assignment, error) {
 				}
 			}
 			if stuck {
-				for _, v := range ids {
-					if _, ok := owner[v]; !ok {
+				for _, v := range order {
+					if owner[v] < 0 {
 						w := argmin(sizes)
-						owner[v] = w
+						owner[v] = int32(w)
 						sizes[w]++
 						assigned++
 					}
@@ -368,17 +358,9 @@ func (m MetisLike) Partition(g *graph.Graph, n int) (*Assignment, error) {
 	degTo := make([]int, n) // scratch
 	for pass := 0; pass < passes; pass++ {
 		moved := 0
-		for _, v := range ids {
-			cur := owner[v]
-			for i := range degTo {
-				degTo[i] = 0
-			}
-			for _, e := range g.Out(v) {
-				degTo[owner[e.To]]++
-			}
-			for _, e := range g.In(v) {
-				degTo[owner[e.To]]++
-			}
+		for _, v := range order {
+			cur := int(owner[v])
+			countPlaced(g, v, owner, degTo) // every vertex is placed by now
 			best, bestGain := cur, 0
 			for w := 0; w < n; w++ {
 				if w == cur || sizes[w]+1 > cap {
@@ -390,7 +372,7 @@ func (m MetisLike) Partition(g *graph.Graph, n int) (*Assignment, error) {
 				}
 			}
 			if best != cur {
-				owner[v] = best
+				owner[v] = int32(best)
 				sizes[cur]--
 				sizes[best]++
 				moved++
@@ -402,8 +384,8 @@ func (m MetisLike) Partition(g *graph.Graph, n int) (*Assignment, error) {
 	}
 
 	a := NewAssignment(g, n)
-	for v, w := range owner {
-		a.SetOwner(v, w)
+	for i, w := range owner {
+		a.SetOwnerAt(int32(i), int(w))
 	}
 	return a, nil
 }

@@ -307,3 +307,35 @@ func TestTrainCFMatchesOracle(t *testing.T) {
 		}
 	}
 }
+
+// oracleBellmanFord computes the same distances as Dijkstra by |V|-1 rounds
+// of full-edge relaxation, by ID, sharing no CSR walk with the kernel it
+// checks.
+func oracleBellmanFord(g *graph.Graph, src graph.ID) map[graph.ID]float64 {
+	dist := map[graph.ID]float64{}
+	if !g.Has(src) {
+		return dist
+	}
+	dist[src] = 0
+	n := g.NumVertices()
+	for round := 0; round < n; round++ {
+		changed := false
+		for _, u := range g.Vertices() {
+			du, ok := dist[u]
+			if !ok {
+				continue
+			}
+			for _, e := range g.Out(u) {
+				nd := du + e.W
+				if dv, ok := dist[e.To]; !ok || nd < dv {
+					dist[e.To] = nd
+					changed = true
+				}
+			}
+		}
+		if !changed {
+			break
+		}
+	}
+	return dist
+}

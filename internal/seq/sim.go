@@ -50,15 +50,6 @@ func Sim(p, g *graph.Graph) map[graph.ID][]graph.ID {
 // limited to 64 vertices, far beyond any practical simulation pattern.
 type SimBits = uint64
 
-func indexOf(ids []graph.ID, id graph.ID) int {
-	for i, x := range ids {
-		if x == id {
-			return i
-		}
-	}
-	return -1
-}
-
 // LabelBitsIdx returns the initial masks of the data graph g's
 // vertices, per interned label: entry lid holds one bit per pattern vertex
 // labelled LabelName(lid), and is the mask of every vertex whose LabelIDAt is
@@ -95,12 +86,12 @@ type simPlanEdge struct {
 // for every vertex whose mask shrank.
 func RefineSimIdx(p, g *graph.Graph, mask func(int32) SimBits, setMask func(int32, SimBits), frozenAt func(int32) bool, dirty []int32, all bool, onChange func(int32)) int64 {
 	var work int64
-	pverts := p.Vertices()
-	plan := make([][]simPlanEdge, len(pverts))
-	for k, u := range pverts {
-		for _, pe := range p.Out(u) {
-			e := simPlanEdge{j: indexOf(pverts, pe.To), any: pe.Label == ""}
-			e.lid, e.present = g.LabelID(pe.Label)
+	plan := make([][]simPlanEdge, p.NumVertices()) // bit k is the pattern vertex at dense index k
+	for k := range plan {
+		for _, pe := range p.OutAt(int32(k)) {
+			label := p.LabelName(pe.Label)
+			e := simPlanEdge{j: int(pe.To), any: label == ""}
+			e.lid, e.present = g.LabelID(label)
 			plan[k] = append(plan[k], e)
 		}
 	}
@@ -137,7 +128,7 @@ func RefineSimIdx(p, g *graph.Graph, mask func(int32) SimBits, setMask func(int3
 			continue
 		}
 		nm := m
-		for k := range pverts {
+		for k := range plan {
 			if nm&(1<<uint(k)) == 0 {
 				continue
 			}

@@ -241,35 +241,3 @@ func Dijkstra(g *graph.Graph, src graph.ID) map[graph.ID]float64 {
 	}
 	return out
 }
-
-// BellmanFord computes the same distances as Dijkstra by |V|-1 rounds of
-// full-edge relaxation. It exists purely as an independent cross-check for
-// property-based tests.
-func BellmanFord(g *graph.Graph, src graph.ID) map[graph.ID]float64 {
-	dist := map[graph.ID]float64{}
-	if !g.Has(src) {
-		return dist
-	}
-	dist[src] = 0
-	n := g.NumVertices()
-	for round := 0; round < n; round++ {
-		changed := false
-		for _, u := range g.Vertices() {
-			du, ok := dist[u]
-			if !ok {
-				continue
-			}
-			for _, e := range g.Out(u) {
-				nd := du + e.W
-				if dv, ok := dist[e.To]; !ok || nd < dv {
-					dist[e.To] = nd
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	return dist
-}

@@ -70,9 +70,11 @@ func SubIso(p, g *graph.Graph, opts SubIsoOptions) ([]Match, int64) {
 	if np == 0 {
 		return nil, 0
 	}
-	pos := make(map[graph.ID]int, np) // pattern vertex -> matching-order position
+	pidx := make([]int32, np)           // matching-order position -> pattern dense index
+	pos := make([]int, p.NumVertices()) // pattern dense index -> matching-order position
 	for i, u := range pv {
-		pos[u] = i
+		pidx[i], _ = p.Index(u)
+		pos[pidx[i]] = i
 	}
 	// Per position: the interned vertex label, the degree bound and the
 	// pattern edges towards earlier positions. A label the data graph does
@@ -82,22 +84,24 @@ func SubIso(p, g *graph.Graph, opts SubIsoOptions) ([]Match, int64) {
 	chk := make([][]pedge, np)
 	apos := -1 // position of the anchored pattern vertex
 	for i, u := range pv {
+		ui := pidx[i]
 		var ok bool
-		if vlab[i], ok = g.LabelID(p.Label(u)); !ok {
+		if vlab[i], ok = g.LabelID(p.LabelAt(ui)); !ok {
 			return nil, 0
 		}
-		minDeg[i] = p.OutDegree(u)
+		minDeg[i] = p.OutDegreeAt(ui)
 		if u == opts.AnchorVar && opts.AnchorAt != nil {
 			apos = i
 		}
-		for dir, pes := range [2][]graph.Edge{p.In(u), p.Out(u)} {
+		for dir, pes := range [2][]graph.DenseEdge{p.InAt(ui), p.OutAt(ui)} {
 			for _, pe := range pes {
 				j := pos[pe.To]
 				if j >= i {
 					continue
 				}
-				e := pedge{tpos: j, out: dir == 1, any: pe.Label == ""}
-				if e.lid, ok = g.LabelID(pe.Label); !ok && !e.any {
+				label := p.LabelName(pe.Label)
+				e := pedge{tpos: j, out: dir == 1, any: label == ""}
+				if e.lid, ok = g.LabelID(label); !ok && !e.any {
 					return nil, 0
 				}
 				chk[i] = append(chk[i], e)
@@ -220,43 +224,42 @@ func SubIso(p, g *graph.Graph, opts SubIsoOptions) ([]Match, int64) {
 // the visited set. In a connected order every position after the first has a
 // bound neighbour to be reached through.
 func orderPatternVertices(p *graph.Graph, first graph.ID) []graph.ID {
-	vs := p.SortedVertices()
+	vs := p.SortedIndices()
 	if len(vs) == 0 {
 		return nil
 	}
-	if !p.Has(first) {
-		deg := func(u graph.ID) int { return p.OutDegree(u) + p.InDegree(u) }
-		first = vs[0]
+	start, ok := p.Index(first)
+	if !ok {
+		deg := func(u int32) int { return p.OutDegreeAt(u) + p.InDegreeAt(u) }
+		start = vs[0]
 		for _, u := range vs {
-			if deg(u) > deg(first) {
-				first = u
+			if deg(u) > deg(start) {
+				start = u
 			}
 		}
 	}
-	order := []graph.ID{first}
-	inOrder := map[graph.ID]bool{first: true}
+	order := []graph.ID{p.IDAt(start)}
+	inOrder := make([]bool, len(vs))
+	inOrder[start] = true
 	for len(order) < len(vs) {
-		best, bestConn := graph.NoID, -1
-		for _, u := range vs {
+		best, bestConn := int32(-1), -1
+		for _, u := range vs { // ascending ID: the first of the most connected wins
 			if inOrder[u] {
 				continue
 			}
 			conn := 0
-			for _, e := range p.Out(u) {
-				if inOrder[e.To] {
-					conn++
+			for _, es := range [2][]graph.DenseEdge{p.OutAt(u), p.InAt(u)} {
+				for _, e := range es {
+					if inOrder[e.To] {
+						conn++
+					}
 				}
 			}
-			for _, e := range p.In(u) {
-				if inOrder[e.To] {
-					conn++
-				}
-			}
-			if conn > bestConn || (conn == bestConn && (best == graph.NoID || u < best)) {
+			if conn > bestConn {
 				best, bestConn = u, conn
 			}
 		}
-		order = append(order, best)
+		order = append(order, p.IDAt(best))
 		inOrder[best] = true
 	}
 	return order
@@ -266,22 +269,27 @@ func orderPatternVertices(p *graph.Graph, first graph.ID) []graph.ID {
 // anchor to any pattern vertex — the d used to expand fragments so that
 // every match anchored at an inner vertex is fully local.
 func PatternRadius(p *graph.Graph, anchor graph.ID) int {
-	if !p.Has(anchor) {
+	a, ok := p.Index(anchor)
+	if !ok {
 		return 0
 	}
-	dist := map[graph.ID]int{anchor: 0}
-	queue := []graph.ID{anchor}
+	dist := make([]int, p.NumVertices())
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[a] = 0
+	queue := []int32{a}
 	max := 0
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, e := range append(append([]graph.Edge{}, p.Out(u)...), p.In(u)...) {
-			if _, ok := dist[e.To]; !ok {
-				dist[e.To] = dist[u] + 1
-				if dist[e.To] > max {
-					max = dist[e.To]
+		for _, es := range [2][]graph.DenseEdge{p.OutAt(u), p.InAt(u)} {
+			for _, e := range es {
+				if dist[e.To] < 0 {
+					dist[e.To] = dist[u] + 1
+					max = dist[e.To] // breadth-first: never below an earlier one
+					queue = append(queue, e.To)
 				}
-				queue = append(queue, e.To)
 			}
 		}
 	}

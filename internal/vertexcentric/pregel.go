@@ -42,17 +42,43 @@ type Ctx struct {
 	g       *graph.Graph
 	sendFn  func(to graph.ID, val float64)
 	workPtr *int64
+	out, in []graph.Edge // Out's and In's buffers, reused call to call
 }
 
 // Superstep returns the current superstep (0 = initialization).
 func (c *Ctx) Superstep() int { return c.step }
 
-// Out returns the out-edges of id.
-func (c *Ctx) Out(id graph.ID) []graph.Edge { return c.g.Out(id) }
+// Out returns the out-edges of id, in a buffer the context owns: the slice
+// is valid until the next Out call.
+func (c *Ctx) Out(id graph.ID) []graph.Edge {
+	i, ok := c.g.Index(id)
+	if !ok {
+		return nil
+	}
+	c.out = c.fill(c.out, c.g.OutAt(i))
+	return c.out
+}
 
 // In returns the in-edges of id (programs that need undirected propagation,
-// like CC, send along both directions).
-func (c *Ctx) In(id graph.ID) []graph.Edge { return c.g.In(id) }
+// like CC, send along both directions), in a buffer the context owns: the
+// slice is valid until the next In call.
+func (c *Ctx) In(id graph.ID) []graph.Edge {
+	i, ok := c.g.Index(id)
+	if !ok {
+		return nil
+	}
+	c.in = c.fill(c.in, c.g.InAt(i))
+	return c.in
+}
+
+// fill resolves packed edges into buf.
+func (c *Ctx) fill(buf []graph.Edge, dense []graph.DenseEdge) []graph.Edge {
+	buf = buf[:0]
+	for _, e := range dense {
+		buf = append(buf, graph.Edge{To: c.g.IDAt(e.To), W: e.W, Label: c.g.LabelName(e.Label)})
+	}
+	return buf
+}
 
 // Send delivers val to vertex `to` at the next superstep.
 func (c *Ctx) Send(to graph.ID, val float64) { c.sendFn(to, val) }
@@ -156,6 +182,7 @@ func Run(g *graph.Graph, prog Program, cfg Config) (map[graph.ID]float64, *metri
 	}
 	bufs := make([][]stagedMsg, cfg.Workers) // staged sends, reused across steps
 	parts := make([][]int32, cfg.Workers)    // per-worker participants, reused
+	ctxs := make([]Ctx, cfg.Workers)         // per-worker contexts, their edge buffers reused
 
 	// runStep executes one superstep over the participants staged in parts.
 	runStep := func(step int, isInit bool) {
@@ -168,7 +195,8 @@ func Run(g *graph.Graph, prog Program, cfg Config) (map[graph.ID]float64, *metri
 			if cfg.Combiner != nil {
 				cb = make(map[int32]int)
 			}
-			ctx := &Ctx{step: step, g: g, workPtr: &work[w]}
+			ctx := &ctxs[w]
+			ctx.step, ctx.g, ctx.workPtr = step, g, &work[w]
 			ctx.sendFn = func(to graph.ID, val float64) {
 				ti, ok := g.Index(to)
 				if !ok {
