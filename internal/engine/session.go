@@ -437,7 +437,7 @@ func (s *Session[Q, V, R]) splice(ups []EdgeUpdate) error {
 		}
 		if k := [2]int64{int64(w), int64(u.To)}; !copies[k] && !s.hosts(w, u.To) {
 			copies[k] = true
-			b.AddVertex(u.To, g.Label(u.To), slices.Clone(g.Props(u.To)))
+			b.AddVertex(u.To, g.Label(u.To), g.Props(u.To))
 		}
 		b.AddEdge(u.From, u.To, u.W, u.Label)
 	}

@@ -396,18 +396,22 @@ func dot(a, b []float64) float64 {
 }
 
 // AttachKeywords assigns each vertex up to k random keywords from vocab with
-// probability p each, for keyword-search workloads. Deterministic in seed.
+// probability p each, for keyword-search workloads; a vertex that draws none
+// keeps the properties it had. Deterministic in seed: the draws go vertex by
+// vertex in dense order, and the graph's properties are rebuilt once.
 func AttachKeywords(g *graph.Graph, vocab []string, k int, p float64, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	for _, id := range g.Vertices() {
-		var props []string
+	var props []string
+	g.MapProps(func(_ int32, old []string) []string {
+		props = props[:0]
 		for i := 0; i < k; i++ {
 			if rng.Float64() < p {
 				props = append(props, vocab[rng.Intn(len(vocab))])
 			}
 		}
-		if len(props) > 0 {
-			g.SetProps(id, props)
+		if len(props) == 0 {
+			return old
 		}
-	}
+		return props
+	})
 }

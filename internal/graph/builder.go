@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Builder builds a Graph from nothing: vertices and edges are appended to
 // per-vertex lists, which Graph then flattens into the CSR form once. A
@@ -89,8 +86,8 @@ func (b *Builder) Out(id ID) []Edge {
 
 // Graph flattens what was built into a Graph and returns it. Labels are
 // interned vertex labels first, in dense order, then edge labels in CSR
-// order; an all-empty property list is dropped; the ID index the builder
-// grew becomes the graph's.
+// order; the property lists become one column, none at all when every list
+// is empty; the ID index the builder grew becomes the graph's.
 func (b *Builder) Graph() *Graph {
 	nv := len(b.ids)
 	ne := 0
@@ -101,7 +98,6 @@ func (b *Builder) Graph() *Graph {
 		directed: b.directed,
 		ids:      b.ids,
 		index:    b.index,
-		props:    b.props,
 		numEdges: b.numEdges,
 		vlab:     make([]int32, nv),
 		outOff:   make([]int32, nv+1),
@@ -127,9 +123,7 @@ func (b *Builder) Graph() *Graph {
 		}
 		g.outOff[i+1] = int32(len(g.outDense))
 	}
-	if !slices.ContainsFunc(g.props, func(ps []string) bool { return len(ps) > 0 }) {
-		g.props = nil
-	}
+	g.propOff, g.propVals = propColumn(nv, func(i int) []string { return b.props[i] })
 	*b = Builder{}
 	return g
 }

@@ -18,7 +18,7 @@ import "slices"
 // so is the larger-ID neighbor view tricount reads (UpCSR).
 //
 // So is the ID index. A graph stores its ids, vlab, outOff and outDense, the
-// label table, and property headers only if some vertex has a property.
+// label table, and a property column only if some vertex has a property.
 // Builder.Graph keeps the map the builder grew and Splice keeps or builds
 // one; a graph that never had one — a cut (Subgraph), a decoded frame or
 // snapshot (DecodeFlat) — builds it on the first by-ID lookup
@@ -29,8 +29,8 @@ import "slices"
 // The arrays are never written through — they may alias a read-only file
 // mapping or a received frame, and clones and splices share them. A graph
 // changes only by Splice (splice.go), which builds new arrays from the old
-// ones and a Batch; property mutation (SetProps, AddProp) is the exception,
-// as properties are not part of the CSR form.
+// ones and a Batch, and by MapProps (SetProps, AddProp), which builds a new
+// property column from the old one.
 
 // DenseEdge is the packed CSR edge of a graph: the dense index of the
 // target vertex, the interned edge label, and the weight. The sparse target
@@ -192,13 +192,18 @@ func (g *Graph) LabelIDAt(i int32) int32 { return g.vlab[i] }
 // LabelAt returns the label string of the vertex at dense index i.
 func (g *Graph) LabelAt(i int32) string { return g.labelNames[g.vlab[i]] }
 
-// PropsAt returns the property list of the vertex at dense index i. The
-// caller must not mutate the returned slice.
+// PropsAt returns the property list of the vertex at dense index i, nil when
+// it has none: a capped window on the property column, so it allocates
+// nothing. The caller must not mutate the returned slice.
 func (g *Graph) PropsAt(i int32) []string {
-	if g.props == nil {
+	if g.propOff == nil {
 		return nil
 	}
-	return g.props[i]
+	a, b := g.propOff[i], g.propOff[i+1]
+	if a == b {
+		return nil
+	}
+	return g.propVals[a:b:b]
 }
 
 // LabelID returns the interned ID of a vertex or edge label and whether the

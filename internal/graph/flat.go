@@ -190,26 +190,28 @@ func AppendSection(buf []byte, base int, sec []byte) []byte {
 
 // appendStrings appends the string section of d: the label-intern table,
 // then the sparse property entries (uvarint dense index, uvarint count,
-// strings). Strings are uvarint length + raw bytes.
+// strings), one per vertex with properties, in ascending dense order. Strings
+// are uvarint length + raw bytes.
 func appendStrings(buf []byte, d csrData) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(d.Labels)))
 	for _, s := range d.Labels {
 		buf = appendString(buf, s)
 	}
+	off := d.PropOff
 	entries := 0
-	for _, ps := range d.Props {
-		if len(ps) > 0 {
+	for v := 1; v < len(off); v++ {
+		if off[v-1] < off[v] {
 			entries++
 		}
 	}
 	buf = binary.AppendUvarint(buf, uint64(entries))
-	for i, ps := range d.Props {
-		if len(ps) == 0 {
+	for v := 1; v < len(off); v++ {
+		if off[v-1] == off[v] {
 			continue
 		}
-		buf = binary.AppendUvarint(buf, uint64(i))
-		buf = binary.AppendUvarint(buf, uint64(len(ps)))
-		for _, p := range ps {
+		buf = binary.AppendUvarint(buf, uint64(v-1))
+		buf = binary.AppendUvarint(buf, uint64(off[v]-off[v-1]))
+		for _, p := range d.PropVals[off[v-1]:off[v]] {
 			buf = appendString(buf, p)
 		}
 	}
@@ -223,14 +225,14 @@ func stringsLen(d csrData) int {
 	for _, s := range d.Labels {
 		n += str(s)
 	}
-	for i, ps := range d.Props {
-		if len(ps) == 0 {
-			continue
-		}
-		entries++
-		n += uvarintLen(uint64(i)) + uvarintLen(uint64(len(ps)))
-		for _, p := range ps {
-			n += str(p)
+	for _, p := range d.PropVals {
+		n += str(p)
+	}
+	off := d.PropOff
+	for v := 1; v < len(off); v++ {
+		if k := off[v] - off[v-1]; k > 0 {
+			entries++
+			n += uvarintLen(uint64(v-1)) + uvarintLen(uint64(k))
 		}
 	}
 	return n + uvarintLen(uint64(len(d.Labels))) + uvarintLen(uint64(entries))
@@ -243,13 +245,16 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// parseStrings decodes a string section for a graph of nv vertices. The
-// section is copied to the heap once and every label and property is a
-// substring of that copy (strings cannot alias a mapping that may be
-// unmapped, or a frame), so decoding allocates per section, not per string.
-// Every count is checked against the bytes that remain before anything is
-// sized from it. props is nil when no vertex has any.
-func parseStrings(data []byte, nv int) (labels []string, props [][]string, err error) {
+// parseStrings decodes a string section for a graph of nv vertices into the
+// label table and the property column (both nil when no vertex has a
+// property). The section is copied to the heap once and every label and
+// property is a substring of that copy (strings cannot alias a mapping that
+// may be unmapped, or a frame), so decoding allocates per section, not per
+// string or per vertex. Every count is checked against the bytes that remain
+// before anything is sized from it, and property entries must name vertices
+// in ascending order, each with at least one property — as appendStrings
+// writes them — so a section decodes only from its one encoding.
+func parseStrings(data []byte, nv int) (labels []string, propOff []int32, propVals []string, err error) {
 	all := string(data)
 	pos := 0
 	str := func() (string, error) {
@@ -265,63 +270,72 @@ func parseStrings(data []byte, nv int) (labels []string, props [][]string, err e
 	}
 	nl, err := ReadUvarint(data, &pos)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if nl > uint64(len(data)-pos) {
-		return nil, nil, fmt.Errorf("implausible label count %d", nl)
+		return nil, nil, nil, fmt.Errorf("implausible label count %d", nl)
 	}
 	labels = make([]string, nl)
 	for i := range labels {
 		if labels[i], err = str(); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 	}
 	entries, err := ReadUvarint(data, &pos)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if entries > uint64(len(data)-pos)/2 {
-		return nil, nil, fmt.Errorf("implausible property entry count %d", entries)
+		return nil, nil, nil, fmt.Errorf("implausible property entry count %d", entries)
 	}
 	if entries > 0 {
-		// One backing array for every property list: lists are cut from it
-		// once it has stopped growing, each capped so AddProp reallocates.
-		type span struct{ idx, from, to int }
-		spans := make([]span, entries)
-		var flat []string
-		for e := range spans {
-			idx, err := ReadUvarint(data, &pos)
-			if err != nil {
-				return nil, nil, err
-			}
-			if idx >= uint64(nv) {
-				return nil, nil, fmt.Errorf("property entry for vertex %d of %d", idx, nv)
-			}
-			np, err := ReadUvarint(data, &pos)
-			if err != nil {
-				return nil, nil, err
-			}
-			if np > uint64(len(data)-pos) {
-				return nil, nil, fmt.Errorf("implausible property count %d", np)
-			}
-			spans[e] = span{int(idx), len(flat), len(flat) + int(np)}
-			for j := uint64(0); j < np; j++ {
-				p, err := str()
+		// Two walks over the entries: the first checks them and counts the
+		// values, the second fills a value array of exactly that size and
+		// each entry's count, which a running sum then turns into offsets.
+		propOff = make([]int32, nv+1)
+		from, total := pos, 0
+		for walk := range 2 {
+			pos = from
+			next := uint64(0) // the least vertex the next entry may name
+			for range entries {
+				idx, err := ReadUvarint(data, &pos)
 				if err != nil {
-					return nil, nil, err
+					return nil, nil, nil, err
 				}
-				flat = append(flat, p)
+				if idx < next || idx >= uint64(nv) {
+					return nil, nil, nil, fmt.Errorf("property entry for vertex %d, want one in [%d, %d)", idx, next, nv)
+				}
+				next = idx + 1
+				np, err := ReadUvarint(data, &pos)
+				if err != nil {
+					return nil, nil, nil, err
+				}
+				if np == 0 || np > uint64(len(data)-pos) {
+					return nil, nil, nil, fmt.Errorf("implausible property count %d", np)
+				}
+				propOff[idx+1], total = int32(np), total+int(np)
+				for j := uint64(0); j < np; j++ {
+					p, err := str()
+					if err != nil {
+						return nil, nil, nil, err
+					}
+					if walk == 1 {
+						propVals = append(propVals, p)
+					}
+				}
+			}
+			if walk == 0 {
+				propVals = make([]string, 0, total)
 			}
 		}
-		props = make([][]string, nv)
-		for _, s := range spans {
-			props[s.idx] = flat[s.from:s.to:s.to]
+		for i := range nv {
+			propOff[i+1] += propOff[i]
 		}
 	}
 	if pos != len(data) {
-		return nil, nil, fmt.Errorf("%d trailing bytes in string section", len(data)-pos)
+		return nil, nil, nil, fmt.Errorf("%d trailing bytes in string section", len(data)-pos)
 	}
-	return labels, props, nil
+	return labels, propOff, propVals, nil
 }
 
 // flatLayout returns the offsets of the fixed-width sections of a wire form
@@ -403,7 +417,7 @@ func DecodeFlatProven(data []byte, distinct func(*Graph) error) (*Graph, int, er
 		return nil, 0, fmt.Errorf("graph: flat form claims |V|=%d packed=%d |E|=%d strs=%d in %d bytes", nv, nd, ne, strs, len(data))
 	}
 	data = Realigned(data[:total])
-	labels, props, err := parseStrings(data[flatHeaderLen:flatHeaderLen+strs], int(nv))
+	labels, propOff, propVals, err := parseStrings(data[flatHeaderLen:flatHeaderLen+strs], int(nv))
 	if err != nil {
 		return nil, 0, fmt.Errorf("graph: flat form strings: %w", err)
 	}
@@ -415,7 +429,8 @@ func DecodeFlatProven(data []byte, distinct func(*Graph) error) (*Graph, int, er
 		OutOff:   ViewInt32s(data[outOff : outOff+(nv+1)*4]),
 		OutDense: viewDense(data[outDense : outDense+nd*16]),
 		Labels:   labels,
-		Props:    props,
+		PropOff:  propOff,
+		PropVals: propVals,
 	}, distinct)
 	if err != nil {
 		return nil, 0, err

@@ -192,13 +192,16 @@ func TestDecodeCountsBeforeAllocating(t *testing.T) {
 	}
 	// the string section's own counts
 	for _, strs := range [][]byte{
-		{0xff, 0xff, 0xff, 0x7f},                   // label count
-		{0x00, 0xff, 0xff, 0xff, 0x7f},             // property entry count
-		{0x00, 0x01, 0x00, 0xff, 0xff, 0xff, 0x7f}, // property count of one entry
+		{0xff, 0xff, 0xff, 0x7f},                                   // label count
+		{0x00, 0xff, 0xff, 0xff, 0x7f},                             // property entry count
+		{0x00, 0x01, 0x00, 0xff, 0xff, 0xff, 0x7f},                 // property count of one entry
+		{0x00, 0x01, 0x00, 0x00},                                   // an entry with no properties
+		{0x00, 0x02, 0x00, 0x01, 0x01, 'a', 0x00, 0x01, 0x01, 'b'}, // one vertex named twice
+		{0x00, 0x01, 0x01, 0x01, 0x01, 'a'},                        // a vertex past the graph
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, _, err := parseStrings(strs, 1)
+		_, _, _, err := parseStrings(strs, 1)
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Fatalf("strs % x: parsed without error", strs)

@@ -7,13 +7,14 @@
 // exists only where something looks a vertex up by ID (see csr.go). Graphs
 // may be directed or undirected; an undirected graph stores each edge in both
 // endpoint adjacency lists. Vertices carry a label (used by pattern matching
-// and GPARs) and a list of string properties (used by keyword search).
+// and GPARs) and a list of string properties (used by keyword search), stored
+// as the edges are: offsets into one flat array.
 //
 // A Graph has one representation, the CSR form of csr.go, and every read
 // method is safe for concurrent use. A Builder (builder.go) builds one from
 // nothing; Splice (splice.go) changes one, building a new graph from the old
 // one and a Batch without writing the old arrays. The mutators on Graph are
-// one-operation splices, each O(|G|).
+// one-operation splices or property rebuilds, each O(|G|).
 //
 // The CSR form is also what travels — flat.go lays the same arrays out as
 // aligned sections, the one byte layout of a graph: fragment frames of the
@@ -51,8 +52,13 @@ type Graph struct {
 	directed bool
 	ids      []ID         // dense index -> ID
 	index    map[ID]int32 // ID -> dense index, owned; nil in a graph that never had one (see Index)
-	props    [][]string   // dense index -> vertex properties (keywords etc.); nil for none
 	numEdges int
+
+	// The property column: vertex i's properties (keywords etc.) are
+	// propVals[propOff[i]:propOff[i+1]]. propOff is nil when no vertex has a
+	// property, so a graph without any holds nothing per vertex for them.
+	propOff  []int32
+	propVals []string
 
 	// The CSR form (see csr.go): the only stored adjacency; lazy holds
 	// everything derived from it on first use.
@@ -173,25 +179,66 @@ func (g *Graph) splice(b *Batch) {
 	*g = *ng
 }
 
-// SetProps replaces the property list of id. It panics if id is absent.
+// SetProps replaces the property list of id. It panics if id is absent. Like
+// AddProp it rebuilds the property column — a one-operation MapProps — so a
+// call is O(|G|), as AddVertex says: bulk callers use MapProps or a Builder.
 func (g *Graph) SetProps(id ID, props []string) {
 	i := g.mustIndex(id)
-	g.ownProps()
-	g.props[i] = props
+	g.MapProps(func(j int32, old []string) []string {
+		if j == i {
+			return props
+		}
+		return old
+	})
 }
 
-// AddProp appends a property to id's property list. It panics if id is absent.
+// AddProp appends a property to id's property list. It panics if id is
+// absent. A call is O(|G|), as SetProps says.
 func (g *Graph) AddProp(id ID, prop string) {
 	i := g.mustIndex(id)
-	g.ownProps()
-	g.props[i] = append(g.props[i], prop)
+	g.MapProps(func(j int32, old []string) []string {
+		if j == i {
+			return append(old, prop)
+		}
+		return old
+	})
 }
 
-// ownProps gives a graph that holds no property headers one per vertex.
-func (g *Graph) ownProps() {
-	if g.props == nil {
-		g.props = make([][]string, len(g.ids))
+// MapProps rebuilds the property column in one O(|G|) pass: f is called once
+// per vertex, in dense order, with the vertex's property list, which it must
+// not mutate, and returns the vertex's new list. The graph copies that list
+// before the next call, so f may hand back one buffer each time. The old
+// column is not written: clones and splices that share it keep it.
+func (g *Graph) MapProps(f func(i int32, old []string) []string) {
+	off := make([]int32, len(g.ids)+1)
+	var vals []string
+	for i := range g.ids {
+		vals = append(vals, f(int32(i), g.PropsAt(int32(i)))...)
+		off[i+1] = int32(len(vals))
 	}
+	g.propOff, g.propVals = nil, nil
+	if len(vals) > 0 {
+		g.propOff, g.propVals = off, slices.Clone(vals)
+	}
+}
+
+// propColumn lays n property lists out as a column: the offsets and one
+// value array of exactly the values' size, both nil when every list is
+// empty. list is called twice per index and must answer the same both times.
+func propColumn(n int, list func(i int) []string) ([]int32, []string) {
+	total := 0
+	for i := range n {
+		total += len(list(i))
+	}
+	if total == 0 {
+		return nil, nil
+	}
+	off, vals := make([]int32, n+1), make([]string, 0, total)
+	for i := range n {
+		vals = append(vals, list(i)...)
+		off[i+1] = int32(len(vals))
+	}
+	return off, vals
 }
 
 // AddEdge inserts an edge from u to v, creating missing endpoints with empty
@@ -330,12 +377,13 @@ func (g *Graph) mustIndex(id ID) int32 {
 }
 
 // Clone returns a copy of the graph that shares the immutable CSR arrays,
-// label table and derived views — the ID index built on first lookup
-// included (nothing writes them in place). The ids, ID index and properties
-// are copied, and the shared vertex labels are clipped, so Splice, which
-// appends to them, gives each of two clones an array of its own.
+// label table, property column and derived views — the ID index built on
+// first lookup included (nothing writes them in place). The ids and ID index
+// are copied, and the shared vertex labels and property column are clipped,
+// so Splice, which appends to them, gives each of two clones an array of its
+// own.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{
+	return &Graph{
 		directed:   g.directed,
 		ids:        append([]ID(nil), g.ids...),
 		index:      maps.Clone(g.index),
@@ -343,17 +391,12 @@ func (g *Graph) Clone() *Graph {
 		outOff:     g.outOff,
 		outDense:   g.outDense,
 		vlab:       slices.Clip(g.vlab),
+		propOff:    slices.Clip(g.propOff),
+		propVals:   slices.Clip(g.propVals),
 		labelNames: g.labelNames,
 		labelIDs:   g.labelIDs,
 		lazy:       g.lazy,
 	}
-	if g.props != nil {
-		c.props = make([][]string, len(g.props))
-		for i, p := range g.props {
-			c.props[i] = append([]string(nil), p...)
-		}
-	}
-	return c
 }
 
 // Symmetrized returns a directed copy of g with every edge mirrored, so
@@ -365,7 +408,7 @@ func (g *Graph) Symmetrized() *Graph {
 	for i, id := range g.ids {
 		s.AddVertex(id, g.LabelAt(int32(i)))
 		if ps := g.PropsAt(int32(i)); len(ps) > 0 {
-			s.SetProps(id, append([]string(nil), ps...))
+			s.SetProps(id, ps)
 		}
 	}
 	for i, u := range g.ids {
@@ -425,8 +468,13 @@ func Diff(a, b *Graph) error {
 // deserialization.
 func (g *Graph) Validate() error {
 	nv := len(g.ids)
-	if g.props != nil && nv != len(g.props) || nv != len(g.vlab) || len(g.outOff) != nv+1 {
+	if g.propOff != nil && len(g.propOff) != nv+1 || nv != len(g.vlab) || len(g.outOff) != nv+1 {
 		return fmt.Errorf("graph: inconsistent slice lengths")
+	}
+	if g.propOff != nil {
+		if err := checkOffsets(g.propOff, len(g.propVals)); err != nil {
+			return fmt.Errorf("graph: property column: %w", err)
+		}
 	}
 	index := g.idIndex()
 	if len(index) != nv {

@@ -41,7 +41,7 @@ func checkLookups(t *testing.T, name string, g *Graph) {
 
 // TestDerivedGraphsIndexOnFirstLookup: a cut and a decoded wire form (a
 // frame's or a snapshot's) keep only their arrays — no ID map, no property
-// headers when nothing has a property — until something looks a vertex up by
+// column when nothing has a property — until something looks a vertex up by
 // ID.
 func TestDerivedGraphsIndexOnFirstLookup(t *testing.T) {
 	src := chain(40, 3, false)
@@ -60,8 +60,8 @@ func TestDerivedGraphsIndexOnFirstLookup(t *testing.T) {
 		if holdsIndex(g) {
 			t.Fatalf("%s: holds an ID index before any lookup", name)
 		}
-		if g.props != nil {
-			t.Fatalf("%s: holds property headers though no vertex has a property", name)
+		if g.propOff != nil || g.propVals != nil {
+			t.Fatalf("%s: holds a property column though no vertex has a property", name)
 		}
 	}
 	for name, g := range derived {
@@ -108,7 +108,7 @@ func TestFrozenCloneSharesIndex(t *testing.T) {
 }
 
 // TestPropsFromNilHeaders: properties set on a graph that holds no property
-// headers survive splices and the wire form — Subgraph → AppendFlat →
+// column survive splices and the wire form — Subgraph → AppendFlat →
 // DecodeFlat → AddVertex/SetProps/AddProp — equal to the same graph built by
 // a Builder; and Builder.Graph drops a list with nothing in it.
 func TestPropsFromNilHeaders(t *testing.T) {
@@ -163,7 +163,7 @@ func TestPropsFromNilHeaders(t *testing.T) {
 	empty := NewBuilder()
 	empty.AddVertex(1, "")
 	empty.SetProps(1, []string{})
-	if empty.Graph().props != nil {
+	if empty.Graph().propOff != nil {
 		t.Fatal("Builder.Graph kept a property list with nothing in it")
 	}
 }

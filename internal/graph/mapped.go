@@ -6,8 +6,8 @@ import "fmt"
 // builds and the wire form ships. The fixed-width slices (IDs, VLabels,
 // OutOff, OutDense) are the half fromFlat aliases as given, so they may point
 // into a read-only file mapping or a received frame. The string-bearing half
-// (Labels, Props) is always heap-resident; fromFlat rebuilds the label intern
-// map from it.
+// (Labels and the property column) is always heap-resident; fromFlat
+// rebuilds the label intern map from it.
 type csrData struct {
 	Directed bool
 	// NumEdges is the logical edge count (undirected edges count once; the
@@ -18,13 +18,14 @@ type csrData struct {
 	OutOff   []int32     // len NumVertices+1; OutOff[0] == 0
 	OutDense []DenseEdge // packed out-edges in dense source order
 	Labels   []string    // intern table (vertex and edge labels share it)
-	Props    [][]string  // dense index -> vertex properties; nil if none anywhere
+	PropOff  []int32     // the property column, as Graph holds it; nil if none anywhere
+	PropVals []string
 }
 
 // flatView returns the graph's flat form. The returned slices alias the
 // graph's internal arrays and are read-only.
 func (g *Graph) flatView() csrData {
-	d := csrData{
+	return csrData{
 		Directed: g.directed,
 		NumEdges: g.numEdges,
 		IDs:      g.ids,
@@ -32,14 +33,9 @@ func (g *Graph) flatView() csrData {
 		OutOff:   g.outOff,
 		OutDense: g.outDense,
 		Labels:   g.labelNames,
+		PropOff:  g.propOff,
+		PropVals: g.propVals,
 	}
-	for _, ps := range g.props {
-		if len(ps) > 0 {
-			d.Props = g.props
-			break
-		}
-	}
-	return d
 }
 
 // distinctIDs proves a graph's vertex IDs distinct: by one pass when they
@@ -74,9 +70,6 @@ func fromFlat(d csrData, distinct func(*Graph) error) (*Graph, error) {
 	if len(d.OutOff) != nv+1 {
 		return nil, fmt.Errorf("graph: flat form outOff has %d entries, want %d", len(d.OutOff), nv+1)
 	}
-	if d.Props != nil && len(d.Props) != nv {
-		return nil, fmt.Errorf("graph: flat form props cover %d of %d vertices", len(d.Props), nv)
-	}
 	if err := checkOffsets(d.OutOff, ne); err != nil {
 		return nil, fmt.Errorf("graph: flat form out CSR: %w", err)
 	}
@@ -87,7 +80,8 @@ func fromFlat(d csrData, distinct func(*Graph) error) (*Graph, error) {
 	g := &Graph{
 		directed:   d.Directed,
 		ids:        d.IDs,
-		props:      d.Props,
+		propOff:    d.PropOff,
+		propVals:   d.PropVals,
 		numEdges:   d.NumEdges,
 		outOff:     d.OutOff,
 		outDense:   d.OutDense,

@@ -28,7 +28,8 @@ type batchEdge struct {
 	del      int // the deletion's ordinal in the batch; -1 for an insertion
 }
 
-// AddVertex appends vertex id with a label and properties (nil for none).
+// AddVertex appends vertex id with a label and properties (nil for none),
+// which Splice copies into the result's property column.
 func (b *Batch) AddVertex(id ID, label string, props []string) {
 	b.verts = append(b.verts, batchVertex{id, label, props})
 }
@@ -57,9 +58,10 @@ func (b *Batch) RemoveEdge(u, v ID, label string) {
 // removed weight; a self-loop is stored, and removed, twice.
 //
 // Splice never writes an element of g's arrays. The result shares those it
-// leaves unchanged, and grows the vertex arrays by appending to g's, past
-// their length — in place when they have room, as a growing slice does (an
-// array aliasing a frame or a mapping never has). It also takes over g's ID
+// leaves unchanged, and grows the vertex arrays (the property column's
+// included) by appending to g's, past their length — in place when they have
+// room, as a growing slice does (an array aliasing a frame or a mapping never
+// has). It also takes over g's ID
 // index, if g has one of its own, adding the new vertices to it. So once a
 // batch that appends vertices has been spliced, g must not be used. A batch
 // that appends none writes nothing g can see: g stays valid beside the
@@ -74,7 +76,8 @@ func Splice(g *Graph, b *Batch) (*Graph, []float64, error) {
 		ids:        g.ids,
 		index:      g.index,
 		vlab:       g.vlab,
-		props:      g.props,
+		propOff:    g.propOff,
+		propVals:   g.propVals,
 		numEdges:   g.numEdges + len(b.edges) - 2*b.dels,
 		outOff:     make([]int32, nn+1),
 		labelNames: g.labelNames,
@@ -98,8 +101,8 @@ func Splice(g *Graph, b *Batch) (*Graph, []float64, error) {
 	}
 
 	added := make(map[ID]int32, len(b.verts))
-	if g.props == nil && slices.ContainsFunc(b.verts, func(v batchVertex) bool { return len(v.props) > 0 }) {
-		ng.props = make([][]string, nv, nn)
+	if g.propOff == nil && slices.ContainsFunc(b.verts, func(v batchVertex) bool { return len(v.props) > 0 }) {
+		ng.propOff = make([]int32, nv+1, nn+1)
 	}
 	for k, v := range b.verts {
 		if _, ok := ng.index[v.id]; ok {
@@ -110,8 +113,9 @@ func Splice(g *Graph, b *Batch) (*Graph, []float64, error) {
 		}
 		added[v.id] = nv + int32(k)
 		ng.ids, ng.vlab = append(ng.ids, v.id), append(ng.vlab, intern(v.label))
-		if ng.props != nil {
-			ng.props = append(ng.props, slices.Clip(v.props))
+		if ng.propOff != nil {
+			ng.propVals = append(ng.propVals, v.props...)
+			ng.propOff = append(ng.propOff, int32(len(ng.propVals)))
 		}
 	}
 	at := func(id ID) (int32, error) {

@@ -8,9 +8,10 @@ import (
 // SubgraphBuilder cuts subgraphs out of one source graph, CSR to CSR: vertices and edges are named by the source's dense indices and
 // remapped through flat arrays, so a cut hashes nothing per vertex or per edge
 // (the subgraph builds its ID index on its first by-ID lookup, if any), and
-// every array of the result is allocated once, at its final size — property
-// headers only if some vertex brings properties. The remapping scratch is
-// sized to the source once and shared by every subgraph cut from it.
+// every array of the result is allocated once, at its final size — a
+// property column only if some vertex brings properties. The remapping
+// scratch is sized to the source once and shared by every subgraph cut from
+// it.
 // partition.Build, partition.BuildExpanded and the block-centric baseline
 // cut through it.
 type SubgraphBuilder struct {
@@ -46,9 +47,11 @@ func (b *SubgraphBuilder) Vertices() []int32 { return b.verts }
 // become its first vertices, in the order given, and bring every out-edge
 // keep accepts (nil accepts all; keep must answer the same both times it is
 // asked). A target that is not a seed joins after the seeds, in order of
-// first appearance, with its label and properties (shared with the source,
-// not copied) and no out-edges of its own. For an undirected source the
-// mirror direction is stored automatically, as Builder.AddEdge does.
+// first appearance, with its label and properties and no out-edges of its
+// own. The subgraph's property column holds the string headers of its own
+// vertices' properties only (the strings' bytes are shared with the source).
+// For an undirected source the mirror direction is stored automatically, as
+// Builder.AddEdge does.
 //
 // The edges are walked twice, seeds in order and each seed's edges in the
 // source's order: the first walk counts per vertex, the second places each
@@ -100,13 +103,12 @@ func (b *SubgraphBuilder) Subgraph(seeds []int32, keep func(from int32, e DenseE
 	}
 	for li, i := range b.verts {
 		g.ids[li] = src.ids[i]
-		if ps := src.PropsAt(i); len(ps) > 0 {
-			g.ownProps()
-			g.props[li] = ps[:len(ps):len(ps)]
-		}
 		g.vlab[li] = intern(src.vlab[i])
 		g.outOff[li+1] = g.outOff[li] + next[li]
 		next[li] = g.outOff[li]
+	}
+	if src.propOff != nil {
+		g.propOff, g.propVals = propColumn(nv, func(li int) []string { return src.PropsAt(b.verts[li]) })
 	}
 	out := make([]DenseEdge, g.outOff[nv])
 	for u, i := range seeds {

@@ -460,7 +460,8 @@ func TestBuildAllocationBudget(t *testing.T) {
 // TestBuildAllocatedBytes pins what one cut of the 96×96 road grid into 8
 // fragments allocates: exact-size CSR arrays, dense tables and the cut's
 // scratch (1.26 MB), and neither an ID index (≈ 0.32 MB) nor property
-// headers (≈ 0.24 MB) per fragment — 1.82 MB when every fragment held both.
+// storage (≈ 0.24 MB of list headers) per fragment — 1.82 MB when every
+// fragment held both.
 func TestBuildAllocatedBytes(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation is instrumented under -race")
@@ -514,6 +515,61 @@ func TestGraphRetainsNoEdgeCopies(t *testing.T) {
 		t.Fatalf("the graph gained %.1f B per edge, budget 24", perEdge)
 	}
 	t.Logf("the graph gained %.1f B per edge", perEdge)
+}
+
+// TestFragmentsHoldAPropertyColumn: a fragment keeps its vertices'
+// properties as one column — a 4-byte offset per vertex and the values'
+// 16-byte string headers — not a 24-byte list header per vertex. The
+// keyword-decorated social graph (about one vertex in ten has a keyword) is
+// hash-cut into 8 fragments at hops 0 and 1, and what its layout retains
+// beyond the same cut of the undecorated graph is held to 6 B per fragment
+// vertex plus 16 B per value.
+func TestFragmentsHoldAPropertyColumn(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation is instrumented under -race")
+	}
+	plain := gen.PreferentialAttachment(10000, 5, 1)
+	kw := gen.PreferentialAttachment(10000, 5, 1)
+	gen.AttachKeywords(kw, []string{"db", "graph", "ml"}, 2, 0.05, 1)
+	asg, err := Hash{}.Partition(plain, 8) // hash places by ID: one assignment fits both
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := func(g *graph.Graph, hops int) *Layout {
+		if hops == 0 {
+			return Build(g, asg)
+		}
+		return BuildExpanded(g, asg, hops)
+	}
+	retained := func(g *graph.Graph, hops int) (int64, *Layout) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		l := cut(g, hops)
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		return int64(after.HeapAlloc) - int64(before.HeapAlloc), l
+	}
+	for hops := range 2 {
+		cut(plain, hops) // each source derives its views on its first cut
+		cut(kw, hops)
+		base, pl := retained(plain, hops)
+		with, l := retained(kw, hops)
+		verts, values := 0, 0
+		for _, f := range l.Fragments {
+			verts += f.G.NumVertices()
+			for i := range int32(f.G.NumVertices()) {
+				values += len(f.G.PropsAt(i))
+			}
+		}
+		runtime.KeepAlive(pl)
+		extra, budget := with-base, int64(6*verts+16*values)
+		t.Logf("hops %d: %d fragment vertices, %d values: properties take %d B (%.1f B per vertex beyond 16 B per value), budget %d",
+			hops, verts, values, extra, float64(extra-int64(16*values))/float64(verts), budget)
+		if extra > budget {
+			t.Errorf("hops %d: the fragments' properties take %d B, budget %d (6 B per vertex, 16 B per value)", hops, extra, budget)
+		}
+	}
 }
 
 // TestLocalAgreesWithIndex: Fragment.Local finds every vertex of a fragment

@@ -323,6 +323,9 @@ func servedMissReusesRunScratch(t *testing.T, strategy string) {
 	runtime.GC()
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// One P, one per-P pool cache: with more, scratch put back on one P can
+	// sit in that P's private slot, where a Get on another never looks.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	big := New(Config{Workers: 8, Strategy: strategy})
 	defer big.Close()
 	g := gen.PreferentialAttachment(10000, 5, 1)

@@ -15,9 +15,17 @@ import (
 // FuzzSnapshotRoundTrip throws arbitrary bytes at the snapshot parser: it
 // must never panic, and anything it does accept must be a valid graph. The
 // corpus is seeded with real snapshots and light mutations of them, one
-// naming format version 1; each input is also parsed resealed, so the
-// fuzzer's mutations of the body reach graph.DecodeFlat past the checksums.
+// naming format version 1, and with snapshots of 2–6-vertex graphs with and
+// without properties, small enough that the fuzzer mutates the property
+// entries rather than spend its time minimising; each input is also parsed
+// resealed, so the fuzzer's mutations of the body reach graph.DecodeFlat past
+// the checksums.
 func FuzzSnapshotRoundTrip(f *testing.F) {
+	for n := 2; n <= 6; n++ {
+		for _, props := range []bool{false, true} {
+			f.Add(encodeSnapshot(tinyGraph(n, props), uint64(n)))
+		}
+	}
 	dir := f.TempDir()
 	var v2 []byte
 	for seed := int64(0); seed < 4; seed++ {
@@ -61,6 +69,23 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			parseAccepted(t, reseal(append([]byte(nil), data...)))
 		}
 	})
+}
+
+// tinyGraph returns a directed n-vertex path with labels, an edge label and,
+// if props, properties on every other vertex — one, then two.
+func tinyGraph(n int, props bool) *graph.Graph {
+	b := graph.NewBuilder()
+	for i := range n {
+		id := graph.ID(3*i + 1)
+		b.AddVertex(id, []string{"", "a"}[i%2])
+		if props && i%2 == 0 {
+			b.SetProps(id, []string{"k", "w"}[:1+i%4/2])
+		}
+		if i > 0 {
+			b.AddLabeledEdge(id-3, id, float64(i), []string{"", "x"}[i%2])
+		}
+	}
+	return b.Graph()
 }
 
 // parseAccepted parses data as a snapshot from aligned memory, exactly as

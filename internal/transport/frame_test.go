@@ -227,7 +227,16 @@ func TestSessionBuffersAreReused(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection between the sessions would empty the pools
+	// Two collections empty every sync.Pool, so the first session is cold
+	// whatever ran before it (another -count iteration included). Then the
+	// collector stays off: a collection between the sessions would empty the
+	// pools.
+	runtime.GC()
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// One P, one per-P pool cache: with more, a buffer put back on one P can
+	// sit in that P's private slot, where a Get on another never looks.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	first := session()
 	time.Sleep(50 * time.Millisecond) // the workers' pumps return their buffers as they exit, after Close
 	second := session()
