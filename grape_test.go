@@ -252,7 +252,9 @@ func TestFacadeCustomProgramCheckedRunAndSession(t *testing.T) {
 	}
 }
 
-func TestFacadeRegisterAndRunProgramAs(t *testing.T) {
+// The registry refuses a second entry under one name, so the program is
+// registered once per process, not once per run of the test (-count=N).
+func init() {
 	grape.Register(grape.MakeEntry(grape.EntrySpec[minQuery, int64, map[grape.ID]int64]{
 		Prog:        minProg{},
 		Description: "test",
@@ -260,6 +262,9 @@ func TestFacadeRegisterAndRunProgramAs(t *testing.T) {
 		Parse:       func(string) (minQuery, error) { return minQuery{}, nil },
 		Canonical:   func(minQuery) string { return "" },
 	}))
+}
+
+func TestFacadeRegisterAndRunProgramAs(t *testing.T) {
 	g := grape.RoadGrid(6, 6, 1)
 	// the typed accessor — no any-assertion at the call site
 	res, _, err := grape.RunProgramAs[map[grape.ID]int64](context.Background(), "facade-minflood", g, grape.Options{Workers: 2}, "")

@@ -257,6 +257,9 @@ func TestDefaultPartialKeepsSetAndLength(t *testing.T) {
 // the state a wire worker is in after its setup frame — builds no ID index:
 // 1,000 updates cost nothing beyond the batch the caller passes in.
 func TestWireCommandDecodeBuildsNoIDIndex(t *testing.T) {
+	// TotalAlloc counts every goroutine's allocations; with one P no goroutine
+	// an earlier test left running allocates inside the measured window.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const n = 1000
 	f := matching(t, n).Fragments[0] // 2,000 vertices: the sources and a copy of each target
 	fragFrame := partition.AppendFragment(nil, f)
