@@ -51,7 +51,6 @@ func main() {
 		query    = flag.String("query", "", "query string (see each program's help)")
 		workers  = flag.Int("workers", 8, "number of workers")
 		strategy = flag.String("strategy", "fennel", "partition strategy (hash|range|fennel|ldg|metis|2d)")
-		check    = flag.Bool("check", false, "verify the monotonic condition at run time")
 		steps    = flag.Bool("steps", false, "print the per-superstep PEval/IncEval breakdown")
 		traceOut = flag.String("trace", "", "write the run's flight-recorder trace to this file as Chrome trace-event JSON (open in Perfetto or chrome://tracing)")
 		listen   = flag.String("listen", "", "run distributed: listen here and wait for -workers grape-worker processes")
@@ -110,7 +109,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts := grape.Options{Workers: *workers, Strategy: strat, CheckMonotonic: *check}
+	opts := grape.Options{Workers: *workers, Strategy: strat}
 	// log.Fatal skips deferred closes, which would leave a stale unix
 	// socket file behind; route fatal errors through the cleanup instead.
 	cleanup := func() {}

@@ -30,9 +30,11 @@ type Reach struct{}
 // Name identifies the program.
 func (Reach) Name() string { return "reach" }
 
-// Spec declares the update parameters: reachability bits under OR, ordered
-// false < true. The engine checks this order when CheckMonotonic is set —
-// the Assurance Theorem's condition.
+// Spec declares the update parameters: reachability bits under OR, which
+// only ever turns a bit on, so no order needs declaring. A program whose
+// aggregate could move a value back declares the order its values descend
+// along as VarSpec.Less, and the engine refuses every fold against it — the
+// Assurance Theorem's condition.
 func (Reach) Spec() grape.VarSpec[bool] {
 	return grape.VarSpec[bool]{
 		Default: false,
@@ -95,7 +97,7 @@ func main() {
 	ctx := context.Background()
 	g := grape.SocialNetwork(5000, 3, 11)
 	reached, stats, err := grape.Run(ctx, g, Reach{}, ReachQuery{Source: 0},
-		grape.Options{Workers: 8, CheckMonotonic: true})
+		grape.Options{Workers: 8})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -217,7 +217,7 @@ func (minProg) Assemble(_ minQuery, ctxs []*grape.Context[int64]) (map[grape.ID]
 
 func TestFacadeCustomProgramCheckedRunAndSession(t *testing.T) {
 	g := grape.RoadGrid(10, 10, 3)
-	res, _, err := grape.Run(context.Background(), g, minProg{}, minQuery{}, grape.Options{Workers: 4, CheckMonotonic: true})
+	res, _, err := grape.Run(context.Background(), g, minProg{}, minQuery{}, grape.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

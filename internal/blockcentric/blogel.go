@@ -33,16 +33,11 @@ type Block struct {
 	State any
 
 	member map[graph.ID]bool
-	gIdx   []int32 // parallel to Vertices: dense indices in the global graph
+	gIdx   []int32 // parallel to Vertices: dense indices in the global graph, the handles BCtx.ValueAt/SetValueAt take
 }
 
 // Contains reports whether id belongs to the block.
 func (b *Block) Contains(id graph.ID) bool { return b.member[id] }
-
-// GlobalIndices returns, parallel to Vertices, the members' dense indices in
-// the global graph — the handles BCtx.ValueAt/SetValueAt take. The caller
-// must not mutate the returned slice.
-func (b *Block) GlobalIndices() []int32 { return b.gIdx }
 
 // BCtx is the compute context of one block superstep. Vertex values live in
 // a flat array indexed by the global graph's dense vertex index; the

@@ -11,13 +11,13 @@ import (
 // TestSuperstepAllocatesNothing: in steady state the update-parameter path of
 // one IncEval superstep — the worker's flush, the coordinator's fold and
 // route, the receiver's apply — allocates no object, at 16 updates and at
-// 8 192: every buffer is the pooled scratch's (the contexts, the fold), and
+// 8 192, with the declared order checked on every change: every buffer is the pooled scratch's (the contexts, the fold), and
 // nothing on the way builds a map, a record list or a sort. A vector-valued
 // variable allocates what its own Agg returns, here nothing.
 func TestSuperstepAllocatesNothing(t *testing.T) {
 	const n = 8192
 	layout := matching(t, n) // fragment 0 holds a copy of each of fragment 1's n vertices
-	scalar := VarSpec[float64]{Default: math.Inf(1), Agg: math.Min, Eq: func(a, b float64) bool { return a == b }}
+	scalar := VarSpec[float64]{Default: math.Inf(1), Agg: math.Min, Eq: func(a, b float64) bool { return a == b }, Less: func(a, b float64) bool { return a < b }}
 	vector := VarSpec[[]float64]{Agg: func(old, new []float64) []float64 { return new }, Eq: func(a, b []float64) bool { return slices.Equal(a, b) }}
 	vecs := make([][]float64, 0, 1<<16)
 	for range cap(vecs) {
@@ -42,7 +42,7 @@ func superstepAllocs[V any](t *testing.T, what string, layout *partition.Layout,
 				sender.SetAt(i, v)
 			}
 			replies[0].changes = sender.flush()
-			if err := fold.fold(replies, false); err != nil {
+			if err := fold.fold(replies); err != nil {
 				t.Fatal(err)
 			}
 			route, scheduled := fold.buildRoute()

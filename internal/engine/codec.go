@@ -40,20 +40,10 @@ type ArenaCodec[V any] interface {
 // the update-parameter payloads (framing overhead excluded, mirroring the
 // in-process accounting which also counts payloads only).
 
-// AppendUpdates appends the encoding of a batch of update-parameter changes:
-// uvarint count, then per update a uvarint node ID followed by the
-// codec-encoded value. Engine frames name a position both ends share instead
-// (appendBatch); only the default partial answer's overflow nodes keep IDs.
-func AppendUpdates[V any](c Codec[V], buf []byte, ups []VarUpdate[V]) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(ups)))
-	for _, u := range ups {
-		buf = appendUpdate(c, buf, uint64(u.ID), u.Val)
-	}
-	return buf
-}
-
-// appendBatch is AppendUpdates for a batch named by position: a border
-// position in a reply, a dense index everywhere else.
+// appendBatch appends the encoding of a batch of update-parameter changes:
+// uvarint count, then per update a uvarint position followed by the
+// codec-encoded value. No batch names a vertex ID: the position is one both
+// ends share — a border position in a reply, a dense index everywhere else.
 func appendBatch[V any](c Codec[V], buf []byte, ups []update[V]) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(ups)))
 	for _, u := range ups {
@@ -66,27 +56,10 @@ func appendUpdate[V any](c Codec[V], buf []byte, key uint64, v V) []byte {
 	return c.AppendVal(binary.AppendUvarint(buf, key), v)
 }
 
-// DecodeUpdates decodes a batch encoded by AppendUpdates from the front of
-// data into ups[:0] (a receiver passes the batch it is done with), returning
-// the updates and the number of bytes consumed.
-func DecodeUpdates[V any](c Codec[V], ups []VarUpdate[V], data []byte) ([]VarUpdate[V], int, error) {
-	br, err := openBatch(c, data)
-	if err != nil {
-		return nil, 0, err
-	}
-	ups = slices.Grow(ups[:0], br.count)
-	for range br.count {
-		key, v, err := br.next()
-		if err != nil {
-			return nil, 0, err
-		}
-		ups = append(ups, VarUpdate[V]{ID: graph.ID(key), Val: v})
-	}
-	return ups, br.pos, nil
-}
-
 // decodeBatch decodes a batch written by appendBatch from the front of data
-// into ups[:0], its positions vetted as positions{n, ascending} says.
+// into ups[:0] (a receiver passes the batch it is done with), returning the
+// updates and the number of bytes consumed, its positions vetted as
+// positions{n, ascending} says.
 func decodeBatch[V any](c Codec[V], ups []update[V], data []byte, n int, ascending bool) ([]update[V], int, error) {
 	br, err := openBatch(c, data)
 	if err != nil {

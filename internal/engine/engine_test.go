@@ -15,14 +15,15 @@ import (
 	"grape/internal/partition"
 )
 
-// countdown is a minimal monotone PIE program used to exercise the engine
-// machinery in isolation. PEval stamps every local vertex with
-// 64 + fragment index, so replicas of a border node disagree and the
-// coordinator must route updates; each IncEval round halves the updated
-// values, shipping the changes, until everything reaches 1. The aggregate
-// is last-writer-wins so the declared order (<) does real work — a program
-// that ships an increase is caught by the monotonicity checker rather than
-// silently absorbed.
+// countdown is a minimal PIE program used to exercise the engine machinery
+// in isolation. PEval stamps every local vertex with 64 + fragment index, so
+// replicas of a border node disagree and the coordinator must route updates;
+// each IncEval round halves the updated values, shipping the changes, until
+// everything reaches 1. The aggregate is last-writer-wins, which no order
+// holds to, so countdown declares none. With breakOrder it declares < and
+// stamps 64 − fragment index instead, so the replicas' disagreement descends
+// and the first change against the order is IncEval's raise, which the
+// last writer does not absorb: the fold must refuse it.
 type countdown struct {
 	failPEval   bool
 	failIncEval bool
@@ -34,20 +35,27 @@ type cdQuery struct{}
 func (countdown) Name() string { return "countdown" }
 
 func (c countdown) Spec() VarSpec[int64] {
-	return VarSpec[int64]{
+	spec := VarSpec[int64]{
 		Default: 1 << 30,
 		Agg:     func(a, b int64) int64 { return b }, // last writer wins
 		Eq:      func(a, b int64) bool { return a == b },
-		Less:    func(a, b int64) bool { return a < b },
 	}
+	if c.breakOrder {
+		spec.Less = func(a, b int64) bool { return a < b }
+	}
+	return spec
 }
 
 func (c countdown) PEval(q cdQuery, ctx *Context[int64]) error {
 	if c.failPEval {
 		return errors.New("peval boom")
 	}
+	stamp := 64 + int64(ctx.Frag.Index)
+	if c.breakOrder {
+		stamp = 64 - int64(ctx.Frag.Index)
+	}
 	for _, v := range ctx.Frag.G.Vertices() {
-		ctx.Set(v, 64+int64(ctx.Frag.Index))
+		ctx.Set(v, stamp)
 		ctx.AddWork(1)
 	}
 	return nil
@@ -116,17 +124,72 @@ func TestEngineSurfacesIncEvalError(t *testing.T) {
 	}
 }
 
+// TestEngineDetectsMonotonicityViolation: the refusal names the node and the
+// change that broke the order, a raise.
 func TestEngineDetectsMonotonicityViolation(t *testing.T) {
 	g := gen.Random(40, 120, 3)
-	_, _, err := Run(context.Background(), g, countdown{breakOrder: true}, cdQuery{}, Options{Workers: 3, CheckMonotonic: true, MaxSupersteps: 50})
+	_, _, err := Run(context.Background(), g, countdown{breakOrder: true}, cdQuery{}, Options{Workers: 3, MaxSupersteps: 50})
 	if !errors.Is(err, ErrNotMonotonic) {
 		t.Fatalf("want ErrNotMonotonic, got %v", err)
 	}
-	// Without checking, the violation shows up as a superstep-limit blowup
-	// instead (values keep climbing): the Assurance Theorem's contrapositive.
-	_, _, err = Run(context.Background(), g, countdown{breakOrder: true}, cdQuery{}, Options{Workers: 3, MaxSupersteps: 20})
-	if !errors.Is(err, ErrSuperstepLimit) {
-		t.Fatalf("want ErrSuperstepLimit, got %v", err)
+	var node graph.ID
+	var old, merged int64
+	if _, serr := fmt.Sscanf(err.Error(), "engine: node %d: %d -> %d", &node, &old, &merged); serr != nil || !g.Has(node) || merged <= old {
+		t.Fatalf("the refusal does not name a node's raise: %v", err)
+	}
+}
+
+// TestOrderCheckedByDefault: no option turns the order check on or off. A
+// program whose IncEval raises values against its declared order fails with
+// ErrNotMonotonic under the zero Options — in a one-shot run and in a
+// session's first fixpoint — rather than climbing to the superstep limit.
+func TestOrderCheckedByDefault(t *testing.T) {
+	g := gen.Random(40, 120, 3)
+	if _, _, err := Run(context.Background(), g, countdown{breakOrder: true}, cdQuery{}, Options{}); !errors.Is(err, ErrNotMonotonic) {
+		t.Fatalf("run: want ErrNotMonotonic, got %v", err)
+	}
+	if _, _, _, err := NewSession(context.Background(), g, countdown{breakOrder: true}, cdQuery{}, Options{}); !errors.Is(err, ErrNotMonotonic) {
+		t.Fatalf("session: want ErrNotMonotonic, got %v", err)
+	}
+}
+
+// TestUnhostedVertexRefused: a context holds variables only for the vertices
+// its fragment graph holds. Setting any other — by ID, or by a dense index
+// past the graph's vertices — panics, naming the vertex and the fragment;
+// reading one returns the default.
+func TestUnhostedVertexRefused(t *testing.T) {
+	layout, err := BuildLayout(gen.Random(20, 60, 1), Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := layout.Fragments[1]
+	ctx := newContext(f, countdown{}.Spec())
+	nv := int32(f.G.NumVertices())
+	for name, set := range map[string]func(){
+		"Set":        func() { ctx.Set(9999, 7) },
+		"SetLocal":   func() { ctx.SetLocal(9999, 7) },
+		"SetAt":      func() { ctx.SetAt(nv, 7) },
+		"SetLocalAt": func() { ctx.SetLocalAt(nv+3, 7) },
+	} {
+		var msg string
+		func() {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			set()
+		}()
+		if msg == "<nil>" {
+			t.Fatalf("%s of an unhosted vertex did not panic", name)
+		}
+		if !strings.Contains(msg, "fragment 1") {
+			t.Fatalf("%s: panic %q does not name the fragment", name, msg)
+		}
+	}
+	if got := ctx.Get(9999); got != 1<<30 {
+		t.Fatalf("Get of an unhosted vertex: %d, want the default", got)
+	}
+	n := 0
+	ctx.Vars(func(graph.ID, int64) { n++ })
+	if n != 0 || len(ctx.vals) != int(nv) {
+		t.Fatalf("refused sets left %d variables, %d slots for %d vertices", n, len(ctx.vals), nv)
 	}
 }
 

@@ -89,9 +89,8 @@ type coordinator[V any] struct {
 	fold *foldState[V]
 	// ckpt, non-nil under Options.Recover, makes the barrier survive
 	// worker-fatal envelopes.
-	ckpt      *checkpoint[V]
-	stats     *metrics.Stats
-	checkMono bool
+	ckpt  *checkpoint[V]
+	stats *metrics.Stats
 
 	// pending flags the workers commanded this superstep whose frame has not
 	// arrived: a dead one owes the barrier a reply, a cancelled wire run
@@ -153,7 +152,7 @@ func fixpoint[Q, V, R any](ctx context.Context, layout *partition.Layout, prog P
 	}
 	pending, stillActive := make([]bool, n), make(map[int]bool)
 	c := &coordinator[V]{
-		name: prog.Name(), sub: sub, tr: tr, fold: fold, ckpt: ckpt, stats: stats, checkMono: opts.CheckMonotonic,
+		name: prog.Name(), sub: sub, tr: tr, fold: fold, ckpt: ckpt, stats: stats,
 		pending: pending, replies: make([]*workerReply[V], n), stillActive: stillActive,
 	}
 	fail := func(err error) (R, *metrics.Stats, error) {
@@ -353,7 +352,7 @@ func (c *coordinator[V]) collectStep(ctx context.Context, rec *trace.Recorder, e
 		remaining--
 	}
 	rec.BarrierDone(step)
-	if err := c.fold.fold(c.replies, c.checkMono); err != nil {
+	if err := c.fold.fold(c.replies); err != nil {
 		return nil, 0, err
 	}
 	if c.ckpt != nil {

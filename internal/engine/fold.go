@@ -121,9 +121,11 @@ func (f *foldState[V]) force(s int32, v V) {
 }
 
 // fold aggregates one superstep's reports. replies is indexed by worker;
-// nil entries are workers that were not scheduled. checkMono enables the
-// Assurance Theorem verification of Options.CheckMonotonic.
-func (f *foldState[V]) fold(replies []*workerReply[V], checkMono bool) error {
+// nil entries are workers that were not scheduled. When the spec declares
+// Less, every change to a value already folded must descend along it — the
+// Assurance Theorem's condition — or the superstep fails with
+// ErrNotMonotonic.
+func (f *foldState[V]) fold(replies []*workerReply[V]) error {
 	f.grow()
 	spec := f.spec
 	for w, rep := range replies {
@@ -152,7 +154,7 @@ func (f *foldState[V]) fold(replies []*workerReply[V], checkMono bool) error {
 				if spec.Eq(old, merged) {
 					continue
 				}
-				if checkMono && spec.Less != nil && f.has[s] && !spec.Less(merged, old) {
+				if spec.Less != nil && f.has[s] && !spec.Less(merged, old) {
 					return fmt.Errorf("engine: node %d: %v -> %v: %w", f.layout.SlotID(s), old, merged, ErrNotMonotonic)
 				}
 				f.val[s], f.has[s] = merged, true

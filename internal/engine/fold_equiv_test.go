@@ -26,6 +26,12 @@ import (
 // the fragments' graphs (whoever has the vertex hosts it), not from the
 // layout's slot index, so the index is checked, not trusted.
 
+// idUpdate is one reported change named by vertex ID.
+type idUpdate[V any] struct {
+	ID  graph.ID
+	Val V
+}
+
 type refRec[V any] struct {
 	id     graph.ID
 	val    V
@@ -54,13 +60,13 @@ func (r *refFold[V]) shardOf(id graph.ID) int {
 }
 
 // fold takes every worker's report by ID (nil: not scheduled).
-func (r *refFold[V]) fold(replies [][]VarUpdate[V], checkMono bool) error {
+func (r *refFold[V]) fold(replies [][]idUpdate[V]) error {
 	for s := range r.changed {
 		r.changed[s] = r.changed[s][:0]
 	}
 	for w, rep := range replies {
 		for _, u := range rep {
-			if err := r.foldOne(r.shardOf(u.ID), w, u, checkMono); err != nil {
+			if err := r.foldOne(r.shardOf(u.ID), w, u); err != nil {
 				return err
 			}
 		}
@@ -72,7 +78,7 @@ func (r *refFold[V]) fold(replies [][]VarUpdate[V], checkMono bool) error {
 	return nil
 }
 
-func (r *refFold[V]) foldOne(s, w int, u VarUpdate[V], checkMono bool) error {
+func (r *refFold[V]) foldOne(s, w int, u idUpdate[V]) error {
 	if r.spec.Consume {
 		r.changed[s] = append(r.changed[s], refRec[V]{id: u.ID, val: u.Val, winner: w})
 		return nil
@@ -85,7 +91,7 @@ func (r *refFold[V]) foldOne(s, w int, u VarUpdate[V], checkMono bool) error {
 	if r.spec.Eq(old, merged) {
 		return nil
 	}
-	if checkMono && r.spec.Less != nil && has && !r.spec.Less(merged, old) {
+	if r.spec.Less != nil && has && !r.spec.Less(merged, old) {
 		return fmt.Errorf("engine: node %d: %v -> %v: %w", u.ID, old, merged, ErrNotMonotonic)
 	}
 	r.global[s][u.ID] = merged
@@ -149,17 +155,17 @@ func (r *refFold[V]) hosts(id graph.ID) []int {
 	return hs
 }
 
-func (r *refFold[V]) buildRoute() [][]VarUpdate[V] {
-	route := make([][]VarUpdate[V], len(r.layout.Fragments))
+func (r *refFold[V]) buildRoute() [][]idUpdate[V] {
+	route := make([][]idUpdate[V], len(r.layout.Fragments))
 	for _, rec := range r.merged {
 		if r.spec.Consume {
 			o := r.layout.Asg.Owner(rec.id)
-			route[o] = append(route[o], VarUpdate[V]{ID: rec.id, Val: rec.val})
+			route[o] = append(route[o], idUpdate[V]{ID: rec.id, Val: rec.val})
 			continue
 		}
 		for _, h := range r.hosts(rec.id) {
 			if h != rec.winner {
-				route[h] = append(route[h], VarUpdate[V]{ID: rec.id, Val: rec.val})
+				route[h] = append(route[h], idUpdate[V]{ID: rec.id, Val: rec.val})
 			}
 		}
 	}
@@ -182,20 +188,20 @@ func newFoldPair[V any](spec VarSpec[V], layout *partition.Layout) *foldPair[V] 
 // (node, value, winner), in the same order — and the same batch for every
 // worker. It returns the batches, as the fold under test routed them, and
 // whether the superstep failed.
-func (p *foldPair[V]) step(t testing.TB, what string, replies []*workerReply[V], checkMono bool) ([][]update[V], bool) {
+func (p *foldPair[V]) step(t testing.TB, what string, replies []*workerReply[V]) ([][]update[V], bool) {
 	t.Helper()
-	named := make([][]VarUpdate[V], len(replies))
+	named := make([][]idUpdate[V], len(replies))
 	for w, rep := range replies {
 		if rep == nil {
 			continue
 		}
 		border := p.layout.Fragments[w].Border()
 		for _, u := range rep.changes {
-			named[w] = append(named[w], VarUpdate[V]{ID: border[u.at], Val: u.val})
+			named[w] = append(named[w], idUpdate[V]{ID: border[u.at], Val: u.val})
 		}
 	}
-	refErr := p.ref.fold(named, checkMono)
-	err := p.fold.fold(replies, checkMono)
+	refErr := p.ref.fold(named)
+	err := p.fold.fold(replies)
 	if err != nil || refErr != nil {
 		if err == nil || refErr == nil || err.Error() != refErr.Error() {
 			t.Fatalf("%s: fold failed with %v, the reference with %v", what, err, refErr)
@@ -212,10 +218,10 @@ func (p *foldPair[V]) step(t testing.TB, what string, replies []*workerReply[V],
 	route, scheduled := p.fold.buildRoute()
 	want, wantScheduled := p.ref.buildRoute(), 0
 	for w, batch := range route {
-		var got []VarUpdate[V]
+		var got []idUpdate[V]
 		ids := p.layout.Fragments[w].G.Vertices()
 		for _, u := range batch {
-			got = append(got, VarUpdate[V]{ID: ids[u.at], Val: u.val})
+			got = append(got, idUpdate[V]{ID: ids[u.at], Val: u.val})
 		}
 		if len(want[w]) > 0 {
 			wantScheduled++
@@ -275,7 +281,7 @@ func AuditedRun[Q, V, R any](t testing.TB, layout *partition.Layout, prog Progra
 	pair := newFoldPair(spec, layout)
 	for step := 1; step <= stats.Supersteps; step++ {
 		what := fmt.Sprintf("%s superstep %d", prog.Name(), step)
-		route, failed := pair.step(t, what, audit.replies[step], opts.CheckMonotonic)
+		route, failed := pair.step(t, what, audit.replies[step])
 		if failed {
 			if err == nil {
 				t.Fatalf("%s: the audit's fold failed, the run's did not", what)
@@ -341,25 +347,23 @@ func randomReplies[V any](rng *rand.Rand, layout *partition.Layout, density floa
 
 // randomSupersteps holds the fold to the reference over three supersteps of
 // random reports on layout (the later ones meet retained values), for a
-// convergent min variable with and without the monotonicity check, a
-// last-writer variable the check refuses, and a queue variable whose
-// aggregate is order-sensitive.
+// convergent min variable, a last-writer variable the order check refuses,
+// and a queue variable whose aggregate is order-sensitive.
 func randomSupersteps(t testing.TB, what string, layout *partition.Layout, seed int64) {
 	t.Helper()
 	for _, density := range []float64{0.05, 0.9} {
 		rng := rand.New(rand.NewSource(seed))
 		small := func(int) float64 { return float64(rng.Intn(8)) }
-		pMin, pMono, pLast, pQueue := newFoldPair(minSpec(), layout), newFoldPair(minSpec(), layout), newFoldPair(lastSpec(), layout), newFoldPair(queueSpec(), layout)
+		pMin, pLast, pQueue := newFoldPair(minSpec(), layout), newFoldPair(lastSpec(), layout), newFoldPair(queueSpec(), layout)
 		lastFailed := false
 		for step := 0; step < 3; step++ {
 			what := fmt.Sprintf("%s, density %g, step %d", what, density, step)
 			reps := randomReplies(rng, layout, density, small)
-			pMin.step(t, what+", min", reps, false)
-			pMono.step(t, what+", min checked", reps, true)
+			pMin.step(t, what+", min", reps)
 			if !lastFailed {
-				_, lastFailed = pLast.step(t, what+", last writer checked", reps, true)
+				_, lastFailed = pLast.step(t, what+", last writer", reps)
 			}
-			pQueue.step(t, what+", queue", randomReplies(rng, layout, density, func(w int) []int { return []int{w} }), false)
+			pQueue.step(t, what+", queue", randomReplies(rng, layout, density, func(w int) []int { return []int{w} }))
 		}
 	}
 }
@@ -426,8 +430,8 @@ func TestFoldAuditedRuns(t *testing.T) {
 		if _, err := AuditedRun(t, layout, countdown{}, cdQuery{}, Options{}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := AuditedRun(t, layout, countdown{}, cdQuery{}, Options{CheckMonotonic: true}); !errors.Is(err, ErrNotMonotonic) {
-			t.Fatalf("replicas disagree after PEval and the last writer wins: the check must refuse that, got %v", err)
+		if _, err := AuditedRun(t, layout, countdown{breakOrder: true}, cdQuery{}, Options{}); !errors.Is(err, ErrNotMonotonic) {
+			t.Fatalf("IncEval raises values against the declared order: the check must refuse that, got %v", err)
 		}
 		if _, err := AuditedRun(t, layout, stepper{}, stepQuery{limit: 6}, Options{}); err != nil {
 			t.Fatal(err)

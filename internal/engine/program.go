@@ -17,10 +17,11 @@
 // order the values descend along, declared via VarSpec.Less) this fixpoint is
 // guaranteed to terminate with the correct answer as long as the plugged-in
 // sequential algorithms are correct — the paper's Assurance Theorem. The
-// engine can check the condition at run time (Options.CheckMonotonic).
+// engine checks the condition on every fold of a program that declares it.
 package engine
 
 import (
+	"fmt"
 	"math/bits"
 	"slices"
 
@@ -45,7 +46,8 @@ type VarSpec[V any] struct {
 	Eq func(a, b V) bool
 	// Less, if non-nil, is a strict partial order that aggregated values
 	// must descend along. Programs satisfying it enjoy the Assurance
-	// Theorem; the engine verifies it when Options.CheckMonotonic is set.
+	// Theorem; the coordinator's fold refuses a change against it with
+	// ErrNotMonotonic.
 	Less func(a, b V) bool
 	// Size returns the serialized size of a value in bytes for traffic
 	// accounting. If nil, 8 bytes is assumed.
@@ -98,20 +100,13 @@ type Program[Q, V, R any] interface {
 	Assemble(q Q, ctxs []*Context[V]) (R, error)
 }
 
-// VarUpdate is one (node, value) pair of update-parameter traffic named by
-// vertex ID, as AppendUpdates writes it.
-type VarUpdate[V any] struct {
-	ID  graph.ID
-	Val V
-}
-
-// update is the same pair inside the engine, addressed by position — no
-// superstep hashes a vertex ID. On its way to the coordinator (a flush, a
-// reply) at is the border position in the sender's fragment, which the fold
-// turns into the layout's slot through Fragment.Slots; on its way to a
-// fragment (a routed batch, a command, a replayed step) it is the dense index
-// in the receiver's graph. Engine frames carry the same positions: both ends
-// hold the fragment, so neither resolves an ID.
+// update is one (node, value) pair of update-parameter traffic, addressed by
+// position — no superstep hashes a vertex ID. On its way to the coordinator
+// (a flush, a reply) at is the border position in the sender's fragment,
+// which the fold turns into the layout's slot through Fragment.Slots; on its
+// way to a fragment (a routed batch, a command, a replayed step) it is the
+// dense index in the receiver's graph. Engine frames carry the same
+// positions: both ends hold the fragment, so neither resolves an ID.
 type update[V any] struct {
 	at  int32
 	val V
@@ -134,10 +129,8 @@ type Context[V any] struct {
 	spec VarSpec[V] //grapevet:keep set by whoever binds the context — newContext, a pooled run scratch — before reset, which keeps it
 	// Node variables live in dense slices indexed by the fragment graph's
 	// dense vertex index — the fragment is fixed during a run, and the
-	// session layer's vertex additions are absorbed by ensure(). vars is the
-	// overflow path for IDs a program addresses without hosting them; it is
-	// nil until first needed and such nodes are never border, so they never
-	// ship.
+	// session layer's vertex additions are absorbed by ensure(). A vertex the
+	// fragment graph does not hold has no variable here: setting one panics.
 	vals []V
 	has  []bool
 	// borderPos is the border position + 1 of the vertex at each dense index
@@ -148,10 +141,9 @@ type Context[V any] struct {
 	nb         int
 	changed    []uint64
 	queued     int
-	vars       map[graph.ID]V
 	flushBuf   []update[V] // reused across supersteps; see flush
 	updated    []graph.ID  // nodes changed by the last message application
-	updatedIdx []int32     // dense indices of updated (overflow nodes omitted)
+	updatedIdx []int32     // dense indices of updated
 	work       int64
 	active     bool // worker requests another superstep even without messages
 }
@@ -191,7 +183,6 @@ func (c *Context[V]) reset(f *partition.Fragment) {
 	c.changed = c.changed[:0]
 	c.nb, c.queued = 0, 0
 	c.syncBorder()
-	c.vars = nil
 	c.flushBuf = c.flushBuf[:0]
 	c.updated = c.updated[:0]
 	c.updatedIdx = c.updatedIdx[:0]
@@ -202,14 +193,31 @@ func (c *Context[V]) reset(f *partition.Fragment) {
 }
 
 // ensure grows the dense arrays to cover dense index i; the session layer
-// appends vertices to the fragment graph after context creation.
+// appends vertices to the fragment graph after context creation. An index
+// past the fragment graph's vertices panics.
 func (c *Context[V]) ensure(i int32) {
+	if int(i) < len(c.vals) {
+		return
+	}
+	if n := c.Frag.G.NumVertices(); int(i) >= n {
+		panic(fmt.Sprintf("engine: vertex index %d is past fragment %d's %d vertices", i, c.Frag.Index, n))
+	}
 	for int(i) >= len(c.vals) {
 		var zero V
 		c.vals = append(c.vals, zero)
 		c.has = append(c.has, false)
 		c.borderPos = append(c.borderPos, 0)
 	}
+}
+
+// at returns id's dense index, panicking when the fragment graph does not
+// hold id: a variable there could neither ship nor reach Assemble.
+func (c *Context[V]) at(id graph.ID) int32 {
+	i, ok := c.Frag.G.Index(id)
+	if !ok {
+		panic(fmt.Sprintf("engine: vertex %d is not in fragment %d", id, c.Frag.Index))
+	}
+	return i
 }
 
 // syncBorder takes note of the border positions the fragment has and the
@@ -239,53 +247,26 @@ func (c *Context[V]) queue(i int32) {
 }
 
 // Get returns the variable of id, or the declared default if it was never
-// set.
+// set or the fragment graph does not hold id.
 func (c *Context[V]) Get(id graph.ID) V {
 	if i, ok := c.Frag.G.Index(id); ok {
 		return c.GetAt(i)
-	}
-	if v, ok := c.vars[id]; ok {
-		return v
 	}
 	return c.spec.Default
 }
 
 // Set assigns v to id's variable. If the value changed and id is a border
-// node, the change is queued for shipping at the end of the superstep.
-func (c *Context[V]) Set(id graph.ID, v V) {
-	i, ok := c.Frag.G.Index(id)
-	if !ok {
-		old, had := c.vars[id]
-		if had && c.spec.Eq(old, v) {
-			return
-		}
-		if !had && c.spec.Eq(c.spec.Default, v) {
-			return
-		}
-		if c.vars == nil {
-			c.vars = make(map[graph.ID]V)
-		}
-		c.vars[id] = v
-		return
-	}
-	c.SetAt(i, v)
-}
+// node, the change is queued for shipping at the end of the superstep. It
+// panics when the fragment graph does not hold id.
+func (c *Context[V]) Set(id graph.ID, v V) { c.SetAt(c.at(id), v) }
 
 // SetLocal assigns v to id's variable without queueing it for shipment.
 // It is for initializations every replica derives identically from the
 // replicated vertex data (e.g. Sim's label-candidate masks): shipping them
 // would tell the other hosts nothing new. Subsequent Set calls that change
-// the value still ship normally.
-func (c *Context[V]) SetLocal(id graph.ID, v V) {
-	if i, ok := c.Frag.G.Index(id); ok {
-		c.SetLocalAt(i, v)
-		return
-	}
-	if c.vars == nil {
-		c.vars = make(map[graph.ID]V)
-	}
-	c.vars[id] = v
-}
+// the value still ship normally. It panics when the fragment graph does not
+// hold id.
+func (c *Context[V]) SetLocal(id graph.ID, v V) { c.SetLocalAt(c.at(id), v) }
 
 // GetAt is Get addressed by the fragment graph's dense vertex index — the
 // hash-free accessor kernels traversing a graph use per edge hop.
@@ -296,7 +277,8 @@ func (c *Context[V]) GetAt(i int32) V {
 	return c.spec.Default
 }
 
-// SetAt is Set addressed by dense vertex index.
+// SetAt is Set addressed by dense vertex index; it panics on an index past
+// the fragment graph's vertices.
 func (c *Context[V]) SetAt(i int32, v V) {
 	c.ensure(i)
 	if c.has[i] && c.spec.Eq(c.vals[i], v) {
@@ -337,16 +319,12 @@ func (c *Context[V]) IsBorder(id graph.ID) bool {
 // batch that triggered the current IncEval call, in ascending ID order.
 func (c *Context[V]) Updated() []graph.ID { return c.updated }
 
-// UpdatedAt returns the dense indices of the changed nodes that live in the
-// fragment graph (nodes a program addressed without hosting — the vars
-// overflow — are omitted; they carry no edges here, so index-based IncEval
-// kernels could not traverse from them anyway).
+// UpdatedAt returns the dense indices of the nodes Updated lists, less any
+// the fragment graph does not hold (a session's repair may seed one).
 func (c *Context[V]) UpdatedAt() []int32 { return c.updatedIdx }
 
-// VarsAt iterates the set variables of nodes in the fragment graph by dense
-// index. Unlike Vars it skips the overflow map — overflow nodes are never
-// inner nor border, so Assemble implementations filtering on ownership lose
-// nothing. The callback must not mutate the context.
+// VarsAt is Vars addressed by dense vertex index. The callback must not
+// mutate the context.
 func (c *Context[V]) VarsAt(f func(i int32, v V)) {
 	for i, ok := range c.has {
 		if ok {
@@ -374,9 +352,6 @@ func (c *Context[V]) Vars(f func(id graph.ID, v V)) {
 		if ok {
 			f(g.IDAt(int32(i)), c.vals[i])
 		}
-	}
-	for id, v := range c.vars {
-		f(id, v)
 	}
 }
 
@@ -450,8 +425,6 @@ func (c *Context[V]) touch(id graph.ID) {
 func (c *Context[V]) clearVar(id graph.ID) {
 	if i, ok := c.Frag.G.Index(id); ok {
 		c.clearVarAt(i)
-	} else {
-		delete(c.vars, id)
 	}
 }
 

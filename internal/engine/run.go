@@ -27,10 +27,6 @@ type Options struct {
 	// MaxSupersteps caps the fixpoint; exceeding it is an error. Default
 	// 100000 — effectively "trust the monotonicity argument".
 	MaxSupersteps int
-	// CheckMonotonic makes the coordinator verify that every aggregated
-	// update-parameter change descends along the program's declared partial
-	// order, surfacing Assurance Theorem violations as errors.
-	CheckMonotonic bool
 	// Transport, if non-nil, must be a wire transport (Transport.Wire() ==
 	// true) and runs the fixpoint distributed: workers are separate
 	// processes on the far side of the transport (see internal/transport),
@@ -68,8 +64,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// ErrNotMonotonic is returned (wrapped) when CheckMonotonic detects an
-// update parameter moving against the program's declared partial order.
+// ErrNotMonotonic is returned (wrapped) when an aggregated update parameter
+// moves against the program's declared partial order (VarSpec.Less).
 var ErrNotMonotonic = errors.New("update parameter violated the declared partial order")
 
 // ErrSuperstepLimit is returned (wrapped) when the fixpoint fails to
@@ -211,7 +207,7 @@ func acquireScratch[V any](pool *sync.Pool, layout *partition.Layout, spec VarSp
 // goroutine to exit before fixpoint returns, so nothing writes it after.
 func releaseScratch[V any](pool *sync.Pool, sc *runScratch[V]) {
 	for _, c := range sc.ctxs {
-		c.Frag, c.State, c.Partial, c.vars = nil, nil, nil, nil
+		c.Frag, c.State, c.Partial = nil, nil, nil
 	}
 	sc.fold.release()
 	for i, batch := range sc.decoded {

@@ -5,12 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"sync"
 	"time"
 
-	"grape/internal/graph"
 	"grape/internal/mpi"
 	"grape/internal/partition"
 )
@@ -426,9 +424,7 @@ func replyWire[V any](link WorkerLink, codec Codec[V], buf []byte, w, step int, 
 
 // encodePartial appends the worker's post-fixpoint payload for Assemble to
 // buf: the program's PartialCodec encoding when it has one, else the default
-// — every set node variable as one batch named by dense index, ascending, then
-// the overflow nodes, which the fragment graph does not have, as one batch
-// named by ID, ascending.
+// — every set node variable as one batch named by dense index, ascending.
 func encodePartial[Q, V, R any](prog WireProgram[Q, V, R], codec Codec[V], buf []byte, q Q, ctx *Context[V]) ([]byte, error) {
 	if pc, ok := any(prog).(PartialCodec[Q, V]); ok {
 		return pc.EncodePartial(buf, q, ctx)
@@ -446,16 +442,12 @@ func encodePartial[Q, V, R any](prog WireProgram[Q, V, R], codec Codec[V], buf [
 			buf = appendUpdate(codec, buf, uint64(i), ctx.vals[i])
 		}
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(ctx.vars)))
-	for _, id := range slices.Sorted(maps.Keys(ctx.vars)) {
-		buf = appendUpdate(codec, buf, uint64(id), ctx.vars[id])
-	}
 	return buf, nil
 }
 
 // decodePartial is the coordinator-side inverse of encodePartial; the default
 // body's indices are checked against the fragment and applied as they are
-// read, its overflow IDs are not checked.
+// read.
 func decodePartial[Q, V, R any](prog WireProgram[Q, V, R], codec Codec[V], q Q, ctx *Context[V], blob []byte) error {
 	if pc, ok := any(prog).(PartialCodec[Q, V]); ok {
 		return pc.DecodePartial(q, ctx, blob)
@@ -476,20 +468,7 @@ func decodePartial[Q, V, R any](prog WireProgram[Q, V, R], codec Codec[V], q Q, 
 		}
 		ctx.SetLocalAt(i, v)
 	}
-	over, used, err := DecodeUpdates(codec, nil, blob[br.pos:])
-	if err != nil {
-		return err
-	}
-	for k, u := range over {
-		if k > 0 && u.ID <= over[k-1].ID {
-			return fmt.Errorf("engine: overflow node %d after %d, out of order", u.ID, over[k-1].ID)
-		}
-		if ctx.vars == nil {
-			ctx.vars = make(map[graph.ID]V, len(over))
-		}
-		ctx.vars[u.ID] = u.Val
-	}
-	return ended("partial-result", blob, br.pos+used)
+	return ended("partial-result", blob, br.pos)
 }
 
 // wireScratch is what a wire worker's run allocates and the next run of the

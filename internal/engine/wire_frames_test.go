@@ -164,21 +164,21 @@ func TestWireSuperstepAllocsPerFrame(t *testing.T) {
 	}
 }
 
-// TestDecodeUpdatesCountsBeforeAllocating: a batch claiming more updates than
+// TestDecodeBatchCountsBeforeAllocating: a batch claiming more updates than
 // its bytes could hold (two each, at least) is refused before anything is
 // sized from the claim; and a reply's active flag is 0 or 1, as an edge
 // update's delete flag is.
-func TestDecodeUpdatesCountsBeforeAllocating(t *testing.T) {
+func TestDecodeBatchCountsBeforeAllocating(t *testing.T) {
 	claim := binary.AppendUvarint(nil, 1<<40)
 	claim = append(claim, make([]byte, 64)...)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, _, err := DecodeUpdates[float64](f64Codec{}, nil, claim)
+	_, _, err := decodeBatch[float64](f64Codec{}, nil, claim, math.MaxInt32, false)
 	runtime.ReadMemStats(&after)
 	if err == nil || after.TotalAlloc-before.TotalAlloc > 1<<16 {
 		t.Fatalf("2^40 updates claimed in %d bytes: err %v, %d bytes allocated", len(claim), err, after.TotalAlloc-before.TotalAlloc)
 	}
-	if _, _, err := DecodeUpdates[float64](f64Codec{}, nil, []byte{33, 1}); err == nil {
+	if _, _, err := decodeBatch[float64](f64Codec{}, nil, []byte{33, 1}, math.MaxInt32, false); err == nil {
 		t.Fatal("33 updates accepted in one byte")
 	}
 
@@ -193,9 +193,8 @@ func TestDecodeUpdatesCountsBeforeAllocating(t *testing.T) {
 	}
 }
 
-// TestDefaultPartialKeepsSetAndLength: the default partial answer is every
-// set variable by dense index, ascending, then the overflow nodes by ID,
-// ascending. The coordinator's decode holds the same (id, value) set the
+// TestDefaultPartialKeepsSetAndLength: the default partial answer is one
+// batch, every set variable by dense index, ascending. The coordinator's decode holds the same (id, value) set the
 // worker did and re-encodes to the same bytes; the frame around it is status
 // · length · body, and a failed one carries the error instead.
 func TestDefaultPartialKeepsSetAndLength(t *testing.T) {
@@ -213,14 +212,12 @@ func TestDefaultPartialKeepsSetAndLength(t *testing.T) {
 		dense = append(dense, update[int64]{at: int32(i), val: int64(1000 + i)})
 	}
 	slices.Reverse(dense)
-	ctx.Set(9999, 7) // not hosted here: the overflow map
-	ctx.Set(5000, 8)
 
 	buf, err := encodePartial(prog, codec, make([]byte, partialHead), stepQuery{}, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := AppendUpdates(codec, appendBatch(codec, nil, dense), []VarUpdate[int64]{{ID: 5000, Val: 8}, {ID: 9999, Val: 7}})
+	want := appendBatch(codec, nil, dense)
 	if !bytes.Equal(buf[partialHead:], want) {
 		t.Fatalf("partial body of %d bytes differs from the reference layout's %d", len(buf)-partialHead, len(want))
 	}
@@ -349,11 +346,10 @@ func TestEngineFramesRejectJunk(t *testing.T) {
 	}
 	ctx := newContext(f, wireStepper{}.Spec())
 	for name, body := range map[string][]byte{
-		"index past the fragment": AppendUpdates(codec, appendBatch(codec, nil, []update[int64]{{at: int32(nv), val: 1}}), nil),
-		"descending indices":      AppendUpdates(codec, appendBatch(codec, nil, []update[int64]{{at: 1, val: 1}, {at: 0, val: 1}}), nil),
-		"repeated overflow node":  AppendUpdates(codec, appendBatch(codec, nil, nil), []VarUpdate[int64]{{ID: 50, Val: 1}, {ID: 50, Val: 2}}),
-		"trailing byte":           append(AppendUpdates(codec, appendBatch(codec, nil, nil), nil), 0),
-		"no overflow batch":       appendBatch(codec, nil, nil),
+		"index past the fragment": appendBatch(codec, nil, []update[int64]{{at: int32(nv), val: 1}}),
+		"descending indices":      appendBatch(codec, nil, []update[int64]{{at: 1, val: 1}, {at: 0, val: 1}}),
+		"repeated index":          appendBatch(codec, nil, []update[int64]{{at: 1, val: 1}, {at: 1, val: 2}}),
+		"trailing byte":           append(appendBatch(codec, nil, nil), 0),
 	} {
 		if err := decodePartial(wireStepper{}, codec, stepQuery{}, ctx, body); err == nil {
 			t.Errorf("default partial with a %s accepted", name)
@@ -451,7 +447,6 @@ func FuzzEngineFrames(f *testing.F) {
 		ctx := newContext(fr, prog.Spec())
 		ctx.SetAt(last, 9)
 		ctx.SetAt(0, 3)
-		ctx.Set(100+graph.ID(w), 4)
 		body, _ := encodePartial(prog, codec, make([]byte, partialHead), stepQuery{}, ctx)
 		seed(partial, w, encodePartialFrame(body, nil))
 		seed(partial, w, encodePartialFrame(make([]byte, partialHead), errors.New("no state")))

@@ -1,10 +1,8 @@
 // Package index implements GRAPE's Index Manager (Fig. 2): auxiliary
 // structures loaded next to each fragment that sequential algorithms exploit
 // directly — the paper's point (3), graph-level optimization, which is hard
-// to express in vertex-centric systems. Two indices are provided: an
-// inverted keyword index (property -> vertices) used by Keyword PEval, and a
-// label index (vertex label -> vertices) used by SubIso/Sim candidate
-// generation.
+// to express in vertex-centric systems. One index is provided: an inverted
+// keyword index (property -> vertices) used by Keyword PEval.
 package index
 
 import (
@@ -47,24 +45,3 @@ func (ix *Inverted) Keywords() []string {
 	sort.Strings(ws)
 	return ws
 }
-
-// Labels maps each vertex label to the sorted vertices carrying it.
-type Labels struct {
-	byLabel map[string][]graph.ID
-}
-
-// BuildLabels scans g's vertex labels once and builds the index.
-func BuildLabels(g *graph.Graph) *Labels {
-	ix := &Labels{byLabel: make(map[string][]graph.ID)}
-	for _, v := range g.SortedVertices() {
-		ix.byLabel[g.Label(v)] = append(ix.byLabel[g.Label(v)], v)
-	}
-	return ix
-}
-
-// Lookup returns the vertices labeled l (sorted, shared slice — callers must
-// not mutate).
-func (ix *Labels) Lookup(l string) []graph.ID { return ix.byLabel[l] }
-
-// Count returns how many vertices carry label l.
-func (ix *Labels) Count(l string) int { return len(ix.byLabel[l]) }

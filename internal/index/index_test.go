@@ -48,23 +48,3 @@ func TestInvertedKeywordsSorted(t *testing.T) {
 		t.Fatalf("a repeated keyword must index its vertex once, got %v", got)
 	}
 }
-
-func TestLabels(t *testing.T) {
-	g := gen.SocialCommerce(gen.SocialCommerceConfig{People: 50, Products: 5, Follows: 2, AdoptP: 0.5, Seed: 1})
-	ix := BuildLabels(g)
-	if ix.Count(gen.LabelPerson) != 50 || ix.Count(gen.LabelProduct) != 5 {
-		t.Fatalf("label counts wrong: %d people, %d products",
-			ix.Count(gen.LabelPerson), ix.Count(gen.LabelProduct))
-	}
-	people := ix.Lookup(gen.LabelPerson)
-	for i := 1; i < len(people); i++ {
-		if people[i-1] >= people[i] {
-			t.Fatal("label index not sorted")
-		}
-	}
-	for _, p := range people {
-		if g.Label(p) != gen.LabelPerson {
-			t.Fatalf("vertex %d mislabeled in index", p)
-		}
-	}
-}

@@ -19,7 +19,7 @@ func TestCCMatchesSequentialAcrossStrategies(t *testing.T) {
 	}
 	for _, strat := range partition.Strategies() {
 		for _, n := range []int{1, 2, 5} {
-			res, _, err := engine.Run(context.Background(), g, CC{}, CCQuery{}, engine.Options{Workers: n, Strategy: strat, CheckMonotonic: true})
+			res, _, err := engine.Run(context.Background(), g, CC{}, CCQuery{}, engine.Options{Workers: n, Strategy: strat})
 			if err != nil {
 				t.Fatalf("%s/%d: %v", strat.Name(), n, err)
 			}
@@ -46,7 +46,7 @@ func TestCCProperty(t *testing.T) {
 		n := 2 + int(uint(seed)%80)
 		g := gen.Random(n, n, seed)
 		res, _, err := engine.Run(context.Background(), g, CC{}, CCQuery{},
-			engine.Options{Workers: 1 + int(nw%5), Strategy: partition.Hash{}, CheckMonotonic: true})
+			engine.Options{Workers: 1 + int(nw%5), Strategy: partition.Hash{}})
 		return err == nil && verdict("cc", g, CCQuery{}, res) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

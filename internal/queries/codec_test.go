@@ -1,6 +1,7 @@
 package queries
 
 import (
+	"encoding/binary"
 	"math"
 	"reflect"
 	"testing"
@@ -11,10 +12,10 @@ import (
 )
 
 // roundTrip asserts Decode(Encode(x)) == x under eq for every sample, that
-// DecodeVal consumes exactly the bytes AppendVal produced, and that batch
-// encoding via engine.AppendUpdates — whose length is precisely the byte
-// count a wire transport reports for the batch (see engine/codec.go) —
-// round-trips too.
+// DecodeVal consumes exactly the bytes AppendVal produced, and that the
+// samples written back to back, as an update batch holds them, decode in
+// sequence to the end of the buffer — a batch's length is precisely the byte
+// count a wire transport reports for it (see engine/codec.go).
 func roundTrip[V any](t *testing.T, c engine.Codec[V], eq func(a, b V) bool, samples []V) {
 	t.Helper()
 	for _, v := range samples {
@@ -30,31 +31,31 @@ func roundTrip[V any](t *testing.T, c engine.Codec[V], eq func(a, b V) bool, sam
 			t.Fatalf("round trip: want %v, got %v", v, got)
 		}
 	}
-	ups := make([]engine.VarUpdate[V], len(samples))
+	var buf []byte
+	for _, v := range samples {
+		buf = c.AppendVal(buf, v)
+	}
+	pos := 0
 	for i, v := range samples {
-		ups[i] = engine.VarUpdate[V]{ID: graph.ID(i * 7), Val: v}
-	}
-	buf := engine.AppendUpdates(c, nil, ups)
-	got, used, err := engine.DecodeUpdates(c, nil, buf)
-	if err != nil {
-		t.Fatalf("batch decode: %v", err)
-	}
-	if used != len(buf) {
-		t.Fatalf("batch decode consumed %d of %d bytes — transport-reported size would drift", used, len(buf))
-	}
-	if len(got) != len(ups) {
-		t.Fatalf("batch round trip: want %d updates, got %d", len(ups), len(got))
-	}
-	for i := range ups {
-		if got[i].ID != ups[i].ID || !eq(got[i].Val, ups[i].Val) {
-			t.Fatalf("batch round trip at %d: want %v, got %v", i, ups[i], got[i])
+		got, used, err := c.DecodeVal(buf[pos:])
+		if err != nil || !eq(got, v) {
+			t.Fatalf("back to back at %d: want %v, got %v (%v)", i, v, got, err)
 		}
+		pos += used
 	}
-	// A batch's transport-reported size is its encoded length: re-encoding
-	// the decoded batch must reproduce it exactly.
-	if re := engine.AppendUpdates(c, nil, got); len(re) != len(buf) {
-		t.Fatalf("re-encoded batch is %d bytes, original %d", len(re), len(buf))
+	if pos != len(buf) {
+		t.Fatalf("back-to-back decode consumed %d of %d bytes — transport-reported size would drift", pos, len(buf))
 	}
+}
+
+// batch writes an engine update batch by hand: a uvarint count, then per
+// update a uvarint position and the codec's encoding of the value.
+func batch[V any](c engine.Codec[V], at []uint64, vals ...V) []byte {
+	buf := binary.AppendUvarint(nil, uint64(len(at)))
+	for i, a := range at {
+		buf = c.AppendVal(binary.AppendUvarint(buf, a), vals[i])
+	}
+	return buf
 }
 
 func TestCodecRoundTrips(t *testing.T) {
@@ -178,16 +179,17 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
-	f.Add(engine.AppendUpdates(SSSP{}.WireCodec(), nil, []engine.VarUpdate[float64]{{ID: 3, Val: 1.5}}))
+	f.Add(batch(SSSP{}.WireCodec(), []uint64{3}, 1.5))
 	f.Add(CF{}.WireCodec().AppendVal(nil, []float64{1, 2, 3}))
-	// well-formed batches: a position far past any border, a lone update, a
-	// descending pair. They decode here; the coordinator also checks a
-	// reply's positions against its sender's border and the ascending order a
-	// flush emits, and fails the run on the first and the last — no panic, no
-	// fold (engine.TestReplyNamingForeignVertexFailsRun, engine.FuzzEngineFrames)
-	f.Add(engine.AppendUpdates(CC{}.WireCodec(), nil, []engine.VarUpdate[graph.ID]{{ID: 999999, Val: 1}}))
-	f.Add(engine.AppendUpdates(SSSP{}.WireCodec(), nil, []engine.VarUpdate[float64]{{ID: 1, Val: 0}}))
-	f.Add(engine.AppendUpdates(SSSP{}.WireCodec(), nil, []engine.VarUpdate[float64]{{ID: 3, Val: 0}, {ID: 2, Val: 0}}))
+	// well-formed batches, as byte shapes for the value decoders: a position
+	// far past any border, a lone update, a descending pair. The coordinator
+	// checks a reply's positions against its sender's border and the
+	// ascending order a flush emits, and fails the run on the first and the
+	// last — no panic, no fold (engine.TestReplyNamingForeignVertexFailsRun,
+	// engine.FuzzEngineFrames)
+	f.Add(batch(CC{}.WireCodec(), []uint64{999999}, 1))
+	f.Add(batch(SSSP{}.WireCodec(), []uint64{1}, 0))
+	f.Add(batch(SSSP{}.WireCodec(), []uint64{3, 2}, 0, 0))
 	// pattern blobs (graph.AppendFlat), bare and behind SubIso's match cap,
 	// and the input that made the varint graph decoder they replaced size a
 	// 4.6 GB map
@@ -199,12 +201,12 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	}
 	f.Add([]byte{0x01, 0x80, 0x80, 0x80, 0x40})
 	// batches whose count exceeds what the bytes behind it could hold: refused
-	// before anything is sized from the count (engine.DecodeUpdates), the
+	// before anything is sized from the count (engine's batch decoder), the
 	// second one a count of 2^40
 	f.Add([]byte{33, 1})
 	f.Add(append([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x20}, make([]byte, 64)...))
 	// an empty-batch reply frame whose active flag is 2 (engine's decodeReply
-	// rejects it: TestDecodeUpdatesCountsBeforeAllocating)
+	// rejects it: TestDecodeBatchCountsBeforeAllocating)
 	f.Add([]byte{0, 6, 2, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if q, err := (Sim{}).DecodeQuery(data); err == nil {
@@ -232,17 +234,6 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			return true
 		}
 		fuzzOne[kwVec](t, Keyword{}.WireCodec(), vecEq, data)
-		// batch layer over an arbitrary prefix
-		if ups, _, err := engine.DecodeUpdates(CC{}.WireCodec(), nil, data); err == nil {
-			re := engine.AppendUpdates(CC{}.WireCodec(), nil, ups)
-			ups2, _, err := engine.DecodeUpdates(CC{}.WireCodec(), nil, re)
-			if err != nil {
-				t.Fatalf("re-encoded batch failed to decode: %v", err)
-			}
-			if !reflect.DeepEqual(ups, ups2) {
-				t.Fatalf("batch not stable: %v vs %v", ups, ups2)
-			}
-		}
 	})
 }
 

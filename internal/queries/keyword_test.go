@@ -24,7 +24,7 @@ func TestKeywordMatchesSequential(t *testing.T) {
 	q := KeywordQuery{Keywords: []string{"db", "graph"}, Bound: 12, UseIndex: true}
 	for _, n := range []int{1, 3, 6} {
 		got, _, err := engine.Run(context.Background(), g, Keyword{}, q,
-			engine.Options{Workers: n, Strategy: partition.Fennel{}, CheckMonotonic: true})
+			engine.Options{Workers: n, Strategy: partition.Fennel{}})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", n, err)
 		}
@@ -194,7 +194,7 @@ func TestKeywordEqualsSequentialExactly(t *testing.T) {
 	for _, strat := range []partition.Strategy{partition.Hash{}, partition.TwoD{Cols: 40}, partition.Range{}} {
 		for _, n := range []int{1, 3, 8} {
 			got, _, err := engine.Run(context.Background(), g, Keyword{}, q,
-				engine.Options{Workers: n, Strategy: strat, CheckMonotonic: true})
+				engine.Options{Workers: n, Strategy: strat})
 			if err != nil {
 				t.Fatalf("%s/%d: %v", strat.Name(), n, err)
 			}

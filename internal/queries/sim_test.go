@@ -36,7 +36,7 @@ func TestSimMatchesSequential(t *testing.T) {
 	for _, strat := range partition.Strategies() {
 		for _, n := range []int{1, 2, 4, 7} {
 			got, _, err := engine.Run(context.Background(), g, Sim{}, SimQuery{Pattern: p},
-				engine.Options{Workers: n, Strategy: strat, CheckMonotonic: true})
+				engine.Options{Workers: n, Strategy: strat})
 			if err != nil {
 				t.Fatalf("%s/%d: %v", strat.Name(), n, err)
 			}
@@ -93,7 +93,7 @@ func TestSimPropertyMatchesSequential(t *testing.T) {
 		n := 5 + int(uint(seed)%40)
 		g := labeledRandom(n, 2*n, seed, labels)
 		got, _, err := engine.Run(context.Background(), g, Sim{}, SimQuery{Pattern: p},
-			engine.Options{Workers: 1 + int(nw%5), Strategy: partition.Fennel{}, CheckMonotonic: true})
+			engine.Options{Workers: 1 + int(nw%5), Strategy: partition.Fennel{}})
 		return err == nil && verdict("sim", g, SimQuery{Pattern: p}, got) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -107,7 +107,7 @@ func TestSimOnSocialCommerce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := engine.Run(context.Background(), g, Sim{}, SimQuery{Pattern: p}, engine.Options{Workers: 4, CheckMonotonic: true})
+	got, _, err := engine.Run(context.Background(), g, Sim{}, SimQuery{Pattern: p}, engine.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func TestSSSPMatchesDijkstraAcrossStrategiesAndWorkers(t *testing.T) {
 	g := gen.ConnectedRandom(300, 900, 42)
 	for _, strat := range partition.Strategies() {
 		for _, n := range []int{1, 2, 3, 8} {
-			got := runSSSP(t, g, 0, engine.Options{Workers: n, Strategy: strat, CheckMonotonic: true})
+			got := runSSSP(t, g, 0, engine.Options{Workers: n, Strategy: strat})
 			mustAgree(t, strat.Name(), "sssp", g, SSSPQuery{Source: 0}, got)
 		}
 	}
@@ -35,7 +35,7 @@ func TestSSSPMatchesDijkstraAcrossStrategiesAndWorkers(t *testing.T) {
 
 func TestSSSPOnRoadGrid(t *testing.T) {
 	g := gen.RoadGrid(20, 30, 7)
-	got := runSSSP(t, g, 0, engine.Options{Workers: 6, Strategy: partition.MetisLike{}, CheckMonotonic: true})
+	got := runSSSP(t, g, 0, engine.Options{Workers: 6, Strategy: partition.MetisLike{}})
 	mustAgree(t, "road grid", "sssp", g, SSSPQuery{Source: 0}, got)
 }
 
@@ -66,7 +66,7 @@ func TestSSSPPropertyRandomGraphs(t *testing.T) {
 		q := SSSPQuery{Source: graph.ID(int(uint(seed) % uint(n)))}
 		workers := 1 + int(nw%6)
 		res, _, err := engine.Run(context.Background(), g, SSSP{}, q,
-			engine.Options{Workers: workers, Strategy: partition.Fennel{}, CheckMonotonic: true})
+			engine.Options{Workers: workers, Strategy: partition.Fennel{}})
 		if err == nil {
 			err = verdict("sssp", g, q, res)
 		}

@@ -231,11 +231,16 @@ func TestFrameOwnershipPoison(t *testing.T) {
 // adopt frames end in partition.AppendFragment, which this change left alone.
 // Updates are handed over named by ID and written as the position both ends
 // of the link share: key maps each ID to it — the dense index in the
-// receiving fragment's graph (denseAt), the border position in the sending
-// fragment (borderAt), or the ID itself for a default partial answer's
-// overflow nodes (byID).
+// receiving fragment's graph (denseAt) or the border position in the sending
+// fragment (borderAt); byID keeps a key as it is.
 
-func refUpdates[V any](c engine.Codec[V], buf []byte, ups []engine.VarUpdate[V], key func(graph.ID) uint64) []byte {
+// named is one update of a frame, named by vertex ID.
+type named[V any] struct {
+	ID  graph.ID
+	Val V
+}
+
+func refUpdates[V any](c engine.Codec[V], buf []byte, ups []named[V], key func(graph.ID) uint64) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(ups)))
 	for _, u := range ups {
 		buf = binary.AppendUvarint(buf, key(u.ID))
@@ -270,13 +275,13 @@ func refSetup(name string, query []byte, deadlineMicros int64, f *partition.Frag
 	return partition.AppendFragment(graph.AppendSection(frame, 0, nil), f)
 }
 
-func refCmd[V any](c engine.Codec[V], f *partition.Fragment, kind byte, ups []engine.VarUpdate[V]) []byte {
+func refCmd[V any](c engine.Codec[V], f *partition.Fragment, kind byte, ups []named[V]) []byte {
 	return refUpdates(c, []byte{kind}, ups, denseAt(f))
 }
 
 type refStep[V any] struct {
 	step uint64
-	ups  []engine.VarUpdate[V]
+	ups  []named[V]
 }
 
 func refAdopt[V any](c engine.Codec[V], f *partition.Fragment, steps []refStep[V], owe uint64) []byte {
@@ -290,7 +295,7 @@ func refAdopt[V any](c engine.Codec[V], f *partition.Fragment, steps []refStep[V
 	return partition.AppendFragment(graph.AppendSection(frame, 0, nil), f)
 }
 
-func refReply[V any](c engine.Codec[V], f *partition.Fragment, ups []engine.VarUpdate[V], work int64, active byte, msg string, computeNS, applyNS uint64) []byte {
+func refReply[V any](c engine.Codec[V], f *partition.Fragment, ups []named[V], work int64, active byte, msg string, computeNS, applyNS uint64) []byte {
 	frame := refUpdates(c, nil, ups, borderAt(f))
 	frame = append(binary.AppendVarint(frame, work), active)
 	frame = binary.AppendUvarint(frame, uint64(len(msg)))
@@ -299,22 +304,12 @@ func refReply[V any](c engine.Codec[V], f *partition.Fragment, ups []engine.VarU
 	return binary.AppendUvarint(frame, applyNS)
 }
 
-// refPartial is the default partial answer of fragment f holding ups: the
-// vertices f's graph has by dense index, ascending, then the rest by ID,
-// ascending.
-func refPartial[V any](c engine.Codec[V], f *partition.Fragment, ups []engine.VarUpdate[V]) []byte {
-	var hosted, overflow []engine.VarUpdate[V]
-	for _, u := range ups {
-		if _, ok := f.G.Index(u.ID); ok {
-			hosted = append(hosted, u)
-		} else {
-			overflow = append(overflow, u)
-		}
-	}
+// refPartial is the default partial answer of fragment f holding ups: one
+// batch by dense index, ascending.
+func refPartial[V any](c engine.Codec[V], f *partition.Fragment, ups []named[V]) []byte {
 	at := denseAt(f)
-	slices.SortFunc(hosted, func(a, b engine.VarUpdate[V]) int { return cmp.Compare(at(a.ID), at(b.ID)) })
-	slices.SortFunc(overflow, func(a, b engine.VarUpdate[V]) int { return cmp.Compare(a.ID, b.ID) })
-	return refUpdates(c, refUpdates(c, nil, hosted, at), overflow, byID)
+	ups = slices.SortedFunc(slices.Values(ups), func(a, b named[V]) int { return cmp.Compare(at(a.ID), at(b.ID)) })
+	return refUpdates(c, nil, ups, at)
 }
 
 func uvarint(t *testing.T, frame []byte, pos *int) uint64 {
@@ -329,18 +324,23 @@ func uvarint(t *testing.T, frame []byte, pos *int) uint64 {
 
 // updates decodes the batch at *pos and names each update by the vertex its
 // position stands for in names, or keeps the key as the ID where names is nil.
-func updates[V any](t *testing.T, c engine.Codec[V], frame []byte, pos *int, names []graph.ID) []engine.VarUpdate[V] {
+func updates[V any](t *testing.T, c engine.Codec[V], frame []byte, pos *int, names []graph.ID) []named[V] {
 	t.Helper()
-	ups, used, err := engine.DecodeUpdates(c, nil, frame[*pos:])
-	if err != nil {
-		t.Fatalf("update batch at offset %d: %v", *pos, err)
-	}
-	*pos += used
-	for i := 0; names != nil && i < len(ups); i++ {
-		if ups[i].ID < 0 || int(ups[i].ID) >= len(names) {
-			t.Fatalf("update batch at offset %d names position %d of %d", *pos, ups[i].ID, len(names))
+	var ups []named[V]
+	for range uvarint(t, frame, pos) {
+		key := graph.ID(uvarint(t, frame, pos))
+		v, used, err := c.DecodeVal(frame[*pos:])
+		if err != nil {
+			t.Fatalf("update value at offset %d: %v", *pos, err)
 		}
-		ups[i].ID = names[ups[i].ID]
+		*pos += used
+		if names != nil {
+			if key < 0 || int(key) >= len(names) {
+				t.Fatalf("update batch before offset %d names position %d of %d", *pos, key, len(names))
+			}
+			key = names[key]
+		}
+		ups = append(ups, named[V]{ID: key, Val: v})
 	}
 	return ups
 }
@@ -348,7 +348,7 @@ func updates[V any](t *testing.T, c engine.Codec[V], frame []byte, pos *int, nam
 // goldenFrames decodes every frame rec saw and requires the reference
 // encoders to reproduce it byte for byte; a partial answer must be one
 // well-formed blob of its metered size and, where it is the default (every
-// set variable as one batch, the overflow nodes as another), hold each vertex
+// set variable as one batch), hold each vertex
 // once and equal the reference layout of what it holds.
 func goldenFrames[Q, V, R any](t *testing.T, prog engine.WireProgram[Q, V, R], q Q, layout *partition.Layout, rec *recordingTransport) {
 	t.Helper()
@@ -425,7 +425,6 @@ func goldenFrames[Q, V, R any](t *testing.T, prog engine.WireProgram[Q, V, R], q
 		}
 		body := pos
 		ups := updates(t, codec, e.Frame, &pos, f.G.Vertices())
-		ups = append(ups, updates(t, codec, e.Frame, &pos, nil)...)
 		if pos != len(e.Frame) {
 			t.Fatalf("partial frame from %d: %d trailing bytes", e.From, len(e.Frame)-pos)
 		}

@@ -80,8 +80,9 @@ const (
 	// deadline, the compute/apply timing tail of reply frames, flat
 	// fragment frames laid 8-aligned at the tail of setup and adopt frames,
 	// and engine frames that name a vertex by the position both ends share
-	// (a dense index or a border position), never by its ID.
-	version = 6
+	// (a dense index or a border position), never by its ID — the default
+	// partial answer included, which is one batch by dense index.
+	version = 7
 	// maxFrame caps a single frame: fragments of very large graphs dominate
 	// frame sizes; 1 GiB is far beyond anything this repo generates while
 	// still bounding a corrupted length prefix.

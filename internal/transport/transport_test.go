@@ -76,7 +76,7 @@ func TestFrameRejectsTruncatedHeader(t *testing.T) {
 // the slot.
 func TestHandshakeSurvivesBadMagic(t *testing.T) {
 	// The refusal names its cause.
-	for hello, want := range map[string]string{"NOPE\x00\x00\x00\x06": "bad magic", "GRPW\x00\x00\x00\x05": "protocol version 5, want 6"} {
+	for hello, want := range map[string]string{"NOPE\x00\x00\x00\x07": "bad magic", "GRPW\x00\x00\x00\x06": "protocol version 6, want 7"} {
 		a, b := net.Pipe()
 		go b.Write([]byte(hello))
 		err := handshakeCoordinator(newConn(a), 0, 1, time.Second, time.Now().Add(5*time.Second))

@@ -212,14 +212,12 @@ func TestWireBytesAreEncodedLengths(t *testing.T) {
 			continue
 		}
 		total += int64(e.Size)
-		ups, used, err := engine.DecodeUpdates(codec, nil, e.Frame[1:])
-		if err != nil {
-			t.Fatalf("decoding sent frame: %v", err)
-		}
-		if used != e.Size {
+		pos := 1
+		ups := updates(t, codec, e.Frame, &pos, nil)
+		if used := pos - 1; used != e.Size {
 			t.Fatalf("sent envelope Size %d != encoded update length %d", e.Size, used)
 		}
-		if got := len(engine.AppendUpdates(codec, nil, ups)); got != e.Size {
+		if got := len(refUpdates(codec, nil, ups, byID)); got != e.Size {
 			t.Fatalf("re-encoded length %d != envelope Size %d", got, e.Size)
 		}
 	}
@@ -235,14 +233,12 @@ func TestWireBytesAreEncodedLengths(t *testing.T) {
 			continue
 		}
 		total += int64(e.Size)
-		ups, used, err := engine.DecodeUpdates(codec, nil, e.Frame)
-		if err != nil {
-			t.Fatalf("decoding received frame: %v", err)
+		pos := 0
+		ups := updates(t, codec, e.Frame, &pos, nil)
+		if pos != e.Size {
+			t.Fatalf("received envelope Size %d != encoded change length %d", e.Size, pos)
 		}
-		if used != e.Size {
-			t.Fatalf("received envelope Size %d != encoded change length %d", e.Size, used)
-		}
-		if got := len(engine.AppendUpdates(codec, nil, ups)); got != e.Size {
+		if got := len(refUpdates(codec, nil, ups, byID)); got != e.Size {
 			t.Fatalf("re-encoded length %d != envelope Size %d", got, e.Size)
 		}
 	}
