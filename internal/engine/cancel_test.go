@@ -53,16 +53,16 @@ func (s stepper) signal() {
 func (s stepper) bump(q stepQuery, ctx *Context[int64]) {
 	s.signal()
 	var m int64
-	for _, id := range ctx.Frag.Border() {
-		if v := ctx.Get(id); v > m {
+	for _, i := range ctx.Frag.BorderIndices() {
+		if v := ctx.GetAt(i); v > m {
 			m = v
 		}
 	}
 	if m >= q.limit {
 		return
 	}
-	for _, id := range ctx.Frag.Border() {
-		ctx.Set(id, m+1)
+	for _, i := range ctx.Frag.BorderIndices() {
+		ctx.SetAt(i, m+1)
 	}
 	ctx.AddWork(1)
 }
@@ -74,8 +74,8 @@ func (s stepper) bump(q stepQuery, ctx *Context[int64]) {
 func (s stepper) PEval(q stepQuery, ctx *Context[int64]) error {
 	s.signal()
 	if ctx.Frag.IsInner(0) {
-		for _, id := range ctx.Frag.Border() {
-			ctx.Set(id, 1)
+		for _, i := range ctx.Frag.BorderIndices() {
+			ctx.SetAt(i, 1)
 		}
 	}
 	return nil
@@ -277,7 +277,7 @@ func TestWorkerHonorsPropagatedDeadline(t *testing.T) {
 	peFrame, _ := encodeCmd(codec, nil, workerCmd[int64]{kind: cmdPEval})
 	link.in <- mpi.Envelope{From: mpi.Coordinator, To: 0, Step: 1, Frame: peFrame}
 	env := <-link.out
-	rep, err := decodeReply(codec, nil, env.Frame, len(layout.Fragments[0].Border()))
+	rep, err := decodeReply(codec, nil, env.Frame, len(layout.Fragments[0].BorderIndices()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,8 +327,8 @@ func runsOfThree(t testing.TB) *partition.Layout {
 	}
 	layout := partition.Build(g, asg)
 	for _, f := range layout.Fragments {
-		if len(f.Border()) != 2 {
-			t.Fatalf("fixture: fragment %d has border %v", f.Index, f.Border())
+		if len(f.BorderIndices()) != 2 {
+			t.Fatalf("fixture: fragment %d has border %v", f.Index, f.BorderIndices())
 		}
 	}
 	return layout

@@ -470,7 +470,8 @@ func encodeSetup(buf []byte, name string, query []byte, deadlineMicros int64, f 
 	for _, v := range [...]uint64{uint64(len(name)), uint64(len(query)), uint64(deadlineMicros)} {
 		head += len(binary.AppendUvarint(varint[:0], v))
 	}
-	if n := graph.Align8(head) + partition.FrameLen(f); cap(buf) < n {
+	size := partition.MeasureFrame(f)
+	if n := graph.Align8(head) + size.Len(); cap(buf) < n {
 		buf = make([]byte, 0, n)
 	}
 	frame := binary.AppendUvarint(buf[:0], uint64(len(name)))
@@ -478,7 +479,7 @@ func encodeSetup(buf []byte, name string, query []byte, deadlineMicros int64, f 
 	frame = binary.AppendUvarint(frame, uint64(len(query)))
 	frame = append(frame, query...)
 	frame = binary.AppendUvarint(frame, uint64(deadlineMicros))
-	return partition.AppendFragment(graph.AppendSection(frame, 0, nil), f)
+	return partition.AppendFragmentSized(graph.AppendSection(frame, 0, nil), f, size)
 }
 
 // decodeSetup decodes a setup frame; the fragment aliases the frame.

@@ -377,7 +377,7 @@ func TestContextSemantics(t *testing.T) {
 	ctx.Set(2, 7)
 	ctx.Set(2, 7) // idempotent
 	ups := ctx.flush()
-	if len(ups) != 1 || ctx.Frag.Border()[ups[0].at] != 2 || ups[0].val != 7 {
+	if len(ups) != 1 || ctx.Frag.G.IDAt(ctx.Frag.BorderIndices()[ups[0].at]) != 2 || ups[0].val != 7 {
 		t.Fatalf("border flush wrong: %v", ups)
 	}
 	if len(ctx.flush()) != 0 {

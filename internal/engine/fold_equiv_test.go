@@ -195,9 +195,9 @@ func (p *foldPair[V]) step(t testing.TB, what string, replies []*workerReply[V])
 		if rep == nil {
 			continue
 		}
-		border := p.layout.Fragments[w].Border()
+		f := p.layout.Fragments[w]
 		for _, u := range rep.changes {
-			named[w] = append(named[w], idUpdate[V]{ID: border[u.at], Val: u.val})
+			named[w] = append(named[w], idUpdate[V]{ID: f.G.IDAt(f.BorderIndices()[u.at]), Val: u.val})
 		}
 	}
 	refErr := p.ref.fold(named)
@@ -336,7 +336,7 @@ func randomReplies[V any](rng *rand.Rand, layout *partition.Layout, density floa
 			continue // not scheduled this superstep
 		}
 		replies[w] = &workerReply[V]{}
-		for p := range f.Border() {
+		for p := range f.BorderIndices() {
 			if rng.Float64() < density {
 				replies[w].changes = append(replies[w].changes, update[V]{at: int32(p), val: val(w)})
 			}

@@ -134,7 +134,7 @@ type Context[V any] struct {
 	vals []V
 	has  []bool
 	// borderPos is the border position + 1 of the vertex at each dense index
-	// (0: not border), covering the first nb positions of Frag.Border();
+	// (0: not border), covering the first nb positions of Frag.BorderIndices();
 	// changed is a bitmap over those positions — the border variables set
 	// since the last flush, queued of them.
 	borderPos  []int32
@@ -226,10 +226,8 @@ func (c *Context[V]) at(id graph.ID) int32 {
 func (c *Context[V]) syncBorder() {
 	idx := c.Frag.BorderIndices()
 	for p := c.nb; p < len(idx); p++ {
-		if i := idx[p]; i >= 0 {
-			c.ensure(i)
-			c.borderPos[i] = int32(p) + 1
-		}
+		c.ensure(idx[p])
+		c.borderPos[idx[p]] = int32(p) + 1
 	}
 	c.nb = len(idx)
 	for len(c.changed) < (c.nb+63)/64 {

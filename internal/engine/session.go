@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"grape/internal/graph"
@@ -458,8 +457,11 @@ func (s *Session[Q, V, R]) splice(ups []EdgeUpdate) error {
 // hosts reports whether fragment w's border bookkeeping already covers id: w
 // owns it, or holds an outer copy of it.
 func (s *Session[Q, V, R]) hosts(w int, id graph.ID) bool {
-	_, outer := slices.BinarySearch(s.layout.Fragments[w].Outer, id)
-	return outer || s.layout.Asg.Owner(id) == w
+	if s.layout.Asg.Owner(id) == w {
+		return true
+	}
+	_, outer := s.layout.Fragments[w].BorderPos(id) // every outer copy is on the border
+	return outer
 }
 
 // applyInsert does the rest of one insertion, after splice: when its target

@@ -179,7 +179,7 @@ func (s *wireSubstrate[Q, V, R]) reply(env mpi.Envelope) (workerReply[V], error)
 	if err != nil {
 		return workerReply[V]{}, err
 	}
-	rep, err := decodeReply(s.codec, s.decoded[env.From], frame, len(s.layout.Fragments[env.From].Border()))
+	rep, err := decodeReply(s.codec, s.decoded[env.From], frame, len(s.layout.Fragments[env.From].BorderIndices()))
 	s.decoded[env.From] = rep.changes
 	s.tr.Release(frame)
 	return rep, err
@@ -220,7 +220,7 @@ func (s *wireSubstrate[Q, V, R]) revive(frag int, log []replayStep[V], owe int) 
 func estimateLoads(l *partition.Layout) []float64 {
 	out := make([]float64, len(l.Fragments))
 	for i, f := range l.Fragments {
-		out[i] = float64(len(f.Inner)) + 4*float64(f.G.NumEdges()) + 8*float64(len(f.Outer)+len(f.InnerBorder))
+		out[i] = float64(len(f.InnerIndices())) + 4*float64(f.G.NumEdges()) + 8*float64(len(f.BorderIndices()))
 	}
 	return out
 }

@@ -129,7 +129,7 @@ func TestWireSuperstepAllocsPerFrame(t *testing.T) {
 		buf, size = encodeCmd(codec, buf, cmd)
 		tr.Send(mpi.Envelope{From: mpi.Coordinator, To: 0, Step: 2, Frame: buf, Size: size})
 		env := <-up
-		rep, err := decodeReply(codec, decoded, env.Frame, len(f.Border()))
+		rep, err := decodeReply(codec, decoded, env.Frame, len(f.BorderIndices()))
 		if err != nil || rep.err != nil || len(rep.changes) != want {
 			t.Fatalf("reply: %d changes, want %d (decode %v, worker %v)", len(rep.changes), want, err, rep.err)
 		}
@@ -476,11 +476,11 @@ func FuzzEngineFrames(f *testing.F) {
 			addressed(t, cmd.updates, fr.G.NumVertices(), false)
 			again, _ = encodeCmd(codec, nil, cmd)
 		case reply:
-			rep, err := decodeReply(codec, nil, frame, len(fr.Border()))
+			rep, err := decodeReply(codec, nil, frame, len(fr.BorderIndices()))
 			if err != nil {
 				return
 			}
-			addressed(t, rep.changes, len(fr.Border()), true)
+			addressed(t, rep.changes, len(fr.BorderIndices()), true)
 			again, _ = encodeReply(codec, nil, rep)
 		case adopt:
 			if len(frame) == 0 || cmdKind(frame[0]) != cmdAdopt {

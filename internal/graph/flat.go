@@ -350,23 +350,34 @@ func flatLayout(nv, nd, strs uint64) (ids, vlab, outOff, outDense, total uint64)
 	return ids, vlab, outOff, outDense, outDense + nd*16
 }
 
-// FlatLen returns the exact number of bytes AppendFlat writes for g.
-func FlatLen(g *Graph) int {
-	d := g.flatView()
-	_, _, _, _, total := flatLayout(uint64(len(d.IDs)), uint64(len(d.OutDense)), uint64(stringsLen(d)))
-	return int(total)
-}
+// FlatSize is the measured length of g's wire form: what AppendFlatSized
+// needs so the append walks g's strings no second time. It holds for g as
+// measured; any change to g voids it.
+type FlatSize struct{ strs, total int }
 
-// AppendFlat appends the wire form of g to buf and returns the extended
-// buffer, growing it once to FlatLen(g) more bytes: the small string section
-// first, then one copy per fixed-width section. Sections are aligned relative
-// to len(buf) at entry — a caller that wants the decoder to alias them places
-// that offset 8-aligned in an 8-aligned buffer.
-func AppendFlat(buf []byte, g *Graph) []byte {
+// MeasureFlat measures the wire form of g.
+func MeasureFlat(g *Graph) FlatSize {
 	d := g.flatView()
 	strs := stringsLen(d)
 	_, _, _, _, total := flatLayout(uint64(len(d.IDs)), uint64(len(d.OutDense)), uint64(strs))
-	buf = slices.Grow(buf, int(total))
+	return FlatSize{strs, int(total)}
+}
+
+// Len returns the exact number of bytes AppendFlat writes for the graph.
+func (s FlatSize) Len() int { return s.total }
+
+// AppendFlat appends the wire form of g to buf and returns the extended
+// buffer; see AppendFlatSized.
+func AppendFlat(buf []byte, g *Graph) []byte { return AppendFlatSized(buf, g, MeasureFlat(g)) }
+
+// AppendFlatSized appends the wire form of g, measured as size, to buf and
+// returns the extended buffer, growing it once to size.Len() more bytes: the
+// small string section first, then one copy per fixed-width section. Sections
+// are aligned relative to len(buf) at entry — a caller that wants the decoder
+// to alias them places that offset 8-aligned in an 8-aligned buffer.
+func AppendFlatSized(buf []byte, g *Graph, size FlatSize) []byte {
+	d := g.flatView()
+	buf = slices.Grow(buf, size.total)
 	base := len(buf)
 	le := binary.LittleEndian
 	buf = le.AppendUint32(buf, flatMagic)
@@ -378,7 +389,7 @@ func AppendFlat(buf []byte, g *Graph) []byte {
 	buf = le.AppendUint32(buf, uint32(len(d.IDs)))
 	buf = le.AppendUint32(buf, uint32(len(d.OutDense)))
 	buf = le.AppendUint64(buf, uint64(d.NumEdges))
-	buf = le.AppendUint64(buf, uint64(strs))
+	buf = le.AppendUint64(buf, uint64(size.strs))
 	buf = appendStrings(buf, d)
 	buf = AppendSection(buf, base, idBytes(d.IDs))
 	buf = AppendSection(buf, base, Int32Bytes(d.VLabels))

@@ -163,10 +163,10 @@ func TestFreezeProperty(t *testing.T) {
 				}
 			}
 		}
-		// wire form: FlatLen is its length, and the decode (which aliases
+		// wire form: MeasureFlat is its length, and the decode (which aliases
 		// the sections) is indistinguishable and re-encodes to it
 		flat := AppendFlat(nil, fz)
-		if len(flat) != FlatLen(fz) {
+		if len(flat) != MeasureFlat(fz).Len() {
 			return false
 		}
 		dec, used, err := DecodeFlat(flat)

@@ -86,12 +86,26 @@ func NewFaultTransport(inner Transport, faults ...Fault) *FaultTransport {
 
 // Plan derives a deterministic single-fault plan from a seed: kind, victim
 // and superstep are pseudo-random but reproducible, which is what the fault
-// fuzz harness feeds the engine.
-func Plan(seed int64, workers, maxStep int) []Fault {
+// fuzz harness feeds the engine. steps[w] lists the supersteps at which worker
+// w gets a command in a failure-free run of the same schedule; the victim is
+// drawn among the workers that get one and the step among its supersteps, so
+// the fault always finds a frame to strike. Plan panics if no worker gets a
+// command.
+func Plan(seed int64, steps [][]int) []Fault {
+	var victims []int
+	for w, s := range steps {
+		if len(s) > 0 {
+			victims = append(victims, w)
+		}
+	}
+	if len(victims) == 0 {
+		panic("mpi: fault plan: no worker gets a command")
+	}
 	rng := rand.New(rand.NewSource(seed))
+	w := victims[rng.Intn(len(victims))]
 	f := Fault{
-		Step:   1 + rng.Intn(maxStep),
-		Worker: rng.Intn(workers),
+		Step:   steps[w][rng.Intn(len(steps[w]))],
+		Worker: w,
 		Kind:   FaultKind(rng.Intn(3)),
 	}
 	if f.Kind == Delay {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
@@ -126,14 +127,16 @@ func TestFaultStrikesLaterStep(t *testing.T) {
 }
 
 func TestFaultPlanDeterministic(t *testing.T) {
+	// worker w gets commands at supersteps 1 and w+2; worker 3 at none
+	steps := [][]int{{1, 2}, {1, 3}, {1, 4}, nil, {1, 6}, {1, 7}, {1, 8}, {1, 9}}
 	for seed := int64(0); seed < 50; seed++ {
-		a, b := Plan(seed, 8, 4), Plan(seed, 8, 4)
+		a, b := Plan(seed, steps), Plan(seed, steps)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("seed %d: %+v != %+v", seed, a, b)
 		}
 		f := a[0]
-		if f.Step < 1 || f.Step > 4 || f.Worker < 0 || f.Worker >= 8 {
-			t.Fatalf("seed %d: plan %+v out of range", seed, f)
+		if f.Worker < 0 || f.Worker >= 8 || !slices.Contains(steps[f.Worker], f.Step) {
+			t.Fatalf("seed %d: plan %+v strikes a superstep its victim gets no command in", seed, f)
 		}
 		if f.Kind == Delay && f.Delay <= 0 {
 			t.Fatalf("seed %d: delay fault with no delay: %+v", seed, f)

@@ -21,11 +21,14 @@ import (
 // and only here, as the ground truth the equivalence suite holds Build to:
 // same fragment frames byte for byte, same hosts for every vertex.
 
-// refLayout is what the reference cut produces.
+// refLayout is what the reference cut produces: the fragments, and by
+// fragment the inner vertices, outer copies and inner border vertices by ID,
+// ascending.
 type refLayout struct {
-	frags     []*Fragment
-	placement map[graph.ID][]int // border vertex -> sorted hosts
-	asg       *Assignment
+	frags                     []*Fragment
+	inner, outer, innerBorder [][]graph.ID
+	placement                 map[graph.ID][]int // border vertex -> sorted hosts
+	asg                       *Assignment
 }
 
 func (r *refLayout) hosts(id graph.ID) []int {
@@ -54,29 +57,29 @@ func copyVertex(dst *graph.Builder, src *graph.Graph, id graph.ID) {
 func referenceBuild(g *graph.Graph, asg *Assignment) *refLayout {
 	frags := make([]*Fragment, asg.N)
 	locals := make([]*graph.Builder, asg.N)
+	inner, outer := make([][]graph.ID, asg.N), make([][]graph.ID, asg.N)
 	for i := range frags {
 		frags[i], locals[i] = &Fragment{Index: i}, newLocal(g)
 	}
 	for _, id := range g.SortedVertices() {
-		f := frags[asg.Owner(id)]
-		copyVertex(locals[f.Index], g, id)
-		f.Inner = append(f.Inner, id)
+		w := asg.Owner(id)
+		copyVertex(locals[w], g, id)
+		inner[w] = append(inner[w], id)
 	}
 	for _, u := range g.SortedVertices() {
 		uo := asg.Owner(u)
-		f := frags[uo]
 		for _, e := range g.Out(u) {
 			if !g.Directed() && u > e.To && asg.Owner(e.To) == uo {
 				continue // undirected intra-fragment edge already added via the lower endpoint
 			}
-			if asg.Owner(e.To) != uo && !slices.Contains(f.Outer, e.To) {
+			if asg.Owner(e.To) != uo && !slices.Contains(outer[uo], e.To) {
 				copyVertex(locals[uo], g, e.To)
-				f.Outer = append(f.Outer, e.To)
+				outer[uo] = append(outer[uo], e.To)
 			}
 			locals[uo].AddLabeledEdge(u, e.To, e.W, e.Label)
 		}
 	}
-	return referenceFinish(frags, locals, asg)
+	return referenceFinish(frags, locals, inner, outer, asg)
 }
 
 // referenceBuildExpanded is the d-hop data-shipping cut: each fragment is the
@@ -84,6 +87,7 @@ func referenceBuild(g *graph.Graph, asg *Assignment) *refLayout {
 // inner vertices, in the source's dense order.
 func referenceBuildExpanded(g *graph.Graph, asg *Assignment, d int) *refLayout {
 	frags := make([]*Fragment, asg.N)
+	inner, outer := make([][]graph.ID, asg.N), make([][]graph.ID, asg.N)
 	for i := range frags {
 		region := make(map[graph.ID]bool)
 		for _, id := range g.Vertices() {
@@ -124,54 +128,51 @@ func referenceBuildExpanded(g *graph.Graph, asg *Assignment, d int) *refLayout {
 		f := &Fragment{Index: i, G: local.Graph()}
 		for _, id := range f.G.SortedVertices() {
 			if asg.Owner(id) == i {
-				f.Inner = append(f.Inner, id)
+				inner[i] = append(inner[i], id)
 			} else {
-				f.Outer = append(f.Outer, id)
+				outer[i] = append(outer[i], id)
 			}
 		}
 		frags[i] = f
 	}
-	return referenceFinish(frags, nil, asg)
+	return referenceFinish(frags, nil, inner, outer, asg)
 }
 
 // referenceFinish does the border bookkeeping from the fragments' outer
 // lists, builds the subgraphs still in locals and fills in the dense tables
 // by hashing.
-func referenceFinish(frags []*Fragment, locals []*graph.Builder, asg *Assignment) *refLayout {
-	r := &refLayout{frags: frags, placement: make(map[graph.ID][]int), asg: asg}
-	for i, f := range frags {
-		sort.Slice(f.Outer, func(a, b int) bool { return f.Outer[a] < f.Outer[b] })
-		for _, v := range f.Outer {
+func referenceFinish(frags []*Fragment, locals []*graph.Builder, inner, outer [][]graph.ID, asg *Assignment) *refLayout {
+	r := &refLayout{frags: frags, inner: inner, outer: outer, innerBorder: make([][]graph.ID, asg.N), placement: make(map[graph.ID][]int), asg: asg}
+	for i := range frags {
+		slices.Sort(outer[i])
+		for _, v := range outer[i] {
 			r.placement[v] = append(r.placement[v], i)
 		}
 	}
 	for v, hosts := range r.placement {
 		owner := asg.Owner(v)
-		frags[owner].InnerBorder = append(frags[owner].InnerBorder, v)
+		r.innerBorder[owner] = append(r.innerBorder[owner], v)
 		r.placement[v] = append(hosts, owner)
 		sort.Ints(r.placement[v])
 	}
 	for i, f := range frags {
-		sort.Slice(f.InnerBorder, func(a, b int) bool { return f.InnerBorder[a] < f.InnerBorder[b] })
+		slices.Sort(r.innerBorder[i])
 		if locals != nil {
 			f.G = locals[i].Graph()
 		}
 		f.n = asg.N
-		f.innerAt = make([]bool, f.G.NumVertices())
-		for _, id := range f.Inner {
+		for _, id := range inner[i] {
 			i, _ := f.G.Index(id)
-			f.innerAt[i] = true
 			f.innerIdx = append(f.innerIdx, i)
 		}
 		for _, id := range f.G.Vertices() {
 			f.owners = append(f.owners, int32(asg.Owner(id)))
 		}
-		f.border = slices.Sorted(slices.Values(slices.Concat(f.Outer, f.InnerBorder)))
-		f.sorted = len(f.border)
-		for _, id := range f.border {
+		for _, id := range slices.Sorted(slices.Values(slices.Concat(outer[i], r.innerBorder[i]))) {
 			i, _ := f.G.Index(id)
 			f.borderIdx = append(f.borderIdx, i)
 		}
+		f.sorted = len(f.borderIdx)
 	}
 	return r
 }
@@ -209,9 +210,9 @@ func checkAgainstReference(t testing.TB, what string, l *Layout, ref *refLayout)
 		if err := graph.Diff(f.G, rf.G); err != nil {
 			t.Fatalf("%s fragment %d: %v", what, i, err)
 		}
-		if !slices.Equal(f.Inner, rf.Inner) || !slices.Equal(f.Outer, rf.Outer) || !slices.Equal(f.InnerBorder, rf.InnerBorder) {
+		if in, out, ib := innerIDs(f), outerIDs(f), innerBorderIDs(f); !slices.Equal(in, ref.inner[i]) || !slices.Equal(out, ref.outer[i]) || !slices.Equal(ib, ref.innerBorder[i]) {
 			t.Fatalf("%s fragment %d: vertex lists differ:\n got inner %v outer %v border %v\nwant inner %v outer %v border %v",
-				what, i, f.Inner, f.Outer, f.InnerBorder, rf.Inner, rf.Outer, rf.InnerBorder)
+				what, i, in, out, ib, ref.inner[i], ref.outer[i], ref.innerBorder[i])
 		}
 		if got, want := AppendFragment(nil, f), AppendFragment(nil, rf); !bytes.Equal(got, want) {
 			t.Fatalf("%s fragment %d: frame differs from the reference cut's (%d vs %d bytes)", what, i, len(got), len(want))
@@ -260,10 +261,10 @@ func checkBorderIndex(t testing.TB, what string, l *Layout) {
 		positions += len(hs)
 	}
 	for _, f := range l.Fragments {
-		if len(f.Slots()) != len(f.Border()) || len(f.BorderIndices()) != len(f.Border()) {
-			t.Fatalf("%s: fragment %d: %d border vertices, %d indices, %d slots", what, f.Index, len(f.Border()), len(f.BorderIndices()), len(f.Slots()))
+		if len(f.Slots()) != len(f.BorderIndices()) {
+			t.Fatalf("%s: fragment %d: %d border positions, %d slots", what, f.Index, len(f.BorderIndices()), len(f.Slots()))
 		}
-		positions -= len(f.Border())
+		positions -= len(f.BorderIndices())
 	}
 	if positions != 0 {
 		t.Fatalf("%s: slots list %d more hosts than the fragments have border positions", what, positions)
@@ -421,9 +422,9 @@ func TestBuildFrozenEquivalence(t *testing.T) {
 				}
 				for i := range lf.Fragments {
 					ff, ft := lf.Fragments[i], lt.Fragments[i]
-					if !reflect.DeepEqual(ff.Inner, ft.Inner) ||
-						!reflect.DeepEqual(ff.Outer, ft.Outer) ||
-						!reflect.DeepEqual(ff.InnerBorder, ft.InnerBorder) {
+					if !slices.Equal(innerIDs(ff), innerIDs(ft)) ||
+						!slices.Equal(outerIDs(ff), outerIDs(ft)) ||
+						!slices.Equal(innerBorderIDs(ff), innerBorderIDs(ft)) {
 						t.Fatalf("n=%d fragment %d: vertex lists differ", n, i)
 					}
 					if err := graph.Diff(ff.G, ft.G); err != nil {
@@ -459,9 +460,9 @@ func TestBuildAllocationBudget(t *testing.T) {
 
 // TestBuildAllocatedBytes pins what one cut of the 96×96 road grid into 8
 // fragments allocates: exact-size CSR arrays, dense tables and the cut's
-// scratch (1.26 MB), and neither an ID index (≈ 0.32 MB) nor property
-// storage (≈ 0.24 MB of list headers) per fragment — 1.82 MB when every
-// fragment held both.
+// scratch (1.15 MB), and no ID index (≈ 0.32 MB), property storage (≈ 0.24
+// MB of list headers) or ID lists and inner bitmap (≈ 0.11 MB) per fragment —
+// 1.93 MB when every fragment held all three.
 func TestBuildAllocatedBytes(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation is instrumented under -race")
@@ -479,8 +480,8 @@ func TestBuildAllocatedBytes(t *testing.T) {
 		Build(g, asg)
 	}
 	runtime.ReadMemStats(&after)
-	if mb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1e6; mb > 1.35 {
-		t.Errorf("Build allocates %.3f MB per cut, budget 1.35", mb)
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1e6; mb > 1.2 {
+		t.Errorf("Build allocates %.3f MB per cut, budget 1.2", mb)
 	} else {
 		t.Logf("%.3f MB per cut", mb)
 	}
@@ -572,6 +573,67 @@ func TestFragmentsHoldAPropertyColumn(t *testing.T) {
 	}
 }
 
+// TestFragmentsKeepNoIDCopies: a fragment names its vertices by dense index
+// of its graph, whose ID column is the only copy of their IDs. What a layout
+// keeps beyond its fragments' graphs is a 4 B owner and at most a 4 B inner
+// index per vertex, and per border position a 4 B index, a 4 B slot and an
+// 8 B host entry; it is held to 12 B per fragment vertex beyond 16 B per
+// border position, for Build and BuildExpanded on a hash-cut social graph
+// (almost every fragment vertex is on the border) and a 2d-cut road grid
+// (few are). A fragment that also listed its vertex and border IDs kept
+// 21–28 B per vertex here.
+func TestFragmentsKeepNoIDCopies(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation is instrumented under -race")
+	}
+	social := gen.PreferentialAttachment(10000, 5, 1)
+	road := gen.RoadGrid(96, 96, 1)
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		s    Strategy
+	}{{"social/hash", social, Hash{}}, {"road/2d", road, TwoD{Cols: 96}}} {
+		asg, err := tc.s.Partition(tc.g, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for hops := range 2 {
+			cut := func() *Layout {
+				if hops == 0 {
+					return Build(tc.g, asg)
+				}
+				return BuildExpanded(tc.g, asg, hops)
+			}
+			cut() // the source derives its views on its first cut
+			graphs := make([]*graph.Graph, asg.N)
+			var before, with, without runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			l := cut()
+			verts, border := 0, 0
+			for i, f := range l.Fragments {
+				graphs[i] = f.G
+				verts += f.G.NumVertices()
+				border += len(f.BorderIndices())
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&with)
+			runtime.KeepAlive(l)
+			l = nil
+			runtime.GC()
+			runtime.ReadMemStats(&without)
+			runtime.KeepAlive(graphs)
+			kept := int64(with.HeapAlloc) - int64(without.HeapAlloc)
+			perVertex := float64(kept-16*int64(border)) / float64(verts)
+			t.Logf("%s hops %d: %d fragment vertices, %d border positions: the layout keeps %d B beyond its graphs, %.1f B per vertex beyond 16 B per border position",
+				tc.name, hops, verts, border, kept, perVertex)
+			if perVertex > 12 {
+				t.Errorf("%s hops %d: the layout keeps %.1f B per fragment vertex beyond its graphs and 16 B per border position, budget 12", tc.name, hops, perVertex)
+			}
+		}
+	}
+}
+
 // TestLocalAgreesWithIndex: Fragment.Local finds every vertex of a fragment
 // graph — inner, outer copy, one a session added — at its dense index, and
 // nothing else.
@@ -584,7 +646,7 @@ func TestLocalAgreesWithIndex(t *testing.T) {
 	l := Build(g, asg)
 	for _, f := range l.Fragments {
 		for _, id := range g.Vertices() {
-			want := slices.Contains(f.Inner, id) || slices.Contains(f.Outer, id)
+			want := slices.Contains(innerIDs(f), id) || slices.Contains(outerIDs(f), id)
 			if i, ok := f.Local(id); ok != want || ok && f.G.IDAt(i) != id {
 				t.Fatalf("fragment %d: Local(%d) = %d, %v; want found = %v", f.Index, id, i, ok, want)
 			}
@@ -623,16 +685,14 @@ func TestBuildExpandedFrozen(t *testing.T) {
 		if err := f.G.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		iidx := f.InnerIndices()
-		for k, id := range f.Inner {
-			if f.G.IDAt(iidx[k]) != id || !f.IsInnerAt(iidx[k]) {
+		for _, i := range f.InnerIndices() {
+			if id := f.G.IDAt(i); !f.IsInnerAt(i) || !f.IsInner(id) || f.Owner(id) != f.Index {
 				t.Fatalf("inner cache broken at %d", id)
 			}
 		}
-		bidx := f.BorderIndices()
-		for k, id := range f.Border() {
-			if bidx[k] < 0 || f.G.IDAt(bidx[k]) != id {
-				t.Fatalf("border cache broken at %d", id)
+		for p, i := range f.BorderIndices() {
+			if q, ok := f.BorderPos(f.G.IDAt(i)); !ok || int(q) != p {
+				t.Fatalf("border cache broken at %d", f.G.IDAt(i))
 			}
 		}
 	}
@@ -683,7 +743,7 @@ func TestAddHostGrowsTheIndex(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fragment %d no longer ships: %v", f.Index, err)
 		}
-		if got, want := re.Border(), slices.Sorted(slices.Values(f.Border())); !slices.Equal(got, want) {
+		if got, want := borderIDs(re), slices.Sorted(slices.Values(borderIDs(f))); !slices.Equal(got, want) {
 			t.Fatalf("fragment %d: shipped border %v, want %v", f.Index, got, want)
 		}
 	}

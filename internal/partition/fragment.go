@@ -16,20 +16,14 @@ import (
 //
 // Border nodes, in the paper's sense, are the vertices that carry update
 // parameters: the outer copies O_i plus the inner vertices that appear as
-// outer copies in some other fragment. Border() returns exactly that set.
+// outer copies in some other fragment. BorderIndices() lists exactly that set.
 type Fragment struct {
 	// Index is the fragment number i ∈ [0, N).
 	Index int
 	// G is the local subgraph: inner vertices with their out-edges plus
-	// outer copies.
+	// outer copies. It holds the fragment's only copy of its vertex IDs
+	// (G.IDAt); every list below names vertices by dense index of G.
 	G *graph.Graph
-	// Inner lists the vertices owned by this fragment, ascending.
-	Inner []graph.ID
-	// Outer lists the outer copies (owned elsewhere), ascending.
-	Outer []graph.ID
-	// InnerBorder lists inner vertices that some other fragment holds a copy
-	// of (i.e. targets of cut edges from elsewhere), ascending.
-	InnerBorder []graph.ID
 
 	// n is the number of fragments; owners[i] is the fragment owning the
 	// vertex at dense index i of G (Index itself for inner vertices). Both
@@ -37,133 +31,126 @@ type Fragment struct {
 	n      int
 	owners []int32
 
-	// Dense tables over G's vertex index, from the cut or from the frame.
-	// innerAt/innerIdx never change after construction — graph updates only
-	// ever add outer copies.
-	innerAt  []bool  // dense index -> owned here
-	innerIdx []int32 // dense indices of Inner, parallel to Inner
+	// innerIdx lists the dense indices of the inner vertices, ascending by
+	// ID. It never changes after construction — graph updates only ever add
+	// outer copies.
+	innerIdx []int32
 
-	// The border, by position: border[p] is kept at dense index borderIdx[p]
-	// and, in a fragment a Layout cut, has the layout's slot slots[p] (a
-	// decoded fragment has none: a worker never sees a slot). Update parameters
-	// are addressed by position on their way to the coordinator, so positions
-	// never move: border[:sorted], the border as cut or decoded, ascends by ID;
-	// what a session made border since follows in the order it arrived.
-	border    []graph.ID
+	// The border, by position: position p is the vertex at dense index
+	// borderIdx[p] and, in a fragment a Layout cut, has the layout's slot
+	// slots[p] (a decoded fragment has none: a worker never sees a slot).
+	// Update parameters are addressed by position on their way to the
+	// coordinator, so positions never move: borderIdx[:sorted], the border as
+	// cut or decoded, ascends by ID; what a session made border since follows
+	// in the order it arrived.
 	borderIdx []int32
 	slots     []int32
 	sorted    int
 }
 
+// search finds id in idx, dense indices of G ascending by ID, by binary
+// search over G's ID column.
+func (f *Fragment) search(idx []int32, id graph.ID) (int, bool) {
+	g := f.G
+	return slices.BinarySearchFunc(idx, id, func(i int32, id graph.ID) int { return cmp.Compare(g.IDAt(i), id) })
+}
+
 // IsInner reports whether id is owned by this fragment.
 func (f *Fragment) IsInner(id graph.ID) bool {
-	i, ok := f.G.Index(id)
-	return ok && f.IsInnerAt(i)
+	_, ok := f.search(f.innerIdx, id)
+	return ok
 }
 
 // IsInnerAt reports whether the vertex at dense index i of the fragment graph
 // is owned by this fragment. Vertices appended after construction (new outer
-// copies from graph updates) fall past the cache and are never inner.
+// copies from graph updates) are never inner.
 func (f *Fragment) IsInnerAt(i int32) bool {
-	return int(i) < len(f.innerAt) && f.innerAt[i]
+	return int(i) < len(f.owners) && int(f.owners[i]) == f.Index
 }
 
 // InnerIndices returns the dense indices of the fragment's inner vertices,
-// parallel to Inner. The caller must not mutate the returned slice.
+// ascending by ID. The caller must not mutate the returned slice.
 func (f *Fragment) InnerIndices() []int32 { return f.innerIdx }
 
 // Owner returns the index of the fragment owning id, a vertex of G. It
 // panics if id is absent.
 func (f *Fragment) Owner(id graph.ID) int {
-	i, ok := f.G.Index(id)
+	i, ok := f.Local(id)
 	if !ok {
 		panic(fmt.Sprintf("partition: vertex %d not in fragment %d", id, f.Index))
 	}
 	return int(f.owners[i])
 }
 
-// Border returns the nodes of this fragment that carry update parameters,
-// Outer ∪ InnerBorder, by border position: ascending by ID as cut or decoded,
-// then what a session made border since. The caller must not mutate the slice.
-func (f *Fragment) Border() []graph.ID { return f.border }
-
-// BorderIndices returns the dense indices of Border(), parallel to it. The
-// caller must not mutate the returned slice.
+// BorderIndices returns the dense indices of the nodes of this fragment that
+// carry update parameters — its outer copies and the inner vertices some
+// other fragment copies — by border position: ascending by ID as cut or
+// decoded, then what a session made border since. The caller must not mutate
+// the returned slice.
 func (f *Fragment) BorderIndices() []int32 { return f.borderIdx }
 
-// Slots returns, parallel to Border(), the slot each border vertex has in the
-// layout this fragment was cut for; nil for a fragment decoded from a frame.
+// Slots returns, parallel to BorderIndices(), the slot each border vertex has
+// in the layout this fragment was cut for; nil for a fragment decoded from a
+// frame.
 func (f *Fragment) Slots() []int32 { return f.slots }
 
 // Local returns the dense index of id in G, found by binary search of the
-// inner list and the border (every vertex of G is inner or an outer copy),
+// inner vertices and the border (every vertex of G is inner or an outer copy),
 // never by G's ID index — for a one-off lookup per run, such as a query's
 // source, which must not make every fragment build that index.
 func (f *Fragment) Local(id graph.ID) (int32, bool) {
-	if k, ok := slices.BinarySearch(f.Inner, id); ok {
+	if k, ok := f.search(f.innerIdx, id); ok {
 		return f.innerIdx[k], true
 	}
-	if p, ok := f.BorderPos(id); ok && f.borderIdx[p] >= 0 {
+	if p, ok := f.BorderPos(id); ok {
 		return f.borderIdx[p], true
 	}
 	return 0, false
 }
 
-// BorderPos returns the position of id in Border().
+// BorderPos returns the border position of id.
 func (f *Fragment) BorderPos(id graph.ID) (int32, bool) {
-	if p, ok := slices.BinarySearch(f.border[:f.sorted], id); ok {
+	if p, ok := f.search(f.borderIdx[:f.sorted], id); ok {
 		return int32(p), true
 	}
-	for p := f.sorted; p < len(f.border); p++ {
-		if f.border[p] == id {
+	for p := f.sorted; p < len(f.borderIdx); p++ {
+		if f.G.IDAt(f.borderIdx[p]) == id {
 			return int32(p), true
 		}
 	}
 	return 0, false
 }
 
-// addBorder gives id, a vertex of G (-1 if it is not one yet), the next
-// border position.
-func (f *Fragment) addBorder(id graph.ID) {
-	i, ok := f.G.Index(id)
-	if !ok {
-		i = -1
-	}
-	f.border, f.borderIdx = append(f.border, id), append(f.borderIdx, i)
-}
-
 // AddOuter records a new outer copy: id, owned by fragment owner, which graph
-// updates just appended to G, and reports whether id was newly added. A
+// updates just appended to G, and reports whether id was newly added. The
+// copy must be G's next vertex past those recorded — a session splices its
+// copies in the order it records them — and AddOuter panics if it is not. A
 // fragment of a Layout grows through Layout.AddHost, which keeps the slots.
 func (f *Fragment) AddOuter(id graph.ID, owner int) bool {
-	n := len(f.Outer)
-	f.Outer = insertSortedID(f.Outer, id)
-	if len(f.Outer) == n {
+	if _, ok := f.BorderPos(id); ok {
 		return false
+	}
+	i := int32(len(f.owners))
+	if int(i) >= f.G.NumVertices() || f.G.IDAt(i) != id || owner == f.Index {
+		panic(fmt.Sprintf("partition: fragment %d: outer copy %d of fragment %d is not its graph's next vertex", f.Index, id, owner))
 	}
 	f.owners = append(f.owners, int32(owner))
-	f.addBorder(id)
+	f.borderIdx = append(f.borderIdx, i)
 	return true
 }
 
-// AddInnerBorder records that the inner vertex id now has copies elsewhere.
-// It reports whether id was newly added.
+// AddInnerBorder records that id, an inner vertex, now has copies elsewhere.
+// It reports whether id was newly added, and panics if id is not inner.
 func (f *Fragment) AddInnerBorder(id graph.ID) bool {
-	n := len(f.InnerBorder)
-	f.InnerBorder = insertSortedID(f.InnerBorder, id)
-	if len(f.InnerBorder) == n {
+	k, ok := f.search(f.innerIdx, id)
+	if !ok {
+		panic(fmt.Sprintf("partition: vertex %d is not inner to fragment %d", id, f.Index))
+	}
+	if _, ok := f.BorderPos(id); ok {
 		return false
 	}
-	f.addBorder(id)
+	f.borderIdx = append(f.borderIdx, f.innerIdx[k])
 	return true
-}
-
-func insertSortedID(ids []graph.ID, id graph.ID) []graph.ID {
-	i, found := slices.BinarySearch(ids, id)
-	if found {
-		return ids
-	}
-	return slices.Insert(ids, i, id)
 }
 
 // Layout is the result of cutting a graph into fragments: the fragments plus

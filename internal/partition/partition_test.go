@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -107,7 +108,7 @@ func TestBuildFragmentsInvariants(t *testing.T) {
 	// 1. inner sets partition V
 	seen := map[graph.ID]int{}
 	for _, f := range layout.Fragments {
-		for _, v := range f.Inner {
+		for _, v := range innerIDs(f) {
 			seen[v]++
 			if !f.IsInner(v) {
 				t.Fatalf("IsInner inconsistent for %d", v)
@@ -129,7 +130,7 @@ func TestBuildFragmentsInvariants(t *testing.T) {
 	// and outer endpoints exist as copies with labels
 	edgeCount := 0
 	for _, f := range layout.Fragments {
-		for _, u := range f.Inner {
+		for _, u := range innerIDs(f) {
 			edgeCount += len(f.G.Out(u))
 			for _, e := range f.G.Out(u) {
 				if !f.G.Has(e.To) {
@@ -137,7 +138,7 @@ func TestBuildFragmentsInvariants(t *testing.T) {
 				}
 			}
 		}
-		for _, o := range f.Outer {
+		for _, o := range outerIDs(f) {
 			if f.IsInner(o) {
 				t.Fatalf("outer %d marked inner", o)
 			}
@@ -181,15 +182,16 @@ func TestBuildFragmentsInvariants(t *testing.T) {
 	if hs := hostsOf(layout, graph.ID(1<<40)); hs != nil {
 		t.Fatalf("Hosts of a vertex the graph lacks = %v, want nil", hs)
 	}
-	// 5. border = outer ∪ innerBorder, sorted, consistent with placement
+	// 5. the border — outer copies and inner border vertices — ascends by
+	// ID, consistent with placement
 	for _, f := range layout.Fragments {
-		border := f.Border()
+		border := borderIDs(f)
 		for i := 1; i < len(border); i++ {
 			if border[i-1] >= border[i] {
 				t.Fatalf("border of %d not sorted", f.Index)
 			}
 		}
-		for _, b := range f.InnerBorder {
+		for _, b := range innerBorderIDs(f) {
 			hosts := hostsOf(layout, b)
 			if len(hosts) < 2 {
 				t.Fatalf("inner border %d should have copies elsewhere: %v", b, hosts)
@@ -203,7 +205,7 @@ func TestBuildPreservesLabelsOnCopies(t *testing.T) {
 	asg, _ := Hash{}.Partition(g, 4)
 	layout := Build(g, asg)
 	for _, f := range layout.Fragments {
-		for _, o := range f.Outer {
+		for _, o := range outerIDs(f) {
 			if f.G.Label(o) != g.Label(o) {
 				t.Fatalf("outer copy %d lost its label", o)
 			}
@@ -219,7 +221,7 @@ func TestBuildExpandedContainsNeighborhoods(t *testing.T) {
 	for _, f := range layout.Fragments {
 		// the region by its own by-ID breadth-first search over both directions
 		region := map[graph.ID]bool{}
-		frontier := f.Inner
+		frontier := innerIDs(f)
 		for _, v := range frontier {
 			region[v] = true
 		}
@@ -313,4 +315,37 @@ func TestUndirectedGraphFragments(t *testing.T) {
 	if !hasEdge(layout.Fragments[1].G, 3, 2) {
 		t.Fatal("fragment 1 misses cut edge 3-2")
 	}
+}
+
+// idsAt reads the vertex IDs at dense indices idx of g.
+func idsAt(g *graph.Graph, idx []int32) []graph.ID {
+	ids := make([]graph.ID, len(idx))
+	for k, i := range idx {
+		ids[k] = g.IDAt(i)
+	}
+	return ids
+}
+
+// innerIDs lists f's inner vertices, ascending.
+func innerIDs(f *Fragment) []graph.ID { return idsAt(f.G, f.InnerIndices()) }
+
+// borderIDs lists f's border vertices by border position.
+func borderIDs(f *Fragment) []graph.ID { return idsAt(f.G, f.BorderIndices()) }
+
+// outerIDs lists f's outer copies, ascending.
+func outerIDs(f *Fragment) []graph.ID { return borderWhere(f, false) }
+
+// innerBorderIDs lists f's inner vertices some other fragment copies,
+// ascending.
+func innerBorderIDs(f *Fragment) []graph.ID { return borderWhere(f, true) }
+
+func borderWhere(f *Fragment, inner bool) []graph.ID {
+	var ids []graph.ID
+	for _, i := range f.BorderIndices() {
+		if f.IsInnerAt(i) == inner {
+			ids = append(ids, f.G.IDAt(i))
+		}
+	}
+	slices.Sort(ids)
+	return ids
 }

@@ -25,46 +25,64 @@ import (
 //	offset  8  u32 fragment count N
 //	offset 12  u32 |V| of the local subgraph
 //	offset 16  u32 |Inner|
-//	offset 20  u32 |Border| (Outer ∪ InnerBorder)
+//	offset 20  u32 |Border| (outer copies and inner border vertices)
 //	offset 24  owners    |V| × i32       fragment owning each local vertex
-//	           innerIdx  |Inner| × i32   dense indices of Inner, ascending by ID
-//	           borderIdx |Border| × i32  dense indices of Border(), ascending by ID
+//	           innerIdx  |Inner| × i32   dense indices of the inner vertices, ascending by ID
+//	           borderIdx |Border| × i32  dense indices of the border, ascending by ID
 //	           graph     the local subgraph, graph.AppendFlat
 //
-// Outer and InnerBorder are not shipped: they are Border() split by
-// ownership (an outer copy is owned elsewhere, an inner border vertex here).
+// Vertex IDs travel once, in the graph's ID column; the two index lists name
+// vertices by dense index into it, and a border vertex is an outer copy or
+// an inner border vertex by its owner.
 
 const (
 	fragMagic     = 0x47465247 // "GRFG"
 	fragHeaderLen = 24
 )
 
-// FrameLen returns the exact number of bytes AppendFragment writes for f.
-func FrameLen(f *Fragment) int {
-	graphOff := graph.Align8(graph.Align8(graph.Align8(fragHeaderLen+4*len(f.owners))+4*len(f.innerIdx)) + 4*len(f.borderIdx))
-	return graphOff + graph.FlatLen(f.G)
+// FrameSize is the measured length of f's frame: what AppendFragmentSized
+// needs so the append walks the graph's strings no second time. It holds for f
+// as measured; any change to f voids it.
+type FrameSize struct {
+	graphOff int
+	flat     graph.FlatSize
 }
 
-// AppendFragment appends the frame of f to buf, growing it once to FrameLen(f)
-// more bytes, and returns the extended buffer. Sections are aligned relative
-// to len(buf) at entry; see graph.AppendFlat.
+// MeasureFrame measures the frame of f.
+func MeasureFrame(f *Fragment) FrameSize {
+	graphOff := graph.Align8(graph.Align8(graph.Align8(fragHeaderLen+4*len(f.owners))+4*len(f.innerIdx)) + 4*len(f.borderIdx))
+	return FrameSize{graphOff, graph.MeasureFlat(f.G)}
+}
+
+// Len returns the exact number of bytes AppendFragment writes for the fragment.
+func (s FrameSize) Len() int { return s.graphOff + s.flat.Len() }
+
+// AppendFragment appends the frame of f to buf and returns the extended
+// buffer; see AppendFragmentSized.
 func AppendFragment(buf []byte, f *Fragment) []byte {
+	return AppendFragmentSized(buf, f, MeasureFrame(f))
+}
+
+// AppendFragmentSized appends the frame of f, measured as size, to buf,
+// growing it once to size.Len() more bytes, and returns the extended buffer.
+// Sections are aligned relative to len(buf) at entry; see graph.AppendFlat.
+func AppendFragmentSized(buf []byte, f *Fragment, size FrameSize) []byte {
 	base := len(buf)
-	innerIdx, borderIdx := f.InnerIndices(), f.BorderIndices()
+	innerIdx, borderIdx := f.innerIdx, f.borderIdx
 	if f.sorted < len(borderIdx) { // a session grew the border: the frame lists it by ID
 		borderIdx = slices.Clone(borderIdx)
 		slices.SortFunc(borderIdx, func(a, b int32) int { return cmp.Compare(f.G.IDAt(a), f.G.IDAt(b)) })
 	}
-	buf = slices.Grow(buf, FrameLen(f))
+	buf = slices.Grow(buf, size.Len())
 	le := binary.LittleEndian
-	for _, v := range [...]int{fragMagic, f.Index, f.n, len(f.owners), len(f.Inner), len(f.Outer) + len(f.InnerBorder)} {
+	for _, v := range [...]int{fragMagic, f.Index, f.n, len(f.owners), len(innerIdx), len(borderIdx)} {
 		buf = le.AppendUint32(buf, uint32(v))
 	}
 	buf = graph.AppendSection(buf, base, graph.Int32Bytes(f.owners))
 	buf = graph.AppendSection(buf, base, graph.Int32Bytes(innerIdx))
 	buf = graph.AppendSection(buf, base, graph.Int32Bytes(borderIdx))
 	buf = graph.AppendSection(buf, base, nil)
-	return graph.AppendFlat(buf, f.G)
+	return graph.AppendFlatSized(buf, f.G, size.flat)
 }
 
 // DecodeFragment decodes a frame written by AppendFragment from the front of
@@ -72,10 +90,10 @@ func AppendFragment(buf []byte, f *Fragment) []byte {
 // that can alias (graph.CanAlias) and 8-aligned input, the fragment's
 // ownership table, dense index caches and CSR arrays are views into data,
 // which must stay alive and unmodified as long as the fragment; misaligned
-// input is copied once first. Only the ID lists and the inner bitmap are
-// built — the graph's ID index waits for its first by-ID lookup, and the
-// lists are the proof its IDs are distinct (see complete). Every count is
-// checked against len(data) before anything is sized from it.
+// input is copied once first. Nothing is built: the graph's ID index waits
+// for its first by-ID lookup, and the ascending index lists are the proof its
+// IDs are distinct (see complete). Every count is checked against len(data)
+// before anything is sized from it.
 func DecodeFragment(data []byte) (*Fragment, int, error) {
 	if len(data) < fragHeaderLen {
 		return nil, 0, fmt.Errorf("partition: fragment frame truncated: %d header bytes", len(data))
@@ -118,90 +136,77 @@ func DecodeFragment(data []byte) (*Fragment, int, error) {
 }
 
 // complete finishes a fragment that has its subgraph and the three dense
-// tables a frame carries (and a cut computes). It checks them against G and
-// each other — owners in range, Inner exactly the vertices owned here, both
-// index lists strictly ascending by ID, every vertex inner or an outer copy —
-// and derives what is not carried: the ID lists (one allocation, each list
-// capped so a later AddOuter reallocates) and the inner bitmap. Merging the
-// ascending Inner and Outer then proves G's vertex IDs distinct, in linear
-// time and without G's ID index.
+// tables a frame carries (and a cut computes), checking them against G and
+// each other: owners in range, the inner list exactly the vertices owned
+// here, both index lists strictly ascending by ID, and every vertex inner or
+// an outer copy on the border. Merging the inner list with the border's outer
+// copies then proves G's vertex IDs distinct, in linear time and without G's
+// ID index. Nothing is derived and nothing allocated: IDs are read from G.
 func complete(f *Fragment) error {
-	g, idx, owners, innerIdx, borderIdx := f.G, f.Index, f.owners, f.innerIdx, f.borderIdx
-	ni, nb := len(innerIdx), len(borderIdx)
-	ids := make([]graph.ID, ni+2*nb)
-	f.Inner, f.border, f.sorted = ids[:ni:ni], ids[ni:ni+nb:ni+nb], nb
-	f.innerAt = make([]bool, len(owners))
+	g, idx, owners, innerIdx, borderIdx := f.G, int32(f.Index), f.owners, f.innerIdx, f.borderIdx
+	f.sorted = len(borderIdx)
 	owned := 0
 	for i, w := range owners {
 		if w < 0 || int(w) >= f.n {
 			return fmt.Errorf("partition: vertex %d owned by out-of-range worker %d", g.IDAt(int32(i)), w)
 		}
-		if int(w) == idx {
+		if w == idx {
 			owned++
 		}
 	}
-	if err := ascendingIDs(g, innerIdx, f.Inner); err != nil {
+	if err := ascendingIDs(g, innerIdx); err != nil {
 		return fmt.Errorf("partition: inner list: %w", err)
 	}
 	for _, i := range innerIdx {
-		if int(owners[i]) != idx {
+		if owners[i] != idx {
 			return fmt.Errorf("partition: inner vertex %d is owned by worker %d", g.IDAt(i), owners[i])
 		}
-		f.innerAt[i] = true
 	}
-	if owned != ni {
-		return fmt.Errorf("partition: fragment owns %d local vertices but lists %d inner", owned, ni)
+	if owned != len(innerIdx) {
+		return fmt.Errorf("partition: fragment owns %d local vertices but lists %d inner", owned, len(innerIdx))
 	}
-	if err := ascendingIDs(g, borderIdx, f.border); err != nil {
+	if err := ascendingIDs(g, borderIdx); err != nil {
 		return fmt.Errorf("partition: border list: %w", err)
 	}
-	nib := 0
+	outer := 0
 	for _, i := range borderIdx {
-		if f.innerAt[i] {
-			nib++
+		if owners[i] != idx {
+			outer++
 		}
 	}
-	f.InnerBorder, f.Outer = ids[ni+nb:][:0:nib], ids[ni+nb+nib:][:0]
-	for k, i := range borderIdx {
-		if f.innerAt[i] {
-			f.InnerBorder = append(f.InnerBorder, f.border[k])
-		} else {
-			f.Outer = append(f.Outer, f.border[k])
-		}
+	if len(innerIdx)+outer != len(owners) {
+		return fmt.Errorf("partition: %d inner and %d outer of %d vertices", len(innerIdx), outer, len(owners))
 	}
-	if ni+len(f.Outer) != len(owners) {
-		return fmt.Errorf("partition: %d inner and %d outer of %d vertices", ni, len(f.Outer), len(owners))
-	}
-	return disjoint(f.Inner, f.Outer)
-}
-
-// disjoint merges two ascending ID lists and errors on an ID in both.
-func disjoint(a, b []graph.ID) error {
+	// merge the ascending inner list with the border's outer copies
+	a, b := innerIdx, borderIdx
 	for len(a) > 0 && len(b) > 0 {
-		switch {
-		case a[0] < b[0]:
+		if owners[b[0]] == idx {
+			b = b[1:]
+			continue
+		}
+		switch x, y := g.IDAt(a[0]), g.IDAt(b[0]); {
+		case x < y:
 			a = a[1:]
-		case b[0] < a[0]:
+		case y < x:
 			b = b[1:]
 		default:
-			return fmt.Errorf("partition: vertex ID %d repeats", a[0])
+			return fmt.Errorf("partition: vertex ID %d repeats", x)
 		}
 	}
 	return nil
 }
 
-// ascendingIDs resolves a list of dense indices of g to vertex IDs, written
-// to ids, checking that every index is in range and the IDs strictly ascend
-// (so the list is duplicate-free and binary-searchable).
-func ascendingIDs(g *graph.Graph, idx []int32, ids []graph.ID) error {
+// ascendingIDs checks that every entry of idx is a dense index of g and that
+// the vertex IDs there strictly ascend (so the list is duplicate-free and
+// binary-searchable).
+func ascendingIDs(g *graph.Graph, idx []int32) error {
 	nv := int32(g.NumVertices())
 	for k, i := range idx {
 		if i < 0 || i >= nv {
 			return fmt.Errorf("dense index %d of %d", i, nv)
 		}
-		ids[k] = g.IDAt(i)
-		if k > 0 && ids[k] <= ids[k-1] {
-			return fmt.Errorf("vertex %d after %d, not ascending", ids[k], ids[k-1])
+		if k > 0 && g.IDAt(i) <= g.IDAt(idx[k-1]) {
+			return fmt.Errorf("vertex %d after %d, not ascending", g.IDAt(i), g.IDAt(idx[k-1]))
 		}
 	}
 	return nil

@@ -49,10 +49,10 @@ func sameFragment(t *testing.T, want, got *Fragment) {
 		name      string
 		got, want any
 	}{
-		{"Inner", got.Inner, want.Inner},
-		{"Outer", got.Outer, want.Outer},
-		{"InnerBorder", got.InnerBorder, want.InnerBorder},
-		{"Border", got.Border(), want.Border()},
+		{"inner", innerIDs(got), innerIDs(want)},
+		{"outer", outerIDs(got), outerIDs(want)},
+		{"inner border", innerBorderIDs(got), innerBorderIDs(want)},
+		{"border", borderIDs(got), borderIDs(want)},
 		{"BorderIndices", got.BorderIndices(), want.BorderIndices()},
 		{"InnerIndices", got.InnerIndices(), want.InnerIndices()},
 	} {
@@ -100,7 +100,7 @@ func sameFragment(t *testing.T, want, got *Fragment) {
 func TestFragmentFrameEquivalence(t *testing.T) {
 	for name, l := range frameCases(t) {
 		for _, f := range l.Fragments {
-			if want := f.Index; f.Owner(f.Inner[0]) != want || l.Asg.Owner(f.Inner[0]) != want {
+			if want, first := f.Index, f.G.IDAt(f.InnerIndices()[0]); f.Owner(first) != want || l.Asg.Owner(first) != want {
 				t.Fatalf("%s: fragment %d does not own its first inner vertex", name, f.Index)
 			}
 			buf := AppendFragment(nil, f)
@@ -108,8 +108,8 @@ func TestFragmentFrameEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s fragment %d: %v", name, f.Index, err)
 			}
-			if used != len(buf) || used%8 != 0 || used != FrameLen(f) {
-				t.Fatalf("%s fragment %d: consumed %d of %d bytes, FrameLen %d", name, f.Index, used, len(buf), FrameLen(f))
+			if used != len(buf) || used%8 != 0 || used != MeasureFrame(f).Len() {
+				t.Fatalf("%s fragment %d: consumed %d of %d bytes, measured %d", name, f.Index, used, len(buf), MeasureFrame(f).Len())
 			}
 			sameFragment(t, f, got)
 
@@ -140,12 +140,12 @@ func mutateLikeASession(t *testing.T, f *Fragment) {
 		return // a lone fragment owns every vertex: no update creates an outer copy
 	}
 	const fresh = graph.ID(1 << 40)
-	src := f.Inner[0]
+	src := f.G.IDAt(f.InnerIndices()[0])
 	f.G.AddVertex(fresh, "fresh")
 	f.G.SetProps(fresh, []string{"p"})
 	f.AddOuter(fresh, (f.Index+1)%f.n)
 	f.G.AddLabeledEdge(src, fresh, 1.5, "new")
-	if f.AddInnerBorder(src) && len(f.Border()) != len(f.Outer)+len(f.InnerBorder) {
+	if f.AddInnerBorder(src) && len(f.BorderIndices()) != len(outerIDs(f))+len(innerBorderIDs(f)) {
 		t.Fatal("border cache out of step")
 	}
 	if _, ok := f.G.RemoveEdge(src, fresh, "new"); !ok {
@@ -228,7 +228,7 @@ func TestDecodeFragmentRejectsCorruptFrames(t *testing.T) {
 			t.Fatalf("truncation at %d of %d decoded without error", cut, len(good))
 		}
 	}
-	nv, ni := len(f.owners), len(f.Inner)
+	nv, ni := len(f.owners), len(f.innerIdx)
 	innerOff := graph.Align8(fragHeaderLen + 4*nv)
 	borderOff := graph.Align8(innerOff + 4*ni)
 	corrupt := func(name string, off int, v byte) {
@@ -257,7 +257,8 @@ func TestDecodeFragmentRejectsCorruptFrames(t *testing.T) {
 // repeatedIDFrame is the frame of fragment 0 of the path 0→1→…→5 cut by
 // parity: inner 0, 2, 4, outer copies 1, 3, 5, border 1…5. With repeat, the
 // copy of 1 is renamed 0 in the graph's ID section: both lists still ascend
-// and every count holds, so only merging Inner with Outer finds the repeat.
+// and every count holds, so only merging the inner list with the outer copies
+// finds the repeat.
 func repeatedIDFrame(tb testing.TB, repeat bool) []byte {
 	g := graph.New()
 	for v := graph.ID(0); v < 5; v++ {
@@ -274,8 +275,8 @@ func repeatedIDFrame(tb testing.TB, repeat bool) []byte {
 		return frame
 	}
 	innerOff := graph.Align8(fragHeaderLen + 4*len(fr.owners))
-	borderOff := graph.Align8(innerOff + 4*len(fr.Inner))
-	graphOff := graph.Align8(borderOff + 4*len(fr.Border()))
+	borderOff := graph.Align8(innerOff + 4*len(fr.innerIdx))
+	graphOff := graph.Align8(borderOff + 4*len(fr.borderIdx))
 	ids := graphOff + graph.Align8(32+int(binary.LittleEndian.Uint32(frame[graphOff+24:])))
 	binary.LittleEndian.PutUint64(frame[ids+8*int(at):], 0)
 	return frame
@@ -329,8 +330,10 @@ func FuzzFragmentFrame(f *testing.F) {
 		if err := fr.G.Validate(); err != nil {
 			t.Fatalf("accepted frame decodes to an invalid graph: %v", err)
 		}
-		if len(fr.Border()) != len(fr.Outer)+len(fr.InnerBorder) || len(fr.InnerIndices()) != len(fr.Inner) {
-			t.Fatal("accepted frame decodes to inconsistent vertex lists")
+		for i := range int32(fr.G.NumVertices()) {
+			if j, ok := fr.Local(fr.G.IDAt(i)); !ok || j != i {
+				t.Fatal("accepted frame decodes to inconsistent vertex lists")
+			}
 		}
 		for _, id := range fr.G.Vertices() {
 			_, _, _ = fr.G.Out(id), fr.G.In(id), fr.Owner(id)

@@ -562,10 +562,9 @@ func (CC) Assemble(q CCQuery, ctxs []*engine.Context[graph.ID]) (map[graph.ID]gr
 	out := make(map[graph.ID]graph.ID, innerCount(ctxs))
 	for _, ctx := range ctxs {
 		st := ctx.State.(*ccState)
-		inner := ctx.Frag.Inner
-		iidx := ctx.Frag.InnerIndices()
-		for k, v := range inner {
-			out[v] = st.rootLabel[st.uf.Find(iidx[k])]
+		g := ctx.Frag.G
+		for _, i := range ctx.Frag.InnerIndices() {
+			out[g.IDAt(i)] = st.rootLabel[st.uf.Find(i)]
 		}
 	}
 	return out, nil

@@ -119,7 +119,7 @@ func (CF) PEval(q CFQuery, ctx *engine.Context[[]float64]) error {
 		}
 	}
 	epochs := 1
-	if len(f.Border()) == 0 {
+	if len(f.BorderIndices()) == 0 {
 		epochs = cfg.Epochs // nothing to synchronize with
 	}
 	for e := 0; e < epochs; e++ {
@@ -162,8 +162,8 @@ func cfShipBorder(ctx *engine.Context[[]float64], st *cfState, k int) {
 	border := ctx.Frag.BorderIndices()
 	slab := make([]float64, 0, len(border)*k)
 	for _, b := range border {
-		if b < 0 || int(b) >= len(st.factors) {
-			continue // border ID not (yet) in the fragment graph / state
+		if int(b) >= len(st.factors) {
+			continue // a copy a session added after PEval sized the state
 		}
 		if vec := st.factors[b]; len(vec) == k {
 			slab = append(slab, vec...)
@@ -181,10 +181,9 @@ func (CF) Assemble(q CFQuery, ctxs []*engine.Context[[]float64]) (CFResult, erro
 	for _, ctx := range ctxs {
 		st := ctx.State.(*cfState)
 		g := ctx.Frag.G
-		iidx := ctx.Frag.InnerIndices()
-		for k, v := range ctx.Frag.Inner {
-			if vec := st.factors[iidx[k]]; vec != nil {
-				res.Factors[v] = vec
+		for _, i := range ctx.Frag.InnerIndices() {
+			if vec := st.factors[i]; vec != nil {
+				res.Factors[g.IDAt(i)] = vec
 			}
 		}
 		for _, u := range st.users {

@@ -164,12 +164,11 @@ func (CC) EncodePartial(buf []byte, q CCQuery, ctx *engine.Context[graph.ID]) ([
 	if !ok {
 		return nil, fmt.Errorf("cc: no state to assemble (PEval has not run)")
 	}
-	inner := ctx.Frag.Inner
-	iidx := ctx.Frag.InnerIndices()
+	g, inner := ctx.Frag.G, ctx.Frag.InnerIndices()
 	buf = binary.AppendUvarint(slices.Grow(buf, 8*len(inner)), uint64(len(inner)))
-	for k, v := range inner {
-		buf = binary.AppendUvarint(buf, uint64(v))
-		buf = binary.AppendUvarint(buf, uint64(st.rootLabel[st.uf.Find(iidx[k])]))
+	for _, i := range inner {
+		buf = binary.AppendUvarint(buf, uint64(g.IDAt(i)))
+		buf = binary.AppendUvarint(buf, uint64(st.rootLabel[st.uf.Find(i)]))
 	}
 	return buf, nil
 }

@@ -16,7 +16,7 @@ import (
 func borderHosts(l *partition.Layout) int {
 	n := 0
 	for _, f := range l.Fragments {
-		n += len(f.Border())
+		n += len(f.BorderIndices())
 	}
 	return n
 }

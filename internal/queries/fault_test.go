@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -221,11 +222,29 @@ func TestFaultRecoveryMultipleDeaths(t *testing.T) {
 	}
 }
 
+// commandLog wraps a run's transport and records, per worker, the
+// supersteps at which the coordinator sends it a command.
+type commandLog struct {
+	mpi.Transport
+	mu    sync.Mutex
+	steps [][]int
+}
+
+func (c *commandLog) Send(e mpi.Envelope) {
+	if e.To >= 0 && e.Step >= 1 {
+		c.mu.Lock()
+		if s := c.steps[e.To]; len(s) == 0 || s[len(s)-1] != e.Step {
+			c.steps[e.To] = append(s, e.Step)
+		}
+		c.mu.Unlock()
+	}
+	c.Transport.Send(e)
+}
+
 // FuzzFaultRecovery derives a single-fault plan from the seed and asserts
-// the recovered run matches the failure-free one exactly. A plan can strike
-// a worker in a superstep that sends it nothing, so its fault never fires: a
-// recovery is required only of a death that happened, and a plan that never
-// fired must leave no recovery record.
+// the recovered run matches the failure-free one exactly. The plan strikes
+// its victim in a superstep at which the failure-free run sends it a command,
+// so every fault fires, and every fired death leaves a recovery record.
 func FuzzFaultRecovery(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		f.Add(seed)
@@ -234,12 +253,16 @@ func FuzzFaultRecovery(f *testing.F) {
 	run := func(opts engine.Options) (map[graph.ID]float64, *metrics.Stats, error) {
 		return engine.Run(context.Background(), g, queries.SSSP{}, queries.SSSPQuery{Source: 0}, opts)
 	}
-	cleanRes, clean, err := run(engine.Options{Workers: 4})
+	cmds := &commandLog{steps: make([][]int, 4)}
+	cleanRes, clean, err := run(engine.Options{Workers: 4, Fault: func(tr mpi.Transport) mpi.Transport {
+		cmds.Transport = tr
+		return cmds
+	}})
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		plan := mpi.Plan(seed, 4, clean.Supersteps)
+		plan := mpi.Plan(seed, cmds.steps)
 		var ft *mpi.FaultTransport
 		res, stats, err := run(engine.Options{
 			Workers: 4,
@@ -260,10 +283,12 @@ func FuzzFaultRecovery(f *testing.F) {
 				plan, stats.Supersteps, stats.Messages, stats.Bytes, clean.Supersteps, clean.Messages, clean.Bytes)
 		}
 		switch fired := ft.Fired(); {
-		case fired == 0 && len(stats.Recoveries) > 0:
-			t.Fatalf("plan %+v: never fired, yet %d recoveries recorded", plan, len(stats.Recoveries))
-		case fired > 0 && plan[0].Kind != mpi.Delay && len(stats.Recoveries) == 0:
+		case fired == 0:
+			t.Fatalf("plan %+v: never fired (%d recoveries recorded)", plan, len(stats.Recoveries))
+		case plan[0].Kind != mpi.Delay && len(stats.Recoveries) == 0:
 			t.Fatalf("plan %+v: death without recovery record", plan)
+		case plan[0].Kind == mpi.Delay && len(stats.Recoveries) > 0:
+			t.Fatalf("plan %+v: a straggler was recovered %d times", plan, len(stats.Recoveries))
 		}
 	})
 }

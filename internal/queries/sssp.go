@@ -209,7 +209,7 @@ func (SSSP) Assemble(q SSSPQuery, ctxs []*engine.Context[float64]) (map[graph.ID
 func innerCount[V any](ctxs []*engine.Context[V]) int {
 	n := 0
 	for _, ctx := range ctxs {
-		n += len(ctx.Frag.Inner)
+		n += len(ctx.Frag.InnerIndices())
 	}
 	return n
 }

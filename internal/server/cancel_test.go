@@ -47,8 +47,8 @@ func (s srvSpinner) signal() {
 func (s srvSpinner) PEval(q srvSpinQuery, ctx *engine.Context[int64]) error {
 	s.signal()
 	if ctx.Frag.IsInner(0) {
-		for _, id := range ctx.Frag.Border() {
-			ctx.Set(id, 1)
+		for _, i := range ctx.Frag.BorderIndices() {
+			ctx.SetAt(i, 1)
 		}
 	}
 	return nil
@@ -57,16 +57,16 @@ func (s srvSpinner) PEval(q srvSpinQuery, ctx *engine.Context[int64]) error {
 func (s srvSpinner) IncEval(q srvSpinQuery, ctx *engine.Context[int64]) error {
 	s.signal()
 	var m int64
-	for _, id := range ctx.Frag.Border() {
-		if v := ctx.Get(id); v > m {
+	for _, i := range ctx.Frag.BorderIndices() {
+		if v := ctx.GetAt(i); v > m {
 			m = v
 		}
 	}
 	if m >= q.limit {
 		return nil
 	}
-	for _, id := range ctx.Frag.Border() {
-		ctx.Set(id, m+1)
+	for _, i := range ctx.Frag.BorderIndices() {
+		ctx.SetAt(i, m+1)
 	}
 	return nil
 }

@@ -118,10 +118,11 @@ func (a Adapter) IncEval(_ Query, ctx *engine.Context[msgQueue]) error {
 // step runs one vertex-centric superstep over the fragment's inner vertices.
 func (a Adapter) step(ctx *engine.Context[msgQueue], st *vcState, init bool) {
 	f := ctx.Frag
+	g, inner := f.G, f.InnerIndices()
 	inbox := st.local
 	st.local = make(map[graph.ID][]float64)
 	var work int64
-	vctx := vertexcentric.NewRawCtx(st.step, f.G, &work, func(to graph.ID, val float64) {
+	vctx := vertexcentric.NewRawCtx(st.step, g, &work, func(to graph.ID, val float64) {
 		if f.IsInner(to) {
 			st.local[to] = append(st.local[to], val)
 			return
@@ -136,7 +137,9 @@ func (a Adapter) step(ctx *engine.Context[msgQueue], st *vcState, init bool) {
 	})
 	var parts []graph.ID
 	if init {
-		parts = append(parts, f.Inner...)
+		for _, i := range inner { // ascending by ID
+			parts = append(parts, g.IDAt(i))
+		}
 	} else {
 		seen := make(map[graph.ID]bool)
 		for id := range inbox {
@@ -145,8 +148,8 @@ func (a Adapter) step(ctx *engine.Context[msgQueue], st *vcState, init bool) {
 				parts = append(parts, id)
 			}
 		}
-		for _, id := range f.Inner {
-			if !st.halted[id] && !seen[id] {
+		for _, i := range inner {
+			if id := g.IDAt(i); !st.halted[id] && !seen[id] {
 				parts = append(parts, id)
 			}
 		}
@@ -177,8 +180,8 @@ func (a Adapter) step(ctx *engine.Context[msgQueue], st *vcState, init bool) {
 		ctx.KeepActive()
 		return
 	}
-	for _, id := range f.Inner {
-		if !st.halted[id] {
+	for _, i := range inner {
+		if !st.halted[g.IDAt(i)] {
 			ctx.KeepActive()
 			return
 		}

@@ -96,9 +96,10 @@ func WriteSnapshotFile(path string, g *graph.Graph, epoch uint64) ([32]byte, err
 }
 
 // encodeSnapshot returns the whole snapshot file of g at epoch: the header,
-// then the body, built by one graph.AppendFlat.
+// then the body, built by one graph.AppendFlatSized.
 func encodeSnapshot(g *graph.Graph, epoch uint64) []byte {
-	buf := graph.AppendFlat(make([]byte, snapHeaderSize, snapHeaderSize+graph.FlatLen(g)), g)
+	size := graph.MeasureFlat(g)
+	buf := graph.AppendFlatSized(make([]byte, snapHeaderSize, snapHeaderSize+size.Len()), g, size)
 	header, body := buf[:snapHeaderSize], buf[snapHeaderSize:]
 	copy(header, snapMagic)
 	le := binary.LittleEndian

@@ -397,7 +397,11 @@ func goldenFrames[Q, V, R any](t *testing.T, prog engine.WireProgram[Q, V, R], q
 		pos := 0
 		if e.Step > 0 {
 			kinds["reply"]++
-			ups := updates(t, codec, e.Frame, &pos, f.Border())
+			border := make([]graph.ID, len(f.BorderIndices()))
+			for p, i := range f.BorderIndices() {
+				border[p] = f.G.IDAt(i)
+			}
+			ups := updates(t, codec, e.Frame, &pos, border)
 			if len(ups) > 0 && e.Size != pos || len(ups) == 0 && e.Size != 0 {
 				t.Fatalf("reply frame from %d metered %d bytes, its batch of %d takes %d", e.From, e.Size, len(ups), pos)
 			}
