@@ -30,18 +30,15 @@ type Reach struct{}
 // Name identifies the program.
 func (Reach) Name() string { return "reach" }
 
-// Spec declares the update parameters: reachability bits under OR, which
-// only ever turns a bit on, so no order needs declaring. A program whose
-// aggregate could move a value back declares the order its values descend
-// along as VarSpec.Less, and the engine refuses every fold against it — the
-// Assurance Theorem's condition.
+// Spec is the two additions: the update parameter — a reachability bit,
+// false by default — and its aggregate, OR; Less is the order the bits
+// descend along, the Assurance condition every fold checks. The bool type
+// brings equality, wire format and traffic size.
 func (Reach) Spec() grape.VarSpec[bool] {
 	return grape.VarSpec[bool]{
 		Default: false,
 		Agg:     func(a, b bool) bool { return a || b },
-		Eq:      func(a, b bool) bool { return a == b },
 		Less:    func(a, b bool) bool { return a && !b }, // true < false in "more reached" order
-		Size:    func(bool) int { return 1 },
 	}
 }
 
@@ -108,8 +105,8 @@ func main() {
 	// The same program can be registered and then driven by name, exactly
 	// like the built-in library: MakeEntry derives the whole registry hook
 	// set (by-name runs, query parsing, resident serving) from the program
-	// and its parse/canonical pair. A program that additionally implements
-	// a wire codec would gain distributed runs from the same spec.
+	// and its parse/canonical pair. A program that also encodes its query
+	// (EncodeQuery, DecodeQuery) gains distributed runs from the same spec.
 	grape.Register(grape.MakeEntry(grape.EntrySpec[ReachQuery, bool, map[grape.ID]bool]{
 		Prog:        Reach{},
 		Description: "BFS reachability (plug-and-play example)",

@@ -5,8 +5,8 @@
 // (IncEval) over graph fragments, assembled into a global answer (Assemble).
 //
 // This package is the public facade: graph construction and generators, the
-// partition-strategy library, the six registered query classes of the demo
-// (SSSP, CC, Sim, SubIso, Keyword, CF), graph pattern association rules for
+// partition-strategy library, the seven registered query classes (SSSP, CC,
+// Sim, SubIso, Keyword, CF, TriCount), graph pattern association rules for
 // social-media marketing, and the registry for plugging in new PIE programs.
 // The engine internals live under internal/; downstream code should only
 // need this package.
@@ -26,7 +26,7 @@
 // ARCHITECTURE.md's "Cancellation & deadlines".
 //
 // Runs default to the in-process bus (workers are goroutines). Every
-// registered query also carries a wire codec, so the same run can be
+// registered query also encodes for the wire, so the same run can be
 // distributed across worker OS processes over TCP or Unix sockets: see
 // ARCHITECTURE.md and the README's "Running distributed" section
 // (cmd/grape -listen, cmd/grape-worker).
@@ -93,7 +93,8 @@ type (
 	// Context is a worker's view of its fragment during a run.
 	Context[V any] = engine.Context[V]
 	// VarSpec declares a program's update parameters: default value,
-	// aggregate, equality, optional partial order, wire size.
+	// aggregate, optional partial order. Equality, wire format and traffic
+	// size follow from the value type (engine's value table).
 	VarSpec[V any] = engine.VarSpec[V]
 	// Fragment is the subgraph a worker computes on.
 	Fragment = partition.Fragment
@@ -119,7 +120,7 @@ func Register(e Entry) { engine.Register(e) }
 type EntrySpec[Q, V, R any] = engine.EntrySpec[Q, V, R]
 
 // MakeEntry derives a registry Entry's full hook set (Run, Parse, Resident,
-// Wire when the program has a wire codec, and Check when the spec sets
+// Wire when the program encodes its query, and Check when the spec sets
 // Reference and Agree) from one typed spec, so the CLI, the serving layer,
 // distributed workers and tests cannot disagree about what a query string
 // means or what a correct answer is. See examples/plugplay.

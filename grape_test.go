@@ -175,7 +175,6 @@ func (minProg) Spec() grape.VarSpec[int64] {
 			}
 			return b
 		},
-		Eq:   func(a, b int64) bool { return a == b },
 		Less: func(a, b int64) bool { return a < b },
 	}
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math"
-	"slices"
 	"testing"
 
 	"grape/internal/partition"
@@ -11,14 +10,15 @@ import (
 // TestSuperstepAllocatesNothing: in steady state the update-parameter path of
 // one IncEval superstep — the worker's flush, the coordinator's fold and
 // route, the receiver's apply — allocates no object, at 16 updates and at
-// 8 192, with the declared order checked on every change: every buffer is the pooled scratch's (the contexts, the fold), and
-// nothing on the way builds a map, a record list or a sort. A vector-valued
-// variable allocates what its own Agg returns, here nothing.
+// 8 192, with the declared order checked on every change: every buffer is
+// the pooled scratch's (the contexts, the fold), and nothing on the way
+// builds a map, a record list or a sort. A vector-valued variable allocates
+// what its own Agg returns, here nothing.
 func TestSuperstepAllocatesNothing(t *testing.T) {
 	const n = 8192
 	layout := matching(t, n) // fragment 0 holds a copy of each of fragment 1's n vertices
-	scalar := VarSpec[float64]{Default: math.Inf(1), Agg: math.Min, Eq: func(a, b float64) bool { return a == b }, Less: func(a, b float64) bool { return a < b }}
-	vector := VarSpec[[]float64]{Agg: func(old, new []float64) []float64 { return new }, Eq: func(a, b []float64) bool { return slices.Equal(a, b) }}
+	scalar := declared(VarSpec[float64]{Default: math.Inf(1), Agg: math.Min, Less: func(a, b float64) bool { return a < b }})
+	vector := declared(VarSpec[[]float64]{Agg: func(old, new []float64) []float64 { return new }})
 	vecs := make([][]float64, 0, 1<<16)
 	for range cap(vecs) {
 		vecs = append(vecs, []float64{float64(len(vecs)), 1, 2})
@@ -27,7 +27,7 @@ func TestSuperstepAllocatesNothing(t *testing.T) {
 	superstepAllocs(t, "vector", layout, vector, func(round int) []float64 { return vecs[round] })
 }
 
-func superstepAllocs[V any](t *testing.T, what string, layout *partition.Layout, spec VarSpec[V], fresh func(round int) V) {
+func superstepAllocs[V any](t *testing.T, what string, layout *partition.Layout, spec vars[V], fresh func(round int) V) {
 	t.Helper()
 	sender, receiver := newContext(layout.Fragments[0], spec), newContext(layout.Fragments[1], spec)
 	fold := newFoldState(spec, layout)

@@ -10,12 +10,12 @@ import (
 
 // busSubstrate keeps a run's workers in this process: one goroutine per
 // fragment on an mpi.Bus, commands and replies passed by reference and
-// metered by the VarSpec.Size estimate. The contexts are the caller's —
+// metered by the value table's size estimate. The contexts are the caller's —
 // pooled (RunOnLayout) or retained (Session).
 type busSubstrate[Q, V, R any] struct {
 	prog Program[Q, V, R]
 	q    Q
-	spec VarSpec[V]
+	spec vars[V]
 	ctxs []*Context[V]
 	// The data path runs through tr, the optionally fault-wrapped bus; worker
 	// goroutines, revival and release stay on the raw bus, so an unconsumed
@@ -25,10 +25,10 @@ type busSubstrate[Q, V, R any] struct {
 	wg  sync.WaitGroup
 }
 
-func newBusSubstrate[Q, V, R any](prog Program[Q, V, R], q Q, opts Options, ctxs []*Context[V]) *busSubstrate[Q, V, R] {
+func newBusSubstrate[Q, V, R any](prog Program[Q, V, R], q Q, spec vars[V], opts Options, ctxs []*Context[V]) *busSubstrate[Q, V, R] {
 	n := len(ctxs)
 	bus := mpi.NewBus(n, 4*n+16)
-	b := &busSubstrate[Q, V, R]{prog: prog, q: q, spec: prog.Spec(), ctxs: ctxs, bus: bus, tr: bus}
+	b := &busSubstrate[Q, V, R]{prog: prog, q: q, spec: spec, ctxs: ctxs, bus: bus, tr: bus}
 	if opts.Fault != nil {
 		b.tr = opts.Fault(bus)
 	}
@@ -36,7 +36,7 @@ func newBusSubstrate[Q, V, R any](prog Program[Q, V, R], q Q, opts Options, ctxs
 }
 
 // freshContexts builds one just-constructed context per fragment.
-func freshContexts[V any](layout *partition.Layout, spec VarSpec[V]) []*Context[V] {
+func freshContexts[V any](layout *partition.Layout, spec vars[V]) []*Context[V] {
 	ctxs := make([]*Context[V], len(layout.Fragments))
 	for i, f := range layout.Fragments {
 		ctxs[i] = newContext(f, spec)
@@ -58,7 +58,7 @@ func (b *busSubstrate[Q, V, R]) open(ctx context.Context) error {
 }
 
 func (b *busSubstrate[Q, V, R]) command(w, step int, cmd workerCmd[V]) {
-	b.tr.Send(mpi.Envelope{From: mpi.Coordinator, To: w, Step: step, Payload: cmd, Size: shipSize(b.spec, cmd.updates)})
+	b.tr.Send(mpi.Envelope{From: mpi.Coordinator, To: w, Step: step, Payload: cmd, Size: b.spec.shipSize(cmd.updates)})
 }
 
 func (b *busSubstrate[Q, V, R]) reply(env mpi.Envelope) (workerReply[V], error) {
@@ -101,7 +101,7 @@ func (b *busSubstrate[Q, V, R]) finish(context.Context, int, func(int) error) ([
 // workerLoop is one bus worker: it serves its fragment until stopped, or until
 // the run's context ends while it idles at the barrier (the coordinator stops
 // waiting on it through the same context).
-func workerLoop[Q, V, R any](runCtx context.Context, bus *mpi.Bus, w int, prog Program[Q, V, R], q Q, ctx *Context[V], spec VarSpec[V]) {
+func workerLoop[Q, V, R any](runCtx context.Context, bus *mpi.Bus, w int, prog Program[Q, V, R], q Q, ctx *Context[V], spec vars[V]) {
 	for {
 		env, err := bus.Recv(runCtx, w)
 		if err != nil {
@@ -125,6 +125,6 @@ func workerLoop[Q, V, R any](runCtx context.Context, bus *mpi.Bus, w int, prog P
 			computeNS, applyNS, err = execStep(prog, q, ctx, cmd)
 		}
 		changes := ctx.flush()
-		bus.Send(mpi.Envelope{From: w, To: mpi.Coordinator, Step: step, Payload: workerReply[V]{changes: changes, work: ctx.takeWork(), active: ctx.active, err: err, computeNS: computeNS, applyNS: applyNS}, Size: shipSize(spec, changes)})
+		bus.Send(mpi.Envelope{From: w, To: mpi.Coordinator, Step: step, Payload: workerReply[V]{changes: changes, work: ctx.takeWork(), active: ctx.active, err: err, computeNS: computeNS, applyNS: applyNS}, Size: spec.shipSize(changes)})
 	}
 }

@@ -39,7 +39,6 @@ func (stepper) Spec() VarSpec[int64] {
 			}
 			return b
 		},
-		Eq: func(a, b int64) bool { return a == b },
 	}
 }
 
@@ -264,20 +263,20 @@ func TestWorkerHonorsPropagatedDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog := wireStepper{stepper{steps: make(chan struct{}, 16)}}
-	codec := prog.WireCodec()
+	k := kindFor[int64]()
 
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	link := chanLink{in: make(chan mpi.Envelope, 4), out: make(chan mpi.Envelope, 4)}
 	served := make(chan error, 1)
 	go func() {
-		served <- serveWire(ctx, prog, link, stepQuery{limit: 1 << 40}, &wireScratch[int64]{ctx: newContext(layout.Fragments[0], prog.Spec())})
+		served <- serveWire(ctx, prog, link, stepQuery{limit: 1 << 40}, &wireScratch[int64]{ctx: newContext(layout.Fragments[0], declared(prog.Spec()))})
 	}()
 
-	peFrame, _ := encodeCmd(codec, nil, workerCmd[int64]{kind: cmdPEval})
+	peFrame, _ := encodeCmd(k, nil, workerCmd[int64]{kind: cmdPEval})
 	link.in <- mpi.Envelope{From: mpi.Coordinator, To: 0, Step: 1, Frame: peFrame}
 	env := <-link.out
-	rep, err := decodeReply(codec, nil, env.Frame, len(layout.Fragments[0].BorderIndices()))
+	rep, err := decodeReply(k, nil, env.Frame, len(layout.Fragments[0].BorderIndices()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +284,7 @@ func TestWorkerHonorsPropagatedDeadline(t *testing.T) {
 		t.Fatalf("expired worker must reply with the deadline error, got %v", rep.err)
 	}
 	// the abort frame releases the worker with ErrAborted
-	abFrame, _ := encodeCmd(codec, nil, workerCmd[int64]{kind: cmdAbort})
+	abFrame, _ := encodeCmd(k, nil, workerCmd[int64]{kind: cmdAbort})
 	link.in <- mpi.Envelope{From: mpi.Coordinator, To: 0, Frame: abFrame}
 	if err := <-served; !errors.Is(err, ErrAborted) {
 		t.Fatalf("abort frame must surface ErrAborted, got %v", err)
@@ -346,20 +345,19 @@ type forgery struct {
 // take against runsOfThree: positions the sender's border does not have, or
 // out of the ascending order flush emits, or a value cut short.
 func forgedReplies() map[string]forgery {
-	codec := wireStepper{}.WireCodec()
 	naming := func(at ...int32) []byte {
 		ups := make([]update[int64], len(at))
 		for i, p := range at {
 			ups[i] = update[int64]{at: p, val: 1}
 		}
-		frame, _ := encodeReply(codec, nil, workerReply[int64]{changes: ups})
+		frame, _ := encodeReply(kindFor[int64](), nil, workerReply[int64]{changes: ups})
 		return frame
 	}
 	return map[string]forgery{
 		"a position past the border": {1, naming(2), "position 2, outside [0, 2)"},
 		"a repeated position":        {0, naming(1, 1), "position 1, outside [2, 2)"},
 		"a descending pair":          {2, naming(1, 0), "position 0, outside [2, 2)"},
-		"a truncated value":          {1, naming(0)[:1+1+7], "short int64"},
+		"a truncated value":          {1, naming(0)[:1+1+7], "truncated 64-bit word"},
 	}
 }
 
@@ -384,7 +382,7 @@ func TestReplyNamingForeignVertexFailsRun(t *testing.T) {
 					step := <-link.in
 					frame := c.frame
 					if w != c.from {
-						frame, _ = encodeReply(wireStepper{}.WireCodec(), nil, workerReply[int64]{})
+						frame, _ = encodeReply(kindFor[int64](), nil, workerReply[int64]{})
 					}
 					link.Send(mpi.Envelope{From: w, To: mpi.Coordinator, Step: step.Step, Frame: frame, Size: len(frame)})
 					<-link.in
@@ -398,32 +396,15 @@ func TestReplyNamingForeignVertexFailsRun(t *testing.T) {
 	}
 }
 
-// wireStepper gives stepper the wire codec the deadline test needs.
+// wireStepper gives stepper the query encoding the wire tests need.
 type wireStepper struct{ stepper }
 
-type int64Codec struct{}
-
-func (int64Codec) AppendVal(buf []byte, v int64) []byte {
-	return append(buf, byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32), byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func (int64Codec) DecodeVal(data []byte) (int64, int, error) {
-	if len(data) < 8 {
-		return 0, 0, errors.New("short int64")
-	}
-	v := int64(data[0])<<56 | int64(data[1])<<48 | int64(data[2])<<40 | int64(data[3])<<32 |
-		int64(data[4])<<24 | int64(data[5])<<16 | int64(data[6])<<8 | int64(data[7])
-	return v, 8, nil
-}
-
-func (wireStepper) WireCodec() Codec[int64] { return int64Codec{} }
-
 func (wireStepper) EncodeQuery(q stepQuery) ([]byte, error) {
-	return int64Codec{}.AppendVal(nil, q.limit), nil
+	return kindFor[int64]().codec.AppendVal(nil, q.limit), nil
 }
 
 func (wireStepper) DecodeQuery(data []byte) (stepQuery, error) {
-	v, _, err := int64Codec{}.DecodeVal(data)
+	v, _, err := kindFor[int64]().codec.DecodeVal(data)
 	return stepQuery{limit: v}, err
 }
 

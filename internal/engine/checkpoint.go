@@ -40,12 +40,12 @@ type ckptEpoch[V any] struct {
 // checkpoint accumulates epochs across a run's supersteps. epochs[k] is the
 // snapshot taken at the barrier of superstep k+1 (supersteps start at 1).
 type checkpoint[V any] struct {
-	spec   VarSpec[V]
+	spec   vars[V]
 	layout *partition.Layout
 	epochs []ckptEpoch[V]
 }
 
-func newCheckpoint[V any](spec VarSpec[V], layout *partition.Layout) *checkpoint[V] {
+func newCheckpoint[V any](spec vars[V], layout *partition.Layout) *checkpoint[V] {
 	return &checkpoint[V]{spec: spec, layout: layout}
 }
 
@@ -89,7 +89,7 @@ func (c *checkpoint[V]) replayFor(frag, through int) []replayStep[V] {
 		var batch []update[V]
 		for _, rec := range ep.recs {
 			for _, h := range c.layout.SlotHosts(rec.slot) {
-				if int(h.Frag) == frag && routed(c.spec.Consume, c.layout, h, rec.winner) {
+				if int(h.Frag) == frag && routed(c.spec.queue, c.layout, h, rec.winner) {
 					batch = append(batch, update[V]{at: h.At, val: rec.val})
 				}
 			}

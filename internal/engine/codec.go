@@ -12,28 +12,6 @@ import (
 	"grape/internal/partition"
 )
 
-// A Codec gives a program's update-parameter values a wire format, so runs
-// can cross process boundaries and traffic can be metered from real encoded
-// bytes instead of the VarSpec.Size estimate. AppendVal and DecodeVal must
-// round-trip exactly (Decode(Encode(x)) == x under the program's Eq), and
-// DecodeVal must reject malformed input with an error rather than panic —
-// frames arrive from the network.
-type Codec[V any] interface {
-	// AppendVal appends the encoding of v to buf and returns the extended
-	// buffer.
-	AppendVal(buf []byte, v V) []byte
-	// DecodeVal decodes one value from the front of data, returning the value,
-	// which must not alias data (frames are reused), and the bytes consumed.
-	DecodeVal(data []byte) (V, int, error)
-}
-
-// ArenaCodec is implemented by codecs whose decoded values own memory
-// (vectors): Arena returns a codec that cuts the values of one batch of size
-// encoded bytes from a single allocation, which lives as long as any of them.
-type ArenaCodec[V any] interface {
-	Arena(size int) Codec[V]
-}
-
 // Update batches are the unit of traffic metering: the engine charges
 // len(appendBatch(...)) as the Size of every data message on a wire
 // transport, so "bytes" in metrics.Stats is exactly the encoded length of
@@ -41,27 +19,24 @@ type ArenaCodec[V any] interface {
 // in-process accounting which also counts payloads only).
 
 // appendBatch appends the encoding of a batch of update-parameter changes:
-// uvarint count, then per update a uvarint position followed by the
-// codec-encoded value. No batch names a vertex ID: the position is one both
-// ends share — a border position in a reply, a dense index everywhere else.
-func appendBatch[V any](c Codec[V], buf []byte, ups []update[V]) []byte {
+// uvarint count, then per update a uvarint position followed by the value in
+// its type's wire format (value.go). No batch names a vertex ID: the position
+// is one both ends share — a border position in a reply, a dense index
+// everywhere else.
+func appendBatch[V any](k *valueKind[V], buf []byte, ups []update[V]) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(ups)))
 	for _, u := range ups {
-		buf = appendUpdate(c, buf, uint64(u.at), u.val)
+		buf = k.codec.AppendVal(binary.AppendUvarint(buf, uint64(u.at)), u.val)
 	}
 	return buf
-}
-
-func appendUpdate[V any](c Codec[V], buf []byte, key uint64, v V) []byte {
-	return c.AppendVal(binary.AppendUvarint(buf, key), v)
 }
 
 // decodeBatch decodes a batch written by appendBatch from the front of data
 // into ups[:0] (a receiver passes the batch it is done with), returning the
 // updates and the number of bytes consumed, its positions vetted as
 // positions{n, ascending} says.
-func decodeBatch[V any](c Codec[V], ups []update[V], data []byte, n int, ascending bool) ([]update[V], int, error) {
-	br, err := openBatch(c, data)
+func decodeBatch[V any](k *valueKind[V], ups []update[V], data []byte, n int, ascending bool) ([]update[V], int, error) {
+	br, err := openBatch(k, data)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -113,8 +88,8 @@ type batchReader[V any] struct {
 // openBatch reads the count of the batch at the front of data, checked
 // against the bytes left — an update takes two — before anything is sized
 // from it.
-func openBatch[V any](c Codec[V], data []byte) (batchReader[V], error) {
-	br := batchReader[V]{c: c, data: data}
+func openBatch[V any](k *valueKind[V], data []byte) (batchReader[V], error) {
+	br := batchReader[V]{c: k.codec, data: data}
 	n, err := graph.ReadUvarint(data, &br.pos)
 	if err != nil {
 		return br, err
@@ -123,8 +98,8 @@ func openBatch[V any](c Codec[V], data []byte) (batchReader[V], error) {
 		return br, fmt.Errorf("engine: %d updates claimed in %d bytes", n, len(data)-br.pos)
 	}
 	br.count = int(n)
-	if a, ok := c.(ArenaCodec[V]); ok && n > 0 {
-		br.c = a.Arena(len(data) - br.pos)
+	if k.arena != nil && n > 0 {
+		br.c = k.arena(len(data) - br.pos)
 	}
 	return br, nil
 }
@@ -173,20 +148,11 @@ func AppendEdgeUpdates(buf []byte, ups []EdgeUpdate) []byte {
 	for _, u := range ups {
 		buf = binary.AppendUvarint(buf, uint64(u.From))
 		buf = binary.AppendUvarint(buf, uint64(u.To))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(u.W))
+		buf = f64Codec{}.AppendVal(buf, u.W)
 		buf = binary.AppendUvarint(buf, uint64(len(u.Label)))
-		buf = append(buf, u.Label...)
-		buf = appendFlag(buf, u.Del)
+		buf = boolCodec{}.AppendVal(append(buf, u.Label...), u.Del)
 	}
 	return buf
-}
-
-// appendFlag appends a bool as one byte, 0 or 1.
-func appendFlag(buf []byte, b bool) []byte {
-	if b {
-		return append(buf, 1)
-	}
-	return append(buf, 0)
 }
 
 // DecodeEdgeUpdates decodes a batch encoded by AppendEdgeUpdates from the
@@ -209,26 +175,18 @@ func DecodeEdgeUpdates(data []byte) ([]EdgeUpdate, int, error) {
 			return nil, 0, err
 		}
 		u.From, u.To = graph.ID(from), graph.ID(to)
-		if len(data)-pos < 8 {
-			return nil, 0, errors.New("engine: truncated edge-update weight")
+		var used int
+		if u.W, used, err = (f64Codec{}).DecodeVal(data[pos:]); err != nil {
+			return nil, 0, err
 		}
-		u.W = math.Float64frombits(binary.LittleEndian.Uint64(data[pos:]))
-		pos += 8
+		pos += used
 		if u.Label, err = graph.ReadString(data, &pos); err != nil {
 			return nil, 0, err
 		}
-		if pos >= len(data) {
-			return nil, 0, errors.New("engine: truncated edge-update delete flag")
+		if u.Del, used, err = (boolCodec{}).DecodeVal(data[pos:]); err != nil {
+			return nil, 0, err
 		}
-		switch data[pos] {
-		case 0:
-			u.Del = false
-		case 1:
-			u.Del = true
-		default:
-			return nil, 0, fmt.Errorf("engine: bad edge-update delete flag %d", data[pos])
-		}
-		pos++
+		pos += used
 		ups = append(ups, u)
 	}
 	return ups, pos, nil
@@ -240,8 +198,8 @@ func DecodeEdgeUpdates(data []byte) ([]EdgeUpdate, int, error) {
 // buffer its sender keeps (see mpi.Envelope); it also returns the encoded
 // length of the update batch alone — the metered data size of the message.
 
-func encodeCmd[V any](c Codec[V], buf []byte, cmd workerCmd[V]) (frame []byte, dataLen int) {
-	frame = appendBatch(c, append(buf[:0], byte(cmd.kind)), cmd.updates)
+func encodeCmd[V any](k *valueKind[V], buf []byte, cmd workerCmd[V]) (frame []byte, dataLen int) {
+	frame = appendBatch(k, append(buf[:0], byte(cmd.kind)), cmd.updates)
 	if len(cmd.updates) > 0 {
 		dataLen = len(frame) - 1 // a bare count is control, not data
 	}
@@ -251,7 +209,7 @@ func encodeCmd[V any](c Codec[V], buf []byte, cmd workerCmd[V]) (frame []byte, d
 // decodeCmd decodes a command for a fragment of n vertices, of a kind a wire
 // worker is sent other than adopt (decodeAdopt), its update batch into
 // ups[:0]; nothing aliases the frame.
-func decodeCmd[V any](c Codec[V], ups []update[V], frame []byte, n int) (workerCmd[V], error) {
+func decodeCmd[V any](k *valueKind[V], ups []update[V], frame []byte, n int) (workerCmd[V], error) {
 	var cmd workerCmd[V]
 	if len(frame) == 0 {
 		return cmd, errors.New("engine: empty command frame")
@@ -259,7 +217,7 @@ func decodeCmd[V any](c Codec[V], ups []update[V], frame []byte, n int) (workerC
 	if cmd.kind = cmdKind(frame[0]); cmd.kind == cmdLocalInc || cmd.kind >= cmdAdopt {
 		return cmd, fmt.Errorf("engine: command kind %d is never sent over a wire", frame[0])
 	}
-	ups, used, err := decodeBatch(c, ups, frame[1:], n, false)
+	ups, used, err := decodeBatch(k, ups, frame[1:], n, false)
 	if err != nil {
 		return cmd, err
 	}
@@ -278,13 +236,13 @@ func decodeCmd[V any](c Codec[V], ups []update[V], frame []byte, n int) (workerC
 // Adopt frames are control traffic (metered size 0): the checkpoint records
 // they carry are copies of updates the run already paid for.
 
-func encodeAdopt[V any](c Codec[V], f *partition.Fragment, steps []replayStep[V], owe int) []byte {
+func encodeAdopt[V any](k *valueKind[V], f *partition.Fragment, steps []replayStep[V], owe int) []byte {
 	frame := []byte{byte(cmdAdopt)}
 	frame = binary.AppendUvarint(frame, uint64(owe))
 	frame = binary.AppendUvarint(frame, uint64(len(steps)))
 	for _, st := range steps {
 		frame = binary.AppendUvarint(frame, uint64(st.step))
-		frame = appendBatch(c, frame, st.updates)
+		frame = appendBatch(k, frame, st.updates)
 	}
 	return partition.AppendFragment(graph.AppendSection(frame, 0, nil), f)
 }
@@ -292,7 +250,7 @@ func encodeAdopt[V any](c Codec[V], f *partition.Fragment, steps []replayStep[V]
 // decodeAdopt decodes an adopt frame: the fragment, which aliases the frame,
 // and the replay log addressed into it — the fragment comes last, so the
 // log's indices are range-checked once it has decoded.
-func decodeAdopt[V any](c Codec[V], frame []byte) (*adoptCmd[V], error) {
+func decodeAdopt[V any](k *valueKind[V], frame []byte) (*adoptCmd[V], error) {
 	ad := &adoptCmd[V]{}
 	pos := 1
 	owe, err := graph.ReadUvarint(frame, &pos)
@@ -309,7 +267,7 @@ func decodeAdopt[V any](c Codec[V], frame []byte) (*adoptCmd[V], error) {
 		if err != nil {
 			return nil, err
 		}
-		ups, used, err := decodeBatch(c, nil, frame[pos:], math.MaxInt32, false)
+		ups, used, err := decodeBatch(k, nil, frame[pos:], math.MaxInt32, false)
 		if err != nil {
 			return nil, err
 		}
@@ -342,8 +300,8 @@ func decodeAdopt[V any](c Codec[V], frame []byte) (*adoptCmd[V], error) {
 // the encoded length of the change batch — the metered data size; the timing
 // tail is framing overhead and never counts toward comm bytes.
 
-func encodeReply[V any](c Codec[V], buf []byte, rep workerReply[V]) (frame []byte, dataLen int) {
-	frame = appendBatch(c, buf[:0], rep.changes)
+func encodeReply[V any](k *valueKind[V], buf []byte, rep workerReply[V]) (frame []byte, dataLen int) {
+	frame = appendBatch(k, buf[:0], rep.changes)
 	if len(rep.changes) > 0 {
 		dataLen = len(frame)
 	}
@@ -352,7 +310,7 @@ func encodeReply[V any](c Codec[V], buf []byte, rep workerReply[V]) (frame []byt
 
 // appendReplyTail appends everything of a reply frame after its change batch.
 func appendReplyTail[V any](frame []byte, rep workerReply[V]) []byte {
-	frame = appendFlag(binary.AppendVarint(frame, rep.work), rep.active)
+	frame = boolCodec{}.AppendVal(binary.AppendVarint(frame, rep.work), rep.active)
 	msg := ""
 	if rep.err != nil {
 		msg = rep.err.Error()
@@ -368,9 +326,9 @@ func appendReplyTail[V any](frame []byte, rep workerReply[V]) []byte {
 
 // decodeReply decodes the reply of a fragment with nb border vertices, its
 // change batch into ups[:0]; nothing aliases the frame.
-func decodeReply[V any](c Codec[V], ups []update[V], frame []byte, nb int) (workerReply[V], error) {
+func decodeReply[V any](k *valueKind[V], ups []update[V], frame []byte, nb int) (workerReply[V], error) {
 	var rep workerReply[V]
-	changes, pos, err := decodeBatch(c, ups, frame, nb, true)
+	changes, pos, err := decodeBatch(k, ups, frame, nb, true)
 	if err != nil {
 		return rep, err
 	}
@@ -380,14 +338,11 @@ func decodeReply[V any](c Codec[V], ups []update[V], frame []byte, nb int) (work
 		return rep, err
 	}
 	rep.work = int64(work>>1) ^ -int64(work&1) // zig-zag, as AppendVarint wrote it
-	if pos >= len(frame) {
-		return rep, errors.New("engine: truncated reply frame")
+	active, n, err := boolCodec{}.DecodeVal(frame[pos:])
+	if err != nil {
+		return rep, err
 	}
-	if frame[pos] > 1 {
-		return rep, fmt.Errorf("engine: bad active flag %d in reply frame", frame[pos])
-	}
-	rep.active = frame[pos] == 1
-	pos++
+	rep.active, pos = active, pos+n
 	msg, err := graph.ReadString(frame, &pos)
 	if err != nil {
 		return rep, err

@@ -38,7 +38,6 @@ func (c countdown) Spec() VarSpec[int64] {
 	spec := VarSpec[int64]{
 		Default: 1 << 30,
 		Agg:     func(a, b int64) int64 { return b }, // last writer wins
-		Eq:      func(a, b int64) bool { return a == b },
 	}
 	if c.breakOrder {
 		spec.Less = func(a, b int64) bool { return a < b }
@@ -163,7 +162,7 @@ func TestUnhostedVertexRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := layout.Fragments[1]
-	ctx := newContext(f, countdown{}.Spec())
+	ctx := newContext(f, declared(countdown{}.Spec()))
 	nv := int32(f.G.NumVertices())
 	for name, set := range map[string]func(){
 		"Set":        func() { ctx.Set(9999, 7) },
@@ -301,7 +300,7 @@ func TestContextRebind(t *testing.T) {
 }
 
 func testContextRebind(t *testing.T, workers int, sizes ...int) {
-	spec := countdown{}.Spec()
+	spec := declared(countdown{}.Spec())
 	var frags []*partition.Fragment
 	for i, n := range sizes {
 		layout, err := BuildLayout(gen.Random(n, 3*n, int64(i)), Options{Workers: workers})
@@ -361,8 +360,7 @@ func TestContextSemantics(t *testing.T) {
 	asg.SetOwner(2, 1)
 	asg.SetOwner(3, 1)
 	layout := partition.Build(g, asg)
-	spec := countdown{}.Spec()
-	ctx := newContext(layout.Fragments[0], spec)
+	ctx := newContext(layout.Fragments[0], declared(countdown{}.Spec()))
 
 	// default until set
 	if ctx.Get(1) != 1<<30 {

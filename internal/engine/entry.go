@@ -42,8 +42,9 @@ type EntrySpec[Q, V, R any] struct {
 }
 
 // MakeEntry derives the full erased hook set of an Entry from one typed
-// spec. It panics on an incomplete spec — entries are built in package
-// init, where that is a programming error.
+// spec. It panics on an incomplete spec, or a program whose update
+// parameters are not in the value table — entries are built in package
+// init, where either is a programming error.
 func MakeEntry[Q, V, R any](s EntrySpec[Q, V, R]) Entry {
 	if s.Prog == nil {
 		panic("engine: MakeEntry: nil program")
@@ -53,6 +54,9 @@ func MakeEntry[Q, V, R any](s EntrySpec[Q, V, R]) Entry {
 	}
 	if (s.Reference == nil) != (s.Agree == nil) {
 		panic(fmt.Sprintf("engine: MakeEntry(%q): Reference and Agree come together", s.Prog.Name()))
+	}
+	if _, err := declare(s.Prog.Name(), s.Prog.Spec()); err != nil {
+		panic(err.Error())
 	}
 	name := s.Prog.Name()
 	doParse := func(query string) (ParsedQuery, error) {

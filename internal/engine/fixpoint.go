@@ -125,7 +125,7 @@ func fixpoint[Q, V, R any](ctx context.Context, layout *partition.Layout, prog P
 	n := len(layout.Fragments)
 	var ckpt *checkpoint[V]
 	if opts.Recover {
-		ckpt = newCheckpoint(prog.Spec(), layout)
+		ckpt = newCheckpoint(fold.spec, layout)
 	}
 
 	start := time.Now()

@@ -25,7 +25,7 @@ import (
 // the per-worker routing buffers, all reused between supersteps — and, through
 // a pooled runScratch, between runs, each rebound to its run's layout.
 type foldState[V any] struct {
-	spec   VarSpec[V]
+	spec   vars[V]
 	layout *partition.Layout
 
 	val    []V     // by slot: the folded value
@@ -41,7 +41,7 @@ type foldState[V any] struct {
 	route   [][]update[V] // per-worker routing buffers
 }
 
-func newFoldState[V any](spec VarSpec[V], layout *partition.Layout) *foldState[V] {
+func newFoldState[V any](spec vars[V], layout *partition.Layout) *foldState[V] {
 	f := new(foldState[V])
 	f.reset(spec, layout)
 	return f
@@ -61,7 +61,7 @@ func (f *foldState[V]) grow() {
 // reset binds a new or released fold to a run over layout: the slot arrays
 // sized to its slots and cleared, one routing buffer per fragment, every
 // buffer kept.
-func (f *foldState[V]) reset(spec VarSpec[V], layout *partition.Layout) {
+func (f *foldState[V]) reset(spec vars[V], layout *partition.Layout) {
 	f.spec, f.layout = spec, layout
 	n := layout.Slots()
 	f.val = slices.Grow(f.val[:0], n)[:n]
@@ -83,7 +83,7 @@ func (f *foldState[V]) reset(spec VarSpec[V], layout *partition.Layout) {
 // every folded or routed value — keeping every buffer, so the pool pins
 // neither a one-shot layout nor its values.
 func (f *foldState[V]) release() {
-	f.spec, f.layout = VarSpec[V]{}, nil
+	f.spec, f.layout = vars[V]{}, nil
 	clear(f.val)
 	for i, batch := range f.route {
 		batch = batch[:cap(batch)]
@@ -136,7 +136,7 @@ func (f *foldState[V]) fold(replies []*workerReply[V]) error {
 		for _, u := range rep.changes {
 			s := slots[u.at]
 			bit := uint64(1) << (s & 63)
-			if spec.Consume {
+			if spec.queue {
 				// queue semantics: this superstep's reports alone are folded,
 				// in worker order, and delivered to the owner; nothing
 				// persists here (has stays false)
@@ -151,7 +151,7 @@ func (f *foldState[V]) fold(replies []*workerReply[V]) error {
 					old = f.val[s]
 				}
 				merged := spec.Agg(old, u.val)
-				if spec.Eq(old, merged) {
+				if spec.eq(old, merged) {
 					continue
 				}
 				if spec.Less != nil && f.has[s] && !spec.Less(merged, old) {
@@ -194,7 +194,7 @@ func (f *foldState[V]) buildRoute() ([][]update[V], int) {
 	}
 	for _, s := range f.moved {
 		for _, h := range f.layout.SlotHosts(s) {
-			if routed(f.spec.Consume, f.layout, h, int(f.winner[s])) {
+			if routed(f.spec.queue, f.layout, h, int(f.winner[s])) {
 				f.route[h.Frag] = append(f.route[h.Frag], update[V]{at: h.At, val: f.val[s]})
 			}
 		}
@@ -211,8 +211,8 @@ func (f *foldState[V]) buildRoute() ([][]update[V], int) {
 // routed is the routing rule, shared with checkpoint replay: a changed value
 // goes to host h unless h reported the winning value itself; a queue
 // variable's goes to the owner alone.
-func routed(consume bool, layout *partition.Layout, h partition.Host, winner int) bool {
-	if consume {
+func routed(queue bool, layout *partition.Layout, h partition.Host, winner int) bool {
+	if queue {
 		return layout.Fragments[h.Frag].IsInnerAt(h.At)
 	}
 	return int(h.Frag) != winner

@@ -39,14 +39,14 @@ type refRec[V any] struct {
 }
 
 type refFold[V any] struct {
-	spec    VarSpec[V]
+	spec    vars[V]
 	layout  *partition.Layout
 	global  []map[graph.ID]V
 	changed [][]refRec[V]
 	merged  []refRec[V]
 }
 
-func newRefFold[V any](spec VarSpec[V], layout *partition.Layout) *refFold[V] {
+func newRefFold[V any](spec vars[V], layout *partition.Layout) *refFold[V] {
 	n := max(len(layout.Fragments), 1)
 	r := &refFold[V]{spec: spec, layout: layout, global: make([]map[graph.ID]V, n), changed: make([][]refRec[V], n)}
 	for s := range r.global {
@@ -79,7 +79,7 @@ func (r *refFold[V]) fold(replies [][]idUpdate[V]) error {
 }
 
 func (r *refFold[V]) foldOne(s, w int, u idUpdate[V]) error {
-	if r.spec.Consume {
+	if r.spec.queue {
 		r.changed[s] = append(r.changed[s], refRec[V]{id: u.ID, val: u.Val, winner: w})
 		return nil
 	}
@@ -88,7 +88,7 @@ func (r *refFold[V]) foldOne(s, w int, u idUpdate[V]) error {
 		old = r.spec.Default
 	}
 	merged := r.spec.Agg(old, u.Val)
-	if r.spec.Eq(old, merged) {
+	if r.spec.eq(old, merged) {
 		return nil
 	}
 	if r.spec.Less != nil && has && !r.spec.Less(merged, old) {
@@ -112,11 +112,11 @@ func (r *refFold[V]) settle(s int) {
 		n := len(out)
 		again := n > 0 && out[n-1].id == rec.id
 		switch {
-		case again && r.spec.Consume:
+		case again && r.spec.queue:
 			out[n-1].val = r.spec.Agg(out[n-1].val, rec.val)
 		case again:
 			out[n-1] = rec
-		case r.spec.Consume:
+		case r.spec.queue:
 			rec.val = r.spec.Agg(r.spec.Default, rec.val)
 			fallthrough
 		default:
@@ -158,7 +158,7 @@ func (r *refFold[V]) hosts(id graph.ID) []int {
 func (r *refFold[V]) buildRoute() [][]idUpdate[V] {
 	route := make([][]idUpdate[V], len(r.layout.Fragments))
 	for _, rec := range r.merged {
-		if r.spec.Consume {
+		if r.spec.queue {
 			o := r.layout.Asg.Owner(rec.id)
 			route[o] = append(route[o], idUpdate[V]{ID: rec.id, Val: rec.val})
 			continue
@@ -179,7 +179,7 @@ type foldPair[V any] struct {
 	ref    *refFold[V]
 }
 
-func newFoldPair[V any](spec VarSpec[V], layout *partition.Layout) *foldPair[V] {
+func newFoldPair[V any](spec vars[V], layout *partition.Layout) *foldPair[V] {
 	return &foldPair[V]{layout: layout, fold: newFoldState(spec, layout), ref: newRefFold(spec, layout)}
 }
 
@@ -272,9 +272,9 @@ func (a *auditSubstrate[V]) reply(env mpi.Envelope) (workerReply[V], error) {
 func AuditedRun[Q, V, R any](t testing.TB, layout *partition.Layout, prog Program[Q, V, R], q Q, opts Options) (R, error) {
 	t.Helper()
 	opts = opts.withDefaults()
-	spec, n := prog.Spec(), len(layout.Fragments)
+	spec, n := declared(prog.Spec()), len(layout.Fragments)
 	audit := &auditSubstrate[V]{
-		substrate: newBusSubstrate(prog, q, opts, freshContexts(layout, spec)),
+		substrate: newBusSubstrate(prog, q, spec, opts, freshContexts(layout, spec)),
 		replies:   map[int][]*workerReply[V]{}, commands: map[int][][]update[V]{}, n: n,
 	}
 	res, stats, err := fixpoint(context.Background(), layout, prog, q, opts, audit, newFoldState(spec, layout), nil)
@@ -305,7 +305,6 @@ func minSpec() VarSpec[float64] {
 	return VarSpec[float64]{
 		Default: math.Inf(1),
 		Agg:     math.Min,
-		Eq:      func(a, b float64) bool { return a == b },
 		Less:    func(a, b float64) bool { return a < b },
 	}
 }
@@ -319,12 +318,8 @@ func lastSpec() VarSpec[float64] {
 }
 
 // queueSpec is a queue of report values: Agg appends, so the fold order shows.
-func queueSpec() VarSpec[[]int] {
-	return VarSpec[[]int]{
-		Agg:     func(a, b []int) []int { return append(slices.Clone(a), b...) },
-		Eq:      func(a, b []int) bool { return slices.Equal(a, b) },
-		Consume: true,
-	}
+func queueSpec() VarSpec[Queue] {
+	return VarSpec[Queue]{Agg: func(a, b Queue) Queue { return append(slices.Clone(a), b...) }}
 }
 
 // randomReplies draws one superstep's reports: every worker but the unlucky
@@ -354,7 +349,7 @@ func randomSupersteps(t testing.TB, what string, layout *partition.Layout, seed 
 	for _, density := range []float64{0.05, 0.9} {
 		rng := rand.New(rand.NewSource(seed))
 		small := func(int) float64 { return float64(rng.Intn(8)) }
-		pMin, pLast, pQueue := newFoldPair(minSpec(), layout), newFoldPair(lastSpec(), layout), newFoldPair(queueSpec(), layout)
+		pMin, pLast, pQueue := newFoldPair(declared(minSpec()), layout), newFoldPair(declared(lastSpec()), layout), newFoldPair(declared(queueSpec()), layout)
 		lastFailed := false
 		for step := 0; step < 3; step++ {
 			what := fmt.Sprintf("%s, density %g, step %d", what, density, step)
@@ -363,7 +358,7 @@ func randomSupersteps(t testing.TB, what string, layout *partition.Layout, seed 
 			if !lastFailed {
 				_, lastFailed = pLast.step(t, what+", last writer", reps)
 			}
-			pQueue.step(t, what+", queue", randomReplies(rng, layout, density, func(w int) []int { return []int{w} }))
+			pQueue.step(t, what+", queue", randomReplies(rng, layout, density, func(w int) Queue { return Queue{float64(w)} }))
 		}
 	}
 }

@@ -33,50 +33,23 @@ import (
 // attached to border nodes, their conflict-resolution aggregate, and
 // (optionally) the partial order that makes the computation monotonic.
 // This declaration is the only addition GRAPE requires on top of the
-// sequential algorithms.
+// sequential algorithms; equality, wire format and traffic size follow from
+// V, which must be a type of the value table (value.go).
 type VarSpec[V any] struct {
 	// Default is the initial value of every node's variable (e.g. +∞ for
 	// shortest-path distances).
 	Default V
 	// Agg resolves conflicts when a variable receives multiple values
-	// (e.g. min). It must be commutative and associative.
+	// (e.g. min). With a declared Less the engine relies on the Assurance
+	// condition: Agg never moves a value up the order. Without one it folds
+	// each superstep's reports in worker order, deterministically, and the
+	// answer may depend on the fragment count (cf's pairwise averaging).
 	Agg func(old, new V) V
-	// Eq reports whether two values are equal; it drives change detection
-	// and hence termination.
-	Eq func(a, b V) bool
 	// Less, if non-nil, is a strict partial order that aggregated values
 	// must descend along. Programs satisfying it enjoy the Assurance
 	// Theorem; the coordinator's fold refuses a change against it with
 	// ErrNotMonotonic.
 	Less func(a, b V) bool
-	// Size returns the serialized size of a value in bytes for traffic
-	// accounting. If nil, 8 bytes is assumed.
-	Size func(v V) int
-	// Consume marks the variables as consumable message queues rather than
-	// convergent state (used by the vertex-centric simulation adapter):
-	// shipped values are deleted at the sender, folded across workers
-	// without the coordinator's persistent state, and routed only to the
-	// node's owner. Regular PIE programs leave this false.
-	Consume bool
-}
-
-func (s VarSpec[V]) sizeOf(v V) int {
-	if s.Size == nil {
-		return 8
-	}
-	return s.Size(v)
-}
-
-// shipSize is the in-process traffic estimate for a batch of updates: an
-// 8-byte node ID plus the declared Size per value. It is the metering used
-// by the bus; wire transports charge the encoded batch's length
-// (appendBatch) instead.
-func shipSize[V any](spec VarSpec[V], ups []update[V]) int {
-	size := 0
-	for _, u := range ups {
-		size += 8 + spec.sizeOf(u.val)
-	}
-	return size
 }
 
 // Program is a PIE program for a query class Q with update-parameter values
@@ -126,7 +99,7 @@ type Context[V any] struct {
 	// Assemble reads it.
 	Partial any
 
-	spec VarSpec[V] //grapevet:keep set by whoever binds the context — newContext, a pooled run scratch — before reset, which keeps it
+	spec vars[V] //grapevet:keep set by whoever binds the context — newContext, a pooled run scratch — before reset, which keeps it
 	// Node variables live in dense slices indexed by the fragment graph's
 	// dense vertex index — the fragment is fixed during a run, and the
 	// session layer's vertex additions are absorbed by ensure(). A vertex the
@@ -148,7 +121,7 @@ type Context[V any] struct {
 	active     bool // worker requests another superstep even without messages
 }
 
-func newContext[V any](f *partition.Fragment, spec VarSpec[V]) *Context[V] {
+func newContext[V any](f *partition.Fragment, spec vars[V]) *Context[V] {
 	c := &Context[V]{spec: spec}
 	c.reset(f)
 	return c
@@ -279,10 +252,10 @@ func (c *Context[V]) GetAt(i int32) V {
 // the fragment graph's vertices.
 func (c *Context[V]) SetAt(i int32, v V) {
 	c.ensure(i)
-	if c.has[i] && c.spec.Eq(c.vals[i], v) {
+	if c.has[i] && c.spec.eq(c.vals[i], v) {
 		return
 	}
-	if !c.has[i] && c.spec.Eq(c.spec.Default, v) {
+	if !c.has[i] && c.spec.eq(c.spec.Default, v) {
 		return
 	}
 	c.vals[i] = v
@@ -369,7 +342,7 @@ func (c *Context[V]) flush() []update[V] {
 			p := w<<6 | bits.TrailingZeros64(word)
 			i := idx[p]
 			ups = append(ups, update[V]{at: int32(p), val: c.vals[i]})
-			if c.spec.Consume {
+			if c.spec.queue {
 				var zero V
 				c.vals[i] = zero // shipped messages leave the sender
 				c.has[i] = false
@@ -399,7 +372,7 @@ func (c *Context[V]) apply(ups []update[V]) {
 			old = c.vals[i]
 		}
 		merged := c.spec.Agg(old, u.val)
-		if c.spec.Eq(old, merged) {
+		if c.spec.eq(old, merged) {
 			continue
 		}
 		c.vals[i] = merged

@@ -75,9 +75,9 @@ type SessionHandle interface {
 // source (the program plus its parse/canonical pair), so the hooks cannot
 // drift apart: Run always parses through the same Parse the serving layer
 // uses, Resident always answers exactly the queries Parse produces,
-// Validate is the check every Session update runs first, and Wire and Check
-// are present exactly when the program has a wire codec and a reference
-// answer. Register rejects hand-assembled entries with missing hooks.
+// Validate is the check every Session update runs first, Wire is present
+// exactly when the program encodes its query and Check when it has a
+// reference answer. Register rejects hand-assembled entries missing hooks.
 type Entry struct {
 	// Name is the registry key, e.g. "sssp".
 	Name string
@@ -145,8 +145,8 @@ var (
 // on entries with missing hooks: registration happens in package init,
 // where both are programming errors. Build entries with MakeEntry — it
 // derives a coherent set of hooks from the typed program; the only hooks
-// allowed to be nil are Wire and Check (genuine capabilities: no wire codec,
-// no distributed runs; no reference answer, nothing to check against).
+// allowed to be nil are Wire and Check (genuine capabilities: no query
+// encoding, no distributed runs; no reference answer, nothing to check against).
 func Register(e Entry) {
 	regMu.Lock()
 	defer regMu.Unlock()

@@ -32,7 +32,7 @@ type Options struct {
 	// processes on the far side of the transport (see internal/transport),
 	// the program must implement WireProgram, and byte metrics come from
 	// actual encoded frame lengths. Nil selects the in-process bus, where
-	// workers are goroutines and bytes are VarSpec.Size estimates; a
+	// workers are goroutines and bytes are the value table's estimates; a
 	// non-nil non-wire transport is rejected rather than silently ignored.
 	Transport mpi.Transport
 	// Recover enables superstep-checkpoint fault tolerance: the coordinator
@@ -133,13 +133,17 @@ func RunOnLayout[Q, V, R any](ctx context.Context, layout *partition.Layout, pro
 		// Refuse rather than silently run on a hidden internal bus.
 		return zero, nil, errors.New("engine: custom non-wire transports are not supported; leave Options.Transport nil for the in-process bus")
 	}
+	spec, err := declare(prog.Name(), prog.Spec())
+	if err != nil {
+		return zero, nil, err
+	}
 	pool := runPool(prog.Name())
-	sc := acquireScratch(pool, layout, prog.Spec())
+	sc := acquireScratch(pool, layout, spec)
 	defer releaseScratch(pool, sc)
 	if opts.Transport == nil {
-		return fixpoint(ctx, layout, prog, q, opts, newBusSubstrate(prog, q, opts, sc.ctxs), &sc.fold, nil)
+		return fixpoint(ctx, layout, prog, q, opts, newBusSubstrate(prog, q, spec, opts, sc.ctxs), &sc.fold, nil)
 	}
-	sub, err := newWireSubstrate(layout, prog, q, opts, sc)
+	sub, err := newWireSubstrate(layout, prog, q, spec, opts, sc)
 	if err != nil {
 		return zero, nil, err
 	}
@@ -174,7 +178,7 @@ type runScratch[V any] struct {
 // the name of the pool's put there — and binds it to layout: every context
 // reset to its fragment with the program's spec, the fold to the layout's
 // slots, one empty reply batch per fragment.
-func acquireScratch[V any](pool *sync.Pool, layout *partition.Layout, spec VarSpec[V]) *runScratch[V] {
+func acquireScratch[V any](pool *sync.Pool, layout *partition.Layout, spec vars[V]) *runScratch[V] {
 	sc, ok := pool.Get().(*runScratch[V])
 	if !ok {
 		sc = new(runScratch[V])

@@ -175,7 +175,7 @@ type Session[Q, V, R any] struct {
 	layout *partition.Layout
 	ctxs   []*Context[V]
 	opts   Options
-	spec   VarSpec[V]
+	spec   vars[V]
 	// fold retains the coordinator's sharded border state between runs.
 	fold *foldState[V]
 	// patcher/patch carry SessionPatcher mode: the retained patched answer
@@ -205,6 +205,10 @@ var ErrSessionBroken = errors.New("session state diverged by an aborted update; 
 // current one.
 func NewSession[Q, V, R any](ctx context.Context, g *graph.Graph, prog Program[Q, V, R], q Q, opts Options) (*Session[Q, V, R], R, *metrics.Stats, error) {
 	var zero R
+	spec, err := declare(prog.Name(), prog.Spec())
+	if err != nil {
+		return nil, zero, nil, err
+	}
 	if !g.Directed() {
 		return nil, zero, nil, fmt.Errorf("engine: sessions support directed graphs only (undirected cut edges live on both fragments)")
 	}
@@ -229,7 +233,7 @@ func NewSession[Q, V, R any](ctx context.Context, g *graph.Graph, prog Program[Q
 		iq:      q,
 		layout:  layout,
 		opts:    opts,
-		spec:    prog.Spec(),
+		spec:    spec,
 		patcher: patcher,
 	}
 	if patcher != nil {
@@ -572,7 +576,7 @@ func (s *Session[Q, V, R]) run(ctx context.Context, dirty map[int][]graph.ID) (R
 	if dirty == nil {
 		s.ctxs = freshContexts(s.layout, s.spec)
 	}
-	res, stats, err := fixpoint(ctx, s.layout, s.prog, s.iq, s.opts, newBusSubstrate(s.prog, s.iq, s.opts, s.ctxs), s.fold, dirty)
+	res, stats, err := fixpoint(ctx, s.layout, s.prog, s.iq, s.opts, newBusSubstrate(s.prog, s.iq, s.spec, s.opts, s.ctxs), s.fold, dirty)
 	if err != nil {
 		s.broken = true
 	}

@@ -16,18 +16,18 @@ import (
 // This file is the engine's wire layer: everything needed to run the PIE
 // fixpoint with each worker in its own OS process on the far side of a
 // socket transport (internal/transport). The coordinator loop is fixpoint,
-// as on the bus; underneath it wireSubstrate fills envelopes with frames
-// encoded by the program's Codec instead of Go values passed by reference,
-// so traffic is metered by actual encoded lengths, not VarSpec.Size.
+// as on the bus; underneath it wireSubstrate fills envelopes with frames,
+// each value in its type's wire format (value.go), instead of Go values
+// passed by reference, so traffic is metered by actual encoded lengths, not
+// the bus's estimate.
 
-// WireProgram is a Program that can run distributed: it provides a wire
-// codec for its update-parameter values and an encoding for its query, so
-// the coordinator can ship both to worker processes. Programs whose Assemble
-// reads more than the node variables additionally implement PartialCodec.
+// WireProgram is a Program that can run distributed: it provides an
+// encoding for its query, so the coordinator can ship it to worker
+// processes; its values travel in the value table's formats. Programs whose
+// Assemble reads more than the node variables additionally implement
+// PartialCodec.
 type WireProgram[Q, V, R any] interface {
 	Program[Q, V, R]
-	// WireCodec returns the update-parameter value codec.
-	WireCodec() Codec[V]
 	// EncodeQuery serializes q for the setup frame.
 	EncodeQuery(q Q) ([]byte, error)
 	// DecodeQuery is the worker-side inverse of EncodeQuery.
@@ -62,7 +62,7 @@ type WorkerLink interface {
 // ErrNoWireSupport is returned (wrapped) when a distributed run is requested
 // for a program that does not implement WireProgram, or whose registry entry
 // lacks a Wire hook.
-var ErrNoWireSupport = errors.New("program has no wire codec")
+var ErrNoWireSupport = errors.New("program has no query encoding for the wire")
 
 // abortDrainTimeout bounds how long a cancelled coordinator waits for the
 // in-flight superstep's replies after broadcasting abort frames. Normal
@@ -87,7 +87,7 @@ type wireSubstrate[Q, V, R any] struct {
 	prog   WireProgram[Q, V, R]
 	q      Q
 	layout *partition.Layout
-	codec  Codec[V]
+	kind   *valueKind[V]
 	tr     mpi.Transport
 	// buf is the frame every command is encoded into, decoded[w] the batch
 	// worker w's reply is decoded into: fold is done with it before w replies
@@ -106,7 +106,7 @@ type wireSubstrate[Q, V, R any] struct {
 	hostLoad  []float64
 }
 
-func newWireSubstrate[Q, V, R any](layout *partition.Layout, prog Program[Q, V, R], q Q, opts Options, sc *runScratch[V]) (*wireSubstrate[Q, V, R], error) {
+func newWireSubstrate[Q, V, R any](layout *partition.Layout, prog Program[Q, V, R], q Q, spec vars[V], opts Options, sc *runScratch[V]) (*wireSubstrate[Q, V, R], error) {
 	wp, ok := any(prog).(WireProgram[Q, V, R])
 	if !ok {
 		return nil, fmt.Errorf("engine: %s: %w", prog.Name(), ErrNoWireSupport)
@@ -119,7 +119,7 @@ func newWireSubstrate[Q, V, R any](layout *partition.Layout, prog Program[Q, V, 
 	if opts.Fault != nil {
 		tr = opts.Fault(tr)
 	}
-	s := &wireSubstrate[Q, V, R]{prog: wp, q: q, layout: layout, codec: wp.WireCodec(), tr: tr, decoded: sc.decoded, ctxs: sc.ctxs}
+	s := &wireSubstrate[Q, V, R]{prog: wp, q: q, layout: layout, kind: spec.valueKind, tr: tr, decoded: sc.decoded, ctxs: sc.ctxs}
 	if opts.Recover {
 		if s.reassign, ok = tr.(mpi.Reassigner); !ok {
 			return nil, errors.New("engine: Options.Recover needs a transport that can reassign fragments (mpi.Reassigner)")
@@ -170,7 +170,7 @@ func (s *wireSubstrate[Q, V, R]) open(ctx context.Context) error {
 
 func (s *wireSubstrate[Q, V, R]) command(w, step int, cmd workerCmd[V]) {
 	var dataLen int
-	s.buf, dataLen = encodeCmd(s.codec, s.buf, cmd)
+	s.buf, dataLen = encodeCmd(s.kind, s.buf, cmd)
 	s.tr.Send(mpi.Envelope{From: mpi.Coordinator, To: w, Step: step, Frame: s.buf, Size: dataLen})
 }
 
@@ -179,7 +179,7 @@ func (s *wireSubstrate[Q, V, R]) reply(env mpi.Envelope) (workerReply[V], error)
 	if err != nil {
 		return workerReply[V]{}, err
 	}
-	rep, err := decodeReply(s.codec, s.decoded[env.From], frame, len(s.layout.Fragments[env.From].BorderIndices()))
+	rep, err := decodeReply(s.kind, s.decoded[env.From], frame, len(s.layout.Fragments[env.From].BorderIndices()))
 	s.decoded[env.From] = rep.changes
 	s.tr.Release(frame)
 	return rep, err
@@ -209,7 +209,7 @@ func (s *wireSubstrate[Q, V, R]) revive(frag int, log []replayStep[V], owe int) 
 		}
 		s.hostOf[frag] = host
 		s.hostLoad[host] += s.loads[frag]
-		frame := encodeAdopt(s.codec, s.layout.Fragments[frag], log, owe)
+		frame := encodeAdopt(s.kind, s.layout.Fragments[frag], log, owe)
 		s.tr.Send(mpi.Envelope{From: mpi.Coordinator, To: frag, Frame: frame})
 		return host, nil
 	}
@@ -302,7 +302,7 @@ func (s *wireSubstrate[Q, V, R]) finish(ctx context.Context, step int, lost func
 			blob, err = decodePartialFrame(blob)
 		}
 		if err == nil {
-			err = decodePartial(s.prog, s.codec, s.q, ctxs[env.From], blob)
+			err = decodePartial(s.prog, s.kind, s.q, ctxs[env.From], blob)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("engine: worker %d partial result: %w", env.From, err)
@@ -337,8 +337,8 @@ func wireFrame(env mpi.Envelope) ([]byte, error) {
 // worker process layered on, e.g. a signal context).
 func serveWire[Q, V, R any](runCtx context.Context, prog WireProgram[Q, V, R], link WorkerLink, q Q, sc *wireScratch[V]) error {
 	f := sc.ctx.Frag
-	spec := prog.Spec()
-	codec := prog.WireCodec()
+	spec := sc.ctx.spec
+	k := spec.valueKind
 	ctxs := map[int]*Context[V]{f.Index: sc.ctx}
 	// An adopted fragment is decoded in place, so its frame goes back only
 	// once the run that lives in it has returned.
@@ -355,7 +355,7 @@ func serveWire[Q, V, R any](runCtx context.Context, prog WireProgram[Q, V, R], l
 		}
 		if len(env.Frame) > 0 && cmdKind(env.Frame[0]) == cmdAdopt {
 			adopted = append(adopted, env.Frame)
-			ad, err := decodeAdopt(codec, env.Frame)
+			ad, err := decodeAdopt(k, env.Frame)
 			if err != nil {
 				return fmt.Errorf("engine: worker %d: %w", f.Index, err)
 			}
@@ -365,7 +365,7 @@ func serveWire[Q, V, R any](runCtx context.Context, prog WireProgram[Q, V, R], l
 			// Only the owed superstep's reply (or a replay error) goes back:
 			// every earlier reply was already folded by the coordinator.
 			if ad.owe > 0 || rerr != nil {
-				if sc.buf, err = replyWire(link, codec, sc.buf, ad.frag.Index, ad.owe, nc, 0, 0, rerr); err != nil {
+				if sc.buf, err = replyWire(link, k, sc.buf, ad.frag.Index, ad.owe, nc, 0, 0, rerr); err != nil {
 					return fmt.Errorf("engine: worker %d: %w", f.Index, err)
 				}
 			}
@@ -375,7 +375,7 @@ func serveWire[Q, V, R any](runCtx context.Context, prog WireProgram[Q, V, R], l
 		if ctx == nil {
 			return mpi.RunFatal(fmt.Errorf("engine: worker %d: command for fragment %d, which this worker does not host", f.Index, env.To))
 		}
-		cmd, err := decodeCmd(codec, sc.ups, env.Frame, ctx.Frag.G.NumVertices())
+		cmd, err := decodeCmd(k, sc.ups, env.Frame, ctx.Frag.G.NumVertices())
 		if err != nil {
 			return fmt.Errorf("engine: worker %d: %w", f.Index, err)
 		}
@@ -393,7 +393,7 @@ func serveWire[Q, V, R any](runCtx context.Context, prog WireProgram[Q, V, R], l
 		case cmdAssemble:
 			sc.buf = append(sc.buf[:0], make([]byte, partialHead)...)
 			size := 0
-			body, perr := encodePartial(prog, codec, sc.buf, q, ctx)
+			body, perr := encodePartial(prog, sc.buf, q, ctx)
 			if perr == nil {
 				sc.buf, size = body, len(body)-partialHead
 			}
@@ -408,7 +408,7 @@ func serveWire[Q, V, R any](runCtx context.Context, prog WireProgram[Q, V, R], l
 			if perr == nil {
 				computeNS, applyNS, perr = execStep(prog, q, ctx, cmd)
 			}
-			sc.buf, err = replyWire(link, codec, sc.buf, env.To, env.Step, ctx, computeNS, applyNS, perr)
+			sc.buf, err = replyWire(link, k, sc.buf, env.To, env.Step, ctx, computeNS, applyNS, perr)
 		}
 		if err != nil {
 			return fmt.Errorf("engine: worker %d: %w", f.Index, err)
@@ -417,15 +417,15 @@ func serveWire[Q, V, R any](runCtx context.Context, prog WireProgram[Q, V, R], l
 }
 
 // replyWire encodes the superstep's reply over buf, sends it and returns buf.
-func replyWire[V any](link WorkerLink, codec Codec[V], buf []byte, w, step int, ctx *Context[V], computeNS, applyNS int64, perr error) ([]byte, error) {
-	buf, dataLen := encodeReply(codec, buf, workerReply[V]{changes: ctx.flush(), work: ctx.takeWork(), active: ctx.active, err: perr, computeNS: computeNS, applyNS: applyNS})
+func replyWire[V any](link WorkerLink, k *valueKind[V], buf []byte, w, step int, ctx *Context[V], computeNS, applyNS int64, perr error) ([]byte, error) {
+	buf, dataLen := encodeReply(k, buf, workerReply[V]{changes: ctx.flush(), work: ctx.takeWork(), active: ctx.active, err: perr, computeNS: computeNS, applyNS: applyNS})
 	return buf, link.Send(mpi.Envelope{From: w, To: mpi.Coordinator, Step: step, Frame: buf, Size: dataLen})
 }
 
 // encodePartial appends the worker's post-fixpoint payload for Assemble to
 // buf: the program's PartialCodec encoding when it has one, else the default
 // — every set node variable as one batch named by dense index, ascending.
-func encodePartial[Q, V, R any](prog WireProgram[Q, V, R], codec Codec[V], buf []byte, q Q, ctx *Context[V]) ([]byte, error) {
+func encodePartial[Q, V, R any](prog WireProgram[Q, V, R], buf []byte, q Q, ctx *Context[V]) ([]byte, error) {
 	if pc, ok := any(prog).(PartialCodec[Q, V]); ok {
 		return pc.EncodePartial(buf, q, ctx)
 	}
@@ -433,13 +433,13 @@ func encodePartial[Q, V, R any](prog WireProgram[Q, V, R], codec Codec[V], buf [
 	for i, ok := range ctx.has {
 		if ok {
 			n++
-			size += 8 + ctx.spec.sizeOf(ctx.vals[i])
+			size += 8 + ctx.spec.size(ctx.vals[i])
 		}
 	}
 	buf = binary.AppendUvarint(slices.Grow(buf, size), uint64(n))
 	for i, ok := range ctx.has {
 		if ok {
-			buf = appendUpdate(codec, buf, uint64(i), ctx.vals[i])
+			buf = ctx.spec.codec.AppendVal(binary.AppendUvarint(buf, uint64(i)), ctx.vals[i])
 		}
 	}
 	return buf, nil
@@ -448,11 +448,11 @@ func encodePartial[Q, V, R any](prog WireProgram[Q, V, R], codec Codec[V], buf [
 // decodePartial is the coordinator-side inverse of encodePartial; the default
 // body's indices are checked against the fragment and applied as they are
 // read.
-func decodePartial[Q, V, R any](prog WireProgram[Q, V, R], codec Codec[V], q Q, ctx *Context[V], blob []byte) error {
+func decodePartial[Q, V, R any](prog WireProgram[Q, V, R], k *valueKind[V], q Q, ctx *Context[V], blob []byte) error {
 	if pc, ok := any(prog).(PartialCodec[Q, V]); ok {
 		return pc.DecodePartial(q, ctx, blob)
 	}
-	br, err := openBatch(codec, blob)
+	br, err := openBatch(k, blob)
 	if err != nil {
 		return err
 	}
@@ -487,10 +487,13 @@ type wireScratch[V any] struct {
 // it. Its runs draw their scratch from one pool, so a worker process serving
 // run after run reuses the memory of the last.
 func WireServe[Q, V, R any](prog WireProgram[Q, V, R]) func(context.Context, WorkerLink, []byte, *partition.Fragment) error {
-	spec := prog.Spec()
+	spec, bad := declare(prog.Name(), prog.Spec())
 	var pool sync.Pool // *wireScratch[V]
 	pool.New = func() any { return &wireScratch[V]{ctx: &Context[V]{spec: spec}} }
 	return func(ctx context.Context, link WorkerLink, query []byte, f *partition.Fragment) error {
+		if bad != nil {
+			return bad
+		}
 		q, err := prog.DecodeQuery(query)
 		if err != nil {
 			return fmt.Errorf("engine: %s: decoding query: %w", prog.Name(), err)

@@ -29,9 +29,7 @@ func (vecProg) Name() string { return "vecprog" }
 
 func (vecProg) Spec() VarSpec[[]float64] {
 	return VarSpec[[]float64]{
-		Agg:  func(old, new []float64) []float64 { return new },
-		Eq:   func(a, b []float64) bool { return slices.Equal(a, b) },
-		Size: func(v []float64) int { return 8 * len(v) },
+		Agg: func(old, new []float64) []float64 { return new },
 	}
 }
 
@@ -51,45 +49,8 @@ func (vecProg) IncEval(q vecQuery, ctx *Context[[]float64]) error {
 
 func (vecProg) Assemble(q vecQuery, ctxs []*Context[[]float64]) (int, error) { return len(ctxs), nil }
 
-func (vecProg) WireCodec() Codec[[]float64]               { return arenaVecCodec{} }
 func (vecProg) EncodeQuery(q vecQuery) ([]byte, error)    { return nil, nil }
 func (vecProg) DecodeQuery(data []byte) (vecQuery, error) { return vecQuery{}, nil }
-
-// arenaVecCodec is the shape of the queries package's vector codec (which
-// this package cannot import): uvarint length, raw floats, and an arena per
-// batch.
-type arenaVecCodec struct{ arena *[]float64 }
-
-func (arenaVecCodec) Arena(size int) Codec[[]float64] {
-	arena := make([]float64, 0, size/8)
-	return arenaVecCodec{&arena}
-}
-
-func (arenaVecCodec) AppendVal(buf []byte, v []float64) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(v)))
-	for _, x := range v {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-	}
-	return buf
-}
-
-func (c arenaVecCodec) DecodeVal(data []byte) ([]float64, int, error) {
-	n, used := binary.Uvarint(data)
-	if used <= 0 || n > uint64(len(data)-used)/8 {
-		return nil, 0, errors.New("bad vector")
-	}
-	var out []float64
-	if a := c.arena; a != nil && int(n) <= cap(*a)-len(*a) {
-		*a = (*a)[:len(*a)+int(n)]
-		out = (*a)[len(*a)-int(n) : len(*a) : len(*a)]
-	} else {
-		out = make([]float64, n)
-	}
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[used+8*i:]))
-	}
-	return out, used + int(n)*8, nil
-}
 
 // matching is n disjoint edges i → n+i cut down the middle (Range): fragment 0
 // owns the sources and holds an outer copy, a border vertex, of every target.
@@ -113,12 +74,12 @@ func matching(t *testing.T, n int) *partition.Layout {
 func TestWireSuperstepAllocsPerFrame(t *testing.T) {
 	const n = 2048
 	layout := matching(t, n)
-	prog, codec := vecProg{}, arenaVecCodec{}
+	prog, codec := vecProg{}, kindFor[[]float64]()
 	up := make(chan mpi.Envelope, 1)
 	tr := chanTransport{links: []chanLink{{in: make(chan mpi.Envelope, 1), out: up}}}
 	served := make(chan error, 1)
 	go func() {
-		served <- serveWire(context.Background(), prog, tr.links[0], vecQuery{}, &wireScratch[[]float64]{ctx: newContext(layout.Fragments[0], prog.Spec())})
+		served <- serveWire(context.Background(), prog, tr.links[0], vecQuery{}, &wireScratch[[]float64]{ctx: newContext(layout.Fragments[0], declared(prog.Spec()))})
 	}()
 
 	var buf []byte
@@ -173,22 +134,22 @@ func TestDecodeBatchCountsBeforeAllocating(t *testing.T) {
 	claim = append(claim, make([]byte, 64)...)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, _, err := decodeBatch[float64](f64Codec{}, nil, claim, math.MaxInt32, false)
+	_, _, err := decodeBatch(kindFor[float64](), nil, claim, math.MaxInt32, false)
 	runtime.ReadMemStats(&after)
 	if err == nil || after.TotalAlloc-before.TotalAlloc > 1<<16 {
 		t.Fatalf("2^40 updates claimed in %d bytes: err %v, %d bytes allocated", len(claim), err, after.TotalAlloc-before.TotalAlloc)
 	}
-	if _, _, err := decodeBatch[float64](f64Codec{}, nil, []byte{33, 1}, math.MaxInt32, false); err == nil {
+	if _, _, err := decodeBatch(kindFor[float64](), nil, []byte{33, 1}, math.MaxInt32, false); err == nil {
 		t.Fatal("33 updates accepted in one byte")
 	}
 
-	reply, _ := encodeReply[float64](f64Codec{}, nil, workerReply[float64]{work: 3, active: true})
+	reply, _ := encodeReply(kindFor[float64](), nil, workerReply[float64]{work: 3, active: true})
 	flag := bytes.IndexByte(reply, 1) // count 0, work 3 as a varint (6), then the flag
-	if _, err := decodeReply[float64](f64Codec{}, nil, reply, 0); err != nil || flag != 2 {
+	if _, err := decodeReply(kindFor[float64](), nil, reply, 0); err != nil || flag != 2 {
 		t.Fatalf("intact reply: flag at %d, %v", flag, err)
 	}
 	reply[flag] = 2
-	if _, err := decodeReply[float64](f64Codec{}, nil, reply, 0); err == nil {
+	if _, err := decodeReply(kindFor[float64](), nil, reply, 0); err == nil {
 		t.Fatal("a reply whose active flag is 2 was accepted")
 	}
 }
@@ -203,9 +164,9 @@ func TestDefaultPartialKeepsSetAndLength(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog := wireStepper{}
-	codec := prog.WireCodec()
+	codec := kindFor[int64]()
 	frag := layout.Fragments[1]
-	ctx := newContext(frag, prog.Spec())
+	ctx := newContext(frag, declared(prog.Spec()))
 	var dense []update[int64]
 	for i := ctx.Frag.G.NumVertices() - 1; i >= 0; i -= 3 {
 		ctx.SetAt(int32(i), int64(1000+i))
@@ -213,7 +174,7 @@ func TestDefaultPartialKeepsSetAndLength(t *testing.T) {
 	}
 	slices.Reverse(dense)
 
-	buf, err := encodePartial(prog, codec, make([]byte, partialHead), stepQuery{}, ctx)
+	buf, err := encodePartial(prog, make([]byte, partialHead), stepQuery{}, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +189,7 @@ func TestDefaultPartialKeepsSetAndLength(t *testing.T) {
 	if !bytes.Equal(frame, refFrame) || err != nil || !bytes.Equal(body, want) {
 		t.Fatalf("partial frame differs from the reference framing (%v)", err)
 	}
-	coord := newContext(frag, prog.Spec())
+	coord := newContext(frag, declared(prog.Spec()))
 	if err := decodePartial(prog, codec, stepQuery{}, coord, body); err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +201,7 @@ func TestDefaultPartialKeepsSetAndLength(t *testing.T) {
 	if got, ref := vars(coord), vars(ctx); !maps.Equal(got, ref) {
 		t.Fatalf("the coordinator holds %v, the worker %v", got, ref)
 	}
-	if again, _ := encodePartial(prog, codec, nil, stepQuery{}, coord); !bytes.Equal(again, want) {
+	if again, _ := encodePartial(prog, nil, stepQuery{}, coord); !bytes.Equal(again, want) {
 		t.Fatal("the decoded partial re-encodes to other bytes")
 	}
 	failed := encodePartialFrame(buf[:partialHead], errors.New("no state"))
@@ -264,7 +225,7 @@ func TestWireCommandDecodeBuildsNoIDIndex(t *testing.T) {
 	for i := range ups {
 		ups[i] = update[float64]{at: int32(n + i), val: float64(i)}
 	}
-	frame, _ := encodeCmd(f64Codec{}, nil, workerCmd[float64]{kind: cmdIncEval, updates: ups})
+	frame, _ := encodeCmd(kindFor[float64](), nil, workerCmd[float64]{kind: cmdIncEval, updates: ups})
 	into := make([]update[float64], 0, n)
 	var most uint64
 	for range 5 {
@@ -274,7 +235,7 @@ func TestWireCommandDecodeBuildsNoIDIndex(t *testing.T) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		cmd, err := decodeCmd(f64Codec{}, into, frame, fresh.G.NumVertices())
+		cmd, err := decodeCmd(kindFor[float64](), into, frame, fresh.G.NumVertices())
 		runtime.ReadMemStats(&after)
 		if err != nil || !slices.Equal(cmd.updates, ups) {
 			t.Fatalf("decoded %d updates (%v), want the %d sent", len(cmd.updates), err, n)
@@ -295,7 +256,7 @@ func TestWireCommandDecodeBuildsNoIDIndex(t *testing.T) {
 func TestEngineFramesRejectJunk(t *testing.T) {
 	layout := runsOfThree(t)
 	f := layout.Fragments[1]
-	codec := wireStepper{}.WireCodec()
+	codec := kindFor[int64]()
 	inc := func(at ...int32) []byte {
 		ups := make([]update[int64], len(at))
 		for i, p := range at {
@@ -344,7 +305,7 @@ func TestEngineFramesRejectJunk(t *testing.T) {
 			t.Errorf("partial frame with a %s accepted", name)
 		}
 	}
-	ctx := newContext(f, wireStepper{}.Spec())
+	ctx := newContext(f, declared(wireStepper{}.Spec()))
 	for name, body := range map[string][]byte{
 		"index past the fragment": appendBatch(codec, nil, []update[int64]{{at: int32(nv), val: 1}}),
 		"descending indices":      appendBatch(codec, nil, []update[int64]{{at: 1, val: 1}, {at: 0, val: 1}}),
@@ -431,7 +392,7 @@ func FuzzEngineFrames(f *testing.F) {
 	layout := runsOfThree(f)
 	n := len(layout.Fragments)
 	prog := wireStepper{}
-	codec := prog.WireCodec()
+	codec := kindFor[int64]()
 	const command, reply, adopt, partial = 0, 1, 2, 3
 	seed := func(kind, frag int, frame []byte) { f.Add(append([]byte{byte(kind*n + frag)}, frame...)) }
 	for w, fr := range layout.Fragments {
@@ -444,10 +405,10 @@ func FuzzEngineFrames(f *testing.F) {
 		rep, _ := encodeReply(codec, nil, workerReply[int64]{changes: []update[int64]{{at: 0, val: 7}, {at: 1, val: 8}}, work: -3, active: true, err: errors.New("oops"), computeNS: 40, applyNS: 5})
 		seed(reply, w, rep)
 		seed(adopt, w, encodeAdopt(codec, fr, []replayStep[int64]{{step: 2, updates: ups}, {step: 4}}, 4))
-		ctx := newContext(fr, prog.Spec())
+		ctx := newContext(fr, declared(prog.Spec()))
 		ctx.SetAt(last, 9)
 		ctx.SetAt(0, 3)
-		body, _ := encodePartial(prog, codec, make([]byte, partialHead), stepQuery{}, ctx)
+		body, _ := encodePartial(prog, make([]byte, partialHead), stepQuery{}, ctx)
 		seed(partial, w, encodePartialFrame(body, nil))
 		seed(partial, w, encodePartialFrame(make([]byte, partialHead), errors.New("no state")))
 	}
@@ -507,14 +468,14 @@ func FuzzEngineFrames(f *testing.F) {
 			if err != nil {
 				return
 			}
-			ctx := newContext(fr, prog.Spec())
+			ctx := newContext(fr, declared(prog.Spec()))
 			if decodePartial(prog, codec, stepQuery{}, ctx, body) != nil {
 				return
 			}
 			if len(ctx.vals) != fr.G.NumVertices() {
 				t.Fatalf("a partial answer grew a context of %d vertices to %d", fr.G.NumVertices(), len(ctx.vals))
 			}
-			buf, _ := encodePartial(prog, codec, make([]byte, partialHead), stepQuery{}, ctx)
+			buf, _ := encodePartial(prog, make([]byte, partialHead), stepQuery{}, ctx)
 			again = encodePartialFrame(buf, nil)
 		}
 		if !bytes.Equal(again, frame) {

@@ -8,11 +8,11 @@
 //
 //   - Bus (this package): the in-process transport. Workers are goroutines,
 //     channels replace network sockets, and payloads travel by reference, so
-//     byte counts are estimates derived from each program's VarSpec.Size.
+//     byte counts are the engine's per-type estimates (its value table).
 //   - transport.Coordinator / transport.WorkerConn (package
 //     internal/transport): the wire transport. Workers are separate OS
 //     processes connected over TCP or Unix sockets; payloads travel as
-//     length-prefixed binary frames encoded by each program's wire codec, so
+//     length-prefixed binary frames in each value type's wire format, so
 //     byte counts are the actual encoded lengths.
 //
 // The engine chooses how to fill an Envelope based on Transport.Wire: wire
@@ -90,7 +90,7 @@ type Transport interface {
 	// Wire reports whether payloads cross a process boundary. When true the
 	// engine must fill Envelope.Frame with the program's wire encoding and
 	// Size with its measured data length; when false Payload travels by
-	// reference and Size falls back to the VarSpec.Size estimate.
+	// reference and Size falls back to the value type's estimate.
 	Wire() bool
 }
 

@@ -196,9 +196,7 @@ func (CC) Spec() engine.VarSpec[graph.ID] {
 			}
 			return b
 		},
-		Eq:   func(a, b graph.ID) bool { return a == b },
 		Less: func(a, b graph.ID) bool { return a < b },
-		Size: func(graph.ID) int { return 8 },
 	}
 }
 

@@ -67,18 +67,6 @@ func (CF) Spec() engine.VarSpec[[]float64] {
 			}
 			return out
 		},
-		Eq: func(a, b []float64) bool {
-			if len(a) != len(b) {
-				return false
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					return false
-				}
-			}
-			return true
-		},
-		Size: func(v []float64) int { return 8 * len(v) },
 	}
 }
 

@@ -2,6 +2,9 @@ package queries
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
+	"strings"
 	"testing"
 
 	"grape/internal/engine"
@@ -92,5 +95,28 @@ func TestCFDeterministicAcrossRuns(t *testing.T) {
 	}
 	if r1.RMSE != r2.RMSE {
 		t.Fatalf("nondeterministic CF: %.9f vs %.9f", r1.RMSE, r2.RMSE)
+	}
+}
+
+// TestCFPartialRefusesShortFactors: a partial answer whose factor vector is
+// not the query's factor count fails with an error; Assemble would index
+// past it and panic the coordinator.
+func TestCFPartialRefusesShortFactors(t *testing.T) {
+	layout, err := engine.BuildLayout(gen.Ratings(*ratingsGraph(3)), engine.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, q, vec := layout.Fragments[0], CFQuery{Cfg: seq.DefaultCFConfig()}, engine.ValueCodec[[]float64](0)
+	u := seq.UsersOf(f.G)[0] // its factors, then a one-value vector for an item it rated, then it as the user
+	data := vec.AppendVal(binary.AppendUvarint([]byte{2}, uint64(u)), make([]float64, q.Cfg.Factors))
+	data = vec.AppendVal(binary.AppendUvarint(data, uint64(f.G.Out(u)[0].To)), []float64{1})
+	data = binary.AppendUvarint(append(data, 1), uint64(u))
+	ctx := &engine.Context[[]float64]{Frag: f}
+	err = CF{}.DecodePartial(q, ctx, data)
+	if err == nil {
+		_, err = CF{}.Assemble(q, []*engine.Context[[]float64]{ctx})
+	}
+	if want := fmt.Sprintf("hold 1 values, want %d", q.Cfg.Factors); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("a one-value factor vector: %v, want an error saying %q", err, want)
 	}
 }

@@ -12,124 +12,13 @@ import (
 	"grape/internal/seq"
 )
 
-// Wire codecs for the registered query classes: every program declares how
-// its update-parameter values and (where Assemble needs more than the node
-// variables) its partial answers are encoded, so runs can cross process
-// boundaries over internal/transport and traffic can be metered from real
-// encoded bytes. All encodings round-trip exactly — floats travel as raw
-// IEEE-754 bits, IDs and counts as varints — so a distributed run folds the
-// very same values as an in-process run and lands on the identical fixpoint
-// in the identical number of supersteps.
-
-// float64Codec encodes values as 8 little-endian IEEE-754 bytes. Used by
-// SSSP distances.
-type float64Codec struct{}
-
-func (float64Codec) AppendVal(buf []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-}
-
-func (float64Codec) DecodeVal(data []byte) (float64, int, error) {
-	if len(data) < 8 {
-		return 0, 0, fmt.Errorf("codec: truncated float64")
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(data)), 8, nil
-}
-
-// idCodec encodes vertex IDs as unsigned varints. Used by CC labels.
-type idCodec struct{}
-
-func (idCodec) AppendVal(buf []byte, v graph.ID) []byte {
-	return binary.AppendUvarint(buf, uint64(v))
-}
-
-func (idCodec) DecodeVal(data []byte) (graph.ID, int, error) {
-	v, n := binary.Uvarint(data)
-	if n <= 0 {
-		return 0, 0, fmt.Errorf("codec: bad ID varint")
-	}
-	return graph.ID(v), n, nil
-}
-
-// bitsCodec encodes Sim's 64-bit candidate masks as 8 fixed bytes (masks
-// start at all-ones, where a varint would cost 10).
-type bitsCodec struct{}
-
-func (bitsCodec) AppendVal(buf []byte, v seq.SimBits) []byte {
-	return binary.LittleEndian.AppendUint64(buf, v)
-}
-
-func (bitsCodec) DecodeVal(data []byte) (seq.SimBits, int, error) {
-	if len(data) < 8 {
-		return 0, 0, fmt.Errorf("codec: truncated mask")
-	}
-	return binary.LittleEndian.Uint64(data), 8, nil
-}
-
-// byteCodec encodes the dummy one-byte variables of the locality-bounded
-// programs (SubIso, TriCount).
-type byteCodec struct{}
-
-func (byteCodec) AppendVal(buf []byte, v uint8) []byte { return append(buf, v) }
-
-func (byteCodec) DecodeVal(data []byte) (uint8, int, error) {
-	if len(data) < 1 {
-		return 0, 0, fmt.Errorf("codec: truncated byte")
-	}
-	return data[0], 1, nil
-}
-
-// vecCodec encodes float64 vectors (Keyword distance vectors, CF latent
-// factors) as a uvarint length followed by raw IEEE-754 bytes. Length 0
-// decodes to nil, preserving the programs' "nil = unreached/uninitialized"
-// sentinel. With an arena (engine.ArenaCodec) decoded vectors are cut from it,
-// each capped so that an append to one cannot reach the next; without, every
-// vector is its own allocation.
-type vecCodec struct{ arena *[]float64 }
-
-// Arena implements engine.ArenaCodec: size encoded bytes hold at most size/8
-// floats.
-func (vecCodec) Arena(size int) engine.Codec[[]float64] {
-	arena := make([]float64, 0, size/8)
-	return vecCodec{&arena}
-}
-
-func (vecCodec) AppendVal(buf []byte, v []float64) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(v)))
-	for _, x := range v {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-	}
-	return buf
-}
-
-func (c vecCodec) DecodeVal(data []byte) ([]float64, int, error) {
-	n, used := binary.Uvarint(data)
-	if used <= 0 {
-		return nil, 0, fmt.Errorf("codec: bad vector length")
-	}
-	if n > uint64(len(data)-used)/8 {
-		return nil, 0, fmt.Errorf("codec: truncated vector of %d floats", n)
-	}
-	if n == 0 {
-		return nil, used, nil
-	}
-	var out []float64
-	if a := c.arena; a != nil && int(n) <= cap(*a)-len(*a) {
-		*a = (*a)[:len(*a)+int(n)]
-		out = (*a)[len(*a)-int(n) : len(*a) : len(*a)]
-	} else {
-		out = make([]float64, n)
-	}
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[used+8*i:]))
-	}
-	return out, used + int(n)*8, nil
-}
+// Wire encodings of the registered query classes' queries and, where
+// Assemble needs more than the node variables, partial answers (values travel
+// in the engine's value table formats). All round-trip exactly — floats as
+// raw IEEE-754 bits, IDs and counts as varints — so a distributed run lands
+// on the in-process run's fixpoint in as many supersteps.
 
 // ---- SSSP ----
-
-// WireCodec implements engine.WireProgram.
-func (SSSP) WireCodec() engine.Codec[float64] { return float64Codec{} }
 
 // EncodeQuery implements engine.WireProgram.
 func (SSSP) EncodeQuery(q SSSPQuery) ([]byte, error) {
@@ -146,9 +35,6 @@ func (SSSP) DecodeQuery(data []byte) (SSSPQuery, error) {
 }
 
 // ---- CC ----
-
-// WireCodec implements engine.WireProgram.
-func (CC) WireCodec() engine.Codec[graph.ID] { return idCodec{} }
 
 // EncodeQuery implements engine.WireProgram (CC has no parameters).
 func (CC) EncodeQuery(q CCQuery) ([]byte, error) { return nil, nil }
@@ -212,9 +98,6 @@ func (CC) DecodePartial(q CCQuery, ctx *engine.Context[graph.ID], data []byte) e
 
 // ---- Sim ----
 
-// WireCodec implements engine.WireProgram.
-func (Sim) WireCodec() engine.Codec[seq.SimBits] { return bitsCodec{} }
-
 // EncodeQuery implements engine.WireProgram: the query is the pattern graph.
 func (Sim) EncodeQuery(q SimQuery) ([]byte, error) {
 	if q.Pattern == nil {
@@ -233,9 +116,6 @@ func (Sim) DecodeQuery(data []byte) (SimQuery, error) {
 }
 
 // ---- SubIso ----
-
-// WireCodec implements engine.WireProgram.
-func (SubIso) WireCodec() engine.Codec[uint8] { return byteCodec{} }
 
 // EncodeQuery implements engine.WireProgram.
 func (SubIso) EncodeQuery(q SubIsoQuery) ([]byte, error) {
@@ -324,9 +204,6 @@ func (SubIso) DecodePartial(q SubIsoQuery, ctx *engine.Context[uint8], data []by
 
 // ---- Keyword ----
 
-// WireCodec implements engine.WireProgram.
-func (Keyword) WireCodec() engine.Codec[kwVec] { return vecCodec{} }
-
 // EncodeQuery implements engine.WireProgram.
 func (Keyword) EncodeQuery(q KeywordQuery) ([]byte, error) {
 	var buf []byte
@@ -370,9 +247,6 @@ func (Keyword) DecodeQuery(data []byte) (KeywordQuery, error) {
 }
 
 // ---- CF ----
-
-// WireCodec implements engine.WireProgram.
-func (CF) WireCodec() engine.Codec[[]float64] { return vecCodec{} }
 
 // EncodeQuery implements engine.WireProgram.
 func (CF) EncodeQuery(q CFQuery) ([]byte, error) {
@@ -425,8 +299,8 @@ func (CF) EncodePartial(buf []byte, q CFQuery, ctx *engine.Context[[]float64]) (
 		}
 	}
 	slices.SortFunc(idx, func(a, b int32) int { return cmp.Compare(g.IDAt(a), g.IDAt(b)) })
+	c := engine.ValueCodec[[]float64](0)
 	buf = binary.AppendUvarint(slices.Grow(buf, len(idx)*(4+8*q.Cfg.Factors)+4*len(st.users)), uint64(len(idx)))
-	c := vecCodec{}
 	for _, i := range idx {
 		buf = binary.AppendUvarint(buf, uint64(g.IDAt(i)))
 		buf = c.AppendVal(buf, st.factors[i])
@@ -447,7 +321,7 @@ func (CF) DecodePartial(q CFQuery, ctx *engine.Context[[]float64], data []byte) 
 	if err != nil {
 		return fmt.Errorf("cf: partial: %w", err)
 	}
-	c := vecCodec{}.Arena(len(data))
+	c := engine.ValueCodec[[]float64](len(data))
 	for i := uint64(0); i < n; i++ {
 		v, err := graph.ReadUvarint(data, &pos)
 		if err != nil {
@@ -458,6 +332,9 @@ func (CF) DecodePartial(q CFQuery, ctx *engine.Context[[]float64], data []byte) 
 			return fmt.Errorf("cf: partial: %w", err)
 		}
 		pos += used
+		if len(vec) != q.Cfg.Factors {
+			return fmt.Errorf("cf: partial factors of vertex %d hold %d values, want %d", v, len(vec), q.Cfg.Factors)
+		}
 		vi, ok := g.Index(graph.ID(v))
 		if !ok {
 			return fmt.Errorf("cf: partial factors for unknown vertex %d", v)
@@ -484,9 +361,6 @@ func (CF) DecodePartial(q CFQuery, ctx *engine.Context[[]float64], data []byte) 
 }
 
 // ---- TriCount ----
-
-// WireCodec implements engine.WireProgram.
-func (TriCount) WireCodec() engine.Codec[uint8] { return byteCodec{} }
 
 // EncodeQuery implements engine.WireProgram (TriCount has no parameters).
 func (TriCount) EncodeQuery(q TriCountQuery) ([]byte, error) { return nil, nil }

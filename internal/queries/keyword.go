@@ -86,17 +86,6 @@ func (Keyword) Spec() engine.VarSpec[kwVec] {
 			}
 			return out
 		},
-		Eq: func(a, b kwVec) bool {
-			if len(a) != len(b) {
-				return a == nil && b == nil
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					return false
-				}
-			}
-			return true
-		},
 		Less: func(a, b kwVec) bool {
 			// a < b iff a ≤ b pointwise and a ≠ b (nil = all ∞, the top).
 			if a == nil {
@@ -116,7 +105,6 @@ func (Keyword) Spec() engine.VarSpec[kwVec] {
 			}
 			return strict
 		},
-		Size: func(v kwVec) int { return 8 * len(v) },
 	}
 }
 
@@ -303,9 +291,14 @@ func (Keyword) ValidateUpdate(q KeywordQuery, upd engine.EdgeUpdate) error {
 func (Keyword) Assemble(q KeywordQuery, ctxs []*engine.Context[kwVec]) ([]seq.KeywordMatch, error) {
 	nk := len(q.Keywords)
 	r := seq.NewRanking(innerCount(ctxs))
+	var short error
 	for c, ctx := range ctxs {
 		ctx.VarsAt(func(i int32, vec kwVec) {
 			if !ctx.IsInnerAt(i) || vec == nil {
+				return
+			}
+			if len(vec) < nk {
+				short = fmt.Errorf("keyword: vertex %d holds %d distances for %d keywords", ctx.Frag.G.IDAt(i), len(vec), nk)
 				return
 			}
 			score := 0.0
@@ -317,6 +310,9 @@ func (Keyword) Assemble(q KeywordQuery, ctxs []*engine.Context[kwVec]) ([]seq.Ke
 			}
 			r.Add(score, ctx.Frag.G.IDAt(i), int64(c)<<32|int64(i))
 		})
+	}
+	if short != nil {
+		return nil, short
 	}
 	return r.Matches(nk, func(ref int64) []float64 { return ctxs[ref>>32].GetAt(int32(ref)) }), nil
 }

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime/debug"
 	"slices"
+	"strings"
 	"testing"
 
 	"grape/internal/engine"
@@ -294,5 +295,20 @@ func TestKeywordAssembleAllocatesOnlyTheAnswer(t *testing.T) {
 	}
 	if allocs != 2 {
 		t.Fatalf("a warmed keyword Assemble allocates %.1f objects, want 2 (the answer)", allocs)
+	}
+}
+
+// TestKeywordAssembleRefusesShortVector: a distance vector shorter than the
+// query's keyword list fails Assemble with an error, not a slice panic.
+func TestKeywordAssembleRefusesShortVector(t *testing.T) {
+	layout, err := engine.BuildLayout(gen.RoadGrid(2, 2, 1), engine.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &engine.Context[kwVec]{Frag: layout.Fragments[0]}
+	ctx.SetLocalAt(0, kwVec{1})
+	_, err = Keyword{}.Assemble(KeywordQuery{Keywords: []string{"db", "graph"}, Bound: 10}, []*engine.Context[kwVec]{ctx})
+	if err == nil || !strings.Contains(err.Error(), "holds 1 distances for 2 keywords") {
+		t.Fatalf("a one-distance vector for two keywords: %v", err)
 	}
 }

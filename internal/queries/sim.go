@@ -50,9 +50,7 @@ func (Sim) Spec() engine.VarSpec[seq.SimBits] {
 	return engine.VarSpec[seq.SimBits]{
 		Default: fullMask,
 		Agg:     func(a, b seq.SimBits) seq.SimBits { return a & b },
-		Eq:      func(a, b seq.SimBits) bool { return a == b },
 		Less:    func(a, b seq.SimBits) bool { return a&b == a && a != b }, // strict subset
-		Size:    func(seq.SimBits) int { return 8 },
 	}
 }
 

@@ -47,9 +47,7 @@ func (SSSP) Spec() engine.VarSpec[float64] {
 	return engine.VarSpec[float64]{
 		Default: seq.Inf,
 		Agg:     math.Min,
-		Eq:      func(a, b float64) bool { return a == b },
 		Less:    func(a, b float64) bool { return a < b },
-		Size:    func(float64) int { return 8 },
 	}
 }
 

@@ -78,8 +78,6 @@ func (SubIso) Spec() engine.VarSpec[uint8] {
 	return engine.VarSpec[uint8]{
 		Default: 0,
 		Agg:     func(a, b uint8) uint8 { return a | b },
-		Eq:      func(a, b uint8) bool { return a == b },
-		Size:    func(uint8) int { return 1 },
 	}
 }
 

@@ -146,9 +146,7 @@ func (failingUpdate) Name() string { return "server-failing-update" }
 
 func (failingUpdate) Spec() engine.VarSpec[int64] {
 	return engine.VarSpec[int64]{
-		Agg:  func(a, b int64) int64 { return min(a, b) },
-		Eq:   func(a, b int64) bool { return a == b },
-		Size: func(int64) int { return 8 },
+		Agg: func(a, b int64) int64 { return min(a, b) },
 	}
 }
 

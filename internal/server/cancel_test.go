@@ -33,7 +33,6 @@ func (srvSpinner) Spec() engine.VarSpec[int64] {
 			}
 			return b
 		},
-		Eq: func(a, b int64) bool { return a == b },
 	}
 }
 
@@ -81,21 +80,6 @@ func (s srvSpinner) Assemble(q srvSpinQuery, ctxs []*engine.Context[int64]) (int
 		})
 	}
 	return m, nil
-}
-
-func (srvSpinner) WireCodec() engine.Codec[int64] { return srvSpinCodec{} }
-
-type srvSpinCodec struct{}
-
-func (srvSpinCodec) AppendVal(buf []byte, v int64) []byte {
-	return binary.BigEndian.AppendUint64(buf, uint64(v))
-}
-
-func (srvSpinCodec) DecodeVal(data []byte) (int64, int, error) {
-	if len(data) < 8 {
-		return 0, 0, errors.New("short int64")
-	}
-	return int64(binary.BigEndian.Uint64(data)), 8, nil
 }
 
 func (srvSpinner) EncodeQuery(q srvSpinQuery) ([]byte, error) {

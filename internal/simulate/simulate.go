@@ -29,12 +29,6 @@ import (
 	"grape/internal/vertexcentric"
 )
 
-// msgQueue is the update-parameter type: messages pending for a node.
-// The aggregate concatenates queues; a queue "changes" whenever it is
-// non-empty, because message delivery is consumption, not convergence —
-// the engine's Eq sees the emptied queue afterwards.
-type msgQueue []float64
-
 // vcState is the per-worker state: vertex values, halted flags, and the
 // local inbox for intra-fragment messages (which never touch the network,
 // exactly like messages between co-located vertices in Pregel).
@@ -61,29 +55,28 @@ type VCResult map[graph.ID]float64
 // Name implements engine.Program.
 func (a Adapter) Name() string { return "simulate/" + a.Prog.Name() }
 
-// Spec implements engine.Program. Message queues concatenate; equality is
-// "both empty", so any pending queue counts as a change and keeps the
-// fixpoint running — mirroring Pregel's "messages in flight" condition.
-func (a Adapter) Spec() engine.VarSpec[msgQueue] {
-	return engine.VarSpec[msgQueue]{
+// Spec implements engine.Program. The update parameter is the queue of
+// messages pending for a node, and queues concatenate. An engine.Queue counts
+// as changed whenever it is non-empty, so any pending queue keeps the fixpoint
+// running — mirroring Pregel's "messages in flight" condition — and delivery
+// consumes it.
+func (a Adapter) Spec() engine.VarSpec[engine.Queue] {
+	return engine.VarSpec[engine.Queue]{
 		Default: nil,
-		Agg: func(old, new msgQueue) msgQueue {
+		Agg: func(old, new engine.Queue) engine.Queue {
 			if len(new) == 0 {
 				return old
 			}
-			out := make(msgQueue, 0, len(old)+len(new))
+			out := make(engine.Queue, 0, len(old)+len(new))
 			out = append(out, old...)
 			out = append(out, new...)
 			return out
 		},
-		Eq:      func(x, y msgQueue) bool { return len(x) == 0 && len(y) == 0 },
-		Size:    func(q msgQueue) int { return 8 * len(q) },
-		Consume: true,
 	}
 }
 
 // PEval implements engine.Program: vertex superstep 0 over inner vertices.
-func (a Adapter) PEval(_ Query, ctx *engine.Context[msgQueue]) error {
+func (a Adapter) PEval(_ Query, ctx *engine.Context[engine.Queue]) error {
 	st := &vcState{
 		values: make(map[graph.ID]float64),
 		halted: make(map[graph.ID]bool),
@@ -96,7 +89,7 @@ func (a Adapter) PEval(_ Query, ctx *engine.Context[msgQueue]) error {
 
 // IncEval implements engine.Program: deliver queued messages, run one vertex
 // superstep.
-func (a Adapter) IncEval(_ Query, ctx *engine.Context[msgQueue]) error {
+func (a Adapter) IncEval(_ Query, ctx *engine.Context[engine.Queue]) error {
 	st := ctx.State.(*vcState)
 	// Drain the routed queues into the local inbox, then clear them so
 	// the queues do not re-trigger (consumption, not convergence). Consumable
@@ -116,7 +109,7 @@ func (a Adapter) IncEval(_ Query, ctx *engine.Context[msgQueue]) error {
 }
 
 // step runs one vertex-centric superstep over the fragment's inner vertices.
-func (a Adapter) step(ctx *engine.Context[msgQueue], st *vcState, init bool) {
+func (a Adapter) step(ctx *engine.Context[engine.Queue], st *vcState, init bool) {
 	f := ctx.Frag
 	g, inner := f.G, f.InnerIndices()
 	inbox := st.local
@@ -130,7 +123,7 @@ func (a Adapter) step(ctx *engine.Context[msgQueue], st *vcState, init bool) {
 		// Cross-fragment: append to the border node's queue; the engine
 		// ships it and the owner drains it next superstep.
 		q := ctx.Get(to)
-		nq := make(msgQueue, 0, len(q)+1)
+		nq := make(engine.Queue, 0, len(q)+1)
 		nq = append(nq, q...)
 		nq = append(nq, val)
 		ctx.Set(to, nq)
@@ -189,7 +182,7 @@ func (a Adapter) step(ctx *engine.Context[msgQueue], st *vcState, init bool) {
 }
 
 // Assemble implements engine.Program.
-func (a Adapter) Assemble(_ Query, ctxs []*engine.Context[msgQueue]) (VCResult, error) {
+func (a Adapter) Assemble(_ Query, ctxs []*engine.Context[engine.Queue]) (VCResult, error) {
 	out := make(VCResult)
 	for _, ctx := range ctxs {
 		st := ctx.State.(*vcState)

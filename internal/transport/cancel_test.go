@@ -42,7 +42,6 @@ func (spinner) Spec() engine.VarSpec[int64] {
 			}
 			return b
 		},
-		Eq: func(a, b int64) bool { return a == b },
 	}
 }
 
@@ -92,21 +91,6 @@ func (s spinner) Assemble(q spinQuery, ctxs []*engine.Context[int64]) (map[graph
 	}
 	return out, nil
 }
-
-type spinCodec struct{}
-
-func (spinCodec) AppendVal(buf []byte, v int64) []byte {
-	return binary.BigEndian.AppendUint64(buf, uint64(v))
-}
-
-func (spinCodec) DecodeVal(data []byte) (int64, int, error) {
-	if len(data) < 8 {
-		return 0, 0, errors.New("short int64")
-	}
-	return int64(binary.BigEndian.Uint64(data)), 8, nil
-}
-
-func (spinner) WireCodec() engine.Codec[int64] { return spinCodec{} }
 
 func (spinner) EncodeQuery(q spinQuery) ([]byte, error) {
 	return binary.BigEndian.AppendUint64(nil, uint64(q.limit)), nil

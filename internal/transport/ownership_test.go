@@ -352,7 +352,7 @@ func updates[V any](t *testing.T, c engine.Codec[V], frame []byte, pos *int, nam
 // once and equal the reference layout of what it holds.
 func goldenFrames[Q, V, R any](t *testing.T, prog engine.WireProgram[Q, V, R], q Q, layout *partition.Layout, rec *recordingTransport) {
 	t.Helper()
-	codec := prog.WireCodec()
+	codec := engine.ValueCodec[V](0)
 	qblob, err := prog.EncodeQuery(q)
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -190,7 +191,7 @@ func (r *recordingTransport) Recv(ctx context.Context, party int) (mpi.Envelope,
 // counters under a wire transport come from actual encoded lengths: every
 // data envelope's Size must equal the re-encoded length of its decoded
 // update batch, and the run's total must be exactly the sum of those sizes —
-// no VarSpec.Size estimates anywhere.
+// no bus estimates anywhere.
 func TestWireBytesAreEncodedLengths(t *testing.T) {
 	g := gen.RoadGrid(16, 16, 1)
 	inner, finish := startWorkers(t, 4)
@@ -203,7 +204,7 @@ func TestWireBytesAreEncodedLengths(t *testing.T) {
 	if len(res) != g.NumVertices() {
 		t.Fatalf("unexpected result size %d", len(res))
 	}
-	codec := queries.SSSP{}.WireCodec()
+	codec := engine.ValueCodec[float64](0)
 	var total int64
 	// Coordinator → worker: IncEval command frames carry a kind byte, then
 	// the update batch; Size must equal the batch's encoded length.
@@ -284,7 +285,7 @@ func (f fakeWire) Bytes() int64                                    { return 0 }
 func (f fakeWire) AddTraffic(_, _ int64)                           {}
 func (f fakeWire) Wire() bool                                      { return true }
 
-// plainProgram is a PIE program without a wire codec.
+// plainProgram is a PIE program without a query encoding.
 type plainProgram struct{}
 
 func (plainProgram) Name() string                                                    { return "plain" }
@@ -300,5 +301,41 @@ func TestNoWireSupportFailsFast(t *testing.T) {
 	_, _, err := engine.Run(context.Background(), g, plainProgram{}, queries.SSSPQuery{Source: 0}, engine.Options{Workers: 2, Transport: fakeWire{n: 2}})
 	if !errors.Is(err, engine.ErrNoWireSupport) {
 		t.Fatalf("expected ErrNoWireSupport, got: %v", err)
+	}
+}
+
+// declaredSSSP is sssp declaring only what its value type cannot tell the
+// engine: Default, Agg and Less.
+type declaredSSSP struct{ queries.SSSP }
+
+func (declaredSSSP) Name() string { return "sssp-declared" }
+
+func (declaredSSSP) Spec() engine.VarSpec[float64] {
+	return engine.VarSpec[float64]{Default: seq.Inf, Agg: math.Min, Less: func(a, b float64) bool { return a < b }}
+}
+
+func init() {
+	engine.Register(engine.MakeEntry(engine.EntrySpec[queries.SSSPQuery, float64, map[graph.ID]float64]{
+		Prog:      declaredSSSP{},
+		Parse:     func(string) (queries.SSSPQuery, error) { return queries.SSSPQuery{}, nil },
+		Canonical: func(queries.SSSPQuery) string { return "" },
+	}))
+}
+
+// TestThreeFieldDeclarationRunsLikeSSSP: a program that declares Default, Agg
+// and Less and nothing else runs on the bus and on the wire, with sssp's
+// answer and exactly sssp's counters on each substrate.
+func TestThreeFieldDeclarationRunsLikeSSSP(t *testing.T) {
+	g := gen.RoadGrid(12, 12, 1)
+	q := queries.SSSPQuery{Source: 0}
+	both := func(prog engine.Program[queries.SSSPQuery, float64, map[graph.ID]float64]) []any {
+		busRes, wireRes, bus, wire := runBoth(t, 4, func(opts engine.Options) (map[graph.ID]float64, *metrics.Stats, error) {
+			return engine.Run(context.Background(), g, prog, q, opts)
+		})
+		counters := func(s *metrics.Stats) []any { return []any{s.Supersteps, s.Messages, s.Bytes, s.BytesPerStep} }
+		return []any{busRes, wireRes, counters(bus), counters(wire)}
+	}
+	if got, want := both(declaredSSSP{}), both(queries.SSSP{}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("bus and wire answers and counters (supersteps, messages, bytes, per step) differ from sssp's:\n%v\n%v", got[2:], want[2:])
 	}
 }
