@@ -31,7 +31,11 @@ type EntrySpec[Q, V, R any] struct {
 	Canonical func(q Q) string
 	// Hops, if non-nil, reports the d-hop fragment expansion a query needs
 	// (Options.ExpandHops); locality-bounded programs like SubIso set it,
-	// most programs leave it nil (no expansion).
+	// most programs leave it nil (no expansion). A 1-hop fragment keeps only
+	// the edges a match anchored at an inner vertex can read, so a query
+	// answered on one must be: its matches must lie within its anchor's
+	// ball, every edge they read touching the anchor or joining two of its
+	// neighbors (partition.BuildExpanded).
 	Hops func(q Q) int
 	// Reference, if non-nil, answers a query the plain sequential way, and
 	// Agree names the first difference between an engine answer and the

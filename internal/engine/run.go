@@ -22,7 +22,11 @@ type Options struct {
 	// layout (used by benches that partition once and query many times).
 	Layout *partition.Layout
 	// ExpandHops > 0 builds d-hop expanded fragments (data-shipping; used by
-	// locality-bounded queries such as subgraph isomorphism).
+	// locality-bounded queries such as subgraph isomorphism): each fragment
+	// holds every vertex within d hops of its inner ones, and the edges a
+	// match anchored at an inner vertex can read — at d = 1 those with an
+	// inner end and those between two outer copies with an inner neighbor
+	// in common (partition.BuildExpanded).
 	ExpandHops int
 	// MaxSupersteps caps the fixpoint; exceeding it is an error. Default
 	// 100000 — effectively "trust the monotonicity argument".

@@ -170,8 +170,12 @@ type Session[Q, V, R any] struct {
 	prog Program[Q, V, R]
 	// q is the user's query; iq the query the fixpoints actually run —
 	// identical unless a SessionPatcher widened it (see SessionQuery).
-	q      Q
-	iq     Q
+	q  Q
+	iq Q
+	// g is the current global graph: the one NewSession was given, with
+	// every accepted batch spliced in. The layout, while the session keeps
+	// one, cuts it (layout.Asg.G is g).
+	g      *graph.Graph
 	layout *partition.Layout
 	ctxs   []*Context[V]
 	opts   Options
@@ -179,7 +183,9 @@ type Session[Q, V, R any] struct {
 	// fold retains the coordinator's sharded border state between runs.
 	fold *foldState[V]
 	// patcher/patch carry SessionPatcher mode: the retained patched answer
-	// replaces the fixpoint machinery after the initial run.
+	// replaces the fixpoint machinery after the initial run, so such a
+	// session lets go of its layout, contexts and fold then, and keeps only
+	// g and patch.
 	patcher SessionPatcher[Q, R]
 	patch   any
 	// broken marks a session whose incremental fixpoint did not complete
@@ -231,6 +237,7 @@ func NewSession[Q, V, R any](ctx context.Context, g *graph.Graph, prog Program[Q
 		prog:    prog,
 		q:       q,
 		iq:      q,
+		g:       g,
 		layout:  layout,
 		opts:    opts,
 		spec:    spec,
@@ -245,11 +252,12 @@ func NewSession[Q, V, R any](ctx context.Context, g *graph.Graph, prog Program[Q
 		return nil, zero, stats, err
 	}
 	if patcher != nil {
-		st, err := patcher.InitPatch(q, layout.Asg.G, res)
+		st, err := patcher.InitPatch(q, g, res)
 		if err != nil {
 			return nil, zero, stats, err
 		}
 		s.patch = st
+		s.layout, s.ctxs, s.fold = nil, nil, nil // a patched answer never reads them
 		if res, err = patcher.PatchResult(q, st); err != nil {
 			return nil, zero, stats, err
 		}
@@ -267,16 +275,16 @@ func (s *Session[Q, V, R]) Broken() bool { return s.broken }
 // Graph returns the session's current global graph: the graph
 // NewSession was given with every accepted batch spliced in — a batch that
 // broke the session included.
-func (s *Session[Q, V, R]) Graph() *graph.Graph { return s.layout.Asg.G }
+func (s *Session[Q, V, R]) Graph() *graph.Graph { return s.g }
 
 // Layout returns the session's layout while its fragments hold Graph(): the
 // cut NewSession (or the last reseed) made, with every batch since spliced
-// into its fragments. It is nil for a SessionPatcher session, whose fragments
-// stay as the initial run left them, and for a broken one. The layout changes
+// into its fragments. It is nil for a SessionPatcher session, which keeps no
+// fragments past the initial run, and for a broken one. The layout changes
 // in place at the next Update; callers must not run on it concurrently with
 // one.
 func (s *Session[Q, V, R]) Layout() *partition.Layout {
-	if s.patcher != nil || s.broken {
+	if s.broken {
 		return nil
 	}
 	return s.layout
@@ -312,7 +320,7 @@ func (s *Session[Q, V, R]) Update(ctx context.Context, updates []EdgeUpdate) (R,
 	if s.broken {
 		return zero, nil, fmt.Errorf("engine: %s: %w", s.prog.Name(), ErrSessionBroken)
 	}
-	if err := validateBatch(s.layout.Asg.G, s.prog, s.q, updates); err != nil {
+	if err := validateBatch(s.g, s.prog, s.q, updates); err != nil {
 		return zero, nil, err
 	}
 	if rec := trace.FromContext(ctx); rec != nil {
@@ -322,15 +330,16 @@ func (s *Session[Q, V, R]) Update(ctx context.Context, updates []EdgeUpdate) (R,
 	// copy so the caller's batch stays untouched.
 	ups := make([]EdgeUpdate, len(updates))
 	copy(ups, updates)
-	old := s.layout.Asg.G
+	old := s.g
 	g, err := SpliceBatch(old, ups)
 	if err != nil {
 		return zero, nil, fmt.Errorf("engine: %s: %w", s.prog.Name(), err)
 	}
-	s.layout.Asg.G = g
+	s.g = g
 	if s.patcher != nil {
 		return s.patchBatch(old, ups)
 	}
+	s.layout.Asg.G = g
 	if rep, ok := any(s.prog).(Repairer[Q, V]); ok && rep.CanRepair(s.q, ups) {
 		return s.repair(ctx, rep, ups)
 	}
@@ -425,7 +434,7 @@ func SpliceBatch(g *graph.Graph, ups []EdgeUpdate) (*graph.Graph, error) {
 // yet, then its edges in batch order. The border bookkeeping for the new copies
 // follows in applyInsert.
 func (s *Session[Q, V, R]) splice(ups []EdgeUpdate) error {
-	g := s.layout.Asg.G
+	g := s.g
 	batches := make([]*graph.Batch, len(s.layout.Fragments))
 	copies := make(map[[2]int64]bool) // (fragment, vertex) copies the batches add
 	for _, u := range ups {
@@ -534,7 +543,7 @@ func (s *Session[Q, V, R]) repair(ctx context.Context, rep Repairer[Q, V], ups [
 // fragments, contexts and fold state are discarded wholesale.
 func (s *Session[Q, V, R]) reseed(ctx context.Context) (R, *metrics.Stats, error) {
 	var zero R
-	layout, err := BuildLayout(s.layout.Asg.G, s.opts)
+	layout, err := BuildLayout(s.g, s.opts)
 	if err != nil {
 		s.broken = true
 		return zero, nil, err
@@ -546,18 +555,18 @@ func (s *Session[Q, V, R]) reseed(ctx context.Context) (R, *metrics.Stats, error
 
 // patchBatch is the SessionPatcher path: hand the patcher the global graphs
 // before and after the batch, and the batch, and retain the patched state. No
-// fixpoint runs; the per-fragment machinery of the initial run is left behind
-// (a patched answer never consults it).
+// fixpoint runs, and no fragment is read: the session let them go after the
+// initial run.
 func (s *Session[Q, V, R]) patchBatch(old *graph.Graph, ups []EdgeUpdate) (R, *metrics.Stats, error) {
 	var zero R
 	start := time.Now()
-	st, err := s.patcher.ApplyPatch(s.q, old, s.layout.Asg.G, s.patch, ups)
+	st, err := s.patcher.ApplyPatch(s.q, old, s.g, s.patch, ups)
 	if err != nil {
 		s.broken = true
 		return zero, nil, fmt.Errorf("engine: %s: patching a batch of %d updates: %w", s.prog.Name(), len(ups), err)
 	}
 	s.patch = st
-	stats := &metrics.Stats{Workers: len(s.layout.Fragments), WallTime: time.Since(start)}
+	stats := &metrics.Stats{Workers: s.opts.Workers, WallTime: time.Since(start)}
 	res, err := s.patcher.PatchResult(s.q, s.patch)
 	if err != nil {
 		s.broken = true

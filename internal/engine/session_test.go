@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"maps"
 	"strings"
 	"testing"
 
@@ -306,5 +307,52 @@ func TestSessionFaultBreaksSession(t *testing.T) {
 	armed = false
 	if _, _, err := s.Update(context.Background(), []EdgeUpdate{{From: 1, To: 2, W: 1}}); !errors.Is(err, ErrSessionBroken) {
 		t.Fatalf("a broken session must refuse further updates, got %v", err)
+	}
+}
+
+// patchProg is countdown as a SessionPatcher: the retained answer is the
+// assembled one, and a batch leaves it as it is.
+type patchProg struct{ countdown }
+
+func (patchProg) SessionQuery(q cdQuery) cdQuery { return q }
+
+func (patchProg) InitPatch(q cdQuery, g *graph.Graph, res map[graph.ID]int64) (any, error) {
+	return maps.Clone(res), nil
+}
+
+func (patchProg) ApplyPatch(q cdQuery, old, g *graph.Graph, state any, batch []EdgeUpdate) (any, error) {
+	return state, nil
+}
+
+func (patchProg) PatchResult(q cdQuery, state any) (map[graph.ID]int64, error) {
+	return maps.Clone(state.(map[graph.ID]int64)), nil
+}
+
+// TestPatcherSessionKeepsNoFragments: once NewSession has the initial answer,
+// a SessionPatcher session holds the graph and its patch state and nothing of
+// the run — no layout, context or fold — and a batch still patches, over the
+// spliced graph, with the worker count the session was opened with.
+func TestPatcherSessionKeepsNoFragments(t *testing.T) {
+	g := gen.Random(60, 180, 21)
+	s, first, _, err := NewSession(context.Background(), g, patchProg{}, cdQuery{}, Options{Workers: 4, ExpandHops: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.layout != nil || s.ctxs != nil || s.fold != nil || s.Layout() != nil {
+		t.Fatal("a patcher session keeps its layout, contexts or fold after the initial run")
+	}
+	from, to := g.Vertices()[0], g.Vertices()[1]
+	res, stats, err := s.Update(context.Background(), []EdgeUpdate{{From: from, To: to, W: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Workers != 4 || len(res) != len(first) {
+		t.Fatalf("patched batch: %d workers, %d answers; want 4 and %d", stats.Workers, len(res), len(first))
+	}
+	if s.Graph().NumEdges() != g.NumEdges()+1 {
+		t.Fatalf("the session graph has %d edges, want %d", s.Graph().NumEdges(), g.NumEdges()+1)
+	}
+	if again, err := s.Result(); err != nil || len(again) != len(first) {
+		t.Fatalf("Result: %d answers, %v", len(again), err)
 	}
 }

@@ -20,6 +20,7 @@ type SubgraphBuilder struct {
 	verts []int32 // the latest subgraph's vertices, as source dense indices
 	next  []int32 // per subgraph vertex: out-degree after the first walk, write cursor in the second
 	lmap  []int32 // source label ID -> subgraph label ID, -1 outside Subgraph
+	kept  []int32 // the edges keep accepted in the first walk, by position in the source's out-CSR, in walk order
 }
 
 // NewSubgraphBuilder returns a builder for subgraphs of src.
@@ -45,18 +46,19 @@ func (b *SubgraphBuilder) Vertices() []int32 { return b.verts }
 
 // Subgraph cuts one subgraph. The seeds (source dense indices, distinct)
 // become its first vertices, in the order given, and bring every out-edge
-// keep accepts (nil accepts all; keep must answer the same both times it is
-// asked). A target that is not a seed joins after the seeds, in order of
-// first appearance, with its label and properties and no out-edges of its
-// own. The subgraph's property column holds the string headers of its own
-// vertices' properties only (the strings' bytes are shared with the source).
-// For an undirected source the mirror direction is stored automatically, as
-// Builder.AddEdge does.
+// keep accepts (nil accepts all). keep is asked once per edge, seeds in
+// order and each seed's edges in the source's order, so it may keep state
+// from one seed to the next. A target that is not a seed joins after the
+// seeds, in order of first appearance, with its label and properties and no
+// out-edges of its own. The subgraph's property column holds the string
+// headers of its own vertices' properties only (the strings' bytes are
+// shared with the source). For an undirected source the mirror direction is
+// stored automatically, as Builder.AddEdge does.
 //
-// The edges are walked twice, seeds in order and each seed's edges in the
-// source's order: the first walk counts per vertex, the second places each
-// edge at its vertex's cursor, and labels are then interned in CSR order —
-// byte for byte the graph a Builder would have produced.
+// The first walk over the edges, in that order, asks keep, counts per vertex
+// and lists the kept edges; the second places each at its vertex's cursor,
+// in the same order, and labels are then interned in CSR order — byte for
+// byte the graph a Builder would have produced.
 func (b *SubgraphBuilder) Subgraph(seeds []int32, keep func(from int32, e DenseEdge) bool) *Graph {
 	src, local, next := b.src, b.local, b.next
 	for li, i := range b.verts {
@@ -66,11 +68,19 @@ func (b *SubgraphBuilder) Subgraph(seeds []int32, keep func(from int32, e DenseE
 	for li, i := range seeds {
 		local[i] = int32(li)
 	}
+	if keep != nil && b.kept == nil {
+		b.kept = make([]int32, 0, len(src.outDense)) // distinct seeds walk each edge at most once
+	}
 	ne := 0
+	b.kept = b.kept[:0]
 	for u, i := range seeds {
-		for _, e := range src.OutAt(i) {
-			if keep != nil && !keep(i, e) {
-				continue
+		at := src.outOff[i]
+		for j, e := range src.OutAt(i) {
+			if keep != nil {
+				if !keep(i, e) {
+					continue
+				}
+				b.kept = append(b.kept, at+int32(j))
 			}
 			v := local[e.To]
 			if v < 0 {
@@ -111,17 +121,26 @@ func (b *SubgraphBuilder) Subgraph(seeds []int32, keep func(from int32, e DenseE
 		g.propOff, g.propVals = propColumn(nv, func(li int) []string { return src.PropsAt(b.verts[li]) })
 	}
 	out := make([]DenseEdge, g.outOff[nv])
-	for u, i := range seeds {
-		for _, e := range src.OutAt(i) {
-			if keep != nil && !keep(i, e) {
-				continue
+	place := func(u int32, e DenseEdge) {
+		v := local[e.To]
+		out[next[u]] = DenseEdge{To: v, Label: e.Label, W: e.W}
+		next[u]++
+		if !src.directed {
+			out[next[v]] = DenseEdge{To: u, Label: e.Label, W: e.W}
+			next[v]++
+		}
+	}
+	if keep == nil {
+		for u, i := range seeds {
+			for _, e := range src.OutAt(i) {
+				place(int32(u), e)
 			}
-			v := local[e.To]
-			out[next[u]] = DenseEdge{To: v, Label: e.Label, W: e.W}
-			next[u]++
-			if !src.directed {
-				out[next[v]] = DenseEdge{To: int32(u), Label: e.Label, W: e.W}
-				next[v]++
+		}
+	} else {
+		kept := b.kept
+		for u, i := range seeds { // a seed's kept edges are the next ones in its CSR range
+			for lo, hi := src.outOff[i], src.outOff[i+1]; len(kept) > 0 && lo <= kept[0] && kept[0] < hi; kept = kept[1:] {
+				place(int32(u), src.outDense[kept[0]])
 			}
 		}
 	}

@@ -82,3 +82,26 @@ func (g *Graph) Diameter(src ID) int {
 	})
 	return max
 }
+
+// EachTriangle calls visit(a, b, c) once for every triangle of g's undirected
+// view — three vertices pairwise joined by an edge in either direction, by
+// dense index, ascending by ID — with the forward walk seq.TrianglesAt makes:
+// up(a) stamped, up(b) scanned for every b in up(a). The larger-ID neighbor
+// lists are derived for the call and dropped after it; UpCSR keeps its own.
+func (g *Graph) EachTriangle(visit func(a, b, c int32)) {
+	off, adj := upCSR(g.ids, g.outOff, g.outDense)
+	stamp := make([]int32, len(g.ids)) // stamp[x] == a+1: x is in up(a)
+	for a := range int32(len(g.ids)) {
+		up := adj[off[a]:off[a+1]]
+		for _, b := range up {
+			stamp[b] = a + 1
+		}
+		for _, b := range up {
+			for _, c := range adj[off[b]:off[b+1]] {
+				if stamp[c] == a+1 {
+					visit(a, b, c)
+				}
+			}
+		}
+	}
+}

@@ -83,16 +83,28 @@ func referenceBuild(g *graph.Graph, asg *Assignment) *refLayout {
 }
 
 // referenceBuildExpanded is the d-hop data-shipping cut: each fragment is the
-// subgraph induced by everything within d hops, either direction, of its
-// inner vertices, in the source's dense order.
+// set of vertices within d hops, either direction, of its inner vertices, in
+// the source's dense order. At d ≥ 2 it keeps every edge between them. At
+// d = 1 it keeps an edge only when one end is inner, or when some inner
+// vertex is adjacent, either direction, to both ends — a loop on an outer
+// copy included, since its one end neighbors an inner vertex.
 func referenceBuildExpanded(g *graph.Graph, asg *Assignment, d int) *refLayout {
+	type pair struct{ a, b graph.ID }
+	adjacent := make(map[pair]bool) // the undirected view, by ID
+	for _, u := range g.Vertices() {
+		for _, e := range g.Out(u) {
+			adjacent[pair{u, e.To}], adjacent[pair{e.To, u}] = true, true
+		}
+	}
 	frags := make([]*Fragment, asg.N)
 	inner, outer := make([][]graph.ID, asg.N), make([][]graph.ID, asg.N)
 	for i := range frags {
 		region := make(map[graph.ID]bool)
+		var mine []graph.ID
 		for _, id := range g.Vertices() {
 			if asg.Owner(id) == i {
 				region[id] = true
+				mine = append(mine, id)
 			}
 		}
 		frontier := region
@@ -112,6 +124,12 @@ func referenceBuildExpanded(g *graph.Graph, asg *Assignment, d int) *refLayout {
 			}
 			frontier = next
 		}
+		anchored := func(u, v graph.ID) bool {
+			if d != 1 || asg.Owner(u) == i || asg.Owner(v) == i {
+				return true
+			}
+			return slices.ContainsFunc(mine, func(x graph.ID) bool { return adjacent[pair{x, u}] && adjacent[pair{x, v}] })
+		}
 		local := newLocal(g)
 		for _, id := range g.Vertices() {
 			if region[id] {
@@ -120,7 +138,7 @@ func referenceBuildExpanded(g *graph.Graph, asg *Assignment, d int) *refLayout {
 		}
 		for _, u := range g.Vertices() {
 			for _, e := range g.Out(u) {
-				if region[u] && region[e.To] && (g.Directed() || u <= e.To) {
+				if region[u] && region[e.To] && (g.Directed() || u <= e.To) && anchored(u, e.To) {
 					local.AddLabeledEdge(u, e.To, e.W, e.Label)
 				}
 			}
@@ -383,10 +401,69 @@ func FuzzBuildEquivalence(f *testing.F) {
 	f.Add(int64(1), true, false, uint8(0), uint8(3))
 	f.Add(int64(2), false, true, uint8(5), uint8(8))
 	f.Add(int64(3), false, false, uint8(2), uint8(200))
+	for _, s := range ruleSeeds {
+		f.Add(s.seed, s.directed, false, uint8(0), uint8(s.n-1))
+	}
 	f.Fuzz(func(t *testing.T, seed int64, directed, ascending bool, strategy, n uint8) {
 		ss := Strategies()
 		checkCuts(t, "fuzz", awkwardGraph(seed, directed, ascending), ss[int(strategy)%len(ss)], 1+int(n))
 	})
+}
+
+// ruleSeeds are fuzz seeds whose 1-hop hash cuts hold everything the
+// expansion rule decides on; TestRuleSeedsShowTheRule keeps them so.
+var ruleSeeds = []struct {
+	seed     int64
+	directed bool
+	n        int
+}{{3, true, 3}, {3, false, 3}}
+
+// TestRuleSeedsShowTheRule: each rule seed's 1-hop cut keeps, between two
+// outer copies, the far edge of a triangle through an inner vertex, a
+// parallel pair of them, a reciprocal pair (directed) and a loop, and drops
+// an edge between two outer copies that share no inner neighbor.
+func TestRuleSeedsShowTheRule(t *testing.T) {
+	for _, rs := range ruleSeeds {
+		g := awkwardGraph(rs.seed, rs.directed, false)
+		asg, err := Hash{}.Partition(g, rs.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var far, parallel, reciprocal, loops, dropped int
+		for _, f := range BuildExpanded(g, asg, 1).Fragments {
+			kept := make(map[[2]graph.ID]int)
+			for i := range int32(f.G.NumVertices()) {
+				for _, e := range f.G.OutAt(i) {
+					kept[[2]graph.ID{f.G.IDAt(i), f.G.IDAt(e.To)}]++
+				}
+			}
+			outer := func(id graph.ID) bool { return f.G.Has(id) && !f.IsInner(id) }
+			for _, u := range g.Vertices() {
+				for _, e := range g.Out(u) {
+					v := e.To
+					switch {
+					case !outer(u) || !outer(v):
+					case kept[[2]graph.ID{u, v}] == 0:
+						dropped++
+					case u == v:
+						loops++
+					default:
+						far++
+						if kept[[2]graph.ID{u, v}] > 1 {
+							parallel++
+						}
+						if g.Directed() && kept[[2]graph.ID{v, u}] > 0 {
+							reciprocal++
+						}
+					}
+				}
+			}
+		}
+		t.Logf("seed %d directed %v n=%d: %d far edges kept, %d parallel, %d reciprocal, %d loops; %d dropped", rs.seed, rs.directed, rs.n, far, parallel, reciprocal, loops, dropped)
+		if far == 0 || parallel == 0 || loops == 0 || dropped == 0 || rs.directed && reciprocal == 0 {
+			t.Errorf("seed %d directed %v n=%d no longer shows every case of the rule", rs.seed, rs.directed, rs.n)
+		}
+	}
 }
 
 // TestBuildFrozenEquivalence: Build over a generator's graph and over the
@@ -484,6 +561,52 @@ func TestBuildAllocatedBytes(t *testing.T) {
 		t.Errorf("Build allocates %.3f MB per cut, budget 1.2", mb)
 	} else {
 		t.Logf("%.3f MB per cut", mb)
+	}
+}
+
+// TestBuildExpandedAllocatedBytes pins what one 1-hop cut of the social
+// graph (PreferentialAttachment(10000, 5), 65,038 edges) into 8 hash
+// fragments allocates. The fragments hold 127,456 edges: the region's edges
+// with an inner end, plus the far edges of triangles through inner vertices.
+// The scratch of the triangle listing is about 0.5 MB, the list of kept edges
+// the builder's second walk reads 0.26 MB. The cut read 8.65 MB; keeping
+// every edge of the region, 327,547 of them, it read 10.75 MB.
+func TestBuildExpandedAllocatedBytes(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation is instrumented under -race")
+	}
+	g := gen.PreferentialAttachment(10000, 5, 1)
+	asg, err := Hash{}.Partition(g, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	BuildExpanded(g, asg, 1) // the source derives its views on its first cut
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for r := 0; r < runs; r++ {
+		BuildExpanded(g, asg, 1)
+	}
+	runtime.ReadMemStats(&after)
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1e6; mb > 9 {
+		t.Errorf("BuildExpanded allocates %.3f MB per cut, budget 9", mb)
+	} else {
+		t.Logf("%.3f MB per cut", mb)
+	}
+}
+
+// BenchmarkBuildExpanded times one 1-hop cut of the social graph into 8 hash
+// fragments: the layout tricount and the radius-1 patterns run on.
+func BenchmarkBuildExpanded(b *testing.B) {
+	g := gen.PreferentialAttachment(10000, 5, 1)
+	asg, err := Hash{}.Partition(g, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	BuildExpanded(g, asg, 1)
+	b.ReportAllocs()
+	for b.Loop() {
+		BuildExpanded(g, asg, 1)
 	}
 }
 

@@ -400,23 +400,45 @@ func Build(g *graph.Graph, asg *Assignment) *Layout {
 }
 
 // BuildExpanded cuts g into fragments and then expands each with the full
-// d-hop neighborhood (both edge directions) of its inner vertices, including
-// every edge of g between contained vertices. This is the data-shipping
-// variant GRAPE uses for locality-bounded queries such as subgraph
-// isomorphism: matches anchored at inner vertices become entirely local, so
-// PEval is exact and IncEval terminates in one round.
+// d-hop neighborhood (both edge directions) of its inner vertices. This is
+// the data-shipping variant GRAPE uses for locality-bounded queries such as
+// subgraph isomorphism: matches anchored at inner vertices become entirely
+// local, so PEval is exact and IncEval terminates in one round.
+//
+// A fragment keeps only the edges such a match can read. At d = 1 that is an
+// edge of the region with an inner end, a loop, or an edge between two outer
+// copies that closes a triangle with an inner vertex — one some inner vertex
+// is adjacent to, either direction, at both ends: every edge of a radius-1
+// pattern anchored at an inner vertex (tricount's pivots, the pattern
+// library) is one of these, and an edge joining two outer copies with no
+// inner neighbor in common is read by none. At d ≥ 2 the exact rule needs
+// every vertex's distance to the inner vertices, so a fragment keeps every
+// edge between the vertices of its region, a superset.
 func BuildExpanded(g *graph.Graph, asg *Assignment, d int) *Layout {
 	c := newCut(g, asg)
 	src := c.g
 	b := graph.NewSubgraphBuilder(src)
-	// the region's induced subgraph: an undirected edge is stored from its
-	// lower endpoint, mirror included
+	var tri *anchored
+	if d == 1 {
+		tri = newAnchored(src, asg)
+	}
+	// an undirected edge is stored from its lower endpoint, mirror included
+	directed := src.Directed()
 	keep := func(ui int32, e graph.DenseEdge) bool {
-		return b.Local(e.To) >= 0 && (src.Directed() || src.IDAt(ui) <= src.IDAt(e.To))
+		if !directed && src.IDAt(ui) > src.IDAt(e.To) {
+			return false
+		}
+		if tri != nil {
+			return tri.keep(ui, e)
+		}
+		return b.Local(e.To) >= 0
 	}
 	var replication int64
 	for w := range c.pieces {
 		region := src.UndirectedNeighborhood(c.inner(w), d)
+		if tri != nil {
+			tri.deal(int32(w), region)
+		}
 		p := piece{g: b.Subgraph(region, keep)} // its dense order is the region's
 		for _, li := range p.g.SortedIndices() {
 			i := region[li]
@@ -432,4 +454,74 @@ func BuildExpanded(g *graph.Graph, asg *Assignment, d int) *Layout {
 		c.add(w, p)
 	}
 	return c.layout(replication, d)
+}
+
+// anchored is BuildExpanded's keep at d = 1, for one fragment at a time. The
+// far edges come from one listing of the source's triangles: a triangle
+// through a vertex whose other two are outer copies in its owner gives that
+// fragment the pair of them. Before a fragment is cut its pairs are dealt out
+// to their ends, so the walk stamps an outer seed's partners once, on its
+// first edge.
+type anchored struct {
+	owner    []int32   // per source vertex: the fragment owning it
+	far      [][]int32 // per fragment: its far edges, (y, z) pairs of source dense indices
+	w        int32     // the fragment being cut
+	beg, end []int32   // per vertex of its region: its partners are partners[beg[i]:end[i]]
+	partners []int32
+	stamp    []int32 // stamp[v] == mark: v is a partner of seed
+	seed     int32
+	inner    bool // seed is inner
+	mark     int32
+}
+
+func newAnchored(g *graph.Graph, asg *Assignment) *anchored {
+	nv, owner := g.NumVertices(), asg.owner
+	a := &anchored{owner: owner, far: make([][]int32, asg.N), beg: make([]int32, nv), end: make([]int32, nv), stamp: make([]int32, nv)}
+	g.EachTriangle(func(x, y, z int32) {
+		for range 3 {
+			if w := owner[x]; owner[y] != w && owner[z] != w {
+				a.far[w] = append(a.far[w], y, z)
+			}
+			x, y, z = y, z, x
+		}
+	})
+	return a
+}
+
+// deal lays out fragment w's pairs by end, over region, the vertices of w's
+// cut: every end of a pair is an outer copy next to an inner vertex.
+func (a *anchored) deal(w int32, region []int32) {
+	a.w, a.seed = w, -1
+	far := a.far[w]
+	for _, i := range region {
+		a.end[i] = 0
+	}
+	for _, v := range far {
+		a.end[v]++
+	}
+	n := int32(0)
+	for _, i := range region {
+		a.beg[i], a.end[i], n = n, n, n+a.end[i]
+	}
+	a.partners = slices.Grow(a.partners[:0], len(far))[:len(far)]
+	for k := 0; k < len(far); k += 2 {
+		y, z := far[k], far[k+1]
+		a.partners[a.end[y]], a.partners[a.end[z]] = z, y
+		a.end[y]++
+		a.end[z]++
+	}
+}
+
+// keep reports whether fragment w keeps the edge e out of ui.
+func (a *anchored) keep(ui int32, e graph.DenseEdge) bool {
+	if ui != a.seed {
+		a.seed, a.inner = ui, a.owner[ui] == a.w
+		if !a.inner {
+			a.mark++
+			for _, v := range a.partners[a.beg[ui]:a.end[ui]] {
+				a.stamp[v] = a.mark
+			}
+		}
+	}
+	return a.inner || a.owner[e.To] == a.w || e.To == ui || a.stamp[e.To] == a.mark
 }

@@ -30,7 +30,11 @@ type SubIsoQuery struct {
 // entirely within the d-hop neighborhood of v, where d is the pattern's
 // radius. GRAPE therefore ships data in PEval instead of iterating: run it
 // with Options.ExpandHops = Radius(q) so fragments carry the d-hop
-// neighborhoods of their inner vertices, and
+// neighborhoods of their inner vertices. At radius 1 every pattern edge
+// touches the anchor or joins two of its neighbors, so the 1-hop fragment
+// keeps the edges with an inner end and those between two outer copies
+// with an inner neighbor in common, and no others; at radius 2 and more it
+// keeps every edge of the neighborhood. Then
 //
 //	PEval    — seq.SubIso's backtracking, rooted at the fragment's inner
 //	           vertices only (the anchor: each match is counted by exactly

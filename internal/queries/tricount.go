@@ -26,8 +26,10 @@ type TriCountResult struct {
 
 // TriCount is a second locality-bounded PIE program (beyond SubIso),
 // demonstrating that the data-shipping pattern generalizes: a triangle
-// through v lies inside v's 1-hop neighborhood, so with fragments expanded
-// by one hop (Options.ExpandHops = 1),
+// through v is v's two edges to its neighbors a and b plus the edge {a, b}
+// between them, and a fragment expanded by one hop (Options.ExpandHops = 1)
+// keeps exactly such edges — the ones with an inner end, and those between
+// two outer copies that close a triangle with an inner vertex. So
 //
 //	PEval    — the forward triangle count (seq.TrianglesAt): for each inner
 //	           pivot v, the triangles {v, a, b} with v < a < b by ID, read
