@@ -21,36 +21,20 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("grape-gen: ")
 	var (
-		kind     = flag.String("kind", "road", "dataset: road|social|commerce|ratings")
+		kind     = flag.String("kind", "road", "dataset: "+grape.Datasets)
 		out      = flag.String("o", "", "output file (default stdout)")
-		rows     = flag.Int("rows", 128, "road: rows")
-		cols     = flag.Int("cols", 128, "road: cols")
-		n        = flag.Int("n", 20000, "social: vertices")
-		deg      = flag.Int("deg", 5, "social: out-degree")
-		people   = flag.Int("people", 2000, "commerce: people")
-		products = flag.Int("products", 20, "commerce: products")
-		users    = flag.Int("users", 400, "ratings: users")
-		items    = flag.Int("items", 80, "ratings: items")
-		seed     = flag.Int64("seed", 1, "seed")
 		keywords = flag.String("keywords", "", "comma-separated vocabulary to attach")
+		sizes    grape.Dataset
 	)
+	sizes.Flags(flag.CommandLine)
 	flag.Parse()
 
-	var g *grape.Graph
-	switch *kind {
-	case "road":
-		g = grape.RoadGrid(*rows, *cols, *seed)
-	case "social":
-		g = grape.SocialNetwork(*n, *deg, *seed)
-	case "commerce":
-		g = grape.SocialCommerce(*people, *products, *seed)
-	case "ratings":
-		g = grape.Ratings(*users, *items, 12, *seed)
-	default:
-		log.Fatalf("unknown kind %q", *kind)
+	g, err := sizes.Build(*kind)
+	if err != nil {
+		log.Fatal(err)
 	}
 	if *keywords != "" {
-		grape.AttachKeywords(g, strings.Split(*keywords, ","), 2, 0.05, *seed)
+		grape.AttachKeywords(g, strings.Split(*keywords, ","), 2, 0.05, sizes.Seed)
 	}
 
 	w := os.Stdout

@@ -57,6 +57,7 @@ import (
 	"time"
 
 	"grape"
+	"grape/internal/partition"
 	"grape/internal/server"
 	dstore "grape/internal/store"
 )
@@ -64,8 +65,8 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:8080", "listen address")
-		workers  = flag.Int("workers", 8, "fragments per resident layout")
-		strategy = flag.String("strategy", "fennel", "partition strategy of every resident layout (hash|range|fennel|ldg|metis|2d)")
+		workers  = flag.Int("workers", 0, "fragments per resident layout (0 = GOMAXPROCS)")
+		strategy = flag.String("strategy", partition.Default.Name(), "partition strategy of every resident layout (hash|range|fennel|ldg|metis|2d)")
 		inflight = flag.Int("inflight", 0, "max concurrently running queries (0 = GOMAXPROCS)")
 		queue    = flag.Int("queue", 64, "max queries waiting for a run slot")
 		timeout  = flag.Duration("timeout", 60*time.Second, "per-query deadline (queue wait + run)")
@@ -77,18 +78,11 @@ func main() {
 		flight   = flag.Int("flight", 64, "flight-recorder retention: the most recent N run traces stay fetchable at /debug/runs")
 		debug    = flag.String("debug-addr", "", "serve net/http/pprof on this side address (empty = disabled)")
 
-		preload  = flag.String("preload", "", "comma-separated generated datasets to load: road|social|commerce|ratings")
-		rows     = flag.Int("rows", 128, "road: grid rows")
-		cols     = flag.Int("cols", 128, "road: grid cols")
-		n        = flag.Int("n", 20000, "social: vertices")
-		deg      = flag.Int("deg", 5, "social: out-degree")
-		people   = flag.Int("people", 2000, "commerce: people")
-		products = flag.Int("products", 20, "commerce: products")
-		users    = flag.Int("users", 400, "ratings: users")
-		items    = flag.Int("items", 80, "ratings: items")
-		seed     = flag.Int64("seed", 1, "generator seed")
+		preload  = flag.String("preload", "", "comma-separated generated datasets to load: "+grape.Datasets)
 		keywords = flag.String("keywords", "db,graph,ml", "vocabulary sprinkled on the preloaded social graph (for keyword queries)")
+		sizes    grape.Dataset
 	)
+	sizes.Flags(flag.CommandLine)
 	flag.Parse()
 
 	// One structured JSON record per served query, mutation and engine run
@@ -145,9 +139,12 @@ func main() {
 			lg.Info("preload skipped: recovered from durable store", "graph", name)
 			continue
 		}
-		g, err := buildDataset(name, *rows, *cols, *n, *deg, *people, *products, *users, *items, *seed, *keywords)
+		g, err := sizes.Build(name)
 		if err != nil {
 			fatal(err)
+		}
+		if name == "social" && *keywords != "" {
+			grape.AttachKeywords(g, splitList(*keywords), 2, 0.05, sizes.Seed)
 		}
 		if err := s.AddGraph(name, g); err != nil {
 			fatal(err)
@@ -200,23 +197,4 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-func buildDataset(name string, rows, cols, n, deg, people, products, users, items int, seed int64, keywords string) (*grape.Graph, error) {
-	switch name {
-	case "road":
-		return grape.RoadGrid(rows, cols, seed), nil
-	case "social":
-		g := grape.SocialNetwork(n, deg, seed)
-		if keywords != "" {
-			grape.AttachKeywords(g, splitList(keywords), 2, 0.05, seed)
-		}
-		return g, nil
-	case "commerce":
-		return grape.SocialCommerce(people, products, seed), nil
-	case "ratings":
-		return grape.Ratings(users, items, 12, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown dataset %q (road|social|commerce|ratings)", name)
-	}
 }

@@ -30,6 +30,7 @@ import (
 
 	"grape"
 	"grape/internal/graph"
+	"grape/internal/partition"
 	"grape/internal/trace"
 	"grape/internal/transport"
 )
@@ -49,8 +50,8 @@ func main() {
 		list     = flag.Bool("list", false, "list the registered PIE programs and exit")
 		program  = flag.String("program", "", "program name (see -list)")
 		query    = flag.String("query", "", "query string (see each program's help)")
-		workers  = flag.Int("workers", 8, "number of workers")
-		strategy = flag.String("strategy", "fennel", "partition strategy (hash|range|fennel|ldg|metis|2d)")
+		workers  = flag.Int("workers", 0, "number of workers (0 = GOMAXPROCS; -listen needs it set)")
+		strategy = flag.String("strategy", partition.Default.Name(), "partition strategy (hash|range|fennel|ldg|metis|2d)")
 		steps    = flag.Bool("steps", false, "print the per-superstep PEval/IncEval breakdown")
 		traceOut = flag.String("trace", "", "write the run's flight-recorder trace to this file as Chrome trace-event JSON (open in Perfetto or chrome://tracing)")
 		listen   = flag.String("listen", "", "run distributed: listen here and wait for -workers grape-worker processes")
@@ -59,18 +60,11 @@ func main() {
 
 		input    = flag.String("input", "", "load graph from file (text format) instead of generating")
 		directed = flag.Bool("directed", true, "treat -input file as directed")
-		dataset  = flag.String("dataset", "road", "generated dataset: road|social|commerce|ratings")
-		rows     = flag.Int("rows", 128, "road: grid rows")
-		cols     = flag.Int("cols", 128, "road: grid cols")
-		n        = flag.Int("n", 20000, "social: vertices")
-		deg      = flag.Int("deg", 5, "social: out-degree")
-		people   = flag.Int("people", 2000, "commerce: people")
-		products = flag.Int("products", 20, "commerce: products")
-		users    = flag.Int("users", 400, "ratings: users")
-		items    = flag.Int("items", 80, "ratings: items")
-		seed     = flag.Int64("seed", 1, "generator seed")
+		dataset  = flag.String("dataset", "road", "generated dataset: "+grape.Datasets)
 		keywords = flag.String("keywords", "", "comma-separated vocabulary to sprinkle on vertices")
+		sizes    grape.Dataset
 	)
+	sizes.Flags(flag.CommandLine)
 	flag.Parse()
 
 	if *list {
@@ -81,6 +75,12 @@ func main() {
 		return
 	}
 	if *program == "" {
+		flag.Usage()
+		os.Exit(2)
+	}
+	if *listen != "" && *workers < 1 {
+		// a fleet's size is not this machine's core count
+		fmt.Fprintln(os.Stderr, "grape: -listen needs -workers: the number of grape-worker processes to wait for")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -96,12 +96,12 @@ func main() {
 	}
 	fmt.Printf("query: %s %s\n", pq.Program, pq.Canonical)
 
-	g, err := buildGraph(*input, *directed, *dataset, *rows, *cols, *n, *deg, *people, *products, *users, *items, *seed)
+	g, err := buildGraph(*input, *directed, *dataset, &sizes)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if *keywords != "" {
-		grape.AttachKeywords(g, strings.Split(*keywords, ","), 2, 0.05, *seed)
+		grape.AttachKeywords(g, strings.Split(*keywords, ","), 2, 0.05, sizes.Seed)
 	}
 	fmt.Printf("graph: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
 
@@ -176,27 +176,16 @@ func main() {
 	}
 }
 
-func buildGraph(input string, directed bool, dataset string, rows, cols, n, deg, people, products, users, items int, seed int64) (*grape.Graph, error) {
-	if input != "" {
-		f, err := os.Open(input)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return graph.ReadText(f, directed)
+func buildGraph(input string, directed bool, dataset string, sizes *grape.Dataset) (*grape.Graph, error) {
+	if input == "" {
+		return sizes.Build(dataset)
 	}
-	switch dataset {
-	case "road":
-		return grape.RoadGrid(rows, cols, seed), nil
-	case "social":
-		return grape.SocialNetwork(n, deg, seed), nil
-	case "commerce":
-		return grape.SocialCommerce(people, products, seed), nil
-	case "ratings":
-		return grape.Ratings(users, items, 12, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown dataset %q (road|social|commerce|ratings)", dataset)
+	f, err := os.Open(input)
+	if err != nil {
+		return nil, err
 	}
+	defer f.Close()
+	return graph.ReadText(f, directed)
 }
 
 func printResult(program string, res any) {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -95,5 +96,11 @@ func TestCLIEndToEnd(t *testing.T) {
 	}
 	if _, err := exec.Command(bin, "-program", "sssp", "-query", "source=x").CombinedOutput(); err == nil {
 		t.Fatal("bad query should fail")
+	}
+	// a fleet's size is not this machine's core count: -listen wants -workers
+	out2, err := exec.Command(bin, "-program", "sssp", "-query", "source=0", "-listen", "127.0.0.1:0").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out2), "-listen needs -workers") {
+		t.Fatalf("-listen without -workers: %v\n%s", err, out2)
 	}
 }

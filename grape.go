@@ -14,7 +14,11 @@
 // Quick start:
 //
 //	g := grape.RoadGrid(64, 64, 1)
-//	dists, stats, err := grape.RunSSSP(ctx, g, 0, grape.Options{Workers: 8})
+//	dists, stats, err := grape.RunSSSP(ctx, g, 0, grape.Options{})
+//
+// The zero Options cut the graph into one fragment per core that runs it
+// (runtime.GOMAXPROCS(0)) with the default strategy, fennel; set Workers or
+// Strategy to choose. ServeConfig defaults the same way.
 //
 // To plug in your own sequential algorithm, implement engine.Program's three
 // functions and the update-parameter declaration; see examples/plugplay.
@@ -34,6 +38,7 @@ package grape
 
 import (
 	"context"
+	"flag"
 	"fmt"
 
 	"grape/internal/engine"
@@ -58,8 +63,9 @@ type (
 	// Edge is one adjacency entry.
 	Edge = graph.Edge
 	// Options configures an engine run (workers, partition strategy,
-	// superstep cap, monotonicity checking, optional wire transport for
-	// distributed runs).
+	// superstep cap, optional wire transport for distributed runs). Zero
+	// Workers is runtime.GOMAXPROCS(0); a nil Strategy is the fennel
+	// partitioner, the one strategy default.
 	Options = engine.Options
 	// Stats reports what a run measured: supersteps, per-worker work,
 	// messages and bytes shipped, wall time.
@@ -167,7 +173,7 @@ func NewBuilder() *Builder { return graph.NewBuilder() }
 func NewUndirectedBuilder() *Builder { return graph.NewUndirectedBuilder() }
 
 // Strategies lists the built-in partition strategies (hash, range, fennel,
-// metis-like, 2d).
+// ldg, metis-like, 2d). A run or server that names none cuts with fennel.
 func Strategies() []Strategy { return partition.Strategies() }
 
 // StrategyByName resolves a built-in partition strategy.
@@ -374,4 +380,48 @@ func Ratings(users, items, ratingsPerUser int, seed int64) *Graph {
 // chosen with probability p) for keyword-search workloads.
 func AttachKeywords(g *Graph, vocab []string, k int, p float64, seed int64) {
 	gen.AttachKeywords(g, vocab, k, p, seed)
+}
+
+// Datasets names the generated datasets Dataset.Build knows.
+const Datasets = "road|social|commerce|ratings"
+
+// Dataset holds the sizes of every generated dataset and the generator
+// seed: the flags the command-line tools share. Flags declares them, Build
+// generates one dataset by name; each tool keeps its own flag for the name.
+type Dataset struct {
+	Rows, Cols       int // road
+	N, Deg           int // social
+	People, Products int // commerce
+	Users, Items     int // ratings
+	Seed             int64
+}
+
+// Flags declares -rows, -cols, -n, -deg, -people, -products, -users, -items
+// and -seed on fs, bound to d.
+func (d *Dataset) Flags(fs *flag.FlagSet) {
+	fs.IntVar(&d.Rows, "rows", 128, "road: grid rows")
+	fs.IntVar(&d.Cols, "cols", 128, "road: grid cols")
+	fs.IntVar(&d.N, "n", 20000, "social: vertices")
+	fs.IntVar(&d.Deg, "deg", 5, "social: out-degree")
+	fs.IntVar(&d.People, "people", 2000, "commerce: people")
+	fs.IntVar(&d.Products, "products", 20, "commerce: products")
+	fs.IntVar(&d.Users, "users", 400, "ratings: users")
+	fs.IntVar(&d.Items, "items", 80, "ratings: items")
+	fs.Int64Var(&d.Seed, "seed", 1, "generator seed")
+}
+
+// Build generates the named dataset (one of Datasets) at d's sizes.
+func (d *Dataset) Build(name string) (*Graph, error) {
+	switch name {
+	case "road":
+		return RoadGrid(d.Rows, d.Cols, d.Seed), nil
+	case "social":
+		return SocialNetwork(d.N, d.Deg, d.Seed), nil
+	case "commerce":
+		return SocialCommerce(d.People, d.Products, d.Seed), nil
+	case "ratings":
+		return Ratings(d.Users, d.Items, 12, d.Seed), nil
+	default:
+		return nil, fmt.Errorf("unknown dataset %q (%s)", name, Datasets)
+	}
 }

@@ -140,14 +140,17 @@ func TestEngineDetectsMonotonicityViolation(t *testing.T) {
 
 // TestOrderCheckedByDefault: no option turns the order check on or off. A
 // program whose IncEval raises values against its declared order fails with
-// ErrNotMonotonic under the zero Options — in a one-shot run and in a
-// session's first fixpoint — rather than climbing to the superstep limit.
+// ErrNotMonotonic under Options that name only the cut — in a one-shot run
+// and in a session's first fixpoint — rather than climbing to the superstep
+// limit. The cut is pinned: on one fragment no replica disagrees, so the
+// violation needs more than one.
 func TestOrderCheckedByDefault(t *testing.T) {
 	g := gen.Random(40, 120, 3)
-	if _, _, err := Run(context.Background(), g, countdown{breakOrder: true}, cdQuery{}, Options{}); !errors.Is(err, ErrNotMonotonic) {
+	cut := Options{Workers: 4, Strategy: partition.Hash{}}
+	if _, _, err := Run(context.Background(), g, countdown{breakOrder: true}, cdQuery{}, cut); !errors.Is(err, ErrNotMonotonic) {
 		t.Fatalf("run: want ErrNotMonotonic, got %v", err)
 	}
-	if _, _, _, err := NewSession(context.Background(), g, countdown{breakOrder: true}, cdQuery{}, Options{}); !errors.Is(err, ErrNotMonotonic) {
+	if _, _, _, err := NewSession(context.Background(), g, countdown{breakOrder: true}, cdQuery{}, cut); !errors.Is(err, ErrNotMonotonic) {
 		t.Fatalf("session: want ErrNotMonotonic, got %v", err)
 	}
 }

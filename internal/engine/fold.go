@@ -124,7 +124,8 @@ func (f *foldState[V]) force(s int32, v V) {
 // nil entries are workers that were not scheduled. When the spec declares
 // Less, every change to a value already folded must descend along it — the
 // Assurance Theorem's condition — or the superstep fails with
-// ErrNotMonotonic.
+// ErrNotMonotonic. A report the value table says cannot fold (a vector of
+// another width) fails the superstep before it reaches Agg.
 func (f *foldState[V]) fold(replies []*workerReply[V]) error {
 	f.grow()
 	spec := f.spec
@@ -149,6 +150,11 @@ func (f *foldState[V]) fold(replies []*workerReply[V]) error {
 				old := spec.Default
 				if f.has[s] {
 					old = f.val[s]
+				}
+				if spec.fits != nil {
+					if err := spec.fits(old, u.val); err != nil {
+						return fmt.Errorf("engine: worker %d: node %d: %w", w, f.layout.SlotID(s), err)
+					}
 				}
 				merged := spec.Agg(old, u.val)
 				if spec.eq(old, merged) {

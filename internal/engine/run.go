@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -14,9 +15,10 @@ import (
 
 // Options configures one engine run.
 type Options struct {
-	// Workers is the number of fragments/workers n. Default 4.
+	// Workers is the number of fragments/workers n. Zero means
+	// runtime.GOMAXPROCS(0): one fragment per core that runs it.
 	Workers int
-	// Strategy picks the graph partitioner. Default partition.Hash.
+	// Strategy picks the graph partitioner. Nil means partition.Default.
 	Strategy partition.Strategy
 	// Layout, if non-nil, bypasses partitioning and runs on a prebuilt
 	// layout (used by benches that partition once and query many times).
@@ -57,10 +59,10 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.Workers == 0 {
-		o.Workers = 4
+		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	if o.Strategy == nil {
-		o.Strategy = partition.Hash{}
+		o.Strategy = partition.Default
 	}
 	if o.MaxSupersteps == 0 {
 		o.MaxSupersteps = 100000

@@ -11,6 +11,7 @@ import (
 	"grape/internal/gen"
 	"grape/internal/graph"
 	"grape/internal/mpi"
+	"grape/internal/partition"
 )
 
 // sessionProg is countdown extended with a Repairer so the session machinery
@@ -180,9 +181,11 @@ func TestSessionRejectsUnknownVertices(t *testing.T) {
 func TestSessionNonUpdaterProgramReseeds(t *testing.T) {
 	// a program with no incremental hooks still takes updates: the session
 	// falls back to reseeding, which must match a from-scratch run on the
-	// mutated graph
+	// mutated graph. countdown's answer depends on the cut and the session
+	// keeps its own, so the strategy is one whose cut ignores edges.
 	g := gen.Random(20, 40, 2)
-	s, _, _, err := NewSession(context.Background(), g, countdown{}, cdQuery{}, Options{Workers: 2})
+	opts := Options{Workers: 2, Strategy: partition.Hash{}}
+	s, _, _, err := NewSession(context.Background(), g, countdown{}, cdQuery{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +193,7 @@ func TestSessionNonUpdaterProgramReseeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := Run(context.Background(), g, countdown{}, cdQuery{}, Options{Workers: 2})
+	want, _, err := Run(context.Background(), g, countdown{}, cdQuery{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

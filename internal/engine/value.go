@@ -36,6 +36,7 @@ type valueKind[V any] struct {
 	size  func(v V) int // the bus's estimate of a value's bytes
 	codec Codec[V]
 	arena func(size int) Codec[V] // vectors: a codec cutting size bytes' values from one allocation
+	fits  func(old, v V) error    // nil, or why v cannot fold into old
 	queue bool
 }
 
@@ -46,7 +47,7 @@ var kinds = [...]any{
 	&valueKind[uint8]{eq: same[uint8], size: width[uint8](1), codec: byteCodec{}},
 	&valueKind[bool]{eq: same[bool], size: width[bool](1), codec: boolCodec{}},
 	&valueKind[graph.ID]{eq: same[graph.ID], size: width[graph.ID](8), codec: idCodec{}},
-	&valueKind[[]float64]{eq: slices.Equal[[]float64], size: vecSize[[]float64], codec: vecCodec[[]float64]{}, arena: vecArena[[]float64]},
+	&valueKind[[]float64]{eq: slices.Equal[[]float64], size: vecSize[[]float64], codec: vecCodec[[]float64]{}, arena: vecArena[[]float64], fits: sameWidth},
 	&valueKind[Queue]{eq: bothEmpty, size: vecSize[Queue], codec: vecCodec[Queue]{}, arena: vecArena[Queue], queue: true},
 }
 
@@ -97,6 +98,17 @@ func (k *valueKind[V]) shipSize(ups []update[V]) int {
 func same[T comparable](a, b T) bool { return a == b }
 
 func bothEmpty(a, b Queue) bool { return len(a) == 0 && len(b) == 0 }
+
+// sameWidth refuses a vector whose width differs from the one it folds into:
+// a program's pointwise Agg indexes one by the other. Empty is the
+// "unreached" sentinel and fits any width. Queues vary in length by design
+// and are not checked.
+func sameWidth(old, v []float64) error {
+	if len(old) != 0 && len(v) != 0 && len(old) != len(v) {
+		return fmt.Errorf("vector of width %d cannot fold into one of width %d", len(v), len(old))
+	}
+	return nil
+}
 
 func width[T any](n int) func(T) int { return func(T) int { return n } }
 

@@ -153,3 +153,52 @@ func TestValueOutsideTableIsRefused(t *testing.T) {
 	refused("NewSession", err)
 	refused("WireServe", WireServe(offTable{})(context.Background(), nil, nil, layout.Fragments[0]))
 }
+
+// TestFoldRefusesVectorOfOtherWidth: a worker's report whose vector is
+// narrower than the value it folds into fails the superstep with an error
+// naming the worker and the node, instead of panicking in a pointwise Agg.
+// The empty "unreached" vector still folds into any width, and queues, which
+// vary in length by design, are not checked.
+func TestFoldRefusesVectorOfOtherWidth(t *testing.T) {
+	layout := matching(t, 4)
+	pointwiseMin := func(a, b []float64) []float64 {
+		if a == nil {
+			return b
+		}
+		if b == nil {
+			return a
+		}
+		out := make([]float64, len(a))
+		for i := range a {
+			out[i] = math.Min(a[i], b[i])
+		}
+		return out
+	}
+	fold := newFoldState(declared(VarSpec[[]float64]{Agg: pointwiseMin}), layout)
+	report := func(v []float64) error {
+		return fold.fold([]*workerReply[[]float64]{{changes: []update[[]float64]{{at: 0, val: v}}}, nil})
+	}
+	if err := report([]float64{3, 2, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := report(nil); err != nil {
+		t.Fatalf("the unreached vector: %v", err)
+	}
+	id := layout.Fragments[0].G.IDAt(layout.Fragments[0].BorderIndices()[0])
+	err := report([]float64{0})
+	if err == nil {
+		t.Fatal("a 1-wide vector folded into a 3-wide one")
+	}
+	for _, want := range []string{"worker 0", fmt.Sprintf("node %d", id), "width 1", "width 3"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not say %q", err, want)
+		}
+	}
+
+	queue := newFoldState(declared(VarSpec[Queue]{Agg: func(a, b Queue) Queue { return append(a, b...) }}), layout)
+	for _, q := range []Queue{{1, 2, 3}, {4}} {
+		if err := queue.fold([]*workerReply[Queue]{{changes: []update[Queue]{{at: 0, val: q}}}, nil}); err != nil {
+			t.Fatalf("queue of length %d: %v", len(q), err)
+		}
+	}
+}

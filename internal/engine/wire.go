@@ -132,6 +132,13 @@ func newWireSubstrate[Q, V, R any](layout *partition.Layout, prog Program[Q, V, 
 			s.hostOf[i], s.aliveHost[i] = i, true
 		}
 	}
+	// A fleet whose workers serve one run each (transport.Coordinator) is
+	// claimed last, so that a run refused above leaves it for the next one.
+	if fleet, ok := opts.Transport.(interface{ Claim() error }); ok {
+		if err := fleet.Claim(); err != nil {
+			return nil, fmt.Errorf("engine: %s: %w", prog.Name(), err)
+		}
+	}
 	return s, nil
 }
 

@@ -288,29 +288,33 @@ func GPARScale(ctx context.Context, sc Scale, workerCounts []int) ([]Row, error)
 }
 
 // SimTheorem verifies the Simulation Theorem operationally: a vertex program
-// runs under GRAPE with the same superstep count as natively.
+// runs under GRAPE with the same superstep count as natively. Both engines
+// cut the graph the same way (hash, Giraph's), so their per-worker work
+// compares too.
 func SimTheorem(ctx context.Context, sc Scale, workers int) ([]Row, error) {
 	g := sc.Social()
 	var rows []Row
+	native := vertexcentric.Config{Workers: workers, Strategy: partition.Hash{}}
+	onGRAPE := engine.Options{Workers: workers, Strategy: native.Strategy}
 
-	_, stN, err := vertexcentric.Run(g, vertexcentric.SSSPProgram{Source: 0}, vertexcentric.Config{Workers: workers})
+	_, stN, err := vertexcentric.Run(g, vertexcentric.SSSPProgram{Source: 0}, native)
 	if err != nil {
 		return nil, err
 	}
 	rows = append(rows, rowFromStats("Pregel native", "simulation theorem", stN, "sssp"))
-	_, stS, err := simulate.Run(ctx, g, vertexcentric.SSSPProgram{Source: 0}, engine.Options{Workers: workers})
+	_, stS, err := simulate.Run(ctx, g, vertexcentric.SSSPProgram{Source: 0}, onGRAPE)
 	if err != nil {
 		return nil, err
 	}
 	rows = append(rows, rowFromStats("Pregel on GRAPE", "simulation theorem", stS, "sssp"))
 
 	pr := vertexcentric.PageRankProgram{Damping: 0.85, Iters: 10, N: g.NumVertices()}
-	_, stN2, err := vertexcentric.Run(g, pr, vertexcentric.Config{Workers: workers})
+	_, stN2, err := vertexcentric.Run(g, pr, native)
 	if err != nil {
 		return nil, err
 	}
 	rows = append(rows, rowFromStats("Pregel native", "simulation theorem", stN2, "pagerank"))
-	_, stS2, err := simulate.Run(ctx, g, pr, engine.Options{Workers: workers})
+	_, stS2, err := simulate.Run(ctx, g, pr, onGRAPE)
 	if err != nil {
 		return nil, err
 	}

@@ -22,8 +22,9 @@ type Stats struct {
 
 	// Transport names the substrate the run used: "" for the in-process
 	// bus, "wire" for a socket transport. It qualifies Messages and Bytes:
-	// bus runs estimate bytes from each program's declared Size function,
-	// wire runs measure the actual encoded payload lengths.
+	// bus runs estimate bytes from the engine's value table (a size per
+	// update-parameter type, internal/engine/value.go), wire runs measure
+	// the actual encoded payload lengths.
 	Transport string
 
 	// Messages and Bytes are cross-worker data traffic (what would hit the

@@ -38,9 +38,9 @@ const Coordinator = -1
 // Envelope is a routed message. Exactly one of Payload and Frame carries the
 // content: Payload is an engine-defined Go value (in-process bus), Frame is
 // its wire encoding (socket transports). Size is the payload's data size in
-// bytes — the serialized-size estimate from the program's Size function on
-// the in-process bus, the actual encoded length of the data section on a
-// wire transport.
+// bytes — on the in-process bus the estimate of the engine's value table (a
+// size per update-parameter type, internal/engine/value.go), on a wire
+// transport the actual encoded length of the data section.
 //
 // Frame ownership, the rule that lets both ends reuse memory: a Frame handed
 // to Send is the caller's again when Send returns (the transport has written

@@ -139,6 +139,10 @@ type Strategy interface {
 	Partition(g *graph.Graph, n int) (*Assignment, error)
 }
 
+// Default is the strategy a run or a server cuts with when none is named:
+// engine.Options, server.Config and the CLIs' -strategy flags all read it.
+var Default Strategy = Fennel{}
+
 // Strategies returns the built-in strategy library in a stable order,
 // mirroring the strategy picker of the demo's play panel.
 func Strategies() []Strategy {

@@ -60,11 +60,12 @@ func TestCFMoreEpochsFitBetter(t *testing.T) {
 	short.Epochs = 2
 	long := seq.DefaultCFConfig()
 	long.Epochs = 25
-	rShort, _, err := engine.Run(context.Background(), g, CF{}, CFQuery{Cfg: short}, engine.Options{Workers: 3})
+	cut := engine.Options{Workers: 3, Strategy: partition.Hash{}} // RMSE depends on the cut
+	rShort, _, err := engine.Run(context.Background(), g, CF{}, CFQuery{Cfg: short}, cut)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rLong, _, err := engine.Run(context.Background(), g, CF{}, CFQuery{Cfg: long}, engine.Options{Workers: 3})
+	rLong, _, err := engine.Run(context.Background(), g, CF{}, CFQuery{Cfg: long}, cut)
 	if err != nil {
 		t.Fatal(err)
 	}

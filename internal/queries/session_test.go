@@ -13,6 +13,7 @@ import (
 	"grape/internal/engine"
 	"grape/internal/gen"
 	"grape/internal/graph"
+	"grape/internal/mpi"
 	"grape/internal/partition"
 	"grape/internal/transport"
 )
@@ -309,6 +310,31 @@ func startSessionWorkers(t *testing.T, n int) (*transport.Coordinator, func()) {
 		}
 	}
 	return tr, finish
+}
+
+// TestSpentFleetRefused: a fleet's workers serve one run each, so a second
+// run on the same Coordinator is refused before any setup frame is sent,
+// with transport.ErrSpent — not read as every worker dying, which with
+// Recover on would try to re-home the fragments.
+func TestSpentFleetRefused(t *testing.T) {
+	const workers = 3
+	g := gen.ConnectedRandom(60, 150, 5)
+	tr, finish := startSessionWorkers(t, workers)
+	defer finish()
+	opts := engine.Options{Workers: workers, Strategy: partition.Hash{}, Transport: tr, Recover: true}
+	if _, _, err := engine.Run(context.Background(), g, SSSP{}, SSSPQuery{Source: 0}, opts); err != nil {
+		t.Fatalf("first run: %v", err)
+	}
+	_, st, err := engine.Run(context.Background(), g, SSSP{}, SSSPQuery{Source: 0}, opts)
+	if !errors.Is(err, transport.ErrSpent) {
+		t.Fatalf("second run on a spent fleet: %v, want transport.ErrSpent", err)
+	}
+	if w, fatal := mpi.WorkerFatalOf(err); fatal {
+		t.Fatalf("a spent fleet reads as worker %d dying: %v", w, err)
+	}
+	if st != nil && len(st.Recoveries) > 0 {
+		t.Fatalf("a spent fleet was recovered: %+v", st.Recoveries)
+	}
 }
 
 // TestSessionEquivalence is the session-equivalence harness over every

@@ -226,7 +226,8 @@ func TestDurableBrokenBatchIsWhole(t *testing.T) {
 // through Server.Mutate on PreferentialAttachment(10000, 5), serve-churn's
 // social graph, to half of what it allocated while every batch rebuilt the
 // base graph's CSR from per-vertex lists: 8.93 MB a batch then (the mean
-// over the same 20 batches, go1.24, amd64).
+// over the same 20 batches, go1.24, amd64, on 8 fennel fragments, which the
+// server is pinned to here).
 func TestMutateAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's allocations would swamp the budget")
@@ -234,7 +235,7 @@ func TestMutateAllocBudget(t *testing.T) {
 	const rebuiltBytes = 8.93e6
 	g := gen.PreferentialAttachment(10000, 5, 1)
 	stream := gen.UpdateStream(g, gen.StreamConfig{Batches: 21, BatchSize: 16, DeleteP: 0.4, Seed: 1})
-	s := New(Config{})
+	s := New(Config{Workers: 8, Strategy: "fennel"})
 	defer s.Close()
 	if err := s.AddGraph("social", g); err != nil {
 		t.Fatal(err)

@@ -35,10 +35,12 @@ var (
 
 // Config tunes a Server. Zero values select the documented defaults.
 type Config struct {
-	// Workers is the fragment count of every resident layout. Default 8.
+	// Workers is the fragment count of every resident layout. Zero means
+	// runtime.GOMAXPROCS(0), as in engine.Options.
 	Workers int
 	// Strategy names the partition strategy of every resident layout (see
-	// partition.ByName; an unknown name fails every request). Default "fennel".
+	// partition.ByName; an unknown name fails every request). Empty means
+	// partition.Default.
 	Strategy string
 	// MaxInFlight bounds concurrently running queries. Default GOMAXPROCS.
 	MaxInFlight int
@@ -89,10 +91,10 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Workers == 0 {
-		c.Workers = 8
+		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.Strategy == "" {
-		c.Strategy = "fennel"
+		c.Strategy = partition.Default.Name()
 	}
 	if c.MaxInFlight == 0 {
 		c.MaxInFlight = runtime.GOMAXPROCS(0)

@@ -71,6 +71,53 @@ func newTestServer(t testing.TB, cfg Config) (*Server, map[string]*graph.Graph) 
 	return s, gs
 }
 
+// TestCutDefaults: the cut is decided in one place. A zero fragment count is
+// runtime.GOMAXPROCS(0) when the run or the server starts, and no strategy
+// is partition.Default, for engine.Options and Config alike; an explicit
+// Workers or Strategy wins.
+func TestCutDefaults(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3)) // not the machine's count, nor any old constant
+	g := gen.Random(60, 180, 4)
+	cut := func(opts engine.Options, n int, want partition.Strategy) {
+		t.Helper()
+		layout, err := engine.BuildLayout(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		asg, err := want.Partition(g, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(layout.Fragments) != n {
+			t.Fatalf("%+v: %d fragments, want %d", opts, len(layout.Fragments), n)
+		}
+		for _, v := range g.Vertices() {
+			if layout.Asg.Owner(v) != asg.Owner(v) {
+				t.Fatalf("%+v: vertex %d on fragment %d, %s puts it on %d", opts, v, layout.Asg.Owner(v), want.Name(), asg.Owner(v))
+			}
+		}
+	}
+	cut(engine.Options{}, 3, partition.Default)
+	cut(engine.Options{Workers: 5}, 5, partition.Default)
+	cut(engine.Options{Strategy: partition.Hash{}}, 3, partition.Hash{})
+
+	for _, c := range []struct {
+		cfg      Config
+		workers  int
+		strategy partition.Strategy
+	}{
+		{Config{}, 3, partition.Default},
+		{Config{Workers: 5}, 5, partition.Default},
+		{Config{Strategy: "hash"}, 3, partition.Hash{}},
+	} {
+		s := New(c.cfg)
+		s.Close()
+		if s.cfg.Workers != c.workers || s.strat != c.strategy || s.stratErr != nil {
+			t.Fatalf("%+v: %d workers, strategy %v (%v); want %d, %s", c.cfg, s.cfg.Workers, s.strat, s.stratErr, c.workers, c.strategy.Name())
+		}
+	}
+}
+
 // servedState reads the graph and epoch s serves under name now. A mutation
 // replaces the graph with a new one; the one AddGraph was given stays as it
 // was.

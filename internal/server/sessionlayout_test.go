@@ -200,7 +200,7 @@ func servedMissOnSessionLayout(t *testing.T, strategy string) {
 // run on a fresh cut and equal a fresh server's answer over the same graph.
 func TestServedCFAfterMutationMatchesFreshCut(t *testing.T) {
 	g := gen.DirectedRatings(gen.RatingsConfig{Users: 200, Items: 40, RatingsPerUser: 8, Factors: 4, Noise: 0.1, Seed: 5})
-	cfg := Config{Strategy: "2d"}
+	cfg := Config{Workers: 8, Strategy: "2d"} // more than one fragment, on any machine
 	s := New(cfg)
 	defer s.Close()
 	if err := s.AddGraph("ratings", g); err != nil {

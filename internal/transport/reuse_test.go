@@ -29,7 +29,7 @@ func TestWorkerRunReusesMemory(t *testing.T) {
 	}
 	const workers = 4
 	g := gen.Random(12000, 36000, 7)
-	layout, err := engine.BuildLayout(g, engine.Options{Workers: workers, ExpandHops: 1})
+	layout, err := engine.BuildLayout(g, engine.Options{Workers: workers, Strategy: partition.Hash{}, ExpandHops: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

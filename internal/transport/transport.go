@@ -234,10 +234,10 @@ func Listen(network, addr string, n int, timeout time.Duration, opts ...AcceptOp
 
 // Coordinator is the coordinator's side of the socket transport: an
 // mpi.Transport whose workers live in other processes. A Coordinator is
-// single-use per engine run; Close it when the run finishes. It implements
-// mpi.Reassigner: a fragment can be re-homed onto another worker's link
-// after its own died, which is how the engine's recovery path survives
-// worker crashes.
+// single-use per engine run (Claim); Close it when the run finishes. It
+// implements mpi.Reassigner: a fragment can be re-homed onto another
+// worker's link after its own died, which is how the engine's recovery path
+// survives worker crashes.
 type Coordinator struct {
 	n     int
 	conns []*conn
@@ -258,6 +258,8 @@ type Coordinator struct {
 	pingEvery time.Duration
 	window    time.Duration
 
+	claimed atomic.Bool // a run has started on these links (Claim)
+
 	done      chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
@@ -266,6 +268,12 @@ type Coordinator struct {
 var _ mpi.Transport = (*Coordinator)(nil)
 var _ mpi.Reassigner = (*Coordinator)(nil)
 
+// ErrSpent is why a run is refused on a fleet that already served one: each
+// worker process serves a single run and then hangs up, so a second run would
+// find every link closed and read as every worker dying at once. Nothing was
+// sent, and nothing can be recovered.
+var ErrSpent = errors.New("worker fleet already served a run")
+
 // Workers returns the number of fragments the transport serves (equal to
 // the number of worker processes accepted; reassignment can concentrate
 // several fragments on one surviving process).
@@ -273,6 +281,17 @@ func (c *Coordinator) Workers() int { return c.n }
 
 // Wire reports that payloads cross a process boundary.
 func (c *Coordinator) Wire() bool { return true }
+
+// Claim reserves the links for one run. A worker serves a single run and
+// hangs up, so every later Claim fails with ErrSpent: the engine refuses the
+// run before a setup frame goes out, rather than reading the closed links as
+// worker deaths.
+func (c *Coordinator) Claim() error {
+	if c.claimed.Swap(true) {
+		return fmt.Errorf("transport: %d workers: %w", c.n, ErrSpent)
+	}
+	return nil
+}
 
 // Reassign re-homes fragment frag onto worker host's link: subsequent
 // frames addressed to frag are written there. It fails if host's link is
