@@ -3,21 +3,23 @@ package graph
 import "slices"
 
 // The CSR form, a Graph's one representation: per vertex, a run of packed
-// out-edges carrying the dense target index (outOff plus outDense), and
-// vertex and edge labels interned into one table (vlab, labelNames). The
-// dense accessors (OutAt, InAt, LabelIDAt, …) traverse without a single hash
-// lookup, and every read method is safe for concurrent use.
+// out-edges carrying the dense target index (outOff plus outDense, and on a
+// spliced graph the patch of patch.go over them), and vertex and edge labels
+// interned into one table (vlab, labelNames). The dense accessors (OutAt,
+// InAt, LabelIDAt, …) traverse without a single hash lookup, and every read
+// method is safe for concurrent use.
 //
 // The dense CSR is the one adjacency a graph stores: 16 bytes per packed
 // edge, the arrays the kernels read and the arrays flat.go ships. Out and In
 // resolve a vertex's packed edges to sparse-ID Edges on each call, for
 // programs, examples and tests; nothing keeps an ID-keyed copy of the
-// adjacency. The reverse CSR of a directed graph is derived from the out CSR
-// on the first InAt, In or InDegreeAt, once, under a sync.Once, so concurrent
-// first use is safe (sssp, cc, keyword, cf and tricount never read it), and
-// so is the larger-ID neighbor view tricount reads (UpCSR).
+// adjacency. The reverse CSR of a directed graph is derived from the
+// out-lists on the first InAt, In or InDegreeAt, once, under a sync.Once, so
+// concurrent first use is safe and a program that reads no in-edges never
+// pays for it (a splice hands a derived one on, patched), and so is the
+// larger-ID neighbor view tricount reads (UpCSR).
 //
-// So is the ID index. A graph stores its ids, vlab, outOff and outDense, the
+// So is the ID index. A graph stores its ids, vlab, out CSR (and patch), the
 // label table, and a property column only if some vertex has a property.
 // Builder.Graph keeps the map the builder grew and Splice keeps or builds
 // one; a graph that never had one — a cut (Subgraph), a decoded frame or
@@ -28,9 +30,9 @@ import "slices"
 //
 // The arrays are never written through — they may alias a read-only file
 // mapping or a received frame, and clones and splices share them. A graph
-// changes only by Splice (splice.go), which builds new arrays from the old
-// ones and a Batch, and by MapProps (SetProps, AddProp), which builds a new
-// property column from the old one.
+// changes only by Splice (splice.go), which patches the lists a Batch
+// touches over the old arrays, and by MapProps (SetProps, AddProp), which
+// builds a new property column from the old one.
 
 // DenseEdge is the packed CSR edge of a graph: the dense index of the
 // target vertex, the interned edge label, and the weight. The sparse target
@@ -45,38 +47,40 @@ type DenseEdge struct {
 // written when graphs had a mutable build phase.
 func (g *Graph) Freeze() *Graph { return g }
 
-// reverseCSR derives the reverse CSR from the out CSR by counting sort over
+// reverseCSR derives g's reverse CSR from its out-lists by counting sort over
 // targets, scanning sources in dense order, so each vertex's in-edges come in
 // the order of their sources.
-func reverseCSR(outOff []int32, outDense []DenseEdge) *revCSR {
-	nv := len(outOff) - 1
+func reverseCSR(g *Graph) *adjacency {
+	nv := int32(len(g.ids))
 	inOff := make([]int32, nv+1)
-	for _, e := range outDense {
-		inOff[e.To+1]++
+	for u := range nv {
+		for _, e := range g.OutAt(u) {
+			inOff[e.To+1]++
+		}
 	}
-	for i := 0; i < nv; i++ {
+	for i := range nv {
 		inOff[i+1] += inOff[i]
 	}
-	inDense := make([]DenseEdge, len(outDense))
+	inDense := make([]DenseEdge, inOff[nv])
 	next := make([]int32, nv)
 	copy(next, inOff[:nv])
-	for ui := 0; ui < nv; ui++ {
-		for _, de := range outDense[outOff[ui]:outOff[ui+1]] {
-			inDense[next[de.To]] = DenseEdge{To: int32(ui), Label: de.Label, W: de.W}
+	for u := range nv {
+		for _, de := range g.OutAt(u) {
+			inDense[next[de.To]] = DenseEdge{To: u, Label: de.Label, W: de.W}
 			next[de.To]++
 		}
 	}
-	return &revCSR{inOff, inDense}
+	return &adjacency{off: inOff, dense: inDense}
 }
 
-// upCSR derives UpCSR's lists from the out CSR alone, in three passes: count
-// every non-loop edge at its smaller-ID end, fill, then drop repeats
+// upCSR derives UpCSR's lists from g's out-lists alone, in three passes:
+// count every non-loop edge at its smaller-ID end, fill, then drop repeats
 // (parallel and reciprocal edges) with a stamp, compacting in place.
-func upCSR(ids []ID, outOff []int32, outDense []DenseEdge) (off, adj []int32) {
-	nv := len(outOff) - 1
+func upCSR(g *Graph) (off, adj []int32) {
+	ids, nv := g.ids, len(g.ids)
 	off = make([]int32, nv+1)
 	for u := int32(0); u < int32(nv); u++ {
-		for _, e := range outDense[outOff[u]:outOff[u+1]] {
+		for _, e := range g.OutAt(u) {
 			switch {
 			case ids[u] < ids[e.To]:
 				off[u+1]++
@@ -92,7 +96,7 @@ func upCSR(ids []ID, outOff []int32, outDense []DenseEdge) (off, adj []int32) {
 	next := make([]int32, nv)
 	copy(next, off[:nv])
 	for u := int32(0); u < int32(nv); u++ {
-		for _, e := range outDense[outOff[u]:outOff[u+1]] {
+		for _, e := range g.OutAt(u) {
 			switch {
 			case ids[u] < ids[e.To]:
 				adj[next[u]] = e.To
@@ -127,6 +131,9 @@ func upCSR(ids []ID, outOff []int32, outDense []DenseEdge) (off, adj []int32) {
 // OutAt returns the packed out-edges of the vertex at dense index i. The
 // caller must not mutate the returned slice.
 func (g *Graph) OutAt(i int32) []DenseEdge {
+	if g.outPatch != nil {
+		return g.patchedOut(i)
+	}
 	return g.outDense[g.outOff[i]:g.outOff[i+1]]
 }
 
@@ -141,37 +148,66 @@ func (g *Graph) InAt(i int32) []DenseEdge {
 	if r == nil {
 		r = g.reverse()
 	}
-	return r.dense[r.off[i]:r.off[i+1]]
+	return r.at(i)
 }
 
 // OutCSR returns the whole out-adjacency — OutAt(i) is dense[off[i]:off[i+1]].
-func (g *Graph) OutCSR() (off []int32, dense []DenseEdge) { return g.outOff, g.outDense }
-
-// InCSR returns the whole in-adjacency — InAt(i) is dense[off[i]:off[i+1]] —
-// for kernels that read it per vertex (InAt is not inlined).
-func (g *Graph) InCSR() (off []int32, dense []DenseEdge) {
-	if !g.directed {
+// A spliced graph folds its patch into flat arrays on the first call, once,
+// and shares them with its clones.
+func (g *Graph) OutCSR() (off []int32, dense []DenseEdge) {
+	if g.outPatch == nil {
 		return g.outOff, g.outDense
 	}
+	s := g.lazy
+	s.outFlatOnce.Do(func() { a := g.outs(); s.outFlat = a.flat(len(g.ids)) })
+	return s.outFlat.off, s.outFlat.dense
+}
+
+// InCSR returns the whole in-adjacency — InAt(i) is dense[off[i]:off[i+1]] —
+// for kernels that read it per vertex (InAt is not inlined). A patched
+// reverse CSR is folded as OutCSR folds.
+func (g *Graph) InCSR() (off []int32, dense []DenseEdge) {
+	if !g.directed {
+		return g.OutCSR()
+	}
 	r := g.reverse()
-	return r.off, r.dense
+	if r.patch == nil {
+		return r.off, r.dense
+	}
+	s := g.lazy
+	s.inFlatOnce.Do(func() { s.inFlat = r.flat(len(g.ids)) })
+	return s.inFlat.off, s.inFlat.dense
 }
 
 // UpCSR returns, for each vertex, its undirected neighbors with a larger ID
 // — adj[off[i]:off[i+1]] for the vertex at dense index i, as dense indices,
 // each once: self-loops are dropped and parallel and reciprocal edges
-// collapse. It is derived from the out CSR on first call and shared by
+// collapse. It is derived from the out-lists on first call and shared by
 // clones; the reverse CSR is not needed. The caller must not mutate the
 // returned slices.
 func (g *Graph) UpCSR() (off, adj []int32) {
 	s := g.lazy
-	s.upOnce.Do(func() { s.upOff, s.upAdj = upCSR(g.ids, g.outOff, g.outDense) })
+	s.upOnce.Do(func() { s.upOff, s.upAdj = upCSR(g) })
 	return s.upOff, s.upAdj
 }
 
 // OutDegreeAt returns the out-degree of the vertex at dense index i.
 func (g *Graph) OutDegreeAt(i int32) int {
+	if g.outPatch != nil {
+		return len(g.patchedOut(i))
+	}
 	return int(g.outOff[i+1] - g.outOff[i])
+}
+
+// patchedOut is OutAt on a spliced graph. It stays a call, so that OutAt and
+// OutDegreeAt, which branch to it, stay small enough to inline.
+//
+//go:noinline
+func (g *Graph) patchedOut(i int32) []DenseEdge {
+	if es, ok := g.outPatch.list(i); ok {
+		return es
+	}
+	return g.outDense[g.outOff[i]:g.outOff[i+1]]
 }
 
 // InDegreeAt returns the in-degree of the vertex at dense index i.
@@ -183,7 +219,7 @@ func (g *Graph) InDegreeAt(i int32) int {
 	if r == nil {
 		r = g.reverse()
 	}
-	return int(r.off[i+1] - r.off[i])
+	return len(r.at(i))
 }
 
 // LabelIDAt returns the interned label of the vertex at dense index i.

@@ -188,16 +188,16 @@ func AppendSection(buf []byte, base int, sec []byte) []byte {
 	return append(buf, sec...)
 }
 
-// appendStrings appends the string section of d: the label-intern table,
+// appendStrings appends the string section of g: the label-intern table,
 // then the sparse property entries (uvarint dense index, uvarint count,
 // strings), one per vertex with properties, in ascending dense order. Strings
 // are uvarint length + raw bytes.
-func appendStrings(buf []byte, d csrData) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(d.Labels)))
-	for _, s := range d.Labels {
+func appendStrings(buf []byte, g *Graph) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(g.labelNames)))
+	for _, s := range g.labelNames {
 		buf = appendString(buf, s)
 	}
-	off := d.PropOff
+	off := g.propOff
 	entries := 0
 	for v := 1; v < len(off); v++ {
 		if off[v-1] < off[v] {
@@ -211,7 +211,7 @@ func appendStrings(buf []byte, d csrData) []byte {
 		}
 		buf = binary.AppendUvarint(buf, uint64(v-1))
 		buf = binary.AppendUvarint(buf, uint64(off[v]-off[v-1]))
-		for _, p := range d.PropVals[off[v-1]:off[v]] {
+		for _, p := range g.propVals[off[v-1]:off[v]] {
 			buf = appendString(buf, p)
 		}
 	}
@@ -219,23 +219,23 @@ func appendStrings(buf []byte, d csrData) []byte {
 }
 
 // stringsLen returns the length of the string section appendStrings writes.
-func stringsLen(d csrData) int {
+func stringsLen(g *Graph) int {
 	n, entries := 0, 0
 	str := func(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
-	for _, s := range d.Labels {
+	for _, s := range g.labelNames {
 		n += str(s)
 	}
-	for _, p := range d.PropVals {
+	for _, p := range g.propVals {
 		n += str(p)
 	}
-	off := d.PropOff
+	off := g.propOff
 	for v := 1; v < len(off); v++ {
 		if k := off[v] - off[v-1]; k > 0 {
 			entries++
 			n += uvarintLen(uint64(v-1)) + uvarintLen(uint64(k))
 		}
 	}
-	return n + uvarintLen(uint64(len(d.Labels))) + uvarintLen(uint64(entries))
+	return n + uvarintLen(uint64(len(g.labelNames))) + uvarintLen(uint64(entries))
 }
 
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
@@ -357,9 +357,8 @@ type FlatSize struct{ strs, total int }
 
 // MeasureFlat measures the wire form of g.
 func MeasureFlat(g *Graph) FlatSize {
-	d := g.flatView()
-	strs := stringsLen(d)
-	_, _, _, _, total := flatLayout(uint64(len(d.IDs)), uint64(len(d.OutDense)), uint64(strs))
+	strs := stringsLen(g)
+	_, _, _, _, total := flatLayout(uint64(len(g.ids)), uint64(g.packed()), uint64(strs))
 	return FlatSize{strs, int(total)}
 }
 
@@ -372,29 +371,42 @@ func AppendFlat(buf []byte, g *Graph) []byte { return AppendFlatSized(buf, g, Me
 
 // AppendFlatSized appends the wire form of g, measured as size, to buf and
 // returns the extended buffer, growing it once to size.Len() more bytes: the
-// small string section first, then one copy per fixed-width section. Sections
-// are aligned relative to len(buf) at entry — a caller that wants the decoder
-// to alias them places that offset 8-aligned in an 8-aligned buffer.
+// small string section first, then one copy per fixed-width section — or,
+// for a spliced graph's out CSR, one per list. Sections are aligned relative
+// to len(buf) at entry — a caller that wants the decoder to alias them
+// places that offset 8-aligned in an 8-aligned buffer.
 func AppendFlatSized(buf []byte, g *Graph, size FlatSize) []byte {
-	d := g.flatView()
 	buf = slices.Grow(buf, size.total)
 	base := len(buf)
 	le := binary.LittleEndian
 	buf = le.AppendUint32(buf, flatMagic)
 	var flags uint32
-	if d.Directed {
+	if g.directed {
 		flags = flatDirected
 	}
 	buf = le.AppendUint32(buf, flags)
-	buf = le.AppendUint32(buf, uint32(len(d.IDs)))
-	buf = le.AppendUint32(buf, uint32(len(d.OutDense)))
-	buf = le.AppendUint64(buf, uint64(d.NumEdges))
+	buf = le.AppendUint32(buf, uint32(len(g.ids)))
+	buf = le.AppendUint32(buf, uint32(g.packed()))
+	buf = le.AppendUint64(buf, uint64(g.numEdges))
 	buf = le.AppendUint64(buf, uint64(size.strs))
-	buf = appendStrings(buf, d)
-	buf = AppendSection(buf, base, idBytes(d.IDs))
-	buf = AppendSection(buf, base, Int32Bytes(d.VLabels))
-	buf = AppendSection(buf, base, Int32Bytes(d.OutOff))
-	return AppendSection(buf, base, denseBytes(d.OutDense))
+	buf = appendStrings(buf, g)
+	buf = AppendSection(buf, base, idBytes(g.ids))
+	buf = AppendSection(buf, base, Int32Bytes(g.vlab))
+	if g.outPatch == nil {
+		buf = AppendSection(buf, base, Int32Bytes(g.outOff))
+		return AppendSection(buf, base, denseBytes(g.outDense))
+	}
+	buf = le.AppendUint32(AppendSection(buf, base, nil), 0) // the offsets, summed list by list
+	at := uint32(0)
+	for i := range int32(len(g.ids)) {
+		at += uint32(len(g.OutAt(i)))
+		buf = le.AppendUint32(buf, at)
+	}
+	buf = AppendSection(buf, base, nil)
+	for i := range int32(len(g.ids)) {
+		buf = append(buf, denseBytes(g.OutAt(i))...)
+	}
+	return buf
 }
 
 // DecodeFlat decodes a wire form from the front of data, returning the

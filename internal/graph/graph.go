@@ -13,8 +13,12 @@
 // A Graph has one representation, the CSR form of csr.go, and every read
 // method is safe for concurrent use. A Builder (builder.go) builds one from
 // nothing; Splice (splice.go) changes one, building a new graph from the old
-// one and a Batch without writing the old arrays. The mutators on Graph are
-// one-operation splices or property rebuilds, each O(|G|).
+// one and a Batch without writing the old arrays: the new graph shares them
+// and carries a copy-on-write patch of the lists the batch changed
+// (patch.go), folded into fresh arrays once it grows past a fixed share of
+// the edges. The edge and vertex mutators on Graph are one-operation
+// splices, each O(touched lists), amortised; the property rebuilds are
+// O(|G|).
 //
 // The CSR form is also what travels — flat.go lays the same arrays out as
 // aligned sections, the one byte layout of a graph: fragment frames of the
@@ -60,10 +64,12 @@ type Graph struct {
 	propOff  []int32
 	propVals []string
 
-	// The CSR form (see csr.go): the only stored adjacency; lazy holds
-	// everything derived from it on first use.
+	// The CSR form (see csr.go): the only stored adjacency, a flat CSR with
+	// a patch over it on a spliced graph (patch.go; outs bundles the three);
+	// lazy holds everything derived from it on first use.
 	outOff     []int32     // dense index -> [outOff[i], outOff[i+1]) in outDense
 	outDense   []DenseEdge // flat out-adjacency: dense targets, interned labels
+	outPatch   *patch      // nil unless spliced
 	vlab       []int32     // dense index -> interned vertex label
 	labelNames []string
 	labelIDs   map[string]int32
@@ -74,28 +80,36 @@ type Graph struct {
 // under its own sync.Once on the first call that reads it, so concurrent
 // first use is safe and a run that never asks never pays: the reverse CSR of
 // a directed graph (InAt, In, InDegreeAt), the ascending-ID vertex order
-// (SortedIndices), the larger-ID neighbor lists (UpCSR) and, for a graph
-// with no map of its own, the ID index (Index and every by-ID lookup). Clones
-// share the CSR arrays and so share the views.
+// (SortedIndices), the larger-ID neighbor lists (UpCSR), for a graph with no
+// map of its own the ID index (Index and every by-ID lookup), and for a
+// spliced graph the flat arrays OutCSR and InCSR fold its patches into.
+// Clones share the CSR arrays and so share the views.
 type lazyViews struct {
-	revOnce, orderOnce, upOnce, indexOnce sync.Once
+	revOnce, orderOnce, upOnce, indexOnce, outFlatOnce, inFlatOnce sync.Once
 
-	rev          atomic.Pointer[revCSR] // set once, under revOnce
-	order        []int32
-	upOff, upAdj []int32
-	index        map[ID]int32 // never written after indexOnce: Splice builds its own
+	rev             atomic.Pointer[adjacency] // set once, under revOnce; Splice may set it at birth
+	order           []int32
+	upOff, upAdj    []int32
+	index           map[ID]int32 // never written after indexOnce: Splice builds its own
+	outFlat, inFlat adjacency
 }
 
-// revCSR is the reverse CSR of a directed graph.
-type revCSR struct {
-	off   []int32
-	dense []DenseEdge
+// outs returns the graph's out-adjacency: its flat CSR and patch.
+func (g *Graph) outs() adjacency { return adjacency{g.outOff, g.outDense, g.outPatch} }
+
+// packed returns the number of packed out-edges, both directions of an
+// undirected edge.
+func (g *Graph) packed() int {
+	if g.outPatch != nil {
+		return g.outPatch.packed
+	}
+	return len(g.outDense)
 }
 
 // reverse returns the graph's reverse CSR, deriving it if nothing has yet.
-func (g *Graph) reverse() *revCSR {
+func (g *Graph) reverse() *adjacency {
 	s := g.lazy
-	s.revOnce.Do(func() { s.rev.Store(reverseCSR(g.outOff, g.outDense)) })
+	s.revOnce.Do(func() { s.rev.Store(reverseCSR(g)) })
 	return s.rev.Load()
 }
 
@@ -141,8 +155,10 @@ func (g *Graph) NumEdges() int { return g.numEdges }
 // AddVertex inserts a vertex with the given label if it does not exist, and
 // returns its dense index. Re-adding an existing vertex updates its label
 // only when label is non-empty. Like AddEdge, AddLabeledEdge and RemoveEdge
-// it builds the graph anew — a one-operation Splice written over the
-// receiver — so a call is O(|G|): bulk callers use a Builder or a Batch.
+// it is a one-operation Splice written over the receiver, so a call costs
+// what it touches — the lists it changes, the patch's chunk table, and now
+// and then a fold, O(|G|) — amortised: bulk callers use a Builder or a
+// Batch. A label change copies the vertex labels, O(|V|).
 func (g *Graph) AddVertex(id ID, label string) int32 {
 	if i, ok := g.Index(id); ok {
 		if label != "" && g.LabelAt(i) != label {
@@ -181,7 +197,7 @@ func (g *Graph) splice(b *Batch) {
 
 // SetProps replaces the property list of id. It panics if id is absent. Like
 // AddProp it rebuilds the property column — a one-operation MapProps — so a
-// call is O(|G|), as AddVertex says: bulk callers use MapProps or a Builder.
+// call is O(|G|): bulk callers use MapProps or a Builder.
 func (g *Graph) SetProps(id ID, props []string) {
 	i := g.mustIndex(id)
 	g.MapProps(func(j int32, old []string) []string {
@@ -243,7 +259,8 @@ func propColumn(n int, list func(i int) []string) ([]int32, []string) {
 
 // AddEdge inserts an edge from u to v, creating missing endpoints with empty
 // labels. For undirected graphs the reverse edge is stored too. Parallel
-// edges are allowed. A call is O(|G|), as AddVertex says.
+// edges are allowed. A call costs what it touches, amortised, as AddVertex
+// says.
 func (g *Graph) AddEdge(u, v ID, w float64) { g.AddLabeledEdge(u, v, w, "") }
 
 // AddLabeledEdge is AddEdge with an edge label.
@@ -263,8 +280,8 @@ func (g *Graph) AddLabeledEdge(u, v ID, w float64, label string) {
 // (weight is not part of the match; parallel edges with the same label are
 // removed one instance per call, first in adjacency order) and returns the
 // removed edge. For undirected graphs the stored reverse instance goes too.
-// When no edge matches, the graph is unchanged and ok is false. A call is
-// O(|G|), as AddVertex says.
+// When no edge matches, the graph is unchanged and ok is false. A call costs
+// what it touches, amortised, as AddVertex says.
 func (g *Graph) RemoveEdge(u, v ID, label string) (removed Edge, ok bool) {
 	var b Batch
 	b.RemoveEdge(u, v, label)
@@ -376,12 +393,12 @@ func (g *Graph) mustIndex(id ID) int32 {
 	return i
 }
 
-// Clone returns a copy of the graph that shares the immutable CSR arrays,
-// label table, property column and derived views — the ID index built on
-// first lookup included (nothing writes them in place). The ids and ID index
-// are copied, and the shared vertex labels and property column are clipped,
-// so Splice, which appends to them, gives each of two clones an array of its
-// own.
+// Clone returns a copy of the graph that shares the immutable CSR arrays and
+// patch, label table, property column and derived views — the ID index built
+// on first lookup included (nothing writes them in place). The ids and ID
+// index are copied, and the shared vertex labels and property column are
+// clipped, so Splice, which appends to them, gives each of two clones an
+// array of its own.
 func (g *Graph) Clone() *Graph {
 	return &Graph{
 		directed:   g.directed,
@@ -390,6 +407,7 @@ func (g *Graph) Clone() *Graph {
 		numEdges:   g.numEdges,
 		outOff:     g.outOff,
 		outDense:   g.outDense,
+		outPatch:   g.outPatch,
 		vlab:       slices.Clip(g.vlab),
 		propOff:    slices.Clip(g.propOff),
 		propVals:   slices.Clip(g.propVals),
@@ -468,7 +486,8 @@ func Diff(a, b *Graph) error {
 // deserialization.
 func (g *Graph) Validate() error {
 	nv := len(g.ids)
-	if g.propOff != nil && len(g.propOff) != nv+1 || nv != len(g.vlab) || len(g.outOff) != nv+1 {
+	a := g.outs()
+	if g.propOff != nil && len(g.propOff) != nv+1 || nv != len(g.vlab) || len(a.off) > nv+1 || a.patch == nil && len(a.off) != nv+1 {
 		return fmt.Errorf("graph: inconsistent slice lengths")
 	}
 	if g.propOff != nil {
@@ -485,11 +504,31 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("graph: index entry %d -> %d broken", id, i)
 		}
 	}
-	if err := checkOffsets(g.outOff, len(g.outDense)); err != nil {
+	if err := checkOffsets(a.off, len(a.dense)); err != nil {
 		return fmt.Errorf("graph: out CSR: %w", err)
 	}
-	if err := checkDense(g.outDense, nv, len(g.labelNames)); err != nil {
+	if err := checkDense(a.dense, nv, len(g.labelNames)); err != nil {
 		return fmt.Errorf("graph: out CSR: %w", err)
+	}
+	if a.patch == nil {
+		return nil
+	}
+	if len(a.patch.chunks) != (nv+chunkMask)>>chunkBits {
+		return fmt.Errorf("graph: out patch covers %d chunks of %d vertices", len(a.patch.chunks), nv)
+	}
+	packed := 0
+	for i := range int32(nv) {
+		es, ok := a.patch.list(i)
+		if !ok && int(i) >= len(a.off)-1 {
+			return fmt.Errorf("graph: out patch misses appended vertex %d", i)
+		}
+		if err := checkDense(es, nv, len(g.labelNames)); err != nil {
+			return fmt.Errorf("graph: out patch, vertex %d: %w", i, err)
+		}
+		packed += len(a.at(i))
+	}
+	if packed != a.patch.packed {
+		return fmt.Errorf("graph: out patch counts %d packed edges of %d", a.patch.packed, packed)
 	}
 	return nil
 }

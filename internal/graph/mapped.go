@@ -2,8 +2,8 @@ package graph
 
 import "fmt"
 
-// csrData is the flat form of a Graph: exactly the arrays Builder.Graph
-// builds and the wire form ships. The fixed-width slices (IDs, VLabels,
+// csrData is the flat form of a Graph as DecodeFlat reads it: exactly the
+// arrays Builder.Graph builds and the wire form ships. The fixed-width slices (IDs, VLabels,
 // OutOff, OutDense) are the half fromFlat aliases as given, so they may point
 // into a read-only file mapping or a received frame. The string-bearing half
 // (Labels and the property column) is always heap-resident; fromFlat
@@ -22,22 +22,6 @@ type csrData struct {
 	PropVals []string
 }
 
-// flatView returns the graph's flat form. The returned slices alias the
-// graph's internal arrays and are read-only.
-func (g *Graph) flatView() csrData {
-	return csrData{
-		Directed: g.directed,
-		NumEdges: g.numEdges,
-		IDs:      g.ids,
-		VLabels:  g.vlab,
-		OutOff:   g.outOff,
-		OutDense: g.outDense,
-		Labels:   g.labelNames,
-		PropOff:  g.propOff,
-		PropVals: g.propVals,
-	}
-}
-
 // distinctIDs proves a graph's vertex IDs distinct: by one pass when they
 // ascend in dense order (a generator's graphs and their snapshots), else by
 // building the ID index — kept for the first lookup — and counting it.
@@ -54,8 +38,8 @@ func distinctIDs(g *Graph) error {
 }
 
 // fromFlat constructs a Graph from its flat form: the fixed-width slices of
-// d are aliased as-is (the graph never writes through them; a splice builds
-// new arrays on the heap), and only the label intern map is rebuilt on the
+// d are aliased as-is (the graph never writes through them; a splice patches
+// over them, and folds into new arrays on the heap), and only the label intern map is rebuilt on the
 // heap. The ID index is built on the first by-ID lookup, and a directed
 // graph derives its reverse CSR on first use, like any graph. Every array is
 // bounds-checked first, so corrupt input errors instead of panicking later;

@@ -50,25 +50,35 @@ func (b *Batch) RemoveEdge(u, v ID, label string) {
 // Splice applies b to g and returns the result together with the weight each
 // RemoveEdge of b removed, in batch order. The result is the graph a Builder
 // would produce from g's vertices and edges with b's changes made to its
-// edge lists, edge for edge, but it is built in one pass over g's out CSR
-// into exact-size arrays: existing dense indices stay, new vertices follow in
-// the order added, and labels g has not seen join the end of the intern
+// edge lists, edge for edge: existing dense indices stay, new vertices follow
+// in the order added, and labels g has not seen join the end of the intern
 // table. On an undirected graph an insertion also appends the mirror edge at
 // its target, and a deletion also removes the first mirror instance with the
 // removed weight; a self-loop is stored, and removed, twice.
 //
-// Splice never writes an element of g's arrays. The result shares those it
-// leaves unchanged, and grows the vertex arrays (the property column's
-// included) by appending to g's, past their length — in place when they have
-// room, as a growing slice does (an array aliasing a frame or a mapping never
-// has). It also takes over g's ID
-// index, if g has one of its own, adding the new vertices to it. So once a
-// batch that appends vertices has been spliced, g must not be used. A batch
-// that appends none writes nothing g can see: g stays valid beside the
-// result, which is how a session hands a patcher the graphs before and after
-// a batch. A batch naming a vertex that is neither in g nor added, adding one
-// twice, or deleting an edge that does not exist at its point of the batch is
-// refused, and g is left as it was.
+// A splice costs what the batch touched, not |G|. The result keeps g's flat
+// CSR and carries a copy-on-write patch (patch.go): g's patch, if any, with
+// the new full list of every vertex the batch changed or appended in place of
+// the old. It copies the patch's chunk table and the chunks the batch lands
+// in, never a whole-graph array. A directed g whose reverse CSR is derived
+// hands it on the same way: its arrays, and a patch of the in-lists of the
+// batch's targets, so the result's first InAt derives nothing. Once the
+// patched lists hold more than 1/16 of the packed edges (foldFraction), the
+// splice folds instead: fresh flat arrays, out and (when derived) in, and no
+// patch. Lists in a patch are in every respect those of the flat form.
+//
+// Splice never writes an element of g's arrays or patch. The result shares
+// those it leaves unchanged, and grows the vertex arrays (the property
+// column's included) by appending to g's, past their length — in place when
+// they have room, as a growing slice does (an array aliasing a frame or a
+// mapping never has). It also takes over g's ID index, if g has one of its
+// own, adding the new vertices to it. So once a batch that appends vertices
+// has been spliced, g must not be used. A batch that appends none writes
+// nothing g can see: g stays valid beside the result, which is how a session
+// hands a patcher the graphs before and after a batch. A batch naming a
+// vertex that is neither in g nor added, adding one twice, or deleting an
+// edge that does not exist at its point of the batch is refused, and g is
+// left as it was.
 func Splice(g *Graph, b *Batch) (*Graph, []float64, error) {
 	nv, nn := int32(len(g.ids)), int32(len(g.ids)+len(b.verts))
 	ng := &Graph{
@@ -79,7 +89,6 @@ func Splice(g *Graph, b *Batch) (*Graph, []float64, error) {
 		propOff:    g.propOff,
 		propVals:   g.propVals,
 		numEdges:   g.numEdges + len(b.edges) - 2*b.dels,
-		outOff:     make([]int32, nn+1),
 		labelNames: g.labelNames,
 		labelIDs:   g.labelIDs,
 		lazy:       &lazyViews{},
@@ -129,24 +138,46 @@ func Splice(g *Graph, b *Batch) (*Graph, []float64, error) {
 	}
 
 	// The edge operations replay in batch order, each on a copy of its
-	// vertex's out-edges taken when the batch first touches it; touched then
-	// lists the vertices in ascending dense order, each with its final
-	// out-edges.
-	type run struct {
-		u  int32
-		es []DenseEdge
+	// vertex's out-edges taken, with room for what the batch inserts there,
+	// when the batch first touches it; touched then lists the vertices in
+	// ascending dense order, each with its final out-edges. Every appended
+	// vertex is touched, so the patch holds its list however short.
+	ends := make([][2]int32, len(b.edges)) // dense (source, target) of each batch edge
+	gain := make(map[int32]int)
+	for k, e := range b.edges {
+		u, err := at(e.from)
+		if err != nil {
+			return nil, nil, err
+		}
+		v, err := at(e.to)
+		if err != nil {
+			return nil, nil, err
+		}
+		ends[k] = [2]int32{u, v}
+		if e.del < 0 {
+			gain[u]++
+			if !g.directed {
+				gain[v]++
+			}
+		}
 	}
 	var touched []run
 	slot := make(map[int32]int)
-	oldOff := func(i int32) int32 { return g.outOff[min(i, nv)] } // a new vertex has no old edges
 	edges := func(u int32) *[]DenseEdge {
 		k, ok := slot[u]
 		if !ok {
 			k = len(touched)
 			slot[u] = k
-			touched = append(touched, run{u, slices.Clone(g.outDense[oldOff(u):oldOff(u+1)])})
+			var old []DenseEdge
+			if u < nv {
+				old = g.OutAt(u)
+			}
+			touched = append(touched, run{u, append(make([]DenseEdge, 0, len(old)+gain[u]), old...)})
 		}
 		return &touched[k].es
+	}
+	for u := nv; u < nn; u++ {
+		edges(u)
 	}
 	del := func(es *[]DenseEdge, match func(DenseEdge) bool) (float64, bool) {
 		k := slices.IndexFunc(*es, match)
@@ -158,15 +189,8 @@ func Splice(g *Graph, b *Batch) (*Graph, []float64, error) {
 		return w, true
 	}
 	removed := make([]float64, b.dels)
-	for _, e := range b.edges {
-		u, err := at(e.from)
-		if err != nil {
-			return nil, nil, err
-		}
-		v, err := at(e.to)
-		if err != nil {
-			return nil, nil, err
-		}
+	for k, e := range b.edges {
+		u, v := ends[k][0], ends[k][1]
 		if e.del < 0 {
 			l := intern(e.label)
 			es := edges(u)
@@ -189,31 +213,91 @@ func Splice(g *Graph, b *Batch) (*Graph, []float64, error) {
 			}
 		}
 	}
-	slices.SortFunc(touched, func(x, y run) int { return int(x.u - y.u) })
+	for id, i := range added {
+		ng.index[id] = i
+	}
 
-	// The one pass: an untouched vertex copies its run of g's CSR, its offset
-	// shifted by what the touched vertices before it gained or lost.
 	stored := 1 // packed edges per edge
 	if !g.directed {
 		stored = 2
 	}
-	ng.outDense = make([]DenseEdge, 0, len(g.outDense)+stored*(len(b.edges)-2*b.dels))
-	from, shift := int32(0), int32(0)
-	copyRun := func(to int32) {
-		ng.outDense = append(ng.outDense, g.outDense[oldOff(from):oldOff(to)]...)
-		for i := from; i < to; i++ {
-			ng.outOff[i+1] = oldOff(i+1) + shift
+	packed := g.packed() + stored*(len(b.edges)-2*b.dels)
+	var rev *adjacency
+	if r := g.lazy.rev.Load(); r != nil { // only a directed graph derives one
+		runs := inRuns(r, nv, nn, ends, func(u int32) []DenseEdge { return touched[slot[u]].es })
+		rev = &adjacency{off: r.off, dense: r.dense, patch: r.patch.with(nn, runs, packed)}
+	}
+	slices.SortFunc(touched, func(x, y run) int { return int(x.u - y.u) })
+	out := adjacency{off: g.outOff, dense: g.outDense, patch: g.outPatch.with(nn, touched, packed)}
+	if out.foldDue() || rev != nil && rev.foldDue() {
+		out = out.flat(int(nn))
+		if rev != nil {
+			*rev = rev.flat(int(nn))
 		}
 	}
-	for _, r := range touched {
-		copyRun(r.u)
-		ng.outDense = append(ng.outDense, r.es...)
-		ng.outOff[r.u+1] = int32(len(ng.outDense))
-		from, shift = r.u+1, ng.outOff[r.u+1]-oldOff(r.u+1)
-	}
-	copyRun(nn)
-	for id, i := range added {
-		ng.index[id] = i
+	ng.outOff, ng.outDense, ng.outPatch = out.off, out.dense, out.patch
+	if rev != nil {
+		ng.lazy.revOnce.Do(func() { ng.lazy.rev.Store(rev) })
 	}
 	return ng, removed, nil
+}
+
+// inRuns returns the new in-lists of every target of the batch's edges —
+// ends holds their dense (source, target) pairs, in a graph whose reverse CSR
+// was r — and of every appended vertex (at or past nv, below nn), ascending
+// by vertex, each of exactly its size. An in-list holds its sources in
+// ascending dense order, each source's edges in its out-list's order, so a
+// target's new list is its old one with the entries of the batch's sources
+// replaced by what out(u), each source's new out-list, holds for it.
+func inRuns(r *adjacency, nv, nn int32, ends [][2]int32, out func(u int32) []DenseEdge) []run {
+	arcs := make([][2]int32, 0, len(ends)+int(nn-nv)) // (target, source), -1 for none
+	for _, e := range ends {
+		arcs = append(arcs, [2]int32{e[1], e[0]})
+	}
+	for v := nv; v < nn; v++ {
+		arcs = append(arcs, [2]int32{v, -1})
+	}
+	slices.SortFunc(arcs, func(x, y [2]int32) int {
+		if x[0] != y[0] {
+			return int(x[0] - y[0])
+		}
+		return int(x[1] - y[1])
+	})
+	arcs = slices.Compact(arcs)
+	var runs []run
+	var es []DenseEdge // scratch: the list being built
+	for len(arcs) > 0 {
+		v, n := arcs[0][0], 1
+		for n < len(arcs) && arcs[n][0] == v {
+			n++
+		}
+		var old []DenseEdge
+		if v < nv {
+			old = r.at(v)
+		}
+		es = es[:0]
+		for _, a := range arcs[:n] {
+			u := a[1]
+			if u < 0 {
+				continue
+			}
+			k := 0
+			for k < len(old) && old[k].To < u {
+				k++
+			}
+			es = append(es, old[:k]...)
+			for k < len(old) && old[k].To == u {
+				k++
+			}
+			old = old[k:]
+			for _, e := range out(u) {
+				if e.To == v {
+					es = append(es, DenseEdge{To: u, Label: e.Label, W: e.W})
+				}
+			}
+		}
+		runs = append(runs, run{v, slices.Clone(append(es, old...))})
+		arcs = arcs[n:]
+	}
+	return runs
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -12,6 +13,8 @@ import (
 // labels, properties on some vertices, parallel edges and self-loops. Seeds
 // 2 and 3 mod 4 draw an undirected graph. Odd seeds go through the wire form,
 // so the graph has no ID index of its own (as a cut fragment has none).
+// Seeds 4 to 7 mod 8 draw 64 to 159 vertices, so a patch spans chunks and a
+// small batch patches without folding; the rest draw at most 12.
 func spliceInput(seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
 	g := NewBuilder()
@@ -19,6 +22,9 @@ func spliceInput(seed int64) *Graph {
 		g = NewUndirectedBuilder()
 	}
 	nv := 1 + rng.Intn(12)
+	if seed&4 != 0 {
+		nv = 64 + rng.Intn(96)
+	}
 	ids := make([]ID, nv)
 	for k := range ids {
 		ids[k] = ID(7*k + 3)
@@ -110,11 +116,70 @@ func (l *edgeLists) graph() *Graph {
 	return g
 }
 
-// FuzzSplice holds Splice to an oracle that applies the batch to the graph's
+// sameEdges reports whether two packed edge lists of graphs with the same
+// dense order hold the same edges: targets, weight bits and label names.
+func sameEdges(ga *Graph, a []DenseEdge, gb *Graph, b []DenseEdge) bool {
+	return slices.EqualFunc(a, b, func(x, y DenseEdge) bool {
+		return x.To == y.To && math.Float64bits(x.W) == math.Float64bits(y.W) && ga.LabelName(x.Label) == gb.LabelName(y.Label)
+	})
+}
+
+// checkSpliced holds got to want, a Builder-built graph of the same edges:
+// OutAt (through Diff), InAt, OutCSR, InCSR, UpCSR, and the wire form, which
+// must decode to want and to a graph — flat, as every decoded one is — whose
+// wire form is the same bytes.
+func checkSpliced(t *testing.T, got, want *Graph) {
+	t.Helper()
+	if err := got.Validate(); err != nil {
+		t.Fatalf("result not a valid graph: %v", err)
+	}
+	if err := Diff(want, got); err != nil {
+		t.Fatalf("result differs from the reference: %v", err)
+	}
+	for i := range int32(got.NumVertices()) {
+		if !sameEdges(got, got.InAt(i), want, want.InAt(i)) || got.InDegreeAt(i) != want.InDegreeAt(i) {
+			t.Fatalf("vertex %d: in-edges %v, reference %v", got.IDAt(i), got.InAt(i), want.InAt(i))
+		}
+	}
+	for _, csr := range []func(*Graph) ([]int32, []DenseEdge){(*Graph).OutCSR, (*Graph).InCSR} {
+		off, dense := csr(got)
+		woff, wdense := csr(want)
+		if !slices.Equal(off, woff) || !sameEdges(got, dense, want, wdense) {
+			t.Fatalf("flat CSR differs from the reference")
+		}
+	}
+	off, adj := got.UpCSR()
+	woff, wadj := want.UpCSR()
+	if !slices.Equal(off, woff) || !slices.Equal(adj, wadj) {
+		t.Fatalf("UpCSR differs from the reference")
+	}
+	flat := AppendFlat(nil, got)
+	dec, _, err := DecodeFlat(flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Diff(want, dec); err != nil {
+		t.Fatalf("decoded wire form differs from the reference: %v", err)
+	}
+	if !bytes.Equal(AppendFlat(nil, dec), flat) {
+		t.Fatalf("wire form differs from the decoded graph's")
+	}
+	for l := int32(0); int(l) < got.NumLabels(); l++ {
+		if id, ok := got.LabelID(got.LabelName(l)); !ok || id != l {
+			t.Fatalf("label %d (%q) interns as %d", l, got.LabelName(l), id)
+		}
+	}
+}
+
+// FuzzSplice holds Splice to an oracle that applies each batch to the graph's
 // edge lists and builds the result with a Builder: a random graph, directed
-// or not, and a batch drawn from the fuzzer's bytes — new vertices with
-// labels and properties, insertions with new labels, parallel edges and
-// self-loops, deletions of old edges and of the batch's own insertions.
+// or not, and up to 8 batches drawn from the fuzzer's bytes, each spliced
+// into the last result — new vertices with labels and properties, insertions
+// with new labels, parallel edges and self-loops, deletions of old edges and
+// of the batch's own insertions. Every result is checked whole after its
+// batch (checkSpliced), and every earlier graph must still read as it did:
+// its wire form and its in-edges, read after it was spliced. An op is four
+// bytes; kind 4 ends a batch.
 func FuzzSplice(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 3, 1, 0, 0, 0, 3, 0, 0, 0})
 	f.Add(int64(2), []byte{2, 5, 5, 1, 3, 5, 0, 0, 0, 9, 1, 4, 1, 9, 0, 2, 3, 9, 0, 0})
@@ -123,17 +188,70 @@ func FuzzSplice(f *testing.F) {
 	f.Add(int64(6), []byte{1, 0, 0, 2, 1, 0, 0, 2, 3, 0, 0, 0, 1, 2, 3, 1, 3, 2, 0, 0})
 	f.Add(int64(7), []byte{0, 2, 1, 1, 1, 4, 4, 0, 3, 4, 0, 0, 2, 1, 0, 1, 3, 0, 1, 0})
 	f.Add(int64(10), []byte{2, 3, 3, 1, 2, 3, 3, 1, 3, 3, 0, 0, 3, 3, 0, 0})
+	// Chains over 83 to 156 vertices. Seed 12: a patch with the reverse CSR
+	// handed on, a fold, a patch over the folded arrays.
+	f.Add(int64(12), []byte{1, 1, 2, 0, 4, 0, 0, 0, 1, 3, 4, 0, 1, 5, 6, 0, 1, 7, 8, 0, 1, 9, 10, 0, 1, 11, 12, 0, 1, 13, 14, 0, 1, 15, 16, 0, 1, 17, 18, 0, 1, 19, 20, 1, 4, 0, 0, 0, 3, 1, 0, 0, 1, 100, 2, 2})
+	// Seed 5: vertices appended to a decoded graph, with no ID index of its
+	// own, over three batches, the third folding.
+	f.Add(int64(5), []byte{0, 1, 1, 0, 1, 0, 140, 1, 2, 140, 3, 2, 4, 0, 0, 0, 0, 2, 0, 1, 1, 141, 141, 0, 1, 70, 141, 1, 4, 0, 0, 0, 0, 0, 0, 0, 1, 142, 11, 1, 1, 12, 13, 1, 1, 14, 15, 1, 1, 16, 17, 1, 1, 18, 19, 1, 1, 20, 21, 1, 1, 22, 23, 1, 1, 24, 25, 1, 1, 26, 27, 1, 4, 0, 0, 0, 3, 140, 0, 0})
+	// Seed 14: undirected self-loops patched in, then folded.
+	f.Add(int64(14), []byte{1, 3, 3, 1, 1, 3, 3, 2, 4, 0, 0, 0, 1, 1, 2, 0, 1, 3, 4, 0, 1, 5, 6, 0, 1, 7, 8, 0, 1, 9, 10, 0, 1, 11, 12, 0, 1, 13, 14, 0, 1, 15, 16, 0, 1, 17, 18, 0, 4, 0, 0, 0, 3, 3, 0, 0, 3, 3, 0, 0})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		g := spliceInput(seed)
-		before, flat := g.Clone(), AppendFlat(nil, g)
+		if seed&8 != 0 {
+			g.InAt(0) // the first splice hands on a derived reverse CSR
+		}
 		ref := listsOf(g)
+		type earlier struct {
+			g    *Graph
+			flat []byte
+			in   [][]DenseEdge
+		}
+		var seen []earlier
+		remember := func(g *Graph) {
+			e := earlier{g: g, flat: AppendFlat(nil, g)}
+			for i := range int32(g.NumVertices()) {
+				e.in = append(e.in, slices.Clone(g.InAt(i)))
+			}
+			seen = append(seen, e)
+		}
+		remember(g)
 		var b Batch
 		var want []float64
 		vertex := func(x byte) ID { return ref.ids[int(x)%len(ref.ids)] }
-		for len(ops) >= 4 {
-			o := ops[:4]
-			ops = ops[4:]
-			switch o[0] % 4 {
+		for batches := 0; batches < 8; {
+			var o []byte
+			if len(ops) >= 4 {
+				o, ops = ops[:4], ops[4:]
+			}
+			if o == nil || o[0]%5 == 4 { // the batch ends
+				got, removed, err := Splice(g, &b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(removed, want) {
+					t.Fatalf("batch %d removed %v, reference %v", batches, removed, want)
+				}
+				checkSpliced(t, got, ref.graph())
+				for k, e := range seen {
+					if !bytes.Equal(AppendFlat(nil, e.g), e.flat) {
+						t.Fatalf("batch %d changed the wire form of graph %d", batches, k)
+					}
+					for i, in := range e.in {
+						if !slices.Equal(e.g.InAt(int32(i)), in) {
+							t.Fatalf("batch %d changed the in-edges of vertex %d of graph %d", batches, i, k)
+						}
+					}
+				}
+				remember(got)
+				g, b, want = got, Batch{}, nil
+				batches++
+				if o == nil {
+					break
+				}
+				continue
+			}
+			switch o[0] % 5 {
 			case 0:
 				id := ID(1000 + len(ref.ids))
 				label := []string{"", "a", "c"}[o[1]%3]
@@ -158,27 +276,6 @@ func FuzzSplice(f *testing.F) {
 				e := out[int(o[2])%len(out)]
 				b.RemoveEdge(u, e.To, e.Label)
 				want = append(want, ref.removeEdge(u, e.To, e.Label))
-			}
-		}
-		got, removed, err := Splice(g, &b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(AppendFlat(nil, g), flat) || Diff(g, before) != nil {
-			t.Fatal("Splice wrote the input graph")
-		}
-		if err := got.Validate(); err != nil {
-			t.Fatalf("result not a valid graph: %v", err)
-		}
-		if err := Diff(ref.graph(), got); err != nil {
-			t.Fatalf("result differs from the reference: %v", err)
-		}
-		if !slices.Equal(removed, want) {
-			t.Fatalf("removed %v, reference %v", removed, want)
-		}
-		for l := int32(0); int(l) < got.NumLabels(); l++ {
-			if id, ok := got.LabelID(got.LabelName(l)); !ok || id != l {
-				t.Fatalf("label %d (%q) interns as %d", l, got.LabelName(l), id)
 			}
 		}
 	})

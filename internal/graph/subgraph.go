@@ -5,14 +5,15 @@ import (
 	"slices"
 )
 
-// SubgraphBuilder cuts subgraphs out of one source graph, CSR to CSR: vertices and edges are named by the source's dense indices and
-// remapped through flat arrays, so a cut hashes nothing per vertex or per edge
-// (the subgraph builds its ID index on its first by-ID lookup, if any), and
-// every array of the result is allocated once, at its final size — a
-// property column only if some vertex brings properties. The remapping
-// scratch is sized to the source once and shared by every subgraph cut from
-// it.
-// partition.Build, partition.BuildExpanded and the block-centric baseline
+// SubgraphBuilder cuts subgraphs out of one source graph, CSR to CSR:
+// vertices and edges are named by the source's dense indices and remapped
+// through flat arrays, so a cut hashes nothing per vertex or per edge (the
+// subgraph builds its ID index on its first by-ID lookup, if any), and every
+// array of the result is allocated once, at its final size — a property
+// column only if some vertex brings properties. The source is read list by
+// list, so a spliced one is cut as it stands, its patch unfolded. The
+// remapping scratch is sized to the source once and shared by every subgraph
+// cut from it. partition.Build, partition.BuildExpanded and the block-centric baseline
 // cut through it.
 type SubgraphBuilder struct {
 	src   *Graph
@@ -20,7 +21,7 @@ type SubgraphBuilder struct {
 	verts []int32 // the latest subgraph's vertices, as source dense indices
 	next  []int32 // per subgraph vertex: out-degree after the first walk, write cursor in the second
 	lmap  []int32 // source label ID -> subgraph label ID, -1 outside Subgraph
-	kept  []int32 // the edges keep accepted in the first walk, by position in the source's out-CSR, in walk order
+	kept  []int32 // the edges keep accepted in the first walk, by ordinal among the edges it walked
 }
 
 // NewSubgraphBuilder returns a builder for subgraphs of src.
@@ -69,18 +70,19 @@ func (b *SubgraphBuilder) Subgraph(seeds []int32, keep func(from int32, e DenseE
 		local[i] = int32(li)
 	}
 	if keep != nil && b.kept == nil {
-		b.kept = make([]int32, 0, len(src.outDense)) // distinct seeds walk each edge at most once
+		b.kept = make([]int32, 0, src.packed()) // distinct seeds walk each edge at most once
 	}
 	ne := 0
 	b.kept = b.kept[:0]
+	walked := int32(0) // the edges of the seeds before this one
 	for u, i := range seeds {
-		at := src.outOff[i]
-		for j, e := range src.OutAt(i) {
+		es := src.OutAt(i)
+		for j, e := range es {
 			if keep != nil {
 				if !keep(i, e) {
 					continue
 				}
-				b.kept = append(b.kept, at+int32(j))
+				b.kept = append(b.kept, walked+int32(j))
 			}
 			v := local[e.To]
 			if v < 0 {
@@ -94,6 +96,7 @@ func (b *SubgraphBuilder) Subgraph(seeds []int32, keep func(from int32, e DenseE
 			}
 			ne++
 		}
+		walked += int32(len(es))
 	}
 	nv := len(b.verts)
 	g := &Graph{
@@ -137,11 +140,13 @@ func (b *SubgraphBuilder) Subgraph(seeds []int32, keep func(from int32, e DenseE
 			}
 		}
 	} else {
-		kept := b.kept
-		for u, i := range seeds { // a seed's kept edges are the next ones in its CSR range
-			for lo, hi := src.outOff[i], src.outOff[i+1]; len(kept) > 0 && lo <= kept[0] && kept[0] < hi; kept = kept[1:] {
-				place(int32(u), src.outDense[kept[0]])
+		kept, walked := b.kept, int32(0)
+		for u, i := range seeds { // a seed's kept edges are the next ones below the ordinal its list ends at
+			es := src.OutAt(i)
+			for ; len(kept) > 0 && kept[0] < walked+int32(len(es)); kept = kept[1:] {
+				place(int32(u), es[kept[0]-walked])
 			}
+			walked += int32(len(es))
 		}
 	}
 	for k := range out {

@@ -89,7 +89,7 @@ func (g *Graph) Diameter(src ID) int {
 // up(a) stamped, up(b) scanned for every b in up(a). The larger-ID neighbor
 // lists are derived for the call and dropped after it; UpCSR keeps its own.
 func (g *Graph) EachTriangle(visit func(a, b, c int32)) {
-	off, adj := upCSR(g.ids, g.outOff, g.outDense)
+	off, adj := upCSR(g)
 	stamp := make([]int32, len(g.ids)) // stamp[x] == a+1: x is in up(a)
 	for a := range int32(len(g.ids)) {
 		up := adj[off[a]:off[a+1]]
