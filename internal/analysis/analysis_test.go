@@ -129,3 +129,25 @@ func TestCtxfirstMainExempt(t *testing.T) { checkFixture(t, Ctxfirst, "ctxmain")
 // legitimately lives in a pool and on the context there, never in a struct
 // (the violating struct-held recorder lives in the ctxfirst fixture).
 func TestRecorderFixture(t *testing.T) { checkFixtureAll(t, []*Analyzer{Poolreset, Ctxfirst}, "trace") }
+
+// TestPoolresetGuardsRunScratch: on the real engine package, poolreset sees
+// RunOnLayout's run scratch enter its free list, and with it the Context and
+// foldState whose reset methods it then holds to every field.
+func TestPoolresetGuardsRunScratch(t *testing.T) {
+	pkgs, err := Load("../..", "./internal/engine")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 1 {
+		t.Fatalf("loaded %d packages, want internal/engine alone", len(pkgs))
+	}
+	reach := map[string]bool{}
+	for n := range pooledReach(newPass(Poolreset, pkgs[0], new([]Diagnostic))) {
+		reach[n.Obj().Name()] = true
+	}
+	for _, name := range []string{"runScratch", "Context", "foldState"} {
+		if !reach[name] {
+			t.Errorf("poolreset does not see %s as recycled in internal/engine", name)
+		}
+	}
+}

@@ -3,10 +3,12 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // Poolreset guards the scratch-recycling invariant behind engine.RunOnLayout:
-// any struct that travels through a sync.Pool and exposes a reset() method
+// any struct that travels through a pool — a sync.Pool, or a freelist.List,
+// which recycles RunOnLayout's run scratch — and exposes a reset() method
 // must assign every one of its fields in reset. The reset methods are
 // hand-maintained field lists — add a field to the struct, forget the line
 // in reset, and one run's state leaks into the next run's pooled scratch.
@@ -18,21 +20,40 @@ import (
 // are annotated //grapevet:keep on their declaration.
 var Poolreset = &Analyzer{
 	Name: "poolreset",
-	Doc: "every field of a sync.Pool-recycled struct with a reset() method must be " +
+	Doc: "every field of a pool-recycled (sync.Pool, freelist.List) struct with a reset() method must be " +
 		"assigned in reset or carry //grapevet:keep on its declaration",
 	Run: runPoolreset,
 }
 
 func runPoolreset(p *Pass) error {
-	roots := pooledRoots(p)
-	if len(roots) == 0 {
-		return nil
+	reach := pooledReach(p)
+	resets := resetMethods(p)
+	for named := range reach {
+		fd, ok := resets[named.Obj().Name()]
+		if !ok {
+			continue
+		}
+		st := named.Origin().Underlying().(*types.Struct)
+		assigned := map[string]bool{}
+		assignedFields(p, fd, assigned, map[string]bool{})
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			if assigned[f.Name()] || p.SuppressedAt(f.Pos()) {
+				continue
+			}
+			p.Reportf(fd.Name.Pos(), "pooled %s.reset does not assign field %q: a recycled scratch would leak the previous run's %s (reset it, or annotate the field //grapevet:keep <why>)",
+				named.Obj().Name(), f.Name(), f.Name())
+		}
 	}
+	return nil
+}
 
-	// Pool-reachable structs: the pooled roots plus every same-package named
-	// struct reachable through fields, pointers, slices, arrays and maps —
-	// RunOnLayout pools a *runScratch whose fields hold the actual Contexts and
-	// fold state, so reachability is the honest definition of "recycled".
+// pooledReach returns the structs a pool recycles in this package: the
+// pooled roots plus every same-package named struct reachable through
+// fields, pointers, slices, arrays and maps — RunOnLayout pools a
+// *runScratch whose fields hold the actual Contexts and fold state, so
+// reachability is the honest definition of "recycled".
+func pooledReach(p *Pass) map[*types.Named]bool {
 	reach := map[*types.Named]bool{}
 	var expand func(t types.Type)
 	expand = func(t types.Type) {
@@ -63,34 +84,34 @@ func runPoolreset(p *Pass) error {
 			}
 		}
 	}
-	for n := range roots {
+	for n := range pooledRoots(p) {
 		expand(n)
 	}
-
-	resets := resetMethods(p)
-	for named := range reach {
-		fd, ok := resets[named.Obj().Name()]
-		if !ok {
-			continue
-		}
-		st := named.Origin().Underlying().(*types.Struct)
-		assigned := map[string]bool{}
-		assignedFields(p, fd, assigned, map[string]bool{})
-		for i := 0; i < st.NumFields(); i++ {
-			f := st.Field(i)
-			if assigned[f.Name()] || p.SuppressedAt(f.Pos()) {
-				continue
-			}
-			p.Reportf(fd.Name.Pos(), "pooled %s.reset does not assign field %q: a recycled scratch would leak the previous run's %s (reset it, or annotate the field //grapevet:keep <why>)",
-				named.Obj().Name(), f.Name(), f.Name())
-		}
-	}
-	return nil
+	return reach
 }
 
-// pooledRoots finds the named struct types that enter a sync.Pool in this
-// package: arguments of Pool.Put, targets of type assertions on Pool.Get,
-// and results of Pool.New functions.
+// isPoolType reports whether t, through a pointer, is a pool: sync.Pool, or
+// freelist.List (matched by package-path suffix, so the analyzer's fixtures
+// can carry a miniature of it).
+func isPoolType(t types.Type) bool {
+	n := namedOf(t)
+	if n == nil || n.Obj().Pkg() == nil {
+		return false
+	}
+	path := n.Obj().Pkg().Path()
+	switch n.Obj().Name() {
+	case "Pool":
+		return path == "sync"
+	case "List":
+		return path == "freelist" || strings.HasSuffix(path, "/freelist")
+	}
+	return false
+}
+
+// pooledRoots finds the named struct types that enter a pool in this
+// package: arguments of Put, results of Get — a freelist.List's is the
+// pooled *T — and the targets of type assertions on them, and results of
+// sync.Pool.New functions.
 func pooledRoots(p *Pass) map[*types.Named]bool {
 	info := p.Pkg.Info
 	roots := map[*types.Named]bool{}
@@ -104,11 +125,15 @@ func pooledRoots(p *Pass) map[*types.Named]bool {
 			return false
 		}
 		tv, ok := info.Types[sel.X]
+		return ok && isPoolType(tv.Type)
+	}
+	isPoolCall := func(e ast.Expr, method string) bool {
+		call, ok := e.(*ast.CallExpr)
 		if !ok {
 			return false
 		}
-		n := namedOf(tv.Type)
-		return n != nil && n.Obj().Name() == "Pool" && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "sync"
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		return ok && isPoolSel(sel, method)
 	}
 	p.inspect(func(n ast.Node) bool {
 		switch nn := n.(type) {
@@ -118,12 +143,15 @@ func pooledRoots(p *Pass) map[*types.Named]bool {
 					add(tv.Type)
 				}
 			}
+			if isPoolCall(nn, "Get") {
+				if tv, ok := info.Types[nn]; ok {
+					add(tv.Type)
+				}
+			}
 		case *ast.TypeAssertExpr:
-			if call, ok := nn.X.(*ast.CallExpr); ok && nn.Type != nil {
-				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && isPoolSel(sel, "Get") {
-					if tv, ok := info.Types[nn.Type]; ok {
-						add(tv.Type)
-					}
+			if isPoolCall(nn.X, "Get") && nn.Type != nil {
+				if tv, ok := info.Types[nn.Type]; ok {
+					add(tv.Type)
 				}
 			}
 		case *ast.AssignStmt:

@@ -1,5 +1,6 @@
-// Package poolreset exercises the poolreset analyzer: a sync.Pool-recycled
-// struct whose reset() misses a field leaks one run's state into the next.
+// Package poolreset exercises the poolreset analyzer: a pool-recycled struct
+// whose reset() misses a field leaks one run's state into the next. This file
+// recycles through sync.Pools, list.go through freelist.Lists.
 package poolreset
 
 import "sync"

@@ -3,10 +3,12 @@ package engine
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"slices"
 	"sync"
 
+	"grape/internal/freelist"
 	"grape/internal/graph"
 	"grape/internal/metrics"
 	"grape/internal/mpi"
@@ -124,7 +126,7 @@ func BuildLayout(g *graph.Graph, opts Options) (*partition.Layout, error) {
 // Either way the superstep loop is fixpoint. The context is honored as in
 // Run. The layout is only read, so concurrent runs may share it.
 //
-// The run's contexts, fold state and reply batches come from a pool per
+// The run's contexts, fold state and reply batches come from a free list per
 // program name and go back when it returns, cancelled or not: a service
 // answering many small queries over resident layouts would otherwise
 // reallocate O(|V|) arrays per request. The layout may be a session's
@@ -143,7 +145,7 @@ func RunOnLayout[Q, V, R any](ctx context.Context, layout *partition.Layout, pro
 	if err != nil {
 		return zero, nil, err
 	}
-	pool := runPool(prog.Name())
+	pool := runPool[V](prog.Name())
 	sc := acquireScratch(pool, layout, spec)
 	defer releaseScratch(pool, sc)
 	if opts.Transport == nil {
@@ -156,17 +158,29 @@ func RunOnLayout[Q, V, R any](ctx context.Context, layout *partition.Layout, pro
 	return fixpoint(ctx, layout, prog, q, opts, sub, &sc.fold, nil)
 }
 
-// runPools holds RunOnLayout's scratch pools, one *sync.Pool per program
-// name. They are sync.Pools so that a collection empties them: between
-// queries a one-shot caller holds no run memory.
-var runPools sync.Map
+// runPools holds RunOnLayout's scratch, one free list per program name and
+// value type. A run's scratch goes back when one query ends and is taken when
+// the next starts, often on another P, so it lives on a freelist.List, which
+// any P takes from, rather than in a sync.Pool, where a Get on one P misses
+// what another P put back. Like a sync.Pool, a List frees what sits idle
+// through two collections: between queries a one-shot caller holds no run
+// memory.
+var runPools sync.Map // runKey -> *freelist.List[runScratch[V]]
 
-func runPool(name string) *sync.Pool {
-	if p, ok := runPools.Load(name); ok {
-		return p.(*sync.Pool)
+// runKey names a program's free list. The value type is part of it: two
+// programs that share a name but not V cannot hand each other their scratch.
+type runKey struct {
+	name string
+	v    reflect.Type
+}
+
+func runPool[V any](name string) *freelist.List[runScratch[V]] {
+	key := runKey{name, reflect.TypeFor[V]()}
+	if p, ok := runPools.Load(key); ok {
+		return p.(*freelist.List[runScratch[V]])
 	}
-	p, _ := runPools.LoadOrStore(name, new(sync.Pool))
-	return p.(*sync.Pool)
+	p, _ := runPools.LoadOrStore(key, new(freelist.List[runScratch[V]]))
+	return p.(*freelist.List[runScratch[V]])
 }
 
 // runScratch is what one run allocates and the next run of the same program
@@ -179,16 +193,12 @@ type runScratch[V any] struct {
 	decoded [][]update[V]
 }
 
-// acquireScratch takes a run's scratch from pool — a new one when the pool is
-// empty or holds a scratch of another value type, which a program sharing
-// the name of the pool's put there — and binds it to layout: every context
-// reset to its fragment with the program's spec, the fold to the layout's
-// slots, one empty reply batch per fragment.
-func acquireScratch[V any](pool *sync.Pool, layout *partition.Layout, spec vars[V]) *runScratch[V] {
-	sc, ok := pool.Get().(*runScratch[V])
-	if !ok {
-		sc = new(runScratch[V])
-	}
+// acquireScratch takes a run's scratch from pool — a new one when none is
+// idle — and binds it to layout: every context reset to its fragment with
+// the program's spec, the fold to the layout's slots, one empty reply batch
+// per fragment.
+func acquireScratch[V any](pool *freelist.List[runScratch[V]], layout *partition.Layout, spec vars[V]) *runScratch[V] {
+	sc := pool.Get()
 	n := len(layout.Fragments)
 	// contexts past a smaller layout's fragments are kept for a larger one
 	if n > cap(sc.ctxs) {
@@ -215,7 +225,7 @@ func acquireScratch[V any](pool *sync.Pool, layout *partition.Layout, spec vars[
 // allocated, and its variables are cleared when it is next bound. A
 // cancelled run's scratch is released too: the bus waits for every worker
 // goroutine to exit before fixpoint returns, so nothing writes it after.
-func releaseScratch[V any](pool *sync.Pool, sc *runScratch[V]) {
+func releaseScratch[V any](pool *freelist.List[runScratch[V]], sc *runScratch[V]) {
 	for _, c := range sc.ctxs {
 		c.Frag, c.State, c.Partial = nil, nil, nil
 	}

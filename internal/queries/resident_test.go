@@ -222,8 +222,8 @@ func TestParseCanonicalization(t *testing.T) {
 // warmSSSPRuns returns two sssp runs from vertex 0 over the resident road
 // layout (96×96 grid, 8 spatial fragments — the benchmark's): one through
 // RunOnLayout, one through the sssp entry's resident runner. The pooled
-// scratch is filled and collections are off until the test ends, since a
-// collection would empty the pool.
+// scratch is filled and collections are off until the test ends, since two
+// collections would empty the pool.
 func warmSSSPRuns(t *testing.T) (oneShot, resident func()) {
 	t.Helper()
 	if raceEnabled {
@@ -312,9 +312,7 @@ func TestSSSPAssembleSizedByReach(t *testing.T) {
 			t.Fatalf("sssp from an isolated vertex answered %d entries, want %v", len(res), want)
 		}
 	}
-	// One P and no collection, so the warmed scratch stays in the pool slot
-	// the next run takes it from.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// No collection, so the warmed scratch stays on its free list.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	run() // fill the pooled scratch
 	const runs = 10
@@ -328,6 +326,55 @@ func TestSSSPAssembleSizedByReach(t *testing.T) {
 	t.Logf("a one-entry sssp run allocates %.1f KB", kb)
 	if kb >= 64 {
 		t.Fatalf("a one-entry sssp run allocates %.0f KB, budget 64", kb)
+	}
+}
+
+// TestRunScratchReusedAfterACollection: a resident service's next sssp run
+// reuses the scratch its last one put back, on whichever P it starts and
+// across a collection in between. Each round runs sssp, then cc, then a
+// collection; every sssp run after the first allocates less than half of
+// the first, whose scratch was new. The collector runs only when the test
+// calls it, once a round.
+func TestRunScratchReusedAfterACollection(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops what is put into it under the race detector")
+	}
+	layout, err := engine.BuildLayout(gen.RoadGrid(64, 64, 1), engine.Options{Workers: 4, Strategy: partition.Hash{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	sssp := func() float64 {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, _, err := engine.RunOnLayout(ctx, layout, SSSP{}, SSSPQuery{Source: 0}, engine.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// two collections free every idle scratch: the first run's is new
+	runtime.GC()
+	runtime.GC()
+	first := sssp()
+	const rounds = 40
+	over, worst := 0, 0.0
+	for range rounds {
+		if _, _, err := engine.RunOnLayout(ctx, layout, CC{}, CCQuery{}, engine.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		b := sssp()
+		worst = max(worst, b)
+		if b >= first/2 {
+			over++
+		}
+	}
+	t.Logf("an sssp run allocates %.0f KB with new scratch, at most %.0f KB after a cc run and a collection", first/1e3, worst/1e3)
+	if over > 0 {
+		t.Fatalf("%d of %d sssp runs after a collection allocated half the first's %.0f KB or more (worst %.0f KB): the idle scratch was missed", over, rounds, first/1e3, worst/1e3)
 	}
 }
 

@@ -233,12 +233,13 @@ func TestServedCFAfterMutationMatchesFreshCut(t *testing.T) {
 }
 
 // TestServedMissReusesRunScratch: every served miss draws its run scratch
-// from RunOnLayout's pool, so a miss reuses it whichever layout it runs on.
+// from RunOnLayout's free list, so a miss reuses it whichever layout it runs
+// on.
 // Each answer is checked, on a spliced session layout, after a keyword
 // reseed and after a broken batch. Then, on PreferentialAttachment(10000, 5),
 // the mean nocache sssp miss over 30 cc batches, the miss after a keyword
 // reseed, and the miss after a broken batch each allocate at most half of
-// the first miss, which fills the pool. It runs under an ID-driven strategy
+// the first miss, which fills the free list. It runs under an ID-driven strategy
 // (2d) and an edge-driven one (fennel, the default).
 func TestServedMissReusesRunScratch(t *testing.T) {
 	for _, strategy := range []string{"2d", "fennel"} {
@@ -317,15 +318,12 @@ func servedMissReusesRunScratch(t *testing.T, strategy string) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops the pooled scratch under the race detector")
 	}
-	// Two collections empty every sync.Pool, RunOnLayout's too, so the first
-	// miss fills it. Then the collector stays off (about 240 MB): a
-	// collection that emptied the pool would make any later miss a first.
+	// Two collections empty every sync.Pool and RunOnLayout's free lists, so
+	// the first miss fills them. Then the collector stays off (about 240 MB):
+	// two collections between misses would make the later miss a first.
 	runtime.GC()
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	// One P, one per-P pool cache: with more, scratch put back on one P can
-	// sit in that P's private slot, where a Get on another never looks.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	big := New(Config{Workers: 8, Strategy: strategy})
 	defer big.Close()
 	g := gen.PreferentialAttachment(10000, 5, 1)
